@@ -18,11 +18,12 @@ a replica with :class:`~repro.faults.injector.FaultInjector`, then
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.config import CassandraConfig
-from repro.cassandra_sim.partitioner import RingPartitioner
+from repro.cassandra_sim.partitioner import RingPartitioner, key_token
 from repro.cassandra_sim.rebalance import RingRebalance
 from repro.cassandra_sim.replica import CassandraReplica
 from repro.cassandra_sim.storage import ColumnarTable
@@ -197,7 +198,8 @@ class CassandraCluster:
         Preloads at or above ``config.columnar_threshold_keys`` records flip
         every replica to :class:`~repro.cassandra_sim.storage.ColumnarTable`
         first (unless ``config.columnar_storage`` is off) — that is the only
-        scale at which the per-row object overhead matters.
+        scale at which the per-row object overhead matters.  Every key is
+        hashed once here: its token routes the row and is stored with it.
         """
         from repro.cassandra_sim.versions import VersionedValue
 
@@ -207,27 +209,32 @@ class CassandraCluster:
                 if not isinstance(replica.table, ColumnarTable):
                     replica.table = ColumnarTable.from_table(replica.table)
         by_name = self._by_name
-        replicas_for = self.partitioner.replicas_for
+        replicas_for_token = self.partitioner.replicas_for_token
         if self.replicas and all(isinstance(r.table, ColumnarTable)
                                  for r in self.replicas):
-            # Million-key rings: group rows by owner and bulk-extend each
-            # replica's columns — no version objects, no per-row calls
-            # (see ColumnarTable.preload_rows).
-            buckets: Dict[str, list] = {name: [] for name in by_name}
+            # Million-key rings: bucket rows by owner into parallel
+            # key/value/token columns and bulk-extend each replica's table —
+            # no version objects, no per-row tuples or calls (see
+            # ColumnarTable.preload_columns).
+            buckets = {name: ([], [], array("Q")) for name in by_name}
             for key, value in items.items():
-                for owner in replicas_for(key):
+                token = key_token(key)
+                for owner in replicas_for_token(token):
                     bucket = buckets.get(owner)
                     if bucket is not None:
-                        bucket.append((key, value))
-            for name, rows in buckets.items():
-                by_name[name].table.preload_rows(rows)
+                        bucket[0].append(key)
+                        bucket[1].append(value)
+                        bucket[2].append(token)
+            for name, (keys, values, tokens) in buckets.items():
+                by_name[name].table.preload_columns(keys, values, tokens)
             return
         for key, value in items.items():
             version = VersionedValue(value, (0.0, "preload", 0))
-            for owner in replicas_for(key):
+            token = key_token(key)
+            for owner in replicas_for_token(token):
                 replica = by_name.get(owner)
                 if replica is not None:
-                    replica.table.apply(key, version)
+                    replica.table.apply(key, version, token)
 
     # -- statistics -------------------------------------------------------------------
     def total_preliminaries_flushed(self) -> int:

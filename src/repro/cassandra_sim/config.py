@@ -84,8 +84,11 @@ class CassandraConfig:
     #: Batches are stop-and-wait (next batch leaves when the previous one is
     #: acknowledged), so smaller batches stretch a rebalance over more time.
     stream_batch_items: int = 64
-    #: Service time the stream source pays to scan its table for one task's
-    #: key range (ms).
+    #: Simulated service time the stream source is charged for locating one
+    #: task's key range before its first batch leaves (ms).  A model
+    #: parameter, not a description of host work: the simulator itself
+    #: selects the range from the table's token index (see
+    #: ``storage.keys_in_range``).
     stream_scan_ms: float = 2.0
     #: Service time the stream source pays to assemble one batch (ms).
     stream_batch_ms: float = 0.5

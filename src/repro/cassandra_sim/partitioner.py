@@ -8,8 +8,9 @@ replication factor behave correctly too.
 The ring is a *mutable, versioned* object: :meth:`RingPartitioner.add_node`,
 :meth:`~RingPartitioner.remove_node` and :meth:`~RingPartitioner.decommission`
 edit the token layout and bump :attr:`~RingPartitioner.version` (the ring
-*epoch*).  Preference lists are cached per key and invalidated by epoch —
-an edit clears the cache once and lookups rebuild lazily, never wholesale.
+*epoch*).  Each epoch carries a slot table — one interned preference tuple
+per ring position — so an uncached lookup is one md5, one bisect and one
+index, and every key of a slot shares the same tuple object.
 Every edit returns a deterministic :class:`RingChange` whose
 :class:`StreamTask` list says exactly which key ranges move between which
 nodes, so a joining/leaving node transfers precisely the ranges it
@@ -69,10 +70,6 @@ class StreamTask:
     start_token: int
     end_token: int
 
-    def contains_key(self, key: str) -> bool:
-        return token_in_range(_hash_token(key), self.start_token,
-                              self.end_token)
-
 
 @dataclass(frozen=True)
 class RingChange:
@@ -122,16 +119,21 @@ class RingPartitioner:
             name: vnodes_per_node for name in self.node_names}
         self._ring: List[tuple] = self._build_ring(self._vnodes)
         self._tokens = [token for token, _ in self._ring]
-        # Preference lists are pure functions of (key, ring epoch); the cache
-        # is cleared once per committed edit and refilled lazily per key —
-        # it is never rebuilt wholesale (hot path: every coordinated
-        # read/write hashes its key).
-        self._preference_cache: dict = {}
+        #: Preference tuple per ring position (see :meth:`_slot_owners`).
+        self._slots = self._slot_owners(self._ring, replication_factor)
+        # key -> its slot's tuple, so the request hot path (several lookups
+        # per operation on a small hot key set) skips the md5; dropped on
+        # every committed edit, and wholesale when a huge key space fills it.
+        self._preference_cache: Dict[str, Tuple[str, ...]] = {}
         #: In-flight membership change (between ``begin`` and ``commit``).
         self._pending: Optional[RingChange] = None
         self._pending_ring: List[tuple] = []
         self._pending_tokens: List[int] = []
-        self._pending_cache: dict = {}
+        self._pending_slots: List[Tuple[str, ...]] = []
+        #: End token and gaining nodes of every interval of the serving
+        #: ring merged with the pending one (see :meth:`_layout_after`).
+        self._pending_bounds: List[int] = []
+        self._pending_gained: List[Tuple[str, ...]] = []
 
     # -- ring construction --------------------------------------------------
     @staticmethod
@@ -144,35 +146,49 @@ class RingPartitioner:
         return ring
 
     @staticmethod
-    def _owners_at(ring: List[tuple], tokens: List[int], token: int,
-                   count: int) -> Tuple[str, ...]:
-        """The first ``count`` distinct owners clockwise from ``token``."""
-        owners: List[str] = []
-        index = bisect_right(tokens, token) % len(ring)
-        while len(owners) < count:
-            name = ring[index][1]
-            if name not in owners:
-                owners.append(name)
-            index = (index + 1) % len(ring)
-        return tuple(owners)
+    def _slot_owners(ring: List[tuple],
+                     count: int) -> List[Tuple[str, ...]]:
+        """The preference tuple of every ring position, equal tuples shared.
+
+        Entry ``i`` holds the first ``count`` distinct owners clockwise from
+        ring position ``i``, so the owners of ``token`` are
+        ``slots[bisect_right(tokens, token) % len(ring)]``: the walk is done
+        once per position and epoch instead of once per lookup.
+        """
+        interned: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        slots = []
+        for position in range(len(ring)):
+            owners: List[str] = []
+            probe = position
+            while len(owners) < count:
+                name = ring[probe][1]
+                if name not in owners:
+                    owners.append(name)
+                probe = (probe + 1) % len(ring)
+            preference = tuple(owners)
+            slots.append(interned.setdefault(preference, preference))
+        return slots
 
     # -- lookups -------------------------------------------------------------
     def replicas_for(self, key: str) -> Tuple[str, ...]:
         """The ordered preference list of replicas responsible for ``key``.
 
-        Returned as an immutable tuple: the entry is cached and shared
-        between callers, and survives until the next ring edit invalidates
-        it.
+        Returned as an immutable tuple shared by every key of the same ring
+        slot until the next ring edit.
         """
         cached = self._preference_cache.get(key)
         if cached is not None:
             return cached
-        replicas = self._owners_at(self._ring, self._tokens, _hash_token(key),
-                                   self.replication_factor)
+        replicas = self.replicas_for_token(_hash_token(key))
         if len(self._preference_cache) >= 65536:
             self._preference_cache.clear()
         self._preference_cache[key] = replicas
         return replicas
+
+    def replicas_for_token(self, token: int) -> Tuple[str, ...]:
+        """:meth:`replicas_for` for a caller that already hashed the key."""
+        slots = self._slots
+        return slots[bisect_right(self._tokens, token) % len(slots)]
 
     def primary_for(self, key: str) -> str:
         """The first replica in the preference list for ``key``."""
@@ -191,38 +207,46 @@ class RingPartitioner:
         """
         if self._pending is None:
             return ()
-        cached = self._pending_cache.get(key)
-        if cached is not None:
-            return cached
-        current = self.replicas_for(key)
-        future = self._owners_at(self._pending_ring, self._pending_tokens,
-                                 _hash_token(key), self.replication_factor)
-        gained = tuple(name for name in future if name not in current)
-        if len(self._pending_cache) >= 65536:
-            self._pending_cache.clear()
-        self._pending_cache[key] = gained
-        return gained
+        gained = self._pending_gained
+        return gained[bisect_right(self._pending_bounds, _hash_token(key))
+                      % len(gained)]
 
     @property
     def pending_change(self) -> Optional[RingChange]:
         return self._pending
 
     # -- planning ------------------------------------------------------------
-    def _plan(self, kind: str, node: str,
-              vnode_counts_after: Dict[str, int]) -> RingChange:
-        old_ring, old_tokens = self._ring, self._tokens
-        new_ring = self._build_ring(vnode_counts_after)
-        new_tokens = [token for token, _ in new_ring]
-        rf = self.replication_factor
-        boundaries = sorted(set(old_tokens) | set(new_tokens))
-        tasks: List[StreamTask] = []
+    def _layout_after(self, kind: str, node: str, vnodes: int):
+        """The ring once ``node`` has joined/left, and how ownership moves.
+
+        Returns ``(ring, tokens, slots, intervals)``; ``intervals`` holds
+        ``(start, end, owners, new_owners)`` per merged ring interval.  Its
+        boundaries are the union of the serving ring's tokens and the new
+        ones, so every ``[start, end)`` lies inside one elementary interval
+        of both rings and its start token is a faithful representative for
+        ownership lookups.
+        """
+        after = dict(self._vnodes)
+        if kind == "join":
+            after[node] = vnodes
+        else:
+            del after[node]
+        ring = self._build_ring(after)
+        tokens = [token for token, _ in ring]
+        slots = self._slot_owners(ring, self.replication_factor)
+        boundaries = sorted(set(self._tokens) | set(tokens))
+        intervals = []
         for index, end in enumerate(boundaries):
             start = boundaries[index - 1]
-            # Every [start, end) interval lies inside one elementary interval
-            # of both rings (the boundaries are the union), so its start
-            # token is a faithful representative for ownership lookups.
-            old_owners = self._owners_at(old_ring, old_tokens, start, rf)
-            new_owners = self._owners_at(new_ring, new_tokens, start, rf)
+            intervals.append(
+                (start, end, self.replicas_for_token(start),
+                 slots[bisect_right(tokens, start) % len(slots)]))
+        return ring, tokens, slots, intervals
+
+    def _plan(self, kind: str, node: str, vnodes: int) -> RingChange:
+        tasks: List[StreamTask] = []
+        for start, end, old_owners, new_owners in self._layout_after(
+                kind, node, vnodes)[3]:
             for gainer in new_owners:
                 if gainer in old_owners:
                     continue
@@ -240,9 +264,7 @@ class RingPartitioner:
                     source = survivors[0]
                 tasks.append(StreamTask(source=source, target=gainer,
                                         start_token=start, end_token=end))
-        return RingChange(kind=kind, node=node,
-                          vnodes=(vnode_counts_after.get(node)
-                                  or self._vnodes.get(node, 0)),
+        return RingChange(kind=kind, node=node, vnodes=vnodes,
                           base_version=self.version, tasks=tuple(tasks))
 
     def plan_join(self, name: str,
@@ -255,9 +277,7 @@ class RingPartitioner:
         vnodes = self.vnodes_per_node if vnodes is None else vnodes
         if vnodes <= 0:
             raise ValueError("vnodes must be positive")
-        after = dict(self._vnodes)
-        after[name] = vnodes
-        return self._plan("join", name, after)
+        return self._plan("join", name, vnodes)
 
     def _plan_removal(self, kind: str, name: str) -> RingChange:
         if name not in self._vnodes:
@@ -269,9 +289,7 @@ class RingPartitioner:
                 f"removing {name!r} would leave {len(self._vnodes) - 1} "
                 f"nodes, fewer than the replication factor "
                 f"{self.replication_factor}")
-        after = dict(self._vnodes)
-        del after[name]
-        return self._plan(kind, name, after)
+        return self._plan(kind, name, self._vnodes[name])
 
     def plan_decommission(self, name: str) -> RingChange:
         """Plan a graceful removal: the leaving node streams its ranges."""
@@ -297,18 +315,17 @@ class RingPartitioner:
             raise ValueError(
                 f"change was planned against ring version "
                 f"{change.base_version}, current is {self.version}")
-        after = dict(self._vnodes)
-        if change.kind == "join":
-            after[change.node] = change.vnodes
-        else:
-            del after[change.node]
+        (self._pending_ring, self._pending_tokens, self._pending_slots,
+         intervals) = self._layout_after(change.kind, change.node,
+                                         change.vnodes)
         self._pending = change
-        self._pending_ring = self._build_ring(after)
-        self._pending_tokens = [token for token, _ in self._pending_ring]
-        self._pending_cache = {}
+        self._pending_bounds = [end for _, end, _, _ in intervals]
+        self._pending_gained = [
+            tuple(name for name in future if name not in current)
+            for _, _, current, future in intervals]
 
     def commit(self, change: RingChange) -> None:
-        """Apply an in-flight change: new epoch, caches invalidated."""
+        """Apply an in-flight change: the pending ring serves a new epoch."""
         if self._pending is not change:
             raise RuntimeError("commit does not match the in-flight change")
         if change.kind == "join":
@@ -319,21 +336,24 @@ class RingPartitioner:
             self.node_names.remove(change.node)
         self._ring = self._pending_ring
         self._tokens = self._pending_tokens
+        self._slots = self._pending_slots
         self.version += 1
         self._preference_cache = {}
-        self._pending = None
-        self._pending_ring = []
-        self._pending_tokens = []
-        self._pending_cache = {}
+        self._clear_pending()
 
     def abort(self, change: RingChange) -> None:
         """Drop an in-flight change without touching the serving ring."""
         if self._pending is not change:
             raise RuntimeError("abort does not match the in-flight change")
+        self._clear_pending()
+
+    def _clear_pending(self) -> None:
         self._pending = None
         self._pending_ring = []
         self._pending_tokens = []
-        self._pending_cache = {}
+        self._pending_slots = []
+        self._pending_bounds = []
+        self._pending_gained = []
 
     # -- one-shot edits --------------------------------------------------------
     def add_node(self, name: str, vnodes: Optional[int] = None) -> RingChange:

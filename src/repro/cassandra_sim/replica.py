@@ -81,7 +81,8 @@ class CassandraReplica(Node):
         #: client traffic yet), ``retired`` (left the ring: rejects
         #: everything with ``stale_epoch`` so coordinators re-route).
         self.ring_state = "serving"
-        self._distance_cache: Dict[str, List[str]] = {}
+        #: preference tuple -> the other replicas, closest first.
+        self._distance_cache: Dict[Tuple[str, ...], List[str]] = {}
         #: Ring epoch the distance cache was built against.
         self._distance_version = partitioner.version
         self._session_ids = itertools.count(1)
@@ -132,28 +133,23 @@ class CassandraReplica(Node):
     def _other_replicas_by_distance(self, key: str) -> List[str]:
         """Replicas for ``key`` other than this node, closest first.
 
-        Cached per key and invalidated by ring epoch: node regions and the
-        RTT matrix are fixed, but a committed membership change re-routes
-        keys, so the cache is dropped whenever the partitioner version moves.
-        The returned list is shared — treat it as read-only.
+        Cached per preference tuple — every key of a ring slot shares one
+        entry, so there are at most ring-slots entries per epoch — and
+        dropped whenever the partitioner version moves.  The returned list
+        is shared — treat it as read-only.
         """
-        if self._distance_version != self.partitioner.version:
+        partitioner = self.partitioner
+        if self._distance_version != partitioner.version:
             self._distance_cache.clear()
-            self._distance_version = self.partitioner.version
-        cached = self._distance_cache.get(key)
-        if cached is not None:
-            return cached
-        replicas = [r for r in self.partitioner.replicas_for(key) if r != self.name]
-        topology = self.network.topology
-
-        def _distance(name: str) -> float:
-            other = self.network.node(name)
-            return topology.rtt(self.region, other.region)
-
-        ordered = sorted(replicas, key=lambda name: (_distance(name), name))
-        if len(self._distance_cache) >= 65536:
-            self._distance_cache.clear()
-        self._distance_cache[key] = ordered
+            self._distance_version = partitioner.version
+        replicas = partitioner.replicas_for(key)
+        ordered = self._distance_cache.get(replicas)
+        if ordered is None:
+            rtt = self.network.topology.rtt
+            node = self.network.node
+            ordered = self._distance_cache[replicas] = sorted(
+                (name for name in replicas if name != self.name),
+                key=lambda name: (rtt(self.region, node(name).region), name))
         return ordered
 
     def _value_bytes(self, version: Optional[VersionedValue]) -> int:
@@ -1290,8 +1286,8 @@ class CassandraReplica(Node):
         return stream_id
 
     def _stream_scan(self, state: _StreamState) -> None:
-        state.keys = tuple(key for key in self.table.keys()
-                           if state.task.contains_key(key))
+        task = state.task
+        state.keys = self.table.keys_in_range(task.start_token, task.end_token)
         self._stream_send_batch(state)
 
     def _stream_send_batch(self, state: _StreamState) -> None:
@@ -1308,7 +1304,8 @@ class CassandraReplica(Node):
             version = self.table.get(key)
             if version is None:
                 continue
-            items.append((key, version.value, version.timestamp))
+            items.append((key, version.value, version.timestamp,
+                          self.table.token(key)))
             size += self.config.key_size_bytes + self._value_bytes(version)
         self.keys_streamed_out += len(items)
         self.send(state.task.target, "stream_data",
@@ -1323,9 +1320,10 @@ class CassandraReplica(Node):
                                       * max(1, len(items))))
 
     def _apply_stream_batch(self, source: str, payload: dict) -> None:
-        for key, value, timestamp in payload["items"]:
+        for key, value, timestamp, token in payload["items"]:
             # LWW: a streamed snapshot never clobbers a newer forwarded write.
-            self.table.apply(key, VersionedValue(value, tuple(timestamp)))
+            self.table.apply(key, VersionedValue(value, tuple(timestamp)),
+                             token)
         self.keys_streamed_in += len(payload["items"])
         self.send(source, "stream_ack", {"stream_id": payload["stream_id"]},
                   size_bytes=MESSAGE_HEADER_BYTES + 10)

@@ -17,6 +17,10 @@ Two interchangeable backends sit behind the same interface:
     to the ``(time, writer, seq)`` tuple comparison ``LocalTable`` inherits
     from :meth:`VersionedValue.newer_than`.
 
+Both keep each row's ring token beside it (:class:`_TokenIndexedRows`), so
+range streaming selects a task's keys with :meth:`keys_in_range` — a bisect
+over a token-sorted view — instead of re-hashing the whole table.
+
 Clusters pick the backend automatically at preload/join time (see
 ``CassandraConfig.columnar_storage`` / ``columnar_threshold_keys``); the
 protocol code never knows which one it is talking to.
@@ -27,16 +31,99 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.cassandra_sim.partitioner import key_token
 from repro.cassandra_sim.versions import VersionedValue
 
 
-class LocalTable:
-    """The key-value state one replica holds locally."""
+class _TokenIndexedRows:
+    """Key → row map plus the per-row ring token, shared by both backends.
 
-    __slots__ = ("_rows", "reads", "writes_applied", "writes_ignored")
+    A key's token is a pure function of the key, so it is computed once —
+    when the row is created, or earlier by whoever routed the row here
+    (``Cluster.preload``, a streaming source) — and kept in an unsigned
+    64-bit column (tokens are the top 64 bits of md5: half of them do not
+    fit a signed ``'q'``).  Rows are never deleted, so a row's position is
+    stable and the token-sorted permutation :meth:`keys_in_range` bisects
+    is stale exactly when the row count differs from the count it was built
+    at.
+    """
+
+    __slots__ = ("_index", "_tokens", "_order", "_keys")
 
     def __init__(self) -> None:
-        self._rows: Dict[str, VersionedValue] = {}
+        #: key -> row position (insertion order; positions never change).
+        self._index: Dict[str, int] = {}
+        self._tokens = array("Q")
+        # Built lazily by keys_in_range: row positions sorted by token (the
+        # argsort of the token column) and the keys by row position.
+        self._order = array("I")
+        self._keys: List[str] = []
+
+    def contains(self, key: str) -> bool:
+        return key in self._index
+
+    def keys(self) -> Tuple[str, ...]:
+        """All stored keys, sorted — the deterministic streaming scan order."""
+        return tuple(sorted(self._index))
+
+    def token(self, key: str) -> int:
+        """The stored ring token of ``key`` (which must be present)."""
+        return self._tokens[self._index[key]]
+
+    def keys_in_range(self, start_token: int,
+                      end_token: int) -> Tuple[str, ...]:
+        """Stored keys whose token lies in ``[start_token, end_token)``.
+
+        Same range semantics as :func:`~repro.cassandra_sim.partitioner.
+        token_in_range` (wrapping when ``start_token >= end_token``) and
+        the same sorted-key order as :meth:`keys`, so a stream task ships
+        exactly the sequence a filtered full scan would.  Costs one
+        O(n log n) index build per key-set change, then O(log n + m log m)
+        for ``m`` selected keys.
+        """
+        if len(self._order) != len(self._tokens):
+            self._order = array("I", sorted(range(len(self._tokens)),
+                                            key=self._tokens.__getitem__))
+            self._keys = list(self._index)
+        order = self._order
+        low = self._first_at_or_after(start_token)
+        high = self._first_at_or_after(end_token)
+        if start_token < end_token:
+            positions = order[low:high]
+        else:
+            positions = order[low:] + order[:high]
+        return tuple(sorted(map(self._keys.__getitem__, positions)))
+
+    def _first_at_or_after(self, token: int) -> int:
+        """Index into ``_order`` of the first row whose token is >= ``token``.
+
+        ``bisect_left`` over the permutation with the token column as sort
+        key, spelt out: ``bisect``'s ``key=`` needs Python 3.10, and a
+        sorted copy of the tokens would cost the index build a lookup per
+        row (+30% measured) to save ~log n lookups per probe.
+        """
+        order, tokens = self._order, self._tokens
+        low, high = 0, len(order)
+        while low < high:
+            mid = (low + high) // 2
+            if tokens[order[mid]] < token:
+                low = mid + 1
+            else:
+                high = mid
+        return low
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
+class LocalTable(_TokenIndexedRows):
+    """The key-value state one replica holds locally."""
+
+    __slots__ = ("_versions", "reads", "writes_applied", "writes_ignored")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._versions: List[VersionedValue] = []
         self.reads = 0
         self.writes_applied = 0
         self.writes_ignored = 0
@@ -44,25 +131,32 @@ class LocalTable:
     def read(self, key: str) -> Optional[VersionedValue]:
         """Return the locally stored version of ``key`` (None if absent)."""
         self.reads += 1
-        return self._rows.get(key)
+        idx = self._index.get(key)
+        if idx is None:
+            return None
+        return self._versions[idx]
 
-    def apply(self, key: str, version: VersionedValue) -> bool:
+    def apply(self, key: str, version: VersionedValue,
+              token: Optional[int] = None) -> bool:
         """Apply a write if it is newer than the stored version (LWW).
 
         Returns True when the write was applied, False when it was stale and
-        therefore ignored.
+        therefore ignored.  ``token`` is the key's ring token when the
+        caller already has it; a new row hashes the key otherwise.
         """
-        current = self._rows.get(key)
+        idx = self._index.get(key)
+        if idx is None:
+            self._index[key] = len(self._versions)
+            self._versions.append(version)
+            self._tokens.append(key_token(key) if token is None else token)
         # VersionedValue.newer_than, inlined (one apply per replicated write).
-        if current is None or version.timestamp > current.timestamp:
-            self._rows[key] = version
-            self.writes_applied += 1
-            return True
-        self.writes_ignored += 1
-        return False
-
-    def contains(self, key: str) -> bool:
-        return key in self._rows
+        elif version.timestamp > self._versions[idx].timestamp:
+            self._versions[idx] = version
+        else:
+            self.writes_ignored += 1
+            return False
+        self.writes_applied += 1
+        return True
 
     def get(self, key: str) -> Optional[VersionedValue]:
         """Raw access without touching the ``reads`` counter.
@@ -70,22 +164,18 @@ class LocalTable:
         Used by range streaming and post-run verification, which inspect
         state without modelling a served read.
         """
-        return self._rows.get(key)
-
-    def keys(self) -> Tuple[str, ...]:
-        """All stored keys, sorted — the deterministic streaming scan order."""
-        return tuple(sorted(self._rows))
+        idx = self._index.get(key)
+        if idx is None:
+            return None
+        return self._versions[idx]
 
     def items(self) -> Iterator[Tuple[str, VersionedValue]]:
         """Iterate ``(key, version)`` pairs in sorted key order."""
-        for key in sorted(self._rows):
-            yield key, self._rows[key]
-
-    def __len__(self) -> int:
-        return len(self._rows)
+        for key in sorted(self._index):
+            yield key, self._versions[self._index[key]]
 
 
-class ColumnarTable:
+class ColumnarTable(_TokenIndexedRows):
     """Column-oriented drop-in for :class:`LocalTable` (million-key rings).
 
     ``array('d')`` / ``array('q')`` indexing returns native Python floats
@@ -97,7 +187,7 @@ class ColumnarTable:
     """
 
     def __init__(self) -> None:
-        self._index: Dict[str, int] = {}
+        super().__init__()
         self._values: List[object] = []
         self._times = array("d")
         self._writer_ids = array("i")
@@ -115,7 +205,7 @@ class ColumnarTable:
         """Columnarize an existing table, carrying rows and counters over."""
         columnar = cls()
         for key, version in table.items():
-            columnar.apply(key, version)
+            columnar.apply(key, version, table.token(key))
         columnar.reads = table.reads
         columnar.writes_applied = table.writes_applied
         columnar.writes_ignored = table.writes_ignored
@@ -129,47 +219,27 @@ class ColumnarTable:
             self._writers.append(writer)
         return wid
 
-    def preload_row(self, key: str, value: object) -> bool:
-        """Install one time-zero row, the ``Cluster.preload`` bulk path.
+    def preload_columns(self, keys: List[str], values: List[object],
+                        tokens: "array[int]") -> None:
+        """Install time-zero rows, the ``Cluster.preload`` bulk path.
 
-        Observationally identical to ``apply(key, VersionedValue(value,
-        (0.0, "preload", 0)))`` — including the counters — but the common
-        fresh-ring case appends straight into the columns without building
-        the version object or comparing timestamps.
-        """
-        index = self._index
-        if key in index:
-            # Preload onto a non-empty table: exact LWW, as before.
-            return self.apply(key, VersionedValue(value, (0.0, "preload", 0)))
-        index[key] = len(self._values)
-        self._values.append(value)
-        self._times.append(0.0)
-        self._writer_ids.append(self._writer_id("preload"))
-        self._seqs.append(0)
-        self.writes_applied += 1
-        return True
-
-    def preload_rows(self, rows: List[Tuple[str, object]]) -> None:
-        """Bulk :meth:`preload_row`: one column extend per table.
-
-        ``rows`` must not repeat a key (the preload items mapping
-        guarantees it).  A non-empty table falls back to the exact per-row
-        path; on a fresh ring the keys, values and constant time-zero
-        columns are appended wholesale.
+        The three columns are parallel and ``keys`` must not repeat (the
+        preload items mapping guarantees it).  Observationally identical to
+        ``apply(key, VersionedValue(value, (0.0, "preload", 0)), token)``
+        per row — including the counters — but on a fresh ring the columns
+        are appended wholesale, without version objects or comparisons.
         """
         index = self._index
         if index:
-            for key, value in rows:
-                self.preload_row(key, value)
+            # Preload onto a non-empty table: exact LWW, row by row.
+            for key, value, token in zip(keys, values, tokens):
+                self.apply(key, VersionedValue(value, (0.0, "preload", 0)),
+                           token)
             return
-        values = self._values
-        base = len(values)
-        keys: List[str] = []
-        for key, value in rows:
-            keys.append(key)
-            values.append(value)
         count = len(keys)
-        index.update(zip(keys, range(base, base + count)))
+        index.update(zip(keys, range(count)))
+        self._values.extend(values)
+        self._tokens.extend(tokens)
         zeros = bytes(8 * count)
         self._times.frombytes(zeros)     # float64 zeros: time 0.0
         self._seqs.frombytes(zeros)      # int64 zeros: seq 0
@@ -188,8 +258,12 @@ class ColumnarTable:
             (self._times[idx], self._writers[self._writer_ids[idx]],
              self._seqs[idx]))
 
-    def apply(self, key: str, version: VersionedValue) -> bool:
-        """Apply a write if it is newer than the stored version (LWW)."""
+    def apply(self, key: str, version: VersionedValue,
+              token: Optional[int] = None) -> bool:
+        """Apply a write if it is newer than the stored version (LWW).
+
+        ``token`` as in :meth:`LocalTable.apply`.
+        """
         idx = self._index.get(key)
         time, writer, seq = version.timestamp
         if idx is None:
@@ -198,6 +272,7 @@ class ColumnarTable:
             self._times.append(time)
             self._writer_ids.append(self._writer_id(writer))
             self._seqs.append(seq)
+            self._tokens.append(key_token(key) if token is None else token)
             self.writes_applied += 1
             return True
         # Elementwise (time, writer, seq) tuple comparison, strict '>' —
@@ -221,9 +296,6 @@ class ColumnarTable:
         self.writes_ignored += 1
         return False
 
-    def contains(self, key: str) -> bool:
-        return key in self._index
-
     def get(self, key: str) -> Optional[VersionedValue]:
         """Raw access without touching the ``reads`` counter."""
         idx = self._index.get(key)
@@ -234,14 +306,7 @@ class ColumnarTable:
             (self._times[idx], self._writers[self._writer_ids[idx]],
              self._seqs[idx]))
 
-    def keys(self) -> Tuple[str, ...]:
-        """All stored keys, sorted — the deterministic streaming scan order."""
-        return tuple(sorted(self._index))
-
     def items(self) -> Iterator[Tuple[str, VersionedValue]]:
         """Iterate ``(key, version)`` pairs in sorted key order."""
         for key in sorted(self._index):
             yield key, self.get(key)
-
-    def __len__(self) -> int:
-        return len(self._index)

@@ -11,6 +11,8 @@ import pytest
 
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
+from repro.cassandra_sim.partitioner import key_token, token_in_range
+from repro.cassandra_sim.replica import CassandraReplica
 from repro.cassandra_sim.versions import resolve
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, Topology
@@ -194,6 +196,66 @@ class TestSafetyUnderTraffic:
             cluster, env,
             lambda: cluster.decommission_node(leaving, at_ms=300.0))
         assert acked
+        for key, timestamp in acked.items():
+            version = newest_at_owners(cluster, key)
+            assert version is not None and version.timestamp >= timestamp, key
+
+    def test_new_keys_inserted_while_ranges_stream(self, monkeypatch):
+        """A join, then a decommission, under writes that *create* keys: the
+        sources' key sets differ between the two plans' scans, so a token
+        index built for the join must not answer the decommission.  Every
+        task still ships exactly what a fresh full scan of its source
+        selects, and no acknowledged write — to an old or a brand-new key —
+        is lost."""
+        env = _env()
+        cluster = six_node_cluster(env)
+        scans = []  # (source, rows in its table at scan time)
+        scan = CassandraReplica._stream_scan
+
+        def checked_scan(replica, state):
+            scan(replica, state)
+            task = state.task
+            assert state.keys == tuple(
+                key for key in replica.table.keys()
+                if token_in_range(key_token(key), task.start_token,
+                                  task.end_token)), task
+            scans.append((replica.name, len(replica.table)))
+
+        monkeypatch.setattr(CassandraReplica, "_stream_scan", checked_scan)
+        client = cluster.add_client("c", Region.IRL,
+                                    contact_region=Region.FRK, fallbacks=True)
+        acked = {}
+
+        def write_one(i):
+            # Two new keys for every overwrite of a preloaded one.
+            key = f"key{i % 60}" if i % 3 == 0 else f"fresh{i}"
+
+            def on_ack(resp):
+                if "error" not in resp and resp.get("timestamp"):
+                    acked[key] = max(resp["timestamp"],
+                                     acked.get(key, resp["timestamp"]))
+
+            client.write(key, f"new-{i}", w=1, on_final=on_ack)
+
+        for i in range(400):
+            env.scheduler.schedule_call_at(5.0 * i, write_one, (i,))
+        leaving = cluster.replicas[5].name
+        join = cluster.join_node(
+            "cassandra-6-" + Region.FRK, Region.FRK, at_ms=100.0,
+            on_complete=lambda _: cluster.decommission_node(leaving))
+        env.run_until_idle()
+        decommission = cluster.rebalances[-1]
+        assert join.done and decommission.done
+        assert decommission.kind == "decommission"
+        assert decommission.started_at < 5.0 * 400  # writes still arriving
+        assert len(scans) == (len(join.change.tasks)
+                              + len(decommission.change.tasks))
+        # The premise: some source was scanned at two different sizes.
+        sizes = {}
+        for source, rows in scans:
+            sizes.setdefault(source, set()).add(rows)
+        assert any(len(seen) > 1 for seen in sizes.values())
+        assert any(key.startswith("fresh") for key in acked)
         for key, timestamp in acked.items():
             version = newest_at_owners(cluster, key)
             assert version is not None and version.timestamp >= timestamp, key

@@ -1,12 +1,14 @@
 """Tests for the LWW storage engine, versions, and the ring partitioner."""
 
 import hashlib
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.cassandra_sim.partitioner import (
     RingPartitioner,
+    key_token,
     node_tokens,
     token_in_range,
 )
@@ -132,6 +134,18 @@ class TestColumnarTable:
         assert columnar.writes_applied == source.writes_applied
         assert list(columnar.items()) == list(source.items())
 
+    def test_from_table_carries_tokens(self):
+        source = LocalTable()
+        source.apply("a", VersionedValue("x", (1.0, "n", 1)), 2**64 - 5)
+        source.apply("b", VersionedValue("y", (2.0, "n", 2)))
+        columnar = ColumnarTable.from_table(source)
+        assert columnar.token("a") == 2**64 - 5
+        assert columnar.token("b") == key_token("b")
+
+
+#: Ring positions: the full unsigned 64-bit token space.
+TOKENS = st.integers(min_value=0, max_value=2**64 - 1)
+
 
 @given(st.lists(
     st.tuples(st.sampled_from(["k1", "k2", "k3", "k4"]),
@@ -139,18 +153,19 @@ class TestColumnarTable:
               st.floats(min_value=0, max_value=100, allow_nan=False),
               st.sampled_from(["n1", "n2", "n3"]),
               st.integers(min_value=0, max_value=10),
-              st.integers()),
+              st.integers(),
+              TOKENS, TOKENS),
     max_size=60))
 def test_columnar_table_equivalent_to_local_table(ops):
     """Both backends agree on every operation of any read/write sequence.
 
     This is the contract that lets clusters flip to columnar storage above
     the record threshold without changing any experiment's results: reads,
-    apply outcomes (including LWW tie-breaking), lengths, key order and
-    counters are pairwise identical at every step.
+    apply outcomes (including LWW tie-breaking), lengths, key order, token
+    range selections and counters are pairwise identical at every step.
     """
     local, columnar = LocalTable(), ColumnarTable()
-    for key, is_write, ts, writer, seq, value in ops:
+    for key, is_write, ts, writer, seq, value, start, end in ops:
         if is_write:
             version = VersionedValue(value, (ts, writer, seq))
             assert local.apply(key, version) == columnar.apply(key, version)
@@ -158,11 +173,85 @@ def test_columnar_table_equivalent_to_local_table(ops):
             assert local.read(key) == columnar.read(key)
         assert local.contains(key) == columnar.contains(key)
         assert local.get(key) == columnar.get(key)
+        assert (local.keys_in_range(start, end)
+                == columnar.keys_in_range(start, end))
     assert len(local) == len(columnar)
     assert local.keys() == columnar.keys()
     assert list(local.items()) == list(columnar.items())
     for counter in ("reads", "writes_applied", "writes_ignored"):
         assert getattr(local, counter) == getattr(columnar, counter)
+
+
+def scan_keys_in_range(table, start, end):
+    """The full-table scan ``keys_in_range`` replaced: sort every key, hash
+    every key, keep the ones in range.  Kept here as the reference."""
+    return tuple(key for key in table.keys()
+                 if token_in_range(key_token(key), start, end))
+
+
+@pytest.mark.parametrize("table_type", [LocalTable, ColumnarTable])
+class TestTokenColumn:
+    def test_empty_table_selects_nothing(self, table_type):
+        table = table_type()
+        assert table.keys_in_range(0, 2**63) == ()
+        assert table.keys_in_range(7, 7) == ()
+
+    def test_tokens_and_sequences_beyond_signed_64_bit(self, table_type):
+        """Tokens are the top 64 bits of md5 — half exceed 2**63 — and a
+        sequence number near 2**62 must survive next to them."""
+        table = table_type()
+        high = [key for key in (f"user{i}" for i in range(40))
+                if key_token(key) >= 2**63]
+        low = [key for key in (f"user{i}" for i in range(40))
+               if key_token(key) < 2**63]
+        assert high and low
+        seq = 2**62 - 1
+        for key in high + low:
+            assert table.apply(key, VersionedValue(key, (1.0, "n1", seq)))
+        # A caller-supplied token is stored verbatim, up to the very top.
+        assert table.apply("edge", VersionedValue("e", (1.0, "n1", seq)),
+                           2**64 - 1)
+        for key in high + low:
+            assert table.token(key) == key_token(key)
+            assert table.get(key).timestamp == (1.0, "n1", seq)
+        assert table.token("edge") == 2**64 - 1
+        # [2**63, 0) wraps over the seam: exactly the upper half.
+        assert table.keys_in_range(2**63, 0) == tuple(sorted(high + ["edge"]))
+        assert table.keys_in_range(0, 2**63) == tuple(sorted(low))
+        assert table.keys_in_range(2**64 - 1, 0) == ("edge",)
+        # A newer write with a bigger sequence still wins on both backends.
+        assert table.apply(high[0], VersionedValue("z", (1.0, "n1", seq + 1)))
+        assert not table.apply(high[0], VersionedValue("y", (1.0, "n1", seq)))
+
+    @given(data=st.data())
+    def test_keys_in_range_matches_the_full_scan(self, table_type, data):
+        """Any interleaving of inserts and range queries — wrapping ranges,
+        ``start == end``, bounds exactly on a stored token, queries on the
+        empty table — selects what the full scan selects, in its order.
+        Inserts between queries exercise the index invalidation."""
+        keys = data.draw(st.lists(st.text(max_size=6), unique=True,
+                                  max_size=25))
+        bounds = TOKENS
+        if keys:
+            on_token = st.sampled_from(keys).map(key_token)
+            bounds = st.one_of(TOKENS, on_token,
+                               on_token.map(lambda t: (t + 1) % 2**64))
+        table = table_type()
+        pending = list(keys)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+            for _ in range(data.draw(st.integers(0, len(pending)))):
+                key = pending.pop()
+                table.apply(key, VersionedValue(key, (1.0, "n", 1)))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+                start = data.draw(bounds)
+                end = data.draw(st.one_of(bounds, st.just(start)))
+                assert (table.keys_in_range(start, end)
+                        == scan_keys_in_range(table, start, end))
+            # An overwrite is not a key-set change: still exact.
+            for key in keys[:2]:
+                if table.contains(key):
+                    table.apply(key, VersionedValue("again", (2.0, "n", 2)))
+        assert table.keys_in_range(0, 0) == table.keys()
 
 
 class TestPartitioner:
@@ -309,7 +398,8 @@ class TestRingEdits:
             if "n5" not in owners:
                 continue
             matching = [task for task in change.tasks
-                        if task.target == "n5" and task.contains_key(key)]
+                        if task.target == "n5" and token_in_range(
+                            key_token(key), task.start_token, task.end_token)]
             assert len(matching) == 1, key
 
     def test_no_task_targets_an_existing_owner(self):
@@ -318,7 +408,8 @@ class TestRingEdits:
         for task in change.tasks:
             # The target must not already own the range's keys.
             for key in KEYS:
-                if not task.contains_key(key):
+                if not token_in_range(key_token(key), task.start_token,
+                                      task.end_token):
                     continue
                 assert task.target not in partitioner.replicas_for(key)
 
@@ -427,3 +518,74 @@ def test_every_key_keeps_exactly_rf_replicas_across_any_edit_sequence(
             owners = partitioner.replicas_for(key)
             assert len(owners) == len(set(owners)) == 3
             assert set(owners) <= live
+
+
+def walk_owners(ring, token, count):
+    """The clockwise walk the slot tables precompute, as the reference: the
+    first ``count`` distinct owners from the first ring position past
+    ``token``."""
+    owners = []
+    index = bisect_right([position for position, _ in ring], token) % len(ring)
+    while len(owners) < count:
+        name = ring[index][1]
+        if name not in owners:
+            owners.append(name)
+        index = (index + 1) % len(ring)
+    return tuple(owners)
+
+
+@given(st.lists(st.sampled_from(["join", "decommission", "remove"]),
+                min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=10_000))
+def test_slot_tables_match_the_ring_walk_across_membership_edits(
+        kinds, key_salt):
+    """On the serving ring and, between ``begin`` and ``commit``, on the
+    pending one, the per-epoch slot tables answer exactly what walking the
+    ring answers — for keys and for tokens sitting on a ring boundary."""
+    rf = 3
+    members = {f"seed{i}": 4 for i in range(4)}
+    partitioner = RingPartitioner(list(members), rf, vnodes_per_node=4)
+    keys = [f"k{key_salt}-{i}" for i in range(40)]
+
+    def ring_of(vnode_counts):
+        return sorted((token, name) for name, count in vnode_counts.items()
+                      for token in node_tokens(name, count))
+
+    def check(serving, pending):
+        assert partitioner.token_layout() == tuple(serving)
+        probes = [key_token(key) for key in keys]
+        probes += [token for token, _ in serving + (pending or [])]
+        for token in probes:
+            assert (partitioner.replicas_for_token(token)
+                    == walk_owners(serving, token, rf))
+        for key in keys:
+            current = walk_owners(serving, key_token(key), rf)
+            assert partitioner.replicas_for(key) == current
+            assert partitioner.replicas_for(key) is \
+                partitioner.replicas_for_token(key_token(key))
+            gained = ()
+            if pending is not None:
+                future = walk_owners(pending, key_token(key), rf)
+                gained = tuple(n for n in future if n not in current)
+            assert partitioner.pending_replicas_for(key) == gained
+
+    next_id = 0
+    for kind in kinds:
+        after = dict(members)
+        if kind == "join" or len(members) - 1 < rf:
+            name, vnodes = f"added{next_id}", 2 + next_id % 3
+            next_id += 1
+            after[name] = vnodes
+            change = partitioner.plan_join(name, vnodes)
+        elif kind == "decommission":
+            del after[sorted(members)[0]]
+            change = partitioner.plan_decommission(sorted(members)[0])
+        else:
+            del after[sorted(members)[-1]]
+            change = partitioner.plan_remove(sorted(members)[-1])
+        check(ring_of(members), None)
+        partitioner.begin(change)
+        check(ring_of(members), ring_of(after))
+        partitioner.commit(change)
+        members = after
+        check(ring_of(members), None)
