@@ -43,19 +43,13 @@ class ZooKeeperQueueBinding(Binding):
             self.reject_unsupported(operation, levels, callback)
             return
         queue_path = operation.key or self.queue_path
-        want_weak = WEAK in levels
-        want_strong = STRONG in levels
 
         def _on_preliminary(resp: Dict[str, Any]) -> None:
-            if not want_weak:
-                return
             callback(WEAK, resp["result"],
                      metadata={"latency_ms": resp["latency_ms"],
                                "preliminary": True})
 
         def _on_final(resp: Dict[str, Any]) -> None:
-            if not want_strong:
-                return
             if not resp["ok"]:
                 callback(STRONG, None, error=OperationError(resp["error"]))
                 return
@@ -65,13 +59,17 @@ class ZooKeeperQueueBinding(Binding):
 
         # The local-simulation preliminary is only requested when the weak
         # level is wanted; a strong-only invocation is exactly vanilla ZK.
-        icg = want_weak
+        # The client skips a callback that is None, so an unwanted level
+        # costs nothing per response.
+        icg = WEAK in levels
+        on_preliminary = _on_preliminary if icg else None
+        on_final = _on_final if STRONG in levels else None
         if operation.name == "enqueue":
             item = operation.args[0]
             self.client.enqueue(queue_path, item, icg=icg,
-                                on_preliminary=_on_preliminary,
-                                on_final=_on_final)
+                                on_preliminary=on_preliminary,
+                                on_final=on_final)
         else:
             self.client.dequeue(queue_path, icg=icg,
-                                on_preliminary=_on_preliminary,
-                                on_final=_on_final)
+                                on_preliminary=on_preliminary,
+                                on_final=on_final)

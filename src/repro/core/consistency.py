@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Dict, Iterable, List
 
+from repro.core.errors import BindingError, UnsupportedConsistencyError
+
 
 @dataclass(frozen=True, order=False)
 class ConsistencyLevel:
@@ -28,6 +30,14 @@ class ConsistencyLevel:
 
     name: str
     strength: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.strength)))
+
+    def __hash__(self) -> int:
+        # Levels key the validation memo on every operation; the generated
+        # hash would rebuild and rehash the field tuple each time.
+        return self._hash
 
     # -- ordering --------------------------------------------------------
     def __lt__(self, other: "ConsistencyLevel") -> bool:
@@ -107,8 +117,6 @@ def validate_levels(requested: Iterable[ConsistencyLevel],
     level the binding does not advertise, and ``BindingError`` when the
     binding advertises nothing at all.
     """
-    from repro.core.errors import BindingError, UnsupportedConsistencyError
-
     cache_key = (tuple(requested), tuple(available))
     validated = _VALIDATION_CACHE.get(cache_key)
     if validated is None:

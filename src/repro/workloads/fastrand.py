@@ -37,20 +37,30 @@ from __future__ import annotations
 
 import random
 from array import array
+from importlib.util import find_spec
 from math import log as _log
 from typing import List, Optional, Sequence, Union
 
-try:  # pragma: no cover - exercised indirectly by backend tests
-    import numpy as _np
-    from numpy.random import MT19937 as _MT19937
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover - numpy is present in CI
-    _np = None
-    _MT19937 = None
-    HAVE_NUMPY = False
+#: Whether the numpy backend can be had.  numpy itself (~110 ms, ~15 MB) is
+#: imported by the first :class:`MirrorStream`, so a process that never
+#: vectorizes a draw (ZooKeeper runs, most unit tests) never pays for it.
+#: Streams are built with their generators and datasets, i.e. during
+#: set-up, so the import never lands on a serve path.
+HAVE_NUMPY = find_spec("numpy") is not None
 
 #: Name of the fastest available backend ("numpy" or "array").
 BACKEND = "numpy" if HAVE_NUMPY else "array"
+
+_np = None
+_MT19937 = None
+
+
+def _import_numpy() -> None:
+    global _np, _MT19937
+    import numpy
+    from numpy.random import MT19937
+    _np, _MT19937 = numpy, MT19937
+
 
 #: Raw 32-bit words pulled from the mirror per refill.  8192 words is ~25us
 #: of ``random_raw`` and covers ~4096 ``random()`` doubles.
@@ -133,6 +143,8 @@ class MirrorStream:
         if not vectorizable(source):
             raise TypeError("MirrorStream requires numpy and a plain "
                             "random.Random instance")
+        if _np is None:
+            _import_numpy()
         state = source.getstate()
         self._source = source
         self._origin = state

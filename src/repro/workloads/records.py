@@ -34,9 +34,11 @@ _KEY_CACHE_MAX = 1 << 18
 #: dominated million-key preload wall time).
 _INITIAL_VALUE_SEED = 0x1CC2_05D1
 
-#: Records per vectorized initial-value chunk (bounds the temporary draw
-#: buffers at ~64k values regardless of dataset size).
-_INITIAL_CHUNK = 1 << 16
+#: Records per vectorized initial-value chunk.  The draw's uint64
+#: temporaries are many times the size of the characters produced, so the
+#: chunk — not the dataset — sets the transient: at 65,536 values of 100
+#: characters it was ~250 MB, above the loaded 400k-key ring itself.
+_INITIAL_CHUNK = 1 << 12
 
 
 def make_value(rng: random.Random, size_bytes: int = 100) -> str:

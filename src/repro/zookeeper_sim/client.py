@@ -30,7 +30,6 @@ class _PendingRequest:
     sent_at: float
     on_preliminary: Optional[ResponseCallback] = None
     on_final: Optional[ResponseCallback] = None
-    metadata: Dict[str, Any] = field(default_factory=dict)
     #: Failover state: the request payload for re-sends, retry count, and
     #: the pending client-side timeout event.
     request: Dict[str, Any] = field(default_factory=dict)
@@ -59,6 +58,11 @@ class ZKClient(FailoverMixin, Node):
         self._servers: List[str] = [server] + [
             s for s in (ensemble or []) if s != server]
         self._req_ids = itertools.count(1)
+        #: Request wire size without / with a data element.
+        self._request_sizes = (
+            MESSAGE_HEADER_BYTES + config.path_size_bytes,
+            MESSAGE_HEADER_BYTES + config.path_size_bytes
+            + config.element_size_bytes)
         self._pending: Dict[int, _PendingRequest] = {}
         self.requests_sent = 0
         # Fault-path instrumentation (stays zero with timeouts disabled).
@@ -75,9 +79,7 @@ class ZKClient(FailoverMixin, Node):
         req_id = next(self._req_ids)
         self.requests_sent += 1
         if request_size is None:
-            request_size = (MESSAGE_HEADER_BYTES + self.config.path_size_bytes
-                            + (self.config.element_size_bytes if data is not None
-                               else 0))
+            request_size = self._request_sizes[data is not None]
         pending = _PendingRequest(
             op=op, sent_at=self.scheduler.now(),
             on_preliminary=on_preliminary, on_final=on_final,

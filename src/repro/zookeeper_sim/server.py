@@ -43,7 +43,7 @@ ZooKeeper session retries.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.sim.network import (
     MESSAGE_HEADER_BYTES,
@@ -73,6 +73,14 @@ class ZKServer(Node):
         self.is_leader = False
         self.leader_name: Optional[str] = None
         self.ensemble: List[str] = []
+        #: Every other ensemble member, in ensemble order (set with the role).
+        self._peers: Tuple[str, ...] = ()
+        # Wire sizes of the three message shapes; the config never changes
+        # under a running server.
+        self._ack_size = MESSAGE_HEADER_BYTES + config.ack_bytes
+        self._txn_size = (MESSAGE_HEADER_BYTES + config.path_size_bytes
+                          + config.element_size_bytes)
+        self._reply_size = self._ack_size + config.element_size_bytes
         self.tracker: Optional[ProposalTracker] = None
         self.commit_log = CommitLog()
         # origin bookkeeping: zxid -> (client, request_id) for requests this
@@ -115,17 +123,18 @@ class ZKServer(Node):
     def become_leader(self, ensemble: List[str], next_zxid: int = 1) -> None:
         self.is_leader = True
         self.leader_name = self.name
-        self.ensemble = list(ensemble)
+        self._set_ensemble(ensemble)
         self.tracker = ProposalTracker(len(ensemble), next_zxid=next_zxid)
 
     def become_follower(self, leader_name: str, ensemble: List[str]) -> None:
         self.is_leader = False
         self.leader_name = leader_name
-        self.ensemble = list(ensemble)
+        self._set_ensemble(ensemble)
         self.tracker = None
 
-    def _followers(self) -> List[str]:
-        return [name for name in self.ensemble if name != self.name]
+    def _set_ensemble(self, ensemble: List[str]) -> None:
+        self.ensemble = list(ensemble)
+        self._peers = tuple(name for name in ensemble if name != self.name)
 
     @property
     def quorum_size(self) -> int:
@@ -157,7 +166,7 @@ class ZKServer(Node):
         if not self.alive or self.is_leader or self.leader_name is None:
             return
         self.send(self.leader_name, "zk_ping", {"server": self.name},
-                  size_bytes=MESSAGE_HEADER_BYTES + self.config.ack_bytes)
+                  size_bytes=self._ack_size)
         stale_for = self.scheduler.now() - self._last_pong_ms
         if stale_for > self.config.leader_timeout_ms:
             self._start_election()
@@ -173,12 +182,12 @@ class ZKServer(Node):
                       {"server": self.name,
                        "last_applied": self.commit_log.last_applied,
                        "epoch": self.epoch},
-                      size_bytes=MESSAGE_HEADER_BYTES + self.config.ack_bytes)
+                      size_bytes=self._ack_size)
 
     def on_zk_ping(self, message: Message) -> None:
         if self.is_leader:
             self.send(message.src, "zk_pong", {"epoch": self.epoch},
-                      size_bytes=MESSAGE_HEADER_BYTES + self.config.ack_bytes)
+                      size_bytes=self._ack_size)
         else:
             # Stale ping (this server was deposed or never led): redirect.
             self._send_leader_info(message.src)
@@ -198,11 +207,11 @@ class ZKServer(Node):
         self._announced_epoch = epoch
         candidates = self._election_candidates.setdefault(epoch, {})
         candidates[self.name] = self.commit_log.last_applied
-        for peer in self._followers():
+        for peer in self._peers:
             self.send(peer, "zk_election",
                       {"epoch": epoch, "candidate": self.name,
                        "last_applied": self.commit_log.last_applied},
-                      size_bytes=MESSAGE_HEADER_BYTES + self.config.ack_bytes)
+                      size_bytes=self._ack_size)
         self.scheduler.schedule(self.config.election_window_ms,
                                 self._conclude_election, epoch)
 
@@ -259,11 +268,11 @@ class ZKServer(Node):
                            next_zxid=self.commit_log.last_applied + 1)
         self._election_candidates = {
             e: c for e, c in self._election_candidates.items() if e > epoch}
-        for peer in self._followers():
+        for peer in self._peers:
             self.send(peer, "zk_new_leader",
                       {"leader": self.name, "epoch": epoch,
                        "last_applied": self.commit_log.last_applied},
-                      size_bytes=MESSAGE_HEADER_BYTES + self.config.ack_bytes)
+                      size_bytes=self._ack_size)
         for txn in orphans:
             self._repropose(txn, stale_origins.get(txn.zxid))
         # Writes this server had forwarded to the dead leader restart here.
@@ -281,26 +290,10 @@ class ZKServer(Node):
         the wire) change.
         """
         assert self.tracker is not None
-        renumbered = Transaction(
-            zxid=self.tracker.next_zxid(),
-            op=txn.op, path=txn.path, data=txn.data,
-            sequential=txn.sequential,
-            origin_server=txn.origin_server,
-            origin_request=txn.origin_request,
-        )
-        self.tracker.track(renumbered)
-        self.commit_log.learn(renumbered)
+        renumbered = txn._replace(zxid=self.tracker.next_zxid())
         if origin is not None:
             self._origin_requests[renumbered.zxid] = origin
-        proposal_payload = self._txn_payload(renumbered)
-        proposal_payload["epoch"] = self.epoch
-        for follower in self._followers():
-            self.send(follower, "zab_proposal", proposal_payload,
-                      size_bytes=(MESSAGE_HEADER_BYTES
-                                  + self.config.path_size_bytes
-                                  + self.config.element_size_bytes))
-        if self.tracker.record_ack(renumbered.zxid, self.name):
-            self._commit(renumbered.zxid)
+        self._broadcast_proposal(renumbered)
 
     def on_zk_new_leader(self, message: Message) -> None:
         payload = message.payload
@@ -331,16 +324,14 @@ class ZKServer(Node):
                   {"server": self.name,
                    "last_applied": self.commit_log.last_applied,
                    "epoch": prev_epoch},
-                  size_bytes=MESSAGE_HEADER_BYTES + self.config.ack_bytes)
+                  size_bytes=self._ack_size)
         # Writes forwarded to the dead leader are re-forwarded to the new one.
         for forward_id, request in list(self._forwarded.items()):
             forwarded_payload = dict(request["payload"])
             forwarded_payload["req_id"] = forward_id
             self.send(leader, "zk_forward",
                       {"origin": self.name, "payload": forwarded_payload},
-                      size_bytes=(MESSAGE_HEADER_BYTES
-                                  + self.config.path_size_bytes
-                                  + self.config.element_size_bytes))
+                      size_bytes=self._txn_size)
 
     def _drop_stale_origins(self) -> Dict[int, Dict[str, Any]]:
         """Detach origin bookkeeping from zxids of abandoned proposals.
@@ -367,7 +358,7 @@ class ZKServer(Node):
             return
         self.send(dst, "zk_leader_info",
                   {"leader": self.leader_name, "epoch": self.epoch},
-                  size_bytes=MESSAGE_HEADER_BYTES + self.config.ack_bytes)
+                  size_bytes=self._ack_size)
 
     def on_zk_whois_leader(self, message: Message) -> None:
         self._send_leader_info(message.src)
@@ -397,8 +388,7 @@ class ZKServer(Node):
         if missing:
             self.syncs_served += 1
             self.send(message.src, "zk_sync",
-                      {"epoch": self.epoch,
-                       "txns": [self._txn_payload(txn) for txn in missing]},
+                      {"epoch": self.epoch, "txns": missing},
                       size_bytes=(MESSAGE_HEADER_BYTES
                                   + len(missing) * (self.config.path_size_bytes
                                                     + self.config.element_size_bytes)))
@@ -415,34 +405,31 @@ class ZKServer(Node):
         if not self.is_leader or self.tracker is None:
             return
         for txn in self.tracker.pending_transactions():
-            proposal_payload = self._txn_payload(txn)
-            proposal_payload["epoch"] = self.epoch
-            self.send(dst, "zab_proposal", proposal_payload,
-                      size_bytes=(MESSAGE_HEADER_BYTES
-                                  + self.config.path_size_bytes
-                                  + self.config.element_size_bytes))
+            self.send(dst, "zab_proposal", {"txn": txn, "epoch": self.epoch},
+                      size_bytes=self._txn_size)
 
     def on_zk_sync(self, message: Message) -> None:
-        for txn_payload in message.payload["txns"]:
-            txn = self._txn_from_payload(txn_payload)
-            if txn.zxid <= self.commit_log.last_applied:
-                continue
-            self._apply_synced(txn)
+        for txn in message.payload["txns"]:
+            if txn.zxid > self.commit_log.last_applied:
+                self._apply_committed(txn)
+                self.commit_log.last_applied = txn.zxid
 
     def _send_snapshot(self, dst: str) -> None:
         """Full state transfer (ZooKeeper's SNAP sync): tree + applied log."""
         self.snapshots_served += 1
         tree_snapshot = self.tree.snapshot()
-        log_payload = [self._txn_payload(txn) for txn in self.applied_log]
+        # The log goes as a tuple of the shared records: the receiver gets
+        # the transactions, never this server's own (growing) list.
+        log = tuple(self.applied_log)
         self.send(dst, "zk_snapshot",
                   {"epoch": self.epoch,
                    "leader": self.leader_name,
                    "last_applied": self.commit_log.last_applied,
                    "tree": tree_snapshot,
-                   "log": log_payload},
+                   "log": log},
                   size_bytes=(MESSAGE_HEADER_BYTES
                               + estimate_payload_size(tree_snapshot)
-                              + len(log_payload) * self.config.path_size_bytes))
+                              + len(log) * self.config.path_size_bytes))
 
     def on_zk_snapshot(self, message: Message) -> None:
         payload = message.payload
@@ -461,23 +448,10 @@ class ZKServer(Node):
         self.tree.restore(payload["tree"])
         self.commit_log = CommitLog()
         self.commit_log.last_applied = payload["last_applied"]
-        self.applied_log = [self._txn_from_payload(p) for p in payload["log"]]
+        self.applied_log = list(payload["log"])
         # Any origin bookkeeping beyond the snapshot point refers to a dead
         # leadership; clients recover via their own timeout/retry.
         self._drop_stale_origins()
-
-    def _apply_synced(self, txn: Transaction) -> None:
-        result = self._apply(txn)
-        self.transactions_applied += 1
-        self.applied_log.append(txn)
-        self.commit_log.last_applied = txn.zxid
-        self._last_progress_ms = self.scheduler.now()
-        origin = self._origin_requests.pop(txn.zxid, None)
-        if origin is not None:
-            self._respond(origin["client"], origin["req_id"],
-                          ok=result.get("ok", True),
-                          result=result.get("result"),
-                          error=result.get("error"))
 
     def recover(self) -> None:
         super().recover()
@@ -486,9 +460,9 @@ class ZKServer(Node):
         # Rejoin: a deposed leader (or stale follower) finds out who leads
         # now and follows; peers answer with zk_leader_info.
         self._last_pong_ms = self.scheduler.now()
-        for peer in self._followers():
+        for peer in self._peers:
             self.send(peer, "zk_whois_leader", {"server": self.name},
-                      size_bytes=MESSAGE_HEADER_BYTES + self.config.ack_bytes)
+                      size_bytes=self._ack_size)
         # If leadership never moved, zk_leader_info brings nothing new, so a
         # recovering follower also asks its (still-current) leader directly
         # for the commits it slept through.
@@ -497,13 +471,12 @@ class ZKServer(Node):
                       {"server": self.name,
                        "last_applied": self.commit_log.last_applied,
                        "epoch": self.epoch},
-                      size_bytes=MESSAGE_HEADER_BYTES + self.config.ack_bytes)
+                      size_bytes=self._ack_size)
 
     # -- client requests -------------------------------------------------------
     def on_zk_request(self, message: Message) -> None:
-        payload = message.payload
-        self.process(self._handle_request, message.src, payload,
-                     service_time_ms=self.config.request_service_ms)
+        self._enqueue(self.config.request_service_ms, self._handle_request,
+                      (message.src, message.payload))
 
     def _handle_request(self, client: str, payload: Dict[str, Any]) -> None:
         op = payload["op"]
@@ -515,8 +488,8 @@ class ZKServer(Node):
                           error=f"unknown operation {op!r}")
             return
         if payload.get("icg"):
-            self.process(self._send_preliminary, client, payload,
-                         service_time_ms=self.config.simulation_service_ms)
+            self._enqueue(self.config.simulation_service_ms,
+                          self._send_preliminary, (client, payload))
         self._submit_write(client, payload)
 
     # -- local reads --------------------------------------------------------------
@@ -527,14 +500,13 @@ class ZKServer(Node):
         try:
             if op == "get":
                 result = self.tree.get(path)
-                size = (MESSAGE_HEADER_BYTES + self.config.ack_bytes
-                        + self.config.element_size_bytes)
+                size = self._reply_size
             elif op == "exists":
                 result = self.tree.exists(path)
-                size = MESSAGE_HEADER_BYTES + self.config.ack_bytes
+                size = self._ack_size
             else:  # get_children
                 result = self.tree.get_children(path)
-                size = (MESSAGE_HEADER_BYTES + self.config.ack_bytes
+                size = (self._ack_size
                         + len(result) * self.config.child_name_bytes)
         except NoNodeError as exc:
             self._respond(client, payload["req_id"], ok=False,
@@ -549,8 +521,7 @@ class ZKServer(Node):
         self.preliminaries_sent += 1
         self.send(client, "zk_preliminary",
                   {"req_id": payload["req_id"], "ok": True, "result": result},
-                  size_bytes=(MESSAGE_HEADER_BYTES + self.config.ack_bytes
-                              + self.config.element_size_bytes))
+                  size_bytes=self._reply_size)
 
     def _simulate(self, payload: Dict[str, Any]) -> Any:
         """Apply the operation to the local state *tentatively*."""
@@ -567,19 +538,17 @@ class ZKServer(Node):
             position = existing + offset
             return {"name": f"item-{position:010d}", "position": position}
         if op == "dequeue":
+            # The head as this server would see it with every tentative
+            # removal applied; only those few paths are looked at.
             try:
-                children = self.tree.get_children(path)
+                first = self.tree.first_child(path, self._simulated_removed)
             except NoNodeError:
-                children = []
-            available = [c for c in children
-                         if f"{path}/{c}" not in self._simulated_removed]
-            if not available:
+                first = None
+            if first is None:
                 return {"item": None, "name": None, "remaining": 0}
-            head = available[0]
+            head, item, remaining = first
             self._simulated_removed.add(f"{path}/{head}")
-            return {"item": self.tree.get(f"{path}/{head}"),
-                    "name": head,
-                    "remaining": len(available) - 1}
+            return {"item": item, "name": head, "remaining": remaining}
         if op == "delete":
             self._simulated_removed.add(path)
             return {"deleted": path}
@@ -599,16 +568,14 @@ class ZKServer(Node):
             forwarded_payload["req_id"] = forward_id
             self.send(self.leader_name, "zk_forward",
                       {"origin": self.name, "payload": forwarded_payload},
-                      size_bytes=(MESSAGE_HEADER_BYTES
-                                  + self.config.path_size_bytes
-                                  + self.config.element_size_bytes))
+                      size_bytes=self._txn_size)
             self._forwarded[forward_id] = request
 
     def on_zk_forward(self, message: Message) -> None:
         payload = message.payload
-        self.process(self._propose, payload["origin"],
-                     {"client": None, "payload": payload["payload"]},
-                     service_time_ms=self.config.proposal_service_ms)
+        self._enqueue(self.config.proposal_service_ms, self._propose,
+                      (payload["origin"],
+                       {"client": None, "payload": payload["payload"]}))
 
     def _propose(self, origin_server: str, request: Dict[str, Any]) -> None:
         if not self.is_leader or self.tracker is None:
@@ -622,9 +589,7 @@ class ZKServer(Node):
                 self.send(self.leader_name, "zk_forward",
                           {"origin": origin_server,
                            "payload": request["payload"]},
-                          size_bytes=(MESSAGE_HEADER_BYTES
-                                      + self.config.path_size_bytes
-                                      + self.config.element_size_bytes))
+                          size_bytes=self._txn_size)
             return
         payload = request["payload"]
         # Leader-origin requests get an origin id from the same per-server
@@ -646,38 +611,29 @@ class ZKServer(Node):
             origin_server=origin_server,
             origin_request=origin_request,
         )
-        self.tracker.track(txn)
-        self.commit_log.learn(txn)
         if origin_server == self.name and request["client"] is not None:
             self._origin_requests[txn.zxid] = {
                 "client": request["client"], "req_id": payload["req_id"],
                 "op": payload["op"], "origin_request": origin_request,
             }
-        proposal_payload = self._txn_payload(txn)
-        proposal_payload["epoch"] = self.epoch
-        for follower in self._followers():
-            self.send(follower, "zab_proposal", proposal_payload,
-                      size_bytes=(MESSAGE_HEADER_BYTES
-                                  + self.config.path_size_bytes
-                                  + self.config.element_size_bytes))
+        self._broadcast_proposal(txn)
+
+    def _broadcast_proposal(self, txn: Transaction) -> None:
+        """Track ``txn``, propose it to every peer, and ack it locally.
+
+        One payload, and inside it the one transaction record, serves all
+        peers: nothing downstream mutates either.
+        """
+        tracker = self.tracker
+        tracker.track(txn)
+        self.commit_log.learn(txn)
+        proposal = {"txn": txn, "epoch": self.epoch}
+        for peer in self._peers:
+            self.send(peer, "zab_proposal", proposal,
+                      size_bytes=self._txn_size)
         # The leader acknowledges its own proposal.
-        if self.tracker.record_ack(txn.zxid, self.name):
+        if tracker.record_ack(txn.zxid, self.name):
             self._commit(txn.zxid)
-
-    @staticmethod
-    def _txn_payload(txn: Transaction) -> Dict[str, Any]:
-        return {"zxid": txn.zxid, "op": txn.op, "path": txn.path,
-                "data": txn.data, "sequential": txn.sequential,
-                "origin_server": txn.origin_server,
-                "origin_request": txn.origin_request}
-
-    @staticmethod
-    def _txn_from_payload(payload: Dict[str, Any]) -> Transaction:
-        return Transaction(zxid=payload["zxid"], op=payload["op"],
-                           path=payload["path"], data=payload["data"],
-                           sequential=payload["sequential"],
-                           origin_server=payload["origin_server"],
-                           origin_request=payload["origin_request"])
 
     def on_zab_proposal(self, message: Message) -> None:
         payload = message.payload
@@ -689,11 +645,11 @@ class ZKServer(Node):
                 # who leads now so it demotes itself and re-syncs.
                 self._send_leader_info(message.src)
             return
-        self.process(self._ack_proposal, payload,
-                     service_time_ms=self.config.apply_service_ms)
+        self._enqueue(self.config.apply_service_ms, self._ack_proposal,
+                      (payload,))
 
     def _ack_proposal(self, payload: Dict[str, Any]) -> None:
-        txn = self._txn_from_payload(payload)
+        txn = payload["txn"]
         self.commit_log.learn(txn)
         # A follower that originated this request must answer its client once
         # the commit applies locally.
@@ -715,7 +671,7 @@ class ZKServer(Node):
         self.send(self.leader_name, "zab_ack",
                   {"zxid": txn.zxid, "server": self.name,
                    "epoch": payload.get("epoch", self.epoch)},
-                  size_bytes=MESSAGE_HEADER_BYTES + self.config.ack_bytes)
+                  size_bytes=self._ack_size)
 
     def on_zab_ack(self, message: Message) -> None:
         payload = message.payload
@@ -729,69 +685,73 @@ class ZKServer(Node):
     def _commit(self, zxid: int) -> None:
         if not self.is_leader or self.tracker is None:
             return
-        for follower in self._followers():
-            self.send(follower, "zab_commit",
-                      {"zxid": zxid, "epoch": self.epoch},
-                      size_bytes=MESSAGE_HEADER_BYTES + self.config.ack_bytes)
+        # Committed: nothing will retransmit or count acks for it again.
+        self.tracker.forget(zxid)
+        commit = {"zxid": zxid, "epoch": self.epoch}
+        for peer in self._peers:
+            self.send(peer, "zab_commit", commit, size_bytes=self._ack_size)
         self._learn_commit(zxid)
 
     def on_zab_commit(self, message: Message) -> None:
         if message.payload.get("epoch", self.epoch) != self.epoch:
             return
-        self.process(self._learn_commit, message.payload["zxid"],
-                     service_time_ms=self.config.apply_service_ms)
+        self._enqueue(self.config.apply_service_ms, self._learn_commit,
+                      (message.payload["zxid"],))
 
     def _learn_commit(self, zxid: int) -> None:
         self.commit_log.mark_committed(zxid)
         for txn in self.commit_log.ready_transactions():
-            result = self._apply(txn)
-            self.transactions_applied += 1
-            self.applied_log.append(txn)
-            self._last_progress_ms = self.scheduler.now()
-            origin = self._origin_requests.pop(txn.zxid, None)
-            if origin is not None:
-                self._respond(origin["client"], origin["req_id"],
-                              ok=result.get("ok", True),
-                              result=result.get("result"),
-                              error=result.get("error"))
+            self._apply_committed(txn)
 
     # -- applying transactions -------------------------------------------------------------
+    def _apply_committed(self, txn: Transaction) -> None:
+        """Apply the next transaction of the log; answer its client if the
+        request came in through this server."""
+        result = self._apply(txn)
+        self.transactions_applied += 1
+        self.applied_log.append(txn)
+        self._last_progress_ms = self.scheduler.clock._now
+        origin = self._origin_requests.pop(txn.zxid, None)
+        if origin is not None:
+            self._respond(origin["client"], origin["req_id"],
+                          ok=result.get("ok", True),
+                          result=result.get("result"),
+                          error=result.get("error"))
+
     def _apply(self, txn: Transaction) -> Dict[str, Any]:
+        op = txn.op
         try:
-            if txn.op == "create":
+            if op == "create":
                 created = self.tree.create(txn.path, txn.data,
                                            sequential=txn.sequential)
                 parent_path = txn.path.rsplit("/", 1)[0]
                 pending = self._simulated_created.get(parent_path, 0)
                 if pending > 0:
                     self._simulated_created[parent_path] = pending - 1
-                parent = txn.path.rsplit("/", 1)[0] or "/"
-                position = self.tree.child_count(parent) - 1
+                position = self.tree.child_count(parent_path or "/") - 1
                 return {"ok": True,
                         "result": {"path": created,
                                    "name": created.rsplit("/", 1)[1],
                                    "position": position}}
-            if txn.op == "delete":
+            if op == "delete":
                 self.tree.delete(txn.path)
                 self._simulated_removed.discard(txn.path)
                 return {"ok": True, "result": {"deleted": txn.path}}
-            if txn.op == "set":
+            if op == "set":
                 self.tree.set(txn.path, txn.data)
                 return {"ok": True, "result": {"path": txn.path}}
-            if txn.op == "dequeue":
-                children = self.tree.get_children(txn.path)
-                if not children:
+            if op == "dequeue":
+                popped = self.tree.pop_first_child(txn.path)
+                if popped is None:
                     return {"ok": True,
                             "result": {"item": None, "name": None,
                                        "remaining": 0}}
-                head = children[0]
-                data = self.tree.get(f"{txn.path}/{head}")
-                self.tree.delete(f"{txn.path}/{head}")
+                head, data, remaining = popped
                 self._simulated_removed.discard(f"{txn.path}/{head}")
                 return {"ok": True,
                         "result": {"item": data, "name": head,
-                                   "remaining": len(children) - 1}}
-            return {"ok": False, "error": f"unknown txn op {txn.op!r}"}
+                                   "remaining": remaining}}
+            return {"ok": False, "error": f"unknown txn op {op!r}"}
         except (NoNodeError, NodeExistsError, ValueError) as exc:
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -800,8 +760,7 @@ class ZKServer(Node):
                  result: Any = None, error: Optional[str] = None,
                  size_bytes: Optional[int] = None) -> None:
         if size_bytes is None:
-            size_bytes = (MESSAGE_HEADER_BYTES + self.config.ack_bytes
-                          + self.config.element_size_bytes)
+            size_bytes = self._reply_size
         self.send(client, "zk_response",
                   {"req_id": req_id, "ok": ok, "result": result, "error": error},
                   size_bytes=size_bytes)

@@ -13,12 +13,16 @@ This module holds the pure data structures; the message handling lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, NamedTuple, Optional, Set
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """A state-mutating operation to be applied through Zab."""
+class Transaction(NamedTuple):
+    """A state-mutating operation to be applied through Zab.
+
+    Immutable, and every replica applies the same totally ordered log, so
+    the leader builds one record per write and proposals, syncs, snapshots
+    and every server's log carry that same object.
+    """
 
     zxid: int
     op: str                      # "create" | "delete" | "set" | "dequeue"
@@ -45,12 +49,9 @@ class ProposalTracker:
         if ensemble_size < 1:
             raise ValueError("ensemble must have at least one server")
         self.ensemble_size = ensemble_size
+        self.quorum_size = ensemble_size // 2 + 1
         self._next_zxid = next_zxid
         self._proposals: Dict[int, _Proposal] = {}
-
-    @property
-    def quorum_size(self) -> int:
-        return self.ensemble_size // 2 + 1
 
     def next_zxid(self) -> int:
         zxid = self._next_zxid

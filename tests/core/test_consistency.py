@@ -11,8 +11,10 @@ from repro.core.consistency import (
     ConsistencyLevel,
     sort_levels,
     strongest,
+    validate_levels,
     weakest,
 )
+from repro.core.errors import BindingError, UnsupportedConsistencyError
 
 
 class TestPredefinedLevels:
@@ -100,3 +102,44 @@ def test_strongest_weakest_bracket_all(levels):
     top, bottom = strongest(levels), weakest(levels)
     for level in levels:
         assert bottom <= level <= top
+
+
+class TestValidateLevels:
+    """The memoised hit path must be indistinguishable from a first call."""
+
+    def test_every_caller_gets_its_own_sorted_list(self):
+        first = validate_levels([STRONG, WEAK], [WEAK, STRONG])
+        assert first == [WEAK, STRONG]
+        first.clear()
+        assert validate_levels([STRONG, WEAK], [WEAK, STRONG]) == [WEAK, STRONG]
+        assert validate_levels(iter([STRONG]), (WEAK, STRONG)) == [STRONG]
+
+    def test_value_equal_levels_share_the_memo_and_its_verdicts(self):
+        lookalike = ConsistencyLevel("weak", 10)
+        assert hash(lookalike) == hash(WEAK)
+        assert validate_levels([lookalike], [WEAK, STRONG]) == [WEAK]
+        # Same name, other strength: a different level, so not offered.
+        impostor = ConsistencyLevel("weak", 11)
+        for _ in range(2):
+            with pytest.raises(UnsupportedConsistencyError) as caught:
+                validate_levels([impostor], [WEAK, STRONG])
+            assert str(caught.value) == (
+                f"requested consistency level(s) [{impostor!r}] not offered "
+                f"by binding (available: [{WEAK!r}, {STRONG!r}])")
+
+    def test_invalid_requests_raise_the_same_error_every_time(self):
+        for _ in range(2):
+            with pytest.raises(UnsupportedConsistencyError) as caught:
+                validate_levels([CAUSAL, WEAK], [WEAK, STRONG])
+            assert caught.value.requested == [CAUSAL]
+            assert caught.value.available == [WEAK, STRONG]
+            with pytest.raises(UnsupportedConsistencyError) as caught:
+                validate_levels([], [WEAK, STRONG])
+            assert str(caught.value) == (
+                "requested consistency level(s) [] not offered by binding "
+                f"(available: [{WEAK!r}, {STRONG!r}])")
+            with pytest.raises(BindingError) as caught:
+                validate_levels([WEAK], [])
+            assert str(caught.value) == \
+                "binding advertises no consistency levels"
+            assert type(caught.value) is BindingError

@@ -9,11 +9,14 @@ consumer of the seam.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from repro.workloads import fastrand
+from repro.workloads import fastrand, records
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.records import Dataset, make_value
 from repro.workloads.ycsb import OperationGenerator, workload_by_name
@@ -140,3 +143,57 @@ class TestBackends:
         pure.sync()
         mirror.sync()
         assert rng_pure.getstate() == rng_mirror.getstate()
+
+
+class TestInitialValueChunking:
+    @pytest.mark.parametrize("chunk", [256, 300, 1 << 16])
+    def test_initial_values_do_not_depend_on_the_chunk_size(
+            self, chunk, monkeypatch):
+        """The chunk only bounds the draw's temporaries: stream consumption
+        is exact across refills, so any chunking yields the same strings."""
+        count = 3 * records._INITIAL_CHUNK + 17
+        reference = Dataset(count, value_size_bytes=10)
+        reference._fill_initial_values(count)
+        monkeypatch.setattr(records, "_INITIAL_CHUNK", chunk)
+        rechunked = Dataset(count, value_size_bytes=10)
+        rechunked._fill_initial_values(count)
+        # (a fill may run past ``count`` to the end of its last chunk)
+        assert rechunked._initial_values[:count] == \
+            reference._initial_values[:count]
+        # ... and filling on demand, index by index, agrees too.
+        lazy = Dataset(count, value_size_bytes=10)
+        for index in (0, 255, 256, 4_095, 4_096, count - 1):
+            assert lazy.initial_value(index) == \
+                reference._initial_values[index]
+
+
+class TestNumpyIsImportedOnDemand:
+    @staticmethod
+    def _run(script: str) -> str:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    def test_zookeeper_stack_never_imports_numpy(self):
+        assert self._run(
+            "import sys\n"
+            "import repro.apps.tickets, repro.zookeeper_sim\n"
+            "from repro.workloads import fastrand\n"
+            "print('numpy' in sys.modules, fastrand.BACKEND)"
+        ) == f"False {fastrand.BACKEND}"
+
+    @pytest.mark.skipif(not fastrand.HAVE_NUMPY,
+                        reason="numpy backend unavailable")
+    def test_cassandra_build_pays_the_import_during_setup(self):
+        """Every Cassandra workload preloads a dataset (a MirrorStream)
+        before its first operation, so the import lands in set-up."""
+        assert self._run(
+            "import sys\n"
+            "from repro.core.cluster_spec import ClusterSpec\n"
+            "before = 'numpy' in sys.modules\n"
+            "built = ClusterSpec(record_count=50).build()\n"
+            "print(before, 'numpy' in sys.modules, "
+            "built.env.scheduler.events_executed)"
+        ) == "False True 0"

@@ -1,0 +1,311 @@
+"""The Zab write path's host-cost contract: a dequeue costs the same at any
+queue depth, one immutable transaction record serves every server, and the
+leader forgets a proposal once it commits.  The ``sorted``-based semantics
+the servers used to compute live on here as the oracle."""
+
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim.environment import SimEnvironment
+from repro.sim.topology import Region, Topology
+from repro.zookeeper_sim.cluster import ZooKeeperCluster
+from repro.zookeeper_sim.datatree import NoNodeError
+from repro.zookeeper_sim.zab import ProposalTracker, Transaction
+
+
+def _cluster(queues=(), depth=0, seed=3):
+    env = SimEnvironment(seed=seed, topology=Topology(jitter_fraction=0.0))
+    cluster = ZooKeeperCluster(env)
+    for queue in queues:
+        cluster.preload_queue(queue, [f"{queue}-{i}" for i in range(depth)])
+    return env, cluster
+
+
+# -- (2) simulation overlay against the old list-comprehension code ---------
+
+class _ReferenceOverlay:
+    """``_simulate`` / ``_apply`` for dequeue and delete as they were
+    written before the ordered child list: sort, filter, index."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.removed = set()
+
+    def _children(self, path):
+        try:
+            return sorted(self.tree.get_children(path))
+        except NoNodeError:
+            return []
+
+    def simulate_dequeue(self, path):
+        available = [c for c in self._children(path)
+                     if f"{path}/{c}" not in self.removed]
+        if not available:
+            return {"item": None, "name": None, "remaining": 0}
+        head = available[0]
+        self.removed.add(f"{path}/{head}")
+        return {"item": self.tree.get(f"{path}/{head}"), "name": head,
+                "remaining": len(available) - 1}
+
+    def simulate_delete(self, path):
+        self.removed.add(path)
+        return {"deleted": path}
+
+    def apply_dequeue(self, path):
+        children = self._children(path)
+        if not children:
+            return {"item": None, "name": None, "remaining": 0}
+        head = children[0]
+        data = self.tree.get(f"{path}/{head}")
+        self.tree.delete(f"{path}/{head}")
+        self.removed.discard(f"{path}/{head}")
+        return {"item": data, "name": head, "remaining": len(children) - 1}
+
+
+_QUEUES = st.sampled_from(["/a", "/b"])
+_PATHS = st.sampled_from(
+    ["/a/item-0000000001", "/a/item-0000000004", "/b/item-0000000000",
+     "/a/ghost", "/a/item-0000000002/below", "/ab/item-0000000001", "/a",
+     "/missing/item-0000000000"])
+_STEPS = st.one_of(
+    st.tuples(st.just("simulate-dequeue"),
+              st.sampled_from(["/a", "/b", "/missing"])),
+    st.tuples(st.just("simulate-delete"), _PATHS),
+    st.tuples(st.just("commit-dequeue"), _QUEUES),
+    st.tuples(st.just("commit-enqueue"), _QUEUES),
+    st.tuples(st.just("commit-delete"), _PATHS),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_STEPS, max_size=60))
+def test_simulation_overlay_matches_the_sorted_reference(steps):
+    _, cluster = _cluster(queues=("/a", "/b"), depth=6)
+    server = cluster.followers[0]
+    _, twin = _cluster(queues=("/a", "/b"), depth=6)
+    reference = _ReferenceOverlay(twin.followers[0].tree)
+    for zxid, (kind, path) in enumerate(steps, start=1):
+        if kind == "simulate-dequeue":
+            assert server._simulate({"op": "dequeue", "path": path}) \
+                == reference.simulate_dequeue(path)
+        elif kind == "simulate-delete":
+            assert server._simulate({"op": "delete", "path": path}) \
+                == reference.simulate_delete(path)
+        elif kind == "commit-dequeue":
+            applied = server._apply(Transaction(zxid, "dequeue", path))
+            assert applied == {"ok": True,
+                               "result": reference.apply_dequeue(path)}
+        elif kind == "commit-enqueue":
+            txn = Transaction(zxid, "create", f"{path}/item-", data=zxid,
+                              sequential=True)
+            created = server._apply(txn)["result"]["path"]
+            assert reference.tree.create(txn.path, txn.data,
+                                         sequential=True) == created
+        else:
+            applied = server._apply(Transaction(zxid, "delete", path))
+            try:
+                reference.tree.delete(path)
+                reference.removed.discard(path)
+                assert applied["ok"]
+            except (NoNodeError, ValueError) as exc:
+                assert applied == {
+                    "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        assert server._simulated_removed == reference.removed
+        for queue in ("/a", "/b"):
+            assert server.tree.get_children(queue) \
+                == sorted(reference.tree.get_children(queue))
+
+
+# -- (3) depth independence ------------------------------------------------------
+
+def _seconds_for_dequeues(depth, dequeues, rounds):
+    """Best host time for ``dequeues`` applied dequeues starting ``depth``
+    deep (``dequeues`` <= ``depth``), over ``rounds`` fresh queues."""
+    best = float("inf")
+    for _ in range(rounds):
+        _, cluster = _cluster(queues=("/q",), depth=depth)
+        server = cluster.leader
+        txns = [Transaction(zxid, "dequeue", "/q")
+                for zxid in range(1, dequeues + 1)]
+        started = time.perf_counter()
+        for txn in txns:
+            server._apply(txn)
+        best = min(best, time.perf_counter() - started)
+        assert server.tree.child_count("/q") == depth - dequeues
+    return best
+
+
+def test_dequeue_cost_does_not_grow_with_queue_depth():
+    # 2,000 dequeues either way: ten 200-deep queues drained, against one
+    # 50,000-deep queue (where the sort-per-dequeue code took ~100x).
+    shallow = 10 * _seconds_for_dequeues(200, 200, rounds=5)
+    deep = _seconds_for_dequeues(50_000, 2_000, rounds=3)
+    assert deep < 3 * shallow
+
+
+def test_simulated_dequeue_cost_does_not_grow_with_queue_depth():
+    def best_time(depth):
+        _, cluster = _cluster(queues=("/q",), depth=depth)
+        server = cluster.leader
+        best = float("inf")
+        for _ in range(5):
+            server._simulated_removed.clear()
+            started = time.perf_counter()
+            for _ in range(100):
+                server._simulate({"op": "dequeue", "path": "/q"})
+            best = min(best, time.perf_counter() - started)
+        return best
+
+    # 100 in-flight simulations hide 100 heads; the rest of the queue is
+    # never looked at.
+    assert best_time(50_000) < 3 * best_time(200)
+
+
+# -- (4) one shared, immutable transaction record ------------------------------------
+
+class TestTransactionRecord:
+    def test_immutable_and_value_equal(self):
+        txn = Transaction(zxid=4, op="create", path="/q/item-", data="x",
+                          sequential=True, origin_server="s1",
+                          origin_request=9)
+        with pytest.raises(AttributeError):
+            txn.zxid = 5
+        with pytest.raises(AttributeError):
+            txn.extra = 1
+        assert txn == Transaction(4, "create", "/q/item-", "x", True, "s1", 9)
+        assert txn != txn._replace(zxid=5)
+        assert Transaction(1, "dequeue", "/q") == Transaction(
+            zxid=1, op="dequeue", path="/q", data=None, sequential=False,
+            origin_server="", origin_request=0)
+
+    def test_every_server_logs_the_leaders_record(self):
+        env, cluster = _cluster(queues=("/queue",), depth=2)
+        client = cluster.add_client("c", Region.FRK, Region.FRK)
+        for i in range(5):
+            client.enqueue("/queue", f"x{i}")
+        client.dequeue("/queue", icg=True)
+        env.run_until_idle()
+        leader = cluster.leader
+        assert len(leader.applied_log) == 6
+        for follower in cluster.followers:
+            assert follower.applied_log is not leader.applied_log
+            assert len(follower.applied_log) == 6
+            assert all(theirs is ours for theirs, ours
+                       in zip(follower.applied_log, leader.applied_log))
+
+    def test_snapshot_receiver_holds_no_alias_of_the_senders_state(self):
+        env, cluster = _cluster(queues=("/queue",), depth=3)
+        client = cluster.add_client("c", Region.IRL, Region.IRL)
+        for i in range(4):
+            client.enqueue("/queue", f"x{i}")
+        env.run_until_idle()
+        leader, receiver = cluster.leader, cluster.followers[1]
+        leader._send_snapshot(receiver.name)
+        env.run_until_idle()
+        assert receiver.snapshots_received == 1
+        assert receiver.applied_log == leader.applied_log
+        assert receiver.applied_log is not leader.applied_log
+        assert isinstance(receiver.applied_log, list)
+        # Whatever the sender does next stays the sender's.
+        leader.applied_log.append(Transaction(99, "set", "/queue"))
+        leader.tree.create("/leader-only")
+        leader.tree.pop_first_child("/queue")
+        assert len(receiver.applied_log) == 4
+        assert not receiver.tree.exists("/leader-only")
+        assert receiver.tree.child_count("/queue") == 7
+        assert receiver.tree.get_children("/queue") \
+            == sorted(receiver.tree.get_children("/queue"))
+
+    def test_sync_carries_the_shared_records(self):
+        env, cluster = _cluster(queues=("/queue",), depth=1)
+        behind = cluster.followers[1]
+        env.network.partition(cluster.leader.name, behind.name)
+        client = cluster.add_client("c", Region.IRL, Region.IRL)
+        for i in range(3):
+            client.enqueue("/queue", f"x{i}")
+        env.run_until_idle()
+        assert behind.commit_log.last_applied == 0
+        env.network.heal(cluster.leader.name, behind.name)
+        behind.send(cluster.leader.name, "zk_sync_req",
+                    {"server": behind.name, "last_applied": 0,
+                     "epoch": behind.epoch})
+        env.run_until_idle()
+        assert cluster.leader.syncs_served == 1
+        assert behind.applied_log == cluster.leader.applied_log
+        assert behind.applied_log is not cluster.leader.applied_log
+        assert behind.tree.get_children("/queue") \
+            == cluster.leader.tree.get_children("/queue")
+
+
+# -- (5) the leader forgets what it committed ---------------------------------------------
+
+class TestProposalTrackerStaysSmall:
+    def test_late_ack_after_forget_is_ignored(self):
+        tracker = ProposalTracker(3)
+        txn = Transaction(tracker.next_zxid(), "dequeue", "/q")
+        tracker.track(txn)
+        assert not tracker.record_ack(txn.zxid, "s1")
+        assert tracker.record_ack(txn.zxid, "s2")
+        tracker.forget(txn.zxid)
+        assert not tracker.record_ack(txn.zxid, "s3")
+        assert tracker.transaction(txn.zxid) is None
+        assert tracker.pending_transactions() == []
+
+    def test_tracker_is_bounded_by_the_in_flight_window(self):
+        env, cluster = _cluster(queues=("/queue",), depth=0)
+        tracker = cluster.leader.tracker
+        client = cluster.add_client("c", Region.FRK, Region.FRK)
+        window, total = 16, 5_000
+        state = {"sent": 0, "done": 0, "peak": 0}
+
+        def _issue():
+            state["sent"] += 1
+            client.enqueue("/queue", state["sent"], on_final=_answered)
+
+        def _answered(response):
+            assert response["ok"]
+            state["done"] += 1
+            state["peak"] = max(state["peak"], len(tracker._proposals))
+            if state["sent"] < total:
+                _issue()
+
+        for _ in range(window):
+            _issue()
+        env.run_until_idle()
+        assert state["done"] == total
+        assert state["peak"] <= window
+        assert len(tracker._proposals) == 0
+        # The third ack of every write arrived after the forget: nothing
+        # was committed or applied twice.
+        for server in cluster.servers:
+            assert server.transactions_applied == total
+            assert server.tree.child_count("/queue") == total
+
+    def test_uncommitted_proposals_are_retransmitted_on_resync(self):
+        env, cluster = _cluster(queues=("/queue",), depth=0)
+        leader = cluster.leader
+        for follower in cluster.followers:
+            env.network.partition(leader.name, follower.name)
+        client = cluster.add_client("c", Region.IRL, Region.IRL)
+        answers = []
+        for i in range(3):
+            client.enqueue("/queue", f"x{i}", on_final=answers.append)
+        env.run_until_idle()
+        # No quorum: proposed, never committed, so nothing was forgotten.
+        assert answers == []
+        assert leader.tracker.pending_count() == 3
+        assert [t.zxid for t in leader.tracker.pending_transactions()] \
+            == [1, 2, 3]
+        rejoining = cluster.followers[0]
+        env.network.heal(leader.name, rejoining.name)
+        rejoining.send(leader.name, "zk_sync_req",
+                       {"server": rejoining.name, "last_applied": 0,
+                        "epoch": rejoining.epoch})
+        env.run_until_idle()
+        assert [a["ok"] for a in answers] == [True, True, True]
+        assert len(leader.tracker._proposals) == 0
+        assert rejoining.commit_log.last_applied == 3
+        assert all(theirs is ours for theirs, ours
+                   in zip(rejoining.applied_log, leader.applied_log))
