@@ -72,81 +72,6 @@ def build_cassandra_scenario(seed: int = 0,
     return spec.build()
 
 
-class _IcgReadOp:
-    """Pooled per-operation state for one in-flight ICG read.
-
-    Replaces the per-op state dict plus two closures the ICG issue path used
-    to allocate: the callbacks are bound methods created once, and finished
-    instances go back on a free list, so steady-state ICG load allocates no
-    per-op objects.  ``pool_stats`` feeds the pool leak tests.
-    """
-
-    __slots__ = ("done", "prelim_value", "prelim_latency", "had_prelim",
-                 "on_preliminary", "on_final")
-
-    _pool: list = []
-    _created = 0
-    _recycled = 0
-
-    def __init__(self) -> None:
-        self.done: Optional[Callable] = None
-        self.prelim_value: Any = None
-        self.prelim_latency: Optional[float] = None
-        self.had_prelim = False
-        self.on_preliminary = self._on_preliminary  # bound once, reused
-        self.on_final = self._on_final
-
-    @classmethod
-    def acquire(cls, done: Callable[[Dict[str, Any]], None]) -> "_IcgReadOp":
-        pool = cls._pool
-        if pool:
-            op = pool.pop()
-        else:
-            cls._created += 1
-            op = cls()
-        op.done = done
-        return op
-
-    def _on_preliminary(self, resp: Dict[str, Any]) -> None:
-        self.had_prelim = True
-        self.prelim_value = resp["value"]
-        self.prelim_latency = resp["latency_ms"]
-
-    def _on_final(self, resp: Dict[str, Any]) -> None:
-        done = self.done
-        failed = "error" in resp
-        diverged = (not failed
-                    and self.had_prelim
-                    and self.prelim_value != resp["value"]
-                    and not resp.get("is_confirmation", False))
-        info = {
-            "final_latency_ms": resp["latency_ms"],
-            "preliminary_latency_ms": self.prelim_latency,
-            "had_preliminary": self.had_prelim,
-            "diverged": diverged,
-            "degraded": bool(resp.get("degraded", False)),
-            "failed": failed,
-        }
-        # Recycle before invoking ``done``: a closed-loop thread issues its
-        # next operation inside the callback, and may legitimately reuse
-        # this very instance for it.
-        self.done = None
-        self.prelim_value = None
-        self.prelim_latency = None
-        self.had_prelim = False
-        cls = _IcgReadOp
-        cls._recycled += 1
-        cls._pool.append(self)
-        done(info)
-
-    @classmethod
-    def pool_stats(cls) -> Dict[str, int]:
-        """Counters for the leak tests: every created op should eventually
-        be recycled (ops that never see a final response would leak)."""
-        return {"created": cls._created, "recycled": cls._recycled,
-                "free": len(cls._pool)}
-
-
 def make_kv_issue(client: CassandraClient, system: str,
                   write_quorum: int = 1) -> Callable:
     """Build the runner ``issue`` function for one Cassandra system label.
@@ -162,28 +87,36 @@ def make_kv_issue(client: CassandraClient, system: str,
 
     def _issue(op_type: str, key: str, value: Optional[str],
                done: Callable[[Dict[str, Any]], None]) -> None:
-        # The "degraded"/"failed" keys carry recovery outcomes for the fault
-        # experiments; always False on a healthy run, so the happy-path
-        # figures are unaffected (the runner ignores falsy entries).  Built
-        # inline: one dict per completion, not three.
-        if op_type == "update":
-            client.write(key, value, w=write_quorum,
-                         on_final=lambda resp: done(
-                             {"final_latency_ms": resp["latency_ms"],
-                              "degraded": bool(resp.get("degraded", False)),
-                              "failed": "error" in resp}))
-            return
-        if not icg:
-            client.read(key, r=read_quorum, icg=False,
-                        on_final=lambda resp: done(
-                            {"final_latency_ms": resp["latency_ms"],
-                             "degraded": bool(resp.get("degraded", False)),
-                             "failed": "error" in resp}))
-            return
+        # The callback pipeline (``protocol.lean_ops`` off): one info dict
+        # per completion.  The "degraded"/"failed" keys carry recovery
+        # outcomes for the fault experiments; always False on a healthy run
+        # (the runner ignores falsy entries).
+        state = [False, None, None]  # had a preliminary, its value, latency
 
-        op = _IcgReadOp.acquire(done)
-        client.read(key, r=read_quorum, icg=True,
-                    on_preliminary=op.on_preliminary, on_final=op.on_final)
+        def _on_preliminary(resp: Dict[str, Any]) -> None:
+            state[:] = True, resp["value"], resp["latency_ms"]
+
+        def _on_final(resp: Dict[str, Any]) -> None:
+            failed = "error" in resp
+            info = {"final_latency_ms": resp["latency_ms"],
+                    "degraded": bool(resp.get("degraded", False)),
+                    "failed": failed}
+            if icg and op_type != "update":
+                had, prelim_value, prelim_latency = state
+                info.update(
+                    preliminary_latency_ms=prelim_latency,
+                    had_preliminary=had,
+                    diverged=(not failed and had
+                              and prelim_value != resp["value"]
+                              and not resp.get("is_confirmation", False)))
+            done(info)
+
+        if op_type == "update":
+            client.write(key, value, w=write_quorum, on_final=_on_final)
+        else:
+            client.read(key, r=read_quorum, icg=icg,
+                        on_preliminary=_on_preliminary if icg else None,
+                        on_final=_on_final)
 
     network = client.network
     config = client.config
@@ -191,23 +124,31 @@ def make_kv_issue(client: CassandraClient, system: str,
     clock = client.scheduler.clock
     base_size = MESSAGE_HEADER_BYTES + config.key_size_bytes
     # Config timeouts / read repair are fixed at cluster construction, so
-    # that half of the lean gate is decided once here; only the switches
-    # that can change mid-run stay in the per-op check below.
-    lean_static = (config.client_timeout_ms <= 0
-                   and config.read_timeout_ms <= 0
-                   and config.write_timeout_ms <= 0
-                   and not config.read_repair)
+    # that half of the fused wire-path gate is decided once here; only the
+    # switches that can change mid-run stay in the per-op check below.
+    fused_static = (config.client_timeout_ms <= 0
+                    and config.read_timeout_ms <= 0
+                    and config.write_timeout_ms <= 0
+                    and not config.read_repair)
 
     def _lean(op_type: str, key: str, value: Optional[str], sink) -> bool:
         # The lean op pipeline (``protocol.lean_ops``): deliver positionally
         # to the runner's per-thread sink, skipping the response/info dicts
         # and the per-op closures above.  Gated per operation so a mid-run
-        # switch flip or a fault configuration falls back to ``_issue``.
-        # The gate (lean_ready) and the client's lean_read/lean_write are
-        # inlined — this is the per-op entry of the fused issue loop.
-        if not (lean_static and network.lean_ops and network.fast_path
-                and len(contacts) == 1):
+        # switch flip falls back to ``_issue``; a fault configuration keeps
+        # the sink and only changes the wire path underneath it.
+        if not network.lean_ops:
             return False
+        if not (fused_static and network.fast_path and len(contacts) == 1):
+            # Classic Message wire path (timeouts, failover, read repair).
+            if op_type == "update":
+                client.lean_write(key, value, write_quorum, sink)
+            else:
+                sink._lean_icg = icg
+                client.lean_read(key, read_quorum, icg, sink)
+            return True
+        # The client's fused lean_read/lean_write, inlined — this is the
+        # per-op entry of the fused issue loop.
         coordinator = client._fused_coordinator
         if coordinator is None:
             coordinator = client._fused_contact()
@@ -222,8 +163,7 @@ def make_kv_issue(client: CassandraClient, system: str,
             rec.version = None
             rec.w = write_quorum
             rec.sent_at = clock._now
-            rec.on_final = None
-            rec.lean = sink
+            rec.sink = sink
             network.fused_send_to(
                 client, coordinator.name,
                 base_size + (len(value)
@@ -240,9 +180,7 @@ def make_kv_issue(client: CassandraClient, system: str,
             rec.r = read_quorum
             rec.icg = icg
             rec.sent_at = clock._now
-            rec.on_preliminary = None
-            rec.on_final = None
-            rec.lean = sink
+            rec.sink = sink
             network.fused_send_to(
                 client, coordinator.name, base_size + 8,
                 coordinator._fused_client_read, rec.args)

@@ -158,7 +158,8 @@ def make_session_issue(pools: Sequence[SessionPool],
         if op_type == "update":
             session.invoke_strong(write(key, value)).set_callbacks(
                 on_final=lambda view: done(
-                    {"final_latency_ms": clock() - issued_at}),
+                    {"final_latency_ms": clock() - issued_at,
+                     "degraded": view.metadata.get("degraded", False)}),
                 on_error=lambda exc: done({"failed": True}))
             return
         state: Dict[str, Any] = {"value": None, "latency": None,
@@ -176,6 +177,7 @@ def make_session_issue(pools: Sequence[SessionPool],
                 "had_preliminary": state["had"],
                 "diverged": (state["had"] and not view.is_confirmation
                              and state["value"] != view.value),
+                "degraded": view.metadata.get("degraded", False),
             })
 
         session.invoke(read(key)).set_callbacks(
@@ -183,37 +185,26 @@ def make_session_issue(pools: Sequence[SessionPool],
             on_error=lambda exc: done({"failed": True}))
 
     # Lean gate, static half: every pool must run over a binding exposing
-    # the lean storage protocol (Cassandra's fused path) with the fault
-    # machinery disarmed, all on one shared network.  Fixed at cluster
-    # construction, so it is decided once here; the ``protocol.lean_ops``
-    # kill-switch and fast-path flag can flip mid-run and stay in the
-    # per-operation check below.
-    storages = []
-    for pool in pools:
-        binding = getattr(pool.client, "binding", None)
-        storage = getattr(binding, "client", None)
-        config = getattr(storage, "config", None)
-        if (config is None or not hasattr(storage, "lean_read")
-                or len(storage._contacts) != 1
-                or config.client_timeout_ms > 0
-                or config.read_timeout_ms > 0
-                or config.write_timeout_ms > 0 or config.read_repair):
-            storages = []
-            break
-        storages.append(storage)
-    lean_static = bool(storages) and len(
-        {id(storage.network) for storage in storages}) == 1
+    # the storage client's sink protocol (``lean_read``/``lean_write``), all
+    # on one shared network.  Fixed at construction, so it is decided once
+    # here; the ``protocol.lean_ops`` kill-switch can flip mid-run and stays
+    # in the per-operation check below.  Timeouts, fallback contacts and
+    # read repair do not matter: they pick the wire path under the sink.
+    storages = [getattr(getattr(pool.client, "binding", None), "client", None)
+                for pool in pools]
+    lean_static = all(hasattr(storage, "lean_read") for storage in storages) \
+        and len({id(storage.network) for storage in storages}) == 1
     network = storages[0].network if lean_static else None
 
     def _lean(op_type: str, key: str, value: Optional[str], sink: Any,
               session_id: Optional[int] = None) -> bool:
         # The lean op pipeline (``protocol.lean_ops``): same session
-        # rotation, same invocation counters, and the same fused wire
-        # protocol as ``_issue`` above — but completions deliver
-        # positionally into the runner's pooled sink, skipping the
-        # Correctable, its View objects, and the per-op closures/dicts.
-        # Returns False (with no side effects) to fall back to ``_issue``.
-        if not (lean_static and network.lean_ops and network.fast_path):
+        # rotation, same invocation counters, and the same wire protocol
+        # as ``_issue`` above — but completions deliver positionally into
+        # the runner's pooled sink, skipping the Correctable, its View
+        # objects, and the per-op closures/dicts.  Returns False (with no
+        # side effects) to fall back to ``_issue``.
+        if not (lean_static and network.lean_ops):
             return False
         if session_id is None:
             session_id = rotation["next"]

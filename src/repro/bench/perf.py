@@ -34,6 +34,7 @@ import json
 import pstats
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -73,6 +74,15 @@ REGRESSION_FACTOR = 2.0
 # scenario implementations
 # ---------------------------------------------------------------------------
 
+def _path_counts(clients: Sequence[Any]) -> Dict[str, int]:
+    """Operations by completion kind × wire path, summed over the storage
+    clients (see :meth:`CassandraClient.path_counts`)."""
+    totals: Counter = Counter()
+    for client in clients:
+        totals.update(client.path_counts())
+    return dict(totals)
+
+
 def run_closed_loop_scenario(threads_per_client: int = 24,
                              duration_ms: float = 10_000.0,
                              warmup_ms: float = 2_000.0,
@@ -94,6 +104,7 @@ def run_closed_loop_scenario(threads_per_client: int = 24,
     return {
         "events": scenario.env.scheduler.events_executed,
         "ops": sum(result.total_ops for result in results.values()),
+        "paths": _path_counts(scenario.cluster.clients),
     }
 
 
@@ -160,6 +171,7 @@ def run_fault_scenario(threads_per_client: int = 4,
     return {
         "events": built.env.scheduler.events_executed,
         "ops": sum(r.result.total_ops for r in runners),
+        "paths": _path_counts(built.cluster.clients),
     }
 
 
@@ -195,9 +207,12 @@ def run_open_loop_scenario(binding: str = "cassandra",
         cooldown_ms=cooldown_ms, max_in_flight=max_in_flight,
         policy=policy, queue_limit=queue_limit, use_histograms=True)
     result = runner.run()
+    storages = ([pool.client.binding.client for pool in stack.pools]
+                if binding == "cassandra" else [])
     return {
         "events": stack.env.scheduler.events_executed,
         "ops": result.total_ops,
+        "paths": _path_counts(storages),
     }
 
 
@@ -303,6 +318,7 @@ def run_million_key_scenario(record_count: int = 1_000_000, nodes: int = 6,
         "ops": result.total_ops,
         "keys": record_count,
         "keys_streamed": cluster.total_keys_streamed(),
+        "paths": _path_counts(cluster.clients),
     }
 
 
@@ -755,10 +771,20 @@ def format_perf(measured: Dict[str, Any],
     title = "Simulator core performance (wall-clock)"
     if baseline is not None:
         title += f" — speedup vs '{baseline.get('label', 'baseline')}'"
-    return format_table(
+    table = format_table(
         ["scenario", "wall (s)", "events", "events/s", "ops", "ops/s",
          "speedup"],
         rows, title=title)
+    # Footer: which pipeline the Cassandra scenarios' operations took
+    # (completion kind × wire path), so an op silently evicted to a slower
+    # path shows up as a count, not just as a slower wall.
+    paths = [f"  {name}: " + ", ".join(
+                 f"{path.replace('_', '×')} {count}"
+                 for path, count in stats["paths"].items())
+             for name, stats in measured.items() if stats.get("paths")]
+    if paths:
+        table += "\nop paths (completion × wire):\n" + "\n".join(paths)
+    return table
 
 
 def check_regression(measured: Dict[str, Any], committed: Dict[str, Any],

@@ -20,6 +20,7 @@ from typing import List
 from repro.bindings.base import Binding, CallbackType
 from repro.cassandra_sim.client import CassandraClient
 from repro.core.consistency import ConsistencyLevel, STRONG, WEAK
+from repro.core.errors import OperationError
 from repro.core.operations import Operation
 
 
@@ -41,8 +42,9 @@ class CassandraBinding(Binding):
 
     # -- lean op pipeline ----------------------------------------------------
     def lean_ok(self) -> bool:
-        """Whether the storage client can take the fused/lean fast path now
-        (``protocol.lean_ops`` switch, single contact, fault hooks off)."""
+        """Whether operations may complete into a caller-supplied sink now:
+        the ``protocol.lean_ops`` switch, whatever the fault configuration
+        (that only picks the wire path under the sink)."""
         return self.client.lean_ready()
 
     def submit_lean(self, operation: Operation,
@@ -103,30 +105,26 @@ class CassandraBinding(Binding):
                      callback: CallbackType) -> None:
         want_weak = WEAK in levels
         want_strong = STRONG in levels
+        level = STRONG if want_strong else WEAK
+        quorum = self.strong_read_quorum if want_strong else 1
+
+        def _on_final(resp: dict) -> None:
+            if "error" in resp:
+                callback(level, None, error=OperationError(resp["error"]))
+            else:
+                callback(level, resp["value"],
+                         metadata=self._meta(resp, r=quorum))
 
         if want_weak and want_strong:
             # One ICG request: preliminary + final from the same coordinator.
             self.client.read(
-                operation.key, r=self.strong_read_quorum, icg=True,
+                operation.key, r=quorum, icg=True,
                 on_preliminary=lambda resp: callback(
                     WEAK, resp["value"], metadata=self._meta(resp, r=1)),
-                on_final=lambda resp: callback(
-                    STRONG, resp["value"],
-                    metadata=self._meta(resp, r=self.strong_read_quorum)),
-            )
-        elif want_strong:
-            self.client.read(
-                operation.key, r=self.strong_read_quorum, icg=False,
-                on_final=lambda resp: callback(
-                    STRONG, resp["value"],
-                    metadata=self._meta(resp, r=self.strong_read_quorum)),
-            )
-        elif want_weak:
-            self.client.read(
-                operation.key, r=1, icg=False,
-                on_final=lambda resp: callback(
-                    WEAK, resp["value"], metadata=self._meta(resp, r=1)),
-            )
+                on_final=_on_final)
+        else:
+            self.client.read(operation.key, r=quorum, icg=False,
+                             on_final=_on_final)
 
     # -- writes ---------------------------------------------------------------
     def _submit_write(self, operation: Operation,
@@ -135,12 +133,13 @@ class CassandraBinding(Binding):
         value = operation.args[0]
         want_weak = WEAK in levels
         want_strong = STRONG in levels
+        level = STRONG if want_strong else WEAK
 
-        def _on_ack(resp):
-            if want_strong:
-                callback(STRONG, value, metadata=self._meta(resp, r=None))
+        def _on_ack(resp: dict) -> None:
+            if "error" in resp:
+                callback(level, None, error=OperationError(resp["error"]))
             else:
-                callback(WEAK, value, metadata=self._meta(resp, r=None))
+                callback(level, value, metadata=self._meta(resp, r=None))
 
         if want_weak and want_strong:
             # The weak view of a write is an immediate optimistic local echo;
@@ -157,4 +156,5 @@ class CassandraBinding(Binding):
             "found": resp.get("found"),
             "replica": resp.get("replica"),
             "read_quorum": r,
+            "degraded": resp.get("degraded", False),
         }

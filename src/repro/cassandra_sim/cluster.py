@@ -245,6 +245,16 @@ class CassandraCluster:
         return sum(r.confirmations_sent
                    for r in self.replicas + self.retired_replicas)
 
+    def in_flight(self) -> Dict[str, int]:
+        """Requests still held anywhere: coordinator sessions and client
+        pending records.  All zero once a run has drained."""
+        replicas = self.replicas + self.retired_replicas
+        return {
+            "read_sessions": sum(len(r._read_sessions) for r in replicas),
+            "write_sessions": sum(len(r._write_sessions) for r in replicas),
+            "client_pending": sum(len(c._pending) for c in self._clients),
+        }
+
     def total_keys_streamed(self) -> int:
         return sum(r.keys_streamed_in
                    for r in self.replicas + self.retired_replicas)

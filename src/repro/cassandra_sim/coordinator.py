@@ -103,8 +103,8 @@ class FusedRead:
     """
 
     __slots__ = ("client", "coordinator", "key", "r", "icg", "sent_at",
-                 "on_preliminary", "on_final", "lean", "count", "best",
-                 "local", "local_version", "preliminary", "preliminary_sent",
+                 "sink", "count", "best", "local", "local_version",
+                 "preliminary", "preliminary_sent",
                  "final_sent", "prelim_seen", "prelim_value", "final_done",
                  "flush_pending", "contacted", "recyclable", "args")
 
@@ -128,7 +128,6 @@ class FusedRead:
         else:
             rec = cls()
             cls.created += 1
-        rec.lean = None
         rec.count = 0
         rec.best = None
         rec.local = False
@@ -171,9 +170,8 @@ class FusedWrite:
     """
 
     __slots__ = ("client", "coordinator", "key", "value", "version", "w",
-                 "sent_at", "on_final", "lean", "acks", "ack_count",
-                 "acks_expected", "acked_client", "client_done", "recyclable",
-                 "args")
+                 "sent_at", "sink", "acks", "ack_count", "acks_expected",
+                 "acked_client", "client_done", "recyclable", "args")
 
     _pool: List["FusedWrite"] = []
     created = 0
@@ -194,7 +192,6 @@ class FusedWrite:
         else:
             rec = cls()
             cls.created += 1
-        rec.lean = None
         rec.ack_count = 0
         rec.acks_expected = 0
         rec.acked_client = False

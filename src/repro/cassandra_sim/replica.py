@@ -129,6 +129,14 @@ class CassandraReplica(Node):
         self._fused_apply_write = self._fused_apply_write
         self._fused_flush_preliminary = self._fused_flush_preliminary
 
+    # -- lifecycle -------------------------------------------------------------
+    def crash(self) -> None:
+        """Stop the node; the operations it was coordinating die with it
+        (their timers still fire, find no session, and do nothing)."""
+        super().crash()
+        self._read_sessions.clear()
+        self._write_sessions.clear()
+
     # -- helpers --------------------------------------------------------------
     def _other_replicas_by_distance(self, key: str) -> List[str]:
         """Replicas for ``key`` other than this node, closest first.
@@ -380,7 +388,7 @@ class CassandraReplica(Node):
                    "error": "read timeout: no replica responded"},
                   size_bytes=(MESSAGE_HEADER_BYTES
                               + self.config.response_overhead_bytes))
-        del self._read_sessions[session.session_id]
+        self._read_sessions.pop(session.session_id, None)
 
     def _maybe_finish_read(self, session: ReadSession) -> None:
         if session.final_sent or not session.have_quorum():
@@ -434,7 +442,7 @@ class CassandraReplica(Node):
                           size_bytes=(MESSAGE_HEADER_BYTES
                                       + self.config.key_size_bytes
                                       + self._value_bytes(newest)))
-        del self._read_sessions[session.session_id]
+        self._read_sessions.pop(session.session_id, None)
 
     # -- client write path --------------------------------------------------------
     def on_client_write(self, message: Message) -> None:
@@ -449,7 +457,9 @@ class CassandraReplica(Node):
                                   + self.config.response_overhead_bytes))
             return
         self.writes_coordinated += 1
-        timestamp = (self.scheduler.now(), self.name, next(self._write_seq))
+        now = self.scheduler.now()
+        self._expire_write_sessions(now)
+        timestamp = (now, self.name, next(self._write_seq))
         session = WriteSession(
             session_id=next(self._session_ids),
             req_id=payload["req_id"],
@@ -457,11 +467,31 @@ class CassandraReplica(Node):
             key=payload["key"],
             w=int(payload["w"]),
             version=VersionedValue(payload["value"], timestamp),
-            started_at=self.scheduler.now(),
+            started_at=now,
         )
         self._write_sessions[session.session_id] = session
         self.process(self._coordinate_write, session,
                      service_time_ms=self.config.write_service_ms)
+
+    def _expire_write_sessions(self, now: float) -> None:
+        """Forget acknowledged writes whose missing acks are overdue.
+
+        An acknowledged write waits for its remaining replicas only as long
+        as the coordinator would have waited for a quorum (every timeout
+        and retry); an ack lost to a crash or partition never comes.  Run
+        when the next write arrives instead of from a timer of its own, so
+        it adds no event; sessions are in start order, oldest first.
+        """
+        timeout_ms = self.config.write_timeout_ms
+        if timeout_ms <= 0:
+            return
+        horizon = now - timeout_ms * (self.config.coordinator_retries + 1)
+        sessions = self._write_sessions
+        while sessions:
+            oldest = next(iter(sessions.values()))
+            if oldest.started_at > horizon or not oldest.acked_client:
+                break
+            del sessions[oldest.session_id]
 
     def _coordinate_write(self, session: WriteSession) -> None:
         key = session.key
@@ -590,7 +620,7 @@ class CassandraReplica(Node):
         if self.config.downgrade_on_timeout and session.acks:
             self.writes_downgraded += 1
             self._ack_write(session, degraded=True)
-            del self._write_sessions[session.session_id]
+            self._write_sessions.pop(session.session_id, None)
             return
         self.writes_failed += 1
         session.acked_client = True
@@ -599,16 +629,17 @@ class CassandraReplica(Node):
                    "error": "write timeout: no replica acknowledged"},
                   size_bytes=(MESSAGE_HEADER_BYTES
                               + self.config.response_overhead_bytes))
-        del self._write_sessions[session.session_id]
+        self._write_sessions.pop(session.session_id, None)
 
     def _maybe_finish_write(self, session: WriteSession) -> None:
-        if session.acked_client or not session.have_quorum():
-            return
-        self._ack_write(session, degraded=False)
-        # Keep the session until all replicas ack so late acks are absorbed,
-        # unless every replica already answered.
+        if not session.acked_client:
+            if not session.have_quorum():
+                return
+            self._ack_write(session, degraded=False)
+        # An acknowledged write keeps its session only while a replica still
+        # owes an answer (a stale-epoch rejection needs it to re-replicate).
         if len(session.acks) >= self.config.replication_factor:
-            del self._write_sessions[session.session_id]
+            self._write_sessions.pop(session.session_id, None)
 
     def _ack_write(self, session: WriteSession, degraded: bool) -> None:
         if session.timeout_event is not None:

@@ -98,8 +98,8 @@ class CorrectableClient:
         Returns a pooled :class:`LeanCorrectable` (single-slot callbacks,
         no view list — the caller releases it when done), or ``None`` when
         the binding cannot take the lean path right now (no lean support,
-        ``protocol.lean_ops`` off, fault machinery armed, or no lean
-        mapping for this operation/levels combination) — the caller then
+        ``protocol.lean_ops`` off, or no lean mapping for this
+        operation/levels combination) — the caller then
         falls back to :meth:`invoke`.  Explicitly opt-in: plain ``invoke``
         always returns a full :class:`Correctable`.
         """

@@ -310,7 +310,8 @@ class LeanCorrectable:
       preliminary value and latency are retained in
       :attr:`preliminary_value` / :attr:`preliminary_latency_ms`, and late
       deliveries after close are dropped and counted in
-      :attr:`discarded_updates`, exactly like the full Correctable.
+      :attr:`discarded_updates`, exactly like the full Correctable;
+      :attr:`degraded` says the store closed it from a downgraded quorum.
 
     Instances recycle through a class-level free list: the owner calls
     :meth:`release` on a finished instance to return it (the pool-leak
@@ -323,7 +324,8 @@ class LeanCorrectable:
                  "had_preliminary", "preliminary_value",
                  "preliminary_latency_ms", "_preliminary_timestamp",
                  "final_latency_ms", "preliminary_consistency",
-                 "final_consistency", "pending_value", "discarded_updates")
+                 "final_consistency", "pending_value", "discarded_updates",
+                 "degraded")
 
     _pool: List["LeanCorrectable"] = []
     created = 0
@@ -361,6 +363,7 @@ class LeanCorrectable:
         lean.final_consistency = None
         lean.pending_value = None
         lean.discarded_updates = 0
+        lean.degraded = False
         return lean
 
     @classmethod
@@ -516,7 +519,8 @@ class LeanCorrectable:
         return self._clock() if self._clock is not None else None
 
     def deliver_read_preliminary(self, value: Any, timestamp: Any,
-                                 latency_ms: float) -> None:
+                                 latency_ms: float,
+                                 replica: Optional[str] = None) -> None:
         if self._state is not CorrectableState.UPDATING:
             self.discarded_updates += 1
             return
@@ -531,22 +535,25 @@ class LeanCorrectable:
                           timestamp=self._preliminary_timestamp))
 
     def deliver_read_final(self, value: Any, timestamp: Any,
-                           latency_ms: float, is_confirmation: bool) -> None:
-        self._close(value, latency_ms, is_confirmation)
+                           latency_ms: float, is_confirmation: bool,
+                           degraded: bool = False,
+                           matches_preliminary: Optional[bool] = None) -> None:
+        self._close(value, latency_ms, is_confirmation, degraded)
 
     def deliver_read_error(self, error: str, latency_ms: float) -> None:
         self._fail(error, latency_ms)
 
-    def deliver_write_ack(self, timestamp: Any, latency_ms: float) -> None:
+    def deliver_write_ack(self, timestamp: Any, latency_ms: float,
+                          degraded: bool = False) -> None:
         # The strong view of a write is its acknowledgement; close with the
         # value the caller wrote (parked in ``pending_value`` at submit).
-        self._close(self.pending_value, latency_ms, False)
+        self._close(self.pending_value, latency_ms, False, degraded)
 
     def deliver_write_error(self, error: str, latency_ms: float) -> None:
         self._fail(error, latency_ms)
 
     def _close(self, value: Any, latency_ms: float,
-               is_confirmation: bool) -> None:
+               is_confirmation: bool, degraded: bool) -> None:
         if self._state is not CorrectableState.UPDATING:
             self.discarded_updates += 1
             return
@@ -560,6 +567,7 @@ class LeanCorrectable:
         self._timestamp = self._now()
         self._is_confirmation = is_confirmation
         self.final_latency_ms = latency_ms
+        self.degraded = degraded
         callback = self._on_final
         self._on_update = None
         self._on_final = None

@@ -28,15 +28,17 @@ class FailoverMixin:
     class provides:
 
     * ``self.scheduler`` and ``self._pending`` (request id → pending-request
-      object with ``attempts``, ``rotation_index``, ``timeout_event`` and
-      ``on_final`` attributes), plus ``self.retries`` /
-      ``self.failed_requests`` counters;
+      object with ``attempts``, ``rotation_index`` and ``timeout_event``
+      attributes), plus ``self.retries`` / ``self.failed_requests``
+      counters;
     * :meth:`_redispatch` — re-send the request to the next endpoint (and
       re-arm the timeout via :meth:`_arm_request_timeout`);
     * :meth:`_failover_retries` — how many re-sends before giving up (used
       by the default :meth:`_retry_policy`);
-    * :meth:`_timeout_failure_response` — the error payload delivered to
-      ``on_final`` when retries are exhausted.
+    * either :meth:`_timeout_failure_response` — the error payload handed
+      to the request's ``on_final`` callback when retries are exhausted —
+      or an override of :meth:`_deliver_timeout_failure` for hosts whose
+      requests complete some other way.
     """
 
     #: Lazily-built policy cache (per instance; invalidated never — configs
@@ -75,8 +77,7 @@ class FailoverMixin:
             return
         self.failed_requests += 1
         del self._pending[req_id]
-        if pending.on_final is not None:
-            pending.on_final(self._timeout_failure_response(pending))
+        self._deliver_timeout_failure(pending)
 
     def _retry_after_backoff(self, pending: Any, policy: RetryPolicy) -> None:
         """Re-send now (zero backoff) or after the policy's delay.
@@ -104,6 +105,11 @@ class FailoverMixin:
 
     def _failover_retries(self) -> int:
         raise NotImplementedError
+
+    def _deliver_timeout_failure(self, pending: Any) -> None:
+        """Tell the caller its request failed: every retry timed out."""
+        if pending.on_final is not None:
+            pending.on_final(self._timeout_failure_response(pending))
 
     def _timeout_failure_response(self, pending: Any) -> Dict[str, Any]:
         raise NotImplementedError

@@ -240,11 +240,12 @@ class Network:
         #: complete fused after a flip.
         self.fast_path = True
         #: Kill-switch for the lean op pipeline (``protocol.lean_ops``): the
-        #: allocation-free completion path where pooled sinks replace the
-        #: per-op response/info dicts and callback closures.  Requires the
-        #: fused path; checked when an operation is *issued* (so a mid-run
-        #: flip only affects subsequent operations) and falls back to the
-        #: classic dict pipeline whenever the fused gate fails.
+        #: allocation-free completion path where issuers hand the storage
+        #: client their own pooled sinks instead of response-dict callbacks.
+        #: Independent of :attr:`fast_path` — a sink is completed from fused
+        #: records and from classic ``Message`` responses alike.  Checked
+        #: when an operation is *issued*, so a mid-run flip only affects
+        #: subsequent operations.
         self.lean_ops = True
         #: Bumped whenever :attr:`_routes` is invalidated; protocol-level
         #: fused-route caches revalidate against it instead of probing the

@@ -155,16 +155,21 @@ class _ClientThread:
 
     # -- lean completion sink -------------------------------------------------
     def deliver_read_preliminary(self, value: Any, timestamp: Any,
-                                 latency_ms: float) -> None:
+                                 latency_ms: float,
+                                 replica: Optional[str] = None) -> None:
         self._had_prelim = True
         self._prelim_value = value
         self._prelim_latency = latency_ms
 
     def deliver_read_final(self, value: Any, timestamp: Any,
-                           latency_ms: float, is_confirmation: bool) -> None:
+                           latency_ms: float, is_confirmation: bool,
+                           degraded: bool = False,
+                           matches_preliminary: Optional[bool] = None) -> None:
         runner = self.runner
         result = runner.result
         result.total_ops += 1
+        if degraded:
+            result.degraded_ops += 1
         completed_at = runner.scheduler.clock._now
         if self._lean_icg:
             had = self._had_prelim
@@ -194,13 +199,37 @@ class _ClientThread:
         else:
             self._issue_next()
 
+    def deliver_write_ack(self, timestamp: Any, latency_ms: float,
+                          degraded: bool = False) -> None:
+        runner = self.runner
+        result = runner.result
+        result.total_ops += 1
+        if degraded:
+            result.degraded_ops += 1
+        completed_at = runner.scheduler.clock._now
+        if runner._measure_start <= self._issued_at \
+                and completed_at <= runner._measure_end:
+            result.measured_ops += 1
+            result.final_latency.record(latency_ms)
+            result.update_latency.record(latency_ms)
+        think = runner.think_time_ms
+        if think > 0:
+            runner.scheduler.schedule(think, self._issue_next)
+        else:
+            self._issue_next()
+
     def deliver_read_error(self, error: str, latency_ms: float) -> None:
+        self._deliver_error(latency_ms, is_read=True)
+
+    def deliver_write_error(self, error: str, latency_ms: float) -> None:
+        self._deliver_error(latency_ms, is_read=False)
+
+    def _deliver_error(self, latency_ms: float, is_read: bool) -> None:
         runner = self.runner
         result = runner.result
         result.total_ops += 1
         result.failed_ops += 1
         completed_at = runner.scheduler.clock._now
-        icg = self._lean_icg
         had = self._had_prelim
         prelim_latency = self._prelim_latency
         self._had_prelim = False
@@ -210,44 +239,15 @@ class _ClientThread:
                 and completed_at <= runner._measure_end:
             result.measured_ops += 1
             result.final_latency.record(latency_ms)
-            result.read_latency.record(latency_ms)
-            if icg:
-                if prelim_latency is not None:
-                    result.preliminary_latency.record(prelim_latency)
-                result.divergence.record_outcome(False, had_preliminary=had)
-        think = runner.think_time_ms
-        if think > 0:
-            runner.scheduler.schedule(think, self._issue_next)
-        else:
-            self._issue_next()
-
-    def deliver_write_ack(self, timestamp: Any, latency_ms: float) -> None:
-        runner = self.runner
-        result = runner.result
-        result.total_ops += 1
-        completed_at = runner.scheduler.clock._now
-        if runner._measure_start <= self._issued_at \
-                and completed_at <= runner._measure_end:
-            result.measured_ops += 1
-            result.final_latency.record(latency_ms)
-            result.update_latency.record(latency_ms)
-        think = runner.think_time_ms
-        if think > 0:
-            runner.scheduler.schedule(think, self._issue_next)
-        else:
-            self._issue_next()
-
-    def deliver_write_error(self, error: str, latency_ms: float) -> None:
-        runner = self.runner
-        result = runner.result
-        result.total_ops += 1
-        result.failed_ops += 1
-        completed_at = runner.scheduler.clock._now
-        if runner._measure_start <= self._issued_at \
-                and completed_at <= runner._measure_end:
-            result.measured_ops += 1
-            result.final_latency.record(latency_ms)
-            result.update_latency.record(latency_ms)
+            if not is_read:
+                result.update_latency.record(latency_ms)
+            else:
+                result.read_latency.record(latency_ms)
+                if self._lean_icg:
+                    if prelim_latency is not None:
+                        result.preliminary_latency.record(prelim_latency)
+                    result.divergence.record_outcome(False,
+                                                     had_preliminary=had)
         think = runner.think_time_ms
         if think > 0:
             runner.scheduler.schedule(think, self._issue_next)
@@ -276,7 +276,7 @@ class ClosedLoopRunner(LoadEngine):
         #: ``issue.lean(op_type, key, value, sink) -> bool`` when the issue
         #: function supports the lean op pipeline; it re-checks the
         #: ``protocol.lean_ops`` switch per call and returns False to route
-        #: the operation through the classic dict pipeline instead.
+        #: the operation through the dict pipeline (``done`` callback).
         self._lean_issue = getattr(issue, "lean", None)
         self._threads = [
             _ClientThread(self, i, make_generator(i)) for i in range(threads)
@@ -379,13 +379,16 @@ class _OpenOp:
 
     # -- lean completion sink -------------------------------------------------
     def deliver_read_preliminary(self, value: Any, timestamp: Any,
-                                 latency_ms: float) -> None:
+                                 latency_ms: float,
+                                 replica: Optional[str] = None) -> None:
         self._had_prelim = True
         self._prelim_value = value
         self._prelim_latency = latency_ms
 
     def deliver_read_final(self, value: Any, timestamp: Any,
-                           latency_ms: float, is_confirmation: bool) -> None:
+                           latency_ms: float, is_confirmation: bool,
+                           degraded: bool = False,
+                           matches_preliminary: Optional[bool] = None) -> None:
         runner = self.runner
         issued_at = self.issued_at
         arrived_at = self.arrived_at
@@ -397,6 +400,8 @@ class _OpenOp:
         runner._in_flight -= 1
         result = runner.result
         result.total_ops += 1
+        if degraded:
+            result.degraded_ops += 1
         completed_at = runner.scheduler.clock._now
         if runner._measure_start <= arrived_at \
                 and completed_at <= runner._measure_end:
@@ -417,7 +422,8 @@ class _OpenOp:
                     had_preliminary=had)
         runner._refill()
 
-    def deliver_write_ack(self, timestamp: Any, latency_ms: float) -> None:
+    def deliver_write_ack(self, timestamp: Any, latency_ms: float,
+                          degraded: bool = False) -> None:
         runner = self.runner
         issued_at = self.issued_at
         arrived_at = self.arrived_at
@@ -425,6 +431,8 @@ class _OpenOp:
         runner._in_flight -= 1
         result = runner.result
         result.total_ops += 1
+        if degraded:
+            result.degraded_ops += 1
         completed_at = runner.scheduler.clock._now
         if runner._measure_start <= arrived_at \
                 and completed_at <= runner._measure_end:
@@ -542,7 +550,7 @@ class OpenLoopRunner(LoadEngine):
         #: ``issue.lean(op_type, key, value, sink[, session_id]) -> bool``
         #: when the issue function supports the lean op pipeline; it
         #: re-checks the ``protocol.lean_ops`` switch per call and returns
-        #: False to route the operation through the classic dict pipeline.
+        #: False to route the operation through the dict pipeline.
         self._lean_issue = getattr(issue, "lean", None)
         self._lean_takes_session = False
         if self._lean_issue is not None:

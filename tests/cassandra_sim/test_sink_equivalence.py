@@ -1,0 +1,537 @@
+"""The sink is the client's one completion interface, whatever the wire path.
+
+``network.lean_ops`` only decides whether an issuer hands the storage client
+its own pooled sink or goes through the callback API (the adapter sink that
+builds response dicts).  Under a fault configuration both ride classic
+``Message`` requests with timeouts and failover, and everything observable —
+the scheduler trace, the run's metrics, the bytes on the wire, the fault
+counters — must be identical either way.  The same file pins the adapter's
+response dicts key for key, the rare completion orders (exhausted failover,
+retryable errors, preliminaries around a failover and after the final), the
+per-path operation counters, and that a drained run leaves nothing behind.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from typing import Any, Dict, List, Optional
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.bench.common import (
+    build_cassandra_scenario,
+    cassandra_config_for,
+    make_generator_factory,
+    make_kv_issue,
+)
+from repro.bench.fig14_open_loop import make_session_issue
+from repro.bindings.cassandra import CassandraBinding
+from repro.cassandra_sim.cluster import CassandraCluster
+from repro.cassandra_sim.config import CassandraConfig
+from repro.core.client import CorrectableClient
+from repro.faults import FaultInjector
+from repro.faults.scenarios import cassandra_aliases
+from repro.faults.schedule import FaultSchedule, FaultScheduleBuilder
+from repro.sim.environment import SimEnvironment
+from repro.sim.node import Node
+from repro.sim.rand import derive_rng
+from repro.sim.topology import Region
+from repro.workloads.arrivals import make_arrival_process
+from repro.workloads.runner import ClosedLoopRunner, OpenLoopRunner
+from repro.workloads.ycsb import OperationGenerator, workload_by_name
+
+REGIONS = (Region.IRL, Region.FRK, Region.VRG)
+QUIESCED = {"read_sessions": 0, "write_sessions": 0, "client_pending": 0}
+
+
+# ---------------------------------------------------------------------------
+# lean ≡ dict under faults (the cass-open-faults-b shape, small)
+# ---------------------------------------------------------------------------
+
+def _crash_and_degrade(duration_ms: float) -> FaultSchedule:
+    """perfbench's fault tile: a replica crash window, then a WAN degrade."""
+    return (FaultScheduleBuilder()
+            .crash_window("replica:1", at_ms=duration_ms / 3,
+                          duration_ms=duration_ms * 4 / 30)
+            .degrade_window(f"region:{Region.FRK}", f"region:{Region.VRG}",
+                            at_ms=2 * duration_ms / 3,
+                            duration_ms=duration_ms * 5 / 30, extra_ms=120.0)
+            .build())
+
+
+def _recorder(recorder) -> List[float]:
+    return list(recorder._samples)
+
+
+def _fingerprint(env, cluster, results, correctables=()) -> Dict[str, Any]:
+    network = env.network
+    run = []
+    for result in results:
+        admission = result.admission
+        run.append({
+            "total": result.total_ops, "measured": result.measured_ops,
+            "failed": result.failed_ops, "degraded": result.degraded_ops,
+            "final": _recorder(result.final_latency),
+            "preliminary": _recorder(result.preliminary_latency),
+            "read": _recorder(result.read_latency),
+            "update": _recorder(result.update_latency),
+            "divergence": (result.divergence.matched,
+                           result.divergence.diverged,
+                           result.divergence.missing_preliminary),
+            "admission": None if admission is None else (
+                admission.offered, admission.admitted, admission.shed,
+                admission.in_flight_high_water, admission.queue_high_water,
+                _recorder(admission.queue_delay)),
+        })
+    return {
+        "run": run,
+        "network": (network.messages_sent, network.messages_delivered,
+                    network.messages_dropped, network.total_bytes()),
+        "clients": [(c.reads_sent, c.writes_sent, c.retries,
+                     c.late_preliminaries, c.failed_requests)
+                    for c in cluster.clients],
+        "replicas": [(r.reads_coordinated, r.writes_coordinated,
+                      r.preliminaries_flushed, r.read_retries,
+                      r.write_retries, r.reads_downgraded,
+                      r.writes_downgraded, r.reads_failed, r.writes_failed)
+                     for r in cluster.replicas],
+        "invocations": [(c.invocations, c.icg_invocations,
+                         c.strong_invocations) for c in correctables],
+        "events": env.scheduler.events_executed,
+        "in_flight": cluster.in_flight(),
+        "live_events": env.scheduler.pending(live_only=True),
+    }
+
+
+def _open_loop_run(lean_ops: bool, schedule: Optional[FaultSchedule] = None,
+                   duration_ms: float = 6_000.0, rate_ops_s: float = 150.0,
+                   sessions_per_region: int = 10, seed: int = 5):
+    """Open-loop YCSB B over CorrectableClient sessions through ``schedule``;
+    returns ``(trace digest, fingerprint, path counts)``."""
+    built = build_cassandra_scenario(
+        seed=seed, record_count=120, client_regions=REGIONS,
+        config=CassandraConfig.fault_tolerant(
+            value_size_bytes=cassandra_config_for("CC2").value_size_bytes),
+        client_fallbacks=True)
+    env, cluster = built.env, built.cluster
+    env.network.lean_ops = lean_ops
+    correctables = [CorrectableClient(CassandraBinding(
+        built.client_in(region), strong_read_quorum=2, write_quorum=1))
+        for region in REGIONS]
+    pools = [client.sessions(sessions_per_region) for client in correctables]
+    if schedule is None:
+        schedule = _crash_and_degrade(duration_ms)
+    injector = FaultInjector(env, schedule=schedule,
+                             aliases=cassandra_aliases(cluster))
+    spec = workload_by_name("B").with_distribution("zipfian")
+    runner = OpenLoopRunner(
+        scheduler=env.scheduler,
+        issue=make_session_issue(pools, env.scheduler.now),
+        make_generator=lambda session_id: OperationGenerator.seeded(
+            spec, built.dataset, seed, f"equiv-s{session_id}"),
+        arrivals=make_arrival_process(
+            "poisson", rate_ops_s, derive_rng(seed, "equiv:arrivals")),
+        sessions=sessions_per_region * len(pools), duration_ms=duration_ms,
+        warmup_ms=duration_ms / 10, cooldown_ms=duration_ms / 10,
+        label="equiv", faults=injector, max_in_flight=64, policy="queue",
+        queue_limit=256)
+    trace = env.scheduler.start_trace()
+    runner.run()
+    env.run_until_idle()
+    digest = hashlib.sha256(repr(trace).encode()).hexdigest()
+    paths = [client.path_counts() for client in cluster.clients]
+    return digest, _fingerprint(env, cluster, [runner.result],
+                                correctables), paths
+
+
+def _closed_loop_run(lean_ops: bool, duration_ms: float = 5_000.0,
+                     seed: int = 9):
+    """fig13's shape: closed-loop threads straight on the storage clients."""
+    built = build_cassandra_scenario(
+        seed=seed, record_count=120, client_regions=REGIONS,
+        config=CassandraConfig.fault_tolerant(), client_fallbacks=True)
+    env, cluster = built.env, built.cluster
+    env.network.lean_ops = lean_ops
+    injector = FaultInjector(env, schedule=_crash_and_degrade(duration_ms),
+                             aliases=cassandra_aliases(cluster))
+    spec = workload_by_name("B").with_distribution("zipfian")
+    runners = [ClosedLoopRunner(
+        scheduler=env.scheduler, issue=make_kv_issue(client, "CC2"),
+        make_generator=make_generator_factory(spec, built.dataset, seed,
+                                              f"equiv-{region}"),
+        threads=3, duration_ms=duration_ms, warmup_ms=500.0,
+        cooldown_ms=500.0, label=f"equiv-{region}",
+        faults=injector if index == 0 else None)
+        for index, (region, client) in enumerate(built.clients.items())]
+    trace = env.scheduler.start_trace()
+    for runner in runners:
+        runner.start()
+    env.run_until_idle()
+    digest = hashlib.sha256(repr(trace).encode()).hexdigest()
+    paths = [client.path_counts() for client in cluster.clients]
+    return digest, _fingerprint(env, cluster,
+                                [r.result for r in runners]), paths
+
+
+class TestLeanEqualsDictUnderFaults:
+    def test_open_loop_sessions_through_crash_and_degrade(self):
+        lean_trace, lean, lean_paths = _open_loop_run(lean_ops=True)
+        dict_trace, classic, dict_paths = _open_loop_run(lean_ops=False)
+        assert lean_trace == dict_trace
+        assert lean == classic
+        # The run really went through the fault machinery ...
+        assert sum(c[2] for c in lean["clients"]) > 0, "no client failover"
+        assert sum(r[3] + r[4] for r in lean["replicas"]) > 0, \
+            "no coordinator retry"
+        assert lean["run"][0]["total"] > 500
+        # ... on classic Messages either way; only the completion differs.
+        for paths in lean_paths:
+            assert paths["sink_message"] > 0
+            assert paths["sink_fused"] == paths["callback_message"] == 0
+        for paths in dict_paths:
+            assert paths["callback_message"] > 0
+            assert paths["sink_message"] == paths["callback_fused"] == 0
+
+    def test_failed_and_degraded_operations_count_alike(self):
+        """Staggered crashes of every replica: some quorums downgrade, and
+        while all three are down requests exhaust their failover."""
+        schedule = (FaultScheduleBuilder()
+                    .crash_window("replica:0", 500.0, 3_200.0)
+                    .crash_window("replica:1", 800.0, 4_000.0)
+                    .crash_window("replica:2", 1_000.0, 3_800.0)
+                    .build())
+        kwargs = dict(schedule=schedule, duration_ms=6_000.0, seed=17)
+        lean_trace, lean, _ = _open_loop_run(lean_ops=True, **kwargs)
+        dict_trace, classic, _ = _open_loop_run(lean_ops=False, **kwargs)
+        assert lean_trace == dict_trace
+        assert lean == classic
+        run = lean["run"][0]
+        assert run["failed"] > 0 and run["degraded"] > 0
+        assert run["failed"] == sum(c[4] for c in lean["clients"])
+        assert lean["in_flight"] == QUIESCED
+
+    def test_closed_loop_threads_through_crash_and_degrade(self):
+        lean_trace, lean, lean_paths = _closed_loop_run(lean_ops=True)
+        dict_trace, classic, _ = _closed_loop_run(lean_ops=False)
+        assert lean_trace == dict_trace
+        assert lean == classic
+        assert all(p["sink_message"] > 0 and p["callback_message"] == 0
+                   for p in lean_paths)
+
+    def test_drained_fault_run_leaves_nothing_in_flight(self):
+        """Every write in the run has W=1 < RF, and the crash window loses
+        acks for good: both used to strand their coordinator sessions."""
+        _, fingerprint, _ = _open_loop_run(lean_ops=True)
+        assert sum(r[1] for r in fingerprint["replicas"]) > 20, "no writes"
+        assert fingerprint["in_flight"] == QUIESCED
+        assert fingerprint["live_events"] == 0
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(windows=st.lists(
+        st.tuples(st.sampled_from(["crash", "partition", "degrade", "slow"]),
+                  st.integers(min_value=0, max_value=2),
+                  st.integers(min_value=0, max_value=2),
+                  st.floats(min_value=100.0, max_value=2_400.0),
+                  st.floats(min_value=20.0, max_value=1_500.0)),
+        min_size=1, max_size=4))
+    def test_generated_fault_schedules(self, windows):
+        builder = FaultScheduleBuilder()
+        for kind, a, b, at_ms, duration_ms in windows:
+            region_a = f"region:{REGIONS[a]}"
+            region_b = f"region:{REGIONS[(a + 1 + b % 2) % 3]}"
+            if kind == "crash":
+                builder.crash_window(f"replica:{a}", at_ms, duration_ms)
+            elif kind == "partition":
+                builder.partition_window(region_a, region_b, at_ms,
+                                         duration_ms)
+            elif kind == "degrade":
+                builder.degrade_window(region_a, region_b, at_ms,
+                                       duration_ms, extra_ms=40.0 * (b + 1))
+            else:
+                builder.slow_window(f"replica:{a}", at_ms, duration_ms,
+                                    factor=5.0 * (b + 1))
+        schedule = builder.build()
+        kwargs = dict(schedule=schedule, duration_ms=3_000.0,
+                      rate_ops_s=120.0, sessions_per_region=4, seed=17)
+        lean_trace, lean, _ = _open_loop_run(lean_ops=True, **kwargs)
+        dict_trace, classic, _ = _open_loop_run(lean_ops=False, **kwargs)
+        assert lean_trace == dict_trace
+        assert lean == classic
+        assert lean["in_flight"]["client_pending"] == 0
+        assert lean["in_flight"]["read_sessions"] == 0
+
+
+# ---------------------------------------------------------------------------
+# targeted completion orders, on a recording sink
+# ---------------------------------------------------------------------------
+
+class _RecordingSink:
+    """Logs every delivery as ``(kind, *args)``."""
+
+    def __init__(self) -> None:
+        self.calls: List[tuple] = []
+
+    def deliver_read_preliminary(self, value, timestamp, latency_ms,
+                                 replica=None):
+        self.calls.append(("preliminary", value, timestamp, latency_ms,
+                           replica))
+
+    def deliver_read_final(self, value, timestamp, latency_ms,
+                           is_confirmation, degraded=False,
+                           matches_preliminary=None):
+        self.calls.append(("final", value, timestamp, latency_ms,
+                           is_confirmation, degraded, matches_preliminary))
+
+    def deliver_read_error(self, error, latency_ms):
+        self.calls.append(("read_error", error, latency_ms))
+
+    def deliver_write_ack(self, timestamp, latency_ms, degraded=False):
+        self.calls.append(("ack", timestamp, latency_ms, degraded))
+
+    def deliver_write_error(self, error, latency_ms):
+        self.calls.append(("write_error", error, latency_ms))
+
+    def kinds(self) -> List[str]:
+        return [call[0] for call in self.calls]
+
+
+def _cluster(config: Optional[CassandraConfig] = None, fallbacks: bool = True):
+    env = SimEnvironment(seed=11)
+    cluster = CassandraCluster(env, config or CassandraConfig.fault_tolerant())
+    cluster.preload({f"key{i}": f"value{i}" for i in range(10)})
+    client = cluster.add_client("client", Region.IRL, Region.FRK,
+                                fallbacks=fallbacks)
+    return env, cluster, client
+
+
+class TestCompletionOrders:
+    def test_timeout_exhaustion_delivers_one_error(self):
+        env, cluster, client = _cluster()
+        for replica in cluster.replicas:
+            replica.crash()
+        read_sink, write_sink = _RecordingSink(), _RecordingSink()
+        client.lean_read("key1", 2, True, read_sink)
+        client.lean_write("key2", "x", 1, write_sink)
+        env.run_until_idle()
+        budget = cluster.config.client_timeout_ms * (
+            cluster.config.client_retries + 1)
+        assert read_sink.calls == [
+            ("read_error", "client timeout: no coordinator responded",
+             budget)]
+        assert write_sink.calls == [
+            ("write_error", "client timeout: no coordinator responded",
+             budget)]
+        assert client.failed_requests == 2
+        assert client.retries == 2 * cluster.config.client_retries
+        assert client._pending == {}
+        assert env.scheduler.pending(live_only=True) == 0
+
+    def test_retryable_error_rotates_to_the_next_contact(self):
+        env, cluster, client = _cluster()
+        # A joining node coordinates nothing yet, but stores what it is sent.
+        cluster.replica_in(Region.FRK).ring_state = "bootstrapping"
+        read_sink, write_sink = _RecordingSink(), _RecordingSink()
+        client.lean_read("key1", 2, False, read_sink)
+        client.lean_write("key2", "x", 1, write_sink)
+        env.run_until_idle()
+        assert read_sink.kinds() == ["final"]
+        assert read_sink.calls[0][1] == "value1"
+        assert write_sink.kinds() == ["ack"]
+        assert client.retries == 2 and client.failed_requests == 0
+        assert client._pending == {}
+
+    def test_non_retryable_error_fails_the_request(self):
+        env, cluster, client = _cluster(fallbacks=False)
+        cluster.replica_in(Region.FRK).ring_state = "bootstrapping"
+        sink = _RecordingSink()
+        client.lean_read("key1", 2, False, sink)
+        env.run_until_idle()
+        assert sink.kinds() == ["read_error"]
+        assert "left the ring" in sink.calls[0][1]
+        assert client.failed_requests == 1 and client._pending == {}
+
+    def test_preliminaries_around_failover_and_after_the_final(self):
+        """No replica answers; a bystander node plays the coordinators so
+        the arrival order is exact: the first coordinator's preliminary
+        lands after the client failed over to the second (delivered: the
+        request is still open), the second coordinator's final closes the
+        request, and a preliminary after that is counted, not delivered."""
+        env, cluster, client = _cluster()
+        for replica in cluster.replicas:
+            replica.crash()
+        ghost = Node("ghost", Region.IRL, env.network)
+        sink = _RecordingSink()
+        req_id = client.lean_read("key1", 2, True, sink)
+        timeout_ms = cluster.config.client_timeout_ms
+        first, second = client._contacts[0], client._contacts[1]
+        stamp = (1.0, first, 1)
+
+        def _send(kind: str, payload: Dict[str, Any]) -> None:
+            ghost.send(client.name, kind, dict(payload, req_id=req_id))
+
+        at = env.scheduler.schedule_call_at
+        at(timeout_ms + 50.0, _send, ("read_preliminary", {
+            "found": True, "value": "old", "timestamp": stamp,
+            "replica": first}))
+        at(timeout_ms + 100.0, _send, ("read_final", {
+            "found": True, "value": None, "timestamp": stamp,
+            "is_confirmation": True, "matches_preliminary": True,
+            "degraded": True}))
+        at(timeout_ms + 150.0, _send, ("read_preliminary", {
+            "found": True, "value": "late", "timestamp": stamp,
+            "replica": second}))
+        env.run_until_idle()
+
+        assert sink.kinds() == ["preliminary", "final"]
+        kind, value, timestamp, latency_ms, replica = sink.calls[0]
+        assert (value, timestamp, replica) == ("old", stamp, first)
+        assert timeout_ms + 50.0 < latency_ms < timeout_ms + 100.0
+        kind, value, timestamp, latency_ms, confirmation, degraded, \
+            matches = sink.calls[1]
+        # A confirmation carries no value: the preliminary's is final.
+        assert (value, confirmation, degraded, matches) == \
+            ("old", True, True, True)
+        assert client.retries == 1, "exactly one failover happened"
+        assert client.late_preliminaries == 1
+        assert client.failed_requests == 0
+        assert client._pending == {}
+        # The final settled the request: its re-armed timeout was cancelled.
+        assert env.scheduler.pending(live_only=True) == 0
+
+
+# ---------------------------------------------------------------------------
+# the callback API is an adapter sink: today's response dicts, key for key
+# ---------------------------------------------------------------------------
+
+PRELIMINARY_KEYS = ["value", "found", "timestamp", "replica", "latency_ms",
+                    "is_confirmation"]
+FINAL_KEYS = ["value", "found", "timestamp", "is_confirmation",
+              "matches_preliminary", "degraded", "latency_ms"]
+ACK_KEYS = ["value", "found", "timestamp", "is_confirmation", "degraded",
+            "latency_ms"]
+ERROR_KEYS = ["value", "found", "timestamp", "is_confirmation", "error",
+              "latency_ms"]
+
+
+@pytest.mark.parametrize("fault_tolerant", [False, True],
+                         ids=["fused-wire", "message-wire"])
+class TestCallbackAdapter:
+    def _stack(self, fault_tolerant: bool):
+        config = (CassandraConfig.fault_tolerant() if fault_tolerant
+                  else cassandra_config_for("CC2"))
+        return _cluster(config, fallbacks=fault_tolerant)
+
+    def test_icg_read_dicts(self, fault_tolerant):
+        env, cluster, client = self._stack(fault_tolerant)
+        preliminaries, finals = [], []
+        client.read("key3", r=2, icg=True,
+                    on_preliminary=preliminaries.append,
+                    on_final=finals.append)
+        env.run_until_idle()
+        (preliminary,), (final,) = preliminaries, finals
+        assert list(preliminary) == PRELIMINARY_KEYS
+        assert list(final) == FINAL_KEYS
+        coordinator = cluster.replica_in(Region.FRK).name
+        assert preliminary == {
+            "value": "value3", "found": True,
+            "timestamp": (0.0, "preload", 0), "replica": coordinator,
+            "latency_ms": preliminary["latency_ms"],
+            "is_confirmation": False}
+        assert final == {
+            "value": "value3", "found": True,
+            "timestamp": (0.0, "preload", 0), "is_confirmation": False,
+            "matches_preliminary": True, "degraded": False,
+            "latency_ms": final["latency_ms"]}
+        assert 0 < preliminary["latency_ms"] < final["latency_ms"]
+        paths = client.path_counts()
+        wire = "callback_message" if fault_tolerant else "callback_fused"
+        assert paths.pop(wire) == 1 and not any(paths.values())
+
+    def test_missing_key_and_write_ack_dicts(self, fault_tolerant):
+        env, cluster, client = self._stack(fault_tolerant)
+        finals, acks = [], []
+        client.read("absent", r=2, icg=False, on_final=finals.append)
+        client.write("key4", "fresh", w=1, on_final=acks.append)
+        env.run_until_idle()
+        (final,), (ack,) = finals, acks
+        assert list(final) == FINAL_KEYS and list(ack) == ACK_KEYS
+        assert (final["value"], final["found"], final["timestamp"]) == \
+            (None, False, None)
+        assert final["matches_preliminary"] is False
+        assert ack["value"] is True and ack["found"] is True
+        assert ack["timestamp"][1] == cluster.replica_in(Region.FRK).name
+        assert ack["degraded"] is False and ack["is_confirmation"] is False
+
+    def test_error_dicts(self, fault_tolerant):
+        env, cluster, client = self._stack(fault_tolerant)
+        for replica in cluster.replicas:
+            replica.ring_state = "retired"
+        read_errors, write_errors = [], []
+        client.read("key1", r=2, icg=True, on_final=read_errors.append)
+        client.write("key1", "x", w=1, on_final=write_errors.append)
+        env.run_until_idle()
+        for (response,) in (read_errors, write_errors):
+            assert list(response) == ERROR_KEYS
+            assert "left the ring" in response["error"]
+            assert (response["value"], response["found"],
+                    response["timestamp"], response["is_confirmation"]) == \
+                (None, False, None, False)
+        assert client.failed_requests == 2
+
+    def test_callbacks_are_optional(self, fault_tolerant):
+        env, cluster, client = self._stack(fault_tolerant)
+        client.read("key1", r=2, icg=True)
+        client.write("key1", "x")
+        env.run_until_idle()
+        assert cluster.in_flight() == QUIESCED
+
+
+# ---------------------------------------------------------------------------
+# path counters: which pipeline did each operation take?
+# ---------------------------------------------------------------------------
+
+class TestPathCounts:
+    def test_fault_config_counts_sink_over_message(self):
+        from repro.bench.perf import PERF_SCENARIOS
+
+        fn, _, quick = PERF_SCENARIOS["fig13-replica-crash"]
+        stats = fn(**quick)
+        paths = stats["paths"]
+        assert paths["sink_message"] == sum(paths.values()) >= stats["ops"]
+
+    def test_fig06_counts_sink_over_fused(self):
+        from repro.bench.perf import PERF_SCENARIOS
+
+        fn, _, quick = PERF_SCENARIOS["fig06-closed-loop"]
+        stats = fn(**quick)
+        paths = stats["paths"]
+        assert paths["sink_fused"] == sum(paths.values()) >= stats["ops"]
+
+    def test_kill_switch_moves_ops_to_the_callback_adapter(self, monkeypatch):
+        from repro.bench.perf import run_closed_loop_scenario
+        from repro.sim.network import Network
+
+        original = Network.__init__
+
+        def _lean_off(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            self.lean_ops = False
+
+        monkeypatch.setattr(Network, "__init__", _lean_off)
+        stats = run_closed_loop_scenario(
+            threads_per_client=2, duration_ms=1_500.0, warmup_ms=300.0,
+            cooldown_ms=200.0, record_count=100)
+        paths = stats["paths"]
+        assert paths["callback_fused"] == sum(paths.values()) > 0
+
+    def test_perf_table_footer_prints_the_paths(self):
+        from repro.bench.perf import format_perf
+
+        text = format_perf({"fig13-replica-crash": {
+            "wall_s": 0.1, "events": 10, "events_per_s": 100.0, "ops": 4,
+            "ops_per_s": 40.0,
+            "paths": {"sink_fused": 0, "sink_message": 4,
+                      "callback_fused": 0, "callback_message": 0}}})
+        assert "fig13-replica-crash: sink×fused 0, sink×message 4" in text
