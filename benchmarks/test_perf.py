@@ -16,6 +16,7 @@ from repro.bench.perf import (
     load_trajectory,
     run_closed_loop_scenario,
     run_fault_scenario,
+    run_million_key_scenario,
     run_perf,
     run_sweep_scenario,
     run_zk_queue_scenario,
@@ -47,6 +48,33 @@ def test_zk_and_fault_scenarios_count():
                                 warmup_ms=500.0, cooldown_ms=250.0,
                                 record_count=60)
     assert faults["ops"] > 0 and faults["events"] > 0
+
+
+def test_million_key_scenario_reports_its_phases():
+    """One rate per phase beside the whole-run rate (the wall is mostly
+    dataset build + bulk preload, so the whole-run events/s says little),
+    and timing the phases moves no event: the counts are deterministic."""
+    kwargs = dict(record_count=100_000, rate_ops_s=200.0, sessions=20,
+                  duration_ms=1_200.0, warmup_ms=200.0, cooldown_ms=100.0,
+                  event_at_ms=300.0)
+    stats = run_million_key_scenario(**kwargs)
+    again = run_million_key_scenario(**kwargs)
+    for count in ("events", "ops", "keys", "keys_streamed", "paths"):
+        assert stats[count] == again[count], count
+    assert stats["keys"] == 100_000 and stats["keys_streamed"] > 0
+    walls = stats["phase_walls_s"]
+    assert list(walls) == ["build", "preload", "serve", "stream", "audit"]
+    assert all(wall >= 0 for wall in walls.values())
+    assert 0 < walls["stream"] <= walls["serve"]
+    assert stats["preload_keys_per_s"] == pytest.approx(
+        100_000 / walls["preload"], rel=0.01)
+    assert stats["stream_keys_per_s"] == pytest.approx(
+        stats["keys_streamed"] / walls["stream"], rel=0.01)
+    assert stats["serve_events_per_s"] == pytest.approx(
+        stats["events"] / walls["serve"], rel=0.01)
+    report = format_perf({"fig15-million-key": dict(
+        stats, wall_s=1.0, events_per_s=1.0, ops_per_s=1.0)})
+    assert "phases:" in report and "keys/s, stream" in report
 
 
 def test_run_perf_unknown_scenario_rejected():

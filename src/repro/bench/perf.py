@@ -262,8 +262,14 @@ def run_million_key_scenario(record_count: int = 1_000_000, nodes: int = 6,
     drains and audits the zero-lost-acked-writes invariant.  The measured
     wall covers dataset generation, the bulk preload, the rebalance run and
     the audit — the full million-key figure cost the columnar backend
-    exists to bound.  ``keys`` in the result is the preloaded record count
-    (so the committed trajectory records the scale next to the rate).
+    exists to bound — so beside the whole-run rate the scenario reports one
+    rate per phase: ``preload_keys_per_s`` (``cluster.preload`` alone),
+    ``serve_events_per_s`` (first arrival to idle) and ``stream_keys_per_s``
+    (keys streamed over the host time from the join's start to its
+    announcement, foreground traffic served meanwhile included), with the
+    walls behind them in ``phase_walls_s``.  ``keys`` in the result is the
+    preloaded record count (so the committed trajectory records the scale
+    next to the rate).
     """
     from repro.bench.fig15_rebalance import (
         CLIENT_REGIONS, count_lost_acked_writes, make_rebalance_issue,
@@ -277,11 +283,18 @@ def run_million_key_scenario(record_count: int = 1_000_000, nodes: int = 6,
     from repro.workloads.ycsb import OperationGenerator
 
     label = f"perf-million-key-{record_count}"
+    clock = time.perf_counter
+    started = clock()
     built = ClusterSpec(nodes=nodes, config=cassandra_config_for("CC2"),
                         seed=seed, record_count=record_count,
                         client_regions=CLIENT_REGIONS,
-                        client_fallbacks=True).build()
+                        client_fallbacks=True, preload=False).build()
     cluster = built.cluster
+    items = built.dataset.initial_items()
+    built_at = clock()
+    cluster.preload(items)
+    loaded_at = clock()
+    del items
     if not isinstance(cluster.replicas[0].table, ColumnarTable):
         raise RuntimeError(
             f"{label}: preload of {record_count} keys did not engage the "
@@ -303,21 +316,44 @@ def run_million_key_scenario(record_count: int = 1_000_000, nodes: int = 6,
         cooldown_ms=cooldown_ms, label=label, max_in_flight=max_in_flight,
         policy="queue", queue_limit=queue_limit)
     joiner_region = round_robin_regions(nodes + 1)[-1]
-    operation = cluster.join_node(f"cassandra-{nodes}-{joiner_region}",
-                                  joiner_region, at_ms=event_at_ms)
-    result = runner.run()
+    announced_at: List[float] = []
+    operation = cluster.join_node(
+        f"cassandra-{nodes}-{joiner_region}", joiner_region,
+        at_ms=event_at_ms,
+        on_complete=lambda _: announced_at.append(clock()))
+    # runner.run(), cut at the join instant so the stream phase can be timed
+    # (slicing a run moves no event).
+    serving_at = clock()
+    runner.start()
+    built.env.run(until=event_at_ms)
+    joining_at = clock()
+    built.env.run(until=runner.end_time + runner.drain_ms)
+    result = runner.result
     built.env.run_until_idle()
+    idle_at = clock()
     if not operation.done:
         raise RuntimeError(f"{label}: join rebalance did not complete")
     lost = count_lost_acked_writes(cluster, acked)
     if lost:
         raise RuntimeError(f"{label}: {lost} acknowledged writes lost "
                            f"across the rebalance")
+    walls = {"build": built_at - started,
+             "preload": loaded_at - built_at,
+             "serve": idle_at - serving_at,
+             "stream": announced_at[0] - joining_at,
+             "audit": clock() - idle_at}
+    events = built.env.scheduler.events_executed
+    keys_streamed = cluster.total_keys_streamed()
     return {
-        "events": built.env.scheduler.events_executed,
+        "events": events,
         "ops": result.total_ops,
         "keys": record_count,
-        "keys_streamed": cluster.total_keys_streamed(),
+        "keys_streamed": keys_streamed,
+        "preload_keys_per_s": round(record_count / walls["preload"], 1),
+        "stream_keys_per_s": round(keys_streamed / walls["stream"], 1),
+        "serve_events_per_s": round(events / walls["serve"], 1),
+        "phase_walls_s": {phase: round(wall, 4)
+                          for phase, wall in walls.items()},
         "paths": _path_counts(cluster.clients),
     }
 
@@ -784,6 +820,17 @@ def format_perf(measured: Dict[str, Any],
              for name, stats in measured.items() if stats.get("paths")]
     if paths:
         table += "\nop paths (completion × wire):\n" + "\n".join(paths)
+    # Footer: the phases of the scenarios whose whole-run rate mixes set-up
+    # with serving (build → preload → serve, the join's stream inside it).
+    phases = [f"  {name}: preload {stats['preload_keys_per_s']:,.0f} keys/s, "
+              f"stream {stats['stream_keys_per_s']:,.0f} keys/s, "
+              f"serve {stats['serve_events_per_s']:,.0f} events/s  ("
+              + ", ".join(f"{phase} {wall:.2f} s" for phase, wall
+                          in stats["phase_walls_s"].items()) + ")"
+              for name, stats in measured.items()
+              if stats.get("phase_walls_s")]
+    if phases:
+        table += "\nphases:\n" + "\n".join(phases)
     return table
 
 

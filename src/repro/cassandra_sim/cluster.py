@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.config import CassandraConfig
-from repro.cassandra_sim.partitioner import RingPartitioner, key_token
+from repro.cassandra_sim.partitioner import RingPartitioner, key_tokens
 from repro.cassandra_sim.rebalance import RingRebalance
 from repro.cassandra_sim.replica import CassandraReplica
 from repro.cassandra_sim.storage import ColumnarTable
@@ -199,42 +199,30 @@ class CassandraCluster:
         every replica to :class:`~repro.cassandra_sim.storage.ColumnarTable`
         first (unless ``config.columnar_storage`` is off) — that is the only
         scale at which the per-row object overhead matters.  Every key is
-        hashed once here: its token routes the row and is stored with it.
+        hashed once here and the rows are sorted by token once; the sorted
+        columns are cut at the ring's slot boundaries and each run goes to
+        its owners whole, so every table's token column is in token order
+        (which keeps its range-streaming index build linear).
         """
-        from repro.cassandra_sim.versions import VersionedValue
-
         if (self.config.columnar_storage
                 and len(items) >= self.config.columnar_threshold_keys):
             for replica in self.replicas:
                 if not isinstance(replica.table, ColumnarTable):
                     replica.table = ColumnarTable.from_table(replica.table)
+        keys = list(items)
+        tokens = key_tokens(keys)
+        order = sorted(range(len(keys)), key=tokens.__getitem__)
+        tokens = array("Q", map(tokens.__getitem__, order))
+        keys = list(map(keys.__getitem__, order))
+        values = list(map(list(items.values()).__getitem__, order))
+        del order  # an int object a row: freed before the tables fill
         by_name = self._by_name
-        replicas_for_token = self.partitioner.replicas_for_token
-        if self.replicas and all(isinstance(r.table, ColumnarTable)
-                                 for r in self.replicas):
-            # Million-key rings: bucket rows by owner into parallel
-            # key/value/token columns and bulk-extend each replica's table —
-            # no version objects, no per-row tuples or calls (see
-            # ColumnarTable.preload_columns).
-            buckets = {name: ([], [], array("Q")) for name in by_name}
-            for key, value in items.items():
-                token = key_token(key)
-                for owner in replicas_for_token(token):
-                    bucket = buckets.get(owner)
-                    if bucket is not None:
-                        bucket[0].append(key)
-                        bucket[1].append(value)
-                        bucket[2].append(token)
-            for name, (keys, values, tokens) in buckets.items():
-                by_name[name].table.preload_columns(keys, values, tokens)
-            return
-        for key, value in items.items():
-            version = VersionedValue(value, (0.0, "preload", 0))
-            token = key_token(key)
-            for owner in replicas_for_token(token):
+        for low, high, owners in self.partitioner.owner_runs(tokens):
+            run = keys[low:high], values[low:high], tokens[low:high]
+            for owner in owners:
                 replica = by_name.get(owner)
                 if replica is not None:
-                    replica.table.apply(key, version, token)
+                    replica.table.preload_columns(*run)
 
     # -- statistics -------------------------------------------------------------------
     def total_preliminaries_flushed(self) -> int:

@@ -88,7 +88,7 @@ class CassandraConfig:
     #: task's key range before its first batch leaves (ms).  A model
     #: parameter, not a description of host work: the simulator itself
     #: selects the range from the table's token index (see
-    #: ``storage.keys_in_range``).
+    #: ``storage.rows_in_range``).
     stream_scan_ms: float = 2.0
     #: Service time the stream source pays to assemble one batch (ms).
     stream_batch_ms: float = 0.5

@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.coordinator import (FusedRead, FusedWrite,
@@ -58,7 +58,8 @@ class _StreamState:
     stream_id: int
     task: StreamTask
     on_complete: Callable[[StreamTask], None]
-    keys: Tuple[str, ...] = ()
+    #: The task's row positions in the source table, in sorted-key order.
+    rows: Sequence[int] = ()
     cursor: int = 0
 
 
@@ -171,6 +172,18 @@ class CassandraReplica(Node):
         else:
             size = estimate_payload_size(value)
         return max(self.config.value_size_bytes, size)
+
+    def _values_bytes(self, values: Sequence[object]) -> int:
+        """:meth:`_value_bytes` summed over a column of stored values."""
+        floor = self.config.value_size_bytes
+        total = 0
+        for value in values:
+            if type(value) is str and value.isascii():
+                size = len(value)
+            else:
+                size = estimate_payload_size(value)
+            total += size if size > floor else floor
+        return total
 
     # -- client read path -------------------------------------------------------
     def on_client_read(self, message: Message) -> None:
@@ -611,7 +624,8 @@ class CassandraReplica(Node):
                           {"key": session.key,
                            "value": session.version.value,
                            "timestamp": session.version.timestamp,
-                           "session_id": session.session_id},
+                           "session_id": session.session_id,
+                           "epoch": self.partitioner.version},
                           size_bytes=(MESSAGE_HEADER_BYTES
                                       + self.config.key_size_bytes
                                       + self._value_bytes(session.version)))
@@ -1318,44 +1332,35 @@ class CassandraReplica(Node):
 
     def _stream_scan(self, state: _StreamState) -> None:
         task = state.task
-        state.keys = self.table.keys_in_range(task.start_token, task.end_token)
+        state.rows = self.table.rows_in_range(task.start_token, task.end_token)
         self._stream_send_batch(state)
 
     def _stream_send_batch(self, state: _StreamState) -> None:
-        if state.cursor >= len(state.keys):
+        if state.cursor >= len(state.rows):
             del self._streams[state.stream_id]
             state.on_complete(state.task)
             return
-        batch = state.keys[state.cursor:
-                           state.cursor + self.config.stream_batch_items]
-        state.cursor += len(batch)
-        items = []
-        size = MESSAGE_HEADER_BYTES
-        for key in batch:
-            version = self.table.get(key)
-            if version is None:
-                continue
-            items.append((key, version.value, version.timestamp,
-                          self.table.token(key)))
-            size += self.config.key_size_bytes + self._value_bytes(version)
-        self.keys_streamed_out += len(items)
+        rows = state.rows[state.cursor:
+                          state.cursor + self.config.stream_batch_items]
+        state.cursor += len(rows)
+        columns = self.table.export_rows(rows)
+        self.keys_streamed_out += len(rows)
         self.send(state.task.target, "stream_data",
-                  {"stream_id": state.stream_id, "items": items},
-                  size_bytes=size)
+                  {"stream_id": state.stream_id, "columns": columns},
+                  size_bytes=(MESSAGE_HEADER_BYTES
+                              + self.config.key_size_bytes * len(rows)
+                              + self._values_bytes(columns[1])))
 
     def on_stream_data(self, message: Message) -> None:
         payload = message.payload
-        items = payload["items"]
         self.process(self._apply_stream_batch, message.src, payload,
                      service_time_ms=(self.config.stream_apply_ms_per_item
-                                      * max(1, len(items))))
+                                      * max(1, len(payload["columns"][0]))))
 
     def _apply_stream_batch(self, source: str, payload: dict) -> None:
-        for key, value, timestamp, token in payload["items"]:
-            # LWW: a streamed snapshot never clobbers a newer forwarded write.
-            self.table.apply(key, VersionedValue(value, tuple(timestamp)),
-                             token)
-        self.keys_streamed_in += len(payload["items"])
+        columns = payload["columns"]
+        self.table.apply_rows(*columns)
+        self.keys_streamed_in += len(columns[0])
         self.send(source, "stream_ack", {"stream_id": payload["stream_id"]},
                   size_bytes=MESSAGE_HEADER_BYTES + 10)
 

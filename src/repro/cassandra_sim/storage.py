@@ -17,9 +17,13 @@ Two interchangeable backends sit behind the same interface:
     to the ``(time, writer, seq)`` tuple comparison ``LocalTable`` inherits
     from :meth:`VersionedValue.newer_than`.
 
-Both keep each row's ring token beside it (:class:`_TokenIndexedRows`), so
-range streaming selects a task's keys with :meth:`keys_in_range` — a bisect
-over a token-sorted view — instead of re-hashing the whole table.
+Both keep each row's ring token beside it (:class:`_TokenIndexedRows`) and
+share the bulk interface range streaming runs on: :meth:`rows_in_range`
+selects a task's rows with a bisect over a token-sorted view,
+:meth:`export_rows` gathers them column by column and :meth:`apply_rows`
+merges such columns into another table — a wholesale extend when every key
+is new there, exact row-by-row LWW otherwise (LWW merge is commutative,
+associative and idempotent, so the order rows arrive in never shows).
 
 Clusters pick the backend automatically at preload/join time (see
 ``CassandraConfig.columnar_storage`` / ``columnar_threshold_keys``); the
@@ -29,10 +33,18 @@ protocol code never knows which one it is talking to.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import islice
+from operator import le
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.partitioner import key_token
 from repro.cassandra_sim.versions import VersionedValue
+
+#: Rows as parallel columns: keys, values, write times, writer names, write
+#: sequence numbers, ring tokens — what :meth:`export_rows` returns and
+#: :meth:`apply_rows` takes (``table.apply_rows(*other.export_rows(rows))``).
+RowColumns = Tuple[Sequence[str], Sequence[object], Sequence[float],
+                   Sequence[str], Sequence[int], Sequence[int]]
 
 
 class _TokenIndexedRows:
@@ -43,21 +55,28 @@ class _TokenIndexedRows:
     (``Cluster.preload``, a streaming source) — and kept in an unsigned
     64-bit column (tokens are the top 64 bits of md5: half of them do not
     fit a signed ``'q'``).  Rows are never deleted, so a row's position is
-    stable and the token-sorted permutation :meth:`keys_in_range` bisects
+    stable and the token-sorted permutation :meth:`rows_in_range` bisects
     is stale exactly when the row count differs from the count it was built
-    at.
+    at.  ``Cluster.preload`` installs rows in token order, so on a preloaded
+    table the token column is already non-decreasing and the permutation is
+    the identity, which one linear pass establishes.
     """
 
-    __slots__ = ("_index", "_tokens", "_order", "_keys")
+    __slots__ = ("_index", "_tokens", "_order", "_keys",
+                 "reads", "writes_applied", "writes_ignored")
 
     def __init__(self) -> None:
         #: key -> row position (insertion order; positions never change).
         self._index: Dict[str, int] = {}
         self._tokens = array("Q")
-        # Built lazily by keys_in_range: row positions sorted by token (the
-        # argsort of the token column) and the keys by row position.
+        # Built lazily, for tables that stream: row positions sorted by
+        # token (the argsort of the token column, see rows_in_range) and the
+        # keys by row position (see _row_keys).
         self._order = array("I")
         self._keys: List[str] = []
+        self.reads = 0
+        self.writes_applied = 0
+        self.writes_ignored = 0
 
     def contains(self, key: str) -> bool:
         return key in self._index
@@ -70,21 +89,26 @@ class _TokenIndexedRows:
         """The stored ring token of ``key`` (which must be present)."""
         return self._tokens[self._index[key]]
 
-    def keys_in_range(self, start_token: int,
-                      end_token: int) -> Tuple[str, ...]:
-        """Stored keys whose token lies in ``[start_token, end_token)``.
+    def rows_in_range(self, start_token: int,
+                      end_token: int) -> "array[int]":
+        """Positions of the rows whose token lies in ``[start_token, end_token)``.
 
         Same range semantics as :func:`~repro.cassandra_sim.partitioner.
-        token_in_range` (wrapping when ``start_token >= end_token``) and
-        the same sorted-key order as :meth:`keys`, so a stream task ships
-        exactly the sequence a filtered full scan would.  Costs one
-        O(n log n) index build per key-set change, then O(log n + m log m)
-        for ``m`` selected keys.
+        token_in_range` (wrapping when ``start_token >= end_token``), in the
+        sorted-key order of :meth:`keys`, so a stream task ships exactly the
+        sequence a filtered full scan would.  Costs one index build per
+        key-set change — linear while the token column is in order,
+        O(n log n) otherwise — then O(log n + m log m) for ``m`` rows.
         """
-        if len(self._order) != len(self._tokens):
-            self._order = array("I", sorted(range(len(self._tokens)),
-                                            key=self._tokens.__getitem__))
-            self._keys = list(self._index)
+        tokens = self._tokens
+        if len(self._order) != len(tokens):
+            rows = range(len(tokens))
+            # A token-ordered column (a preloaded table nobody has added
+            # keys to) is its own argsort: check before sorting, which
+            # would materialise every token as an int object.
+            if not all(map(le, tokens, islice(tokens, 1, None))):
+                rows = sorted(rows, key=tokens.__getitem__)
+            self._order = array("I", rows)
         order = self._order
         low = self._first_at_or_after(start_token)
         high = self._first_at_or_after(end_token)
@@ -92,7 +116,22 @@ class _TokenIndexedRows:
             positions = order[low:high]
         else:
             positions = order[low:] + order[:high]
-        return tuple(sorted(map(self._keys.__getitem__, positions)))
+        return array("I", sorted(positions, key=self._row_keys().__getitem__))
+
+    def _row_keys(self) -> List[str]:
+        """The key column: ``_index``'s keys by row position.
+
+        Only streaming sources need it, so it is built on first use and
+        then topped up with the rows added since — the dict keeps insertion
+        order, which is row order, and walks backwards from its newest key.
+        """
+        keys = self._keys
+        missing = len(self._index) - len(keys)
+        if missing:
+            tail = list(islice(reversed(self._index), missing))
+            tail.reverse()
+            keys.extend(tail)
+        return keys
 
     def _first_at_or_after(self, token: int) -> int:
         """Index into ``_order`` of the first row whose token is >= ``token``.
@@ -112,6 +151,43 @@ class _TokenIndexedRows:
                 high = mid
         return low
 
+    def apply_rows(self, keys: Sequence[str], values: Sequence[object],
+                   times: Sequence[float], writers: Sequence[str],
+                   seqs: Sequence[int], tokens: Sequence[int]) -> None:
+        """Merge rows given as parallel columns; ``keys`` must not repeat.
+
+        Observationally identical to ``apply(key, VersionedValue(value,
+        (time, writer, seq)), token)`` row by row, counters included.  When
+        none of the keys is stored yet — a preload, a joining node taking
+        in a streamed batch — there is nothing to compare against and the
+        columns are appended wholesale.
+        """
+        if not keys:
+            return
+        index = self._index
+        if not index.keys().isdisjoint(keys):
+            # LWW: a streamed snapshot never clobbers a newer forwarded write.
+            for key, value, time, writer, seq, token in zip(
+                    keys, values, times, writers, seqs, tokens):
+                self.apply(key, VersionedValue(value, (time, writer, seq)),
+                           token)
+            return
+        first = len(index)
+        index.update(zip(keys, range(first, first + len(keys))))
+        self._tokens.extend(tokens)
+        self._extend_versions(values, times, writers, seqs)
+        self.writes_applied += len(keys)
+
+    def preload_columns(self, keys: Sequence[str], values: Sequence[object],
+                        tokens: Sequence[int]) -> None:
+        """Install time-zero rows, the ``Cluster.preload`` bulk path:
+        :meth:`apply_rows` with every row stamped ``(0.0, "preload", 0)``."""
+        count = len(keys)
+        zeros = bytes(8 * count)
+        self.apply_rows(keys, values, array("d", zeros),   # float64 0.0
+                        ("preload",) * count,
+                        array("q", zeros), tokens)         # int64 0
+
     def __len__(self) -> int:
         return len(self._index)
 
@@ -119,14 +195,11 @@ class _TokenIndexedRows:
 class LocalTable(_TokenIndexedRows):
     """The key-value state one replica holds locally."""
 
-    __slots__ = ("_versions", "reads", "writes_applied", "writes_ignored")
+    __slots__ = ("_versions",)
 
     def __init__(self) -> None:
         super().__init__()
         self._versions: List[VersionedValue] = []
-        self.reads = 0
-        self.writes_applied = 0
-        self.writes_ignored = 0
 
     def read(self, key: str) -> Optional[VersionedValue]:
         """Return the locally stored version of ``key`` (None if absent)."""
@@ -161,8 +234,8 @@ class LocalTable(_TokenIndexedRows):
     def get(self, key: str) -> Optional[VersionedValue]:
         """Raw access without touching the ``reads`` counter.
 
-        Used by range streaming and post-run verification, which inspect
-        state without modelling a served read.
+        Used by post-run verification, which inspects state without
+        modelling a served read.
         """
         idx = self._index.get(key)
         if idx is None:
@@ -173,6 +246,20 @@ class LocalTable(_TokenIndexedRows):
         """Iterate ``(key, version)`` pairs in sorted key order."""
         for key in sorted(self._index):
             yield key, self._versions[self._index[key]]
+
+    def export_rows(self, rows: Sequence[int]) -> RowColumns:
+        """The rows at positions ``rows`` as parallel columns."""
+        versions = list(map(self._versions.__getitem__, rows))
+        stamps = [version.timestamp for version in versions]
+        times, writers, seqs = zip(*stamps) if stamps else ((), (), ())
+        return (list(map(self._row_keys().__getitem__, rows)),
+                [version.value for version in versions],
+                times, writers, seqs,
+                list(map(self._tokens.__getitem__, rows)))
+
+    def _extend_versions(self, values, times, writers, seqs) -> None:
+        self._versions.extend(
+            map(VersionedValue, values, zip(times, writers, seqs)))
 
 
 class ColumnarTable(_TokenIndexedRows):
@@ -196,16 +283,17 @@ class ColumnarTable(_TokenIndexedRows):
         #: coordinator names, so the writer column is a small-int array.
         self._writers: List[str] = []
         self._writer_index: Dict[str, int] = {}
-        self.reads = 0
-        self.writes_applied = 0
-        self.writes_ignored = 0
 
     @classmethod
     def from_table(cls, table: "LocalTable") -> "ColumnarTable":
-        """Columnarize an existing table, carrying rows and counters over."""
+        """Columnarize an existing table, carrying rows and counters over.
+
+        Rows are copied in token order, so a table columnarized ahead of a
+        token-ordered preload keeps the linear index build.
+        """
         columnar = cls()
-        for key, version in table.items():
-            columnar.apply(key, version, table.token(key))
+        columnar.apply_rows(*table.export_rows(
+            sorted(range(len(table)), key=table._tokens.__getitem__)))
         columnar.reads = table.reads
         columnar.writes_applied = table.writes_applied
         columnar.writes_ignored = table.writes_ignored
@@ -218,34 +306,6 @@ class ColumnarTable(_TokenIndexedRows):
             self._writer_index[writer] = wid
             self._writers.append(writer)
         return wid
-
-    def preload_columns(self, keys: List[str], values: List[object],
-                        tokens: "array[int]") -> None:
-        """Install time-zero rows, the ``Cluster.preload`` bulk path.
-
-        The three columns are parallel and ``keys`` must not repeat (the
-        preload items mapping guarantees it).  Observationally identical to
-        ``apply(key, VersionedValue(value, (0.0, "preload", 0)), token)``
-        per row — including the counters — but on a fresh ring the columns
-        are appended wholesale, without version objects or comparisons.
-        """
-        index = self._index
-        if index:
-            # Preload onto a non-empty table: exact LWW, row by row.
-            for key, value, token in zip(keys, values, tokens):
-                self.apply(key, VersionedValue(value, (0.0, "preload", 0)),
-                           token)
-            return
-        count = len(keys)
-        index.update(zip(keys, range(count)))
-        self._values.extend(values)
-        self._tokens.extend(tokens)
-        zeros = bytes(8 * count)
-        self._times.frombytes(zeros)     # float64 zeros: time 0.0
-        self._seqs.frombytes(zeros)      # int64 zeros: seq 0
-        self._writer_ids.extend(
-            array("i", [self._writer_id("preload")]) * count)
-        self.writes_applied += count
 
     def read(self, key: str) -> Optional[VersionedValue]:
         """Return the locally stored version of ``key`` (None if absent)."""
@@ -310,3 +370,25 @@ class ColumnarTable(_TokenIndexedRows):
         """Iterate ``(key, version)`` pairs in sorted key order."""
         for key in sorted(self._index):
             yield key, self.get(key)
+
+    def export_rows(self, rows: Sequence[int]) -> RowColumns:
+        """The rows at positions ``rows`` as parallel columns."""
+        return (list(map(self._row_keys().__getitem__, rows)),
+                list(map(self._values.__getitem__, rows)),
+                list(map(self._times.__getitem__, rows)),
+                list(map(self._writers.__getitem__,
+                         map(self._writer_ids.__getitem__, rows))),
+                list(map(self._seqs.__getitem__, rows)),
+                list(map(self._tokens.__getitem__, rows)))
+
+    def _extend_versions(self, values, times, writers, seqs) -> None:
+        self._values.extend(values)
+        self._times.extend(times)
+        # One writer throughout — every row of a preload, most streamed
+        # batches — is a constant column; ``count`` compares by identity.
+        if writers.count(writers[0]) == len(writers):
+            self._writer_ids.extend(
+                array("i", [self._writer_id(writers[0])]) * len(writers))
+        else:
+            self._writer_ids.extend(map(self._writer_id, writers))
+        self._seqs.extend(seqs)

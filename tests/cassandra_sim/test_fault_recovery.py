@@ -116,6 +116,42 @@ class TestCoordinatorRetry:
         assert coordinator.writes_downgraded == 1
         assert coordinator.table.read("key4").value == "new-value"
 
+    def test_every_replica_bound_request_carries_the_ring_epoch(self):
+        """The module contract: coordinator → replica requests are stamped
+        with the ring epoch — the first fan-out and the timeout re-sends of
+        both reads and writes (the write re-send used to go out bare)."""
+        env, cluster, client = _build()
+        cluster.replica_in(Region.IRL).crash()
+        cluster.replica_in(Region.VRG).crash()
+        coordinator = cluster.replica_in(Region.FRK)
+        requests = []
+
+        def record(sends):
+            requests.extend((kind, payload) for _, kind, payload, _ in sends
+                            if kind in ("read_req", "write_req"))
+
+        send, send_many = coordinator.send, coordinator.send_many
+        coordinator.send = lambda dst, kind, payload=None, size_bytes=None: (
+            record([(dst, kind, payload, size_bytes)]),
+            send(dst, kind, payload, size_bytes))[1]
+        coordinator.send_many = lambda sends: (
+            record(sends), send_many(sends))[1]
+
+        results = []
+        client.write("key4", "new-value", w=2, on_final=results.append)
+        client.read("key5", r=2, icg=False, on_final=results.append)
+        env.run_until_idle()
+
+        assert len(results) == 2
+        assert coordinator.write_retries >= 1 and coordinator.read_retries >= 1
+        kinds = [kind for kind, _ in requests]
+        # A write goes to both other replicas and the retry to both again; a
+        # quorum read asks the closer one, its retry re-solicits both.
+        assert kinds.count("write_req") >= 4 and kinds.count("read_req") >= 3
+        epoch = cluster.partitioner.version
+        for kind, payload in requests:
+            assert payload.get("epoch") == epoch, (kind, payload)
+
     def test_timeouts_disabled_by_default(self):
         """The default (seed) configuration schedules no timeout machinery."""
         env, cluster, client = _build(config=CassandraConfig())

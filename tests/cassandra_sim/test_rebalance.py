@@ -13,6 +13,7 @@ from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.partitioner import key_token, token_in_range
 from repro.cassandra_sim.replica import CassandraReplica
+from repro.cassandra_sim.storage import ColumnarTable
 from repro.cassandra_sim.versions import resolve
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, Topology
@@ -200,28 +201,45 @@ class TestSafetyUnderTraffic:
             version = newest_at_owners(cluster, key)
             assert version is not None and version.timestamp >= timestamp, key
 
-    def test_new_keys_inserted_while_ranges_stream(self, monkeypatch):
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_new_keys_inserted_while_ranges_stream(self, monkeypatch,
+                                                   columnar):
         """A join, then a decommission, under writes that *create* keys: the
         sources' key sets differ between the two plans' scans, so a token
         index built for the join must not answer the decommission.  Every
-        task still ships exactly what a fresh full scan of its source
-        selects, and no acknowledged write — to an old or a brand-new key —
-        is lost."""
+        task still selects — and then ships, batch by batch — exactly what a
+        fresh full scan of its source selects, on both table backends, and
+        no acknowledged write — to an old or a brand-new key — is lost."""
         env = _env()
-        cluster = six_node_cluster(env)
+        cluster = six_node_cluster(
+            env, **({"columnar_threshold_keys": 1} if columnar else {}))
+        assert all(isinstance(replica.table, ColumnarTable) == columnar
+                   for replica in cluster.replicas)
         scans = []  # (source, rows in its table at scan time)
+        selected = {}  # (source, stream id) -> the reference key sequence
+        shipped = {}   # (source, stream id) -> keys that reached the target
         scan = CassandraReplica._stream_scan
+        apply_batch = CassandraReplica._apply_stream_batch
 
         def checked_scan(replica, state):
-            scan(replica, state)
             task = state.task
-            assert state.keys == tuple(
+            selected[replica.name, state.stream_id] = [
                 key for key in replica.table.keys()
                 if token_in_range(key_token(key), task.start_token,
-                                  task.end_token)), task
+                                  task.end_token)]
+            scan(replica, state)
+            assert (list(replica.table.export_rows(state.rows)[0])
+                    == selected[replica.name, state.stream_id]), task
             scans.append((replica.name, len(replica.table)))
 
+        def recording_apply(replica, source, payload):
+            shipped.setdefault((source, payload["stream_id"]), []).extend(
+                payload["columns"][0])
+            apply_batch(replica, source, payload)
+
         monkeypatch.setattr(CassandraReplica, "_stream_scan", checked_scan)
+        monkeypatch.setattr(CassandraReplica, "_apply_stream_batch",
+                            recording_apply)
         client = cluster.add_client("c", Region.IRL,
                                     contact_region=Region.FRK, fallbacks=True)
         acked = {}
@@ -250,6 +268,13 @@ class TestSafetyUnderTraffic:
         assert decommission.started_at < 5.0 * 400  # writes still arriving
         assert len(scans) == (len(join.change.tasks)
                               + len(decommission.change.tasks))
+        # Every non-empty task delivered its reference sequence, in order.
+        assert shipped == {task: keys for task, keys in selected.items()
+                           if keys}
+        assert cluster.total_keys_streamed() == sum(map(len, shipped.values()))
+        # The joiner started on its peers' backend and stayed on it.
+        assert isinstance(cluster.replica_by_name(
+            "cassandra-6-" + Region.FRK).table, ColumnarTable) == columnar
         # The premise: some source was scanned at two different sizes.
         sizes = {}
         for source, rows in scans:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from repro.cassandra_sim.partitioner import (
     RingPartitioner,
     key_token,
+    key_tokens,
     node_tokens,
     token_in_range,
 )
@@ -142,9 +143,26 @@ class TestColumnarTable:
         assert columnar.token("a") == 2**64 - 5
         assert columnar.token("b") == key_token("b")
 
+    def test_from_table_copies_rows_in_token_order(self):
+        """Sorted-key order would scatter the tokens; token order keeps the
+        range index of a table columnarized ahead of a preload linear."""
+        source = LocalTable()
+        for i in range(50):
+            source.apply(f"user{i}", VersionedValue(i, (1.0, "n", i)))
+        columnar = ColumnarTable.from_table(source)
+        tokens = columnar.export_rows(range(50))[5]
+        assert tokens == sorted(key_token(f"user{i}") for i in range(50))
+        assert list(columnar.items()) == list(source.items())
+
 
 #: Ring positions: the full unsigned 64-bit token space.
 TOKENS = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def columns_of(table, rows):
+    """``export_rows`` with every column as a list (backends differ in the
+    sequence types they hand back, never in the contents)."""
+    return [list(column) for column in table.export_rows(rows)]
 
 
 @given(st.lists(
@@ -173,8 +191,9 @@ def test_columnar_table_equivalent_to_local_table(ops):
             assert local.read(key) == columnar.read(key)
         assert local.contains(key) == columnar.contains(key)
         assert local.get(key) == columnar.get(key)
-        assert (local.keys_in_range(start, end)
-                == columnar.keys_in_range(start, end))
+        rows = local.rows_in_range(start, end)
+        assert rows == columnar.rows_in_range(start, end)
+        assert columns_of(local, rows) == columns_of(columnar, rows)
     assert len(local) == len(columnar)
     assert local.keys() == columnar.keys()
     assert list(local.items()) == list(columnar.items())
@@ -183,18 +202,23 @@ def test_columnar_table_equivalent_to_local_table(ops):
 
 
 def scan_keys_in_range(table, start, end):
-    """The full-table scan ``keys_in_range`` replaced: sort every key, hash
+    """The full-table scan ``rows_in_range`` replaced: sort every key, hash
     every key, keep the ones in range.  Kept here as the reference."""
     return tuple(key for key in table.keys()
                  if token_in_range(key_token(key), start, end))
+
+
+def keys_in_range(table, start, end):
+    """The keys of the rows ``rows_in_range`` selects, in its order."""
+    return tuple(table.export_rows(table.rows_in_range(start, end))[0])
 
 
 @pytest.mark.parametrize("table_type", [LocalTable, ColumnarTable])
 class TestTokenColumn:
     def test_empty_table_selects_nothing(self, table_type):
         table = table_type()
-        assert table.keys_in_range(0, 2**63) == ()
-        assert table.keys_in_range(7, 7) == ()
+        assert keys_in_range(table, 0, 2**63) == ()
+        assert keys_in_range(table, 7, 7) == ()
 
     def test_tokens_and_sequences_beyond_signed_64_bit(self, table_type):
         """Tokens are the top 64 bits of md5 — half exceed 2**63 — and a
@@ -216,15 +240,15 @@ class TestTokenColumn:
             assert table.get(key).timestamp == (1.0, "n1", seq)
         assert table.token("edge") == 2**64 - 1
         # [2**63, 0) wraps over the seam: exactly the upper half.
-        assert table.keys_in_range(2**63, 0) == tuple(sorted(high + ["edge"]))
-        assert table.keys_in_range(0, 2**63) == tuple(sorted(low))
-        assert table.keys_in_range(2**64 - 1, 0) == ("edge",)
+        assert keys_in_range(table, 2**63, 0) == tuple(sorted(high + ["edge"]))
+        assert keys_in_range(table, 0, 2**63) == tuple(sorted(low))
+        assert keys_in_range(table, 2**64 - 1, 0) == ("edge",)
         # A newer write with a bigger sequence still wins on both backends.
         assert table.apply(high[0], VersionedValue("z", (1.0, "n1", seq + 1)))
         assert not table.apply(high[0], VersionedValue("y", (1.0, "n1", seq)))
 
     @given(data=st.data())
-    def test_keys_in_range_matches_the_full_scan(self, table_type, data):
+    def test_rows_in_range_matches_the_full_scan(self, table_type, data):
         """Any interleaving of inserts and range queries — wrapping ranges,
         ``start == end``, bounds exactly on a stored token, queries on the
         empty table — selects what the full scan selects, in its order.
@@ -245,13 +269,113 @@ class TestTokenColumn:
             for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
                 start = data.draw(bounds)
                 end = data.draw(st.one_of(bounds, st.just(start)))
-                assert (table.keys_in_range(start, end)
+                assert (keys_in_range(table, start, end)
                         == scan_keys_in_range(table, start, end))
             # An overwrite is not a key-set change: still exact.
             for key in keys[:2]:
                 if table.contains(key):
                     table.apply(key, VersionedValue("again", (2.0, "n", 2)))
-        assert table.keys_in_range(0, 0) == table.keys()
+        assert keys_in_range(table, 0, 0) == table.keys()
+
+
+#: Keys for the bulk-merge properties; every second one carries a token in
+#: the upper half of the ring (the part a signed 64-bit column would lose).
+ROW_KEYS = [f"row{i}" for i in range(14)]
+ROW_TOKENS = {key: 2**64 - 1 - 7919 * i if i % 2 else key_token(key) % 2**63
+              for i, key in enumerate(ROW_KEYS)}
+#: Few distinct components, so equal, older and newer stamps all collide.
+STAMPS = st.tuples(st.sampled_from([0.0, 1.0, 2.5]),
+                   st.sampled_from(["n1", "n2", "preload"]),
+                   st.sampled_from([0, 1, 2**62]))
+#: One batch: distinct keys (rows of one table), a value and a stamp each.
+BATCHES = st.lists(st.tuples(st.sampled_from(ROW_KEYS), st.integers(), STAMPS),
+                   unique_by=lambda row: row[0], max_size=len(ROW_KEYS))
+
+
+def apply_one_by_one(table, rows):
+    for key, value, stamp in rows:
+        table.apply(key, VersionedValue(value, stamp), ROW_TOKENS[key])
+
+
+def as_columns(rows):
+    stamps = [stamp for _, _, stamp in rows]
+    return ([key for key, _, _ in rows], [value for _, value, _ in rows],
+            [time for time, _, _ in stamps], [writer for _, writer, _ in stamps],
+            [seq for _, _, seq in stamps], [ROW_TOKENS[key] for key, _, _ in rows])
+
+
+def assert_same_table(left, right):
+    assert len(left) == len(right)
+    assert left.keys() == right.keys()
+    assert list(left.items()) == list(right.items())
+    for key in left.keys():
+        assert left.token(key) == right.token(key)
+    for counter in ("reads", "writes_applied", "writes_ignored"):
+        assert getattr(left, counter) == getattr(right, counter), counter
+
+
+@pytest.mark.parametrize("table_type", [LocalTable, ColumnarTable])
+class TestBulkRows:
+    @given(stored=BATCHES, batches=st.lists(BATCHES, min_size=1, max_size=3),
+           data=st.data())
+    def test_apply_rows_equals_row_by_row_apply(self, table_type, stored,
+                                                batches, data):
+        """Merging columns is applying their rows one by one: onto an empty
+        table, onto disjoint and overlapping key sets, with newer, older and
+        equal stamps, tokens past 2**63, each batch cut at arbitrary points —
+        same rows, same positions, same counters."""
+        bulk, reference = table_type(), table_type()
+        apply_one_by_one(bulk, stored)
+        apply_one_by_one(reference, stored)
+        for batch in batches:
+            cuts = sorted(data.draw(st.lists(
+                st.integers(0, len(batch)), max_size=3)))
+            for low, high in zip([0] + cuts, cuts + [len(batch)]):
+                bulk.apply_rows(*as_columns(batch[low:high]))
+            apply_one_by_one(reference, batch)
+            assert_same_table(bulk, reference)
+            everything = range(len(bulk))
+            assert columns_of(bulk, everything) == columns_of(reference,
+                                                              everything)
+            assert bulk.rows_in_range(0, 0) == reference.rows_in_range(0, 0)
+
+    @given(stored=BATCHES, overwrites=BATCHES)
+    def test_export_then_apply_round_trips_a_table(self, table_type, stored,
+                                                   overwrites):
+        """Every row of a table, exported and merged into an empty table of
+        either backend, rebuilds it exactly; merging the same rows again is
+        a no-op (LWW is idempotent: an equal stamp is not newer)."""
+        table = table_type()
+        apply_one_by_one(table, stored)
+        apply_one_by_one(table, overwrites)
+        everything = range(len(table))
+        for copy in (LocalTable(), ColumnarTable()):
+            copy.apply_rows(*table.export_rows(everything))
+            assert list(copy.items()) == list(table.items())
+            assert columns_of(copy, everything) == columns_of(table, everything)
+            assert (copy.writes_applied, copy.writes_ignored) == (len(table), 0)
+            copy.apply_rows(*table.export_rows(everything))
+            assert list(copy.items()) == list(table.items())
+            assert (copy.writes_applied, copy.writes_ignored) == (len(table),
+                                                                  len(table))
+
+    def test_preload_columns_is_a_time_zero_write_per_row(self, table_type):
+        """Onto stored rows too: an earlier writer at time zero loses to the
+        preload stamp, everything else keeps its value."""
+        bulk, reference = table_type(), table_type()
+        stored = [("row0", "older", (0.0, "a-node", 9)),
+                  ("row1", "newer", (0.5, "n1", 1))]
+        apply_one_by_one(bulk, stored)
+        apply_one_by_one(reference, stored)
+        keys = ["row1", "row2", "row0"]
+        bulk.preload_columns(keys, ["x", "y", "z"],
+                             [ROW_TOKENS[key] for key in keys])
+        apply_one_by_one(reference, [(key, value, (0.0, "preload", 0))
+                                     for key, value in zip(keys, "xyz")])
+        assert_same_table(bulk, reference)
+        assert bulk.get("row0").value == "z"
+        assert bulk.get("row1").value == "newer"
+        assert (bulk.writes_applied, bulk.writes_ignored) == (4, 1)
 
 
 class TestPartitioner:
@@ -589,3 +713,43 @@ def test_slot_tables_match_the_ring_walk_across_membership_edits(
         partitioner.commit(change)
         members = after
         check(ring_of(members), None)
+
+
+@given(st.lists(st.text(max_size=12), max_size=30))
+def test_key_tokens_is_key_token_per_key(keys):
+    """The bulk spelling hashes exactly like the scalar one (any text,
+    tokens on both sides of 2**63) into an unsigned 64-bit column."""
+    column = key_tokens(keys)
+    assert column.typecode == "Q"
+    assert column.tolist() == [key_token(key) for key in keys]
+
+
+@given(st.lists(st.sampled_from(["join", "decommission", "remove"]),
+                max_size=4),
+       st.integers(min_value=1, max_value=3),
+       st.lists(TOKENS, max_size=40))
+def test_owner_runs_cut_a_sorted_column_at_the_slot_boundaries(
+        kinds, rf, tokens):
+    """Every position of a sorted token column falls in exactly one run, the
+    runs come in order, and a run's owners are the very tuple a per-token
+    lookup answers — for tokens on a ring boundary, below the first and past
+    the last one (the wrap to slot 0), across membership edits."""
+    partitioner = RingPartitioner([f"seed{i}" for i in range(4)], rf,
+                                  vnodes_per_node=3)
+    for step, kind in enumerate(kinds):
+        if kind == "join" or len(partitioner.node_names) - 1 < max(rf, 2):
+            partitioner.add_node(f"added{step}", vnodes=1 + step % 3)
+        elif kind == "decommission":
+            partitioner.decommission(sorted(partitioner.node_names)[0])
+        else:
+            partitioner.remove_node(sorted(partitioner.node_names)[-1])
+    ring = [token for token, _ in partitioner.token_layout()]
+    column = sorted(tokens + ring[::2] + [0, 2**64 - 1])
+    covered = 0
+    for low, high, owners in partitioner.owner_runs(column):
+        assert low == covered and high > low
+        covered = high
+        for token in column[low:high]:
+            assert owners is partitioner.replicas_for_token(token)
+    assert covered == len(column)
+    assert list(partitioner.owner_runs([])) == []
