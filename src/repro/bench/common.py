@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, Optional, Sequence
 from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
-from repro.sim.network import MESSAGE_HEADER_BYTES, estimate_payload_size
+from repro.sim.network import estimate_payload_size
 from repro.core.cluster_spec import REMOTE_CONTACTS, BuiltCluster, ClusterSpec
 from repro.sim.topology import Region, replica_regions_default
 from repro.workloads.records import Dataset
@@ -119,71 +119,56 @@ def make_kv_issue(client: CassandraClient, system: str,
                         on_final=_on_final)
 
     network = client.network
-    config = client.config
-    contacts = client._contacts
-    clock = client.scheduler.clock
-    base_size = MESSAGE_HEADER_BYTES + config.key_size_bytes
-    # Config timeouts / read repair are fixed at cluster construction, so
-    # that half of the fused wire-path gate is decided once here; only the
-    # switches that can change mid-run stay in the per-op check below.
-    fused_static = (config.client_timeout_ms <= 0
-                    and config.read_timeout_ms <= 0
-                    and config.write_timeout_ms <= 0
-                    and not config.read_repair)
+    scheduler = client.scheduler
+    clock = scheduler.clock
+    timeout_ms = client.config.client_timeout_ms
+    write_base = client._write_base
+    client.check_quorum(read_quorum, "read")
+    client.check_quorum(write_quorum, "write")
 
     def _lean(op_type: str, key: str, value: Optional[str], sink) -> bool:
         # The lean op pipeline (``protocol.lean_ops``): deliver positionally
         # to the runner's per-thread sink, skipping the response/info dicts
         # and the per-op closures above.  Gated per operation so a mid-run
-        # switch flip falls back to ``_issue``; a fault configuration keeps
-        # the sink and only changes the wire path underneath it.
+        # switch flip falls back to ``_issue``.
         if not network.lean_ops:
             return False
-        if not (fused_static and network.fast_path and len(contacts) == 1):
-            # Classic Message wire path (timeouts, failover, read repair).
-            if op_type == "update":
-                client.lean_write(key, value, write_quorum, sink)
-            else:
-                sink._lean_icg = icg
-                client.lean_read(key, read_quorum, icg, sink)
-            return True
-        # The client's fused lean_read/lean_write, inlined — this is the
-        # per-op entry of the fused issue loop.
+        # The client's lean_read/lean_write, inlined (quorums checked once,
+        # above) — this is the per-op entry of the closed issue loop.
         coordinator = client._fused_coordinator
         if coordinator is None:
-            coordinator = client._fused_contact()
-        next(client._req_ids)
+            coordinator = client._resolve_contacts()
         if op_type == "update":
             client.writes_sent += 1
             rec = FusedWrite.acquire()
-            rec.client = client
-            rec.coordinator = coordinator
-            rec.key = key
             rec.value = value
-            rec.version = None
             rec.w = write_quorum
-            rec.sent_at = clock._now
-            rec.sink = sink
-            network.fused_send_to(
-                client, coordinator.name,
-                base_size + (len(value)
-                             if type(value) is str and value.isascii()
-                             else estimate_payload_size(value)),
-                coordinator._fused_client_write, rec.args)
+            size = write_base + (len(value)
+                                 if type(value) is str and value.isascii()
+                                 else estimate_payload_size(value))
+            entry = coordinator._fused_client_write
         else:
             client.reads_sent += 1
             sink._lean_icg = icg
             rec = FusedRead.acquire()
-            rec.client = client
-            rec.coordinator = coordinator
-            rec.key = key
             rec.r = read_quorum
             rec.icg = icg
-            rec.sent_at = clock._now
-            rec.sink = sink
-            network.fused_send_to(
-                client, coordinator.name, base_size + 8,
-                coordinator._fused_client_read, rec.args)
+            size = client._read_size
+            entry = coordinator._fused_client_read
+        rec.client = client
+        rec.op = rec
+        rec.coordinator = coordinator
+        rec.key = key
+        rec.sink = sink
+        rec.sent_at = clock._now
+        sent = network.fused_send_to(client, coordinator.name, size, entry,
+                                     rec.args)
+        if timeout_ms > 0:
+            rec.timer = scheduler.schedule(
+                timeout_ms, client._fused_request_timeout, rec)
+            rec.refs = sent + 2
+        else:
+            rec.refs = sent + 1
         return True
 
     _issue.lean = _lean

@@ -188,8 +188,7 @@ def make_session_issue(pools: Sequence[SessionPool],
     # the storage client's sink protocol (``lean_read``/``lean_write``), all
     # on one shared network.  Fixed at construction, so it is decided once
     # here; the ``protocol.lean_ops`` kill-switch can flip mid-run and stays
-    # in the per-operation check below.  Timeouts, fallback contacts and
-    # read repair do not matter: they pick the wire path under the sink.
+    # in the per-operation check below.
     storages = [getattr(getattr(pool.client, "binding", None), "client", None)
                 for pool in pools]
     lean_static = all(hasattr(storage, "lean_read") for storage in storages) \

@@ -75,8 +75,9 @@ REGRESSION_FACTOR = 2.0
 # ---------------------------------------------------------------------------
 
 def _path_counts(clients: Sequence[Any]) -> Dict[str, int]:
-    """Operations by completion kind × wire path, summed over the storage
-    clients (see :meth:`CassandraClient.path_counts`)."""
+    """Operations by completion kind (issuer's sink or callback adapter),
+    summed over the storage clients (see
+    :meth:`CassandraClient.path_counts`)."""
     totals: Counter = Counter()
     for client in clients:
         totals.update(client.path_counts())
@@ -811,15 +812,15 @@ def format_perf(measured: Dict[str, Any],
         ["scenario", "wall (s)", "events", "events/s", "ops", "ops/s",
          "speedup"],
         rows, title=title)
-    # Footer: which pipeline the Cassandra scenarios' operations took
-    # (completion kind × wire path), so an op silently evicted to a slower
-    # path shows up as a count, not just as a slower wall.
+    # Footer: how the Cassandra scenarios' operations completed (into the
+    # issuer's sink, or through the callback adapter), so an op silently
+    # evicted to the slower pipeline shows up as a count, not just as a
+    # slower wall.
     paths = [f"  {name}: " + ", ".join(
-                 f"{path.replace('_', '×')} {count}"
-                 for path, count in stats["paths"].items())
+                 f"{path} {count}" for path, count in stats["paths"].items())
              for name, stats in measured.items() if stats.get("paths")]
     if paths:
-        table += "\nop paths (completion × wire):\n" + "\n".join(paths)
+        table += "\npaths:\n" + "\n".join(paths)
     # Footer: the phases of the scenarios whose whole-run rate mixes set-up
     # with serving (build → preload → serve, the join's stream inside it).
     phases = [f"  {name}: preload {stats['preload_keys_per_s']:,.0f} keys/s, "

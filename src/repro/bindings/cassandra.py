@@ -32,6 +32,8 @@ class CassandraBinding(Binding):
                  write_quorum: int = 1) -> None:
         if strong_read_quorum < 2:
             raise ValueError("strong reads need a quorum of at least 2")
+        client.check_quorum(strong_read_quorum, "strong read")
+        client.check_quorum(write_quorum, "write")
         self.client = client
         self.strong_read_quorum = strong_read_quorum
         self.write_quorum = write_quorum
@@ -43,8 +45,7 @@ class CassandraBinding(Binding):
     # -- lean op pipeline ----------------------------------------------------
     def lean_ok(self) -> bool:
         """Whether operations may complete into a caller-supplied sink now:
-        the ``protocol.lean_ops`` switch, whatever the fault configuration
-        (that only picks the wire path under the sink)."""
+        the ``protocol.lean_ops`` switch, whatever the configuration."""
         return self.client.lean_ready()
 
     def submit_lean(self, operation: Operation,

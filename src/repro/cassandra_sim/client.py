@@ -16,23 +16,26 @@ with the operation and the client completes positionally —
 * ``deliver_read_error(error, latency_ms)`` /
   ``deliver_write_error(error, latency_ms)``
 
-— whichever wire path carried the request (pooled fused records, or classic
-``Message`` requests with timeouts and failover).  The callback API
-(``read(..., on_final=cb)``) is :class:`_CallbackSink`, a sink that builds
-the response dict.
+— exactly once per operation (a final, an ack or an error), with any
+preliminary before it.  The callback API (``read(..., on_final=cb)``) is
+:class:`_CallbackSink`, a sink that builds the response dict.
+
+The request itself is a pooled record
+(:mod:`repro.cassandra_sim.coordinator`), not a message.  With
+``config.client_timeout_ms`` set, an operation that gets no final response in
+time is re-sent to the next contact as a fresh attempt record; whichever
+attempt answers first completes the operation, and the others find it done.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
 from repro.core.retry import RetryPolicy
-from repro.sim.failover import FailoverMixin
-from repro.sim.network import MESSAGE_HEADER_BYTES, Message, Network, estimate_payload_size
+from repro.sim.network import (MESSAGE_HEADER_BYTES, Network,
+                               estimate_payload_size)
 from repro.sim.node import Node
 
 #: ``callback(response_dict)`` where the dict carries value/found/timestamp/...
@@ -103,26 +106,7 @@ class _CallbackSink:
     deliver_write_error = deliver_read_error
 
 
-@dataclass(slots=True)
-class _PendingRequest:
-    """One classic (``Message``-path) request awaiting its final response."""
-
-    #: Message kind of the request: ``client_read`` or ``client_write``.
-    kind: str
-    sent_at: float
-    sink: Any
-    #: Request payload, shared with every (re-)sent message.
-    request: Dict[str, Any]
-    size_bytes: int
-    preliminary_value: Any = None
-    #: Failover state: retry count, rotation position, and the pending
-    #: client-side timeout event.
-    attempts: int = 0
-    rotation_index: int = 0
-    timeout_event: Optional[Any] = None
-
-
-class CassandraClient(FailoverMixin, Node):
+class CassandraClient(Node):
     """A client application node issuing operations against one coordinator.
 
     With ``config.client_timeout_ms`` set and ``fallback_contacts`` given, a
@@ -139,173 +123,167 @@ class CassandraClient(FailoverMixin, Node):
         self.config = config
         self._contacts: List[str] = [contact] + [
             c for c in (fallback_contacts or []) if c != contact]
-        self._req_ids = itertools.count(1)
-        self._pending: Dict[int, _PendingRequest] = {}
-        #: Contact replica's node object, resolved lazily on the first fused
-        #: operation (registration order is not constrained at __init__).
+        self._failover_policy: Optional[RetryPolicy] = None
+        self._clock = self.scheduler.clock
+        #: The contacts' node objects, resolved lazily on the first operation
+        #: (registration order is not constrained at __init__).
+        self._contact_nodes: Optional[List[Any]] = None
         self._fused_coordinator: Optional[Any] = None
+        self._read_size = MESSAGE_HEADER_BYTES + config.key_size_bytes + 8
+        self._write_base = MESSAGE_HEADER_BYTES + config.key_size_bytes
+        self._timeout_ms = config.client_timeout_ms
+        self._max_quorum = config.replication_factor
         self.reads_sent = 0
         self.writes_sent = 0
-        # Which path each operation took (see path_counts): operations sent
-        # as classic Messages, operations issued through the callback API,
-        # and their intersection.  The fused sink path bumps none of them.
-        self.message_ops = 0
+        # Record accounting behind ``outstanding()``: failover re-sends by
+        # kind (every one acquires a record), records retired by kind, and
+        # how many of the retired were such re-sends.
+        self._read_resends = 0
+        self._write_resends = 0
+        self._reads_retired = 0
+        self._writes_retired = 0
+        self._resends_retired = 0
+        #: Operations issued through the callback API (see path_counts).
         self.callback_ops = 0
-        self.callback_message_ops = 0
         # Fault-path instrumentation (stays zero with timeouts disabled).
         self.retries = 0
         self.failed_requests = 0
         #: Preliminary views that arrived after the final response — the
         #: client-side analogue of ``Correctable.discarded_updates``.
         self.late_preliminaries = 0
-        # Fused continuations, bound once: coordinators pass these to fused
+        # Continuations, bound once: coordinators pass these to their
         # sends, and an instance-attribute load avoids materializing a new
         # bound method per reply hop.
         self._fused_read_preliminary = self._fused_read_preliminary
         self._fused_read_final = self._fused_read_final
-        self._fused_read_error = self._fused_read_error
         self._fused_write_ack = self._fused_write_ack
-        self._fused_write_error = self._fused_write_error
+        self._fused_error = self._fused_error
+        self._fused_request_timeout = self._fused_request_timeout
 
     # -- issuing operations -------------------------------------------------
-    def _fused_contact(self) -> "Any":
-        coordinator = self._fused_coordinator
-        if coordinator is None:
-            coordinator = self.network.node(self._contacts[0])
-            self._fused_coordinator = coordinator
+    def _resolve_contacts(self) -> "Any":
+        """Resolve the contacts' node objects; returns the primary one."""
+        node = self.network.node
+        self._contact_nodes = [node(name) for name in self._contacts]
+        coordinator = self._fused_coordinator = self._contact_nodes[0]
         return coordinator
 
-    def lean_ready(self) -> bool:
-        """Whether callers should hand operations their own pooled sink.
+    def outstanding(self) -> Tuple[int, int, int]:
+        """``(read records, write records, operations)`` still out: records
+        acquired for this client and not yet retired, and operations whose
+        first record is among them.  All zero once a run has drained."""
+        reads = self.reads_sent + self._read_resends - self._reads_retired
+        writes = self.writes_sent + self._write_resends - self._writes_retired
+        resends = (self._read_resends + self._write_resends
+                   - self._resends_retired)
+        return reads, writes, reads + writes - resends
 
-        Just the ``protocol.lean_ops`` kill-switch, checked per issued
-        operation so it can flip mid-run.  It says nothing about the wire
-        path: under timeouts, fallback contacts or read repair a sink is
-        completed from classic ``Message`` responses.
-        """
+    def check_quorum(self, quorum: int, kind: str) -> None:
+        """Refuse a quorum no operation could assemble: with timeouts off it
+        would never complete, and pin its record forever."""
+        if not 0 < quorum <= self._max_quorum:
+            raise ValueError(
+                f"{kind} quorum {quorum} outside 1..{self._max_quorum} "
+                f"(the replication factor)")
+
+    def lean_ready(self) -> bool:
+        """Whether callers should hand operations their own pooled sink:
+        the ``protocol.lean_ops`` kill-switch, checked per issued operation
+        so it can flip mid-run."""
         return self.network.lean_ops
 
     def path_counts(self) -> Dict[str, int]:
-        """Operations issued so far, by completion kind × wire path."""
-        callback_fused = self.callback_ops - self.callback_message_ops
-        sink_message = self.message_ops - self.callback_message_ops
+        """Operations issued so far, by how they complete: into a sink the
+        issuer supplied, or through the callback adapter."""
         return {
-            "sink_fused": (self.reads_sent + self.writes_sent
-                           - self.message_ops - callback_fused),
-            "sink_message": sink_message,
-            "callback_fused": callback_fused,
-            "callback_message": self.callback_message_ops,
+            "sink": self.reads_sent + self.writes_sent - self.callback_ops,
+            "callback": self.callback_ops,
         }
 
-    def lean_read(self, key: str, r: int, icg: bool, sink: Any) -> int:
-        """Issue a read completing into ``sink``; returns the request id."""
-        req_id = next(self._req_ids)
+    def lean_read(self, key: str, r: int, icg: bool, sink: Any) -> FusedRead:
+        """Issue a read completing into ``sink``; returns its record."""
+        if not 0 < r <= self._max_quorum:
+            self.check_quorum(r, "read")
         self.reads_sent += 1
-        config = self.config
         network = self.network
-        size = MESSAGE_HEADER_BYTES + config.key_size_bytes + 8
-        # The fused *wire* path carries no timeout/failover machinery, so it
-        # needs every fault hook disarmed: a single contact (no rotation),
-        # all timeouts off, and no read repair.  Anything else sends classic
-        # ``Message`` requests; completions reach ``sink`` either way.
-        if (network.fast_path and len(self._contacts) == 1
-                and config.client_timeout_ms <= 0
-                and config.read_timeout_ms <= 0
-                and config.write_timeout_ms <= 0 and not config.read_repair):
-            coordinator = self._fused_coordinator
-            if coordinator is None:
-                coordinator = self._fused_contact()
-            rec = FusedRead.acquire()
-            rec.client = self
-            rec.coordinator = coordinator
-            rec.key = key
-            rec.r = r
-            rec.icg = icg
-            rec.sent_at = self.scheduler.clock._now
-            rec.sink = sink
-            network.fused_send_to(self, coordinator.name, size,
-                                  coordinator._fused_client_read, rec.args)
-            return req_id
-        self._send_classic(_PendingRequest(
-            "client_read", self.scheduler.clock._now, sink,
-            {"req_id": req_id, "key": key, "r": r, "icg": icg}, size), req_id)
-        return req_id
+        coordinator = self._fused_coordinator
+        if coordinator is None:
+            coordinator = self._resolve_contacts()
+        rec = FusedRead.acquire()
+        rec.client = self
+        rec.op = rec
+        rec.coordinator = coordinator
+        rec.key = key
+        rec.r = r
+        rec.icg = icg
+        rec.sink = sink
+        rec.sent_at = self._clock._now
+        # The count starts at the open operation plus the request hop (when
+        # it was not dropped at this end) plus the client timer.
+        sent = network.fused_send_to(self, coordinator.name, self._read_size,
+                                     coordinator._fused_client_read, rec.args)
+        timeout_ms = self._timeout_ms
+        if timeout_ms > 0:
+            rec.timer = self.scheduler.schedule(
+                timeout_ms, self._fused_request_timeout, rec)
+            rec.refs = sent + 2
+        else:
+            rec.refs = sent + 1
+        return rec
 
-    def lean_write(self, key: str, value: Any, w: int, sink: Any) -> int:
-        """Issue a write completing into ``sink``; returns the request id."""
-        req_id = next(self._req_ids)
+    def lean_write(self, key: str, value: Any, w: int, sink: Any) -> FusedWrite:
+        """Issue a write completing into ``sink``; returns its record."""
+        if not 0 < w <= self._max_quorum:
+            self.check_quorum(w, "write")
         self.writes_sent += 1
+        network = self.network
+        coordinator = self._fused_coordinator
+        if coordinator is None:
+            coordinator = self._resolve_contacts()
+        rec = FusedWrite.acquire()
+        rec.client = self
+        rec.op = rec
+        rec.coordinator = coordinator
+        rec.key = key
+        rec.value = value
+        rec.w = w
+        rec.sink = sink
+        rec.sent_at = self._clock._now
+        sent = network.fused_send_to(
+            self, coordinator.name, self._write_size(value),
+            coordinator._fused_client_write, rec.args)
+        timeout_ms = self._timeout_ms
+        if timeout_ms > 0:
+            rec.timer = self.scheduler.schedule(
+                timeout_ms, self._fused_request_timeout, rec)
+            rec.refs = sent + 2
+        else:
+            rec.refs = sent + 1
+        return rec
+
+    def _write_size(self, value: Any) -> int:
         # A YCSB update writes a single field, so the request is sized by the
         # written payload (reads, in contrast, return the whole record and are
         # sized by the replica using ``config.value_size_bytes`` as a floor).
         if type(value) is str and value.isascii():
-            value_bytes = len(value)
-        else:
-            value_bytes = estimate_payload_size(value)
-        config = self.config
-        network = self.network
-        size = MESSAGE_HEADER_BYTES + config.key_size_bytes + value_bytes
-        # The fused wire-path gate (see lean_read).
-        if (network.fast_path and len(self._contacts) == 1
-                and config.client_timeout_ms <= 0
-                and config.read_timeout_ms <= 0
-                and config.write_timeout_ms <= 0 and not config.read_repair):
-            coordinator = self._fused_coordinator
-            if coordinator is None:
-                coordinator = self._fused_contact()
-            rec = FusedWrite.acquire()
-            rec.client = self
-            rec.coordinator = coordinator
-            rec.key = key
-            rec.value = value
-            rec.version = None
-            rec.w = w
-            rec.sent_at = self.scheduler.clock._now
-            rec.sink = sink
-            network.fused_send_to(self, coordinator.name, size,
-                                  coordinator._fused_client_write, rec.args)
-            return req_id
-        self._send_classic(_PendingRequest(
-            "client_write", self.scheduler.clock._now, sink,
-            {"req_id": req_id, "key": key, "value": value, "w": w}, size),
-            req_id)
-        return req_id
+            return self._write_base + len(value)
+        return self._write_base + estimate_payload_size(value)
 
     def read(self, key: str, r: int = 1, icg: bool = False,
              on_preliminary: Optional[ResponseCallback] = None,
-             on_final: Optional[ResponseCallback] = None) -> int:
-        """Issue a read with read-quorum ``r``; returns the request id."""
+             on_final: Optional[ResponseCallback] = None) -> FusedRead:
+        """Issue a read with read-quorum ``r``; returns its record."""
         self.callback_ops += 1
         return self.lean_read(key, r, icg,
                               _CallbackSink(on_preliminary, on_final))
 
     def write(self, key: str, value: Any, w: int = 1,
-              on_final: Optional[ResponseCallback] = None) -> int:
-        """Issue a write with write-quorum ``w``; returns the request id."""
+              on_final: Optional[ResponseCallback] = None) -> FusedWrite:
+        """Issue a write with write-quorum ``w``; returns its record."""
         self.callback_ops += 1
         return self.lean_write(key, value, w, _CallbackSink(None, on_final))
 
-    # -- dispatch & failover (see FailoverMixin) ------------------------------
-    def _send_classic(self, pending: _PendingRequest, req_id: int) -> None:
-        self.message_ops += 1
-        if type(pending.sink) is _CallbackSink:
-            self.callback_message_ops += 1
-        self._pending[req_id] = pending
-        self._redispatch(pending)
-
-    def _redispatch(self, pending: _PendingRequest) -> None:
-        contact = self._contacts[pending.rotation_index % len(self._contacts)]
-        # The request dict is shared with the message (no defensive copy):
-        # replica handlers only read payloads, and a re-dispatch after
-        # failover sends the identical request anyway.
-        self.send(contact, pending.kind, pending.request,
-                  size_bytes=pending.size_bytes)
-        self._arm_request_timeout(pending, pending.request["req_id"],
-                                  self.config.client_timeout_ms)
-
-    def _failover_retries(self) -> int:
-        return self.config.client_retries
-
+    # -- failover -------------------------------------------------------------
     def _retry_policy(self) -> RetryPolicy:
         policy = self._failover_policy
         if policy is None:
@@ -319,169 +297,211 @@ class CassandraClient(FailoverMixin, Node):
             self._failover_policy = policy
         return policy
 
-    def _deliver_failure(self, pending: _PendingRequest, error: str) -> None:
-        latency_ms = self.scheduler.clock._now - pending.sent_at
-        if pending.kind == "client_read":
-            pending.sink.deliver_read_error(error, latency_ms)
+    def _resend(self, op: Any) -> None:
+        """Re-issue ``op`` to the next contact in the rotation as a fresh
+        attempt record (the previous attempt may still be running at its
+        coordinator, and may still answer), then re-arm the client timer."""
+        nodes = self._contact_nodes
+        contact = nodes[op.attempts % len(nodes)]
+        rec = type(op).acquire()
+        rec.client = self
+        rec.op = op
+        rec.coordinator = contact
+        rec.key = op.key
+        if type(op) is FusedRead:
+            self._read_resends += 1
+            rec.r = op.r
+            rec.icg = op.icg
+            size = self._read_size
+            entry = contact._fused_client_read
         else:
-            pending.sink.deliver_write_error(error, latency_ms)
+            self._write_resends += 1
+            rec.value = op.value
+            rec.w = op.w
+            size = self._write_size(op.value)
+            entry = contact._fused_client_write
+        op.refs += 1  # the attempt, until it retires
+        if self.network.fused_send_to(self, contact.name, size, entry,
+                                      rec.args):
+            rec.refs = 1
+        else:
+            rec.release()
+        if self._timeout_ms > 0:
+            op.timer = self.scheduler.schedule(
+                self._timeout_ms, self._fused_request_timeout, op)
+            op.refs += 1
 
-    def _deliver_timeout_failure(self, pending: _PendingRequest) -> None:
-        self._deliver_failure(pending,
-                              "client timeout: no coordinator responded")
-
-    # -- responses (classic message path) -------------------------------------
-    def on_read_preliminary(self, message: Message) -> None:
-        payload = message.payload
-        pending = self._pending.get(payload["req_id"])
-        if pending is None:
-            self.late_preliminaries += 1
-            return
-        value = pending.preliminary_value = payload["value"]
-        pending.sink.deliver_read_preliminary(
-            value, payload["timestamp"],
-            self.scheduler.clock._now - pending.sent_at,
-            payload.get("replica"))
-
-    def on_read_final(self, message: Message) -> None:
-        payload = message.payload
-        pending = self._pending.pop(payload["req_id"], None)
-        if pending is None:
-            return
-        self._settle(pending)
-        is_confirmation = bool(payload.get("is_confirmation", False))
-        # A confirmation elides the payload: the preliminary value is final.
-        value = (pending.preliminary_value if is_confirmation
-                 else payload["value"])
-        pending.sink.deliver_read_final(
-            value, payload["timestamp"],
-            self.scheduler.clock._now - pending.sent_at, is_confirmation,
-            bool(payload.get("degraded", False)),
-            payload.get("matches_preliminary"))
-
-    def on_write_ack_client(self, message: Message) -> None:
-        payload = message.payload
-        pending = self._pending.pop(payload["req_id"], None)
-        if pending is None:
-            return
-        self._settle(pending)
-        pending.sink.deliver_write_ack(
-            payload.get("timestamp"),
-            self.scheduler.clock._now - pending.sent_at,
-            bool(payload.get("degraded", False)))
-
-    def on_read_error(self, message: Message) -> None:
-        payload = message.payload
-        pending = self._pending.pop(payload["req_id"], None)
-        if pending is None:
-            return
-        self._settle(pending)
-        # A coordinator that left the ring answers with a *retryable* error:
-        # rotate to the next contact instead of failing the request (the
-        # rebalance analogue of timeout-driven failover).
-        if payload.get("retryable") and len(self._contacts) > 1 \
-                and self._retry_policy().should_retry(pending.attempts):
-            pending.attempts += 1
-            pending.rotation_index += 1
+    def _fused_request_timeout(self, op: Any) -> None:
+        """No final response within ``client_timeout_ms``: fail over to the
+        next contact, or give up once the retry budget is spent."""
+        op.timer = None
+        policy = self._retry_policy()
+        if policy.should_retry(op.attempts):
+            op.attempts += 1
             self.retries += 1
-            self._pending[payload["req_id"]] = pending
-            self._redispatch(pending)
+            delay_ms = policy.backoff_ms(op.attempts)
+            if delay_ms <= 0:
+                # Synchronously — a 0 ms event would reorder the trace.
+                op.refs -= 1
+                self._resend(op)
+            else:
+                self.scheduler.schedule(delay_ms, self._resend_after_backoff,
+                                        op)
             return
         self.failed_requests += 1
-        self._deliver_failure(pending, payload.get("error", "storage error"))
+        self._fail(op, op, "client timeout: no coordinator responded")
 
-    on_write_error = on_read_error
+    def _resend_after_backoff(self, op: Any) -> None:
+        if op.done:  # a superseded attempt answered during the backoff
+            op.unref()
+            return
+        op.refs -= 1
+        self._resend(op)
 
-    # -- responses (fused wire path) ------------------------------------------
+    def _fail(self, rec: Any, op: Any, error: str) -> None:
+        """Complete ``op`` with ``error``; ``rec`` is the record whose hop or
+        timer brought the news."""
+        op.done = True
+        sink = op.sink
+        latency_ms = self._clock._now - op.sent_at
+        rec.unref()
+        op.unref()
+        if type(op) is FusedRead:
+            sink.deliver_read_error(error, latency_ms)
+        else:
+            sink.deliver_write_error(error, latency_ms)
+
+    # -- responses ------------------------------------------------------------
     # Network continuations: each starts with the delivery preamble (the
-    # alive check plus delivered/dropped counters _deliver does for
-    # messages).  Records are recycled before the sink runs — a sink may
-    # issue the next operation, which is allowed to reuse the record — so
-    # everything the delivery needs is captured first.
+    # alive check plus delivered/dropped counters).  ``rec`` is the attempt
+    # that answered, ``rec.op`` the operation it answers for; an operation
+    # completes once, whichever attempt gets there first.  References are
+    # dropped before the sink runs — a sink may issue the next operation,
+    # which is allowed to reuse the record — so everything the delivery
+    # needs is captured first.
     def _fused_read_preliminary(self, rec: FusedRead, replica: str) -> None:
         net = self.network
         if not self.alive:
             net.messages_dropped += 1
+            rec.unref()
             return
         net.messages_delivered += 1
-        if rec.final_done:
-            # Outlived the final response (the coordinator was slowed, or the
-            # flush job lost the race): count and recycle, no delivery.
+        op = rec.op
+        if op.done:
+            # Outlived the final response (the coordinator was slowed, the
+            # flush job lost the race, or a later attempt won).
             self.late_preliminaries += 1
-            rec.prelim_seen = True
-            if not rec.flush_pending:
-                FusedRead.release(rec)
+            rec.unref()
             return
-        rec.prelim_seen = True
         version = rec.preliminary
         if version is None:
             value = timestamp = None
         else:
             value = version.value
             timestamp = version.timestamp
-        rec.prelim_value = value
-        rec.sink.deliver_read_preliminary(
-            value, timestamp, self.scheduler.clock._now - rec.sent_at, replica)
+        op.prelim_value = value
+        refs = rec.refs = rec.refs - 1
+        if not refs:
+            rec.release()
+        op.sink.deliver_read_preliminary(
+            value, timestamp, self._clock._now - op.sent_at, replica)
 
     def _fused_read_final(self, rec: FusedRead, is_confirmation: bool,
                           matches_preliminary: bool) -> None:
         net = self.network
         if not self.alive:
             net.messages_dropped += 1
+            rec.unref()
             return
         net.messages_delivered += 1
-        rec.final_done = True
+        op = rec.op
+        if op.done:
+            rec.unref()
+            return
+        op.done = True
+        timer = op.timer
+        if timer is not None:
+            timer.cancel()
+            op.timer = None
+            op.refs -= 1
         version = rec.best
         if is_confirmation:
             # The storage elided the payload: the preliminary value is final.
-            value = rec.prelim_value
+            value = op.prelim_value
         else:
             value = version.value if version is not None else None
         timestamp = version.timestamp if version is not None else None
-        sink = rec.sink
-        sent_at = rec.sent_at
-        if not rec.flush_pending \
-                and (not rec.preliminary_sent or rec.prelim_seen):
-            FusedRead.release(rec)
+        sink = op.sink
+        sent_at = op.sent_at
+        degraded = rec.degraded
+        if op is rec:
+            # This hop and the open operation.
+            refs = rec.refs = rec.refs - 2
+            if not refs:
+                rec.release()
+        else:
+            rec.unref()
+            op.unref()
         sink.deliver_read_final(
-            value, timestamp, self.scheduler.clock._now - sent_at,
-            is_confirmation, False, matches_preliminary)
-
-    def _fused_read_error(self, rec: FusedRead, error: str) -> None:
-        net = self.network
-        if not self.alive:
-            net.messages_dropped += 1
-            return
-        net.messages_delivered += 1
-        self.failed_requests += 1
-        sink = rec.sink
-        sent_at = rec.sent_at
-        FusedRead.release(rec)
-        sink.deliver_read_error(error, self.scheduler.clock._now - sent_at)
+            value, timestamp, self._clock._now - sent_at,
+            is_confirmation, degraded, matches_preliminary)
 
     def _fused_write_ack(self, rec: FusedWrite) -> None:
         net = self.network
         if not self.alive:
             net.messages_dropped += 1
+            rec.unref()
             return
         net.messages_delivered += 1
-        rec.client_done = True
-        sink = rec.sink
-        sent_at = rec.sent_at
+        op = rec.op
+        if op.done:
+            rec.unref()
+            return
+        op.done = True
+        timer = op.timer
+        if timer is not None:
+            timer.cancel()
+            op.timer = None
+            op.refs -= 1
+        sink = op.sink
+        sent_at = op.sent_at
         timestamp = rec.version.timestamp
-        if rec.ack_count >= rec.acks_expected:
-            FusedWrite.release(rec)
+        degraded = rec.degraded
+        if op is rec:
+            refs = rec.refs = rec.refs - 2
+            if not refs:
+                rec.release()
+        else:
+            rec.unref()
+            op.unref()
         sink.deliver_write_ack(
-            timestamp, self.scheduler.clock._now - sent_at, False)
+            timestamp, self._clock._now - sent_at, degraded)
 
-    def _fused_write_error(self, rec: FusedWrite, error: str) -> None:
+    def _fused_error(self, rec: Any, error: str, retryable: bool) -> None:
         net = self.network
         if not self.alive:
             net.messages_dropped += 1
+            rec.unref()
             return
         net.messages_delivered += 1
+        op = rec.op
+        if op.done:
+            rec.unref()
+            return
+        timer = op.timer
+        if timer is not None:
+            timer.cancel()
+            op.timer = None
+            op.refs -= 1
+        # A coordinator that left the ring answers with a *retryable* error:
+        # rotate to the next contact instead of failing the request (the
+        # rebalance analogue of timeout-driven failover).
+        if retryable and len(self._contacts) > 1 \
+                and self._retry_policy().should_retry(op.attempts):
+            op.attempts += 1
+            self.retries += 1
+            rec.unref()
+            self._resend(op)
+            return
         self.failed_requests += 1
-        sink = rec.sink
-        sent_at = rec.sent_at
-        FusedWrite.release(rec)
-        sink.deliver_write_error(error, self.scheduler.clock._now - sent_at)
+        self._fail(rec, op, error)

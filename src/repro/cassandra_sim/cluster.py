@@ -234,14 +234,15 @@ class CassandraCluster:
                    for r in self.replicas + self.retired_replicas)
 
     def in_flight(self) -> Dict[str, int]:
-        """Requests still held anywhere: coordinator sessions and client
-        pending records.  All zero once a run has drained."""
-        replicas = self.replicas + self.retired_replicas
-        return {
-            "read_sessions": sum(len(r._read_sessions) for r in replicas),
-            "write_sessions": sum(len(r._write_sessions) for r in replicas),
-            "client_pending": sum(len(c._pending) for c in self._clients),
-        }
+        """What this cluster's clients still have out: read and write
+        records acquired and not yet retired, and the operations among them
+        (see :meth:`CassandraClient.outstanding`).  All zero once a run has
+        drained; an operation that can never complete — no timeout armed,
+        coordinator crashed — stays counted."""
+        reads, writes, pending = map(
+            sum, zip(*(client.outstanding() for client in self._clients)))
+        return {"read_sessions": reads, "write_sessions": writes,
+                "client_pending": pending}
 
     def total_keys_streamed(self) -> int:
         return sum(r.keys_streamed_in

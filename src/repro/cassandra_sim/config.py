@@ -102,6 +102,11 @@ class CassandraConfig:
             raise ValueError("vnodes_per_node must be positive")
         if self.stream_batch_items <= 0:
             raise ValueError("stream_batch_items must be positive")
+        for name in ("read_timeout_ms", "write_timeout_ms",
+                     "client_timeout_ms", "coordinator_retries",
+                     "client_retries"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
     def quorum(self) -> int:
         """Majority quorum size for this replication factor."""

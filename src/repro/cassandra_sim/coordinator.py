@@ -1,120 +1,88 @@
-"""Coordinator-side sessions for quorum reads and writes.
+"""Pooled per-operation records for quorum reads and writes.
 
 In Cassandra every replica can act as a coordinator for client requests.
-These session objects track one in-flight client operation at its
-coordinator: which replicas still owe a response, whether a preliminary view
-was already flushed (Correctable Cassandra), and what to send back to the
-client when the quorum completes.
+One record tracks one attempt at a client operation everywhere it goes: what
+the client needs to complete it (sink, issue time, failover state), and what
+its coordinator needs (which replicas answered, whether a preliminary view
+was already flushed for Correctable Cassandra, the quorum timer).  No
+per-hop payload dicts, no client pending map, no coordinator session map.
 
-:class:`FusedRead` and :class:`FusedWrite` are the fused-fast-path
-equivalents: one pooled record carries an operation through client,
-coordinator and replicas (no per-hop payload dicts, no client pending map,
-no coordinator session map).  They are plain slotted objects recycled
-through class-level free lists; the protocol code in ``replica.py`` /
-``client.py`` owns all state transitions.
+:class:`FusedRead` and :class:`FusedWrite` are plain slotted objects
+recycled through class-level free lists; the protocol code in ``replica.py``
+/ ``client.py`` owns all state transitions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.cassandra_sim.versions import VersionedValue, resolve
-
-
-@dataclass(slots=True)
-class ReadSession:
-    """One client read being coordinated."""
-
-    session_id: int
-    req_id: int
-    client: str
-    key: str
-    r: int
-    icg: bool
-    started_at: float
-    #: Replica name -> version it reported (None when the replica had no row).
-    responses: Dict[str, Optional[VersionedValue]] = field(default_factory=dict)
-    #: Value sent in the preliminary response (None until flushed).
-    preliminary: Optional[VersionedValue] = None
-    preliminary_sent: bool = False
-    final_sent: bool = False
-    #: Replicas the coordinator asked for data (including itself when local).
-    contacted: List[str] = field(default_factory=list)
-    #: Timeout handling: retries performed so far and the pending timeout
-    #: event (a :class:`repro.sim.scheduler.Event`, cancellable).
-    attempts: int = 0
-    timeout_event: Optional[Any] = None
-
-    def record(self, replica: str, version: Optional[VersionedValue]) -> None:
-        self.responses[replica] = version
-
-    def have_quorum(self) -> bool:
-        return len(self.responses) >= self.r
-
-    def resolved(self) -> Optional[VersionedValue]:
-        """Newest version among the responses received so far (LWW)."""
-        return resolve(self.responses.values())
-
-    def stale_replicas(self) -> List[str]:
-        """Replicas whose reported version is older than the resolved one."""
-        newest = self.resolved()
-        if newest is None:
-            return []
-        stale = []
-        for replica, version in self.responses.items():
-            if version is None or version.timestamp < newest.timestamp:
-                stale.append(replica)
-        return stale
+from repro.cassandra_sim.versions import VersionedValue
 
 
-@dataclass(slots=True)
-class WriteSession:
-    """One client write being coordinated."""
+class _PooledRecord:
+    """Free-list plumbing shared by the two record classes.
 
-    session_id: int
-    req_id: int
-    client: str
-    key: str
-    w: int
-    version: VersionedValue
-    started_at: float
-    acks: List[str] = field(default_factory=list)
-    acked_client: bool = False
-    attempts: int = 0
-    timeout_event: Optional[Any] = None
-
-    def record_ack(self, replica: str) -> None:
-        if replica not in self.acks:
-            self.acks.append(replica)
-
-    def have_quorum(self) -> bool:
-        return len(self.acks) >= self.w
-
-
-class FusedRead:
-    """One fused read operation: client + coordinator state in one record.
-
-    Pooled: acquired at issue, released exactly once when the last
-    continuation holding it runs (final response at the client, or a late
-    preliminary that outlived the final).  ``recyclable`` is cleared by the
-    rare rescue paths (stale ring epoch) so a record with untracked
-    references is simply dropped instead of recycled.
+    One rule decides a record's lifetime.  ``refs`` counts everything that
+    still points at it: each network hop, queue job and timer carrying it
+    (counted when scheduled — a send that was dropped at the sender never
+    counts — and un-counted when it runs or is dropped at delivery), the
+    client's open operation (until its sink is completed) and, on the
+    operation's first record, each failover attempt made for it.  Whoever
+    takes the count to zero retires the record, exactly once.  An operation
+    that can never complete (its coordinator crashed and no timeout is
+    armed) keeps its count above zero and its record out of the pool.
     """
 
-    __slots__ = ("client", "coordinator", "key", "r", "icg", "sent_at",
-                 "sink", "count", "best", "local", "local_version",
-                 "preliminary", "preliminary_sent",
-                 "final_sent", "prelim_seen", "prelim_value", "final_done",
-                 "flush_pending", "contacted", "recyclable", "args")
+    __slots__ = ()
+
+    @classmethod
+    def pool_stats(cls) -> Dict[str, int]:
+        created, reused, recycled = cls._counts
+        return {"created": created, "reused": reused,
+                "recycled": recycled, "free": len(cls._pool)}
+
+    def unref(self) -> None:
+        """Drop one reference; retire the record when it was the last."""
+        refs = self.refs = self.refs - 1
+        if not refs:
+            self.release()
+
+
+class FusedRead(_PooledRecord):
+    """One attempt at a read: client and coordinator state in one record.
+
+    The first record of an operation also *is* the operation (``op is
+    self``): it holds the sink, the issue time, the failover count and the
+    client timer.  A failover re-sends the request as a fresh record whose
+    ``op`` points back at the first, so an attempt the client gave up on can
+    still answer — into the operation, if it is still open — and never
+    touches a sink the issuer has reused.
+    """
+
+    __slots__ = ("client", "coordinator", "key", "r", "icg", "op",
+                 # the operation (meaningful on ``op`` only)
+                 "sink", "sent_at", "done", "prelim_value", "attempts",
+                 "timer",
+                 # this attempt, at its coordinator
+                 "incarnation", "count", "best", "local", "local_version",
+                 "preliminary", "preliminary_sent", "final_sent", "degraded",
+                 "contacted", "responses", "solicits", "quorum_timer",
+                 "refs", "args")
 
     _pool: List["FusedRead"] = []
-    created = 0
-    reused = 0
-    recycled = 0
+    #: ``[created, reused, recycled]`` — in a list, not class attributes:
+    #: assigning a class attribute invalidates the interpreter's attribute
+    #: caches for the type, and these move with every operation.
+    _counts = [0, 0, 0]
 
     def __init__(self) -> None:
         self.contacted: List[str] = []
+        #: Replica name -> version it reported; filled only when the
+        #: coordinator needs names (read repair, timeout re-solicits).
+        self.responses: Dict[str, Optional[VersionedValue]] = {}
+        # Timers are cleared by whoever fires or cancels them, so they are
+        # ``None`` whenever a record sits in the pool.
+        self.timer = self.quorum_timer = None
         #: The one-element args tuple every hop passes to the scheduler;
         #: built once per record, shared across its pooled lifetimes.
         self.args = (self,)
@@ -124,62 +92,70 @@ class FusedRead:
         pool = cls._pool
         if pool:
             rec = pool.pop()
-            cls.reused += 1
+            cls._counts[1] += 1
         else:
             rec = cls()
-            cls.created += 1
+            cls._counts[0] += 1
+        rec.done = False
+        rec.prelim_value = None
+        rec.attempts = 0
         rec.count = 0
         rec.best = None
+        # ``local_version`` / ``preliminary`` are only read once ``local`` /
+        # ``preliminary_sent`` say they were written.
         rec.local = False
-        rec.local_version = None
-        rec.preliminary = None
         rec.preliminary_sent = False
         rec.final_sent = False
-        rec.prelim_seen = False
-        rec.prelim_value = None
-        rec.final_done = False
-        rec.flush_pending = False
-        rec.recyclable = True
+        rec.degraded = False
+        rec.solicits = 0
         return rec
 
-    @classmethod
-    def release(cls, rec: "FusedRead") -> None:
-        if not rec.recyclable:
-            return
-        # Only ``contacted`` must be scrubbed (the list is reused);
+    def release(self) -> None:
+        """Retire the record (its count reached zero)."""
+        # Only the containers must be scrubbed (they are reused);
         # ``acquire`` resets every protocol field, so the remaining
         # references just sit in the bounded pool until reuse.
-        rec.contacted.clear()
-        if len(cls._pool) < 4096:
-            cls.recycled += 1
-            cls._pool.append(rec)
+        self.contacted.clear()
+        if self.responses:
+            self.responses.clear()
+        FusedRead._counts[2] += 1
+        pool = FusedRead._pool
+        if len(pool) < 4096:
+            pool.append(self)
+        client = self.client
+        client._reads_retired += 1
+        op = self.op
+        if op is not self:
+            client._resends_retired += 1
+            op.unref()
 
-    @classmethod
-    def pool_stats(cls) -> Dict[str, int]:
-        return {"created": cls.created, "reused": cls.reused,
-                "recycled": cls.recycled, "free": len(cls._pool)}
 
+class FusedWrite(_PooledRecord):
+    """One attempt at a write (see :class:`FusedRead`).
 
-class FusedWrite:
-    """One fused write operation (see :class:`FusedRead`).
-
-    Quorum state is counter-based on the happy path: ``ack_count`` drives
-    every quorum/release comparison, and the ``acks`` name list exists only
-    for the stale-epoch rescue paths (which must know *which* replicas
-    already acknowledged before re-sending).  The two are kept in lockstep.
+    ``ack_count`` drives the quorum comparison; ``acks`` names the replicas
+    behind it, so a duplicate ack (a timeout re-send answered twice) is not
+    counted twice and re-sends skip replicas that already answered.
     """
 
     __slots__ = ("client", "coordinator", "key", "value", "version", "w",
-                 "sent_at", "sink", "acks", "ack_count", "acks_expected",
-                 "acked_client", "client_done", "recyclable", "args")
+                 "op",
+                 # the operation (meaningful on ``op`` only)
+                 "sink", "sent_at", "done", "attempts", "timer",
+                 # this attempt, at its coordinator
+                 "incarnation", "acks", "ack_count", "acked_client",
+                 "degraded", "closed", "solicits", "quorum_timer",
+                 "refs", "args")
 
     _pool: List["FusedWrite"] = []
-    created = 0
-    reused = 0
-    recycled = 0
+    #: ``[created, reused, recycled]`` — in a list, not class attributes:
+    #: assigning a class attribute invalidates the interpreter's attribute
+    #: caches for the type, and these move with every operation.
+    _counts = [0, 0, 0]
 
     def __init__(self) -> None:
         self.acks: List[str] = []
+        self.timer = self.quorum_timer = None
         #: See :attr:`FusedRead.args`.
         self.args = (self,)
 
@@ -188,29 +164,29 @@ class FusedWrite:
         pool = cls._pool
         if pool:
             rec = pool.pop()
-            cls.reused += 1
+            cls._counts[1] += 1
         else:
             rec = cls()
-            cls.created += 1
+            cls._counts[0] += 1
+        rec.done = False
+        rec.attempts = 0
         rec.ack_count = 0
-        rec.acks_expected = 0
         rec.acked_client = False
-        rec.client_done = False
-        rec.recyclable = True
+        rec.degraded = False
+        rec.closed = False
+        rec.solicits = 0
         return rec
 
-    @classmethod
-    def release(cls, rec: "FusedWrite") -> None:
-        if not rec.recyclable:
-            return
-        # Only ``acks`` must be scrubbed (the list is reused); ``acquire``
-        # resets every protocol field on the way back out of the pool.
-        rec.acks.clear()
-        if len(cls._pool) < 4096:
-            cls.recycled += 1
-            cls._pool.append(rec)
-
-    @classmethod
-    def pool_stats(cls) -> Dict[str, int]:
-        return {"created": cls.created, "reused": cls.reused,
-                "recycled": cls.recycled, "free": len(cls._pool)}
+    def release(self) -> None:
+        """Retire the record (its count reached zero)."""
+        self.acks.clear()
+        FusedWrite._counts[2] += 1
+        pool = FusedWrite._pool
+        if len(pool) < 4096:
+            pool.append(self)
+        client = self.client
+        client._writes_retired += 1
+        op = self.op
+        if op is not self:
+            client._resends_retired += 1
+            op.unref()

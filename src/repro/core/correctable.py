@@ -328,9 +328,10 @@ class LeanCorrectable:
                  "degraded")
 
     _pool: List["LeanCorrectable"] = []
-    created = 0
-    reused = 0
-    recycled = 0
+    #: ``[created, reused, recycled]`` — in a list, not class attributes:
+    #: assigning a class attribute invalidates the interpreter's attribute
+    #: caches for the type, and these move with every operation.
+    _counts = [0, 0, 0]
 
     # -- pooling -------------------------------------------------------------
     @classmethod
@@ -339,10 +340,10 @@ class LeanCorrectable:
         pool = cls._pool
         if pool:
             lean = pool.pop()
-            cls.reused += 1
+            cls._counts[1] += 1
         else:
             lean = cls()
-            cls.created += 1
+            cls._counts[0] += 1
         lean._clock = clock
         lean._state = CorrectableState.UPDATING
         lean._error = None
@@ -383,13 +384,14 @@ class LeanCorrectable:
         lean.pending_value = None
         lean._clock = None
         if len(cls._pool) < 1024:
-            cls.recycled += 1
+            cls._counts[2] += 1
             cls._pool.append(lean)
 
     @classmethod
     def pool_stats(cls) -> Dict[str, int]:
-        return {"created": cls.created, "reused": cls.reused,
-                "recycled": cls.recycled, "free": len(cls._pool)}
+        created, reused, recycled = cls._counts
+        return {"created": created, "reused": reused,
+                "recycled": recycled, "free": len(cls._pool)}
 
     # -- state inspection ----------------------------------------------------
     @property

@@ -1,10 +1,12 @@
-"""Client-side request failover shared by the storage clients.
+"""Client-side request failover shared by the message-based clients.
 
-Both the Cassandra and ZooKeeper clients recover from an unresponsive
-endpoint the same way: a per-request timeout fires, the request is re-sent
-to the next endpoint in a rotation, and after a bounded number of re-sends
-the caller gets a terminal error.  This mixin holds that machinery once so
-the two stacks cannot drift apart.
+The ZooKeeper client and the transaction manager recover from an
+unresponsive endpoint the same way: a per-request timeout fires, the request
+is re-sent to the next endpoint in a rotation, and after a bounded number of
+re-sends the caller gets a terminal error.  This mixin holds that machinery
+once so the two stacks cannot drift apart.  (The Cassandra client applies
+the same :class:`~repro.core.retry.RetryPolicy` to its pooled operation
+records, which have no request-id map to hang this mixin on.)
 
 Retry budgets and backoff come from a shared
 :class:`~repro.core.retry.RetryPolicy`: hosts provide one via
@@ -35,10 +37,8 @@ class FailoverMixin:
       re-arm the timeout via :meth:`_arm_request_timeout`);
     * :meth:`_failover_retries` — how many re-sends before giving up (used
       by the default :meth:`_retry_policy`);
-    * either :meth:`_timeout_failure_response` — the error payload handed
-      to the request's ``on_final`` callback when retries are exhausted —
-      or an override of :meth:`_deliver_timeout_failure` for hosts whose
-      requests complete some other way.
+    * :meth:`_timeout_failure_response` — the error payload handed to the
+      request's ``on_final`` callback when retries are exhausted.
     """
 
     #: Lazily-built policy cache (per instance; invalidated never — configs
@@ -77,7 +77,8 @@ class FailoverMixin:
             return
         self.failed_requests += 1
         del self._pending[req_id]
-        self._deliver_timeout_failure(pending)
+        if pending.on_final is not None:
+            pending.on_final(self._timeout_failure_response(pending))
 
     def _retry_after_backoff(self, pending: Any, policy: RetryPolicy) -> None:
         """Re-send now (zero backoff) or after the policy's delay.
@@ -105,11 +106,6 @@ class FailoverMixin:
 
     def _failover_retries(self) -> int:
         raise NotImplementedError
-
-    def _deliver_timeout_failure(self, pending: Any) -> None:
-        """Tell the caller its request failed: every retry timed out."""
-        if pending.on_final is not None:
-            pending.on_final(self._timeout_failure_response(pending))
 
     def _timeout_failure_response(self, pending: Any) -> Dict[str, Any]:
         raise NotImplementedError

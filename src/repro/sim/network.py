@@ -18,22 +18,19 @@ The send path is written for throughput:
   inline with the exact arithmetic of ``Topology.one_way``;
 * delivered :class:`Message` objects are recycled through a free-list pool
   guarded by a refcount check, so steady-state traffic allocates no message
-  objects at all (see :meth:`Network.pool_stats`);
-* :meth:`Network.send_many` fans a burst out of one node and coalesces
-  same-instant deliveries into one batched heap entry
-  (:meth:`~repro.sim.scheduler.Scheduler.schedule_batch_at`).
+  objects at all (see :meth:`Network.pool_stats`).
 
-The *fused* protocol fast path (:attr:`Network.fast_path`, default on) goes
-one step further: protocol layers that carry their own per-operation state
-skip :class:`Message` entirely and schedule a pre-bound continuation at the
-delivery instant via :meth:`Network.fused_send` /
-:meth:`Network.fused_account`.  Accounting, drop rules, and the jitter draw
+Protocol layers that carry their own per-operation state (the Cassandra
+request path: one pooled record per operation) skip :class:`Message`
+entirely and schedule a pre-bound continuation at the delivery instant via
+:meth:`Network.fused_send_to`.  Accounting, drop rules, and the jitter draw
 are bit-identical to :meth:`send` — same ``messages_sent`` /
 ``messages_dropped`` counters, same :class:`LinkStats` and per-node byte
-cells, same RNG consumption — so golden event traces are unchanged; only
-the per-send object churn (message shell, payload dict, handler dispatch)
-disappears.  Delivery-side accounting (``messages_delivered`` and the
-dead-destination drop) is the receiving continuation's responsibility.
+cells, same RNG consumption; only the per-send object churn (message shell,
+payload dict, handler dispatch) disappears.  Delivery-side accounting
+(``messages_delivered`` and the dead-destination drop) is the receiving
+continuation's responsibility, and the sender learns from the return value
+whether anything was scheduled at all.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ import heapq
 import itertools
 import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.scheduler import Scheduler
 from repro.sim.topology import Topology
@@ -201,7 +198,7 @@ class Network:
                  "_routes", "_route_epoch", "_topo_version", "_msg_pool",
                  "messages_sent", "messages_delivered", "messages_dropped",
                  "pool_created", "pool_reused", "pool_recycled", "pool_debug",
-                 "fast_path", "lean_ops")
+                 "lean_ops")
 
     def __init__(self, scheduler: Scheduler, topology: Topology) -> None:
         self.scheduler = scheduler
@@ -234,18 +231,11 @@ class Network:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        #: Kill-switch for the fused protocol fast path (mirrors
-        #: ``Scheduler.wheel`` / ``batch_dispatch``).  Protocol layers check
-        #: it when an operation is *issued*; in-flight fused operations
-        #: complete fused after a flip.
-        self.fast_path = True
         #: Kill-switch for the lean op pipeline (``protocol.lean_ops``): the
         #: allocation-free completion path where issuers hand the storage
         #: client their own pooled sinks instead of response-dict callbacks.
-        #: Independent of :attr:`fast_path` — a sink is completed from fused
-        #: records and from classic ``Message`` responses alike.  Checked
-        #: when an operation is *issued*, so a mid-run flip only affects
-        #: subsequent operations.
+        #: Checked when an operation is *issued*, so a mid-run flip only
+        #: affects subsequent operations.
         self.lean_ops = True
         #: Bumped whenever :attr:`_routes` is invalidated; protocol-level
         #: fused-route caches revalidate against it instead of probing the
@@ -476,40 +466,6 @@ class Network:
                                          self._deliver, (message, dst_node))
         return message
 
-    def send_many(self, src: str,
-                  sends: Sequence[Tuple[str, str,
-                                        Optional[Dict[str, Any]],
-                                        Optional[int]]]) -> List[Message]:
-        """Fan a burst of ``(dst, kind, payload, size_bytes)`` out of ``src``.
-
-        Equivalent to calling :meth:`send` once per tuple in order — same
-        jitter draws, message ids and accounting — but consecutive
-        deliveries landing at the same instant go to the scheduler as one
-        batched heap entry.  The multi-replica fan-outs (quorum reads, write
-        replication) send through this.
-        """
-        scheduler = self.scheduler
-        now = self._clock._now
-        deliver = self._deliver
-        messages: List[Message] = []
-        batch: list = []
-        batch_time = 0.0
-        for dst, kind, payload, size_bytes in sends:
-            delay, message, dst_node = self._prepare(src, dst, kind, payload,
-                                                     size_bytes)
-            messages.append(message)
-            if delay is None:
-                continue
-            at = now + delay
-            if batch and at != batch_time:
-                scheduler.schedule_batch_at(batch_time, batch)
-                batch = []
-            batch_time = at
-            batch.append((deliver, (message, dst_node)))
-        if batch:
-            scheduler.schedule_batch_at(batch_time, batch)
-        return messages
-
     def _deliver(self, message: Message, node: "Node") -> None:
         # The destination node object is captured at send time (nodes are
         # never unregistered mid-run — they crash, which flips ``alive``).
@@ -545,18 +501,6 @@ class Network:
                 "free": len(self._msg_pool)}
 
     # -- fused fast path ---------------------------------------------------
-    def fused_epoch(self) -> int:
-        """Current route epoch, syncing pending topology edits first.
-
-        Protocol-level route/plan caches validate against this (not the raw
-        :attr:`_route_epoch`): an RTT edit bumps only the topology version
-        until the next send, and a stale cached base delay must not survive
-        into a fused fan-out loop after the first send re-syncs.
-        """
-        if self.topology._version != self._topo_version:
-            self._sync_topology()
-        return self._route_epoch
-
     def fused_route(self, src: str, dst: str) -> list:
         """The cached route entry for src→dst, for fused protocol senders.
 
@@ -571,128 +515,22 @@ class Network:
             route = self._route(src, dst)
         return route
 
-    def fused_account(self, route: list, size_bytes: int) -> Optional[float]:
-        """Account one fused send; returns the delivery delay or ``None``.
+    def fused_send_to(self, src: Any, dst: str, size_bytes: int,
+                      fn: Any, args: tuple) -> bool:
+        """Account one send and schedule ``fn(*args)`` at its delivery.
 
-        Bit-for-bit the accounting of :meth:`_prepare` without the message
-        shell: sender-side drop rules, link/byte charging, and the jitter
-        draw happen in the same order with the same arithmetic, so a fused
-        run consumes the topology RNG exactly like a message run.  ``None``
-        means the send was dropped and nothing must be scheduled.
-        """
-        if self.topology._version != self._topo_version:
-            self._sync_topology()
-            route = self._route(route[0].name, route[1].name)
-        src_node, dst_node, stats, base, src_cell, dst_cell = route
-        if not src_node.alive:
-            self.messages_dropped += 1
-            return None
-        self.messages_sent += 1
-        if stats is None:
-            key = (src_node.name, dst_node.name)
-            stats = self._links.get(key)
-            if stats is None:
-                stats = self._links[key] = LinkStats()
-            route[2] = stats
-        stats.messages += 1
-        stats.bytes += size_bytes
-        src_cell[0] += size_bytes
-        if dst_cell is not None:
-            dst_cell[0] += size_bytes
-        if self._partitioned or self._partitioned_regions:
-            if self.is_partitioned(src_node.name, dst_node.name):
-                self.messages_dropped += 1
-                return None
-        if not dst_node.alive:
-            self.messages_dropped += 1
-            return None
-        jitter_fraction = self._jitter_fraction
-        if jitter_fraction > 0:
-            delay = base + jitter_fraction * self._rand() * base
-        else:
-            delay = base
-        if self._link_extra_ms:
-            delay += self.link_extra_ms(src_node.name, dst_node.name)
-        return delay
-
-    def fused_send(self, route: list, size_bytes: int,
-                   fn: Any, args: tuple) -> bool:
-        """Account one fused send and schedule ``fn(*args)`` at delivery.
-
-        The continuation owns the delivery-side bookkeeping that
+        ``src`` is the sending *node* object (its per-destination route
+        cache is probed here), ``dst`` the destination name.  The
+        continuation owns the delivery-side bookkeeping that
         :meth:`_deliver` does for messages: bump ``messages_delivered`` when
         the destination is alive, ``messages_dropped`` when it is not.
         Returns ``False`` when the send was dropped (nothing scheduled).
 
-        :meth:`fused_account` and the scheduler insert are inlined — this
-        runs once per protocol hop, and the two extra call frames are
-        measurable at full fig06 scale.  Keep the accounting sequence
-        bit-identical to :meth:`_prepare` / :meth:`fused_account`.
-        """
-        if self.topology._version != self._topo_version:
-            self._sync_topology()
-            route = self._route(route[0].name, route[1].name)
-        src_node, dst_node, stats, base, src_cell, dst_cell = route
-        if not src_node.alive:
-            self.messages_dropped += 1
-            return False
-        self.messages_sent += 1
-        if stats is None:
-            key = (src_node.name, dst_node.name)
-            stats = self._links.get(key)
-            if stats is None:
-                stats = self._links[key] = LinkStats()
-            route[2] = stats
-        stats.messages += 1
-        stats.bytes += size_bytes
-        src_cell[0] += size_bytes
-        if dst_cell is not None:
-            dst_cell[0] += size_bytes
-        if self._partitioned or self._partitioned_regions:
-            if self.is_partitioned(src_node.name, dst_node.name):
-                self.messages_dropped += 1
-                return False
-        if not dst_node.alive:
-            self.messages_dropped += 1
-            return False
-        jitter_fraction = self._jitter_fraction
-        if jitter_fraction > 0:
-            delay = base + jitter_fraction * self._rand() * base
-        else:
-            delay = base
-        if self._link_extra_ms:
-            delay += self.link_extra_ms(src_node.name, dst_node.name)
-        # Scheduler.schedule_call, inlined (delay is >= 0 by construction).
-        scheduler = self.scheduler
-        seq = scheduler._seq
-        scheduler._seq = seq + 1
-        scheduler._live += 1
-        timestamp = scheduler.clock._now + delay
-        if timestamp < scheduler._horizon:
-            tick = int(timestamp * scheduler._wheel_inv)
-            if tick == scheduler._cursor:
-                heapq.heappush(
-                    scheduler._slots[tick & scheduler._wheel_mask],
-                    (timestamp, seq, fn, args, None, None))
-            else:
-                scheduler._slots[tick & scheduler._wheel_mask].append(
-                    (timestamp, seq, fn, args, None, None))
-                scheduler._wheel_count += 1
-        else:
-            heapq.heappush(scheduler._heap,
-                           (timestamp, seq, fn, args, None, None))
-        return True
-
-    def fused_send_to(self, src: Any, dst: str, size_bytes: int,
-                      fn: Any, args: tuple) -> bool:
-        """:meth:`fused_send` with the sender's route-cache probe fused in.
-
-        ``src`` is the sending *node* object, ``dst`` the destination name.
-        One call frame and one topology check replace the
-        ``Node._fused_route_to`` + :meth:`fused_send` pair; reply hops
-        (final/preliminary responses, write acks) are the hottest send
-        sites in a full fig06 run.  Accounting and scheduling are copied
-        verbatim from :meth:`fused_send` — keep the two in lockstep.
+        The accounting sequence — sender-side drop rules, link/byte
+        charging, the jitter draw — is bit-for-bit that of :meth:`_prepare`
+        without the message shell, and the scheduler insert is
+        ``schedule_call`` inlined: this runs once per protocol hop, and the
+        extra call frames are measurable at full fig06 scale.
         """
         if self.topology._version != self._topo_version:
             self._sync_topology()

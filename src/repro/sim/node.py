@@ -79,8 +79,9 @@ class Node:
         #: dispatch (a ``getattr`` with string formatting per message adds
         #: up on the delivery hot path).
         self._handler_cache: dict = {}
-        #: destination name -> network route entry, for the fused protocol
-        #: fast path; revalidated against ``Network._route_epoch``.
+        #: destination name -> network route entry, for
+        #: ``Network.fused_send_to``; revalidated against
+        #: ``Network._route_epoch``.
         self._fused_routes: dict = {}
         self._fused_epoch = -1
         network.register(self)
@@ -107,14 +108,6 @@ class Node:
              size_bytes: Optional[int] = None) -> Message:
         """Send a message to another node."""
         return self.network.send(self.name, dst, kind, payload, size_bytes)
-
-    def send_many(self, sends) -> list:
-        """Fan a burst of ``(dst, kind, payload, size_bytes)`` tuples out.
-
-        Equivalent to :meth:`send` per tuple, but same-instant deliveries
-        share one batched scheduler entry (the replica fan-out fast path).
-        """
-        return self.network.send_many(self.name, sends)
 
     def handle_message(self, message: Message) -> None:
         """Dispatch an incoming message to ``on_<kind>`` if defined.
@@ -159,32 +152,10 @@ class Node:
         scheduler.schedule_call_at(finish, fn, args, kwargs or None)
         return finish
 
-    # -- fused fast path ----------------------------------------------------
-    def _fused_route_to(self, dst: str) -> list:
-        """Cached network route from this node to ``dst`` (fused sends).
-
-        One dict probe per send once warm; the whole cache is dropped when
-        the network invalidates its route table (topology edit, membership
-        change, ``reset_stats``), so entries can never alias retired stats
-        objects or byte cells.
-        """
-        network = self.network
-        # Network.fused_epoch, inlined (one call frame per hop matters).
-        if network.topology._version != network._topo_version:
-            network._sync_topology()
-        epoch = network._route_epoch
-        if self._fused_epoch != epoch:
-            self._fused_routes.clear()
-            self._fused_epoch = epoch
-        route = self._fused_routes.get(dst)
-        if route is None:
-            route = network.fused_route(self.name, dst)
-            self._fused_routes[dst] = route
-        return route
-
+    # -- record-carried work --------------------------------------------------
     def _enqueue(self, service_time_ms: float, fn: Callable[..., Any],
                  args: tuple) -> None:
-        """Fused-path :meth:`process`: no kwargs, no finish-time return.
+        """Lean :meth:`process`: no kwargs, no finish-time return.
 
         The scheduler insert is inlined too (``finish >= now`` holds by
         construction, so the past-check is redundant here) — queue jobs are

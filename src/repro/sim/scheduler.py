@@ -101,8 +101,14 @@ class Event:
         """Mark the event so the scheduler skips it when its time comes."""
         if not self.cancelled:
             self.cancelled = True
-            if self._scheduler is not None:
-                self._scheduler._note_cancelled()
+            scheduler = self._scheduler
+            if scheduler is not None:
+                # Inline bookkeeping (every timeout that does its job ends
+                # here); only the rare purge is a call.
+                scheduler._live -= 1
+                cancelled = scheduler._cancelled = scheduler._cancelled + 1
+                if cancelled >= _PURGE_THRESHOLD:
+                    scheduler._purge_cancelled()
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -110,6 +116,9 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.3f}, seq={self.seq}, {state})"
+
+
+_new_event = Event.__new__
 
 
 class Scheduler:
@@ -259,9 +268,23 @@ class Scheduler:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        event = Event(timestamp, seq, self)
-        self._insert(timestamp,
-                     (timestamp, seq, fn, args, kwargs or None, event))
+        # Event(...) and _insert, inlined: one timer per request and one per
+        # quorum wait go through here in every fault-tolerant configuration.
+        event = _new_event(Event)
+        event.time = timestamp
+        event.seq = seq
+        event.cancelled = False
+        event._scheduler = self
+        entry = (timestamp, seq, fn, args, kwargs or None, event)
+        if timestamp < self._horizon:
+            tick = int(timestamp * self._wheel_inv)
+            if tick == self._cursor:
+                heapq.heappush(self._slots[tick & self._wheel_mask], entry)
+            else:
+                self._slots[tick & self._wheel_mask].append(entry)
+                self._wheel_count += 1
+        else:
+            heapq.heappush(self._heap, entry)
         return event
 
     def schedule_at(self, timestamp: float, fn: Callable[..., Any],
@@ -367,14 +390,11 @@ class Scheduler:
         return self.schedule(0.0, fn, *args, **kwargs)
 
     # -- cancellation bookkeeping ------------------------------------------
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel`; compacts the queue when cancelled
-        entries dominate (amortized O(1) per cancellation), so abandoned
-        timeouts cannot grow it unboundedly."""
-        self._live -= 1
-        self._cancelled += 1
-        if (self._cancelled >= _PURGE_THRESHOLD
-                and self._cancelled * 2 > len(self._heap) + self._wheel_count):
+    def _purge_cancelled(self) -> None:
+        """Called by :meth:`Event.cancel` once enough cancelled entries are
+        queued; compacts the queue when they dominate (amortized O(1) per
+        cancellation), so abandoned timeouts cannot grow it unboundedly."""
+        if self._cancelled * 2 > len(self._heap) + self._wheel_count:
             # In place: the run() loop holds references to these lists.
             self._heap[:] = [entry for entry in self._heap
                              if entry[5] is None or entry[5] is _BATCH

@@ -324,8 +324,10 @@ class _OpenOp:
                  "_prelim_latency")
 
     _pool: list = []
-    _created = 0
-    _recycled = 0
+    #: ``[created, recycled]`` — in a list, not class attributes: assigning
+    #: a class attribute invalidates the interpreter's attribute caches for
+    #: the type, and these move with every operation.
+    _counts = [0, 0]
 
     def __init__(self) -> None:
         self.done = self._on_done  # bound once, reused every operation
@@ -337,7 +339,7 @@ class _OpenOp:
         if pool:
             op = pool.pop()
         else:
-            cls._created += 1
+            cls._counts[0] += 1
             op = cls()
         op.runner = runner
         op.op_type = op_type
@@ -356,13 +358,14 @@ class _OpenOp:
         self.runner = None
         self._prelim_value = None
         cls = _OpenOp
-        cls._recycled += 1
+        cls._counts[1] += 1
         cls._pool.append(self)
 
     @classmethod
     def pool_stats(cls) -> Dict[str, int]:
         """Counters for the pool-leak tests."""
-        return {"created": cls._created, "recycled": cls._recycled,
+        created, recycled = cls._counts
+        return {"created": created, "recycled": recycled,
                 "free": len(cls._pool)}
 
     # -- classic completion (dict pipeline) -----------------------------------

@@ -13,10 +13,11 @@ Regenerate only when *intentionally* changing simulation behaviour::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import pathlib
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List
 
 import pytest
 
@@ -32,18 +33,17 @@ def _sha(parts: Iterable) -> str:
 
 
 def trace_fingerprint(batch_dispatch: bool = True, wheel: bool = True,
-                      fast_path: bool = True, lean_ops: bool = True,
+                      lean_ops: bool = True,
                       lean_toggles: Iterable[float] = (),
                       lean_toggle_noop: bool = False) -> Dict[str, object]:
     """Event-trace + metrics fingerprint of a small closed-loop CC2 run.
 
-    ``batch_dispatch=False`` forces every delivery onto an individual heap
-    entry; ``wheel=False`` routes all scheduling through the classic binary
-    heap; ``fast_path=False`` disables the fused protocol path so every hop
-    is a real :class:`Message`; ``lean_ops=False`` disables the lean op
-    pipeline so every completion rides the response-dict pipeline.  The
-    fingerprint must be identical in every combination — all four are
-    amortizations, never reorderings.  ``lean_toggles`` schedules mid-run
+    ``batch_dispatch=False`` forces every batched delivery onto an
+    individual heap entry; ``wheel=False`` routes all scheduling through the
+    classic binary heap; ``lean_ops=False`` disables the lean op pipeline so
+    every completion rides the response-dict pipeline.  The fingerprint must
+    be identical in every combination — all three are amortizations, never
+    reorderings.  ``lean_toggles`` schedules mid-run
     flips of the ``protocol.lean_ops`` switch at the given sim times, so
     operations in flight across a flip complete on the pipeline they were
     issued on while later ones take the other; ``lean_toggle_noop=True``
@@ -61,7 +61,6 @@ def trace_fingerprint(batch_dispatch: bool = True, wheel: bool = True,
         config=cassandra_config_for("CC2"))
     scenario.env.scheduler.batch_dispatch = batch_dispatch
     scenario.env.scheduler.wheel = wheel
-    scenario.env.network.fast_path = fast_path
     scenario.env.network.lean_ops = lean_ops
 
     def _flip() -> None:
@@ -100,6 +99,142 @@ def figure_fingerprints(jobs: int = 1) -> Dict[str, str]:
             for name in ("fig06", "fig09", "fig14", "fig15", "fig16")}
 
 
+#: Quick slice of the six Cassandra fig13 scenarios (faults start at 3-4 s).
+FIG13_SCENARIOS = ("baseline", "replica-crash", "wan-partition",
+                   "flapping-link", "slow-follower", "degraded-link")
+FIG13_SLICE = dict(workload="A", threads_per_client=2, duration_ms=9_000.0,
+                   warmup_ms=1_500.0, cooldown_ms=500.0, record_count=150)
+
+
+@contextlib.contextmanager
+def _traced_schedulers():
+    """Every Scheduler built inside records its ``(time, seq)`` trace; the
+    figure harnesses build their environments internally."""
+    from repro.sim.scheduler import Scheduler
+
+    traces: List[list] = []
+    scheduler_init = Scheduler.__init__
+
+    def traced_init(self, *args, **kwargs):
+        scheduler_init(self, *args, **kwargs)
+        traces.append(self.start_trace())
+
+    Scheduler.__init__ = traced_init
+    try:
+        yield traces
+    finally:
+        Scheduler.__init__ = scheduler_init
+
+
+def rebalance_cell() -> Dict[str, object]:
+    """fig15's open loop over two clients with fallback contacts while a
+    node joins and then a *client contact* is decommissioned: forwarded
+    writes, stale-epoch retries, and "left the ring" contact rotation."""
+    from dataclasses import replace
+
+    from repro.bench.common import cassandra_config_for
+    from repro.bench.fig15_rebalance import (
+        CLIENT_REGIONS, count_lost_acked_writes, make_rebalance_issue,
+        skew_workload)
+    from repro.core.cluster_spec import ClusterSpec
+    from repro.sim.rand import derive_rng
+    from repro.sim.topology import round_robin_regions
+    from repro.workloads.arrivals import make_arrival_process
+    from repro.workloads.runner import OpenLoopRunner
+    from repro.workloads.ycsb import OperationGenerator
+
+    nodes, seed = 6, 42
+    built = ClusterSpec(
+        nodes=nodes, seed=seed, record_count=600, vnodes_per_node=8,
+        config=replace(cassandra_config_for("CC2"), stream_batch_items=16),
+        client_regions=CLIENT_REGIONS, client_fallbacks=True).build()
+    cluster = built.cluster
+    samples: List[Dict] = []
+    acked: Dict[str, object] = {}
+    workload = skew_workload("zipf-0.99", "A")
+    runner = OpenLoopRunner(
+        scheduler=built.env.scheduler,
+        issue=make_rebalance_issue(
+            [built.client_in(region) for region in CLIENT_REGIONS],
+            built.env.scheduler.now, samples, acked),
+        make_generator=lambda session_id: OperationGenerator.seeded(
+            workload, built.dataset, seed, f"golden-s{session_id}"),
+        arrivals=make_arrival_process(
+            "poisson", 300.0, derive_rng(seed, "golden:arrivals")),
+        sessions=40, duration_ms=6_000.0, warmup_ms=500.0, cooldown_ms=500.0,
+        label="golden-rebalance", max_in_flight=64, policy="queue",
+        queue_limit=256)
+    joiner_region = round_robin_regions(nodes + 1)[-1]
+    contact = built.client_in(CLIENT_REGIONS[0]).contact
+    leave = []
+    join = cluster.join_node(
+        f"cassandra-{nodes}-{joiner_region}", joiner_region, at_ms=800.0,
+        on_complete=lambda _: leave.append(
+            cluster.decommission_node(contact)))
+    result = runner.run()
+    built.env.run_until_idle()
+    assert join.done and leave[0].done
+    return {
+        "samples": samples,
+        "acked": sorted(acked.items()),
+        "lost_acked_writes": count_lost_acked_writes(cluster, acked),
+        "failed_ops": result.failed_ops,
+        "measured_ops": result.measured_ops,
+        "keys_streamed": cluster.total_keys_streamed(),
+        "stale_rejections": cluster.total_stale_rejections(),
+        "stale_retries": cluster.total_stale_epoch_retries(),
+        "writes_forwarded": cluster.total_writes_forwarded(),
+        "client_retries": [c.retries for c in cluster.clients],
+        "client_failures": [c.failed_requests for c in cluster.clients],
+        "rebalance_ms": (join.duration_ms(), leave[0].duration_ms()),
+        "ring_version": cluster.partitioner.version,
+        "network": (built.env.network.messages_sent,
+                    built.env.network.messages_delivered,
+                    built.env.network.messages_dropped,
+                    built.env.network.total_bytes()),
+        "events": built.env.scheduler.events_executed,
+    }
+
+
+def fault_fingerprints() -> Dict[str, Dict[str, str]]:
+    """Trace + run-record hashes of the fault family: a quick slice of every
+    Cassandra fig13 scenario, the ``cass-open-faults-b``-shaped open-loop
+    slice (crash + WAN degrade over sessions, read repair on), the same
+    slice with every replica down at once, and a fig15 join -> decommission
+    cell with fallback contacts.  Recorded on the
+    classic ``Message`` request path, before it was deleted."""
+    from fault_slices import open_loop_run
+    from repro.bench.fig13_faults import run_fig13_scenario
+    from repro.faults.schedule import FaultScheduleBuilder
+
+    out: Dict[str, Dict[str, str]] = {}
+    for scenario in FIG13_SCENARIOS:
+        with _traced_schedulers() as traces:
+            record = run_fig13_scenario(scenario, **FIG13_SLICE)
+        (trace,) = traces
+        out[f"fig13-{scenario}"] = {"trace_sha256": _sha(trace),
+                                    "record_sha256": _sha([record])}
+    # Staggered crashes of all three replicas: quorums downgrade, and while
+    # everything is down requests exhaust their failover and fail.
+    all_down = (FaultScheduleBuilder()
+                .crash_window("replica:0", 500.0, 3_200.0)
+                .crash_window("replica:1", 800.0, 4_000.0)
+                .crash_window("replica:2", 1_000.0, 3_800.0)
+                .build())
+    for name, kwargs in (("open-faults-b", {}),
+                         ("open-faults-all-down",
+                          dict(schedule=all_down, seed=17))):
+        digest, run, _ = open_loop_run(**kwargs)
+        del run["in_flight"]  # what is left behind is asserted, not pinned
+        out[name] = {"trace_sha256": digest, "record_sha256": _sha([run])}
+    with _traced_schedulers() as traces:
+        record = rebalance_cell()
+    (trace,) = traces
+    out["fig15-join-decommission"] = {"trace_sha256": _sha(trace),
+                                      "record_sha256": _sha([record])}
+    return out
+
+
 def _golden() -> Dict:
     if not GOLDEN_PATH.exists():
         pytest.fail(f"golden file missing: {GOLDEN_PATH}; regenerate with "
@@ -119,13 +254,9 @@ class TestDeterminism:
         """The heap-only scheduler reproduces the timing-wheel trace."""
         assert trace_fingerprint(wheel=False) == _golden()["trace"]
 
-    def test_event_trace_matches_golden_with_fast_path_off(self):
-        """The classic message path reproduces the fused trace bit for bit."""
-        assert trace_fingerprint(fast_path=False) == _golden()["trace"]
-
     def test_event_trace_matches_golden_all_switches_off(self):
         assert trace_fingerprint(batch_dispatch=False, wheel=False,
-                                 fast_path=False) == _golden()["trace"]
+                                 lean_ops=False) == _golden()["trace"]
 
     def test_event_trace_matches_golden_with_lean_ops_off(self):
         """The response-dict pipeline reproduces the lean-op trace."""
@@ -143,51 +274,29 @@ class TestDeterminism:
         assert trace_fingerprint(lean_toggles=toggles) == \
             trace_fingerprint(lean_toggles=toggles, lean_toggle_noop=True)
 
+    def test_fault_family_matches_golden(self):
+        """Timeouts, retry-then-downgrade, failover, read repair, ring
+        changes: every event and every reported number of the fault slices
+        is the one the deleted ``Message`` request path produced."""
+        assert fault_fingerprints() == _golden()["faults"]
+
     def test_event_trace_is_repeatable(self):
         assert trace_fingerprint() == trace_fingerprint()
 
-    def _run_pool_scenario(self, fast_path: bool):
-        from repro.bench.common import (
-            build_cassandra_scenario, cassandra_config_for,
-            run_multi_region_load)
-        from repro.sim.topology import Region
-        from repro.workloads.ycsb import workload_by_name
-
-        scenario = build_cassandra_scenario(
-            seed=11, record_count=60, client_regions=(Region.IRL,),
-            config=cassandra_config_for("CC2"))
-        network = scenario.env.network
-        network.pool_debug = True
-        network.fast_path = fast_path
-        run_multi_region_load(
-            scenario, "CC2", workload_by_name("A"), threads_per_client=2,
-            duration_ms=2_000.0, warmup_ms=250.0, cooldown_ms=250.0, seed=11)
-        return scenario
-
     def test_pools_recycle_without_leaking(self):
-        """Every pooled message acquired during a run goes back to its pool.
-
-        Runs the classic message path (the fused path sends no messages)
-        with the network pool's debug assertions armed (they fire on
-        recycling a still-referenced message or double-recycling), then
-        checks the counters: shells are actually reused and the free list
-        only ever holds created shells.
-        """
-        scenario = self._run_pool_scenario(fast_path=False)
-        stats = scenario.env.network.pool_stats()
-        assert stats["reused"] > 0, "message pool never recycled a shell"
-        assert stats["free"] <= stats["created"]
-        assert stats["recycled"] >= stats["reused"]
-
-    def test_fused_pools_recycle_without_leaking(self):
-        """A fused fault-free run sends zero messages and leaks no records.
+        """A fault-free run sends zero messages and leaks no records.
 
         Every FusedRead/FusedWrite acquired during the run must be back in
         its pool once the run drains (outstanding = created + reused -
         recycled stays put), and the message pool must stay untouched —
-        proof the whole protocol ran fused.
+        proof the whole protocol ran on the records.
         """
+        from repro.bench.common import (
+            build_cassandra_scenario, cassandra_config_for,
+            run_multi_region_load)
         from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
+        from repro.sim.topology import Region
+        from repro.workloads.ycsb import workload_by_name
 
         def outstanding(pool) -> int:
             stats = pool.pool_stats()
@@ -195,23 +304,64 @@ class TestDeterminism:
 
         reads_before = outstanding(FusedRead)
         writes_before = outstanding(FusedWrite)
-        acquired_before = FusedRead.created + FusedRead.reused
-        scenario = self._run_pool_scenario(fast_path=True)
+        def acquired() -> int:
+            stats = FusedRead.pool_stats()
+            return stats["created"] + stats["reused"]
+
+        acquired_before = acquired()
+        scenario = build_cassandra_scenario(
+            seed=11, record_count=60, client_regions=(Region.IRL,),
+            config=cassandra_config_for("CC2"))
+        run_multi_region_load(
+            scenario, "CC2", workload_by_name("A"), threads_per_client=2,
+            duration_ms=2_000.0, warmup_ms=250.0, cooldown_ms=250.0, seed=11)
         stats = scenario.env.network.pool_stats()
-        assert stats["created"] == 0, "a fused run materialized a Message"
+        assert stats["created"] == 0, "a fault-free run materialized a Message"
         assert scenario.env.network.messages_sent > 0
-        assert FusedRead.created + FusedRead.reused > acquired_before, \
-            "the fused read path never ran"
+        assert acquired() > acquired_before, \
+            "the read path never ran"
         assert outstanding(FusedRead) == reads_before, \
             "a FusedRead record leaked"
         assert outstanding(FusedWrite) == writes_before, \
             "a FusedWrite record leaked"
+        assert scenario.cluster.in_flight() == {
+            "read_sessions": 0, "write_sessions": 0, "client_pending": 0}
 
-    def test_live_counter_matches_scan_under_fused_load(self):
+    def test_message_pool_recycles_without_leaking(self):
+        """Every pooled message acquired during a run goes back to its pool.
+
+        A ZooKeeper run is all messages; the network pool's debug
+        assertions are armed (they fire on recycling a still-referenced
+        message or double-recycling), then the counters are checked: shells
+        are actually reused and the free list only ever holds created ones.
+        """
+        from repro.bench.perf import run_zk_queue_scenario
+        from repro.sim.network import Network
+
+        networks = []
+        network_init = Network.__init__
+
+        def debug_init(self, *args, **kwargs):
+            network_init(self, *args, **kwargs)
+            self.pool_debug = True
+            networks.append(self)
+
+        Network.__init__ = debug_init
+        try:
+            run_zk_queue_scenario(samples=60)
+        finally:
+            Network.__init__ = network_init
+        (network,) = networks
+        stats = network.pool_stats()
+        assert stats["reused"] > 0, "message pool never recycled a shell"
+        assert stats["free"] <= stats["created"]
+        assert stats["recycled"] >= stats["reused"]
+
+    def test_live_counter_matches_scan_under_load(self):
         """The O(1) live counter equals the O(n) queue scan throughout a run.
 
-        Drives the fused closed-loop CC2 load (wheel + fast path on, the
-        shipping defaults) in slices, auditing
+        Drives the closed-loop CC2 load (wheel on, the shipping default) in
+        slices, auditing
         ``pending(live_only=True) == _scan_live()`` at every slice boundary
         — while timeouts are being scheduled and cancelled — and again
         after the full drain, where both must reach zero.
@@ -228,7 +378,7 @@ class TestDeterminism:
             client_regions=(Region.IRL, Region.FRK),
             config=cassandra_config_for("CC2"))
         scheduler = scenario.env.scheduler
-        assert scheduler.wheel and scenario.env.network.fast_path
+        assert scheduler.wheel
         spec = workload_by_name("A")
         runners = [
             ClosedLoopRunner(
@@ -251,8 +401,7 @@ class TestDeterminism:
         assert scheduler._scan_live() == 0
 
     @staticmethod
-    def _forced_switches(wheel: bool = True, fast_path: bool = True,
-                         lean_ops: bool = True):
+    def _forced_switches(wheel: bool = True, lean_ops: bool = True):
         """Context: every Scheduler/Network built inside starts with the
         given kill-switch settings.  The figure harnesses build their
         environments internally, so the switches are applied at
@@ -273,7 +422,6 @@ class TestDeterminism:
 
             def patched_network(self, *args, **kwargs):
                 network_init(self, *args, **kwargs)
-                self.fast_path = fast_path
                 self.lean_ops = lean_ops
 
             Scheduler.__init__ = patched_scheduler
@@ -286,13 +434,12 @@ class TestDeterminism:
 
         return forced()
 
-    def test_fig13_slice_identical_with_switches_off(self):
-        """A fault-injection slice is bit-identical without wheel/fast path.
+    def test_fig13_slice_identical_with_wheel_off(self):
+        """A fault-injection slice is bit-identical on the heap scheduler.
 
-        The golden figure hashes only cover fig06/09/14/15/16; this pins
-        the fault family (replica crash + recovery, client failover,
-        timeout cancellation storms) to the same record under the classic
-        heap scheduler and the unfused message path.
+        This pins the fault family (replica crash + recovery, client
+        failover, timeout cancellation storms) to the same record under
+        the classic heap scheduler.
         """
         from repro.bench.fig13_faults import run_fig13_scenario
 
@@ -300,18 +447,16 @@ class TestDeterminism:
                       duration_ms=6_000.0, warmup_ms=1_500.0,
                       cooldown_ms=500.0, record_count=150)
         reference = run_fig13_scenario("replica-crash", **kwargs)
-        with self._forced_switches(wheel=False, fast_path=True):
-            assert run_fig13_scenario("replica-crash", **kwargs) == reference
-        with self._forced_switches(wheel=True, fast_path=False):
+        with self._forced_switches(wheel=False):
             assert run_fig13_scenario("replica-crash", **kwargs) == reference
 
     def test_fig13_fault_slice_identical_with_lean_ops_forced(self):
         """The fault family is invariant to the ``protocol.lean_ops`` switch.
 
-        Fault configurations arm timeouts and fallback contacts, so every
-        request is a classic ``Message`` with failover; the switch only
-        decides whether it completes into the runner's thread sink or the
-        callback adapter, and the record matches bit for bit either way.
+        Fault configurations arm timeouts and fallback contacts on the same
+        pooled records; the switch only decides whether an operation
+        completes into the runner's thread sink or the callback adapter,
+        and the record matches bit for bit either way.
         """
         from repro.bench.fig13_faults import run_fig13_scenario
 
@@ -328,8 +473,8 @@ class TestDeterminism:
 
         This covers the lean *open-loop* pipeline end to end — pooled
         runner op records as completion sinks, the session-rotation lean
-        issue path, and the fused storage protocol underneath — against the
-        classic Correctable/dict pipeline.
+        issue path, and the record-carried storage protocol underneath —
+        against the classic Correctable/dict pipeline.
         """
         from repro.bench.fig14_open_loop import run_fig14_point
         from repro.bench.sweep import SweepPoint
@@ -346,11 +491,9 @@ class TestDeterminism:
             assert run_fig14_point(point) == reference
 
     def test_fig13_and_fig14_runs_leave_nothing_in_flight(self):
-        """After a drained run no coordinator holds a read or write session,
-        no client a pending request, and no live event is left — through
-        every Cassandra fault scenario of fig13 and an open-loop fig14 cell.
-        (W=1 writes used to strand their session at the coordinator once the
-        client was acknowledged: every write of a fig13 run leaked one.)"""
+        """After a drained run every read and write record is retired, no
+        client has an operation open, and no live event is left — through
+        every Cassandra fault scenario of fig13 and an open-loop fig14 cell."""
         import contextlib
 
         from repro.bench.fig13_faults import run_fig13_scenario
@@ -442,13 +585,13 @@ class TestDeterminism:
         assert outstanding(FusedWrite.pool_stats()) == writes_before, \
             "a FusedWrite record leaked"
 
-    def test_fig16_cell_identical_with_switches_off(self):
-        """A 2PC coordinator-failover cell is invariant to the fast paths.
+    def test_fig16_cell_identical_with_wheel_off(self):
+        """A 2PC coordinator-failover cell is invariant to the timing wheel.
 
         Transactions exercise the one code path the closed-loop figures do
         not: long decision timeouts parked on the overflow ring, then
         cancelled en masse at failover.  Record and executed-event count
-        must both match with every switch off.
+        must both match on the heap-only scheduler.
         """
         from repro.bench.fig16_txn import run_fig16_cell
 
@@ -458,7 +601,7 @@ class TestDeterminism:
                       fault_at_ms=2_500.0, fault_duration_ms=2_500.0,
                       decision_log_ms=2.0, record_count=120, seed=42)
         reference, reference_env = run_fig16_cell(**kwargs)
-        with self._forced_switches(wheel=False, fast_path=False):
+        with self._forced_switches(wheel=False):
             record, env = run_fig16_cell(**kwargs)
         assert record == reference
         assert env.scheduler.events_executed == \
@@ -479,7 +622,9 @@ if __name__ == "__main__":
 
     if "--regenerate" not in sys.argv:
         raise SystemExit(f"usage: python {sys.argv[0]} --regenerate")
-    golden = {"trace": trace_fingerprint(), "figures": figure_fingerprints()}
+    sys.path.insert(0, str(pathlib.Path(__file__).parents[1]))
+    golden = {"trace": trace_fingerprint(), "figures": figure_fingerprints(),
+              "faults": fault_fingerprints()}
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n",
                            encoding="utf-8")

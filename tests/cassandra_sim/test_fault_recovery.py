@@ -116,41 +116,45 @@ class TestCoordinatorRetry:
         assert coordinator.writes_downgraded == 1
         assert coordinator.table.read("key4").value == "new-value"
 
-    def test_every_replica_bound_request_carries_the_ring_epoch(self):
-        """The module contract: coordinator → replica requests are stamped
-        with the ring epoch — the first fan-out and the timeout re-sends of
-        both reads and writes (the write re-send used to go out bare)."""
-        env, cluster, client = _build()
-        cluster.replica_in(Region.IRL).crash()
-        cluster.replica_in(Region.VRG).crash()
+    def test_retries_after_a_ring_change_reach_the_post_change_owners(self):
+        """Every re-send walks the preference list of the ring as it is
+        *then*: an owner crashes under a W=3 write and an R=3 read, is
+        force-removed while both wait, and the timeout retries go to the
+        node that took over its range — so both quorums complete in full."""
+        env = SimEnvironment(seed=11)
+        regions = (Region.FRK, Region.IRL, Region.VRG)
+        cluster = CassandraCluster(
+            env, CassandraConfig.fault_tolerant(),
+            nodes=[(f"cassandra-{i}-{regions[i % 3]}", regions[i % 3])
+                   for i in range(6)])
+        cluster.preload({f"key{i}": f"value{i}" for i in range(60)})
+        client = cluster.add_client("client", Region.IRL, Region.FRK)
         coordinator = cluster.replica_in(Region.FRK)
-        requests = []
-
-        def record(sends):
-            requests.extend((kind, payload) for _, kind, payload, _ in sends
-                            if kind in ("read_req", "write_req"))
-
-        send, send_many = coordinator.send, coordinator.send_many
-        coordinator.send = lambda dst, kind, payload=None, size_bytes=None: (
-            record([(dst, kind, payload, size_bytes)]),
-            send(dst, kind, payload, size_bytes))[1]
-        coordinator.send_many = lambda sends: (
-            record(sends), send_many(sends))[1]
+        key = next(f"key{i}" for i in range(60)
+                   if cluster.partitioner.is_replica(coordinator.name,
+                                                     f"key{i}"))
+        before = cluster.partitioner.replicas_for(key)
+        victim = cluster.replica_by_name(
+            next(name for name in before if name != coordinator.name))
+        victim.crash()
+        cluster.remove_node(victim.name, at_ms=10.0)
 
         results = []
-        client.write("key4", "new-value", w=2, on_final=results.append)
-        client.read("key5", r=2, icg=False, on_final=results.append)
+        client.write(key, "new-value", w=3, on_final=results.append)
+        client.read(key, r=3, icg=False, on_final=results.append)
         env.run_until_idle()
 
-        assert len(results) == 2
-        assert coordinator.write_retries >= 1 and coordinator.read_retries >= 1
-        kinds = [kind for kind, _ in requests]
-        # A write goes to both other replicas and the retry to both again; a
-        # quorum read asks the closer one, its retry re-solicits both.
-        assert kinds.count("write_req") >= 4 and kinds.count("read_req") >= 3
-        epoch = cluster.partitioner.version
-        for kind, payload in requests:
-            assert payload.get("epoch") == epoch, (kind, payload)
+        after = cluster.partitioner.replicas_for(key)
+        (heir,) = set(after) - set(before)
+        assert cluster.partitioner.version == 1
+        assert coordinator.write_retries == 1 and coordinator.read_retries == 1
+        write, read_ = results
+        assert write["value"] is True and write["degraded"] is False
+        assert read_["degraded"] is False and "error" not in read_
+        assert cluster.replica_by_name(heir).table.read(key).value == \
+            "new-value"
+        assert cluster.in_flight() == {
+            "read_sessions": 0, "write_sessions": 0, "client_pending": 0}
 
     def test_timeouts_disabled_by_default(self):
         """The default (seed) configuration schedules no timeout machinery."""

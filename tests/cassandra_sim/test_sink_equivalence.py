@@ -1,23 +1,26 @@
-"""The sink is the client's one completion interface, whatever the wire path.
+"""The sink is the client's one completion interface.
 
 ``network.lean_ops`` only decides whether an issuer hands the storage client
 its own pooled sink or goes through the callback API (the adapter sink that
-builds response dicts).  Under a fault configuration both ride classic
-``Message`` requests with timeouts and failover, and everything observable —
-the scheduler trace, the run's metrics, the bytes on the wire, the fault
-counters — must be identical either way.  The same file pins the adapter's
-response dicts key for key, the rare completion orders (exhausted failover,
-retryable errors, preliminaries around a failover and after the final), the
-per-path operation counters, and that a drained run leaves nothing behind.
+builds response dicts).  Either way the request rides the same pooled
+records — with timeouts, failover and read repair under a fault
+configuration — and everything observable — the scheduler trace, the run's
+metrics, the bytes on the wire, the fault counters — must be identical.  The
+same file pins the adapter's response dicts key for key, the rare completion
+orders (exhausted failover, retryable errors, preliminaries around a
+failover and after the final), the per-pipeline operation counters, and that
+a drained run leaves nothing behind.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from fault_slices import (REGIONS, crash_and_degrade, fault_windows,
+                          fingerprint, open_loop_run, schedule_from_windows)
+from hypothesis import HealthCheck, given, settings
 
 from repro.bench.common import (
     build_cassandra_scenario,
@@ -25,23 +28,18 @@ from repro.bench.common import (
     make_generator_factory,
     make_kv_issue,
 )
-from repro.bench.fig14_open_loop import make_session_issue
-from repro.bindings.cassandra import CassandraBinding
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
-from repro.core.client import CorrectableClient
+from repro.cassandra_sim.versions import VersionedValue
 from repro.faults import FaultInjector
 from repro.faults.scenarios import cassandra_aliases
-from repro.faults.schedule import FaultSchedule, FaultScheduleBuilder
+from repro.faults.schedule import FaultScheduleBuilder
 from repro.sim.environment import SimEnvironment
 from repro.sim.node import Node
-from repro.sim.rand import derive_rng
 from repro.sim.topology import Region
-from repro.workloads.arrivals import make_arrival_process
-from repro.workloads.runner import ClosedLoopRunner, OpenLoopRunner
-from repro.workloads.ycsb import OperationGenerator, workload_by_name
+from repro.workloads.runner import ClosedLoopRunner
+from repro.workloads.ycsb import workload_by_name
 
-REGIONS = (Region.IRL, Region.FRK, Region.VRG)
 QUIESCED = {"read_sessions": 0, "write_sessions": 0, "client_pending": 0}
 
 
@@ -49,100 +47,8 @@ QUIESCED = {"read_sessions": 0, "write_sessions": 0, "client_pending": 0}
 # lean ≡ dict under faults (the cass-open-faults-b shape, small)
 # ---------------------------------------------------------------------------
 
-def _crash_and_degrade(duration_ms: float) -> FaultSchedule:
-    """perfbench's fault tile: a replica crash window, then a WAN degrade."""
-    return (FaultScheduleBuilder()
-            .crash_window("replica:1", at_ms=duration_ms / 3,
-                          duration_ms=duration_ms * 4 / 30)
-            .degrade_window(f"region:{Region.FRK}", f"region:{Region.VRG}",
-                            at_ms=2 * duration_ms / 3,
-                            duration_ms=duration_ms * 5 / 30, extra_ms=120.0)
-            .build())
-
-
-def _recorder(recorder) -> List[float]:
-    return list(recorder._samples)
-
-
-def _fingerprint(env, cluster, results, correctables=()) -> Dict[str, Any]:
-    network = env.network
-    run = []
-    for result in results:
-        admission = result.admission
-        run.append({
-            "total": result.total_ops, "measured": result.measured_ops,
-            "failed": result.failed_ops, "degraded": result.degraded_ops,
-            "final": _recorder(result.final_latency),
-            "preliminary": _recorder(result.preliminary_latency),
-            "read": _recorder(result.read_latency),
-            "update": _recorder(result.update_latency),
-            "divergence": (result.divergence.matched,
-                           result.divergence.diverged,
-                           result.divergence.missing_preliminary),
-            "admission": None if admission is None else (
-                admission.offered, admission.admitted, admission.shed,
-                admission.in_flight_high_water, admission.queue_high_water,
-                _recorder(admission.queue_delay)),
-        })
-    return {
-        "run": run,
-        "network": (network.messages_sent, network.messages_delivered,
-                    network.messages_dropped, network.total_bytes()),
-        "clients": [(c.reads_sent, c.writes_sent, c.retries,
-                     c.late_preliminaries, c.failed_requests)
-                    for c in cluster.clients],
-        "replicas": [(r.reads_coordinated, r.writes_coordinated,
-                      r.preliminaries_flushed, r.read_retries,
-                      r.write_retries, r.reads_downgraded,
-                      r.writes_downgraded, r.reads_failed, r.writes_failed)
-                     for r in cluster.replicas],
-        "invocations": [(c.invocations, c.icg_invocations,
-                         c.strong_invocations) for c in correctables],
-        "events": env.scheduler.events_executed,
-        "in_flight": cluster.in_flight(),
-        "live_events": env.scheduler.pending(live_only=True),
-    }
-
-
-def _open_loop_run(lean_ops: bool, schedule: Optional[FaultSchedule] = None,
-                   duration_ms: float = 6_000.0, rate_ops_s: float = 150.0,
-                   sessions_per_region: int = 10, seed: int = 5):
-    """Open-loop YCSB B over CorrectableClient sessions through ``schedule``;
-    returns ``(trace digest, fingerprint, path counts)``."""
-    built = build_cassandra_scenario(
-        seed=seed, record_count=120, client_regions=REGIONS,
-        config=CassandraConfig.fault_tolerant(
-            value_size_bytes=cassandra_config_for("CC2").value_size_bytes),
-        client_fallbacks=True)
-    env, cluster = built.env, built.cluster
-    env.network.lean_ops = lean_ops
-    correctables = [CorrectableClient(CassandraBinding(
-        built.client_in(region), strong_read_quorum=2, write_quorum=1))
-        for region in REGIONS]
-    pools = [client.sessions(sessions_per_region) for client in correctables]
-    if schedule is None:
-        schedule = _crash_and_degrade(duration_ms)
-    injector = FaultInjector(env, schedule=schedule,
-                             aliases=cassandra_aliases(cluster))
-    spec = workload_by_name("B").with_distribution("zipfian")
-    runner = OpenLoopRunner(
-        scheduler=env.scheduler,
-        issue=make_session_issue(pools, env.scheduler.now),
-        make_generator=lambda session_id: OperationGenerator.seeded(
-            spec, built.dataset, seed, f"equiv-s{session_id}"),
-        arrivals=make_arrival_process(
-            "poisson", rate_ops_s, derive_rng(seed, "equiv:arrivals")),
-        sessions=sessions_per_region * len(pools), duration_ms=duration_ms,
-        warmup_ms=duration_ms / 10, cooldown_ms=duration_ms / 10,
-        label="equiv", faults=injector, max_in_flight=64, policy="queue",
-        queue_limit=256)
-    trace = env.scheduler.start_trace()
-    runner.run()
-    env.run_until_idle()
-    digest = hashlib.sha256(repr(trace).encode()).hexdigest()
-    paths = [client.path_counts() for client in cluster.clients]
-    return digest, _fingerprint(env, cluster, [runner.result],
-                                correctables), paths
+def _paths(cluster) -> List[dict]:
+    return [client.path_counts() for client in cluster.clients]
 
 
 def _closed_loop_run(lean_ops: bool, duration_ms: float = 5_000.0,
@@ -153,7 +59,7 @@ def _closed_loop_run(lean_ops: bool, duration_ms: float = 5_000.0,
         config=CassandraConfig.fault_tolerant(), client_fallbacks=True)
     env, cluster = built.env, built.cluster
     env.network.lean_ops = lean_ops
-    injector = FaultInjector(env, schedule=_crash_and_degrade(duration_ms),
+    injector = FaultInjector(env, schedule=crash_and_degrade(duration_ms),
                              aliases=cassandra_aliases(cluster))
     spec = workload_by_name("B").with_distribution("zipfian")
     runners = [ClosedLoopRunner(
@@ -169,29 +75,26 @@ def _closed_loop_run(lean_ops: bool, duration_ms: float = 5_000.0,
         runner.start()
     env.run_until_idle()
     digest = hashlib.sha256(repr(trace).encode()).hexdigest()
-    paths = [client.path_counts() for client in cluster.clients]
-    return digest, _fingerprint(env, cluster,
-                                [r.result for r in runners]), paths
+    return digest, fingerprint(env, cluster,
+                               [r.result for r in runners]), cluster
 
 
 class TestLeanEqualsDictUnderFaults:
     def test_open_loop_sessions_through_crash_and_degrade(self):
-        lean_trace, lean, lean_paths = _open_loop_run(lean_ops=True)
-        dict_trace, classic, dict_paths = _open_loop_run(lean_ops=False)
+        lean_trace, lean, lean_cluster = open_loop_run(lean_ops=True)
+        dict_trace, classic, dict_cluster = open_loop_run(lean_ops=False)
         assert lean_trace == dict_trace
         assert lean == classic
-        # The run really went through the fault machinery ...
+        # The run really went through the fault machinery; only the
+        # completion differs.
         assert sum(c[2] for c in lean["clients"]) > 0, "no client failover"
         assert sum(r[3] + r[4] for r in lean["replicas"]) > 0, \
             "no coordinator retry"
         assert lean["run"][0]["total"] > 500
-        # ... on classic Messages either way; only the completion differs.
-        for paths in lean_paths:
-            assert paths["sink_message"] > 0
-            assert paths["sink_fused"] == paths["callback_message"] == 0
-        for paths in dict_paths:
-            assert paths["callback_message"] > 0
-            assert paths["sink_message"] == paths["callback_fused"] == 0
+        for paths in _paths(lean_cluster):
+            assert paths["sink"] > 0 and paths["callback"] == 0
+        for paths in _paths(dict_cluster):
+            assert paths["callback"] > 0 and paths["sink"] == 0
 
     def test_failed_and_degraded_operations_count_alike(self):
         """Staggered crashes of every replica: some quorums downgrade, and
@@ -202,8 +105,8 @@ class TestLeanEqualsDictUnderFaults:
                     .crash_window("replica:2", 1_000.0, 3_800.0)
                     .build())
         kwargs = dict(schedule=schedule, duration_ms=6_000.0, seed=17)
-        lean_trace, lean, _ = _open_loop_run(lean_ops=True, **kwargs)
-        dict_trace, classic, _ = _open_loop_run(lean_ops=False, **kwargs)
+        lean_trace, lean, _ = open_loop_run(lean_ops=True, **kwargs)
+        dict_trace, classic, _ = open_loop_run(lean_ops=False, **kwargs)
         assert lean_trace == dict_trace
         assert lean == classic
         run = lean["run"][0]
@@ -212,55 +115,33 @@ class TestLeanEqualsDictUnderFaults:
         assert lean["in_flight"] == QUIESCED
 
     def test_closed_loop_threads_through_crash_and_degrade(self):
-        lean_trace, lean, lean_paths = _closed_loop_run(lean_ops=True)
+        lean_trace, lean, lean_cluster = _closed_loop_run(lean_ops=True)
         dict_trace, classic, _ = _closed_loop_run(lean_ops=False)
         assert lean_trace == dict_trace
         assert lean == classic
-        assert all(p["sink_message"] > 0 and p["callback_message"] == 0
-                   for p in lean_paths)
+        assert all(p["sink"] > 0 and p["callback"] == 0
+                   for p in _paths(lean_cluster))
 
     def test_drained_fault_run_leaves_nothing_in_flight(self):
         """Every write in the run has W=1 < RF, and the crash window loses
-        acks for good: both used to strand their coordinator sessions."""
-        _, fingerprint, _ = _open_loop_run(lean_ops=True)
+        acks for good: neither may strand a record."""
+        _, fingerprint, _ = open_loop_run(lean_ops=True)
         assert sum(r[1] for r in fingerprint["replicas"]) > 20, "no writes"
         assert fingerprint["in_flight"] == QUIESCED
         assert fingerprint["live_events"] == 0
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(windows=st.lists(
-        st.tuples(st.sampled_from(["crash", "partition", "degrade", "slow"]),
-                  st.integers(min_value=0, max_value=2),
-                  st.integers(min_value=0, max_value=2),
-                  st.floats(min_value=100.0, max_value=2_400.0),
-                  st.floats(min_value=20.0, max_value=1_500.0)),
-        min_size=1, max_size=4))
+    @given(windows=fault_windows(2_400.0, 1_500.0))
     def test_generated_fault_schedules(self, windows):
-        builder = FaultScheduleBuilder()
-        for kind, a, b, at_ms, duration_ms in windows:
-            region_a = f"region:{REGIONS[a]}"
-            region_b = f"region:{REGIONS[(a + 1 + b % 2) % 3]}"
-            if kind == "crash":
-                builder.crash_window(f"replica:{a}", at_ms, duration_ms)
-            elif kind == "partition":
-                builder.partition_window(region_a, region_b, at_ms,
-                                         duration_ms)
-            elif kind == "degrade":
-                builder.degrade_window(region_a, region_b, at_ms,
-                                       duration_ms, extra_ms=40.0 * (b + 1))
-            else:
-                builder.slow_window(f"replica:{a}", at_ms, duration_ms,
-                                    factor=5.0 * (b + 1))
-        schedule = builder.build()
+        schedule = schedule_from_windows(windows)
         kwargs = dict(schedule=schedule, duration_ms=3_000.0,
                       rate_ops_s=120.0, sessions_per_region=4, seed=17)
-        lean_trace, lean, _ = _open_loop_run(lean_ops=True, **kwargs)
-        dict_trace, classic, _ = _open_loop_run(lean_ops=False, **kwargs)
+        lean_trace, lean, _ = open_loop_run(lean_ops=True, **kwargs)
+        dict_trace, classic, _ = open_loop_run(lean_ops=False, **kwargs)
         assert lean_trace == dict_trace
         assert lean == classic
-        assert lean["in_flight"]["client_pending"] == 0
-        assert lean["in_flight"]["read_sessions"] == 0
+        assert lean["in_flight"] == QUIESCED
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +206,7 @@ class TestCompletionOrders:
              budget)]
         assert client.failed_requests == 2
         assert client.retries == 2 * cluster.config.client_retries
-        assert client._pending == {}
+        assert client.outstanding() == (0, 0, 0)
         assert env.scheduler.pending(live_only=True) == 0
 
     def test_retryable_error_rotates_to_the_next_contact(self):
@@ -340,7 +221,7 @@ class TestCompletionOrders:
         assert read_sink.calls[0][1] == "value1"
         assert write_sink.kinds() == ["ack"]
         assert client.retries == 2 and client.failed_requests == 0
-        assert client._pending == {}
+        assert client.outstanding() == (0, 0, 0)
 
     def test_non_retryable_error_fails_the_request(self):
         env, cluster, client = _cluster(fallbacks=False)
@@ -350,38 +231,42 @@ class TestCompletionOrders:
         env.run_until_idle()
         assert sink.kinds() == ["read_error"]
         assert "left the ring" in sink.calls[0][1]
-        assert client.failed_requests == 1 and client._pending == {}
+        assert client.failed_requests == 1
+        assert client.outstanding() == (0, 0, 0)
 
     def test_preliminaries_around_failover_and_after_the_final(self):
         """No replica answers; a bystander node plays the coordinators so
         the arrival order is exact: the first coordinator's preliminary
         lands after the client failed over to the second (delivered: the
-        request is still open), the second coordinator's final closes the
-        request, and a preliminary after that is counted, not delivered."""
+        operation is still open), the second coordinator's final closes the
+        operation, and a preliminary after that is counted, not delivered."""
         env, cluster, client = _cluster()
         for replica in cluster.replicas:
             replica.crash()
         ghost = Node("ghost", Region.IRL, env.network)
         sink = _RecordingSink()
-        req_id = client.lean_read("key1", 2, True, sink)
+        op = client.lean_read("key1", 2, True, sink)
         timeout_ms = cluster.config.client_timeout_ms
         first, second = client._contacts[0], client._contacts[1]
         stamp = (1.0, first, 1)
+        # Every attempt's request died at the crashed contacts, so the
+        # operation's own record stands in for the attempt that answers.
+        op.preliminary = op.best = VersionedValue("old", stamp)
+        op.degraded = True
+        op.refs += 3  # the three answers below, as if already under way
 
-        def _send(kind: str, payload: Dict[str, Any]) -> None:
-            ghost.send(client.name, kind, dict(payload, req_id=req_id))
+        def _send(continuation, args) -> None:
+            assert env.network.fused_send_to(ghost, client.name, 100,
+                                             continuation, args)
 
         at = env.scheduler.schedule_call_at
-        at(timeout_ms + 50.0, _send, ("read_preliminary", {
-            "found": True, "value": "old", "timestamp": stamp,
-            "replica": first}))
-        at(timeout_ms + 100.0, _send, ("read_final", {
-            "found": True, "value": None, "timestamp": stamp,
-            "is_confirmation": True, "matches_preliminary": True,
-            "degraded": True}))
-        at(timeout_ms + 150.0, _send, ("read_preliminary", {
-            "found": True, "value": "late", "timestamp": stamp,
-            "replica": second}))
+        at(timeout_ms + 50.0, _send,
+           (client._fused_read_preliminary, (op, first)))
+        # A confirmation: the payload is elided, the timestamp is not.
+        at(timeout_ms + 100.0, _send,
+           (client._fused_read_final, (op, True, True)))
+        at(timeout_ms + 150.0, _send,
+           (client._fused_read_preliminary, (op, second)))
         env.run_until_idle()
 
         assert sink.kinds() == ["preliminary", "final"]
@@ -396,7 +281,7 @@ class TestCompletionOrders:
         assert client.retries == 1, "exactly one failover happened"
         assert client.late_preliminaries == 1
         assert client.failed_requests == 0
-        assert client._pending == {}
+        assert client.outstanding() == (0, 0, 0)
         # The final settled the request: its re-armed timeout was cancelled.
         assert env.scheduler.pending(live_only=True) == 0
 
@@ -416,7 +301,7 @@ ERROR_KEYS = ["value", "found", "timestamp", "is_confirmation", "error",
 
 
 @pytest.mark.parametrize("fault_tolerant", [False, True],
-                         ids=["fused-wire", "message-wire"])
+                         ids=["fault-free", "fault-tolerant"])
 class TestCallbackAdapter:
     def _stack(self, fault_tolerant: bool):
         config = (CassandraConfig.fault_tolerant() if fault_tolerant
@@ -445,9 +330,7 @@ class TestCallbackAdapter:
             "matches_preliminary": True, "degraded": False,
             "latency_ms": final["latency_ms"]}
         assert 0 < preliminary["latency_ms"] < final["latency_ms"]
-        paths = client.path_counts()
-        wire = "callback_message" if fault_tolerant else "callback_fused"
-        assert paths.pop(wire) == 1 and not any(paths.values())
+        assert client.path_counts() == {"sink": 0, "callback": 1}
 
     def test_missing_key_and_write_ack_dicts(self, fault_tolerant):
         env, cluster, client = self._stack(fault_tolerant)
@@ -493,21 +376,15 @@ class TestCallbackAdapter:
 # ---------------------------------------------------------------------------
 
 class TestPathCounts:
-    def test_fault_config_counts_sink_over_message(self):
+    @pytest.mark.parametrize("scenario", ["fig13-replica-crash",
+                                          "fig06-closed-loop"])
+    def test_runner_driven_scenarios_complete_into_sinks(self, scenario):
         from repro.bench.perf import PERF_SCENARIOS
 
-        fn, _, quick = PERF_SCENARIOS["fig13-replica-crash"]
+        fn, _, quick = PERF_SCENARIOS[scenario]
         stats = fn(**quick)
         paths = stats["paths"]
-        assert paths["sink_message"] == sum(paths.values()) >= stats["ops"]
-
-    def test_fig06_counts_sink_over_fused(self):
-        from repro.bench.perf import PERF_SCENARIOS
-
-        fn, _, quick = PERF_SCENARIOS["fig06-closed-loop"]
-        stats = fn(**quick)
-        paths = stats["paths"]
-        assert paths["sink_fused"] == sum(paths.values()) >= stats["ops"]
+        assert paths["sink"] == sum(paths.values()) >= stats["ops"]
 
     def test_kill_switch_moves_ops_to_the_callback_adapter(self, monkeypatch):
         from repro.bench.perf import run_closed_loop_scenario
@@ -524,14 +401,12 @@ class TestPathCounts:
             threads_per_client=2, duration_ms=1_500.0, warmup_ms=300.0,
             cooldown_ms=200.0, record_count=100)
         paths = stats["paths"]
-        assert paths["callback_fused"] == sum(paths.values()) > 0
+        assert paths["callback"] == sum(paths.values()) > 0
 
     def test_perf_table_footer_prints_the_paths(self):
         from repro.bench.perf import format_perf
 
         text = format_perf({"fig13-replica-crash": {
             "wall_s": 0.1, "events": 10, "events_per_s": 100.0, "ops": 4,
-            "ops_per_s": 40.0,
-            "paths": {"sink_fused": 0, "sink_message": 4,
-                      "callback_fused": 0, "callback_message": 0}}})
-        assert "fig13-replica-crash: sink×fused 0, sink×message 4" in text
+            "ops_per_s": 40.0, "paths": {"sink": 4, "callback": 0}}})
+        assert "fig13-replica-crash: sink 4, callback 0" in text
