@@ -21,7 +21,8 @@ The send path is written for throughput:
   objects at all (see :meth:`Network.pool_stats`).
 
 Protocol layers that carry their own per-operation state (the Cassandra
-request path: one pooled record per operation) skip :class:`Message`
+request path: one pooled record per operation; ZooKeeper's: one ``ZkOp`` per
+operation and the leader's shared ``Transaction``) skip :class:`Message`
 entirely and schedule a pre-bound continuation at the delivery instant via
 :meth:`Network.fused_send_to`.  Accounting, drop rules, and the jitter draw
 are bit-identical to :meth:`send` — same ``messages_sent`` /

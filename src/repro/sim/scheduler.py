@@ -6,7 +6,7 @@ which in turn makes every experiment in :mod:`repro.bench` reproducible.
 
 Entries are plain ``(time, seq, fn, args, kwargs, marker)`` tuples so
 ordering is decided by C-level tuple comparison on the first two fields
-(``seq`` is unique, so nothing beyond it is ever compared).  Three write
+(``seq`` is unique, so nothing beyond it is ever compared).  Two write
 paths feed the queue:
 
 * :meth:`Scheduler.schedule` / :meth:`Scheduler.schedule_at` return an
@@ -15,14 +15,7 @@ paths feed the queue:
 * :meth:`Scheduler.schedule_call` / :meth:`Scheduler.schedule_call_at` are
   the fire-and-forget fast path — no handle, no kwargs mapping, and no
   per-event object allocation.  Message deliveries and processing-queue
-  jobs (the dominant event classes) use it;
-* :meth:`Scheduler.schedule_batch_at` coalesces same-timestamp callbacks
-  (a coordinator's multi-replica fan-out) into **one** queue entry holding
-  the whole batch, drained in order by :meth:`run`.  The batch occupies
-  consecutive sequence numbers, each callback still executes — and is
-  traced — as its own event, so execution order, event counts, and golden
-  ``(time, seq)`` traces are identical to individual pushes; only the
-  queue traffic is amortized.
+  jobs (the dominant event classes) use it.
 
 Storage is a **timing wheel** (calendar queue) over a binary heap:
 
@@ -38,10 +31,9 @@ Storage is a **timing wheel** (calendar queue) over a binary heap:
 * The cursor's own slot is kept heap-ordered at all times (activation
   sorts it; same-tick inserts use ``heappush``), so scheduling into the
   current tick during the drain preserves order.
-* ``scheduler.wheel = False`` is a kill-switch mirroring
-  ``batch_dispatch``: it dumps the wheel back into the heap and routes
-  every insert through the classic heap-only path.  The determinism suite
-  runs both ways to prove the traces match.
+* ``scheduler.wheel = False`` is a kill-switch: it dumps the wheel back
+  into the heap and routes every insert through the classic heap-only
+  path.  The determinism suite runs both ways to prove the traces match.
 
 Live-event accounting is incremental: scheduling increments a live counter,
 execution and cancellation decrement it, so ``pending(live_only=True)`` —
@@ -56,16 +48,13 @@ from __future__ import annotations
 
 import gc
 import heapq
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional
 
 from repro.sim.clock import Clock
 
 #: Lazy-purge trigger: compact the queue once at least this many cancelled
 #: events are queued *and* they outnumber the live ones.
 _PURGE_THRESHOLD = 512
-
-#: Marker-slot sentinel distinguishing a batch entry from an Event handle.
-_BATCH = object()
 
 #: Sentinel returned by :meth:`Scheduler._next_active` when the next event
 #: lies beyond the run's ``until`` limit (the cursor is *not* advanced).
@@ -125,7 +114,7 @@ class Scheduler:
     """Discrete-event scheduler with a simulated :class:`Clock`."""
 
     __slots__ = ("clock", "_heap", "_seq", "_events_executed", "_cancelled",
-                 "_live", "_trace", "batch_dispatch", "_wheel_size",
+                 "_live", "_trace", "_wheel_size",
                  "_wheel_mask", "_wheel_width", "_wheel_inv", "_slots",
                  "_wheel_count", "_cursor", "_wheel_enabled", "_horizon")
 
@@ -147,11 +136,6 @@ class Scheduler:
         self._cancelled = 0
         self._live = 0
         self._trace: Optional[list] = None
-        #: Test/debug switch: ``False`` makes :meth:`schedule_batch_at` push
-        #: individual entries instead of one batch entry.  Same sequence
-        #: numbers, same execution order, same traces — the determinism
-        #: tests run both ways to prove it.
-        self.batch_dispatch = True
         # -- timing wheel ---------------------------------------------------
         self._wheel_size = wheel_slots
         self._wheel_mask = wheel_slots - 1
@@ -186,8 +170,7 @@ class Scheduler:
         By default this counts cancelled-but-unpopped entries too (they
         still occupy queue slots); ``live_only=True`` reports only the events
         that will actually execute.  Both are O(1): the counters are
-        maintained incrementally by scheduling, cancellation, and execution
-        (batch entries count every callback they carry).
+        maintained incrementally by scheduling, cancellation, and execution.
         """
         if live_only:
             return self._live
@@ -353,37 +336,6 @@ class Scheduler:
             heapq.heappush(self._heap,
                            (timestamp, seq, fn, args, kwargs, None))
 
-    def schedule_batch_at(self, timestamp: float,
-                          calls: Sequence[Tuple[Callable[..., Any], tuple]]
-                          ) -> None:
-        """Fire-and-forget batch: every ``(fn, args)`` runs at ``timestamp``.
-
-        The batch takes consecutive sequence numbers in list order and is
-        stored as **one** queue entry; :meth:`run` drains it callback by
-        callback, tracing and counting each as its own event.  Equivalent to
-        ``schedule_call_at`` per call in every observable way (use it for
-        same-instant fan-outs, e.g. a write coordinator's replica
-        broadcast), but with a single push/pop for the whole group.
-        """
-        count = len(calls)
-        if count == 0:
-            return
-        if timestamp < self.clock._now:
-            raise ValueError(
-                f"cannot schedule in the past: {timestamp} < {self.now()}"
-            )
-        seq = self._seq
-        if count == 1 or not self.batch_dispatch:
-            for fn, args in calls:
-                self._insert(timestamp, (timestamp, seq, fn, args, None, None))
-                seq += 1
-        else:
-            self._insert(timestamp,
-                         (timestamp, seq, None, tuple(calls), None, _BATCH))
-            seq += count
-        self._seq = seq
-        self._live += count
-
     def call_soon(self, fn: Callable[..., Any], *args: Any,
                   **kwargs: Any) -> Event:
         """Schedule ``fn`` at the current instant (after pending same-time events)."""
@@ -397,8 +349,7 @@ class Scheduler:
         if self._cancelled * 2 > len(self._heap) + self._wheel_count:
             # In place: the run() loop holds references to these lists.
             self._heap[:] = [entry for entry in self._heap
-                             if entry[5] is None or entry[5] is _BATCH
-                             or not entry[5].cancelled]
+                             if entry[5] is None or not entry[5].cancelled]
             heapq.heapify(self._heap)
             stored = 0
             cursor_index = self._cursor & self._wheel_mask
@@ -406,8 +357,7 @@ class Scheduler:
                 if not slot:
                     continue
                 slot[:] = [entry for entry in slot
-                           if entry[5] is None or entry[5] is _BATCH
-                           or not entry[5].cancelled]
+                           if entry[5] is None or not entry[5].cancelled]
                 if index == cursor_index:
                     # The cursor bucket stays heap-ordered and is excluded
                     # from the non-cursor storage count.
@@ -419,19 +369,12 @@ class Scheduler:
 
     def _scan_live(self) -> int:
         """O(n) audit of ``pending(live_only=True)``: walk the heap and every
-        wheel bucket, counting callbacks that will actually execute (batch
-        entries count each carried callback).  Test/debug only — the run
-        loops never call this."""
+        wheel bucket, counting callbacks that will actually execute.
+        Test/debug only — the run loops never call this."""
 
         def _count(entries: list) -> int:
-            total = 0
-            for entry in entries:
-                marker = entry[5]
-                if marker is _BATCH:
-                    total += len(entry[3])
-                elif marker is None or not marker.cancelled:
-                    total += 1
-            return total
+            return sum(1 for entry in entries
+                       if entry[5] is None or not entry[5].cancelled)
 
         return _count(self._heap) + sum(
             _count(slot) for slot in self._slots if slot)
@@ -535,9 +478,6 @@ class Scheduler:
     def step(self) -> bool:
         """Run the next pending event.
 
-        A batch entry executes as a unit: all its callbacks run (each
-        counted and traced individually) before ``step`` returns.
-
         Returns:
             True if an event was executed, False if the queue was empty.
         """
@@ -552,7 +492,7 @@ class Scheduler:
                     return False
             entry = heapq.heappop(active)
             marker = entry[5]
-            if marker is not None and marker is not _BATCH:
+            if marker is not None:
                 if marker.cancelled:
                     self._cancelled -= 1
                     continue
@@ -560,9 +500,6 @@ class Scheduler:
                 # perturb the cancelled-entry bookkeeping.
                 marker._scheduler = None
             self.clock.advance_to(entry[0])
-            if marker is _BATCH:
-                self._run_batch(entry)
-                return True
             self._events_executed += 1
             self._live -= 1
             if self._trace is not None:
@@ -579,7 +516,7 @@ class Scheduler:
         while self._heap:
             entry = heapq.heappop(self._heap)
             marker = entry[5]
-            if marker is not None and marker is not _BATCH:
+            if marker is not None:
                 if marker.cancelled:
                     self._cancelled -= 1
                     continue
@@ -587,9 +524,6 @@ class Scheduler:
                 # perturb the cancelled-entry bookkeeping.
                 marker._scheduler = None
             self.clock.advance_to(entry[0])
-            if marker is _BATCH:
-                self._run_batch(entry)
-                return True
             self._events_executed += 1
             self._live -= 1
             if self._trace is not None:
@@ -602,29 +536,13 @@ class Scheduler:
             return True
         return False
 
-    def _run_batch(self, entry: tuple) -> None:
-        """Drain one batch entry: every callback is its own traced event."""
-        timestamp, first_seq = entry[0], entry[1]
-        calls = entry[3]
-        count = len(calls)
-        trace = self._trace
-        if trace is not None:
-            trace.extend((timestamp, first_seq + i) for i in range(count))
-        self._events_executed += count
-        self._live -= count
-        for fn, args in calls:
-            fn(*args)
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` have been executed.
 
         ``until`` is an absolute simulated time; events scheduled strictly
-        after it remain queued and the clock stops at ``until``.  A batch
-        entry whose turn comes with fewer than ``len(batch)`` events of
-        budget left still executes whole (``max_events`` is a runaway
-        guard, not an exact quota).
+        after it remain queued and the clock stops at ``until``.
         """
         if not self._wheel_enabled:
             return self._run_heap(until, max_events)
@@ -682,25 +600,13 @@ class Scheduler:
                     if executed >= cap:
                         heapq.heappush(active, entry)
                         return
-                    # One marker test covers batch, cancelled, and handle
-                    # entries; the overwhelmingly common plain entry pays a
-                    # single branch.  A cancelled entry pushed back above
-                    # keeps its ``_cancelled`` count until it is finally
-                    # popped in bounds (or a purge removes it).
+                    # One marker test covers cancelled and handle entries;
+                    # the overwhelmingly common plain entry pays a single
+                    # branch.  A cancelled entry pushed back above keeps its
+                    # ``_cancelled`` count until it is finally popped in
+                    # bounds (or a purge removes it).
                     marker = entry[5]
                     if marker is not None:
-                        if marker is _BATCH:
-                            clock._now = timestamp
-                            calls = entry[3]
-                            count = len(calls)
-                            if trace is not None:
-                                first_seq = entry[1]
-                                trace.extend((timestamp, first_seq + i)
-                                             for i in range(count))
-                            executed += count
-                            for fn, args in calls:
-                                fn(*args)
-                            continue
                         if marker.cancelled:
                             self._cancelled -= 1
                             continue
@@ -748,10 +654,9 @@ class Scheduler:
             while heap:
                 entry = pop(heap)
                 marker = entry[5]
-                if marker is not None and marker is not _BATCH:
-                    if marker.cancelled:
-                        self._cancelled -= 1
-                        continue
+                if marker is not None and marker.cancelled:
+                    self._cancelled -= 1
+                    continue
                 timestamp = entry[0]
                 if timestamp > limit:
                     heapq.heappush(heap, entry)
@@ -765,17 +670,6 @@ class Scheduler:
                 # enforces the same invariant with a per-event method call).
                 clock._now = timestamp
                 if marker is not None:
-                    if marker is _BATCH:
-                        calls = entry[3]
-                        count = len(calls)
-                        if trace is not None:
-                            first_seq = entry[1]
-                            trace.extend((timestamp, first_seq + i)
-                                         for i in range(count))
-                        executed += count
-                        for fn, args in calls:
-                            fn(*args)
-                        continue
                     # Detach: a late cancel() on an already-fired event must
                     # not perturb the cancelled-entry bookkeeping.
                     marker._scheduler = None

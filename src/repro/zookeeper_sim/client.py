@@ -6,17 +6,22 @@ ZooKeeper (``enqueue``, ``dequeue``).  Every operation takes callbacks; an
 operation submitted with ``icg=True`` receives a preliminary callback from
 the contacted server's local simulation before the final (Zab-committed)
 result arrives.
+
+Each operation is one :class:`ZkOp` record, sent by reference to the
+contacted server (``ZKServer._zk_request``) and, on a timeout, to the next
+one; the servers answer into :meth:`ZKClient._zk_preliminary` and
+:meth:`ZKClient._zk_response`.  All three hops are continuations scheduled
+by :meth:`~repro.sim.network.Network.fused_send_to`: no ``Message``, no
+payload dict.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.retry import RetryPolicy
 from repro.sim.failover import FailoverMixin
-from repro.sim.network import MESSAGE_HEADER_BYTES, Message, Network
+from repro.sim.network import MESSAGE_HEADER_BYTES, Network
 from repro.sim.node import Node
 from repro.zookeeper_sim.config import ZooKeeperConfig
 
@@ -24,19 +29,39 @@ from repro.zookeeper_sim.config import ZooKeeperConfig
 ResponseCallback = Callable[[Dict[str, Any]], None]
 
 
-@dataclass
-class _PendingRequest:
-    op: str
-    sent_at: float
-    on_preliminary: Optional[ResponseCallback] = None
-    on_final: Optional[ResponseCallback] = None
-    #: Failover state: the request payload for re-sends, retry count, and
-    #: the pending client-side timeout event.
-    request: Dict[str, Any] = field(default_factory=dict)
-    size_bytes: int = 0
-    attempts: int = 0
-    rotation_index: int = 0
-    timeout_event: Optional[Any] = None
+class ZkOp:
+    """One client operation, from ``submit`` to its final answer.
+
+    The same record travels client → contacted server → leader; ``client``
+    is the reply address.  Servers read the wire fields (``req_id`` …
+    ``icg``) only; the rest is the client's own bookkeeping, including the
+    failover state :class:`FailoverMixin` keeps on it.  A plain allocation
+    freed by refcount: no pool, nothing to leak.
+    """
+
+    __slots__ = ("client", "req_id", "op", "path", "data", "sequential",
+                 "icg", "on_preliminary", "on_final", "sent_at", "size_bytes",
+                 "attempts", "rotation_index", "timeout_event")
+
+    def __init__(self, client: "ZKClient", req_id: int, op: str, path: str,
+                 data: Any, sequential: bool, icg: bool,
+                 on_preliminary: Optional[ResponseCallback],
+                 on_final: Optional[ResponseCallback], sent_at: float,
+                 size_bytes: int) -> None:
+        self.client = client
+        self.req_id = req_id
+        self.op = op
+        self.path = path
+        self.data = data
+        self.sequential = sequential
+        self.icg = icg
+        self.on_preliminary = on_preliminary
+        self.on_final = on_final
+        self.sent_at = sent_at
+        self.size_bytes = size_bytes
+        self.attempts = 0
+        self.rotation_index = 0
+        self.timeout_event: Optional[Any] = None
 
 
 class ZKClient(FailoverMixin, Node):
@@ -55,15 +80,18 @@ class ZKClient(FailoverMixin, Node):
         super().__init__(name, region, network, host=host)
         self.server = server
         self.config = config
-        self._servers: List[str] = [server] + [
-            s for s in (ensemble or []) if s != server]
+        #: The failover rotation as node objects, connected server first.
+        self._servers: List[Node] = [network.node(server)] + [
+            network.node(s) for s in (ensemble or []) if s != server]
         self._req_ids = itertools.count(1)
         #: Request wire size without / with a data element.
         self._request_sizes = (
             MESSAGE_HEADER_BYTES + config.path_size_bytes,
             MESSAGE_HEADER_BYTES + config.path_size_bytes
             + config.element_size_bytes)
-        self._pending: Dict[int, _PendingRequest] = {}
+        self._pending: Dict[int, ZkOp] = {}
+        #: What ``FailoverMixin._retry_policy`` answers with.
+        self._failover_policy = config.retry_policy(f"failover:{name}")
         self.requests_sent = 0
         # Fault-path instrumentation (stays zero with timeouts disabled).
         self.retries = 0
@@ -80,51 +108,30 @@ class ZKClient(FailoverMixin, Node):
         self.requests_sent += 1
         if request_size is None:
             request_size = self._request_sizes[data is not None]
-        pending = _PendingRequest(
-            op=op, sent_at=self.scheduler.now(),
-            on_preliminary=on_preliminary, on_final=on_final,
-            request={"req_id": req_id, "op": op, "path": path, "data": data,
-                     "sequential": sequential, "icg": icg},
-            size_bytes=request_size)
-        self._pending[req_id] = pending
+        pending = self._pending[req_id] = ZkOp(
+            self, req_id, op, path, data, sequential, icg, on_preliminary,
+            on_final, self.scheduler.clock._now, request_size)
         self._dispatch(pending)
         return req_id
 
     # -- dispatch & failover (see FailoverMixin) ----------------------------------
-    def _dispatch(self, pending: _PendingRequest) -> None:
+    def _dispatch(self, pending: ZkOp) -> None:
         server = self._servers[pending.rotation_index % len(self._servers)]
-        self.send(server, "zk_request", dict(pending.request),
-                  size_bytes=pending.size_bytes)
-        self._arm_request_timeout(pending, pending.request["req_id"],
-                                  self.config.request_timeout_ms)
+        self.network.fused_send_to(self, server.name, pending.size_bytes,
+                                   server._zk_request, (pending,))
+        # FailoverMixin._arm_request_timeout, inlined (once per operation).
+        timeout_ms = self.config.request_timeout_ms
+        if timeout_ms > 0:
+            pending.timeout_event = self.scheduler.schedule(
+                timeout_ms, self._on_request_timeout, pending.req_id)
 
-    def _redispatch(self, pending: _PendingRequest) -> None:
-        self._dispatch(pending)
+    _redispatch = _dispatch
 
-    def _failover_retries(self) -> int:
-        return self.config.client_retries
-
-    def _retry_policy(self) -> RetryPolicy:
-        policy = self._failover_policy
-        if policy is None:
-            policy = RetryPolicy(
-                max_retries=self.config.client_retries,
-                base_delay_ms=self.config.client_backoff_base_ms,
-                multiplier=self.config.client_backoff_multiplier,
-                cap_ms=self.config.client_backoff_cap_ms,
-                jitter_ms=self.config.client_backoff_jitter_ms,
-                label=f"failover:{self.name}")
-            self._failover_policy = policy
-        return policy
-
-    def _timeout_failure_response(self, pending: _PendingRequest) -> Dict[str, Any]:
-        return {
-            "ok": False,
-            "result": None,
-            "error": "client timeout: no server responded",
-            "latency_ms": self.scheduler.now() - pending.sent_at,
-            "preliminary": False,
-        }
+    def _timeout_failure_response(self, pending: ZkOp) -> Dict[str, Any]:
+        return {"ok": False, "result": None,
+                "error": "client timeout: no server responded",
+                "latency_ms": self.scheduler.now() - pending.sent_at,
+                "preliminary": False}
 
     # -- convenience wrappers ---------------------------------------------------
     def create(self, path: str, data: Any = None, sequential: bool = False,
@@ -161,31 +168,35 @@ class ZKClient(FailoverMixin, Node):
         return self.submit("dequeue", queue_path, icg=icg,
                            on_preliminary=on_preliminary, on_final=on_final)
 
-    # -- responses ------------------------------------------------------------------
-    def on_zk_preliminary(self, message: Message) -> None:
-        payload = message.payload
-        pending = self._pending.get(payload["req_id"])
-        if pending is None or pending.on_preliminary is None:
+    # -- responses (network continuations) -------------------------------------------
+    def _zk_preliminary(self, req_id: int, result: Any) -> None:
+        if not self.alive:
+            self.network.messages_dropped += 1
             return
-        pending.on_preliminary({
-            "ok": payload["ok"],
-            "result": payload["result"],
-            "error": None,
-            "latency_ms": self.scheduler.now() - pending.sent_at,
-            "preliminary": True,
-        })
+        self.network.messages_delivered += 1
+        pending = self._pending.get(req_id)
+        if pending is not None and pending.on_preliminary is not None:
+            pending.on_preliminary({
+                "ok": True, "result": result, "error": None,
+                "latency_ms": self.scheduler.clock._now - pending.sent_at,
+                "preliminary": True})
 
-    def on_zk_response(self, message: Message) -> None:
-        payload = message.payload
-        pending = self._pending.pop(payload["req_id"], None)
+    def _zk_response(self, req_id: int, ok: bool, result: Any,
+                     error: Optional[str]) -> None:
+        if not self.alive:
+            self.network.messages_dropped += 1
+            return
+        self.network.messages_delivered += 1
+        # A superseded server's late answer finds nothing here.
+        pending = self._pending.pop(req_id, None)
         if pending is None:
             return
-        self._settle(pending)
+        # FailoverMixin._settle, inlined (once per operation).
+        if pending.timeout_event is not None:
+            pending.timeout_event.cancel()
+            pending.timeout_event = None
         if pending.on_final is not None:
             pending.on_final({
-                "ok": payload["ok"],
-                "result": payload.get("result"),
-                "error": payload.get("error"),
-                "latency_ms": self.scheduler.now() - pending.sent_at,
-                "preliminary": False,
-            })
+                "ok": ok, "result": result, "error": error,
+                "latency_ms": self.scheduler.clock._now - pending.sent_at,
+                "preliminary": False})

@@ -92,6 +92,21 @@ class ZooKeeperCluster:
     def clients(self) -> List[ZKClient]:
         return list(self._clients)
 
+    def in_flight(self) -> Dict[str, int]:
+        """What the ensemble still holds for unanswered operations: requests
+        open at the clients, writes forwarded to the leader, origins waiting
+        for their commit, origins stashed across an election, and proposals
+        short of a quorum.  All zero once a run has drained."""
+        servers = self.servers
+        return {
+            "client_pending": sum(len(c._pending) for c in self._clients),
+            "forwarded": sum(len(s._forwarded) for s in servers),
+            "origin_requests": sum(len(s._origin_requests) for s in servers),
+            "orphan_origins": sum(len(s._orphan_origins) for s in servers),
+            "proposals": sum(s.tracker.pending_count() for s in servers
+                             if s.tracker is not None),
+        }
+
     # -- data loading ------------------------------------------------------------
     def preload_queue(self, queue_path: str, items: Sequence) -> None:
         """Install a queue with ``items`` identically on every server."""

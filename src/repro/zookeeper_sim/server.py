@@ -1,27 +1,39 @@
 """ZooKeeper server node: leader or follower.
 
-Request flow for a write transaction (create / delete / set / dequeue):
+Request flow for a write transaction (create / delete / set / dequeue).
+Each hop is a continuation scheduled at its delivery instant by
+:meth:`~repro.sim.network.Network.fused_send_to` — no ``Message``, no
+payload dict — carrying the client's one
+:class:`~repro.zookeeper_sim.client.ZkOp` or the leader's one
+:class:`~repro.zookeeper_sim.zab.Transaction` by reference:
 
-1. a client sends ``zk_request`` to the server it is connected to;
-2. if the server is a follower it forwards the request to the leader
-   (``zk_forward``); the leader assigns a zxid and broadcasts
-   ``zab_proposal``;
-3. followers acknowledge with ``zab_ack``; when a majority (leader included)
-   acked, the leader sends ``zab_commit`` to all and applies the transaction;
+1. a client sends its ``ZkOp`` to the server it is connected to
+   (:meth:`ZKServer._zk_request`);
+2. a follower forwards the record to the leader under a server-local forward
+   id (``_zk_forward``); the leader assigns a zxid and broadcasts the
+   transaction with its epoch (``_zab_proposal``);
+3. followers acknowledge (``_zab_ack``); when a majority (leader included)
+   acked, the leader sends ``_zab_commit`` to all and applies the transaction;
 4. every server applies committed transactions in zxid order; the server
    that originally received the client request (the *origin*) computes the
-   result of the application locally and replies with ``zk_response``.
+   result of the application locally and answers ``ZKClient._zk_response``.
+
+A continuation opens with what ``Network._deliver`` does for a message (a
+dead destination counts a drop, a live one a delivery), then the epoch
+guard, then the processing-queue job.  Servers read only what was on the
+wire — ``req_id/op/path/data/sequential/icg`` and the reply address
+``client`` — never the record's retry state.
 
 Reads (``get``, ``get_children``) are served from the contacted server's
 local tree without coordination, exactly as in ZooKeeper.
 
 Correctable ZooKeeper (CZK) fast path: a request flagged ``icg`` is first
 *simulated* on the contacted server's local state; the simulated result is
-returned immediately as ``zk_preliminary`` before the transaction enters Zab.
-Simulations of concurrent requests on the same server observe each other's
-tentative effects (e.g. two retailers simulating a dequeue obtain different
-tickets), mirroring what applying the operations to a copy of the local
-state would do.
+returned immediately (``ZKClient._zk_preliminary``) before the transaction
+enters Zab.  Simulations of concurrent requests on the same server observe
+each other's tentative effects (e.g. two retailers simulating a dequeue
+obtain different tickets), mirroring what applying the operations to a copy
+of the local state would do.
 
 Failure detection and leader election (enabled by
 ``config.heartbeat_interval_ms > 0`` plus
@@ -38,23 +50,23 @@ Zab messages are epoch-tagged so stragglers from a deposed leader are
 ignored.  A recovering server broadcasts ``zk_whois_leader`` and rejoins as a
 follower of whoever currently leads.  Writes orphaned by a leader crash are
 abandoned server-side; clients re-issue them (at-least-once), as with real
-ZooKeeper session retries.
+ZooKeeper session retries.  This control plane (well under 1% of the
+traffic) stays :class:`~repro.sim.network.Message` s handled by ``on_<kind>``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from repro.sim.network import (
-    MESSAGE_HEADER_BYTES,
-    Message,
-    Network,
-    estimate_payload_size,
-)
+from repro.sim.network import (MESSAGE_HEADER_BYTES, Message, Network,
+                               estimate_payload_size)
 from repro.sim.node import Node
 from repro.zookeeper_sim.config import ZooKeeperConfig
 from repro.zookeeper_sim.datatree import DataTree, NoNodeError, NodeExistsError
 from repro.zookeeper_sim.zab import CommitLog, ProposalTracker, Transaction
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.zookeeper_sim.client import ZkOp
 
 #: Operation types that mutate state and therefore go through Zab.
 WRITE_OPS = {"create", "delete", "set", "enqueue", "dequeue"}
@@ -73,23 +85,25 @@ class ZKServer(Node):
         self.is_leader = False
         self.leader_name: Optional[str] = None
         self.ensemble: List[str] = []
-        #: Every other ensemble member, in ensemble order (set with the role).
-        self._peers: Tuple[str, ...] = ()
-        # Wire sizes of the three message shapes; the config never changes
-        # under a running server.
+        #: Leader and peers (ensemble order) as node objects, resolved when
+        #: the role changes — never per hop.
+        self._leader: Optional[ZKServer] = None
+        self._peers: Tuple[ZKServer, ...] = ()
+        # Wire sizes of the three message shapes (the config never changes).
         self._ack_size = MESSAGE_HEADER_BYTES + config.ack_bytes
         self._txn_size = (MESSAGE_HEADER_BYTES + config.path_size_bytes
                           + config.element_size_bytes)
         self._reply_size = self._ack_size + config.element_size_bytes
+        #: How long a stashed origin is worth keeping (0: forever).
+        self._client_patience_ms = config.client_patience_ms()
         self.tracker: Optional[ProposalTracker] = None
         self.commit_log = CommitLog()
-        # origin bookkeeping: zxid -> (client, request_id) for requests this
-        # server received (it must answer them after applying the commit).
-        self._origin_requests: Dict[int, Dict[str, Any]] = {}
-        # follower-side: requests forwarded to the leader awaiting a zxid,
-        # keyed by a server-local forward id (client req_ids may collide
-        # across clients).
-        self._forwarded: Dict[int, Dict[str, Any]] = {}
+        # origin bookkeeping: zxid -> (operation, origin request id) for
+        # requests this server must answer after applying the commit.
+        self._origin_requests: Dict[int, Tuple[ZkOp, int]] = {}
+        # follower-side: operations forwarded to the leader awaiting a zxid,
+        # by server-local forward id (client req_ids collide across clients).
+        self._forwarded: Dict[int, ZkOp] = {}
         self._next_forward_id = 1
         # CZK simulation overlay (tentative effects of in-flight operations).
         self._simulated_removed: Set[str] = set()
@@ -106,9 +120,10 @@ class ZKServer(Node):
         #: Election epoch -> candidate name -> last applied zxid.
         self._election_candidates: Dict[int, Dict[str, int]] = {}
         #: Origin bookkeeping for requests whose proposal died with a deposed
-        #: leader, keyed by the forward id; re-attached when the new leader
-        #: re-proposes the transaction (same ``origin_request``).
-        self._orphan_origins: Dict[int, Dict[str, Any]] = {}
+        #: leader: origin request id -> (operation, time stashed).  Re-attached
+        #: when the transaction is re-proposed (same ``origin_request``),
+        #: dropped by the heartbeat tick once the client has given up.
+        self._orphan_origins: Dict[int, Tuple[ZkOp, float]] = {}
         # Instrumentation.
         self.preliminaries_sent = 0
         self.transactions_applied = 0
@@ -122,19 +137,20 @@ class ZKServer(Node):
     # -- ensemble wiring ----------------------------------------------------
     def become_leader(self, ensemble: List[str], next_zxid: int = 1) -> None:
         self.is_leader = True
-        self.leader_name = self.name
-        self._set_ensemble(ensemble)
+        self._set_ensemble(ensemble, self.name)
         self.tracker = ProposalTracker(len(ensemble), next_zxid=next_zxid)
 
     def become_follower(self, leader_name: str, ensemble: List[str]) -> None:
         self.is_leader = False
-        self.leader_name = leader_name
-        self._set_ensemble(ensemble)
+        self._set_ensemble(ensemble, leader_name)
         self.tracker = None
 
-    def _set_ensemble(self, ensemble: List[str]) -> None:
+    def _set_ensemble(self, ensemble: List[str], leader_name: str) -> None:
+        node = self.network.node
         self.ensemble = list(ensemble)
-        self._peers = tuple(name for name in ensemble if name != self.name)
+        self.leader_name = leader_name
+        self._leader = node(leader_name)
+        self._peers = tuple(node(n) for n in ensemble if n != self.name)
 
     @property
     def quorum_size(self) -> int:
@@ -142,11 +158,8 @@ class ZKServer(Node):
 
     # -- failure detection & election -----------------------------------------
     def enable_failure_detection(self) -> None:
-        """Start the heartbeat/election machinery on this server.
-
-        No-op unless ``config.heartbeat_interval_ms > 0``; with the default
-        configuration the ensemble behaves exactly as the fault-free seed.
-        """
+        """Start the heartbeat/election machinery on this server (a no-op
+        unless ``config.heartbeat_interval_ms > 0``)."""
         if self._failure_detection or self.config.heartbeat_interval_ms <= 0:
             return
         self._failure_detection = True
@@ -163,6 +176,8 @@ class ZKServer(Node):
         # Keep the tick alive through crashes so a recovered follower
         # resumes monitoring; a crashed node neither sends nor suspects.
         self._schedule_heartbeat()
+        if self._orphan_origins:
+            self._expire_orphan_origins()
         if not self.alive or self.is_leader or self.leader_name is None:
             return
         self.send(self.leader_name, "zk_ping", {"server": self.name},
@@ -178,11 +193,16 @@ class ZKServer(Node):
                 (self.scheduler.now() - self._last_progress_ms
                  > self.config.leader_timeout_ms):
             self._last_progress_ms = self.scheduler.now()
-            self.send(self.leader_name, "zk_sync_req",
-                      {"server": self.name,
-                       "last_applied": self.commit_log.last_applied,
-                       "epoch": self.epoch},
-                      size_bytes=self._ack_size)
+            self._request_sync(self.epoch)
+
+    def _request_sync(self, epoch: int) -> None:
+        """Ask the leader for what this server missed; ``epoch`` (the one it
+        last followed) decides between a diff sync and a full snapshot."""
+        self.send(self.leader_name, "zk_sync_req",
+                  {"server": self.name,
+                   "last_applied": self.commit_log.last_applied,
+                   "epoch": epoch},
+                  size_bytes=self._ack_size)
 
     def on_zk_ping(self, message: Message) -> None:
         if self.is_leader:
@@ -208,7 +228,7 @@ class ZKServer(Node):
         candidates = self._election_candidates.setdefault(epoch, {})
         candidates[self.name] = self.commit_log.last_applied
         for peer in self._peers:
-            self.send(peer, "zk_election",
+            self.send(peer.name, "zk_election",
                       {"epoch": epoch, "candidate": self.name,
                        "last_applied": self.commit_log.last_applied},
                       size_bytes=self._ack_size)
@@ -244,9 +264,8 @@ class ZKServer(Node):
             return
         # Give the winner time to announce; if no new leader materializes,
         # allow another election round.
-        self.scheduler.schedule(
-            3 * self.config.election_window_ms,
-            self._check_leader_emerged, epoch)
+        self.scheduler.schedule(3 * self.config.election_window_ms,
+                                self._check_leader_emerged, epoch)
 
     def _check_leader_emerged(self, epoch: int) -> None:
         if self.alive and self.epoch < epoch:
@@ -263,37 +282,40 @@ class ZKServer(Node):
         # strict last_applied+1 order) keep making progress.
         orphans = self.commit_log.uncommitted_transactions()
         self.commit_log.discard_uncommitted()
-        stale_origins = self._drop_stale_origins()
+        self._drop_stale_origins()
         self.become_leader(self.ensemble,
                            next_zxid=self.commit_log.last_applied + 1)
         self._election_candidates = {
             e: c for e, c in self._election_candidates.items() if e > epoch}
         for peer in self._peers:
-            self.send(peer, "zk_new_leader",
+            self.send(peer.name, "zk_new_leader",
                       {"leader": self.name, "epoch": epoch,
                        "last_applied": self.commit_log.last_applied},
                       size_bytes=self._ack_size)
         for txn in orphans:
-            self._repropose(txn, stale_origins.get(txn.zxid))
+            self._repropose(txn)
         # Writes this server had forwarded to the dead leader restart here.
         pending = list(self._forwarded.values())
         self._forwarded.clear()
-        for request in pending:
-            self._propose(origin_server=self.name, request=request)
+        for op in pending:
+            self._propose(self.name, op, None)
 
-    def _repropose(self, txn: Transaction,
-                   origin: Optional[Dict[str, Any]]) -> None:
-        """Re-issue a dead-epoch transaction under this leadership.
-
-        The operation, origin server, and origin request id are preserved so
-        the origin can still answer its client; only the zxid (and epoch on
-        the wire) change.
-        """
+    def _repropose(self, txn: Transaction) -> None:
+        """Re-issue a dead-epoch transaction under this leadership: same
+        operation, origin server and origin request id (the origin can still
+        answer its client), a fresh zxid and epoch."""
         assert self.tracker is not None
         renumbered = txn._replace(zxid=self.tracker.next_zxid())
-        if origin is not None:
-            self._origin_requests[renumbered.zxid] = origin
+        if txn.origin_server == self.name:
+            self._reattach_origin(renumbered)
         self._broadcast_proposal(renumbered)
+
+    def _reattach_origin(self, txn: Transaction) -> None:
+        """``txn`` re-proposes a request this server stashed when its first
+        proposal died with a deposed leader: answer that client after all."""
+        orphan = self._orphan_origins.pop(txn.origin_request, None)
+        if orphan is not None:
+            self._origin_requests[txn.zxid] = (orphan[0], txn.origin_request)
 
     def on_zk_new_leader(self, message: Message) -> None:
         payload = message.payload
@@ -316,42 +338,35 @@ class ZKServer(Node):
         self._announced_epoch = self.epoch
         self._election_candidates = {
             e: c for e, c in self._election_candidates.items() if e > epoch}
-        # Catch up on transactions committed while this server was behind.
-        # The pre-adoption epoch tells the leader whether a plain diff sync
-        # is safe or whether this server needs a full snapshot (it may carry
-        # applied state from a dead leadership).
-        self.send(leader, "zk_sync_req",
-                  {"server": self.name,
-                   "last_applied": self.commit_log.last_applied,
-                   "epoch": prev_epoch},
-                  size_bytes=self._ack_size)
+        # Catch up on what committed while this server was behind; it may
+        # carry applied state from a dead leadership, hence the old epoch.
+        self._request_sync(prev_epoch)
         # Writes forwarded to the dead leader are re-forwarded to the new one.
-        for forward_id, request in list(self._forwarded.items()):
-            forwarded_payload = dict(request["payload"])
-            forwarded_payload["req_id"] = forward_id
-            self.send(leader, "zk_forward",
-                      {"origin": self.name, "payload": forwarded_payload},
-                      size_bytes=self._txn_size)
+        for forward_id, op in self._forwarded.items():
+            self.network.fused_send_to(self, leader, self._txn_size,
+                                       self._leader._zk_forward,
+                                       (self.name, forward_id, op))
 
-    def _drop_stale_origins(self) -> Dict[int, Dict[str, Any]]:
-        """Detach origin bookkeeping from zxids of abandoned proposals.
-
-        Returns the detached entries keyed by their dead zxid (used by a
-        promoting leader to re-attach them to re-proposed transactions) and
-        stashes them by forward id in :attr:`_orphan_origins` so a follower
-        can re-attach when the new leader's re-proposal arrives.  Entries
+    def _drop_stale_origins(self) -> None:
+        """Detach origin bookkeeping from zxids of abandoned proposals and
+        stash it by origin request id for :meth:`_reattach_origin`.  Entries
         never re-proposed are answered by the client's own timeout/retry
-        (at-least-once), as with real ZooKeeper session recovery.
-        """
+        (at-least-once), as with real ZooKeeper session recovery, and
+        expire with it."""
         applied = self.commit_log.last_applied
-        stale = {z: v for z, v in self._origin_requests.items() if z > applied}
-        for entry in stale.values():
-            forward_id = entry.get("origin_request")
-            if forward_id is not None:
-                self._orphan_origins[forward_id] = entry
-        self._origin_requests = {z: v for z, v in self._origin_requests.items()
-                                 if z <= applied}
-        return stale
+        now = self.scheduler.now()
+        for zxid in [z for z in self._origin_requests if z > applied]:
+            op, origin_request = self._origin_requests.pop(zxid)
+            self._orphan_origins[origin_request] = (op, now)
+
+    def _expire_orphan_origins(self) -> None:
+        """Forget stashed origins whose client cannot be waiting any more
+        (with client timeouts off it still is: keep them)."""
+        if self._client_patience_ms > 0:
+            cutoff = self.scheduler.now() - self._client_patience_ms
+            self._orphan_origins = {
+                request: entry for request, entry
+                in self._orphan_origins.items() if entry[1] > cutoff}
 
     def _send_leader_info(self, dst: str) -> None:
         if self.leader_name is None:
@@ -395,18 +410,17 @@ class ZKServer(Node):
         self._retransmit_pending(message.src)
 
     def _retransmit_pending(self, dst: str) -> None:
-        """Re-send every uncommitted proposal of this leadership to ``dst``.
-
-        A follower adopting a new leader mid-stream dropped (epoch-guarded)
-        any proposals broadcast before it switched epochs; without
-        retransmission those zxids could never reach quorum and every later
-        transaction would stall behind them.
-        """
+        """Re-send every uncommitted proposal of this leadership to ``dst``:
+        a follower adopting a new leader mid-stream dropped (epoch-guarded)
+        what was broadcast before it switched epochs, and those zxids could
+        otherwise never reach quorum, stalling every later transaction."""
         if not self.is_leader or self.tracker is None:
             return
+        peer = self.network.node(dst)
         for txn in self.tracker.pending_transactions():
-            self.send(dst, "zab_proposal", {"txn": txn, "epoch": self.epoch},
-                      size_bytes=self._txn_size)
+            self.network.fused_send_to(self, dst, self._txn_size,
+                                       peer._zab_proposal,
+                                       (txn, self.epoch, self.name))
 
     def on_zk_sync(self, message: Message) -> None:
         for txn in message.payload["txns"]:
@@ -422,11 +436,9 @@ class ZKServer(Node):
         # the transactions, never this server's own (growing) list.
         log = tuple(self.applied_log)
         self.send(dst, "zk_snapshot",
-                  {"epoch": self.epoch,
-                   "leader": self.leader_name,
+                  {"epoch": self.epoch, "leader": self.leader_name,
                    "last_applied": self.commit_log.last_applied,
-                   "tree": tree_snapshot,
-                   "log": log},
+                   "tree": tree_snapshot, "log": log},
                   size_bytes=(MESSAGE_HEADER_BYTES
                               + estimate_payload_size(tree_snapshot)
                               + len(log) * self.config.path_size_bytes))
@@ -461,47 +473,45 @@ class ZKServer(Node):
         # now and follows; peers answer with zk_leader_info.
         self._last_pong_ms = self.scheduler.now()
         for peer in self._peers:
-            self.send(peer, "zk_whois_leader", {"server": self.name},
+            self.send(peer.name, "zk_whois_leader", {"server": self.name},
                       size_bytes=self._ack_size)
-        # If leadership never moved, zk_leader_info brings nothing new, so a
-        # recovering follower also asks its (still-current) leader directly
-        # for the commits it slept through.
+        # If leadership never moved, zk_leader_info brings nothing new: ask
+        # the (still-current) leader directly for the commits slept through.
         if not self.is_leader and self.leader_name is not None:
-            self.send(self.leader_name, "zk_sync_req",
-                      {"server": self.name,
-                       "last_applied": self.commit_log.last_applied,
-                       "epoch": self.epoch},
-                      size_bytes=self._ack_size)
+            self._request_sync(self.epoch)
 
     # -- client requests -------------------------------------------------------
-    def on_zk_request(self, message: Message) -> None:
+    def _zk_request(self, op: ZkOp) -> None:
+        if not self.alive:
+            self.network.messages_dropped += 1
+            return
+        self.network.messages_delivered += 1
         self._enqueue(self.config.request_service_ms, self._handle_request,
-                      (message.src, message.payload))
+                      (op,))
 
-    def _handle_request(self, client: str, payload: Dict[str, Any]) -> None:
-        op = payload["op"]
-        if op in READ_OPS:
-            self._serve_read(client, payload)
+    def _handle_request(self, op: ZkOp) -> None:
+        kind = op.op
+        if kind in READ_OPS:
+            self._serve_read(op)
             return
-        if op not in WRITE_OPS:
-            self._respond(client, payload["req_id"], ok=False,
-                          error=f"unknown operation {op!r}")
+        if kind not in WRITE_OPS:
+            self._respond(op, ok=False, error=f"unknown operation {kind!r}")
             return
-        if payload.get("icg"):
+        if op.icg:
             self._enqueue(self.config.simulation_service_ms,
-                          self._send_preliminary, (client, payload))
-        self._submit_write(client, payload)
+                          self._send_preliminary, (op,))
+        self._propose(self.name, op, None)
 
     # -- local reads --------------------------------------------------------------
-    def _serve_read(self, client: str, payload: Dict[str, Any]) -> None:
+    def _serve_read(self, op: ZkOp) -> None:
         self.reads_served += 1
-        op = payload["op"]
-        path = payload["path"]
+        kind = op.op
+        path = op.path
         try:
-            if op == "get":
+            if kind == "get":
                 result = self.tree.get(path)
                 size = self._reply_size
-            elif op == "exists":
+            elif kind == "exists":
                 result = self.tree.exists(path)
                 size = self._ack_size
             else:  # get_children
@@ -509,25 +519,22 @@ class ZKServer(Node):
                 size = (self._ack_size
                         + len(result) * self.config.child_name_bytes)
         except NoNodeError as exc:
-            self._respond(client, payload["req_id"], ok=False,
-                          error=f"NoNode: {exc}")
+            self._respond(op, ok=False, error=f"NoNode: {exc}")
             return
-        self._respond(client, payload["req_id"], ok=True, result=result,
-                      size_bytes=size)
+        self._respond(op, ok=True, result=result, size_bytes=size)
 
     # -- CZK preliminary (local simulation) -------------------------------------------
-    def _send_preliminary(self, client: str, payload: Dict[str, Any]) -> None:
-        result = self._simulate(payload)
+    def _send_preliminary(self, op: ZkOp) -> None:
+        result = self._simulate(op.op, op.path, op.sequential)
         self.preliminaries_sent += 1
-        self.send(client, "zk_preliminary",
-                  {"req_id": payload["req_id"], "ok": True, "result": result},
-                  size_bytes=self._reply_size)
+        client = op.client
+        self.network.fused_send_to(self, client.name, self._reply_size,
+                                   client._zk_preliminary,
+                                   (op.req_id, result))
 
-    def _simulate(self, payload: Dict[str, Any]) -> Any:
+    def _simulate(self, op: str, path: str, sequential: bool = False) -> Any:
         """Apply the operation to the local state *tentatively*."""
-        op = payload["op"]
-        path = payload["path"]
-        if op == "enqueue" or (op == "create" and payload.get("sequential")):
+        if op == "enqueue" or (op == "create" and sequential):
             queue_path = path if op == "enqueue" else path.rsplit("/", 1)[0]
             try:
                 existing = self.tree.child_count(queue_path)
@@ -557,168 +564,141 @@ class ZKServer(Node):
         return None
 
     # -- write path ----------------------------------------------------------------------
-    def _submit_write(self, client: str, payload: Dict[str, Any]) -> None:
-        request = {"client": client, "payload": payload}
-        if self.is_leader:
-            self._propose(origin_server=self.name, request=request)
-        else:
+    def _zk_forward(self, origin_server: str, forward_id: int,
+                    op: ZkOp) -> None:
+        if not self.alive:
+            self.network.messages_dropped += 1
+            return
+        self.network.messages_delivered += 1
+        self._enqueue(self.config.proposal_service_ms, self._propose,
+                      (origin_server, op, forward_id))
+
+    def _propose(self, origin_server: str, op: ZkOp,
+                 forward_id: Optional[int]) -> None:
+        """Turn ``op`` into a transaction, or pass it on to the leader;
+        ``forward_id`` is ``None`` when this server took the request from
+        the client itself."""
+        # Leader-origin requests draw their origin id from the counter the
+        # forward ids come from: one ``origin_request`` namespace per origin
+        # server (client req_ids would collide with forward ids on re-proposal).
+        local = forward_id is None
+        if local:
             forward_id = self._next_forward_id
             self._next_forward_id += 1
-            forwarded_payload = dict(payload)
-            forwarded_payload["req_id"] = forward_id
-            self.send(self.leader_name, "zk_forward",
-                      {"origin": self.name, "payload": forwarded_payload},
-                      size_bytes=self._txn_size)
-            self._forwarded[forward_id] = request
-
-    def on_zk_forward(self, message: Message) -> None:
-        payload = message.payload
-        self._enqueue(self.config.proposal_service_ms, self._propose,
-                      (payload["origin"],
-                       {"client": None, "payload": payload["payload"]}))
-
-    def _propose(self, origin_server: str, request: Dict[str, Any]) -> None:
         if not self.is_leader or self.tracker is None:
-            # This server was deposed between receiving the request and
-            # processing it: push the request to the current leader instead.
-            if self.leader_name is None or self.leader_name == self.name:
-                return
-            if request["client"] is not None:
-                self._submit_write(request["client"], request["payload"])
-            else:
-                self.send(self.leader_name, "zk_forward",
-                          {"origin": origin_server,
-                           "payload": request["payload"]},
-                          size_bytes=self._txn_size)
+            # A follower, or a leader deposed between receiving the request
+            # and processing it: the leader proposes it.
+            if local:
+                self._forwarded[forward_id] = op
+            leader = self._leader
+            self.network.fused_send_to(self, leader.name, self._txn_size,
+                                       leader._zk_forward,
+                                       (origin_server, forward_id, op))
             return
-        payload = request["payload"]
-        # Leader-origin requests get an origin id from the same per-server
-        # counter as forwarded requests, so ``origin_request`` lives in one
-        # namespace per origin server (client req_ids would collide with
-        # forward ids when orphaned proposals are re-proposed).
-        origin_request = payload["req_id"]
-        if origin_server == self.name and request["client"] is not None:
-            origin_request = self._next_forward_id
-            self._next_forward_id += 1
+        enqueue = op.op == "enqueue"
         txn = Transaction(
-            zxid=self.tracker.next_zxid(),
-            op="create" if payload["op"] == "enqueue" else payload["op"],
-            path=(payload["path"] + "/item-" if payload["op"] == "enqueue"
-                  else payload["path"]),
-            data=payload.get("data"),
-            sequential=(payload["op"] == "enqueue"
-                        or bool(payload.get("sequential"))),
-            origin_server=origin_server,
-            origin_request=origin_request,
-        )
-        if origin_server == self.name and request["client"] is not None:
-            self._origin_requests[txn.zxid] = {
-                "client": request["client"], "req_id": payload["req_id"],
-                "op": payload["op"], "origin_request": origin_request,
-            }
+            self.tracker.next_zxid(),
+            "create" if enqueue else op.op,
+            op.path + "/item-" if enqueue else op.path,
+            op.data, enqueue or bool(op.sequential),
+            origin_server, forward_id)
+        if local:
+            self._origin_requests[txn.zxid] = (op, forward_id)
         self._broadcast_proposal(txn)
 
     def _broadcast_proposal(self, txn: Transaction) -> None:
-        """Track ``txn``, propose it to every peer, and ack it locally.
-
-        One payload, and inside it the one transaction record, serves all
-        peers: nothing downstream mutates either.
-        """
+        """Track ``txn``, propose it to every peer, and ack it locally (one
+        argument tuple around the one transaction record serves all peers)."""
         tracker = self.tracker
         tracker.track(txn)
         self.commit_log.learn(txn)
-        proposal = {"txn": txn, "epoch": self.epoch}
+        send = self.network.fused_send_to
+        proposal = (txn, self.epoch, self.name)
         for peer in self._peers:
-            self.send(peer, "zab_proposal", proposal,
-                      size_bytes=self._txn_size)
+            send(self, peer.name, self._txn_size, peer._zab_proposal, proposal)
         # The leader acknowledges its own proposal.
         if tracker.record_ack(txn.zxid, self.name):
             self._commit(txn.zxid)
 
-    def on_zab_proposal(self, message: Message) -> None:
-        payload = message.payload
-        epoch = payload.get("epoch", self.epoch)
+    def _zab_proposal(self, txn: Transaction, epoch: int, src: str) -> None:
+        if not self.alive:
+            self.network.messages_dropped += 1
+            return
+        self.network.messages_delivered += 1
         if epoch != self.epoch:
             if epoch < self.epoch:
-                # A deposed-but-alive leader (e.g. it was partitioned away
-                # while an election happened) is still proposing: tell it
-                # who leads now so it demotes itself and re-syncs.
-                self._send_leader_info(message.src)
+                # A deposed-but-alive leader (partitioned away during the
+                # election) still proposes: tell it who leads now.
+                self._send_leader_info(src)
             return
         self._enqueue(self.config.apply_service_ms, self._ack_proposal,
-                      (payload,))
+                      (txn, epoch))
 
-    def _ack_proposal(self, payload: Dict[str, Any]) -> None:
-        txn = payload["txn"]
+    def _ack_proposal(self, txn: Transaction, epoch: int) -> None:
         self.commit_log.learn(txn)
-        # A follower that originated this request must answer its client once
+        # The follower that forwarded this request answers its client once
         # the commit applies locally.
         if txn.origin_server == self.name:
-            forwarded = self._forwarded.pop(txn.origin_request, None)
-            if forwarded is not None:
-                self._origin_requests[txn.zxid] = {
-                    "client": forwarded["client"],
-                    "req_id": forwarded["payload"]["req_id"],
-                    "op": forwarded["payload"]["op"],
-                    "origin_request": txn.origin_request,
-                }
-            else:
-                # The original proposal died with a deposed leader and this
-                # is the new leader's re-proposal: re-attach the client.
-                orphan = self._orphan_origins.pop(txn.origin_request, None)
-                if orphan is not None:
-                    self._origin_requests[txn.zxid] = orphan
-        self.send(self.leader_name, "zab_ack",
-                  {"zxid": txn.zxid, "server": self.name,
-                   "epoch": payload.get("epoch", self.epoch)},
-                  size_bytes=self._ack_size)
+            op = self._forwarded.pop(txn.origin_request, None)
+            if op is not None:
+                self._origin_requests[txn.zxid] = (op, txn.origin_request)
+            else:  # the new leader's re-proposal of a dead one
+                self._reattach_origin(txn)
+        leader = self._leader
+        self.network.fused_send_to(self, leader.name, self._ack_size,
+                                   leader._zab_ack,
+                                   (txn.zxid, self.name, epoch))
 
-    def on_zab_ack(self, message: Message) -> None:
-        payload = message.payload
+    def _zab_ack(self, zxid: int, server: str, epoch: int) -> None:
+        if not self.alive:
+            self.network.messages_dropped += 1
+            return
+        self.network.messages_delivered += 1
         if not self.is_leader or self.tracker is None:
             return  # late ack for a proposal of a previous leadership
-        if payload.get("epoch", self.epoch) != self.epoch:
-            return
-        if self.tracker.record_ack(payload["zxid"], payload["server"]):
-            self._commit(payload["zxid"])
+        if epoch == self.epoch and self.tracker.record_ack(zxid, server):
+            self._commit(zxid)
 
     def _commit(self, zxid: int) -> None:
-        if not self.is_leader or self.tracker is None:
-            return
         # Committed: nothing will retransmit or count acks for it again.
         self.tracker.forget(zxid)
-        commit = {"zxid": zxid, "epoch": self.epoch}
+        send = self.network.fused_send_to
+        commit = (zxid, self.epoch)
         for peer in self._peers:
-            self.send(peer, "zab_commit", commit, size_bytes=self._ack_size)
+            send(self, peer.name, self._ack_size, peer._zab_commit, commit)
         self._learn_commit(zxid)
 
-    def on_zab_commit(self, message: Message) -> None:
-        if message.payload.get("epoch", self.epoch) != self.epoch:
+    def _zab_commit(self, zxid: int, epoch: int) -> None:
+        if not self.alive:
+            self.network.messages_dropped += 1
             return
-        self._enqueue(self.config.apply_service_ms, self._learn_commit,
-                      (message.payload["zxid"],))
+        self.network.messages_delivered += 1
+        if epoch == self.epoch:
+            self._enqueue(self.config.apply_service_ms, self._learn_commit,
+                          (zxid,))
 
     def _learn_commit(self, zxid: int) -> None:
-        self.commit_log.mark_committed(zxid)
-        for txn in self.commit_log.ready_transactions():
+        for txn in self.commit_log.commit(zxid):
             self._apply_committed(txn)
 
     # -- applying transactions -------------------------------------------------------------
     def _apply_committed(self, txn: Transaction) -> None:
         """Apply the next transaction of the log; answer its client if the
         request came in through this server."""
-        result = self._apply(txn)
+        origin = self._origin_requests.pop(txn.zxid, None)
+        result = self._apply(txn, origin is not None)
         self.transactions_applied += 1
         self.applied_log.append(txn)
         self._last_progress_ms = self.scheduler.clock._now
-        origin = self._origin_requests.pop(txn.zxid, None)
         if origin is not None:
-            self._respond(origin["client"], origin["req_id"],
-                          ok=result.get("ok", True),
-                          result=result.get("result"),
-                          error=result.get("error"))
+            self._respond(origin[0], result["ok"], result.get("result"),
+                          result.get("error"))
 
-    def _apply(self, txn: Transaction) -> Dict[str, Any]:
+    def _apply(self, txn: Transaction,
+               answer: bool = True) -> Optional[Dict[str, Any]]:
+        """Apply ``txn`` to the tree.  Only the origin server answers a
+        client: the others pass ``answer=False`` and skip building the
+        result of a queue operation (a failure is reported either way)."""
         op = txn.op
         try:
             if op == "create":
@@ -728,6 +708,8 @@ class ZKServer(Node):
                 pending = self._simulated_created.get(parent_path, 0)
                 if pending > 0:
                     self._simulated_created[parent_path] = pending - 1
+                if not answer:
+                    return None
                 position = self.tree.child_count(parent_path or "/") - 1
                 return {"ok": True,
                         "result": {"path": created,
@@ -748,6 +730,8 @@ class ZKServer(Node):
                                        "remaining": 0}}
                 head, data, remaining = popped
                 self._simulated_removed.discard(f"{txn.path}/{head}")
+                if not answer:
+                    return None
                 return {"ok": True,
                         "result": {"item": data, "name": head,
                                    "remaining": remaining}}
@@ -756,11 +740,10 @@ class ZKServer(Node):
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
     # -- responses ------------------------------------------------------------------------------
-    def _respond(self, client: str, req_id: int, ok: bool,
-                 result: Any = None, error: Optional[str] = None,
+    def _respond(self, op: ZkOp, ok: bool, result: Any = None,
+                 error: Optional[str] = None,
                  size_bytes: Optional[int] = None) -> None:
-        if size_bytes is None:
-            size_bytes = self._reply_size
-        self.send(client, "zk_response",
-                  {"req_id": req_id, "ok": ok, "result": result, "error": error},
-                  size_bytes=size_bytes)
+        client = op.client
+        self.network.fused_send_to(
+            self, client.name, size_bytes or self._reply_size,
+            client._zk_response, (op.req_id, ok, result, error))

@@ -13,7 +13,7 @@ This module holds the pure data structures; the message handling lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Set
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set
 
 
 class Transaction(NamedTuple):
@@ -105,6 +105,21 @@ class CommitLog:
 
     def mark_committed(self, zxid: int) -> None:
         self._committed.add(zxid)
+
+    def commit(self, zxid: int) -> Sequence[Transaction]:
+        """:meth:`mark_committed`, then :meth:`ready_transactions`.
+
+        Nearly every commit is for the next zxid, its proposal already
+        learned and nothing waiting behind it; that case touches neither
+        the committed set nor a list.
+        """
+        if zxid == self.last_applied + 1 and not self._committed:
+            txn = self._known.pop(zxid, None)
+            if txn is not None:
+                self.last_applied = zxid
+                return (txn,)
+        self._committed.add(zxid)
+        return self.ready_transactions()
 
     def ready_transactions(self) -> List[Transaction]:
         """Pop every transaction that can now be applied, in zxid order."""

@@ -32,23 +32,21 @@ def _sha(parts: Iterable) -> str:
     return digest.hexdigest()
 
 
-def trace_fingerprint(batch_dispatch: bool = True, wheel: bool = True,
-                      lean_ops: bool = True,
+def trace_fingerprint(wheel: bool = True, lean_ops: bool = True,
                       lean_toggles: Iterable[float] = (),
                       lean_toggle_noop: bool = False) -> Dict[str, object]:
     """Event-trace + metrics fingerprint of a small closed-loop CC2 run.
 
-    ``batch_dispatch=False`` forces every batched delivery onto an
-    individual heap entry; ``wheel=False`` routes all scheduling through the
-    classic binary heap; ``lean_ops=False`` disables the lean op pipeline so
-    every completion rides the response-dict pipeline.  The fingerprint must
-    be identical in every combination — all three are amortizations, never
-    reorderings.  ``lean_toggles`` schedules mid-run
-    flips of the ``protocol.lean_ops`` switch at the given sim times, so
-    operations in flight across a flip complete on the pipeline they were
-    issued on while later ones take the other; ``lean_toggle_noop=True``
-    schedules no-op events at the same instants instead (same event
-    count/order), giving the toggle run an exactly comparable twin.
+    ``wheel=False`` routes all scheduling through the classic binary heap;
+    ``lean_ops=False`` disables the lean op pipeline so every completion
+    rides the response-dict pipeline.  The fingerprint must be identical in
+    every combination — both are amortizations, never reorderings.
+    ``lean_toggles`` schedules mid-run flips of the ``protocol.lean_ops``
+    switch at the given sim times, so operations in flight across a flip
+    complete on the pipeline they were issued on while later ones take the
+    other; ``lean_toggle_noop=True`` schedules no-op events at the same
+    instants instead (same event count/order), giving the toggle run an
+    exactly comparable twin.
     """
     from repro.bench.common import (
         build_cassandra_scenario, cassandra_config_for, run_multi_region_load)
@@ -59,7 +57,6 @@ def trace_fingerprint(batch_dispatch: bool = True, wheel: bool = True,
         seed=11, record_count=60,
         client_regions=(Region.IRL, Region.FRK),
         config=cassandra_config_for("CC2"))
-    scenario.env.scheduler.batch_dispatch = batch_dispatch
     scenario.env.scheduler.wheel = wheel
     scenario.env.network.lean_ops = lean_ops
 
@@ -235,6 +232,28 @@ def fault_fingerprints() -> Dict[str, Dict[str, str]]:
     return out
 
 
+def zookeeper_fingerprints() -> Dict[str, Dict[str, object]]:
+    """Trace + run-record hashes of the ZooKeeper family (``zk_slices``): a
+    follower- and a leader-connected fig09 cell, a ``zk-tickets``-shaped
+    sale with heartbeats on, fig13's leader crash and a partitioned-then-
+    healed zombie leader.  Recorded while every hop was a ``Message`` with a
+    payload dict, before the request path moved onto records."""
+    import zk_slices
+
+    out: Dict[str, Dict[str, object]] = {}
+    for name, run in zk_slices.RUNS.items():
+        with _traced_schedulers() as traces:
+            record, clusters = run()
+        counts = [zk_slices.cluster_record(cluster) for cluster in clusters]
+        out[name] = {
+            "events": sum(c["events"] for c in counts),
+            "messages": sum(c["network"][0] for c in counts),
+            "trace_sha256": _sha(traces),
+            "record_sha256": _sha([record] + counts),
+        }
+    return out
+
+
 def _golden() -> Dict:
     if not GOLDEN_PATH.exists():
         pytest.fail(f"golden file missing: {GOLDEN_PATH}; regenerate with "
@@ -246,16 +265,12 @@ class TestDeterminism:
     def test_event_trace_matches_golden(self):
         assert trace_fingerprint() == _golden()["trace"]
 
-    def test_event_trace_matches_golden_with_batching_off(self):
-        """Per-entry dispatch reproduces the batched trace bit for bit."""
-        assert trace_fingerprint(batch_dispatch=False) == _golden()["trace"]
-
     def test_event_trace_matches_golden_with_wheel_off(self):
         """The heap-only scheduler reproduces the timing-wheel trace."""
         assert trace_fingerprint(wheel=False) == _golden()["trace"]
 
     def test_event_trace_matches_golden_all_switches_off(self):
-        assert trace_fingerprint(batch_dispatch=False, wheel=False,
+        assert trace_fingerprint(wheel=False,
                                  lean_ops=False) == _golden()["trace"]
 
     def test_event_trace_matches_golden_with_lean_ops_off(self):
@@ -279,6 +294,13 @@ class TestDeterminism:
         changes: every event and every reported number of the fault slices
         is the one the deleted ``Message`` request path produced."""
         assert fault_fingerprints() == _golden()["faults"]
+
+    def test_zookeeper_family_matches_golden(self):
+        """Fault-free Zab, heartbeats, election, sync, re-forwarded and
+        re-proposed writes, client failover, stale-epoch redirects and a
+        snapshot rejoin: every event and every reported number is the one
+        the ``Message`` handlers produced."""
+        assert zookeeper_fingerprints() == _golden()["zookeeper"]
 
     def test_event_trace_is_repeatable(self):
         assert trace_fingerprint() == trace_fingerprint()
@@ -330,32 +352,66 @@ class TestDeterminism:
     def test_message_pool_recycles_without_leaking(self):
         """Every pooled message acquired during a run goes back to its pool.
 
-        A ZooKeeper run is all messages; the network pool's debug
-        assertions are armed (they fire on recycling a still-referenced
-        message or double-recycling), then the counters are checked: shells
-        are actually reused and the free list only ever holds created ones.
+        2PC is ``Message`` traffic end to end, so a fig16 cell drives the
+        pool; its debug assertions are armed (they fire on recycling a
+        still-referenced message or double-recycling), then the counters
+        are checked: shells are actually reused and the free list only ever
+        holds created ones.
         """
-        from repro.bench.perf import run_zk_queue_scenario
+        from repro.bench.fig16_txn import run_fig16_cell
         from repro.sim.network import Network
-
-        networks = []
-        network_init = Network.__init__
 
         def debug_init(self, *args, **kwargs):
             network_init(self, *args, **kwargs)
             self.pool_debug = True
-            networks.append(self)
 
+        network_init = Network.__init__
         Network.__init__ = debug_init
         try:
-            run_zk_queue_scenario(samples=60)
+            _, env = run_fig16_cell(
+                scenario="coordinator-crash-mid-commit", keys_per_txn=2,
+                nodes=3, coordinators=2, rate_txn_s=25.0,
+                duration_ms=4_000.0, fault_at_ms=1_500.0,
+                fault_duration_ms=1_500.0, decision_log_ms=2.0,
+                record_count=120, seed=42)
         finally:
             Network.__init__ = network_init
-        (network,) = networks
-        stats = network.pool_stats()
+        assert env.network.pool_debug
+        stats = env.network.pool_stats()
         assert stats["reused"] > 0, "message pool never recycled a shell"
         assert stats["free"] <= stats["created"]
         assert stats["recycled"] >= stats["reused"]
+
+    def test_zookeeper_request_path_creates_no_message(self):
+        """The complement: ZooKeeper's seven request-path hops ride records
+        and continuations, so a fault-free queue run creates no ``Message``
+        at all and a run with heartbeats on only control-plane ones."""
+        import zk_slices
+        from repro.sim.network import Network
+
+        _, clusters = zk_slices.fig09_cells(samples=10)
+        for cluster in clusters:
+            assert cluster.env.network.messages_sent > 0
+            assert cluster.env.network.pool_stats()["created"] == 0
+
+        kinds = set()
+        network_send = Network.send
+
+        def recording_send(self, src, dst, kind, *args, **kwargs):
+            kinds.add(kind)
+            return network_send(self, src, dst, kind, *args, **kwargs)
+
+        Network.send = recording_send
+        try:
+            _, (cluster,) = zk_slices.leader_crash()
+        finally:
+            Network.send = network_send
+        assert cluster.env.network.pool_stats()["created"] > 0
+        assert {"zk_ping", "zk_pong", "zk_election", "zk_new_leader",
+                "zk_sync_req"} <= kinds
+        assert kinds <= {"zk_ping", "zk_pong", "zk_election", "zk_new_leader",
+                         "zk_whois_leader", "zk_leader_info", "zk_sync_req",
+                         "zk_sync", "zk_snapshot"}
 
     def test_live_counter_matches_scan_under_load(self):
         """The O(1) live counter equals the O(n) queue scan throughout a run.
@@ -494,27 +550,11 @@ class TestDeterminism:
         """After a drained run every read and write record is retired, no
         client has an operation open, and no live event is left — through
         every Cassandra fault scenario of fig13 and an open-loop fig14 cell."""
-        import contextlib
-
         from repro.bench.fig13_faults import run_fig13_scenario
         from repro.bench.fig14_open_loop import run_fig14_point
         from repro.bench.sweep import SweepPoint
         from repro.cassandra_sim.cluster import CassandraCluster
-
-        @contextlib.contextmanager
-        def clusters_built():
-            built = []
-            cluster_init = CassandraCluster.__init__
-
-            def recording_init(self, *args, **kwargs):
-                cluster_init(self, *args, **kwargs)
-                built.append(self)
-
-            CassandraCluster.__init__ = recording_init
-            try:
-                yield built
-            finally:
-                CassandraCluster.__init__ = cluster_init
+        from zk_slices import instances_built
 
         def assert_drained(cluster, what: str) -> None:
             assert cluster.in_flight() == {
@@ -527,13 +567,13 @@ class TestDeterminism:
                       cooldown_ms=500.0, record_count=150)
         for scenario in ("replica-crash", "wan-partition", "flapping-link",
                          "slow-follower"):
-            with clusters_built() as built:
+            with instances_built(CassandraCluster) as built:
                 record = run_fig13_scenario(scenario, **kwargs)
             (cluster,) = built
             assert sum(r.writes_coordinated for r in cluster.replicas) > 100
             assert record["faults_applied"] > 0
             assert_drained(cluster, f"fig13 {scenario}")
-        with clusters_built() as built:
+        with instances_built(CassandraCluster) as built:
             run_fig14_point(SweepPoint(index=0, family="fig14", kwargs=dict(
                 binding="cassandra", mode="open", policy="queue",
                 rate_ops_s=400.0, arrivals="poisson", sessions=60,
@@ -542,6 +582,21 @@ class TestDeterminism:
                 workload="A", distribution="latest", seed=42)))
         (cluster,) = built
         assert_drained(cluster, "fig14 open loop")
+
+    def test_zookeeper_runs_leave_nothing_in_flight(self):
+        """After each ZooKeeper golden run no client has a request open, no
+        server holds a forwarded write, an origin (attached or stashed
+        across the election) or an unacknowledged proposal, and only the
+        periodic heartbeat ticks and their pings are still scheduled."""
+        import zk_slices
+
+        for name, run in zk_slices.RUNS.items():
+            _, clusters = run()
+            for cluster in clusters:
+                assert cluster.in_flight() == zk_slices.DRAINED, name
+                heartbeats = cluster.config.heartbeat_interval_ms > 0
+                assert cluster.env.scheduler.pending(live_only=True) \
+                    <= (3 * len(cluster.servers) if heartbeats else 0), name
 
     def test_open_loop_lean_pools_recycle_without_leaking(self):
         """Lean open-loop load leaks neither runner op records nor fused
@@ -624,7 +679,8 @@ if __name__ == "__main__":
         raise SystemExit(f"usage: python {sys.argv[0]} --regenerate")
     sys.path.insert(0, str(pathlib.Path(__file__).parents[1]))
     golden = {"trace": trace_fingerprint(), "figures": figure_fingerprints(),
-              "faults": fault_fingerprints()}
+              "faults": fault_fingerprints(),
+              "zookeeper": zookeeper_fingerprints()}
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n",
                            encoding="utf-8")

@@ -84,27 +84,36 @@ _STEPS = st.one_of(
 def test_simulation_overlay_matches_the_sorted_reference(steps):
     _, cluster = _cluster(queues=("/a", "/b"), depth=6)
     server = cluster.followers[0]
+    # A non-origin server applies the same log without building answers.
+    silent = cluster.followers[1]
     _, twin = _cluster(queues=("/a", "/b"), depth=6)
     reference = _ReferenceOverlay(twin.followers[0].tree)
     for zxid, (kind, path) in enumerate(steps, start=1):
         if kind == "simulate-dequeue":
-            assert server._simulate({"op": "dequeue", "path": path}) \
+            assert server._simulate("dequeue", path) \
                 == reference.simulate_dequeue(path)
+            silent._simulate("dequeue", path)
         elif kind == "simulate-delete":
-            assert server._simulate({"op": "delete", "path": path}) \
+            assert server._simulate("delete", path) \
                 == reference.simulate_delete(path)
+            silent._simulate("delete", path)
         elif kind == "commit-dequeue":
             applied = server._apply(Transaction(zxid, "dequeue", path))
             assert applied == {"ok": True,
                                "result": reference.apply_dequeue(path)}
+            assert silent._apply(Transaction(zxid, "dequeue", path),
+                                 answer=False) in (None, applied)
         elif kind == "commit-enqueue":
             txn = Transaction(zxid, "create", f"{path}/item-", data=zxid,
                               sequential=True)
             created = server._apply(txn)["result"]["path"]
             assert reference.tree.create(txn.path, txn.data,
                                          sequential=True) == created
+            assert silent._apply(txn, answer=False) is None
         else:
             applied = server._apply(Transaction(zxid, "delete", path))
+            assert silent._apply(Transaction(zxid, "delete", path),
+                                 answer=False) == applied
             try:
                 reference.tree.delete(path)
                 reference.removed.discard(path)
@@ -113,8 +122,10 @@ def test_simulation_overlay_matches_the_sorted_reference(steps):
                 assert applied == {
                     "ok": False, "error": f"{type(exc).__name__}: {exc}"}
         assert server._simulated_removed == reference.removed
+        assert silent._simulated_removed == reference.removed
         for queue in ("/a", "/b"):
             assert server.tree.get_children(queue) \
+                == silent.tree.get_children(queue) \
                 == sorted(reference.tree.get_children(queue))
 
 
@@ -154,7 +165,7 @@ def test_simulated_dequeue_cost_does_not_grow_with_queue_depth():
             server._simulated_removed.clear()
             started = time.perf_counter()
             for _ in range(100):
-                server._simulate({"op": "dequeue", "path": "/q"})
+                server._simulate("dequeue", "/q")
             best = min(best, time.perf_counter() - started)
         return best
 

@@ -100,3 +100,24 @@ def test_commit_log_total_order_is_independent_of_commit_order(order):
         log.mark_committed(zxid)
         applied.extend(t.zxid for t in log.ready_transactions())
     assert applied == list(range(1, 9))
+
+
+@given(st.permutations(list(range(1, 9))),
+       st.lists(st.integers(min_value=0, max_value=8), min_size=8, max_size=8))
+def test_commit_is_mark_committed_then_ready_transactions(order, learn_after):
+    """``commit`` — the servers' one call per commit — leaves the log and
+    hands out the transactions exactly as the two steps would, whether the
+    commit finds its proposal learned, not yet learned, or others waiting."""
+    one, two = CommitLog(), CommitLog()
+    learned = set()
+    for step, zxid in enumerate(order):
+        # Learn some proposals before their commit, the rest after.
+        for late in range(1, 9):
+            if late not in learned and learn_after[late - 1] <= step:
+                learned.add(late)
+                one.learn(_txn(late))
+                two.learn(_txn(late))
+        two.mark_committed(zxid)
+        assert list(one.commit(zxid)) == two.ready_transactions()
+        assert (one.last_applied, one._known, one._committed) \
+            == (two.last_applied, two._known, two._committed)

@@ -7,6 +7,7 @@ from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
 from repro.zookeeper_sim.cluster import ZooKeeperCluster
 from repro.zookeeper_sim.config import ZooKeeperConfig
+from zk_slices import DRAINED, leader_crash, zombie_leader
 
 
 def _build(seed=7, preload=10):
@@ -179,42 +180,13 @@ class TestZombieLeader:
         """A leader partitioned from both followers (but alive) is deposed;
         when the partition heals, its stale proposals earn a redirect, it
         demotes itself, and a snapshot brings it back in line."""
-        env, cluster = _build(preload=0)
-        cluster.preload_queue("/queue", [])
-        clients = [cluster.add_client(f"c{i}", region, connect_region=region,
-                                      failover=True)
-                   for i, region in enumerate(
-                       (Region.IRL, Region.FRK, Region.VRG))]
-        outcomes = {"ok": 0, "failed": 0}
-        counter = {"n": 0}
-
-        def tick():
-            for client in clients:
-                counter["n"] += 1
-                client.enqueue("/queue", f"v{counter['n']}",
-                               on_final=lambda r: outcomes.__setitem__(
-                                   "ok" if r["ok"] else "failed",
-                                   outcomes["ok" if r["ok"] else "failed"] + 1))
-            if env.now() < 12_000.0:
-                env.scheduler.schedule(100.0, tick)
-
+        # The schedule lives in ``zk_slices`` (it is also a determinism
+        # golden): enqueues every 100 ms, partition from 3 s to 8 s.
+        record, (cluster,) = zombie_leader()
         old_leader = cluster.leader
 
-        def cut():
-            for follower in cluster.followers:
-                env.network.partition(old_leader.name, follower.name)
-
-        def heal():
-            for follower in cluster.followers:
-                env.network.heal(old_leader.name, follower.name)
-
-        env.scheduler.schedule(0.0, tick)
-        env.scheduler.schedule(3_000.0, cut)
-        env.scheduler.schedule(8_000.0, heal)
-        env.run(until=60_000.0)
-
-        assert outcomes["failed"] == 0
-        assert outcomes["ok"] == counter["n"]
+        assert record["failed"] == 0
+        assert record["ok"] == record["sent"]
         # The deposed leader demoted itself and caught up via snapshot.
         assert not old_leader.is_leader
         assert old_leader.epoch == cluster.current_leader().epoch
@@ -273,3 +245,96 @@ class TestRecoveryAndSync:
             cluster.leader.commit_log.last_applied
         assert follower.tree.get_children("/queue") == \
             cluster.leader.tree.get_children("/queue")
+
+
+class TestOrphanOriginsExpire:
+    """Origins stashed when a proposal dies with its leader are re-attached
+    if the request is re-proposed — and otherwise must not outlive the
+    client's patience (they used to stay forever)."""
+
+    @staticmethod
+    def _strand_three_writes(config):
+        """Three writes proposed by a leader cut off from both followers;
+        after the heal a fourth write earns it the redirect and it demotes
+        itself, stashing the three origins nobody will re-propose."""
+        env = SimEnvironment(seed=7)
+        cluster = ZooKeeperCluster(env, config=config)
+        cluster.preload_queue("/queue", [])
+        cluster.enable_failure_detection()
+        client = cluster.add_client("app", Region.IRL,
+                                    connect_region=Region.IRL, failover=True)
+        old_leader = cluster.leader
+        env.run(until=500.0)
+        for follower in cluster.followers:
+            env.network.partition(old_leader.name, follower.name)
+        for i in range(3):
+            client.enqueue("/queue", f"stranded-{i}")
+        env.run(until=4_000.0)
+        assert cluster.current_leader() is not None
+        for follower in cluster.followers:
+            env.network.heal(old_leader.name, follower.name)
+        client.enqueue("/queue", "after-heal")
+        env.run(until=6_000.0)
+        assert not old_leader.is_leader
+        return env, cluster, old_leader
+
+    def test_stash_is_dropped_once_the_client_gave_up(self):
+        config = ZooKeeperConfig.fault_tolerant()
+        env, cluster, old_leader = self._strand_three_writes(config)
+        assert len(old_leader._orphan_origins) >= 3
+        assert cluster.in_flight()["orphan_origins"] >= 3
+        # 2 s timeout x (3 retries + 1): nobody waits beyond 8 s.
+        assert config.client_patience_ms() == 8_000.0
+        env.run(until=6_000.0 + config.client_patience_ms()
+                + 2 * config.heartbeat_interval_ms)
+        assert cluster.in_flight() == DRAINED
+
+    def test_stash_is_kept_while_the_client_waits_forever(self):
+        config = ZooKeeperConfig.fault_tolerant(request_timeout_ms=0.0)
+        assert config.client_patience_ms() == 0.0
+        env, cluster, _ = self._strand_three_writes(config)
+        env.run(until=60_000.0)
+        in_flight = cluster.in_flight()
+        # No timeout, no retry: the clients really are still waiting.
+        assert in_flight["client_pending"] >= 3
+        assert in_flight["orphan_origins"] >= 3
+
+    def test_promoting_leader_reattaches_and_clears_its_stash(
+            self, monkeypatch):
+        """A write whose proposal died with the leader is re-proposed by its
+        origin once that server is promoted: the stash entry moves back to
+        the origin table instead of lingering beside it (with expiry off,
+        so only the re-attachment can have removed it)."""
+        from repro.zookeeper_sim.server import ZKServer
+
+        monkeypatch.setattr(ZKServer, "_expire_orphan_origins",
+                            lambda self: None)
+        record, (cluster,) = leader_crash()
+        assert record["promotions"] == 1
+        assert not cluster.current_leader()._orphan_origins
+
+
+_NON_NEGATIVE = (
+    "request_service_ms", "proposal_service_ms", "apply_service_ms",
+    "simulation_service_ms", "element_size_bytes", "child_name_bytes",
+    "path_size_bytes", "ack_bytes", "heartbeat_interval_ms",
+    "request_timeout_ms", "client_retries", "client_backoff_base_ms",
+    "client_backoff_cap_ms", "client_backoff_jitter_ms")
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [({field: -1}, field) for field in _NON_NEGATIVE] + [
+        # Every follower would suspect a healthy leader on every tick.
+        (dict(leader_timeout_ms=200.0), "leader_timeout_ms"),
+        (dict(leader_timeout_ms=150.0), "leader_timeout_ms"),
+        (dict(election_window_ms=0.0), "election_window_ms"),
+        (dict(client_backoff_multiplier=0.5), "client_backoff_multiplier")])
+def test_bad_config_fails_at_build_time(overrides, named):
+    with pytest.raises(ValueError, match=named):
+        ZooKeeperConfig.fault_tolerant(**overrides)
+    with pytest.raises(ValueError, match=named):
+        ZooKeeperConfig(**{"heartbeat_interval_ms": 200.0, **overrides})
+    if "leader_timeout_ms" in overrides or "election_window_ms" in overrides:
+        # Without heartbeats nothing ever reads the election knobs.
+        ZooKeeperConfig(**overrides)
