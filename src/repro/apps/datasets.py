@@ -103,10 +103,6 @@ class TwissandraDataset:
         return f"timeline:{index}"
 
     @staticmethod
-    def user_name(index: int) -> str:
-        return f"user{index}"
-
-    @staticmethod
     def tweet_key(index: int) -> str:
         return f"tweet:{index}"
 

@@ -87,8 +87,8 @@ def make_kv_issue(client: CassandraClient, system: str,
 
     def _issue(op_type: str, key: str, value: Optional[str],
                done: Callable[[Dict[str, Any]], None]) -> None:
-        # The callback pipeline (``protocol.lean_ops`` off): one info dict
-        # per completion.  The "degraded"/"failed" keys carry recovery
+        # The callback pipeline: one info dict per completion, for callers
+        # that pass ``done``.  The "degraded"/"failed" keys carry recovery
         # outcomes for the fault experiments; always False on a healthy run
         # (the runner ignores falsy entries).
         state = [False, None, None]  # had a preliminary, its value, latency
@@ -126,13 +126,10 @@ def make_kv_issue(client: CassandraClient, system: str,
     client.check_quorum(read_quorum, "read")
     client.check_quorum(write_quorum, "write")
 
-    def _lean(op_type: str, key: str, value: Optional[str], sink) -> bool:
-        # The lean op pipeline (``protocol.lean_ops``): deliver positionally
-        # to the runner's per-thread sink, skipping the response/info dicts
-        # and the per-op closures above.  Gated per operation so a mid-run
-        # switch flip falls back to ``_issue``.
-        if not network.lean_ops:
-            return False
+    def _lean(op_type: str, key: str, value: Optional[str], sink) -> None:
+        # The lean op pipeline: deliver positionally to the runner's own
+        # sink, skipping the response/info dicts and the per-op closures
+        # above.
         # The client's lean_read/lean_write, inlined (quorums checked once,
         # above) — this is the per-op entry of the closed issue loop.
         coordinator = client._fused_coordinator
@@ -169,7 +166,6 @@ def make_kv_issue(client: CassandraClient, system: str,
             rec.refs = sent + 2
         else:
             rec.refs = sent + 1
-        return True
 
     _issue.lean = _lean
     return _issue

@@ -184,27 +184,13 @@ def make_session_issue(pools: Sequence[SessionPool],
             on_update=_on_update, on_final=_on_final,
             on_error=lambda exc: done({"failed": True}))
 
-    # Lean gate, static half: every pool must run over a binding exposing
-    # the storage client's sink protocol (``lean_read``/``lean_write``), all
-    # on one shared network.  Fixed at construction, so it is decided once
-    # here; the ``protocol.lean_ops`` kill-switch can flip mid-run and stays
-    # in the per-operation check below.
-    storages = [getattr(getattr(pool.client, "binding", None), "client", None)
-                for pool in pools]
-    lean_static = all(hasattr(storage, "lean_read") for storage in storages) \
-        and len({id(storage.network) for storage in storages}) == 1
-    network = storages[0].network if lean_static else None
-
     def _lean(op_type: str, key: str, value: Optional[str], sink: Any,
-              session_id: Optional[int] = None) -> bool:
-        # The lean op pipeline (``protocol.lean_ops``): same session
-        # rotation, same invocation counters, and the same wire protocol
-        # as ``_issue`` above — but completions deliver positionally into
-        # the runner's pooled sink, skipping the Correctable, its View
-        # objects, and the per-op closures/dicts.  Returns False (with no
-        # side effects) to fall back to ``_issue``.
-        if not (lean_static and network.lean_ops):
-            return False
+              session_id: Optional[int] = None) -> None:
+        # The lean op pipeline: same session rotation, same invocation
+        # counters, and the same wire protocol as ``_issue`` above — but
+        # completions deliver positionally into the runner's pooled sink,
+        # skipping the Correctable, its View objects, and the per-op
+        # closures/dicts.
         if session_id is None:
             session_id = rotation["next"]
             rotation["next"] = (rotation["next"] + 1) % total_sessions
@@ -223,10 +209,13 @@ def make_session_issue(pools: Sequence[SessionPool],
             sink._lean_icg = True
             binding.client.lean_read(key, r=binding.strong_read_quorum,
                                      icg=True, sink=sink)
-        return True
 
-    _issue.lean = _lean
-
+    # Served only when every pool runs over a binding exposing the storage
+    # client's sink protocol (``lean_read``/``lean_write``); decided once,
+    # here, so the runner never has to ask per operation.
+    if all(hasattr(getattr(pool.client.binding, "client", None), "lean_read")
+           for pool in pools):
+        _issue.lean = _lean
     return _issue
 
 

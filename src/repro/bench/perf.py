@@ -299,7 +299,7 @@ def run_million_key_scenario(record_count: int = 1_000_000, nodes: int = 6,
     if not isinstance(cluster.replicas[0].table, ColumnarTable):
         raise RuntimeError(
             f"{label}: preload of {record_count} keys did not engage the "
-            f"columnar backend (threshold/kill-switch misconfigured)")
+            f"columnar backend (threshold misconfigured)")
 
     samples: List[Dict[str, Any]] = []
     acked: Dict[str, Any] = {}

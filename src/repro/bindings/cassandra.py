@@ -42,53 +42,6 @@ class CassandraBinding(Binding):
     def consistency_levels(self) -> List[ConsistencyLevel]:
         return [WEAK, STRONG]
 
-    # -- lean op pipeline ----------------------------------------------------
-    def lean_ok(self) -> bool:
-        """Whether operations may complete into a caller-supplied sink now:
-        the ``protocol.lean_ops`` switch, whatever the configuration."""
-        return self.client.lean_ready()
-
-    def submit_lean(self, operation: Operation,
-                    levels: List[ConsistencyLevel], lean) -> bool:
-        """Map requested levels onto one lean (sink-completed) operation.
-
-        Reads map exactly like :meth:`_submit_read`: both levels → a single
-        ICG read (preliminary at R=1, final at the strong quorum), one level
-        → a plain read at that level's quorum.  Weak-or-strong-only writes
-        map to one quorum write.  A write requesting *both* levels has no
-        lean mapping — its weak view is an optimistic local echo the sink
-        protocol does not model — so it reports False and rides the classic
-        pipeline.
-        """
-        levels = self.validate_levels(levels)
-        want_weak = WEAK in levels
-        want_strong = STRONG in levels
-        if operation.name == "read":
-            if want_weak and want_strong:
-                lean.preliminary_consistency = WEAK
-                lean.final_consistency = STRONG
-                self.client.lean_read(operation.key,
-                                      r=self.strong_read_quorum, icg=True,
-                                      sink=lean)
-            elif want_strong:
-                lean.final_consistency = STRONG
-                self.client.lean_read(operation.key,
-                                      r=self.strong_read_quorum, icg=False,
-                                      sink=lean)
-            else:
-                lean.final_consistency = WEAK
-                self.client.lean_read(operation.key, r=1, icg=False,
-                                      sink=lean)
-            return True
-        if operation.name == "write" and not (want_weak and want_strong):
-            value = operation.args[0]
-            lean.final_consistency = STRONG if want_strong else WEAK
-            lean.pending_value = value
-            self.client.lean_write(operation.key, value, w=self.write_quorum,
-                                   sink=lean)
-            return True
-        return False
-
     def submit_operation(self, operation: Operation,
                          levels: List[ConsistencyLevel],
                          callback: CallbackType) -> None:

@@ -186,12 +186,6 @@ class CassandraClient(Node):
                 f"{kind} quorum {quorum} outside 1..{self._max_quorum} "
                 f"(the replication factor)")
 
-    def lean_ready(self) -> bool:
-        """Whether callers should hand operations their own pooled sink:
-        the ``protocol.lean_ops`` kill-switch, checked per issued operation
-        so it can flip mid-run."""
-        return self.network.lean_ops
-
     def path_counts(self) -> Dict[str, int]:
         """Operations issued so far, by how they complete: into a sink the
         issuer supplied, or through the callback adapter."""
@@ -273,15 +267,17 @@ class CassandraClient(Node):
              on_preliminary: Optional[ResponseCallback] = None,
              on_final: Optional[ResponseCallback] = None) -> FusedRead:
         """Issue a read with read-quorum ``r``; returns its record."""
-        self.callback_ops += 1
-        return self.lean_read(key, r, icg,
-                              _CallbackSink(on_preliminary, on_final))
+        rec = self.lean_read(key, r, icg,
+                             _CallbackSink(on_preliminary, on_final))
+        self.callback_ops += 1  # counted once accepted: a bad quorum raises
+        return rec
 
     def write(self, key: str, value: Any, w: int = 1,
               on_final: Optional[ResponseCallback] = None) -> FusedWrite:
         """Issue a write with write-quorum ``w``; returns its record."""
+        rec = self.lean_write(key, value, w, _CallbackSink(None, on_final))
         self.callback_ops += 1
-        return self.lean_write(key, value, w, _CallbackSink(None, on_final))
+        return rec
 
     # -- failover -------------------------------------------------------------
     def _retry_policy(self) -> RetryPolicy:

@@ -197,15 +197,14 @@ class CassandraCluster:
 
         Preloads at or above ``config.columnar_threshold_keys`` records flip
         every replica to :class:`~repro.cassandra_sim.storage.ColumnarTable`
-        first (unless ``config.columnar_storage`` is off) — that is the only
-        scale at which the per-row object overhead matters.  Every key is
+        first — that is the only scale at which the per-row object overhead
+        matters.  Every key is
         hashed once here and the rows are sorted by token once; the sorted
         columns are cut at the ring's slot boundaries and each run goes to
         its owners whole, so every table's token column is in token order
         (which keeps its range-streaming index build linear).
         """
-        if (self.config.columnar_storage
-                and len(items) >= self.config.columnar_threshold_keys):
+        if len(items) >= self.config.columnar_threshold_keys:
             for replica in self.replicas:
                 if not isinstance(replica.table, ColumnarTable):
                     replica.table = ColumnarTable.from_table(replica.table)

@@ -73,12 +73,10 @@ class CassandraConfig:
     #: Storage backend selection: clusters whose preload installs at least
     #: ``columnar_threshold_keys`` records switch every replica to the
     #: column-oriented table (:class:`~repro.cassandra_sim.storage.
-    #: ColumnarTable`), and nodes joining such a ring start columnar too.
-    #: ``columnar_storage=False`` is the kill-switch — always use the
-    #: row-object :class:`~repro.cassandra_sim.storage.LocalTable`.  Both
-    #: backends are observationally identical (exact LWW), so this only
-    #: changes memory footprint, never results.
-    columnar_storage: bool = True
+    #: ColumnarTable`), and nodes joining such a ring start columnar too;
+    #: smaller ones keep the row-object :class:`~repro.cassandra_sim.
+    #: storage.LocalTable`.  Both backends are observationally identical
+    #: (exact LWW), so this only changes memory footprint, never results.
     columnar_threshold_keys: int = 100_000
     #: Range streaming (ring rebalancing): items shipped per stream batch.
     #: Batches are stop-and-wait (next batch leaves when the previous one is

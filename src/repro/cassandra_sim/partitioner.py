@@ -255,10 +255,6 @@ class RingPartitioner:
         return gained[bisect_right(self._pending_bounds, _hash_token(key))
                       % len(gained)]
 
-    @property
-    def pending_change(self) -> Optional[RingChange]:
-        return self._pending
-
     # -- planning ------------------------------------------------------------
     def _layout_after(self, kind: str, node: str, vnodes: int):
         """The ring once ``node`` has joined/left, and how ownership moves.
@@ -430,9 +426,6 @@ class RingPartitioner:
     # -- introspection ---------------------------------------------------------
     def contains(self, name: str) -> bool:
         return name in self._vnodes
-
-    def vnode_count(self, name: str) -> int:
-        return self._vnodes.get(name, 0)
 
     def token_layout(self) -> Tuple[tuple, ...]:
         """The sorted ``(token, node)`` ring — the determinism fingerprint."""

@@ -26,8 +26,8 @@ is new there, exact row-by-row LWW otherwise (LWW merge is commutative,
 associative and idempotent, so the order rows arrive in never shows).
 
 Clusters pick the backend automatically at preload/join time (see
-``CassandraConfig.columnar_storage`` / ``columnar_threshold_keys``); the
-protocol code never knows which one it is talking to.
+``CassandraConfig.columnar_threshold_keys``); the protocol code never knows
+which one it is talking to.
 """
 
 from __future__ import annotations

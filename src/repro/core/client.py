@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.core.consistency import ConsistencyLevel, validate_levels
-from repro.core.correctable import Correctable, LeanCorrectable
+from repro.core.correctable import Correctable
 from repro.core.errors import BindingError
 from repro.core.operations import Operation
 
@@ -88,36 +88,6 @@ class CorrectableClient:
     # CamelCase aliases matching the paper's listings.
     invokeWeak = invoke_weak
     invokeStrong = invoke_strong
-
-    # -- lean op pipeline ----------------------------------------------------
-    def invoke_lean(self, operation: Operation,
-                    levels: Optional[Iterable[ConsistencyLevel]] = None
-                    ) -> Optional[LeanCorrectable]:
-        """Execute ``operation`` through the lean op pipeline, if available.
-
-        Returns a pooled :class:`LeanCorrectable` (single-slot callbacks,
-        no view list — the caller releases it when done), or ``None`` when
-        the binding cannot take the lean path right now (no lean support,
-        ``protocol.lean_ops`` off, or no lean mapping for this
-        operation/levels combination) — the caller then
-        falls back to :meth:`invoke`.  Explicitly opt-in: plain ``invoke``
-        always returns a full :class:`Correctable`.
-        """
-        binding = self.binding
-        if not binding.lean_ok():
-            return None
-        if levels is None:
-            requested = self.available_levels()
-        else:
-            requested = self._validate(levels)
-        lean = LeanCorrectable.acquire(clock=self._clock)
-        if not binding.submit_lean(operation, requested, lean):
-            LeanCorrectable.release(lean)
-            return None
-        self.invocations += 1
-        if len(requested) > 1:
-            self.icg_invocations += 1
-        return lean
 
     # -- session multiplexing ------------------------------------------------
     def sessions(self, size: int) -> "SessionPool":
@@ -185,16 +155,6 @@ class ClientSession:
     def invoke_strong(self, operation: Operation) -> Correctable:
         self.invocations += 1
         return self.client.invoke_strong(operation)
-
-    def invoke_lean(self, operation: Operation,
-                    levels: Optional[Iterable[ConsistencyLevel]] = None
-                    ) -> Optional[LeanCorrectable]:
-        """Lean-pipeline invoke (see :meth:`CorrectableClient.invoke_lean`);
-        counted against this session only when actually issued."""
-        lean = self.client.invoke_lean(operation, levels)
-        if lean is not None:
-            self.invocations += 1
-        return lean
 
     # CamelCase aliases matching the paper's listings.
     invokeWeak = invoke_weak

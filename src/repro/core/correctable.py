@@ -13,10 +13,10 @@ Listing 3 and is implemented in :mod:`repro.core.speculation`.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.errors import InvalidStateError, OperationError
+from repro.core.errors import InvalidStateError
 from repro.core.promise import Promise
 from repro.core.views import View
 
@@ -198,19 +198,6 @@ class Correctable:
             callback(view)
         return view
 
-    def close_with_view(self, view: View) -> View:
-        """Close with an already-constructed :class:`View`."""
-        if self._state is not CorrectableState.UPDATING:
-            raise InvalidStateError(
-                f"correctable already {self._state.value}; cannot close")
-        self._views.append(view)
-        self._state = CorrectableState.FINAL
-        callbacks = list(self._final_callbacks)
-        self._clear_callbacks()
-        for callback in callbacks:
-            callback(view)
-        return view
-
     def fail(self, error: BaseException) -> None:
         """Close with an error (updating → error transition)."""
         if self._state is not CorrectableState.UPDATING:
@@ -286,315 +273,3 @@ class Correctable:
         return (f"Correctable(state={self._state.value}, "
                 f"views={len(self._views)})")
 
-
-class LeanCorrectable:
-    """Pooled flyweight Correctable for callers with final/value interest.
-
-    The full :class:`Correctable` keeps a view list, three callback lists,
-    and a metadata dict per view — none of which a caller that only wants
-    the final value (plus at most one callback per transition) ever looks
-    at.  ``LeanCorrectable`` is the slab-allocated equivalent behind
-    :meth:`repro.core.client.CorrectableClient.invoke_lean`:
-
-    * it **is** a lean completion sink: the storage client's fused protocol
-      completes it positionally through the ``deliver_*`` methods below,
-      with no response or metadata dicts on the way;
-    * the latest value/consistency/timestamp live inline and :class:`View`
-      objects are built only on demand (``latest_view`` / ``final_view`` /
-      ``views``) — there is no view list;
-    * callbacks are single-slot, one per transition, with the same
-      fire-immediately-if-already-transitioned Promise semantics as
-      :meth:`Correctable.set_callbacks` — enough surface for
-      :func:`repro.core.speculation.attach_speculation` to work unchanged;
-    * divergence/ICG accounting still sees preliminaries: the (latest)
-      preliminary value and latency are retained in
-      :attr:`preliminary_value` / :attr:`preliminary_latency_ms`, and late
-      deliveries after close are dropped and counted in
-      :attr:`discarded_updates`, exactly like the full Correctable;
-      :attr:`degraded` says the store closed it from a downgraded quorum.
-
-    Instances recycle through a class-level free list: the owner calls
-    :meth:`release` on a finished instance to return it (the pool-leak
-    tests assert the acquire/release counters balance at quiesce).
-    """
-
-    __slots__ = ("_state", "_clock", "_error", "_value", "_consistency",
-                 "_timestamp", "_is_confirmation", "_final_view",
-                 "_on_update", "_on_final", "_on_error",
-                 "had_preliminary", "preliminary_value",
-                 "preliminary_latency_ms", "_preliminary_timestamp",
-                 "final_latency_ms", "preliminary_consistency",
-                 "final_consistency", "pending_value", "discarded_updates",
-                 "degraded")
-
-    _pool: List["LeanCorrectable"] = []
-    #: ``[created, reused, recycled]`` — in a list, not class attributes:
-    #: assigning a class attribute invalidates the interpreter's attribute
-    #: caches for the type, and these move with every operation.
-    _counts = [0, 0, 0]
-
-    # -- pooling -------------------------------------------------------------
-    @classmethod
-    def acquire(cls, clock: Optional[Callable[[], float]] = None
-                ) -> "LeanCorrectable":
-        pool = cls._pool
-        if pool:
-            lean = pool.pop()
-            cls._counts[1] += 1
-        else:
-            lean = cls()
-            cls._counts[0] += 1
-        lean._clock = clock
-        lean._state = CorrectableState.UPDATING
-        lean._error = None
-        lean._value = None
-        lean._consistency = None
-        lean._timestamp = None
-        lean._is_confirmation = False
-        lean._final_view = None
-        lean._on_update = None
-        lean._on_final = None
-        lean._on_error = None
-        lean.had_preliminary = False
-        lean.preliminary_value = None
-        lean.preliminary_latency_ms = None
-        lean._preliminary_timestamp = None
-        lean.final_latency_ms = None
-        lean.preliminary_consistency = None
-        lean.final_consistency = None
-        lean.pending_value = None
-        lean.discarded_updates = 0
-        lean.degraded = False
-        return lean
-
-    @classmethod
-    def release(cls, lean: "LeanCorrectable") -> None:
-        """Return a finished instance to the pool.
-
-        Only reference-holding fields are scrubbed here (so the pool never
-        pins application values); :meth:`acquire` resets everything else.
-        """
-        lean._value = None
-        lean._final_view = None
-        lean._error = None
-        lean._on_update = None
-        lean._on_final = None
-        lean._on_error = None
-        lean.preliminary_value = None
-        lean.pending_value = None
-        lean._clock = None
-        if len(cls._pool) < 1024:
-            cls._counts[2] += 1
-            cls._pool.append(lean)
-
-    @classmethod
-    def pool_stats(cls) -> Dict[str, int]:
-        created, reused, recycled = cls._counts
-        return {"created": created, "reused": reused,
-                "recycled": recycled, "free": len(cls._pool)}
-
-    # -- state inspection ----------------------------------------------------
-    @property
-    def state(self) -> CorrectableState:
-        return self._state
-
-    def is_updating(self) -> bool:
-        return self._state is CorrectableState.UPDATING
-
-    def is_final(self) -> bool:
-        return self._state is CorrectableState.FINAL
-
-    def is_error(self) -> bool:
-        return self._state is CorrectableState.ERROR
-
-    def is_done(self) -> bool:
-        return self._state is not CorrectableState.UPDATING
-
-    @property
-    def error(self) -> Optional[BaseException]:
-        return self._error
-
-    def views(self) -> Tuple[View, ...]:
-        """The retained views, rebuilt on demand (latest preliminary +
-        final); the lean pipeline delivers at most one of each."""
-        views = []
-        if self.had_preliminary:
-            views.append(View(value=self.preliminary_value,
-                              consistency=self.preliminary_consistency,
-                              timestamp=self._preliminary_timestamp))
-        if self._state is CorrectableState.FINAL:
-            views.append(self.final_view())
-        return tuple(views)
-
-    def preliminary_views(self) -> Tuple[View, ...]:
-        if self.had_preliminary:
-            return (View(value=self.preliminary_value,
-                         consistency=self.preliminary_consistency,
-                         timestamp=self._preliminary_timestamp),)
-        return ()
-
-    def latest_view(self) -> Optional[View]:
-        if self._state is CorrectableState.FINAL:
-            return self.final_view()
-        if self.had_preliminary:
-            return View(value=self.preliminary_value,
-                        consistency=self.preliminary_consistency,
-                        timestamp=self._preliminary_timestamp)
-        return None
-
-    def final_view(self) -> View:
-        if self._state is CorrectableState.ERROR:
-            assert self._error is not None
-            raise self._error
-        if self._state is not CorrectableState.FINAL:
-            raise InvalidStateError("correctable has not closed yet")
-        view = self._final_view
-        if view is None:
-            view = self._final_view = View(
-                value=self._value, consistency=self._consistency,
-                timestamp=self._timestamp,
-                is_confirmation=self._is_confirmation)
-        return view
-
-    def value(self) -> Any:
-        return self.final_view().value
-
-    # -- callbacks (single-slot) ---------------------------------------------
-    def set_callbacks(self,
-                      on_update: Optional[UpdateCallback] = None,
-                      on_final: Optional[UpdateCallback] = None,
-                      on_error: Optional[ErrorCallback] = None
-                      ) -> "LeanCorrectable":
-        """Attach at most one callback per transition (Promise semantics).
-
-        A second registration on an occupied, still-armed slot raises —
-        callers wanting fan-out use the full :class:`Correctable`.
-        """
-        if on_update is not None:
-            if self._state is CorrectableState.UPDATING:
-                if self._on_update is not None:
-                    raise InvalidStateError(
-                        "lean correctable holds one on_update callback")
-                self._on_update = on_update
-            if self.had_preliminary:
-                on_update(View(value=self.preliminary_value,
-                               consistency=self.preliminary_consistency,
-                               timestamp=self._preliminary_timestamp))
-        if on_final is not None:
-            if self._state is CorrectableState.FINAL:
-                on_final(self.final_view())
-            elif self._state is CorrectableState.UPDATING:
-                if self._on_final is not None:
-                    raise InvalidStateError(
-                        "lean correctable holds one on_final callback")
-                self._on_final = on_final
-        if on_error is not None:
-            if self._state is CorrectableState.ERROR:
-                assert self._error is not None
-                on_error(self._error)
-            elif self._state is CorrectableState.UPDATING:
-                if self._on_error is not None:
-                    raise InvalidStateError(
-                        "lean correctable holds one on_error callback")
-                self._on_error = on_error
-        return self
-
-    def on_update(self, callback: UpdateCallback) -> "LeanCorrectable":
-        return self.set_callbacks(on_update=callback)
-
-    def on_final(self, callback: UpdateCallback) -> "LeanCorrectable":
-        return self.set_callbacks(on_final=callback)
-
-    def on_error(self, callback: ErrorCallback) -> "LeanCorrectable":
-        return self.set_callbacks(on_error=callback)
-
-    def speculate(self, speculation_fn: Callable[[Any], Any],
-                  abort_fn: Optional[Callable[[Any], None]] = None,
-                  stats: Optional["SpeculationStats"] = None) -> "Correctable":
-        """Speculate on preliminary views (Listing 3); see
-        :meth:`Correctable.speculate`."""
-        from repro.core.speculation import attach_speculation
-        return attach_speculation(self, speculation_fn, abort_fn, stats)
-
-    # -- the lean completion sink --------------------------------------------
-    def _now(self) -> Optional[float]:
-        return self._clock() if self._clock is not None else None
-
-    def deliver_read_preliminary(self, value: Any, timestamp: Any,
-                                 latency_ms: float,
-                                 replica: Optional[str] = None) -> None:
-        if self._state is not CorrectableState.UPDATING:
-            self.discarded_updates += 1
-            return
-        self.had_preliminary = True
-        self.preliminary_value = value
-        self.preliminary_latency_ms = latency_ms
-        self._preliminary_timestamp = self._now()
-        callback = self._on_update
-        if callback is not None:
-            callback(View(value=value,
-                          consistency=self.preliminary_consistency,
-                          timestamp=self._preliminary_timestamp))
-
-    def deliver_read_final(self, value: Any, timestamp: Any,
-                           latency_ms: float, is_confirmation: bool,
-                           degraded: bool = False,
-                           matches_preliminary: Optional[bool] = None) -> None:
-        self._close(value, latency_ms, is_confirmation, degraded)
-
-    def deliver_read_error(self, error: str, latency_ms: float) -> None:
-        self._fail(error, latency_ms)
-
-    def deliver_write_ack(self, timestamp: Any, latency_ms: float,
-                          degraded: bool = False) -> None:
-        # The strong view of a write is its acknowledgement; close with the
-        # value the caller wrote (parked in ``pending_value`` at submit).
-        self._close(self.pending_value, latency_ms, False, degraded)
-
-    def deliver_write_error(self, error: str, latency_ms: float) -> None:
-        self._fail(error, latency_ms)
-
-    def _close(self, value: Any, latency_ms: float,
-               is_confirmation: bool, degraded: bool) -> None:
-        if self._state is not CorrectableState.UPDATING:
-            self.discarded_updates += 1
-            return
-        if is_confirmation:
-            # Confirmation optimization: the final response confirms the
-            # preliminary instead of carrying data.
-            value = self.preliminary_value
-        self._state = CorrectableState.FINAL
-        self._value = value
-        self._consistency = self.final_consistency
-        self._timestamp = self._now()
-        self._is_confirmation = is_confirmation
-        self.final_latency_ms = latency_ms
-        self.degraded = degraded
-        callback = self._on_final
-        self._on_update = None
-        self._on_final = None
-        self._on_error = None
-        if callback is not None:
-            callback(self.final_view())
-
-    def _fail(self, error: str, latency_ms: float) -> None:
-        if self._state is not CorrectableState.UPDATING:
-            self.discarded_updates += 1
-            return
-        self._state = CorrectableState.ERROR
-        self._error = OperationError(error)
-        self.final_latency_ms = latency_ms
-        callback = self._on_error
-        self._on_update = None
-        self._on_final = None
-        self._on_error = None
-        if callback is not None:
-            callback(self._error)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LeanCorrectable(state={self._state.value})"
-
-
-# Imported late to avoid a circular import at module load time; re-exported
-# here so `Correctable.speculate(..., stats=...)` type hints resolve.
-from repro.core.speculation import SpeculationStats  # noqa: E402  (re-export)

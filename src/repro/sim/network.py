@@ -198,8 +198,7 @@ class Network:
                  "_partitioned", "_partitioned_regions", "_link_extra_ms",
                  "_routes", "_route_epoch", "_topo_version", "_msg_pool",
                  "messages_sent", "messages_delivered", "messages_dropped",
-                 "pool_created", "pool_reused", "pool_recycled", "pool_debug",
-                 "lean_ops")
+                 "pool_created", "pool_reused", "pool_recycled", "pool_debug")
 
     def __init__(self, scheduler: Scheduler, topology: Topology) -> None:
         self.scheduler = scheduler
@@ -232,12 +231,6 @@ class Network:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        #: Kill-switch for the lean op pipeline (``protocol.lean_ops``): the
-        #: allocation-free completion path where issuers hand the storage
-        #: client their own pooled sinks instead of response-dict callbacks.
-        #: Checked when an operation is *issued*, so a mid-run flip only
-        #: affects subsequent operations.
-        self.lean_ops = True
         #: Bumped whenever :attr:`_routes` is invalidated; protocol-level
         #: fused-route caches revalidate against it instead of probing the
         #: route dict per send.
@@ -259,11 +252,6 @@ class Network:
         if node.name in self._nodes:
             raise ValueError(f"node name already registered: {node.name}")
         self._nodes[node.name] = node
-        self._routes.clear()
-        self._route_epoch += 1
-
-    def unregister(self, name: str) -> None:
-        self._nodes.pop(name, None)
         self._routes.clear()
         self._route_epoch += 1
 
@@ -597,13 +585,6 @@ class Network:
         return True
 
     # -- accounting --------------------------------------------------------
-    def _link(self, src: str, dst: str) -> LinkStats:
-        key = (src, dst)
-        stats = self._links.get(key)
-        if stats is None:
-            stats = self._links[key] = LinkStats()
-        return stats
-
     def link_stats(self, src: str, dst: str) -> LinkStats:
         """Traffic on the directed link src→dst.
 

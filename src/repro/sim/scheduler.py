@@ -19,21 +19,18 @@ paths feed the queue:
 
 Storage is a **timing wheel** (calendar queue) over a binary heap:
 
-* Events due within the wheel's horizon (``wheel_slots * wheel_width_ms``
-  of simulated time) go into per-tick slot lists — an O(1) append instead
-  of an O(log n) heap sift.  A slot is sorted once, when the wheel cursor
-  reaches its tick; because ``(time, seq)`` entries are compared exactly
-  as the heap would compare them, the drain order (and therefore every
-  golden event trace) is bit-identical to the heap's.
+* Events due within the wheel's horizon (1024 slots of 1 ms of simulated
+  time) go into per-tick slot lists — an O(1) append instead of an
+  O(log n) heap sift.  A slot is sorted once, when the wheel cursor
+  reaches its tick; entries are compared as ``(time, seq)``, so the drain
+  order is that of one global sort (the model property in
+  ``tests/sim/test_scheduler.py`` is the reference).
 * Events beyond the horizon (long timeouts, run-end sentinels) go to an
   **overflow heap** and migrate into the wheel lazily as the cursor's
   horizon sweeps over their timestamps.
 * The cursor's own slot is kept heap-ordered at all times (activation
   sorts it; same-tick inserts use ``heappush``), so scheduling into the
   current tick during the drain preserves order.
-* ``scheduler.wheel = False`` is a kill-switch: it dumps the wheel back
-  into the heap and routes every insert through the classic heap-only
-  path.  The determinism suite runs both ways to prove the traces match.
 
 Live-event accounting is incremental: scheduling increments a live counter,
 execution and cancellation decrement it, so ``pending(live_only=True)`` —
@@ -63,7 +60,7 @@ _BEYOND = object()
 _INFINITY = float("inf")
 _NO_CAP = 1 << 62
 
-#: Default wheel geometry: 1024 slots of 1 ms give a 1.024 s horizon —
+#: Wheel geometry: 1024 slots of 1 ms give a 1.024 s horizon —
 #: service times, RTTs and protocol timeouts land in the wheel; run-end
 #: sentinels and multi-second timers take the overflow heap.
 _WHEEL_SLOTS = 1024
@@ -116,20 +113,11 @@ class Scheduler:
     __slots__ = ("clock", "_heap", "_seq", "_events_executed", "_cancelled",
                  "_live", "_trace", "_wheel_size",
                  "_wheel_mask", "_wheel_width", "_wheel_inv", "_slots",
-                 "_wheel_count", "_cursor", "_wheel_enabled", "_horizon")
+                 "_wheel_count", "_cursor", "_horizon")
 
-    def __init__(self, clock: Optional[Clock] = None,
-                 wheel_slots: int = _WHEEL_SLOTS,
-                 wheel_width_ms: float = _WHEEL_WIDTH_MS) -> None:
-        if wheel_slots <= 0 or wheel_slots & (wheel_slots - 1):
-            raise ValueError(
-                f"wheel_slots must be a power of two, got {wheel_slots}")
-        if wheel_width_ms <= 0:
-            raise ValueError(
-                f"wheel_width_ms must be positive, got {wheel_width_ms}")
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock if clock is not None else Clock()
-        #: Overflow heap (sole store with the wheel off):
-        #: (time, seq, fn, args, kwargs|None, marker) tuples.
+        #: Overflow heap: (time, seq, fn, args, kwargs|None, marker) tuples.
         self._heap: list = []
         self._seq = 0
         self._events_executed = 0
@@ -137,23 +125,21 @@ class Scheduler:
         self._live = 0
         self._trace: Optional[list] = None
         # -- timing wheel ---------------------------------------------------
-        self._wheel_size = wheel_slots
-        self._wheel_mask = wheel_slots - 1
-        self._wheel_width = float(wheel_width_ms)
-        self._wheel_inv = 1.0 / float(wheel_width_ms)
+        self._wheel_size = _WHEEL_SLOTS  # a power of two: ticks are masked
+        self._wheel_mask = _WHEEL_SLOTS - 1
+        self._wheel_width = _WHEEL_WIDTH_MS
+        self._wheel_inv = 1.0 / _WHEEL_WIDTH_MS
         #: Per-tick buckets.  Invariants: every stored entry's tick lies in
-        #: ``[cursor, cursor + wheel_slots)`` (so each bucket holds at most
+        #: ``[cursor, cursor + _WHEEL_SLOTS)`` (so each bucket holds at most
         #: one tick's entries at a time), and the cursor's own bucket is
         #: always heap-ordered.
-        self._slots: list = [[] for _ in range(wheel_slots)]
+        self._slots: list = [[] for _ in range(_WHEEL_SLOTS)]
         #: Entries (not callbacks) currently stored in the wheel buckets.
         self._wheel_count = 0
         self._cursor = 0
-        self._wheel_enabled = True
         #: Absolute time bound of the wheel window; inserts below it go to
-        #: a bucket, at or above it to the overflow heap.  ``-inf`` when the
-        #: wheel is off, so every insert falls through to the heap.
-        self._horizon = wheel_slots * self._wheel_width
+        #: a bucket, at or above it to the overflow heap.
+        self._horizon = _WHEEL_SLOTS * _WHEEL_WIDTH_MS
 
     @property
     def events_executed(self) -> int:
@@ -175,39 +161,6 @@ class Scheduler:
         if live_only:
             return self._live
         return self._live + self._cancelled
-
-    # -- wheel kill-switch -------------------------------------------------
-    @property
-    def wheel(self) -> bool:
-        """Whether the timing-wheel backend is active (default ``True``).
-
-        Assigning ``False`` migrates every bucketed entry back to the heap
-        and routes subsequent inserts through the classic heap-only path;
-        assigning ``True`` re-anchors the wheel at the current time (queued
-        entries migrate back lazily as the cursor sweeps).  Execution order
-        is identical either way — the determinism suite runs both.
-        """
-        return self._wheel_enabled
-
-    @wheel.setter
-    def wheel(self, enabled: bool) -> None:
-        enabled = bool(enabled)
-        if enabled == self._wheel_enabled:
-            return
-        self._wheel_enabled = enabled
-        if not enabled:
-            heap = self._heap
-            for slot in self._slots:
-                if slot:
-                    heap.extend(slot)
-                    del slot[:]
-            heapq.heapify(heap)
-            self._wheel_count = 0
-            self._horizon = -_INFINITY
-        else:
-            self._cursor = int(self.clock._now * self._wheel_inv)
-            self._horizon = (self._cursor + self._wheel_size) \
-                * self._wheel_width
 
     # -- tracing (determinism fingerprints) --------------------------------
     def start_trace(self) -> list:
@@ -395,32 +348,17 @@ class Scheduler:
         slots = self._slots
         mask = self._wheel_mask
         inv = self._wheel_inv
-        cursor = self._cursor
-        horizon = self._horizon
         heappop = heapq.heappop
-        # Overflow entries normally sit at or beyond the horizon; after a
-        # wheel re-enable they can lie inside the current window (even at
-        # the cursor's own tick), so sweep them in before looking around.
-        if heap and heap[0][0] < horizon:
-            while heap and heap[0][0] < horizon:
-                entry = heappop(heap)
-                tick = int(entry[0] * inv)
-                if tick == cursor:
-                    heapq.heappush(slots[tick & mask], entry)
-                else:
-                    slots[tick & mask].append(entry)
-                    self._wheel_count += 1
-            active = slots[cursor & mask]
-            if active:
-                return active
+        # Overflow entries all lie at or beyond the horizon: it moves only
+        # below (migrating as it goes) and in _reanchor (empty queue).
         if self._wheel_count == 0:
             if not heap:
                 return None
             next_tick = int(heap[0][0] * inv)
         else:
             # Bounded by the wheel size: a non-empty wheel holds a tick in
-            # (cursor, cursor + wheel_slots), each in a distinct bucket.
-            probe = cursor + 1
+            # (cursor, cursor + _WHEEL_SLOTS), each in a distinct bucket.
+            probe = self._cursor + 1
             while not slots[probe & mask]:
                 probe += 1
             next_tick = probe
@@ -454,8 +392,8 @@ class Scheduler:
     def _peek_time(self) -> Optional[float]:
         """Timestamp of the earliest queued entry (cancelled included), or
         ``None`` when nothing is queued.  Does not advance the cursor —
-        used by the ``max_events`` stop to mirror the heap loop's clock
-        semantics without committing a bucket activation."""
+        used by the ``max_events`` stop to decide whether the clock owes the
+        caller ``until`` without committing a bucket activation."""
         best = self._heap[0][0] if self._heap else None
         cursor_slot = self._slots[self._cursor & self._wheel_mask]
         if cursor_slot:
@@ -481,8 +419,6 @@ class Scheduler:
         Returns:
             True if an event was executed, False if the queue was empty.
         """
-        if not self._wheel_enabled:
-            return self._step_heap()
         while True:
             active = self._slots[self._cursor & self._wheel_mask]
             if not active:
@@ -511,42 +447,18 @@ class Scheduler:
                 entry[2](*entry[3])
             return True
 
-    def _step_heap(self) -> bool:
-        """Heap-only :meth:`step` (wheel kill-switch off)."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            marker = entry[5]
-            if marker is not None:
-                if marker.cancelled:
-                    self._cancelled -= 1
-                    continue
-                # Detach: a late cancel() on an already-fired event must not
-                # perturb the cancelled-entry bookkeeping.
-                marker._scheduler = None
-            self.clock.advance_to(entry[0])
-            self._events_executed += 1
-            self._live -= 1
-            if self._trace is not None:
-                self._trace.append((entry[0], entry[1]))
-            kwargs = entry[4]
-            if kwargs:
-                entry[2](*entry[3], **kwargs)
-            else:
-                entry[2](*entry[3])
-            return True
-        return False
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` have been executed.
 
         ``until`` is an absolute simulated time; events scheduled strictly
-        after it remain queued and the clock stops at ``until``.
+        after it remain queued and the clock stops at ``until``.  An
+        ``until`` already in the past runs nothing and moves nothing.
         """
-        if not self._wheel_enabled:
-            return self._run_heap(until, max_events)
         clock = self.clock
+        if until is not None and until < clock._now:
+            return
         trace = self._trace
         heappop = heapq.heappop
         slots = self._slots
@@ -571,9 +483,9 @@ class Scheduler:
                         # The cap stop must not commit a cursor advance (a
                         # committed-but-undrained bucket would let a later
                         # insert land behind the cursor), but it still owes
-                        # the caller the heap loop's clock semantics: the
-                        # clock reaches ``until`` when nothing runnable
-                        # remains before it.
+                        # the caller ``until``'s clock semantics: the clock
+                        # reaches ``until`` when nothing queued remains
+                        # before it.
                         if self._wheel_count == 0 and not self._heap:
                             if until is not None and until > clock._now:
                                 clock.advance_to(until)
@@ -631,58 +543,6 @@ class Scheduler:
             # Fully drained: re-align the wheel with wherever the clock
             # stopped, so the cursor never sits ahead of a future insert.
             self._reanchor()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            self._events_executed += executed
-            self._live -= executed
-
-    def _run_heap(self, until: Optional[float] = None,
-                  max_events: Optional[int] = None) -> None:
-        """Heap-only :meth:`run` (wheel kill-switch off)."""
-        heap = self._heap
-        clock = self.clock
-        trace = self._trace
-        pop = heapq.heappop
-        limit = _INFINITY if until is None else until
-        cap = _NO_CAP if max_events is None else max_events
-        executed = 0
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            while heap:
-                entry = pop(heap)
-                marker = entry[5]
-                if marker is not None and marker.cancelled:
-                    self._cancelled -= 1
-                    continue
-                timestamp = entry[0]
-                if timestamp > limit:
-                    heapq.heappush(heap, entry)
-                    clock.advance_to(until)
-                    return
-                if executed >= cap:
-                    heapq.heappush(heap, entry)
-                    return
-                # The heap pops in nondecreasing time order, so this direct
-                # assignment cannot move the clock backwards (Clock.advance_to
-                # enforces the same invariant with a per-event method call).
-                clock._now = timestamp
-                if marker is not None:
-                    # Detach: a late cancel() on an already-fired event must
-                    # not perturb the cancelled-entry bookkeeping.
-                    marker._scheduler = None
-                executed += 1
-                if trace is not None:
-                    trace.append((timestamp, entry[1]))
-                kwargs = entry[4]
-                if kwargs:
-                    entry[2](*entry[3], **kwargs)
-                else:
-                    entry[2](*entry[3])
-            if until is not None and until > clock._now:
-                clock.advance_to(until)
         finally:
             if gc_was_enabled:
                 gc.enable()

@@ -41,9 +41,6 @@ class TxnFabric:
     balancer: LoadBalancer
 
     # -- lookups -------------------------------------------------------------
-    def participant_for_replica(self, replica_name: str) -> TxnParticipant:
-        return self.participants[PARTICIPANT_PREFIX + replica_name]
-
     def active_coordinator(self) -> Optional[TwoPhaseCommitCoordinator]:
         """The live coordinator with the highest epoch claiming leadership."""
         actives = [c for c in self.coordinators if c.active and c.alive]

@@ -198,8 +198,5 @@ class TxnParticipant(Node):
         }, size_bytes=128 + 64 * len(self.log))
 
     # -- introspection ------------------------------------------------------
-    def held_locks(self) -> Dict[str, str]:
-        return dict(self.locks)
-
     def in_doubt_txns(self) -> list:
         return [record.txn_id for record in self.log.in_doubt()]

@@ -52,9 +52,9 @@ class _ClientThread:
     fresh closure per operation.
 
     The thread is also the *lean completion sink*: when the issue function
-    exposes a ``lean`` fast path (``protocol.lean_ops``), completions come
-    back through the positional ``deliver_*`` methods below — the thread
-    accounts the operation straight into the runner's recorders with the
+    carries a ``lean`` attribute, completions come back through the
+    positional ``deliver_*`` methods below — the thread accounts the
+    operation straight into the runner's recorders with the
     exact arithmetic of :meth:`LoadEngine.record_completion` (closed loop:
     arrival == issue, queue delay identically zero) and issues the next
     operation, with no response/info dicts in between.
@@ -99,7 +99,13 @@ class _ClientThread:
             return
         lean = runner._lean_issue
         gen = self.generator
-        if lean is not None and self._gen_buffered:
+        if lean is None:
+            op_type, key, value = gen.next_operation()
+            self._op_type = op_type
+            self._issued_at = now
+            runner.issue(op_type, key, value, self._done_cb)
+            return
+        if self._gen_buffered:
             # OperationGenerator.next_operation, inlined for the buffered
             # case: pop the packed op and decode it in place — no call
             # frame, no result tuple.  Counters and value/key resolution
@@ -131,18 +137,11 @@ class _ClientThread:
                     value = None
             else:
                 op_type, key, value = gen.next_operation()
-            self._op_type = op_type
-            self._issued_at = now
-            if lean(op_type, key, value, self):
-                return
-            runner.issue(op_type, key, value, self._done_cb)
-            return
-        op_type, key, value = gen.next_operation()
+        else:
+            op_type, key, value = gen.next_operation()
         self._op_type = op_type
         self._issued_at = now
-        if lean is not None and lean(op_type, key, value, self):
-            return
-        runner.issue(op_type, key, value, self._done_cb)
+        lean(op_type, key, value, self)
 
     def _on_done(self, info: Dict[str, Any]) -> None:
         runner = self.runner
@@ -273,10 +272,9 @@ class ClosedLoopRunner(LoadEngine):
                          use_histograms=use_histograms)
         self.threads = threads
         self.think_time_ms = think_time_ms
-        #: ``issue.lean(op_type, key, value, sink) -> bool`` when the issue
-        #: function supports the lean op pipeline; it re-checks the
-        #: ``protocol.lean_ops`` switch per call and returns False to route
-        #: the operation through the dict pipeline (``done`` callback).
+        #: ``issue.lean(op_type, key, value, sink)``, attached by the issue
+        #: builder iff it can complete operations into this runner's own
+        #: records; ``None`` routes every operation through ``done``.
         self._lean_issue = getattr(issue, "lean", None)
         self._threads = [
             _ClientThread(self, i, make_generator(i)) for i in range(threads)
@@ -309,9 +307,9 @@ class _OpenOp:
 
     Replaces the per-operation ``partial`` closure the open loop used to
     allocate as its ``done`` callback, and doubles as the *lean completion
-    sink* (``protocol.lean_ops``): completions delivered through the
-    positional ``deliver_*`` methods account straight into the runner's
-    recorders with the exact arithmetic of
+    sink*: completions delivered through the positional ``deliver_*``
+    methods account straight into the runner's recorders with the exact
+    arithmetic of
     :meth:`LoadEngine.record_completion` for open loops — queue delay
     (issue minus arrival) added to every recorded latency, the measurement
     window judged on the true arrival instant, one queue-delay sample per
@@ -550,10 +548,8 @@ class OpenLoopRunner(LoadEngine):
                                          or "session_id" in parameters)
         except (TypeError, ValueError):
             self._issue_takes_session = False
-        #: ``issue.lean(op_type, key, value, sink[, session_id]) -> bool``
-        #: when the issue function supports the lean op pipeline; it
-        #: re-checks the ``protocol.lean_ops`` switch per call and returns
-        #: False to route the operation through the dict pipeline.
+        #: ``issue.lean(op_type, key, value, sink[, session_id])`` (see
+        #: :class:`ClosedLoopRunner`).
         self._lean_issue = getattr(issue, "lean", None)
         self._lean_takes_session = False
         if self._lean_issue is not None:
@@ -624,16 +620,15 @@ class OpenLoopRunner(LoadEngine):
         self.admission.record_issue(self._in_flight)
         op = _OpenOp.acquire(self, op_type, now, arrived_at)
         lean = self._lean_issue
-        if lean is not None:
-            if self._lean_takes_session:
-                if lean(op_type, key, value, op, session_id):
-                    return
-            elif lean(op_type, key, value, op):
-                return
-        if self._issue_takes_session:
-            self.issue(op_type, key, value, op.done, session_id)
+        if lean is None:
+            if self._issue_takes_session:
+                self.issue(op_type, key, value, op.done, session_id)
+            else:
+                self.issue(op_type, key, value, op.done)
+        elif self._lean_takes_session:
+            lean(op_type, key, value, op, session_id)
         else:
-            self.issue(op_type, key, value, op.done)
+            lean(op_type, key, value, op)
 
     def _refill(self) -> None:
         """Issue the next waiting arrival once an in-flight slot freed up."""

@@ -32,22 +32,8 @@ def _sha(parts: Iterable) -> str:
     return digest.hexdigest()
 
 
-def trace_fingerprint(wheel: bool = True, lean_ops: bool = True,
-                      lean_toggles: Iterable[float] = (),
-                      lean_toggle_noop: bool = False) -> Dict[str, object]:
-    """Event-trace + metrics fingerprint of a small closed-loop CC2 run.
-
-    ``wheel=False`` routes all scheduling through the classic binary heap;
-    ``lean_ops=False`` disables the lean op pipeline so every completion
-    rides the response-dict pipeline.  The fingerprint must be identical in
-    every combination — both are amortizations, never reorderings.
-    ``lean_toggles`` schedules mid-run flips of the ``protocol.lean_ops``
-    switch at the given sim times, so operations in flight across a flip
-    complete on the pipeline they were issued on while later ones take the
-    other; ``lean_toggle_noop=True`` schedules no-op events at the same
-    instants instead (same event count/order), giving the toggle run an
-    exactly comparable twin.
-    """
+def trace_fingerprint() -> Dict[str, object]:
+    """Event-trace + metrics fingerprint of a small closed-loop CC2 run."""
     from repro.bench.common import (
         build_cassandra_scenario, cassandra_config_for, run_multi_region_load)
     from repro.sim.topology import Region
@@ -57,18 +43,6 @@ def trace_fingerprint(wheel: bool = True, lean_ops: bool = True,
         seed=11, record_count=60,
         client_regions=(Region.IRL, Region.FRK),
         config=cassandra_config_for("CC2"))
-    scenario.env.scheduler.wheel = wheel
-    scenario.env.network.lean_ops = lean_ops
-
-    def _flip() -> None:
-        scenario.env.network.lean_ops = not scenario.env.network.lean_ops
-
-    def _noop() -> None:
-        pass
-
-    for at_ms in lean_toggles:
-        scenario.env.scheduler.schedule_call_at(
-            at_ms, _noop if lean_toggle_noop else _flip)
     trace = scenario.env.scheduler.start_trace()
     results = run_multi_region_load(
         scenario, "CC2", workload_by_name("A"), threads_per_client=2,
@@ -254,6 +228,25 @@ def zookeeper_fingerprints() -> Dict[str, Dict[str, object]]:
     return out
 
 
+@contextlib.contextmanager
+def _on_the_callback_pipeline(module, builder: str):
+    """Inside, ``module.builder`` hands out issue functions without
+    ``.lean`` (``fault_slices.without_lean``: the reference side of lean ≡
+    dict, now that no switch selects it); on exit, checks that the clusters
+    built inside really completed every operation through the adapter."""
+    from fault_slices import builds_without_lean
+    from repro.cassandra_sim.cluster import CassandraCluster
+    from zk_slices import instances_built
+
+    with builds_without_lean(module, builder), \
+            instances_built(CassandraCluster) as clusters:
+        yield
+    paths = [client.path_counts() for cluster in clusters
+             for client in cluster.clients]
+    assert sum(p["callback"] for p in paths) > 0
+    assert sum(p["sink"] for p in paths) == 0
+
+
 def _golden() -> Dict:
     if not GOLDEN_PATH.exists():
         pytest.fail(f"golden file missing: {GOLDEN_PATH}; regenerate with "
@@ -265,29 +258,13 @@ class TestDeterminism:
     def test_event_trace_matches_golden(self):
         assert trace_fingerprint() == _golden()["trace"]
 
-    def test_event_trace_matches_golden_with_wheel_off(self):
-        """The heap-only scheduler reproduces the timing-wheel trace."""
-        assert trace_fingerprint(wheel=False) == _golden()["trace"]
-
-    def test_event_trace_matches_golden_all_switches_off(self):
-        assert trace_fingerprint(wheel=False,
-                                 lean_ops=False) == _golden()["trace"]
-
     def test_event_trace_matches_golden_with_lean_ops_off(self):
-        """The response-dict pipeline reproduces the lean-op trace."""
-        assert trace_fingerprint(lean_ops=False) == _golden()["trace"]
+        """The response-dict pipeline (issue functions stripped of their
+        ``.lean``) reproduces the lean-op trace."""
+        from repro.bench import common
 
-    def test_event_trace_identical_with_lean_ops_toggled_mid_run(self):
-        """Mid-run ``protocol.lean_ops`` flips change nothing observable.
-
-        The switch flips twice inside the measurement window (lean → dict
-        → lean), so operations in flight at each flip complete on the
-        pipeline they were issued on; the twin run schedules no-op events
-        at the same instants, making the fingerprints exactly comparable.
-        """
-        toggles = (900.0, 1_700.0)
-        assert trace_fingerprint(lean_toggles=toggles) == \
-            trace_fingerprint(lean_toggles=toggles, lean_toggle_noop=True)
+        with _on_the_callback_pipeline(common, "make_kv_issue"):
+            assert trace_fingerprint() == _golden()["trace"]
 
     def test_fault_family_matches_golden(self):
         """Timeouts, retry-then-downgrade, failover, read repair, ring
@@ -416,8 +393,7 @@ class TestDeterminism:
     def test_live_counter_matches_scan_under_load(self):
         """The O(1) live counter equals the O(n) queue scan throughout a run.
 
-        Drives the closed-loop CC2 load (wheel on, the shipping default) in
-        slices, auditing
+        Drives the closed-loop CC2 load in slices, auditing
         ``pending(live_only=True) == _scan_live()`` at every slice boundary
         — while timeouts are being scheduled and cancelled — and again
         after the full drain, where both must reach zero.
@@ -434,7 +410,6 @@ class TestDeterminism:
             client_regions=(Region.IRL, Region.FRK),
             config=cassandra_config_for("CC2"))
         scheduler = scenario.env.scheduler
-        assert scheduler.wheel
         spec = workload_by_name("A")
         runners = [
             ClosedLoopRunner(
@@ -456,73 +431,24 @@ class TestDeterminism:
         assert scheduler.pending(live_only=True) == 0
         assert scheduler._scan_live() == 0
 
-    @staticmethod
-    def _forced_switches(wheel: bool = True, lean_ops: bool = True):
-        """Context: every Scheduler/Network built inside starts with the
-        given kill-switch settings.  The figure harnesses build their
-        environments internally, so the switches are applied at
-        construction — before any event is scheduled."""
-        import contextlib
-
-        from repro.sim.network import Network
-        from repro.sim.scheduler import Scheduler
-
-        @contextlib.contextmanager
-        def forced():
-            scheduler_init = Scheduler.__init__
-            network_init = Network.__init__
-
-            def patched_scheduler(self, *args, **kwargs):
-                scheduler_init(self, *args, **kwargs)
-                self.wheel = wheel
-
-            def patched_network(self, *args, **kwargs):
-                network_init(self, *args, **kwargs)
-                self.lean_ops = lean_ops
-
-            Scheduler.__init__ = patched_scheduler
-            Network.__init__ = patched_network
-            try:
-                yield
-            finally:
-                Scheduler.__init__ = scheduler_init
-                Network.__init__ = network_init
-
-        return forced()
-
-    def test_fig13_slice_identical_with_wheel_off(self):
-        """A fault-injection slice is bit-identical on the heap scheduler.
-
-        This pins the fault family (replica crash + recovery, client
-        failover, timeout cancellation storms) to the same record under
-        the classic heap scheduler.
-        """
-        from repro.bench.fig13_faults import run_fig13_scenario
-
-        kwargs = dict(workload="B", threads_per_client=2,
-                      duration_ms=6_000.0, warmup_ms=1_500.0,
-                      cooldown_ms=500.0, record_count=150)
-        reference = run_fig13_scenario("replica-crash", **kwargs)
-        with self._forced_switches(wheel=False):
-            assert run_fig13_scenario("replica-crash", **kwargs) == reference
-
     def test_fig13_fault_slice_identical_with_lean_ops_forced(self):
-        """The fault family is invariant to the ``protocol.lean_ops`` switch.
+        """The fault family is invariant to how operations complete.
 
         Fault configurations arm timeouts and fallback contacts on the same
-        pooled records; the switch only decides whether an operation
-        completes into the runner's thread sink or the callback adapter,
-        and the record matches bit for bit either way.
+        pooled records; whether the issue function carries ``.lean`` only
+        decides whether an operation completes into the runner's thread
+        sink or the callback adapter, and the record matches bit for bit
+        either way.
         """
-        from repro.bench.fig13_faults import run_fig13_scenario
+        from repro.bench import fig13_faults
 
         kwargs = dict(workload="B", threads_per_client=2,
                       duration_ms=6_000.0, warmup_ms=1_500.0,
                       cooldown_ms=500.0, record_count=150)
-        with self._forced_switches(lean_ops=True):
-            reference = run_fig13_scenario("replica-crash", **kwargs)
-        with self._forced_switches(lean_ops=False):
-            assert run_fig13_scenario("replica-crash", **kwargs) == reference
+        reference = fig13_faults.run_fig13_scenario("replica-crash", **kwargs)
+        with _on_the_callback_pipeline(fig13_faults, "make_kv_issue"):
+            assert fig13_faults.run_fig13_scenario(
+                "replica-crash", **kwargs) == reference
 
     def test_fig14_open_loop_slice_identical_with_lean_ops_off(self):
         """An open-loop fig14 cell is bit-identical without lean ops.
@@ -532,7 +458,7 @@ class TestDeterminism:
         issue path, and the record-carried storage protocol underneath —
         against the classic Correctable/dict pipeline.
         """
-        from repro.bench.fig14_open_loop import run_fig14_point
+        from repro.bench import fig14_open_loop
         from repro.bench.sweep import SweepPoint
 
         kwargs = dict(binding="cassandra", mode="open", policy="queue",
@@ -542,9 +468,10 @@ class TestDeterminism:
                       cooldown_ms=500.0, record_count=120, workload="A",
                       distribution="latest", seed=42)
         point = SweepPoint(index=0, family="fig14", kwargs=kwargs)
-        reference = run_fig14_point(point)
-        with self._forced_switches(lean_ops=False):
-            assert run_fig14_point(point) == reference
+        reference = fig14_open_loop.run_fig14_point(point)
+        with _on_the_callback_pipeline(fig14_open_loop,
+                                       "make_session_issue"):
+            assert fig14_open_loop.run_fig14_point(point) == reference
 
     def test_fig13_and_fig14_runs_leave_nothing_in_flight(self):
         """After a drained run every read and write record is retired, no
@@ -639,28 +566,6 @@ class TestDeterminism:
             "a FusedRead record leaked"
         assert outstanding(FusedWrite.pool_stats()) == writes_before, \
             "a FusedWrite record leaked"
-
-    def test_fig16_cell_identical_with_wheel_off(self):
-        """A 2PC coordinator-failover cell is invariant to the timing wheel.
-
-        Transactions exercise the one code path the closed-loop figures do
-        not: long decision timeouts parked on the overflow ring, then
-        cancelled en masse at failover.  Record and executed-event count
-        must both match on the heap-only scheduler.
-        """
-        from repro.bench.fig16_txn import run_fig16_cell
-
-        kwargs = dict(scenario="coordinator-crash-mid-commit",
-                      keys_per_txn=2, nodes=3, coordinators=2,
-                      rate_txn_s=25.0, duration_ms=6_000.0,
-                      fault_at_ms=2_500.0, fault_duration_ms=2_500.0,
-                      decision_log_ms=2.0, record_count=120, seed=42)
-        reference, reference_env = run_fig16_cell(**kwargs)
-        with self._forced_switches(wheel=False):
-            record, env = run_fig16_cell(**kwargs)
-        assert record == reference
-        assert env.scheduler.events_executed == \
-            reference_env.scheduler.events_executed
 
     @pytest.mark.slow
     def test_quick_figures_match_golden(self):

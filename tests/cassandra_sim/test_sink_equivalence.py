@@ -1,8 +1,9 @@
 """The sink is the client's one completion interface.
 
-``network.lean_ops`` only decides whether an issuer hands the storage client
-its own pooled sink or goes through the callback API (the adapter sink that
-builds response dicts).  Either way the request rides the same pooled
+An issuer either hands the storage client its own pooled sink (an issue
+function with ``.lean``) or goes through the callback API (the adapter sink
+that builds response dicts; ``fault_slices.without_lean`` strips ``.lean`` to
+get there).  Either way the request rides the same pooled
 records — with timeouts, failover and read repair under a fault
 configuration — and everything observable — the scheduler trace, the run's
 metrics, the bytes on the wire, the fault counters — must be identical.  The
@@ -18,8 +19,9 @@ import hashlib
 from typing import List, Optional
 
 import pytest
-from fault_slices import (REGIONS, crash_and_degrade, fault_windows,
-                          fingerprint, open_loop_run, schedule_from_windows)
+from fault_slices import (REGIONS, builds_without_lean, crash_and_degrade,
+                          fault_windows, fingerprint, open_loop_run,
+                          schedule_from_windows, without_lean)
 from hypothesis import HealthCheck, given, settings
 
 from repro.bench.common import (
@@ -51,19 +53,19 @@ def _paths(cluster) -> List[dict]:
     return [client.path_counts() for client in cluster.clients]
 
 
-def _closed_loop_run(lean_ops: bool, duration_ms: float = 5_000.0,
+def _closed_loop_run(lean: bool, duration_ms: float = 5_000.0,
                      seed: int = 9):
     """fig13's shape: closed-loop threads straight on the storage clients."""
     built = build_cassandra_scenario(
         seed=seed, record_count=120, client_regions=REGIONS,
         config=CassandraConfig.fault_tolerant(), client_fallbacks=True)
     env, cluster = built.env, built.cluster
-    env.network.lean_ops = lean_ops
+    strip = (lambda issue: issue) if lean else without_lean
     injector = FaultInjector(env, schedule=crash_and_degrade(duration_ms),
                              aliases=cassandra_aliases(cluster))
     spec = workload_by_name("B").with_distribution("zipfian")
     runners = [ClosedLoopRunner(
-        scheduler=env.scheduler, issue=make_kv_issue(client, "CC2"),
+        scheduler=env.scheduler, issue=strip(make_kv_issue(client, "CC2")),
         make_generator=make_generator_factory(spec, built.dataset, seed,
                                               f"equiv-{region}"),
         threads=3, duration_ms=duration_ms, warmup_ms=500.0,
@@ -81,8 +83,8 @@ def _closed_loop_run(lean_ops: bool, duration_ms: float = 5_000.0,
 
 class TestLeanEqualsDictUnderFaults:
     def test_open_loop_sessions_through_crash_and_degrade(self):
-        lean_trace, lean, lean_cluster = open_loop_run(lean_ops=True)
-        dict_trace, classic, dict_cluster = open_loop_run(lean_ops=False)
+        lean_trace, lean, lean_cluster = open_loop_run(lean=True)
+        dict_trace, classic, dict_cluster = open_loop_run(lean=False)
         assert lean_trace == dict_trace
         assert lean == classic
         # The run really went through the fault machinery; only the
@@ -105,8 +107,8 @@ class TestLeanEqualsDictUnderFaults:
                     .crash_window("replica:2", 1_000.0, 3_800.0)
                     .build())
         kwargs = dict(schedule=schedule, duration_ms=6_000.0, seed=17)
-        lean_trace, lean, _ = open_loop_run(lean_ops=True, **kwargs)
-        dict_trace, classic, _ = open_loop_run(lean_ops=False, **kwargs)
+        lean_trace, lean, _ = open_loop_run(lean=True, **kwargs)
+        dict_trace, classic, _ = open_loop_run(lean=False, **kwargs)
         assert lean_trace == dict_trace
         assert lean == classic
         run = lean["run"][0]
@@ -115,8 +117,8 @@ class TestLeanEqualsDictUnderFaults:
         assert lean["in_flight"] == QUIESCED
 
     def test_closed_loop_threads_through_crash_and_degrade(self):
-        lean_trace, lean, lean_cluster = _closed_loop_run(lean_ops=True)
-        dict_trace, classic, _ = _closed_loop_run(lean_ops=False)
+        lean_trace, lean, lean_cluster = _closed_loop_run(lean=True)
+        dict_trace, classic, _ = _closed_loop_run(lean=False)
         assert lean_trace == dict_trace
         assert lean == classic
         assert all(p["sink"] > 0 and p["callback"] == 0
@@ -125,7 +127,7 @@ class TestLeanEqualsDictUnderFaults:
     def test_drained_fault_run_leaves_nothing_in_flight(self):
         """Every write in the run has W=1 < RF, and the crash window loses
         acks for good: neither may strand a record."""
-        _, fingerprint, _ = open_loop_run(lean_ops=True)
+        _, fingerprint, _ = open_loop_run(lean=True)
         assert sum(r[1] for r in fingerprint["replicas"]) > 20, "no writes"
         assert fingerprint["in_flight"] == QUIESCED
         assert fingerprint["live_events"] == 0
@@ -137,8 +139,8 @@ class TestLeanEqualsDictUnderFaults:
         schedule = schedule_from_windows(windows)
         kwargs = dict(schedule=schedule, duration_ms=3_000.0,
                       rate_ops_s=120.0, sessions_per_region=4, seed=17)
-        lean_trace, lean, _ = open_loop_run(lean_ops=True, **kwargs)
-        dict_trace, classic, _ = open_loop_run(lean_ops=False, **kwargs)
+        lean_trace, lean, _ = open_loop_run(lean=True, **kwargs)
+        dict_trace, classic, _ = open_loop_run(lean=False, **kwargs)
         assert lean_trace == dict_trace
         assert lean == classic
         assert lean["in_flight"] == QUIESCED
@@ -386,22 +388,32 @@ class TestPathCounts:
         paths = stats["paths"]
         assert paths["sink"] == sum(paths.values()) >= stats["ops"]
 
-    def test_kill_switch_moves_ops_to_the_callback_adapter(self, monkeypatch):
+    def test_kill_switch_moves_ops_to_the_callback_adapter(self):
+        """An issue function without ``.lean`` (there is no switch any more:
+        the harness's builder is wrapped) completes through ``done``."""
+        from repro.bench import common
         from repro.bench.perf import run_closed_loop_scenario
-        from repro.sim.network import Network
 
-        original = Network.__init__
-
-        def _lean_off(self, *args, **kwargs):
-            original(self, *args, **kwargs)
-            self.lean_ops = False
-
-        monkeypatch.setattr(Network, "__init__", _lean_off)
-        stats = run_closed_loop_scenario(
-            threads_per_client=2, duration_ms=1_500.0, warmup_ms=300.0,
-            cooldown_ms=200.0, record_count=100)
+        with builds_without_lean(common, "make_kv_issue"):
+            stats = run_closed_loop_scenario(
+                threads_per_client=2, duration_ms=1_500.0, warmup_ms=300.0,
+                cooldown_ms=200.0, record_count=100)
         paths = stats["paths"]
         assert paths["callback"] == sum(paths.values()) > 0
+
+    def test_rejected_quorum_moves_no_counter(self):
+        """A quorum beyond the replication factor raises before anything is
+        counted (``callback_ops`` used to be bumped first, leaving
+        ``path_counts()`` at ``sink: -1``)."""
+        env, cluster, client = _cluster()
+        client.read("key1", r=2, on_final=lambda response: None)
+        before = client.path_counts(), client.outstanding()
+        assert before[0] == {"sink": 0, "callback": 1}
+        with pytest.raises(ValueError):
+            client.read("key1", r=9)
+        with pytest.raises(ValueError):
+            client.write("key1", "x", w=0)
+        assert (client.path_counts(), client.outstanding()) == before
 
     def test_perf_table_footer_prints_the_paths(self):
         from repro.bench.perf import format_perf

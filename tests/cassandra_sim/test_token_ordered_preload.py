@@ -18,10 +18,10 @@ REGIONS = (Region.FRK, Region.IRL, Region.VRG)
 
 
 def build(nodes, rf, vnodes, columnar):
-    """A ring whose preload picks the columnar table iff ``columnar``."""
+    """A ring whose preload picks the columnar table iff ``columnar``: the
+    size threshold sits below every preload, or above the largest."""
     config = CassandraConfig(replication_factor=rf, vnodes_per_node=vnodes,
-                             columnar_storage=columnar,
-                             columnar_threshold_keys=0)
+                             columnar_threshold_keys=0 if columnar else 1_000)
     return CassandraCluster(
         SimEnvironment(seed=3), config,
         nodes=[(f"node{i}", REGIONS[i % 3]) for i in range(nodes)])

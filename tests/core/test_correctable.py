@@ -283,111 +283,3 @@ class TestViewSnapshotCaching:
         c.close("f", STRONG)
         prelim, final = c.views()
         assert (prelim.value, final.value) == ("p", "f")
-
-
-class TestLeanCorrectable:
-    def _fresh(self, clock=None):
-        from repro.core.correctable import LeanCorrectable
-
-        lean = LeanCorrectable.acquire(clock=clock)
-        lean.preliminary_consistency = WEAK
-        lean.final_consistency = STRONG
-        return lean
-
-    def test_read_lifecycle_and_views_on_demand(self):
-        lean = self._fresh(clock=lambda: 7.0)
-        assert lean.is_updating()
-        lean.deliver_read_preliminary("p", None, 1.5)
-        assert lean.had_preliminary and lean.preliminary_value == "p"
-        assert lean.latest_view().value == "p"
-        lean.deliver_read_final("f", None, 4.0, False)
-        assert lean.is_final()
-        assert lean.value() == "f"
-        assert lean.final_view() is lean.final_view(), "final view is cached"
-        assert lean.final_view().timestamp == 7.0
-        assert [v.value for v in lean.views()] == ["p", "f"]
-        assert [v.value for v in lean.preliminary_views()] == ["p"]
-        assert lean.final_latency_ms == 4.0
-        assert lean.preliminary_latency_ms == 1.5
-
-    def test_write_lifecycle_closes_with_pending_value(self):
-        lean = self._fresh()
-        lean.pending_value = "w"
-        lean.deliver_write_ack(None, 2.0)
-        assert lean.is_final()
-        assert lean.value() == "w"
-        assert lean.final_view().consistency is STRONG
-
-    def test_confirmation_closes_with_preliminary_value(self):
-        lean = self._fresh()
-        lean.deliver_read_preliminary("p", None, 1.0)
-        lean.deliver_read_final(None, None, 3.0, True)
-        assert lean.value() == "p"
-        assert lean.final_view().is_confirmation
-
-    def test_error_lifecycle(self):
-        lean = self._fresh()
-        seen = []
-        lean.set_callbacks(on_error=seen.append)
-        lean.deliver_read_error("timeout", 9.0)
-        assert lean.is_error()
-        assert isinstance(lean.error, OperationError)
-        assert seen == [lean.error]
-        with pytest.raises(OperationError):
-            lean.final_view()
-
-    def test_callbacks_fire_in_order_and_promise_semantics(self):
-        lean = self._fresh()
-        events = []
-        lean.set_callbacks(on_update=lambda v: events.append(("u", v.value)),
-                           on_final=lambda v: events.append(("f", v.value)))
-        lean.deliver_read_preliminary("p", None, 1.0)
-        lean.deliver_read_final("f", None, 2.0, False)
-        assert events == [("u", "p"), ("f", "f")]
-        # Late registration replays the retained transitions immediately.
-        late = []
-        lean.set_callbacks(on_update=lambda v: late.append(("u", v.value)),
-                           on_final=lambda v: late.append(("f", v.value)))
-        assert late == [("u", "p"), ("f", "f")]
-
-    def test_single_slot_callbacks_reject_second_registration(self):
-        lean = self._fresh()
-        lean.set_callbacks(on_final=lambda v: None)
-        with pytest.raises(InvalidStateError):
-            lean.set_callbacks(on_final=lambda v: None)
-
-    def test_late_deliveries_counted_as_discarded(self):
-        lean = self._fresh()
-        lean.deliver_read_final("f", None, 2.0, False)
-        lean.deliver_read_preliminary("late", None, 1.0)
-        lean.deliver_read_final("again", None, 3.0, False)
-        assert lean.discarded_updates == 2
-        assert lean.value() == "f", "late deliveries must not change state"
-        assert not lean.had_preliminary
-
-    def test_pool_acquire_release_balances_and_resets(self):
-        from repro.core.correctable import LeanCorrectable
-
-        stats_before = LeanCorrectable.pool_stats()
-        lean = self._fresh()
-        lean.set_callbacks(on_final=lambda v: None)
-        lean.deliver_read_preliminary("p", None, 1.0)
-        lean.deliver_read_final("f", None, 2.0, False)
-        LeanCorrectable.release(lean)
-        stats = LeanCorrectable.pool_stats()
-        assert stats["recycled"] == stats_before["recycled"] + 1
-        fresh = LeanCorrectable.acquire()
-        assert fresh is lean, "released instance should be reused"
-        assert fresh.is_updating()
-        assert not fresh.had_preliminary
-        assert fresh.discarded_updates == 0
-        assert fresh.latest_view() is None
-        LeanCorrectable.release(fresh)
-
-    def test_speculation_attaches_to_lean_source(self):
-        lean = self._fresh(clock=lambda: 1.0)
-        derived = lean.speculate(lambda value: value + "!")
-        lean.deliver_read_preliminary("p", None, 1.0)
-        lean.deliver_read_final("p", None, 2.0, False)
-        assert derived.is_final()
-        assert derived.value() == "p!"

@@ -5,13 +5,18 @@ directory on ``sys.path``).
 ``open_loop_run`` is perfbench's ``cass-open-faults-b`` in miniature —
 open-loop YCSB B over ``CorrectableClient`` sessions with timeouts, failover
 and read repair on, through a fault schedule — and ``fingerprint`` is
-everything observable about a drained run.
+everything observable about a drained run.  ``without_lean`` is the reference
+side of every lean ≡ dict comparison: the same issue function with its
+``.lean`` stripped, so the runner completes each operation through
+``done(info)`` and the callback adapter.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
+from unittest import mock
 
 from repro.bench.common import build_cassandra_scenario, cassandra_config_for
 from repro.bench.fig14_open_loop import make_session_issue
@@ -78,6 +83,28 @@ def schedule_from_windows(windows, extra_ms: float = 40.0,
     return builder.build()
 
 
+def without_lean(issue: Callable) -> Callable:
+    """``issue`` minus its ``.lean``.  ``wraps`` keeps the signature the
+    open-loop runner inspects for ``session_id`` — and copies ``__dict__``,
+    ``lean`` included, so that goes again."""
+    @functools.wraps(issue)
+    def stripped(*args):
+        return issue(*args)
+
+    stripped.__dict__.pop("lean", None)
+    return stripped
+
+
+def builds_without_lean(module, name: str):
+    """Context: ``module.name`` (an issue builder — ``make_kv_issue``,
+    ``make_session_issue``) returns stripped issue functions, for harnesses
+    that build their runners internally."""
+    builder = getattr(module, name)
+    return mock.patch.object(
+        module, name,
+        lambda *args, **kwargs: without_lean(builder(*args, **kwargs)))
+
+
 def _recorder(recorder) -> List[float]:
     return list(recorder._samples)
 
@@ -122,19 +149,19 @@ def fingerprint(env, cluster, results, correctables=()) -> Dict[str, Any]:
     }
 
 
-def open_loop_run(lean_ops: bool = True,
+def open_loop_run(lean: bool = True,
                   schedule: Optional[FaultSchedule] = None,
                   duration_ms: float = 6_000.0, rate_ops_s: float = 150.0,
                   sessions_per_region: int = 10, seed: int = 5):
-    """Open-loop YCSB B over CorrectableClient sessions through ``schedule``;
-    returns ``(trace digest, fingerprint, cluster)``."""
+    """Open-loop YCSB B over CorrectableClient sessions through ``schedule``
+    (``lean=False``: on the stripped issue function); returns ``(trace
+    digest, fingerprint, cluster)``."""
     built = build_cassandra_scenario(
         seed=seed, record_count=120, client_regions=REGIONS,
         config=CassandraConfig.fault_tolerant(
             value_size_bytes=cassandra_config_for("CC2").value_size_bytes),
         client_fallbacks=True)
     env, cluster = built.env, built.cluster
-    env.network.lean_ops = lean_ops
     correctables = [CorrectableClient(CassandraBinding(
         built.client_in(region), strong_read_quorum=2, write_quorum=1))
         for region in REGIONS]
@@ -144,9 +171,10 @@ def open_loop_run(lean_ops: bool = True,
     injector = FaultInjector(env, schedule=schedule,
                              aliases=cassandra_aliases(cluster))
     spec = workload_by_name("B").with_distribution("zipfian")
+    issue = make_session_issue(pools, env.scheduler.now)
     runner = OpenLoopRunner(
         scheduler=env.scheduler,
-        issue=make_session_issue(pools, env.scheduler.now),
+        issue=issue if lean else without_lean(issue),
         make_generator=lambda session_id: OperationGenerator.seeded(
             spec, built.dataset, seed, f"equiv-s{session_id}"),
         arrivals=make_arrival_process(

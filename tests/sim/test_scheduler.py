@@ -1,10 +1,10 @@
 """Tests for the simulated clock and event scheduler."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.clock import Clock
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import _PURGE_THRESHOLD, Scheduler
 
 
 class TestClock:
@@ -256,9 +256,9 @@ class TestCancellationBookkeeping:
 
 
 class TestTimingWheel:
-    """Edge cases of the timing-wheel backend (overflow ring, cancellation
-    inside buckets, kill-switch transitions).  Every test cross-checks the
-    O(1) live counter against the O(n) :meth:`Scheduler._scan_live` audit."""
+    """Edge cases of the timing wheel (overflow ring, cancellation inside
+    buckets).  Every test cross-checks the O(1) live counter against the
+    O(n) :meth:`Scheduler._scan_live` audit."""
 
     def audit(self, scheduler):
         assert scheduler.pending(live_only=True) == scheduler._scan_live()
@@ -335,46 +335,6 @@ class TestTimingWheel:
         scheduler.run_until_idle()
         assert scheduler.events_executed == 500
 
-    def test_wheel_off_dumps_buckets_then_on_reanchors(self, scheduler):
-        order = []
-        scheduler.schedule(50.0, order.append, "wheel")
-        scheduler.schedule(2000.0, order.append, "overflow")
-        scheduler.wheel = False
-        # The dump moved every bucketed entry to the heap; accounting and
-        # execution order are unchanged.
-        assert scheduler._wheel_count == 0
-        assert len(scheduler._heap) == 2
-        self.audit(scheduler)
-        scheduler.run(until=100.0)
-        assert order == ["wheel"]
-        scheduler.wheel = True
-        scheduler.schedule(10.0, order.append, "late-wheel")
-        self.audit(scheduler)
-        scheduler.run_until_idle()
-        assert order == ["wheel", "late-wheel", "overflow"]
-        assert scheduler.events_executed == 3
-
-    def test_wheel_toggle_matches_heap_trace(self):
-        # The same schedule executes in the same (time, seq) order with the
-        # wheel on, off, and toggled mid-run.
-        def load(scheduler):
-            for i in range(200):
-                scheduler.schedule(float(i * 37 % 1500) + 0.5, lambda: None)
-
-        def trace_with(toggle):
-            scheduler = Scheduler()
-            trace = scheduler.start_trace()
-            load(scheduler)
-            if toggle == "off":
-                scheduler.wheel = False
-            scheduler.run(until=750.0)
-            if toggle == "mid":
-                scheduler.wheel = False
-            scheduler.run_until_idle()
-            return trace
-
-        assert trace_with("on") == trace_with("off") == trace_with("mid")
-
     def test_run_until_leaves_cursor_consistent(self, scheduler):
         # Stopping at an `until` bound inside the horizon must keep the
         # insert invariant: a new earlier-but-future event still runs first.
@@ -386,6 +346,40 @@ class TestTimingWheel:
         self.audit(scheduler)
         scheduler.run_until_idle()
         assert seen == ["near", "far"]
+
+
+class TestRunUntilInThePast:
+    """``run(until < now)`` executes nothing and moves nothing, wherever the
+    next event sits (it used to raise from the cursor's bucket and return
+    silently from a later one)."""
+
+    @pytest.mark.parametrize("pending_at", [100.5, 150.0],
+                             ids=["cursor-bucket", "later-bucket"])
+    def test_past_until_is_a_no_op(self, scheduler, pending_at):
+        seen = []
+        scheduler.schedule(100.0, seen.append, "first")
+        scheduler.schedule(pending_at, seen.append, "pending")
+        scheduler.run(max_events=1)
+        cursor = scheduler._cursor
+        scheduler.run(until=50.0)
+        assert seen == ["first"]
+        assert scheduler.now() == 100.0
+        assert scheduler._cursor == cursor
+        assert scheduler.pending(live_only=True) == 1
+        scheduler.run_until_idle()
+        assert seen == ["first", "pending"]
+        assert scheduler.now() == pending_at
+
+    def test_until_equal_to_now_runs_what_is_due_now(self, scheduler):
+        seen = []
+        scheduler.schedule(100.0, seen.append, "first")
+        scheduler.schedule(100.0, seen.append, "same-instant")
+        scheduler.schedule(100.5, seen.append, "same-tick")
+        scheduler.run(max_events=1)
+        scheduler.run(until=100.0)
+        assert seen == ["first", "same-instant"]
+        assert scheduler.now() == 100.0
+        assert scheduler.pending(live_only=True) == 1
 
 
 class TestTrace:
@@ -417,3 +411,143 @@ def test_execution_times_are_monotone(delays):
     assert observed == sorted(observed)
     assert len(observed) == len(delays)
     assert scheduler.now() == max(delays)
+
+
+# -- the timing wheel against a list-and-sort model ---------------------------
+
+class _ListModel:
+    """The scheduler's contract on a list and a sort — the reference the
+    timing wheel answers to (it took over from a heap-only production twin)."""
+
+    def __init__(self):
+        self.now, self.seq, self.queue, self.trace = 0.0, 0, [], []
+
+    def add(self, api, delay, fn):
+        entry = [self.now + delay, self.seq, fn, True]  # ..., still live
+        self.seq += 1
+        self.queue.append(entry)
+        return entry if api in ("schedule", "schedule_at") else None
+
+    def cancel(self, entry):
+        entry[3] = False
+
+    def live(self):
+        return sum(entry[3] for entry in self.queue)
+
+    def run(self, until=None, max_events=None):
+        start = len(self.trace)
+        while len(self.trace) - start != max_events:
+            self.queue = sorted(entry for entry in self.queue if entry[3])
+            if not self.queue or (until is not None
+                                  and self.queue[0][0] > until):
+                self.now = self.now if until is None else until
+                break
+            self.now, seq, fn, _ = self.queue.pop(0)
+            self.trace.append((self.now, seq))
+            fn()
+        return len(self.trace) - start
+
+    def step(self):
+        return self.run(max_events=1) == 1
+
+
+class _Wheel:
+    """The real scheduler behind the model's interface."""
+
+    def __init__(self):
+        self.scheduler = Scheduler()
+        self.trace = self.scheduler.start_trace()
+        self.run, self.step = self.scheduler.run, self.scheduler.step
+
+    now = property(lambda self: self.scheduler.now())
+
+    def add(self, api, delay, fn):
+        scheduler = self.scheduler
+        if api.endswith("_at"):
+            return getattr(scheduler, api)(scheduler.now() + delay, fn)
+        return getattr(scheduler, api)(delay, fn)
+
+    def cancel(self, event):
+        event.cancel()
+
+    def live(self):
+        live = self.scheduler.pending(live_only=True)
+        assert live == self.scheduler._scan_live()
+        return live
+
+
+_APIS = ("schedule", "schedule_at", "schedule_call", "schedule_call_at")
+#: Both sides of the 1,024 ms horizon, its edges, and the sub-millisecond
+#: delays that land in the very tick being drained.
+_DELAYS = st.one_of(
+    st.sampled_from([0.0, 0.25, 1.0, 1023.0, 1023.75, 1024.0, 1024.25]),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.floats(min_value=0.0, max_value=1200.0),
+    st.floats(min_value=1000.0, max_value=6000.0))
+_CANCEL = st.tuples(st.just("cancel"), st.integers(min_value=0))
+_STORM = st.tuples(st.just("storm"), st.floats(min_value=0.01, max_value=8.0))
+#: ``(api, delay, actions)``: when it runs, an event schedules children,
+#: cancels handles and raises cancellation storms.
+_EVENTS = st.recursive(
+    st.tuples(st.sampled_from(_APIS), _DELAYS, st.just([])),
+    lambda events: st.tuples(
+        st.sampled_from(_APIS), _DELAYS,
+        st.lists(st.one_of(events, _CANCEL, _STORM), max_size=3)),
+    max_leaves=8)
+_STOPS = st.one_of(
+    st.tuples(st.just("run_until"), _DELAYS),
+    st.tuples(st.just("run_events"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("step")))
+_PROGRAMS = st.lists(st.one_of(_EVENTS, _EVENTS, _CANCEL, _STORM, _STOPS),
+                     max_size=30)
+
+
+def _apply(backend, handles, action):
+    """One scheduling action, from the top level or from inside an event."""
+    if action[0] == "cancel":
+        if handles:
+            backend.cancel(handles[action[1] % len(handles)])
+    elif action[0] == "storm":
+        # More handles than the purge threshold (the stride decides whether
+        # they straddle the horizon), nearly all cancelled on the spot.
+        storm = [backend.add("schedule", i * action[1] % 3000.0, list)
+                 for i in range(_PURGE_THRESHOLD + 40)]
+        for handle in storm[20:]:
+            backend.cancel(handle)
+        handles.extend(storm[:20])
+    else:
+        api, delay, actions = action
+        handle = backend.add(api, delay, lambda: [
+            _apply(backend, handles, inner) for inner in actions])
+        if handle is not None:
+            handles.append(handle)
+
+
+def _play(backend, program):
+    """Run ``program`` to the end; returns everything observable: the clock,
+    the live count and the trace length at every stop, and the trace."""
+    handles, stops = [], []
+    for action in program + [("drain",)]:
+        stepped = None
+        if action[0] == "run_until":
+            backend.run(until=backend.now + action[1])
+        elif action[0] == "run_events":
+            backend.run(max_events=action[1])
+        elif action[0] == "step":
+            stepped = backend.step()
+        elif action[0] == "drain":
+            backend.run()
+        else:
+            _apply(backend, handles, action)
+            continue
+        stops.append((backend.now, backend.live(), len(backend.trace),
+                      stepped))
+    return stops, backend.trace
+
+
+@settings(deadline=None)
+@given(_PROGRAMS)
+def test_wheel_matches_the_list_model(program):
+    stops, trace = _play(_Wheel(), program)
+    assert (stops, trace) == _play(_ListModel(), program)
+    assert stops[-1][1] == 0 and trace == sorted(trace)
