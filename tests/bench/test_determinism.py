@@ -77,24 +77,10 @@ FIG13_SLICE = dict(workload="A", threads_per_client=2, duration_ms=9_000.0,
                    warmup_ms=1_500.0, cooldown_ms=500.0, record_count=150)
 
 
-@contextlib.contextmanager
 def _traced_schedulers():
-    """Every Scheduler built inside records its ``(time, seq)`` trace; the
-    figure harnesses build their environments internally."""
-    from repro.sim.scheduler import Scheduler
+    from zk_slices import traced_schedulers
 
-    traces: List[list] = []
-    scheduler_init = Scheduler.__init__
-
-    def traced_init(self, *args, **kwargs):
-        scheduler_init(self, *args, **kwargs)
-        traces.append(self.start_trace())
-
-    Scheduler.__init__ = traced_init
-    try:
-        yield traces
-    finally:
-        Scheduler.__init__ = scheduler_init
+    return traced_schedulers()
 
 
 def rebalance_cell() -> Dict[str, object]:

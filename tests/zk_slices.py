@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import contextlib
 from typing import Any, Dict, Iterator, List, Tuple
+from unittest import mock
 
-from repro.apps.tickets import TicketSeller
+from repro.apps.tickets import PurchaseOutcome, TicketSeller
 from repro.bindings.zookeeper import ZooKeeperQueueBinding
 from repro.core.client import CorrectableClient
 from repro.metrics.latency import LatencyRecorder
@@ -48,6 +49,43 @@ def instances_built(cls) -> Iterator[List[Any]]:
         yield built
     finally:
         cls.__init__ = cls_init
+
+
+@contextlib.contextmanager
+def traced_schedulers() -> Iterator[List[list]]:
+    """Every Scheduler built inside records its ``(time, seq)`` trace; the
+    figure harnesses build their environments internally."""
+    from repro.sim.scheduler import Scheduler
+
+    traces: List[list] = []
+    scheduler_init = Scheduler.__init__
+
+    def traced_init(self, *args, **kwargs):
+        scheduler_init(self, *args, **kwargs)
+        traces.append(self.start_trace())
+
+    Scheduler.__init__ = traced_init
+    try:
+        yield traces
+    finally:
+        Scheduler.__init__ = scheduler_init
+
+
+def plain_callbacks():
+    """Context: every ``ZooKeeperQueueBinding`` submission hands the store a
+    plain function instead of the object the Correctables client passed —
+    the dict-callback side of every sink ≡ dict comparison (what
+    ``fault_slices.without_lean`` is to Cassandra)."""
+    submit_operation = ZooKeeperQueueBinding.submit_operation
+
+    def submit_plain(self, operation, levels, callback):
+        def plain(level, value, metadata=None, error=None):
+            callback(level, value, metadata=metadata, error=error)
+
+        submit_operation(self, operation, levels, plain)
+
+    return mock.patch.object(ZooKeeperQueueBinding, "submit_operation",
+                             submit_plain)
 
 
 def cluster_record(cluster: ZooKeeperCluster) -> Dict[str, Any]:
@@ -165,6 +203,81 @@ def tickets_cell(preloaded: int = 60, restock_each: int = 40, seed: int = 7
         from_preliminary=[r.purchases_from_preliminary for r in retailers],
         attempted=[r.purchases_attempted for r in retailers],
         depths=[s.tree.child_count(queue) for s in cluster.servers])
+    return record, [cluster]
+
+
+def tickets_leader_crash(purchases_each: int = 12, seed: int = 11
+                         ) -> Tuple[Dict, List[ZooKeeperCluster]]:
+    """A ticket sale through a ten-second leader crash.  Two retailers are
+    pinned to the IRL leader (no failover: their ICG purchases exhaust
+    every retry and fail while it is down), two fail over from the FRK
+    follower, and two organisers restock from VRG across the election.
+    Every retailer makes ``purchases_each`` attempts whatever the outcome."""
+    queue, preloaded = "/tickets", 30
+    env = SimEnvironment(seed=seed)
+    cluster = ZooKeeperCluster(env, leader_region=Region.IRL,
+                               follower_regions=(Region.FRK, Region.VRG),
+                               config=ZooKeeperConfig.fault_tolerant())
+    cluster.preload_queue(queue, [f"ticket-{i}" for i in range(preloaded)])
+    cluster.enable_failure_detection()
+    old_leader = cluster.leader
+
+    def seller(name: str, region: str, failover: bool) -> TicketSeller:
+        node = cluster.add_client(name, region=region, connect_region=region,
+                                  failover=failover)
+        return TicketSeller(
+            CorrectableClient(ZooKeeperQueueBinding(node, queue)),
+            queue_path=queue, threshold=20)
+
+    retailers = ([seller(f"pinned-{i}", Region.IRL, False) for i in range(2)]
+                 + [seller(f"roaming-{i}", Region.FRK, True)
+                    for i in range(2)])
+    organisers = [seller(f"organiser-{i}", Region.VRG, True)
+                  for i in range(2)]
+    outcomes: List[Tuple] = []
+    stocked: List[Tuple] = []
+
+    def retail(index: int, retailer: TicketSeller) -> None:
+        def buy() -> None:
+            if retailer.purchases_attempted < purchases_each:
+                retailer.purchase_ticket(bought, use_icg=index % 2 == 0)
+
+        def bought(outcome: PurchaseOutcome) -> None:
+            outcomes.append((env.now(), index, outcome.ticket,
+                             outcome.latency_ms, outcome.used_preliminary,
+                             outcome.sold_out, outcome.remaining))
+            env.scheduler.schedule(150.0, buy)
+
+        buy()
+
+    def organise(index: int, organiser: TicketSeller) -> None:
+        def restock(n: int) -> None:
+            if n < 20:
+                organiser.stock_ticket(
+                    f"restock-{index}-{n}",
+                    on_done=lambda response: (
+                        stocked.append((env.now(), index, n,
+                                        "error" in response)),
+                        env.scheduler.schedule(400.0, restock, n + 1)))
+
+        restock(0)
+
+    for index, retailer in enumerate(retailers):
+        retail(index, retailer)
+    for index, organiser in enumerate(organisers):
+        organise(index, organiser)
+    env.scheduler.schedule(700.0, old_leader.crash)
+    env.scheduler.schedule(10_700.0, old_leader.recover)
+    env.run(until=60_000.0)
+    record = {
+        "outcomes": outcomes, "stocked": stocked,
+        "from_preliminary": [r.purchases_from_preliminary for r in retailers],
+        "from_final": [r.purchases_from_final for r in retailers],
+        "sold_out": [r.sold_out_responses for r in retailers],
+        "invocations": [(s.client.invocations, s.client.icg_invocations)
+                        for s in retailers + organisers],
+        "depths": [s.tree.child_count(queue) for s in cluster.servers],
+    }
     return record, [cluster]
 
 
