@@ -17,6 +17,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.core.client import CorrectableClient
 from repro.core.correctable import Correctable
 from repro.core.operations import dequeue, enqueue
+from repro.core.views import View
 
 #: Default stock level below which retailers wait for the final (atomic) view.
 DEFAULT_THRESHOLD = 20
@@ -38,6 +39,55 @@ class PurchaseOutcome:
         return not self.sold_out and self.ticket is not None
 
 
+class _Purchase:
+    """One purchase attempt: Listing 5's callbacks and what they share."""
+
+    __slots__ = ("seller", "on_done", "started", "done")
+
+    def __init__(self, seller: "TicketSeller",
+                 on_done: Callable[[PurchaseOutcome], None],
+                 started: float) -> None:
+        self.seller = seller
+        self.on_done = on_done
+        self.started = started
+        self.done = False
+
+    def on_update(self, view: View) -> None:
+        result = view.value or {}
+        # Plenty of stock left: it is safe to confirm from the weak view,
+        # the background dequeue will pick *some* ticket for us.
+        if result.get("item") is not None \
+                and result.get("remaining", 0) > self.seller.threshold:
+            self._confirm(result, used_preliminary=True)
+
+    def on_final(self, view: View) -> None:
+        self._confirm(view.value, used_preliminary=False)
+
+    def on_error(self, error: BaseException) -> None:
+        self._confirm(None, used_preliminary=False)
+
+    def _confirm(self, view_value: Optional[Dict[str, Any]],
+                 used_preliminary: bool) -> None:
+        if self.done:
+            return
+        self.done = True
+        seller = self.seller
+        remaining = int(view_value.get("remaining", 0)) if view_value else 0
+        ticket = view_value.get("item") if view_value else None
+        sold_out = ticket is None
+        if sold_out:
+            seller.sold_out_responses += 1
+        elif used_preliminary:
+            seller.purchases_from_preliminary += 1
+        else:
+            seller.purchases_from_final += 1
+        self.on_done(PurchaseOutcome(ticket=ticket,
+                                     latency_ms=seller._now() - self.started,
+                                     used_preliminary=used_preliminary,
+                                     sold_out=sold_out,
+                                     remaining=remaining))
+
+
 class TicketSeller:
     """A retailer selling tickets from a shared, replicated stock."""
 
@@ -47,14 +97,15 @@ class TicketSeller:
         self.client = client
         self.queue_path = queue_path
         self.threshold = threshold
-        self._clock = clock if clock is not None else getattr(client.binding, "clock", None)
+        if clock is None:
+            clock = getattr(client.binding, "clock", None)
+        self._now: Callable[[], float] = \
+            clock if clock is not None else lambda: 0.0
+        self._dequeue = dequeue(queue_path)
         self.purchases_attempted = 0
         self.purchases_from_preliminary = 0
         self.purchases_from_final = 0
         self.sold_out_responses = 0
-
-    def _now(self) -> float:
-        return self._clock() if self._clock is not None else 0.0
 
     # -- stocking ------------------------------------------------------------
     def stock_ticket(self, ticket: Any,
@@ -78,49 +129,9 @@ class TicketSeller:
         Figure 12.
         """
         self.purchases_attempted += 1
-        started = self._now()
-        state = {"done": False}
-
-        def _confirm(view_value: Dict[str, Any], used_preliminary: bool) -> None:
-            if state["done"]:
-                return
-            state["done"] = True
-            remaining = int(view_value.get("remaining", 0)) if view_value else 0
-            ticket = view_value.get("item") if view_value else None
-            sold_out = ticket is None
-            if sold_out:
-                self.sold_out_responses += 1
-            elif used_preliminary:
-                self.purchases_from_preliminary += 1
-            else:
-                self.purchases_from_final += 1
-            on_done(PurchaseOutcome(ticket=ticket,
-                                    latency_ms=self._now() - started,
-                                    used_preliminary=used_preliminary,
-                                    sold_out=sold_out,
-                                    remaining=remaining))
-
+        purchase = _Purchase(self, on_done, self._now())
         if not use_icg:
-            correctable = self.client.invoke_strong(dequeue(self.queue_path))
-            correctable.set_callbacks(
-                on_final=lambda view: _confirm(view.value, used_preliminary=False),
-                on_error=lambda exc: _confirm(None, used_preliminary=False))
-            return correctable
-
-        correctable = self.client.invoke(dequeue(self.queue_path))
-
-        def _on_update(view) -> None:
-            result = view.value or {}
-            # Plenty of stock left: it is safe to confirm from the weak view,
-            # the background dequeue will pick *some* ticket for us.
-            if result.get("item") is not None \
-                    and result.get("remaining", 0) > self.threshold:
-                _confirm(result, used_preliminary=True)
-
-        def _on_final(view) -> None:
-            _confirm(view.value, used_preliminary=False)
-
-        correctable.set_callbacks(
-            on_update=_on_update, on_final=_on_final,
-            on_error=lambda exc: _confirm(None, used_preliminary=False))
-        return correctable
+            return self.client.invoke_strong(self._dequeue).set_callbacks(
+                on_final=purchase.on_final, on_error=purchase.on_error)
+        return self.client.invoke(self._dequeue).set_callbacks(
+            purchase.on_update, purchase.on_final, purchase.on_error)

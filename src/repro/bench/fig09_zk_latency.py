@@ -17,7 +17,7 @@ quotes in Section 6.2.2 (roughly +50 %, one extra preliminary response).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.metrics.bandwidth import BandwidthProbe
@@ -25,6 +25,7 @@ from repro.metrics.latency import LatencyRecorder
 from repro.metrics.summary import format_table
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
+from repro.zookeeper_sim.client import ZKClient
 from repro.zookeeper_sim.cluster import ZooKeeperCluster
 
 #: (label, leader region, region of the server the client connects to).
@@ -41,7 +42,37 @@ def _other_regions(leader_region: str) -> List[str]:
             if r != leader_region]
 
 
-def _measure_enqueues(leader_region: str, connect_region: str, icg: bool,
+class EnqueueLoop:
+    """One client enqueuing back to back, as its own completion sink
+    (:meth:`ZKClient.submit_sink`): latencies go straight into the
+    recorders and the final answer issues the next enqueue."""
+
+    def __init__(self, client: ZKClient, icg: bool, samples: int) -> None:
+        self.client = client
+        self.icg = icg
+        self.remaining = samples
+        self.preliminary = LatencyRecorder("preliminary")
+        self.final = LatencyRecorder("final")
+
+    def issue_next(self) -> None:
+        if self.remaining <= 0:
+            return
+        self.remaining -= 1
+        self.client.submit_sink("enqueue", "/queue", self,
+                                f"element-{self.remaining}", icg=self.icg)
+
+    def deliver_preliminary(self, result: Any, latency_ms: float) -> None:
+        self.preliminary.record(latency_ms)
+
+    def deliver_final(self, result: Any, latency_ms: float) -> None:
+        self.final.record(latency_ms)
+        self.issue_next()
+
+    #: A refused or timed-out enqueue still answered: it counts the same.
+    deliver_error = deliver_final
+
+
+def measure_enqueues(leader_region: str, connect_region: str, icg: bool,
                       samples: int, seed: int) -> Dict:
     env = SimEnvironment(seed=seed)
     cluster = ZooKeeperCluster(env, leader_region=leader_region,
@@ -54,28 +85,16 @@ def _measure_enqueues(leader_region: str, connect_region: str, icg: bool,
     probe = BandwidthProbe(env.network, [client.name],
                            [s.name for s in cluster.servers])
     probe.start()
-    preliminary = LatencyRecorder("preliminary")
-    final = LatencyRecorder("final")
-    state = {"remaining": samples}
-
-    def _issue_next() -> None:
-        if state["remaining"] <= 0:
-            return
-        state["remaining"] -= 1
-        element = f"element-{state['remaining']}"
-        client.enqueue(
-            "/queue", element, icg=icg,
-            on_preliminary=lambda resp: preliminary.record(resp["latency_ms"]),
-            on_final=lambda resp: (final.record(resp["latency_ms"]),
-                                   _issue_next()))
-
-    _issue_next()
+    loop = EnqueueLoop(client, icg, samples)
+    loop.issue_next()
     env.run_until_idle()
     probe.stop()
+    preliminary, final = loop.preliminary, loop.final
     return {
         "preliminary": preliminary.summary() if preliminary.count else None,
         "final": final.summary(),
         "bytes_per_op": probe.bytes_transferred() / max(1, final.count),
+        "events": env.scheduler.events_executed,
     }
 
 
@@ -94,9 +113,9 @@ def run_fig09_point(point: SweepPoint) -> Dict:
     kwargs = point.kwargs
     leader_region = kwargs["leader_region"]
     connect_region = kwargs["connect_region"]
-    czk = _measure_enqueues(leader_region, connect_region, icg=True,
+    czk = measure_enqueues(leader_region, connect_region, icg=True,
                             samples=kwargs["samples"], seed=kwargs["seed"])
-    zk = _measure_enqueues(leader_region, connect_region, icg=False,
+    zk = measure_enqueues(leader_region, connect_region, icg=False,
                            samples=kwargs["samples"], seed=kwargs["seed"])
     return {
         "configuration": kwargs["label"],

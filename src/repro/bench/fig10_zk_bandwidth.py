@@ -13,7 +13,7 @@ exchanges constant-size messages.  Shapes to reproduce:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Sequence
 
 from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.metrics.bandwidth import BandwidthProbe
@@ -25,6 +25,23 @@ from repro.zookeeper_sim.queue_recipe import DistributedQueue
 
 DEFAULT_STOCKS = (500, 1000)
 DEFAULT_CLIENT_COUNTS = (1, 4, 12)
+
+
+class _CommitSink:
+    """A ``ZKClient.submit_sink`` sink for a consumer that only acts on the
+    committed answer: ``done(ok, result)``."""
+
+    def __init__(self, done: Callable[[bool, Any], None]) -> None:
+        self.done = done
+
+    def deliver_preliminary(self, result: Any, latency_ms: float) -> None:
+        pass
+
+    def deliver_final(self, result: Any, latency_ms: float) -> None:
+        self.done(True, result)
+
+    def deliver_error(self, error: str, latency_ms: float) -> None:
+        self.done(False, None)
 
 
 def _drain_queue(system: str, stock: int, clients: int, seed: int) -> Dict:
@@ -44,20 +61,23 @@ def _drain_queue(system: str, stock: int, clients: int, seed: int) -> Dict:
     stats = {"dequeued": 0, "operations": 0, "retries": 0}
 
     def _consume_with(queue: DistributedQueue) -> None:
-        def _next() -> None:
-            if system == "ZK":
-                queue.dequeue_recipe(_done)
-            else:
-                queue.dequeue(icg=True, on_final=_done)
-
-        def _done(resp: Dict) -> None:
+        def _done(ok: bool, result: Any, retries: int = 0) -> None:
             stats["operations"] += 1
-            stats["retries"] += resp.get("retries", 0)
-            result = resp.get("result") or {}
-            if resp["ok"] and result.get("item") is not None:
+            stats["retries"] += retries
+            if ok and (result or {}).get("item") is not None:
                 stats["dequeued"] += 1
                 _next()
             # An empty queue (or error) stops this consumer.
+
+        sink = _CommitSink(_done)
+
+        def _next() -> None:
+            if system == "ZK":
+                queue.dequeue_recipe(lambda resp: _done(
+                    resp["ok"], resp.get("result"), resp.get("retries", 0)))
+            else:
+                queue.client.submit_sink("dequeue", queue.queue_path, sink,
+                                         icg=True)
 
         _next()
 

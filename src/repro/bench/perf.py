@@ -45,6 +45,7 @@ from repro.bench.common import (
     make_kv_issue,
     run_multi_region_load,
 )
+from repro.bench.fig09_zk_latency import measure_enqueues
 from repro.bench.sweep import (
     JobsSpec,
     SweepPoint,
@@ -56,11 +57,9 @@ from repro.bench.sweep import (
 )
 from repro.cassandra_sim.config import CassandraConfig
 from repro.faults import FaultInjector, cassandra_aliases, get_scenario
-from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
 from repro.workloads.runner import ClosedLoopRunner
 from repro.workloads.ycsb import workload_by_name
-from repro.zookeeper_sim.cluster import ZooKeeperCluster
 
 #: Default location of the perf trajectory, resolved against the cwd (the
 #: repository root in CI and in the documented invocations).
@@ -110,29 +109,11 @@ def run_closed_loop_scenario(threads_per_client: int = 24,
 
 
 def run_zk_queue_scenario(samples: int = 600, seed: int = 7) -> Dict[str, int]:
-    """fig09-style ICG enqueues against a ZooKeeper ensemble (leader in VRG)."""
-    env = SimEnvironment(seed=seed)
-    cluster = ZooKeeperCluster(env, leader_region=Region.VRG,
-                               follower_regions=[Region.IRL, Region.FRK])
-    client = cluster.add_client("perf-zk-client", region=Region.IRL,
-                                connect_region=Region.IRL)
-    for server in cluster.servers:
-        server.tree.create("/queue")
-    state = {"remaining": samples, "done": 0}
-
-    def _issue_next() -> None:
-        if state["remaining"] <= 0:
-            return
-        state["remaining"] -= 1
-        client.enqueue("/queue", f"element-{state['remaining']}", icg=True,
-                       on_final=lambda resp: (_finish(), _issue_next()))
-
-    def _finish() -> None:
-        state["done"] += 1
-
-    _issue_next()
-    env.run_until_idle()
-    return {"events": env.scheduler.events_executed, "ops": state["done"]}
+    """fig09's follower-IRL / leader-VRG cell, ICG side: back-to-back
+    enqueues completing into the harness's own sink."""
+    run = measure_enqueues(Region.VRG, Region.IRL, icg=True, samples=samples,
+                           seed=seed)
+    return {"events": run["events"], "ops": run["final"]["count"]}
 
 
 def run_fault_scenario(threads_per_client: int = 4,

@@ -3,9 +3,11 @@
 A binding exposes exactly two methods to the library:
 
 * :meth:`Binding.consistency_levels` — the levels the underlying stack
-  offers, ordered weakest to strongest;
+  offers, ordered weakest to strongest.  They are a property of the stack:
+  a client asks once and keeps the answer;
 * :meth:`Binding.submit_operation` — execute an operation and invoke the
-  callback once per requested level as results become available.
+  callback once per requested level as results become available.  The
+  requested levels arrive as an immutable, validated sequence.
 
 The callback signature is ``callback(level, value, metadata=None, error=None)``:
 
@@ -16,12 +18,18 @@ The callback signature is ``callback(level, value, metadata=None, error=None)``:
   wire, ``is_confirmation`` for the ``*CC`` optimization, ...);
 * ``error`` — an exception if the operation failed at that level; when set,
   ``value`` is ignored.
+
+The callback may be a :class:`~repro.core.correctable.Correctable` — a
+:class:`~repro.core.client.CorrectableClient` passes the operation's own
+(calling it is :meth:`Correctable.deliver`).  A binding whose storage client
+completes into a sink the Correctable implements may hand it over as that
+sink (the ZooKeeper binding does); any binding may just call it.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.core.consistency import (
     ConsistencyLevel,
@@ -48,7 +56,7 @@ class Binding(abc.ABC):
 
     @abc.abstractmethod
     def submit_operation(self, operation: Operation,
-                         levels: List[ConsistencyLevel],
+                         levels: Sequence[ConsistencyLevel],
                          callback: CallbackType) -> None:
         """Execute ``operation``, invoking ``callback`` once per level in ``levels``."""
 

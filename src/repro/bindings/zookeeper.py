@@ -11,14 +11,20 @@ member:
 ``invoke`` with both levels issues a single ICG request and receives both
 responses; ``invoke_weak`` still executes the operation (it completes in the
 background) but only the preliminary result is surfaced.
+
+The callback a :class:`~repro.core.client.CorrectableClient` passes is the
+operation's Correctable, which speaks the ZooKeeper client's sink protocol:
+it is handed over as the sink.  Any other callable gets the answers
+translated from the client's dict-callback API.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence
 
 from repro.bindings.base import Binding, CallbackType
 from repro.core.consistency import ConsistencyLevel, STRONG, WEAK
+from repro.core.correctable import Correctable
 from repro.core.errors import OperationError
 from repro.core.operations import Operation
 from repro.zookeeper_sim.client import ZKClient
@@ -36,13 +42,24 @@ class ZooKeeperQueueBinding(Binding):
         return [WEAK, STRONG]
 
     def submit_operation(self, operation: Operation,
-                         levels: List[ConsistencyLevel],
+                         levels: Sequence[ConsistencyLevel],
                          callback: CallbackType) -> None:
-        levels = self.validate_levels(levels)
-        if operation.name not in ("enqueue", "dequeue"):
-            self.reject_unsupported(operation, levels, callback)
+        name = operation.name
+        if name not in ("enqueue", "dequeue"):
+            self.reject_unsupported(operation, self.validate_levels(levels),
+                                    callback)
             return
-        queue_path = operation.key or self.queue_path
+        path = operation.key or self.queue_path
+        data = operation.args[0] if name == "enqueue" else None
+        # The local-simulation preliminary is only requested when the weak
+        # level is wanted; a strong-only invocation is exactly vanilla ZK.
+        if isinstance(callback, Correctable):
+            # Its client validated the levels it was made with.
+            self.client.submit_sink(name, path, callback, data,
+                                    icg=WEAK in levels)
+            return
+        levels = self.validate_levels(levels)
+        strongest = levels[-1]
 
         def _on_preliminary(resp: Dict[str, Any]) -> None:
             callback(WEAK, resp["result"],
@@ -50,26 +67,14 @@ class ZooKeeperQueueBinding(Binding):
                                "preliminary": True})
 
         def _on_final(resp: Dict[str, Any]) -> None:
+            # A failure is reported at whatever level would have closed the
+            # operation; the committed result only if it was asked for.
             if not resp["ok"]:
-                callback(STRONG, None, error=OperationError(resp["error"]))
-                return
-            callback(STRONG, resp["result"],
-                     metadata={"latency_ms": resp["latency_ms"],
-                               "preliminary": False})
+                callback(strongest, None, error=OperationError(resp["error"]))
+            elif strongest == STRONG:
+                callback(STRONG, resp["result"],
+                         metadata={"latency_ms": resp["latency_ms"],
+                                   "preliminary": False})
 
-        # The local-simulation preliminary is only requested when the weak
-        # level is wanted; a strong-only invocation is exactly vanilla ZK.
-        # The client skips a callback that is None, so an unwanted level
-        # costs nothing per response.
-        icg = WEAK in levels
-        on_preliminary = _on_preliminary if icg else None
-        on_final = _on_final if STRONG in levels else None
-        if operation.name == "enqueue":
-            item = operation.args[0]
-            self.client.enqueue(queue_path, item, icg=icg,
-                                on_preliminary=on_preliminary,
-                                on_final=on_final)
-        else:
-            self.client.dequeue(queue_path, icg=icg,
-                                on_preliminary=on_preliminary,
-                                on_final=on_final)
+        self.client.submit(name, path, data, icg=WEAK in levels,
+                           on_preliminary=_on_preliminary, on_final=_on_final)

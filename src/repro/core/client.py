@@ -22,12 +22,13 @@ through.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.consistency import ConsistencyLevel, validate_levels
 from repro.core.correctable import Correctable
-from repro.core.errors import BindingError
 from repro.core.operations import Operation
+
+Levels = Tuple[ConsistencyLevel, ...]
 
 
 class CorrectableClient:
@@ -36,6 +37,9 @@ class CorrectableClient:
     def __init__(self, binding, clock: Optional[Callable[[], float]] = None) -> None:
         self.binding = binding
         self._clock = clock if clock is not None else getattr(binding, "clock", None)
+        #: ``(all, weakest only, strongest only)`` of the binding's levels,
+        #: validated once by the first invocation that needs them.
+        self._default_levels: Optional[Tuple[Levels, Levels, Levels]] = None
         # Lightweight instrumentation used by the evaluation harness.
         self.invocations = 0
         self.weak_invocations = 0
@@ -50,10 +54,13 @@ class CorrectableClient:
         levels = self.binding.consistency_levels()
         return validate_levels(levels, levels)
 
-    def _validate(self, requested: Iterable[ConsistencyLevel]) -> List[ConsistencyLevel]:
-        # The same validation routine every binding uses, so the client and
-        # the bindings raise one consistent error type.
-        return validate_levels(requested, self.binding.consistency_levels())
+    def _learn_levels(self) -> Tuple[Levels, Levels, Levels]:
+        # What a binding offers is a property of its stack, so it is asked
+        # once.  Nothing is kept while it advertises nothing: the
+        # invocation raises and the next one asks again.
+        levels = tuple(self.available_levels())
+        self._default_levels = learnt = (levels, levels[:1], levels[-1:])
+        return learnt
 
     # -- the three API methods ------------------------------------------------
     def invoke(self, operation: Operation,
@@ -65,9 +72,12 @@ class CorrectableClient:
         ``levels`` is omitted, every level the binding offers is requested.
         """
         if levels is None:
-            requested = self.available_levels()
+            requested = (self._default_levels or self._learn_levels())[0]
         else:
-            requested = self._validate(levels)
+            # The same validation routine every binding uses, so the client
+            # and the bindings raise one consistent error type.
+            requested = tuple(validate_levels(
+                levels, self.binding.consistency_levels()))
         self.invocations += 1
         if len(requested) > 1:
             self.icg_invocations += 1
@@ -77,13 +87,15 @@ class CorrectableClient:
         """Execute ``operation`` under the weakest available level only."""
         self.invocations += 1
         self.weak_invocations += 1
-        return self._submit(operation, [self.available_levels()[0]])
+        return self._submit(
+            operation, (self._default_levels or self._learn_levels())[1])
 
     def invoke_strong(self, operation: Operation) -> Correctable:
         """Execute ``operation`` under the strongest available level only."""
         self.invocations += 1
         self.strong_invocations += 1
-        return self._submit(operation, [self.available_levels()[-1]])
+        return self._submit(
+            operation, (self._default_levels or self._learn_levels())[2])
 
     # CamelCase aliases matching the paper's listings.
     invokeWeak = invoke_weak
@@ -95,34 +107,10 @@ class CorrectableClient:
         return SessionPool(self, size)
 
     # -- plumbing ---------------------------------------------------------------
-    def _submit(self, operation: Operation,
-                levels: List[ConsistencyLevel]) -> Correctable:
-        correctable = Correctable(clock=self._clock)
-        strongest_requested = levels[-1]
-
-        def _callback(level: ConsistencyLevel, value, metadata=None, error=None):
-            metadata = metadata or {}
-            if error is not None:
-                if not correctable.is_done():
-                    correctable.fail(error)
-                return
-            if level not in levels:
-                raise BindingError(
-                    f"binding delivered unrequested level {level.name}")
-            if level == strongest_requested:
-                if correctable.is_done():
-                    return
-                if metadata.get("is_confirmation"):
-                    latest = correctable.latest_view()
-                    confirmed = latest.value if latest is not None else value
-                    correctable.close(confirmed, level, metadata=metadata,
-                                      is_confirmation=True)
-                else:
-                    correctable.close(value, level, metadata=metadata)
-            else:
-                correctable.update(value, level, metadata=metadata)
-
-        self.binding.submit_operation(operation, levels, _callback)
+    def _submit(self, operation: Operation, levels: Levels) -> Correctable:
+        # The Correctable is the binding's callback (Correctable.deliver).
+        correctable = Correctable(self._clock, levels)
+        self.binding.submit_operation(operation, levels, correctable)
         return correctable
 
 

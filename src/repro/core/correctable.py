@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.errors import InvalidStateError
+from repro.core.errors import BindingError, InvalidStateError, OperationError
 from repro.core.promise import Promise
 from repro.core.views import View
 
@@ -29,26 +29,43 @@ class CorrectableState(Enum):
     ERROR = "error"
 
 
+_UPDATING = CorrectableState.UPDATING
+_FINAL = CorrectableState.FINAL
+_ERROR = CorrectableState.ERROR
+
 UpdateCallback = Callable[[View], None]
 ErrorCallback = Callable[[BaseException], None]
 
 
 class Correctable:
-    """The progressively improving result of an operation on a replicated object."""
+    """The progressively improving result of an operation on a replicated object.
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self._state = CorrectableState.UPDATING
-        self._views: List[View] = []
-        # Cached snapshots handed out by views() / preliminary_views(); the
-        # caches are re-cut only when a new view arrived since the last call,
-        # so polling a hot Correctable copies nothing.
-        self._views_tuple: Optional[Tuple[View, ...]] = None
-        self._prelim_tuple: Optional[Tuple[View, ...]] = None
+    Also where the operation completes: the client hands it to the binding
+    as *the* callback (:meth:`deliver`), and a storage client with a
+    positional sink protocol (``deliver_preliminary`` / ``deliver_final`` /
+    ``deliver_error``) takes it as the sink itself.  One per operation,
+    hence the slots and the tuples.
+    """
+
+    __slots__ = ("_state", "_views", "_prelims", "_error",
+                 "_update_callbacks", "_final_callbacks", "_error_callbacks",
+                 "_clock", "_levels", "discarded_updates")
+
+    def __init__(self, clock: Optional[Callable[[], float]] = None,
+                 levels: Tuple[ConsistencyLevel, ...] = ()) -> None:
+        self._state = _UPDATING
+        #: Every view so far; a tuple, so views() is the snapshot itself.
+        self._views: Tuple[View, ...] = ()
+        #: ``_views`` as it was when the final view arrived.
+        self._prelims: Tuple[View, ...] = ()
         self._error: Optional[BaseException] = None
-        self._update_callbacks: List[UpdateCallback] = []
-        self._final_callbacks: List[UpdateCallback] = []
-        self._error_callbacks: List[ErrorCallback] = []
+        self._update_callbacks: Tuple[UpdateCallback, ...] = ()
+        self._final_callbacks: Tuple[UpdateCallback, ...] = ()
+        self._error_callbacks: Tuple[ErrorCallback, ...] = ()
         self._clock = clock
+        #: The requested levels, weakest first (empty when no client
+        #: invocation made this Correctable: derived ones, transactions).
+        self._levels = levels
         #: Updates that arrived after the Correctable closed (late/out-of-order
         #: deliveries); they are dropped but counted for observability.
         self.discarded_updates = 0
@@ -59,44 +76,29 @@ class Correctable:
         return self._state
 
     def is_updating(self) -> bool:
-        return self._state is CorrectableState.UPDATING
+        return self._state is _UPDATING
 
     def is_final(self) -> bool:
-        return self._state is CorrectableState.FINAL
+        return self._state is _FINAL
 
     def is_error(self) -> bool:
-        return self._state is CorrectableState.ERROR
+        return self._state is _ERROR
 
     def is_done(self) -> bool:
-        return self._state is not CorrectableState.UPDATING
+        return self._state is not _UPDATING
 
     def views(self) -> Tuple[View, ...]:
-        """Every view delivered so far, in arrival order (final last).
-
-        Returns an immutable snapshot; repeated calls between deliveries
-        return the *same* cached tuple, so hot paths that poll a
-        Correctable never copy the view list (views are only ever
-        appended, never removed, so a length check suffices to detect a
-        stale cache).
-        """
-        cached = self._views_tuple
-        if cached is None or len(cached) != len(self._views):
-            cached = self._views_tuple = tuple(self._views)
-        return cached
+        """Every view delivered so far, in arrival order (final last): an
+        immutable snapshot, the *same* tuple until the next delivery."""
+        return self._views
 
     def latest_view(self) -> Optional[View]:
         """The most recent view, or None if nothing has arrived yet."""
         return self._views[-1] if self._views else None
 
     def preliminary_views(self) -> Tuple[View, ...]:
-        """All views except the final one (immutable snapshot, cached)."""
-        if self._state is CorrectableState.FINAL and self._views:
-            cached = self._prelim_tuple
-            if cached is None:
-                # No further views can arrive once FINAL: cut once, keep.
-                cached = self._prelim_tuple = self.views()[:-1]
-            return cached
-        return self.views()
+        """All views except the final one (immutable snapshot)."""
+        return self._prelims if self._state is _FINAL else self._views
 
     def final_view(self) -> View:
         """The final view.
@@ -104,10 +106,10 @@ class Correctable:
         Raises:
             InvalidStateError: if the Correctable has not closed with a value.
         """
-        if self._state is CorrectableState.ERROR:
+        if self._state is _ERROR:
             assert self._error is not None
             raise self._error
-        if self._state is not CorrectableState.FINAL:
+        if self._state is not _FINAL:
             raise InvalidStateError("correctable has not closed yet")
         return self._views[-1]
 
@@ -131,20 +133,21 @@ class Correctable:
         never races with the storage.  Returns ``self`` for chaining.
         """
         if on_update is not None:
-            self._update_callbacks.append(on_update)
-            for view in self.preliminary_views():
+            self._update_callbacks += (on_update,)
+            for view in (self._prelims if self._state is _FINAL
+                         else self._views):
                 on_update(view)
         if on_final is not None:
-            if self._state is CorrectableState.FINAL:
+            if self._state is _FINAL:
                 on_final(self._views[-1])
             else:
-                self._final_callbacks.append(on_final)
+                self._final_callbacks += (on_final,)
         if on_error is not None:
-            if self._state is CorrectableState.ERROR:
+            if self._state is _ERROR:
                 assert self._error is not None
                 on_error(self._error)
             else:
-                self._error_callbacks.append(on_error)
+                self._error_callbacks += (on_error,)
         return self
 
     def on_update(self, callback: UpdateCallback) -> "Correctable":
@@ -160,9 +163,6 @@ class Correctable:
         return self.set_callbacks(on_error=callback)
 
     # -- transitions (driven by the library / bindings) ----------------------
-    def _now(self) -> Optional[float]:
-        return self._clock() if self._clock is not None else None
-
     def update(self, value: Any, consistency: ConsistencyLevel,
                metadata: Optional[dict] = None) -> Optional[View]:
         """Deliver a preliminary view (updating → updating transition).
@@ -170,13 +170,15 @@ class Correctable:
         Late updates arriving after the Correctable closed are dropped and
         counted in :attr:`discarded_updates`.
         """
-        if self._state is not CorrectableState.UPDATING:
+        if self._state is not _UPDATING:
             self.discarded_updates += 1
             return None
-        view = View(value=value, consistency=consistency,
-                    timestamp=self._now(), metadata=metadata or {})
-        self._views.append(view)
-        for callback in list(self._update_callbacks):
+        clock = self._clock
+        view = View(value, consistency, None if clock is None else clock(),
+                    False, metadata)
+        self._views += (view,)
+        # A callback registered while these run replays this view itself.
+        for callback in self._update_callbacks:
             callback(view)
         return view
 
@@ -184,36 +186,90 @@ class Correctable:
               metadata: Optional[dict] = None,
               is_confirmation: bool = False) -> View:
         """Deliver the final view (updating → final transition)."""
-        if self._state is not CorrectableState.UPDATING:
+        if self._state is not _UPDATING:
             raise InvalidStateError(
                 f"correctable already {self._state.value}; cannot close")
-        view = View(value=value, consistency=consistency,
-                    timestamp=self._now(), metadata=metadata or {},
-                    is_confirmation=is_confirmation)
-        self._views.append(view)
-        self._state = CorrectableState.FINAL
-        callbacks = list(self._final_callbacks)
-        self._clear_callbacks()
+        clock = self._clock
+        view = View(value, consistency, None if clock is None else clock(),
+                    is_confirmation, metadata)
+        self._prelims = self._views
+        self._views += (view,)
+        self._state = _FINAL
+        callbacks = self._final_callbacks
+        self._update_callbacks = self._final_callbacks = \
+            self._error_callbacks = ()
         for callback in callbacks:
             callback(view)
         return view
 
     def fail(self, error: BaseException) -> None:
         """Close with an error (updating → error transition)."""
-        if self._state is not CorrectableState.UPDATING:
+        if self._state is not _UPDATING:
             raise InvalidStateError(
                 f"correctable already {self._state.value}; cannot fail")
-        self._state = CorrectableState.ERROR
+        self._state = _ERROR
         self._error = error
-        callbacks = list(self._error_callbacks)
-        self._clear_callbacks()
+        callbacks = self._error_callbacks
+        self._update_callbacks = self._final_callbacks = \
+            self._error_callbacks = ()
         for callback in callbacks:
             callback(error)
 
-    def _clear_callbacks(self) -> None:
-        self._update_callbacks = []
-        self._final_callbacks = []
-        self._error_callbacks = []
+    # -- completion (the operation's sink) -----------------------------------
+    def deliver(self, level: ConsistencyLevel, value: Any,
+                metadata: Optional[dict] = None,
+                error: Optional[BaseException] = None) -> None:
+        """The binding callback: one result (or the error) at ``level``.
+        The strongest requested level closes, weaker ones update, a
+        confirmation closes with the latest view's value; once done,
+        whatever else arrives is ignored."""
+        if error is not None:
+            if self._state is _UPDATING:
+                self.fail(error)
+            return
+        levels = self._levels
+        if level not in levels:
+            raise BindingError(
+                f"binding delivered unrequested level {level.name}")
+        if level != levels[-1]:
+            self.update(value, level, metadata)
+        elif self._state is _UPDATING:
+            confirmation = bool(metadata and metadata.get("is_confirmation"))
+            if confirmation and self._views:
+                value = self._views[-1].value
+            self.close(value, level, metadata, confirmation)
+
+    __call__ = deliver
+
+    def deliver_preliminary(self, result: Any, latency_ms: float) -> None:
+        """Sink: the store's preliminary answer is the view at the weakest
+        requested level."""
+        levels = self._levels
+        metadata = {"latency_ms": latency_ms, "preliminary": True}
+        if len(levels) == 1:
+            if self._state is _UPDATING:
+                self.close(result, levels[0], metadata)
+        elif self._state is _UPDATING:
+            # update(), inlined: this runs once per ICG operation.
+            clock = self._clock
+            view = View(result, levels[0],
+                        None if clock is None else clock(), False, metadata)
+            self._views += (view,)
+            for callback in self._update_callbacks:
+                callback(view)
+        else:
+            self.discarded_updates += 1
+
+    def deliver_final(self, result: Any, latency_ms: float) -> None:
+        """Sink: the store's final answer closes at the strongest level."""
+        if self._state is _UPDATING:
+            self.close(result, self._levels[-1],
+                       {"latency_ms": latency_ms, "preliminary": False})
+
+    def deliver_error(self, error: str, latency_ms: float) -> None:
+        """Sink: the operation failed, or ran out of retries."""
+        if self._state is _UPDATING:
+            self.fail(OperationError(error))
 
     # -- derived correctables ------------------------------------------------
     def speculate(self, speculation_fn: Callable[[Any], Any],

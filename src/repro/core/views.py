@@ -7,26 +7,42 @@ whether the storage sent a full value or just a confirmation message).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.core.consistency import ConsistencyLevel
 
 
-@dataclass
 class View:
-    """One incremental view on the result of an operation."""
+    """One incremental view on the result of an operation, compared by
+    value.  Slotted by hand (one or two are built per operation, and a
+    slotted dataclass needs Python 3.10)."""
 
-    value: Any
-    consistency: ConsistencyLevel
-    #: Simulated (or wall-clock) time at which the view was delivered.
-    timestamp: Optional[float] = None
-    #: True when the storage replaced the payload with a small confirmation
-    #: because the final value equals the preliminary one (the ``*CC``
-    #: optimization of Section 5.2).
-    is_confirmation: bool = False
-    #: Free-form binding metadata (replica that answered, quorum size, ...).
-    metadata: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("value", "consistency", "timestamp", "is_confirmation",
+                 "metadata")
+    __hash__ = None  # mutable and compared by value
+
+    def __init__(self, value: Any, consistency: ConsistencyLevel,
+                 timestamp: Optional[float] = None,
+                 is_confirmation: bool = False,
+                 metadata: Optional[Dict[str, Any]] = None) -> None:
+        self.value = value
+        self.consistency = consistency
+        #: Simulated (or wall-clock) time at which the view was delivered.
+        self.timestamp = timestamp
+        #: True when the storage replaced the payload with a small
+        #: confirmation because the final value equals the preliminary one
+        #: (the ``*CC`` optimization of Section 5.2).
+        self.is_confirmation = is_confirmation
+        #: Free-form binding metadata (replica that answered, quorum size, ...).
+        self.metadata = {} if metadata is None else metadata
+
+    def __eq__(self, other: object) -> Any:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.value, self.consistency, self.timestamp,
+                 self.is_confirmation, self.metadata)
+                == (other.value, other.consistency, other.timestamp,
+                    other.is_confirmation, other.metadata))
 
     def same_value(self, other: "View") -> bool:
         """Whether two views carry the same result value."""

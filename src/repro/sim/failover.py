@@ -8,17 +8,15 @@ once so the two stacks cannot drift apart.  (The Cassandra client applies
 the same :class:`~repro.core.retry.RetryPolicy` to its pooled operation
 records, which have no request-id map to hang this mixin on.)
 
-Retry budgets and backoff come from a shared
-:class:`~repro.core.retry.RetryPolicy`: hosts provide one via
-:meth:`FailoverMixin._retry_policy` (the default wraps the historical
-``_failover_retries()`` count in an immediate-retry policy).  A zero
-backoff re-sends synchronously — no extra scheduler event — so the default
-configuration reproduces the historical event traces byte for byte.
+Retry budgets and backoff come from the host's
+:class:`~repro.core.retry.RetryPolicy`.  A zero backoff re-sends
+synchronously — no extra scheduler event — so the default configuration
+reproduces the historical event traces byte for byte.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any
 
 from repro.core.retry import RetryPolicy
 
@@ -31,31 +29,13 @@ class FailoverMixin:
 
     * ``self.scheduler`` and ``self._pending`` (request id → pending-request
       object with ``attempts``, ``rotation_index`` and ``timeout_event``
-      attributes), plus ``self.retries`` / ``self.failed_requests``
-      counters;
+      attributes), ``self._failover_policy`` (the :class:`RetryPolicy`),
+      plus ``self.retries`` / ``self.failed_requests`` counters;
     * :meth:`_redispatch` — re-send the request to the next endpoint (and
       re-arm the timeout via :meth:`_arm_request_timeout`);
-    * :meth:`_failover_retries` — how many re-sends before giving up (used
-      by the default :meth:`_retry_policy`);
-    * :meth:`_timeout_failure_response` — the error payload handed to the
-      request's ``on_final`` callback when retries are exhausted.
+    * :meth:`_deliver_timeout_failure` — complete an exhausted request
+      with the host's terminal error.
     """
-
-    #: Lazily-built policy cache (per instance; invalidated never — configs
-    #: are immutable for the lifetime of a client).
-    _failover_policy: Any = None
-
-    def _retry_policy(self) -> RetryPolicy:
-        """The policy governing this client's request failover.
-
-        Hosts with backoff knobs override this; the default reproduces the
-        historical behaviour (bounded immediate retries).
-        """
-        policy = self._failover_policy
-        if policy is None:
-            policy = RetryPolicy.immediate(self._failover_retries())
-            self._failover_policy = policy
-        return policy
 
     def _arm_request_timeout(self, pending: Any, req_id: int,
                              timeout_ms: float) -> None:
@@ -68,7 +48,7 @@ class FailoverMixin:
         if pending is None:
             return
         pending.timeout_event = None
-        policy = self._retry_policy()
+        policy = self._failover_policy
         if policy.should_retry(pending.attempts):
             pending.attempts += 1
             pending.rotation_index += 1
@@ -77,8 +57,7 @@ class FailoverMixin:
             return
         self.failed_requests += 1
         del self._pending[req_id]
-        if pending.on_final is not None:
-            pending.on_final(self._timeout_failure_response(pending))
+        self._deliver_timeout_failure(pending)
 
     def _retry_after_backoff(self, pending: Any, policy: RetryPolicy) -> None:
         """Re-send now (zero backoff) or after the policy's delay.
@@ -104,8 +83,5 @@ class FailoverMixin:
     def _redispatch(self, pending: Any) -> None:
         raise NotImplementedError
 
-    def _failover_retries(self) -> int:
-        raise NotImplementedError
-
-    def _timeout_failure_response(self, pending: Any) -> Dict[str, Any]:
+    def _deliver_timeout_failure(self, pending: Any) -> None:
         raise NotImplementedError

@@ -76,7 +76,6 @@ class _PendingTxn:
     sent_at: float
     correctable: Correctable
     deadline_ms: float
-    on_final: Any = None
     prepared_seen: bool = False
     last_target: Optional[str] = None
     preferred: Optional[str] = None
@@ -102,6 +101,13 @@ class TransactionManager(FailoverMixin, Node):
             reset_timeout_ms=config.breaker_reset_ms)
         self._txn_ids = itertools.count(1)
         self._pending: Dict[str, _PendingTxn] = {}
+        self._failover_policy = RetryPolicy(
+            max_retries=config.client_retries,
+            base_delay_ms=config.client_backoff_base_ms,
+            multiplier=config.client_backoff_multiplier,
+            cap_ms=config.client_backoff_cap_ms,
+            jitter_ms=config.client_backoff_jitter_ms,
+            label=f"failover:{name}")
         self.stats = PreparedViewStats()
         #: Acked outcomes, kept for the post-run atomicity audit:
         #: txn_id -> {"timestamp": (t, coord, seq), "writes": {...}}.
@@ -129,7 +135,6 @@ class TransactionManager(FailoverMixin, Node):
         pending = _PendingTxn(txn_id=txn_id, writes=dict(writes), sent_at=now,
                               correctable=correctable,
                               deadline_ms=deadline.expires_at_ms)
-        pending.on_final = lambda response: self._complete(pending, response)
         self._pending[txn_id] = pending
         self.txns_submitted += 1
         self._dispatch(pending)
@@ -157,22 +162,6 @@ class TransactionManager(FailoverMixin, Node):
     def _redispatch(self, pending: _PendingTxn) -> None:
         self._dispatch(pending)
 
-    def _failover_retries(self) -> int:
-        return self.config.client_retries
-
-    def _retry_policy(self) -> RetryPolicy:
-        policy = self._failover_policy
-        if policy is None:
-            policy = RetryPolicy(
-                max_retries=self.config.client_retries,
-                base_delay_ms=self.config.client_backoff_base_ms,
-                multiplier=self.config.client_backoff_multiplier,
-                cap_ms=self.config.client_backoff_cap_ms,
-                jitter_ms=self.config.client_backoff_jitter_ms,
-                label=f"failover:{self.name}")
-            self._failover_policy = policy
-        return policy
-
     def _on_request_timeout(self, txn_id: str) -> None:
         pending = self._pending.get(txn_id)
         if pending is None:
@@ -186,17 +175,17 @@ class TransactionManager(FailoverMixin, Node):
             pending.timeout_event = None
             self.failed_requests += 1
             del self._pending[txn_id]
-            pending.on_final(self._timeout_failure_response(pending))
+            self._deliver_timeout_failure(pending)
             return
         super()._on_request_timeout(txn_id)
 
-    def _timeout_failure_response(self, pending: _PendingTxn) -> Dict[str, Any]:
-        return {
+    def _deliver_timeout_failure(self, pending: _PendingTxn) -> None:
+        self._complete(pending, {
             "outcome": "error",
             "timestamp": None,
             "error": "transaction timeout: no coordinator answered",
             "latency_ms": self.scheduler.now() - pending.sent_at,
-        }
+        })
 
     # -- responses -----------------------------------------------------------
     def on_txn_redirect(self, message: Message) -> None:

@@ -2,10 +2,19 @@
 
 Offers the low-level znode operations (``create``, ``delete``, ``get``,
 ``get_children``) plus the queue-oriented operations used by Correctable
-ZooKeeper (``enqueue``, ``dequeue``).  Every operation takes callbacks; an
-operation submitted with ``icg=True`` receives a preliminary callback from
-the contacted server's local simulation before the final (Zab-committed)
-result arrives.
+ZooKeeper (``enqueue``, ``dequeue``).  An operation submitted with
+``icg=True`` receives a preliminary answer from the contacted server's local
+simulation before the final (Zab-committed) result arrives.
+
+An operation completes into its *sink*, exactly once, by positional call:
+``deliver_preliminary(result, latency_ms)`` per attempt that reached a live
+server, then ``deliver_final(result, latency_ms)`` or ``deliver_error(error,
+latency_ms)`` (refused, or every re-send timed out).
+:meth:`ZKClient.submit_sink` takes any such object — a
+:class:`~repro.core.correctable.Correctable` is one, the figure harnesses
+bring recorders; the callback API (``submit``/``enqueue``/… with
+``on_preliminary=``/``on_final=``) is the same path through
+:class:`_CallbackSink`, the sink that builds the response dict.
 
 Each operation is one :class:`ZkOp` record, sent by reference to the
 contacted server (``ZKServer._zk_request``) and, on a timeout, to the next
@@ -25,8 +34,35 @@ from repro.sim.network import MESSAGE_HEADER_BYTES, Network
 from repro.sim.node import Node
 from repro.zookeeper_sim.config import ZooKeeperConfig
 
-#: ``callback(response_dict)`` with keys ok/result/error/latency_ms.
+#: ``callback(response_dict)`` with keys ok/result/error/latency_ms/preliminary.
 ResponseCallback = Callable[[Dict[str, Any]], None]
+
+
+class _CallbackSink:
+    """The callback API as a sink: the one place response dicts are built."""
+
+    __slots__ = ("on_preliminary", "on_final")
+
+    def __init__(self, on_preliminary: Optional[ResponseCallback],
+                 on_final: Optional[ResponseCallback]) -> None:
+        self.on_preliminary = on_preliminary
+        self.on_final = on_final
+
+    def deliver_preliminary(self, result: Any, latency_ms: float) -> None:
+        if self.on_preliminary is not None:
+            self.on_preliminary({"ok": True, "result": result, "error": None,
+                                 "latency_ms": latency_ms,
+                                 "preliminary": True})
+
+    def deliver_final(self, result: Any, latency_ms: float) -> None:
+        if self.on_final is not None:
+            self.on_final({"ok": True, "result": result, "error": None,
+                           "latency_ms": latency_ms, "preliminary": False})
+
+    def deliver_error(self, error: str, latency_ms: float) -> None:
+        if self.on_final is not None:
+            self.on_final({"ok": False, "result": None, "error": error,
+                           "latency_ms": latency_ms, "preliminary": False})
 
 
 class ZkOp:
@@ -40,14 +76,12 @@ class ZkOp:
     """
 
     __slots__ = ("client", "req_id", "op", "path", "data", "sequential",
-                 "icg", "on_preliminary", "on_final", "sent_at", "size_bytes",
+                 "icg", "sink", "sent_at", "size_bytes",
                  "attempts", "rotation_index", "timeout_event")
 
     def __init__(self, client: "ZKClient", req_id: int, op: str, path: str,
-                 data: Any, sequential: bool, icg: bool,
-                 on_preliminary: Optional[ResponseCallback],
-                 on_final: Optional[ResponseCallback], sent_at: float,
-                 size_bytes: int) -> None:
+                 data: Any, sequential: bool, icg: bool, sink: Any,
+                 sent_at: float, size_bytes: int) -> None:
         self.client = client
         self.req_id = req_id
         self.op = op
@@ -55,8 +89,7 @@ class ZkOp:
         self.data = data
         self.sequential = sequential
         self.icg = icg
-        self.on_preliminary = on_preliminary
-        self.on_final = on_final
+        self.sink = sink
         self.sent_at = sent_at
         self.size_bytes = size_bytes
         self.attempts = 0
@@ -90,7 +123,6 @@ class ZKClient(FailoverMixin, Node):
             MESSAGE_HEADER_BYTES + config.path_size_bytes
             + config.element_size_bytes)
         self._pending: Dict[int, ZkOp] = {}
-        #: What ``FailoverMixin._retry_policy`` answers with.
         self._failover_policy = config.retry_policy(f"failover:{name}")
         self.requests_sent = 0
         # Fault-path instrumentation (stays zero with timeouts disabled).
@@ -98,21 +130,30 @@ class ZKClient(FailoverMixin, Node):
         self.failed_requests = 0
 
     # -- generic request plumbing -------------------------------------------
-    def submit(self, op: str, path: str, data: Any = None,
-               sequential: bool = False, icg: bool = False,
-               on_preliminary: Optional[ResponseCallback] = None,
-               on_final: Optional[ResponseCallback] = None,
-               request_size: Optional[int] = None) -> int:
-        """Send one operation to the connected server; returns the request id."""
+    def submit_sink(self, op: str, path: str, sink: Any, data: Any = None,
+                    sequential: bool = False, icg: bool = False,
+                    request_size: Optional[int] = None) -> int:
+        """Send one operation to the connected server, to complete into
+        ``sink`` (see the module docstring); returns the request id."""
         req_id = next(self._req_ids)
         self.requests_sent += 1
         if request_size is None:
             request_size = self._request_sizes[data is not None]
         pending = self._pending[req_id] = ZkOp(
-            self, req_id, op, path, data, sequential, icg, on_preliminary,
-            on_final, self.scheduler.clock._now, request_size)
+            self, req_id, op, path, data, sequential, icg, sink,
+            self.scheduler.clock._now, request_size)
         self._dispatch(pending)
         return req_id
+
+    def submit(self, op: str, path: str, data: Any = None,
+               sequential: bool = False, icg: bool = False,
+               on_preliminary: Optional[ResponseCallback] = None,
+               on_final: Optional[ResponseCallback] = None,
+               request_size: Optional[int] = None) -> int:
+        """:meth:`submit_sink` for callbacks that take a response dict."""
+        return self.submit_sink(op, path,
+                                _CallbackSink(on_preliminary, on_final),
+                                data, sequential, icg, request_size)
 
     # -- dispatch & failover (see FailoverMixin) ----------------------------------
     def _dispatch(self, pending: ZkOp) -> None:
@@ -127,11 +168,9 @@ class ZKClient(FailoverMixin, Node):
 
     _redispatch = _dispatch
 
-    def _timeout_failure_response(self, pending: ZkOp) -> Dict[str, Any]:
-        return {"ok": False, "result": None,
-                "error": "client timeout: no server responded",
-                "latency_ms": self.scheduler.now() - pending.sent_at,
-                "preliminary": False}
+    def _deliver_timeout_failure(self, pending: ZkOp) -> None:
+        pending.sink.deliver_error("client timeout: no server responded",
+                                   self.scheduler.now() - pending.sent_at)
 
     # -- convenience wrappers ---------------------------------------------------
     def create(self, path: str, data: Any = None, sequential: bool = False,
@@ -175,11 +214,9 @@ class ZKClient(FailoverMixin, Node):
             return
         self.network.messages_delivered += 1
         pending = self._pending.get(req_id)
-        if pending is not None and pending.on_preliminary is not None:
-            pending.on_preliminary({
-                "ok": True, "result": result, "error": None,
-                "latency_ms": self.scheduler.clock._now - pending.sent_at,
-                "preliminary": True})
+        if pending is not None:
+            pending.sink.deliver_preliminary(
+                result, self.scheduler.clock._now - pending.sent_at)
 
     def _zk_response(self, req_id: int, ok: bool, result: Any,
                      error: Optional[str]) -> None:
@@ -195,8 +232,8 @@ class ZKClient(FailoverMixin, Node):
         if pending.timeout_event is not None:
             pending.timeout_event.cancel()
             pending.timeout_event = None
-        if pending.on_final is not None:
-            pending.on_final({
-                "ok": ok, "result": result, "error": error,
-                "latency_ms": self.scheduler.clock._now - pending.sent_at,
-                "preliminary": False})
+        latency_ms = self.scheduler.clock._now - pending.sent_at
+        if ok:
+            pending.sink.deliver_final(result, latency_ms)
+        else:
+            pending.sink.deliver_error(error, latency_ms)

@@ -7,7 +7,7 @@ Two dequeue implementations are provided, matching Section 6.2.2:
   with queue length), pick the lowest-numbered child, ``delete`` it, and
   retry when a concurrent consumer already removed it.  This is the ZK
   baseline of Figure 10.
-* :meth:`DistributedQueue.dequeue` — the Correctable ZooKeeper server-side
+* :meth:`ZKClient.dequeue` — the Correctable ZooKeeper server-side
   dequeue: a single constant-size transaction that removes the head
   atomically, optionally with an ICG preliminary from the server's local
   simulation.
@@ -40,14 +40,6 @@ class DistributedQueue:
                 on_final: Optional[ResponseCallback] = None) -> None:
         """Append ``item`` (sequential create under the queue znode)."""
         self.client.enqueue(self.queue_path, item, icg=icg,
-                            on_preliminary=on_preliminary, on_final=on_final)
-
-    # -- consumers: CZK server-side dequeue ----------------------------------------
-    def dequeue(self, icg: bool = False,
-                on_preliminary: Optional[ResponseCallback] = None,
-                on_final: Optional[ResponseCallback] = None) -> None:
-        """Constant-message-size dequeue executed atomically at the servers."""
-        self.client.dequeue(self.queue_path, icg=icg,
                             on_preliminary=on_preliminary, on_final=on_final)
 
     # -- consumers: standard ZooKeeper recipe ----------------------------------------

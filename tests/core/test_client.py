@@ -24,7 +24,8 @@ class ScriptedBinding:
         return list(self.levels)
 
     def submit_operation(self, operation, levels, callback):
-        self.submissions.append({"operation": operation, "levels": levels,
+        self.submissions.append({"operation": operation,
+                                 "levels": list(levels),
                                  "callback": callback})
 
     # -- helpers the tests call to emulate storage responses -----------------

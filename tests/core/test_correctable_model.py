@@ -11,6 +11,11 @@ must agree on which callback fired, in which order, with which argument; on
 immediately (Promise semantics), and every final/error callback fires at
 most once, exactly once if it was registered for the transition that
 happened.
+
+A second property plays the completion side — ``deliver`` (the binding
+callback) and the positional sink protocol ``deliver_preliminary`` /
+``deliver_final`` / ``deliver_error`` — against the same model, with the
+mapping onto ``update`` / ``close`` / ``fail`` written out here.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.consistency import CAUSAL, STRONG, WEAK
 from repro.core.correctable import Correctable
-from repro.core.errors import InvalidStateError, OperationError
+from repro.core.errors import BindingError, InvalidStateError, OperationError
 
 LEVELS = {"weak": WEAK, "causal": CAUSAL, "strong": STRONG}
 
@@ -78,8 +83,10 @@ class _Model:
 
 def _plain(arg: Any) -> Any:
     """A view (real or model) or an error as a comparable value."""
-    if isinstance(arg, (tuple, BaseException)):
+    if isinstance(arg, tuple):
         return arg
+    if isinstance(arg, BaseException):
+        return (type(arg).__name__, str(arg))
     return (arg.value, arg.consistency.name, arg.is_confirmation, arg.metadata)
 
 
@@ -133,10 +140,11 @@ class _Player:
 def _observe(target: Any) -> tuple:
     if isinstance(target, _Model):
         return (target.state, tuple(target.views),
-                tuple(target.preliminary()), target.discarded, target.error)
+                tuple(target.preliminary()), target.discarded,
+                target.error and _plain(target.error))
     return (target.state.value, tuple(_plain(v) for v in target.views()),
             tuple(_plain(v) for v in target.preliminary_views()),
-            target.discarded_updates, target.error)
+            target.discarded_updates, target.error and _plain(target.error))
 
 
 _values = st.integers(min_value=0, max_value=3)
@@ -185,6 +193,89 @@ def test_correctable_matches_the_list_model(program):
         assert real.target.views() is views
         assert real.target.update("late", WEAK) is None
         assert real.target.views() is views
+
+
+# -- the completion side ------------------------------------------------------
+
+def _complete_model(model: _Model, levels: tuple, step: tuple) -> None:
+    """What a sink step means, in terms of the three transitions."""
+    kind, updating = step[0], model.state == "updating"
+    if kind == "preliminary":
+        metadata = {"latency_ms": step[2], "preliminary": True}
+        if len(levels) > 1:
+            model.update(step[1], levels[0], metadata)
+        elif updating:
+            model.close(step[1], levels[0], metadata)
+    elif kind == "final" and updating:
+        model.close(step[1], levels[-1],
+                    {"latency_ms": step[2], "preliminary": False})
+    elif kind == "error" and updating:
+        model.fail(OperationError(step[1]))
+    elif kind == "deliver":
+        _, level, value, metadata, error = step
+        if error is not None:
+            if updating:
+                model.fail(error)
+        elif level not in levels:
+            raise BindingError(level.name)
+        elif level != levels[-1]:
+            model.update(value, level, metadata)
+        elif updating and metadata and metadata.get("is_confirmation"):
+            if model.views:
+                value = model.views[-1][0]
+            model.close(value, level, metadata, is_confirmation=True)
+        elif updating:
+            model.close(value, level, metadata)
+
+
+def _complete_real(real: Correctable, step: tuple) -> None:
+    kind = step[0]
+    if kind == "deliver":
+        # Called the way a binding calls its callback.
+        real(step[1], step[2], metadata=step[3], error=step[4])
+    else:
+        getattr(real, f"deliver_{kind}")(*step[1:])
+
+
+_latency = st.floats(min_value=0, max_value=90)
+_sink_steps = st.one_of(
+    st.tuples(st.just("preliminary"), _values, _latency),
+    st.tuples(st.just("final"), _values, _latency),
+    st.tuples(st.just("error"), st.sampled_from(["NoNode: /q", "timeout"]),
+              _latency),
+    st.tuples(st.just("deliver"), st.sampled_from([WEAK, CAUSAL, STRONG]),
+              _values,
+              st.one_of(_metadata, st.just({"is_confirmation": True})),
+              st.one_of(st.none(), st.none(), _errors)),
+    st.tuples(st.just("register"), _registration),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(levels=st.sampled_from([(WEAK, STRONG), (WEAK, CAUSAL, STRONG),
+                               (WEAK,), (STRONG,)]),
+       program=st.lists(_sink_steps, max_size=10))
+def test_completion_methods_match_the_list_model(levels, program):
+    real = _Player(Correctable(levels=levels))
+    model = _Player(_Model())
+    for step in program:
+        if step[0] == "register":
+            real.step(step)
+            model.step(step)
+        else:
+            outcomes = []
+            for complete in (lambda: _complete_real(real.target, step),
+                             lambda: _complete_model(model.target, levels,
+                                                     step)):
+                try:
+                    outcomes.append(complete())
+                except BindingError:
+                    outcomes.append("unrequested level")
+            assert outcomes[0] == outcomes[1], step
+        assert real.log == model.log, step
+        assert _observe(real.target) == _observe(model.target), step
+    finals = [kind for _, kind, _ in real.log if kind in ("final", "error")]
+    assert len(set(finals)) <= 1, "both a final and an error were delivered"
 
 
 def test_views_are_stamped_by_the_clock_at_delivery():

@@ -131,29 +131,68 @@ def test_simulation_overlay_matches_the_sorted_reference(steps):
 
 # -- (3) depth independence ------------------------------------------------------
 
-def _seconds_for_dequeues(depth, dequeues, rounds):
-    """Best host time for ``dequeues`` applied dequeues starting ``depth``
-    deep (``dequeues`` <= ``depth``), over ``rounds`` fresh queues."""
-    best = float("inf")
-    for _ in range(rounds):
-        _, cluster = _cluster(queues=("/q",), depth=depth)
-        server = cluster.leader
-        txns = [Transaction(zxid, "dequeue", "/q")
-                for zxid in range(1, dequeues + 1)]
-        started = time.perf_counter()
-        for txn in txns:
-            server._apply(txn)
-        best = min(best, time.perf_counter() - started)
-        assert server.tree.child_count("/q") == depth - dequeues
-    return best
+class _CountedList(list):
+    """A child-order list that counts the elements each operation touches
+    (an index reads one; iterating, sorting, searching, copying or deleting
+    from the front touch — or shift — all of them)."""
+
+    touched = 0
+
+    def __getitem__(self, index):
+        self.touched += (len(range(*index.indices(len(self))))
+                         if isinstance(index, slice) else 1)
+        return list.__getitem__(self, index)
+
+
+class _CountedDict(dict):
+    """A children map that counts the entries a scan visits; lookups,
+    deletions and ``len`` are free."""
+
+    touched = 0
+
+
+def _touching_everything(base, name):
+    def method(self, *args, **kwargs):
+        self.touched += len(self)
+        return getattr(base, name)(self, *args, **kwargs)
+    return method
+
+
+for _name in ("__iter__", "__contains__", "__delitem__", "__reversed__",
+              "sort", "index", "count", "copy", "insert", "remove"):
+    setattr(_CountedList, _name, _touching_everything(list, _name))
+for _name in ("__iter__", "keys", "values", "items", "copy"):
+    setattr(_CountedDict, _name, _touching_everything(dict, _name))
+
+
+def _entries_touched_by_dequeues(depth, dequeues):
+    """How many entries of the queue znode's child order and child map
+    ``dequeues`` applied dequeues touch, starting ``depth`` deep."""
+    _, cluster = _cluster(queues=("/q",), depth=depth)
+    server = cluster.leader
+    queue = server.tree._lookup("/q")
+    queue.order = order = _CountedList(queue.order)
+    queue.children = children = _CountedDict(queue.children)
+    for zxid in range(1, dequeues + 1):
+        applied = server._apply(Transaction(zxid, "dequeue", "/q"))
+        assert applied["result"]["name"] == f"item-{zxid - 1:010d}"
+    touched = order.touched + children.touched
+    assert server.tree.child_count("/q") == depth - dequeues
+    assert sorted(children) == list.__getitem__(order, slice(queue.head, None))
+    return touched
 
 
 def test_dequeue_cost_does_not_grow_with_queue_depth():
-    # 2,000 dequeues either way: ten 200-deep queues drained, against one
-    # 50,000-deep queue (where the sort-per-dequeue code took ~100x).
-    shallow = 10 * _seconds_for_dequeues(200, 200, rounds=5)
-    deep = _seconds_for_dequeues(50_000, 2_000, rounds=3)
-    assert deep < 3 * shallow
+    # An exact count, not a stopwatch: a dequeue reads the head of the
+    # order list and unlinks it, whatever lies behind.  The sort-per-dequeue
+    # code this replaced touched every child every time (``sorted`` iterates
+    # the map): 2,000 dequeues of a 10,000-deep queue, 18 million entries.
+    probe = _CountedDict(b=1, a=2)
+    assert sorted(probe) == ["a", "b"] and probe.touched == 2
+    shallow = _entries_touched_by_dequeues(200, 200)
+    deep = _entries_touched_by_dequeues(10_000, 2_000)
+    assert shallow <= 4 * 200      # head reads + the amortised compactions
+    assert deep == 2 * 2_000       # pop_first_child's read and unlink's
 
 
 def test_simulated_dequeue_cost_does_not_grow_with_queue_depth():

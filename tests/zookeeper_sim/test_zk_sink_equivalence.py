@@ -12,19 +12,29 @@ for key and that a timed-out operation fails its Correctable exactly once.
 
 from __future__ import annotations
 
+import contextlib
+import dis
+import sys
+import types
+from collections import Counter
 from typing import Any, Callable, Dict, List, Tuple
 
+import pytest
 import zk_slices
 from zk_slices import (DRAINED, cluster_record, instances_built,
                        plain_callbacks, traced_schedulers)
 
-from repro.apps.tickets import PurchaseOutcome
+from repro.apps.tickets import PurchaseOutcome, TicketSeller, _Purchase
 from repro.bindings.zookeeper import ZooKeeperQueueBinding
 from repro.core.client import CorrectableClient
+from repro.core.consistency import STRONG
+from repro.core.correctable import Correctable
 from repro.core.errors import OperationError
 from repro.core.operations import dequeue
+from repro.core.views import View
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
+from repro.zookeeper_sim.client import ZkOp, _CallbackSink
 from repro.zookeeper_sim.cluster import ZooKeeperCluster
 from repro.zookeeper_sim.config import ZooKeeperConfig
 
@@ -164,3 +174,128 @@ class TestTimedOutInvocation:
         assert len(seen) == 3 and correctable.is_error()
         assert correctable.discarded_updates == 0
         assert cluster.in_flight() == DRAINED
+
+    @pytest.mark.parametrize("adapter", [contextlib.nullcontext,
+                                         plain_callbacks])
+    def test_weak_only_invocation_hears_about_the_timeout_too(self, adapter):
+        """No level is deaf to a failure: the error arrives at whatever
+        level would have closed the operation (it used to be dropped when
+        only the preliminary was asked for, leaving the Correctable open)."""
+        env, cluster = _ensemble(request_timeout_ms=100.0, client_retries=0)
+        node = cluster.add_client("c", Region.FRK)
+        client = CorrectableClient(ZooKeeperQueueBinding(node, "/queue"))
+        cluster.server_in(Region.FRK).crash()
+        with adapter():
+            correctable = client.invoke_weak(dequeue("/queue"))
+        env.run_until_idle()
+        assert correctable.is_error() and not correctable.views()
+        assert str(correctable.error) == "client timeout: no server responded"
+        assert node.failed_requests == 1 and cluster.in_flight() == DRAINED
+
+
+# ---------------------------------------------------------------------------
+# what one invocation allocates
+# ---------------------------------------------------------------------------
+
+_REQUEST_PATH = ("zookeeper_sim/client.py", "bindings/zookeeper.py",
+                 "core/client.py", "core/correctable.py", "apps/tickets.py")
+
+
+def _opcodes_executed(run: Callable[[], None]) -> Dict[str, Counter]:
+    """Per source file of the request path, how often each opcode ran
+    inside ``run`` (``sys.settrace`` with ``f_trace_opcodes``: exact)."""
+    counts: Dict[str, Counter] = {name: Counter() for name in _REQUEST_PATH}
+
+    def on_call(frame, event, arg):
+        for name in _REQUEST_PATH:
+            if frame.f_code.co_filename.endswith(name):
+                frame.f_trace_opcodes = True
+                seen = counts[name]
+
+                def on_opcode(frame, event, arg):
+                    if event == "opcode":
+                        code = frame.f_code.co_code[frame.f_lasti]
+                        seen[dis.opname[code]] += 1
+                    return on_opcode
+
+                return on_opcode
+        return None
+
+    sys.settrace(on_call)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return counts
+
+
+def _builds(counter: Counter) -> Tuple[int, int]:
+    """(dicts built, functions made)."""
+    return (sum(n for op, n in counter.items()
+                if op in ("BUILD_MAP", "BUILD_CONST_KEY_MAP")),
+            counter["MAKE_FUNCTION"])
+
+
+def _two_hundred_icg_purchases() -> Dict[str, Any]:
+    env, cluster = _ensemble()
+    cluster.preload_queue("/tickets", [f"t{i}" for i in range(260)])
+    node = cluster.add_client("retailer", Region.FRK)
+    seller = TicketSeller(
+        CorrectableClient(ZooKeeperQueueBinding(node, "/tickets")),
+        queue_path="/tickets", threshold=20)
+    outcomes: List[PurchaseOutcome] = []
+
+    def bought(outcome: PurchaseOutcome) -> None:
+        outcomes.append(outcome)
+        if len(outcomes) < 200:
+            seller.purchase_ticket(bought)
+
+    built = {}
+    with contextlib.ExitStack() as stack:
+        for cls in (Correctable, ZkOp, View, _CallbackSink, _Purchase):
+            built[cls.__name__] = stack.enter_context(instances_built(cls))
+        opcodes = _opcodes_executed(
+            lambda: (seller.purchase_ticket(bought), env.run_until_idle()))
+    assert len(outcomes) == 200 and not any(o.sold_out for o in outcomes)
+    assert seller.purchases_from_preliminary == 200
+    return {"built": {name: len(made) for name, made in built.items()},
+            "opcodes": opcodes,
+            "views": built["View"]}
+
+
+class TestWhatAnInvocationAllocates:
+    def test_sink_path_builds_no_response_dict_and_no_closure(self):
+        run = _two_hundred_icg_purchases()
+        # Per ICG dequeue: the Correctable, the request record, the purchase
+        # record, two views — and nothing else of the library's.
+        assert run["built"] == {"Correctable": 200, "ZkOp": 200, "View": 400,
+                                "_CallbackSink": 0, "_Purchase": 200}
+        for name in ("zookeeper_sim/client.py", "bindings/zookeeper.py",
+                     "core/client.py", "apps/tickets.py"):
+            assert sum(run["opcodes"][name].values()) > 200, name
+            assert _builds(run["opcodes"][name]) == (0, 0), name
+        # The only dicts are the two views' metadata.
+        assert _builds(run["opcodes"]["core/correctable.py"]) == (400, 0)
+        assert [sorted(view.metadata) for view in run["views"][:2]] \
+            == [["latency_ms", "preliminary"]] * 2
+
+    def test_the_instrument_sees_the_dict_adapter(self):
+        with plain_callbacks():
+            run = _two_hundred_icg_purchases()
+        assert run["built"]["_CallbackSink"] == 200
+        assert run["built"]["View"] == 400
+        # Two response dicts per operation, two closures and two metadata
+        # dicts in the binding.
+        assert _builds(run["opcodes"]["zookeeper_sim/client.py"]) == (400, 0)
+        assert _builds(run["opcodes"]["bindings/zookeeper.py"]) == (400, 400)
+
+    def test_submit_defines_no_function_and_the_records_are_closed(self):
+        assert not any(isinstance(const, types.CodeType)
+                       for const in CorrectableClient._submit.__code__.co_consts)
+        assert "on_final" not in ZkOp.__slots__
+        assert "on_preliminary" not in ZkOp.__slots__
+        correctable = Correctable.resolved("v", STRONG)
+        for record in (correctable, correctable.final_view()):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.extra = 1
