@@ -103,8 +103,8 @@ class CassandraReplica(Node):
         self._write_seq = itertools.count(1)
         #: key -> (local_participant, fused fan-out targets); see _fused_plan.
         self._fused_plans: Dict[str, tuple] = {}
-        #: Ring epoch and network route epoch the plans were built against.
-        self._plan_ring_version = self._plan_route_epoch = -1
+        #: Ring epoch the plans were built against.
+        self._plan_ring_version = -1
         #: Bumped by every crash: a record stamped with an older value is an
         #: operation this node forgot it was coordinating.
         self._incarnation = 0
@@ -156,6 +156,10 @@ class CassandraReplica(Node):
         incarnation that is gone, and do nothing)."""
         super().crash()
         self._incarnation += 1
+
+    def _drop_routes(self) -> None:
+        super()._drop_routes()
+        self._fused_plans.clear()
 
     # -- helpers --------------------------------------------------------------
     def _other_replicas_by_distance(self, key: str) -> List[str]:
@@ -220,16 +224,13 @@ class CassandraReplica(Node):
         ``targets`` holds ``(node, route, read_req, write_req)`` per other
         replica in distance order: the endpoint object, its cached network
         route, and the pre-bound delivery continuations.  Invalidated by
-        ring-epoch bumps and network route invalidation.
+        ring-epoch bumps (checked here) and by the network dropping its
+        routes (pushed: :meth:`_drop_routes`).
         """
         network = self.network
-        if network.topology._version != network._topo_version:
-            network._sync_topology()
-        if self._plan_ring_version != self.partitioner.version \
-                or self._plan_route_epoch != network._route_epoch:
+        if self._plan_ring_version != self.partitioner.version:
             self._fused_plans.clear()
             self._plan_ring_version = self.partitioner.version
-            self._plan_route_epoch = network._route_epoch
         plan = self._fused_plans.get(key)
         if plan is None:
             local = self.name in self.partitioner.replicas_for(key)
@@ -280,8 +281,7 @@ class CassandraReplica(Node):
         queue.busy_time += cost
         seq = scheduler._seq
         scheduler._seq = seq + 1
-        scheduler._live += 1
-        entry = (finish, seq, self._fused_coordinate_read, rec.args, None, None)
+        entry = (finish, seq, self._fused_coordinate_read, rec.args, None)
         if finish < scheduler._horizon:
             tick = int(finish * scheduler._wheel_inv)
             if tick == scheduler._cursor:
@@ -299,13 +299,9 @@ class CassandraReplica(Node):
         # _fused_plan, inlined down to the epoch check + dict probe (the
         # builder in _fused_plan stays the miss path).
         network = self.network
-        if network.topology._version != network._topo_version:
-            network._sync_topology()
-        if self._plan_ring_version != self.partitioner.version \
-                or self._plan_route_epoch != network._route_epoch:
+        if self._plan_ring_version != self.partitioner.version:
             self._fused_plans.clear()
             self._plan_ring_version = self.partitioner.version
-            self._plan_route_epoch = network._route_epoch
         plan = self._fused_plans.get(key)
         if plan is None:
             plan = self._fused_plan(key)
@@ -339,9 +335,8 @@ class CassandraReplica(Node):
                 queue.busy_time += cost
                 seq = scheduler._seq
                 scheduler._seq = seq + 1
-                scheduler._live += 1
                 entry = (finish, seq, self._fused_flush_preliminary,
-                         rec.args, None, None)
+                         rec.args, None)
                 if finish < scheduler._horizon:
                     tick = int(finish * scheduler._wheel_inv)
                     if tick == scheduler._cursor:
@@ -359,9 +354,8 @@ class CassandraReplica(Node):
             if remote_needed < len(targets):
                 targets = targets[:remote_needed]
             size = self._req_base
-            # Network.fused_send_to, inlined per target minus its topology
-            # recheck and route probe — the plan probe above synced topology
-            # in this very event, so the plan routes cannot be stale here.
+            # Network.fused_send_to, inlined per target minus its route probe
+            # (the plan holds the routes).
             net = network
             scheduler = net.scheduler
             clock = scheduler.clock
@@ -369,22 +363,15 @@ class CassandraReplica(Node):
             contacted = rec.contacted
             for node, route, read_req, _ in targets:
                 contacted.append(node.name)
-                src_node, dst_node, stats, base, src_cell, dst_cell = route
+                src_node, dst_node, stats, base = route
                 if not src_node.alive:
                     net.messages_dropped += 1
                     continue
-                net.messages_sent += 1
                 if stats is None:
-                    lkey = (src_node.name, dst_node.name)
-                    stats = net._links.get(lkey)
-                    if stats is None:
-                        stats = net._links[lkey] = LinkStats()
-                    route[2] = stats
+                    stats = route[2] = net._links[
+                        (src_node.name, dst_node.name)] = LinkStats()
                 stats.messages += 1
                 stats.bytes += size
-                src_cell[0] += size
-                if dst_cell is not None:
-                    dst_cell[0] += size
                 if net._partitioned or net._partitioned_regions:
                     if net.is_partitioned(src_node.name, dst_node.name):
                         net.messages_dropped += 1
@@ -401,9 +388,8 @@ class CassandraReplica(Node):
                 refs += 1
                 seq = scheduler._seq
                 scheduler._seq = seq + 1
-                scheduler._live += 1
                 timestamp = clock._now + delay
-                entry = (timestamp, seq, read_req, rec.args, None, None)
+                entry = (timestamp, seq, read_req, rec.args, None)
                 if timestamp < scheduler._horizon:
                     tick = int(timestamp * scheduler._wheel_inv)
                     if tick == scheduler._cursor:
@@ -473,8 +459,7 @@ class CassandraReplica(Node):
         queue.busy_time += cost
         seq = scheduler._seq
         scheduler._seq = seq + 1
-        scheduler._live += 1
-        entry = (finish, seq, self._fused_serve_read, rec.args, None, None)
+        entry = (finish, seq, self._fused_serve_read, rec.args, None)
         if finish < scheduler._horizon:
             tick = int(finish * scheduler._wheel_inv)
             if tick == scheduler._cursor:
@@ -740,8 +725,7 @@ class CassandraReplica(Node):
         queue.busy_time += cost
         seq = scheduler._seq
         scheduler._seq = seq + 1
-        scheduler._live += 1
-        entry = (finish, seq, self._fused_coordinate_write, rec.args, None, None)
+        entry = (finish, seq, self._fused_coordinate_write, rec.args, None)
         if finish < scheduler._horizon:
             tick = int(finish * scheduler._wheel_inv)
             if tick == scheduler._cursor:
@@ -758,13 +742,9 @@ class CassandraReplica(Node):
         config = self.config
         net = self.network
         # _fused_plan, inlined (see _fused_coordinate_read).
-        if net.topology._version != net._topo_version:
-            net._sync_topology()
-        if self._plan_ring_version != self.partitioner.version \
-                or self._plan_route_epoch != net._route_epoch:
+        if self._plan_ring_version != self.partitioner.version:
             self._fused_plans.clear()
             self._plan_ring_version = self.partitioner.version
-            self._plan_route_epoch = net._route_epoch
         plan = self._fused_plans.get(key)
         if plan is None:
             plan = self._fused_plan(key)
@@ -791,22 +771,15 @@ class CassandraReplica(Node):
             clock = scheduler.clock
             jitter_fraction = net._jitter_fraction
             for node, route, _, write_req in targets:
-                src_node, dst_node, stats, base, src_cell, dst_cell = route
+                src_node, dst_node, stats, base = route
                 if not src_node.alive:
                     net.messages_dropped += 1
                     continue
-                net.messages_sent += 1
                 if stats is None:
-                    lkey = (src_node.name, dst_node.name)
-                    stats = net._links.get(lkey)
-                    if stats is None:
-                        stats = net._links[lkey] = LinkStats()
-                    route[2] = stats
+                    stats = route[2] = net._links[
+                        (src_node.name, dst_node.name)] = LinkStats()
                 stats.messages += 1
                 stats.bytes += size
-                src_cell[0] += size
-                if dst_cell is not None:
-                    dst_cell[0] += size
                 if net._partitioned or net._partitioned_regions:
                     if net.is_partitioned(src_node.name, dst_node.name):
                         net.messages_dropped += 1
@@ -823,9 +796,8 @@ class CassandraReplica(Node):
                 refs += 1
                 seq = scheduler._seq
                 scheduler._seq = seq + 1
-                scheduler._live += 1
                 timestamp = clock._now + delay
-                entry = (timestamp, seq, write_req, (rec, True), None, None)
+                entry = (timestamp, seq, write_req, (rec, True), None)
                 if timestamp < scheduler._horizon:
                     tick = int(timestamp * scheduler._wheel_inv)
                     if tick == scheduler._cursor:
@@ -882,8 +854,7 @@ class CassandraReplica(Node):
         queue.busy_time += cost
         seq = scheduler._seq
         scheduler._seq = seq + 1
-        scheduler._live += 1
-        entry = (finish, seq, self._fused_apply_write, (rec, ack), None, None)
+        entry = (finish, seq, self._fused_apply_write, (rec, ack), None)
         if finish < scheduler._horizon:
             tick = int(finish * scheduler._wheel_inv)
             if tick == scheduler._cursor:

@@ -6,17 +6,34 @@ delay drawn from the :class:`~repro.sim.topology.Topology`.  Every message's
 size is charged to the (source, destination) link, which is what the paper's
 bandwidth figures (Figures 8 and 10) measure on the client-replica links.
 
-The send path is written for throughput:
+A hop pays for what the hop itself decides — liveness of both ends, the
+link charge, the jitter draw, the scheduler insert — and nothing else:
 
-* with no faults installed the partition/degradation checks cost one
-  truthiness test each (no ``frozenset`` allocation), per-node byte totals
-  are maintained as O(1) counters, and payload sizing is iterative with a
-  cache for non-ASCII strings;
-* per-(src, dst) *routes* — endpoint nodes, link stats and the jitter-free
-  base delay — are cached and invalidated by topology edits (a version
-  counter), membership changes and ``reset_stats``; jitter is applied
-  inline with the exact arithmetic of ``Topology.one_way``;
-* delivered :class:`Message` objects are recycled through a free-list pool
+* **What is counted where.**  The only thing a send writes is its link's
+  :class:`LinkStats` row (messages, bytes), plus ``messages_dropped`` when
+  it is dropped.  Everything else is derived when somebody reads it:
+  ``messages_sent`` is the sum of the rows' message counts,
+  ``bytes_touching`` a scan over the rows with that endpoint,
+  ``total_bytes`` their sum.  A row exists only once its link has been
+  charged (a dead sender charges nothing, an unused link answers with the
+  shared :data:`EMPTY_LINK_STATS`).  ``messages_delivered`` and the
+  dead-destination drop are counted at delivery.
+* **Who invalidates whom.**  Per-(src, dst) *routes* — ``[src_node,
+  dst_node, stats, base_delay]``, the delay jitter-free and computed with
+  the exact arithmetic of ``Topology.one_way`` — are cached here, by each
+  sending node (``Node._fused_routes``) and inside the Cassandra
+  coordinators' fan-out plans.  Nothing on the send path checks that they
+  are current: the :class:`~repro.sim.topology.Topology` *tells* its
+  networks when a latency or the jitter bound changes, and the network
+  then drops its own routes and has every registered node drop what it
+  derived from them (:meth:`Network._drop_routes` →
+  ``Node._drop_routes``); ``reset_stats`` does the same, because routes
+  hold their link's row.  Registering a node invalidates nothing: no
+  existing route can mention it.
+* Partition and degradation checks cost one truthiness test each while no
+  fault is installed (no ``frozenset`` allocation); payload sizing is
+  iterative with a cache for non-ASCII strings.
+* Delivered :class:`Message` objects are recycled through a free-list pool
   guarded by a refcount check, so steady-state traffic allocates no message
   objects at all (see :meth:`Network.pool_stats`).
 
@@ -25,13 +42,12 @@ request path: one pooled record per operation; ZooKeeper's: one ``ZkOp`` per
 operation and the leader's shared ``Transaction``) skip :class:`Message`
 entirely and schedule a pre-bound continuation at the delivery instant via
 :meth:`Network.fused_send_to`.  Accounting, drop rules, and the jitter draw
-are bit-identical to :meth:`send` — same ``messages_sent`` /
-``messages_dropped`` counters, same :class:`LinkStats` and per-node byte
-cells, same RNG consumption; only the per-send object churn (message shell,
-payload dict, handler dispatch) disappears.  Delivery-side accounting
-(``messages_delivered`` and the dead-destination drop) is the receiving
-continuation's responsibility, and the sender learns from the return value
-whether anything was scheduled at all.
+are bit-identical to :meth:`send` — same ``messages_dropped`` counter, same
+:class:`LinkStats` rows, same RNG consumption; only the per-send object
+churn (message shell, payload dict, handler dispatch) disappears.
+Delivery-side accounting (``messages_delivered`` and the dead-destination
+drop) is the receiving continuation's responsibility, and the sender learns
+from the return value whether anything was scheduled at all.
 """
 
 from __future__ import annotations
@@ -194,32 +210,30 @@ class Network:
     """Delivers messages between registered nodes with WAN latencies."""
 
     __slots__ = ("scheduler", "topology", "_clock", "_rand",
-                 "_jitter_fraction", "_nodes", "_links", "_node_cells",
+                 "_jitter_fraction", "_nodes", "_links",
                  "_partitioned", "_partitioned_regions", "_link_extra_ms",
-                 "_routes", "_route_epoch", "_topo_version", "_msg_pool",
-                 "messages_sent", "messages_delivered", "messages_dropped",
-                 "pool_created", "pool_reused", "pool_recycled", "pool_debug")
+                 "_routes", "_msg_pool",
+                 "messages_delivered", "messages_dropped",
+                 "pool_created", "pool_reused", "pool_recycled", "pool_debug",
+                 "__weakref__")
 
     def __init__(self, scheduler: Scheduler, topology: Topology) -> None:
         self.scheduler = scheduler
         self._clock = scheduler.clock
         self.topology = topology
         self._nodes: Dict[str, "Node"] = {}
+        #: One row per directed link that has carried traffic: the only
+        #: accounting a send writes (see the module docstring).
         self._links: Dict[Tuple[str, str], LinkStats] = {}
-        #: O(1) per-node byte totals (every link where the node is an
-        #: endpoint), kept as single-element list cells so cached routes can
-        #: charge them without a dict lookup per send.
-        self._node_cells: Dict[str, list] = {}
         self._partitioned: set = set()
         self._partitioned_regions: set = set()
         #: Extra one-way latency (ms) per node pair or region pair; region
         #: keys use the ``"region:<name>"`` form so the two namespaces never
         #: collide with node names.
         self._link_extra_ms: Dict[frozenset, float] = {}
-        #: (src, dst) -> [src_node, dst_node, LinkStats | None, base_delay,
-        #: src_byte_cell, dst_byte_cell | None].  Stats are filled in on
-        #: first charge so dead-sender traffic never materializes a link
-        #: entry (matching the uncached behaviour).
+        #: (src, dst) -> [src_node, dst_node, LinkStats | None, base_delay].
+        #: Stats are filled in on first charge so dead-sender traffic never
+        #: materializes a link entry.
         self._routes: Dict[Tuple[str, str], list] = {}
         #: Free list of delivered messages awaiting reuse, plus counters for
         #: the pool tests; ``pool_debug`` adds aliasing assertions.
@@ -228,23 +242,22 @@ class Network:
         self.pool_reused = 0
         self.pool_recycled = 0
         self.pool_debug = False
-        self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        #: Bumped whenever :attr:`_routes` is invalidated; protocol-level
-        #: fused-route caches revalidate against it instead of probing the
-        #: route dict per send.
-        self._route_epoch = 0
-        self._sync_topology()
-
-    def _sync_topology(self) -> None:
-        """Refresh everything cached off the topology (see ``_version``)."""
-        topology = self.topology
-        self._routes.clear()
-        self._route_epoch += 1
-        self._jitter_fraction = topology.jitter_fraction
         self._rand = topology._rng.random
-        self._topo_version = topology._version
+        topology._networks.add(self)
+        self._drop_routes()
+
+    def _drop_routes(self) -> None:
+        """Forget every route, here and on every node that holds one.
+
+        Called by the topology when a latency or the jitter bound changes,
+        and by :meth:`reset_stats`; the send path trusts that it was.
+        """
+        self._jitter_fraction = self.topology.jitter_fraction
+        self._routes.clear()
+        for node in self._nodes.values():
+            node._drop_routes()
 
     # -- membership ------------------------------------------------------
     def register(self, node: "Node") -> None:
@@ -252,8 +265,6 @@ class Network:
         if node.name in self._nodes:
             raise ValueError(f"node name already registered: {node.name}")
         self._nodes[node.name] = node
-        self._routes.clear()
-        self._route_epoch += 1
 
     def node(self, name: str) -> "Node":
         return self._nodes[name]
@@ -325,9 +336,7 @@ class Network:
 
         The jitter-free base delay is precomputed with exactly the
         arithmetic of :meth:`Topology.one_way` (loopback or RTT halved);
-        stats start as ``None`` and are created on first charge; the byte
-        cells alias :attr:`_node_cells` (``None`` dst cell for self-sends,
-        which charge the endpoint once).
+        stats start as ``None`` and are created on first charge.
         """
         nodes = self._nodes
         src_node = nodes.get(src)
@@ -344,19 +353,8 @@ class Network:
             base = topology.loopback_rtt_ms / 2.0
         else:
             base = topology.rtt(src_node.region, dst_node.region) / 2.0
-        cells = self._node_cells
-        src_cell = cells.get(src)
-        if src_cell is None:
-            src_cell = cells[src] = [0]
-        if dst == src:
-            dst_cell = None
-        else:
-            dst_cell = cells.get(dst)
-            if dst_cell is None:
-                dst_cell = cells[dst] = [0]
-        route = [src_node, dst_node, self._links.get((src, dst)), base,
-                 src_cell, dst_cell]
-        self._routes[(src, dst)] = route
+        route = self._routes[(src, dst)] = [
+            src_node, dst_node, self._links.get((src, dst)), base]
         return route
 
     def _prepare(self, src: str, dst: str, kind: str,
@@ -370,12 +368,10 @@ class Network:
         hottest function in the simulator; everything it touches per call is
         either a local, a cached route field, or a plain counter.
         """
-        if self.topology._version != self._topo_version:
-            self._sync_topology()
         route = self._routes.get((src, dst))
         if route is None:
             route = self._route(src, dst)
-        src_node, dst_node, stats, base, src_cell, dst_cell = route
+        src_node, dst_node, stats, base = route
         # Inline message acquire: reuse a recycled shell when one is free.
         pool = self._msg_pool
         if pool:
@@ -404,17 +400,10 @@ class Network:
         if not src_node.alive:
             self.messages_dropped += 1
             return None, message, dst_node
-        self.messages_sent += 1
         if stats is None:
-            stats = self._links.get((src, dst))
-            if stats is None:
-                stats = self._links[(src, dst)] = LinkStats()
-            route[2] = stats
+            stats = route[2] = self._links[(src, dst)] = LinkStats()
         stats.messages += 1
         stats.bytes += size_bytes
-        src_cell[0] += size_bytes
-        if dst_cell is not None:
-            dst_cell[0] += size_bytes
 
         # Zero-fault fast path: with no partitions installed the check is
         # two falsy tests, no frozenset allocation.
@@ -493,12 +482,10 @@ class Network:
     def fused_route(self, src: str, dst: str) -> list:
         """The cached route entry for src→dst, for fused protocol senders.
 
-        Callers hold the returned list and revalidate their hold against
-        :attr:`_route_epoch` (the list is shared with :meth:`_prepare`, so
-        fused and message sends charge the very same stats and byte cells).
+        Callers may hold the returned list until their node's
+        ``_drop_routes`` is called (the list is shared with :meth:`_prepare`,
+        so fused and message sends charge the very same stats row).
         """
-        if self.topology._version != self._topo_version:
-            self._sync_topology()
         route = self._routes.get((src, dst))
         if route is None:
             route = self._route(src, dst)
@@ -521,34 +508,20 @@ class Network:
         ``schedule_call`` inlined: this runs once per protocol hop, and the
         extra call frames are measurable at full fig06 scale.
         """
-        if self.topology._version != self._topo_version:
-            self._sync_topology()
-        epoch = self._route_epoch
-        if src._fused_epoch != epoch:
-            src._fused_routes.clear()
-            src._fused_epoch = epoch
         route = src._fused_routes.get(dst)
         if route is None:
             route = self._routes.get((src.name, dst))
             if route is None:
                 route = self._route(src.name, dst)
             src._fused_routes[dst] = route
-        src_node, dst_node, stats, base, src_cell, dst_cell = route
+        src_node, dst_node, stats, base = route
         if not src_node.alive:
             self.messages_dropped += 1
             return False
-        self.messages_sent += 1
         if stats is None:
-            key = (src_node.name, dst_node.name)
-            stats = self._links.get(key)
-            if stats is None:
-                stats = self._links[key] = LinkStats()
-            route[2] = stats
+            stats = route[2] = self._links[(src_node.name, dst)] = LinkStats()
         stats.messages += 1
         stats.bytes += size_bytes
-        src_cell[0] += size_bytes
-        if dst_cell is not None:
-            dst_cell[0] += size_bytes
         if self._partitioned or self._partitioned_regions:
             if self.is_partitioned(src_node.name, dst_node.name):
                 self.messages_dropped += 1
@@ -567,24 +540,29 @@ class Network:
         scheduler = self.scheduler
         seq = scheduler._seq
         scheduler._seq = seq + 1
-        scheduler._live += 1
         timestamp = scheduler.clock._now + delay
         if timestamp < scheduler._horizon:
             tick = int(timestamp * scheduler._wheel_inv)
             if tick == scheduler._cursor:
                 heapq.heappush(
                     scheduler._slots[tick & scheduler._wheel_mask],
-                    (timestamp, seq, fn, args, None, None))
+                    (timestamp, seq, fn, args, None))
             else:
                 scheduler._slots[tick & scheduler._wheel_mask].append(
-                    (timestamp, seq, fn, args, None, None))
+                    (timestamp, seq, fn, args, None))
                 scheduler._wheel_count += 1
         else:
             heapq.heappush(scheduler._heap,
-                           (timestamp, seq, fn, args, None, None))
+                           (timestamp, seq, fn, args, None))
         return True
 
     # -- accounting --------------------------------------------------------
+    @property
+    def messages_sent(self) -> int:
+        """Messages charged to a link since the last :meth:`reset_stats` —
+        everything a live sender sent, delivered or not."""
+        return sum(stats.messages for stats in self._links.values())
+
     def link_stats(self, src: str, dst: str) -> LinkStats:
         """Traffic on the directed link src→dst.
 
@@ -601,8 +579,8 @@ class Network:
 
     def bytes_touching(self, name: str) -> int:
         """Total bytes on every link where ``name`` is an endpoint."""
-        cell = self._node_cells.get(name)
-        return cell[0] if cell is not None else 0
+        return sum(stats.bytes for link, stats in self._links.items()
+                   if name in link)
 
     def total_bytes(self) -> int:
         return sum(stats.bytes for stats in self._links.values())
@@ -610,11 +588,8 @@ class Network:
     def reset_stats(self) -> None:
         """Clear byte counters (used to scope measurement windows)."""
         self._links.clear()
-        # Cached routes hold LinkStats references and byte cells; drop them
-        # so post-reset traffic charges fresh counters.
-        self._routes.clear()
-        self._route_epoch += 1
-        self._node_cells.clear()
-        self.messages_sent = 0
+        # Cached routes hold their link's row; drop them so post-reset
+        # traffic charges fresh ones.
+        self._drop_routes()
         self.messages_delivered = 0
         self.messages_dropped = 0

@@ -80,10 +80,8 @@ class Node:
         #: up on the delivery hot path).
         self._handler_cache: dict = {}
         #: destination name -> network route entry, for
-        #: ``Network.fused_send_to``; revalidated against
-        #: ``Network._route_epoch``.
+        #: ``Network.fused_send_to``; see :meth:`_drop_routes`.
         self._fused_routes: dict = {}
-        self._fused_epoch = -1
         network.register(self)
 
     # -- lifecycle ---------------------------------------------------------
@@ -93,6 +91,12 @@ class Node:
 
     def recover(self) -> None:
         self.alive = True
+
+    def _drop_routes(self) -> None:
+        """The network's routes changed (a topology edit, ``reset_stats``):
+        forget everything derived from them.  Subclasses that cache more
+        than :attr:`_fused_routes` extend this."""
+        self._fused_routes.clear()
 
     def slow_down(self, factor: float) -> None:
         """Scale all future service times by ``factor`` (≥ 1 slows the node)."""
@@ -173,19 +177,17 @@ class Node:
         queue.busy_time += cost
         seq = scheduler._seq
         scheduler._seq = seq + 1
-        scheduler._live += 1
         if finish < scheduler._horizon:
             tick = int(finish * scheduler._wheel_inv)
             if tick == scheduler._cursor:
                 heapq.heappush(scheduler._slots[tick & scheduler._wheel_mask],
-                               (finish, seq, fn, args, None, None))
+                               (finish, seq, fn, args, None))
             else:
                 scheduler._slots[tick & scheduler._wheel_mask].append(
-                    (finish, seq, fn, args, None, None))
+                    (finish, seq, fn, args, None))
                 scheduler._wheel_count += 1
         else:
-            heapq.heappush(scheduler._heap,
-                           (finish, seq, fn, args, None, None))
+            heapq.heappush(scheduler._heap, (finish, seq, fn, args, None))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, region={self.region!r})"

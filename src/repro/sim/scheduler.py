@@ -4,18 +4,24 @@ Events are callbacks ordered by (time, sequence-number).  The sequence number
 makes execution order deterministic for events scheduled at the same instant,
 which in turn makes every experiment in :mod:`repro.bench` reproducible.
 
-Entries are plain ``(time, seq, fn, args, kwargs, marker)`` tuples so
+Entries are plain five-field tuples ``(time, seq, fn, args, marker)`` so
 ordering is decided by C-level tuple comparison on the first two fields
-(``seq`` is unique, so nothing beyond it is ever compared).  Two write
-paths feed the queue:
+(``seq`` is unique, so nothing beyond it is ever compared) and running one
+is ``fn(*args)``, nothing else.  Keyword arguments are bound into ``fn``
+once, with :func:`functools.partial`, by the three entry points that accept
+them (:meth:`Scheduler.schedule`, :meth:`Scheduler.schedule_at`,
+:meth:`Scheduler.schedule_call_at`); the drain never looks for them.  Two
+write paths feed the queue:
 
 * :meth:`Scheduler.schedule` / :meth:`Scheduler.schedule_at` return an
   :class:`Event` handle (stored in the marker slot) so callers can cancel
   pending work (timeouts);
 * :meth:`Scheduler.schedule_call` / :meth:`Scheduler.schedule_call_at` are
-  the fire-and-forget fast path — no handle, no kwargs mapping, and no
+  the fire-and-forget fast path — ``marker`` is ``None``, no handle and no
   per-event object allocation.  Message deliveries and processing-queue
-  jobs (the dominant event classes) use it.
+  jobs (the dominant event classes) use it, and the hottest callers
+  (``Network.fused_send_to``, ``Node._enqueue``, the Cassandra coordinator)
+  inline it: an insert is ``seq``, the tuple and the wheel placement.
 
 Storage is a **timing wheel** (calendar queue) over a binary heap:
 
@@ -32,19 +38,24 @@ Storage is a **timing wheel** (calendar queue) over a binary heap:
   sorts it; same-tick inserts use ``heappush``), so scheduling into the
   current tick during the drain preserves order.
 
-Live-event accounting is incremental: scheduling increments a live counter,
-execution and cancellation decrement it, so ``pending(live_only=True)`` —
-the runner idle check — is O(1) with no scan.  Cancelled entries are
-additionally purged in bulk once they outnumber live ones (amortized O(1)
-per cancellation), so long fault runs with many abandoned timeouts do not
-grow the queue unboundedly.  :meth:`Scheduler._scan_live` is the O(n)
-audit of the same invariant, used by the regression tests.
+What is counted where: an insert allocates a ``seq`` and counts nothing
+else; the drain adds what it executed to ``_events_executed`` when it
+stops; :meth:`Event.cancel` counts the cancellation.  The number of live
+events is *derived* when somebody asks — ``pending(live_only=True)`` is
+``_seq - _events_executed - _cancellations``, still O(1) — so none of the
+insert sites maintains it.  Cancelled entries still queued are counted
+separately (``_cancelled``) and purged in bulk once they outnumber live
+ones (amortized O(1) per cancellation), so long fault runs with many
+abandoned timeouts do not grow the queue unboundedly.
+:meth:`Scheduler._scan_live` is the O(n) audit of the derived figure, used
+by the regression tests.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.sim.clock import Clock
@@ -91,7 +102,7 @@ class Event:
             if scheduler is not None:
                 # Inline bookkeeping (every timeout that does its job ends
                 # here); only the rare purge is a call.
-                scheduler._live -= 1
+                scheduler._cancellations += 1
                 cancelled = scheduler._cancelled = scheduler._cancelled + 1
                 if cancelled >= _PURGE_THRESHOLD:
                     scheduler._purge_cancelled()
@@ -111,18 +122,21 @@ class Scheduler:
     """Discrete-event scheduler with a simulated :class:`Clock`."""
 
     __slots__ = ("clock", "_heap", "_seq", "_events_executed", "_cancelled",
-                 "_live", "_trace", "_wheel_size",
+                 "_cancellations", "_trace", "_wheel_size",
                  "_wheel_mask", "_wheel_width", "_wheel_inv", "_slots",
                  "_wheel_count", "_cursor", "_horizon")
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock if clock is not None else Clock()
-        #: Overflow heap: (time, seq, fn, args, kwargs|None, marker) tuples.
+        #: Overflow heap: (time, seq, fn, args, marker) tuples.
         self._heap: list = []
+        #: Entries ever inserted, events ever run, handles ever cancelled
+        #: while pending: the live count is their difference (see pending).
         self._seq = 0
         self._events_executed = 0
+        self._cancellations = 0
+        #: Cancelled entries still physically queued (the purge trigger).
         self._cancelled = 0
-        self._live = 0
         self._trace: Optional[list] = None
         # -- timing wheel ---------------------------------------------------
         self._wheel_size = _WHEEL_SLOTS  # a power of two: ticks are masked
@@ -155,12 +169,13 @@ class Scheduler:
 
         By default this counts cancelled-but-unpopped entries too (they
         still occupy queue slots); ``live_only=True`` reports only the events
-        that will actually execute.  Both are O(1): the counters are
-        maintained incrementally by scheduling, cancellation, and execution.
+        that will actually execute.  Both are O(1) and derived: everything
+        ever inserted, minus what ran, minus what was cancelled.  Inside a
+        running event the figure still includes the events the current
+        :meth:`run` has executed (it books them when it stops).
         """
-        if live_only:
-            return self._live
-        return self._live + self._cancelled
+        live = self._seq - self._events_executed - self._cancellations
+        return live if live_only else live + self._cancelled
 
     # -- tracing (determinism fingerprints) --------------------------------
     def start_trace(self) -> list:
@@ -200,10 +215,11 @@ class Scheduler:
         """Schedule ``fn(*args, **kwargs)`` to run ``delay`` ms from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
+        if kwargs:
+            fn = partial(fn, **kwargs)
         timestamp = self.clock._now + delay
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
         # Event(...) and _insert, inlined: one timer per request and one per
         # quorum wait go through here in every fault-tolerant configuration.
         event = _new_event(Event)
@@ -211,7 +227,7 @@ class Scheduler:
         event.seq = seq
         event.cancelled = False
         event._scheduler = self
-        entry = (timestamp, seq, fn, args, kwargs or None, event)
+        entry = (timestamp, seq, fn, args, event)
         if timestamp < self._horizon:
             tick = int(timestamp * self._wheel_inv)
             if tick == self._cursor:
@@ -230,12 +246,12 @@ class Scheduler:
             raise ValueError(
                 f"cannot schedule in the past: {timestamp} < {self.now()}"
             )
+        if kwargs:
+            fn = partial(fn, **kwargs)
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
         event = Event(timestamp, seq, self)
-        self._insert(timestamp,
-                     (timestamp, seq, fn, args, kwargs or None, event))
+        self._insert(timestamp, (timestamp, seq, fn, args, event))
         return event
 
     def schedule_call(self, delay: float, fn: Callable[..., Any],
@@ -247,7 +263,6 @@ class Scheduler:
             raise ValueError(f"delay must be non-negative, got {delay}")
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
         timestamp = self.clock._now + delay
         # _insert, inlined: this and schedule_call_at are the two hottest
         # write paths in the simulator.
@@ -255,14 +270,13 @@ class Scheduler:
             tick = int(timestamp * self._wheel_inv)
             if tick == self._cursor:
                 heapq.heappush(self._slots[tick & self._wheel_mask],
-                               (timestamp, seq, fn, args, None, None))
+                               (timestamp, seq, fn, args, None))
             else:
                 self._slots[tick & self._wheel_mask].append(
-                    (timestamp, seq, fn, args, None, None))
+                    (timestamp, seq, fn, args, None))
                 self._wheel_count += 1
         else:
-            heapq.heappush(self._heap,
-                           (timestamp, seq, fn, args, None, None))
+            heapq.heappush(self._heap, (timestamp, seq, fn, args, None))
 
     def schedule_call_at(self, timestamp: float, fn: Callable[..., Any],
                          args: tuple = (),
@@ -272,22 +286,21 @@ class Scheduler:
             raise ValueError(
                 f"cannot schedule in the past: {timestamp} < {self.now()}"
             )
+        if kwargs:
+            fn = partial(fn, **kwargs)
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
-        kwargs = kwargs or None
         if timestamp < self._horizon:
             tick = int(timestamp * self._wheel_inv)
             if tick == self._cursor:
                 heapq.heappush(self._slots[tick & self._wheel_mask],
-                               (timestamp, seq, fn, args, kwargs, None))
+                               (timestamp, seq, fn, args, None))
             else:
                 self._slots[tick & self._wheel_mask].append(
-                    (timestamp, seq, fn, args, kwargs, None))
+                    (timestamp, seq, fn, args, None))
                 self._wheel_count += 1
         else:
-            heapq.heappush(self._heap,
-                           (timestamp, seq, fn, args, kwargs, None))
+            heapq.heappush(self._heap, (timestamp, seq, fn, args, None))
 
     def call_soon(self, fn: Callable[..., Any], *args: Any,
                   **kwargs: Any) -> Event:
@@ -302,7 +315,7 @@ class Scheduler:
         if self._cancelled * 2 > len(self._heap) + self._wheel_count:
             # In place: the run() loop holds references to these lists.
             self._heap[:] = [entry for entry in self._heap
-                             if entry[5] is None or not entry[5].cancelled]
+                             if entry[4] is None or not entry[4].cancelled]
             heapq.heapify(self._heap)
             stored = 0
             cursor_index = self._cursor & self._wheel_mask
@@ -310,7 +323,7 @@ class Scheduler:
                 if not slot:
                     continue
                 slot[:] = [entry for entry in slot
-                           if entry[5] is None or not entry[5].cancelled]
+                           if entry[4] is None or not entry[4].cancelled]
                 if index == cursor_index:
                     # The cursor bucket stays heap-ordered and is excluded
                     # from the non-cursor storage count.
@@ -327,7 +340,7 @@ class Scheduler:
 
         def _count(entries: list) -> int:
             return sum(1 for entry in entries
-                       if entry[5] is None or not entry[5].cancelled)
+                       if entry[4] is None or not entry[4].cancelled)
 
         return _count(self._heap) + sum(
             _count(slot) for slot in self._slots if slot)
@@ -389,29 +402,6 @@ class Scheduler:
         self._cursor = int(self.clock._now * self._wheel_inv)
         self._horizon = (self._cursor + self._wheel_size) * self._wheel_width
 
-    def _peek_time(self) -> Optional[float]:
-        """Timestamp of the earliest queued entry (cancelled included), or
-        ``None`` when nothing is queued.  Does not advance the cursor —
-        used by the ``max_events`` stop to decide whether the clock owes the
-        caller ``until`` without committing a bucket activation."""
-        best = self._heap[0][0] if self._heap else None
-        cursor_slot = self._slots[self._cursor & self._wheel_mask]
-        if cursor_slot:
-            # The cursor bucket is heap-ordered, so its head is its minimum.
-            earliest = cursor_slot[0][0]
-            if best is None or earliest < best:
-                best = earliest
-        elif self._wheel_count:
-            slots = self._slots
-            mask = self._wheel_mask
-            probe = self._cursor + 1
-            while not slots[probe & mask]:
-                probe += 1
-            earliest = min(slots[probe & mask])[0]
-            if best is None or earliest < best:
-                best = earliest
-        return best
-
     # -- execution ---------------------------------------------------------
     def step(self) -> bool:
         """Run the next pending event.
@@ -427,7 +417,7 @@ class Scheduler:
                     self._reanchor()
                     return False
             entry = heapq.heappop(active)
-            marker = entry[5]
+            marker = entry[4]
             if marker is not None:
                 if marker.cancelled:
                     self._cancelled -= 1
@@ -437,14 +427,9 @@ class Scheduler:
                 marker._scheduler = None
             self.clock.advance_to(entry[0])
             self._events_executed += 1
-            self._live -= 1
             if self._trace is not None:
                 self._trace.append((entry[0], entry[1]))
-            kwargs = entry[4]
-            if kwargs:
-                entry[2](*entry[3], **kwargs)
-            else:
-                entry[2](*entry[3])
+            entry[2](*entry[3])
             return True
 
     def run(self, until: Optional[float] = None,
@@ -455,6 +440,13 @@ class Scheduler:
         ``until`` is an absolute simulated time; events scheduled strictly
         after it remain queued and the clock stops at ``until``.  An
         ``until`` already in the past runs nothing and moves nothing.
+
+        With both given, whichever stop comes first wins and the cap is
+        looked at first: a run that has executed ``max_events`` events
+        returns at once, the clock at the last of them, without asking what
+        is queued next (``max_events=0`` runs nothing and moves nothing).
+        The clock therefore reaches ``until`` only in a call that stopped
+        for lack of events due by then; call again to get there.
         """
         clock = self.clock
         if until is not None and until < clock._now:
@@ -480,44 +472,32 @@ class Scheduler:
                 active = slots[self._cursor & mask]
                 if not active:
                     if executed >= cap:
-                        # The cap stop must not commit a cursor advance (a
-                        # committed-but-undrained bucket would let a later
-                        # insert land behind the cursor), but it still owes
-                        # the caller ``until``'s clock semantics: the clock
-                        # reaches ``until`` when nothing queued remains
-                        # before it.
-                        if self._wheel_count == 0 and not self._heap:
-                            if until is not None and until > clock._now:
-                                clock.advance_to(until)
-                            self._reanchor()
-                        elif until is not None and until > clock._now:
-                            earliest = self._peek_time()
-                            if earliest is not None and earliest > limit:
-                                clock.advance_to(until)
+                        # Before committing a cursor advance: a committed
+                        # but undrained bucket would let a later insert land
+                        # behind the cursor.
                         return
                     active = self._next_active(limit)
                     if active is None:
                         break
                     if active is _BEYOND:
-                        if until is not None and until > clock._now:
+                        if until > clock._now:
                             clock.advance_to(until)
                         return
                 while active:
+                    if executed >= cap:
+                        return
                     entry = heappop(active)
                     timestamp = entry[0]
                     if timestamp > limit:
                         heapq.heappush(active, entry)
                         clock.advance_to(until)
                         return
-                    if executed >= cap:
-                        heapq.heappush(active, entry)
-                        return
                     # One marker test covers cancelled and handle entries;
                     # the overwhelmingly common plain entry pays a single
                     # branch.  A cancelled entry pushed back above keeps its
                     # ``_cancelled`` count until it is finally popped in
                     # bounds (or a purge removes it).
-                    marker = entry[5]
+                    marker = entry[4]
                     if marker is not None:
                         if marker.cancelled:
                             self._cancelled -= 1
@@ -533,11 +513,7 @@ class Scheduler:
                     executed += 1
                     if trace is not None:
                         trace.append((timestamp, entry[1]))
-                    kwargs = entry[4]
-                    if kwargs:
-                        entry[2](*entry[3], **kwargs)
-                    else:
-                        entry[2](*entry[3])
+                    entry[2](*entry[3])
             if until is not None and until > clock._now:
                 clock.advance_to(until)
             # Fully drained: re-align the wheel with wherever the clock
@@ -547,7 +523,6 @@ class Scheduler:
             if gc_was_enabled:
                 gc.enable()
             self._events_executed += executed
-            self._live -= executed
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
         """Run until no events remain.  Guards against runaway simulations."""

@@ -13,6 +13,7 @@ plus a small jitter drawn from the topology's RNG.
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 
@@ -63,13 +64,12 @@ class Topology:
             for pair, value in rtts.items():
                 self._rtts[frozenset(pair)] = float(value)
         #: (region_a, region_b) -> base one-way delay; avoids building a
-        #: ``frozenset`` per message on the send hot path.  Invalidated by
-        #: :meth:`set_rtt` and by assigning :attr:`intra_region_rtt_ms`.
+        #: ``frozenset`` per :meth:`one_way` call.
         self._one_way_base: Dict[Tuple[str, str], float] = {}
-        #: Bumped whenever any configured latency changes; the network's
-        #: per-(src, dst) route cache compares this to drop stale base
-        #: delays without the topology knowing who caches them.
-        self._version = 0
+        #: The networks built on this topology.  They cache base delays and
+        #: the jitter bound per route and never look back here on a send,
+        #: so every edit is pushed to them (see :meth:`_changed`).
+        self._networks = weakref.WeakSet()
         self.intra_region_rtt_ms = intra_region_rtt_ms
         self.loopback_rtt_ms = loopback_rtt_ms
         self.jitter_fraction = jitter_fraction
@@ -83,8 +83,7 @@ class Topology:
     @intra_region_rtt_ms.setter
     def intra_region_rtt_ms(self, value: float) -> None:
         self._intra_region_rtt_ms = value
-        self._one_way_base.clear()
-        self._version += 1
+        self._changed()
 
     @property
     def loopback_rtt_ms(self) -> float:
@@ -94,7 +93,7 @@ class Topology:
     @loopback_rtt_ms.setter
     def loopback_rtt_ms(self, value: float) -> None:
         self._loopback_rtt_ms = value
-        self._version += 1
+        self._changed()
 
     @property
     def jitter_fraction(self) -> float:
@@ -104,15 +103,21 @@ class Topology:
     @jitter_fraction.setter
     def jitter_fraction(self, value: float) -> None:
         self._jitter_fraction = value
-        self._version += 1
+        self._changed()
 
     def set_rtt(self, region_a: str, region_b: str, rtt_ms: float) -> None:
         """Override the RTT between two regions."""
         if region_a == region_b:
             raise ValueError("use intra_region_rtt_ms for same-region RTT")
         self._rtts[frozenset({region_a, region_b})] = float(rtt_ms)
+        self._changed()
+
+    def _changed(self) -> None:
+        """A latency or the jitter bound was edited: drop the cached base
+        delays here and tell every network to drop its routes."""
         self._one_way_base.clear()
-        self._version += 1
+        for network in self._networks:
+            network._drop_routes()
 
     def rtt(self, region_a: str, region_b: str) -> float:
         """Baseline (jitter-free) round-trip time between two regions."""

@@ -10,13 +10,20 @@ then sends one ``send`` and one ``fused_send_to`` over every kind of link
 those hops did (delay, link charge, which replicas were contacted, what the
 client saw and when) must equal what a cold stack does that was *built* with
 the new setting and never cached anything else.
+
+Nothing on the send path checks that a cached route is current — the
+topology and ``reset_stats`` *push* the invalidation down (``Network.
+_drop_routes`` → ``Node._drop_routes`` → the replica's plans) — so the
+mutants at the bottom cut that chain at each link and must be caught.
 """
 
 import pytest
 
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
+from repro.cassandra_sim.replica import CassandraReplica
 from repro.sim.environment import SimEnvironment
+from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.rand import derive_rng
 from repro.sim.topology import Region, Topology
@@ -35,7 +42,8 @@ class _Probe(Node):
         self.arrivals = []
 
     def on_probe(self, message):
-        self.arrivals.append(("send", self.scheduler.now() - message.send_time))
+        self.arrivals.append(
+            ("send", self.scheduler.now() - message.send_time))
 
     def fused_probe(self, sent_at):
         self.arrivals.append(("fused", self.scheduler.now() - sent_at))
@@ -136,12 +144,17 @@ _EDITS = {
 }
 
 
-def _warm_then_edit(edit):
+def _warm():
     warm = _Stack()
     warm.traffic()
     assert warm.source._fused_routes and warm.env.network._routes
     assert warm.cluster.replica_by_name("r-frk")._fused_plans
     warm.env.run(until=_EDIT_AT_MS)
+    return warm
+
+
+def _warm_then_edit(edit):
+    warm = _warm()
     edit(warm)
     return warm
 
@@ -171,5 +184,58 @@ def test_every_edit_changes_what_the_hops_do(name):
     """The scenarios are not vacuous: against a stack that skipped the edit
     the observation differs (``reset_stats`` changes only absolute counts)."""
     edit, _ = _EDITS[name]
-    assert _warm_then_edit(edit).observe() \
-        != _warm_then_edit(lambda stack: None).observe()
+    assert _warm_then_edit(edit).observe() != _warm().observe()
+
+
+def test_a_late_register_keeps_every_warm_route():
+    """Registering a node changes no existing endpoint, so it invalidates
+    nothing: fig15's joining node registers mid-run and a cluster build
+    registers hundreds (the join cell's table is pinned byte for byte by the
+    ``fig15`` figure hash in ``tests/bench/test_determinism.py``)."""
+    stack = _Stack()
+    stack.traffic()
+    network = stack.env.network
+    coordinator = stack.cluster.replica_by_name("r-frk")
+    held = [dict(cache) for cache in (
+        network._routes, stack.source._fused_routes, coordinator._fused_plans)]
+    assert all(held)
+    stack.add_late_probe()
+    stack.cluster.join_node("r-late", Region.IRL)
+    for cache, was in zip((network._routes, stack.source._fused_routes,
+                           coordinator._fused_plans), held):
+        assert all(cache[key] is value for key, value in was.items())
+    stack.env.run_until_idle()
+    assert stack.cluster.partitioner.contains("r-late")
+    assert all(network._routes[key] is value
+               for key, value in held[0].items())
+
+
+#: Where the push can be cut -> the edits that only reach the hops through
+#: that link of the chain (jitter lives on the network, not in a route; no
+#: coordinator plan crosses a loopback link).
+_CUTS = {
+    "network": (lambda patch: patch.setattr(
+        Network, "_drop_routes", lambda self: None),
+        ["set_rtt", "intra_region_rtt_ms", "loopback_rtt_ms",
+         "jitter_fraction", "reset_stats"]),
+    "node": (lambda patch: patch.setattr(
+        Node, "_drop_routes", lambda self: None),
+        ["set_rtt", "intra_region_rtt_ms", "loopback_rtt_ms", "reset_stats"]),
+    "replica": (lambda patch: patch.setattr(
+        CassandraReplica, "_drop_routes", Node._drop_routes),
+        ["set_rtt", "intra_region_rtt_ms", "reset_stats"]),
+}
+
+
+@pytest.mark.parametrize("cut,name", [
+    (cut, name) for cut, (_, names) in sorted(_CUTS.items())
+    for name in names])
+def test_a_skipped_push_is_caught(cut, name, monkeypatch):
+    edit, settings = _EDITS[name]
+    cold = _cold(edit, settings)
+    expected = cold.observe(), cold.links()
+    warm = _warm()
+    with monkeypatch.context() as patch:
+        _CUTS[cut][0](patch)
+        edit(warm)
+    assert (warm.observe(), warm.links()) != expected

@@ -382,6 +382,53 @@ class TestRunUntilInThePast:
         assert scheduler.pending(live_only=True) == 1
 
 
+class TestRunUntilAndMaxEvents:
+    """Both stops together: whichever comes first, the cap looked at first.
+    A run that executed ``max_events`` events leaves the clock at the last
+    of them wherever the next entry sits — same tick, later bucket, overflow
+    heap, nowhere, or a cancelled entry still physically queued (which used
+    to decide whether the clock went on to ``until``)."""
+
+    @pytest.mark.parametrize("next_at", [100.5, 100.9, 150.0, 4000.0, None],
+                             ids=["cursor-bucket", "cursor-bucket-past-until",
+                                  "later-bucket", "overflow-heap",
+                                  "nothing-queued"])
+    @pytest.mark.parametrize("cancelled_in_between", [False, True])
+    def test_cap_stop_leaves_the_clock_at_the_last_event(
+            self, scheduler, next_at, cancelled_in_between):
+        seen = []
+        scheduler.schedule(50.0, seen.append, "a")
+        scheduler.schedule(100.0, seen.append, "b")
+        if cancelled_in_between:
+            scheduler.schedule(100.25, seen.append, "dead").cancel()
+        if next_at is not None:
+            scheduler.schedule(next_at, seen.append, "next")
+        scheduler.run(until=100.75, max_events=2)
+        assert seen == ["a", "b"]
+        assert scheduler.now() == 100.0
+        assert scheduler.pending(live_only=True) == scheduler._scan_live() \
+            == (next_at is not None)
+        # The same call again stops for lack of events due by ``until``.
+        scheduler.run(until=100.75, max_events=2)
+        assert scheduler.now() == 100.75
+        assert seen == (["a", "b", "next"] if next_at == 100.5
+                        else ["a", "b"])
+
+    def test_fewer_events_than_the_cap_reaches_until(self, scheduler):
+        seen = []
+        scheduler.schedule(50.0, seen.append, "a")
+        scheduler.schedule(150.0, seen.append, "late")
+        scheduler.run(until=100.0, max_events=2)
+        assert seen == ["a"] and scheduler.now() == 100.0
+
+    def test_zero_cap_runs_nothing_and_moves_nothing(self, scheduler):
+        scheduler.schedule(50.0, list)
+        scheduler.run(until=100.0, max_events=0)
+        assert scheduler.now() == 0.0 and scheduler.events_executed == 0
+        scheduler.run(max_events=0)
+        assert scheduler.now() == 0.0 and scheduler.pending() == 1
+
+
 class TestTrace:
     def test_trace_records_time_and_seq(self, scheduler):
         trace = scheduler.start_trace()
@@ -435,6 +482,7 @@ class _ListModel:
         return sum(entry[3] for entry in self.queue)
 
     def run(self, until=None, max_events=None):
+        # Both stops together: whichever comes first, the cap checked first.
         start = len(self.trace)
         while len(self.trace) - start != max_events:
             self.queue = sorted(entry for entry in self.queue if entry[3])
@@ -471,8 +519,16 @@ class _Wheel:
         event.cancel()
 
     def live(self):
-        live = self.scheduler.pending(live_only=True)
-        assert live == self.scheduler._scan_live()
+        """The live count, audited: both ``pending`` figures are derived from
+        counters and must equal what a walk over the queue finds."""
+        scheduler = self.scheduler
+        live = scheduler.pending(live_only=True)
+        assert live == scheduler._scan_live()
+        queued = scheduler._heap + [
+            entry for slot in scheduler._slots for entry in slot]
+        assert scheduler.pending() == live + sum(
+            1 for entry in queued
+            if entry[-1] is not None and entry[-1].cancelled)
         return live
 
 
@@ -497,6 +553,8 @@ _EVENTS = st.recursive(
 _STOPS = st.one_of(
     st.tuples(st.just("run_until"), _DELAYS),
     st.tuples(st.just("run_events"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("run_both"), _DELAYS,
+              st.integers(min_value=0, max_value=40)),
     st.tuples(st.just("step")))
 _PROGRAMS = st.lists(st.one_of(_EVENTS, _EVENTS, _CANCEL, _STORM, _STOPS),
                      max_size=30)
@@ -533,12 +591,15 @@ def _play(backend, program):
             backend.run(until=backend.now + action[1])
         elif action[0] == "run_events":
             backend.run(max_events=action[1])
+        elif action[0] == "run_both":
+            backend.run(until=backend.now + action[1], max_events=action[2])
         elif action[0] == "step":
             stepped = backend.step()
         elif action[0] == "drain":
             backend.run()
         else:
             _apply(backend, handles, action)
+            backend.live()
             continue
         stops.append((backend.now, backend.live(), len(backend.trace),
                       stepped))
