@@ -45,9 +45,9 @@ enabled, replaces an identical final response with a small confirmation.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.config import CassandraConfig
@@ -281,17 +281,8 @@ class CassandraReplica(Node):
         queue.busy_time += cost
         seq = scheduler._seq
         scheduler._seq = seq + 1
-        entry = (finish, seq, self._fused_coordinate_read, rec.args, None)
-        if finish < scheduler._horizon:
-            tick = int(finish * scheduler._wheel_inv)
-            if tick == scheduler._cursor:
-                heapq.heappush(
-                    scheduler._slots[tick & scheduler._wheel_mask], entry)
-            else:
-                scheduler._slots[tick & scheduler._wheel_mask].append(entry)
-                scheduler._wheel_count += 1
-        else:
-            heapq.heappush(scheduler._heap, entry)
+        heappush(scheduler._heap,
+                 (finish, seq, self._fused_coordinate_read, rec.args, None))
 
     def _fused_coordinate_read(self, rec: FusedRead) -> None:
         key = rec.key
@@ -335,20 +326,9 @@ class CassandraReplica(Node):
                 queue.busy_time += cost
                 seq = scheduler._seq
                 scheduler._seq = seq + 1
-                entry = (finish, seq, self._fused_flush_preliminary,
-                         rec.args, None)
-                if finish < scheduler._horizon:
-                    tick = int(finish * scheduler._wheel_inv)
-                    if tick == scheduler._cursor:
-                        heapq.heappush(
-                            scheduler._slots[tick & scheduler._wheel_mask],
-                            entry)
-                    else:
-                        scheduler._slots[tick & scheduler._wheel_mask].append(
-                            entry)
-                        scheduler._wheel_count += 1
-                else:
-                    heapq.heappush(scheduler._heap, entry)
+                heappush(scheduler._heap,
+                         (finish, seq, self._fused_flush_preliminary,
+                          rec.args, None))
         remote_needed = rec.r - rec.count
         if remote_needed > 0 and targets:
             if remote_needed < len(targets):
@@ -359,6 +339,7 @@ class CassandraReplica(Node):
             net = network
             scheduler = net.scheduler
             clock = scheduler.clock
+            heap = scheduler._heap
             jitter_fraction = net._jitter_fraction
             contacted = rec.contacted
             for node, route, read_req, _ in targets:
@@ -388,20 +369,8 @@ class CassandraReplica(Node):
                 refs += 1
                 seq = scheduler._seq
                 scheduler._seq = seq + 1
-                timestamp = clock._now + delay
-                entry = (timestamp, seq, read_req, rec.args, None)
-                if timestamp < scheduler._horizon:
-                    tick = int(timestamp * scheduler._wheel_inv)
-                    if tick == scheduler._cursor:
-                        heapq.heappush(
-                            scheduler._slots[tick & scheduler._wheel_mask],
-                            entry)
-                    else:
-                        scheduler._slots[tick & scheduler._wheel_mask].append(
-                            entry)
-                        scheduler._wheel_count += 1
-                else:
-                    heapq.heappush(scheduler._heap, entry)
+                heappush(heap, (clock._now + delay, seq, read_req, rec.args,
+                                None))
         rec.refs = refs
         if rec.count >= rec.r:
             self._fused_finish_read(rec, False)
@@ -459,17 +428,8 @@ class CassandraReplica(Node):
         queue.busy_time += cost
         seq = scheduler._seq
         scheduler._seq = seq + 1
-        entry = (finish, seq, self._fused_serve_read, rec.args, None)
-        if finish < scheduler._horizon:
-            tick = int(finish * scheduler._wheel_inv)
-            if tick == scheduler._cursor:
-                heapq.heappush(
-                    scheduler._slots[tick & scheduler._wheel_mask], entry)
-            else:
-                scheduler._slots[tick & scheduler._wheel_mask].append(entry)
-                scheduler._wheel_count += 1
-        else:
-            heapq.heappush(scheduler._heap, entry)
+        heappush(scheduler._heap,
+                 (finish, seq, self._fused_serve_read, rec.args, None))
 
     def _fused_serve_read(self, rec: FusedRead) -> None:
         config = self.config
@@ -725,17 +685,8 @@ class CassandraReplica(Node):
         queue.busy_time += cost
         seq = scheduler._seq
         scheduler._seq = seq + 1
-        entry = (finish, seq, self._fused_coordinate_write, rec.args, None)
-        if finish < scheduler._horizon:
-            tick = int(finish * scheduler._wheel_inv)
-            if tick == scheduler._cursor:
-                heapq.heappush(
-                    scheduler._slots[tick & scheduler._wheel_mask], entry)
-            else:
-                scheduler._slots[tick & scheduler._wheel_mask].append(entry)
-                scheduler._wheel_count += 1
-        else:
-            heapq.heappush(scheduler._heap, entry)
+        heappush(scheduler._heap,
+                 (finish, seq, self._fused_coordinate_write, rec.args, None))
 
     def _fused_coordinate_write(self, rec: FusedWrite) -> None:
         key = rec.key
@@ -769,6 +720,7 @@ class CassandraReplica(Node):
             # _fused_coordinate_read).
             scheduler = net.scheduler
             clock = scheduler.clock
+            heap = scheduler._heap
             jitter_fraction = net._jitter_fraction
             for node, route, _, write_req in targets:
                 src_node, dst_node, stats, base = route
@@ -796,20 +748,8 @@ class CassandraReplica(Node):
                 refs += 1
                 seq = scheduler._seq
                 scheduler._seq = seq + 1
-                timestamp = clock._now + delay
-                entry = (timestamp, seq, write_req, (rec, True), None)
-                if timestamp < scheduler._horizon:
-                    tick = int(timestamp * scheduler._wheel_inv)
-                    if tick == scheduler._cursor:
-                        heapq.heappush(
-                            scheduler._slots[tick & scheduler._wheel_mask],
-                            entry)
-                    else:
-                        scheduler._slots[tick & scheduler._wheel_mask].append(
-                            entry)
-                        scheduler._wheel_count += 1
-                else:
-                    heapq.heappush(scheduler._heap, entry)
+                heappush(heap, (clock._now + delay, seq, write_req,
+                                (rec, True), None))
         # While a membership change is in flight, also forward the write to
         # the nodes gaining this key's range (``ack=False``: forwarded copies
         # never count towards the quorum), so no acknowledged write can be
@@ -854,17 +794,8 @@ class CassandraReplica(Node):
         queue.busy_time += cost
         seq = scheduler._seq
         scheduler._seq = seq + 1
-        entry = (finish, seq, self._fused_apply_write, (rec, ack), None)
-        if finish < scheduler._horizon:
-            tick = int(finish * scheduler._wheel_inv)
-            if tick == scheduler._cursor:
-                heapq.heappush(
-                    scheduler._slots[tick & scheduler._wheel_mask], entry)
-            else:
-                scheduler._slots[tick & scheduler._wheel_mask].append(entry)
-                scheduler._wheel_count += 1
-        else:
-            heapq.heappush(scheduler._heap, entry)
+        heappush(scheduler._heap,
+                 (finish, seq, self._fused_apply_write, (rec, ack), None))
 
     def _fused_apply_write(self, rec: FusedWrite, ack: bool) -> None:
         coordinator = rec.coordinator

@@ -52,10 +52,10 @@ from the return value whether anything was scheduled at all.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import sys
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.scheduler import Scheduler
@@ -540,20 +540,8 @@ class Network:
         scheduler = self.scheduler
         seq = scheduler._seq
         scheduler._seq = seq + 1
-        timestamp = scheduler.clock._now + delay
-        if timestamp < scheduler._horizon:
-            tick = int(timestamp * scheduler._wheel_inv)
-            if tick == scheduler._cursor:
-                heapq.heappush(
-                    scheduler._slots[tick & scheduler._wheel_mask],
-                    (timestamp, seq, fn, args, None))
-            else:
-                scheduler._slots[tick & scheduler._wheel_mask].append(
-                    (timestamp, seq, fn, args, None))
-                scheduler._wheel_count += 1
-        else:
-            heapq.heappush(scheduler._heap,
-                           (timestamp, seq, fn, args, None))
+        heappush(scheduler._heap,
+                 (scheduler.clock._now + delay, seq, fn, args, None))
         return True
 
     # -- accounting --------------------------------------------------------

@@ -10,7 +10,7 @@ which is what produces the latency-vs-throughput curves in Figures 6 and 11.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappush
 from typing import Any, Callable, Optional
 
 from repro.sim.network import Message, Network
@@ -177,17 +177,7 @@ class Node:
         queue.busy_time += cost
         seq = scheduler._seq
         scheduler._seq = seq + 1
-        if finish < scheduler._horizon:
-            tick = int(finish * scheduler._wheel_inv)
-            if tick == scheduler._cursor:
-                heapq.heappush(scheduler._slots[tick & scheduler._wheel_mask],
-                               (finish, seq, fn, args, None))
-            else:
-                scheduler._slots[tick & scheduler._wheel_mask].append(
-                    (finish, seq, fn, args, None))
-                scheduler._wheel_count += 1
-        else:
-            heapq.heappush(scheduler._heap, (finish, seq, fn, args, None))
+        heappush(scheduler._heap, (finish, seq, fn, args, None))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, region={self.region!r})"

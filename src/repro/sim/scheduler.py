@@ -21,22 +21,16 @@ write paths feed the queue:
   per-event object allocation.  Message deliveries and processing-queue
   jobs (the dominant event classes) use it, and the hottest callers
   (``Network.fused_send_to``, ``Node._enqueue``, the Cassandra coordinator)
-  inline it: an insert is ``seq``, the tuple and the wheel placement.
+  inline it: an insert is ``seq``, the tuple and one ``heappush``.
 
-Storage is a **timing wheel** (calendar queue) over a binary heap:
-
-* Events due within the wheel's horizon (1024 slots of 1 ms of simulated
-  time) go into per-tick slot lists — an O(1) append instead of an
-  O(log n) heap sift.  A slot is sorted once, when the wheel cursor
-  reaches its tick; entries are compared as ``(time, seq)``, so the drain
-  order is that of one global sort (the model property in
-  ``tests/sim/test_scheduler.py`` is the reference).
-* Events beyond the horizon (long timeouts, run-end sentinels) go to an
-  **overflow heap** and migrate into the wheel lazily as the cursor's
-  horizon sweeps over their timestamps.
-* The cursor's own slot is kept heap-ordered at all times (activation
-  sorts it; same-tick inserts use ``heappush``), so scheduling into the
-  current tick during the drain preserves order.
+Storage is **one binary heap** of those tuples (:mod:`heapq`: the sift and
+its ``(time, seq)`` comparisons run in C).  Every insert is a ``heappush``,
+the drain is one ``while heap:`` loop around ``heappop``, and the drain
+order is the global ``(time, seq)`` sort (checked against a list-and-sort
+model in ``tests/sim/test_scheduler.py``).  A calendar queue stood here
+once; it pays off only with thousands of events pending and several per
+millisecond, and the workloads here hold a few hundred (EXPERIMENTS.md,
+"One binary heap", has the curve and the one deeper scenario).
 
 What is counted where: an insert allocates a ``seq`` and counts nothing
 else; the drain adds what it executed to ``_events_executed`` when it
@@ -54,8 +48,8 @@ by the regression tests.
 from __future__ import annotations
 
 import gc
-import heapq
 from functools import partial
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.sim.clock import Clock
@@ -64,18 +58,8 @@ from repro.sim.clock import Clock
 #: events are queued *and* they outnumber the live ones.
 _PURGE_THRESHOLD = 512
 
-#: Sentinel returned by :meth:`Scheduler._next_active` when the next event
-#: lies beyond the run's ``until`` limit (the cursor is *not* advanced).
-_BEYOND = object()
-
 _INFINITY = float("inf")
 _NO_CAP = 1 << 62
-
-#: Wheel geometry: 1024 slots of 1 ms give a 1.024 s horizon —
-#: service times, RTTs and protocol timeouts land in the wheel; run-end
-#: sentinels and multi-second timers take the overflow heap.
-_WHEEL_SLOTS = 1024
-_WHEEL_WIDTH_MS = 1.0
 
 
 class Event:
@@ -107,9 +91,6 @@ class Event:
                 if cancelled >= _PURGE_THRESHOLD:
                     scheduler._purge_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.3f}, seq={self.seq}, {state})"
@@ -122,13 +103,11 @@ class Scheduler:
     """Discrete-event scheduler with a simulated :class:`Clock`."""
 
     __slots__ = ("clock", "_heap", "_seq", "_events_executed", "_cancelled",
-                 "_cancellations", "_trace", "_wheel_size",
-                 "_wheel_mask", "_wheel_width", "_wheel_inv", "_slots",
-                 "_wheel_count", "_cursor", "_horizon")
+                 "_cancellations", "_trace")
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock if clock is not None else Clock()
-        #: Overflow heap: (time, seq, fn, args, marker) tuples.
+        #: The queue: a binary heap of (time, seq, fn, args, marker) tuples.
         self._heap: list = []
         #: Entries ever inserted, events ever run, handles ever cancelled
         #: while pending: the live count is their difference (see pending).
@@ -138,22 +117,6 @@ class Scheduler:
         #: Cancelled entries still physically queued (the purge trigger).
         self._cancelled = 0
         self._trace: Optional[list] = None
-        # -- timing wheel ---------------------------------------------------
-        self._wheel_size = _WHEEL_SLOTS  # a power of two: ticks are masked
-        self._wheel_mask = _WHEEL_SLOTS - 1
-        self._wheel_width = _WHEEL_WIDTH_MS
-        self._wheel_inv = 1.0 / _WHEEL_WIDTH_MS
-        #: Per-tick buckets.  Invariants: every stored entry's tick lies in
-        #: ``[cursor, cursor + _WHEEL_SLOTS)`` (so each bucket holds at most
-        #: one tick's entries at a time), and the cursor's own bucket is
-        #: always heap-ordered.
-        self._slots: list = [[] for _ in range(_WHEEL_SLOTS)]
-        #: Entries (not callbacks) currently stored in the wheel buckets.
-        self._wheel_count = 0
-        self._cursor = 0
-        #: Absolute time bound of the wheel window; inserts below it go to
-        #: a bucket, at or above it to the overflow heap.
-        self._horizon = _WHEEL_SLOTS * _WHEEL_WIDTH_MS
 
     @property
     def events_executed(self) -> int:
@@ -193,23 +156,6 @@ class Scheduler:
         self._trace = None
 
     # -- scheduling --------------------------------------------------------
-    def _insert(self, timestamp: float, entry: tuple) -> None:
-        """Store one entry: wheel bucket within the horizon, else heap.
-
-        ``_wheel_count`` tracks entries in *non-cursor* buckets only: the
-        cursor's own (heap-ordered) bucket is accounted by its truthiness
-        in the run loop, so draining it costs no counter updates.
-        """
-        if timestamp < self._horizon:
-            tick = int(timestamp * self._wheel_inv)
-            if tick == self._cursor:
-                heapq.heappush(self._slots[tick & self._wheel_mask], entry)
-            else:
-                self._slots[tick & self._wheel_mask].append(entry)
-                self._wheel_count += 1
-        else:
-            heapq.heappush(self._heap, entry)
-
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any,
                  **kwargs: Any) -> Event:
         """Schedule ``fn(*args, **kwargs)`` to run ``delay`` ms from now."""
@@ -220,23 +166,14 @@ class Scheduler:
         timestamp = self.clock._now + delay
         seq = self._seq
         self._seq = seq + 1
-        # Event(...) and _insert, inlined: one timer per request and one per
-        # quorum wait go through here in every fault-tolerant configuration.
+        # Event(...), inlined: one timer per request and one per quorum wait
+        # go through here in every fault-tolerant configuration.
         event = _new_event(Event)
         event.time = timestamp
         event.seq = seq
         event.cancelled = False
         event._scheduler = self
-        entry = (timestamp, seq, fn, args, event)
-        if timestamp < self._horizon:
-            tick = int(timestamp * self._wheel_inv)
-            if tick == self._cursor:
-                heapq.heappush(self._slots[tick & self._wheel_mask], entry)
-            else:
-                self._slots[tick & self._wheel_mask].append(entry)
-                self._wheel_count += 1
-        else:
-            heapq.heappush(self._heap, entry)
+        heappush(self._heap, (timestamp, seq, fn, args, event))
         return event
 
     def schedule_at(self, timestamp: float, fn: Callable[..., Any],
@@ -244,14 +181,13 @@ class Scheduler:
         """Schedule ``fn`` at an absolute simulated time."""
         if timestamp < self.clock._now:
             raise ValueError(
-                f"cannot schedule in the past: {timestamp} < {self.now()}"
-            )
+                f"cannot schedule in the past: {timestamp} < {self.now()}")
         if kwargs:
             fn = partial(fn, **kwargs)
         seq = self._seq
         self._seq = seq + 1
         event = Event(timestamp, seq, self)
-        self._insert(timestamp, (timestamp, seq, fn, args, event))
+        heappush(self._heap, (timestamp, seq, fn, args, event))
         return event
 
     def schedule_call(self, delay: float, fn: Callable[..., Any],
@@ -263,20 +199,7 @@ class Scheduler:
             raise ValueError(f"delay must be non-negative, got {delay}")
         seq = self._seq
         self._seq = seq + 1
-        timestamp = self.clock._now + delay
-        # _insert, inlined: this and schedule_call_at are the two hottest
-        # write paths in the simulator.
-        if timestamp < self._horizon:
-            tick = int(timestamp * self._wheel_inv)
-            if tick == self._cursor:
-                heapq.heappush(self._slots[tick & self._wheel_mask],
-                               (timestamp, seq, fn, args, None))
-            else:
-                self._slots[tick & self._wheel_mask].append(
-                    (timestamp, seq, fn, args, None))
-                self._wheel_count += 1
-        else:
-            heapq.heappush(self._heap, (timestamp, seq, fn, args, None))
+        heappush(self._heap, (self.clock._now + delay, seq, fn, args, None))
 
     def schedule_call_at(self, timestamp: float, fn: Callable[..., Any],
                          args: tuple = (),
@@ -284,23 +207,12 @@ class Scheduler:
         """Fire-and-forget :meth:`schedule_at` (see :meth:`schedule_call`)."""
         if timestamp < self.clock._now:
             raise ValueError(
-                f"cannot schedule in the past: {timestamp} < {self.now()}"
-            )
+                f"cannot schedule in the past: {timestamp} < {self.now()}")
         if kwargs:
             fn = partial(fn, **kwargs)
         seq = self._seq
         self._seq = seq + 1
-        if timestamp < self._horizon:
-            tick = int(timestamp * self._wheel_inv)
-            if tick == self._cursor:
-                heapq.heappush(self._slots[tick & self._wheel_mask],
-                               (timestamp, seq, fn, args, None))
-            else:
-                self._slots[tick & self._wheel_mask].append(
-                    (timestamp, seq, fn, args, None))
-                self._wheel_count += 1
-        else:
-            heapq.heappush(self._heap, (timestamp, seq, fn, args, None))
+        heappush(self._heap, (timestamp, seq, fn, args, None))
 
     def call_soon(self, fn: Callable[..., Any], *args: Any,
                   **kwargs: Any) -> Event:
@@ -312,125 +224,27 @@ class Scheduler:
         """Called by :meth:`Event.cancel` once enough cancelled entries are
         queued; compacts the queue when they dominate (amortized O(1) per
         cancellation), so abandoned timeouts cannot grow it unboundedly."""
-        if self._cancelled * 2 > len(self._heap) + self._wheel_count:
-            # In place: the run() loop holds references to these lists.
-            self._heap[:] = [entry for entry in self._heap
-                             if entry[4] is None or not entry[4].cancelled]
-            heapq.heapify(self._heap)
-            stored = 0
-            cursor_index = self._cursor & self._wheel_mask
-            for index, slot in enumerate(self._slots):
-                if not slot:
-                    continue
-                slot[:] = [entry for entry in slot
-                           if entry[4] is None or not entry[4].cancelled]
-                if index == cursor_index:
-                    # The cursor bucket stays heap-ordered and is excluded
-                    # from the non-cursor storage count.
-                    heapq.heapify(slot)
-                else:
-                    stored += len(slot)
-            self._wheel_count = stored
+        heap = self._heap
+        if self._cancelled * 2 > len(heap):
+            # In place: the run() loop holds a reference to this list.
+            heap[:] = [entry for entry in heap
+                       if entry[4] is None or not entry[4].cancelled]
+            heapify(heap)
             self._cancelled = 0
 
     def _scan_live(self) -> int:
-        """O(n) audit of ``pending(live_only=True)``: walk the heap and every
-        wheel bucket, counting callbacks that will actually execute.
-        Test/debug only — the run loops never call this."""
-
-        def _count(entries: list) -> int:
-            return sum(1 for entry in entries
-                       if entry[4] is None or not entry[4].cancelled)
-
-        return _count(self._heap) + sum(
-            _count(slot) for slot in self._slots if slot)
-
-    # -- wheel cursor ------------------------------------------------------
-    def _next_active(self, limit: float):
-        """Advance the cursor to the next non-empty bucket and activate it.
-
-        Migrates due overflow entries into the wheel, finds the next tick
-        holding work, and sorts that bucket so it is a valid heap for the
-        drain loop.  Returns the activated bucket, ``None`` when no events
-        remain, or :data:`_BEYOND` — *without* advancing the cursor — when
-        the next event's tick starts after ``limit`` (so a stopped run
-        leaves the cursor at or before the clock, keeping the insert-path
-        invariant that new entries never land behind it).
-        """
-        heap = self._heap
-        slots = self._slots
-        mask = self._wheel_mask
-        inv = self._wheel_inv
-        heappop = heapq.heappop
-        # Overflow entries all lie at or beyond the horizon: it moves only
-        # below (migrating as it goes) and in _reanchor (empty queue).
-        if self._wheel_count == 0:
-            if not heap:
-                return None
-            next_tick = int(heap[0][0] * inv)
-        else:
-            # Bounded by the wheel size: a non-empty wheel holds a tick in
-            # (cursor, cursor + _WHEEL_SLOTS), each in a distinct bucket.
-            probe = self._cursor + 1
-            while not slots[probe & mask]:
-                probe += 1
-            next_tick = probe
-        if next_tick * self._wheel_width > limit:
-            return _BEYOND
-        self._cursor = next_tick
-        active = slots[next_tick & mask]
-        # The activated bucket becomes the cursor bucket: its entries leave
-        # the non-cursor count now, and the drain loop pops them without
-        # touching any counter.
-        self._wheel_count -= len(active)
-        horizon = self._horizon = (next_tick + self._wheel_size) \
-            * self._wheel_width
-        while heap and heap[0][0] < horizon:
-            entry = heappop(heap)
-            tick = int(entry[0] * inv)
-            if tick == next_tick:
-                active.append(entry)
-            else:
-                slots[tick & mask].append(entry)
-                self._wheel_count += 1
-        active.sort()
-        return active
-
-    def _reanchor(self) -> None:
-        """Re-align the (empty) wheel with the clock so future inserts can
-        never land in a bucket behind the cursor."""
-        self._cursor = int(self.clock._now * self._wheel_inv)
-        self._horizon = (self._cursor + self._wheel_size) * self._wheel_width
+        """O(n) audit of ``pending(live_only=True)``: walk the queue,
+        counting callbacks that will actually execute.  Test/debug only —
+        the run loops never call this."""
+        return sum(1 for entry in self._heap
+                   if entry[4] is None or not entry[4].cancelled)
 
     # -- execution ---------------------------------------------------------
     def step(self) -> bool:
-        """Run the next pending event.
-
-        Returns:
-            True if an event was executed, False if the queue was empty.
-        """
-        while True:
-            active = self._slots[self._cursor & self._wheel_mask]
-            if not active:
-                active = self._next_active(_INFINITY)
-                if active is None:
-                    self._reanchor()
-                    return False
-            entry = heapq.heappop(active)
-            marker = entry[4]
-            if marker is not None:
-                if marker.cancelled:
-                    self._cancelled -= 1
-                    continue
-                # Detach: a late cancel() on an already-fired event must not
-                # perturb the cancelled-entry bookkeeping.
-                marker._scheduler = None
-            self.clock.advance_to(entry[0])
-            self._events_executed += 1
-            if self._trace is not None:
-                self._trace.append((entry[0], entry[1]))
-            entry[2](*entry[3])
-            return True
+        """Run the next pending event; False if there was none to run."""
+        before = self._events_executed
+        self.run(max_events=1)
+        return self._events_executed != before
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -452,73 +266,47 @@ class Scheduler:
         if until is not None and until < clock._now:
             return
         trace = self._trace
-        heappop = heapq.heappop
-        slots = self._slots
-        mask = self._wheel_mask
+        heap = self._heap
         limit = _INFINITY if until is None else until
         cap = _NO_CAP if max_events is None else max_events
         executed = 0
-        # Steady-state event execution allocates almost nothing that the
-        # cyclic collector can reclaim (messages and per-op records are
-        # pooled, everything else dies by refcount), so generational GC scans
-        # during the drain are pure overhead.  Suspend it for the duration;
-        # any cycles produced are collected when the caller's next enabled
-        # collection runs.
+        # Steady-state event execution allocates almost nothing the cyclic
+        # collector can reclaim (messages and per-op records are pooled, the
+        # rest dies by refcount), so GC scans during the drain are pure
+        # overhead: suspended here, any cycles wait for the caller's next one.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            while True:
-                active = slots[self._cursor & mask]
-                if not active:
-                    if executed >= cap:
-                        # Before committing a cursor advance: a committed
-                        # but undrained bucket would let a later insert land
-                        # behind the cursor.
-                        return
-                    active = self._next_active(limit)
-                    if active is None:
-                        break
-                    if active is _BEYOND:
-                        if until > clock._now:
-                            clock.advance_to(until)
-                        return
-                while active:
-                    if executed >= cap:
-                        return
-                    entry = heappop(active)
-                    timestamp = entry[0]
-                    if timestamp > limit:
-                        heapq.heappush(active, entry)
-                        clock.advance_to(until)
-                        return
-                    # One marker test covers cancelled and handle entries;
-                    # the overwhelmingly common plain entry pays a single
-                    # branch.  A cancelled entry pushed back above keeps its
-                    # ``_cancelled`` count until it is finally popped in
-                    # bounds (or a purge removes it).
-                    marker = entry[4]
-                    if marker is not None:
-                        if marker.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        # Detach: a late cancel() on an already-fired event
-                        # must not perturb the cancelled-entry bookkeeping.
-                        marker._scheduler = None
-                    # Buckets activate in nondecreasing time order, so this
-                    # direct assignment cannot move the clock backwards
-                    # (Clock.advance_to enforces the same invariant with a
-                    # per-event method call).
-                    clock._now = timestamp
-                    executed += 1
-                    if trace is not None:
-                        trace.append((timestamp, entry[1]))
-                    entry[2](*entry[3])
-            if until is not None and until > clock._now:
+            while heap:
+                if executed >= cap:
+                    return
+                timestamp, seq, fn, args, marker = heappop(heap)
+                if timestamp > limit:
+                    # The head is the minimum: nothing else is due either.
+                    heappush(heap, (timestamp, seq, fn, args, marker))
+                    break
+                # One marker test covers cancelled and handle entries: the
+                # common plain entry pays a single branch.  (A cancelled entry
+                # pushed back above stays counted in ``_cancelled`` until it
+                # is popped in bounds or purged.)
+                if marker is not None:
+                    if marker.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    # Detach: a late cancel() on an already-fired event must
+                    # not perturb the cancelled-entry bookkeeping.
+                    marker._scheduler = None
+                # Pops come in nondecreasing time order, so assigning cannot
+                # move the clock backwards (Clock.advance_to would check it,
+                # at a method call per event).
+                clock._now = timestamp
+                executed += 1
+                if trace is not None:
+                    trace.append((timestamp, seq))
+                fn(*args)
+            if until is not None and executed < cap and until > clock._now:
                 clock.advance_to(until)
-            # Fully drained: re-align the wheel with wherever the clock
-            # stopped, so the cursor never sits ahead of a future insert.
-            self._reanchor()
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -527,7 +315,6 @@ class Scheduler:
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
         """Run until no events remain.  Guards against runaway simulations."""
         self.run(max_events=max_events)
-        if self.pending() and self._events_executed >= max_events:
+        if self.pending(live_only=True) and self._events_executed >= max_events:
             raise RuntimeError(
-                f"simulation did not converge after {max_events} events"
-            )
+                f"simulation did not converge after {max_events} events")

@@ -2,9 +2,9 @@
 
 Executed bytecodes — ``sys.settrace`` with ``f_trace_opcodes``, so the
 figures repeat exactly — of the three primitives every protocol hop goes
-through: ``Network.fused_send_to`` (unimpaired link, wheel insert),
-``Node._enqueue`` (an even mix of its two wheel inserts: the tick being
-drained and a later one) and the ``Scheduler.run`` drain (per event).
+through: ``Network.fused_send_to`` (unimpaired link, one ``heappush``),
+``Node._enqueue`` (the service charge and one ``heappush``) and the
+``Scheduler.run`` drain (per event).
 Bytecode counts differ between CPython minor versions, so the budgets are
 keyed by version and only the running interpreter's row is checked.
 """
@@ -20,12 +20,13 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.topology import Region
 
 #: version -> primitive -> (budget, what the same test counted on the
-#: parent of the change that introduced this table).  A budget is the
-#: measured count (127 / 95 / 44.7 on 3.11) plus a little room; raising one
-#: is a decision, not a fix for a red test.
+#: parent of the change that last re-measured the row: the timing wheel's
+#: 127 / 95 / 44.7, themselves down from 181 / 103 / 50.7).  A budget is
+#: the measured count (94 / 68 / 36.0 on 3.11) plus a little room; raising
+#: one is a decision, not a fix for a red test.
 _BUDGETS = {
-    (3, 11): {"fused_send_to": (130, 181), "_enqueue": (96, 103),
-              "drain": (45, 50.7)},
+    (3, 11): {"fused_send_to": (96, 127), "_enqueue": (69, 95),
+              "drain": (37, 44.7)},
 }
 _HOPS = 200
 
@@ -66,8 +67,8 @@ def budgets():
 
 @pytest.fixture
 def hop():
-    """A warm WAN link (10 ms: every insert is a wheel append) with jitter
-    on, as in every figure run, and nothing impaired."""
+    """A warm WAN link with jitter on, as in every figure run, and nothing
+    impaired."""
     env = SimEnvironment(seed=1)
     src = Node("src", Region.IRL, env.network)
     dst = Node("dst", Region.FRK, env.network)
@@ -95,10 +96,9 @@ def test_enqueue(budgets, hop):
     env, src, dst = hop
 
     def run():
-        # On an idle queue each time (the drain in between is not counted):
-        # 0.001 ms finishes in the cursor's own tick, 1.5 ms in a later one.
-        for i in range(_HOPS):
-            dst._enqueue(1.5 if i % 2 else 0.001, list, ())
+        # On an idle queue each time (the drain in between is not counted).
+        for _ in range(_HOPS):
+            dst._enqueue(1.5, list, ())
             env.run(until=env.now() + 5.0)
 
     per_call = _bytecodes_in(Node._enqueue.__code__, run) / _HOPS
@@ -107,8 +107,8 @@ def test_enqueue(budgets, hop):
 
 
 def test_drain_per_event(budgets):
-    # Forty plain entries per wheel tick: what is counted is the inner
-    # loop, the bucket changes add a fortieth of an iteration each.
+    # Plain entries only: what is counted is the loop body, the set-up
+    # around it adds a hundredth of a bytecode per event.
     scheduler = Scheduler()
     events = 4000
     for i in range(events):

@@ -1,5 +1,7 @@
 """Tests for the simulated clock and event scheduler."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,6 +140,19 @@ class TestRunControl:
         with pytest.raises(RuntimeError):
             scheduler.run_until_idle(max_events=100)
 
+    def test_cap_reached_on_the_last_live_event_is_convergence(self, scheduler):
+        # Regression: only a *cancelled* timer is still queued when the cap
+        # is reached exactly as the last live event runs; that is a drained
+        # simulation, not a runaway one.
+        seen = []
+        for i in range(3):
+            scheduler.schedule(i + 1, seen.append, i)
+        scheduler.schedule(10, seen.append, "dead").cancel()
+        scheduler.run_until_idle(max_events=3)
+        assert seen == [0, 1, 2]
+        assert scheduler.pending() == 1
+        assert scheduler.pending(live_only=True) == 0
+
     def test_events_executed_counter(self, scheduler):
         for i in range(5):
             scheduler.schedule(i, lambda: None)
@@ -255,31 +270,32 @@ class TestCancellationBookkeeping:
         assert seen == list(range(590, 600))
 
 
-class TestTimingWheel:
-    """Edge cases of the timing wheel (overflow ring, cancellation inside
-    buckets).  Every test cross-checks the O(1) live counter against the
-    O(n) :meth:`Scheduler._scan_live` audit."""
+class TestNearAndFarEvents:
+    """Events a millisecond and several seconds away share one queue, and
+    cancelled entries sit in it until popped or purged.  Every test
+    cross-checks the O(1) live counter against the O(n)
+    :meth:`Scheduler._scan_live` audit."""
 
     def audit(self, scheduler):
         assert scheduler.pending(live_only=True) == scheduler._scan_live()
 
-    def test_overflow_heap_migrates_into_wheel(self, scheduler):
-        # Horizon is 1024 slots x 1 ms: 1500/2500/5000 ms start on the
-        # overflow heap, 100/900 ms in wheel buckets.
+    def test_near_and_far_events_drain_in_time_order(self, scheduler):
         order = []
         for delay in (2500.0, 100.0, 5000.0, 900.0, 1500.0):
             scheduler.schedule(delay, order.append, delay)
-        assert len(scheduler._heap) == 3
-        assert scheduler._wheel_count == 2
+        assert scheduler.pending() == 5
+        self.audit(scheduler)
+        scheduler.run(until=1000.0)
+        assert order == [100.0, 900.0]
+        assert scheduler.pending() == 3
         self.audit(scheduler)
         scheduler.run_until_idle()
         assert order == [100.0, 900.0, 1500.0, 2500.0, 5000.0]
-        assert not scheduler._heap
+        assert scheduler.pending() == 0
         self.audit(scheduler)
 
-    def test_overflow_migration_across_many_horizons(self, scheduler):
-        # Timestamps spread over ~6 wheel horizons force repeated lazy
-        # migration sweeps; interleaved near events keep the cursor moving.
+    def test_events_spread_over_seconds_run_in_time_order(self, scheduler):
+        # Timestamps spread over 6 s, scheduled in a scrambled order.
         observed = []
         delays = [float(i * 613 % 6000) + 0.25 for i in range(64)]
         for delay in delays:
@@ -290,28 +306,29 @@ class TestTimingWheel:
         assert len(observed) == len(delays)
         self.audit(scheduler)
 
-    def test_same_tick_submission_order_after_migration(self, scheduler):
-        # Two entries at the same far-future instant arrive via the overflow
-        # heap; migration must preserve (time, seq) submission order.
+    def test_same_instant_far_events_keep_submission_order(self, scheduler):
+        # Two entries at the same far-future instant run in (time, seq)
+        # order however many sifts moved them in between.
         order = []
         scheduler.schedule(3000.0, order.append, "first")
         scheduler.schedule(3000.0, order.append, "second")
         scheduler.run_until_idle()
         assert order == ["first", "second"]
 
-    def test_cancel_inside_noncursor_bucket(self, scheduler):
+    def test_cancelled_queued_entry_never_runs(self, scheduler):
         seen = []
-        keep = scheduler.schedule(700.0, seen.append, "keep")
+        scheduler.schedule(700.0, seen.append, "keep")
         drop = scheduler.schedule(700.0, seen.append, "drop")
-        assert scheduler._wheel_count == 2
+        assert scheduler.pending() == 2
         drop.cancel()
+        assert scheduler.pending() == 2  # still queued, no longer live
         assert scheduler.pending(live_only=True) == 1
         self.audit(scheduler)
         scheduler.run_until_idle()
         assert seen == ["keep"]
         assert scheduler.pending() == 0
 
-    def test_cancel_overflow_entry_before_migration(self, scheduler):
+    def test_cancelled_far_entry_never_runs(self, scheduler):
         seen = []
         dead = scheduler.schedule(4000.0, seen.append, "dead")
         scheduler.schedule(4500.0, seen.append, "live")
@@ -321,23 +338,24 @@ class TestTimingWheel:
         assert seen == ["live"]
         assert scheduler.events_executed == 1
 
-    def test_mass_cancel_purges_wheel_buckets(self, scheduler):
-        # All 2000 events live in wheel buckets (within the horizon); the
-        # lazy purge must compact the buckets themselves, not just the heap.
+    def test_mass_cancel_shrinks_pending_and_the_queue(self, scheduler):
+        # 2000 near events (two per millisecond): the lazy purge must take
+        # the cancelled entries out of the queue itself, not just stop
+        # counting them.
         events = [scheduler.schedule(float(i % 1000) + 1.5, lambda: None)
                   for i in range(2000)]
-        assert scheduler._wheel_count == 2000
+        assert scheduler.pending() == len(scheduler._heap) == 2000
         for event in events[:1500]:
             event.cancel()
-        assert scheduler.pending() < 2000
+        assert scheduler.pending() == len(scheduler._heap) < 2000
         assert scheduler.pending(live_only=True) == 500
         self.audit(scheduler)
         scheduler.run_until_idle()
         assert scheduler.events_executed == 500
 
-    def test_run_until_leaves_cursor_consistent(self, scheduler):
-        # Stopping at an `until` bound inside the horizon must keep the
-        # insert invariant: a new earlier-but-future event still runs first.
+    def test_insert_after_run_until_still_runs_first(self, scheduler):
+        # After stopping at an `until` bound, a new earlier-but-future event
+        # still runs before the one the stop left queued.
         seen = []
         scheduler.schedule(500.0, seen.append, "far")
         scheduler.run(until=200.0)
@@ -349,22 +367,20 @@ class TestTimingWheel:
 
 
 class TestRunUntilInThePast:
-    """``run(until < now)`` executes nothing and moves nothing, wherever the
-    next event sits (it used to raise from the cursor's bucket and return
-    silently from a later one)."""
+    """``run(until < now)`` executes nothing and moves nothing, however close
+    the next event is (it used to raise when that was within the clock's
+    millisecond and return silently otherwise)."""
 
     @pytest.mark.parametrize("pending_at", [100.5, 150.0],
-                             ids=["cursor-bucket", "later-bucket"])
+                             ids=["same-millisecond", "later"])
     def test_past_until_is_a_no_op(self, scheduler, pending_at):
         seen = []
         scheduler.schedule(100.0, seen.append, "first")
         scheduler.schedule(pending_at, seen.append, "pending")
         scheduler.run(max_events=1)
-        cursor = scheduler._cursor
         scheduler.run(until=50.0)
         assert seen == ["first"]
         assert scheduler.now() == 100.0
-        assert scheduler._cursor == cursor
         assert scheduler.pending(live_only=True) == 1
         scheduler.run_until_idle()
         assert seen == ["first", "pending"]
@@ -374,7 +390,7 @@ class TestRunUntilInThePast:
         seen = []
         scheduler.schedule(100.0, seen.append, "first")
         scheduler.schedule(100.0, seen.append, "same-instant")
-        scheduler.schedule(100.5, seen.append, "same-tick")
+        scheduler.schedule(100.5, seen.append, "same-millisecond")
         scheduler.run(max_events=1)
         scheduler.run(until=100.0)
         assert seen == ["first", "same-instant"]
@@ -385,13 +401,13 @@ class TestRunUntilInThePast:
 class TestRunUntilAndMaxEvents:
     """Both stops together: whichever comes first, the cap looked at first.
     A run that executed ``max_events`` events leaves the clock at the last
-    of them wherever the next entry sits — same tick, later bucket, overflow
-    heap, nowhere, or a cancelled entry still physically queued (which used
-    to decide whether the clock went on to ``until``)."""
+    of them wherever the next entry sits — due by ``until``, just past it,
+    later, seconds away, nowhere, or a cancelled entry still physically
+    queued (which used to decide whether the clock went on to ``until``)."""
 
     @pytest.mark.parametrize("next_at", [100.5, 100.9, 150.0, 4000.0, None],
-                             ids=["cursor-bucket", "cursor-bucket-past-until",
-                                  "later-bucket", "overflow-heap",
+                             ids=["due-by-until", "just-past-until",
+                                  "later", "seconds-away",
                                   "nothing-queued"])
     @pytest.mark.parametrize("cancelled_in_between", [False, True])
     def test_cap_stop_leaves_the_clock_at_the_last_event(
@@ -460,11 +476,11 @@ def test_execution_times_are_monotone(delays):
     assert scheduler.now() == max(delays)
 
 
-# -- the timing wheel against a list-and-sort model ---------------------------
+# -- the heap against a list-and-sort model -----------------------------------
 
 class _ListModel:
     """The scheduler's contract on a list and a sort — the reference the
-    timing wheel answers to (it took over from a heap-only production twin)."""
+    binary heap answers to."""
 
     def __init__(self):
         self.now, self.seq, self.queue, self.trace = 0.0, 0, [], []
@@ -499,7 +515,7 @@ class _ListModel:
         return self.run(max_events=1) == 1
 
 
-class _Wheel:
+class _Heap:
     """The real scheduler behind the model's interface."""
 
     def __init__(self):
@@ -524,22 +540,21 @@ class _Wheel:
         scheduler = self.scheduler
         live = scheduler.pending(live_only=True)
         assert live == scheduler._scan_live()
-        queued = scheduler._heap + [
-            entry for slot in scheduler._slots for entry in slot]
-        assert scheduler.pending() == live + sum(
-            1 for entry in queued
-            if entry[-1] is not None and entry[-1].cancelled)
+        assert scheduler.pending() == len(scheduler._heap)
         return live
 
 
 _APIS = ("schedule", "schedule_at", "schedule_call", "schedule_call_at")
-#: Both sides of the 1,024 ms horizon, its edges, and the sub-millisecond
-#: delays that land in the very tick being drained.
+#: Same-instant and sub-millisecond delays, service-time and RTT sized ones,
+#: both sides of one second (the retired wheel's 1,024 ms horizon and its
+#: edges), multi-second timers, and the far future (10 s to 10 min).
 _DELAYS = st.one_of(
-    st.sampled_from([0.0, 0.25, 1.0, 1023.0, 1023.75, 1024.0, 1024.25]),
+    st.sampled_from([0.0, 0.25, 1.0, 1023.0, 1023.75, 1024.0, 1024.25,
+                     10_000.0]),
     st.floats(min_value=0.0, max_value=2.0),
     st.floats(min_value=0.0, max_value=1200.0),
-    st.floats(min_value=1000.0, max_value=6000.0))
+    st.floats(min_value=1000.0, max_value=6000.0),
+    st.floats(min_value=10_000.0, max_value=600_000.0))
 _CANCEL = st.tuples(st.just("cancel"), st.integers(min_value=0))
 _STORM = st.tuples(st.just("storm"), st.floats(min_value=0.01, max_value=8.0))
 #: ``(api, delay, actions)``: when it runs, an event schedules children,
@@ -566,13 +581,29 @@ def _apply(backend, handles, action):
         if handles:
             backend.cancel(handles[action[1] % len(handles)])
     elif action[0] == "storm":
-        # More handles than the purge threshold (the stride decides whether
-        # they straddle the horizon), nearly all cancelled on the spot.
+        # More handles than the purge threshold (the stride decides how far
+        # out they spread), nearly all cancelled on the spot.
         storm = [backend.add("schedule", i * action[1] % 3000.0, list)
                  for i in range(_PURGE_THRESHOLD + 40)]
         for handle in storm[20:]:
             backend.cancel(handle)
         handles.extend(storm[:20])
+    elif action[0] == "deep":
+        # A queue far deeper than any workload's: every API (nine entries in
+        # ten cancellable), out to 30 s, a third of them on shared instants.
+        draw = random.Random(action[1]).random
+        for i in range(action[2]):
+            delay = (i % 977 * 7.5 if i % 3 == 0 else draw() * 30_000.0)
+            handle = backend.add(_APIS[i % 4 if i % 5 == 0 else i % 2],
+                                 delay, list)
+            if handle is not None:
+                handles.append(handle)
+    elif action[0] == "cancel_most":
+        # Mass cancellation at depth: purges (and their heapify) run
+        # several times on the way down.
+        for index, handle in enumerate(handles):
+            if index % action[1]:
+                backend.cancel(handle)
     else:
         api, delay, actions = action
         handle = backend.add(api, delay, lambda: [
@@ -608,7 +639,31 @@ def _play(backend, program):
 
 @settings(deadline=None)
 @given(_PROGRAMS)
-def test_wheel_matches_the_list_model(program):
-    stops, trace = _play(_Wheel(), program)
+def test_heap_matches_the_list_model(program):
+    stops, trace = _play(_Heap(), program)
     assert (stops, trace) == _play(_ListModel(), program)
     assert stops[-1][1] == 0 and trace == sorted(trace)
+
+
+def test_deep_queue_matches_the_list_model():
+    """One fixed program at a depth no workload reaches (24k pending, the
+    perfbench peak is ~700): order while deep, mass cancellation and the
+    heapify after each purge, then ordinary traffic over what is left."""
+    child = ("schedule_call", 0.25, [("schedule", 12_000.0, []), ("cancel", 5)])
+    program = [
+        ("deep", 23, 24_000),
+        ("run_events", 300),
+        ("schedule", 0.5, [child, ("storm", 3.0)]),
+        ("run_until", 40.0),
+        ("cancel_most", 25),
+        ("run_both", 900.0, 150),
+        ("schedule_at", 1024.0, [child]),
+        ("step",),
+        ("run_until", 15_000.0),
+    ]
+    backend = _Heap()
+    stops, trace = _play(backend, program)
+    assert (stops, trace) == _play(_ListModel(), program)
+    assert stops[0][1] == 24_000 - 300 and stops[-1][1] == 0
+    assert trace == sorted(trace) and len(trace) > 1_000
+    assert backend.scheduler.pending() == 0
