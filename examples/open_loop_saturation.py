@@ -63,32 +63,29 @@ def build_stack():
 
 
 def make_issue(pool, clock):
-    """Issue one operation through the next session; report completion."""
+    """Issue one operation through the session the runner chose for it and
+    complete it into the runner's record (``sink``)."""
 
-    def issue(op_type, key, value, done):
-        session = pool.next_session()
+    def issue(op_type, key, value, sink, session_id=None):
+        session = pool.session(session_id)
         issued_at = clock()
         if op_type == "update":
             session.invoke_strong(write(key, value)).set_callbacks(
-                on_final=lambda view: done(
-                    {"final_latency_ms": clock() - issued_at}),
-                on_error=lambda exc: done({"failed": True}))
+                on_final=lambda view: sink.deliver_write_ack(
+                    None, clock() - issued_at),
+                on_error=lambda exc: sink.deliver_write_error(
+                    str(exc), clock() - issued_at))
             return
-        state = {"value": None, "had": False}
-
-        def on_update(view):
-            state["had"] = True
-            state["value"] = view.value
-
+        # An ICG read: the record also accounts the preliminary view and
+        # whether it diverged from the final one.
+        sink.icg = True
         session.invoke(read(key)).set_callbacks(
-            on_update=on_update,
-            on_final=lambda view: done({
-                "final_latency_ms": clock() - issued_at,
-                "had_preliminary": state["had"],
-                "diverged": state["had"] and not view.is_confirmation
-                and state["value"] != view.value,
-            }),
-            on_error=lambda exc: done({"failed": True}))
+            on_update=lambda view: sink.deliver_read_preliminary(
+                view.value, None, clock() - issued_at),
+            on_final=lambda view: sink.deliver_read_final(
+                view.value, None, clock() - issued_at, view.is_confirmation),
+            on_error=lambda exc: sink.deliver_read_error(
+                str(exc), clock() - issued_at))
 
     return issue
 

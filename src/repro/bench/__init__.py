@@ -17,7 +17,6 @@ from repro.bench.fig10_zk_bandwidth import run_fig10, format_fig10
 from repro.bench.fig11_apps import run_fig11, format_fig11
 from repro.bench.fig12_tickets import run_fig12, format_fig12
 from repro.bench.fig13_faults import (
-    run_fig13,
     run_fig13_all,
     run_fig13_zookeeper,
     format_fig13,
@@ -39,7 +38,7 @@ __all__ = [
     "run_fig10", "format_fig10",
     "run_fig11", "format_fig11",
     "run_fig12", "format_fig12",
-    "run_fig13", "run_fig13_all", "run_fig13_zookeeper", "format_fig13",
+    "run_fig13_all", "run_fig13_zookeeper", "format_fig13",
     "run_fig14", "format_fig14",
     "run_fig15", "format_fig15",
     "run_fig16", "format_fig16",

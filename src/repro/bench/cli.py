@@ -27,7 +27,6 @@ It also hosts the wall-clock performance harness (see :mod:`repro.bench.perf`)::
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from typing import Callable, Dict, Optional, Sequence
 
@@ -105,37 +104,21 @@ def figure_names() -> Sequence[str]:
     return tuple(_FIGURES)
 
 
-def figure_supports_histograms(name: str) -> bool:
-    """Whether a figure's runner accepts ``use_histograms``."""
-    if name not in _FIGURES:
-        raise KeyError(f"unknown figure {name!r}; choose from {list(_FIGURES)}")
-    runner = _FIGURES[name][0]
-    return "use_histograms" in inspect.signature(runner).parameters
-
-
 def run_figure(name: str, quick: bool = False,
-               seed: Optional[int] = None, jobs: JobsSpec = 1,
-               use_histograms: bool = False) -> str:
+               seed: Optional[int] = None, jobs: JobsSpec = 1) -> str:
     """Run one figure's harness and return its rendered report.
 
     ``jobs`` fans the figure's sweep across processes (``"auto"`` = one per
     core); the records are merged in grid order, so the report is identical
-    at any job count.  ``use_histograms`` swaps the exact latency recorders
-    for O(1) histograms on the figures that support it (currently fig06).
+    at any job count.
     """
     if name not in _FIGURES:
         raise KeyError(f"unknown figure {name!r}; choose from {list(_FIGURES)}")
-    if use_histograms and not figure_supports_histograms(name):
-        raise ValueError(
-            f"{name} does not support --histograms (only the "
-            f"closed-loop load figures do)")
     runner, formatter, full_kwargs, quick_kwargs = _FIGURES[name]
     kwargs = dict(quick_kwargs if quick else full_kwargs)
     if seed is not None:
         kwargs["seed"] = seed
     kwargs["jobs"] = resolve_jobs(jobs)
-    if use_histograms:
-        kwargs["use_histograms"] = True
     return formatter(runner(**kwargs))
 
 
@@ -154,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the figure's sweep points across N worker "
                              "processes ('auto' = one per core); results are "
                              "byte-identical to --jobs 1 (default: 1)")
-    parser.add_argument("--histograms", action="store_true",
-                        help="use O(1) histogram latency recorders instead "
-                             "of exact per-sample recorders (high-thread "
-                             "fig06 sweeps; quantiles become ~0.1%% approx)")
     perf = parser.add_argument_group("perf harness (only with 'perf')")
     perf.add_argument("--profile", type=int, default=0, metavar="N",
                       help="print the cProfile top-N per scenario")
@@ -214,17 +193,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          show_budget=args.show_budget,
                          seed=args.seed, jobs=jobs)
     names = list(_FIGURES) if args.figure == "all" else [args.figure]
-    # With an explicit figure, --histograms on an unsupported harness is a
-    # usage error; with 'all' the flag simply applies where supported.
-    if args.histograms and args.figure != "all" \
-            and not figure_supports_histograms(args.figure):
-        print(f"error: {args.figure} does not support --histograms (only "
-              f"the closed-loop load figures do)", file=sys.stderr)
-        return 2
     for name in names:
-        print(run_figure(name, quick=args.quick, seed=args.seed, jobs=jobs,
-                         use_histograms=args.histograms
-                         and figure_supports_histograms(name)))
+        print(run_figure(name, quick=args.quick, seed=args.seed, jobs=jobs))
         print()
     return 0
 

@@ -77,47 +77,14 @@ def make_kv_issue(client: CassandraClient, system: str,
     """Build the runner ``issue`` function for one Cassandra system label.
 
     The returned callable executes YCSB reads/updates directly against the
-    storage client and reports preliminary/final latencies and divergence.
+    storage client, which completes each one into the runner's record
+    (ICG reads flag it first, so it also accounts the preliminary view).
     """
     if system not in CASSANDRA_SYSTEMS:
         raise KeyError(f"unknown system label {system!r}")
     profile = CASSANDRA_SYSTEMS[system]
     read_quorum = profile["r"]
     icg = profile["icg"]
-
-    def _issue(op_type: str, key: str, value: Optional[str],
-               done: Callable[[Dict[str, Any]], None]) -> None:
-        # The callback pipeline: one info dict per completion, for callers
-        # that pass ``done``.  The "degraded"/"failed" keys carry recovery
-        # outcomes for the fault experiments; always False on a healthy run
-        # (the runner ignores falsy entries).
-        state = [False, None, None]  # had a preliminary, its value, latency
-
-        def _on_preliminary(resp: Dict[str, Any]) -> None:
-            state[:] = True, resp["value"], resp["latency_ms"]
-
-        def _on_final(resp: Dict[str, Any]) -> None:
-            failed = "error" in resp
-            info = {"final_latency_ms": resp["latency_ms"],
-                    "degraded": bool(resp.get("degraded", False)),
-                    "failed": failed}
-            if icg and op_type != "update":
-                had, prelim_value, prelim_latency = state
-                info.update(
-                    preliminary_latency_ms=prelim_latency,
-                    had_preliminary=had,
-                    diverged=(not failed and had
-                              and prelim_value != resp["value"]
-                              and not resp.get("is_confirmation", False)))
-            done(info)
-
-        if op_type == "update":
-            client.write(key, value, w=write_quorum, on_final=_on_final)
-        else:
-            client.read(key, r=read_quorum, icg=icg,
-                        on_preliminary=_on_preliminary if icg else None,
-                        on_final=_on_final)
-
     network = client.network
     scheduler = client.scheduler
     clock = scheduler.clock
@@ -126,10 +93,8 @@ def make_kv_issue(client: CassandraClient, system: str,
     client.check_quorum(read_quorum, "read")
     client.check_quorum(write_quorum, "write")
 
-    def _lean(op_type: str, key: str, value: Optional[str], sink) -> None:
-        # The lean op pipeline: deliver positionally to the runner's own
-        # sink, skipping the response/info dicts and the per-op closures
-        # above.
+    def _issue(op_type: str, key: str, value: Optional[str], sink,
+               session_id: Optional[int] = None) -> None:
         # The client's lean_read/lean_write, inlined (quorums checked once,
         # above) — this is the per-op entry of the closed issue loop.
         coordinator = client._fused_coordinator
@@ -146,7 +111,7 @@ def make_kv_issue(client: CassandraClient, system: str,
             entry = coordinator._fused_client_write
         else:
             client.reads_sent += 1
-            sink._lean_icg = icg
+            sink.icg = icg
             rec = FusedRead.acquire()
             rec.r = read_quorum
             rec.icg = icg
@@ -167,7 +132,6 @@ def make_kv_issue(client: CassandraClient, system: str,
         else:
             rec.refs = sent + 1
 
-    _issue.lean = _lean
     return _issue
 
 
@@ -186,15 +150,12 @@ def run_multi_region_load(scenario: CassandraScenario, system: str,
                           spec: WorkloadSpec, threads_per_client: int,
                           duration_ms: float, warmup_ms: float,
                           cooldown_ms: float, seed: int,
-                          measured_region: str = Region.IRL,
-                          use_histograms: bool = False
+                          measured_region: str = Region.IRL
                           ) -> Dict[str, RunResult]:
     """Run closed-loop load from every client region simultaneously.
 
     Returns the per-region :class:`RunResult`; the paper reports the client
     in Ireland, which callers pick via ``measured_region``.
-    ``use_histograms=True`` swaps the exact latency recorders for O(1)
-    histogram recorders (perf runs); figure harnesses keep the default.
     """
     runners: Dict[str, ClosedLoopRunner] = {}
     for region, client in scenario.clients.items():
@@ -209,7 +170,6 @@ def run_multi_region_load(scenario: CassandraScenario, system: str,
             warmup_ms=warmup_ms,
             cooldown_ms=cooldown_ms,
             label=f"{system}-{spec.name}-{region}",
-            use_histograms=use_histograms,
         )
         runners[region] = runner
     for runner in runners.values():

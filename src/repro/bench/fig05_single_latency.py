@@ -16,9 +16,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.bench.common import (
+    CASSANDRA_SYSTEMS,
     build_cassandra_scenario,
     cassandra_config_for,
-    make_kv_issue,
 )
 from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.metrics.latency import LatencyRecorder
@@ -38,23 +38,30 @@ def _measure_single_requests(system: str, samples: int, seed: int,
         contacts={Region.IRL: Region.FRK},
         config=cassandra_config_for(system, value_size_bytes=100))
     client = scenario.client_in(Region.IRL)
-    issue = make_kv_issue(client, system)
+    profile = CASSANDRA_SYSTEMS[system]
+    icg = profile["icg"]
     rng = derive_rng(seed, f"fig05-{system}")
     preliminary = LatencyRecorder(f"{system}-preliminary")
     final = LatencyRecorder(f"{system}-final")
-    state = {"remaining": samples}
+    state = {"remaining": samples, "preliminary_ms": None}
 
     def _issue_next() -> None:
         if state["remaining"] <= 0:
             return
         state["remaining"] -= 1
         key = scenario.dataset.key(rng.randrange(record_count))
-        issue("read", key, None, _done)
+        client.read(key, r=profile["r"], icg=icg,
+                    on_preliminary=_on_preliminary if icg else None,
+                    on_final=_on_final)
 
-    def _done(info: dict) -> None:
-        final.record(info["final_latency_ms"])
-        if info.get("preliminary_latency_ms") is not None:
-            preliminary.record(info["preliminary_latency_ms"])
+    def _on_preliminary(response: dict) -> None:
+        state["preliminary_ms"] = response["latency_ms"]
+
+    def _on_final(response: dict) -> None:
+        final.record(response["latency_ms"])
+        if state["preliminary_ms"] is not None:
+            preliminary.record(state["preliminary_ms"])
+            state["preliminary_ms"] = None
         _issue_next()
 
     _issue_next()

@@ -36,15 +36,14 @@ def build_fig06_points(systems: Iterable[str] = DEFAULT_SYSTEMS,
                        duration_ms: float = 8_000.0,
                        warmup_ms: float = 2_000.0,
                        cooldown_ms: float = 1_000.0,
-                       record_count: int = 1_000, seed: int = 42,
-                       use_histograms: bool = False) -> List[SweepPoint]:
+                       record_count: int = 1_000,
+                       seed: int = 42) -> List[SweepPoint]:
     """One sweep point per (workload, system, thread count) cell."""
     return make_points("fig06", (
         ({"workload": workload_name, "system": system, "threads": threads},
          dict(workload=workload_name, system=system, threads=threads,
               duration_ms=duration_ms, warmup_ms=warmup_ms,
-              cooldown_ms=cooldown_ms, record_count=record_count, seed=seed,
-              use_histograms=use_histograms))
+              cooldown_ms=cooldown_ms, record_count=record_count, seed=seed))
         for workload_name in workloads
         for system in systems
         for threads in thread_counts))
@@ -63,8 +62,7 @@ def run_fig06_point(point: SweepPoint) -> Dict:
     results = run_multi_region_load(
         scenario, system, spec, threads_per_client=kwargs["threads"],
         duration_ms=kwargs["duration_ms"], warmup_ms=kwargs["warmup_ms"],
-        cooldown_ms=kwargs["cooldown_ms"], seed=seed,
-        use_histograms=kwargs.get("use_histograms", False))
+        cooldown_ms=kwargs["cooldown_ms"], seed=seed)
     measured = results[Region.IRL]
     return {
         "workload": workload_name,
@@ -84,8 +82,7 @@ def run_fig06(systems: Iterable[str] = DEFAULT_SYSTEMS,
               thread_counts: Sequence[int] = DEFAULT_THREADS,
               duration_ms: float = 8_000.0, warmup_ms: float = 2_000.0,
               cooldown_ms: float = 1_000.0, record_count: int = 1_000,
-              seed: int = 42, use_histograms: bool = False,
-              jobs: JobsSpec = 1) -> List[Dict]:
+              seed: int = 42, jobs: JobsSpec = 1) -> List[Dict]:
     """Regenerate the Figure 6 latency-vs-throughput series.
 
     Returns one record per (workload, system, thread count) with the measured
@@ -94,7 +91,7 @@ def run_fig06(systems: Iterable[str] = DEFAULT_SYSTEMS,
     points = build_fig06_points(
         systems=systems, workloads=workloads, thread_counts=thread_counts,
         duration_ms=duration_ms, warmup_ms=warmup_ms, cooldown_ms=cooldown_ms,
-        record_count=record_count, seed=seed, use_histograms=use_histograms)
+        record_count=record_count, seed=seed)
     return run_sweep(points, run_fig06_point, jobs=jobs).records()
 
 

@@ -16,7 +16,7 @@ preliminary view.  Shapes to reproduce:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.apps.ads import AdServingSystem
 from repro.apps.datasets import AdsDataset, TwissandraDataset
@@ -94,27 +94,34 @@ class _AppDeployment:
 
     def issue_function(self, region: str, speculate: bool) -> Callable:
         app = self.apps[region]
+        ads = self.app_name == "ads"
 
-        def _issue(op_type: str, key: str, value: Optional[str], done) -> None:
+        def _issue(op_type: str, key: str, value: Optional[str], sink,
+                   session_id: Optional[int] = None) -> None:
+            # The apps report ``on_done(info)``; forward it into the
+            # runner's record (an application read has one view).
+            def _done(info: Dict[str, Any]) -> None:
+                latency_ms = info["latency_ms"]
+                if op_type != "read":
+                    if "error" in info:
+                        sink.deliver_write_error(str(info["error"]),
+                                                 latency_ms)
+                    else:
+                        sink.deliver_write_ack(None, latency_ms)
+                elif "error" in info:
+                    sink.deliver_read_error(str(info["error"]), latency_ms)
+                else:
+                    sink.deliver_read_final(None, None, latency_ms, False)
+
             if op_type == "read":
-                if self.app_name == "ads":
-                    app.fetch_ads_by_user_id(
-                        key, lambda info: done(
-                            {"final_latency_ms": info["latency_ms"]}),
-                        speculate=speculate)
+                if ads:
+                    app.fetch_ads_by_user_id(key, _done, speculate=speculate)
                 else:
-                    app.get_timeline(
-                        key, lambda info: done(
-                            {"final_latency_ms": info["latency_ms"]}),
-                        speculate=speculate)
+                    app.get_timeline(key, _done, speculate=speculate)
+            elif ads:
+                app.update_profile(key, _done)
             else:
-                if self.app_name == "ads":
-                    app.update_profile(key, lambda info: done(
-                        {"final_latency_ms": info["latency_ms"]}))
-                else:
-                    app.post_tweet(key, value or "hello world",
-                                   lambda info: done(
-                                       {"final_latency_ms": info["latency_ms"]}))
+                app.post_tweet(key, value or "hello world", _done)
 
         return _issue
 

@@ -166,24 +166,6 @@ def run_fig13_point(point: SweepPoint) -> Dict:
     return run_fig13_scenario(**point.kwargs)
 
 
-def run_fig13(scenarios: Sequence[str] = DEFAULT_SCENARIOS,
-              workload: str = "B", threads_per_client: int = 4,
-              duration_ms: float = 12_000.0, warmup_ms: float = 3_000.0,
-              cooldown_ms: float = 1_000.0, record_count: int = 300,
-              seed: int = 42, jobs: JobsSpec = 1) -> List[Dict]:
-    """Run the Cassandra fault scenarios; returns one record per scenario.
-
-    Every scenario uses the same seed, workload, and topology — only the
-    fault script differs — so the rows are directly comparable.
-    """
-    points = build_fig13_points(
-        scenarios=scenarios, workload=workload,
-        threads_per_client=threads_per_client, duration_ms=duration_ms,
-        warmup_ms=warmup_ms, cooldown_ms=cooldown_ms,
-        record_count=record_count, seed=seed)
-    return run_sweep(points, run_fig13_point, jobs=jobs).records()
-
-
 class _QueueOpGenerator:
     """Closed-loop generator alternating weighted enqueue/dequeue operations."""
 
@@ -199,6 +181,27 @@ class _QueueOpGenerator:
         if self.rng.random() < self.enqueue_fraction:
             return "enqueue", self.queue_path, f"job-{self._counter}"
         return "dequeue", self.queue_path, None
+
+
+class _QueueOpSink:
+    """One ICG queue operation's answers, forwarded into the runner's
+    record as a read whose value is the znode the operation named."""
+
+    __slots__ = ("sink",)
+
+    def __init__(self, sink: Any) -> None:
+        self.sink = sink
+
+    def deliver_preliminary(self, result: Any, latency_ms: float) -> None:
+        self.sink.deliver_read_preliminary((result or {}).get("name"), None,
+                                           latency_ms)
+
+    def deliver_final(self, result: Any, latency_ms: float) -> None:
+        self.sink.deliver_read_final((result or {}).get("name"), None,
+                                     latency_ms, False)
+
+    def deliver_error(self, error: str, latency_ms: float) -> None:
+        self.sink.deliver_read_error(error, latency_ms)
 
 
 def run_fig13_zookeeper(crash_at_ms: float = 4_000.0,
@@ -225,37 +228,11 @@ def run_fig13_zookeeper(crash_at_ms: float = 4_000.0,
                              aliases=zookeeper_aliases(cluster))
 
     def make_issue(client) -> Callable:
-        def _issue(op_type: str, path: str, value: Optional[str],
-                   done: Callable[[Dict[str, Any]], None]) -> None:
-            state: Dict[str, Any] = {"prelim": None, "prelim_latency": None,
-                                     "had_prelim": False}
-
-            def _on_preliminary(resp: Dict[str, Any]) -> None:
-                state["had_prelim"] = True
-                state["prelim"] = (resp["result"] or {}).get("name")
-                state["prelim_latency"] = resp["latency_ms"]
-
-            def _on_final(resp: Dict[str, Any]) -> None:
-                failed = not resp["ok"]
-                final_name = ((resp.get("result") or {}).get("name")
-                              if not failed else None)
-                done({
-                    "final_latency_ms": resp["latency_ms"],
-                    "preliminary_latency_ms": state["prelim_latency"],
-                    "had_preliminary": state["had_prelim"],
-                    "diverged": (not failed and state["had_prelim"]
-                                 and state["prelim"] != final_name),
-                    "failed": failed,
-                })
-
-            if op_type == "enqueue":
-                client.enqueue(path, value, icg=True,
-                               on_preliminary=_on_preliminary,
-                               on_final=_on_final)
-            else:
-                client.dequeue(path, icg=True,
-                               on_preliminary=_on_preliminary,
-                               on_final=_on_final)
+        def _issue(op_type: str, path: str, value: Optional[str], sink,
+                   session_id: Optional[int] = None) -> None:
+            sink.icg = True
+            client.submit_sink(op_type, path, _QueueOpSink(sink), value,
+                               icg=True)
         return _issue
 
     runners = []

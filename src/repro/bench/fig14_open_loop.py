@@ -132,65 +132,35 @@ def make_session_issue(pools: Sequence[SessionPool],
                        clock: Callable[[], float]) -> Callable:
     """The runner ``issue`` function: one session invocation per operation.
 
-    Declares the optional fifth ``session_id`` parameter, so the open-loop
-    runner hands over the session it chose for the operation and user ``k``
-    maps structurally to client session ``k // regions`` in pool
-    ``k % regions`` — the mapping can never drift from the runner's
-    rotation, regardless of issue order or shedding.  Callers that do not
-    pass a session (the closed-loop overlay) fall back to the same
+    The open-loop runner hands over the session it chose for the
+    operation, so user ``k`` maps structurally to client session
+    ``k // regions`` in pool ``k % regions`` — the mapping can never drift
+    from the runner's rotation, regardless of issue order or shedding.  The
+    closed-loop overlay passes no session and falls back to the same
     deterministic rotation over all sessions.  Reads request every level
     the binding offers (ICG), so a preliminary and a final view arrive and
     their disagreement is the staleness the figure reports; updates take
     the strong (authoritative) path only.
+
+    Over bindings exposing the storage client's sink protocol
+    (``lean_read``/``lean_write``; decided once, here) the storage client
+    completes each operation straight into the runner's record, with the
+    session's invocation counters kept as the ``CorrectableClient`` would;
+    over any other binding the operation runs as a ``Correctable`` whose
+    views are forwarded into the record.
     """
+    if all(hasattr(getattr(pool.client.binding, "client", None), "lean_read")
+           for pool in pools):
+        return _storage_session_issue(pools)
+    return _correctable_session_issue(pools, clock)
+
+
+def _storage_session_issue(pools: Sequence[SessionPool]) -> Callable:
     total_sessions = sum(len(pool) for pool in pools)
     rotation = {"next": 0}
 
-    def _issue(op_type: str, key: str, value: Optional[str],
-               done: Callable[[Dict[str, Any]], None],
+    def _issue(op_type: str, key: str, value: Optional[str], sink: Any,
                session_id: Optional[int] = None) -> None:
-        if session_id is None:
-            session_id = rotation["next"]
-            rotation["next"] = (rotation["next"] + 1) % total_sessions
-        pool = pools[session_id % len(pools)]
-        session = pool.session(session_id // len(pools))
-        issued_at = clock()
-        if op_type == "update":
-            session.invoke_strong(write(key, value)).set_callbacks(
-                on_final=lambda view: done(
-                    {"final_latency_ms": clock() - issued_at,
-                     "degraded": view.metadata.get("degraded", False)}),
-                on_error=lambda exc: done({"failed": True}))
-            return
-        state: Dict[str, Any] = {"value": None, "latency": None,
-                                 "had": False}
-
-        def _on_update(view) -> None:
-            state["had"] = True
-            state["value"] = view.value
-            state["latency"] = clock() - issued_at
-
-        def _on_final(view) -> None:
-            done({
-                "final_latency_ms": clock() - issued_at,
-                "preliminary_latency_ms": state["latency"],
-                "had_preliminary": state["had"],
-                "diverged": (state["had"] and not view.is_confirmation
-                             and state["value"] != view.value),
-                "degraded": view.metadata.get("degraded", False),
-            })
-
-        session.invoke(read(key)).set_callbacks(
-            on_update=_on_update, on_final=_on_final,
-            on_error=lambda exc: done({"failed": True}))
-
-    def _lean(op_type: str, key: str, value: Optional[str], sink: Any,
-              session_id: Optional[int] = None) -> None:
-        # The lean op pipeline: same session rotation, same invocation
-        # counters, and the same wire protocol as ``_issue`` above — but
-        # completions deliver positionally into the runner's pooled sink,
-        # skipping the Correctable, its View objects, and the per-op
-        # closures/dicts.
         if session_id is None:
             session_id = rotation["next"]
             rotation["next"] = (rotation["next"] + 1) % total_sessions
@@ -206,16 +176,44 @@ def make_session_issue(pools: Sequence[SessionPool],
                                       sink=sink)
         else:
             client.icg_invocations += 1
-            sink._lean_icg = True
+            sink.icg = True
             binding.client.lean_read(key, r=binding.strong_read_quorum,
                                      icg=True, sink=sink)
 
-    # Served only when every pool runs over a binding exposing the storage
-    # client's sink protocol (``lean_read``/``lean_write``); decided once,
-    # here, so the runner never has to ask per operation.
-    if all(hasattr(getattr(pool.client.binding, "client", None), "lean_read")
-           for pool in pools):
-        _issue.lean = _lean
+    return _issue
+
+
+def _correctable_session_issue(pools: Sequence[SessionPool],
+                               clock: Callable[[], float]) -> Callable:
+    total_sessions = sum(len(pool) for pool in pools)
+    rotation = {"next": 0}
+
+    def _issue(op_type: str, key: str, value: Optional[str], sink: Any,
+               session_id: Optional[int] = None) -> None:
+        if session_id is None:
+            session_id = rotation["next"]
+            rotation["next"] = (rotation["next"] + 1) % total_sessions
+        pool = pools[session_id % len(pools)]
+        session = pool.session(session_id // len(pools))
+        issued_at = clock()
+        if op_type == "update":
+            session.invoke_strong(write(key, value)).set_callbacks(
+                on_final=lambda view: sink.deliver_write_ack(
+                    None, clock() - issued_at,
+                    view.metadata.get("degraded", False)),
+                on_error=lambda exc: sink.deliver_write_error(
+                    str(exc), clock() - issued_at))
+            return
+        sink.icg = True
+        session.invoke(read(key)).set_callbacks(
+            on_update=lambda view: sink.deliver_read_preliminary(
+                view.value, None, clock() - issued_at),
+            on_final=lambda view: sink.deliver_read_final(
+                view.value, None, clock() - issued_at, view.is_confirmation,
+                view.metadata.get("degraded", False)),
+            on_error=lambda exc: sink.deliver_read_error(
+                str(exc), clock() - issued_at))
+
     return _issue
 
 
@@ -272,8 +270,7 @@ def open_loop_runner(stack: SessionStack, *, seed: int, label: str,
                      rate_ops_s: float, duration_ms: float, warmup_ms: float,
                      cooldown_ms: float, max_in_flight: Optional[int],
                      policy: str, queue_limit: Optional[int],
-                     arrivals: str = "poisson",
-                     use_histograms: bool = False) -> OpenLoopRunner:
+                     arrivals: str = "poisson") -> OpenLoopRunner:
     """An :class:`OpenLoopRunner` over ``stack``, arrivals seeded from ``label``."""
     return OpenLoopRunner(
         scheduler=stack.env.scheduler, issue=stack.issue,
@@ -282,8 +279,7 @@ def open_loop_runner(stack: SessionStack, *, seed: int, label: str,
             arrivals, rate_ops_s, derive_rng(seed, f"{label}:arrivals")),
         sessions=stack.sessions, duration_ms=duration_ms,
         warmup_ms=warmup_ms, cooldown_ms=cooldown_ms, label=label,
-        max_in_flight=max_in_flight, policy=policy, queue_limit=queue_limit,
-        use_histograms=use_histograms)
+        max_in_flight=max_in_flight, policy=policy, queue_limit=queue_limit)
 
 
 # ---------------------------------------------------------------------------

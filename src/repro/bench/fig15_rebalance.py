@@ -39,6 +39,7 @@ from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.versions import resolve
 from repro.core.cluster_spec import ClusterSpec
+from repro.metrics.latency import nearest_rank_p99
 from repro.metrics.summary import format_table
 from repro.sim.rand import derive_rng
 from repro.sim.topology import Region, round_robin_regions
@@ -70,6 +71,78 @@ def skew_workload(skew: str, workload: str = "A"):
                      f"use 'uniform' or 'zipf-<theta>'")
 
 
+class _JournaledOp:
+    """One operation's completion sink: journals the completion, then
+    forwards it into the runner's record (``sink``).
+
+    A read's journal entry carries its final and preliminary latency,
+    whether a preliminary arrived and whether it diverged from the final
+    view; an acked update's timestamp raises the key's entry in ``acked``.
+    """
+
+    __slots__ = ("sink", "key", "clock", "samples", "acked", "had",
+                 "prelim_value", "prelim_latency")
+
+    def __init__(self, sink: Any, key: str, clock: Callable[[], float],
+                 samples: List[Dict[str, Any]], acked: Dict[str, Any]) -> None:
+        self.sink = sink
+        self.key = key
+        self.clock = clock
+        self.samples = samples
+        self.acked = acked
+        self.had = False
+        self.prelim_value = None
+        self.prelim_latency = None
+
+    def deliver_read_preliminary(self, value: Any, timestamp: Any,
+                                 latency_ms: float,
+                                 replica: Optional[str] = None) -> None:
+        self.had = True
+        self.prelim_value = value
+        self.prelim_latency = latency_ms
+        self.sink.deliver_read_preliminary(value, timestamp, latency_ms,
+                                           replica)
+
+    def deliver_read_final(self, value: Any, timestamp: Any,
+                           latency_ms: float, is_confirmation: bool,
+                           degraded: bool = False,
+                           matches_preliminary: Optional[bool] = None) -> None:
+        had = self.had
+        self.samples.append({
+            "t": self.clock(), "op": "read", "final_latency_ms": latency_ms,
+            "preliminary_latency_ms": self.prelim_latency,
+            "had_preliminary": had,
+            "diverged": (had and not is_confirmation
+                         and self.prelim_value != value),
+            "failed": False})
+        self.sink.deliver_read_final(value, timestamp, latency_ms,
+                                     is_confirmation, degraded,
+                                     matches_preliminary)
+
+    def deliver_read_error(self, error: str, latency_ms: float) -> None:
+        self.samples.append({
+            "t": self.clock(), "op": "read", "final_latency_ms": latency_ms,
+            "preliminary_latency_ms": self.prelim_latency,
+            "had_preliminary": self.had, "diverged": False, "failed": True})
+        self.sink.deliver_read_error(error, latency_ms)
+
+    def deliver_write_ack(self, timestamp: Any, latency_ms: float,
+                          degraded: bool = False) -> None:
+        if timestamp is not None:
+            acked = self.acked
+            previous = acked.get(self.key)
+            if previous is None or timestamp > previous:
+                acked[self.key] = timestamp
+        self.samples.append({"t": self.clock(), "op": "update",
+                             "final_latency_ms": latency_ms, "failed": False})
+        self.sink.deliver_write_ack(timestamp, latency_ms, degraded)
+
+    def deliver_write_error(self, error: str, latency_ms: float) -> None:
+        self.samples.append({"t": self.clock(), "op": "update",
+                             "final_latency_ms": latency_ms, "failed": True})
+        self.sink.deliver_write_error(error, latency_ms)
+
+
 def make_rebalance_issue(clients: Sequence[CassandraClient],
                          clock: Callable[[], float],
                          samples: List[Dict[str, Any]],
@@ -86,53 +159,18 @@ def make_rebalance_issue(clients: Sequence[CassandraClient],
     """
     rotation = {"next": 0}
 
-    def _issue(op_type: str, key: str, value: Optional[str],
-               done: Callable[[Dict[str, Any]], None],
+    def _issue(op_type: str, key: str, value: Optional[str], sink: Any,
                session_id: Optional[int] = None) -> None:
         if session_id is None:
             session_id = rotation["next"]
             rotation["next"] += 1
         client = clients[session_id % len(clients)]
-
-        def _finish(info: Dict[str, Any]) -> None:
-            samples.append({"t": clock(), "op": op_type, **info})
-            done(info)
-
+        journaled = _JournaledOp(sink, key, clock, samples, acked)
         if op_type == "update":
-            def _on_ack(resp: Dict[str, Any]) -> None:
-                failed = "error" in resp
-                timestamp = resp.get("timestamp")
-                if not failed and timestamp is not None:
-                    previous = acked.get(key)
-                    if previous is None or timestamp > previous:
-                        acked[key] = timestamp
-                _finish({"final_latency_ms": resp["latency_ms"],
-                         "failed": failed})
-
-            client.write(key, value, w=1, on_final=_on_ack)
-            return
-
-        state: Dict[str, Any] = {"value": None, "latency": None, "had": False}
-
-        def _on_preliminary(resp: Dict[str, Any]) -> None:
-            state["had"] = True
-            state["value"] = resp["value"]
-            state["latency"] = resp["latency_ms"]
-
-        def _on_final(resp: Dict[str, Any]) -> None:
-            failed = "error" in resp
-            _finish({
-                "final_latency_ms": resp["latency_ms"],
-                "preliminary_latency_ms": state["latency"],
-                "had_preliminary": state["had"],
-                "diverged": (not failed and state["had"]
-                             and not resp.get("is_confirmation", False)
-                             and state["value"] != resp["value"]),
-                "failed": failed,
-            })
-
-        client.read(key, r=2, icg=True,
-                    on_preliminary=_on_preliminary, on_final=_on_final)
+            client.lean_write(key, value, 1, journaled)
+        else:
+            sink.icg = True
+            client.lean_read(key, 2, True, journaled)
 
     return _issue
 
@@ -154,14 +192,6 @@ def count_lost_acked_writes(cluster, acked: Dict[str, Any]) -> int:
         if newest is None or newest.timestamp < timestamp:
             lost += 1
     return lost
-
-
-def _p99(values: List[float]) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = max(0, int(len(ordered) * 0.99 + 0.999999) - 1)
-    return ordered[min(index, len(ordered) - 1)]
 
 
 def _phase_stats(samples: List[Dict[str, Any]],
@@ -186,7 +216,7 @@ def _phase_stats(samples: List[Dict[str, Any]],
         stats[phase] = {
             "ops": len(rows),
             "final_mean_ms": sum(finals) / len(finals) if finals else 0.0,
-            "final_p99_ms": _p99(finals),
+            "final_p99_ms": nearest_rank_p99(finals),
             "prelim_mean_ms": sum(prelims) / len(prelims) if prelims else 0.0,
             "staleness_pct": (100.0 * diverged / with_prelim
                               if with_prelim else 0.0),

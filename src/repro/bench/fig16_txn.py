@@ -49,6 +49,7 @@ from typing import Any, Dict, Iterable, List, Sequence
 from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.core.cluster_spec import ClusterSpec
 from repro.faults import FaultInjector, get_scenario
+from repro.metrics.latency import nearest_rank_p99
 from repro.metrics.summary import format_table
 from repro.sim.rand import derive_rng
 from repro.txn import TxnConfig, build_txn_fabric, txn_aliases
@@ -59,14 +60,6 @@ DEFAULT_SCENARIOS = ("baseline", "coordinator-crash-mid-commit",
 #: Keys per transaction (also the lock-conflict dial: more keys per
 #: transaction over the same hot key range means more conflicts).
 DEFAULT_TXN_SIZES = (1, 3)
-
-
-def _p99(values: List[float]) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = max(0, int(len(ordered) * 0.99 + 0.999999) - 1)
-    return ordered[min(index, len(ordered) - 1)]
 
 
 def run_fig16_point(point: SweepPoint) -> Dict:
@@ -157,7 +150,7 @@ def run_fig16_cell(**kwargs: Any):
         "abort_rate_pct": 100.0 * aborted / resolved if resolved else 0.0,
         "commit_mean_ms": (sum(commit_latencies) / len(commit_latencies)
                            if commit_latencies else 0.0),
-        "commit_p99_ms": _p99(commit_latencies),
+        "commit_p99_ms": nearest_rank_p99(commit_latencies),
         "prepared_views": stats.prepared_views,
         "prepared_matched": stats.matched,
         "prepared_mismatched": stats.mismatched,

@@ -100,7 +100,7 @@ def run_closed_loop_scenario(threads_per_client: int = 24,
     results = run_multi_region_load(
         scenario, system, spec, threads_per_client=threads_per_client,
         duration_ms=duration_ms, warmup_ms=warmup_ms,
-        cooldown_ms=cooldown_ms, seed=seed, use_histograms=True)
+        cooldown_ms=cooldown_ms, seed=seed)
     return {
         "events": scenario.env.scheduler.events_executed,
         "ops": sum(result.total_ops for result in results.values()),
@@ -187,7 +187,7 @@ def run_open_loop_scenario(binding: str = "cassandra",
         stack, seed=seed, label=label, rate_ops_s=rate_ops_s,
         duration_ms=duration_ms, warmup_ms=warmup_ms,
         cooldown_ms=cooldown_ms, max_in_flight=max_in_flight,
-        policy=policy, queue_limit=queue_limit, use_histograms=True)
+        policy=policy, queue_limit=queue_limit)
     result = runner.run()
     storages = ([pool.client.binding.client for pool in stack.pools]
                 if binding == "cassandra" else [])

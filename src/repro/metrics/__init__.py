@@ -1,6 +1,6 @@
 """Measurement utilities shared by tests, examples, and benchmark harnesses."""
 
-from repro.metrics.latency import HistogramRecorder, LatencyRecorder
+from repro.metrics.latency import LatencyRecorder
 from repro.metrics.bandwidth import BandwidthProbe
 from repro.metrics.divergence import DivergenceCounter
 from repro.metrics.queueing import AdmissionStats
@@ -8,7 +8,6 @@ from repro.metrics.summary import format_table, format_row
 
 __all__ = [
     "AdmissionStats",
-    "HistogramRecorder",
     "LatencyRecorder",
     "BandwidthProbe",
     "DivergenceCounter",

@@ -1,15 +1,9 @@
 """Latency recording with averages and percentiles.
 
-Two recorders share one summary interface:
-
-* :class:`LatencyRecorder` keeps every sample exactly — percentiles use
-  linear interpolation over the sorted samples, which is what the committed
-  figure tables were produced with.  Use it whenever numbers must be exact.
-* :class:`HistogramRecorder` is an HDR-style log-linear histogram with O(1)
-  :meth:`~HistogramRecorder.record` and memory independent of the sample
-  count, at a bounded relative error on percentiles.  Use it for
-  million-operation perf runs where keeping (and sorting) every sample is
-  the bottleneck.
+:class:`LatencyRecorder` keeps every sample exactly — percentiles use
+linear interpolation over the sorted samples, which is what the committed
+figure tables were produced with.  :func:`nearest_rank_p99` is the other
+percentile rule the tables use, for harnesses that keep plain sample lists.
 """
 
 from __future__ import annotations
@@ -111,176 +105,10 @@ class LatencyRecorder:
         }
 
 
-class HistogramRecorder:
-    """Fixed-resolution latency histogram (HDR-style log-linear bins).
-
-    Samples are scaled to integer units of ``resolution_ms`` and bucketed
-    log-linearly: values up to ``2^(precision_bits+1)`` units land in exact
-    linear bins, and each doubling beyond that shares ``2^precision_bits``
-    sub-buckets, bounding the relative quantization error of percentiles to
-    ``2^-precision_bits`` (~0.1 % at the default 10 bits).  ``record`` is
-    O(1), memory is O(log(max) * 2^precision_bits) regardless of sample
-    count, and mean / min / max are tracked exactly on the side.
-    """
-
-    __slots__ = ("name", "resolution_ms", "precision_bits", "_inv_resolution",
-                 "_half", "_counts", "_count", "_sum", "_sum_sq", "_min",
-                 "_max", "_cumulative")
-
-    def __init__(self, name: str = "", resolution_ms: float = 0.001,
-                 precision_bits: int = 10) -> None:
-        if resolution_ms <= 0:
-            raise ValueError("resolution must be positive")
-        if not 1 <= precision_bits <= 14:
-            raise ValueError("precision_bits must be in [1, 14]")
-        self.name = name
-        self.resolution_ms = resolution_ms
-        self.precision_bits = precision_bits
-        self._inv_resolution = 1.0 / resolution_ms
-        self._half = 1 << precision_bits
-        self._counts: List[int] = []
-        self._count = 0
-        self._sum = 0.0
-        self._sum_sq = 0.0
-        self._min = math.inf
-        self._max = 0.0
-        self._cumulative: Optional[List[int]] = None
-
-    # -- recording ---------------------------------------------------------
-    def _index(self, latency_ms: float) -> int:
-        units = int(latency_ms * self._inv_resolution)
-        bucket = units.bit_length() - (self.precision_bits + 1)
-        if bucket <= 0:
-            return units
-        return bucket * self._half + (units >> bucket)
-
-    def record(self, latency_ms: float) -> None:
-        if latency_ms < 0:
-            raise ValueError(f"negative latency: {latency_ms}")
-        # _index, inlined: recording runs once per measured completion.
-        units = int(latency_ms * self._inv_resolution)
-        bucket = units.bit_length() - (self.precision_bits + 1)
-        if bucket <= 0:
-            index = units
-        else:
-            index = bucket * self._half + (units >> bucket)
-        counts = self._counts
-        if index >= len(counts):
-            counts.extend([0] * (index + 1 - len(counts)))
-        counts[index] += 1
-        self._count += 1
-        self._sum += latency_ms
-        self._sum_sq += latency_ms * latency_ms
-        if latency_ms < self._min:
-            self._min = latency_ms
-        if latency_ms > self._max:
-            self._max = latency_ms
-        self._cumulative = None
-
-    def extend(self, latencies: Iterable[float]) -> None:
-        for value in latencies:
-            self.record(value)
-
-    def merge(self, other: "HistogramRecorder") -> None:
-        """Combine another histogram recorded at the same resolution."""
-        if (other.resolution_ms != self.resolution_ms
-                or other.precision_bits != self.precision_bits):
-            raise ValueError("cannot merge histograms with different "
-                             "resolution or precision")
-        counts = self._counts
-        if len(other._counts) > len(counts):
-            counts.extend([0] * (len(other._counts) - len(counts)))
-        for index, value in enumerate(other._counts):
-            if value:
-                counts[index] += value
-        self._count += other._count
-        self._sum += other._sum
-        self._sum_sq += other._sum_sq
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        self._cumulative = None
-
-    # -- summaries ---------------------------------------------------------
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def mean(self) -> float:
-        if not self._count:
-            return 0.0
-        return self._sum / self._count
-
-    def minimum(self) -> float:
-        return self._min if self._count else 0.0
-
-    def maximum(self) -> float:
-        return self._max if self._count else 0.0
-
-    def stddev(self) -> float:
-        if self._count < 2:
-            return 0.0
-        mu = self.mean()
-        variance = (self._sum_sq - self._count * mu * mu) / (self._count - 1)
-        return math.sqrt(max(0.0, variance))
-
-    def _bin_value(self, index: int) -> float:
-        """Midpoint of the value range a bin covers, in milliseconds."""
-        bucket = index // self._half
-        sub = index - bucket * self._half
-        if bucket <= 1:
-            units = index
-            width = 1
-        else:
-            shift = bucket - 1
-            units = (sub + self._half) << shift
-            width = 1 << shift
-        return (units + (width - 1) / 2.0) * self.resolution_ms
-
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0 < p <= 100), quantized to bin midpoints
-        (relative error bounded by ``2^-precision_bits``); min and max are
-        returned exactly at the extremes."""
-        if not self._count:
-            return 0.0
-        if not 0 < p <= 100:
-            raise ValueError(f"percentile must be in (0, 100], got {p}")
-        if p == 100:
-            return self._max
-        if self._cumulative is None:
-            running = 0
-            self._cumulative = cumulative = []
-            for value in self._counts:
-                running += value
-                cumulative.append(running)
-        cumulative = self._cumulative
-        target = math.ceil((p / 100.0) * self._count)
-        # Binary search for the first bin whose cumulative count reaches it.
-        low, high = 0, len(cumulative) - 1
-        while low < high:
-            mid = (low + high) // 2
-            if cumulative[mid] < target:
-                low = mid + 1
-            else:
-                high = mid
-        # Clamp the bin midpoint to the exactly-tracked extremes so the
-        # extreme percentiles return the true min/max.
-        value = self._bin_value(low)
-        return min(max(value, self._min), self._max)
-
-    def p50(self) -> float:
-        return self.percentile(50)
-
-    def p99(self) -> float:
-        return self.percentile(99)
-
-    def summary(self) -> dict:
-        """Mean / p50 / p99 / min / max / count in one dictionary."""
-        return {
-            "name": self.name,
-            "count": self.count,
-            "mean_ms": self.mean(),
-            "p50_ms": self.p50(),
-            "p99_ms": self.p99(),
-            "min_ms": self.minimum(),
-            "max_ms": self.maximum(),
-        }
+def nearest_rank_p99(values: List[float]) -> float:
+    """The nearest-rank 99th percentile of ``values`` (0.0 when empty)."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    index = max(0, int(len(ordered) * 0.99 + 0.999999) - 1)
+    return ordered[min(index, len(ordered) - 1)]

@@ -16,27 +16,25 @@ recorders alone cannot express:
 :class:`AdmissionStats` collects all of it.  Whole-run counters (``offered``,
 ``admitted``, ``shed``) cover warm-up and cool-down too; the ``measured_*``
 counters only cover arrivals inside the measurement window.  The queue-delay
-recorder receives one sample per *measured completion* (recorded by
-:meth:`repro.workloads.engine.LoadEngine.record_completion`, under exactly
-the same arrived-in-window / completed-in-window predicate as the latency
-recorders), so queue-delay and latency statistics always describe the same
-population of operations — a tail that queued past the window's end is
-censored from both, never from just one.
+recorder receives one sample per *measured completion* (recorded by the
+open-loop runner's pooled operation record, :class:`repro.workloads.runner.
+_OpenOp`, under exactly the same arrived-in-window / completed-in-window
+predicate as the latency recorders), so queue-delay and latency statistics
+always describe the same population of operations — a tail that queued past
+the window's end is censored from both, never from just one.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Union
+from typing import Any, Dict
 
-from repro.metrics.latency import HistogramRecorder, LatencyRecorder
-
-Recorder = Union[LatencyRecorder, HistogramRecorder]
+from repro.metrics.latency import LatencyRecorder
 
 
 class AdmissionStats:
     """Offered-load, shedding, and queue-delay accounting for one run."""
 
-    def __init__(self, use_histograms: bool = False) -> None:
+    def __init__(self) -> None:
         #: Arrivals the generator produced (whole run).
         self.offered = 0
         #: Arrivals issued to the store, immediately or after queueing.
@@ -50,8 +48,7 @@ class AdmissionStats:
         #: Time admitted operations spent waiting for an in-flight slot
         #: (0 for operations issued on arrival); one sample per measured
         #: completion — the same population the latency recorders cover.
-        self.queue_delay: Recorder = (HistogramRecorder()
-                                      if use_histograms else LatencyRecorder())
+        self.queue_delay = LatencyRecorder()
         #: Most operations concurrently in flight at any instant.
         self.in_flight_high_water = 0
         #: Deepest the admission queue ever got.

@@ -4,20 +4,24 @@ Both load generators in :mod:`repro.workloads.runner` — the closed-loop
 runner the paper's experiments use and the open-loop runner the saturation
 experiments use — share everything except *when the next operation starts*:
 
-* issuing one operation through a system-agnostic ``issue`` function and
-  receiving its completion information through a ``done`` callback;
+* one issue contract, ``issue(op_type, key, value, sink, session_id=None)``:
+  the function executes one operation against whatever stack is under test
+  and completes it into ``sink``, the runner's pooled per-operation record,
+  through the storage client's five positional completion methods
+  (``deliver_read_preliminary`` / ``deliver_read_final`` /
+  ``deliver_write_ack`` / ``deliver_read_error`` / ``deliver_write_error``,
+  see :mod:`repro.cassandra_sim.client`); the open loop passes the session
+  it chose for the operation, the closed loop never does;
 * warm-up / cool-down windows excluded from measurement;
 * arming an optional fault script relative to the run's start time, so
   fault schedules compose identically with either loop shape;
 * latency / divergence / degraded-or-failed accounting into a
-  :class:`RunResult` (exact recorders by default, O(1) histograms for perf
-  runs at scale).
+  :class:`RunResult` of exact recorders.
 
-:class:`LoadEngine` owns all of that; subclasses only implement
-:meth:`LoadEngine._start_load` (closed loop: start N client threads; open
-loop: schedule the first arrival).  The completion-recording path is kept
-bit-for-bit identical to the pre-refactor ``ClosedLoopRunner`` so every
-committed figure table is unchanged.
+:class:`LoadEngine` owns the windows, the fault arming and the result;
+subclasses implement :meth:`LoadEngine._start_load` (closed loop: start N
+client threads; open loop: schedule the first arrival) and the records that
+account each completion.
 """
 
 from __future__ import annotations
@@ -26,20 +30,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from repro.metrics.divergence import DivergenceCounter
-from repro.metrics.latency import HistogramRecorder, LatencyRecorder
+from repro.metrics.latency import LatencyRecorder
 from repro.metrics.queueing import AdmissionStats
 from repro.sim.scheduler import Scheduler
-
-#: ``issue(op_type, key, value, done)`` executes one operation and eventually
-#: calls ``done(info)`` where ``info`` may contain:
-#:   ``final_latency_ms``          overall completion latency,
-#:   ``preliminary_latency_ms``    latency of the preliminary view (if any),
-#:   ``diverged``                  True when preliminary != final,
-#:   ``had_preliminary``           False when no preliminary view arrived,
-#:   ``degraded``                  True when the storage answered with less
-#:                                 than the requested quorum (fault recovery),
-#:   ``failed``                    True when the operation errored out.
-IssueFunction = Callable[[str, str, Optional[str], Callable[[Dict[str, Any]], None]], None]
 
 
 @dataclass
@@ -95,16 +88,16 @@ class RunResult:
 class LoadEngine:
     """Base class for load generators running over simulated time.
 
-    Owns the measurement windows, fault arming, and completion accounting;
+    Owns the measurement windows, fault arming and the :class:`RunResult`;
     a subclass decides how operations are scheduled by implementing
-    :meth:`_start_load` (called once the run's time windows are fixed).
+    :meth:`_start_load` (called once the run's time windows are fixed) and
+    accounts each completion in its per-operation records.
     """
 
-    def __init__(self, scheduler: Scheduler, issue: IssueFunction,
+    def __init__(self, scheduler: Scheduler, issue: Callable[..., None],
                  duration_ms: float = 30_000.0, warmup_ms: float = 5_000.0,
                  cooldown_ms: float = 5_000.0, label: str = "run",
                  faults: Optional[Any] = None,
-                 use_histograms: bool = False,
                  admission: Optional[AdmissionStats] = None,
                  drain_ms: float = 60_000.0) -> None:
         if duration_ms <= warmup_ms + cooldown_ms:
@@ -126,21 +119,9 @@ class LoadEngine:
         self.end_time = 0.0
         self._measure_start = 0.0
         self._measure_end = 0.0
-        measured_ms = duration_ms - warmup_ms - cooldown_ms
-        if use_histograms:
-            # O(1)-per-sample recorders for perf runs at scale; the figure
-            # harnesses keep the default exact recorders so committed tables
-            # stay bit-identical.
-            self.result = RunResult(
-                label=label, duration_ms=measured_ms,
-                final_latency=HistogramRecorder(),
-                preliminary_latency=HistogramRecorder(),
-                read_latency=HistogramRecorder(),
-                update_latency=HistogramRecorder(),
-                admission=admission)
-        else:
-            self.result = RunResult(
-                label=label, duration_ms=measured_ms, admission=admission)
+        self.result = RunResult(
+            label=label, duration_ms=duration_ms - warmup_ms - cooldown_ms,
+            admission=admission)
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
@@ -169,57 +150,3 @@ class LoadEngine:
         """Whether an instant falls inside the measured (post-warm-up,
         pre-cool-down) window."""
         return self._measure_start <= at_ms <= self._measure_end
-
-    # -- recording -----------------------------------------------------------------
-    def record_completion(self, op_type: str, issued_at: float,
-                          info: Dict[str, Any],
-                          arrived_at: Optional[float] = None) -> None:
-        """Account one completed operation.
-
-        ``issued_at`` is when the operation reached the storage; for open
-        loops ``arrived_at`` is the (earlier) instant the user showed up, so
-        recorded latencies are the response times the *user* observes
-        (queue delay + service time) and the measurement window is judged
-        against the true arrival instant — the same instant the admission
-        counters classified, with no float round-trip in between.  Closed
-        loops omit it (arrival == issue) and the accounting reduces exactly
-        to the original closed-loop behaviour.
-        """
-        self.result.total_ops += 1
-        # Fault outcomes are counted over the whole run (not only the
-        # measurement window): a fault script may overlap warm-up/cool-down
-        # and recovery behaviour is interesting wherever it happens.
-        if info.get("degraded"):
-            self.result.degraded_ops += 1
-        if info.get("failed"):
-            self.result.failed_ops += 1
-        completed_at = self.scheduler.now()
-        if arrived_at is None:
-            arrived_at = issued_at
-        queue_delay_ms = issued_at - arrived_at
-        if not (self._measure_start <= arrived_at and
-                completed_at <= self._measure_end):
-            return
-        self.result.measured_ops += 1
-        if self.result.admission is not None:
-            # One queue-delay sample per measured completion, so queue-delay
-            # and latency statistics describe the same operations.
-            self.result.admission.record_queue_delay(queue_delay_ms)
-        final_latency = info.get("final_latency_ms",
-                                 completed_at - issued_at)
-        if queue_delay_ms:
-            final_latency += queue_delay_ms
-        self.result.final_latency.record(final_latency)
-        if op_type == "read":
-            self.result.read_latency.record(final_latency)
-        else:
-            self.result.update_latency.record(final_latency)
-        if info.get("preliminary_latency_ms") is not None:
-            preliminary = info["preliminary_latency_ms"]
-            if queue_delay_ms:
-                preliminary += queue_delay_ms
-            self.result.preliminary_latency.record(preliminary)
-        if "diverged" in info:
-            self.result.divergence.record_outcome(
-                bool(info["diverged"]),
-                had_preliminary=info.get("had_preliminary", True))

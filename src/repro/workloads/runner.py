@@ -15,29 +15,52 @@ sessions, with bounded in-flight admission control (queue or shed) and
 queue-delay accounting — the regime the saturation experiments (fig14)
 measure.
 
-Both runners share :class:`~repro.workloads.engine.LoadEngine`: the same
-``issue``/``done`` contract, warm-up/cool-down windows, fault-script arming,
-and metrics accounting.  They are system-agnostic: the experiment harness
-supplies an ``issue`` function that executes one operation against whatever
-stack is under test and reports completion (with optional preliminary/final
-latencies and divergence information) through a ``done`` callback.
+Both runners share :class:`~repro.workloads.engine.LoadEngine` and one
+contract with the experiment harness, which supplies the issue function::
+
+    issue(op_type, key, value, sink, session_id=None)
+
+``issue`` executes one operation against whatever stack is under test and
+completes it into ``sink`` — the runner's pooled record of that operation
+(:class:`_ClientThread` in the closed loop, :class:`_OpenOp` in the open
+loop) — through the storage client's positional completion methods:
+
+* ``deliver_read_preliminary(value, timestamp, latency_ms, replica=None)``
+* ``deliver_read_final(value, timestamp, latency_ms, is_confirmation,
+  degraded=False, matches_preliminary=None)``
+* ``deliver_write_ack(timestamp, latency_ms, degraded=False)``
+* ``deliver_read_error(error, latency_ms)`` /
+  ``deliver_write_error(error, latency_ms)``
+
+— exactly once per operation (a final, an ack or an error), any
+preliminaries before it.  An issuer over the Cassandra client hands the
+record straight to ``lean_read``/``lean_write``; one over another API
+forwards its completions into the same methods.  Before an ICG read the
+issuer sets the record's one writable slot, ``sink.icg = True``: the record
+then also accounts the preliminary latency and whether the preliminary
+diverged from the final view (the paper's divergence).  The open loop
+passes the session it chose for the operation as ``session_id``; the closed
+loop never passes it.
+
+Every completion counts in ``total_ops`` (``degraded_ops`` and
+``failed_ops`` over the whole run, too); one measured inside the window adds
+a response-time sample.  A failure adds that sample only: a failed read has
+no final view, so no preliminary latency and no divergence pair.
 """
 
 from __future__ import annotations
 
-import inspect
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.metrics.queueing import AdmissionStats
 from repro.sim.scheduler import Scheduler
 from repro.workloads.arrivals import ArrivalProcess
-from repro.workloads.engine import IssueFunction, LoadEngine, RunResult
+from repro.workloads.engine import LoadEngine, RunResult
 from repro.workloads.ycsb import OperationGenerator
 
 __all__ = [
     "ClosedLoopRunner",
-    "IssueFunction",
     "OpenLoopRunner",
     "RunResult",
 ]
@@ -47,22 +70,15 @@ class _ClientThread:
     """One closed-loop logical thread issuing operations back-to-back.
 
     The loop is closed — at most one operation is outstanding per thread —
-    so the in-flight operation's type and issue time live on the instance
-    and the completion callback is the bound :meth:`_on_done`, instead of a
-    fresh closure per operation.
-
-    The thread is also the *lean completion sink*: when the issue function
-    carries a ``lean`` attribute, completions come back through the
-    positional ``deliver_*`` methods below — the thread accounts the
-    operation straight into the runner's recorders with the
-    exact arithmetic of :meth:`LoadEngine.record_completion` (closed loop:
-    arrival == issue, queue delay identically zero) and issues the next
-    operation, with no response/info dicts in between.
+    so the thread itself is that operation's completion sink: the
+    ``deliver_*`` methods below account it straight into the runner's
+    recorders (arrival == issue, queue delay identically zero) and issue the
+    next operation.
     """
 
     __slots__ = ("runner", "thread_id", "generator", "_gen_buffered",
-                 "_op_type", "_issued_at", "_done_cb", "_lean_icg",
-                 "_had_prelim", "_prelim_value", "_prelim_latency")
+                 "_issued_at", "icg", "_had_prelim", "_prelim_value",
+                 "_prelim_latency")
 
     def __init__(self, runner: "ClosedLoopRunner", thread_id: int,
                  generator: OperationGenerator) -> None:
@@ -70,13 +86,12 @@ class _ClientThread:
         self.thread_id = thread_id
         self.generator = generator
         #: Whether the generator exposes the chunked packed-op buffer the
-        #: lean issue loop decodes inline (duck-typed replay generators
-        #: don't; they always go through next_operation).
+        #: issue loop decodes inline (duck-typed replay generators don't;
+        #: they always go through next_operation).
         self._gen_buffered = getattr(generator, "_buf", None) is not None
-        self._op_type = ""
         self._issued_at = 0.0
-        self._done_cb = self._on_done  # bound once, reused every operation
-        self._lean_icg = False
+        #: Set by the issuer before an ICG read (see the module docstring).
+        self.icg = False
         self._had_prelim = False
         self._prelim_value = None
         self._prelim_latency = None
@@ -97,14 +112,7 @@ class _ClientThread:
         now = runner.scheduler.clock._now
         if now >= runner.end_time:
             return
-        lean = runner._lean_issue
         gen = self.generator
-        if lean is None:
-            op_type, key, value = gen.next_operation()
-            self._op_type = op_type
-            self._issued_at = now
-            runner.issue(op_type, key, value, self._done_cb)
-            return
         if self._gen_buffered:
             # OperationGenerator.next_operation, inlined for the buffered
             # case: pop the packed op and decode it in place — no call
@@ -139,20 +147,10 @@ class _ClientThread:
                 op_type, key, value = gen.next_operation()
         else:
             op_type, key, value = gen.next_operation()
-        self._op_type = op_type
         self._issued_at = now
-        lean(op_type, key, value, self)
+        runner.issue(op_type, key, value, self)
 
-    def _on_done(self, info: Dict[str, Any]) -> None:
-        runner = self.runner
-        runner.record_completion(self._op_type, self._issued_at, info)
-        think = runner.think_time_ms
-        if think > 0:
-            runner.scheduler.schedule(think, self._issue_next)
-        else:
-            self._issue_next()
-
-    # -- lean completion sink -------------------------------------------------
+    # -- completion sink ------------------------------------------------------
     def deliver_read_preliminary(self, value: Any, timestamp: Any,
                                  latency_ms: float,
                                  replica: Optional[str] = None) -> None:
@@ -170,7 +168,7 @@ class _ClientThread:
         if degraded:
             result.degraded_ops += 1
         completed_at = runner.scheduler.clock._now
-        if self._lean_icg:
+        if self.icg:
             had = self._had_prelim
             diverged = (had and self._prelim_value != value
                         and not is_confirmation)
@@ -228,25 +226,17 @@ class _ClientThread:
         result = runner.result
         result.total_ops += 1
         result.failed_ops += 1
-        completed_at = runner.scheduler.clock._now
-        had = self._had_prelim
-        prelim_latency = self._prelim_latency
         self._had_prelim = False
         self._prelim_value = None
         self._prelim_latency = None
         if runner._measure_start <= self._issued_at \
-                and completed_at <= runner._measure_end:
+                and runner.scheduler.clock._now <= runner._measure_end:
             result.measured_ops += 1
             result.final_latency.record(latency_ms)
-            if not is_read:
-                result.update_latency.record(latency_ms)
-            else:
+            if is_read:
                 result.read_latency.record(latency_ms)
-                if self._lean_icg:
-                    if prelim_latency is not None:
-                        result.preliminary_latency.record(prelim_latency)
-                    result.divergence.record_outcome(False,
-                                                     had_preliminary=had)
+            else:
+                result.update_latency.record(latency_ms)
         think = runner.think_time_ms
         if think > 0:
             runner.scheduler.schedule(think, self._issue_next)
@@ -257,25 +247,19 @@ class _ClientThread:
 class ClosedLoopRunner(LoadEngine):
     """Runs N closed-loop client threads over simulated time and aggregates metrics."""
 
-    def __init__(self, scheduler: Scheduler, issue: IssueFunction,
+    def __init__(self, scheduler: Scheduler, issue: Callable[..., None],
                  make_generator: Callable[[int], OperationGenerator],
                  threads: int, duration_ms: float = 30_000.0,
                  warmup_ms: float = 5_000.0, cooldown_ms: float = 5_000.0,
                  think_time_ms: float = 0.0, label: str = "run",
-                 faults: Optional[Any] = None,
-                 use_histograms: bool = False) -> None:
+                 faults: Optional[Any] = None) -> None:
         if threads <= 0:
             raise ValueError("need at least one client thread")
         super().__init__(scheduler, issue, duration_ms=duration_ms,
                          warmup_ms=warmup_ms, cooldown_ms=cooldown_ms,
-                         label=label, faults=faults,
-                         use_histograms=use_histograms)
+                         label=label, faults=faults)
         self.threads = threads
         self.think_time_ms = think_time_ms
-        #: ``issue.lean(op_type, key, value, sink)``, attached by the issue
-        #: builder iff it can complete operations into this runner's own
-        #: records; ``None`` routes every operation through ``done``.
-        self._lean_issue = getattr(issue, "lean", None)
         self._threads = [
             _ClientThread(self, i, make_generator(i)) for i in range(threads)
         ]
@@ -303,23 +287,17 @@ class _Session:
 
 
 class _OpenOp:
-    """One in-flight open-loop operation: pooled completion state.
+    """One in-flight open-loop operation: its pooled completion sink.
 
-    Replaces the per-operation ``partial`` closure the open loop used to
-    allocate as its ``done`` callback, and doubles as the *lean completion
-    sink*: completions delivered through the positional ``deliver_*``
-    methods account straight into the runner's recorders with the exact
-    arithmetic of
-    :meth:`LoadEngine.record_completion` for open loops — queue delay
-    (issue minus arrival) added to every recorded latency, the measurement
-    window judged on the true arrival instant, one queue-delay sample per
-    measured completion — then refill the next waiting arrival, with no
-    response/info dicts in between.
+    The ``deliver_*`` methods account the operation straight into the
+    runner's recorders — queue delay (issue minus arrival) added to every
+    recorded latency, the measurement window judged on the true arrival
+    instant, one queue-delay sample per measured completion — then refill
+    the next waiting arrival.
     """
 
-    __slots__ = ("runner", "op_type", "issued_at", "arrived_at", "done",
-                 "_lean_icg", "_had_prelim", "_prelim_value",
-                 "_prelim_latency")
+    __slots__ = ("runner", "issued_at", "arrived_at", "icg", "_had_prelim",
+                 "_prelim_value", "_prelim_latency")
 
     _pool: list = []
     #: ``[created, recycled]`` — in a list, not class attributes: assigning
@@ -327,12 +305,9 @@ class _OpenOp:
     #: the type, and these move with every operation.
     _counts = [0, 0]
 
-    def __init__(self) -> None:
-        self.done = self._on_done  # bound once, reused every operation
-
     @classmethod
-    def acquire(cls, runner: "OpenLoopRunner", op_type: str,
-                issued_at: float, arrived_at: float) -> "_OpenOp":
+    def acquire(cls, runner: "OpenLoopRunner", issued_at: float,
+                arrived_at: float) -> "_OpenOp":
         pool = cls._pool
         if pool:
             op = pool.pop()
@@ -340,10 +315,9 @@ class _OpenOp:
             cls._counts[0] += 1
             op = cls()
         op.runner = runner
-        op.op_type = op_type
         op.issued_at = issued_at
         op.arrived_at = arrived_at
-        op._lean_icg = False
+        op.icg = False
         op._had_prelim = False
         op._prelim_value = None
         op._prelim_latency = None
@@ -366,19 +340,7 @@ class _OpenOp:
         return {"created": created, "recycled": recycled,
                 "free": len(cls._pool)}
 
-    # -- classic completion (dict pipeline) -----------------------------------
-    def _on_done(self, info: Dict[str, Any]) -> None:
-        runner = self.runner
-        op_type = self.op_type
-        issued_at = self.issued_at
-        arrived_at = self.arrived_at
-        self._recycle()
-        runner._in_flight -= 1
-        runner.record_completion(op_type, issued_at, info,
-                                 arrived_at=arrived_at)
-        runner._refill()
-
-    # -- lean completion sink -------------------------------------------------
+    # -- completion sink ------------------------------------------------------
     def deliver_read_preliminary(self, value: Any, timestamp: Any,
                                  latency_ms: float,
                                  replica: Optional[str] = None) -> None:
@@ -393,7 +355,7 @@ class _OpenOp:
         runner = self.runner
         issued_at = self.issued_at
         arrived_at = self.arrived_at
-        icg = self._lean_icg
+        icg = self.icg
         had = self._had_prelim
         prelim_value = self._prelim_value
         prelim_latency = self._prelim_latency
@@ -453,9 +415,6 @@ class _OpenOp:
         self._deliver_error(latency_ms, is_read=False)
 
     def _deliver_error(self, latency_ms: float, is_read: bool) -> None:
-        # Mirrors the classic session issue path on errors: a bare
-        # ``{"failed": True}`` — response-time accounting only, no
-        # preliminary/divergence samples.
         runner = self.runner
         issued_at = self.issued_at
         arrived_at = self.arrived_at
@@ -504,12 +463,12 @@ class OpenLoopRunner(LoadEngine):
 
     POLICIES = ("queue", "shed")
 
-    def __init__(self, scheduler: Scheduler, issue: IssueFunction,
+    def __init__(self, scheduler: Scheduler, issue: Callable[..., None],
                  make_generator: Callable[[int], OperationGenerator],
                  arrivals: ArrivalProcess, sessions: int = 100,
                  duration_ms: float = 30_000.0, warmup_ms: float = 5_000.0,
                  cooldown_ms: float = 5_000.0, label: str = "open-loop",
-                 faults: Optional[Any] = None, use_histograms: bool = False,
+                 faults: Optional[Any] = None,
                  max_in_flight: Optional[int] = None, policy: str = "queue",
                  queue_limit: Optional[int] = None) -> None:
         if sessions <= 0:
@@ -524,8 +483,7 @@ class OpenLoopRunner(LoadEngine):
         super().__init__(scheduler, issue, duration_ms=duration_ms,
                          warmup_ms=warmup_ms, cooldown_ms=cooldown_ms,
                          label=label, faults=faults,
-                         use_histograms=use_histograms,
-                         admission=AdmissionStats(use_histograms=use_histograms))
+                         admission=AdmissionStats())
         self.arrivals = arrivals
         self.max_in_flight = max_in_flight
         self.policy = policy
@@ -538,27 +496,6 @@ class OpenLoopRunner(LoadEngine):
         #: Waiting arrivals: (session_id, op_type, key, value, arrived_at).
         self._waiting: Deque[Tuple[int, str, str, Optional[str], float]] = deque()
         self._next_arrival_at = 0.0
-        # An issue function may declare a fifth ``session_id`` parameter to
-        # receive the session the runner chose for the operation — then the
-        # user-to-client-session mapping is the runner's single rotation,
-        # structural rather than a second rotation kept in lockstep by hand.
-        try:
-            parameters = inspect.signature(issue).parameters
-            self._issue_takes_session = (len(parameters) >= 5
-                                         or "session_id" in parameters)
-        except (TypeError, ValueError):
-            self._issue_takes_session = False
-        #: ``issue.lean(op_type, key, value, sink[, session_id])`` (see
-        #: :class:`ClosedLoopRunner`).
-        self._lean_issue = getattr(issue, "lean", None)
-        self._lean_takes_session = False
-        if self._lean_issue is not None:
-            try:
-                parameters = inspect.signature(self._lean_issue).parameters
-                self._lean_takes_session = (len(parameters) >= 5
-                                            or "session_id" in parameters)
-            except (TypeError, ValueError):
-                self._lean_takes_session = False
 
     @property
     def admission(self) -> AdmissionStats:
@@ -583,12 +520,10 @@ class OpenLoopRunner(LoadEngine):
         admission.record_arrival(measured)
         # Decide the arrival's fate *before* consuming a session or a
         # generator draw: a shed arrival must not advance either, so the
-        # runner's session rotation stays in lockstep with any rotation the
-        # ``issue`` function keeps (e.g. a client-layer SessionPool) — one
-        # step per issued operation, in issue order.  (Whenever the wait
-        # queue is non-empty every in-flight slot is taken — completions
-        # refill from the queue first — so admitted operations are issued
-        # in arrival order and the lockstep holds under queueing too.)
+        # session rotation takes one step per issued operation, in issue
+        # order.  (Whenever the wait queue is non-empty every in-flight slot
+        # is taken — completions refill from the queue first — so admitted
+        # operations are issued in arrival order under queueing too.)
         can_issue = (self.max_in_flight is None
                      or self._in_flight < self.max_in_flight)
         can_queue = self.policy == "queue" and (
@@ -618,17 +553,8 @@ class OpenLoopRunner(LoadEngine):
         now = self.scheduler.now()
         self._in_flight += 1
         self.admission.record_issue(self._in_flight)
-        op = _OpenOp.acquire(self, op_type, now, arrived_at)
-        lean = self._lean_issue
-        if lean is None:
-            if self._issue_takes_session:
-                self.issue(op_type, key, value, op.done, session_id)
-            else:
-                self.issue(op_type, key, value, op.done)
-        elif self._lean_takes_session:
-            lean(op_type, key, value, op, session_id)
-        else:
-            lean(op_type, key, value, op)
+        self.issue(op_type, key, value,
+                   _OpenOp.acquire(self, now, arrived_at), session_id)
 
     def _refill(self) -> None:
         """Issue the next waiting arrival once an in-flight slot freed up."""

@@ -5,7 +5,6 @@ import pytest
 from repro.bench.cli import (
     build_parser,
     figure_names,
-    figure_supports_histograms,
     main,
     run_figure,
 )
@@ -42,10 +41,9 @@ class TestParser:
         assert args.show_budget
         assert not build_parser().parse_args(["perf"]).show_budget
 
-    def test_jobs_and_histograms_parsed(self):
-        args = build_parser().parse_args(
-            ["fig06", "--quick", "--jobs", "4", "--histograms"])
-        assert args.jobs == "4" and args.histograms
+    def test_jobs_parsed(self):
+        args = build_parser().parse_args(["fig06", "--quick", "--jobs", "4"])
+        assert args.jobs == "4"
         assert build_parser().parse_args(["fig06", "--jobs", "auto"]).jobs \
             == "auto"
         assert build_parser().parse_args(["fig06"]).jobs == "1"
@@ -81,24 +79,6 @@ class TestRunFigure:
     def test_main_reports_bad_jobs_cleanly(self, capsys):
         assert main(["fig09", "--quick", "--jobs", "warp"]) == 2
         assert "jobs" in capsys.readouterr().err
-
-    def test_histograms_rejected_for_unsupported_figure(self, capsys):
-        with pytest.raises(ValueError):
-            run_figure("fig09", quick=True, use_histograms=True)
-        assert main(["fig09", "--quick", "--histograms"]) == 2
-        assert "histograms" in capsys.readouterr().err
-
-    def test_histograms_supported_for_fig06(self):
-        report = run_figure("fig06", quick=True, use_histograms=True)
-        assert "Figure 6" in report
-
-    def test_histogram_capability_lookup(self):
-        # 'all --histograms' composes by applying the flag only where
-        # supported, which relies on this capability probe.
-        assert figure_supports_histograms("fig06")
-        assert not figure_supports_histograms("fig09")
-        with pytest.raises(KeyError):
-            figure_supports_histograms("fig99")
 
 
 class TestShowBudget:

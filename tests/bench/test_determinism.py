@@ -216,15 +216,15 @@ def zookeeper_fingerprints() -> Dict[str, Dict[str, object]]:
 
 @contextlib.contextmanager
 def _on_the_callback_pipeline(module, builder: str):
-    """Inside, ``module.builder`` hands out issue functions without
-    ``.lean`` (``fault_slices.without_lean``: the reference side of lean ≡
-    dict, now that no switch selects it); on exit, checks that the clusters
-    built inside really completed every operation through the adapter."""
-    from fault_slices import builds_without_lean
+    """Inside, ``module.builder`` hands out its callback-API reference
+    issuer (``fault_slices.builds_through_callbacks``: the reference side of
+    sink ≡ callback); on exit, checks that the clusters built inside really
+    completed every operation through the adapter."""
+    from fault_slices import builds_through_callbacks
     from repro.cassandra_sim.cluster import CassandraCluster
     from zk_slices import instances_built
 
-    with builds_without_lean(module, builder), \
+    with builds_through_callbacks(module, builder), \
             instances_built(CassandraCluster) as clusters:
         yield
     paths = [client.path_counts() for cluster in clusters
@@ -245,8 +245,8 @@ class TestDeterminism:
         assert trace_fingerprint() == _golden()["trace"]
 
     def test_event_trace_matches_golden_with_lean_ops_off(self):
-        """The response-dict pipeline (issue functions stripped of their
-        ``.lean``) reproduces the lean-op trace."""
+        """The callback API (response dicts forwarded into the runner's
+        records) reproduces the sink trace."""
         from repro.bench import common
 
         with _on_the_callback_pipeline(common, "make_kv_issue"):
@@ -421,9 +421,9 @@ class TestDeterminism:
         """The fault family is invariant to how operations complete.
 
         Fault configurations arm timeouts and fallback contacts on the same
-        pooled records; whether the issue function carries ``.lean`` only
-        decides whether an operation completes into the runner's thread
-        sink or the callback adapter, and the record matches bit for bit
+        pooled records; whether the issuer hands the storage client the
+        runner's thread or goes through the callback adapter only decides
+        how an operation completes, and the record matches bit for bit
         either way.
         """
         from repro.bench import fig13_faults
@@ -437,12 +437,13 @@ class TestDeterminism:
                 "replica-crash", **kwargs) == reference
 
     def test_fig14_open_loop_slice_identical_with_lean_ops_off(self):
-        """An open-loop fig14 cell is bit-identical without lean ops.
+        """An open-loop fig14 cell is bit-identical through Correctables.
 
-        This covers the lean *open-loop* pipeline end to end — pooled
-        runner op records as completion sinks, the session-rotation lean
-        issue path, and the record-carried storage protocol underneath —
-        against the classic Correctable/dict pipeline.
+        This covers the *open-loop* sink pipeline end to end — pooled
+        runner op records as completion sinks, the session-rotation issue
+        path, and the record-carried storage protocol underneath — against
+        the same sessions' ``Correctable`` route over the Cassandra binding
+        and its callback API.
         """
         from repro.bench import fig14_open_loop
         from repro.bench.sweep import SweepPoint
@@ -512,7 +513,7 @@ class TestDeterminism:
                     <= (3 * len(cluster.servers) if heartbeats else 0), name
 
     def test_open_loop_lean_pools_recycle_without_leaking(self):
-        """Lean open-loop load leaks neither runner op records nor fused
+        """Open-loop load leaks neither runner op records nor fused
         protocol records: everything acquired during the run is back on its
         free list once the run drains."""
         from repro.bench.fig14_open_loop import run_fig14_point

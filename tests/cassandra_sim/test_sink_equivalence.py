@@ -1,10 +1,11 @@
 """The sink is the client's one completion interface.
 
-An issuer either hands the storage client its own pooled sink (an issue
-function with ``.lean``) or goes through the callback API (the adapter sink
-that builds response dicts; ``fault_slices.without_lean`` strips ``.lean`` to
-get there).  Either way the request rides the same pooled
-records — with timeouts, failover and read repair under a fault
+An issuer either hands the storage client the runner's own pooled record as
+the sink (``make_kv_issue``, ``make_session_issue``) or goes through the
+callback API (the adapter sink that builds response dicts) and forwards
+the dicts into that record (``fault_slices.callback_kv_issue``, the
+sessions' ``Correctable`` route).  Either way the request rides the same
+pooled records — with timeouts, failover and read repair under a fault
 configuration — and everything observable — the scheduler trace, the run's
 metrics, the bytes on the wire, the fault counters — must be identical.  The
 same file pins the adapter's response dicts key for key, the rare completion
@@ -15,13 +16,17 @@ a drained run leaves nothing behind.
 
 from __future__ import annotations
 
+import dis
 import hashlib
-from typing import List, Optional
+import sys
+from collections import Counter
+from typing import Callable, Dict, List, Optional, Sequence
 
 import pytest
-from fault_slices import (REGIONS, builds_without_lean, crash_and_degrade,
+from fault_slices import (REGIONS, builds_through_callbacks,
+                          callback_kv_issue, crash_and_degrade,
                           fault_windows, fingerprint, open_loop_run,
-                          schedule_from_windows, without_lean)
+                          schedule_from_windows)
 from hypothesis import HealthCheck, given, settings
 
 from repro.bench.common import (
@@ -30,6 +35,8 @@ from repro.bench.common import (
     make_generator_factory,
     make_kv_issue,
 )
+from repro.bench.fig15_rebalance import (CLIENT_REGIONS, make_rebalance_issue,
+                                         skew_workload)
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.versions import VersionedValue
@@ -38,34 +45,37 @@ from repro.faults.scenarios import cassandra_aliases
 from repro.faults.schedule import FaultScheduleBuilder
 from repro.sim.environment import SimEnvironment
 from repro.sim.node import Node
-from repro.sim.topology import Region
-from repro.workloads.runner import ClosedLoopRunner
-from repro.workloads.ycsb import workload_by_name
+from repro.core.cluster_spec import ClusterSpec
+from repro.sim.topology import Region, round_robin_regions
+from repro.workloads.arrivals import UniformArrivals
+from repro.workloads.runner import ClosedLoopRunner, OpenLoopRunner
+from repro.workloads.ycsb import OperationGenerator, workload_by_name
 
 QUIESCED = {"read_sessions": 0, "write_sessions": 0, "client_pending": 0}
 
 
 # ---------------------------------------------------------------------------
-# lean ≡ dict under faults (the cass-open-faults-b shape, small)
+# sink ≡ callback API under faults (the cass-open-faults-b shape, small)
 # ---------------------------------------------------------------------------
 
 def _paths(cluster) -> List[dict]:
     return [client.path_counts() for client in cluster.clients]
 
 
-def _closed_loop_run(lean: bool, duration_ms: float = 5_000.0,
+def _closed_loop_run(callbacks: bool, duration_ms: float = 5_000.0,
                      seed: int = 9):
-    """fig13's shape: closed-loop threads straight on the storage clients."""
+    """fig13's shape: closed-loop threads straight on the storage clients
+    (``callbacks=True``: through the callback API)."""
     built = build_cassandra_scenario(
         seed=seed, record_count=120, client_regions=REGIONS,
         config=CassandraConfig.fault_tolerant(), client_fallbacks=True)
     env, cluster = built.env, built.cluster
-    strip = (lambda issue: issue) if lean else without_lean
+    build = callback_kv_issue if callbacks else make_kv_issue
     injector = FaultInjector(env, schedule=crash_and_degrade(duration_ms),
                              aliases=cassandra_aliases(cluster))
     spec = workload_by_name("B").with_distribution("zipfian")
     runners = [ClosedLoopRunner(
-        scheduler=env.scheduler, issue=strip(make_kv_issue(client, "CC2")),
+        scheduler=env.scheduler, issue=build(client, "CC2"),
         make_generator=make_generator_factory(spec, built.dataset, seed,
                                               f"equiv-{region}"),
         threads=3, duration_ms=duration_ms, warmup_ms=500.0,
@@ -83,8 +93,8 @@ def _closed_loop_run(lean: bool, duration_ms: float = 5_000.0,
 
 class TestLeanEqualsDictUnderFaults:
     def test_open_loop_sessions_through_crash_and_degrade(self):
-        lean_trace, lean, lean_cluster = open_loop_run(lean=True)
-        dict_trace, classic, dict_cluster = open_loop_run(lean=False)
+        lean_trace, lean, lean_cluster = open_loop_run()
+        dict_trace, classic, dict_cluster = open_loop_run(callbacks=True)
         assert lean_trace == dict_trace
         assert lean == classic
         # The run really went through the fault machinery; only the
@@ -107,8 +117,8 @@ class TestLeanEqualsDictUnderFaults:
                     .crash_window("replica:2", 1_000.0, 3_800.0)
                     .build())
         kwargs = dict(schedule=schedule, duration_ms=6_000.0, seed=17)
-        lean_trace, lean, _ = open_loop_run(lean=True, **kwargs)
-        dict_trace, classic, _ = open_loop_run(lean=False, **kwargs)
+        lean_trace, lean, _ = open_loop_run(**kwargs)
+        dict_trace, classic, _ = open_loop_run(callbacks=True, **kwargs)
         assert lean_trace == dict_trace
         assert lean == classic
         run = lean["run"][0]
@@ -117,8 +127,8 @@ class TestLeanEqualsDictUnderFaults:
         assert lean["in_flight"] == QUIESCED
 
     def test_closed_loop_threads_through_crash_and_degrade(self):
-        lean_trace, lean, lean_cluster = _closed_loop_run(lean=True)
-        dict_trace, classic, _ = _closed_loop_run(lean=False)
+        lean_trace, lean, lean_cluster = _closed_loop_run(callbacks=False)
+        dict_trace, classic, _ = _closed_loop_run(callbacks=True)
         assert lean_trace == dict_trace
         assert lean == classic
         assert all(p["sink"] > 0 and p["callback"] == 0
@@ -127,7 +137,7 @@ class TestLeanEqualsDictUnderFaults:
     def test_drained_fault_run_leaves_nothing_in_flight(self):
         """Every write in the run has W=1 < RF, and the crash window loses
         acks for good: neither may strand a record."""
-        _, fingerprint, _ = open_loop_run(lean=True)
+        _, fingerprint, _ = open_loop_run()
         assert sum(r[1] for r in fingerprint["replicas"]) > 20, "no writes"
         assert fingerprint["in_flight"] == QUIESCED
         assert fingerprint["live_events"] == 0
@@ -139,8 +149,8 @@ class TestLeanEqualsDictUnderFaults:
         schedule = schedule_from_windows(windows)
         kwargs = dict(schedule=schedule, duration_ms=3_000.0,
                       rate_ops_s=120.0, sessions_per_region=4, seed=17)
-        lean_trace, lean, _ = open_loop_run(lean=True, **kwargs)
-        dict_trace, classic, _ = open_loop_run(lean=False, **kwargs)
+        lean_trace, lean, _ = open_loop_run(**kwargs)
+        dict_trace, classic, _ = open_loop_run(callbacks=True, **kwargs)
         assert lean_trace == dict_trace
         assert lean == classic
         assert lean["in_flight"] == QUIESCED
@@ -389,12 +399,13 @@ class TestPathCounts:
         assert paths["sink"] == sum(paths.values()) >= stats["ops"]
 
     def test_kill_switch_moves_ops_to_the_callback_adapter(self):
-        """An issue function without ``.lean`` (there is no switch any more:
-        the harness's builder is wrapped) completes through ``done``."""
+        """The harness's issue builder swapped for its callback-API
+        reference (there is no switch): every operation goes through the
+        adapter sink."""
         from repro.bench import common
         from repro.bench.perf import run_closed_loop_scenario
 
-        with builds_without_lean(common, "make_kv_issue"):
+        with builds_through_callbacks(common, "make_kv_issue"):
             stats = run_closed_loop_scenario(
                 threads_per_client=2, duration_ms=1_500.0, warmup_ms=300.0,
                 cooldown_ms=200.0, record_count=100)
@@ -422,3 +433,91 @@ class TestPathCounts:
             "wall_s": 0.1, "events": 10, "events_per_s": 100.0, "ops": 4,
             "ops_per_s": 40.0, "paths": {"sink": 4, "callback": 0}}})
         assert "fig13-replica-crash: sink 4, callback 0" in text
+
+
+# ---------------------------------------------------------------------------
+# what a journaled fig15 operation allocates
+# ---------------------------------------------------------------------------
+
+def _builds_per_file(run: Callable[[], None],
+                     paths: Sequence[str]) -> Dict[str, Counter]:
+    """Per path fragment, the opcodes executed inside ``run`` by code whose
+    source file contains it, with the dicts (``BUILD_MAP`` /
+    ``BUILD_CONST_KEY_MAP``) and functions (``MAKE_FUNCTION``) among them
+    (``sys.settrace`` with ``f_trace_opcodes``: exact)."""
+    counts = {path: Counter() for path in paths}
+
+    def on_call(frame, event, arg):
+        for path in paths:
+            if path in frame.f_code.co_filename:
+                frame.f_trace_opcodes = True
+                seen = counts[path]
+
+                def on_opcode(frame, event, arg):
+                    if event == "opcode":
+                        name = dis.opname[frame.f_code.co_code[frame.f_lasti]]
+                        seen["opcodes"] += 1
+                        if name in ("BUILD_MAP", "BUILD_CONST_KEY_MAP"):
+                            seen["dicts"] += 1
+                        elif name == "MAKE_FUNCTION":
+                            seen["functions"] += 1
+                    return on_opcode
+
+                return on_opcode
+        return None
+
+    sys.settrace(on_call)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return counts
+
+
+class TestWhatAJournaledOperationAllocates:
+    def test_fig15_issuer_builds_one_journal_dict_per_completion(self):
+        """200 operations of a small fig15 cell (a node joins mid-run): the
+        storage client and the runner build no dict, the rebalance issuer
+        defines no function, and the journal's sample is its one dict."""
+        nodes, seed = 4, 3
+        built = ClusterSpec(nodes=nodes, seed=seed, record_count=200,
+                            config=cassandra_config_for("CC2"),
+                            client_regions=CLIENT_REGIONS,
+                            client_fallbacks=True).build()
+        samples: List[dict] = []
+        acked: dict = {}
+        workload = skew_workload("zipf-0.99", "A")
+        clients = [built.client_in(region) for region in CLIENT_REGIONS]
+        # The dataset sets up its update-value stream on the first draw: a
+        # one-time cost, paid here rather than inside the count.
+        built.dataset.random_value()
+        runner = OpenLoopRunner(
+            scheduler=built.env.scheduler,
+            issue=make_rebalance_issue(clients, built.env.scheduler.now,
+                                       samples, acked),
+            make_generator=lambda session_id: OperationGenerator.seeded(
+                workload, built.dataset, seed, f"alloc-s{session_id}"),
+            # 10 ms apart from 10 ms to 2,000 ms: exactly 200 arrivals.
+            arrivals=UniformArrivals(100.0), sessions=20,
+            duration_ms=2_005.0, warmup_ms=0.0, cooldown_ms=5.0,
+            max_in_flight=64, policy="queue", queue_limit=256)
+        joiner_region = round_robin_regions(nodes + 1)[-1]
+        join = built.cluster.join_node(f"cassandra-{nodes}-{joiner_region}",
+                                       joiner_region, at_ms=800.0)
+        paths = ("cassandra_sim/client.py", "repro/workloads/",
+                 "bench/fig15_rebalance.py")
+        counts = _builds_per_file(
+            lambda: (runner.run(), built.env.run_until_idle()), paths)
+
+        assert join.done
+        assert runner.result.admission.offered == 200
+        assert runner.result.total_ops == len(samples) == 200
+        assert acked
+        for path in paths:
+            assert counts[path]["opcodes"] > 200, path
+        assert (counts["cassandra_sim/client.py"]["dicts"],
+                counts["repro/workloads/"]["dicts"]) == (0, 0)
+        assert counts["bench/fig15_rebalance.py"]["functions"] == 0
+        assert counts["bench/fig15_rebalance.py"]["dicts"] == len(samples)
+        assert [client.path_counts()["callback"] for client in clients] \
+            == [0, 0]

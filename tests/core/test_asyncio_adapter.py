@@ -104,7 +104,7 @@ class TestOpenLoopEndToEnd:
     ``CorrectableClient`` → ``LocalBinding`` on a simulated scheduler — but
     the views are *consumed* with the asyncio adapter (``view_stream`` for
     reads, ``final_value`` for updates) instead of raw callbacks, and the
-    runner's ``done`` fires only once the awaitable side finishes.  The
+    runner's record completes only once the awaitable side finishes.  The
     driver interleaves simulated time with asyncio turns the way a real
     deployment interleaves I/O with an event loop.
     """
@@ -122,8 +122,8 @@ class TestOpenLoopEndToEnd:
             binding.store.put(key, value)
         completions = []
 
-        def issue(op_type, key, value, done):
-            session = pool.next_session()
+        def issue(op_type, key, value, sink, session_id):
+            session = pool.session(session_id)
             issued_at = scheduler.now()
 
             async def consume():
@@ -137,7 +137,11 @@ class TestOpenLoopEndToEnd:
                         views += 1
                         final = view.value
                 completions.append((op_type, key, views, final))
-                done({"final_latency_ms": scheduler.now() - issued_at})
+                latency_ms = scheduler.now() - issued_at
+                if op_type == "update":
+                    sink.deliver_write_ack(None, latency_ms)
+                else:
+                    sink.deliver_read_final(final, None, latency_ms, False)
 
             asyncio.ensure_future(consume())
 
@@ -156,7 +160,7 @@ class TestOpenLoopEndToEnd:
         end = runner.end_time + runner.drain_ms
         while scheduler.now() < end:
             scheduler.run(until=min(scheduler.now() + self.STEP_MS, end))
-            # A completion crosses promise -> future -> coroutine -> done;
+            # A completion crosses promise -> future -> coroutine -> sink;
             # a few zero-delay turns let the whole chain settle.
             for _ in range(4):
                 await asyncio.sleep(0)

@@ -5,21 +5,29 @@ directory on ``sys.path``).
 ``open_loop_run`` is perfbench's ``cass-open-faults-b`` in miniature —
 open-loop YCSB B over ``CorrectableClient`` sessions with timeouts, failover
 and read repair on, through a fault schedule — and ``fingerprint`` is
-everything observable about a drained run.  ``without_lean`` is the reference
-side of every lean ≡ dict comparison: the same issue function with its
-``.lean`` stripped, so the runner completes each operation through
-``done(info)`` and the callback adapter.
+everything observable about a drained run.
+
+The reference side of every sink ≡ callback comparison sends the same
+operations through the storage client's callback API
+(``CassandraClient.read/write(on_preliminary=, on_final=)``: the adapter
+sink that builds response dicts) and forwards what comes back into the
+runner's record: ``callback_kv_issue`` is ``make_kv_issue``'s reference,
+and ``make_session_issue``'s is its own ``Correctable`` route, forced onto
+Cassandra pools (the binding issues through the callback API).
+``builds_through_callbacks`` swaps either builder for its reference inside
+harnesses that build their runners internally.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from typing import Any, Callable, Dict, List, Optional
 from unittest import mock
 
-from repro.bench.common import build_cassandra_scenario, cassandra_config_for
-from repro.bench.fig14_open_loop import make_session_issue
+from repro.bench.common import (CASSANDRA_SYSTEMS, build_cassandra_scenario,
+                                cassandra_config_for)
+from repro.bench.fig14_open_loop import (_correctable_session_issue,
+                                         make_session_issue)
 from repro.bindings.cassandra import CassandraBinding
 from repro.cassandra_sim.config import CassandraConfig
 from repro.core.client import CorrectableClient
@@ -83,26 +91,61 @@ def schedule_from_windows(windows, extra_ms: float = 40.0,
     return builder.build()
 
 
-def without_lean(issue: Callable) -> Callable:
-    """``issue`` minus its ``.lean``.  ``wraps`` keeps the signature the
-    open-loop runner inspects for ``session_id`` — and copies ``__dict__``,
-    ``lean`` included, so that goes again."""
-    @functools.wraps(issue)
-    def stripped(*args):
-        return issue(*args)
+def callback_kv_issue(client, system: str,
+                      write_quorum: int = 1) -> Callable:
+    """``make_kv_issue``'s operations through the callback API, each
+    response dict forwarded into the runner's record."""
+    profile = CASSANDRA_SYSTEMS[system]
+    read_quorum, icg = profile["r"], profile["icg"]
 
-    stripped.__dict__.pop("lean", None)
-    return stripped
+    def issue(op_type: str, key: str, value: Optional[str], sink: Any,
+              session_id: Optional[int] = None) -> None:
+        if op_type == "update":
+            def on_ack(response: Dict[str, Any]) -> None:
+                if "error" in response:
+                    sink.deliver_write_error(response["error"],
+                                             response["latency_ms"])
+                else:
+                    sink.deliver_write_ack(response["timestamp"],
+                                           response["latency_ms"],
+                                           response["degraded"])
+
+            client.write(key, value, w=write_quorum, on_final=on_ack)
+            return
+
+        def on_preliminary(response: Dict[str, Any]) -> None:
+            sink.deliver_read_preliminary(
+                response["value"], response["timestamp"],
+                response["latency_ms"], response["replica"])
+
+        def on_final(response: Dict[str, Any]) -> None:
+            if "error" in response:
+                sink.deliver_read_error(response["error"],
+                                        response["latency_ms"])
+            else:
+                sink.deliver_read_final(
+                    response["value"], response["timestamp"],
+                    response["latency_ms"], response["is_confirmation"],
+                    response["degraded"], response["matches_preliminary"])
+
+        sink.icg = icg
+        client.read(key, r=read_quorum, icg=icg,
+                    on_preliminary=on_preliminary if icg else None,
+                    on_final=on_final)
+
+    return issue
 
 
-def builds_without_lean(module, name: str):
-    """Context: ``module.name`` (an issue builder — ``make_kv_issue``,
-    ``make_session_issue``) returns stripped issue functions, for harnesses
-    that build their runners internally."""
-    builder = getattr(module, name)
-    return mock.patch.object(
-        module, name,
-        lambda *args, **kwargs: without_lean(builder(*args, **kwargs)))
+#: Issue builder -> its callback-API reference (same arguments).
+_REFERENCES = {"make_kv_issue": callback_kv_issue,
+               "make_session_issue": _correctable_session_issue}
+
+
+def builds_through_callbacks(module, name: str):
+    """Context: ``module.name`` (``make_kv_issue`` or ``make_session_issue``)
+    builds its callback-API reference instead, for harnesses that build
+    their runners internally."""
+    return mock.patch.object(module, name, _REFERENCES[name])
 
 
 def _recorder(recorder) -> List[float]:
@@ -149,13 +192,13 @@ def fingerprint(env, cluster, results, correctables=()) -> Dict[str, Any]:
     }
 
 
-def open_loop_run(lean: bool = True,
+def open_loop_run(callbacks: bool = False,
                   schedule: Optional[FaultSchedule] = None,
                   duration_ms: float = 6_000.0, rate_ops_s: float = 150.0,
                   sessions_per_region: int = 10, seed: int = 5):
     """Open-loop YCSB B over CorrectableClient sessions through ``schedule``
-    (``lean=False``: on the stripped issue function); returns ``(trace
-    digest, fingerprint, cluster)``."""
+    (``callbacks=True``: through the callback-API reference issuer);
+    returns ``(trace digest, fingerprint, cluster)``."""
     built = build_cassandra_scenario(
         seed=seed, record_count=120, client_regions=REGIONS,
         config=CassandraConfig.fault_tolerant(
@@ -171,10 +214,9 @@ def open_loop_run(lean: bool = True,
     injector = FaultInjector(env, schedule=schedule,
                              aliases=cassandra_aliases(cluster))
     spec = workload_by_name("B").with_distribution("zipfian")
-    issue = make_session_issue(pools, env.scheduler.now)
+    build = _correctable_session_issue if callbacks else make_session_issue
     runner = OpenLoopRunner(
-        scheduler=env.scheduler,
-        issue=issue if lean else without_lean(issue),
+        scheduler=env.scheduler, issue=build(pools, env.scheduler.now),
         make_generator=lambda session_id: OperationGenerator.seeded(
             spec, built.dataset, seed, f"equiv-s{session_id}"),
         arrivals=make_arrival_process(

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.metrics.bandwidth import BandwidthProbe
 from repro.metrics.divergence import DivergenceCounter
-from repro.metrics.latency import HistogramRecorder, LatencyRecorder
+from repro.metrics.latency import LatencyRecorder, nearest_rank_p99
 from repro.metrics.summary import format_row, format_table
 from repro.sim.environment import SimEnvironment
 from repro.sim.node import Node
@@ -99,97 +99,21 @@ class TestLatencyRecorderBulk:
         assert recorder.count == 0
 
 
-class TestHistogramRecorder:
-    def test_empty_summaries_are_zero(self):
-        recorder = HistogramRecorder()
-        assert recorder.mean() == 0 and recorder.p99() == 0
-        assert recorder.minimum() == 0 and recorder.maximum() == 0
-        assert recorder.stddev() == 0 and recorder.count == 0
+class TestNearestRankP99:
+    def test_empty_is_zero(self):
+        assert nearest_rank_p99([]) == 0.0
 
-    def test_negative_sample_rejected(self):
-        with pytest.raises(ValueError):
-            HistogramRecorder().record(-1)
-
-    def test_mean_min_max_are_exact(self):
-        recorder = HistogramRecorder()
-        recorder.extend([10.25, 20.5, 30.75])
-        assert recorder.mean() == pytest.approx((10.25 + 20.5 + 30.75) / 3)
-        assert recorder.minimum() == 10.25
-        assert recorder.maximum() == 30.75
-
-    def test_percentiles_within_quantization_error(self):
-        exact = LatencyRecorder()
-        hist = HistogramRecorder()
-        # A dense, strictly increasing sweep: neighbouring samples are close,
-        # so rank-method differences stay within the quantization bound.
-        samples = [i * 0.377 for i in range(1, 500)]
-        exact.extend(samples)
-        hist.extend(samples)
-        for p in (50, 90, 99):
-            assert hist.percentile(p) == pytest.approx(
-                exact.percentile(p), rel=5e-3)
-
-    def test_extreme_percentiles_clamped_to_true_extremes(self):
-        recorder = HistogramRecorder()
-        recorder.extend([5.0, 7.0, 1234.567])
-        assert recorder.percentile(100) == 1234.567
-        assert recorder.percentile(1) >= 5.0
-
-    def test_percentile_bounds_validated(self):
-        recorder = HistogramRecorder()
-        recorder.record(1)
-        with pytest.raises(ValueError):
-            recorder.percentile(0)
-        with pytest.raises(ValueError):
-            recorder.percentile(101)
-
-    def test_stddev_close_to_exact(self):
-        exact = LatencyRecorder()
-        hist = HistogramRecorder()
-        samples = [2, 4, 4, 4, 5, 5, 7, 9]
-        exact.extend(samples)
-        hist.extend(samples)
-        assert hist.stddev() == pytest.approx(exact.stddev(), rel=1e-9)
-
-    def test_merge(self):
-        a, b = HistogramRecorder(), HistogramRecorder()
-        a.extend([1.0, 2.0])
-        b.extend([3.0, 400.0])
-        a.merge(b)
-        assert a.count == 4
-        assert a.maximum() == 400.0
-        assert a.mean() == pytest.approx(101.5)
-
-    def test_merge_incompatible_resolution_rejected(self):
-        a = HistogramRecorder(resolution_ms=0.001)
-        b = HistogramRecorder(resolution_ms=0.01)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_summary_keys_match_latency_recorder(self):
-        exact, hist = LatencyRecorder("x"), HistogramRecorder("x")
-        exact.record(5)
-        hist.record(5)
-        assert set(hist.summary()) == set(exact.summary())
-
-    def test_memory_is_bounded(self):
-        recorder = HistogramRecorder()
-        for i in range(50_000):
-            recorder.record(0.01 + (i % 3000) * 0.071)
-        assert recorder.count == 50_000
-        # Bin storage depends on the value range, not the sample count.
-        assert len(recorder._counts) < 40_000
+    def test_is_a_sample_at_the_nearest_rank(self):
+        assert nearest_rank_p99([float(i) for i in range(100, 0, -1)]) == 99.0
+        assert nearest_rank_p99([float(i) for i in range(1, 201)]) == 198.0
+        assert nearest_rank_p99([7.5]) == 7.5
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False),
                     min_size=1, max_size=200))
-    def test_percentiles_bounded_by_min_max(self, samples):
-        recorder = HistogramRecorder()
-        recorder.extend(samples)
-        for p in (1, 25, 50, 75, 99, 100):
-            value = recorder.percentile(p)
-            assert recorder.minimum() <= value <= recorder.maximum()
-        assert recorder.p50() <= recorder.p99() or \
-            recorder.p50() == pytest.approx(recorder.p99())
+    def test_at_least_99_percent_of_samples_at_or_below(self, samples):
+        p99 = nearest_rank_p99(samples)
+        assert p99 in samples
+        assert sum(1 for x in samples if x <= p99) >= 0.99 * len(samples)
 
 
 class TestDivergenceCounter:

@@ -20,16 +20,16 @@ class _FixedLatencyIssue:
         self.in_flight = 0
         self.max_in_flight_seen = 0
 
-    def __call__(self, op_type, key, value, done):
+    def __call__(self, op_type, key, value, sink, session_id=None):
         self.issued += 1
         self.in_flight += 1
         self.max_in_flight_seen = max(self.max_in_flight_seen, self.in_flight)
+        sink.icg = True
 
         def _complete():
             self.in_flight -= 1
-            done({"final_latency_ms": self.latency_ms,
-                  "preliminary_latency_ms": self.latency_ms / 2,
-                  "diverged": False})
+            sink.deliver_read_preliminary("v", None, self.latency_ms / 2)
+            sink.deliver_read_final("v", None, self.latency_ms, False)
 
         self.scheduler.schedule(self.latency_ms, _complete)
 
@@ -244,3 +244,34 @@ class TestDeterminism:
         assert result.throughput_ops_per_sec() == pytest.approx(200, rel=0.1)
         assert result.admission is None
         assert "shed_pct" not in result.summary()
+
+
+class TestIssueContract:
+    def test_open_loop_passes_the_session_and_closed_loop_never_does(self):
+        """``issue(op_type, key, value, sink, session_id=None)``: the open
+        loop hands over the session it chose on every call, in its
+        round-robin order; the closed loop passes the first four only."""
+        def recording_issue(calls):
+            def issue(op_type, key, value, sink, *session):
+                calls.append(session)
+                scheduler.schedule(5.0, sink.deliver_write_ack, None, 5.0)
+            return issue
+
+        scheduler = Scheduler()
+        open_calls = []
+        _make_runner(scheduler, recording_issue(open_calls), sessions=4,
+                     rate=100.0).run()
+        assert len(open_calls) > 100
+        assert open_calls == [(i % 4,) for i in range(len(open_calls))]
+
+        scheduler = Scheduler()
+        closed_calls = []
+        dataset = Dataset(record_count=10)
+        ClosedLoopRunner(
+            scheduler=scheduler, issue=recording_issue(closed_calls),
+            make_generator=lambda i: OperationGenerator.seeded(
+                WORKLOAD_C, dataset, 42, f"closed-{i}"),
+            threads=2, duration_ms=1_000.0, warmup_ms=200.0,
+            cooldown_ms=100.0, label="closed").run()
+        assert len(closed_calls) > 100
+        assert set(closed_calls) == {()}

@@ -1,12 +1,21 @@
-"""Tests for fault integration in the closed-loop workload runner."""
+"""Tests for fault integration in the workload runners."""
 
+from dataclasses import replace
+
+import pytest
+
+from repro.bench.common import (build_cassandra_scenario,
+                                cassandra_config_for, make_generator_factory,
+                                make_kv_issue)
 from repro.faults import FaultEvent, FaultInjector, FaultSchedule
 from repro.sim.environment import SimEnvironment
 from repro.sim.node import Node
 from repro.sim.topology import Region, Topology
+from repro.workloads.arrivals import UniformArrivals
 from repro.workloads.records import Dataset
-from repro.workloads.runner import ClosedLoopRunner
-from repro.workloads.ycsb import OperationGenerator, workload_by_name
+from repro.workloads.runner import ClosedLoopRunner, OpenLoopRunner
+from repro.workloads.ycsb import (WORKLOAD_C, OperationGenerator,
+                                  workload_by_name)
 from repro.sim.rand import derive_rng
 
 
@@ -34,8 +43,8 @@ class TestRunnerFaultArming:
             FaultEvent(1_000.0, "crash", "target"),
         )))
 
-        def issue(op_type, key, value, done):
-            env.scheduler.schedule(10.0, done, {})
+        def issue(op_type, key, value, sink):
+            env.scheduler.schedule(10.0, sink.deliver_write_ack, None, 10.0)
 
         runner = _make_runner(env, issue, faults=injector)
         runner.run()
@@ -48,14 +57,17 @@ class TestRunnerFaultArming:
 
         calls = {"n": 0}
 
-        def issue(op_type, key, value, done):
+        def issue(op_type, key, value, sink):
             calls["n"] += 1
-            outcome = {}
             if calls["n"] % 3 == 0:
-                outcome = {"degraded": True}
+                env.scheduler.schedule(50.0, sink.deliver_write_ack, None,
+                                       50.0, True)
             elif calls["n"] % 5 == 0:
-                outcome = {"failed": True}
-            env.scheduler.schedule(50.0, done, outcome)
+                env.scheduler.schedule(50.0, sink.deliver_write_error,
+                                       "timeout", 50.0)
+            else:
+                env.scheduler.schedule(50.0, sink.deliver_write_ack, None,
+                                       50.0)
 
         runner = _make_runner(env, issue)
         result = runner.run()
@@ -68,11 +80,74 @@ class TestRunnerFaultArming:
     def test_runner_without_faults_behaves_as_before(self):
         env = SimEnvironment(seed=2)
 
-        def issue(op_type, key, value, done):
-            env.scheduler.schedule(5.0, done, {"final_latency_ms": 5.0})
+        def issue(op_type, key, value, sink):
+            env.scheduler.schedule(5.0, sink.deliver_write_ack, None, 5.0)
 
         runner = _make_runner(env, issue)
         result = runner.run()
         assert result.measured_ops > 0
         assert result.degraded_ops == 0
         assert result.failed_ops == 0
+
+
+class TestFailedIcgRead:
+    """A failed ICG read counts as a failure and a response time only, in
+    either loop shape: its preliminary arrived, but there is no final view
+    to compare it with, so no divergence pair and no preliminary latency."""
+
+    TIMEOUT_MS = 500.0
+
+    def _runner(self, shape: str):
+        """One client whose coordinator answers the preliminary (R=1) but
+        can never assemble the final quorum (the other replicas are down
+        and it never times out); the client gives up after one timeout."""
+        config = replace(cassandra_config_for("CC2"),
+                         client_timeout_ms=self.TIMEOUT_MS, client_retries=0)
+        built = build_cassandra_scenario(seed=3, record_count=20,
+                                         client_regions=(Region.IRL,),
+                                         config=config)
+        client = built.client_in(Region.IRL)
+        for replica in built.cluster.replicas:
+            if replica.name != client.contact:
+                replica.crash()
+        make_generator = make_generator_factory(WORKLOAD_C, built.dataset, 3,
+                                                "failed-icg")
+        if shape == "closed":
+            # The one thread issues at the start of the run.
+            runner = ClosedLoopRunner(
+                scheduler=built.env.scheduler,
+                issue=make_kv_issue(client, "CC2"),
+                make_generator=make_generator, threads=1,
+                duration_ms=2_000.0, warmup_ms=0.0, cooldown_ms=100.0)
+            issued_after_ms = 0.0
+        else:
+            # One arrival, one second into the run.
+            runner = OpenLoopRunner(
+                scheduler=built.env.scheduler,
+                issue=make_kv_issue(client, "CC2"),
+                make_generator=make_generator,
+                arrivals=UniformArrivals(1.0), sessions=1,
+                duration_ms=1_600.0, warmup_ms=0.0, cooldown_ms=50.0)
+            issued_after_ms = 1_000.0
+        coordinator = built.cluster.replica_by_name(client.contact)
+        return built.env, runner, coordinator, issued_after_ms
+
+    @pytest.mark.parametrize("shape", ["closed", "open"])
+    def test_counts_as_a_failure_only(self, shape):
+        env, runner, coordinator, issued_after_ms = self._runner(shape)
+        runner.start()
+        result = runner.result
+        timeout_at = runner.start_time + issued_after_ms + self.TIMEOUT_MS
+        env.run(until=timeout_at - 1.0)
+        assert coordinator.preliminaries_flushed == 1
+        assert (result.total_ops, result.divergence.matched,
+                result.preliminary_latency.count) == (0, 0, 0)
+        env.run(until=timeout_at + 1.0)
+        assert result.failed_ops == 1 and result.total_ops == 1
+        assert result.divergence.matched == 0
+        assert result.divergence.diverged == 0
+        assert result.divergence.missing_preliminary == 0
+        assert result.preliminary_latency.count == 0
+        # The response time is still recorded, as for any measured failure.
+        assert result.measured_ops == 1
+        assert result.read_latency.samples() == [self.TIMEOUT_MS]

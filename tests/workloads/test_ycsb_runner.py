@@ -105,6 +105,16 @@ class TestOperationGenerator:
             assert key in keys
 
 
+def _icg_read(scheduler, sink, latency_ms, preliminary="v", final="v"):
+    """Complete an ICG read into ``sink``: a preliminary view at half the
+    latency, then the final view."""
+    sink.icg = True
+    scheduler.schedule(latency_ms / 2, sink.deliver_read_preliminary,
+                       preliminary, None, latency_ms / 2)
+    scheduler.schedule(latency_ms, sink.deliver_read_final, final, None,
+                       latency_ms, False)
+
+
 class _InstantIssue:
     """Completes every operation after a fixed simulated delay."""
 
@@ -113,12 +123,9 @@ class _InstantIssue:
         self.latency_ms = latency_ms
         self.issued = 0
 
-    def __call__(self, op_type, key, value, done):
+    def __call__(self, op_type, key, value, sink, session_id=None):
         self.issued += 1
-        self.scheduler.schedule(self.latency_ms, done,
-                                {"final_latency_ms": self.latency_ms,
-                                 "preliminary_latency_ms": self.latency_ms / 2,
-                                 "diverged": False})
+        _icg_read(self.scheduler, sink, self.latency_ms)
 
 
 class TestClosedLoopRunner:
@@ -162,11 +169,10 @@ class TestClosedLoopRunner:
         scheduler = Scheduler()
         toggler = {"n": 0}
 
-        def issue(op_type, key, value, done):
+        def issue(op_type, key, value, sink):
             toggler["n"] += 1
             diverged = toggler["n"] % 4 == 0
-            scheduler.schedule(10, done, {"final_latency_ms": 10,
-                                          "diverged": diverged})
+            _icg_read(scheduler, sink, 10, final="w" if diverged else "v")
 
         runner = self._make_runner(scheduler, issue, threads=1)
         result = runner.run()

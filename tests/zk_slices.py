@@ -75,7 +75,7 @@ def plain_callbacks():
     """Context: every ``ZooKeeperQueueBinding`` submission hands the store a
     plain function instead of the object the Correctables client passed —
     the dict-callback side of every sink ≡ dict comparison (what
-    ``fault_slices.without_lean`` is to Cassandra)."""
+    ``fault_slices.builds_through_callbacks`` is to Cassandra)."""
     submit_operation = ZooKeeperQueueBinding.submit_operation
 
     def submit_plain(self, operation, levels, callback):
