@@ -90,7 +90,8 @@ class _ClientThread:
         #: they always go through next_operation).
         self._gen_buffered = getattr(generator, "_buf", None) is not None
         self._issued_at = 0.0
-        #: Set by the issuer before an ICG read (see the module docstring).
+        #: Set by the issuer before an ICG read (see the module docstring);
+        #: cleared when that read completes, as a fresh ``_OpenOp`` is.
         self.icg = False
         self._had_prelim = False
         self._prelim_value = None
@@ -169,6 +170,7 @@ class _ClientThread:
             result.degraded_ops += 1
         completed_at = runner.scheduler.clock._now
         if self.icg:
+            self.icg = False
             had = self._had_prelim
             diverged = (had and self._prelim_value != value
                         and not is_confirmation)
@@ -226,6 +228,7 @@ class _ClientThread:
         result = runner.result
         result.total_ops += 1
         result.failed_ops += 1
+        self.icg = False
         self._had_prelim = False
         self._prelim_value = None
         self._prelim_latency = None

@@ -1,0 +1,183 @@
+"""Both runners' pooled records account a completion by the same rules.
+
+The closed loop's ``_ClientThread`` and the open loop's ``_OpenOp`` are two
+implementations of one completion sink.  Every test here runs both shapes
+over an issuer that finishes each operation in a scripted way, one
+operation at a time (so the closed loop's thread and the open loop's pooled
+record are each reused for every operation), and checks the
+:class:`RunResult` they leave behind.
+"""
+
+import pytest
+
+from repro.sim.scheduler import Scheduler
+from repro.workloads.arrivals import UniformArrivals
+from repro.workloads.records import Dataset
+from repro.workloads.runner import ClosedLoopRunner, OpenLoopRunner
+from repro.workloads.ycsb import WORKLOAD_C, OperationGenerator
+
+LATENCY_MS = 10.0
+SHAPES = ("closed", "open")
+
+
+def _run(shape, complete):
+    """One client whose ``n``-th operation (from 1) is finished by
+    ``complete(scheduler, n, sink)``; returns the run's result."""
+    scheduler = Scheduler()
+    issued = [0]
+
+    def issue(op_type, key, value, sink, session_id=None):
+        issued[0] += 1
+        complete(scheduler, issued[0], sink)
+
+    dataset = Dataset(record_count=10)
+
+    def make_generator(i):
+        return OperationGenerator.seeded(WORKLOAD_C, dataset, 7,
+                                         f"{shape}-{i}")
+
+    windows = dict(duration_ms=1_000.0, warmup_ms=100.0, cooldown_ms=100.0)
+    if shape == "closed":
+        runner = ClosedLoopRunner(scheduler=scheduler, issue=issue,
+                                  make_generator=make_generator, threads=1,
+                                  **windows)
+    else:
+        # One arrival every two service times: never two in flight.
+        runner = OpenLoopRunner(
+            scheduler=scheduler, issue=issue, make_generator=make_generator,
+            arrivals=UniformArrivals(1000.0 / (2 * LATENCY_MS)), sessions=1,
+            **windows)
+    result = runner.run()
+    assert result.total_ops == issued[0]
+    assert result.measured_ops > 10
+    return result
+
+
+def _icg_read(scheduler, sink, preliminary, final, is_confirmation=False):
+    """An ICG read: a preliminary view at half the latency (unless
+    ``preliminary`` is None), then the final view."""
+    sink.icg = True
+    if preliminary is not None:
+        scheduler.schedule(LATENCY_MS / 2, sink.deliver_read_preliminary,
+                           preliminary, None, LATENCY_MS / 2)
+    scheduler.schedule(LATENCY_MS, sink.deliver_read_final, final, None,
+                       LATENCY_MS, is_confirmation)
+
+
+def _divergence(result):
+    d = result.divergence
+    return d.matched, d.diverged, d.missing_preliminary
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+class TestCompletionRecords:
+    def test_diverging_icg_read_counts_a_diverged_pair(self, shape):
+        result = _run(shape, lambda s, n, sink: _icg_read(s, sink, "old",
+                                                          "new"))
+        measured = result.measured_ops
+        assert _divergence(result) == (0, measured, 0)
+        assert result.preliminary_latency.samples() == \
+            [LATENCY_MS / 2] * measured
+        assert result.read_latency.samples() == [LATENCY_MS] * measured
+        assert result.update_latency.count == 0
+
+    def test_confirmation_is_a_matched_pair(self, shape):
+        # The store elided the final payload: the preliminary was final, so
+        # there is nothing to compare.
+        result = _run(shape, lambda s, n, sink: _icg_read(
+            s, sink, "old", None, is_confirmation=True))
+        assert _divergence(result) == (result.measured_ops, 0, 0)
+        assert result.preliminary_latency.count == result.measured_ops
+
+    def test_icg_read_without_a_preliminary_is_missing_one(self, shape):
+        result = _run(shape, lambda s, n, sink: _icg_read(s, sink, None,
+                                                          "v"))
+        assert _divergence(result) == (0, 0, result.measured_ops)
+        assert result.preliminary_latency.count == 0
+        assert result.read_latency.count == result.measured_ops
+
+    def test_plain_read_ignores_its_preliminary(self, shape):
+        def complete(scheduler, n, sink):
+            scheduler.schedule(LATENCY_MS / 2, sink.deliver_read_preliminary,
+                               "old", None, LATENCY_MS / 2)
+            scheduler.schedule(LATENCY_MS, sink.deliver_read_final, "new",
+                               None, LATENCY_MS, False)
+
+        result = _run(shape, complete)
+        assert _divergence(result) == (0, 0, 0)
+        assert result.preliminary_latency.count == 0
+        assert result.read_latency.samples() == \
+            [LATENCY_MS] * result.measured_ops
+
+    def test_plain_read_after_an_icg_read_is_plain(self, shape):
+        """The ICG flag belongs to one operation: a plain read on a record
+        that last carried an ICG read is not accounted as one."""
+        def complete(scheduler, n, sink):
+            if n % 2:
+                _icg_read(scheduler, sink, "old", "new")
+            else:
+                scheduler.schedule(LATENCY_MS, sink.deliver_read_final, "v",
+                                   None, LATENCY_MS, False)
+
+        result = _run(shape, complete)
+        icg_reads = result.preliminary_latency.count
+        assert _divergence(result) == (0, icg_reads, 0)
+        assert abs(2 * icg_reads - result.measured_ops) <= 1
+
+    def test_failed_icg_read_leaves_nothing_for_the_next_one(self, shape):
+        """A preliminary that arrived before a failure is dropped with it:
+        the next ICG read, which hears no preliminary, is missing one."""
+        def complete(scheduler, n, sink):
+            if n % 2:
+                sink.icg = True
+                scheduler.schedule(LATENCY_MS / 2,
+                                   sink.deliver_read_preliminary, "old",
+                                   None, LATENCY_MS / 2)
+                scheduler.schedule(LATENCY_MS, sink.deliver_read_error,
+                                   "timeout", LATENCY_MS)
+            else:
+                _icg_read(scheduler, sink, None, "v")
+
+        result = _run(shape, complete)
+        matched, diverged, missing = _divergence(result)
+        assert (matched, diverged) == (0, 0)
+        assert result.preliminary_latency.count == 0
+        assert abs(2 * missing - result.measured_ops) <= 1
+        assert abs(2 * result.failed_ops - result.total_ops) <= 1
+
+    def test_degraded_completions_count_as_degraded(self, shape):
+        def complete(scheduler, n, sink):
+            if n % 2:
+                scheduler.schedule(LATENCY_MS, sink.deliver_write_ack, None,
+                                   LATENCY_MS, True)
+            else:
+                scheduler.schedule(LATENCY_MS, sink.deliver_read_final, "v",
+                                   None, LATENCY_MS, False, True)
+
+        result = _run(shape, complete)
+        assert result.degraded_ops == result.total_ops
+        assert result.failed_ops == 0
+        assert result.update_latency.count > 0
+        assert result.read_latency.count > 0
+        assert result.update_latency.count + result.read_latency.count == \
+            result.measured_ops == result.final_latency.count
+
+    def test_errors_are_failures_with_a_response_time(self, shape):
+        def complete(scheduler, n, sink):
+            if n % 2:
+                scheduler.schedule(LATENCY_MS, sink.deliver_write_error,
+                                   "timeout", LATENCY_MS)
+            else:
+                scheduler.schedule(LATENCY_MS, sink.deliver_read_error,
+                                   "timeout", LATENCY_MS)
+
+        result = _run(shape, complete)
+        assert result.failed_ops == result.total_ops
+        assert result.degraded_ops == 0
+        assert _divergence(result) == (0, 0, 0)
+        assert result.update_latency.count > 0
+        assert result.read_latency.count > 0
+        assert result.update_latency.count + result.read_latency.count == \
+            result.measured_ops
+        assert result.final_latency.samples() == \
+            [LATENCY_MS] * result.measured_ops
