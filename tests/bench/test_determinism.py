@@ -214,6 +214,77 @@ def zookeeper_fingerprints() -> Dict[str, Dict[str, object]]:
     return out
 
 
+#: The quick fig16 cells whose transactions the completion oracle replays.
+TXN_SCENARIOS = ("coordinator-crash-mid-commit",
+                 "participant-crash-after-prepare")
+
+
+def txn_completions(scenario: str) -> List[tuple]:
+    """Every transaction Correctable of one quick fig16 cell, in submission
+    order: each view's value, level, time and latency, then the state it
+    closed in and its error's type and message.
+
+    The cell's own submission loop is replayed here (every transaction
+    pre-scheduled at its instant from t = 0, keys and values from the
+    cell's label-derived stream), so the oracle does not move when the
+    figure's arrivals do."""
+    from repro.core.cluster_spec import ClusterSpec
+    from repro.faults import FaultInjector, get_scenario
+    from repro.sim.rand import derive_rng
+    from repro.txn import TxnConfig, build_txn_fabric, txn_aliases
+
+    keys_per_txn, interval_ms, duration_ms = 2, 40.0, 6_000.0
+    fault_at_ms = fault_duration_ms = 2_500.0
+    config = TxnConfig()
+    built = ClusterSpec(nodes=3, seed=42, record_count=120,
+                        client_regions=()).build()
+    fabric = build_txn_fabric(built, config=config, coordinator_count=2)
+    FaultInjector(built.env,
+                  schedule=get_scenario(scenario, at_ms=fault_at_ms,
+                                        duration_ms=fault_duration_ms),
+                  aliases=txn_aliases(fabric)).arm(offset_ms=0.0)
+    rng = derive_rng(42, f"fig16-{scenario}-k{keys_per_txn}:txns")
+    keys = built.dataset.keys()
+    correctables: List = []
+
+    def submit() -> None:
+        chosen = sorted(rng.sample(range(len(keys)), keys_per_txn))
+        correctables.append(fabric.manager.execute(
+            {keys[i]: f"txn-val-{rng.randrange(1 << 30)}" for i in chosen}))
+
+    for i in range(int(duration_ms / interval_ms)):
+        built.env.scheduler.schedule_at(i * interval_ms, submit)
+    built.env.run(until=duration_ms + fault_at_ms + fault_duration_ms
+                  + config.txn_deadline_ms + 30_000.0)
+    return [([(view.value, view.consistency.name, view.timestamp,
+               view.metadata["latency_ms"]) for view in c.views()],
+             c.state.value,
+             None if c.error is None else (type(c.error).__name__,
+                                           str(c.error)))
+            for c in correctables]
+
+
+def txn_fingerprints() -> Dict[str, Dict[str, object]]:
+    """The transaction-completion oracle: per cell, how many transactions
+    closed with a commit, an abort or an error, and a hash of every
+    Correctable's views and error (:func:`txn_completions`)."""
+    out: Dict[str, Dict[str, object]] = {}
+    for scenario in TXN_SCENARIOS:
+        completions = txn_completions(scenario)
+        outcomes = [views[-1][0]["outcome"] if state == "final" else state
+                    for views, state, _ in completions]
+        out[f"fig16-{scenario}"] = {
+            "txns": len(completions),
+            "commit": outcomes.count("commit"),
+            "abort": outcomes.count("abort"),
+            "error": outcomes.count("error"),
+            "prepared_views": sum(len(views) - (state == "final")
+                                  for views, state, _ in completions),
+            "completions_sha256": _sha(completions),
+        }
+    return out
+
+
 @contextlib.contextmanager
 def _on_the_callback_pipeline(module, builder: str):
     """Inside, ``module.builder`` hands out its callback-API reference
@@ -264,6 +335,31 @@ class TestDeterminism:
         snapshot rejoin: every event and every reported number is the one
         the ``Message`` handlers produced."""
         assert zookeeper_fingerprints() == _golden()["zookeeper"]
+
+    def test_txn_completions_match_golden(self):
+        """Through a coordinator takeover and a participant outage, every
+        transaction Correctable shows the views, levels and errors that the
+        manager's response-dict completion produced."""
+        assert txn_fingerprints() == _golden()["txn"]
+
+    def test_failed_transaction_closes_with_a_transaction_error(self):
+        """The error half of the oracle: with every coordinator down, the
+        transaction's Correctable fails once, with a TransactionError."""
+        from repro.core.cluster_spec import ClusterSpec
+        from repro.txn import TransactionError, TxnConfig, build_txn_fabric
+
+        built = ClusterSpec(nodes=3, seed=11, record_count=40,
+                            client_regions=()).build()
+        fabric = build_txn_fabric(
+            built, config=TxnConfig(heartbeat_interval_ms=0.0))
+        for coordinator in fabric.coordinators:
+            coordinator.crash()
+        correctable = fabric.manager.execute({built.dataset.keys()[0]: "v"})
+        built.env.run_until_idle()
+        assert correctable.is_error() and correctable.views() == ()
+        assert type(correctable.error) is TransactionError
+        assert str(correctable.error) == \
+            "transaction timeout: no coordinator answered"
 
     def test_event_trace_is_repeatable(self):
         assert trace_fingerprint() == trace_fingerprint()
@@ -572,7 +668,8 @@ if __name__ == "__main__":
     sys.path.insert(0, str(pathlib.Path(__file__).parents[1]))
     golden = {"trace": trace_fingerprint(), "figures": figure_fingerprints(),
               "faults": fault_fingerprints(),
-              "zookeeper": zookeeper_fingerprints()}
+              "zookeeper": zookeeper_fingerprints(),
+              "txn": txn_fingerprints()}
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n",
                            encoding="utf-8")
