@@ -68,9 +68,29 @@ class TxnConfig:
     value_size_bytes: int = 100
 
     def __post_init__(self) -> None:
-        if self.prepare_timeout_ms <= 0:
-            raise ValueError("prepare_timeout_ms must be positive")
-        if self.client_retries < 0:
-            raise ValueError("client_retries must be non-negative")
+        for name in ("decision_log_ms", "heartbeat_interval_ms",
+                     "coordinator_timeout_ms", "client_timeout_ms",
+                     "client_retries", "client_backoff_base_ms",
+                     "client_backoff_cap_ms", "client_backoff_jitter_ms",
+                     "breaker_reset_ms", "prepare_service_ms",
+                     "commit_service_ms", "coordinator_service_ms",
+                     "key_size_bytes", "value_size_bytes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        # A zero redelivery or probe period reschedules itself at the same
+        # instant for as long as a participant stays silent, so simulated
+        # time never advances; a zero timeout or budget expires every
+        # transaction on arrival.
+        for name in ("prepare_timeout_ms", "decision_retry_ms",
+                     "takeover_probe_ms", "txn_deadline_ms"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.client_backoff_multiplier < 1:
+            raise ValueError("client_backoff_multiplier must be >= 1")
         if self.breaker_failure_threshold < 1:
             raise ValueError("breaker_failure_threshold must be positive")
+        if self.heartbeat_interval_ms > 0 \
+                and self.coordinator_timeout_ms <= self.heartbeat_interval_ms:
+            raise ValueError(
+                "coordinator_timeout_ms must exceed heartbeat_interval_ms, "
+                "or every standby suspects a healthy coordinator")

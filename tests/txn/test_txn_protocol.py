@@ -160,6 +160,39 @@ class TestFabricWiring:
             fabric.manager.execute({})
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("overrides", [
+        # Zero periods reschedule themselves at the same instant: a silent
+        # participant would stop simulated time.
+        {"decision_retry_ms": 0.0},
+        {"takeover_probe_ms": 0.0},
+        {"txn_deadline_ms": 0.0},
+        {"prepare_timeout_ms": 0.0},
+        {"decision_log_ms": -1.0},
+        {"client_timeout_ms": -1.0},
+        {"client_retries": -1},
+        {"client_backoff_jitter_ms": -0.5},
+        {"breaker_reset_ms": -1.0},
+        {"commit_service_ms": -0.1},
+        {"value_size_bytes": -1},
+        {"client_backoff_multiplier": 0.5},
+        {"breaker_failure_threshold": 0},
+        {"heartbeat_interval_ms": 500.0, "coordinator_timeout_ms": 450.0},
+    ], ids=lambda overrides: "-".join(overrides))
+    def test_bad_spec_fails_at_build_time(self, overrides):
+        with pytest.raises(ValueError):
+            no_failover_config(**overrides)
+
+    def test_zero_periods_stay_legal_where_they_mean_off(self):
+        # Heartbeats off (no failure detection) need no coordinator
+        # timeout above them; client timeouts off and zero backoff are the
+        # fault-free defaults of the storage clients too.
+        config = no_failover_config(coordinator_timeout_ms=0.0,
+                                    client_timeout_ms=0.0,
+                                    client_backoff_base_ms=0.0)
+        assert config.heartbeat_interval_ms == 0.0
+
+
 class TestEpochFencing:
     def test_participant_rejects_stale_epoch_messages(self):
         fabric = make_fabric()
