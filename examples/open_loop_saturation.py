@@ -70,21 +70,18 @@ def make_issue(pool, clock):
         session = pool.session(session_id)
         issued_at = clock()
         if op_type == "update":
-            session.invoke_strong(write(key, value)).set_callbacks(
-                on_final=lambda view: sink.deliver_write_ack(
-                    None, clock() - issued_at),
-                on_error=lambda exc: sink.deliver_write_error(
-                    str(exc), clock() - issued_at))
-            return
-        # An ICG read: the record also accounts the preliminary view and
-        # whether it diverged from the final one.
-        sink.icg = True
-        session.invoke(read(key)).set_callbacks(
-            on_update=lambda view: sink.deliver_read_preliminary(
+            correctable = session.invoke_strong(write(key, value))
+        else:
+            # An ICG read: the record also accounts the preliminary view and
+            # whether it diverged from the final one.
+            sink.icg = True
+            correctable = session.invoke(read(key))
+        correctable.set_callbacks(
+            on_update=lambda view: sink.deliver_preliminary(
                 view.value, None, clock() - issued_at),
-            on_final=lambda view: sink.deliver_read_final(
+            on_final=lambda view: sink.deliver_final(
                 view.value, None, clock() - issued_at, view.is_confirmation),
-            on_error=lambda exc: sink.deliver_read_error(
+            on_error=lambda exc: sink.deliver_error(
                 str(exc), clock() - issued_at))
 
     return issue

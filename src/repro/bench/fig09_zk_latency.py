@@ -17,7 +17,7 @@ quotes in Section 6.2.2 (roughly +50 %, one extra preliminary response).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.metrics.bandwidth import BandwidthProbe
@@ -61,15 +61,20 @@ class EnqueueLoop:
         self.client.submit_sink("enqueue", "/queue", self,
                                 f"element-{self.remaining}", icg=self.icg)
 
-    def deliver_preliminary(self, result: Any, latency_ms: float) -> None:
+    def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
+                            source: Optional[str] = None) -> None:
         self.preliminary.record(latency_ms)
 
-    def deliver_final(self, result: Any, latency_ms: float) -> None:
+    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
+                      is_confirmation: bool = False, degraded: bool = False,
+                      matches_preliminary: Optional[bool] = None) -> None:
         self.final.record(latency_ms)
         self.issue_next()
 
-    #: A refused or timed-out enqueue still answered: it counts the same.
-    deliver_error = deliver_final
+    def deliver_error(self, error: Any, latency_ms: float) -> None:
+        # A refused or timed-out enqueue still answered: it counts the same.
+        self.final.record(latency_ms)
+        self.issue_next()
 
 
 def measure_enqueues(leader_region: str, connect_region: str, icg: bool,

@@ -13,7 +13,7 @@ exchanges constant-size messages.  Shapes to reproduce:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.metrics.bandwidth import BandwidthProbe
@@ -34,13 +34,16 @@ class _CommitSink:
     def __init__(self, done: Callable[[bool, Any], None]) -> None:
         self.done = done
 
-    def deliver_preliminary(self, result: Any, latency_ms: float) -> None:
+    def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
+                            source: Optional[str] = None) -> None:
         pass
 
-    def deliver_final(self, result: Any, latency_ms: float) -> None:
-        self.done(True, result)
+    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
+                      is_confirmation: bool = False, degraded: bool = False,
+                      matches_preliminary: Optional[bool] = None) -> None:
+        self.done(True, value)
 
-    def deliver_error(self, error: str, latency_ms: float) -> None:
+    def deliver_error(self, error: Any, latency_ms: float) -> None:
         self.done(False, None)
 
 

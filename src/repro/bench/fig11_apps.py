@@ -99,19 +99,12 @@ class _AppDeployment:
         def _issue(op_type: str, key: str, value: Optional[str], sink,
                    session_id: Optional[int] = None) -> None:
             # The apps report ``on_done(info)``; forward it into the
-            # runner's record (an application read has one view).
+            # runner's record (an application operation has one view).
             def _done(info: Dict[str, Any]) -> None:
-                latency_ms = info["latency_ms"]
-                if op_type != "read":
-                    if "error" in info:
-                        sink.deliver_write_error(str(info["error"]),
-                                                 latency_ms)
-                    else:
-                        sink.deliver_write_ack(None, latency_ms)
-                elif "error" in info:
-                    sink.deliver_read_error(str(info["error"]), latency_ms)
+                if "error" in info:
+                    sink.deliver_error(str(info["error"]), info["latency_ms"])
                 else:
-                    sink.deliver_read_final(None, None, latency_ms, False)
+                    sink.deliver_final(None, None, info["latency_ms"])
 
             if op_type == "read":
                 if ads:

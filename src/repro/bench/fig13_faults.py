@@ -185,23 +185,29 @@ class _QueueOpGenerator:
 
 class _QueueOpSink:
     """One ICG queue operation's answers, forwarded into the runner's
-    record as a read whose value is the znode the operation named."""
+    record with the znode the operation named as the value: the runner
+    compares that, as ZooKeeper's preliminary and final result dicts differ
+    in their other keys."""
 
     __slots__ = ("sink",)
 
     def __init__(self, sink: Any) -> None:
         self.sink = sink
 
-    def deliver_preliminary(self, result: Any, latency_ms: float) -> None:
-        self.sink.deliver_read_preliminary((result or {}).get("name"), None,
-                                           latency_ms)
+    def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
+                            source: Optional[str] = None) -> None:
+        self.sink.deliver_preliminary((value or {}).get("name"), stamp,
+                                      latency_ms, source)
 
-    def deliver_final(self, result: Any, latency_ms: float) -> None:
-        self.sink.deliver_read_final((result or {}).get("name"), None,
-                                     latency_ms, False)
+    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
+                      is_confirmation: bool = False, degraded: bool = False,
+                      matches_preliminary: Optional[bool] = None) -> None:
+        self.sink.deliver_final((value or {}).get("name"), stamp, latency_ms,
+                                is_confirmation, degraded,
+                                matches_preliminary)
 
-    def deliver_error(self, error: str, latency_ms: float) -> None:
-        self.sink.deliver_read_error(error, latency_ms)
+    def deliver_error(self, error: Any, latency_ms: float) -> None:
+        self.sink.deliver_error(error, latency_ms)
 
 
 def run_fig13_zookeeper(crash_at_ms: float = 4_000.0,

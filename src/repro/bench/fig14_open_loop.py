@@ -197,21 +197,17 @@ def _correctable_session_issue(pools: Sequence[SessionPool],
         session = pool.session(session_id // len(pools))
         issued_at = clock()
         if op_type == "update":
-            session.invoke_strong(write(key, value)).set_callbacks(
-                on_final=lambda view: sink.deliver_write_ack(
-                    None, clock() - issued_at,
-                    view.metadata.get("degraded", False)),
-                on_error=lambda exc: sink.deliver_write_error(
-                    str(exc), clock() - issued_at))
-            return
-        sink.icg = True
-        session.invoke(read(key)).set_callbacks(
-            on_update=lambda view: sink.deliver_read_preliminary(
+            correctable = session.invoke_strong(write(key, value))
+        else:
+            sink.icg = True
+            correctable = session.invoke(read(key))
+        correctable.set_callbacks(
+            on_update=lambda view: sink.deliver_preliminary(
                 view.value, None, clock() - issued_at),
-            on_final=lambda view: sink.deliver_read_final(
+            on_final=lambda view: sink.deliver_final(
                 view.value, None, clock() - issued_at, view.is_confirmation,
                 view.metadata.get("degraded", False)),
-            on_error=lambda exc: sink.deliver_read_error(
+            on_error=lambda exc: sink.deliver_error(
                 str(exc), clock() - issued_at))
 
     return _issue

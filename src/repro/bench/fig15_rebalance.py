@@ -80,13 +80,15 @@ class _JournaledOp:
     view; an acked update's timestamp raises the key's entry in ``acked``.
     """
 
-    __slots__ = ("sink", "key", "clock", "samples", "acked", "had",
+    __slots__ = ("sink", "key", "update", "clock", "samples", "acked", "had",
                  "prelim_value", "prelim_latency")
 
-    def __init__(self, sink: Any, key: str, clock: Callable[[], float],
-                 samples: List[Dict[str, Any]], acked: Dict[str, Any]) -> None:
+    def __init__(self, sink: Any, key: str, update: bool,
+                 clock: Callable[[], float], samples: List[Dict[str, Any]],
+                 acked: Dict[str, Any]) -> None:
         self.sink = sink
         self.key = key
+        self.update = update
         self.clock = clock
         self.samples = samples
         self.acked = acked
@@ -94,53 +96,51 @@ class _JournaledOp:
         self.prelim_value = None
         self.prelim_latency = None
 
-    def deliver_read_preliminary(self, value: Any, timestamp: Any,
-                                 latency_ms: float,
-                                 replica: Optional[str] = None) -> None:
+    def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
+                            source: Optional[str] = None) -> None:
         self.had = True
         self.prelim_value = value
         self.prelim_latency = latency_ms
-        self.sink.deliver_read_preliminary(value, timestamp, latency_ms,
-                                           replica)
+        self.sink.deliver_preliminary(value, stamp, latency_ms, source)
 
-    def deliver_read_final(self, value: Any, timestamp: Any,
-                           latency_ms: float, is_confirmation: bool,
-                           degraded: bool = False,
-                           matches_preliminary: Optional[bool] = None) -> None:
-        had = self.had
-        self.samples.append({
-            "t": self.clock(), "op": "read", "final_latency_ms": latency_ms,
-            "preliminary_latency_ms": self.prelim_latency,
-            "had_preliminary": had,
-            "diverged": (had and not is_confirmation
-                         and self.prelim_value != value),
-            "failed": False})
-        self.sink.deliver_read_final(value, timestamp, latency_ms,
-                                     is_confirmation, degraded,
-                                     matches_preliminary)
+    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
+                      is_confirmation: bool = False, degraded: bool = False,
+                      matches_preliminary: Optional[bool] = None) -> None:
+        if self.update:
+            if stamp is not None:
+                acked = self.acked
+                previous = acked.get(self.key)
+                if previous is None or stamp > previous:
+                    acked[self.key] = stamp
+            self.samples.append({"t": self.clock(), "op": "update",
+                                 "final_latency_ms": latency_ms,
+                                 "failed": False})
+        else:
+            had = self.had
+            self.samples.append({
+                "t": self.clock(), "op": "read",
+                "final_latency_ms": latency_ms,
+                "preliminary_latency_ms": self.prelim_latency,
+                "had_preliminary": had,
+                "diverged": (had and not is_confirmation
+                             and self.prelim_value != value),
+                "failed": False})
+        self.sink.deliver_final(value, stamp, latency_ms, is_confirmation,
+                                degraded, matches_preliminary)
 
-    def deliver_read_error(self, error: str, latency_ms: float) -> None:
-        self.samples.append({
-            "t": self.clock(), "op": "read", "final_latency_ms": latency_ms,
-            "preliminary_latency_ms": self.prelim_latency,
-            "had_preliminary": self.had, "diverged": False, "failed": True})
-        self.sink.deliver_read_error(error, latency_ms)
-
-    def deliver_write_ack(self, timestamp: Any, latency_ms: float,
-                          degraded: bool = False) -> None:
-        if timestamp is not None:
-            acked = self.acked
-            previous = acked.get(self.key)
-            if previous is None or timestamp > previous:
-                acked[self.key] = timestamp
-        self.samples.append({"t": self.clock(), "op": "update",
-                             "final_latency_ms": latency_ms, "failed": False})
-        self.sink.deliver_write_ack(timestamp, latency_ms, degraded)
-
-    def deliver_write_error(self, error: str, latency_ms: float) -> None:
-        self.samples.append({"t": self.clock(), "op": "update",
-                             "final_latency_ms": latency_ms, "failed": True})
-        self.sink.deliver_write_error(error, latency_ms)
+    def deliver_error(self, error: Any, latency_ms: float) -> None:
+        if self.update:
+            self.samples.append({"t": self.clock(), "op": "update",
+                                 "final_latency_ms": latency_ms,
+                                 "failed": True})
+        else:
+            self.samples.append({
+                "t": self.clock(), "op": "read",
+                "final_latency_ms": latency_ms,
+                "preliminary_latency_ms": self.prelim_latency,
+                "had_preliminary": self.had, "diverged": False,
+                "failed": True})
+        self.sink.deliver_error(error, latency_ms)
 
 
 def make_rebalance_issue(clients: Sequence[CassandraClient],
@@ -165,8 +165,9 @@ def make_rebalance_issue(clients: Sequence[CassandraClient],
             session_id = rotation["next"]
             rotation["next"] += 1
         client = clients[session_id % len(clients)]
-        journaled = _JournaledOp(sink, key, clock, samples, acked)
-        if op_type == "update":
+        update = op_type == "update"
+        journaled = _JournaledOp(sink, key, update, clock, samples, acked)
+        if update:
             client.lean_write(key, value, 1, journaled)
         else:
             sink.icg = True

@@ -13,9 +13,9 @@ responses; ``invoke_weak`` still executes the operation (it completes in the
 background) but only the preliminary result is surfaced.
 
 The callback a :class:`~repro.core.client.CorrectableClient` passes is the
-operation's Correctable, which speaks the ZooKeeper client's sink protocol:
-it is handed over as the sink.  Any other callable gets the answers
-translated from the client's dict-callback API.
+operation's Correctable, which speaks the sink protocol
+(:mod:`repro.core.sink`): it is handed over as the sink.  Any other
+callable gets the answers translated from the client's dict-callback API.
 """
 
 from __future__ import annotations

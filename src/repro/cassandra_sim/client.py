@@ -6,19 +6,11 @@ paper's prototype uses.  ICG reads (``icg=True``) complete twice: once for
 the coordinator's preliminary response and once for the final quorum
 response.
 
-Completions have one interface, the *sink*: an object the issuer hands in
-with the operation and the client completes positionally —
-
-* ``deliver_read_preliminary(value, timestamp, latency_ms, replica)``
-* ``deliver_read_final(value, timestamp, latency_ms, is_confirmation,
-  degraded, matches_preliminary)``
-* ``deliver_write_ack(timestamp, latency_ms, degraded)``
-* ``deliver_read_error(error, latency_ms)`` /
-  ``deliver_write_error(error, latency_ms)``
-
-— exactly once per operation (a final, an ack or an error), with any
-preliminary before it.  The callback API (``read(..., on_final=cb)``) is
-:class:`_CallbackSink`, a sink that builds the response dict.
+An operation completes into its *sink* (:mod:`repro.core.sink`), with the
+LWW timestamp as the stamp and the coordinator as a preliminary's source; a
+write's ack is a final without a value.  The callback API
+(``read(..., on_final=cb)``) is :class:`_CallbackSink`, a sink that builds
+the response dict.
 
 The request itself is a pooled record
 (:mod:`repro.cassandra_sim.coordinator`), not a message.  With
@@ -43,7 +35,9 @@ ResponseCallback = Callable[[Dict[str, Any]], None]
 
 
 class _CallbackSink:
-    """The callback API as a sink: the one place response dicts are built."""
+    """The callback API as a sink: the one place response dicts are built
+    (a read's here; a write's final is the ack dict of
+    :class:`_AckCallbackSink`)."""
 
     __slots__ = ("on_preliminary", "on_final")
 
@@ -52,47 +46,33 @@ class _CallbackSink:
         self.on_preliminary = on_preliminary
         self.on_final = on_final
 
-    def deliver_read_preliminary(self, value: Any, timestamp: Any,
-                                 latency_ms: float,
-                                 replica: Optional[str] = None) -> None:
+    def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
+                            source: Optional[str] = None) -> None:
         if self.on_preliminary is not None:
             self.on_preliminary({
                 "value": value,
-                "found": timestamp is not None,
-                "timestamp": timestamp,
-                "replica": replica,
+                "found": stamp is not None,
+                "timestamp": stamp,
+                "replica": source,
                 "latency_ms": latency_ms,
                 "is_confirmation": False,
             })
 
-    def deliver_read_final(self, value: Any, timestamp: Any,
-                           latency_ms: float, is_confirmation: bool,
-                           degraded: bool = False,
-                           matches_preliminary: Optional[bool] = None) -> None:
+    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
+                      is_confirmation: bool = False, degraded: bool = False,
+                      matches_preliminary: Optional[bool] = None) -> None:
         if self.on_final is not None:
             self.on_final({
                 "value": value,
-                "found": timestamp is not None,
-                "timestamp": timestamp,
+                "found": stamp is not None,
+                "timestamp": stamp,
                 "is_confirmation": is_confirmation,
                 "matches_preliminary": matches_preliminary,
                 "degraded": degraded,
                 "latency_ms": latency_ms,
             })
 
-    def deliver_write_ack(self, timestamp: Any, latency_ms: float,
-                          degraded: bool = False) -> None:
-        if self.on_final is not None:
-            self.on_final({
-                "value": True,
-                "found": True,
-                "timestamp": timestamp,
-                "is_confirmation": False,
-                "degraded": degraded,
-                "latency_ms": latency_ms,
-            })
-
-    def deliver_read_error(self, error: str, latency_ms: float) -> None:
+    def deliver_error(self, error: str, latency_ms: float) -> None:
         if self.on_final is not None:
             self.on_final({
                 "value": None,
@@ -103,7 +83,24 @@ class _CallbackSink:
                 "latency_ms": latency_ms,
             })
 
-    deliver_write_error = deliver_read_error
+
+class _AckCallbackSink(_CallbackSink):
+    """A write's callback sink: its final is the ack dict."""
+
+    __slots__ = ()
+
+    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
+                      is_confirmation: bool = False, degraded: bool = False,
+                      matches_preliminary: Optional[bool] = None) -> None:
+        if self.on_final is not None:
+            self.on_final({
+                "value": True,
+                "found": True,
+                "timestamp": stamp,
+                "is_confirmation": False,
+                "degraded": degraded,
+                "latency_ms": latency_ms,
+            })
 
 
 class CassandraClient(Node):
@@ -275,7 +272,7 @@ class CassandraClient(Node):
     def write(self, key: str, value: Any, w: int = 1,
               on_final: Optional[ResponseCallback] = None) -> FusedWrite:
         """Issue a write with write-quorum ``w``; returns its record."""
-        rec = self.lean_write(key, value, w, _CallbackSink(None, on_final))
+        rec = self.lean_write(key, value, w, _AckCallbackSink(None, on_final))
         self.callback_ops += 1
         return rec
 
@@ -362,10 +359,7 @@ class CassandraClient(Node):
         latency_ms = self._clock._now - op.sent_at
         rec.unref()
         op.unref()
-        if type(op) is FusedRead:
-            sink.deliver_read_error(error, latency_ms)
-        else:
-            sink.deliver_write_error(error, latency_ms)
+        sink.deliver_error(error, latency_ms)
 
     # -- responses ------------------------------------------------------------
     # Network continuations: each starts with the delivery preamble (the
@@ -399,7 +393,7 @@ class CassandraClient(Node):
         refs = rec.refs = rec.refs - 1
         if not refs:
             rec.release()
-        op.sink.deliver_read_preliminary(
+        op.sink.deliver_preliminary(
             value, timestamp, self._clock._now - op.sent_at, replica)
 
     def _fused_read_final(self, rec: FusedRead, is_confirmation: bool,
@@ -438,7 +432,7 @@ class CassandraClient(Node):
         else:
             rec.unref()
             op.unref()
-        sink.deliver_read_final(
+        sink.deliver_final(
             value, timestamp, self._clock._now - sent_at,
             is_confirmation, degraded, matches_preliminary)
 
@@ -470,8 +464,8 @@ class CassandraClient(Node):
         else:
             rec.unref()
             op.unref()
-        sink.deliver_write_ack(
-            timestamp, self._clock._now - sent_at, degraded)
+        sink.deliver_final(
+            None, timestamp, self._clock._now - sent_at, False, degraded)
 
     def _fused_error(self, rec: Any, error: str, retryable: bool) -> None:
         net = self.network

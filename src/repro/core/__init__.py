@@ -13,6 +13,8 @@ and 4 of the paper:
 * :class:`~repro.core.client.CorrectableClient` — the three-method API
   (``invoke_weak``, ``invoke_strong``, ``invoke``) wired to a storage
   binding.
+* :class:`~repro.core.sink.Sink` — the one completion protocol every store
+  completes operations into (a Correctable is one).
 * :func:`~repro.core.correctable.Correctable.speculate` — the convenience
   combinator capturing the speculation pattern of Listing 3.
 * :class:`~repro.core.cluster_spec.ClusterSpec` — declarative construction
@@ -30,6 +32,7 @@ from repro.core.errors import (
 )
 from repro.core.operations import Operation, read, write, enqueue, dequeue, custom
 from repro.core.promise import Promise
+from repro.core.sink import Sink
 from repro.core.views import View
 from repro.core.correctable import Correctable, CorrectableState
 from repro.core.speculation import SpeculationStats
@@ -57,6 +60,7 @@ __all__ = [
     "dequeue",
     "custom",
     "Promise",
+    "Sink",
     "View",
     "Correctable",
     "CorrectableState",

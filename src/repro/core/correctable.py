@@ -13,7 +13,7 @@ Listing 3 and is implemented in :mod:`repro.core.speculation`.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.core.consistency import ConsistencyLevel
 from repro.core.errors import BindingError, InvalidStateError, OperationError
@@ -41,10 +41,9 @@ class Correctable:
     """The progressively improving result of an operation on a replicated object.
 
     Also where the operation completes: the client hands it to the binding
-    as *the* callback (:meth:`deliver`), and a storage client with a
-    positional sink protocol (``deliver_preliminary`` / ``deliver_final`` /
-    ``deliver_error``) takes it as the sink itself.  One per operation,
-    hence the slots and the tuples.
+    as *the* callback (:meth:`deliver`), and a store speaking the sink
+    protocol (:mod:`repro.core.sink`) takes it as the sink itself.  One per
+    operation, hence the slots and the tuples.
     """
 
     __slots__ = ("_state", "_views", "_prelims", "_error",
@@ -241,18 +240,19 @@ class Correctable:
 
     __call__ = deliver
 
-    def deliver_preliminary(self, result: Any, latency_ms: float) -> None:
-        """Sink: the store's preliminary answer is the view at the weakest
-        requested level."""
+    def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
+                            source: Optional[str] = None) -> None:
+        """Sink (:mod:`repro.core.sink`): the store's preliminary answer is
+        the view at the weakest requested level."""
         levels = self._levels
         metadata = {"latency_ms": latency_ms, "preliminary": True}
         if len(levels) == 1:
             if self._state is _UPDATING:
-                self.close(result, levels[0], metadata)
+                self.close(value, levels[0], metadata)
         elif self._state is _UPDATING:
             # update(), inlined: this runs once per ICG operation.
             clock = self._clock
-            view = View(result, levels[0],
+            view = View(value, levels[0],
                         None if clock is None else clock(), False, metadata)
             self._views += (view,)
             for callback in self._update_callbacks:
@@ -260,16 +260,21 @@ class Correctable:
         else:
             self.discarded_updates += 1
 
-    def deliver_final(self, result: Any, latency_ms: float) -> None:
+    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
+                      is_confirmation: bool = False, degraded: bool = False,
+                      matches_preliminary: Optional[bool] = None) -> None:
         """Sink: the store's final answer closes at the strongest level."""
         if self._state is _UPDATING:
-            self.close(result, self._levels[-1],
+            self.close(value, self._levels[-1],
                        {"latency_ms": latency_ms, "preliminary": False})
 
-    def deliver_error(self, error: str, latency_ms: float) -> None:
-        """Sink: the operation failed, or ran out of retries."""
+    def deliver_error(self, error: Union[str, BaseException],
+                      latency_ms: float) -> None:
+        """Sink: the operation failed, or ran out of retries; a message
+        fails it with an :class:`OperationError`, an exception as is."""
         if self._state is _UPDATING:
-            self.fail(OperationError(error))
+            self.fail(error if isinstance(error, BaseException)
+                      else OperationError(error))
 
     # -- derived correctables ------------------------------------------------
     def speculate(self, speculation_fn: Callable[[Any], Any],

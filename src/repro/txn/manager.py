@@ -10,6 +10,9 @@ the coordinator group (routed through the health-tracking
   coordinator crash before the decision is durable can still abort it;
 * the **final** view carries the actual commit/abort outcome.
 
+:meth:`TransactionManager.execute_sink` runs the same transaction into
+any sink of :mod:`repro.core.sink` (``execute`` passes the Correctable).
+
 The manager reuses the same :class:`~repro.sim.failover.FailoverMixin` +
 :class:`~repro.core.retry.RetryPolicy` seam as the storage clients: a timed
 out submission is retried (with capped exponential backoff) against the
@@ -74,7 +77,7 @@ class _PendingTxn:
     txn_id: str
     writes: Dict[str, Any]
     sent_at: float
-    correctable: Correctable
+    sink: Any
     deadline_ms: float
     prepared_seen: bool = False
     last_target: Optional[str] = None
@@ -124,6 +127,19 @@ class TransactionManager(FailoverMixin, Node):
     def execute(self, writes: Dict[str, Any],
                 budget_ms: Optional[float] = None) -> Correctable:
         """Submit a multi-key transaction; returns its Correctable."""
+        correctable = Correctable(clock=self.scheduler.now,
+                                  levels=(PREPARED, STRONG))
+        self.execute_sink(writes, correctable, budget_ms)
+        return correctable
+
+    def execute_sink(self, writes: Dict[str, Any], sink: Any,
+                     budget_ms: Optional[float] = None) -> str:
+        """Submit a multi-key transaction to complete into ``sink``
+        (:mod:`repro.core.sink`); returns its id.
+
+        The preliminary is the PREPARED notice, the final carries the
+        outcome and the commit timestamp as its stamp, and the error is a
+        :class:`TransactionError`."""
         if not writes:
             raise ValueError("a transaction needs at least one write")
         txn_id = f"{self.name}:{next(self._txn_ids)}"
@@ -131,14 +147,12 @@ class TransactionManager(FailoverMixin, Node):
         deadline = Deadline.after(
             now, budget_ms if budget_ms is not None
             else self.config.txn_deadline_ms)
-        correctable = Correctable(clock=self.scheduler.now)
         pending = _PendingTxn(txn_id=txn_id, writes=dict(writes), sent_at=now,
-                              correctable=correctable,
-                              deadline_ms=deadline.expires_at_ms)
+                              sink=sink, deadline_ms=deadline.expires_at_ms)
         self._pending[txn_id] = pending
         self.txns_submitted += 1
         self._dispatch(pending)
-        return correctable
+        return txn_id
 
     def _dispatch(self, pending: _PendingTxn) -> None:
         now = self.scheduler.now()
@@ -180,12 +194,11 @@ class TransactionManager(FailoverMixin, Node):
         super()._on_request_timeout(txn_id)
 
     def _deliver_timeout_failure(self, pending: _PendingTxn) -> None:
-        self._complete(pending, {
-            "outcome": "error",
-            "timestamp": None,
-            "error": "transaction timeout: no coordinator answered",
-            "latency_ms": self.scheduler.now() - pending.sent_at,
-        })
+        if pending.prepared_seen:
+            self.stats.unresolved += 1
+        pending.sink.deliver_error(
+            TransactionError("transaction timeout: no coordinator answered"),
+            self.scheduler.now() - pending.sent_at)
 
     # -- responses -----------------------------------------------------------
     def on_txn_redirect(self, message: Message) -> None:
@@ -211,11 +224,10 @@ class TransactionManager(FailoverMixin, Node):
             return
         pending.prepared_seen = True
         self.stats.prepared_views += 1
-        pending.correctable.update(
+        pending.sink.deliver_preliminary(
             {"txn_id": pending.txn_id, "outcome": "commit",
              "speculative": True},
-            PREPARED,
-            metadata={"latency_ms": self.scheduler.now() - pending.sent_at})
+            None, self.scheduler.now() - pending.sent_at)
 
     def on_txn_final(self, message: Message) -> None:
         payload = message.payload
@@ -226,34 +238,21 @@ class TransactionManager(FailoverMixin, Node):
         self._settle(pending)
         if pending.last_target is not None:
             self.balancer.record_success(pending.last_target)
-        self._complete(pending, {
-            "outcome": payload["outcome"],
-            "timestamp": tuple(payload["timestamp"])
-            if payload.get("timestamp") else None,
-            "error": None,
-            "latency_ms": self.scheduler.now() - pending.sent_at,
-        })
-
-    def _complete(self, pending: _PendingTxn,
-                  response: Dict[str, Any]) -> None:
-        outcome = response["outcome"]
-        if outcome == "error":
-            if pending.prepared_seen:
-                self.stats.unresolved += 1
-            pending.correctable.fail(TransactionError(response["error"]))
-            return
+        outcome = payload["outcome"]
+        timestamp = (tuple(payload["timestamp"])
+                     if payload.get("timestamp") else None)
+        latency_ms = self.scheduler.now() - pending.sent_at
         committed = outcome == "commit"
         self.stats.record_final(pending.prepared_seen, committed)
         if committed:
             self.acked_commits[pending.txn_id] = {
-                "timestamp": response["timestamp"],
+                "timestamp": timestamp,
                 "writes": dict(pending.writes),
-                "latency_ms": response["latency_ms"],
+                "latency_ms": latency_ms,
             }
         else:
             self.acked_aborts.add(pending.txn_id)
-        pending.correctable.close(
+        pending.sink.deliver_final(
             {"txn_id": pending.txn_id, "outcome": outcome,
-             "timestamp": response["timestamp"]},
-            STRONG,
-            metadata={"latency_ms": response["latency_ms"]})
+             "timestamp": timestamp},
+            timestamp, latency_ms)

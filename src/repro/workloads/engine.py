@@ -6,12 +6,10 @@ experiments use — share everything except *when the next operation starts*:
 
 * one issue contract, ``issue(op_type, key, value, sink, session_id=None)``:
   the function executes one operation against whatever stack is under test
-  and completes it into ``sink``, the runner's pooled per-operation record,
-  through the storage client's five positional completion methods
-  (``deliver_read_preliminary`` / ``deliver_read_final`` /
-  ``deliver_write_ack`` / ``deliver_read_error`` / ``deliver_write_error``,
-  see :mod:`repro.cassandra_sim.client`); the open loop passes the session
-  it chose for the operation, the closed loop never does;
+  and completes it into ``sink``, the runner's pooled per-operation record
+  (a sink of :mod:`repro.core.sink`, whatever the store); the open loop
+  passes the session it chose for the operation, the closed loop never
+  does;
 * warm-up / cool-down windows excluded from measurement;
 * arming an optional fault script relative to the run's start time, so
   fault schedules compose identically with either loop shape;

@@ -23,29 +23,23 @@ contract with the experiment harness, which supplies the issue function::
 ``issue`` executes one operation against whatever stack is under test and
 completes it into ``sink`` — the runner's pooled record of that operation
 (:class:`_ClientThread` in the closed loop, :class:`_OpenOp` in the open
-loop) — through the storage client's positional completion methods:
+loop), a sink of :mod:`repro.core.sink`.  An issuer hands the record
+straight to the store (``lean_read``/``lean_write``, ``submit_sink``,
+``execute_sink``) or forwards another API's answers into it.  Before an
+ICG operation the issuer sets the record's one writable slot,
+``sink.icg = True``: the record then also accounts the preliminary latency
+and whether the preliminary diverged from the final view (the paper's
+divergence).  The open loop passes the session it chose for the operation
+as ``session_id``; the closed loop never passes it.
 
-* ``deliver_read_preliminary(value, timestamp, latency_ms, replica=None)``
-* ``deliver_read_final(value, timestamp, latency_ms, is_confirmation,
-  degraded=False, matches_preliminary=None)``
-* ``deliver_write_ack(timestamp, latency_ms, degraded=False)``
-* ``deliver_read_error(error, latency_ms)`` /
-  ``deliver_write_error(error, latency_ms)``
-
-— exactly once per operation (a final, an ack or an error), any
-preliminaries before it.  An issuer over the Cassandra client hands the
-record straight to ``lean_read``/``lean_write``; one over another API
-forwards its completions into the same methods.  Before an ICG read the
-issuer sets the record's one writable slot, ``sink.icg = True``: the record
-then also accounts the preliminary latency and whether the preliminary
-diverged from the final view (the paper's divergence).  The open loop
-passes the session it chose for the operation as ``session_id``; the closed
-loop never passes it.
-
-Every completion counts in ``total_ops`` (``degraded_ops`` and
-``failed_ops`` over the whole run, too); one measured inside the window adds
-a response-time sample.  A failure adds that sample only: a failed read has
-no final view, so no preliminary latency and no divergence pair.
+The records know nothing of the store.  Every completion counts in
+``total_ops`` (``degraded_ops`` and ``failed_ops`` over the whole run,
+too); one measured inside the window adds a response-time sample, to the
+update latency if the operation was issued as an ``"update"`` and to the
+read latency otherwise.  ``sink.icg`` alone decides whether the preliminary
+and the divergence pair are accounted.  A failure adds the response-time
+sample only: it has no final view, so no preliminary latency and no
+divergence pair.
 """
 
 from __future__ import annotations
@@ -77,8 +71,8 @@ class _ClientThread:
     """
 
     __slots__ = ("runner", "thread_id", "generator", "_gen_buffered",
-                 "_issued_at", "icg", "_had_prelim", "_prelim_value",
-                 "_prelim_latency")
+                 "_issued_at", "_op_type", "icg", "_had_prelim",
+                 "_prelim_value", "_prelim_latency")
 
     def __init__(self, runner: "ClosedLoopRunner", thread_id: int,
                  generator: OperationGenerator) -> None:
@@ -90,6 +84,7 @@ class _ClientThread:
         #: they always go through next_operation).
         self._gen_buffered = getattr(generator, "_buf", None) is not None
         self._issued_at = 0.0
+        self._op_type = ""
         #: Set by the issuer before an ICG read (see the module docstring);
         #: cleared when that read completes, as a fresh ``_OpenOp`` is.
         self.icg = False
@@ -149,20 +144,22 @@ class _ClientThread:
         else:
             op_type, key, value = gen.next_operation()
         self._issued_at = now
+        self._op_type = op_type
         runner.issue(op_type, key, value, self)
 
     # -- completion sink ------------------------------------------------------
-    def deliver_read_preliminary(self, value: Any, timestamp: Any,
-                                 latency_ms: float,
-                                 replica: Optional[str] = None) -> None:
-        self._had_prelim = True
-        self._prelim_value = value
-        self._prelim_latency = latency_ms
+    def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
+                            source: Optional[str] = None) -> None:
+        # The thread outlives its operations: only an ICG operation's
+        # preliminary is kept, so none leaks into the next operation.
+        if self.icg:
+            self._had_prelim = True
+            self._prelim_value = value
+            self._prelim_latency = latency_ms
 
-    def deliver_read_final(self, value: Any, timestamp: Any,
-                           latency_ms: float, is_confirmation: bool,
-                           degraded: bool = False,
-                           matches_preliminary: Optional[bool] = None) -> None:
+    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
+                      is_confirmation: bool = False, degraded: bool = False,
+                      matches_preliminary: Optional[bool] = None) -> None:
         runner = self.runner
         result = runner.result
         result.total_ops += 1
@@ -182,7 +179,10 @@ class _ClientThread:
                     and completed_at <= runner._measure_end:
                 result.measured_ops += 1
                 result.final_latency.record(latency_ms)
-                result.read_latency.record(latency_ms)
+                if self._op_type == "update":
+                    result.update_latency.record(latency_ms)
+                else:
+                    result.read_latency.record(latency_ms)
                 if prelim_latency is not None:
                     result.preliminary_latency.record(prelim_latency)
                 result.divergence.record_outcome(diverged,
@@ -191,39 +191,17 @@ class _ClientThread:
                 and completed_at <= runner._measure_end:
             result.measured_ops += 1
             result.final_latency.record(latency_ms)
-            result.read_latency.record(latency_ms)
+            if self._op_type == "update":
+                result.update_latency.record(latency_ms)
+            else:
+                result.read_latency.record(latency_ms)
         think = runner.think_time_ms
         if think > 0:
             runner.scheduler.schedule(think, self._issue_next)
         else:
             self._issue_next()
 
-    def deliver_write_ack(self, timestamp: Any, latency_ms: float,
-                          degraded: bool = False) -> None:
-        runner = self.runner
-        result = runner.result
-        result.total_ops += 1
-        if degraded:
-            result.degraded_ops += 1
-        completed_at = runner.scheduler.clock._now
-        if runner._measure_start <= self._issued_at \
-                and completed_at <= runner._measure_end:
-            result.measured_ops += 1
-            result.final_latency.record(latency_ms)
-            result.update_latency.record(latency_ms)
-        think = runner.think_time_ms
-        if think > 0:
-            runner.scheduler.schedule(think, self._issue_next)
-        else:
-            self._issue_next()
-
-    def deliver_read_error(self, error: str, latency_ms: float) -> None:
-        self._deliver_error(latency_ms, is_read=True)
-
-    def deliver_write_error(self, error: str, latency_ms: float) -> None:
-        self._deliver_error(latency_ms, is_read=False)
-
-    def _deliver_error(self, latency_ms: float, is_read: bool) -> None:
+    def deliver_error(self, error: Any, latency_ms: float) -> None:
         runner = self.runner
         result = runner.result
         result.total_ops += 1
@@ -236,10 +214,10 @@ class _ClientThread:
                 and runner.scheduler.clock._now <= runner._measure_end:
             result.measured_ops += 1
             result.final_latency.record(latency_ms)
-            if is_read:
-                result.read_latency.record(latency_ms)
-            else:
+            if self._op_type == "update":
                 result.update_latency.record(latency_ms)
+            else:
+                result.read_latency.record(latency_ms)
         think = runner.think_time_ms
         if think > 0:
             runner.scheduler.schedule(think, self._issue_next)
@@ -299,8 +277,8 @@ class _OpenOp:
     the next waiting arrival.
     """
 
-    __slots__ = ("runner", "issued_at", "arrived_at", "icg", "_had_prelim",
-                 "_prelim_value", "_prelim_latency")
+    __slots__ = ("runner", "issued_at", "arrived_at", "op_type", "icg",
+                 "_had_prelim", "_prelim_value", "_prelim_latency")
 
     _pool: list = []
     #: ``[created, recycled]`` — in a list, not class attributes: assigning
@@ -310,7 +288,7 @@ class _OpenOp:
 
     @classmethod
     def acquire(cls, runner: "OpenLoopRunner", issued_at: float,
-                arrived_at: float) -> "_OpenOp":
+                arrived_at: float, op_type: str) -> "_OpenOp":
         pool = cls._pool
         if pool:
             op = pool.pop()
@@ -320,6 +298,7 @@ class _OpenOp:
         op.runner = runner
         op.issued_at = issued_at
         op.arrived_at = arrived_at
+        op.op_type = op_type
         op.icg = False
         op._had_prelim = False
         op._prelim_value = None
@@ -344,20 +323,19 @@ class _OpenOp:
                 "free": len(cls._pool)}
 
     # -- completion sink ------------------------------------------------------
-    def deliver_read_preliminary(self, value: Any, timestamp: Any,
-                                 latency_ms: float,
-                                 replica: Optional[str] = None) -> None:
+    def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
+                            source: Optional[str] = None) -> None:
         self._had_prelim = True
         self._prelim_value = value
         self._prelim_latency = latency_ms
 
-    def deliver_read_final(self, value: Any, timestamp: Any,
-                           latency_ms: float, is_confirmation: bool,
-                           degraded: bool = False,
-                           matches_preliminary: Optional[bool] = None) -> None:
+    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
+                      is_confirmation: bool = False, degraded: bool = False,
+                      matches_preliminary: Optional[bool] = None) -> None:
         runner = self.runner
         issued_at = self.issued_at
         arrived_at = self.arrived_at
+        op_type = self.op_type
         icg = self.icg
         had = self._had_prelim
         prelim_value = self._prelim_value
@@ -377,7 +355,10 @@ class _OpenOp:
             if queue_delay:
                 latency_ms += queue_delay
             result.final_latency.record(latency_ms)
-            result.read_latency.record(latency_ms)
+            if op_type == "update":
+                result.update_latency.record(latency_ms)
+            else:
+                result.read_latency.record(latency_ms)
             if icg:
                 if prelim_latency is not None:
                     if queue_delay:
@@ -388,39 +369,11 @@ class _OpenOp:
                     had_preliminary=had)
         runner._refill()
 
-    def deliver_write_ack(self, timestamp: Any, latency_ms: float,
-                          degraded: bool = False) -> None:
+    def deliver_error(self, error: Any, latency_ms: float) -> None:
         runner = self.runner
         issued_at = self.issued_at
         arrived_at = self.arrived_at
-        self._recycle()
-        runner._in_flight -= 1
-        result = runner.result
-        result.total_ops += 1
-        if degraded:
-            result.degraded_ops += 1
-        completed_at = runner.scheduler.clock._now
-        if runner._measure_start <= arrived_at \
-                and completed_at <= runner._measure_end:
-            queue_delay = issued_at - arrived_at
-            result.measured_ops += 1
-            result.admission.record_queue_delay(queue_delay)
-            if queue_delay:
-                latency_ms += queue_delay
-            result.final_latency.record(latency_ms)
-            result.update_latency.record(latency_ms)
-        runner._refill()
-
-    def deliver_read_error(self, error: str, latency_ms: float) -> None:
-        self._deliver_error(latency_ms, is_read=True)
-
-    def deliver_write_error(self, error: str, latency_ms: float) -> None:
-        self._deliver_error(latency_ms, is_read=False)
-
-    def _deliver_error(self, latency_ms: float, is_read: bool) -> None:
-        runner = self.runner
-        issued_at = self.issued_at
-        arrived_at = self.arrived_at
+        op_type = self.op_type
         self._recycle()
         runner._in_flight -= 1
         result = runner.result
@@ -435,10 +388,10 @@ class _OpenOp:
             if queue_delay:
                 latency_ms += queue_delay
             result.final_latency.record(latency_ms)
-            if is_read:
-                result.read_latency.record(latency_ms)
-            else:
+            if op_type == "update":
                 result.update_latency.record(latency_ms)
+            else:
+                result.read_latency.record(latency_ms)
         runner._refill()
 
 
@@ -557,7 +510,7 @@ class OpenLoopRunner(LoadEngine):
         self._in_flight += 1
         self.admission.record_issue(self._in_flight)
         self.issue(op_type, key, value,
-                   _OpenOp.acquire(self, now, arrived_at), session_id)
+                   _OpenOp.acquire(self, now, arrived_at, op_type), session_id)
 
     def _refill(self) -> None:
         """Issue the next waiting arrival once an in-flight slot freed up."""

@@ -6,15 +6,15 @@ ZooKeeper (``enqueue``, ``dequeue``).  An operation submitted with
 ``icg=True`` receives a preliminary answer from the contacted server's local
 simulation before the final (Zab-committed) result arrives.
 
-An operation completes into its *sink*, exactly once, by positional call:
-``deliver_preliminary(result, latency_ms)`` per attempt that reached a live
-server, then ``deliver_final(result, latency_ms)`` or ``deliver_error(error,
-latency_ms)`` (refused, or every re-send timed out).
-:meth:`ZKClient.submit_sink` takes any such object — a
-:class:`~repro.core.correctable.Correctable` is one, the figure harnesses
-bring recorders; the callback API (``submit``/``enqueue``/… with
-``on_preliminary=``/``on_final=``) is the same path through
-:class:`_CallbackSink`, the sink that builds the response dict.
+An operation completes into its *sink* (:mod:`repro.core.sink`): a
+preliminary per attempt that reached a live server, then the final or the
+error (refused, or every re-send timed out).  ZooKeeper results carry no
+version, so the stamp is always ``None``.  :meth:`ZKClient.submit_sink`
+takes any sink — a :class:`~repro.core.correctable.Correctable` is one,
+the figure harnesses bring recorders; the callback API
+(``submit``/``enqueue``/… with ``on_preliminary=``/``on_final=``) is the
+same path through :class:`_CallbackSink`, the sink that builds the response
+dict.
 
 Each operation is one :class:`ZkOp` record, sent by reference to the
 contacted server (``ZKServer._zk_request``) and, on a timeout, to the next
@@ -48,15 +48,18 @@ class _CallbackSink:
         self.on_preliminary = on_preliminary
         self.on_final = on_final
 
-    def deliver_preliminary(self, result: Any, latency_ms: float) -> None:
+    def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
+                            source: Optional[str] = None) -> None:
         if self.on_preliminary is not None:
-            self.on_preliminary({"ok": True, "result": result, "error": None,
+            self.on_preliminary({"ok": True, "result": value, "error": None,
                                  "latency_ms": latency_ms,
                                  "preliminary": True})
 
-    def deliver_final(self, result: Any, latency_ms: float) -> None:
+    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
+                      is_confirmation: bool = False, degraded: bool = False,
+                      matches_preliminary: Optional[bool] = None) -> None:
         if self.on_final is not None:
-            self.on_final({"ok": True, "result": result, "error": None,
+            self.on_final({"ok": True, "result": value, "error": None,
                            "latency_ms": latency_ms, "preliminary": False})
 
     def deliver_error(self, error: str, latency_ms: float) -> None:
@@ -216,7 +219,7 @@ class ZKClient(FailoverMixin, Node):
         pending = self._pending.get(req_id)
         if pending is not None:
             pending.sink.deliver_preliminary(
-                result, self.scheduler.clock._now - pending.sent_at)
+                result, None, self.scheduler.clock._now - pending.sent_at)
 
     def _zk_response(self, req_id: int, ok: bool, result: Any,
                      error: Optional[str]) -> None:
@@ -234,6 +237,6 @@ class ZKClient(FailoverMixin, Node):
             pending.timeout_event = None
         latency_ms = self.scheduler.clock._now - pending.sent_at
         if ok:
-            pending.sink.deliver_final(result, latency_ms)
+            pending.sink.deliver_final(result, None, latency_ms)
         else:
             pending.sink.deliver_error(error, latency_ms)

@@ -70,28 +70,21 @@ class _Sink:
         self.key = None
         self.free.append(self)  # reusable from this instant on
 
-    def deliver_read_preliminary(self, value, timestamp, latency_ms,
-                                 replica=None):
+    def deliver_preliminary(self, value, stamp, latency_ms, source=None):
         self._check("preliminary", value)
         self.preliminaries += 1
 
-    def deliver_read_final(self, value, timestamp, latency_ms,
-                           is_confirmation, degraded=False,
-                           matches_preliminary=None):
+    def deliver_final(self, value, stamp, latency_ms, is_confirmation=False,
+                      degraded=False, matches_preliminary=None):
+        # A write's ack carries no value, so only a read's is checked.
         self._check("final", value)
         if is_confirmation and not self.preliminaries:
             self.problems.append("confirmation without a preliminary")
         self._complete()
 
-    def deliver_write_ack(self, timestamp, latency_ms, degraded=False):
-        self._check("ack")
-        self._complete()
-
-    def deliver_read_error(self, error, latency_ms):
+    def deliver_error(self, error, latency_ms):
         self._check("error")
         self._complete()
-
-    deliver_write_error = deliver_read_error
 
 
 def _build(nodes: int = 3, seed: int = 21, **config):
@@ -160,10 +153,10 @@ def _assert_converges(env, cluster, clients) -> None:
     done: List[str] = []
 
     class _Done:
-        def deliver_read_final(self, value, *rest):
+        def deliver_final(self, value, *rest):
             done.append(value)
 
-        def deliver_read_error(self, error, latency_ms):
+        def deliver_error(self, error, latency_ms):
             done.append(error)
 
     for key in KEYS:

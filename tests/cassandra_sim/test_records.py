@@ -21,19 +21,14 @@ class _Sink:
     def __init__(self):
         self.calls = []
 
-    def deliver_read_preliminary(self, *args):
+    def deliver_preliminary(self, *args):
         self.calls.append(("preliminary",) + args)
 
-    def deliver_read_final(self, *args):
+    def deliver_final(self, *args):
         self.calls.append(("final",) + args)
 
-    def deliver_write_ack(self, *args):
-        self.calls.append(("ack",) + args)
-
-    def deliver_read_error(self, *args):
+    def deliver_error(self, *args):
         self.calls.append(("error",) + args)
-
-    deliver_write_error = deliver_read_error
 
 
 @pytest.fixture

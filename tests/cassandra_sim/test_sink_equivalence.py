@@ -166,25 +166,16 @@ class _RecordingSink:
     def __init__(self) -> None:
         self.calls: List[tuple] = []
 
-    def deliver_read_preliminary(self, value, timestamp, latency_ms,
-                                 replica=None):
-        self.calls.append(("preliminary", value, timestamp, latency_ms,
-                           replica))
+    def deliver_preliminary(self, value, stamp, latency_ms, source=None):
+        self.calls.append(("preliminary", value, stamp, latency_ms, source))
 
-    def deliver_read_final(self, value, timestamp, latency_ms,
-                           is_confirmation, degraded=False,
-                           matches_preliminary=None):
-        self.calls.append(("final", value, timestamp, latency_ms,
+    def deliver_final(self, value, stamp, latency_ms, is_confirmation=False,
+                      degraded=False, matches_preliminary=None):
+        self.calls.append(("final", value, stamp, latency_ms,
                            is_confirmation, degraded, matches_preliminary))
 
-    def deliver_read_error(self, error, latency_ms):
-        self.calls.append(("read_error", error, latency_ms))
-
-    def deliver_write_ack(self, timestamp, latency_ms, degraded=False):
-        self.calls.append(("ack", timestamp, latency_ms, degraded))
-
-    def deliver_write_error(self, error, latency_ms):
-        self.calls.append(("write_error", error, latency_ms))
+    def deliver_error(self, error, latency_ms):
+        self.calls.append(("error", error, latency_ms))
 
     def kinds(self) -> List[str]:
         return [call[0] for call in self.calls]
@@ -210,12 +201,8 @@ class TestCompletionOrders:
         env.run_until_idle()
         budget = cluster.config.client_timeout_ms * (
             cluster.config.client_retries + 1)
-        assert read_sink.calls == [
-            ("read_error", "client timeout: no coordinator responded",
-             budget)]
-        assert write_sink.calls == [
-            ("write_error", "client timeout: no coordinator responded",
-             budget)]
+        assert read_sink.calls == write_sink.calls == [
+            ("error", "client timeout: no coordinator responded", budget)]
         assert client.failed_requests == 2
         assert client.retries == 2 * cluster.config.client_retries
         assert client.outstanding() == (0, 0, 0)
@@ -229,9 +216,16 @@ class TestCompletionOrders:
         client.lean_read("key1", 2, False, read_sink)
         client.lean_write("key2", "x", 1, write_sink)
         env.run_until_idle()
-        assert read_sink.kinds() == ["final"]
+        assert read_sink.kinds() == write_sink.kinds() == ["final"]
         assert read_sink.calls[0][1] == "value1"
-        assert write_sink.kinds() == ["ack"]
+        # A write's ack is a final without a value, stamped with its
+        # timestamp; a read always says whether its preliminary matched.
+        _, value, stamp, _, confirmation, degraded, matches = \
+            write_sink.calls[0]
+        assert (value, confirmation, degraded, matches) == \
+            (None, False, False, None)
+        assert stamp is not None
+        assert read_sink.calls[0][6] is not None
         assert client.retries == 2 and client.failed_requests == 0
         assert client.outstanding() == (0, 0, 0)
 
@@ -241,7 +235,7 @@ class TestCompletionOrders:
         sink = _RecordingSink()
         client.lean_read("key1", 2, False, sink)
         env.run_until_idle()
-        assert sink.kinds() == ["read_error"]
+        assert sink.kinds() == ["error"]
         assert "left the ring" in sink.calls[0][1]
         assert client.failed_requests == 1
         assert client.outstanding() == (0, 0, 0)

@@ -13,9 +13,9 @@ most once, exactly once if it was registered for the transition that
 happened.
 
 A second property plays the completion side — ``deliver`` (the binding
-callback) and the positional sink protocol ``deliver_preliminary`` /
-``deliver_final`` / ``deliver_error`` — against the same model, with the
-mapping onto ``update`` / ``close`` / ``fail`` written out here.
+callback) and the sink protocol of :mod:`repro.core.sink` — against the
+same model, with the mapping onto ``update`` / ``close`` / ``fail`` written
+out here.
 """
 
 from __future__ import annotations
@@ -201,16 +201,18 @@ def _complete_model(model: _Model, levels: tuple, step: tuple) -> None:
     """What a sink step means, in terms of the three transitions."""
     kind, updating = step[0], model.state == "updating"
     if kind == "preliminary":
-        metadata = {"latency_ms": step[2], "preliminary": True}
+        metadata = {"latency_ms": step[3], "preliminary": True}
         if len(levels) > 1:
             model.update(step[1], levels[0], metadata)
         elif updating:
             model.close(step[1], levels[0], metadata)
     elif kind == "final" and updating:
         model.close(step[1], levels[-1],
-                    {"latency_ms": step[2], "preliminary": False})
+                    {"latency_ms": step[3], "preliminary": False})
     elif kind == "error" and updating:
-        model.fail(OperationError(step[1]))
+        error = step[1]
+        model.fail(error if isinstance(error, BaseException)
+                   else OperationError(error))
     elif kind == "deliver":
         _, level, value, metadata, error = step
         if error is not None:
@@ -238,10 +240,14 @@ def _complete_real(real: Correctable, step: tuple) -> None:
 
 
 _latency = st.floats(min_value=0, max_value=90)
+_stamps = st.one_of(st.none(), st.tuples(_latency, st.just("replica"),
+                                         st.integers(0, 3)))
 _sink_steps = st.one_of(
-    st.tuples(st.just("preliminary"), _values, _latency),
-    st.tuples(st.just("final"), _values, _latency),
-    st.tuples(st.just("error"), st.sampled_from(["NoNode: /q", "timeout"]),
+    st.tuples(st.just("preliminary"), _values, _stamps, _latency),
+    st.tuples(st.just("final"), _values, _stamps, _latency),
+    # A message becomes an OperationError; an exception is raised as is.
+    st.tuples(st.just("error"),
+              st.one_of(st.sampled_from(["NoNode: /q", "timeout"]), _errors),
               _latency),
     st.tuples(st.just("deliver"), st.sampled_from([WEAK, CAUSAL, STRONG]),
               _values,

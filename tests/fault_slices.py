@@ -103,27 +103,26 @@ def callback_kv_issue(client, system: str,
         if op_type == "update":
             def on_ack(response: Dict[str, Any]) -> None:
                 if "error" in response:
-                    sink.deliver_write_error(response["error"],
-                                             response["latency_ms"])
+                    sink.deliver_error(response["error"],
+                                       response["latency_ms"])
                 else:
-                    sink.deliver_write_ack(response["timestamp"],
-                                           response["latency_ms"],
-                                           response["degraded"])
+                    sink.deliver_final(None, response["timestamp"],
+                                       response["latency_ms"], False,
+                                       response["degraded"])
 
             client.write(key, value, w=write_quorum, on_final=on_ack)
             return
 
         def on_preliminary(response: Dict[str, Any]) -> None:
-            sink.deliver_read_preliminary(
+            sink.deliver_preliminary(
                 response["value"], response["timestamp"],
                 response["latency_ms"], response["replica"])
 
         def on_final(response: Dict[str, Any]) -> None:
             if "error" in response:
-                sink.deliver_read_error(response["error"],
-                                        response["latency_ms"])
+                sink.deliver_error(response["error"], response["latency_ms"])
             else:
-                sink.deliver_read_final(
+                sink.deliver_final(
                     response["value"], response["timestamp"],
                     response["latency_ms"], response["is_confirmation"],
                     response["degraded"], response["matches_preliminary"])

@@ -1,26 +1,42 @@
 """Both runners' pooled records account a completion by the same rules.
 
 The closed loop's ``_ClientThread`` and the open loop's ``_OpenOp`` are two
-implementations of one completion sink.  Every test here runs both shapes
-over an issuer that finishes each operation in a scripted way, one
-operation at a time (so the closed loop's thread and the open loop's pooled
-record are each reused for every operation), and checks the
-:class:`RunResult` they leave behind.
+implementations of one completion sink, and neither knows the store: the
+operation type it was issued with picks the latency bucket, and the ICG
+flag alone decides whether a preliminary and a divergence pair count.
+Every test here runs both shapes over an issuer that finishes each
+operation in a scripted way, one operation at a time (so the closed loop's
+thread and the open loop's pooled record are each reused for every
+operation), and checks the :class:`RunResult` they leave behind.  The last
+rows replay other stores' completions, in their shapes: a ZooKeeper ICG
+dequeue and a 2PC transaction.
 """
 
 import pytest
 
+from repro.bench.fig13_faults import _QueueOpSink
 from repro.sim.scheduler import Scheduler
 from repro.workloads.arrivals import UniformArrivals
-from repro.workloads.records import Dataset
 from repro.workloads.runner import ClosedLoopRunner, OpenLoopRunner
-from repro.workloads.ycsb import WORKLOAD_C, OperationGenerator
 
 LATENCY_MS = 10.0
 SHAPES = ("closed", "open")
 
 
-def _run(shape, complete):
+class _Script:
+    """A generator whose ``n``-th operation (from 1) has type
+    ``op_type(n)``."""
+
+    def __init__(self, op_type):
+        self.op_type = op_type
+        self.n = 0
+
+    def next_operation(self):
+        self.n += 1
+        return self.op_type(self.n), f"key{self.n % 10}", None
+
+
+def _run(shape, complete, op_type=lambda n: "read"):
     """One client whose ``n``-th operation (from 1) is finished by
     ``complete(scheduler, n, sink)``; returns the run's result."""
     scheduler = Scheduler()
@@ -30,11 +46,8 @@ def _run(shape, complete):
         issued[0] += 1
         complete(scheduler, issued[0], sink)
 
-    dataset = Dataset(record_count=10)
-
     def make_generator(i):
-        return OperationGenerator.seeded(WORKLOAD_C, dataset, 7,
-                                         f"{shape}-{i}")
+        return _Script(op_type)
 
     windows = dict(duration_ms=1_000.0, warmup_ms=100.0, cooldown_ms=100.0)
     if shape == "closed":
@@ -53,14 +66,18 @@ def _run(shape, complete):
     return result
 
 
+def _alternating(n):
+    return "update" if n % 2 else "read"
+
+
 def _icg_read(scheduler, sink, preliminary, final, is_confirmation=False):
     """An ICG read: a preliminary view at half the latency (unless
     ``preliminary`` is None), then the final view."""
     sink.icg = True
     if preliminary is not None:
-        scheduler.schedule(LATENCY_MS / 2, sink.deliver_read_preliminary,
+        scheduler.schedule(LATENCY_MS / 2, sink.deliver_preliminary,
                            preliminary, None, LATENCY_MS / 2)
-    scheduler.schedule(LATENCY_MS, sink.deliver_read_final, final, None,
+    scheduler.schedule(LATENCY_MS, sink.deliver_final, final, None,
                        LATENCY_MS, is_confirmation)
 
 
@@ -98,9 +115,9 @@ class TestCompletionRecords:
 
     def test_plain_read_ignores_its_preliminary(self, shape):
         def complete(scheduler, n, sink):
-            scheduler.schedule(LATENCY_MS / 2, sink.deliver_read_preliminary,
+            scheduler.schedule(LATENCY_MS / 2, sink.deliver_preliminary,
                                "old", None, LATENCY_MS / 2)
-            scheduler.schedule(LATENCY_MS, sink.deliver_read_final, "new",
+            scheduler.schedule(LATENCY_MS, sink.deliver_final, "new",
                                None, LATENCY_MS, False)
 
         result = _run(shape, complete)
@@ -116,7 +133,7 @@ class TestCompletionRecords:
             if n % 2:
                 _icg_read(scheduler, sink, "old", "new")
             else:
-                scheduler.schedule(LATENCY_MS, sink.deliver_read_final, "v",
+                scheduler.schedule(LATENCY_MS, sink.deliver_final, "v",
                                    None, LATENCY_MS, False)
 
         result = _run(shape, complete)
@@ -131,9 +148,9 @@ class TestCompletionRecords:
             if n % 2:
                 sink.icg = True
                 scheduler.schedule(LATENCY_MS / 2,
-                                   sink.deliver_read_preliminary, "old",
+                                   sink.deliver_preliminary, "old",
                                    None, LATENCY_MS / 2)
-                scheduler.schedule(LATENCY_MS, sink.deliver_read_error,
+                scheduler.schedule(LATENCY_MS, sink.deliver_error,
                                    "timeout", LATENCY_MS)
             else:
                 _icg_read(scheduler, sink, None, "v")
@@ -148,13 +165,14 @@ class TestCompletionRecords:
     def test_degraded_completions_count_as_degraded(self, shape):
         def complete(scheduler, n, sink):
             if n % 2:
-                scheduler.schedule(LATENCY_MS, sink.deliver_write_ack, None,
-                                   LATENCY_MS, True)
+                # A write's ack: a final without a value.
+                scheduler.schedule(LATENCY_MS, sink.deliver_final, None,
+                                   None, LATENCY_MS, False, True)
             else:
-                scheduler.schedule(LATENCY_MS, sink.deliver_read_final, "v",
+                scheduler.schedule(LATENCY_MS, sink.deliver_final, "v",
                                    None, LATENCY_MS, False, True)
 
-        result = _run(shape, complete)
+        result = _run(shape, complete, _alternating)
         assert result.degraded_ops == result.total_ops
         assert result.failed_ops == 0
         assert result.update_latency.count > 0
@@ -164,14 +182,10 @@ class TestCompletionRecords:
 
     def test_errors_are_failures_with_a_response_time(self, shape):
         def complete(scheduler, n, sink):
-            if n % 2:
-                scheduler.schedule(LATENCY_MS, sink.deliver_write_error,
-                                   "timeout", LATENCY_MS)
-            else:
-                scheduler.schedule(LATENCY_MS, sink.deliver_read_error,
-                                   "timeout", LATENCY_MS)
+            scheduler.schedule(LATENCY_MS, sink.deliver_error, "timeout",
+                               LATENCY_MS)
 
-        result = _run(shape, complete)
+        result = _run(shape, complete, _alternating)
         assert result.failed_ops == result.total_ops
         assert result.degraded_ops == 0
         assert _divergence(result) == (0, 0, 0)
@@ -181,3 +195,71 @@ class TestCompletionRecords:
             result.measured_ops
         assert result.final_latency.samples() == \
             [LATENCY_MS] * result.measured_ops
+
+    def test_the_issued_type_picks_the_bucket_not_the_answer(self, shape):
+        """An update is one even when its final carries a value, and any
+        other operation is a read even when its final carries none."""
+        def complete(scheduler, n, sink):
+            scheduler.schedule(LATENCY_MS, sink.deliver_final,
+                               "v" if n % 2 else None, None, LATENCY_MS)
+
+        result = _run(shape, complete, _alternating)
+        assert result.update_latency.count > 0
+        assert result.read_latency.count > 0
+        assert abs(result.update_latency.count
+                   - result.read_latency.count) <= 1
+
+    def test_zookeeper_icg_dequeue_diverges_on_the_znode_name(self, shape):
+        """fig13's queue operations: a dequeue is a read, and the record
+        compares the znode each view named — a preliminary that named the
+        same head is a match although the result dicts differ elsewhere."""
+        def complete(scheduler, n, sink):
+            sink.icg = True
+            queue_sink = _QueueOpSink(sink)
+            head = f"item-{n:010d}"
+            final = head if n % 2 else f"item-{n + 1:010d}"
+            scheduler.schedule(
+                LATENCY_MS / 2, queue_sink.deliver_preliminary,
+                {"item": "a", "name": head, "remaining": 2}, None,
+                LATENCY_MS / 2)
+            scheduler.schedule(
+                LATENCY_MS, queue_sink.deliver_final,
+                {"item": "a", "name": final, "remaining": 1}, None,
+                LATENCY_MS)
+
+        result = _run(shape, complete, lambda n: "dequeue")
+        matched, diverged, missing = _divergence(result)
+        assert matched > 0 and diverged > 0 and missing == 0
+        assert abs(matched - diverged) <= 1
+        assert matched + diverged == result.measured_ops
+        assert result.read_latency.count == result.measured_ops
+        assert result.update_latency.count == 0
+        assert result.preliminary_latency.count == result.measured_ops
+
+    def test_transaction_prepared_view_is_not_a_divergence_pair(self, shape):
+        """An update-typed 2PC transaction: its PREPARED notice arrives as
+        a preliminary, but the issuer does not flag it, so it lands in the
+        update bucket with no preliminary latency and no pair — and leaves
+        nothing for the ICG read that follows on the same record."""
+        def complete(scheduler, n, sink):
+            if n % 2 == 0:
+                _icg_read(scheduler, sink, None, "v")
+                return
+            txn_id = f"manager:{n}"
+            stamp = (float(n), "txn-coordinator-0", n)
+            scheduler.schedule(
+                LATENCY_MS / 2, sink.deliver_preliminary,
+                {"txn_id": txn_id, "outcome": "commit", "speculative": True},
+                None, LATENCY_MS / 2)
+            scheduler.schedule(
+                LATENCY_MS, sink.deliver_final,
+                {"txn_id": txn_id, "outcome": "commit", "timestamp": stamp},
+                stamp, LATENCY_MS)
+
+        result = _run(shape, complete, _alternating)
+        transactions = result.update_latency.count
+        assert transactions > 0 and result.read_latency.count > 0
+        assert transactions + result.read_latency.count == \
+            result.measured_ops
+        assert result.preliminary_latency.count == 0
+        assert _divergence(result) == (0, 0, result.read_latency.count)

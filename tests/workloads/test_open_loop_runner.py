@@ -28,8 +28,8 @@ class _FixedLatencyIssue:
 
         def _complete():
             self.in_flight -= 1
-            sink.deliver_read_preliminary("v", None, self.latency_ms / 2)
-            sink.deliver_read_final("v", None, self.latency_ms, False)
+            sink.deliver_preliminary("v", None, self.latency_ms / 2)
+            sink.deliver_final("v", None, self.latency_ms, False)
 
         self.scheduler.schedule(self.latency_ms, _complete)
 
@@ -254,7 +254,7 @@ class TestIssueContract:
         def recording_issue(calls):
             def issue(op_type, key, value, sink, *session):
                 calls.append(session)
-                scheduler.schedule(5.0, sink.deliver_write_ack, None, 5.0)
+                scheduler.schedule(5.0, sink.deliver_final, None, None, 5.0)
             return issue
 
         scheduler = Scheduler()

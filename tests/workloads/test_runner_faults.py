@@ -44,7 +44,7 @@ class TestRunnerFaultArming:
         )))
 
         def issue(op_type, key, value, sink):
-            env.scheduler.schedule(10.0, sink.deliver_write_ack, None, 10.0)
+            env.scheduler.schedule(10.0, sink.deliver_final, None, None, 10.0)
 
         runner = _make_runner(env, issue, faults=injector)
         runner.run()
@@ -60,14 +60,14 @@ class TestRunnerFaultArming:
         def issue(op_type, key, value, sink):
             calls["n"] += 1
             if calls["n"] % 3 == 0:
-                env.scheduler.schedule(50.0, sink.deliver_write_ack, None,
-                                       50.0, True)
+                env.scheduler.schedule(50.0, sink.deliver_final, None,
+                                       None, 50.0, False, True)
             elif calls["n"] % 5 == 0:
-                env.scheduler.schedule(50.0, sink.deliver_write_error,
+                env.scheduler.schedule(50.0, sink.deliver_error,
                                        "timeout", 50.0)
             else:
-                env.scheduler.schedule(50.0, sink.deliver_write_ack, None,
-                                       50.0)
+                env.scheduler.schedule(50.0, sink.deliver_final, None,
+                                       None, 50.0)
 
         runner = _make_runner(env, issue)
         result = runner.run()
@@ -81,7 +81,7 @@ class TestRunnerFaultArming:
         env = SimEnvironment(seed=2)
 
         def issue(op_type, key, value, sink):
-            env.scheduler.schedule(5.0, sink.deliver_write_ack, None, 5.0)
+            env.scheduler.schedule(5.0, sink.deliver_final, None, None, 5.0)
 
         runner = _make_runner(env, issue)
         result = runner.run()

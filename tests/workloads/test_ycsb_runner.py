@@ -109,9 +109,9 @@ def _icg_read(scheduler, sink, latency_ms, preliminary="v", final="v"):
     """Complete an ICG read into ``sink``: a preliminary view at half the
     latency, then the final view."""
     sink.icg = True
-    scheduler.schedule(latency_ms / 2, sink.deliver_read_preliminary,
+    scheduler.schedule(latency_ms / 2, sink.deliver_preliminary,
                        preliminary, None, latency_ms / 2)
-    scheduler.schedule(latency_ms, sink.deliver_read_final, final, None,
+    scheduler.schedule(latency_ms, sink.deliver_final, final, None,
                        latency_ms, False)
 
 
