@@ -9,7 +9,7 @@ uses quorum 2/3, and ``*CC2`` is CC2 with the confirmation optimization.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.config import CassandraConfig
@@ -18,7 +18,7 @@ from repro.sim.network import estimate_payload_size
 from repro.core.cluster_spec import REMOTE_CONTACTS, BuiltCluster, ClusterSpec
 from repro.sim.topology import Region, replica_regions_default
 from repro.workloads.records import Dataset
-from repro.workloads.runner import ClosedLoopRunner, RunResult
+from repro.workloads.runner import ClosedLoopRunner, RunResult, _OpenOp
 from repro.workloads.ycsb import OperationGenerator, WorkloadSpec
 from repro.sim.rand import derive_rng
 
@@ -133,6 +133,45 @@ def make_kv_issue(client: CassandraClient, system: str,
             rec.refs = sent + 1
 
     return _issue
+
+
+def _records_out() -> Tuple[int, int]:
+    """Records acquired and not retired, process-wide: the Cassandra
+    request records (``FusedRead``/``FusedWrite``) and the open loop's
+    operation records (``_OpenOp``)."""
+    fused = sum(stats["created"] + stats["reused"] - stats["recycled"]
+                for stats in (FusedRead.pool_stats(),
+                              FusedWrite.pool_stats()))
+    open_ops = _OpenOp.pool_stats()
+    return fused, open_ops["created"] - open_ops["free"]
+
+
+class DrainCheck:
+    """The end-of-point check of every load-engine figure: the run drained.
+
+    Made when a point starts (the record pools are process-wide, so it
+    notes what was already out); :meth:`verify` once the point has run
+    raises if a request or open-loop record acquired since is not back in
+    its pool, or if a Cassandra or ZooKeeper cluster passed to it still has
+    anything in flight (``in_flight()`` not all zero).
+    """
+
+    def __init__(self, label: str) -> None:
+        self.label = label
+        self.records_out = _records_out()
+
+    def verify(self, *clusters: Any) -> None:
+        problems = [f"{now - before} {pool} records not retired"
+                    for pool, now, before in zip(
+                        ("request", "open-loop operation"), _records_out(),
+                        self.records_out)
+                    if now != before]
+        problems += [f"in flight: {in_flight}" for in_flight in
+                     (cluster.in_flight() for cluster in clusters)
+                     if any(in_flight.values())]
+        if problems:
+            raise RuntimeError(f"{self.label} did not drain: "
+                               + "; ".join(problems))
 
 
 def make_generator_factory(spec: WorkloadSpec, dataset: Dataset, seed: int,

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List
 
 from repro.bench.common import (
+    DrainCheck,
     build_cassandra_scenario,
     cassandra_config_for,
     make_generator_factory,
@@ -41,6 +42,7 @@ def _measure_bandwidth(system: str, workload_name: str, distribution: str,
                        cooldown_ms: float, record_count: int,
                        seed: int) -> Dict:
     spec = workload_by_name(workload_name).with_distribution(distribution)
+    drain = DrainCheck(f"fig08 {system} {workload_name}-{distribution}")
     scenario = build_cassandra_scenario(
         seed=seed, record_count=record_count,
         client_regions=(Region.IRL, Region.FRK, Region.VRG),
@@ -67,6 +69,7 @@ def _measure_bandwidth(system: str, workload_name: str, distribution: str,
     end = max(runner.end_time for _, runner in runners)
     scenario.env.run(until=end + 60_000.0)
     probe.stop()
+    drain.verify(scenario.cluster)
 
     measured_runner = dict(runners)[Region.IRL]
     total_ops = measured_runner.result.total_ops

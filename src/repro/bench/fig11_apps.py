@@ -21,7 +21,11 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 from repro.apps.ads import AdServingSystem
 from repro.apps.datasets import AdsDataset, TwissandraDataset
 from repro.apps.twissandra import Twissandra
-from repro.bench.common import cassandra_config_for, make_generator_factory
+from repro.bench.common import (
+    DrainCheck,
+    cassandra_config_for,
+    make_generator_factory,
+)
 from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.bindings.cassandra import CassandraBinding
 from repro.cassandra_sim.cluster import CassandraCluster
@@ -149,6 +153,7 @@ def run_fig11_point(point: SweepPoint) -> Dict:
     system, threads, seed = kwargs["system"], kwargs["threads"], kwargs["seed"]
     spec = workload_by_name(workload_name)
     speculate = system.startswith("CC")
+    drain = DrainCheck(point.spec())
     deployment = _AppDeployment(app_name, seed, kwargs["profile_count"],
                                 kwargs["ref_count"])
     runners = {}
@@ -167,6 +172,7 @@ def run_fig11_point(point: SweepPoint) -> Dict:
         runner.start()
     end = max(r.end_time for r in runners.values())
     deployment.env.run(until=end + 120_000.0)
+    drain.verify(deployment.cluster)
     measured = runners[deployment.measured_region].result
     measured_app = deployment.apps[deployment.measured_region]
     stats = getattr(measured_app, "speculation_stats")

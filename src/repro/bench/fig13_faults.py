@@ -31,6 +31,7 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.bench.common import (
+    DrainCheck,
     build_cassandra_scenario,
     make_generator_factory,
     make_kv_issue,
@@ -67,6 +68,7 @@ def run_fig13_scenario(scenario_name: str, workload: str = "B",
                        seed: int = 42) -> Dict:
     """Run one Cassandra fault scenario; returns its figure record."""
     spec = workload_by_name(workload).with_distribution("zipfian")
+    drain = DrainCheck(f"fig13 CC2 {scenario_name}")
     built = build_cassandra_scenario(
         seed=seed, record_count=record_count,
         client_regions=(Region.IRL, Region.FRK, Region.VRG),
@@ -100,6 +102,7 @@ def run_fig13_scenario(scenario_name: str, workload: str = "B",
         runner.start()
     end = max(runner.end_time for runner in runners.values())
     built.env.run(until=end + 60_000.0)
+    drain.verify(built.cluster)
 
     divergence = DivergenceCounter()
     final_latency = LatencyRecorder()
@@ -219,6 +222,7 @@ def run_fig13_zookeeper(crash_at_ms: float = 4_000.0,
                         queue_depth: int = 5_000,
                         seed: int = 42) -> Dict:
     """Run the CZK queue workload through a leader crash; returns one record."""
+    drain = DrainCheck("fig13 CZK leader-crash")
     env = SimEnvironment(seed=seed)
     config = ZooKeeperConfig.fault_tolerant()
     cluster = ZooKeeperCluster(env, leader_region=Region.IRL,
@@ -269,6 +273,7 @@ def run_fig13_zookeeper(crash_at_ms: float = 4_000.0,
     cluster.clients[0].enqueue("/queue", "fig13-probe",
                                on_final=probe_results.append)
     env.run(until=end + 120_000.0)
+    drain.verify(cluster)
 
     divergence = DivergenceCounter()
     final_latency = LatencyRecorder()

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.bench.common import cassandra_config_for
+from repro.bench.common import DrainCheck, cassandra_config_for
 from repro.core.cluster_spec import ClusterSpec
 from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.bindings.cassandra import CassandraBinding
@@ -90,7 +90,7 @@ def _setup_cassandra(seed: int, record_count: int):
     bindings = [CassandraBinding(scenario.client_in(region),
                                  strong_read_quorum=2, write_quorum=1)
                 for region in (Region.IRL, Region.FRK)]
-    return scenario.env, bindings, scenario.dataset
+    return scenario.env, bindings, scenario.dataset, [scenario.cluster]
 
 
 def _setup_primary_backup(seed: int, record_count: int,
@@ -106,7 +106,7 @@ def _setup_primary_backup(seed: int, record_count: int,
         store.write(key, value)
     # Let the preload replicate so the first weak reads hit the backup.
     env.run(until=replication_lag_ms + 1.0)
-    return env, [binding], dataset
+    return env, [binding], dataset, []
 
 
 _SETUPS = {
@@ -116,7 +116,9 @@ _SETUPS = {
 
 
 def setup_binding(name: str, seed: int, record_count: int):
-    """Build one of the figure's stacks: ``(env, bindings, dataset)``.
+    """Build one of the figure's stacks: ``(env, bindings, dataset,
+    clusters)``, the clusters being the simulated stores behind the
+    bindings that have any.
 
     Public so the perf harness can drive the same stack it benchmarks.
     """
@@ -237,13 +239,15 @@ class SessionStack:
     #: step per issued operation) and each user maps to one stable
     #: session/region, even when the requested count doesn't divide.
     sessions: int
+    #: The simulated clusters under the bindings (for the drain check).
+    clusters: List[Any]
 
 
 def build_session_stack(binding_name: str, *, seed: int, record_count: int,
                         sessions: int, workload: str = "A",
                         distribution: str = "latest") -> SessionStack:
     """Set up a binding and split ``sessions`` users over its client regions."""
-    env, bindings, dataset = setup_binding(
+    env, bindings, dataset, clusters = setup_binding(
         binding_name, seed=seed, record_count=record_count)
     per_pool = max(1, sessions // len(bindings))
     pools = [CorrectableClient(binding).sessions(per_pool)
@@ -252,7 +256,7 @@ def build_session_stack(binding_name: str, *, seed: int, record_count: int,
         env=env, pools=pools, dataset=dataset,
         spec=workload_by_name(workload).with_distribution(distribution),
         issue=make_session_issue(pools, env.scheduler.now),
-        sessions=per_pool * len(bindings))
+        sessions=per_pool * len(bindings), clusters=clusters)
 
 
 def make_session_generator(stack: SessionStack, seed: int,
@@ -288,6 +292,7 @@ def run_fig14_point(point: SweepPoint) -> Dict:
     binding_name = kwargs["binding"]
     mode = kwargs["mode"]
     seed = kwargs["seed"]
+    drain = DrainCheck(point.spec())
     stack = build_session_stack(
         binding_name, seed=seed, record_count=kwargs["record_count"],
         sessions=kwargs["sessions"], workload=kwargs["workload"],
@@ -315,6 +320,7 @@ def run_fig14_point(point: SweepPoint) -> Dict:
             policy=kwargs["policy"],
             queue_limit=kwargs["queue_limit"])
     result = runner.run()
+    drain.verify(*stack.clusters)
     admission = result.admission
     return {
         "binding": binding_name,

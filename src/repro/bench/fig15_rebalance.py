@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.bench.common import cassandra_config_for
+from repro.bench.common import DrainCheck, cassandra_config_for
 from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.versions import resolve
@@ -238,6 +238,7 @@ def run_fig15_point(point: SweepPoint) -> Dict:
     event = kwargs["event"]
     seed = kwargs["seed"]
     label = f"fig15-{nodes}-{skew}-{event}"
+    drain = DrainCheck(label)
 
     # Smaller stream batches than the config default: more, shorter transfer
     # rounds widen the window in which streaming and foreground traffic
@@ -291,6 +292,7 @@ def run_fig15_point(point: SweepPoint) -> Dict:
     # Drain replication, forwarding, and any straggling stream traffic so
     # the loss check inspects the settled post-rebalance state.
     built.env.run_until_idle()
+    drain.verify(cluster)
     if not operation.done:
         raise RuntimeError(f"{label}: rebalance did not complete "
                            f"(started_at={operation.started_at})")

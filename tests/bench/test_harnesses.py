@@ -11,6 +11,7 @@ import pytest
 from repro.bench.common import (
     CASSANDRA_SYSTEMS,
     REMOTE_CONTACTS,
+    DrainCheck,
     build_cassandra_scenario,
     cassandra_config_for,
     make_kv_issue,
@@ -50,6 +51,46 @@ class TestCommon:
     def test_confirmation_config_only_for_starred_system(self):
         assert cassandra_config_for("*CC2").confirmation_optimization
         assert not cassandra_config_for("CC2").confirmation_optimization
+
+
+class _Sink:
+    def deliver_preliminary(self, value, stamp, latency_ms, source=None):
+        pass
+
+    def deliver_final(self, value, stamp, latency_ms, is_confirmation=False,
+                      degraded=False, matches_preliminary=None):
+        pass
+
+    def deliver_error(self, error, latency_ms):
+        pass
+
+
+class TestDrainCheck:
+    def test_drained_run_passes(self):
+        check = DrainCheck("drained")
+        scenario = build_cassandra_scenario(seed=1, record_count=10)
+        client = scenario.client_in(Region.IRL)
+        client.lean_read("user1", 2, True, _Sink())
+        client.lean_write("user2", "v", 1, _Sink())
+        scenario.env.run_until_idle()
+        check.verify(scenario.cluster)
+
+    def test_stranded_operation_fails_the_point(self):
+        """No client timeout and a crashed coordinator: the read can never
+        complete, so its record stays out and its cluster has it in
+        flight — both are reported."""
+        check = DrainCheck("stranded")
+        scenario = build_cassandra_scenario(seed=1, record_count=10)
+        client = scenario.client_in(Region.IRL)
+        scenario.cluster.replica_by_name(client.contact).crash()
+        client.lean_read("user1", 2, True, _Sink())
+        scenario.env.run_until_idle()
+        with pytest.raises(RuntimeError) as failure:
+            check.verify(scenario.cluster)
+        message = str(failure.value)
+        assert message.startswith("stranded did not drain: ")
+        assert "1 request records not retired" in message
+        assert "'client_pending': 1" in message
 
 
 class TestFig05Shape:
