@@ -136,9 +136,8 @@ def make_kv_issue(client: CassandraClient, system: str,
 
 
 def _records_out() -> Tuple[int, int]:
-    """Records acquired and not retired, process-wide: the Cassandra
-    request records (``FusedRead``/``FusedWrite``) and the open loop's
-    operation records (``_OpenOp``)."""
+    """``FusedRead``/``FusedWrite`` and ``_OpenOp`` records out of their
+    (process-wide) pools."""
     fused = sum(stats["created"] + stats["reused"] - stats["recycled"]
                 for stats in (FusedRead.pool_stats(),
                               FusedWrite.pool_stats()))
@@ -149,11 +148,9 @@ def _records_out() -> Tuple[int, int]:
 class DrainCheck:
     """The end-of-point check of every load-engine figure: the run drained.
 
-    Made when a point starts (the record pools are process-wide, so it
-    notes what was already out); :meth:`verify` once the point has run
-    raises if a request or open-loop record acquired since is not back in
-    its pool, or if a Cassandra or ZooKeeper cluster passed to it still has
-    anything in flight (``in_flight()`` not all zero).
+    Made when a point starts, noting what was already out of the pools;
+    :meth:`verify` at its end raises if a record acquired since is not back,
+    or if a Cassandra or ZooKeeper cluster still has anything in flight.
     """
 
     def __init__(self, label: str) -> None:
@@ -196,6 +193,7 @@ def run_multi_region_load(scenario: CassandraScenario, system: str,
     Returns the per-region :class:`RunResult`; the paper reports the client
     in Ireland, which callers pick via ``measured_region``.
     """
+    drain = DrainCheck(f"{system} {spec.name} x{threads_per_client}")
     runners: Dict[str, ClosedLoopRunner] = {}
     for region, client in scenario.clients.items():
         issue = make_kv_issue(client, system)
@@ -215,6 +213,7 @@ def run_multi_region_load(scenario: CassandraScenario, system: str,
         runner.start()
     end = max(runner.end_time for runner in runners.values())
     scenario.env.run(until=end + 60_000.0)
+    drain.verify(scenario.cluster)
     return {region: runner.result for region, runner in runners.items()}
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence
 
 from repro.bench.common import (
-    DrainCheck,
     build_cassandra_scenario,
     cassandra_config_for,
     run_multi_region_load,
@@ -56,7 +55,6 @@ def run_fig06_point(point: SweepPoint) -> Dict:
     workload_name, system = kwargs["workload"], kwargs["system"]
     seed = kwargs["seed"]
     spec = workload_by_name(workload_name)
-    drain = DrainCheck(point.spec())
     scenario = build_cassandra_scenario(
         seed=seed, record_count=kwargs["record_count"],
         client_regions=(Region.IRL, Region.FRK, Region.VRG),
@@ -65,7 +63,6 @@ def run_fig06_point(point: SweepPoint) -> Dict:
         scenario, system, spec, threads_per_client=kwargs["threads"],
         duration_ms=kwargs["duration_ms"], warmup_ms=kwargs["warmup_ms"],
         cooldown_ms=kwargs["cooldown_ms"], seed=seed)
-    drain.verify(scenario.cluster)
     measured = results[Region.IRL]
     return {
         "workload": workload_name,

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence
 
 from repro.bench.common import (
-    DrainCheck,
     build_cassandra_scenario,
     cassandra_config_for,
     run_multi_region_load,
@@ -68,7 +67,6 @@ def run_fig07_point(point: SweepPoint) -> Dict:
     kwargs = point.kwargs
     workload_name, distribution = kwargs["workload"], kwargs["distribution"]
     spec = workload_by_name(workload_name).with_distribution(distribution)
-    drain = DrainCheck(point.spec())
     scenario = build_cassandra_scenario(
         seed=kwargs["scenario_seed"], record_count=kwargs["record_count"],
         client_regions=(Region.IRL, Region.FRK, Region.VRG),
@@ -77,7 +75,6 @@ def run_fig07_point(point: SweepPoint) -> Dict:
         scenario, "CC2", spec, threads_per_client=kwargs["threads"],
         duration_ms=kwargs["duration_ms"], warmup_ms=kwargs["warmup_ms"],
         cooldown_ms=kwargs["cooldown_ms"], seed=kwargs["load_seed"])
-    drain.verify(scenario.cluster)
     combined = DivergenceCounter()
     measured_ops = 0
     for result in results.values():

@@ -73,8 +73,7 @@ class EnqueueLoop:
 
     def deliver_error(self, error: Any, latency_ms: float) -> None:
         # A refused or timed-out enqueue still answered: it counts the same.
-        self.final.record(latency_ms)
-        self.issue_next()
+        self.deliver_final(None, None, latency_ms)
 
 
 def measure_enqueues(leader_region: str, connect_region: str, icg: bool,

@@ -28,7 +28,7 @@ elects exactly one new leader and keeps the queue serving.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.bench.common import (
     DrainCheck,
@@ -103,23 +103,38 @@ def run_fig13_scenario(scenario_name: str, workload: str = "B",
     end = max(runner.end_time for runner in runners.values())
     built.env.run(until=end + 60_000.0)
     drain.verify(built.cluster)
+    return {
+        "system": "CC2",
+        "scenario": scenario_name,
+        "description": description,
+        **_merged_results(runners.values(),
+                          duration_ms - warmup_ms - cooldown_ms),
+        "coordinator_retries": sum(r.read_retries + r.write_retries
+                                   for r in built.cluster.replicas),
+        "client_retries": sum(c.retries for c in built.cluster.clients),
+        "discarded_updates": sum(c.late_preliminaries
+                                 for c in built.cluster.clients),
+        "messages_dropped": built.env.network.messages_dropped,
+        "faults_applied": len(injector.log) if injector else 0,
+    }
 
+
+def _merged_results(runners: Iterable[ClosedLoopRunner],
+                    measured_window_ms: float) -> Dict:
+    """The record columns every fig13 cell reports, over all its runners
+    (whatever the store: their records account completions alike)."""
     divergence = DivergenceCounter()
     final_latency = LatencyRecorder()
     preliminary_latency = LatencyRecorder()
     measured_ops = degraded = failed = 0
-    for result in (r.result for r in runners.values()):
+    for result in (runner.result for runner in runners):
         divergence.merge(result.divergence)
         final_latency.merge(result.final_latency)
         preliminary_latency.merge(result.preliminary_latency)
         measured_ops += result.measured_ops
         degraded += result.degraded_ops
         failed += result.failed_ops
-    measured_window_ms = duration_ms - warmup_ms - cooldown_ms
     return {
-        "system": "CC2",
-        "scenario": scenario_name,
-        "description": description,
         "measured_ops": measured_ops,
         "throughput_ops_s": measured_ops / (measured_window_ms / 1000.0),
         "preliminary_mean_ms": preliminary_latency.mean(),
@@ -129,13 +144,6 @@ def run_fig13_scenario(scenario_name: str, workload: str = "B",
         "prelim_accuracy_pct": 100.0 - divergence.divergence_percent(),
         "degraded_ops": degraded,
         "failed_ops": failed,
-        "coordinator_retries": sum(r.read_retries + r.write_retries
-                                   for r in built.cluster.replicas),
-        "client_retries": sum(c.retries for c in built.cluster.clients),
-        "discarded_updates": sum(c.late_preliminaries
-                                 for c in built.cluster.clients),
-        "messages_dropped": built.env.network.messages_dropped,
-        "faults_applied": len(injector.log) if injector else 0,
     }
 
 
@@ -187,10 +195,8 @@ class _QueueOpGenerator:
 
 
 class _QueueOpSink:
-    """One ICG queue operation's answers, forwarded into the runner's
-    record with the znode the operation named as the value: the runner
-    compares that, as ZooKeeper's preliminary and final result dicts differ
-    in their other keys."""
+    """Forwards a queue operation's answers into the runner's record with
+    the znode named as the value (the result dicts differ elsewhere)."""
 
     __slots__ = ("sink",)
 
@@ -274,32 +280,12 @@ def run_fig13_zookeeper(crash_at_ms: float = 4_000.0,
                                on_final=probe_results.append)
     env.run(until=end + 120_000.0)
     drain.verify(cluster)
-
-    divergence = DivergenceCounter()
-    final_latency = LatencyRecorder()
-    preliminary_latency = LatencyRecorder()
-    measured_ops = failed = 0
-    for runner in runners:
-        divergence.merge(runner.result.divergence)
-        final_latency.merge(runner.result.final_latency)
-        preliminary_latency.merge(runner.result.preliminary_latency)
-        measured_ops += runner.result.measured_ops
-        failed += runner.result.failed_ops
     new_leader = cluster.current_leader()
-    measured_window_ms = duration_ms - warmup_ms - cooldown_ms
     return {
         "system": "CZK",
         "scenario": "leader-crash",
         "description": scenario.description,
-        "measured_ops": measured_ops,
-        "throughput_ops_s": measured_ops / (measured_window_ms / 1000.0),
-        "preliminary_mean_ms": preliminary_latency.mean(),
-        "final_mean_ms": final_latency.mean(),
-        "final_p99_ms": final_latency.p99(),
-        "divergence_pct": divergence.divergence_percent(),
-        "prelim_accuracy_pct": 100.0 - divergence.divergence_percent(),
-        "degraded_ops": 0,
-        "failed_ops": failed,
+        **_merged_results(runners, duration_ms - warmup_ms - cooldown_ms),
         "coordinator_retries": sum(s.elections_started for s in cluster.servers),
         "client_retries": sum(c.retries for c in cluster.clients),
         "discarded_updates": 0,

@@ -152,8 +152,7 @@ class CassandraClient(Node):
         # sends, and an instance-attribute load avoids materializing a new
         # bound method per reply hop.
         self._fused_read_preliminary = self._fused_read_preliminary
-        self._fused_read_final = self._fused_read_final
-        self._fused_write_ack = self._fused_write_ack
+        self._fused_final = self._fused_final
         self._fused_error = self._fused_error
         self._fused_request_timeout = self._fused_request_timeout
 
@@ -396,8 +395,8 @@ class CassandraClient(Node):
         op.sink.deliver_preliminary(
             value, timestamp, self._clock._now - op.sent_at, replica)
 
-    def _fused_read_final(self, rec: FusedRead, is_confirmation: bool,
-                          matches_preliminary: bool) -> None:
+    def _fused_final(self, rec: Any, is_confirmation: bool = False,
+                     matches_preliminary: Optional[bool] = None) -> None:
         net = self.network
         if not self.alive:
             net.messages_dropped += 1
@@ -414,13 +413,18 @@ class CassandraClient(Node):
             timer.cancel()
             op.timer = None
             op.refs -= 1
-        version = rec.best
-        if is_confirmation:
-            # The storage elided the payload: the preliminary value is final.
-            value = op.prelim_value
+        if type(rec) is FusedWrite:
+            # A write's ack: a final without a value.
+            value = None
+            timestamp = rec.version.timestamp
         else:
-            value = version.value if version is not None else None
-        timestamp = version.timestamp if version is not None else None
+            version = rec.best
+            if is_confirmation:
+                # The storage elided the payload: the preliminary is final.
+                value = op.prelim_value
+            else:
+                value = version.value if version is not None else None
+            timestamp = version.timestamp if version is not None else None
         sink = op.sink
         sent_at = op.sent_at
         degraded = rec.degraded
@@ -435,37 +439,6 @@ class CassandraClient(Node):
         sink.deliver_final(
             value, timestamp, self._clock._now - sent_at,
             is_confirmation, degraded, matches_preliminary)
-
-    def _fused_write_ack(self, rec: FusedWrite) -> None:
-        net = self.network
-        if not self.alive:
-            net.messages_dropped += 1
-            rec.unref()
-            return
-        net.messages_delivered += 1
-        op = rec.op
-        if op.done:
-            rec.unref()
-            return
-        op.done = True
-        timer = op.timer
-        if timer is not None:
-            timer.cancel()
-            op.timer = None
-            op.refs -= 1
-        sink = op.sink
-        sent_at = op.sent_at
-        timestamp = rec.version.timestamp
-        degraded = rec.degraded
-        if op is rec:
-            refs = rec.refs = rec.refs - 2
-            if not refs:
-                rec.release()
-        else:
-            rec.unref()
-            op.unref()
-        sink.deliver_final(
-            None, timestamp, self._clock._now - sent_at, False, degraded)
 
     def _fused_error(self, rec: Any, error: str, retryable: bool) -> None:
         net = self.network

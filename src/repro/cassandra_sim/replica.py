@@ -546,7 +546,7 @@ class CassandraReplica(Node):
             size = self._resp_base + vbytes
         client = rec.client
         if self.network.fused_send_to(
-                self, client.name, size, client._fused_read_final,
+                self, client.name, size, client._fused_final,
                 (rec, use_confirmation, matches_preliminary)):
             rec.refs += 1
         if config.read_repair and newest is not None:
@@ -903,7 +903,7 @@ class CassandraReplica(Node):
         client = rec.client
         if self.network.fused_send_to(
                 self, client.name, _ACK_BYTES,
-                client._fused_write_ack, rec.args):
+                client._fused_final, rec.args):
             rec.refs += 1
 
     # -- read repair (the one request that is still a Message) -----------------

@@ -32,7 +32,6 @@ from repro.core.errors import (
 )
 from repro.core.operations import Operation, read, write, enqueue, dequeue, custom
 from repro.core.promise import Promise
-from repro.core.sink import Sink
 from repro.core.views import View
 from repro.core.correctable import Correctable, CorrectableState
 from repro.core.speculation import SpeculationStats
@@ -60,7 +59,6 @@ __all__ = [
     "dequeue",
     "custom",
     "Promise",
-    "Sink",
     "View",
     "Correctable",
     "CorrectableState",

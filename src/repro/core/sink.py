@@ -1,16 +1,12 @@
 """The one completion protocol, from the wire to whoever issued the operation.
 
-Every store completes every operation into a *sink*: an object the issuer
-hands over with the operation and the store calls positionally.  The
-Cassandra and ZooKeeper clients and the 2PC transaction manager all speak
-it; a :class:`~repro.core.correctable.Correctable`, the load runners'
-pooled records, the figure harnesses' recorders and each store's
-callback adapter are sinks.
-
-The contract is the paper's Correctable (Figure 3): any number of
-preliminary views first, then exactly one final view or one error, after
-which the sink hears nothing more.  A write has no preliminary; its ack is
-a final with ``value=None``.
+Every store (Cassandra, ZooKeeper, 2PC) completes every operation into a
+*sink* the issuer handed over, by positional calls: any number of
+preliminary views, then exactly one final view or one error.  A write has
+no preliminary; its ack is a final with ``value=None``.  A
+:class:`~repro.core.correctable.Correctable`, the load runners' records,
+the figure harnesses' recorders and each store's callback adapter are
+sinks.
 """
 
 from __future__ import annotations
@@ -21,34 +17,22 @@ from typing import Any, Optional, Protocol, Union
 class Sink(Protocol):
     """Where one operation's answers go.
 
-    The arguments every store passes:
-
-    * ``value`` — the result (``None`` for a write's ack or a missing key);
-    * ``stamp`` — the version the store attaches to it: Cassandra's
-      last-write-wins timestamp, a commit's timestamp; ``None`` where the
-      store has none (ZooKeeper) or nothing was found;
-    * ``latency_ms`` — simulated milliseconds since the operation was issued;
-    * ``source`` — who produced a preliminary (Cassandra's coordinator), or
-      ``None``;
-    * ``is_confirmation`` — the store elided the final payload because it
-      equals the preliminary's, whose value ``value`` then repeats;
-    * ``degraded`` — answered with less than the requested quorum;
-    * ``matches_preliminary`` — the store's own comparison of the final with
-      the preliminary it sent (``None`` when it makes none);
-    * ``error`` — why the operation failed: a message, or the exception an
-      application should see as is (2PC's ``TransactionError``).
+    ``stamp`` is the version the store attaches to ``value`` (Cassandra's
+    LWW timestamp, a commit's timestamp; ``None`` for ZooKeeper or when
+    nothing was found); ``latency_ms`` is simulated time since the issue;
+    ``source`` is who produced a preliminary.  ``is_confirmation``: the
+    store elided the final payload, which equals the preliminary's;
+    ``degraded``: answered below the requested quorum;
+    ``matches_preliminary``: the store's own comparison, if it makes one.
+    ``error`` is a message, or an exception to raise as is.
     """
 
     def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
-                            source: Optional[str] = None) -> None:
-        """A preliminary view; may come any number of times, never after
-        the final or the error."""
+                            source: Optional[str] = None) -> None: ...
 
     def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
                       is_confirmation: bool = False, degraded: bool = False,
-                      matches_preliminary: Optional[bool] = None) -> None:
-        """The final view: the operation succeeded."""
+                      matches_preliminary: Optional[bool] = None) -> None: ...
 
     def deliver_error(self, error: Union[str, BaseException],
-                      latency_ms: float) -> None:
-        """The operation failed (refused, or it ran out of retries)."""
+                      latency_ms: float) -> None: ...

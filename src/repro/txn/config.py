@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -68,15 +68,9 @@ class TxnConfig:
     value_size_bytes: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("decision_log_ms", "heartbeat_interval_ms",
-                     "coordinator_timeout_ms", "client_timeout_ms",
-                     "client_retries", "client_backoff_base_ms",
-                     "client_backoff_cap_ms", "client_backoff_jitter_ms",
-                     "breaker_reset_ms", "prepare_service_ms",
-                     "commit_service_ms", "coordinator_service_ms",
-                     "key_size_bytes", "value_size_bytes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for field in fields(self):
+            if getattr(self, field.name) < 0:
+                raise ValueError(f"{field.name} must be non-negative")
         # A zero redelivery or probe period reschedules itself at the same
         # instant for as long as a participant stays silent, so simulated
         # time never advances; a zero timeout or budget expires every

@@ -24,7 +24,7 @@ the same transaction id, and coordinators deduplicate by id.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence
 
 from repro.core.consistency import STRONG, ConsistencyLevel
@@ -86,7 +86,6 @@ class _PendingTxn:
     attempts: int = 0
     rotation_index: int = 0
     timeout_event: Optional[Any] = None
-    metadata: Dict[str, Any] = field(default_factory=dict)
 
 
 class TransactionManager(FailoverMixin, Node):

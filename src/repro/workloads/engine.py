@@ -4,12 +4,8 @@ Both load generators in :mod:`repro.workloads.runner` — the closed-loop
 runner the paper's experiments use and the open-loop runner the saturation
 experiments use — share everything except *when the next operation starts*:
 
-* one issue contract, ``issue(op_type, key, value, sink, session_id=None)``:
-  the function executes one operation against whatever stack is under test
-  and completes it into ``sink``, the runner's pooled per-operation record
-  (a sink of :mod:`repro.core.sink`, whatever the store); the open loop
-  passes the session it chose for the operation, the closed loop never
-  does;
+* one issue contract, ``issue(op_type, key, value, sink, session_id=None)``
+  (see :mod:`repro.workloads.runner`);
 * warm-up / cool-down windows excluded from measurement;
 * arming an optional fault script relative to the run's start time, so
   fault schedules compose identically with either loop shape;

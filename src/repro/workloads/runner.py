@@ -165,36 +165,26 @@ class _ClientThread:
         result.total_ops += 1
         if degraded:
             result.degraded_ops += 1
-        completed_at = runner.scheduler.clock._now
-        if self.icg:
+        icg = self.icg
+        if icg:
             self.icg = False
             had = self._had_prelim
-            diverged = (had and self._prelim_value != value
-                        and not is_confirmation)
+            prelim_value = self._prelim_value
             prelim_latency = self._prelim_latency
             self._had_prelim = False
-            self._prelim_value = None
-            self._prelim_latency = None
-            if runner._measure_start <= self._issued_at \
-                    and completed_at <= runner._measure_end:
-                result.measured_ops += 1
-                result.final_latency.record(latency_ms)
-                if self._op_type == "update":
-                    result.update_latency.record(latency_ms)
-                else:
-                    result.read_latency.record(latency_ms)
-                if prelim_latency is not None:
-                    result.preliminary_latency.record(prelim_latency)
-                result.divergence.record_outcome(diverged,
-                                                 had_preliminary=had)
-        elif runner._measure_start <= self._issued_at \
-                and completed_at <= runner._measure_end:
+            self._prelim_value = self._prelim_latency = None
+        if runner._measure_start <= self._issued_at \
+                and runner.scheduler.clock._now <= runner._measure_end:
             result.measured_ops += 1
             result.final_latency.record(latency_ms)
-            if self._op_type == "update":
-                result.update_latency.record(latency_ms)
-            else:
-                result.read_latency.record(latency_ms)
+            (result.update_latency if self._op_type == "update"
+             else result.read_latency).record(latency_ms)
+            if icg:
+                if prelim_latency is not None:
+                    result.preliminary_latency.record(prelim_latency)
+                result.divergence.record_outcome(
+                    had and prelim_value != value and not is_confirmation,
+                    had_preliminary=had)
         think = runner.think_time_ms
         if think > 0:
             runner.scheduler.schedule(think, self._issue_next)
@@ -202,27 +192,11 @@ class _ClientThread:
             self._issue_next()
 
     def deliver_error(self, error: Any, latency_ms: float) -> None:
-        runner = self.runner
-        result = runner.result
-        result.total_ops += 1
-        result.failed_ops += 1
-        self.icg = False
-        self._had_prelim = False
-        self._prelim_value = None
-        self._prelim_latency = None
-        if runner._measure_start <= self._issued_at \
-                and runner.scheduler.clock._now <= runner._measure_end:
-            result.measured_ops += 1
-            result.final_latency.record(latency_ms)
-            if self._op_type == "update":
-                result.update_latency.record(latency_ms)
-            else:
-                result.read_latency.record(latency_ms)
-        think = runner.think_time_ms
-        if think > 0:
-            runner.scheduler.schedule(think, self._issue_next)
-        else:
-            self._issue_next()
+        # A completion without a view: its response time only.
+        self.runner.result.failed_ops += 1
+        self.icg = self._had_prelim = False
+        self._prelim_value = self._prelim_latency = None
+        self.deliver_final(None, None, latency_ms)
 
 
 class ClosedLoopRunner(LoadEngine):
@@ -355,10 +329,8 @@ class _OpenOp:
             if queue_delay:
                 latency_ms += queue_delay
             result.final_latency.record(latency_ms)
-            if op_type == "update":
-                result.update_latency.record(latency_ms)
-            else:
-                result.read_latency.record(latency_ms)
+            (result.update_latency if op_type == "update"
+             else result.read_latency).record(latency_ms)
             if icg:
                 if prelim_latency is not None:
                     if queue_delay:
@@ -370,29 +342,10 @@ class _OpenOp:
         runner._refill()
 
     def deliver_error(self, error: Any, latency_ms: float) -> None:
-        runner = self.runner
-        issued_at = self.issued_at
-        arrived_at = self.arrived_at
-        op_type = self.op_type
-        self._recycle()
-        runner._in_flight -= 1
-        result = runner.result
-        result.total_ops += 1
-        result.failed_ops += 1
-        completed_at = runner.scheduler.clock._now
-        if runner._measure_start <= arrived_at \
-                and completed_at <= runner._measure_end:
-            queue_delay = issued_at - arrived_at
-            result.measured_ops += 1
-            result.admission.record_queue_delay(queue_delay)
-            if queue_delay:
-                latency_ms += queue_delay
-            result.final_latency.record(latency_ms)
-            if op_type == "update":
-                result.update_latency.record(latency_ms)
-            else:
-                result.read_latency.record(latency_ms)
-        runner._refill()
+        # A completion without a view: its response time only.
+        self.runner.result.failed_ops += 1
+        self.icg = False
+        self.deliver_final(None, None, latency_ms)
 
 
 class OpenLoopRunner(LoadEngine):

@@ -197,7 +197,7 @@ class TestClientRequestHandling:
         rec.refs += 2  # the two stray hops below
         env.run_until_idle()
         assert len(results) == 1 and len(preliminaries) == 1
-        client._fused_read_final(rec, False, False)
+        client._fused_final(rec, False, False)
         client._fused_read_preliminary(rec, cluster.replicas[0].name)
         assert len(results) == 1 and len(preliminaries) == 1
         assert client.late_preliminaries == 1

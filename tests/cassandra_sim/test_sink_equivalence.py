@@ -270,7 +270,7 @@ class TestCompletionOrders:
            (client._fused_read_preliminary, (op, first)))
         # A confirmation: the payload is elided, the timestamp is not.
         at(timeout_ms + 100.0, _send,
-           (client._fused_read_final, (op, True, True)))
+           (client._fused_final, (op, True, True)))
         at(timeout_ms + 150.0, _send,
            (client._fused_read_preliminary, (op, second)))
         env.run_until_idle()
