@@ -44,8 +44,10 @@ transactions that straddle the cut until it heals.
 
 from __future__ import annotations
 
+import random
 from typing import Any, Dict, Iterable, List, Sequence
 
+from repro.bench.common import DrainCheck
 from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.core.cluster_spec import ClusterSpec
 from repro.faults import FaultInjector, get_scenario
@@ -53,6 +55,8 @@ from repro.metrics.latency import nearest_rank_p99
 from repro.metrics.summary import format_table
 from repro.sim.rand import derive_rng
 from repro.txn import TxnConfig, build_txn_fabric, txn_aliases
+from repro.workloads.arrivals import make_arrival_process
+from repro.workloads.runner import OpenLoopRunner
 
 #: Default fault grid ("baseline" = no faults, for reference).
 DEFAULT_SCENARIOS = ("baseline", "coordinator-crash-mid-commit",
@@ -60,6 +64,23 @@ DEFAULT_SCENARIOS = ("baseline", "coordinator-crash-mid-commit",
 #: Keys per transaction (also the lock-conflict dial: more keys per
 #: transaction over the same hot key range means more conflicts).
 DEFAULT_TXN_SIZES = (1, 3)
+
+
+class _TxnGenerator:
+    """The cell's one session: each transaction writes ``keys_per_txn``
+    distinct dataset keys, keys and values drawn from ``rng``."""
+
+    def __init__(self, rng: random.Random, keys: Sequence[str],
+                 keys_per_txn: int) -> None:
+        self.rng = rng
+        self.keys = keys
+        self.keys_per_txn = keys_per_txn
+
+    def next_operation(self):
+        rng, keys = self.rng, self.keys
+        chosen = sorted(rng.sample(range(len(keys)), self.keys_per_txn))
+        return "update", None, {keys[i]: f"txn-val-{rng.randrange(1 << 30)}"
+                                for i in chosen}
 
 
 def run_fig16_point(point: SweepPoint) -> Dict:
@@ -79,6 +100,7 @@ def run_fig16_cell(**kwargs: Any):
     seed = kwargs["seed"]
     label = f"fig16-{scenario_name}-k{keys_per_txn}"
 
+    drain = DrainCheck(label)
     config = TxnConfig(decision_log_ms=kwargs["decision_log_ms"])
     built = ClusterSpec(nodes=kwargs["nodes"], seed=seed,
                         record_count=kwargs["record_count"],
@@ -96,32 +118,31 @@ def run_fig16_cell(**kwargs: Any):
         description = scenario.description
         injector = FaultInjector(built.env, schedule=scenario,
                                  aliases=txn_aliases(fabric))
-        injector.arm(offset_ms=0.0)
 
-    # Open-loop transaction arrivals at a fixed rate; each transaction
-    # writes `keys_per_txn` distinct keys drawn from the dataset's hot
-    # range.  Key choice and values come from a label-derived stream, so
-    # the schedule is a pure function of the cell's kwargs.
-    rng = derive_rng(seed, f"{label}:txns")
-    interval_ms = 1000.0 / kwargs["rate_txn_s"]
-    submissions = int(kwargs["duration_ms"] / interval_ms)
-    keys = built.dataset.keys()
+    # Open-loop transaction arrivals at a fixed rate, all from one session,
+    # so its label-derived stream draws every transaction's keys and values
+    # in arrival order: the schedule is a pure function of the cell's
+    # kwargs.  Each transaction completes into the runner's record.
+    def issue(op_type: str, key: Any, writes: Dict[str, str], sink: Any,
+              session_id: int) -> None:
+        manager.execute_sink(writes, sink)
 
-    def _submit() -> None:
-        chosen = sorted(rng.sample(range(len(keys)), keys_per_txn))
-        writes = {keys[i]: f"txn-val-{rng.randrange(1 << 30)}"
-                  for i in chosen}
-        manager.execute(writes)
-
-    for i in range(submissions):
-        built.env.scheduler.schedule_at(i * interval_ms, _submit)
-
+    runner = OpenLoopRunner(
+        scheduler=built.env.scheduler, issue=issue,
+        make_generator=lambda session_id: _TxnGenerator(
+            derive_rng(seed, f"{label}:txns"), built.dataset.keys(),
+            keys_per_txn),
+        arrivals=make_arrival_process("uniform", kwargs["rate_txn_s"], None),
+        sessions=1, duration_ms=kwargs["duration_ms"], warmup_ms=0.0,
+        cooldown_ms=0.0, label=label, faults=injector)
+    runner.start()
     # Run past the fault window, the heal, and every transaction deadline,
     # so the audit inspects a settled fabric (decision redelivery included).
     horizon = (kwargs["duration_ms"]
                + kwargs["fault_at_ms"] + kwargs["fault_duration_ms"]
                + config.txn_deadline_ms + 30_000.0)
     built.env.run(until=horizon)
+    drain.verify()
 
     stats = manager.stats
     committed = len(manager.acked_commits)
