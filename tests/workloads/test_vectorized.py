@@ -9,6 +9,7 @@ consumer of the seam.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -111,6 +112,56 @@ class TestArrivalAndValueStreams:
         reference = random.Random(6)
         values = [dataset.random_value() for _ in range(40)]
         assert values == [make_value(reference, 24) for _ in range(40)]
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestDrawOracle:
+    """Bulk draws against per-draw ``random.Random`` calls and against
+    digests recorded from them: a chunking or table bug changes a value
+    here before it changes a figure."""
+
+    @pytest.mark.parametrize("size", [100, 24])
+    def test_initial_values_match_per_draw_choice(self, size):
+        count = 2_000
+        rng = random.Random(records._INITIAL_VALUE_SEED)
+        stream = "".join([rng.choice(records._PRINTABLE)
+                          for _ in range(count * size)])
+        dataset = Dataset(count, value_size_bytes=size)
+        assert [dataset.initial_value(i) for i in range(count)] == \
+            [stream[i * size:(i + 1) * size] for i in range(count)]
+
+    def test_initial_items_digest(self):
+        # The record count ``ring-join-400k --quick`` preloads.
+        items = Dataset(100_000).initial_items()
+        assert _sha256(f"{key} {value}" for key, value in items.items()) == \
+            "9229343b19b15fab21c93e33d5863e71840e901cb0c114a3f1debe98f6c6376d"
+
+    def test_random_value_digest(self):
+        dataset = Dataset(1_000, seed=11)
+        assert _sha256(dataset.random_value() for _ in range(1_000)) == \
+            "73e49bcf817d26ad473fa61b9f2d0f1b711c49d1add134d14af753d061e06e8e"
+
+    @pytest.mark.parametrize("shared, digest", [
+        (True,
+         "c7b0824121c4441e6c6d29c335f24c3df33d3ee24129046efb49c118528e243c"),
+        (False,
+         "81dfb4d1591c0fc66dd0e16b3b35f5d6087741aab8cfb661ba466dcc1c712aff"),
+    ], ids=["shared-zipfian", "seeded-uniform"])
+    def test_prefilled_ops_digest(self, shared, digest):
+        """Packed ops of one ``prefill(4096)``: doubles only (one shared
+        rng), and bounded words for the keys plus doubles for the mix."""
+        if shared:
+            generator = OperationGenerator(workload_by_name("A"),
+                                           Dataset(1_000), random.Random(5))
+        else:
+            generator = OperationGenerator.seeded(
+                workload_by_name("B").with_distribution("uniform"),
+                Dataset(1_000), 5, "oracle")
+        assert generator.prefill(4096) == 4096
+        assert _sha256(map(str, generator._buf)) == digest
 
 
 class TestBackends:
