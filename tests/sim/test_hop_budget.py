@@ -1,18 +1,24 @@
-"""What a hop executes, in exact counts.
+"""What a hop, and a whole workload, executes, in exact counts.
 
 Executed bytecodes — ``sys.settrace`` with ``f_trace_opcodes``, so the
 figures repeat exactly — of the three primitives every protocol hop goes
 through: ``Network.fused_send_to`` (unimpaired link, one ``heappush``),
 ``Node._enqueue`` (the service charge and one ``heappush``) and the
-``Scheduler.run`` drain (per event).
+``Scheduler.run`` drain (per event); and of every ``src/`` frame per
+completed operation over one round of each perfbench workload.
 Bytecode counts differ between CPython minor versions, so the budgets are
 keyed by version and only the running interpreter's row is checked.
 """
 
+import importlib.util
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.sim.environment import SimEnvironment
 from repro.sim.network import Network
 from repro.sim.node import Node
@@ -30,9 +36,28 @@ _BUDGETS = {
 }
 _HOPS = 200
 
+#: version -> perfbench workload -> (scale, executed bytecodes in ``src/``
+#: frames per completed operation, measured on the parent of the change
+#: that added the row).  One round at ``_WORKLOAD_SEED``, start -> serve ->
+#: drain, in a fresh process (the record pools and the zeta cache are
+#: process-wide, so what ran before would change the count); set-up is not
+#: counted.  The budget is the count plus ``_WORKLOAD_ROOM``: a +2 % change
+#: fails.
+_WORKLOAD_BUDGETS = {
+    (3, 11): {"cass-closed-a": (0.05, 2317.75),
+              "cass-open-faults-b": (0.1, 3381.69),
+              "zk-tickets": (0.1, 4421.30),
+              "ring-join-400k": (0.1, 4759.72)},
+}
+_WORKLOAD_ROOM = 1.01
+_WORKLOAD_SEED = 7
+_PERFBENCH_WORKLOADS = (Path(__file__).resolve().parents[2]
+                        / "perfbench" / "workloads.py")
 
-def _bytecodes_in(code, run):
-    """Bytecodes executed in frames of ``code`` while ``run()`` runs."""
+
+def _bytecodes_in(counted, run):
+    """Bytecodes executed in frames whose code ``counted(code)`` accepts
+    while ``run()`` runs."""
     executed = 0
 
     def on_opcode(frame, event, arg):
@@ -42,7 +67,7 @@ def _bytecodes_in(code, run):
         return on_opcode
 
     def on_call(frame, event, arg):
-        if frame.f_code is not code:
+        if not counted(frame.f_code):
             return None
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
@@ -86,7 +111,8 @@ def test_fused_send_to(budgets, hop):
         for _ in range(_HOPS):
             assert send(src, "dst", 100, list, ())
 
-    per_call = _bytecodes_in(Network.fused_send_to.__code__, run) / _HOPS
+    code = Network.fused_send_to.__code__
+    per_call = _bytecodes_in(lambda c: c is code, run) / _HOPS
     budget, parent = budgets["fused_send_to"]
     assert per_call <= budget < parent
     assert env.network.link_stats("src", "dst").messages == _HOPS + 1
@@ -101,7 +127,8 @@ def test_enqueue(budgets, hop):
             dst._enqueue(1.5, list, ())
             env.run(until=env.now() + 5.0)
 
-    per_call = _bytecodes_in(Node._enqueue.__code__, run) / _HOPS
+    code = Node._enqueue.__code__
+    per_call = _bytecodes_in(lambda c: c is code, run) / _HOPS
     budget, parent = budgets["_enqueue"]
     assert per_call <= budget < parent
 
@@ -113,8 +140,56 @@ def test_drain_per_event(budgets):
     events = 4000
     for i in range(events):
         scheduler.schedule_call(i * 0.025, list)
-    per_event = _bytecodes_in(Scheduler.run.__code__,
-                              scheduler.run) / events
+    code = Scheduler.run.__code__
+    per_event = _bytecodes_in(lambda c: c is code, scheduler.run) / events
     budget, parent = budgets["drain"]
     assert scheduler.events_executed == events
     assert per_event <= budget < parent
+
+
+def _workload_bytecodes_per_op(name, scale):
+    """One perfbench round of ``name``: bytecodes executed in ``src/``
+    frames from the first issue through the drain, per completed op."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  _PERFBENCH_WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    workload = module.WORKLOADS[name](_WORKLOAD_SEED, scale)
+    workload.build()
+    workload.install(workload.make_items())
+    workload.prepare()
+    src = os.path.dirname(repro.__file__) + os.sep
+
+    def serve():
+        workload.start()
+        env = workload.env
+        while not workload.finished():
+            env.run(until=env.now() + workload.slice_ms)
+        workload.drain()
+
+    executed = _bytecodes_in(lambda code: code.co_filename.startswith(src),
+                             serve)
+    return executed / workload.completed()
+
+
+@pytest.mark.parametrize("workload", ["cass-closed-a", "cass-open-faults-b",
+                                      "zk-tickets", "ring-join-400k"])
+def test_workload_bytecodes_per_op(workload):
+    row = _WORKLOAD_BUDGETS.get(sys.version_info[:2])
+    if row is None:
+        pytest.skip("no workload bytecode budgets recorded for CPython "
+                    "%d.%d; measure and add a row to _WORKLOAD_BUDGETS"
+                    % sys.version_info[:2])
+    scale, measured = row[workload]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, __file__, workload, repr(scale)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    per_op = float(done.stdout)
+    assert per_op <= measured * _WORKLOAD_ROOM, \
+        f"{workload}: {per_op:.2f} bytecodes/op against {measured:.2f}"
+
+
+if __name__ == "__main__":
+    print(repr(_workload_bytecodes_per_op(sys.argv[1], float(sys.argv[2]))))
