@@ -116,6 +116,10 @@ class ClusterSpec:
                 f"cluster size {self.nodes}")
         if self.vnodes_per_node is not None and self.vnodes_per_node <= 0:
             raise ValueError("vnodes_per_node must be positive")
+        if self.record_count <= 0:
+            raise ValueError("record_count must be positive")
+        if self.value_size_bytes <= 0:
+            raise ValueError("value_size_bytes must be positive")
 
     # -- derived layout -------------------------------------------------------
     def node_regions(self) -> Tuple[str, ...]:

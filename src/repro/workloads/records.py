@@ -75,6 +75,8 @@ class Dataset:
                  key_prefix: str = "user", seed: int = 0) -> None:
         if record_count <= 0:
             raise ValueError("record_count must be positive")
+        if value_size_bytes <= 0:
+            raise ValueError("value size must be positive")
         self.record_count = record_count
         self.value_size_bytes = value_size_bytes
         self.key_prefix = key_prefix
@@ -118,6 +120,8 @@ class Dataset:
         of ``record_count``, and generated in vectorized chunks so
         million-key preloads are not bounded by value generation.
         """
+        if not 0 <= index < self.record_count:
+            raise IndexError(f"record index out of range: {index}")
         values = self._initial_values
         if index >= len(values):
             self._fill_initial_values(index + 1)
@@ -125,8 +129,6 @@ class Dataset:
 
     def _fill_initial_values(self, count: int) -> None:
         size = self.value_size_bytes
-        if size <= 0:
-            raise ValueError("value size must be positive")
         stream = self._initial_stream
         if stream is None:
             stream = self._initial_stream = fastrand.make_stream(
@@ -163,8 +165,6 @@ class Dataset:
 
     def _next_value_chunk(self) -> str:
         size = self.value_size_bytes
-        if size <= 0:
-            raise ValueError("value size must be positive")
         stream = self._value_stream
         if stream is None:
             stream = self._value_stream = fastrand.make_stream(self._rng)

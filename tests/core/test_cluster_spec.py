@@ -42,6 +42,15 @@ class TestSpecLayout:
         with pytest.raises(ValueError):
             ClusterSpec(regions=())
 
+    @pytest.mark.parametrize("field, value", [
+        ("record_count", 0), ("record_count", -3),
+        ("value_size_bytes", 0), ("value_size_bytes", -1),
+    ])
+    def test_dataset_shape_rejected_at_construction(self, field, value):
+        """Not at the first update of a run built without a preload."""
+        with pytest.raises(ValueError):
+            ClusterSpec(preload=False, **{field: value})
+
 
 class TestEffectiveConfig:
     def test_caller_config_identity_preserved_without_overrides(self):

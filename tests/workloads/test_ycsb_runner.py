@@ -34,6 +34,20 @@ class TestDataset:
         with pytest.raises(IndexError):
             Dataset(record_count=5).key(5)
 
+    @pytest.mark.parametrize("index", [3, 7, -1])
+    def test_out_of_range_initial_value_rejected(self, index):
+        """Like ``key``: a record that does not exist has no value, however
+        much of the initial-value stream has been generated already."""
+        dataset = Dataset(record_count=3, value_size_bytes=4)
+        dataset.initial_items()
+        with pytest.raises(IndexError):
+            dataset.initial_value(index)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_value_size_rejected_at_construction(self, size):
+        with pytest.raises(ValueError):
+            Dataset(record_count=5, value_size_bytes=size)
+
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
             Dataset(record_count=0)
