@@ -30,15 +30,19 @@ import argparse
 import sys
 from typing import Callable, Dict, Optional, Sequence
 
+from repro.bench.fig05_single_latency import format_fig05, run_fig05
+from repro.bench.fig06_load import format_fig06, run_fig06
+from repro.bench.fig07_divergence import format_fig07, run_fig07
+from repro.bench.fig08_bandwidth import format_fig08, run_fig08
+from repro.bench.fig09_zk_latency import format_fig09, run_fig09
+from repro.bench.fig10_zk_bandwidth import format_fig10, run_fig10
+from repro.bench.fig11_apps import format_fig11, run_fig11
+from repro.bench.fig12_tickets import format_fig12, run_fig12
+from repro.bench.fig13_faults import format_fig13, run_fig13_all
+from repro.bench.fig14_open_loop import format_fig14, run_fig14
+from repro.bench.fig15_rebalance import format_fig15, run_fig15
+from repro.bench.fig16_txn import format_fig16, run_fig16
 from repro.bench.sweep import JobsSpec, resolve_jobs
-
-from repro.bench import (
-    format_fig05, format_fig06, format_fig07, format_fig08, format_fig09,
-    format_fig10, format_fig11, format_fig12, format_fig13, format_fig14,
-    format_fig15, format_fig16,
-    run_fig05, run_fig06, run_fig07, run_fig08, run_fig09, run_fig10,
-    run_fig11, run_fig12, run_fig13_all, run_fig14, run_fig15, run_fig16,
-)
 
 #: figure name -> (runner, formatter, full-scale kwargs, quick kwargs).
 _FIGURES: Dict[str, tuple] = {

@@ -80,7 +80,6 @@ class PoissonArrivals(ArrivalProcess):
         self._pos = 0
         self._chunk = _CHUNK_MIN
         self._draws = 0
-        self._stream = None
 
     def next_gap_ms(self) -> float:
         pos = self._pos
@@ -88,29 +87,27 @@ class PoissonArrivals(ArrivalProcess):
         if pos < len(buf):
             self._pos = pos + 1
             return buf[pos]
-        if self._stream is None:
-            if self._draws < _AUTO_CHUNK_AFTER:
-                self._draws += 1
-                return self._rng.expovariate(self._rate_per_ms)
-            self._stream = fastrand.make_stream(self._rng)
+        if self._draws < _AUTO_CHUNK_AFTER:
+            self._draws += 1
+            return self._rng.expovariate(self._rate_per_ms)
         self._buf = buf = fastrand.exponential_gaps(
-            self._stream, self._chunk, self._rate_per_ms)
+            self._rng, self._chunk, self._rate_per_ms)
         if self._chunk < _CHUNK_MAX:
             self._chunk *= 2
         self._pos = 1
         return buf[0]
 
     def prefill(self, n: int) -> int:
-        """Precompute the next ``n`` gaps (open-loop runners batch these)."""
-        if self._stream is None:
-            self._stream = fastrand.make_stream(self._rng)
+        """Precompute the next ``n`` gaps (open-loop runners batch these);
+        the buffer refills in chunks from then on."""
+        self._draws = _AUTO_CHUNK_AFTER
         if self._pos:
             self._buf = self._buf[self._pos:]
             self._pos = 0
         need = n - len(self._buf)
         if need > 0:
             self._buf.extend(fastrand.exponential_gaps(
-                self._stream, need, self._rate_per_ms))
+                self._rng, need, self._rate_per_ms))
         return len(self._buf)
 
 

@@ -25,6 +25,8 @@ import math
 import random
 from typing import Optional
 
+from repro.workloads import fastrand
+
 
 class UniformKeyChooser:
     """Uniformly random record indices in ``[0, record_count)``."""
@@ -42,15 +44,15 @@ class UniformKeyChooser:
     def next_index(self) -> int:
         return self._rng.randrange(self.record_count)
 
-    def indices_from_stream(self, stream, n: int) -> list:
-        """``n`` indices drawn exactly like ``next_index`` from ``stream``.
+    def next_indices(self, n: int) -> list:
+        """The next ``n`` indices, exactly as ``n`` calls of ``next_index``.
 
         ``Random.randrange(upper)`` draws ``upper.bit_length()`` bits and
-        rejects values >= upper; the stream reproduces that word pattern.
+        rejects values >= upper; :func:`~repro.workloads.fastrand.accepted`
+        is that loop in bulk.
         """
-        acc = stream.accepted(n, self.record_count.bit_length(),
-                              self.record_count)
-        return acc.tolist() if hasattr(acc, "tolist") else list(acc)
+        return fastrand.accepted(self._rng, n, self.record_count.bit_length(),
+                                 self.record_count)
 
     def notify_insert(self, index: int) -> None:  # pragma: no cover - no-op
         """Uniform choice does not depend on recency."""
@@ -112,8 +114,8 @@ class ZipfianKeyChooser:
     def indices_from_doubles(self, us) -> list:
         """Map uniform draws to indices exactly as ``next_index`` does.
 
-        The transform stays scalar Python on purpose: numpy's SIMD ``pow``
-        differs from libm by 1 ulp on some inputs, which could flip a
+        The transform stays scalar Python on purpose: a vectorized ``pow``
+        may differ from libm by 1 ulp on some inputs, which could flip a
         truncated index and desync seeded experiments (see
         :mod:`repro.workloads.fastrand`).
         """

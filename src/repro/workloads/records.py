@@ -29,15 +29,17 @@ _KEY_CACHE_MAX = 1 << 18
 #: pure function of the record index: value ``i`` is characters
 #: ``[i * size, (i + 1) * size)`` of one deterministic printable stream, so
 #: ``initial_value(i)`` agrees across dataset sizes and chunking — like the
-#: per-record generator scheme it replaces — but the draws vectorize in
-#: bulk instead of seeding a fresh Mersenne Twister per record (which
+#: per-record generator scheme it replaces — but the characters are drawn
+#: in bulk instead of seeding a fresh Mersenne Twister per record (which
 #: dominated million-key preload wall time).
 _INITIAL_VALUE_SEED = 0x1CC2_05D1
 
-#: Records per vectorized initial-value chunk.  The draw's uint64
-#: temporaries are many times the size of the characters produced, so the
-#: chunk — not the dataset — sets the transient: at 65,536 values of 100
-#: characters it was ~250 MB, above the loaded 400k-key ring itself.
+#: Records per initial-value chunk.  A chunk's draw holds about 7 bytes per
+#: character while it runs (the ``randbytes`` integer and bytes, then the
+#: sliced bytes and the string), so the chunk — not the dataset — sets the
+#: transient: 2.8 MB at 4,096 values of 100 characters, against ~270 MB
+#: for a 400k-key dataset in one draw.  Chunks of 16,384 values and more
+#: also cost 18.5 ns per character instead of 14.3 (they leave the cache).
 _INITIAL_CHUNK = 1 << 12
 
 
@@ -81,12 +83,11 @@ class Dataset:
         self.value_size_bytes = value_size_bytes
         self.key_prefix = key_prefix
         self._rng = random.Random(seed)
-        self._value_stream: Optional[fastrand.Stream] = None
         self._value_buf: List[str] = []
         self._value_pos = 0
         self._value_chunk = 16
         self._key_cache: Optional[List[str]] = None
-        self._initial_stream: Optional[fastrand.Stream] = None
+        self._initial_rng: Optional[random.Random] = None
         self._initial_values: List[str] = []
 
     def key(self, index: int) -> str:
@@ -117,8 +118,8 @@ class Dataset:
 
         Values are sliced from the shared index-ordered character stream
         (see ``_INITIAL_VALUE_SEED``): independent of the dataset seed and
-        of ``record_count``, and generated in vectorized chunks so
-        million-key preloads are not bounded by value generation.
+        of ``record_count``, and generated in bulk chunks so million-key
+        preloads are not bounded by value generation.
         """
         if not 0 <= index < self.record_count:
             raise IndexError(f"record index out of range: {index}")
@@ -129,15 +130,14 @@ class Dataset:
 
     def _fill_initial_values(self, count: int) -> None:
         size = self.value_size_bytes
-        stream = self._initial_stream
-        if stream is None:
-            stream = self._initial_stream = fastrand.make_stream(
-                random.Random(_INITIAL_VALUE_SEED))
+        rng = self._initial_rng
+        if rng is None:
+            rng = self._initial_rng = random.Random(_INITIAL_VALUE_SEED)
         values = self._initial_values
         while len(values) < count:
             n = min(max(count - len(values), _VALUE_CHUNK_MAX),
                     _INITIAL_CHUNK)
-            blob = stream.chars(n * size, _PRINTABLE)
+            blob = fastrand.chars(rng, n * size, _PRINTABLE)
             values.extend([blob[i:i + size]
                            for i in range(0, n * size, size)])
 
@@ -151,10 +151,10 @@ class Dataset:
     def random_value(self) -> str:
         """A fresh value for an update operation.
 
-        Values come from a chunked :mod:`repro.workloads.fastrand` stream
-        that reproduces the per-draw ``make_value`` sequence bit-for-bit
-        (same strings in the same order for a given seed); only the chunked
-        lookahead on the private value rng is new.
+        Values are drawn in chunks by :func:`repro.workloads.fastrand.chars`,
+        which reproduces the per-draw ``make_value`` sequence bit-for-bit
+        (same strings in the same order for a given seed) and leaves the
+        private value rng where ``make_value`` calls would.
         """
         pos = self._value_pos
         buf = self._value_buf
@@ -165,13 +165,10 @@ class Dataset:
 
     def _next_value_chunk(self) -> str:
         size = self.value_size_bytes
-        stream = self._value_stream
-        if stream is None:
-            stream = self._value_stream = fastrand.make_stream(self._rng)
         count = self._value_chunk
         if count < _VALUE_CHUNK_MAX:
             self._value_chunk = count * 2
-        blob = stream.chars(count * size, _PRINTABLE)
+        blob = fastrand.chars(self._rng, count * size, _PRINTABLE)
         self._value_buf = buf = [blob[i:i + size]
                                  for i in range(0, count * size, size)]
         self._value_pos = 1

@@ -18,8 +18,9 @@ from repro.workloads.distributions import make_key_chooser
 from repro.workloads.records import Dataset
 
 #: Per-draw operations before a generator auto-engages chunked prefill.
-#: Short-lived generators (open-loop sessions issue tens of ops) never pay
-#: the stream-setup cost; closed-loop threads cross this within the warmup.
+#: Short-lived generators (open-loop sessions issue tens of ops) never
+#: draw a chunk they would mostly not use; closed-loop threads cross this
+#: within the warmup.
 _AUTO_CHUNK_AFTER = 192
 #: Prefill chunks ramp between these bounds as a generator keeps drawing.
 _CHUNK_MIN = 256
@@ -120,8 +121,8 @@ class OperationGenerator:
         self._buf_pos = 0
         self._chunk = _CHUNK_MIN
         self._plain_draws = 0
-        #: None = undecided, False = per-draw only, else (key, mix) streams.
-        self._streams = None
+        #: None = undecided, False = per-draw only, True = chunked prefill.
+        self._chunked: Optional[bool] = None
         self._keys: Optional[list] = None
 
     @classmethod
@@ -143,9 +144,9 @@ class OperationGenerator:
         Draws pop from a chunked buffer precomputed through the
         :mod:`repro.workloads.fastrand` determinism seam whenever the
         chooser supports it — the op stream (types, keys, values, counters)
-        is bit-identical to the per-draw path, only amortized.  Values are
-        resolved at pop time so the dataset's shared value stream keeps its
-        global order across generators.
+        and the rngs' states are bit-identical to the per-draw path, only
+        amortized.  Values are resolved at pop time so the dataset's shared
+        value stream keeps its global order across generators.
         """
         pos = self._buf_pos
         buf = self._buf
@@ -160,10 +161,10 @@ class OperationGenerator:
                 return "update", key, self.dataset.random_value()
             self.reads_generated += 1
             return "read", key, None
-        streams = self._streams
-        if streams is None and self._plain_draws >= _AUTO_CHUNK_AFTER:
-            streams = self._setup_streams()
-        if streams:
+        chunked = self._chunked
+        if chunked is None and self._plain_draws >= _AUTO_CHUNK_AFTER:
+            chunked = self._setup_chunking()
+        if chunked:
             self._buf = buf = self._generate(self._chunk)
             if self._chunk < _CHUNK_MAX:
                 self._chunk *= 2
@@ -194,12 +195,13 @@ class OperationGenerator:
         """Precompute the next ``n`` operations into the chunk buffer.
 
         Returns how many operations are buffered afterwards; 0 means the
-        chooser cannot be vectorized (stateful distribution or an overridden
-        rng) and draws stay per-op — still bit-identical, just not batched.
+        chooser cannot be precomputed (a stateful distribution, or key
+        draws of varying length sharing the mix rng) and draws stay per-op
+        — still bit-identical, just not batched.
         """
-        if self._streams is None:
-            self._setup_streams()
-        if not self._streams:
+        if self._chunked is None:
+            self._setup_chunking()
+        if not self._chunked:
             return 0
         if self._buf_pos:
             self._buf = self._buf[self._buf_pos:]
@@ -209,43 +211,35 @@ class OperationGenerator:
             self._buf.extend(self._generate(need))
         return len(self._buf)
 
-    def _setup_streams(self):
-        """Decide (once) whether draws can flow through chunked streams."""
-        chooser = self._chooser
-        kind = getattr(chooser, "vector_kind", None)
-        shared = self._key_rng is self._rng
-        if kind is None or (shared and kind != "doubles"):
-            # Stateful chooser, or a shared rng whose key draws consume a
-            # data-dependent number of MT words (interleaving with the mix
-            # draws can then not be precomputed).
-            self._streams = False
-            return False
-        if shared:
-            stream = fastrand.make_stream(self._rng)
-            self._streams = (stream, stream)
-        else:
-            self._streams = (fastrand.make_stream(self._key_rng),
-                             fastrand.make_stream(self._rng))
-        self._keys = self.dataset.cached_keys()
-        return self._streams
+    def _setup_chunking(self) -> bool:
+        """Decide (once) whether draws can be precomputed in chunks."""
+        kind = getattr(self._chooser, "vector_kind", None)
+        # Not for a stateful chooser, nor for key draws that consume a
+        # data-dependent number of MT words from the rng the mix draws
+        # share (their interleaving can then not be precomputed).
+        chunked = self._chunked = kind is not None and (
+            kind == "doubles" or self._key_rng is not self._rng)
+        if chunked:
+            self._keys = self.dataset.cached_keys()
+        return chunked
 
     def _generate(self, n: int) -> list:
-        """``n`` packed ops, consuming the streams exactly like per-draw."""
-        key_stream, mix_stream = self._streams
+        """``n`` packed ops, drawn exactly like ``n`` per-draw ops."""
         chooser = self._chooser
         read_proportion = self.spec.read_proportion
-        if key_stream is mix_stream:
+        if self._key_rng is self._rng:
             # Shared rng: per op the historical path draws one double for
             # the key, then one for the mix — deinterleave a single block.
-            block = key_stream.doubles(2 * n)
+            block = fastrand.doubles(self._rng, 2 * n)
             indexes = chooser.indices_from_doubles(block[0::2])
             mix = block[1::2]
         else:
             if chooser.vector_kind == "doubles":
-                indexes = chooser.indices_from_doubles(key_stream.doubles(n))
+                indexes = chooser.indices_from_doubles(
+                    fastrand.doubles(self._key_rng, n))
             else:
-                indexes = chooser.indices_from_stream(key_stream, n)
-            mix = mix_stream.doubles(n)
+                indexes = chooser.next_indices(n)
+            mix = fastrand.doubles(self._rng, n)
         if read_proportion >= 1.0:
             # Read-only mix (workload C): every double is < 1.0, so the
             # update bit is always clear — the mix draws above are still
@@ -253,11 +247,3 @@ class OperationGenerator:
             return [index << 1 for index in indexes]
         return [(index << 1) | (u >= read_proportion)
                 for index, u in zip(indexes, mix)]
-
-    def sync_streams(self) -> None:
-        """Write stream state back into the source rngs (tests/debug)."""
-        if self._streams:
-            key_stream, mix_stream = self._streams
-            key_stream.sync()
-            if mix_stream is not key_stream:
-                mix_stream.sync()

@@ -1,23 +1,20 @@
-"""Array-backend vs per-draw equality for the vectorized generators.
+"""Chunked vs per-draw equality for the generators built on bulk draws.
 
 The determinism seam (:mod:`repro.workloads.fastrand`) promises that chunked
 generation reproduces the historical per-draw ``random.Random`` sequences
 bit for bit — same operations, same keys, same values, same gaps, and the
 same generator state afterwards.  These tests pin that contract on every
-consumer of the seam.
+consumer of the seam; ``test_fastrand.py`` pins the functions themselves.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-from repro.workloads import fastrand, records
+from repro.workloads import records
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.records import Dataset, make_value
 from repro.workloads.ycsb import OperationGenerator, workload_by_name
@@ -26,12 +23,12 @@ from repro.workloads.ycsb import OperationGenerator, workload_by_name
 def _per_draw_generator(spec, dataset, rng) -> OperationGenerator:
     """A generator pinned to the historical per-draw path.
 
-    ``_streams = False`` is the generator's own "per-draw only" sentinel
-    (the state it reaches when a chooser cannot be vectorized), so the
+    ``_chunked = False`` is the generator's own "per-draw only" sentinel
+    (the state it reaches when a chooser cannot be precomputed), so the
     reference consumes the rng exactly as the pre-seam code did.
     """
     generator = OperationGenerator(spec, dataset, rng)
-    generator._streams = False
+    generator._chunked = False
     return generator
 
 
@@ -54,9 +51,8 @@ class TestOperationStreamEquality:
         assert ops_vec == ops_ref
         assert (vec.reads_generated, vec.updates_generated) == \
             (ref.reads_generated, ref.updates_generated)
-        # After syncing the stream back, the source rng has consumed
-        # exactly the same Mersenne Twister words as the per-draw path.
-        vec.sync_streams()
+        # The rng has consumed exactly the same Mersenne Twister words as
+        # the per-draw path.
         assert vec._rng.getstate() == ref._rng.getstate()
 
     @pytest.mark.parametrize("distribution", ["zipfian", "uniform"])
@@ -67,10 +63,12 @@ class TestOperationStreamEquality:
                                         "vec-test")
         ref = OperationGenerator.seeded(spec, Dataset(250, seed=1), 42,
                                         "vec-test")
-        ref._streams = False
+        ref._chunked = False
         assert vec.prefill(200) >= 200
         assert [vec.next_operation() for _ in range(200)] == \
             [ref.next_operation() for _ in range(200)]
+        assert vec._key_rng.getstate() == ref._key_rng.getstate()
+        assert vec._rng.getstate() == ref._rng.getstate()
 
     def test_auto_chunk_engagement_is_seamless(self):
         """Crossing the auto-chunk threshold must not perturb the stream."""
@@ -100,6 +98,7 @@ class TestArrivalAndValueStreams:
         arrivals.prefill(400)
         gaps = [arrivals.next_gap_ms() for _ in range(400)]
         assert gaps == [reference.expovariate(0.2) for _ in range(400)]
+        assert arrivals._rng.getstate() == reference.getstate()
 
     def test_poisson_auto_chunk_matches_expovariate(self):
         arrivals = PoissonArrivals(150.0, random.Random(8))
@@ -164,38 +163,6 @@ class TestDrawOracle:
         assert _sha256(map(str, generator._buf)) == digest
 
 
-class TestBackends:
-    def test_pure_stream_reproduces_random(self):
-        stream = fastrand.make_stream(random.Random(17), backend="array")
-        reference = random.Random(17)
-        assert list(stream.doubles(257)) == \
-            [reference.random() for _ in range(257)]
-
-    @pytest.mark.skipif(not fastrand.HAVE_NUMPY,
-                        reason="numpy backend unavailable")
-    def test_array_and_numpy_backends_produce_identical_streams(self):
-        pure = fastrand.make_stream(random.Random(17), backend="array")
-        mirror = fastrand.make_stream(random.Random(17), backend="numpy")
-        assert [float(v) for v in mirror.doubles(257)] == \
-            list(pure.doubles(257))
-        pure2 = fastrand.make_stream(random.Random(23), backend="array")
-        mirror2 = fastrand.make_stream(random.Random(23), backend="numpy")
-        assert list(fastrand.exponential_gaps(mirror2, 100, 0.25)) == \
-            list(fastrand.exponential_gaps(pure2, 100, 0.25))
-
-    @pytest.mark.skipif(not fastrand.HAVE_NUMPY,
-                        reason="numpy backend unavailable")
-    def test_backend_sync_restores_identical_rng_state(self):
-        rng_pure, rng_mirror = random.Random(31), random.Random(31)
-        pure = fastrand.make_stream(rng_pure, backend="array")
-        mirror = fastrand.make_stream(rng_mirror, backend="numpy")
-        pure.doubles(100)
-        mirror.doubles(100)
-        pure.sync()
-        mirror.sync()
-        assert rng_pure.getstate() == rng_mirror.getstate()
-
-
 class TestInitialValueChunking:
     @pytest.mark.parametrize("chunk", [256, 300, 1 << 16])
     def test_initial_values_do_not_depend_on_the_chunk_size(
@@ -216,35 +183,3 @@ class TestInitialValueChunking:
         for index in (0, 255, 256, 4_095, 4_096, count - 1):
             assert lazy.initial_value(index) == \
                 reference._initial_values[index]
-
-
-class TestNumpyIsImportedOnDemand:
-    @staticmethod
-    def _run(script: str) -> str:
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        return done.stdout.strip()
-
-    def test_zookeeper_stack_never_imports_numpy(self):
-        assert self._run(
-            "import sys\n"
-            "import repro.apps.tickets, repro.zookeeper_sim\n"
-            "from repro.workloads import fastrand\n"
-            "print('numpy' in sys.modules, fastrand.BACKEND)"
-        ) == f"False {fastrand.BACKEND}"
-
-    @pytest.mark.skipif(not fastrand.HAVE_NUMPY,
-                        reason="numpy backend unavailable")
-    def test_cassandra_build_pays_the_import_during_setup(self):
-        """Every Cassandra workload preloads a dataset (a MirrorStream)
-        before its first operation, so the import lands in set-up."""
-        assert self._run(
-            "import sys\n"
-            "from repro.core.cluster_spec import ClusterSpec\n"
-            "before = 'numpy' in sys.modules\n"
-            "built = ClusterSpec(record_count=50).build()\n"
-            "print(before, 'numpy' in sys.modules, "
-            "built.env.scheduler.events_executed)"
-        ) == "False True 0"
