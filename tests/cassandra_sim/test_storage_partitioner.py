@@ -252,7 +252,13 @@ class TestTokenColumn:
         """Any interleaving of inserts and range queries — wrapping ranges,
         ``start == end``, bounds exactly on a stored token, queries on the
         empty table — selects what the full scan selects, in its order.
-        Inserts between queries exercise the index invalidation."""
+
+        The table may start as a preload leaves it: token-ordered runs
+        through ``preload_columns``, so its token column is in order.
+        Inserts between queries — single rows through ``apply``, batches
+        through ``apply_rows`` that may carry stored keys too, each batch
+        in token order or not — keep that order or break it, and exercise
+        the index invalidation."""
         keys = data.draw(st.lists(st.text(max_size=6), unique=True,
                                   max_size=25))
         bounds = TOKENS
@@ -261,11 +267,31 @@ class TestTokenColumn:
             bounds = st.one_of(TOKENS, on_token,
                                on_token.map(lambda t: (t + 1) % 2**64))
         table = table_type()
-        pending = list(keys)
+        preloaded = sorted(keys[:data.draw(st.integers(0, len(keys)))],
+                           key=key_token)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(preloaded)),
+                                         max_size=3)))
+        for low, high in zip([0] + cuts, cuts + [len(preloaded)]):
+            run = preloaded[low:high]
+            table.preload_columns(run, run, [key_token(key) for key in run])
+        pending = keys[len(preloaded):]
         for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
-            for _ in range(data.draw(st.integers(0, len(pending)))):
-                key = pending.pop()
-                table.apply(key, VersionedValue(key, (1.0, "n", 1)))
+            new = [pending.pop()
+                   for _ in range(data.draw(st.integers(0, len(pending))))]
+            if data.draw(st.booleans()):
+                for key in new:
+                    table.apply(key, VersionedValue(key, (1.0, "n", 1)))
+            else:
+                stored = [key for key in keys if table.contains(key)]
+                batch = new + data.draw(st.lists(
+                    st.sampled_from(stored), unique=True) if stored
+                    else st.just([]))
+                batch = data.draw(st.one_of(
+                    st.permutations(batch),
+                    st.just(sorted(batch, key=key_token))))
+                count = len(batch)
+                table.apply_rows(batch, batch, [1.5] * count, ["n"] * count,
+                                 [1] * count, [key_token(key) for key in batch])
             for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
                 start = data.draw(bounds)
                 end = data.draw(st.one_of(bounds, st.just(start)))
@@ -314,6 +340,12 @@ def assert_same_table(left, right):
         assert getattr(left, counter) == getattr(right, counter), counter
 
 
+def assert_same_positions(left, right):
+    """Every key sits at the same row position in both tables — state the
+    observable surface does not show, but stream tasks walk rows by it."""
+    assert dict(left._index) == dict(right._index)
+
+
 @pytest.mark.parametrize("table_type", [LocalTable, ColumnarTable])
 class TestBulkRows:
     @given(stored=BATCHES, batches=st.lists(BATCHES, min_size=1, max_size=3),
@@ -334,6 +366,7 @@ class TestBulkRows:
                 bulk.apply_rows(*as_columns(batch[low:high]))
             apply_one_by_one(reference, batch)
             assert_same_table(bulk, reference)
+            assert_same_positions(bulk, reference)
             everything = range(len(bulk))
             assert columns_of(bulk, everything) == columns_of(reference,
                                                               everything)
