@@ -100,11 +100,24 @@ class CassandraConfig:
             raise ValueError("vnodes_per_node must be positive")
         if self.stream_batch_items <= 0:
             raise ValueError("stream_batch_items must be positive")
+        # A negative service time schedules a job before ``now`` and runs
+        # the simulated clock backwards; a negative size undercounts bytes.
         for name in ("read_timeout_ms", "write_timeout_ms",
                      "client_timeout_ms", "coordinator_retries",
-                     "client_retries"):
+                     "client_retries", "read_service_ms", "write_service_ms",
+                     "preliminary_flush_ms", "stream_scan_ms",
+                     "stream_batch_ms", "stream_apply_ms_per_item",
+                     "key_size_bytes", "response_overhead_bytes",
+                     "confirmation_bytes", "client_backoff_base_ms",
+                     "client_backoff_cap_ms", "client_backoff_jitter_ms"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.value_size_bytes <= 0:
+            raise ValueError("value_size_bytes must be positive")
+        if self.columnar_threshold_keys < 1:
+            raise ValueError("columnar_threshold_keys must be >= 1")
+        if self.client_backoff_multiplier < 1:
+            raise ValueError("client_backoff_multiplier must be >= 1")
 
     def quorum(self) -> int:
         """Majority quorum size for this replication factor."""

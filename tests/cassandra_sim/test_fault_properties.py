@@ -252,6 +252,25 @@ class TestBadSpecsFailLoudly:
         with pytest.raises(ValueError, match=field):
             CassandraConfig(**{field: -1})
 
+    @pytest.mark.parametrize("field, value", [
+        (field, -1.0) for field in (
+            "read_service_ms", "write_service_ms", "preliminary_flush_ms",
+            "stream_scan_ms", "stream_batch_ms", "stream_apply_ms_per_item",
+            "key_size_bytes", "response_overhead_bytes", "confirmation_bytes",
+            "client_backoff_base_ms", "client_backoff_cap_ms",
+            "client_backoff_jitter_ms")] + [
+        ("value_size_bytes", 0), ("columnar_threshold_keys", 0),
+        ("client_backoff_multiplier", 0.5)])
+    def test_negative_costs_and_sizes_are_rejected(self, field, value):
+        """A negative service time would schedule a job before ``now`` and
+        run the simulated clock backwards; a negative size undercounts
+        bytes.  Both fail at construction, as plain and as fault-tolerant
+        configs."""
+        with pytest.raises(ValueError, match=field):
+            CassandraConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            CassandraConfig.fault_tolerant(**{field: value})
+
     @pytest.mark.parametrize("quorum", [0, -1, 4])
     def test_unreachable_quorums_are_rejected(self, quorum, cassandra_setup):
         from repro.bindings.cassandra import CassandraBinding
