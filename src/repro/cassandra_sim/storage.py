@@ -19,11 +19,19 @@ Two interchangeable backends sit behind the same interface:
 
 Both keep each row's ring token beside it (:class:`_TokenIndexedRows`) and
 share the bulk interface range streaming runs on: :meth:`rows_in_range`
-selects a task's rows with a bisect over a token-sorted view,
-:meth:`export_rows` gathers them column by column and :meth:`apply_rows`
-merges such columns into another table — a wholesale extend when every key
-is new there, exact row-by-row LWW otherwise (LWW merge is commutative,
-associative and idempotent, so the order rows arrive in never shows).
+selects a task's rows with a bisect over the token column (or, once rows
+arrived out of token order, over its argsort), :meth:`export_rows` gathers
+them column by column and :meth:`apply_rows` merges such columns into
+another table — a wholesale extend of the keys that are new there, exact
+LWW row by row for the ones already stored (LWW merge is commutative,
+associative and idempotent, so splitting a batch that way never shows).
+
+A row that arrives in bulk costs the bookkeeping no Python object of its
+own beyond the key index's dict slot: the positions :meth:`apply_rows`
+stores in that index come from one process-wide list of ints
+(:data:`_POSITIONS`), so the six replicas of a 400k-key ring share ~250k
+int objects (as many as its largest table has rows) instead of owning
+1.2M, and the token column is a machine-word array.
 
 Clusters pick the backend automatically at preload/join time (see
 ``CassandraConfig.columnar_threshold_keys``); the protocol code never knows
@@ -33,8 +41,9 @@ which one it is talking to.
 from __future__ import annotations
 
 from array import array
-from itertools import islice
-from operator import le
+from bisect import bisect_left
+from itertools import chain, compress, islice
+from operator import itemgetter, le, not_
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.partitioner import key_token
@@ -46,6 +55,14 @@ from repro.cassandra_sim.versions import VersionedValue
 RowColumns = Tuple[Sequence[str], Sequence[object], Sequence[float],
                    Sequence[str], Sequence[int], Sequence[int]]
 
+#: ``_POSITIONS[i] == i``: the row positions every table's key index maps
+#: to, one shared int object per position instead of one per row and
+#: replica.  Grow-only: it reaches the row count of the largest table built
+#: in the process and keeps it — after the 4M-key fig15 cell, ~2M ints
+#: (~80 MB with the list).  The contents never change, so sharing them is
+#: invisible to every table.
+_POSITIONS: List[int] = []
+
 
 class _TokenIndexedRows:
     """Key → row map plus the per-row ring token, shared by both backends.
@@ -55,11 +72,16 @@ class _TokenIndexedRows:
     (``Cluster.preload``, a streaming source) — and kept in an unsigned
     64-bit column (tokens are the top 64 bits of md5: half of them do not
     fit a signed ``'q'``).  Rows are never deleted, so a row's position is
-    stable and the token-sorted permutation :meth:`rows_in_range` bisects
-    is stale exactly when the row count differs from the count it was built
-    at.  ``Cluster.preload`` installs rows in token order, so on a preloaded
-    table the token column is already non-decreasing and the permutation is
-    the identity, which one linear pass establishes.
+    stable.
+
+    Token order is tracked as rows arrive, not rediscovered: ``_order is
+    None`` means the token column is non-decreasing, which is how
+    ``Cluster.preload`` leaves every table (token-ordered runs, appended
+    in order) and what a stream task then bisects directly.  An append
+    that breaks the order — one compare for a single row, a boundary
+    compare plus one C-level pass for a batch — makes ``_order`` the
+    token-sorted permutation instead, rebuilt lazily whenever its length
+    differs from the row count.
     """
 
     __slots__ = ("_index", "_tokens", "_order", "_keys",
@@ -69,10 +91,10 @@ class _TokenIndexedRows:
         #: key -> row position (insertion order; positions never change).
         self._index: Dict[str, int] = {}
         self._tokens = array("Q")
-        # Built lazily, for tables that stream: row positions sorted by
-        # token (the argsort of the token column, see rows_in_range) and the
-        # keys by row position (see _row_keys).
-        self._order = array("I")
+        # None while the token column is in order; otherwise row positions
+        # sorted by token (the argsort, see rows_in_range).
+        self._order: Optional["array[int]"] = None
+        # The keys by row position, built on first use (see _row_keys).
         self._keys: List[str] = []
         self.reads = 0
         self.writes_applied = 0
@@ -96,26 +118,30 @@ class _TokenIndexedRows:
         Same range semantics as :func:`~repro.cassandra_sim.partitioner.
         token_in_range` (wrapping when ``start_token >= end_token``), in the
         sorted-key order of :meth:`keys`, so a stream task ships exactly the
-        sequence a filtered full scan would.  Costs one index build per
-        key-set change — linear while the token column is in order,
-        O(n log n) otherwise — then O(log n + m log m) for ``m`` rows.
+        sequence a filtered full scan would.  On a token-ordered table that
+        is two bisects on the token column, then O(m log m) for ``m`` rows;
+        an out-of-order one first rebuilds its argsort (O(n log n)) when
+        the key set changed since the last call.
         """
         tokens = self._tokens
-        if len(self._order) != len(tokens):
-            rows = range(len(tokens))
-            # A token-ordered column (a preloaded table nobody has added
-            # keys to) is its own argsort: check before sorting, which
-            # would materialise every token as an int object.
-            if not all(map(le, tokens, islice(tokens, 1, None))):
-                rows = sorted(rows, key=tokens.__getitem__)
-            self._order = array("I", rows)
         order = self._order
-        low = self._first_at_or_after(start_token)
-        high = self._first_at_or_after(end_token)
-        if start_token < end_token:
-            positions = order[low:high]
+        if order is None:
+            low = bisect_left(tokens, start_token)
+            high = bisect_left(tokens, end_token)
+            if start_token < end_token:
+                positions = range(low, high)
+            else:
+                positions = chain(range(low, len(tokens)), range(high))
         else:
-            positions = order[low:] + order[:high]
+            if len(order) != len(tokens):
+                order = self._order = array("I", sorted(
+                    range(len(tokens)), key=tokens.__getitem__))
+            low = self._first_at_or_after(start_token)
+            high = self._first_at_or_after(end_token)
+            if start_token < end_token:
+                positions = order[low:high]
+            else:
+                positions = order[low:] + order[:high]
         return array("I", sorted(positions, key=self._row_keys().__getitem__))
 
     def _row_keys(self) -> List[str]:
@@ -134,7 +160,8 @@ class _TokenIndexedRows:
         return keys
 
     def _first_at_or_after(self, token: int) -> int:
-        """Index into ``_order`` of the first row whose token is >= ``token``.
+        """Index into the argsort ``_order`` of the first row whose token is
+        >= ``token`` (out-of-order tables only).
 
         ``bisect_left`` over the permutation with the token column as sort
         key, spelt out: ``bisect``'s ``key=`` needs Python 3.10, and a
@@ -156,25 +183,45 @@ class _TokenIndexedRows:
                    seqs: Sequence[int], tokens: Sequence[int]) -> None:
         """Merge rows given as parallel columns; ``keys`` must not repeat.
 
-        Observationally identical to ``apply(key, VersionedValue(value,
-        (time, writer, seq)), token)`` row by row, counters included.  When
-        none of the keys is stored yet — a preload, a joining node taking
-        in a streamed batch — there is nothing to compare against and the
-        columns are appended wholesale.
+        Identical to ``apply(key, VersionedValue(value, (time, writer,
+        seq)), token)`` row by row — rows, positions, counters.  Keys not
+        stored yet (every key of a preload, nearly every one of a batch
+        streamed to a joining node) have nothing to compare against: they
+        are appended wholesale, in batch order, which gives them the
+        positions the loop would.  Only the stored keys — where a forwarded
+        write got there first — go through ``apply`` one by one.  Splitting
+        the batch so is exact because LWW merge is commutative, associative
+        and idempotent: when a row is merged never shows, and a new row's
+        position depends only on the new keys before it.
         """
         if not keys:
             return
         index = self._index
-        if not index.keys().isdisjoint(keys):
+        stored = index.keys() & keys
+        if stored:
             # LWW: a streamed snapshot never clobbers a newer forwarded write.
-            for key, value, time, writer, seq, token in zip(
-                    keys, values, times, writers, seqs, tokens):
-                self.apply(key, VersionedValue(value, (time, writer, seq)),
-                           token)
-            return
+            hits = list(map(stored.__contains__, keys))
+            for row in compress(range(len(keys)), hits):
+                self.apply(keys[row], VersionedValue(
+                    values[row], (times[row], writers[row], seqs[row])),
+                    tokens[row])
+            fresh = list(map(not_, hits))
+            keys, values, times, writers, seqs, tokens = (
+                list(compress(column, fresh)) for column in
+                (keys, values, times, writers, seqs, tokens))
+            if not keys:
+                return
         first = len(index)
-        index.update(zip(keys, range(first, first + len(keys))))
-        self._tokens.extend(tokens)
+        last = first + len(keys)
+        if len(_POSITIONS) < last:
+            _POSITIONS.extend(range(len(_POSITIONS), last))
+        index.update(zip(keys, _POSITIONS[first:last]))
+        token_column = self._tokens
+        if self._order is None and (
+                token_column and tokens[0] < token_column[-1]
+                or not all(map(le, tokens, islice(tokens, 1, None)))):
+            self._order = array("I")  # out of order: argsort on next use
+        token_column.extend(tokens)
         self._extend_versions(values, times, writers, seqs)
         self.writes_applied += len(keys)
 
@@ -219,9 +266,14 @@ class LocalTable(_TokenIndexedRows):
         """
         idx = self._index.get(key)
         if idx is None:
+            if token is None:
+                token = key_token(key)
+            tokens = self._tokens
+            if tokens and token < tokens[-1]:
+                self._order = array("I")  # out of order: argsort on next use
             self._index[key] = len(self._versions)
             self._versions.append(version)
-            self._tokens.append(key_token(key) if token is None else token)
+            tokens.append(token)
         # VersionedValue.newer_than, inlined (one apply per replicated write).
         elif version.timestamp > self._versions[idx].timestamp:
             self._versions[idx] = version
@@ -289,7 +341,7 @@ class ColumnarTable(_TokenIndexedRows):
         """Columnarize an existing table, carrying rows and counters over.
 
         Rows are copied in token order, so a table columnarized ahead of a
-        token-ordered preload keeps the linear index build.
+        token-ordered preload keeps its token column in order.
         """
         columnar = cls()
         columnar.apply_rows(*table.export_rows(
@@ -327,12 +379,17 @@ class ColumnarTable(_TokenIndexedRows):
         idx = self._index.get(key)
         time, writer, seq = version.timestamp
         if idx is None:
+            if token is None:
+                token = key_token(key)
+            tokens = self._tokens
+            if tokens and token < tokens[-1]:
+                self._order = array("I")  # out of order: argsort on next use
             self._index[key] = len(self._values)
             self._values.append(version.value)
             self._times.append(time)
             self._writer_ids.append(self._writer_id(writer))
             self._seqs.append(seq)
-            self._tokens.append(key_token(key) if token is None else token)
+            tokens.append(token)
             self.writes_applied += 1
             return True
         # Elementwise (time, writer, seq) tuple comparison, strict '>' —
@@ -372,14 +429,24 @@ class ColumnarTable(_TokenIndexedRows):
             yield key, self.get(key)
 
     def export_rows(self, rows: Sequence[int]) -> RowColumns:
-        """The rows at positions ``rows`` as parallel columns."""
-        return (list(map(self._row_keys().__getitem__, rows)),
-                list(map(self._values.__getitem__, rows)),
-                list(map(self._times.__getitem__, rows)),
+        """The rows at positions ``rows`` as parallel columns (lists).
+
+        One ``itemgetter`` per batch gathers every column in C; fewer than
+        two rows take ``map``, since ``itemgetter`` of one row returns the
+        bare item rather than a tuple.
+        """
+        if len(rows) > 1:
+            gather = itemgetter(*rows)
+        else:
+            def gather(column):
+                return map(column.__getitem__, rows)
+        return (list(gather(self._row_keys())),
+                list(gather(self._values)),
+                list(gather(self._times)),
                 list(map(self._writers.__getitem__,
-                         map(self._writer_ids.__getitem__, rows))),
-                list(map(self._seqs.__getitem__, rows)),
-                list(map(self._tokens.__getitem__, rows)))
+                         gather(self._writer_ids))),
+                list(gather(self._seqs)),
+                list(gather(self._tokens)))
 
     def _extend_versions(self, values, times, writers, seqs) -> None:
         self._values.extend(values)

@@ -60,6 +60,9 @@ class TestTokenOrderedPreload:
             assert type(replica.table) is expected
             tokens = token_column(replica.table)
             assert tokens == sorted(tokens)
+            # ...and the table knows it: stream tasks bisect the column
+            # itself instead of building an argsort.
+            assert replica.table._order is None
             assert tokens == sorted(
                 key_token(key) for key in items
                 if cluster.partitioner.is_replica(replica.name, key))

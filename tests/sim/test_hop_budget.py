@@ -38,7 +38,9 @@ _HOPS = 200
 
 #: version -> perfbench workload -> (scale, executed bytecodes in ``src/``
 #: frames per completed operation, measured on the parent of the change
-#: that added the row).  One round at ``_WORKLOAD_SEED``, start -> serve ->
+#: that added the row, or on the change that last lowered it: the
+#: token-tracked storage took ``ring-join-400k`` from 4,758.34 to
+#: 4,560.05).  One round at ``_WORKLOAD_SEED``, start -> serve ->
 #: drain, in a fresh process (the record pools and the zeta cache are
 #: process-wide, so what ran before would change the count); set-up is not
 #: counted.  The budget is the count plus ``_WORKLOAD_ROOM``: a +2 % change
@@ -47,7 +49,7 @@ _WORKLOAD_BUDGETS = {
     (3, 11): {"cass-closed-a": (0.05, 2317.75),
               "cass-open-faults-b": (0.1, 3381.69),
               "zk-tickets": (0.1, 4421.30),
-              "ring-join-400k": (0.1, 4759.72)},
+              "ring-join-400k": (0.1, 4560.05)},
 }
 _WORKLOAD_ROOM = 1.01
 _WORKLOAD_SEED = 7
