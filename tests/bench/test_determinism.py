@@ -408,39 +408,6 @@ class TestDeterminism:
         assert scenario.cluster.in_flight() == {
             "read_sessions": 0, "write_sessions": 0, "client_pending": 0}
 
-    def test_message_pool_recycles_without_leaking(self):
-        """Every pooled message acquired during a run goes back to its pool.
-
-        2PC is ``Message`` traffic end to end, so a fig16 cell drives the
-        pool; its debug assertions are armed (they fire on recycling a
-        still-referenced message or double-recycling), then the counters
-        are checked: shells are actually reused and the free list only ever
-        holds created ones.
-        """
-        from repro.bench.fig16_txn import run_fig16_cell
-        from repro.sim.network import Network
-
-        def debug_init(self, *args, **kwargs):
-            network_init(self, *args, **kwargs)
-            self.pool_debug = True
-
-        network_init = Network.__init__
-        Network.__init__ = debug_init
-        try:
-            _, env = run_fig16_cell(
-                scenario="coordinator-crash-mid-commit", keys_per_txn=2,
-                nodes=3, coordinators=2, rate_txn_s=25.0,
-                duration_ms=4_000.0, fault_at_ms=1_500.0,
-                fault_duration_ms=1_500.0, decision_log_ms=2.0,
-                record_count=120, seed=42)
-        finally:
-            Network.__init__ = network_init
-        assert env.network.pool_debug
-        stats = env.network.pool_stats()
-        assert stats["reused"] > 0, "message pool never recycled a shell"
-        assert stats["free"] <= stats["created"]
-        assert stats["recycled"] >= stats["reused"]
-
     def test_zookeeper_request_path_creates_no_message(self):
         """The complement: ZooKeeper's seven request-path hops ride records
         and continuations, so a fault-free queue run creates no ``Message``

@@ -141,7 +141,7 @@ def test_drain_per_event(budgets):
     scheduler = Scheduler()
     events = 4000
     for i in range(events):
-        scheduler.schedule_call(i * 0.025, list)
+        scheduler.schedule_call_at(i * 0.025, list)
     code = Scheduler.run.__code__
     per_event = _bytecodes_in(lambda c: c is code, scheduler.run) / events
     budget, parent = budgets["drain"]

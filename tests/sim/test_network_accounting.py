@@ -8,6 +8,10 @@ counter the network exposes — ``messages_sent``, ``messages_delivered``,
 ``messages_dropped``, ``link_stats``, ``bytes_between``, ``bytes_touching``,
 ``total_bytes`` — equals what the list says, and a link nobody used still
 answers with the shared :data:`EMPTY_LINK_STATS` (no zero rows materialise).
+
+A second property plays one random program twice, once with every hop sent
+through ``send`` and once through ``fused_send_to``, and asserts that the
+two runs cannot be told apart.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -165,3 +169,88 @@ def test_counters_match_the_list_of_sends(program, jitter_fraction):
     env.run_until_idle()
     model.drain()
     _check(network, model)
+
+
+# -- send against fused_send_to ------------------------------------------------
+
+class _Receiver(Node):
+    """Logs what it is handed, whichever entry point sent it."""
+
+    def __init__(self, *args, log, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = log
+
+    def on_data(self, message):
+        self.log.append((self.scheduler.now(), self.name,
+                         message.payload["hop"]))
+
+    def fused_data(self, hop):
+        network = self.network
+        if self.alive:
+            network.messages_delivered += 1
+            self.log.append((self.scheduler.now(), self.name, hop))
+        else:
+            network.messages_dropped += 1
+
+
+_HOP_ACTIONS = st.one_of(
+    st.tuples(st.just("hop"), _name, _name, _size),
+    st.tuples(st.just("hop"), _name, _name, _size),
+    st.tuples(st.sampled_from(["crash", "recover"]), _name),
+    st.tuples(st.sampled_from(["partition", "heal"]), _name, _name),
+    st.tuples(st.sampled_from(["partition_regions", "heal_regions"]),
+              _region, _region),
+    st.tuples(st.just("degrade"), _name, _name,
+              st.floats(min_value=0.0, max_value=50.0)),
+    st.tuples(st.just("restore"), _name, _name),
+    st.tuples(st.just("drain")))
+
+
+def _play_hops(program, jitter_fraction, fused):
+    """Play ``program`` with every hop sent through ``fused_send_to`` or
+    through ``send``; returns everything the two must agree on."""
+    env = SimEnvironment(seed=11,
+                         topology=Topology(jitter_fraction=jitter_fraction))
+    network = env.network
+    trace = env.scheduler.start_trace()
+    log = []
+    nodes = {name: _Receiver(name, region, network, host=host, log=log)
+             for name, (region, host) in _NODES.items()}
+    scheduled = []
+    for hop, action in enumerate(program):
+        kind = action[0]
+        if kind == "hop":
+            _, src, dst, size = action
+            if fused:
+                scheduled.append(network.fused_send_to(
+                    nodes[src], dst, size, nodes[dst].fused_data, (hop,)))
+            else:
+                pending = env.scheduler.pending()
+                network.send(src, dst, "data", {"hop": hop}, size_bytes=size)
+                scheduled.append(env.scheduler.pending() > pending)
+        elif kind in ("crash", "recover"):
+            getattr(nodes[action[1]], kind)()
+        elif kind in ("degrade", "restore"):
+            getattr(network, f"{kind}_link")(*action[1:])
+        elif kind == "drain":
+            env.run_until_idle()
+        else:
+            getattr(network, kind)(action[1], action[2])
+    env.run_until_idle()
+    links = {(src, dst): (stats.messages, stats.bytes)
+             for (src, dst), stats in network._links.items()}
+    return (log, trace, scheduled, links, network.messages_sent,
+            network.messages_delivered, network.messages_dropped,
+            network.total_bytes(), env.now(),
+            env.topology._rng.getstate())
+
+
+@settings(deadline=None)
+@given(st.lists(_HOP_ACTIONS, max_size=40),
+       st.sampled_from([0.0, 0.05]))
+def test_send_and_fused_send_to_are_the_same_hop(program, jitter_fraction):
+    """``send`` is ``fused_send_to`` plus a ``Message``: the same deliveries
+    at the same instants in the same order, the same counters and link rows,
+    and the same jitter draws."""
+    assert _play_hops(program, jitter_fraction, fused=False) \
+        == _play_hops(program, jitter_fraction, fused=True)

@@ -130,7 +130,7 @@ class TestSlowdown:
         node = Recorder("n", Region.IRL, env.network)
         node.slow_down(10.0)
         done = []
-        node.process(lambda: done.append(env.now()), service_time_ms=2.0)
+        node._enqueue(2.0, lambda: done.append(env.now()), ())
         env.run_until_idle()
         assert done == [pytest.approx(20.0)]
 
@@ -140,7 +140,7 @@ class TestSlowdown:
         node.slow_down(10.0)
         node.restore_speed()
         done = []
-        node.process(lambda: done.append(env.now()), service_time_ms=2.0)
+        node._enqueue(2.0, lambda: done.append(env.now()), ())
         env.run_until_idle()
         assert done == [pytest.approx(2.0)]
 

@@ -4,8 +4,7 @@ import pytest
 
 from repro.sim.environment import SimEnvironment
 from repro.sim.network import MESSAGE_HEADER_BYTES, Message, estimate_payload_size
-from repro.sim.node import Node, ProcessingQueue
-from repro.sim.scheduler import Scheduler
+from repro.sim.node import Node
 from repro.sim.topology import Region, Topology
 
 
@@ -198,8 +197,6 @@ class TestAccounting:
         Recorder("a", Region.IRL, env.network)
         stats = env.network.link_stats("a", "ghost")
         with pytest.raises(AttributeError):
-            stats.record(100)
-        with pytest.raises(AttributeError):
             stats.bytes = 5
         assert env.network.link_stats("x", "y").bytes == 0
 
@@ -222,51 +219,39 @@ class TestAccounting:
 
 
 class TestProcessingQueue:
+    """Work charged with ``Node._enqueue`` and served by the node's queue."""
+
+    def _node(self):
+        env = _make_env()
+        return env, Recorder("n", Region.IRL, env.network)
+
     def test_idle_queue_serves_immediately(self):
-        scheduler = Scheduler()
-        queue = ProcessingQueue(scheduler)
+        env, node = self._node()
         done = []
-        queue.submit(2.0, done.append, "a")
-        scheduler.run_until_idle()
+        node._enqueue(2.0, done.append, ("a",))
+        env.run_until_idle()
         assert done == ["a"]
-        assert scheduler.now() == pytest.approx(2.0)
+        assert env.now() == pytest.approx(2.0)
 
     def test_fifo_backlog_accumulates_delay(self):
-        scheduler = Scheduler()
-        queue = ProcessingQueue(scheduler)
+        env, node = self._node()
         finish_times = []
         for _ in range(3):
-            queue.submit(5.0, lambda: finish_times.append(scheduler.now()))
-        scheduler.run_until_idle()
+            node._enqueue(5.0, lambda: finish_times.append(env.now()), ())
+        env.run_until_idle()
         assert finish_times == [5.0, 10.0, 15.0]
 
     def test_queue_delay_reflects_backlog(self):
-        scheduler = Scheduler()
-        queue = ProcessingQueue(scheduler)
-        queue.submit(5.0, lambda: None)
-        queue.submit(5.0, lambda: None)
-        assert queue.queue_delay() == pytest.approx(10.0)
-
-    def test_negative_service_time_rejected(self):
-        queue = ProcessingQueue(Scheduler())
-        with pytest.raises(ValueError):
-            queue.submit(-1.0, lambda: None)
+        env, node = self._node()
+        node._enqueue(5.0, list, ())
+        node._enqueue(5.0, list, ())
+        assert node.queue.queue_delay() == pytest.approx(10.0)
 
     def test_utilization(self):
-        scheduler = Scheduler()
-        queue = ProcessingQueue(scheduler)
-        queue.submit(5.0, lambda: None)
-        scheduler.run_until_idle()
-        scheduler.schedule(5.0, lambda: None)
-        scheduler.run_until_idle()
-        assert queue.utilization(10.0) == pytest.approx(0.5)
-        assert queue.jobs_processed == 1
-
-    def test_node_process_uses_own_service_time(self):
-        env = _make_env()
-        node = Recorder("n", Region.IRL, env.network, service_time_ms=3.0)
-        done = []
-        node.process(lambda: done.append(env.now()))
-        node.process(lambda: done.append(env.now()), service_time_ms=1.0)
+        env, node = self._node()
+        node._enqueue(5.0, list, ())
         env.run_until_idle()
-        assert done == [3.0, 4.0]
+        env.scheduler.schedule(5.0, list)
+        env.run_until_idle()
+        assert node.queue.utilization(10.0) == pytest.approx(0.5)
+        assert node.queue.jobs_processed == 1
