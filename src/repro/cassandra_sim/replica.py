@@ -936,8 +936,7 @@ class CassandraReplica(Node):
         state = _StreamState(stream_id=stream_id, task=task,
                              on_complete=on_complete)
         self._streams[stream_id] = state
-        self.process(self._stream_scan, state,
-                     service_time_ms=self.config.stream_scan_ms)
+        self._enqueue(self.config.stream_scan_ms, self._stream_scan, (state,))
         return stream_id
 
     def _stream_scan(self, state: _StreamState) -> None:
@@ -963,9 +962,9 @@ class CassandraReplica(Node):
 
     def on_stream_data(self, message: Message) -> None:
         payload = message.payload
-        self.process(self._apply_stream_batch, message.src, payload,
-                     service_time_ms=(self.config.stream_apply_ms_per_item
-                                      * max(1, len(payload["columns"][0]))))
+        self._enqueue(self.config.stream_apply_ms_per_item
+                      * max(1, len(payload["columns"][0])),
+                      self._apply_stream_batch, (message.src, payload))
 
     def _apply_stream_batch(self, source: str, payload: dict) -> None:
         columns = payload["columns"]
@@ -978,5 +977,5 @@ class CassandraReplica(Node):
         state = self._streams.get(message.payload["stream_id"])
         if state is None:
             return
-        self.process(self._stream_send_batch, state,
-                     service_time_ms=self.config.stream_batch_ms)
+        self._enqueue(self.config.stream_batch_ms, self._stream_send_batch,
+                      (state,))

@@ -33,30 +33,23 @@ link charge, the jitter draw, the scheduler insert — and nothing else:
 * Partition and degradation checks cost one truthiness test each while no
   fault is installed (no ``frozenset`` allocation); payload sizing is
   iterative with a cache for non-ASCII strings.
-* Delivered :class:`Message` objects are recycled through a free-list pool
-  guarded by a refcount check, so steady-state traffic allocates no message
-  objects at all (see :meth:`Network.pool_stats`).
 
-Protocol layers that carry their own per-operation state (the Cassandra
-request path: one pooled record per operation; ZooKeeper's: one ``ZkOp`` per
-operation and the leader's shared ``Transaction``) skip :class:`Message`
-entirely and schedule a pre-bound continuation at the delivery instant via
-:meth:`Network.fused_send_to`.  Accounting, drop rules, and the jitter draw
-are bit-identical to :meth:`send` — same ``messages_dropped`` counter, same
-:class:`LinkStats` rows, same RNG consumption; only the per-send object
-churn (message shell, payload dict, handler dispatch) disappears.
-Delivery-side accounting (``messages_delivered`` and the dead-destination
-drop) is the receiving continuation's responsibility, and the sender learns
-from the return value whether anything was scheduled at all.
+There is one send path, :meth:`Network.fused_send_to`: it accounts the hop
+and schedules a pre-bound continuation at the delivery instant.  Protocol
+layers that carry their own per-operation state (the Cassandra request
+path: one pooled record per operation; ZooKeeper's: one ``ZkOp`` per
+operation and the leader's shared ``Transaction``) call it directly, and
+their continuation does the delivery-side accounting (``messages_delivered``
+and the dead-destination drop); the sender learns from the return value
+whether anything was scheduled at all.  :meth:`Network.send` is
+``fused_send_to`` plus a :class:`Message` and its ``on_<kind>`` dispatch.
 """
 
 from __future__ import annotations
 
-import itertools
-import sys
 from dataclasses import dataclass
 from heapq import heappush
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.scheduler import Scheduler
 from repro.sim.topology import Topology
@@ -66,12 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 #: Fixed per-message framing overhead (TCP/IP + RPC headers), in bytes.
 MESSAGE_HEADER_BYTES = 50
-
-_message_ids = itertools.count(1)
-
-#: Upper bound on the per-network message free list; bounds pool memory at
-#: the peak number of simultaneously in-flight messages worth keeping.
-_MESSAGE_POOL_MAX = 4096
 
 #: UTF-8 sizes of non-ASCII strings seen by :func:`estimate_payload_size`
 #: (ASCII strings — the common case — are sized with ``len`` directly).
@@ -146,18 +133,16 @@ def estimate_payload_size(payload: Any) -> int:
 class Message:
     """A network message between two named nodes."""
 
-    __slots__ = ("src", "dst", "kind", "payload", "size_bytes", "msg_id",
-                 "send_time")
+    __slots__ = ("src", "dst", "kind", "payload", "size_bytes", "send_time")
 
     def __init__(self, src: str, dst: str, kind: str,
                  payload: Optional[Dict[str, Any]] = None,
-                 size_bytes: Optional[int] = 0, msg_id: int = 0,
+                 size_bytes: Optional[int] = 0,
                  send_time: float = 0.0) -> None:
         self.src = src
         self.dst = dst
         self.kind = kind
         self.payload = {} if payload is None else payload
-        self.msg_id = msg_id if msg_id else next(_message_ids)
         self.send_time = send_time
         if size_bytes is None or size_bytes <= 0:
             size_bytes = MESSAGE_HEADER_BYTES + estimate_payload_size(
@@ -166,9 +151,10 @@ class Message:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Message(src={self.src!r}, dst={self.dst!r}, "
-                f"kind={self.kind!r}, size_bytes={self.size_bytes}, "
-                f"msg_id={self.msg_id})")
+                f"kind={self.kind!r}, size_bytes={self.size_bytes})")
 
+
+_new_message = Message.__new__
 
 @dataclass
 class LinkStats:
@@ -176,10 +162,6 @@ class LinkStats:
 
     messages: int = 0
     bytes: int = 0
-
-    def record(self, size_bytes: int) -> None:
-        self.messages += 1
-        self.bytes += size_bytes
 
 
 class _FrozenLinkStats(LinkStats):
@@ -196,11 +178,6 @@ class _FrozenLinkStats(LinkStats):
             "this LinkStats is the shared zero for unused links; "
             "it cannot be mutated")
 
-    def record(self, size_bytes: int) -> None:
-        raise AttributeError(
-            "this LinkStats is the shared zero for unused links; "
-            "record traffic through Network.send instead")
-
 
 #: Returned by :meth:`Network.link_stats` for links with no recorded traffic.
 EMPTY_LINK_STATS = _FrozenLinkStats()
@@ -212,10 +189,8 @@ class Network:
     __slots__ = ("scheduler", "topology", "_clock", "_rand",
                  "_jitter_fraction", "_nodes", "_links",
                  "_partitioned", "_partitioned_regions", "_link_extra_ms",
-                 "_routes", "_msg_pool",
-                 "messages_delivered", "messages_dropped",
-                 "pool_created", "pool_reused", "pool_recycled", "pool_debug",
-                 "__weakref__")
+                 "_routes", "_messages_built",
+                 "messages_delivered", "messages_dropped", "__weakref__")
 
     def __init__(self, scheduler: Scheduler, topology: Topology) -> None:
         self.scheduler = scheduler
@@ -235,13 +210,7 @@ class Network:
         #: Stats are filled in on first charge so dead-sender traffic never
         #: materializes a link entry.
         self._routes: Dict[Tuple[str, str], list] = {}
-        #: Free list of delivered messages awaiting reuse, plus counters for
-        #: the pool tests; ``pool_debug`` adds aliasing assertions.
-        self._msg_pool: List[Message] = []
-        self.pool_created = 0
-        self.pool_reused = 0
-        self.pool_recycled = 0
-        self.pool_debug = False
+        self._messages_built = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
         self._rand = topology._rng.random
@@ -357,96 +326,39 @@ class Network:
             src_node, dst_node, self._links.get((src, dst)), base]
         return route
 
-    def _prepare(self, src: str, dst: str, kind: str,
-                 payload: Optional[Dict[str, Any]],
-                 size_bytes: Optional[int]
-                 ) -> Tuple[Optional[float], Message, "Node"]:
-        """Account one send; returns ``(delay_ms | None, message, dst_node)``.
-
-        A ``None`` delay means the message was dropped (dead endpoint or
-        partition) and must not be scheduled for delivery.  This is the
-        hottest function in the simulator; everything it touches per call is
-        either a local, a cached route field, or a plain counter.
-        """
-        route = self._routes.get((src, dst))
-        if route is None:
-            route = self._route(src, dst)
-        src_node, dst_node, stats, base = route
-        # Inline message acquire: reuse a recycled shell when one is free.
-        pool = self._msg_pool
-        if pool:
-            message = pool.pop()
-            if self.pool_debug:
-                # 2 = this local + getrefcount's argument: a pooled message
-                # referenced by anything else would alias live state.
-                assert sys.getrefcount(message) == 2, \
-                    "message pool recycled an object that is still referenced"
-            self.pool_reused += 1
-            message.src = src
-            message.dst = dst
-            message.kind = kind
-            message.payload = payload if payload is not None else {}
-            message.msg_id = next(_message_ids)
-            message.send_time = self._clock._now
-            if size_bytes is None or size_bytes <= 0:
-                size_bytes = MESSAGE_HEADER_BYTES + estimate_payload_size(
-                    message.payload)
-            message.size_bytes = size_bytes
-        else:
-            self.pool_created += 1
-            message = Message(src, dst, kind, payload, size_bytes,
-                              send_time=self._clock._now)
-            size_bytes = message.size_bytes
-        if not src_node.alive:
-            self.messages_dropped += 1
-            return None, message, dst_node
-        if stats is None:
-            stats = route[2] = self._links[(src, dst)] = LinkStats()
-        stats.messages += 1
-        stats.bytes += size_bytes
-
-        # Zero-fault fast path: with no partitions installed the check is
-        # two falsy tests, no frozenset allocation.
-        if self._partitioned or self._partitioned_regions:
-            if self.is_partitioned(src, dst):
-                self.messages_dropped += 1
-                return None, message, dst_node
-        if not dst_node.alive:
-            self.messages_dropped += 1
-            return None, message, dst_node
-
-        # Inline Topology.one_way over the cached base: uniform(0, jf) is
-        # exactly jf * random(), so the delay sample is bit-identical.
-        jitter_fraction = self._jitter_fraction
-        if jitter_fraction > 0:
-            delay = base + jitter_fraction * self._rand() * base
-        else:
-            delay = base
-        if self._link_extra_ms:
-            delay += self.link_extra_ms(src, dst)
-        return delay, message, dst_node
-
     def send(self, src: str, dst: str, kind: str,
              payload: Optional[Dict[str, Any]] = None,
-             size_bytes: Optional[int] = None,
-             extra_delay_ms: float = 0.0) -> Message:
+             size_bytes: Optional[int] = None) -> Message:
         """Send a message; returns the :class:`Message` (already accounted).
 
-        The message is charged to the link even if the destination is down or
-        partitioned away — bytes leave the sender's NIC regardless.  A *dead
-        sender*, however, sends nothing at all: work still queued on a
-        crashed node must not leak protocol messages (or bytes) out of it.
+        The hop is :meth:`fused_send_to`'s, so the message is charged to the
+        link even if the destination is down or partitioned away — bytes
+        leave the sender's NIC regardless — and a *dead sender* sends
+        nothing at all: work still queued on a crashed node must not leak
+        protocol messages (or bytes) out of it.
         """
-        delay, message, dst_node = self._prepare(src, dst, kind, payload,
-                                                 size_bytes)
-        if delay is not None:
-            self.scheduler.schedule_call(delay + extra_delay_ms,
-                                         self._deliver, (message, dst_node))
+        if payload is None:
+            payload = {}
+        if size_bytes is None or size_bytes <= 0:
+            size_bytes = MESSAGE_HEADER_BYTES + estimate_payload_size(payload)
+        # Message(...), inlined: the constructor call would be a second
+        # network-layer frame per send.
+        message = _new_message(Message)
+        message.src = src
+        message.dst = dst
+        message.kind = kind
+        message.payload = payload
+        message.size_bytes = size_bytes
+        message.send_time = self._clock._now
+        self._messages_built += 1
+        self.fused_send_to(self._nodes[src], dst, size_bytes, self._deliver,
+                           (message,))
         return message
 
-    def _deliver(self, message: Message, node: "Node") -> None:
-        # The destination node object is captured at send time (nodes are
-        # never unregistered mid-run — they crash, which flips ``alive``).
+    def _deliver(self, message: Message) -> None:
+        # Nodes are never unregistered mid-run — they crash, which flips
+        # ``alive``.
+        node = self._nodes[message.dst]
         if node.alive:
             self.messages_delivered += 1
             # Dispatch through the node's handler cache directly;
@@ -459,32 +371,24 @@ class Network:
                 node.handle_message(message)
         else:
             self.messages_dropped += 1
-        # Recycle if nothing kept a reference: 3 = the scheduler entry's args
-        # tuple + this local + getrefcount's argument.  Tests (or sessions)
-        # that hold the message raise the count and opt out automatically.
-        pool = self._msg_pool
-        if len(pool) < _MESSAGE_POOL_MAX and sys.getrefcount(message) == 3:
-            if self.pool_debug:
-                assert all(pooled is not message for pooled in pool), \
-                    "message recycled twice"
-            self.pool_recycled += 1
-            message.payload = None
-            pool.append(message)
 
     def pool_stats(self) -> Dict[str, int]:
-        """Message-pool counters (created / reused / recycled / free)."""
-        return {"created": self.pool_created,
-                "reused": self.pool_reused,
-                "recycled": self.pool_recycled,
-                "free": len(self._msg_pool)}
+        """``created`` is the number of :class:`Message` objects built.
 
-    # -- fused fast path ---------------------------------------------------
+        Messages are no longer pooled, so ``reused``, ``recycled`` and
+        ``free`` are always 0; the four keys stay for the callers that
+        audit them.
+        """
+        return {"created": self._messages_built, "reused": 0,
+                "recycled": 0, "free": 0}
+
     def fused_route(self, src: str, dst: str) -> list:
         """The cached route entry for src→dst, for fused protocol senders.
 
         Callers may hold the returned list until their node's
-        ``_drop_routes`` is called (the list is shared with :meth:`_prepare`,
-        so fused and message sends charge the very same stats row).
+        ``_drop_routes`` is called (the list is the one
+        :meth:`fused_send_to` charges, so every sender on a link shares its
+        stats row).
         """
         route = self._routes.get((src, dst))
         if route is None:
@@ -497,16 +401,15 @@ class Network:
 
         ``src`` is the sending *node* object (its per-destination route
         cache is probed here), ``dst`` the destination name.  The
-        continuation owns the delivery-side bookkeeping that
-        :meth:`_deliver` does for messages: bump ``messages_delivered`` when
-        the destination is alive, ``messages_dropped`` when it is not.
+        continuation owns the delivery-side bookkeeping (:meth:`_deliver`
+        does it for messages): bump ``messages_delivered`` when the
+        destination is alive, ``messages_dropped`` when it is not.
         Returns ``False`` when the send was dropped (nothing scheduled).
 
-        The accounting sequence — sender-side drop rules, link/byte
-        charging, the jitter draw — is bit-for-bit that of :meth:`_prepare`
-        without the message shell, and the scheduler insert is
-        ``schedule_call`` inlined: this runs once per protocol hop, and the
-        extra call frames are measurable at full fig06 scale.
+        Every hop in the simulator runs through here: the sender-side drop
+        rules, the link/byte charge, the jitter draw (``uniform(0, jf)`` is
+        exactly ``jf * random()``, so the sample equals
+        ``Topology.one_way``'s) and the scheduler insert, inlined.
         """
         route = src._fused_routes.get(dst)
         if route is None:
@@ -536,7 +439,7 @@ class Network:
             delay = base
         if self._link_extra_ms:
             delay += self.link_extra_ms(src_node.name, dst_node.name)
-        # Scheduler.schedule_call, inlined (delay is >= 0 by construction).
+        # Scheduler insert, inlined (delay is >= 0 by construction).
         scheduler = self.scheduler
         seq = scheduler._seq
         scheduler._seq = seq + 1

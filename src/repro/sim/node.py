@@ -1,11 +1,12 @@
 """Simulated nodes and their processing queues.
 
 A :class:`Node` is a named endpoint in a region that receives messages from
-the :class:`~repro.sim.network.Network`.  Server nodes additionally own a
-:class:`ProcessingQueue`, a single-server FIFO that charges a service time to
-every piece of work.  Under light load the queue adds only the service time;
-as offered load approaches ``1 / service_time`` the queueing delay grows,
-which is what produces the latency-vs-throughput curves in Figures 6 and 11.
+the :class:`~repro.sim.network.Network`.  Every node owns a
+:class:`ProcessingQueue`, a single-server FIFO; :meth:`Node._enqueue` is the
+one way to charge it a service time for a piece of work.  Under light load
+the queue adds only the service time; as offered load approaches
+``1 / service_time`` the queueing delay grows, which is what produces the
+latency-vs-throughput curves in Figures 6 and 11.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ from repro.sim.scheduler import Scheduler
 
 
 class ProcessingQueue:
-    """Single-server FIFO work queue with deterministic service times."""
+    """Single-server FIFO work queue with deterministic service times.
+
+    Jobs are charged by :meth:`Node._enqueue`; the queue keeps the busy
+    horizon and the counters.
+    """
 
     __slots__ = ("_scheduler", "_busy_until", "jobs_processed", "busy_time")
 
@@ -27,25 +32,6 @@ class ProcessingQueue:
         self._busy_until = 0.0
         self.jobs_processed = 0
         self.busy_time = 0.0
-
-    def submit(self, service_time_ms: float,
-               fn: Callable[..., Any], *args: Any, **kwargs: Any) -> float:
-        """Enqueue a job; ``fn`` runs when the server finishes it.
-
-        Returns:
-            The absolute simulated time at which the job will complete.
-        """
-        if service_time_ms < 0:
-            raise ValueError("service time must be non-negative")
-        now = self._scheduler.clock._now
-        start = now if now > self._busy_until else self._busy_until
-        finish = start + service_time_ms
-        self._busy_until = finish
-        self.jobs_processed += 1
-        self.busy_time += service_time_ms
-        # Queue jobs are never cancelled: take the no-handle fast path.
-        self._scheduler.schedule_call_at(finish, fn, args, kwargs)
-        return finish
 
     def queue_delay(self) -> float:
         """Time a job submitted right now would wait before service begins."""
@@ -62,16 +48,14 @@ class Node:
     """Base class for every simulated endpoint (replica, server, or client)."""
 
     def __init__(self, name: str, region: str, network: Network,
-                 host: Optional[str] = None,
-                 service_time_ms: float = 0.0) -> None:
+                 host: Optional[str] = None) -> None:
         self.name = name
         self.region = region
         self.network = network
         self.scheduler = network.scheduler
         self.host = host if host is not None else name
         self.alive = True
-        self.service_time_ms = service_time_ms
-        #: Multiplier on every service time charged via :meth:`process`;
+        #: Multiplier on every service time charged via :meth:`_enqueue`;
         #: fault injection raises it to model a slow (but live) replica.
         self.slowdown_factor = 1.0
         self.queue = ProcessingQueue(self.scheduler)
@@ -132,38 +116,14 @@ class Node:
         handler(message)
 
     # -- local work --------------------------------------------------------
-    def process(self, fn: Callable[..., Any], *args: Any,
-                service_time_ms: Optional[float] = None,
-                **kwargs: Any) -> float:
-        """Run ``fn`` after this node's processing queue serves the job.
-
-        Inlines :meth:`ProcessingQueue.submit` — every handled message goes
-        through here, and the extra call layer is measurable.
-        """
-        cost = self.service_time_ms if service_time_ms is None else service_time_ms
-        cost *= self.slowdown_factor
-        if cost < 0:
-            raise ValueError("service time must be non-negative")
-        queue = self.queue
-        scheduler = queue._scheduler
-        now = scheduler.clock._now
-        busy = queue._busy_until
-        start = now if now > busy else busy
-        finish = start + cost
-        queue._busy_until = finish
-        queue.jobs_processed += 1
-        queue.busy_time += cost
-        scheduler.schedule_call_at(finish, fn, args, kwargs or None)
-        return finish
-
-    # -- record-carried work --------------------------------------------------
     def _enqueue(self, service_time_ms: float, fn: Callable[..., Any],
                  args: tuple) -> None:
-        """Lean :meth:`process`: no kwargs, no finish-time return.
+        """Run ``fn(*args)`` once this node's queue has served a job of
+        ``service_time_ms`` (scaled by :attr:`slowdown_factor`).
 
-        The scheduler insert is inlined too (``finish >= now`` holds by
-        construction, so the past-check is redundant here) — queue jobs are
-        one of the two dominant event classes.
+        The scheduler insert is inlined (``finish >= now`` holds by
+        construction: every cost comes from a config that rejects negative
+        values) — queue jobs are one of the two dominant event classes.
         """
         cost = service_time_ms * self.slowdown_factor
         queue = self.queue

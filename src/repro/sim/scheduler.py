@@ -8,20 +8,19 @@ Entries are plain five-field tuples ``(time, seq, fn, args, marker)`` so
 ordering is decided by C-level tuple comparison on the first two fields
 (``seq`` is unique, so nothing beyond it is ever compared) and running one
 is ``fn(*args)``, nothing else.  Keyword arguments are bound into ``fn``
-once, with :func:`functools.partial`, by the three entry points that accept
-them (:meth:`Scheduler.schedule`, :meth:`Scheduler.schedule_at`,
-:meth:`Scheduler.schedule_call_at`); the drain never looks for them.  Two
-write paths feed the queue:
+once, with :func:`functools.partial`, by the two entry points that accept
+them (:meth:`Scheduler.schedule`, :meth:`Scheduler.schedule_at`); the drain
+never looks for them.  Two write paths feed the queue:
 
 * :meth:`Scheduler.schedule` / :meth:`Scheduler.schedule_at` return an
   :class:`Event` handle (stored in the marker slot) so callers can cancel
   pending work (timeouts);
-* :meth:`Scheduler.schedule_call` / :meth:`Scheduler.schedule_call_at` are
-  the fire-and-forget fast path — ``marker`` is ``None``, no handle and no
-  per-event object allocation.  Message deliveries and processing-queue
-  jobs (the dominant event classes) use it, and the hottest callers
-  (``Network.fused_send_to``, ``Node._enqueue``, the Cassandra coordinator)
-  inline it: an insert is ``seq``, the tuple and one ``heappush``.
+* :meth:`Scheduler.schedule_call_at` is the fire-and-forget path —
+  ``marker`` is ``None``, no handle and no per-event object allocation.
+  Message deliveries and processing-queue jobs (the dominant event
+  classes) take it, inlined by their one sender each
+  (``Network.fused_send_to``, ``Node._enqueue``) and by the Cassandra
+  coordinator: an insert is ``seq``, the tuple and one ``heappush``.
 
 Storage is **one binary heap** of those tuples (:mod:`heapq`: the sift and
 its ``(time, seq)`` comparisons run in C).  Every insert is a ``heappush``,
@@ -190,34 +189,16 @@ class Scheduler:
         heappush(self._heap, (timestamp, seq, fn, args, event))
         return event
 
-    def schedule_call(self, delay: float, fn: Callable[..., Any],
-                      args: tuple = ()) -> None:
-        """Fire-and-forget :meth:`schedule`: no kwargs, no cancellation
-        handle, no per-event allocation.  The hot path for message
-        deliveries and queue jobs."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (self.clock._now + delay, seq, fn, args, None))
-
     def schedule_call_at(self, timestamp: float, fn: Callable[..., Any],
-                         args: tuple = (),
-                         kwargs: Optional[dict] = None) -> None:
-        """Fire-and-forget :meth:`schedule_at` (see :meth:`schedule_call`)."""
+                         args: tuple = ()) -> None:
+        """Fire-and-forget :meth:`schedule_at`: no kwargs, no cancellation
+        handle, no per-event allocation."""
         if timestamp < self.clock._now:
             raise ValueError(
                 f"cannot schedule in the past: {timestamp} < {self.now()}")
-        if kwargs:
-            fn = partial(fn, **kwargs)
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (timestamp, seq, fn, args, None))
-
-    def call_soon(self, fn: Callable[..., Any], *args: Any,
-                  **kwargs: Any) -> Event:
-        """Schedule ``fn`` at the current instant (after pending same-time events)."""
-        return self.schedule(0.0, fn, *args, **kwargs)
 
     # -- cancellation bookkeeping ------------------------------------------
     def _purge_cancelled(self) -> None:
@@ -271,8 +252,8 @@ class Scheduler:
         cap = _NO_CAP if max_events is None else max_events
         executed = 0
         # Steady-state event execution allocates almost nothing the cyclic
-        # collector can reclaim (messages and per-op records are pooled, the
-        # rest dies by refcount), so GC scans during the drain are pure
+        # collector can reclaim (per-op records are pooled, messages and the
+        # rest die by refcount), so GC scans during the drain are pure
         # overhead: suspended here, any cycles wait for the caller's next one.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:

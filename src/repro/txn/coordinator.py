@@ -84,8 +84,7 @@ class TwoPhaseCommitCoordinator(Node):
     def __init__(self, name: str, region: str, network: Network,
                  config: TxnConfig, index: int, peers: Sequence[str],
                  participants: Sequence[str], owners_of: OwnersFn) -> None:
-        super().__init__(name, region, network,
-                         service_time_ms=config.coordinator_service_ms)
+        super().__init__(name, region, network)
         self.config = config
         self.index = index
         self.peers: Tuple[str, ...] = tuple(peers)
@@ -357,7 +356,8 @@ class TwoPhaseCommitCoordinator(Node):
             started_ms=self.scheduler.now())
         self.in_flight[txn_id] = state
         self.txns_started += 1
-        self.process(self._send_prepares, txn_id)
+        self._enqueue(self.config.coordinator_service_ms,
+                      self._send_prepares, (txn_id,))
 
     def _send_prepares(self, txn_id: str) -> None:
         if not self.alive or not self.active:
@@ -419,8 +419,8 @@ class TwoPhaseCommitCoordinator(Node):
                 self.send(state.client, "txn_prepared_notice",
                           {"txn_id": state.txn_id},
                           size_bytes=MESSAGE_HEADER_BYTES + 16)
-                self.process(self._finalize_commit, state.txn_id,
-                             service_time_ms=self.config.decision_log_ms)
+                self._enqueue(self.config.decision_log_ms,
+                              self._finalize_commit, (state.txn_id,))
 
     def _finalize_commit(self, txn_id: str) -> None:
         if not self.alive or not self.active:

@@ -57,8 +57,8 @@ class TxnParticipant(Node):
             self.stale_epoch_rejections += 1
             return
         self.epoch = payload["epoch"]
-        self.process(self._handle_prepare, message.src, payload,
-                     service_time_ms=self.config.prepare_service_ms)
+        self._enqueue(self.config.prepare_service_ms, self._handle_prepare,
+                      (message.src, payload))
 
     def _handle_prepare(self, coordinator: str, payload: Dict[str, Any]) -> None:
         if not self.alive:
@@ -117,8 +117,8 @@ class TxnParticipant(Node):
             self.stale_epoch_rejections += 1
             return
         self.epoch = payload["epoch"]
-        self.process(self._handle_commit, message.src, payload,
-                     service_time_ms=self.config.commit_service_ms)
+        self._enqueue(self.config.commit_service_ms, self._handle_commit,
+                      (message.src, payload))
 
     def _handle_commit(self, coordinator: str, payload: Dict[str, Any]) -> None:
         if not self.alive:
@@ -151,8 +151,8 @@ class TxnParticipant(Node):
             self.stale_epoch_rejections += 1
             return
         self.epoch = payload["epoch"]
-        self.process(self._handle_abort, message.src, payload,
-                     service_time_ms=self.config.prepare_service_ms)
+        self._enqueue(self.config.prepare_service_ms, self._handle_abort,
+                      (message.src, payload))
 
     def _handle_abort(self, coordinator: str, payload: Dict[str, Any]) -> None:
         if not self.alive:
