@@ -51,6 +51,46 @@ class TestRtts:
             assert region in regions
 
 
+class TestNegativeLatencies:
+    """A negative latency would deliver before the send and run the
+    simulated clock backwards; a negative jitter bound would be ignored.
+    Every way in refuses them and keeps what was there."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rtts": {frozenset({Region.IRL, Region.FRK}): -80.0}},
+        {"intra_region_rtt_ms": -10.0},
+        {"loopback_rtt_ms": -0.3},
+        {"jitter_fraction": -0.5},
+    ], ids=["rtts", "intra_region_rtt_ms", "loopback_rtt_ms",
+            "jitter_fraction"])
+    def test_constructor_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            Topology(**kwargs)
+
+    @pytest.mark.parametrize("name", ["intra_region_rtt_ms",
+                                      "loopback_rtt_ms", "jitter_fraction"])
+    def test_setter_rejects(self, name):
+        topo = Topology()
+        before = getattr(topo, name)
+        with pytest.raises(ValueError):
+            setattr(topo, name, -0.5)
+        assert getattr(topo, name) == before
+
+    def test_set_rtt_rejects(self):
+        topo = Topology()
+        with pytest.raises(ValueError):
+            topo.set_rtt(Region.IRL, Region.FRK, -80.0)
+        assert topo.rtt(Region.IRL, Region.FRK) == pytest.approx(20.0)
+
+    @pytest.mark.parametrize("value", [0.0, 2.5])
+    def test_zero_and_positive_accepted(self, value):
+        topo = Topology(intra_region_rtt_ms=value, loopback_rtt_ms=value,
+                        jitter_fraction=value)
+        topo.set_rtt(Region.IRL, Region.FRK, value)
+        assert topo.rtt(Region.IRL, Region.IRL) == value
+        assert topo.rtt(Region.IRL, Region.FRK) == value
+
+
 class TestOneWayDelays:
     def test_one_way_without_jitter_is_half_rtt(self):
         topo = Topology(jitter_fraction=0.0)
