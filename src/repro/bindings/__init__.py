@@ -11,7 +11,6 @@ from repro.bindings.primary_backup import PrimaryBackupBinding, PrimaryBackupSto
 from repro.bindings.cassandra import CassandraBinding
 from repro.bindings.zookeeper import ZooKeeperQueueBinding
 from repro.bindings.cached_store import CachedStoreBinding
-from repro.bindings.blockchain import BlockchainBinding
 
 __all__ = [
     "Binding",
@@ -23,5 +22,4 @@ __all__ = [
     "CassandraBinding",
     "ZooKeeperQueueBinding",
     "CachedStoreBinding",
-    "BlockchainBinding",
 ]
