@@ -3,7 +3,7 @@
 import typing
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.zookeeper_sim.datatree import DataTree, NoNodeError, NodeExistsError
 
@@ -192,6 +192,9 @@ _OPS = st.one_of(
 
 @given(st.integers(min_value=0, max_value=200),
        st.lists(_OPS, max_size=300))
+@example(preloaded=1, ops=[("sequential", "item-"), ("sequential", "item-"),
+                           ("named", "item-0000000003"),
+                           ("sequential", "item-")])
 def test_children_stay_sorted_under_any_edit_sequence(preloaded, ops):
     """The incrementally ordered child list against ``sorted`` as the oracle:
     sequential and arbitrary names, deletes anywhere, head pops (past the
@@ -206,10 +209,16 @@ def test_children_stay_sorted_under_any_edit_sequence(preloaded, ops):
     for step, (kind, arg) in enumerate(ops):
         if kind == "sequential":
             name = f"{arg}{sequence:010d}"
-            assert tree.create(f"/q/{arg}", data=step,
-                               sequential=True) == f"/q/{name}"
             sequence += 1
-            model[name] = step
+            if name in model:
+                # A named create took this sequential name first; the
+                # counter still moves on.
+                with pytest.raises(NodeExistsError):
+                    tree.create(f"/q/{arg}", data=step, sequential=True)
+            else:
+                assert tree.create(f"/q/{arg}", data=step,
+                                   sequential=True) == f"/q/{name}"
+                model[name] = step
         elif kind == "named":
             if arg in model:
                 with pytest.raises(NodeExistsError):
