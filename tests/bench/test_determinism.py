@@ -408,6 +408,23 @@ class TestDeterminism:
         assert scenario.cluster.in_flight() == {
             "read_sessions": 0, "write_sessions": 0, "client_pending": 0}
 
+    def test_message_traffic_is_counted_not_pooled(self):
+        """2PC is ``Message`` traffic end to end, so a fig16 cell builds
+        many; ``pool_stats`` counts them and reports an empty pool."""
+        from repro.bench.fig16_txn import run_fig16_cell
+
+        _, env = run_fig16_cell(
+            scenario="coordinator-crash-mid-commit", keys_per_txn=2,
+            nodes=3, coordinators=2, rate_txn_s=25.0,
+            duration_ms=4_000.0, fault_at_ms=1_500.0,
+            fault_duration_ms=1_500.0, decision_log_ms=2.0,
+            record_count=120, seed=42)
+        stats = env.network.pool_stats()
+        assert stats["created"] > 0
+        assert stats["created"] >= env.network.messages_sent
+        assert (stats["reused"], stats["recycled"], stats["free"]) \
+            == (0, 0, 0)
+
     def test_zookeeper_request_path_creates_no_message(self):
         """The complement: ZooKeeper's seven request-path hops ride records
         and continuations, so a fault-free queue run creates no ``Message``

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sim.environment import SimEnvironment
-from repro.sim.network import MESSAGE_HEADER_BYTES, Message, estimate_payload_size
+from repro.sim.network import (
+    EMPTY_LINK_STATS, MESSAGE_HEADER_BYTES, Message, estimate_payload_size)
 from repro.sim.node import Node
 from repro.sim.topology import Region, Topology
 
@@ -218,6 +219,84 @@ class TestAccounting:
         assert env.network.bytes_touching("a") == 0
 
 
+class TestMessageSend:
+    """``Network.send``: a :class:`Message` built per call and handed to
+    ``fused_send_to``, nothing pooled."""
+
+    def _pair(self):
+        env = _make_env()
+        a = Recorder("a", Region.IRL, env.network)
+        b = Recorder("b", Region.FRK, env.network)
+        return env, a, b
+
+    def test_send_returns_the_accounted_message(self):
+        env, _, b = self._pair()
+        sent = []
+        env.scheduler.schedule(3.0, lambda: sent.append(
+            env.network.send("a", "b", "hello", {"x": 1}, size_bytes=64)))
+        env.run_until_idle()
+        (message,) = sent
+        assert (message.src, message.dst, message.kind, message.payload,
+                message.size_bytes, message.send_time) \
+            == ("a", "b", "hello", {"x": 1}, 64, 3.0)
+        assert b.received == [message]
+        assert env.now() == pytest.approx(13.0)
+
+    @pytest.mark.parametrize("size_bytes", [None, 0, -5])
+    def test_unset_size_is_estimated_from_the_payload(self, size_bytes):
+        env, _, _ = self._pair()
+        payload = {"key": "abc", "n": 7}
+        message = env.network.send("a", "b", "x", payload,
+                                   size_bytes=size_bytes)
+        expected = MESSAGE_HEADER_BYTES + estimate_payload_size(payload)
+        assert message.size_bytes == expected
+        assert env.network.link_stats("a", "b").bytes == expected
+
+    def test_dead_sender_sends_nothing(self):
+        env, a, b = self._pair()
+        a.crash()
+        env.network.send("a", "b", "x", size_bytes=10)
+        assert env.scheduler.pending() == 0
+        assert env.network.link_stats("a", "b") is EMPTY_LINK_STATS
+        assert env.network.messages_sent == 0
+        assert env.network.messages_dropped == 1
+        env.run_until_idle()
+        assert b.received == []
+
+    def test_pool_stats_count_messages_built_and_pool_nothing(self):
+        env, a, b = self._pair()
+        env.network.send("a", "b", "x")
+        env.network.send("b", "a", "y")
+        b.crash()
+        env.network.send("a", "b", "z")
+        env.run_until_idle()
+        assert env.network.pool_stats() == {
+            "created": 3, "reused": 0, "recycled": 0, "free": 0}
+
+    def test_fused_send_to_builds_no_message(self):
+        env, a, _ = self._pair()
+        done = []
+        assert env.network.fused_send_to(a, "b", 40, done.append, ("hop",))
+        env.run_until_idle()
+        assert done == ["hop"]
+        assert env.network.pool_stats()["created"] == 0
+        assert env.network.link_stats("a", "b").bytes == 40
+
+    def test_handler_is_resolved_once_per_kind(self):
+        env = _make_env()
+        client = Recorder("client", Region.IRL, env.network)
+        echo = Echo("echo", Region.FRK, env.network)
+        assert echo._handler_cache == {}
+        client.send("echo", "ping")
+        env.run_until_idle()
+        handler = echo._handler_cache["ping"]
+        client.send("echo", "ping")
+        env.run_until_idle()
+        assert echo.pings == 2
+        assert echo._handler_cache == {"ping": handler}
+        assert env.network.messages_delivered == 4
+
+
 class TestProcessingQueue:
     """Work charged with ``Node._enqueue`` and served by the node's queue."""
 
@@ -255,3 +334,33 @@ class TestProcessingQueue:
         env.run_until_idle()
         assert node.queue.utilization(10.0) == pytest.approx(0.5)
         assert node.queue.jobs_processed == 1
+
+    def test_job_after_idle_starts_at_now(self):
+        env, node = self._node()
+        node._enqueue(2.0, list, ())
+        env.scheduler.schedule(10.0, list)
+        env.run_until_idle()
+        done = []
+        node._enqueue(3.0, lambda: done.append(env.now()), ())
+        env.run_until_idle()
+        assert done == [13.0]
+        assert node.queue.busy_time == pytest.approx(5.0)
+
+    def test_zero_cost_jobs_keep_submission_order(self):
+        env, node = self._node()
+        order = []
+        for name in "abc":
+            node._enqueue(0.0, order.append, (name,))
+        env.run_until_idle()
+        assert order == list("abc")
+        assert env.now() == 0.0
+
+    def test_busy_time_counts_scaled_cost(self):
+        env, node = self._node()
+        node.slow_down(3.0)
+        node._enqueue(2.0, list, ())
+        node.restore_speed()
+        node._enqueue(1.0, list, ())
+        env.run_until_idle()
+        assert node.queue.busy_time == pytest.approx(7.0)
+        assert env.now() == pytest.approx(7.0)

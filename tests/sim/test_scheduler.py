@@ -175,6 +175,33 @@ class TestFastPathScheduling:
         scheduler.run_until_idle()
         assert order == ["a", "b", "c"]
 
+    def test_schedule_call_at_now_runs_after_this_instants_events(
+            self, scheduler):
+        seen = []
+
+        def first():
+            scheduler.schedule_call_at(scheduler.now(), seen.append,
+                                       (("soon", scheduler.now()),))
+
+        scheduler.schedule(3.0, first)
+        scheduler.schedule(3.0, seen.append, ("queued", 3.0))
+        scheduler.run_until_idle()
+        assert seen == [("queued", 3.0), ("soon", 3.0)]
+        assert scheduler.now() == 3.0
+
+    def test_schedule_call_at_returns_no_handle(self, scheduler):
+        assert scheduler.schedule_call_at(2.0, list) is None
+        assert scheduler.pending() == 1
+        assert scheduler.pending(live_only=True) == 1
+
+    def test_schedule_call_at_same_instant_keeps_submission_order(
+            self, scheduler):
+        order = []
+        for name in "abcde":
+            scheduler.schedule_call_at(4.0, order.append, (name,))
+        scheduler.run_until_idle()
+        assert order == list("abcde")
+
 
 class TestCancellationBookkeeping:
     def test_pending_counts_cancelled_by_default(self, scheduler):

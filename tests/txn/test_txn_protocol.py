@@ -79,6 +79,40 @@ class TestCommitPath:
         fabric.assert_atomic()
 
 
+class TestServiceCharges:
+    """Every 2PC step charges its node's queue the cost its config names."""
+
+    def _commit_one(self):
+        config = no_failover_config(coordinator_service_ms=3.0,
+                                    decision_log_ms=2.0,
+                                    prepare_service_ms=0.7,
+                                    commit_service_ms=1.1)
+        fabric = make_fabric(config=config)
+        key = fabric.built.dataset.keys()[0]
+        box = collect(fabric.manager.execute({key: "v"}))
+        fabric.built.env.run_until_idle()
+        assert box["final"].value["outcome"] == "commit"
+        return fabric, key
+
+    def test_coordinator_charges_begin_and_decision_log(self):
+        fabric, _ = self._commit_one()
+        queue = fabric.active_coordinator().queue
+        assert queue.jobs_processed == 2
+        assert queue.busy_time == pytest.approx(3.0 + 2.0)
+
+    def test_participants_charge_prepare_and_commit(self):
+        fabric, key = self._commit_one()
+        owners = set(fabric.owners_of(key))
+        assert owners
+        for name, participant in fabric.participants.items():
+            queue = participant.queue
+            if name in owners:
+                assert queue.jobs_processed == 2
+                assert queue.busy_time == pytest.approx(0.7 + 1.1)
+            else:
+                assert queue.jobs_processed == 0
+
+
 class TestAbortPaths:
     def test_conflicting_transactions_serialize_by_abort(self):
         fabric = make_fabric()
