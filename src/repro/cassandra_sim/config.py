@@ -102,6 +102,7 @@ class CassandraConfig:
             raise ValueError("stream_batch_items must be positive")
         # A negative service time schedules a job before ``now`` and runs
         # the simulated clock backwards; a negative size undercounts bytes.
+        # ``not x >= 0`` rejects NaN as well (``NaN < 0`` is False).
         for name in ("read_timeout_ms", "write_timeout_ms",
                      "client_timeout_ms", "coordinator_retries",
                      "client_retries", "read_service_ms", "write_service_ms",
@@ -110,13 +111,13 @@ class CassandraConfig:
                      "key_size_bytes", "response_overhead_bytes",
                      "confirmation_bytes", "client_backoff_base_ms",
                      "client_backoff_cap_ms", "client_backoff_jitter_ms"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.value_size_bytes <= 0:
             raise ValueError("value_size_bytes must be positive")
         if self.columnar_threshold_keys < 1:
             raise ValueError("columnar_threshold_keys must be >= 1")
-        if self.client_backoff_multiplier < 1:
+        if not self.client_backoff_multiplier >= 1:
             raise ValueError("client_backoff_multiplier must be >= 1")
 
     def quorum(self) -> int:

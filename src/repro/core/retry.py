@@ -54,11 +54,12 @@ class RetryPolicy:
     label: str = "retry"
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
+        if not self.max_retries >= 0:
             raise ValueError("max_retries must be non-negative")
-        if self.base_delay_ms < 0 or self.cap_ms < 0 or self.jitter_ms < 0:
+        if not (self.base_delay_ms >= 0 and self.cap_ms >= 0
+                and self.jitter_ms >= 0):
             raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
+        if not self.multiplier >= 1.0:
             raise ValueError("multiplier must be >= 1")
         if self.jitter_ms > 0:
             # One private stream per policy instance: drawing jitter never
@@ -131,7 +132,7 @@ class Deadline:
         """The deadline ``budget_ms`` from ``now_ms`` (infinite if None)."""
         if budget_ms is None:
             return cls()
-        if budget_ms < 0:
+        if not budget_ms >= 0:
             raise ValueError("budget must be non-negative")
         return cls(expires_at_ms=now_ms + budget_ms)
 
@@ -180,7 +181,7 @@ class CircuitBreaker:
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be positive")
-        if self.reset_timeout_ms < 0:
+        if not self.reset_timeout_ms >= 0:
             raise ValueError("reset_timeout_ms must be non-negative")
 
     def allow(self, now_ms: float) -> bool:

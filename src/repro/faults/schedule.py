@@ -46,7 +46,7 @@ class FaultEvent:
     value: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.at_ms < 0:
+        if not self.at_ms >= 0:
             raise ValueError(f"fault time must be non-negative, got {self.at_ms}")
         if self.action not in ACTIONS:
             raise ValueError(f"unknown fault action {self.action!r}; "
@@ -55,9 +55,9 @@ class FaultEvent:
             raise ValueError("fault event needs a target selector")
         if self.action in _PAIR_ACTIONS and not self.peer:
             raise ValueError(f"action {self.action!r} needs a peer endpoint")
-        if self.action == "slow" and self.value <= 0:
+        if self.action == "slow" and not self.value > 0:
             raise ValueError("slow action needs a positive factor in 'value'")
-        if self.action == "degrade_link" and self.value < 0:
+        if self.action == "degrade_link" and not self.value >= 0:
             raise ValueError("degrade_link needs a non-negative 'value' (ms)")
 
 

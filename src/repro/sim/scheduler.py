@@ -158,7 +158,7 @@ class Scheduler:
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any,
                  **kwargs: Any) -> Event:
         """Schedule ``fn(*args, **kwargs)`` to run ``delay`` ms from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         if kwargs:
             fn = partial(fn, **kwargs)
@@ -178,7 +178,7 @@ class Scheduler:
     def schedule_at(self, timestamp: float, fn: Callable[..., Any],
                     *args: Any, **kwargs: Any) -> Event:
         """Schedule ``fn`` at an absolute simulated time."""
-        if timestamp < self.clock._now:
+        if not timestamp >= self.clock._now:
             raise ValueError(
                 f"cannot schedule in the past: {timestamp} < {self.now()}")
         if kwargs:
@@ -193,7 +193,7 @@ class Scheduler:
                          args: tuple = ()) -> None:
         """Fire-and-forget :meth:`schedule_at`: no kwargs, no cancellation
         handle, no per-event allocation."""
-        if timestamp < self.clock._now:
+        if not timestamp >= self.clock._now:
             raise ValueError(
                 f"cannot schedule in the past: {timestamp} < {self.now()}")
         seq = self._seq

@@ -53,7 +53,8 @@ LOOPBACK_RTT_MS = 0.3
 def _non_negative(name: str, value: float) -> float:
     # A negative latency delivers before the send and runs the simulated
     # clock backwards; a negative jitter bound would be silently ignored.
-    if value < 0:
+    # Spelt ``not value >= 0`` so that NaN, which compares false, fails too.
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
 

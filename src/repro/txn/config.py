@@ -69,7 +69,7 @@ class TxnConfig:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            if getattr(self, field.name) < 0:
+            if not getattr(self, field.name) >= 0:
                 raise ValueError(f"{field.name} must be non-negative")
         # A zero redelivery or probe period reschedules itself at the same
         # instant for as long as a participant stays silent, so simulated
@@ -77,14 +77,14 @@ class TxnConfig:
         # transaction on arrival.
         for name in ("prepare_timeout_ms", "decision_retry_ms",
                      "takeover_probe_ms", "txn_deadline_ms"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.client_backoff_multiplier < 1:
+        if not self.client_backoff_multiplier >= 1:
             raise ValueError("client_backoff_multiplier must be >= 1")
         if self.breaker_failure_threshold < 1:
             raise ValueError("breaker_failure_threshold must be positive")
-        if self.heartbeat_interval_ms > 0 \
-                and self.coordinator_timeout_ms <= self.heartbeat_interval_ms:
+        if self.heartbeat_interval_ms > 0 and not (
+                self.coordinator_timeout_ms > self.heartbeat_interval_ms):
             raise ValueError(
                 "coordinator_timeout_ms must exceed heartbeat_interval_ms, "
                 "or every standby suspects a healthy coordinator")

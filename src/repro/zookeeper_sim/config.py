@@ -64,16 +64,16 @@ class ZooKeeperConfig:
                      "request_timeout_ms", "client_retries",
                      "client_backoff_base_ms", "client_backoff_cap_ms",
                      "client_backoff_jitter_ms"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.client_backoff_multiplier < 1:
+        if not self.client_backoff_multiplier >= 1:
             raise ValueError("client_backoff_multiplier must be >= 1")
         if self.heartbeat_interval_ms > 0:
-            if self.leader_timeout_ms <= self.heartbeat_interval_ms:
+            if not self.leader_timeout_ms > self.heartbeat_interval_ms:
                 raise ValueError(
                     "leader_timeout_ms must exceed heartbeat_interval_ms, or "
                     "every follower suspects a healthy leader on every tick")
-            if self.election_window_ms <= 0:
+            if not self.election_window_ms > 0:
                 raise ValueError("election_window_ms must be positive")
 
     def retry_policy(self, label: str = "failover") -> RetryPolicy:

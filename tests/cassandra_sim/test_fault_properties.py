@@ -18,6 +18,7 @@ saw and on what is left behind —
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Optional
 
 import pytest
@@ -270,6 +271,19 @@ class TestBadSpecsFailLoudly:
             CassandraConfig(**{field: value})
         with pytest.raises(ValueError, match=field):
             CassandraConfig.fault_tolerant(**{field: value})
+
+    @pytest.mark.parametrize("field", [
+        "read_timeout_ms", "write_timeout_ms", "client_timeout_ms",
+        "read_service_ms", "write_service_ms", "preliminary_flush_ms",
+        "stream_scan_ms", "stream_batch_ms", "stream_apply_ms_per_item",
+        "client_backoff_base_ms", "client_backoff_cap_ms",
+        "client_backoff_jitter_ms", "client_backoff_multiplier"])
+    def test_nan_costs_are_rejected(self, field):
+        """``nan < 0`` is False, so a ``< 0`` check let NaN through: a
+        NaN read service time finished reads with latency NaN and left the
+        simulated clock at NaN."""
+        with pytest.raises(ValueError, match=field):
+            CassandraConfig(**{field: math.nan})
 
     @pytest.mark.parametrize("quorum", [0, -1, 4])
     def test_unreachable_quorums_are_rejected(self, quorum, cassandra_setup):

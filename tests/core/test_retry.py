@@ -82,6 +82,21 @@ class TestRetryPolicy:
             RetryPolicy(jitter_ms=-0.1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: RetryPolicy(max_retries=math.nan),
+    lambda: RetryPolicy(base_delay_ms=math.nan),
+    lambda: RetryPolicy(cap_ms=math.nan),
+    lambda: RetryPolicy(jitter_ms=math.nan),
+    lambda: RetryPolicy(multiplier=math.nan),
+    lambda: Deadline.after(0.0, math.nan),
+    lambda: CircuitBreaker(reset_timeout_ms=math.nan),
+], ids=["max_retries", "base_delay_ms", "cap_ms", "jitter_ms", "multiplier",
+        "deadline", "breaker_reset"])
+def test_nan_is_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 class TestDeadline:
     def test_default_is_infinite(self):
         deadline = Deadline()

@@ -28,6 +28,20 @@ class TestFaultEvent:
             FaultEvent(0.0, "slow", "replica:0", value=0.0)
 
 
+@pytest.mark.parametrize("window", [
+    lambda b, nan: b.crash_window("replica:0", nan, 10.0),
+    lambda b, nan: b.crash_window("replica:0", 0.0, nan),
+    lambda b, nan: b.partition_window("region:a", "region:b", nan, 10.0),
+    lambda b, nan: b.flapping("region:a", "region:b", 0.0, nan, nan, 2),
+    lambda b, nan: b.degrade_window("region:a", "region:b", 0.0, 10.0, nan),
+    lambda b, nan: b.slow_window("replica:0", 0.0, 10.0, nan),
+], ids=["crash_at", "crash_duration", "partition", "flapping", "degrade",
+        "slow"])
+def test_builder_windows_reject_nan(window):
+    with pytest.raises(ValueError):
+        window(FaultScheduleBuilder(), float("nan"))
+
+
 class TestFaultSchedule:
     def test_events_sorted_by_time(self):
         schedule = FaultSchedule((

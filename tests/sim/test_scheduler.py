@@ -59,6 +59,22 @@ class TestScheduling:
         with pytest.raises(ValueError):
             scheduler.schedule(-1, lambda: None)
 
+    @pytest.mark.parametrize("entry", [
+        lambda s, fn: s.schedule(float("nan"), fn),
+        lambda s, fn: s.schedule_at(float("nan"), fn),
+        lambda s, fn: s.schedule_call_at(float("nan"), fn),
+    ], ids=["schedule", "schedule_at", "schedule_call_at"])
+    def test_nan_time_rejected(self, scheduler, entry):
+        """A NaN time compares false against everything, so it jumped
+        ahead of events already due."""
+        order = []
+        scheduler.schedule(1.0, order.append, "due")
+        with pytest.raises(ValueError):
+            entry(scheduler, lambda: order.append("nan"))
+        scheduler.run_until_idle()
+        assert order == ["due"]
+        assert scheduler.now() == 1.0
+
     def test_schedule_at_in_past_rejected(self, scheduler):
         scheduler.schedule(5, lambda: None)
         scheduler.run_until_idle()

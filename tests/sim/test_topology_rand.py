@@ -82,6 +82,22 @@ class TestNegativeLatencies:
             topo.set_rtt(Region.IRL, Region.FRK, -80.0)
         assert topo.rtt(Region.IRL, Region.FRK) == pytest.approx(20.0)
 
+    @pytest.mark.parametrize("edit", [
+        lambda topo: Topology(rtts={frozenset({Region.IRL, Region.FRK}):
+                                    float("nan")}),
+        lambda topo: topo.set_rtt(Region.IRL, Region.FRK, float("nan")),
+        lambda topo: setattr(topo, "intra_region_rtt_ms", float("nan")),
+        lambda topo: setattr(topo, "loopback_rtt_ms", float("nan")),
+        lambda topo: setattr(topo, "jitter_fraction", float("nan")),
+    ], ids=["rtts", "set_rtt", "intra_region_rtt_ms", "loopback_rtt_ms",
+            "jitter_fraction"])
+    def test_nan_rejected(self, edit):
+        topo = Topology()
+        with pytest.raises(ValueError):
+            edit(topo)
+        assert topo.rtt(Region.IRL, Region.FRK) == pytest.approx(20.0)
+        assert topo.jitter_fraction == 0.05
+
     @pytest.mark.parametrize("value", [0.0, 2.5])
     def test_zero_and_positive_accepted(self, value):
         topo = Topology(intra_region_rtt_ms=value, loopback_rtt_ms=value,

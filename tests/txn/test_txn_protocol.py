@@ -9,7 +9,9 @@ import pytest
 
 from repro.core.consistency import STRONG
 from repro.sim.network import Message
-from repro.txn import PREPARED, TransactionError, TxnState, txn_aliases
+from repro.txn import (
+    PREPARED, TransactionError, TxnConfig, TxnState, txn_aliases,
+)
 from txn_helpers import collect, make_fabric, no_failover_config
 
 
@@ -216,6 +218,15 @@ class TestConfigValidation:
     def test_bad_spec_fails_at_build_time(self, overrides):
         with pytest.raises(ValueError):
             no_failover_config(**overrides)
+
+    @pytest.mark.parametrize("field", [
+        "decision_retry_ms", "takeover_probe_ms", "txn_deadline_ms",
+        "prepare_timeout_ms", "decision_log_ms", "client_timeout_ms",
+        "commit_service_ms", "client_backoff_multiplier",
+        "coordinator_timeout_ms"])
+    def test_nan_fails_at_build_time(self, field):
+        with pytest.raises(ValueError, match=field):
+            TxnConfig(**{field: float("nan")})
 
     def test_zero_periods_stay_legal_where_they_mean_off(self):
         # Heartbeats off (no failure detection) need no coordinator

@@ -350,3 +350,11 @@ def test_bad_config_fails_at_build_time(overrides, named):
     if "leader_timeout_ms" in overrides or "election_window_ms" in overrides:
         # Without heartbeats nothing ever reads the election knobs.
         ZooKeeperConfig(**overrides)
+
+
+@pytest.mark.parametrize("named", _NON_NEGATIVE + (
+    "leader_timeout_ms", "election_window_ms", "client_backoff_multiplier"))
+def test_nan_config_fails_at_build_time(named):
+    # NaN compares false both ways, so only ``not x >= 0`` catches it.
+    with pytest.raises(ValueError, match=named):
+        ZooKeeperConfig.fault_tolerant(**{named: float("nan")})
