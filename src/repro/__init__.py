@@ -1,59 +1,16 @@
 """Correctables: incremental consistency guarantees for replicated objects.
 
 A from-scratch Python reproduction of the OSDI '16 paper by Guerraoui,
-Pavlovic and Seredinschi.  The top-level package re-exports the pieces most
-applications need:
+Pavlovic and Seredinschi.  The client API (:class:`CorrectableClient`,
+:class:`Correctable`, consistency levels, operations) is
+:mod:`repro.core`; storage bindings are in :mod:`repro.bindings`, the
+simulated stores in :mod:`repro.cassandra_sim` and
+:mod:`repro.zookeeper_sim`, the discrete-event substrate in
+:mod:`repro.sim` and the figure harnesses in :mod:`repro.bench`.  This
+package and most subpackages import nothing on their own, so a process
+loads only the modules it names.
 
-* the Correctables client API (:class:`CorrectableClient`,
-  :class:`Correctable`, consistency levels, operations);
-* storage bindings for the simulated Cassandra and ZooKeeper clusters plus
-  simpler in-memory / primary-backup / cache-fronted stores;
-* the discrete-event simulation substrate and the YCSB-style workloads used
-  by the benchmark harnesses in :mod:`repro.bench`.
-
-See ``README.md`` for a quickstart and ``DESIGN.md`` for the full system
-inventory.
+See ``README.md`` for a quickstart.
 """
 
-from repro.core import (
-    CACHED,
-    CAUSAL,
-    STRONG,
-    WEAK,
-    ConsistencyLevel,
-    Correctable,
-    CorrectableClient,
-    CorrectableState,
-    Operation,
-    Promise,
-    SpeculationStats,
-    View,
-    custom,
-    dequeue,
-    enqueue,
-    read,
-    write,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "CACHED",
-    "CAUSAL",
-    "STRONG",
-    "WEAK",
-    "ConsistencyLevel",
-    "Correctable",
-    "CorrectableClient",
-    "CorrectableState",
-    "Operation",
-    "Promise",
-    "SpeculationStats",
-    "View",
-    "custom",
-    "dequeue",
-    "enqueue",
-    "read",
-    "write",
-    "__version__",
-]

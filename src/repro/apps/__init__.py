@@ -10,29 +10,3 @@
 * :mod:`repro.apps.datasets`   — synthetic datasets shaped like the ones the
   paper used (profiles→ads references, timelines→tweets).
 """
-
-from repro.apps.datasets import AdsDataset, TwissandraDataset
-from repro.apps.ads import AdServingSystem
-from repro.apps.twissandra import Twissandra
-from repro.apps.tickets import TicketSeller, PurchaseOutcome
-from repro.apps.news import NewsReader
-from repro.apps.catalog import (
-    ConsistencyCategory,
-    UseCase,
-    APPLICATION_CATALOG,
-    recommend_category,
-)
-
-__all__ = [
-    "AdsDataset",
-    "TwissandraDataset",
-    "AdServingSystem",
-    "Twissandra",
-    "TicketSeller",
-    "PurchaseOutcome",
-    "NewsReader",
-    "ConsistencyCategory",
-    "UseCase",
-    "APPLICATION_CATALOG",
-    "recommend_category",
-]

@@ -43,19 +43,15 @@ propagating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence,
+)
 
 from repro.bench.common import DrainCheck, cassandra_config_for
 from repro.core.cluster_spec import ClusterSpec
-from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.bindings.cassandra import CassandraBinding
-from repro.bindings.primary_backup import (
-    PrimaryBackupBinding,
-    PrimaryBackupStore,
-)
 from repro.core.client import CorrectableClient, SessionPool
 from repro.core.operations import read, write
-from repro.metrics.summary import format_table
 from repro.sim.environment import SimEnvironment
 from repro.sim.rand import derive_rng
 from repro.sim.topology import Region
@@ -63,6 +59,9 @@ from repro.workloads.arrivals import make_arrival_process
 from repro.workloads.records import Dataset
 from repro.workloads.runner import ClosedLoopRunner, OpenLoopRunner
 from repro.workloads.ycsb import OperationGenerator, workload_by_name
+
+if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
+    from repro.bench.sweep import JobsSpec, SweepPoint
 
 DEFAULT_BINDINGS = ("cassandra", "primary-backup")
 DEFAULT_POLICIES = ("queue", "shed")
@@ -96,6 +95,9 @@ def _setup_cassandra(seed: int, record_count: int):
 def _setup_primary_backup(seed: int, record_count: int,
                           replication_lag_ms: float = 30.0):
     """A primary/backup store preloaded on both copies."""
+    from repro.bindings.primary_backup import (
+        PrimaryBackupBinding, PrimaryBackupStore,
+    )
     env = SimEnvironment(seed=seed)
     store = PrimaryBackupStore(scheduler=env.scheduler,
                                replication_lag_ms=replication_lag_ms)
@@ -369,6 +371,7 @@ def build_fig14_points(bindings: Iterable[str] = DEFAULT_BINDINGS,
                        seed: int = 42,
                        include_closed_loop: bool = True) -> List[SweepPoint]:
     """One closed-loop overlay row per binding, then the open-loop sweep."""
+    from repro.bench.sweep import make_points
     base = dict(arrivals=arrivals, sessions=sessions,
                 max_in_flight=max_in_flight, queue_limit=queue_limit,
                 duration_ms=duration_ms, warmup_ms=warmup_ms,
@@ -408,6 +411,7 @@ def run_fig14(bindings: Iterable[str] = DEFAULT_BINDINGS,
     sweep engine merges worker records in grid order, so ``jobs`` never
     changes the output.
     """
+    from repro.bench.sweep import run_sweep
     points = build_fig14_points(
         bindings=bindings, policies=policies, rates=rates, arrivals=arrivals,
         sessions=sessions, max_in_flight=max_in_flight,
@@ -421,6 +425,7 @@ def run_fig14(bindings: Iterable[str] = DEFAULT_BINDINGS,
 
 def format_fig14(records: List[Dict]) -> str:
     """Render the figure as one table: closed overlay first per binding."""
+    from repro.metrics.summary import format_table
     columns = ["binding", "mode", "policy", "offered_rate_ops_s",
                "offered_ops_s", "throughput_ops_s", "shed_pct",
                "queue_delay_mean_ms", "queue_delay_p99_ms",

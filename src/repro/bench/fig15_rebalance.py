@@ -32,20 +32,23 @@ bump while the hot keys' new owners are still catching up.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence,
+)
 
 from repro.bench.common import DrainCheck, cassandra_config_for
-from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.versions import resolve
 from repro.core.cluster_spec import ClusterSpec
 from repro.metrics.latency import nearest_rank_p99
-from repro.metrics.summary import format_table
 from repro.sim.rand import derive_rng
 from repro.sim.topology import Region, round_robin_regions
 from repro.workloads.arrivals import make_arrival_process
 from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.ycsb import OperationGenerator, workload_by_name
+
+if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
+    from repro.bench.sweep import JobsSpec, SweepPoint
 
 DEFAULT_NODES = (6, 12)
 #: Key-skew regimes: YCSB uniform, the YCSB Zipfian constant, and a
@@ -354,6 +357,7 @@ def build_fig15_points(nodes: Sequence[int] = DEFAULT_NODES,
     keys simply return not-found, which the harness does not count as a
     failure.
     """
+    from repro.bench.sweep import make_points
     base = dict(rate_ops_s=rate_ops_s, sessions=sessions,
                 max_in_flight=max_in_flight, queue_limit=queue_limit,
                 duration_ms=duration_ms, warmup_ms=warmup_ms,
@@ -388,6 +392,7 @@ def run_fig15(nodes: Sequence[int] = DEFAULT_NODES,
     Returns one record per (nodes, skew, event); the sweep engine merges
     worker records in grid order, so ``jobs`` never changes the output.
     """
+    from repro.bench.sweep import run_sweep
     points = build_fig15_points(
         nodes=nodes, skews=skews, events=events, rate_ops_s=rate_ops_s,
         sessions=sessions, max_in_flight=max_in_flight,
@@ -428,12 +433,14 @@ def build_fig15_million_points(
 def run_fig15_million(record_count: int = MILLION_KEY_RECORD_COUNT,
                       seed: int = 42, jobs: JobsSpec = 1) -> List[Dict]:
     """Run the tier-2 multi-million-key join cell (see the point builder)."""
+    from repro.bench.sweep import run_sweep
     points = build_fig15_million_points(record_count=record_count, seed=seed)
     return run_sweep(points, run_fig15_point, jobs=jobs).records()
 
 
 def format_fig15(records: List[Dict]) -> str:
     """Render the figure: per-phase latency table plus a rebalance summary."""
+    from repro.metrics.summary import format_table
     phase_headers = ["nodes", "skew", "event", "phase", "ops",
                      "prelim mean (ms)", "final mean (ms)", "final p99 (ms)",
                      "staleness (%)", "failed"]

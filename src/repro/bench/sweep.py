@@ -34,14 +34,10 @@ from __future__ import annotations
 
 import os
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
-
-import multiprocessing
 
 from repro.sim.rand import derive_rng, derive_seed
 
@@ -188,6 +184,7 @@ def _execute_point(run_point: PointRunner, point: SweepPoint) -> PointOutcome:
         return PointOutcome(point=point, record=record,
                             wall_s=time.perf_counter() - start)
     except Exception:
+        import traceback
         return PointOutcome(point=point,
                             error=traceback.format_exc(),
                             wall_s=time.perf_counter() - start)
@@ -195,6 +192,7 @@ def _execute_point(run_point: PointRunner, point: SweepPoint) -> PointOutcome:
 
 def pool_context():
     """Prefer fork (no re-import, inherits the loaded package) when available."""
+    import multiprocessing
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else methods[0])
@@ -213,6 +211,7 @@ def run_sweep(points: Sequence[SweepPoint], run_point: PointRunner,
         outcomes = [_execute_point(run_point, point) for point in points]
         return SweepResult(outcomes=outcomes, jobs=1,
                            wall_s=time.perf_counter() - start)
+    from concurrent.futures import ProcessPoolExecutor, as_completed
     outcomes = []
     workers = min(jobs, len(points))
     with ProcessPoolExecutor(max_workers=workers,

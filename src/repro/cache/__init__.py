@@ -1,5 +1,1 @@
 """Client-side caching substrate used by the cache-backed bindings."""
-
-from repro.cache.client_cache import ClientCache
-
-__all__ = ["ClientCache"]

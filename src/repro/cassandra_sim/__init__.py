@@ -13,22 +13,3 @@ evaluation depends on:
   final quorum response — and the ``*CC`` confirmation optimization that
   replaces an identical final response with a small confirmation message.
 """
-
-from repro.cassandra_sim.config import CassandraConfig
-from repro.cassandra_sim.versions import VersionedValue
-from repro.cassandra_sim.storage import ColumnarTable, LocalTable
-from repro.cassandra_sim.partitioner import RingPartitioner
-from repro.cassandra_sim.replica import CassandraReplica
-from repro.cassandra_sim.cluster import CassandraCluster
-from repro.cassandra_sim.client import CassandraClient
-
-__all__ = [
-    "CassandraConfig",
-    "VersionedValue",
-    "LocalTable",
-    "ColumnarTable",
-    "RingPartitioner",
-    "CassandraReplica",
-    "CassandraCluster",
-    "CassandraClient",
-]

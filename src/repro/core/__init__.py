@@ -18,7 +18,9 @@ and 4 of the paper:
 * :func:`~repro.core.correctable.Correctable.speculate` — the convenience
   combinator capturing the speculation pattern of Listing 3.
 * :class:`~repro.core.cluster_spec.ClusterSpec` — declarative construction
-  of the simulated deployments every experiment harness drives.
+  of the simulated deployments every experiment harness drives; import it
+  from its module (this package does not, so the client API loads no
+  simulated store).
 """
 
 from repro.core.consistency import ConsistencyLevel, WEAK, CAUSAL, STRONG, CACHED
@@ -36,11 +38,8 @@ from repro.core.views import View
 from repro.core.correctable import Correctable, CorrectableState
 from repro.core.speculation import SpeculationStats
 from repro.core.client import CorrectableClient
-from repro.core.cluster_spec import BuiltCluster, ClusterSpec
 
 __all__ = [
-    "BuiltCluster",
-    "ClusterSpec",
     "ConsistencyLevel",
     "WEAK",
     "CAUSAL",

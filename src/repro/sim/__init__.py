@@ -10,34 +10,3 @@ queues that model server load (:mod:`repro.sim.node`).
 
 All latencies are expressed in milliseconds of simulated time.
 """
-
-from repro.sim.clock import Clock
-from repro.sim.scheduler import Event, Scheduler
-from repro.sim.rand import derive_rng, derive_seed
-from repro.sim.topology import (
-    Region,
-    Topology,
-    ec2_topology,
-    twissandra_topology,
-)
-from repro.sim.network import Message, Network, LinkStats
-from repro.sim.node import Node, ProcessingQueue
-from repro.sim.environment import SimEnvironment
-
-__all__ = [
-    "Clock",
-    "Event",
-    "Scheduler",
-    "derive_rng",
-    "derive_seed",
-    "Region",
-    "Topology",
-    "ec2_topology",
-    "twissandra_topology",
-    "Message",
-    "Network",
-    "LinkStats",
-    "Node",
-    "ProcessingQueue",
-    "SimEnvironment",
-]

@@ -6,39 +6,3 @@ distributions.  This package reimplements those workload semantics and a
 closed-loop runner that measures latency, throughput, divergence and
 bandwidth over a steady-state window.
 """
-
-from repro.workloads.distributions import (
-    UniformKeyChooser,
-    ZipfianKeyChooser,
-    LatestKeyChooser,
-    ScrambledZipfianKeyChooser,
-    make_key_chooser,
-)
-from repro.workloads.records import Dataset, make_value
-from repro.workloads.ycsb import (
-    WorkloadSpec,
-    WORKLOAD_A,
-    WORKLOAD_B,
-    WORKLOAD_C,
-    workload_by_name,
-    OperationGenerator,
-)
-from repro.workloads.runner import ClosedLoopRunner, RunResult
-
-__all__ = [
-    "UniformKeyChooser",
-    "ZipfianKeyChooser",
-    "LatestKeyChooser",
-    "ScrambledZipfianKeyChooser",
-    "make_key_chooser",
-    "Dataset",
-    "make_value",
-    "WorkloadSpec",
-    "WORKLOAD_A",
-    "WORKLOAD_B",
-    "WORKLOAD_C",
-    "workload_by_name",
-    "OperationGenerator",
-    "ClosedLoopRunner",
-    "RunResult",
-]

@@ -14,25 +14,3 @@ implements the pieces the evaluation exercises:
   local state and returns a preliminary result before Zab coordination
   (:mod:`server`).
 """
-
-from repro.zookeeper_sim.config import ZooKeeperConfig
-from repro.zookeeper_sim.datatree import DataTree, Znode, NoNodeError, NodeExistsError
-from repro.zookeeper_sim.zab import Transaction, ProposalTracker
-from repro.zookeeper_sim.server import ZKServer
-from repro.zookeeper_sim.client import ZKClient
-from repro.zookeeper_sim.cluster import ZooKeeperCluster
-from repro.zookeeper_sim.queue_recipe import DistributedQueue
-
-__all__ = [
-    "ZooKeeperConfig",
-    "DataTree",
-    "Znode",
-    "NoNodeError",
-    "NodeExistsError",
-    "Transaction",
-    "ProposalTracker",
-    "ZKServer",
-    "ZKClient",
-    "ZooKeeperCluster",
-    "DistributedQueue",
-]
