@@ -193,34 +193,44 @@ class _TokenIndexedRows:
         the batch so is exact because LWW merge is commutative, associative
         and idempotent: when a row is merged never shows, and a new row's
         position depends only on the new keys before it.
+
+        A token-ordered batch that starts strictly past a token-ordered
+        table's last token (every run of ``Cluster.preload``) skips the
+        stored-key pass: a stored key would carry its stored token, which
+        is at most that last token, so none can be in the batch.
         """
         if not keys:
             return
         index = self._index
-        stored = index.keys() & keys
-        if stored:
-            # LWW: a streamed snapshot never clobbers a newer forwarded write.
-            hits = list(map(stored.__contains__, keys))
-            for row in compress(range(len(keys)), hits):
-                self.apply(keys[row], VersionedValue(
-                    values[row], (times[row], writers[row], seqs[row])),
-                    tokens[row])
-            fresh = list(map(not_, hits))
-            keys, values, times, writers, seqs, tokens = (
-                list(compress(column, fresh)) for column in
-                (keys, values, times, writers, seqs, tokens))
-            if not keys:
-                return
+        token_column = self._tokens
+        ordered = self._order is None
+        if not (ordered
+                and (not token_column or tokens[0] > token_column[-1])
+                and all(map(le, tokens, islice(tokens, 1, None)))):
+            stored = index.keys() & keys
+            if stored:
+                # LWW: a streamed snapshot never clobbers a newer forwarded
+                # write.
+                hits = list(map(stored.__contains__, keys))
+                for row in compress(range(len(keys)), hits):
+                    self.apply(keys[row], VersionedValue(
+                        values[row], (times[row], writers[row], seqs[row])),
+                        tokens[row])
+                fresh = list(map(not_, hits))
+                keys, values, times, writers, seqs, tokens = (
+                    list(compress(column, fresh)) for column in
+                    (keys, values, times, writers, seqs, tokens))
+                if not keys:
+                    return
+            if ordered and (
+                    token_column and tokens[0] < token_column[-1]
+                    or not all(map(le, tokens, islice(tokens, 1, None)))):
+                self._order = array("I")  # out of order: argsort on next use
         first = len(index)
         last = first + len(keys)
         if len(_POSITIONS) < last:
             _POSITIONS.extend(range(len(_POSITIONS), last))
         index.update(zip(keys, _POSITIONS[first:last]))
-        token_column = self._tokens
-        if self._order is None and (
-                token_column and tokens[0] < token_column[-1]
-                or not all(map(le, tokens, islice(tokens, 1, None)))):
-            self._order = array("I")  # out of order: argsort on next use
         token_column.extend(tokens)
         self._extend_versions(values, times, writers, seqs)
         self.writes_applied += len(keys)
