@@ -114,7 +114,7 @@ class TestRefusals:
 #: Builds a Cassandra cluster, prefills a generator and an arrival process
 #: with the ZooKeeper stack and the bench helpers imported, then prints
 #: every module that import loaded from outside the standard library and
-#: ``repro``, and every figure module.
+#: ``repro``, every figure module and every worker-pool package.
 _IMPORT_PROBE = """
 import os, sys, sysconfig
 before = set(sys.modules)
@@ -135,6 +135,8 @@ def under(keys):
                  for key in keys)
 stdlib, site = under(("stdlib", "platstdlib")), under(("purelib", "platlib"))
 def outside(name):
+    if name.startswith(("multiprocessing", "concurrent.futures")):
+        return True
     if name == "repro" or name.startswith("repro."):
         return name.startswith("repro.bench.fig")
     file = getattr(sys.modules[name], "__file__", None)
@@ -147,8 +149,9 @@ print(sorted(name for name in set(sys.modules) - before if outside(name)))
 
 
 def test_workload_setup_imports_no_third_party_and_no_figure_module():
-    """Bulk draws are standard-library code and ``repro.bench`` imports no
-    figure harness a workload does not use."""
+    """Bulk draws are standard-library code, ``repro.bench`` imports no
+    figure harness a workload does not use, and nothing loads a worker
+    pool before a sweep asks for one."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
