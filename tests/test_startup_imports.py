@@ -4,9 +4,9 @@ Every perfbench round is a new process that compiles each ``src/`` module
 it imports, so start-up pays for every module that import pulls in,
 whether the round runs it or not.  Loading ``perfbench/workloads.py``
 read-only must load no worker-pool package, and its ``repro`` module and
-source-line counts are pinned per CPython minor version (the standard
-library differs between them, and so does what it drags in).  The layering
-checks say which packages a lower layer never loads.
+source-line counts are pinned per CPython minor version, like the other
+exact counts.  The layering checks say which packages a lower layer never
+loads.
 """
 
 import json
@@ -47,7 +47,7 @@ _STARTUP_BUDGETS = {
     (3, 11): (64.64, 12_001.83),
 }
 
-#: Standard-library packages only a parallel sweep or a crash report uses.
+#: Standard-library packages a worker pool pulls in; no round runs one.
 _POOL_MODULES = ("multiprocessing", "concurrent.futures", "subprocess",
                  "socket", "pickle")
 
