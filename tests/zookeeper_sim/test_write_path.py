@@ -6,7 +6,7 @@ the servers used to compute live on here as the oracle."""
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, Topology
@@ -54,7 +54,8 @@ class _ReferenceOverlay:
         return {"deleted": path}
 
     def apply_dequeue(self, path):
-        children = self._children(path)
+        # A committed dequeue from a deleted queue fails (NoNodeError).
+        children = sorted(self.tree.get_children(path))
         if not children:
             return {"item": None, "name": None, "remaining": 0}
         head = children[0]
@@ -62,6 +63,14 @@ class _ReferenceOverlay:
         self.tree.delete(f"{path}/{head}")
         self.removed.discard(f"{path}/{head}")
         return {"item": data, "name": head, "remaining": len(children) - 1}
+
+
+def _children_or_absent(tree, path):
+    """``path``'s children, or None once the queue itself was deleted."""
+    try:
+        return tree.get_children(path)
+    except NoNodeError:
+        return None
 
 
 _QUEUES = st.sampled_from(["/a", "/b"])
@@ -81,6 +90,12 @@ _STEPS = st.one_of(
 
 @settings(deadline=None)
 @given(st.lists(_STEPS, max_size=60))
+# Drain a queue, delete it, then enqueue into and dequeue from it: the
+# deleted queue is absent everywhere and stays so.
+@example([("commit-dequeue", "/a")] * 6 + [("commit-delete", "/a")])
+@example([("commit-dequeue", "/a")] * 6
+         + [("commit-delete", "/a"), ("commit-enqueue", "/a"),
+            ("commit-dequeue", "/a"), ("simulate-dequeue", "/a")])
 def test_simulation_overlay_matches_the_sorted_reference(steps):
     _, cluster = _cluster(queues=("/a", "/b"), depth=6)
     server = cluster.followers[0]
@@ -99,17 +114,29 @@ def test_simulation_overlay_matches_the_sorted_reference(steps):
             silent._simulate("delete", path)
         elif kind == "commit-dequeue":
             applied = server._apply(Transaction(zxid, "dequeue", path))
-            assert applied == {"ok": True,
-                               "result": reference.apply_dequeue(path)}
+            try:
+                expected = {"ok": True,
+                            "result": reference.apply_dequeue(path)}
+            except NoNodeError as exc:
+                expected = {"ok": False,
+                            "error": f"{type(exc).__name__}: {exc}"}
+            assert applied == expected
             assert silent._apply(Transaction(zxid, "dequeue", path),
                                  answer=False) in (None, applied)
         elif kind == "commit-enqueue":
             txn = Transaction(zxid, "create", f"{path}/item-", data=zxid,
                               sequential=True)
-            created = server._apply(txn)["result"]["path"]
-            assert reference.tree.create(txn.path, txn.data,
-                                         sequential=True) == created
-            assert silent._apply(txn, answer=False) is None
+            applied = server._apply(txn)
+            quiet = silent._apply(txn, answer=False)
+            try:
+                created = reference.tree.create(txn.path, txn.data,
+                                                sequential=True)
+                assert applied["result"]["path"] == created
+                assert quiet is None
+            except NoNodeError as exc:
+                # Into a deleted queue: both servers report the failure.
+                assert applied == quiet == {
+                    "ok": False, "error": f"{type(exc).__name__}: {exc}"}
         else:
             applied = server._apply(Transaction(zxid, "delete", path))
             assert silent._apply(Transaction(zxid, "delete", path),
@@ -124,9 +151,10 @@ def test_simulation_overlay_matches_the_sorted_reference(steps):
         assert server._simulated_removed == reference.removed
         assert silent._simulated_removed == reference.removed
         for queue in ("/a", "/b"):
-            assert server.tree.get_children(queue) \
-                == silent.tree.get_children(queue) \
-                == sorted(reference.tree.get_children(queue))
+            expected = _children_or_absent(reference.tree, queue)
+            assert _children_or_absent(server.tree, queue) \
+                == _children_or_absent(silent.tree, queue) \
+                == (None if expected is None else sorted(expected))
 
 
 # -- (3) depth independence ------------------------------------------------------
