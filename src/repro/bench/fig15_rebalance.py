@@ -302,14 +302,10 @@ def run_fig15_point(point: SweepPoint) -> Dict:
 
     phases = _phase_stats(samples, operation.started_at,
                           operation.completed_at)
-    from repro.cassandra_sim.storage import ColumnarTable
-
     record: Dict[str, Any] = {
         "nodes": nodes,
         "skew": skew,
         "event": event,
-        "columnar": all(isinstance(replica.table, ColumnarTable)
-                        for replica in cluster.replicas),
         "rebalance_ms": operation.duration_ms(),
         "ranges_moved": operation.change.total_ranges(),
         "keys_streamed": cluster.total_keys_streamed(),
@@ -405,8 +401,8 @@ def run_fig15(nodes: Sequence[int] = DEFAULT_NODES,
 
 
 #: Tier-2 scale of the million-key cell: enough records that every replica
-#: holds about two million rows, which only the columnar backend makes
-#: practical (see :mod:`repro.cassandra_sim.storage`).
+#: holds about two million rows (see :mod:`repro.cassandra_sim.storage` for
+#: what a row costs).
 MILLION_KEY_RECORD_COUNT = 4_000_000
 
 
@@ -415,8 +411,8 @@ def build_fig15_million_points(
         seed: int = 42) -> List[SweepPoint]:
     """The tier-2 multi-million-key cell of the Figure 15 grid.
 
-    One (6-node, zipf-0.99, join) cell at a record count far past the
-    columnar threshold: the preload bulk-loads every replica's columns,
+    One (6-node, zipf-0.99, join) cell at a multi-million record count:
+    the preload bulk-loads every replica's versions column,
     the join streams multi-hundred-thousand-key ranges (larger stream
     batches keep the event count proportionate), and the standard
     zero-lost-acked-writes audit runs over the rebalance.  Slow-marked in

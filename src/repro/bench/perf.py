@@ -236,16 +236,14 @@ def run_million_key_scenario(record_count: int = 1_000_000, nodes: int = 6,
                              event_at_ms: float = 1_500.0,
                              skew: str = "zipf-0.99",
                              seed: int = 42) -> Dict[str, int]:
-    """fig15-style columnar ring at million-key scale through a join.
+    """fig15-style ring at million-key scale through a join.
 
-    Builds a ring whose preload crosses ``columnar_threshold_keys`` (every
-    replica flips to :class:`~repro.cassandra_sim.storage.ColumnarTable`),
-    runs an open-loop read/write mix while a node joins mid-run, then
-    drains and audits the zero-lost-acked-writes invariant.  The measured
-    wall covers dataset generation, the bulk preload, the rebalance run and
-    the audit — the full million-key figure cost the columnar backend
-    exists to bound — so beside the whole-run rate the scenario reports one
-    rate per phase: ``preload_keys_per_s`` (``cluster.preload`` alone),
+    Preloads a million-key ring, runs an open-loop read/write mix while a
+    node joins mid-run, then drains and audits the zero-lost-acked-writes
+    invariant.  The measured wall covers dataset generation, the bulk
+    preload, the rebalance run and the audit — the full million-key figure
+    cost — so beside the whole-run rate the scenario reports one rate per
+    phase: ``preload_keys_per_s`` (``cluster.preload`` alone),
     ``serve_events_per_s`` (first arrival to idle) and ``stream_keys_per_s``
     (keys streamed over the host time from the join's start to its
     announcement, foreground traffic served meanwhile included), with the
@@ -256,7 +254,6 @@ def run_million_key_scenario(record_count: int = 1_000_000, nodes: int = 6,
     from repro.bench.fig15_rebalance import (
         CLIENT_REGIONS, count_lost_acked_writes, make_rebalance_issue,
         skew_workload)
-    from repro.cassandra_sim.storage import ColumnarTable
     from repro.core.cluster_spec import ClusterSpec
     from repro.sim.rand import derive_rng
     from repro.sim.topology import round_robin_regions
@@ -277,10 +274,6 @@ def run_million_key_scenario(record_count: int = 1_000_000, nodes: int = 6,
     cluster.preload(items)
     loaded_at = clock()
     del items
-    if not isinstance(cluster.replicas[0].table, ColumnarTable):
-        raise RuntimeError(
-            f"{label}: preload of {record_count} keys did not engage the "
-            f"columnar backend (threshold misconfigured)")
 
     samples: List[Dict[str, Any]] = []
     acked: Dict[str, Any] = {}
@@ -441,10 +434,10 @@ PERF_SCENARIOS: Dict[str, tuple] = {
              duration_ms=8_000.0, fault_at_ms=3_000.0,
              fault_duration_ms=3_000.0, record_count=150),
     ),
-    # Columnar storage end to end: a million-key (quick: 150k, still past
-    # the columnar threshold) preload, an open-loop run through a live
-    # join, and the lost-acked-writes audit.  The floor on this scenario
-    # perf-gates the whole columnar path — bulk preload included.
+    # Million-key storage end to end: a million-key (quick: 150k) preload,
+    # an open-loop run through a live join, and the lost-acked-writes
+    # audit.  The floor on this scenario perf-gates the whole storage
+    # path — bulk preload included.
     "fig15-million-key": (
         run_million_key_scenario,
         dict(record_count=1_000_000, rate_ops_s=400.0,

@@ -19,6 +19,7 @@ a replica with :class:`~repro.faults.injector.FaultInjector`, then
 from __future__ import annotations
 
 from array import array
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.client import CassandraClient
@@ -26,7 +27,8 @@ from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.partitioner import RingPartitioner, key_tokens
 from repro.cassandra_sim.rebalance import RingRebalance
 from repro.cassandra_sim.replica import CassandraReplica
-from repro.cassandra_sim.storage import ColumnarTable
+from repro.cassandra_sim.storage import KeySpace
+from repro.cassandra_sim.versions import VersionedValue
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, replica_regions_default
 
@@ -59,9 +61,12 @@ class CassandraCluster:
         self.partitioner = RingPartitioner(
             names, self.config.replication_factor,
             vnodes_per_node=self.config.vnodes_per_node)
+        #: The keys every replica's table is indexed by (host-side
+        #: bookkeeping: see :mod:`repro.cassandra_sim.storage`).
+        self.keyspace = KeySpace()
         self.replicas: List[CassandraReplica] = [
             CassandraReplica(name, region, env.network, self.config,
-                             self.partitioner)
+                             self.partitioner, self.keyspace)
             for name, region in members
         ]
         #: Replicas that left the ring (kept registered so stragglers get
@@ -161,12 +166,7 @@ class CassandraCluster:
         if name in self._by_name:
             raise ValueError(f"replica {name!r} already exists")
         replica = CassandraReplica(name, region, self.env.network, self.config,
-                                   self.partitioner)
-        # A node joining a columnar ring starts columnar: the ranges it is
-        # about to stream in are exactly the million-key tables the threshold
-        # flipped the seed replicas to.
-        if any(isinstance(peer.table, ColumnarTable) for peer in self.replicas):
-            replica.table = ColumnarTable()
+                                   self.partitioner, self.keyspace)
         replica.ring_state = ring_state
         self.replicas.append(replica)
         self._by_name[name] = replica
@@ -195,33 +195,34 @@ class CassandraCluster:
     def preload(self, items: Dict[str, object]) -> None:
         """Install initial data on every replica owning the key (time zero state).
 
-        Preloads at or above ``config.columnar_threshold_keys`` records flip
-        every replica to :class:`~repro.cassandra_sim.storage.ColumnarTable`
-        first — that is the only scale at which the per-row object overhead
-        matters.  Every key is
-        hashed once here and the rows are sorted by token once; the sorted
-        columns are cut at the ring's slot boundaries and each run goes to
-        its owners whole, so every table's token column is in token order
-        (which keeps its range-streaming index build linear).
+        Every key is hashed once here and the rows are sorted by token
+        once, so keys new to the key space get their ids in token order
+        (which lets a stream task bisect the token column).  Each key gets
+        one time-zero ``VersionedValue``, shared by all of its owners; the
+        sorted columns are cut at the ring's slot boundaries and each run
+        is merged into its owners whole.
         """
-        if len(items) >= self.config.columnar_threshold_keys:
-            for replica in self.replicas:
-                if not isinstance(replica.table, ColumnarTable):
-                    replica.table = ColumnarTable.from_table(replica.table)
         keys = list(items)
         tokens = key_tokens(keys)
         order = sorted(range(len(keys)), key=tokens.__getitem__)
         tokens = array("Q", map(tokens.__getitem__, order))
         keys = list(map(keys.__getitem__, order))
-        values = list(map(list(items.values()).__getitem__, order))
+        versions = list(map(VersionedValue,
+                            map(list(items.values()).__getitem__, order),
+                            repeat((0.0, "preload", 0))))
         del order  # an int object a row: freed before the tables fill
+        space = self.keyspace
+        if space.ids.keys().isdisjoint(keys):
+            ids = space.extend(keys, tokens)
+        else:
+            ids = space.intern(keys, tokens)
         by_name = self._by_name
         for low, high, owners in self.partitioner.owner_runs(tokens):
-            run = keys[low:high], values[low:high], tokens[low:high]
+            run = ids[low:high], versions[low:high]
             for owner in owners:
                 replica = by_name.get(owner)
                 if replica is not None:
-                    replica.table.preload_columns(*run)
+                    replica.table.merge(*run)
 
     # -- statistics -------------------------------------------------------------------
     def total_preliminaries_flushed(self) -> int:

@@ -70,14 +70,6 @@ class CassandraConfig:
     client_backoff_multiplier: float = 2.0
     client_backoff_cap_ms: float = 1_000.0
     client_backoff_jitter_ms: float = 0.0
-    #: Storage backend selection: clusters whose preload installs at least
-    #: ``columnar_threshold_keys`` records switch every replica to the
-    #: column-oriented table (:class:`~repro.cassandra_sim.storage.
-    #: ColumnarTable`), and nodes joining such a ring start columnar too;
-    #: smaller ones keep the row-object :class:`~repro.cassandra_sim.
-    #: storage.LocalTable`.  Both backends are observationally identical
-    #: (exact LWW), so this only changes memory footprint, never results.
-    columnar_threshold_keys: int = 100_000
     #: Range streaming (ring rebalancing): items shipped per stream batch.
     #: Batches are stop-and-wait (next batch leaves when the previous one is
     #: acknowledged), so smaller batches stretch a rebalance over more time.
@@ -115,8 +107,6 @@ class CassandraConfig:
                 raise ValueError(f"{name} must be non-negative")
         if self.value_size_bytes <= 0:
             raise ValueError("value_size_bytes must be positive")
-        if self.columnar_threshold_keys < 1:
-            raise ValueError("columnar_threshold_keys must be >= 1")
         if not self.client_backoff_multiplier >= 1:
             raise ValueError("client_backoff_multiplier must be >= 1")
 

@@ -48,12 +48,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heappush
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
 from repro.cassandra_sim.partitioner import RingPartitioner, StreamTask
-from repro.cassandra_sim.storage import LocalTable
+from repro.cassandra_sim.storage import ColumnarTable, KeySpace
 from repro.cassandra_sim.versions import VersionedValue
 from repro.sim.network import (LinkStats, MESSAGE_HEADER_BYTES, Message,
                                Network, estimate_payload_size)
@@ -61,6 +62,7 @@ from repro.sim.node import Node
 
 #: Wire size of the small fixed acknowledgements (write_ack and friends).
 _ACK_BYTES = MESSAGE_HEADER_BYTES + 10
+_value_of = attrgetter("value")
 
 
 @dataclass(slots=True)
@@ -70,7 +72,8 @@ class _StreamState:
     stream_id: int
     task: StreamTask
     on_complete: Callable[[StreamTask], None]
-    #: The task's row positions in the source table, in sorted-key order.
+    #: The key ids of the task's rows in the source table, in sorted-key
+    #: order.
     rows: Sequence[int] = ()
     cursor: int = 0
 
@@ -79,7 +82,8 @@ class CassandraReplica(Node):
     """One storage node: local LWW table plus coordinator logic."""
 
     def __init__(self, name: str, region: str, network: Network,
-                 config: CassandraConfig, partitioner: RingPartitioner) -> None:
+                 config: CassandraConfig, partitioner: RingPartitioner,
+                 keyspace: KeySpace) -> None:
         super().__init__(name, region, network)
         self.config = config
         # Message-size bases, precomputed once: every fused hop charges one
@@ -88,7 +92,7 @@ class CassandraReplica(Node):
         self._resp_base = MESSAGE_HEADER_BYTES + config.response_overhead_bytes
         self._conf_base = MESSAGE_HEADER_BYTES + config.confirmation_bytes
         self.partitioner = partitioner
-        self.table = LocalTable()
+        self.table = ColumnarTable(keyspace)
         #: Ring membership state: ``serving`` (normal), ``bootstrapping``
         #: (joining: applies forwarded writes and streamed data, serves no
         #: client traffic yet), ``retired`` (left the ring: rejects
@@ -196,11 +200,12 @@ class CassandraReplica(Node):
             size = estimate_payload_size(value)
         return max(self.config.value_size_bytes, size)
 
-    def _values_bytes(self, values: Sequence[object]) -> int:
-        """:meth:`_value_bytes` summed over a column of stored values."""
+    def _values_bytes(self, versions: Sequence[VersionedValue]) -> int:
+        """:meth:`_value_bytes` summed over the values of a column of
+        stored versions."""
         floor = self.config.value_size_bytes
         total = 0
-        for value in values:
+        for value in map(_value_of, versions):
             if type(value) is str and value.isascii():
                 size = len(value)
             else:

@@ -260,7 +260,7 @@ class TestBadSpecsFailLoudly:
             "key_size_bytes", "response_overhead_bytes", "confirmation_bytes",
             "client_backoff_base_ms", "client_backoff_cap_ms",
             "client_backoff_jitter_ms")] + [
-        ("value_size_bytes", 0), ("columnar_threshold_keys", 0),
+        ("value_size_bytes", 0),
         ("client_backoff_multiplier", 0.5)])
     def test_negative_costs_and_sizes_are_rejected(self, field, value):
         """A negative service time would schedule a job before ``now`` and

@@ -1,19 +1,19 @@
-"""``apply_rows`` on in-order appends: the stored-key pass it skips.
+"""``apply_rows`` on in-order appends: what the key space and the merge skip.
 
-A token-ordered batch whose first token is strictly above a token-ordered
-table's last token cannot hold a stored key (a stored key carries its
-stored token), so ``apply_rows`` appends it without intersecting the key
-index with the batch — every run of ``Cluster.preload`` takes that path.
-The property below checks the shortcut against applying the same rows one
-by one, on tables and batches built to sit on both sides of it: appends
-past the last token, overlapping batches, a batch whose first token equals
-the last one, and a second preload of rows already stored.
+Keys arriving in token order past the key space's last token keep its
+token column in order, so stream tasks bisect it instead of building an
+argsort; a batch whose rows the table does not hold yet, each once, is
+stored wholesale instead of merged row by row.  Every run of
+``Cluster.preload`` takes both paths.  The property below checks them
+against applying the same rows one by one, on tables and batches built to
+sit on both sides of them: appends past the last token, overlapping
+batches, a batch whose first token equals the last one, and a second
+preload of rows already stored.
 """
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.cassandra_sim.storage import ColumnarTable, LocalTable
+from repro.cassandra_sim.storage import ColumnarTable, KeySpace
 from repro.cassandra_sim.versions import VersionedValue
 
 KEYS = [f"key{i}" for i in range(16)]
@@ -37,19 +37,16 @@ def apply_one_by_one(table, rows, tokens):
 
 def apply_as_columns(table, rows, tokens):
     table.apply_rows([key for key, _, _ in rows],
-                     [value for _, value, _ in rows],
-                     [stamp[0] for _, _, stamp in rows],
-                     [stamp[1] for _, _, stamp in rows],
-                     [stamp[2] for _, _, stamp in rows],
+                     [VersionedValue(value, stamp) for _, value, stamp in rows],
                      [tokens[key] for key, _, _ in rows])
 
 
 def assert_same(bulk, reference):
-    """Rows, positions, token order, counters and every LWW outcome."""
+    """Rows, key ids, token order, counters and every LWW outcome."""
     assert list(bulk.items()) == list(reference.items())
-    assert dict(bulk._index) == dict(reference._index)
-    assert list(bulk._tokens) == list(reference._tokens)
-    assert bulk._order == reference._order
+    assert bulk._space.ids == reference._space.ids
+    assert bulk._space.tokens == reference._space.tokens
+    assert (bulk._space._order is None) == (reference._space._order is None)
     for counter in ("reads", "writes_applied", "writes_ignored"):
         assert getattr(bulk, counter) == getattr(reference, counter), counter
 
@@ -59,7 +56,8 @@ def batches(draw, table, tokens):
     """One batch of distinct keys for ``table``, of a drawn kind."""
     stored = [key for key in KEYS if table.contains(key)]
     fresh = [key for key in KEYS if not table.contains(key)]
-    last = table._tokens[-1] if len(table) else None
+    space = table._space.tokens
+    last = space[-1] if space else None
     by_token = sorted(KEYS, key=tokens.__getitem__)
     kind = draw(st.sampled_from(["append", "overlap", "boundary",
                                  "preload-again"]))
@@ -88,10 +86,9 @@ def batches(draw, table, tokens):
     return [(key, draw(st.integers()), draw(STAMPS)) for key in keys]
 
 
-@pytest.mark.parametrize("table_type", [LocalTable, ColumnarTable])
 @given(tokens=TOKEN_MAPS, data=st.data())
-def test_apply_rows_equals_row_by_row_apply(table_type, tokens, data):
-    bulk, reference = table_type(), table_type()
+def test_apply_rows_equals_row_by_row_apply(tokens, data):
+    bulk, reference = ColumnarTable(), ColumnarTable()
     rows = data.draw(st.lists(
         st.tuples(st.sampled_from(KEYS), st.integers(), STAMPS),
         unique_by=lambda row: row[0]))
@@ -106,35 +103,30 @@ def test_apply_rows_equals_row_by_row_apply(table_type, tokens, data):
         assert_same(bulk, reference)
 
 
-class _CountingIndex(dict):
-    """A key index that counts the stored-key passes made over it."""
-
-    passes = 0
-
-    def keys(self):
-        self.passes += 1
-        return super().keys()
-
-
-@pytest.mark.parametrize("table_type", [LocalTable, ColumnarTable])
-def test_only_batches_past_the_last_token_skip_the_stored_key_pass(
-        table_type):
-    table = table_type()
-    table._index = index = _CountingIndex()
+def test_only_keys_before_the_last_token_make_an_argsort():
+    space = KeySpace()
     tokens = {key: 10 * number for number, key in enumerate(KEYS)}
     for run in (KEYS[:4], KEYS[4:9]):  # a preload: token-ordered runs
-        table.preload_columns(run, run, [tokens[key] for key in run])
-    assert index.passes == 0 and table._order is None
-    # The first token equals the last one: that row may be stored.
-    table.preload_columns(KEYS[8:12], KEYS[8:12],
-                          [tokens[key] for key in KEYS[8:12]])
-    assert index.passes == 1 and len(table) == 12
-    assert table.writes_ignored == 1
-    # Out of token order: the batch's first token proves nothing.
-    table.preload_columns(KEYS[13:11:-1], KEYS[13:11:-1],
-                          [tokens[key] for key in KEYS[13:11:-1]])
-    assert index.passes == 2 and table._order is not None
-    # And once the table is out of order, neither does its last token.
-    table.preload_columns(KEYS[14:], KEYS[14:],
-                          [tokens[key] for key in KEYS[14:]])
-    assert index.passes == 3 and len(table) == len(KEYS)
+        space.extend(run, [tokens[key] for key in run])
+    assert space._order is None
+    # Equal to the last token is still in order, and so is a key seen
+    # before, wherever its token lies.
+    assert space.add("twin", tokens[KEYS[8]]) == 9
+    assert space.intern([KEYS[0], "twin"], [0, 0]) == [0, 9]
+    assert space._order is None
+    assert list(space.ids_in_range(tokens[KEYS[2]], tokens[KEYS[5]])) \
+        == [2, 3, 4]
+    # A run that is out of order within itself breaks it...
+    space.extend(KEYS[13:11:-1], [tokens[key] for key in KEYS[13:11:-1]])
+    assert space._order is not None
+    # ...and the argsort answers as the bisect did, rebuilt on demand.
+    assert list(space.ids_in_range(tokens[KEYS[2]], tokens[KEYS[5]])) \
+        == [2, 3, 4]
+    assert list(space.ids_in_range(tokens[KEYS[11]], 0)) == [11, 10]
+    assert len(space._order) == len(space)
+    # So does a single key below the last token.
+    ordered = KeySpace()
+    ordered.extend(KEYS[4:6], [tokens[key] for key in KEYS[4:6]])
+    ordered.add(KEYS[0], tokens[KEYS[0]])
+    assert ordered._order is not None
+    assert list(ordered.ids_in_range(0, 2**64 - 1)) == [2, 0, 1]

@@ -13,7 +13,6 @@ from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.partitioner import key_token, token_in_range
 from repro.cassandra_sim.replica import CassandraReplica
-from repro.cassandra_sim.storage import ColumnarTable
 from repro.cassandra_sim.versions import resolve
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, Topology
@@ -201,20 +200,15 @@ class TestSafetyUnderTraffic:
             version = newest_at_owners(cluster, key)
             assert version is not None and version.timestamp >= timestamp, key
 
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_new_keys_inserted_while_ranges_stream(self, monkeypatch,
-                                                   columnar):
+    def test_new_keys_inserted_while_ranges_stream(self, monkeypatch):
         """A join, then a decommission, under writes that *create* keys: the
         sources' key sets differ between the two plans' scans, so a token
         index built for the join must not answer the decommission.  Every
         task still selects — and then ships, batch by batch — exactly what a
-        fresh full scan of its source selects, on both table backends, and
-        no acknowledged write — to an old or a brand-new key — is lost."""
+        fresh full scan of its source selects, and no acknowledged write —
+        to an old or a brand-new key — is lost."""
         env = _env()
-        cluster = six_node_cluster(
-            env, **({"columnar_threshold_keys": 1} if columnar else {}))
-        assert all(isinstance(replica.table, ColumnarTable) == columnar
-                   for replica in cluster.replicas)
+        cluster = six_node_cluster(env)
         scans = []  # (source, rows in its table at scan time)
         selected = {}  # (source, stream id) -> the reference key sequence
         shipped = {}   # (source, stream id) -> keys that reached the target
@@ -272,9 +266,6 @@ class TestSafetyUnderTraffic:
         assert shipped == {task: keys for task, keys in selected.items()
                            if keys}
         assert cluster.total_keys_streamed() == sum(map(len, shipped.values()))
-        # The joiner started on its peers' backend and stayed on it.
-        assert isinstance(cluster.replica_by_name(
-            "cassandra-6-" + Region.FRK).table, ColumnarTable) == columnar
         # The premise: some source was scanned at two different sizes.
         sizes = {}
         for source, rows in scans:
@@ -375,10 +366,10 @@ class TestClusterSurface:
 class TestMillionKeyRebalance:
     """Tier-2 scale: the 4M-key Figure 15 join cell end to end.
 
-    At this record count the preload flips every replica to the columnar
-    backend, the join streams >1M keys onto the joiner, and the standard
+    The join streams >1M keys onto the joiner, and the standard
     zero-lost-acked-writes audit runs over the whole rebalance.  This is
-    the only test that drives ``ColumnarTable`` at the scale it exists for.
+    the only test that drives the storage tables at multi-million-key
+    scale.
     """
 
     def test_four_million_key_join_cell(self):
@@ -386,10 +377,8 @@ class TestMillionKeyRebalance:
             MILLION_KEY_RECORD_COUNT, run_fig15_million)
 
         (record,) = run_fig15_million()
-        # 4M records is far past columnar_threshold_keys: every replica
-        # (the joiner included) must be columnar, and the join must have
-        # committed a new ring version after streaming real ranges.
-        assert record["columnar"] is True
+        # The join must have committed a new ring version after streaming
+        # real ranges.
         assert record["ring_version"] == 1
         assert record["keys_streamed"] > MILLION_KEY_RECORD_COUNT // 10
         # Safety under traffic: acked client writes rode across the

@@ -65,14 +65,7 @@ class ModelTable:
 
 def exported(table, rows):
     """``export_rows`` as ``(key, version, token)`` triples."""
-    columns = table.export_rows(rows)
-    if len(columns) == 6:  # keys, values, times, writers, seqs, tokens
-        keys, values, times, writers, seqs, tokens = columns
-        versions = [VersionedValue(value, stamp) for value, stamp
-                    in zip(values, zip(times, writers, seqs))]
-    else:
-        keys, versions, tokens = columns
-    return list(zip(keys, versions, tokens))
+    return list(zip(*table.export_rows(rows)))
 
 
 def assert_matches(table, model):
@@ -161,3 +154,33 @@ def test_tables_match_the_reference_model(ring, steps):
                         key, models[source.name].rows[key])
         for replica in replicas:
             assert_matches(replica.table, models[replica.name])
+
+
+def test_two_clusters_share_no_key_ids():
+    """A key space belongs to one cluster: another cluster in the same
+    process numbers its own keys from zero and never sees the first's."""
+    first, second = build(4, 3, 4), build(4, 3, 4)
+    first.preload({f"a{i}": i for i in range(20)})
+    second.preload({f"b{i}": i for i in range(5)})
+    second.replicas[0].table.apply("fresh", VersionedValue(1, (1.0, "n", 1)))
+    assert first.keyspace is not second.keyspace
+    assert sorted(first.keyspace.ids.values()) == list(range(20))
+    assert sorted(second.keyspace.ids.values()) == list(range(6))
+    assert not first.keyspace.ids.keys() & second.keyspace.ids.keys()
+    for replica in first.replicas:
+        assert replica.table._space is first.keyspace
+        assert not any(map(replica.table.contains, second.keyspace.ids))
+    joiner = first._add_replica("joiner", Region.FRK, "bootstrapping")
+    assert joiner.table._space is first.keyspace and len(joiner.table) == 0
+
+
+def test_a_preloaded_key_is_one_version_object_on_all_of_its_owners():
+    cluster = build(5, 3, 4)
+    items = {f"user{i}": f"value{i}" for i in range(40)}
+    cluster.preload(items)
+    for key in items:
+        owners = cluster.partitioner.replicas_for(key)
+        versions = [cluster.replica_by_name(name).table.get(key)
+                    for name in owners]
+        assert versions[0] == VersionedValue(items[key], PRELOAD)
+        assert all(version is versions[0] for version in versions)

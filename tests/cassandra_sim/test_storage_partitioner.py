@@ -13,7 +13,7 @@ from repro.cassandra_sim.partitioner import (
     node_tokens,
     token_in_range,
 )
-from repro.cassandra_sim.storage import ColumnarTable, LocalTable
+from repro.cassandra_sim.storage import ColumnarTable, KeySpace
 from repro.cassandra_sim.versions import VersionedValue, resolve
 
 
@@ -48,20 +48,20 @@ class TestVersions:
         assert resolve([]) is None
 
 
-class TestLocalTable:
+class TestTable:
     def test_read_missing_returns_none(self):
-        assert LocalTable().read("nope") is None
+        assert ColumnarTable().read("nope") is None
 
     def test_apply_then_read(self):
-        table = LocalTable()
+        table = ColumnarTable()
         version = VersionedValue("v", (1.0, "n", 1))
         assert table.apply("k", version)
-        assert table.read("k") == version
+        assert table.read("k") is version
         assert table.contains("k")
         assert len(table) == 1
 
     def test_stale_write_ignored(self):
-        table = LocalTable()
+        table = ColumnarTable()
         newer = VersionedValue("new", (5.0, "n", 1))
         older = VersionedValue("old", (1.0, "n", 1))
         table.apply("k", newer)
@@ -70,11 +70,29 @@ class TestLocalTable:
         assert table.writes_ignored == 1
 
     def test_counters(self):
-        table = LocalTable()
+        table = ColumnarTable()
         table.read("a")
         table.apply("a", VersionedValue("v", (1.0, "n", 1)))
         assert table.reads == 1
         assert table.writes_applied == 1
+
+    def test_tie_breaking_matches_tuple_order(self):
+        table = ColumnarTable()
+        table.apply("k", VersionedValue("a", (1.0, "node-a", 5)))
+        assert table.apply("k", VersionedValue("b", (1.0, "node-b", 1)))
+        assert not table.apply("k", VersionedValue("c", (1.0, "node-a", 9)))
+        assert table.read("k").value == "b"
+
+    def test_a_key_another_table_created_is_not_held(self):
+        """Tables over one key space see its ids, not each other's rows."""
+        space = KeySpace()
+        left, right = ColumnarTable(space), ColumnarTable(space)
+        left.apply("k", VersionedValue("v", (1.0, "n", 1)))
+        assert right.read("k") is None and not right.contains("k")
+        assert len(right) == 0 and right.keys() == ()
+        assert list(right.rows_in_range(0, 0)) == []
+        with pytest.raises(KeyError):
+            right.token("k")
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0, max_value=100,
@@ -94,7 +112,7 @@ def test_lww_register_converges_regardless_of_order(writes):
         unique.setdefault((ts, writer, seq), value)
     versions = [VersionedValue(value, timestamp)
                 for timestamp, value in unique.items()]
-    forward, backward = LocalTable(), LocalTable()
+    forward, backward = ColumnarTable(), ColumnarTable()
     for version in versions:
         forward.apply("k", version)
     for version in reversed(versions):
@@ -103,102 +121,8 @@ def test_lww_register_converges_regardless_of_order(writes):
     assert forward.read("k") == resolve(versions)
 
 
-class TestColumnarTable:
-    def test_read_missing_returns_none(self):
-        assert ColumnarTable().read("nope") is None
-
-    def test_roundtrip_reconstructs_exact_versions(self):
-        table = ColumnarTable()
-        version = VersionedValue("v", (1.25, "n", 3))
-        assert table.apply("k", version)
-        got = table.read("k")
-        assert got == version
-        assert type(got.timestamp[0]) is float
-        assert type(got.timestamp[2]) is int
-
-    def test_tie_breaking_matches_tuple_order(self):
-        table = ColumnarTable()
-        table.apply("k", VersionedValue("a", (1.0, "node-a", 5)))
-        assert table.apply("k", VersionedValue("b", (1.0, "node-b", 1)))
-        assert not table.apply("k", VersionedValue("c", (1.0, "node-a", 9)))
-        assert table.read("k").value == "b"
-
-    def test_from_table_carries_rows_and_counters(self):
-        source = LocalTable()
-        source.apply("a", VersionedValue("x", (1.0, "n", 1)))
-        source.apply("b", VersionedValue("y", (2.0, "n", 2)))
-        source.read("a")
-        columnar = ColumnarTable.from_table(source)
-        assert len(columnar) == 2
-        assert columnar.keys() == source.keys()
-        assert columnar.reads == source.reads
-        assert columnar.writes_applied == source.writes_applied
-        assert list(columnar.items()) == list(source.items())
-
-    def test_from_table_carries_tokens(self):
-        source = LocalTable()
-        source.apply("a", VersionedValue("x", (1.0, "n", 1)), 2**64 - 5)
-        source.apply("b", VersionedValue("y", (2.0, "n", 2)))
-        columnar = ColumnarTable.from_table(source)
-        assert columnar.token("a") == 2**64 - 5
-        assert columnar.token("b") == key_token("b")
-
-    def test_from_table_copies_rows_in_token_order(self):
-        """Sorted-key order would scatter the tokens; token order keeps the
-        range index of a table columnarized ahead of a preload linear."""
-        source = LocalTable()
-        for i in range(50):
-            source.apply(f"user{i}", VersionedValue(i, (1.0, "n", i)))
-        columnar = ColumnarTable.from_table(source)
-        tokens = columnar.export_rows(range(50))[5]
-        assert tokens == sorted(key_token(f"user{i}") for i in range(50))
-        assert list(columnar.items()) == list(source.items())
-
-
 #: Ring positions: the full unsigned 64-bit token space.
 TOKENS = st.integers(min_value=0, max_value=2**64 - 1)
-
-
-def columns_of(table, rows):
-    """``export_rows`` with every column as a list (backends differ in the
-    sequence types they hand back, never in the contents)."""
-    return [list(column) for column in table.export_rows(rows)]
-
-
-@given(st.lists(
-    st.tuples(st.sampled_from(["k1", "k2", "k3", "k4"]),
-              st.booleans(),
-              st.floats(min_value=0, max_value=100, allow_nan=False),
-              st.sampled_from(["n1", "n2", "n3"]),
-              st.integers(min_value=0, max_value=10),
-              st.integers(),
-              TOKENS, TOKENS),
-    max_size=60))
-def test_columnar_table_equivalent_to_local_table(ops):
-    """Both backends agree on every operation of any read/write sequence.
-
-    This is the contract that lets clusters flip to columnar storage above
-    the record threshold without changing any experiment's results: reads,
-    apply outcomes (including LWW tie-breaking), lengths, key order, token
-    range selections and counters are pairwise identical at every step.
-    """
-    local, columnar = LocalTable(), ColumnarTable()
-    for key, is_write, ts, writer, seq, value, start, end in ops:
-        if is_write:
-            version = VersionedValue(value, (ts, writer, seq))
-            assert local.apply(key, version) == columnar.apply(key, version)
-        else:
-            assert local.read(key) == columnar.read(key)
-        assert local.contains(key) == columnar.contains(key)
-        assert local.get(key) == columnar.get(key)
-        rows = local.rows_in_range(start, end)
-        assert rows == columnar.rows_in_range(start, end)
-        assert columns_of(local, rows) == columns_of(columnar, rows)
-    assert len(local) == len(columnar)
-    assert local.keys() == columnar.keys()
-    assert list(local.items()) == list(columnar.items())
-    for counter in ("reads", "writes_applied", "writes_ignored"):
-        assert getattr(local, counter) == getattr(columnar, counter)
 
 
 def scan_keys_in_range(table, start, end):
@@ -213,17 +137,20 @@ def keys_in_range(table, start, end):
     return tuple(table.export_rows(table.rows_in_range(start, end))[0])
 
 
-@pytest.mark.parametrize("table_type", [LocalTable, ColumnarTable])
+def versions_of(keys, stamp):
+    return [VersionedValue(key, stamp) for key in keys]
+
+
 class TestTokenColumn:
-    def test_empty_table_selects_nothing(self, table_type):
-        table = table_type()
+    def test_empty_table_selects_nothing(self):
+        table = ColumnarTable()
         assert keys_in_range(table, 0, 2**63) == ()
         assert keys_in_range(table, 7, 7) == ()
 
-    def test_tokens_and_sequences_beyond_signed_64_bit(self, table_type):
+    def test_tokens_and_sequences_beyond_signed_64_bit(self):
         """Tokens are the top 64 bits of md5 — half exceed 2**63 — and a
         sequence number near 2**62 must survive next to them."""
-        table = table_type()
+        table = ColumnarTable()
         high = [key for key in (f"user{i}" for i in range(40))
                 if key_token(key) >= 2**63]
         low = [key for key in (f"user{i}" for i in range(40))
@@ -243,22 +170,21 @@ class TestTokenColumn:
         assert keys_in_range(table, 2**63, 0) == tuple(sorted(high + ["edge"]))
         assert keys_in_range(table, 0, 2**63) == tuple(sorted(low))
         assert keys_in_range(table, 2**64 - 1, 0) == ("edge",)
-        # A newer write with a bigger sequence still wins on both backends.
+        # A newer write with a bigger sequence still wins.
         assert table.apply(high[0], VersionedValue("z", (1.0, "n1", seq + 1)))
         assert not table.apply(high[0], VersionedValue("y", (1.0, "n1", seq)))
 
     @given(data=st.data())
-    def test_rows_in_range_matches_the_full_scan(self, table_type, data):
+    def test_rows_in_range_matches_the_full_scan(self, data):
         """Any interleaving of inserts and range queries — wrapping ranges,
         ``start == end``, bounds exactly on a stored token, queries on the
         empty table — selects what the full scan selects, in its order.
 
-        The table may start as a preload leaves it: token-ordered runs
-        through ``preload_columns``, so its token column is in order.
-        Inserts between queries — single rows through ``apply``, batches
-        through ``apply_rows`` that may carry stored keys too, each batch
-        in token order or not — keep that order or break it, and exercise
-        the index invalidation."""
+        The table may start as a preload leaves it: token-ordered runs, so
+        its key space's token column is in order.  Inserts between queries
+        — single rows through ``apply``, batches through ``apply_rows``
+        that may carry stored keys too, each batch in token order or not —
+        keep that order or break it, and exercise the argsort rebuild."""
         keys = data.draw(st.lists(st.text(max_size=6), unique=True,
                                   max_size=25))
         bounds = TOKENS
@@ -266,14 +192,15 @@ class TestTokenColumn:
             on_token = st.sampled_from(keys).map(key_token)
             bounds = st.one_of(TOKENS, on_token,
                                on_token.map(lambda t: (t + 1) % 2**64))
-        table = table_type()
+        table = ColumnarTable()
         preloaded = sorted(keys[:data.draw(st.integers(0, len(keys)))],
                            key=key_token)
         cuts = sorted(data.draw(st.lists(st.integers(0, len(preloaded)),
                                          max_size=3)))
         for low, high in zip([0] + cuts, cuts + [len(preloaded)]):
             run = preloaded[low:high]
-            table.preload_columns(run, run, [key_token(key) for key in run])
+            table.apply_rows(run, versions_of(run, (0.0, "preload", 0)),
+                             [key_token(key) for key in run])
         pending = keys[len(preloaded):]
         for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
             new = [pending.pop()
@@ -289,9 +216,8 @@ class TestTokenColumn:
                 batch = data.draw(st.one_of(
                     st.permutations(batch),
                     st.just(sorted(batch, key=key_token))))
-                count = len(batch)
-                table.apply_rows(batch, batch, [1.5] * count, ["n"] * count,
-                                 [1] * count, [key_token(key) for key in batch])
+                table.apply_rows(batch, versions_of(batch, (1.5, "n", 1)),
+                                 [key_token(key) for key in batch])
             for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
                 start = data.draw(bounds)
                 end = data.draw(st.one_of(bounds, st.just(start)))
@@ -313,9 +239,9 @@ ROW_TOKENS = {key: 2**64 - 1 - 7919 * i if i % 2 else key_token(key) % 2**63
 STAMPS = st.tuples(st.sampled_from([0.0, 1.0, 2.5]),
                    st.sampled_from(["n1", "n2", "preload"]),
                    st.sampled_from([0, 1, 2**62]))
-#: One batch: distinct keys (rows of one table), a value and a stamp each.
+#: One batch: rows of a key, a value and a stamp — a key may repeat.
 BATCHES = st.lists(st.tuples(st.sampled_from(ROW_KEYS), st.integers(), STAMPS),
-                   unique_by=lambda row: row[0], max_size=len(ROW_KEYS))
+                   max_size=2 * len(ROW_KEYS))
 
 
 def apply_one_by_one(table, rows):
@@ -324,10 +250,9 @@ def apply_one_by_one(table, rows):
 
 
 def as_columns(rows):
-    stamps = [stamp for _, _, stamp in rows]
-    return ([key for key, _, _ in rows], [value for _, value, _ in rows],
-            [time for time, _, _ in stamps], [writer for _, writer, _ in stamps],
-            [seq for _, _, seq in stamps], [ROW_TOKENS[key] for key, _, _ in rows])
+    return ([key for key, _, _ in rows],
+            [VersionedValue(value, stamp) for _, value, stamp in rows],
+            [ROW_TOKENS[key] for key, _, _ in rows])
 
 
 def assert_same_table(left, right):
@@ -338,25 +263,20 @@ def assert_same_table(left, right):
         assert left.token(key) == right.token(key)
     for counter in ("reads", "writes_applied", "writes_ignored"):
         assert getattr(left, counter) == getattr(right, counter), counter
+    # Same key ids too: stream tasks walk rows by them.
+    assert left.rows_in_range(0, 0) == right.rows_in_range(0, 0)
 
 
-def assert_same_positions(left, right):
-    """Every key sits at the same row position in both tables — state the
-    observable surface does not show, but stream tasks walk rows by it."""
-    assert dict(left._index) == dict(right._index)
-
-
-@pytest.mark.parametrize("table_type", [LocalTable, ColumnarTable])
 class TestBulkRows:
     @given(stored=BATCHES, batches=st.lists(BATCHES, min_size=1, max_size=3),
            data=st.data())
-    def test_apply_rows_equals_row_by_row_apply(self, table_type, stored,
-                                                batches, data):
+    def test_apply_rows_equals_row_by_row_apply(self, stored, batches, data):
         """Merging columns is applying their rows one by one: onto an empty
         table, onto disjoint and overlapping key sets, with newer, older and
-        equal stamps, tokens past 2**63, each batch cut at arbitrary points —
-        same rows, same positions, same counters."""
-        bulk, reference = table_type(), table_type()
+        equal stamps, tokens past 2**63, keys repeated within a batch, each
+        batch cut at arbitrary points — same rows, same key ids, same
+        counters."""
+        bulk, reference = ColumnarTable(), ColumnarTable()
         apply_one_by_one(bulk, stored)
         apply_one_by_one(reference, stored)
         for batch in batches:
@@ -366,49 +286,45 @@ class TestBulkRows:
                 bulk.apply_rows(*as_columns(batch[low:high]))
             apply_one_by_one(reference, batch)
             assert_same_table(bulk, reference)
-            assert_same_positions(bulk, reference)
-            everything = range(len(bulk))
-            assert columns_of(bulk, everything) == columns_of(reference,
-                                                              everything)
-            assert bulk.rows_in_range(0, 0) == reference.rows_in_range(0, 0)
+            everything = bulk.rows_in_range(0, 0)
+            assert bulk.export_rows(everything) == reference.export_rows(
+                everything)
+
+    def test_a_key_repeated_in_one_batch_merges_row_by_row(self):
+        """A later duplicate wins only if its stamp is newer, and the key
+        is one row: the table keeps its length and its range index."""
+        table, reference = ColumnarTable(), ColumnarTable()
+        rows = [("row1", "new", (2.0, "n1", 1)), ("row2", "x", (1.0, "n1", 1)),
+                ("row1", "old", (1.0, "n1", 1))]
+        table.apply_rows(*as_columns(rows))
+        apply_one_by_one(reference, rows)
+        assert len(table) == 2
+        assert table.get("row1").value == "new"
+        assert (table.writes_applied, table.writes_ignored) == (2, 1)
+        assert keys_in_range(table, 0, 0) == ("row1", "row2")
+        assert_same_table(table, reference)
 
     @given(stored=BATCHES, overwrites=BATCHES)
-    def test_export_then_apply_round_trips_a_table(self, table_type, stored,
-                                                   overwrites):
-        """Every row of a table, exported and merged into an empty table of
-        either backend, rebuilds it exactly; merging the same rows again is
-        a no-op (LWW is idempotent: an equal stamp is not newer)."""
-        table = table_type()
+    def test_export_then_apply_round_trips_a_table(self, stored, overwrites):
+        """Every row of a table, exported and merged into an empty table,
+        rebuilds it exactly — the very version objects; merging the same
+        rows again is a no-op (LWW is idempotent: an equal stamp is not
+        newer)."""
+        table = ColumnarTable()
         apply_one_by_one(table, stored)
         apply_one_by_one(table, overwrites)
-        everything = range(len(table))
-        for copy in (LocalTable(), ColumnarTable()):
-            copy.apply_rows(*table.export_rows(everything))
-            assert list(copy.items()) == list(table.items())
-            assert columns_of(copy, everything) == columns_of(table, everything)
-            assert (copy.writes_applied, copy.writes_ignored) == (len(table), 0)
-            copy.apply_rows(*table.export_rows(everything))
-            assert list(copy.items()) == list(table.items())
-            assert (copy.writes_applied, copy.writes_ignored) == (len(table),
-                                                                  len(table))
-
-    def test_preload_columns_is_a_time_zero_write_per_row(self, table_type):
-        """Onto stored rows too: an earlier writer at time zero loses to the
-        preload stamp, everything else keeps its value."""
-        bulk, reference = table_type(), table_type()
-        stored = [("row0", "older", (0.0, "a-node", 9)),
-                  ("row1", "newer", (0.5, "n1", 1))]
-        apply_one_by_one(bulk, stored)
-        apply_one_by_one(reference, stored)
-        keys = ["row1", "row2", "row0"]
-        bulk.preload_columns(keys, ["x", "y", "z"],
-                             [ROW_TOKENS[key] for key in keys])
-        apply_one_by_one(reference, [(key, value, (0.0, "preload", 0))
-                                     for key, value in zip(keys, "xyz")])
-        assert_same_table(bulk, reference)
-        assert bulk.get("row0").value == "z"
-        assert bulk.get("row1").value == "newer"
-        assert (bulk.writes_applied, bulk.writes_ignored) == (4, 1)
+        everything = table.rows_in_range(0, 0)
+        columns = table.export_rows(everything)
+        copy = ColumnarTable()
+        copy.apply_rows(*columns)
+        assert list(copy.items()) == list(table.items())
+        assert all(copy.get(key) is version
+                   for key, version in zip(columns[0], columns[1]))
+        assert (copy.writes_applied, copy.writes_ignored) == (len(table), 0)
+        copy.apply_rows(*columns)
+        assert list(copy.items()) == list(table.items())
+        assert (copy.writes_applied, copy.writes_ignored) == (len(table),
+                                                              len(table))
 
 
 class TestPartitioner:

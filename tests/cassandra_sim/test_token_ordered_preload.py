@@ -1,15 +1,14 @@
 """Token-ordered preload: ``CassandraCluster.preload`` sorts the rows by ring
-token once and hands whole slot runs to their owners, so every table's token
-column is in token order — the invariant that makes the range-streaming
-index build a linear pass — while nothing a replica can be asked changes."""
+token once, assigns key ids in that order and hands whole slot runs to their
+owners, so the key space's token column is in token order — the invariant
+that lets a stream task bisect it — while nothing a replica can be asked
+changes."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.partitioner import key_token
-from repro.cassandra_sim.storage import ColumnarTable, LocalTable
 from repro.cassandra_sim.versions import VersionedValue
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
@@ -17,11 +16,8 @@ from repro.sim.topology import Region
 REGIONS = (Region.FRK, Region.IRL, Region.VRG)
 
 
-def build(nodes, rf, vnodes, columnar):
-    """A ring whose preload picks the columnar table iff ``columnar``: the
-    size threshold sits at one key, or above the largest preload."""
-    config = CassandraConfig(replication_factor=rf, vnodes_per_node=vnodes,
-                             columnar_threshold_keys=1 if columnar else 1_000)
+def build(nodes, rf, vnodes):
+    config = CassandraConfig(replication_factor=rf, vnodes_per_node=vnodes)
     return CassandraCluster(
         SimEnvironment(seed=3), config,
         nodes=[(f"node{i}", REGIONS[i % 3]) for i in range(nodes)])
@@ -38,7 +34,8 @@ def preload_row_by_row(cluster, items):
 
 
 def token_column(table):
-    return list(table.export_rows(range(len(table)))[5])
+    """The tokens of the rows ``table`` holds, in key-id order."""
+    return table.export_rows(sorted(table.rows_in_range(0, 0)))[2]
 
 
 RINGS = st.tuples(st.integers(min_value=3, max_value=7),    # nodes
@@ -47,37 +44,32 @@ RINGS = st.tuples(st.integers(min_value=3, max_value=7),    # nodes
 ITEMS = st.dictionaries(st.text(max_size=8), st.integers(), max_size=120)
 
 
-@pytest.mark.parametrize("columnar", [False, True])
 class TestTokenOrderedPreload:
     @settings(deadline=None, max_examples=40)
     @given(ring=RINGS, items=ITEMS)
-    def test_every_token_column_is_non_decreasing(self, columnar, ring, items):
-        cluster = build(*ring, columnar)
+    def test_every_token_column_is_non_decreasing(self, ring, items):
+        cluster = build(*ring)
         cluster.preload(items)
-        # An empty preload is below any threshold: it flips nothing.
-        expected = ColumnarTable if columnar and items else LocalTable
+        space = cluster.keyspace
+        assert list(space.tokens) == sorted(space.tokens)
+        # ...and the key space knows it: stream tasks bisect the column
+        # itself instead of building an argsort.
+        assert space._order is None
         for replica in cluster.replicas:
-            assert type(replica.table) is expected
             tokens = token_column(replica.table)
             assert tokens == sorted(tokens)
-            # ...and the table knows it: stream tasks bisect the column
-            # itself instead of building an argsort.
-            assert replica.table._order is None
             assert tokens == sorted(
                 key_token(key) for key in items
                 if cluster.partitioner.is_replica(replica.name, key))
 
     @settings(deadline=None, max_examples=40)
     @given(ring=RINGS, items=ITEMS, again=ITEMS)
-    def test_observationally_identical_to_insertion_order(self, columnar, ring,
-                                                          items, again):
+    def test_observationally_identical_to_insertion_order(self, ring, items,
+                                                          again):
         """Two preloads (the second meets stored rows, so it takes the exact
         LWW path) and a few reads leave every replica answering what the
         row-by-row preload leaves it answering, counters included."""
-        cluster, reference = build(*ring, columnar), build(*ring, columnar)
-        if columnar:  # the reference never goes through preload(): flip it
-            for replica in reference.replicas:
-                replica.table = ColumnarTable()
+        cluster, reference = build(*ring), build(*ring)
         for batch in (items, again):
             cluster.preload(batch)
             preload_row_by_row(reference, batch)
@@ -93,11 +85,11 @@ class TestTokenOrderedPreload:
             for counter in ("reads", "writes_applied", "writes_ignored"):
                 assert getattr(table, counter) == getattr(wanted, counter)
 
-    def test_preload_loses_to_stored_rows_only_when_older(self, columnar):
+    def test_preload_loses_to_stored_rows_only_when_older(self):
         """Preloading onto written tables: a time-zero row beats a stored
         one only if that was written at time zero by an earlier writer."""
-        cluster = build(4, 3, 4, columnar)
-        cluster.preload({"seed": 0})  # flips the tables when columnar
+        cluster = build(4, 3, 4)
+        cluster.preload({"seed": 0})
         for replica in cluster.replicas:
             replica.table.apply("a", VersionedValue("old", (0.0, "a-node", 4)))
             replica.table.apply("b", VersionedValue("new", (7.5, "node0", 1)))
