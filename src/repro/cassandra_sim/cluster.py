@@ -18,6 +18,7 @@ a replica with :class:`~repro.faults.injector.FaultInjector`, then
 
 from __future__ import annotations
 
+import gc
 from array import array
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -207,9 +208,20 @@ class CassandraCluster:
         order = sorted(range(len(keys)), key=tokens.__getitem__)
         tokens = array("Q", map(tokens.__getitem__, order))
         keys = list(map(keys.__getitem__, order))
-        versions = list(map(VersionedValue,
-                            map(list(items.values()).__getitem__, order),
-                            repeat((0.0, "preload", 0))))
+        # One version object per key, which the cyclic collector tracks:
+        # collecting while they are built would rescan every one of them
+        # several times (four full collections at 400k keys) to find no
+        # cycle, so the collector is suspended meanwhile.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
+            versions = list(map(VersionedValue,
+                                map(list(items.values()).__getitem__, order),
+                                repeat((0.0, "preload", 0))))
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         del order  # an int object a row: freed before the tables fill
         space = self.keyspace
         if space.ids.keys().isdisjoint(keys):
