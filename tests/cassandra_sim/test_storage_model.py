@@ -12,6 +12,9 @@ return value, the counters, ``len``, ``keys``, ``items``, ``rows_in_range``
 and ``export_rows``.
 """
 
+import gc
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cassandra_sim.cluster import CassandraCluster
@@ -184,3 +187,82 @@ def test_a_preloaded_key_is_one_version_object_on_all_of_its_owners():
                     for name in owners]
         assert versions[0] == VersionedValue(items[key], PRELOAD)
         assert all(version is versions[0] for version in versions)
+
+
+def test_a_streamed_row_is_the_sources_version_object():
+    env = SimEnvironment(seed=3)
+    cluster = CassandraCluster(
+        env, CassandraConfig(),
+        nodes=[(f"node{i}", REGIONS[i % 3]) for i in range(5)])
+    items = {f"user{i}": f"value{i}" for i in range(200)}
+    cluster.preload(items)
+    join = cluster.join_node("joiner", Region.FRK)
+    env.run_until_idle()
+    assert join.done
+    joiner = cluster.replica_by_name("joiner")
+    assert len(joiner.table) > 0
+    for key in joiner.table.keys():
+        owners = [cluster.replica_by_name(name)
+                  for name in cluster.partitioner.replicas_for(key)]
+        assert all(owner.table.get(key) is joiner.table.get(key)
+                   for owner in owners)
+
+
+def test_a_key_created_after_a_table_was_built_reads_as_absent_there():
+    cluster = build(4, 2, 4)
+    joiner = cluster._add_replica("late", Region.IRL, "bootstrapping")
+    first = cluster.replicas[0].table
+    first.apply("made-later", VersionedValue(1, (1.0, "n", 1)))
+    assert joiner.table.read("made-later") is None
+    assert joiner.table.apply("made-later", VersionedValue(2, (2.0, "n", 1)))
+    assert joiner.table.get("made-later").value == 2
+    assert first.get("made-later").value == 1
+
+
+def test_an_empty_preload_changes_nothing():
+    cluster = build(3, 2, 2)
+    cluster.preload({})
+    assert len(cluster.keyspace) == 0
+    assert all(len(replica.table) == 0 for replica in cluster.replicas)
+
+
+def test_a_second_preload_appends_new_keys_and_tracks_token_order():
+    cluster = build(4, 3, 4)
+    first = {f"a{i}": i for i in range(30)}
+    cluster.preload(first)
+    space = cluster.keyspace
+    assert space._order is None
+    ids = dict(space.ids)
+    cluster.preload({**first, **{f"b{i}": i for i in range(30)}})
+    assert {key: space.ids[key] for key in first} == ids
+    assert sorted(space.ids.values()) == list(range(60))
+    # The new keys' tokens interleave with the first preload's.
+    assert space._order is not None
+    for key in first:
+        for owner in cluster.partitioner.replicas_for(key):
+            assert cluster.replica_by_name(owner).table.writes_ignored >= 1
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_preload_leaves_the_cyclic_collector_as_it_found_it(enabled):
+    cluster = build(3, 2, 2)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        cluster.preload({f"k{i}": i for i in range(50)})
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_stream_batch_is_sized_from_its_versions_values():
+    """Simulated stream bytes stay the key size per row plus each value's
+    size, with the per-value floor."""
+    cluster = build(3, 2, 2)
+    replica = cluster.replicas[0]
+    versions = [VersionedValue(value, (1.0, "n", 1))
+                for value in ("x" * 500, "y", ("tuple", 3))]
+    assert replica._values_bytes(versions) == sum(
+        replica._value_bytes(version) for version in versions)
+    assert replica._values_bytes(versions[1:2]) \
+        == cluster.config.value_size_bytes

@@ -48,6 +48,50 @@ class TestVersions:
         assert resolve([]) is None
 
 
+class TestKeySpace:
+    def test_ids_are_dense_and_a_known_key_keeps_its_id(self):
+        space = KeySpace()
+        assert [space.add(key, 10 * i) for i, key in enumerate("abc")] \
+            == [0, 1, 2]
+        assert space.add("b", 0) == 1  # the first token stays
+        assert len(space) == 3 and space.keys == ["a", "b", "c"]
+        assert list(space.tokens) == [0, 10, 20]
+
+    def test_intern_assigns_new_keys_in_row_order(self):
+        space = KeySpace()
+        space.add("b", 5)
+        assert space.intern(["c", "b", "a", "c"], [1, 2, 3, 4]) == [1, 0, 2, 1]
+        assert space.keys == ["b", "c", "a"]
+        assert list(space.tokens) == [5, 1, 3]
+
+    def test_extend_appends_a_range_of_ids_and_grows_every_column(self):
+        space = KeySpace()
+        column = space.new_column()
+        space.add("a", 1)
+        ids = space.extend(["b", "c"], [2, 3])
+        assert ids == range(1, 3)
+        assert space.ids == {"a": 0, "b": 1, "c": 2}
+        assert column == [None] * 3
+        assert space.new_column() == [None] * 3
+        assert space._order is None
+
+    def test_an_argsort_is_rebuilt_once_keys_were_added(self):
+        space = KeySpace()
+        space.extend(["a", "b"], [20, 10])  # out of order: an argsort
+        assert list(space.ids_in_range(0, 30)) == [1, 0]
+        space.add("c", 15)
+        assert list(space.ids_in_range(0, 30)) == [1, 2, 0]
+        assert list(space.ids_in_range(15, 12)) == [2, 0, 1]
+
+    def test_a_wrapping_range_on_an_ordered_space(self):
+        space = KeySpace()
+        space.extend(["a", "b", "c", "d"], [10, 20, 30, 40])
+        assert list(space.ids_in_range(30, 20)) == [2, 3, 0]
+        assert list(space.ids_in_range(20, 20)) == [1, 2, 3, 0]
+        assert list(space.ids_in_range(41, 10)) == []
+        assert list(space.ids_in_range(15, 35)) == [1, 2]
+
+
 class TestTable:
     def test_read_missing_returns_none(self):
         assert ColumnarTable().read("nope") is None
@@ -82,6 +126,55 @@ class TestTable:
         assert table.apply("k", VersionedValue("b", (1.0, "node-b", 1)))
         assert not table.apply("k", VersionedValue("c", (1.0, "node-a", 9)))
         assert table.read("k").value == "b"
+
+    def test_a_caller_supplied_token_is_kept_for_a_new_key(self):
+        table = ColumnarTable()
+        assert table.apply("k", VersionedValue("v", (1.0, "n", 1)), 7)
+        assert table.token("k") == 7
+        # A key the space knows keeps its token, whatever a later caller
+        # passes.
+        assert table.apply("k", VersionedValue("w", (2.0, "n", 1)), 9)
+        assert table.token("k") == 7
+
+    def test_tables_over_one_space_select_only_their_own_rows(self):
+        space = KeySpace()
+        left, right = ColumnarTable(space), ColumnarTable(space)
+        keys = [f"user{i}" for i in range(20)]
+        for i, key in enumerate(keys):
+            (left if i % 3 else right).apply(
+                key, VersionedValue(i, (1.0, "n", 1)))
+        assert len(space) == 20
+        assert keys_in_range(left, 0, 0) == tuple(sorted(
+            key for i, key in enumerate(keys) if i % 3))
+        assert keys_in_range(right, 0, 0) == tuple(sorted(keys[::3]))
+        assert keys_in_range(right, 2**63, 2**63 - 1) == \
+            scan_keys_in_range(right, 2**63, 2**63 - 1)
+
+    def test_apply_rows_over_a_shared_space_reuses_the_ids(self):
+        space = KeySpace()
+        source, target = ColumnarTable(space), ColumnarTable(space)
+        for key in ("a", "b", "c"):
+            source.apply(key, VersionedValue(key, (1.0, "n", 1)))
+        rows = source.rows_in_range(0, 0)
+        target.apply_rows(*source.export_rows(rows))
+        assert len(space) == 3
+        assert target.rows_in_range(0, 0) == rows
+        assert list(target.items()) == list(source.items())
+
+    def test_merge_stores_unheld_rows_wholesale_and_held_ones_by_lww(self):
+        space = KeySpace()
+        table = ColumnarTable(space)
+        ids = space.extend(["a", "b", "c"], [1, 2, 3])
+        old = [VersionedValue(key, (1.0, "n", 1)) for key in "abc"]
+        table.merge(ids, old)
+        assert [table.get(key) for key in "abc"] == old
+        assert (len(table), table.writes_applied) == (3, 3)
+        newer = VersionedValue("b2", (2.0, "n", 1))
+        older = VersionedValue("c0", (0.5, "n", 1))
+        table.merge([1, 2], [newer, older])
+        assert table.get("b") is newer and table.get("c") is old[2]
+        assert (len(table), table.writes_applied, table.writes_ignored) \
+            == (3, 4, 1)
 
     def test_a_key_another_table_created_is_not_held(self):
         """Tables over one key space see its ids, not each other's rows."""
