@@ -143,7 +143,8 @@ class KeySpace:
             high = bisect_left(tokens, end_token)
             if start_token < end_token:
                 return range(low, high)
-            return array("I", range(low, len(tokens))) + array("I", range(high))
+            return (array("I", range(low, len(tokens)))
+                    + array("I", range(high)))
         if len(order) != len(tokens):
             order = self._order = array("I", sorted(
                 range(len(tokens)), key=tokens.__getitem__))

@@ -37,7 +37,8 @@ def apply_one_by_one(table, rows, tokens):
 
 def apply_as_columns(table, rows, tokens):
     table.apply_rows([key for key, _, _ in rows],
-                     [VersionedValue(value, stamp) for _, value, stamp in rows],
+                     [VersionedValue(value, stamp)
+                      for _, value, stamp in rows],
                      [tokens[key] for key, _, _ in rows])
 
 
@@ -56,8 +57,8 @@ def batches(draw, table, tokens):
     """One batch of distinct keys for ``table``, of a drawn kind."""
     stored = [key for key in KEYS if table.contains(key)]
     fresh = [key for key in KEYS if not table.contains(key)]
-    space = table._space.tokens
-    last = space[-1] if space else None
+    token_column = table._space.tokens
+    last = token_column[-1] if token_column else None
     by_token = sorted(KEYS, key=tokens.__getitem__)
     kind = draw(st.sampled_from(["append", "overlap", "boundary",
                                  "preload-again"]))
