@@ -15,8 +15,11 @@ Run with::
     PYTHONPATH=src python examples/fault_tolerant_reads.py
 """
 
+from repro.bindings.cassandra import CassandraBinding
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
+from repro.core.client import CorrectableClient
+from repro.core.operations import read
 from repro.faults import FaultInjector, cassandra_aliases, get_scenario, zookeeper_aliases
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
@@ -29,8 +32,9 @@ def cassandra_replica_crash() -> None:
     env = SimEnvironment(seed=7)
     cluster = CassandraCluster(env, CassandraConfig.fault_tolerant())
     cluster.preload({f"item:{i}": f"price-{i}" for i in range(50)})
-    client = cluster.add_client("shop-frontend", Region.IRL, Region.FRK,
-                                fallbacks=True)
+    client = CorrectableClient(CassandraBinding(
+        cluster.add_client("shop-frontend", Region.IRL, Region.FRK,
+                           fallbacks=True), strong_read_quorum=2))
 
     injector = FaultInjector(env, schedule=get_scenario(
         "replica-crash", at_ms=1_000.0, duration_ms=3_000.0),
@@ -40,11 +44,12 @@ def cassandra_replica_crash() -> None:
     completions = []
 
     def issue_read(index: int) -> None:
-        key = f"item:{index % 50}"
-        client.read(
-            key, r=2, icg=True,
-            on_final=lambda resp, t0=env.now(): completions.append(
-                (env.now(), resp["value"], resp.get("degraded", False))))
+        # An ICG read: a fast preliminary view, then the quorum's final one.
+        client.invoke(read(f"item:{index % 50}")).set_callbacks(
+            on_final=lambda view: completions.append(
+                (env.now(), view.value, view.metadata["degraded"])),
+            on_error=lambda error: completions.append(
+                (env.now(), None, False)))
 
     # One read every 200 ms for 6 simulated seconds, spanning the crash.
     for i in range(30):

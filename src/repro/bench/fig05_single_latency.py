@@ -13,10 +13,11 @@ The headline observations to reproduce:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.bench.common import (
     CASSANDRA_SYSTEMS,
+    DrainCheck,
     build_cassandra_scenario,
     cassandra_config_for,
 )
@@ -29,9 +30,43 @@ from repro.sim.topology import Region
 DEFAULT_SYSTEMS = ("C1", "C2", "C3", "CC2", "CC3")
 
 
+class _SequentialReads:
+    """The completion sink of ``samples`` reads issued one after another:
+    records each read's latencies, then issues the next."""
+
+    def __init__(self, system: str, samples: int, issue) -> None:
+        self.remaining = samples
+        self.issue = issue
+        self.preliminary = LatencyRecorder(f"{system}-preliminary")
+        self.final = LatencyRecorder(f"{system}-final")
+        self.preliminary_ms: Optional[float] = None
+
+    def next(self) -> None:
+        if self.remaining > 0:
+            self.remaining -= 1
+            self.issue(self)
+
+    def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
+                            source: Optional[str] = None) -> None:
+        self.preliminary_ms = latency_ms
+
+    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
+                      is_confirmation: bool = False, degraded: bool = False,
+                      matches_preliminary: Optional[bool] = None) -> None:
+        self.final.record(latency_ms)
+        if self.preliminary_ms is not None:
+            self.preliminary.record(self.preliminary_ms)
+            self.preliminary_ms = None
+        self.next()
+
+    def deliver_error(self, error: Any, latency_ms: float) -> None:
+        self.deliver_final(None, None, latency_ms)
+
+
 def _measure_single_requests(system: str, samples: int, seed: int,
                              record_count: int) -> Dict[str, Optional[dict]]:
     """Issue ``samples`` sequential reads and summarize their latencies."""
+    drain = DrainCheck(f"fig05-{system}")
     scenario = build_cassandra_scenario(
         seed=seed, record_count=record_count,
         client_regions=(Region.IRL,),
@@ -39,36 +74,20 @@ def _measure_single_requests(system: str, samples: int, seed: int,
         config=cassandra_config_for(system, value_size_bytes=100))
     client = scenario.client_in(Region.IRL)
     profile = CASSANDRA_SYSTEMS[system]
-    icg = profile["icg"]
     rng = derive_rng(seed, f"fig05-{system}")
-    preliminary = LatencyRecorder(f"{system}-preliminary")
-    final = LatencyRecorder(f"{system}-final")
-    state = {"remaining": samples, "preliminary_ms": None}
 
-    def _issue_next() -> None:
-        if state["remaining"] <= 0:
-            return
-        state["remaining"] -= 1
+    def _issue(reads: _SequentialReads) -> None:
         key = scenario.dataset.key(rng.randrange(record_count))
-        client.read(key, r=profile["r"], icg=icg,
-                    on_preliminary=_on_preliminary if icg else None,
-                    on_final=_on_final)
+        client.lean_read(key, profile["r"], profile["icg"], reads)
 
-    def _on_preliminary(response: dict) -> None:
-        state["preliminary_ms"] = response["latency_ms"]
-
-    def _on_final(response: dict) -> None:
-        final.record(response["latency_ms"])
-        if state["preliminary_ms"] is not None:
-            preliminary.record(state["preliminary_ms"])
-            state["preliminary_ms"] = None
-        _issue_next()
-
-    _issue_next()
+    reads = _SequentialReads(system, samples, _issue)
+    reads.next()
     scenario.env.run_until_idle()
+    drain.verify(scenario.cluster)
     return {
-        "preliminary": preliminary.summary() if preliminary.count else None,
-        "final": final.summary(),
+        "preliminary": (reads.preliminary.summary()
+                        if reads.preliminary.count else None),
+        "final": reads.final.summary(),
     }
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.bench.common import DrainCheck
 from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.metrics.bandwidth import BandwidthProbe
 from repro.metrics.latency import LatencyRecorder
@@ -78,6 +79,7 @@ class EnqueueLoop:
 
 def measure_enqueues(leader_region: str, connect_region: str, icg: bool,
                       samples: int, seed: int) -> Dict:
+    drain = DrainCheck(f"fig09 {leader_region} {connect_region} icg={icg}")
     env = SimEnvironment(seed=seed)
     cluster = ZooKeeperCluster(env, leader_region=leader_region,
                                follower_regions=_other_regions(leader_region))
@@ -92,6 +94,7 @@ def measure_enqueues(leader_region: str, connect_region: str, icg: bool,
     loop = EnqueueLoop(client, icg, samples)
     loop.issue_next()
     env.run_until_idle()
+    drain.verify(cluster)
     probe.stop()
     preliminary, final = loop.preliminary, loop.final
     return {

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
+from repro.bench.common import DrainCheck
 from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.metrics.bandwidth import BandwidthProbe
 from repro.metrics.summary import format_table
@@ -49,6 +50,7 @@ class _CommitSink:
 
 def _drain_queue(system: str, stock: int, clients: int, seed: int) -> Dict:
     """Drain a preloaded queue with ``clients`` concurrent consumers."""
+    drain = DrainCheck(f"fig10 {system} stock={stock} clients={clients}")
     env = SimEnvironment(seed=seed)
     cluster = ZooKeeperCluster(env, leader_region=Region.IRL,
                                follower_regions=(Region.FRK, Region.VRG))
@@ -87,6 +89,7 @@ def _drain_queue(system: str, stock: int, clients: int, seed: int) -> Dict:
     for consumer in consumers:
         _consume_with(DistributedQueue(consumer, "/tickets"))
     env.run_until_idle()
+    drain.verify(cluster)
     probe.stop()
     return {
         "system": system,

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List
 
 from repro.apps.tickets import TicketSeller
+from repro.bench.common import DrainCheck
 from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.bindings.zookeeper import ZooKeeperQueueBinding
 from repro.core.client import CorrectableClient
@@ -32,6 +33,7 @@ from repro.zookeeper_sim.cluster import ZooKeeperCluster
 def _sell_out(system: str, stock: int, retailers: int, threshold: int,
               seed: int) -> Dict:
     """Run one sell-out: ``retailers`` concurrently purchase until sold out."""
+    drain = DrainCheck(f"fig12 {system} stock={stock}")
     env = SimEnvironment(seed=seed)
     cluster = ZooKeeperCluster(env, leader_region=Region.IRL,
                                follower_regions=(Region.FRK, Region.VRG))
@@ -66,6 +68,7 @@ def _sell_out(system: str, stock: int, retailers: int, threshold: int,
         sellers.append(seller)
         _run_retailer(seller)
     env.run_until_idle()
+    drain.verify(cluster)
 
     # Order purchases by completion order to obtain the per-ticket series.
     series = [{"ticket_number": i + 1, **purchase}

@@ -34,7 +34,6 @@ import json
 import pstats
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -73,16 +72,6 @@ REGRESSION_FACTOR = 2.0
 # scenario implementations
 # ---------------------------------------------------------------------------
 
-def _path_counts(clients: Sequence[Any]) -> Dict[str, int]:
-    """Operations by completion kind (issuer's sink or callback adapter),
-    summed over the storage clients (see
-    :meth:`CassandraClient.path_counts`)."""
-    totals: Counter = Counter()
-    for client in clients:
-        totals.update(client.path_counts())
-    return dict(totals)
-
-
 def run_closed_loop_scenario(threads_per_client: int = 24,
                              duration_ms: float = 10_000.0,
                              warmup_ms: float = 2_000.0,
@@ -104,7 +93,6 @@ def run_closed_loop_scenario(threads_per_client: int = 24,
     return {
         "events": scenario.env.scheduler.events_executed,
         "ops": sum(result.total_ops for result in results.values()),
-        "paths": _path_counts(scenario.cluster.clients),
     }
 
 
@@ -153,7 +141,6 @@ def run_fault_scenario(threads_per_client: int = 4,
     return {
         "events": built.env.scheduler.events_executed,
         "ops": sum(r.result.total_ops for r in runners),
-        "paths": _path_counts(built.cluster.clients),
     }
 
 
@@ -189,12 +176,9 @@ def run_open_loop_scenario(binding: str = "cassandra",
         cooldown_ms=cooldown_ms, max_in_flight=max_in_flight,
         policy=policy, queue_limit=queue_limit)
     result = runner.run()
-    storages = ([pool.client.binding.client for pool in stack.pools]
-                if binding == "cassandra" else [])
     return {
         "events": stack.env.scheduler.events_executed,
         "ops": result.total_ops,
-        "paths": _path_counts(storages),
     }
 
 
@@ -329,7 +313,6 @@ def run_million_key_scenario(record_count: int = 1_000_000, nodes: int = 6,
         "serve_events_per_s": round(events / walls["serve"], 1),
         "phase_walls_s": {phase: round(wall, 4)
                           for phase, wall in walls.items()},
-        "paths": _path_counts(cluster.clients),
     }
 
 
@@ -786,15 +769,6 @@ def format_perf(measured: Dict[str, Any],
         ["scenario", "wall (s)", "events", "events/s", "ops", "ops/s",
          "speedup"],
         rows, title=title)
-    # Footer: how the Cassandra scenarios' operations completed (into the
-    # issuer's sink, or through the callback adapter), so an op silently
-    # evicted to the slower pipeline shows up as a count, not just as a
-    # slower wall.
-    paths = [f"  {name}: " + ", ".join(
-                 f"{path} {count}" for path, count in stats["paths"].items())
-             for name, stats in measured.items() if stats.get("paths")]
-    if paths:
-        table += "\npaths:\n" + "\n".join(paths)
     # Footer: the phases of the scenarios whose whole-run rate mixes set-up
     # with serving (build → preload → serve, the join's stream inside it).
     phases = [f"  {name}: preload {stats['preload_keys_per_s']:,.0f} keys/s, "

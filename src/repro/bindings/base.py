@@ -5,42 +5,63 @@ A binding exposes exactly two methods to the library:
 * :meth:`Binding.consistency_levels` — the levels the underlying stack
   offers, ordered weakest to strongest.  They are a property of the stack:
   a client asks once and keeps the answer;
-* :meth:`Binding.submit_operation` — execute an operation and invoke the
-  callback once per requested level as results become available.  The
-  requested levels arrive as an immutable, validated sequence.
+* :meth:`Binding.submit_operation` — execute an operation and complete
+  its :class:`~repro.core.correctable.Correctable`.  The requested levels
+  arrive as an immutable, validated sequence, weakest first; they are the
+  Correctable's own.
 
-The callback signature is ``callback(level, value, metadata=None, error=None)``:
-
-* ``level`` — the :class:`~repro.core.consistency.ConsistencyLevel` this
-  result satisfies;
-* ``value`` — the operation result at that level;
-* ``metadata`` — optional dict (answering replica, quorum size, bytes on the
-  wire, ``is_confirmation`` for the ``*CC`` optimization, ...);
-* ``error`` — an exception if the operation failed at that level; when set,
-  ``value`` is ignored.
-
-The callback may be a :class:`~repro.core.correctable.Correctable` — a
-:class:`~repro.core.client.CorrectableClient` passes the operation's own
-(calling it is :meth:`Correctable.deliver`).  A binding whose storage client
-completes into a sink the Correctable implements may hand it over as that
-sink (the ZooKeeper binding does); any binding may just call it.
+The Correctable is a sink (:mod:`repro.core.sink`): a preliminary answer
+is the view at the weakest requested level, the final answer closes at the
+strongest, an error fails it, and whatever arrives after it closed is
+dropped.  A binding whose storage client completes into a sink hands the
+Correctable on (Cassandra, ZooKeeper); the others call the three methods
+themselves (``latency_ms`` is the delay they model) or, to label a view
+with a level of their own, its ``update`` / ``close``.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from repro.core.consistency import (
     ConsistencyLevel,
     sort_levels,
     validate_levels,
 )
-from repro.core.errors import BindingError, UnsupportedOperationError
+from repro.core.correctable import Correctable
+from repro.core.errors import (BindingError, OperationError,
+                               UnsupportedOperationError)
 from repro.core.operations import Operation
+from repro.sim.scheduler import Scheduler
 
-#: ``callback(level, value, metadata=None, error=None)``
-CallbackType = Callable[..., None]
+
+def complete_after(scheduler: Optional[Scheduler], delay_ms: float,
+                   execute: Callable[[Operation, bool], Any],
+                   operation: Operation, weak: bool,
+                   correctable: Correctable) -> None:
+    """``execute(operation, weak)`` after ``delay_ms`` (at once without a
+    scheduler), completing ``correctable`` with the answer: a weak one is
+    its preliminary, a strong one its final, an ``OperationError`` its
+    error."""
+    if scheduler is None:
+        _complete(execute, operation, weak, correctable, 0.0)
+    else:
+        scheduler.schedule(delay_ms, _complete, execute, operation, weak,
+                           correctable, delay_ms)
+
+
+def _complete(execute: Callable[[Operation, bool], Any], operation: Operation,
+              weak: bool, correctable: Correctable, latency_ms: float) -> None:
+    try:
+        value = execute(operation, weak)
+    except OperationError as exc:
+        correctable.deliver_error(exc, latency_ms)
+    else:
+        if weak:
+            correctable.deliver_preliminary(value, None, latency_ms)
+        else:
+            correctable.deliver_final(value, None, latency_ms)
 
 
 class Binding(abc.ABC):
@@ -57,8 +78,9 @@ class Binding(abc.ABC):
     @abc.abstractmethod
     def submit_operation(self, operation: Operation,
                          levels: Sequence[ConsistencyLevel],
-                         callback: CallbackType) -> None:
-        """Execute ``operation``, invoking ``callback`` once per level in ``levels``."""
+                         correctable: Correctable) -> None:
+        """Execute ``operation`` at ``levels``, completing ``correctable``
+        (under the cache binding, a sink that stands in for it)."""
 
     def supports(self, level: ConsistencyLevel) -> bool:
         """Whether this binding offers ``level``."""
@@ -86,20 +108,8 @@ class Binding(abc.ABC):
         """
         return validate_levels(requested, self.consistency_levels())
 
-    def reject_unsupported(self, operation: Operation,
-                           levels: List[ConsistencyLevel],
-                           callback: CallbackType) -> None:
-        """Report an unsupported operation kind through ``callback``.
-
-        Delivers one :class:`UnsupportedOperationError` at the strongest
-        requested level (the level that would have closed the Correctable),
-        so the caller's error path fires exactly once.
-        """
-        strongest = sort_levels(levels)[-1] if levels else self.strongest_level()
-        callback(strongest, None,
-                 error=self.unsupported_operation(operation))
-
     def unsupported_operation(self, operation: Operation
                               ) -> UnsupportedOperationError:
-        """The uniform error for an operation kind this binding lacks."""
+        """The uniform error for an operation kind this binding lacks (a
+        binding fails the Correctable with it)."""
         return UnsupportedOperationError(type(self).__name__, operation.name)

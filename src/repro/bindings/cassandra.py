@@ -10,17 +10,19 @@ The binding maps consistency levels onto quorum sizes:
   implemented by :class:`repro.cassandra_sim.replica.CassandraReplica`.
 
 Writes always use W = ``write_quorum`` (1 in the paper's experiments); the
-strong view of a write is the coordinator's acknowledgement.
+strong view of a write is the coordinator's acknowledgement (carrying the
+written value), and ``invoke`` shows the value as an optimistic weak view
+first.  The client completes the Correctable (``lean_read``/``lean_write``).
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.bindings.base import Binding, CallbackType
+from repro.bindings.base import Binding
 from repro.cassandra_sim.client import CassandraClient
 from repro.core.consistency import ConsistencyLevel, STRONG, WEAK
-from repro.core.errors import OperationError
+from repro.core.correctable import Correctable
 from repro.core.operations import Operation
 
 
@@ -44,71 +46,22 @@ class CassandraBinding(Binding):
 
     def submit_operation(self, operation: Operation,
                          levels: List[ConsistencyLevel],
-                         callback: CallbackType) -> None:
+                         correctable: Correctable) -> None:
         levels = self.validate_levels(levels)
+        both = len(levels) == 2
         if operation.name == "read":
-            self._submit_read(operation, levels, callback)
+            # Both levels: one ICG request, preliminary and final from the
+            # same coordinator.
+            self.client.lean_read(
+                operation.key,
+                self.strong_read_quorum if STRONG in levels else 1, both,
+                correctable)
         elif operation.name == "write":
-            self._submit_write(operation, levels, callback)
+            value = operation.args[0]
+            if both:
+                correctable.deliver_preliminary(value, None, 0.0)
+            self.client.lean_write(operation.key, value, self.write_quorum,
+                                   correctable)
         else:
-            self.reject_unsupported(operation, levels, callback)
-
-    # -- reads --------------------------------------------------------------
-    def _submit_read(self, operation: Operation,
-                     levels: List[ConsistencyLevel],
-                     callback: CallbackType) -> None:
-        want_weak = WEAK in levels
-        want_strong = STRONG in levels
-        level = STRONG if want_strong else WEAK
-        quorum = self.strong_read_quorum if want_strong else 1
-
-        def _on_final(resp: dict) -> None:
-            if "error" in resp:
-                callback(level, None, error=OperationError(resp["error"]))
-            else:
-                callback(level, resp["value"],
-                         metadata=self._meta(resp, r=quorum))
-
-        if want_weak and want_strong:
-            # One ICG request: preliminary + final from the same coordinator.
-            self.client.read(
-                operation.key, r=quorum, icg=True,
-                on_preliminary=lambda resp: callback(
-                    WEAK, resp["value"], metadata=self._meta(resp, r=1)),
-                on_final=_on_final)
-        else:
-            self.client.read(operation.key, r=quorum, icg=False,
-                             on_final=_on_final)
-
-    # -- writes ---------------------------------------------------------------
-    def _submit_write(self, operation: Operation,
-                      levels: List[ConsistencyLevel],
-                      callback: CallbackType) -> None:
-        value = operation.args[0]
-        want_weak = WEAK in levels
-        want_strong = STRONG in levels
-        level = STRONG if want_strong else WEAK
-
-        def _on_ack(resp: dict) -> None:
-            if "error" in resp:
-                callback(level, None, error=OperationError(resp["error"]))
-            else:
-                callback(level, value, metadata=self._meta(resp, r=None))
-
-        if want_weak and want_strong:
-            # The weak view of a write is an immediate optimistic local echo;
-            # the strong view is the coordinator acknowledgement.
-            callback(WEAK, value, metadata={"optimistic": True})
-        self.client.write(operation.key, value, w=self.write_quorum,
-                          on_final=_on_ack)
-
-    @staticmethod
-    def _meta(resp: dict, r) -> dict:
-        return {
-            "latency_ms": resp.get("latency_ms"),
-            "is_confirmation": resp.get("is_confirmation", False),
-            "found": resp.get("found"),
-            "replica": resp.get("replica"),
-            "read_quorum": r,
-            "degraded": resp.get("degraded", False),
-        }
+            correctable.deliver_error(self.unsupported_operation(operation),
+                                      0.0)

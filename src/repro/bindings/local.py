@@ -20,11 +20,13 @@ import random
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
-from repro.bindings.base import Binding, CallbackType
+from repro.bindings.base import Binding, complete_after
 from repro.core.consistency import ConsistencyLevel, STRONG, WEAK
+from repro.core.correctable import Correctable
 from repro.core.errors import OperationError
 from repro.core.operations import Operation
 from repro.sim.scheduler import Scheduler
+from repro.sim.topology import non_negative
 
 
 class LocalStore:
@@ -90,10 +92,13 @@ class LocalBinding(Binding):
                  strong_delay_ms: float = 50.0,
                  stale_probability: float = 0.0,
                  rng: Optional[random.Random] = None) -> None:
+        if not 0 <= stale_probability <= 1:
+            raise ValueError(f"stale_probability must be in [0, 1], "
+                             f"got {stale_probability}")
         self.store = store if store is not None else LocalStore()
         self.scheduler = scheduler
-        self.weak_delay_ms = weak_delay_ms
-        self.strong_delay_ms = strong_delay_ms
+        self.weak_delay_ms = non_negative("weak_delay_ms", weak_delay_ms)
+        self.strong_delay_ms = non_negative("strong_delay_ms", strong_delay_ms)
         self.stale_probability = stale_probability
         self._rng = rng if rng is not None else random.Random(0)
         self.operations_submitted = 0
@@ -106,33 +111,17 @@ class LocalBinding(Binding):
 
     def submit_operation(self, operation: Operation,
                          levels: List[ConsistencyLevel],
-                         callback: CallbackType) -> None:
+                         correctable: Correctable) -> None:
         levels = self.validate_levels(levels)
         self.operations_submitted += 1
         if WEAK in levels:
-            self._deliver(self.weak_delay_ms, callback, WEAK, operation,
-                          weak=True)
+            complete_after(self.scheduler, self.weak_delay_ms, self._execute,
+                           operation, True, correctable)
         if STRONG in levels:
-            self._deliver(self.strong_delay_ms, callback, STRONG, operation,
-                          weak=False)
+            complete_after(self.scheduler, self.strong_delay_ms,
+                           self._execute, operation, False, correctable)
 
     # -- execution -------------------------------------------------------------
-    def _deliver(self, delay_ms: float, callback: CallbackType,
-                 level: ConsistencyLevel, operation: Operation,
-                 weak: bool) -> None:
-        def _run() -> None:
-            try:
-                value = self._execute(operation, weak=weak)
-            except OperationError as exc:
-                callback(level, None, error=exc)
-                return
-            callback(level, value, metadata={"weak": weak})
-
-        if self.scheduler is None:
-            _run()
-        else:
-            self.scheduler.schedule(delay_ms, _run)
-
     def _execute(self, operation: Operation, weak: bool) -> Any:
         name = operation.name
         key = operation.key

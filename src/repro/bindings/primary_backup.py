@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.bindings.base import Binding, CallbackType
+from repro.bindings.base import Binding, complete_after
 from repro.core.consistency import ConsistencyLevel, STRONG, WEAK
+from repro.core.correctable import Correctable
 from repro.core.errors import OperationError
 from repro.core.operations import Operation
 from repro.sim.scheduler import Scheduler
+from repro.sim.topology import non_negative
 
 
 class PrimaryBackupStore:
@@ -24,7 +26,8 @@ class PrimaryBackupStore:
     def __init__(self, scheduler: Optional[Scheduler] = None,
                  replication_lag_ms: float = 30.0) -> None:
         self.scheduler = scheduler
-        self.replication_lag_ms = replication_lag_ms
+        self.replication_lag_ms = non_negative("replication_lag_ms",
+                                               replication_lag_ms)
         self._primary: Dict[str, Any] = {}
         self._backup: Dict[str, Any] = {}
         self.writes = 0
@@ -73,8 +76,8 @@ class PrimaryBackupBinding(Binding):
             store = PrimaryBackupStore(scheduler=scheduler)
         self.store = store
         self.scheduler = scheduler if scheduler is not None else store.scheduler
-        self.backup_rtt_ms = backup_rtt_ms
-        self.primary_rtt_ms = primary_rtt_ms
+        self.backup_rtt_ms = non_negative("backup_rtt_ms", backup_rtt_ms)
+        self.primary_rtt_ms = non_negative("primary_rtt_ms", primary_rtt_ms)
         if self.scheduler is not None:
             self.clock = self.scheduler.now
 
@@ -83,31 +86,14 @@ class PrimaryBackupBinding(Binding):
 
     def submit_operation(self, operation: Operation,
                          levels: List[ConsistencyLevel],
-                         callback: CallbackType) -> None:
+                         correctable: Correctable) -> None:
         levels = self.validate_levels(levels)
         if WEAK in levels:
-            self._deliver(self.backup_rtt_ms, callback, WEAK, operation,
-                          use_backup=True)
+            complete_after(self.scheduler, self.backup_rtt_ms, self._execute,
+                           operation, True, correctable)
         if STRONG in levels:
-            self._deliver(self.primary_rtt_ms, callback, STRONG, operation,
-                          use_backup=False)
-
-    def _deliver(self, delay_ms: float, callback: CallbackType,
-                 level: ConsistencyLevel, operation: Operation,
-                 use_backup: bool) -> None:
-        def _run() -> None:
-            try:
-                value = self._execute(operation, use_backup=use_backup)
-            except OperationError as exc:
-                callback(level, None, error=exc)
-                return
-            replica = "backup" if use_backup else "primary"
-            callback(level, value, metadata={"replica": replica})
-
-        if self.scheduler is None:
-            _run()
-        else:
-            self.scheduler.schedule(delay_ms, _run)
+            complete_after(self.scheduler, self.primary_rtt_ms, self._execute,
+                           operation, False, correctable)
 
     def _execute(self, operation: Operation, use_backup: bool) -> Any:
         if operation.name == "read":

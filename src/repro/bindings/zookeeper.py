@@ -12,20 +12,17 @@ member:
 responses; ``invoke_weak`` still executes the operation (it completes in the
 background) but only the preliminary result is surfaced.
 
-The callback a :class:`~repro.core.client.CorrectableClient` passes is the
-operation's Correctable, which speaks the sink protocol
-(:mod:`repro.core.sink`): it is handed over as the sink.  Any other
-callable gets the answers translated from the client's dict-callback API.
+The Correctable is the request's sink: the client completes it directly
+(:meth:`~repro.zookeeper_sim.client.ZKClient.submit_sink`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import List, Sequence
 
-from repro.bindings.base import Binding, CallbackType
+from repro.bindings.base import Binding
 from repro.core.consistency import ConsistencyLevel, STRONG, WEAK
 from repro.core.correctable import Correctable
-from repro.core.errors import OperationError
 from repro.core.operations import Operation
 from repro.zookeeper_sim.client import ZKClient
 
@@ -43,38 +40,15 @@ class ZooKeeperQueueBinding(Binding):
 
     def submit_operation(self, operation: Operation,
                          levels: Sequence[ConsistencyLevel],
-                         callback: CallbackType) -> None:
+                         correctable: Correctable) -> None:
         name = operation.name
         if name not in ("enqueue", "dequeue"):
-            self.reject_unsupported(operation, self.validate_levels(levels),
-                                    callback)
+            correctable.deliver_error(self.unsupported_operation(operation),
+                                      0.0)
             return
-        path = operation.key or self.queue_path
-        data = operation.args[0] if name == "enqueue" else None
         # The local-simulation preliminary is only requested when the weak
         # level is wanted; a strong-only invocation is exactly vanilla ZK.
-        if isinstance(callback, Correctable):
-            # Its client validated the levels it was made with.
-            self.client.submit_sink(name, path, callback, data,
-                                    icg=WEAK in levels)
-            return
-        levels = self.validate_levels(levels)
-        strongest = levels[-1]
-
-        def _on_preliminary(resp: Dict[str, Any]) -> None:
-            callback(WEAK, resp["result"],
-                     metadata={"latency_ms": resp["latency_ms"],
-                               "preliminary": True})
-
-        def _on_final(resp: Dict[str, Any]) -> None:
-            # A failure is reported at whatever level would have closed the
-            # operation; the committed result only if it was asked for.
-            if not resp["ok"]:
-                callback(strongest, None, error=OperationError(resp["error"]))
-            elif strongest == STRONG:
-                callback(STRONG, resp["result"],
-                         metadata={"latency_ms": resp["latency_ms"],
-                                   "preliminary": False})
-
-        self.client.submit(name, path, data, icg=WEAK in levels,
-                           on_preliminary=_on_preliminary, on_final=_on_final)
+        self.client.submit_sink(name, operation.key or self.queue_path,
+                                correctable,
+                                operation.args[0] if name == "enqueue"
+                                else None, icg=WEAK in levels)

@@ -6,11 +6,12 @@ paper's prototype uses.  ICG reads (``icg=True``) complete twice: once for
 the coordinator's preliminary response and once for the final quorum
 response.
 
-An operation completes into its *sink* (:mod:`repro.core.sink`), with the
-LWW timestamp as the stamp and the coordinator as a preliminary's source; a
-write's ack is a final without a value.  The callback API
-(``read(..., on_final=cb)``) is :class:`_CallbackSink`, a sink that builds
-the response dict.
+An operation completes into the *sink* its issuer hands over
+(:mod:`repro.core.sink`): a load runner's record, a figure's recorder, or
+the operation's :class:`~repro.core.correctable.Correctable` when the
+Cassandra binding issues it.  The stamp is the LWW timestamp and a
+preliminary's source the coordinator; a write's ack is a final carrying the
+written value.
 
 The request itself is a pooled record
 (:mod:`repro.cassandra_sim.coordinator`), not a message.  With
@@ -21,7 +22,7 @@ attempt answers first completes the operation, and the others find it done.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
@@ -29,78 +30,6 @@ from repro.core.retry import RetryPolicy
 from repro.sim.network import (MESSAGE_HEADER_BYTES, Network,
                                estimate_payload_size)
 from repro.sim.node import Node
-
-#: ``callback(response_dict)`` where the dict carries value/found/timestamp/...
-ResponseCallback = Callable[[Dict[str, Any]], None]
-
-
-class _CallbackSink:
-    """The callback API as a sink: the one place response dicts are built
-    (a read's here; a write's final is the ack dict of
-    :class:`_AckCallbackSink`)."""
-
-    __slots__ = ("on_preliminary", "on_final")
-
-    def __init__(self, on_preliminary: Optional[ResponseCallback],
-                 on_final: Optional[ResponseCallback]) -> None:
-        self.on_preliminary = on_preliminary
-        self.on_final = on_final
-
-    def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
-                            source: Optional[str] = None) -> None:
-        if self.on_preliminary is not None:
-            self.on_preliminary({
-                "value": value,
-                "found": stamp is not None,
-                "timestamp": stamp,
-                "replica": source,
-                "latency_ms": latency_ms,
-                "is_confirmation": False,
-            })
-
-    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
-                      is_confirmation: bool = False, degraded: bool = False,
-                      matches_preliminary: Optional[bool] = None) -> None:
-        if self.on_final is not None:
-            self.on_final({
-                "value": value,
-                "found": stamp is not None,
-                "timestamp": stamp,
-                "is_confirmation": is_confirmation,
-                "matches_preliminary": matches_preliminary,
-                "degraded": degraded,
-                "latency_ms": latency_ms,
-            })
-
-    def deliver_error(self, error: str, latency_ms: float) -> None:
-        if self.on_final is not None:
-            self.on_final({
-                "value": None,
-                "found": False,
-                "timestamp": None,
-                "is_confirmation": False,
-                "error": error,
-                "latency_ms": latency_ms,
-            })
-
-
-class _AckCallbackSink(_CallbackSink):
-    """A write's callback sink: its final is the ack dict."""
-
-    __slots__ = ()
-
-    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
-                      is_confirmation: bool = False, degraded: bool = False,
-                      matches_preliminary: Optional[bool] = None) -> None:
-        if self.on_final is not None:
-            self.on_final({
-                "value": True,
-                "found": True,
-                "timestamp": stamp,
-                "is_confirmation": False,
-                "degraded": degraded,
-                "latency_ms": latency_ms,
-            })
 
 
 class CassandraClient(Node):
@@ -140,8 +69,6 @@ class CassandraClient(Node):
         self._reads_retired = 0
         self._writes_retired = 0
         self._resends_retired = 0
-        #: Operations issued through the callback API (see path_counts).
-        self.callback_ops = 0
         # Fault-path instrumentation (stays zero with timeouts disabled).
         self.retries = 0
         self.failed_requests = 0
@@ -181,14 +108,6 @@ class CassandraClient(Node):
             raise ValueError(
                 f"{kind} quorum {quorum} outside 1..{self._max_quorum} "
                 f"(the replication factor)")
-
-    def path_counts(self) -> Dict[str, int]:
-        """Operations issued so far, by how they complete: into a sink the
-        issuer supplied, or through the callback adapter."""
-        return {
-            "sink": self.reads_sent + self.writes_sent - self.callback_ops,
-            "callback": self.callback_ops,
-        }
 
     def lean_read(self, key: str, r: int, icg: bool, sink: Any) -> FusedRead:
         """Issue a read completing into ``sink``; returns its record."""
@@ -258,22 +177,6 @@ class CassandraClient(Node):
         if type(value) is str and value.isascii():
             return self._write_base + len(value)
         return self._write_base + estimate_payload_size(value)
-
-    def read(self, key: str, r: int = 1, icg: bool = False,
-             on_preliminary: Optional[ResponseCallback] = None,
-             on_final: Optional[ResponseCallback] = None) -> FusedRead:
-        """Issue a read with read-quorum ``r``; returns its record."""
-        rec = self.lean_read(key, r, icg,
-                             _CallbackSink(on_preliminary, on_final))
-        self.callback_ops += 1  # counted once accepted: a bad quorum raises
-        return rec
-
-    def write(self, key: str, value: Any, w: int = 1,
-              on_final: Optional[ResponseCallback] = None) -> FusedWrite:
-        """Issue a write with write-quorum ``w``; returns its record."""
-        rec = self.lean_write(key, value, w, _AckCallbackSink(None, on_final))
-        self.callback_ops += 1
-        return rec
 
     # -- failover -------------------------------------------------------------
     def _retry_policy(self) -> RetryPolicy:
@@ -414,8 +317,8 @@ class CassandraClient(Node):
             op.timer = None
             op.refs -= 1
         if type(rec) is FusedWrite:
-            # A write's ack: a final without a value.
-            value = None
+            # A write's ack: a final carrying the written value.
+            value = rec.value
             timestamp = rec.version.timestamp
         else:
             version = rec.best

@@ -108,7 +108,7 @@ class CorrectableClient:
 
     # -- plumbing ---------------------------------------------------------------
     def _submit(self, operation: Operation, levels: Levels) -> Correctable:
-        # The Correctable is the binding's callback (Correctable.deliver).
+        # The Correctable is the operation's sink: the binding completes it.
         correctable = Correctable(self._clock, levels)
         self.binding.submit_operation(operation, levels, correctable)
         return correctable

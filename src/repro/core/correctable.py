@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.errors import BindingError, InvalidStateError, OperationError
+from repro.core.errors import InvalidStateError, OperationError
 from repro.core.promise import Promise
 from repro.core.views import View
 
@@ -41,9 +41,9 @@ class Correctable:
     """The progressively improving result of an operation on a replicated object.
 
     Also where the operation completes: the client hands it to the binding
-    as *the* callback (:meth:`deliver`), and a store speaking the sink
-    protocol (:mod:`repro.core.sink`) takes it as the sink itself.  One per
-    operation, hence the slots and the tuples.
+    as the operation's sink (:mod:`repro.core.sink`), and the binding hands
+    it on to its store or completes it itself.  One per operation, hence
+    the slots and the tuples.
     """
 
     __slots__ = ("_state", "_views", "_prelims", "_error",
@@ -215,31 +215,6 @@ class Correctable:
             callback(error)
 
     # -- completion (the operation's sink) -----------------------------------
-    def deliver(self, level: ConsistencyLevel, value: Any,
-                metadata: Optional[dict] = None,
-                error: Optional[BaseException] = None) -> None:
-        """The binding callback: one result (or the error) at ``level``.
-        The strongest requested level closes, weaker ones update, a
-        confirmation closes with the latest view's value; once done,
-        whatever else arrives is ignored."""
-        if error is not None:
-            if self._state is _UPDATING:
-                self.fail(error)
-            return
-        levels = self._levels
-        if level not in levels:
-            raise BindingError(
-                f"binding delivered unrequested level {level.name}")
-        if level != levels[-1]:
-            self.update(value, level, metadata)
-        elif self._state is _UPDATING:
-            confirmation = bool(metadata and metadata.get("is_confirmation"))
-            if confirmation and self._views:
-                value = self._views[-1].value
-            self.close(value, level, metadata, confirmation)
-
-    __call__ = deliver
-
     def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
                             source: Optional[str] = None) -> None:
         """Sink (:mod:`repro.core.sink`): the store's preliminary answer is
@@ -266,7 +241,8 @@ class Correctable:
         """Sink: the store's final answer closes at the strongest level."""
         if self._state is _UPDATING:
             self.close(value, self._levels[-1],
-                       {"latency_ms": latency_ms, "preliminary": False})
+                       {"latency_ms": latency_ms, "preliminary": False,
+                        "degraded": degraded}, is_confirmation)
 
     def deliver_error(self, error: Union[str, BaseException],
                       latency_ms: float) -> None:

@@ -2,11 +2,12 @@
 
 Every store (Cassandra, ZooKeeper, 2PC) completes every operation into a
 *sink* the issuer handed over, by positional calls: any number of
-preliminary views, then exactly one final view or one error.  A write has
-no preliminary; its ack is a final with ``value=None``.  A
-:class:`~repro.core.correctable.Correctable`, the load runners' records,
-the figure harnesses' recorders and each store's callback adapter are
-sinks.
+preliminary views, then exactly one final view or one error.  A Cassandra
+write has no preliminary; its ack is a final carrying the written value.
+A :class:`~repro.core.correctable.Correctable` (which every binding
+completes, :mod:`repro.bindings.base`), the load runners' records, the
+figure harnesses' recorders and the ZooKeeper client's callback adapter
+are sinks.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ INTRA_REGION_RTT_MS = 2.0
 LOOPBACK_RTT_MS = 0.3
 
 
-def _non_negative(name: str, value: float) -> float:
+def non_negative(name: str, value: float) -> float:
     # A negative latency delivers before the send and runs the simulated
     # clock backwards; a negative jitter bound would be silently ignored.
     # Spelt ``not value >= 0`` so that NaN, which compares false, fails too.
@@ -71,7 +71,7 @@ class Topology:
         self._rtts = dict(_DEFAULT_RTTS)
         if rtts:
             for pair, value in rtts.items():
-                self._rtts[frozenset(pair)] = float(_non_negative("rtt", value))
+                self._rtts[frozenset(pair)] = float(non_negative("rtt", value))
         #: (region_a, region_b) -> base one-way delay; avoids building a
         #: ``frozenset`` per :meth:`one_way` call.
         self._one_way_base: Dict[Tuple[str, str], float] = {}
@@ -91,7 +91,7 @@ class Topology:
 
     @intra_region_rtt_ms.setter
     def intra_region_rtt_ms(self, value: float) -> None:
-        self._intra_region_rtt_ms = _non_negative("intra_region_rtt_ms", value)
+        self._intra_region_rtt_ms = non_negative("intra_region_rtt_ms", value)
         self._changed()
 
     @property
@@ -101,7 +101,7 @@ class Topology:
 
     @loopback_rtt_ms.setter
     def loopback_rtt_ms(self, value: float) -> None:
-        self._loopback_rtt_ms = _non_negative("loopback_rtt_ms", value)
+        self._loopback_rtt_ms = non_negative("loopback_rtt_ms", value)
         self._changed()
 
     @property
@@ -111,7 +111,7 @@ class Topology:
 
     @jitter_fraction.setter
     def jitter_fraction(self, value: float) -> None:
-        self._jitter_fraction = _non_negative("jitter_fraction", value)
+        self._jitter_fraction = non_negative("jitter_fraction", value)
         self._changed()
 
     def set_rtt(self, region_a: str, region_b: str, rtt_ms: float) -> None:
@@ -119,7 +119,7 @@ class Topology:
         if region_a == region_b:
             raise ValueError("use intra_region_rtt_ms for same-region RTT")
         self._rtts[frozenset({region_a, region_b})] = float(
-            _non_negative("rtt", rtt_ms))
+            non_negative("rtt", rtt_ms))
         self._changed()
 
     def _changed(self) -> None:

@@ -286,22 +286,25 @@ def txn_fingerprints() -> Dict[str, Dict[str, object]]:
 
 
 @contextlib.contextmanager
-def _on_the_callback_pipeline(module, builder: str):
-    """Inside, ``module.builder`` hands out its callback-API reference
-    issuer (``fault_slices.builds_through_callbacks``: the reference side of
-    sink ≡ callback); on exit, checks that the clusters built inside really
-    completed every operation through the adapter."""
-    from fault_slices import builds_through_callbacks
+def _through_correctables(module, builder: str):
+    """Inside, ``module.builder`` hands out its Correctables reference
+    issuer (``fault_slices.builds_through_correctables``); on exit, checks
+    that every operation the Cassandra clusters built inside issued was a
+    ``CorrectableClient`` invocation."""
+    from fault_slices import builds_through_correctables
     from repro.cassandra_sim.cluster import CassandraCluster
+    from repro.core.client import CorrectableClient
     from zk_slices import instances_built
 
-    with builds_through_callbacks(module, builder), \
-            instances_built(CassandraCluster) as clusters:
+    with builds_through_correctables(module, builder), \
+            instances_built(CassandraCluster) as clusters, \
+            instances_built(CorrectableClient) as correctables:
         yield
-    paths = [client.path_counts() for cluster in clusters
-             for client in cluster.clients]
-    assert sum(p["callback"] for p in paths) > 0
-    assert sum(p["sink"] for p in paths) == 0
+    invocations = sum(client.invocations for client in correctables)
+    assert invocations > 0
+    assert invocations == sum(client.reads_sent + client.writes_sent
+                              for cluster in clusters
+                              for client in cluster.clients)
 
 
 def _golden() -> Dict:
@@ -316,11 +319,11 @@ class TestDeterminism:
         assert trace_fingerprint() == _golden()["trace"]
 
     def test_event_trace_matches_golden_with_lean_ops_off(self):
-        """The callback API (response dicts forwarded into the runner's
-        records) reproduces the sink trace."""
+        """Correctables over the Cassandra binding (views forwarded into
+        the runner's records) reproduce the runner-sink trace."""
         from repro.bench import common
 
-        with _on_the_callback_pipeline(common, "make_kv_issue"):
+        with _through_correctables(common, "make_kv_issue"):
             assert trace_fingerprint() == _golden()["trace"]
 
     def test_fault_family_matches_golden(self):
@@ -502,8 +505,8 @@ class TestDeterminism:
 
         Fault configurations arm timeouts and fallback contacts on the same
         pooled records; whether the issuer hands the storage client the
-        runner's thread or goes through the callback adapter only decides
-        how an operation completes, and the record matches bit for bit
+        runner's thread or the operation's Correctable only decides how an
+        operation completes, and the record matches bit for bit
         either way.
         """
         from repro.bench import fig13_faults
@@ -512,7 +515,7 @@ class TestDeterminism:
                       duration_ms=6_000.0, warmup_ms=1_500.0,
                       cooldown_ms=500.0, record_count=150)
         reference = fig13_faults.run_fig13_scenario("replica-crash", **kwargs)
-        with _on_the_callback_pipeline(fig13_faults, "make_kv_issue"):
+        with _through_correctables(fig13_faults, "make_kv_issue"):
             assert fig13_faults.run_fig13_scenario(
                 "replica-crash", **kwargs) == reference
 
@@ -522,8 +525,8 @@ class TestDeterminism:
         This covers the *open-loop* sink pipeline end to end — pooled
         runner op records as completion sinks, the session-rotation issue
         path, and the record-carried storage protocol underneath — against
-        the same sessions' ``Correctable`` route over the Cassandra binding
-        and its callback API.
+        the same sessions' ``Correctable`` route over the Cassandra
+        binding.
         """
         from repro.bench import fig14_open_loop
         from repro.bench.sweep import SweepPoint
@@ -536,8 +539,7 @@ class TestDeterminism:
                       distribution="latest", seed=42)
         point = SweepPoint(index=0, family="fig14", kwargs=kwargs)
         reference = fig14_open_loop.run_fig14_point(point)
-        with _on_the_callback_pipeline(fig14_open_loop,
-                                       "make_session_issue"):
+        with _through_correctables(fig14_open_loop, "make_session_issue"):
             assert fig14_open_loop.run_fig14_point(point) == reference
 
     def test_fig13_and_fig14_runs_leave_nothing_in_flight(self):

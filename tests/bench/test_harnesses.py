@@ -93,6 +93,36 @@ class TestDrainCheck:
         assert "'client_pending': 1" in message
 
 
+class TestEveryPointChecksItsDrain:
+    """fig05, fig09, fig10 and fig12 points end with the drain check too,
+    each on the cluster it built."""
+
+    @pytest.mark.parametrize("figure", ["fig05", "fig09", "fig10", "fig12"])
+    def test_point_verifies_its_cluster(self, figure, monkeypatch):
+        from repro.bench import (fig05_single_latency, fig09_zk_latency,
+                                 fig10_zk_bandwidth, fig12_tickets)
+
+        checked = []
+        monkeypatch.setattr(
+            DrainCheck, "verify",
+            lambda self, *clusters: checked.append(
+                (self.label, [cluster.in_flight() for cluster in clusters])))
+        run = {
+            "fig05": lambda: fig05_single_latency._measure_single_requests(
+                "CC2", samples=5, seed=1, record_count=10),
+            "fig09": lambda: fig09_zk_latency.measure_enqueues(
+                Region.IRL, Region.FRK, icg=True, samples=5, seed=1),
+            "fig10": lambda: fig10_zk_bandwidth._drain_queue(
+                "CZK", stock=10, clients=2, seed=1),
+            "fig12": lambda: fig12_tickets._sell_out(
+                "CZK", stock=30, retailers=2, threshold=5, seed=1),
+        }[figure]
+        run()
+        ((label, (in_flight,)),) = checked
+        assert label.startswith(figure)
+        assert not any(in_flight.values())
+
+
 class TestFig05Shape:
     @pytest.fixture(scope="class")
     def results(self):

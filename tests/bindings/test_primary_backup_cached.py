@@ -144,3 +144,26 @@ class TestCachedStoreBinding:
                         on_final=lambda v: order.append(v.consistency.name))
         scheduler.run_until_idle()
         assert order == ["cached", "weak", "strong"]
+
+    @pytest.mark.parametrize("levels", [None, [CACHED]],
+                             ids=["invoke_weak", "invoke-cached-only"])
+    def test_a_cold_cache_read_falls_through_to_the_weakest_level(
+            self, levels):
+        """Nothing cached and only the cache asked for: the read goes to the
+        inner binding's weakest level, whose view closes the Correctable (it
+        used to stay open with no view at all)."""
+        scheduler = Scheduler()
+        binding = self._binding(scheduler=scheduler)
+        binding.inner.store.put("k", "v")
+        client = CorrectableClient(binding)
+        c = (client.invoke_weak(read("k")) if levels is None
+             else client.invoke(read("k"), levels=levels))
+        scheduler.run_until_idle()
+        assert c.is_final()
+        assert [(v.consistency, v.value) for v in c.views()] == [(WEAK, "v")]
+        assert scheduler.now() == 10.0  # the weak delay, not the strong one
+        # A weak read does not fill the cache; a missing key fails.
+        assert binding.cache.lookup("k") == (False, None)
+        missing = client.invoke_weak(read("absent"))
+        scheduler.run_until_idle()
+        assert missing.is_error()

@@ -296,8 +296,6 @@ class TestBadSpecsFailLoudly:
         with pytest.raises(ValueError, match="quorum"):
             client.lean_write("key1", "v", quorum, sink)
         with pytest.raises(ValueError, match="quorum"):
-            client.read("key1", r=quorum)
-        with pytest.raises(ValueError, match="quorum"):
             CassandraBinding(client, write_quorum=quorum)
         if quorum != 0:  # 0 and 1 fail the older "at least 2" check first
             with pytest.raises(ValueError, match="quorum"):

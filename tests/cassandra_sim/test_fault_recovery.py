@@ -3,6 +3,7 @@ retry/downgrade, client-side failover, read repair after recovery, and
 late-preliminary accounting."""
 
 import pytest
+from sinks import RecordingSink
 
 from repro.bindings.cassandra import CassandraBinding
 from repro.cassandra_sim.cluster import CassandraCluster
@@ -30,18 +31,18 @@ class TestCoordinatorRetry:
         env, cluster, client = _build()
         cluster.replica_in(Region.IRL).crash()
 
-        results = []
-        client.read("key1", r=2, icg=False, on_final=results.append)
+        results = RecordingSink()
+        client.lean_read("key1", 2, False, results)
         env.run_until_idle()
 
-        assert len(results) == 1
-        assert results[0]["value"] == "value1"
-        assert "error" not in results[0]
+        assert len(results.answers) == 1
+        assert results.answers[0].value == "value1"
+        assert results.answers[0].kind == "final"
         coordinator = cluster.replica_in(Region.FRK)
         assert coordinator.read_retries >= 1
         # The full quorum was eventually met by the third replica, so the
         # response is not marked degraded.
-        assert results[0]["degraded"] is False
+        assert results.answers[0].degraded is False
 
     def test_read_downgrades_when_quorum_unreachable(self):
         """With two replicas down, R=2 cannot be met; after retries the
@@ -50,13 +51,13 @@ class TestCoordinatorRetry:
         cluster.replica_in(Region.IRL).crash()
         cluster.replica_in(Region.VRG).crash()
 
-        results = []
-        client.read("key2", r=2, icg=False, on_final=results.append)
+        results = RecordingSink()
+        client.lean_read("key2", 2, False, results)
         env.run_until_idle()
 
-        assert len(results) == 1
-        assert results[0]["value"] == "value2"
-        assert results[0]["degraded"] is True
+        assert len(results.answers) == 1
+        assert results.answers[0].value == "value2"
+        assert results.answers[0].degraded is True
         coordinator = cluster.replica_in(Region.FRK)
         assert coordinator.reads_downgraded == 1
 
@@ -70,16 +71,16 @@ class TestCoordinatorRetry:
         cluster.replica_in(Region.VRG).crash()
         # Make the only reachable copy the coordinator itself ineligible by
         # asking for a quorum the survivors cannot form.
-        results = []
-        client.read("key3", r=3, icg=False, on_final=results.append)
+        results = RecordingSink()
+        client.lean_read("key3", 3, False, results)
         env.run_until_idle()
 
         # Downgrade disabled: the coordinator has its local response only
         # (1 < 3) and, configured not to downgrade but having at least one
         # response, still errors out? No — with responses present but
         # downgrade disabled, the read reports an error to the client.
-        assert len(results) == 1
-        assert results[0].get("error")
+        assert len(results.answers) == 1
+        assert results.answers[0].kind == "error"
         assert cluster.replica_in(Region.FRK).reads_failed == 1
 
     def test_write_survives_single_crash_without_retry(self):
@@ -88,13 +89,13 @@ class TestCoordinatorRetry:
         env, cluster, client = _build()
         cluster.replica_in(Region.IRL).crash()
 
-        results = []
-        client.write("key4", "new-value", w=2, on_final=results.append)
+        results = RecordingSink()
+        client.lean_write("key4", "new-value", 2, results)
         env.run_until_idle()
 
-        assert len(results) == 1
-        assert results[0]["value"] is True
-        assert results[0]["degraded"] is False
+        assert len(results.answers) == 1
+        assert results.answers[0].value == "new-value"
+        assert results.answers[0].degraded is False
         assert cluster.replica_in(Region.FRK).write_retries == 0
 
     def test_write_retries_then_downgrades_when_quorum_unreachable(self):
@@ -104,13 +105,13 @@ class TestCoordinatorRetry:
         cluster.replica_in(Region.IRL).crash()
         cluster.replica_in(Region.VRG).crash()
 
-        results = []
-        client.write("key4", "new-value", w=2, on_final=results.append)
+        results = RecordingSink()
+        client.lean_write("key4", "new-value", 2, results)
         env.run_until_idle()
 
-        assert len(results) == 1
-        assert results[0]["value"] is True
-        assert results[0]["degraded"] is True
+        assert len(results.answers) == 1
+        assert results.answers[0].value == "new-value"
+        assert results.answers[0].degraded is True
         coordinator = cluster.replica_in(Region.FRK)
         assert coordinator.write_retries >= 1
         assert coordinator.writes_downgraded == 1
@@ -139,18 +140,19 @@ class TestCoordinatorRetry:
         victim.crash()
         cluster.remove_node(victim.name, at_ms=10.0)
 
-        results = []
-        client.write(key, "new-value", w=3, on_final=results.append)
-        client.read(key, r=3, icg=False, on_final=results.append)
+        results = RecordingSink()
+        client.lean_write(key, "new-value", 3, results)
+        client.lean_read(key, 3, False, results)
         env.run_until_idle()
 
         after = cluster.partitioner.replicas_for(key)
         (heir,) = set(after) - set(before)
         assert cluster.partitioner.version == 1
         assert coordinator.write_retries == 1 and coordinator.read_retries == 1
-        write, read_ = results
-        assert write["value"] is True and write["degraded"] is False
-        assert read_["degraded"] is False and "error" not in read_
+        write, read_ = results.calls
+        assert write.kind == read_.kind == "final"
+        assert write.value == "new-value" and write.degraded is False
+        assert read_.degraded is False
         assert cluster.replica_by_name(heir).table.read(key).value == \
             "new-value"
         assert cluster.in_flight() == {
@@ -159,10 +161,10 @@ class TestCoordinatorRetry:
     def test_timeouts_disabled_by_default(self):
         """The default (seed) configuration schedules no timeout machinery."""
         env, cluster, client = _build(config=CassandraConfig())
-        results = []
-        client.read("key1", r=2, on_final=results.append)
+        results = RecordingSink()
+        client.lean_read("key1", 2, False, results)
         env.run_until_idle()
-        assert len(results) == 1
+        assert len(results.answers) == 1
         coordinator = cluster.replica_in(Region.FRK)
         assert coordinator.read_retries == 0
         assert coordinator.reads_downgraded == 0
@@ -173,12 +175,12 @@ class TestClientFailover:
         env, cluster, client = _build()
         cluster.replica_in(Region.FRK).crash()  # the client's contact
 
-        results = []
-        client.read("key5", r=2, icg=False, on_final=results.append)
+        results = RecordingSink()
+        client.lean_read("key5", 2, False, results)
         env.run_until_idle()
 
-        assert len(results) == 1
-        assert results[0]["value"] == "value5"
+        assert len(results.answers) == 1
+        assert results.answers[0].value == "value5"
         assert client.retries >= 1
         assert client.failed_requests == 0
 
@@ -187,12 +189,12 @@ class TestClientFailover:
         for replica in cluster.replicas:
             replica.crash()
 
-        results = []
-        client.read("key6", r=2, on_final=results.append)
+        results = RecordingSink()
+        client.lean_read("key6", 2, False, results)
         env.run_until_idle()
 
-        assert len(results) == 1
-        assert results[0].get("error")
+        assert len(results.answers) == 1
+        assert results.answers[0].kind == "error"
         assert client.failed_requests == 1
 
 
@@ -205,18 +207,18 @@ class TestReadRepair:
         lagging = cluster.replica_in(Region.IRL)
         lagging.crash()
 
-        done = []
-        client.write("key7", "fresh", w=1, on_final=done.append)
+        done = RecordingSink()
+        client.lean_write("key7", "fresh", 1, done)
         env.run_until_idle()
         assert done
 
         lagging.recover()
         assert lagging.table.read("key7").value == "value7"  # still stale
 
-        results = []
-        client.read("key7", r=3, icg=False, on_final=results.append)
+        results = RecordingSink()
+        client.lean_read("key7", 3, False, results)
         env.run_until_idle()
-        assert results[0]["value"] == "fresh"
+        assert results.answers[0].value == "fresh"
         # Read repair pushed the resolved version to the stale replica.
         env.run_until_idle()
         assert lagging.table.read("key7").value == "fresh"

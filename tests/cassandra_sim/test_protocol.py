@@ -1,6 +1,7 @@
 """End-to-end protocol tests for the simulated Cassandra cluster."""
 
 import pytest
+from sinks import RecordingSink
 
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
@@ -23,21 +24,21 @@ class TestReads:
         env = _env()
         cluster = _cluster(env)
         client = cluster.add_client("c", Region.IRL, Region.FRK)
-        results = []
-        client.read("key3", r=1, on_final=results.append)
+        results = RecordingSink()
+        client.lean_read("key3", 1, False, results)
         env.run_until_idle()
-        assert results[0]["value"] == "value3"
-        assert results[0]["found"]
+        assert results.answers[0].value == "value3"
+        assert results.answers[0].stamp is not None
 
     def test_missing_key_reported_not_found(self):
         env = _env()
         cluster = _cluster(env)
         client = cluster.add_client("c", Region.IRL, Region.FRK)
-        results = []
-        client.read("missing", r=2, on_final=results.append)
+        results = RecordingSink()
+        client.lean_read("missing", 2, False, results)
         env.run_until_idle()
-        assert results[0]["value"] is None
-        assert not results[0]["found"]
+        assert results.answers[0].value is None
+        assert results.answers[0].stamp is None
 
     def test_quorum_size_drives_latency(self):
         latencies = {}
@@ -45,10 +46,10 @@ class TestReads:
             env = _env()
             cluster = _cluster(env)
             client = cluster.add_client("c", Region.IRL, Region.FRK)
-            results = []
-            client.read("key1", r=r, on_final=results.append)
+            results = RecordingSink()
+            client.lean_read("key1", r, False, results)
             env.run_until_idle()
-            latencies[r] = results[0]["latency_ms"]
+            latencies[r] = results.answers[0].latency_ms
         assert latencies[1] < latencies[2] < latencies[3]
         # R=1 ≈ client-coordinator RTT; R=3 additionally waits for Virginia.
         assert latencies[1] == pytest.approx(20.0, abs=5.0)
@@ -58,22 +59,19 @@ class TestReads:
         env = _env()
         cluster = _cluster(env)
         client = cluster.add_client("c", Region.IRL, Region.FRK)
-        events = []
-        client.read("key1", r=2, icg=True,
-                    on_preliminary=lambda resp: events.append(("p", resp)),
-                    on_final=lambda resp: events.append(("f", resp)))
+        events = RecordingSink()
+        client.lean_read("key1", 2, True, events)
         env.run_until_idle()
-        kinds = [kind for kind, _ in events]
-        assert kinds == ["p", "f"]
-        prelim, final = events[0][1], events[1][1]
-        assert prelim["latency_ms"] < final["latency_ms"]
-        assert prelim["value"] == final["value"] == "value1"
+        assert events.kinds() == ["preliminary", "final"]
+        prelim, final = events.calls
+        assert prelim.latency_ms < final.latency_ms
+        assert prelim.value == final.value == "value1"
 
     def test_preliminary_counter_increments(self):
         env = _env()
         cluster = _cluster(env)
         client = cluster.add_client("c", Region.IRL, Region.FRK)
-        client.read("key1", r=2, icg=True)
+        client.lean_read("key1", 2, True, RecordingSink())
         env.run_until_idle()
         assert cluster.total_preliminaries_flushed() == 1
 
@@ -83,18 +81,18 @@ class TestWrites:
         env = _env()
         cluster = _cluster(env)
         client = cluster.add_client("c", Region.IRL, Region.FRK)
-        client.write("key1", "updated", w=1)
+        client.lean_write("key1", "updated", 1, RecordingSink())
         env.run_until_idle()
-        results = []
-        client.read("key1", r=3, on_final=results.append)
+        results = RecordingSink()
+        client.lean_read("key1", 3, False, results)
         env.run_until_idle()
-        assert results[0]["value"] == "updated"
+        assert results.answers[0].value == "updated"
 
     def test_write_eventually_reaches_all_replicas(self):
         env = _env()
         cluster = _cluster(env)
         client = cluster.add_client("c", Region.IRL, Region.FRK)
-        client.write("key5", "new-value", w=1)
+        client.lean_write("key5", "new-value", 1, RecordingSink())
         env.run_until_idle()
         for replica in cluster.replicas:
             assert replica.table.read("key5").value == "new-value"
@@ -104,8 +102,8 @@ class TestWrites:
         cluster = _cluster(env)
         client = cluster.add_client("c", Region.IRL, Region.FRK)
         acked_at = []
-        client.write("key1", "v2", w=1,
-                     on_final=lambda resp: acked_at.append(env.now()))
+        client.lean_write("key1", "v2", 1, RecordingSink(
+            then=lambda answer: acked_at.append(env.now())))
         # Run only a little past the ack: the VRG replica must still be stale.
         env.run(until=45.0)
         assert acked_at and acked_at[0] < 45.0
@@ -120,10 +118,10 @@ class TestWrites:
             env = _env()
             cluster = _cluster(env)
             client = cluster.add_client("c", Region.IRL, Region.FRK)
-            results = []
-            client.write("key1", "v", w=w, on_final=results.append)
+            results = RecordingSink()
+            client.lean_write("key1", "v", w, results)
             env.run_until_idle()
-            latencies[w] = results[0]["latency_ms"]
+            latencies[w] = results.answers[0].latency_ms
         assert latencies[2] > latencies[1]
 
     def test_concurrent_writes_converge_via_lww(self):
@@ -131,8 +129,8 @@ class TestWrites:
         cluster = _cluster(env)
         c1 = cluster.add_client("c1", Region.IRL, Region.FRK)
         c2 = cluster.add_client("c2", Region.VRG, Region.VRG)
-        c1.write("key1", "from-frk", w=1)
-        c2.write("key1", "from-vrg", w=1)
+        c1.lean_write("key1", "from-frk", 1, RecordingSink())
+        c2.lean_write("key1", "from-vrg", 1, RecordingSink())
         env.run_until_idle()
         values = {replica.table.read("key1").value
                   for replica in cluster.replicas}
@@ -147,16 +145,15 @@ class TestStalenessAndConfirmation:
         # fresh value reaches IRL/VRG before FRK applies it.
         writer = cluster.add_client("writer", Region.VRG, Region.VRG)
         reader = cluster.add_client("reader", Region.IRL, Region.FRK)
-        writer.write("key2", "fresh", w=1)
-        events = []
+        writer.lean_write("key2", "fresh", 1, RecordingSink())
+        events = RecordingSink()
         # Issue the ICG read while replication to FRK is still in flight.
-        env.scheduler.schedule(25.0, lambda: reader.read(
-            "key2", r=3, icg=True,
-            on_preliminary=lambda r: events.append(("p", r["value"])),
-            on_final=lambda r: events.append(("f", r["value"]))))
+        env.scheduler.schedule(25.0, reader.lean_read, "key2", 3, True,
+                               events)
         env.run_until_idle()
-        assert ("p", "value2") in events       # stale preliminary
-        assert ("f", "fresh") in events        # correct final
+        prelim, final = events.calls
+        assert prelim.value == "value2"        # stale preliminary
+        assert final.value == "fresh"          # correct final
 
     def test_confirmation_optimization_sends_confirmation(self):
         env = _env()
@@ -164,11 +161,11 @@ class TestStalenessAndConfirmation:
             confirmation_optimization=True))
         cluster.preload({"key1": "value1"})
         client = cluster.add_client("c", Region.IRL, Region.FRK)
-        finals = []
-        client.read("key1", r=2, icg=True, on_final=finals.append)
+        finals = RecordingSink()
+        client.lean_read("key1", 2, True, finals)
         env.run_until_idle()
-        assert finals[0]["is_confirmation"]
-        assert finals[0]["value"] == "value1"
+        assert finals.answers[0].is_confirmation
+        assert finals.answers[0].value == "value1"
         assert cluster.total_confirmations_sent() == 1
 
     def test_confirmation_uses_fewer_bytes_than_full_final(self):
@@ -179,7 +176,7 @@ class TestStalenessAndConfirmation:
                 confirmation_optimization=optimized))
             cluster.preload({"key1": "value1" * 20})
             client = cluster.add_client("c", Region.IRL, Region.FRK)
-            client.read("key1", r=2, icg=True)
+            client.lean_read("key1", 2, True, RecordingSink())
             env.run_until_idle()
             coordinator = cluster.replica_in(Region.FRK)
             sizes[optimized] = env.network.link_stats(
@@ -196,7 +193,7 @@ class TestStalenessAndConfirmation:
         cluster.replica_in(Region.FRK).table.apply("key1", fresh)
         cluster.replica_in(Region.IRL).table.apply("key1", fresh)
         client = cluster.add_client("c", Region.IRL, Region.FRK)
-        client.read("key1", r=3)
+        client.lean_read("key1", 3, False, RecordingSink())
         env.run_until_idle()
         assert cluster.replica_in(Region.VRG).table.read("key1").value == "fresh"
 

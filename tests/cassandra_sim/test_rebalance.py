@@ -8,6 +8,7 @@ and retired coordinators hand their clients over to a fallback contact.
 """
 
 import pytest
+from sinks import RecordingSink
 
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
@@ -99,10 +100,10 @@ class TestJoin:
         client = cluster.add_client("c", Region.FRK, contact_region=Region.FRK)
         client.contact = name          # force the bootstrapping contact
         client._contacts = [name]      # (and the dispatch rotation)
-        results = []
-        client.read("key1", r=1, on_final=results.append)
+        results = RecordingSink()
+        client.lean_read("key1", 1, False, results)
         env.run(until=100.0)
-        assert results and "error" in results[0]
+        assert results.kinds() == ["error"]
 
 
 class TestDecommission:
@@ -161,13 +162,13 @@ class TestSafetyUnderTraffic:
         def write_one(i):
             key = f"key{i % 60}"
 
-            def on_ack(resp, key=key):
-                if "error" not in resp and resp.get("timestamp"):
+            def on_ack(answer, key=key):
+                if answer.kind == "final" and answer.stamp:
                     previous = acked.get(key)
-                    if previous is None or resp["timestamp"] > previous:
-                        acked[key] = resp["timestamp"]
+                    if previous is None or answer.stamp > previous:
+                        acked[key] = answer.stamp
 
-            client.write(key, f"new-{i}", w=1, on_final=on_ack)
+            client.lean_write(key, f"new-{i}", 1, RecordingSink(then=on_ack))
 
         for i in range(writes):
             env.scheduler.schedule_call_at(5.0 * i, write_one, (i,))
@@ -242,12 +243,12 @@ class TestSafetyUnderTraffic:
             # Two new keys for every overwrite of a preloaded one.
             key = f"key{i % 60}" if i % 3 == 0 else f"fresh{i}"
 
-            def on_ack(resp):
-                if "error" not in resp and resp.get("timestamp"):
-                    acked[key] = max(resp["timestamp"],
-                                     acked.get(key, resp["timestamp"]))
+            def on_ack(answer):
+                if answer.kind == "final" and answer.stamp:
+                    acked[key] = max(answer.stamp,
+                                     acked.get(key, answer.stamp))
 
-            client.write(key, f"new-{i}", w=1, on_final=on_ack)
+            client.lean_write(key, f"new-{i}", 1, RecordingSink(then=on_ack))
 
         for i in range(400):
             env.scheduler.schedule_call_at(5.0 * i, write_one, (i,))
@@ -281,20 +282,19 @@ class TestSafetyUnderTraffic:
         cluster = six_node_cluster(env)
         client = cluster.add_client("c", Region.IRL,
                                     contact_region=Region.FRK, fallbacks=True)
-        results = []
+        results = RecordingSink()
 
         def read_one(i):
-            client.read(f"key{i % 60}", r=2, icg=True,
-                        on_final=results.append)
+            client.lean_read(f"key{i % 60}", 2, True, results)
 
         for i in range(120):
             env.scheduler.schedule_call_at(5.0 * i, read_one, (i,))
         cluster.decommission_node(cluster.replicas[5].name, at_ms=250.0)
         env.run_until_idle()
-        assert len(results) == 120
-        assert all("error" not in resp for resp in results)
-        for resp in results:
-            assert resp["value"].startswith("value")
+        assert len(results.answers) == 120
+        for answer in results.answers:
+            assert answer.kind == "final"
+            assert answer.value.startswith("value")
 
     def test_client_fails_over_from_retired_coordinator(self):
         env = _env()
@@ -305,11 +305,11 @@ class TestSafetyUnderTraffic:
         assert client.contact == leaving.name
         cluster.decommission_node(leaving.name)
         env.run_until_idle()
-        results = []
-        client.read("key1", r=2, on_final=results.append)
+        results = RecordingSink()
+        client.lean_read("key1", 2, False, results)
         env.run_until_idle()
-        assert results[0].get("value") == "value1"
-        assert "error" not in results[0]
+        assert results.kinds() == ["final"]
+        assert results.answers[0].value == "value1"
         assert client.retries >= 1
 
     def test_writes_forwarded_to_pending_owners(self):
@@ -321,7 +321,8 @@ class TestSafetyUnderTraffic:
         cluster.join_node("cassandra-6-" + Region.FRK, Region.FRK)
         for i in range(60):
             env.scheduler.schedule_call_at(
-                10.0 + i, client.write, (f"key{i}", f"fresh-{i}", 1))
+                10.0 + i, client.lean_write,
+                (f"key{i}", f"fresh-{i}", 1, RecordingSink()))
         env.run_until_idle()
         assert cluster.total_writes_forwarded() > 0
         # Every key the joiner now owns reflects the newest write.

@@ -8,6 +8,7 @@ responses directly; its count starts high so nothing retires mid-test.
 """
 
 import pytest
+from sinks import RecordingSink
 
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
@@ -190,34 +191,32 @@ class TestClientRequestHandling:
         """A second final (a superseded attempt answering late) and a
         preliminary after the final: nothing reaches the sink again."""
         env, cluster, client = cassandra_setup
-        results, preliminaries = [], []
-        rec = client.read("key1", r=2, icg=True,
-                          on_preliminary=preliminaries.append,
-                          on_final=results.append)
+        sink = RecordingSink()
+        rec = client.lean_read("key1", 2, True, sink)
         rec.refs += 2  # the two stray hops below
         env.run_until_idle()
-        assert len(results) == 1 and len(preliminaries) == 1
+        assert sink.kinds() == ["preliminary", "final"]
         client._fused_final(rec, False, False)
         client._fused_read_preliminary(rec, cluster.replicas[0].name)
-        assert len(results) == 1 and len(preliminaries) == 1
+        assert sink.kinds() == ["preliminary", "final"]
         assert client.late_preliminaries == 1
         assert client.outstanding() == (0, 0, 0)
 
     def test_coordinator_crash_leaves_request_pending(self, cassandra_setup):
         env, cluster, client = cassandra_setup
         cluster.replica_in(Region.FRK).crash()
-        results = []
-        client.read("key1", r=2, on_final=results.append)
+        results = RecordingSink()
+        client.lean_read("key1", 2, False, results)
         env.run_until_idle()
         # No wrong answer is fabricated; with no timeout armed the request
         # simply never completes, and its record stays out of the pool.
-        assert results == []
+        assert results.calls == []
         assert client.outstanding() == (1, 0, 1)
         assert cluster.in_flight()["client_pending"] == 1
 
     def test_request_counters(self, cassandra_setup):
         env, _, client = cassandra_setup
-        client.read("key1", r=1)
-        client.write("key1", "v", w=1)
+        client.lean_read("key1", 1, False, RecordingSink())
+        client.lean_write("key1", "v", 1, RecordingSink())
         assert client.reads_sent == 1
         assert client.writes_sent == 1

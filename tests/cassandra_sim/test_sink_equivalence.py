@@ -1,17 +1,17 @@
 """The sink is the client's one completion interface.
 
 An issuer either hands the storage client the runner's own pooled record as
-the sink (``make_kv_issue``, ``make_session_issue``) or goes through the
-callback API (the adapter sink that builds response dicts) and forwards
-the dicts into that record (``fault_slices.callback_kv_issue``, the
-sessions' ``Correctable`` route).  Either way the request rides the same
-pooled records — with timeouts, failover and read repair under a fault
-configuration — and everything observable — the scheduler trace, the run's
-metrics, the bytes on the wire, the fault counters — must be identical.  The
-same file pins the adapter's response dicts key for key, the rare completion
-orders (exhausted failover, retryable errors, preliminaries around a
-failover and after the final), the per-pipeline operation counters, and that
-a drained run leaves nothing behind.
+the sink (``make_kv_issue``, ``make_session_issue``) or issues through a
+``CorrectableClient`` over the Cassandra binding, which hands the client
+the operation's ``Correctable``, and forwards the views into that record
+(``fault_slices.correctable_kv_issue``, the sessions' ``Correctable``
+route).  Either way the request rides the same pooled records — with
+timeouts, failover and read repair under a fault configuration — and
+everything observable — the scheduler trace, the run's metrics, the bytes
+on the wire, the fault counters — must be identical.  The same file pins
+what a sink receives argument for argument, the rare completion orders
+(exhausted failover, retryable errors, preliminaries around a failover and
+after the final), and that a drained run leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence
 
 import pytest
-from fault_slices import (REGIONS, builds_through_callbacks,
-                          callback_kv_issue, crash_and_degrade,
+from fault_slices import (REGIONS, correctable_kv_issue, crash_and_degrade,
                           fault_windows, fingerprint, open_loop_run,
                           schedule_from_windows)
 from hypothesis import HealthCheck, given, settings
+from sinks import RecordingSink
 
 from repro.bench.common import (
     build_cassandra_scenario,
@@ -55,22 +55,18 @@ QUIESCED = {"read_sessions": 0, "write_sessions": 0, "client_pending": 0}
 
 
 # ---------------------------------------------------------------------------
-# sink ≡ callback API under faults (the cass-open-faults-b shape, small)
+# runner sink ≡ Correctable under faults (the cass-open-faults-b shape, small)
 # ---------------------------------------------------------------------------
 
-def _paths(cluster) -> List[dict]:
-    return [client.path_counts() for client in cluster.clients]
-
-
-def _closed_loop_run(callbacks: bool, duration_ms: float = 5_000.0,
+def _closed_loop_run(via_correctables: bool, duration_ms: float = 5_000.0,
                      seed: int = 9):
     """fig13's shape: closed-loop threads straight on the storage clients
-    (``callbacks=True``: through the callback API)."""
+    (``via_correctables=True``: through Correctables)."""
     built = build_cassandra_scenario(
         seed=seed, record_count=120, client_regions=REGIONS,
         config=CassandraConfig.fault_tolerant(), client_fallbacks=True)
     env, cluster = built.env, built.cluster
-    build = callback_kv_issue if callbacks else make_kv_issue
+    build = correctable_kv_issue if via_correctables else make_kv_issue
     injector = FaultInjector(env, schedule=crash_and_degrade(duration_ms),
                              aliases=cassandra_aliases(cluster))
     spec = workload_by_name("B").with_distribution("zipfian")
@@ -91,10 +87,10 @@ def _closed_loop_run(callbacks: bool, duration_ms: float = 5_000.0,
                                [r.result for r in runners]), cluster
 
 
-class TestLeanEqualsDictUnderFaults:
+class TestRunnerSinkEqualsCorrectablesUnderFaults:
     def test_open_loop_sessions_through_crash_and_degrade(self):
-        lean_trace, lean, lean_cluster = open_loop_run()
-        dict_trace, classic, dict_cluster = open_loop_run(callbacks=True)
+        lean_trace, lean, _ = open_loop_run()
+        dict_trace, classic, _ = open_loop_run(via_correctables=True)
         assert lean_trace == dict_trace
         assert lean == classic
         # The run really went through the fault machinery; only the
@@ -103,10 +99,6 @@ class TestLeanEqualsDictUnderFaults:
         assert sum(r[3] + r[4] for r in lean["replicas"]) > 0, \
             "no coordinator retry"
         assert lean["run"][0]["total"] > 500
-        for paths in _paths(lean_cluster):
-            assert paths["sink"] > 0 and paths["callback"] == 0
-        for paths in _paths(dict_cluster):
-            assert paths["callback"] > 0 and paths["sink"] == 0
 
     def test_failed_and_degraded_operations_count_alike(self):
         """Staggered crashes of every replica: some quorums downgrade, and
@@ -118,7 +110,7 @@ class TestLeanEqualsDictUnderFaults:
                     .build())
         kwargs = dict(schedule=schedule, duration_ms=6_000.0, seed=17)
         lean_trace, lean, _ = open_loop_run(**kwargs)
-        dict_trace, classic, _ = open_loop_run(callbacks=True, **kwargs)
+        dict_trace, classic, _ = open_loop_run(via_correctables=True, **kwargs)
         assert lean_trace == dict_trace
         assert lean == classic
         run = lean["run"][0]
@@ -127,12 +119,10 @@ class TestLeanEqualsDictUnderFaults:
         assert lean["in_flight"] == QUIESCED
 
     def test_closed_loop_threads_through_crash_and_degrade(self):
-        lean_trace, lean, lean_cluster = _closed_loop_run(callbacks=False)
-        dict_trace, classic, _ = _closed_loop_run(callbacks=True)
+        lean_trace, lean, _ = _closed_loop_run(via_correctables=False)
+        dict_trace, classic, _ = _closed_loop_run(via_correctables=True)
         assert lean_trace == dict_trace
         assert lean == classic
-        assert all(p["sink"] > 0 and p["callback"] == 0
-                   for p in _paths(lean_cluster))
 
     def test_drained_fault_run_leaves_nothing_in_flight(self):
         """Every write in the run has W=1 < RF, and the crash window loses
@@ -150,7 +140,7 @@ class TestLeanEqualsDictUnderFaults:
         kwargs = dict(schedule=schedule, duration_ms=3_000.0,
                       rate_ops_s=120.0, sessions_per_region=4, seed=17)
         lean_trace, lean, _ = open_loop_run(**kwargs)
-        dict_trace, classic, _ = open_loop_run(callbacks=True, **kwargs)
+        dict_trace, classic, _ = open_loop_run(via_correctables=True, **kwargs)
         assert lean_trace == dict_trace
         assert lean == classic
         assert lean["in_flight"] == QUIESCED
@@ -159,27 +149,6 @@ class TestLeanEqualsDictUnderFaults:
 # ---------------------------------------------------------------------------
 # targeted completion orders, on a recording sink
 # ---------------------------------------------------------------------------
-
-class _RecordingSink:
-    """Logs every delivery as ``(kind, *args)``."""
-
-    def __init__(self) -> None:
-        self.calls: List[tuple] = []
-
-    def deliver_preliminary(self, value, stamp, latency_ms, source=None):
-        self.calls.append(("preliminary", value, stamp, latency_ms, source))
-
-    def deliver_final(self, value, stamp, latency_ms, is_confirmation=False,
-                      degraded=False, matches_preliminary=None):
-        self.calls.append(("final", value, stamp, latency_ms,
-                           is_confirmation, degraded, matches_preliminary))
-
-    def deliver_error(self, error, latency_ms):
-        self.calls.append(("error", error, latency_ms))
-
-    def kinds(self) -> List[str]:
-        return [call[0] for call in self.calls]
-
 
 def _cluster(config: Optional[CassandraConfig] = None, fallbacks: bool = True):
     env = SimEnvironment(seed=11)
@@ -195,7 +164,7 @@ class TestCompletionOrders:
         env, cluster, client = _cluster()
         for replica in cluster.replicas:
             replica.crash()
-        read_sink, write_sink = _RecordingSink(), _RecordingSink()
+        read_sink, write_sink = RecordingSink(), RecordingSink()
         client.lean_read("key1", 2, True, read_sink)
         client.lean_write("key2", "x", 1, write_sink)
         env.run_until_idle()
@@ -212,18 +181,18 @@ class TestCompletionOrders:
         env, cluster, client = _cluster()
         # A joining node coordinates nothing yet, but stores what it is sent.
         cluster.replica_in(Region.FRK).ring_state = "bootstrapping"
-        read_sink, write_sink = _RecordingSink(), _RecordingSink()
+        read_sink, write_sink = RecordingSink(), RecordingSink()
         client.lean_read("key1", 2, False, read_sink)
         client.lean_write("key2", "x", 1, write_sink)
         env.run_until_idle()
         assert read_sink.kinds() == write_sink.kinds() == ["final"]
         assert read_sink.calls[0][1] == "value1"
-        # A write's ack is a final without a value, stamped with its
+        # A write's ack carries the written value, stamped with its
         # timestamp; a read always says whether its preliminary matched.
         _, value, stamp, _, confirmation, degraded, matches = \
             write_sink.calls[0]
         assert (value, confirmation, degraded, matches) == \
-            (None, False, False, None)
+            ("x", False, False, None)
         assert stamp is not None
         assert read_sink.calls[0][6] is not None
         assert client.retries == 2 and client.failed_requests == 0
@@ -232,7 +201,7 @@ class TestCompletionOrders:
     def test_non_retryable_error_fails_the_request(self):
         env, cluster, client = _cluster(fallbacks=False)
         cluster.replica_in(Region.FRK).ring_state = "bootstrapping"
-        sink = _RecordingSink()
+        sink = RecordingSink()
         client.lean_read("key1", 2, False, sink)
         env.run_until_idle()
         assert sink.kinds() == ["error"]
@@ -250,7 +219,7 @@ class TestCompletionOrders:
         for replica in cluster.replicas:
             replica.crash()
         ghost = Node("ghost", Region.IRL, env.network)
-        sink = _RecordingSink()
+        sink = RecordingSink()
         op = client.lean_read("key1", 2, True, sink)
         timeout_ms = cluster.config.client_timeout_ms
         first, second = client._contacts[0], client._contacts[1]
@@ -293,140 +262,58 @@ class TestCompletionOrders:
 
 
 # ---------------------------------------------------------------------------
-# the callback API is an adapter sink: today's response dicts, key for key
+# what a sink receives, argument for argument
 # ---------------------------------------------------------------------------
-
-PRELIMINARY_KEYS = ["value", "found", "timestamp", "replica", "latency_ms",
-                    "is_confirmation"]
-FINAL_KEYS = ["value", "found", "timestamp", "is_confirmation",
-              "matches_preliminary", "degraded", "latency_ms"]
-ACK_KEYS = ["value", "found", "timestamp", "is_confirmation", "degraded",
-            "latency_ms"]
-ERROR_KEYS = ["value", "found", "timestamp", "is_confirmation", "error",
-              "latency_ms"]
-
 
 @pytest.mark.parametrize("fault_tolerant", [False, True],
                          ids=["fault-free", "fault-tolerant"])
-class TestCallbackAdapter:
+class TestWhatTheSinkReceives:
     def _stack(self, fault_tolerant: bool):
         config = (CassandraConfig.fault_tolerant() if fault_tolerant
                   else cassandra_config_for("CC2"))
         return _cluster(config, fallbacks=fault_tolerant)
 
-    def test_icg_read_dicts(self, fault_tolerant):
+    def test_icg_read(self, fault_tolerant):
         env, cluster, client = self._stack(fault_tolerant)
-        preliminaries, finals = [], []
-        client.read("key3", r=2, icg=True,
-                    on_preliminary=preliminaries.append,
-                    on_final=finals.append)
+        sink = RecordingSink()
+        client.lean_read("key3", 2, True, sink)
         env.run_until_idle()
-        (preliminary,), (final,) = preliminaries, finals
-        assert list(preliminary) == PRELIMINARY_KEYS
-        assert list(final) == FINAL_KEYS
+        preliminary, final = sink.calls
         coordinator = cluster.replica_in(Region.FRK).name
-        assert preliminary == {
-            "value": "value3", "found": True,
-            "timestamp": (0.0, "preload", 0), "replica": coordinator,
-            "latency_ms": preliminary["latency_ms"],
-            "is_confirmation": False}
-        assert final == {
-            "value": "value3", "found": True,
-            "timestamp": (0.0, "preload", 0), "is_confirmation": False,
-            "matches_preliminary": True, "degraded": False,
-            "latency_ms": final["latency_ms"]}
-        assert 0 < preliminary["latency_ms"] < final["latency_ms"]
-        assert client.path_counts() == {"sink": 0, "callback": 1}
+        stamp = (0.0, "preload", 0)
+        assert preliminary == ("preliminary", "value3", stamp,
+                               preliminary.latency_ms, coordinator)
+        assert final == ("final", "value3", stamp, final.latency_ms,
+                         False, False, True)
+        assert 0 < preliminary.latency_ms < final.latency_ms
 
-    def test_missing_key_and_write_ack_dicts(self, fault_tolerant):
+    def test_missing_key_and_write_ack(self, fault_tolerant):
         env, cluster, client = self._stack(fault_tolerant)
-        finals, acks = [], []
-        client.read("absent", r=2, icg=False, on_final=finals.append)
-        client.write("key4", "fresh", w=1, on_final=acks.append)
+        read_sink, write_sink = RecordingSink(), RecordingSink()
+        client.lean_read("absent", 2, False, read_sink)
+        client.lean_write("key4", "fresh", 1, write_sink)
         env.run_until_idle()
-        (final,), (ack,) = finals, acks
-        assert list(final) == FINAL_KEYS and list(ack) == ACK_KEYS
-        assert (final["value"], final["found"], final["timestamp"]) == \
-            (None, False, None)
-        assert final["matches_preliminary"] is False
-        assert ack["value"] is True and ack["found"] is True
-        assert ack["timestamp"][1] == cluster.replica_in(Region.FRK).name
-        assert ack["degraded"] is False and ack["is_confirmation"] is False
+        (final,), (ack,) = read_sink.calls, write_sink.calls
+        assert final == ("final", None, None, final.latency_ms, False, False,
+                         False)
+        # A write's ack carries the written value, stamped by the
+        # coordinator, and makes no comparison.
+        assert ack == ("final", "fresh", ack.stamp, ack.latency_ms, False,
+                       False, None)
+        assert ack.stamp[1] == cluster.replica_in(Region.FRK).name
 
-    def test_error_dicts(self, fault_tolerant):
+    def test_errors(self, fault_tolerant):
         env, cluster, client = self._stack(fault_tolerant)
         for replica in cluster.replicas:
             replica.ring_state = "retired"
-        read_errors, write_errors = [], []
-        client.read("key1", r=2, icg=True, on_final=read_errors.append)
-        client.write("key1", "x", w=1, on_final=write_errors.append)
+        read_sink, write_sink = RecordingSink(), RecordingSink()
+        client.lean_read("key1", 2, True, read_sink)
+        client.lean_write("key1", "x", 1, write_sink)
         env.run_until_idle()
-        for (response,) in (read_errors, write_errors):
-            assert list(response) == ERROR_KEYS
-            assert "left the ring" in response["error"]
-            assert (response["value"], response["found"],
-                    response["timestamp"], response["is_confirmation"]) == \
-                (None, False, None, False)
+        for sink in (read_sink, write_sink):
+            (error,) = sink.calls
+            assert error.kind == "error" and "left the ring" in error.error
         assert client.failed_requests == 2
-
-    def test_callbacks_are_optional(self, fault_tolerant):
-        env, cluster, client = self._stack(fault_tolerant)
-        client.read("key1", r=2, icg=True)
-        client.write("key1", "x")
-        env.run_until_idle()
-        assert cluster.in_flight() == QUIESCED
-
-
-# ---------------------------------------------------------------------------
-# path counters: which pipeline did each operation take?
-# ---------------------------------------------------------------------------
-
-class TestPathCounts:
-    @pytest.mark.parametrize("scenario", ["fig13-replica-crash",
-                                          "fig06-closed-loop"])
-    def test_runner_driven_scenarios_complete_into_sinks(self, scenario):
-        from repro.bench.perf import PERF_SCENARIOS
-
-        fn, _, quick = PERF_SCENARIOS[scenario]
-        stats = fn(**quick)
-        paths = stats["paths"]
-        assert paths["sink"] == sum(paths.values()) >= stats["ops"]
-
-    def test_kill_switch_moves_ops_to_the_callback_adapter(self):
-        """The harness's issue builder swapped for its callback-API
-        reference (there is no switch): every operation goes through the
-        adapter sink."""
-        from repro.bench import common
-        from repro.bench.perf import run_closed_loop_scenario
-
-        with builds_through_callbacks(common, "make_kv_issue"):
-            stats = run_closed_loop_scenario(
-                threads_per_client=2, duration_ms=1_500.0, warmup_ms=300.0,
-                cooldown_ms=200.0, record_count=100)
-        paths = stats["paths"]
-        assert paths["callback"] == sum(paths.values()) > 0
-
-    def test_rejected_quorum_moves_no_counter(self):
-        """A quorum beyond the replication factor raises before anything is
-        counted (``callback_ops`` used to be bumped first, leaving
-        ``path_counts()`` at ``sink: -1``)."""
-        env, cluster, client = _cluster()
-        client.read("key1", r=2, on_final=lambda response: None)
-        before = client.path_counts(), client.outstanding()
-        assert before[0] == {"sink": 0, "callback": 1}
-        with pytest.raises(ValueError):
-            client.read("key1", r=9)
-        with pytest.raises(ValueError):
-            client.write("key1", "x", w=0)
-        assert (client.path_counts(), client.outstanding()) == before
-
-    def test_perf_table_footer_prints_the_paths(self):
-        from repro.bench.perf import format_perf
-
-        text = format_perf({"fig13-replica-crash": {
-            "wall_s": 0.1, "events": 10, "events_per_s": 100.0, "ops": 4,
-            "ops_per_s": 40.0, "paths": {"sink": 4, "callback": 0}}})
-        assert "fig13-replica-crash: sink 4, callback 0" in text
 
 
 # ---------------------------------------------------------------------------
@@ -513,5 +400,3 @@ class TestWhatAJournaledOperationAllocates:
                 counts["repro/workloads/"]["dicts"]) == (0, 0)
         assert counts["bench/fig15_rebalance.py"]["functions"] == 0
         assert counts["bench/fig15_rebalance.py"]["dicts"] == len(samples)
-        assert [client.path_counts()["callback"] for client in clients] \
-            == [0, 0]

@@ -23,15 +23,15 @@ class ScriptedBinding:
     def consistency_levels(self):
         return list(self.levels)
 
-    def submit_operation(self, operation, levels, callback):
+    def submit_operation(self, operation, levels, correctable):
         self.submissions.append({"operation": operation,
                                  "levels": list(levels),
-                                 "callback": callback})
+                                 "correctable": correctable})
 
-    # -- helpers the tests call to emulate storage responses -----------------
-    def respond(self, index, level, value, metadata=None, error=None):
-        self.submissions[index]["callback"](level, value, metadata=metadata,
-                                            error=error)
+    # -- what the tests call to emulate storage answers ----------------------
+    def sink(self, index):
+        """The sink submission ``index`` completes into."""
+        return self.submissions[index]["correctable"]
 
 
 class TestLevelSelection:
@@ -89,20 +89,22 @@ class TestViewDelivery:
         binding = ScriptedBinding()
         client = CorrectableClient(binding)
         c = client.invoke(read("k"))
-        binding.respond(0, WEAK, "stale")
+        binding.sink(0).deliver_preliminary("stale", None, 1.0)
         assert c.is_updating()
         assert c.latest_view().value == "stale"
-        binding.respond(0, STRONG, "fresh")
+        assert c.latest_view().consistency == WEAK
+        binding.sink(0).deliver_final("fresh", None, 2.0)
         assert c.is_final()
         assert c.value() == "fresh"
+        assert c.final_view().consistency == STRONG
 
     def test_strong_arriving_first_closes_and_late_weak_is_dropped(self):
         binding = ScriptedBinding()
         client = CorrectableClient(binding)
         c = client.invoke(read("k"))
-        binding.respond(0, STRONG, "fresh")
+        binding.sink(0).deliver_final("fresh", None, 2.0)
         assert c.is_final()
-        binding.respond(0, WEAK, "stale")
+        binding.sink(0).deliver_preliminary("stale", None, 3.0)
         assert c.value() == "fresh"
         assert c.discarded_updates == 1
 
@@ -110,7 +112,7 @@ class TestViewDelivery:
         binding = ScriptedBinding()
         client = CorrectableClient(binding)
         c = client.invoke_weak(read("k"))
-        binding.respond(0, WEAK, "value")
+        binding.sink(0).deliver_preliminary("value", None, 1.0)
         assert c.is_final()
         assert c.final_view().consistency == WEAK
 
@@ -118,39 +120,36 @@ class TestViewDelivery:
         binding = ScriptedBinding()
         client = CorrectableClient(binding)
         c = client.invoke(read("missing"))
-        binding.respond(0, STRONG, None, error=OperationError("not found"))
+        binding.sink(0).deliver_error(OperationError("not found"), 1.0)
         assert c.state is CorrectableState.ERROR
 
     def test_error_after_final_is_ignored(self):
         binding = ScriptedBinding()
         client = CorrectableClient(binding)
         c = client.invoke(read("k"))
-        binding.respond(0, STRONG, "v")
-        binding.respond(0, WEAK, None, error=OperationError("late failure"))
+        binding.sink(0).deliver_final("v", None, 2.0)
+        binding.sink(0).deliver_error("late failure", 3.0)
         assert c.is_final()
 
-    def test_unrequested_level_raises_binding_error(self):
-        binding = ScriptedBinding(levels=(WEAK, CAUSAL, STRONG))
-        client = CorrectableClient(binding)
-        client.invoke(read("k"), levels=[WEAK, STRONG])
-        with pytest.raises(BindingError):
-            binding.respond(0, CAUSAL, "v")
-
-    def test_confirmation_reuses_preliminary_value(self):
+    def test_confirmation_marks_the_final_view(self):
         binding = ScriptedBinding()
         client = CorrectableClient(binding)
         c = client.invoke(read("k"))
-        binding.respond(0, WEAK, "the-value")
-        binding.respond(0, STRONG, None, metadata={"is_confirmation": True})
+        binding.sink(0).deliver_preliminary("the-value", None, 1.0)
+        binding.sink(0).deliver_final("the-value", None, 2.0,
+                                      is_confirmation=True, degraded=True)
         assert c.value() == "the-value"
         assert c.final_view().is_confirmation
+        assert c.final_view().metadata == {
+            "latency_ms": 2.0, "preliminary": False, "degraded": True}
 
     def test_metadata_is_attached_to_views(self):
         binding = ScriptedBinding()
         client = CorrectableClient(binding)
         c = client.invoke(read("k"))
-        binding.respond(0, WEAK, "v", metadata={"replica": "r1"})
-        assert c.latest_view().metadata["replica"] == "r1"
+        binding.sink(0).deliver_preliminary("v", None, 1.5, "r1")
+        assert c.latest_view().metadata == {"latency_ms": 1.5,
+                                            "preliminary": True}
 
 
 class TestInstrumentation:
@@ -175,7 +174,7 @@ class TestInstrumentation:
         binding.clock = lambda: 123.0
         client = CorrectableClient(binding)
         c = client.invoke_strong(read("k"))
-        binding.respond(0, STRONG, "v")
+        binding.sink(0).deliver_final("v", None, 1.0)
         assert c.final_view().timestamp == 123.0
 
 
@@ -220,8 +219,8 @@ class TestSessionMultiplexing:
         binding = ScriptedBinding(levels=(WEAK, STRONG))
         session = CorrectableClient(binding).sessions(1).session(0)
         c = session.invoke(read("k"))
-        binding.respond(0, WEAK, "w")
-        binding.respond(0, STRONG, "s")
+        binding.sink(0).deliver_preliminary("w", None, 1.0)
+        binding.sink(0).deliver_final("s", None, 2.0)
         assert [v.value for v in c.views()] == ["w", "s"]
         assert c.state is CorrectableState.FINAL
         # Level validation happens once, against the shared binding.

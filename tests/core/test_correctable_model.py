@@ -12,10 +12,10 @@ immediately (Promise semantics), and every final/error callback fires at
 most once, exactly once if it was registered for the transition that
 happened.
 
-A second property plays the completion side — ``deliver`` (the binding
-callback) and the sink protocol of :mod:`repro.core.sink` — against the
-same model, with the mapping onto ``update`` / ``close`` / ``fail`` written
-out here.
+A second property plays the completion side — the sink protocol of
+:mod:`repro.core.sink`, through which stores and bindings complete a
+Correctable — against the same model, with the mapping onto ``update`` /
+``close`` / ``fail`` written out here.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.consistency import CAUSAL, STRONG, WEAK
 from repro.core.correctable import Correctable
-from repro.core.errors import BindingError, InvalidStateError, OperationError
+from repro.core.errors import InvalidStateError, OperationError
 
 LEVELS = {"weak": WEAK, "causal": CAUSAL, "strong": STRONG}
 
@@ -207,36 +207,18 @@ def _complete_model(model: _Model, levels: tuple, step: tuple) -> None:
         elif updating:
             model.close(step[1], levels[0], metadata)
     elif kind == "final" and updating:
-        model.close(step[1], levels[-1],
-                    {"latency_ms": step[3], "preliminary": False})
+        _, value, _, latency_ms, is_confirmation, degraded = step
+        model.close(value, levels[-1],
+                    {"latency_ms": latency_ms, "preliminary": False,
+                     "degraded": degraded}, is_confirmation=is_confirmation)
     elif kind == "error" and updating:
         error = step[1]
         model.fail(error if isinstance(error, BaseException)
                    else OperationError(error))
-    elif kind == "deliver":
-        _, level, value, metadata, error = step
-        if error is not None:
-            if updating:
-                model.fail(error)
-        elif level not in levels:
-            raise BindingError(level.name)
-        elif level != levels[-1]:
-            model.update(value, level, metadata)
-        elif updating and metadata and metadata.get("is_confirmation"):
-            if model.views:
-                value = model.views[-1][0]
-            model.close(value, level, metadata, is_confirmation=True)
-        elif updating:
-            model.close(value, level, metadata)
 
 
 def _complete_real(real: Correctable, step: tuple) -> None:
-    kind = step[0]
-    if kind == "deliver":
-        # Called the way a binding calls its callback.
-        real(step[1], step[2], metadata=step[3], error=step[4])
-    else:
-        getattr(real, f"deliver_{kind}")(*step[1:])
+    getattr(real, f"deliver_{step[0]}")(*step[1:])
 
 
 _latency = st.floats(min_value=0, max_value=90)
@@ -244,15 +226,12 @@ _stamps = st.one_of(st.none(), st.tuples(_latency, st.just("replica"),
                                          st.integers(0, 3)))
 _sink_steps = st.one_of(
     st.tuples(st.just("preliminary"), _values, _stamps, _latency),
-    st.tuples(st.just("final"), _values, _stamps, _latency),
+    st.tuples(st.just("final"), _values, _stamps, _latency, st.booleans(),
+              st.booleans()),
     # A message becomes an OperationError; an exception is raised as is.
     st.tuples(st.just("error"),
               st.one_of(st.sampled_from(["NoNode: /q", "timeout"]), _errors),
               _latency),
-    st.tuples(st.just("deliver"), st.sampled_from([WEAK, CAUSAL, STRONG]),
-              _values,
-              st.one_of(_metadata, st.just({"is_confirmation": True})),
-              st.one_of(st.none(), st.none(), _errors)),
     st.tuples(st.just("register"), _registration),
 )
 
@@ -269,15 +248,8 @@ def test_completion_methods_match_the_list_model(levels, program):
             real.step(step)
             model.step(step)
         else:
-            outcomes = []
-            for complete in (lambda: _complete_real(real.target, step),
-                             lambda: _complete_model(model.target, levels,
-                                                     step)):
-                try:
-                    outcomes.append(complete())
-                except BindingError:
-                    outcomes.append("unrequested level")
-            assert outcomes[0] == outcomes[1], step
+            _complete_real(real.target, step)
+            _complete_model(model.target, levels, step)
         assert real.log == model.log, step
         assert _observe(real.target) == _observe(model.target), step
     finals = [kind for _, kind, _ in real.log if kind in ("final", "error")]

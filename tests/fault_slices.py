@@ -7,15 +7,13 @@ open-loop YCSB B over ``CorrectableClient`` sessions with timeouts, failover
 and read repair on, through a fault schedule — and ``fingerprint`` is
 everything observable about a drained run.
 
-The reference side of every sink ≡ callback comparison sends the same
-operations through the storage client's callback API
-(``CassandraClient.read/write(on_preliminary=, on_final=)``: the adapter
-sink that builds response dicts) and forwards what comes back into the
-runner's record: ``callback_kv_issue`` is ``make_kv_issue``'s reference,
-and ``make_session_issue``'s is its own ``Correctable`` route, forced onto
-Cassandra pools (the binding issues through the callback API).
-``builds_through_callbacks`` swaps either builder for its reference inside
-harnesses that build their runners internally.
+The reference side of every runner-sink ≡ Correctable comparison sends
+the same operations through a ``CorrectableClient`` over the Cassandra
+binding and forwards the views into the runner's record:
+``correctable_kv_issue`` is ``make_kv_issue``'s reference, and
+``make_session_issue``'s is its own ``Correctable`` route, forced onto
+Cassandra pools.  ``builds_through_correctables`` swaps either builder for
+its reference inside harnesses that build their runners internally.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from repro.bench.fig14_open_loop import (_correctable_session_issue,
 from repro.bindings.cassandra import CassandraBinding
 from repro.cassandra_sim.config import CassandraConfig
 from repro.core.client import CorrectableClient
+from repro.core.operations import read, write
 from repro.faults import FaultInjector
 from repro.faults.scenarios import cassandra_aliases
 from repro.faults.schedule import FaultSchedule, FaultScheduleBuilder
@@ -91,58 +90,51 @@ def schedule_from_windows(windows, extra_ms: float = 40.0,
     return builder.build()
 
 
-def callback_kv_issue(client, system: str,
-                      write_quorum: int = 1) -> Callable:
-    """``make_kv_issue``'s operations through the callback API, each
-    response dict forwarded into the runner's record."""
+def correctable_kv_issue(client, system: str,
+                         write_quorum: int = 1) -> Callable:
+    """``make_kv_issue``'s operations through a ``CorrectableClient`` over
+    the Cassandra binding (C1 reads ``invoke_weak``, C2/C3 reads
+    ``invoke_strong`` at read quorum r, CC2/CC3 reads ``invoke``, updates
+    ``invoke_strong``), each view forwarded into the runner's record."""
     profile = CASSANDRA_SYSTEMS[system]
     read_quorum, icg = profile["r"], profile["icg"]
+    correctables = CorrectableClient(CassandraBinding(
+        client, strong_read_quorum=max(read_quorum, 2),
+        write_quorum=write_quorum))
+    clock = client.scheduler.now
 
     def issue(op_type: str, key: str, value: Optional[str], sink: Any,
               session_id: Optional[int] = None) -> None:
+        issued_at = clock()
         if op_type == "update":
-            def on_ack(response: Dict[str, Any]) -> None:
-                if "error" in response:
-                    sink.deliver_error(response["error"],
-                                       response["latency_ms"])
-                else:
-                    sink.deliver_final(None, response["timestamp"],
-                                       response["latency_ms"], False,
-                                       response["degraded"])
-
-            client.write(key, value, w=write_quorum, on_final=on_ack)
-            return
-
-        def on_preliminary(response: Dict[str, Any]) -> None:
-            sink.deliver_preliminary(
-                response["value"], response["timestamp"],
-                response["latency_ms"], response["replica"])
-
-        def on_final(response: Dict[str, Any]) -> None:
-            if "error" in response:
-                sink.deliver_error(response["error"], response["latency_ms"])
-            else:
-                sink.deliver_final(
-                    response["value"], response["timestamp"],
-                    response["latency_ms"], response["is_confirmation"],
-                    response["degraded"], response["matches_preliminary"])
-
-        sink.icg = icg
-        client.read(key, r=read_quorum, icg=icg,
-                    on_preliminary=on_preliminary if icg else None,
-                    on_final=on_final)
+            correctable = correctables.invoke_strong(write(key, value))
+        elif icg:
+            sink.icg = True
+            correctable = correctables.invoke(read(key))
+        elif read_quorum == 1:
+            correctable = correctables.invoke_weak(read(key))
+        else:
+            correctable = correctables.invoke_strong(read(key))
+        correctable.set_callbacks(
+            on_update=lambda view: sink.deliver_preliminary(
+                view.value, None, view.metadata["latency_ms"]),
+            on_final=lambda view: sink.deliver_final(
+                view.value, None, view.metadata["latency_ms"],
+                view.is_confirmation, view.metadata["degraded"]),
+            on_error=lambda exc: sink.deliver_error(
+                str(exc), clock() - issued_at))
 
     return issue
 
 
-#: Issue builder -> its callback-API reference (same arguments).
-_REFERENCES = {"make_kv_issue": callback_kv_issue,
+#: Issue builder -> its Correctables reference (same arguments).
+_REFERENCES = {"make_kv_issue": correctable_kv_issue,
                "make_session_issue": _correctable_session_issue}
 
 
-def builds_through_callbacks(module, name: str):
+def builds_through_correctables(module, name: str):
     """Context: ``module.name`` (``make_kv_issue`` or ``make_session_issue``)
-    builds its callback-API reference instead, for harnesses that build
+    builds its Correctables reference instead, for harnesses that build
     their runners internally."""
     return mock.patch.object(module, name, _REFERENCES[name])
 
@@ -191,13 +183,13 @@ def fingerprint(env, cluster, results, correctables=()) -> Dict[str, Any]:
     }
 
 
-def open_loop_run(callbacks: bool = False,
+def open_loop_run(via_correctables: bool = False,
                   schedule: Optional[FaultSchedule] = None,
                   duration_ms: float = 6_000.0, rate_ops_s: float = 150.0,
                   sessions_per_region: int = 10, seed: int = 5):
     """Open-loop YCSB B over CorrectableClient sessions through ``schedule``
-    (``callbacks=True``: through the callback-API reference issuer);
-    returns ``(trace digest, fingerprint, cluster)``."""
+    (``via_correctables=True``: through the sessions' ``Correctable``
+    route); returns ``(trace digest, fingerprint, cluster)``."""
     built = build_cassandra_scenario(
         seed=seed, record_count=120, client_regions=REGIONS,
         config=CassandraConfig.fault_tolerant(
@@ -213,7 +205,8 @@ def open_loop_run(callbacks: bool = False,
     injector = FaultInjector(env, schedule=schedule,
                              aliases=cassandra_aliases(cluster))
     spec = workload_by_name("B").with_distribution("zipfian")
-    build = _correctable_session_issue if callbacks else make_session_issue
+    build = (_correctable_session_issue if via_correctables
+             else make_session_issue)
     runner = OpenLoopRunner(
         scheduler=env.scheduler, issue=build(pools, env.scheduler.now),
         make_generator=lambda session_id: OperationGenerator.seeded(

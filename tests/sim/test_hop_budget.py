@@ -41,8 +41,10 @@ _HOPS = 200
 #: that added the row, or on the change that last lowered it: sending
 #: ``Message`` traffic through ``fused_send_to`` took
 #: ``cass-open-faults-b`` from 3,381.02 to 3,378.90 and ``zk-tickets``
-#: from 4,421.30 to 4,416.58, and one key space per cluster took
-#: ``ring-join-400k`` from 4,489.67 to 4,403.12).  One round at
+#: from 4,421.30 to 4,416.58, one key space per cluster took
+#: ``ring-join-400k`` from 4,489.67 to 4,403.12, and the bindings
+#: completing into the Correctable took ``zk-tickets`` to 4,408.58).
+#: One round at
 #: ``_WORKLOAD_SEED``, start -> serve -> drain, in a fresh process (the
 #: record pools and the zeta cache are process-wide, so what ran before
 #: would change the count); set-up is not counted.  The budget is the count
@@ -50,7 +52,7 @@ _HOPS = 200
 _WORKLOAD_BUDGETS = {
     (3, 11): {"cass-closed-a": (0.05, 2317.75),
               "cass-open-faults-b": (0.1, 3378.90),
-              "zk-tickets": (0.1, 4416.58),
+              "zk-tickets": (0.1, 4408.58),
               "ring-join-400k": (0.1, 4403.12)},
 }
 _WORKLOAD_ROOM = 1.01

@@ -18,6 +18,7 @@ mutants at the bottom cut that chain at each link and must be caught.
 """
 
 import pytest
+from sinks import RecordingSink
 
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
@@ -76,16 +77,8 @@ class _Stack:
             network.fused_send_to(source, probe.name, 75, probe.fused_probe,
                                   (env.now(),))
         seen = []
-
-        def saw(key, view):
-            return lambda response: seen.append(
-                (key, view, response["value"], response.get("replica"),
-                 response["latency_ms"]))
-
         for key in _KEYS:
-            self.client.read(key, r=2, icg=True,
-                             on_preliminary=saw(key, "preliminary"),
-                             on_final=saw(key, "final"))
+            self.client.lean_read(key, 2, True, RecordingSink(calls=seen))
         env.run_until_idle()
         return seen
 

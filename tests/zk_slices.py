@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 from typing import Any, Dict, Iterator, List, Tuple
-from unittest import mock
 
 from repro.apps.tickets import PurchaseOutcome, TicketSeller
 from repro.bindings.zookeeper import ZooKeeperQueueBinding
@@ -69,23 +68,6 @@ def traced_schedulers() -> Iterator[List[list]]:
         yield traces
     finally:
         Scheduler.__init__ = scheduler_init
-
-
-def plain_callbacks():
-    """Context: every ``ZooKeeperQueueBinding`` submission hands the store a
-    plain function instead of the object the Correctables client passed —
-    the dict-callback side of every sink ≡ dict comparison (what
-    ``fault_slices.builds_through_callbacks`` is to Cassandra)."""
-    submit_operation = ZooKeeperQueueBinding.submit_operation
-
-    def submit_plain(self, operation, levels, callback):
-        def plain(level, value, metadata=None, error=None):
-            callback(level, value, metadata=metadata, error=error)
-
-        submit_operation(self, operation, levels, plain)
-
-    return mock.patch.object(ZooKeeperQueueBinding, "submit_operation",
-                             submit_plain)
 
 
 def cluster_record(cluster: ZooKeeperCluster) -> Dict[str, Any]:

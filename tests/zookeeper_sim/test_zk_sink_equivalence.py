@@ -1,13 +1,13 @@
-"""The Correctable is the ZooKeeper client's completion sink.
+"""The Correctable is the storage client's completion sink.
 
-A Correctables invocation hands the storage client the Correctable itself;
-anything else goes through the dict-callback API (``zk_slices.
-plain_callbacks`` forces every binding submission that way).  Either way
-the request is the same ``ZkOp`` on the same hops, so everything observable
-— the scheduler trace, the run record, the ensemble's counters, the
-``PurchaseOutcome`` sequence, requests that exhaust their failover included
-— must be identical.  The same file pins the dict adapter's responses key
-for key and that a timed-out operation fails its Correctable exactly once.
+A Correctables invocation hands the ZooKeeper client (and the Cassandra
+client) the operation's Correctable itself.  Ticket sales through it —
+requests that exhaust their failover included — reach every outcome and
+drain, and run identically twice; what one invocation allocates is
+counted opcode by opcode.  The same file pins the ZooKeeper client's
+dict-callback API (what the vanilla queue recipe and fig13's probe use)
+response for response and that a timed-out operation fails its
+Correctable exactly once.
 """
 
 from __future__ import annotations
@@ -22,15 +22,19 @@ from typing import Any, Callable, Dict, List, Tuple
 import pytest
 import zk_slices
 from zk_slices import (DRAINED, cluster_record, instances_built,
-                       plain_callbacks, traced_schedulers)
+                       traced_schedulers)
 
 from repro.apps.tickets import PurchaseOutcome, TicketSeller, _Purchase
+from repro.bindings.cassandra import CassandraBinding
 from repro.bindings.zookeeper import ZooKeeperQueueBinding
+from repro.cassandra_sim.cluster import CassandraCluster
+from repro.cassandra_sim.config import CassandraConfig
+from repro.cassandra_sim.coordinator import FusedRead
 from repro.core.client import CorrectableClient
 from repro.core.consistency import STRONG
 from repro.core.correctable import Correctable
 from repro.core.errors import OperationError
-from repro.core.operations import dequeue
+from repro.core.operations import dequeue, read
 from repro.core.views import View
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
@@ -54,12 +58,10 @@ def _observed(run: Callable[[], Tuple[Dict, List[ZooKeeperCluster]]]
     }
 
 
-class TestSinkEqualsDictCallbacks:
+class TestTicketSales:
     def test_ticket_sale_until_sold_out(self):
         sink = _observed(zk_slices.tickets_cell)
-        with plain_callbacks():
-            classic = _observed(zk_slices.tickets_cell)
-        assert sink == classic
+        assert sink == _observed(zk_slices.tickets_cell)
         assert len(sink["outcomes"]) > sink["record"]["stock"]
         assert any(o[2] for o in sink["outcomes"]), "no preliminary was used"
         assert any(o[3] for o in sink["outcomes"]), "never sold out"
@@ -67,9 +69,7 @@ class TestSinkEqualsDictCallbacks:
 
     def test_ticket_sale_through_a_leader_crash_with_exhausted_requests(self):
         sink = _observed(zk_slices.tickets_leader_crash)
-        with plain_callbacks():
-            classic = _observed(zk_slices.tickets_leader_crash)
-        assert sink == classic
+        assert sink == _observed(zk_slices.tickets_leader_crash)
         (clients,) = [record["clients"] for record in sink["clusters"]]
         failed = {name: failed for name, _, _, failed in clients}
         # The retailers pinned to the crashed leader ran out of retries —
@@ -175,9 +175,7 @@ class TestTimedOutInvocation:
         assert correctable.discarded_updates == 0
         assert cluster.in_flight() == DRAINED
 
-    @pytest.mark.parametrize("adapter", [contextlib.nullcontext,
-                                         plain_callbacks])
-    def test_weak_only_invocation_hears_about_the_timeout_too(self, adapter):
+    def test_weak_only_invocation_hears_about_the_timeout_too(self):
         """No level is deaf to a failure: the error arrives at whatever
         level would have closed the operation (it used to be dropped when
         only the preliminary was asked for, leaving the Correctable open)."""
@@ -185,8 +183,7 @@ class TestTimedOutInvocation:
         node = cluster.add_client("c", Region.FRK)
         client = CorrectableClient(ZooKeeperQueueBinding(node, "/queue"))
         cluster.server_in(Region.FRK).crash()
-        with adapter():
-            correctable = client.invoke_weak(dequeue("/queue"))
+        correctable = client.invoke_weak(dequeue("/queue"))
         env.run_until_idle()
         assert correctable.is_error() and not correctable.views()
         assert str(correctable.error) == "client timeout: no server responded"
@@ -197,17 +194,14 @@ class TestTimedOutInvocation:
 # what one invocation allocates
 # ---------------------------------------------------------------------------
 
-_REQUEST_PATH = ("zookeeper_sim/client.py", "bindings/zookeeper.py",
-                 "core/client.py", "core/correctable.py", "apps/tickets.py")
-
-
-def _opcodes_executed(run: Callable[[], None]) -> Dict[str, Counter]:
+def _opcodes_executed(run: Callable[[], None],
+                      paths: Tuple[str, ...]) -> Dict[str, Counter]:
     """Per source file of the request path, how often each opcode ran
     inside ``run`` (``sys.settrace`` with ``f_trace_opcodes``: exact)."""
-    counts: Dict[str, Counter] = {name: Counter() for name in _REQUEST_PATH}
+    counts: Dict[str, Counter] = {name: Counter() for name in paths}
 
     def on_call(frame, event, arg):
-        for name in _REQUEST_PATH:
+        for name in paths:
             if frame.f_code.co_filename.endswith(name):
                 frame.f_trace_opcodes = True
                 seen = counts[name]
@@ -236,6 +230,18 @@ def _builds(counter: Counter) -> Tuple[int, int]:
             counter["MAKE_FUNCTION"])
 
 
+def _counted(run: Callable[[], None], classes: Tuple[type, ...],
+             paths: Tuple[str, ...]) -> Dict[str, Any]:
+    built = {}
+    with contextlib.ExitStack() as stack:
+        for cls in classes:
+            built[cls.__name__] = stack.enter_context(instances_built(cls))
+        opcodes = _opcodes_executed(run, paths)
+    return {"built": {name: len(made) for name, made in built.items()},
+            "opcodes": opcodes,
+            "views": built["View"]}
+
+
 def _two_hundred_icg_purchases() -> Dict[str, Any]:
     env, cluster = _ensemble()
     cluster.preload_queue("/tickets", [f"t{i}" for i in range(260)])
@@ -250,48 +256,97 @@ def _two_hundred_icg_purchases() -> Dict[str, Any]:
         if len(outcomes) < 200:
             seller.purchase_ticket(bought)
 
-    built = {}
-    with contextlib.ExitStack() as stack:
-        for cls in (Correctable, ZkOp, View, _CallbackSink, _Purchase):
-            built[cls.__name__] = stack.enter_context(instances_built(cls))
-        opcodes = _opcodes_executed(
-            lambda: (seller.purchase_ticket(bought), env.run_until_idle()))
+    run = _counted(
+        lambda: (seller.purchase_ticket(bought), env.run_until_idle()),
+        (Correctable, ZkOp, View, _CallbackSink, _Purchase),
+        ("zookeeper_sim/client.py", "bindings/zookeeper.py",
+         "core/client.py", "core/correctable.py", "apps/tickets.py"))
     assert len(outcomes) == 200 and not any(o.sold_out for o in outcomes)
     assert seller.purchases_from_preliminary == 200
-    return {"built": {name: len(made) for name, made in built.items()},
-            "opcodes": opcodes,
-            "views": built["View"]}
+    return run
+
+
+def _two_hundred_icg_reads() -> Dict[str, Any]:
+    env = SimEnvironment(seed=5)
+    cluster = CassandraCluster(env, CassandraConfig())
+    cluster.preload({f"key{i}": f"value{i}" for i in range(10)})
+    client = CorrectableClient(CassandraBinding(
+        cluster.add_client("reader", Region.IRL, Region.FRK)))
+    # The client resolves its contacts on its first operation: once, and
+    # before the count.
+    client.invoke(read("key0"))
+    env.run_until_idle()
+    finals: List[View] = []
+
+    def read_next(view: Any = None) -> None:
+        if view is not None:
+            finals.append(view)
+        if len(finals) < 200:
+            client.invoke(read(f"key{len(finals) % 10}")).on_final(read_next)
+
+    records = FusedRead.pool_stats()
+    run = _counted(
+        lambda: (read_next(), env.run_until_idle()), (Correctable, View),
+        ("cassandra_sim/client.py", "bindings/cassandra.py",
+         "core/client.py", "core/correctable.py"))
+    after = FusedRead.pool_stats()
+    run["built"]["FusedRead"] = (after["created"] + after["reused"]
+                                 - records["created"] - records["reused"])
+    assert [view.value for view in finals[:2]] == ["value0", "value1"]
+    assert len(finals) == 200 and cluster.in_flight() == {
+        "read_sessions": 0, "write_sessions": 0, "client_pending": 0}
+    return run
+
+
+#: store -> (its 200 ICG operations, the objects they build, the request
+#: path's files outside core/correctable.py)
+_ICG_RUNS = {
+    "zookeeper": (_two_hundred_icg_purchases,
+                  {"Correctable": 200, "ZkOp": 200, "View": 400,
+                   "_CallbackSink": 0, "_Purchase": 200},
+                  ("zookeeper_sim/client.py", "bindings/zookeeper.py",
+                   "core/client.py", "apps/tickets.py")),
+    "cassandra": (_two_hundred_icg_reads,
+                  {"Correctable": 200, "View": 400, "FusedRead": 200},
+                  ("cassandra_sim/client.py", "bindings/cassandra.py",
+                   "core/client.py")),
+}
 
 
 class TestWhatAnInvocationAllocates:
-    def test_sink_path_builds_no_response_dict_and_no_closure(self):
-        run = _two_hundred_icg_purchases()
-        # Per ICG dequeue: the Correctable, the request record, the purchase
-        # record, two views — and nothing else of the library's.
-        assert run["built"] == {"Correctable": 200, "ZkOp": 200, "View": 400,
-                                "_CallbackSink": 0, "_Purchase": 200}
-        for name in ("zookeeper_sim/client.py", "bindings/zookeeper.py",
-                     "core/client.py", "apps/tickets.py"):
+    @pytest.mark.parametrize("store", list(_ICG_RUNS))
+    def test_sink_path_builds_no_response_dict_and_no_closure(self, store):
+        make_run, built, paths = _ICG_RUNS[store]
+        run = make_run()
+        # Per ICG operation: the Correctable, the request record, two views
+        # (and the purchase record of the ticket app) — and nothing else of
+        # the library's.
+        assert run["built"] == built
+        for name in paths:
             assert sum(run["opcodes"][name].values()) > 200, name
             assert _builds(run["opcodes"][name]) == (0, 0), name
         # The only dicts are the two views' metadata.
         assert _builds(run["opcodes"]["core/correctable.py"]) == (400, 0)
-        assert [sorted(view.metadata) for view in run["views"][:2]] \
-            == [["latency_ms", "preliminary"]] * 2
-
-    def test_the_instrument_sees_the_dict_adapter(self):
-        with plain_callbacks():
-            run = _two_hundred_icg_purchases()
-        assert run["built"]["_CallbackSink"] == 200
-        assert run["built"]["View"] == 400
-        # Two response dicts per operation, two closures and two metadata
-        # dicts in the binding.
-        assert _builds(run["opcodes"]["zookeeper_sim/client.py"]) == (400, 0)
-        assert _builds(run["opcodes"]["bindings/zookeeper.py"]) == (400, 400)
+        assert Counter(tuple(sorted(view.metadata))
+                       for view in run["views"]) == {
+            ("latency_ms", "preliminary"): 200,
+            ("degraded", "latency_ms", "preliminary"): 200}
 
     def test_submit_defines_no_function_and_the_records_are_closed(self):
-        assert not any(isinstance(const, types.CodeType)
-                       for const in CorrectableClient._submit.__code__.co_consts)
+        from repro.bindings.cached_store import CachedStoreBinding
+        from repro.bindings.local import LocalBinding
+        from repro.bindings.primary_backup import PrimaryBackupBinding
+
+        for submit in (CorrectableClient._submit,
+                       CassandraBinding.submit_operation,
+                       ZooKeeperQueueBinding.submit_operation,
+                       LocalBinding.submit_operation,
+                       PrimaryBackupBinding.submit_operation,
+                       CachedStoreBinding.submit_operation):
+            # (A comprehension's code object is no closure the call keeps.)
+            assert not any(isinstance(const, types.CodeType)
+                           and not const.co_name.startswith("<")
+                           for const in submit.__code__.co_consts), submit
         assert "on_final" not in ZkOp.__slots__
         assert "on_preliminary" not in ZkOp.__slots__
         correctable = Correctable.resolved("v", STRONG)
