@@ -58,16 +58,36 @@ def trace_fingerprint() -> Dict[str, object]:
 
 
 def figure_fingerprints(jobs: int = 1) -> Dict[str, str]:
-    """Hashes of the rendered quick-scale figure reports (fixed seeds).
+    """Hashes of the rendered reports (fixed seeds): every figure the CLI
+    regenerates at quick scale, and the three ablations at the scale of
+    their committed tables, keyed by sweep family.
 
     ``jobs`` routes the regeneration through the parallel sweep executor;
     the hashes must be identical at any job count (the sweep engine merges
     worker records in grid order).
     """
-    from repro.bench.cli import run_figure
+    from repro.bench import ablations
+    from repro.bench.cli import figure_names, run_figure
 
-    return {name: _sha([run_figure(name, quick=True, jobs=jobs)])
-            for name in ("fig06", "fig09", "fig14", "fig15", "fig16")}
+    out = {name: _sha([run_figure(name, quick=True, jobs=jobs)])
+           for name in figure_names()}
+    for family, report in (
+            ("ablation-ticket-threshold",
+             ablations.format_ticket_threshold_ablation(
+                 ablations.run_ticket_threshold_ablation(
+                     thresholds=(0, 5, 20, 60), stock=200, retailers=4,
+                     seed=42, jobs=jobs))),
+            ("ablation-view-count",
+             ablations.format_view_count_ablation(
+                 ablations.run_view_count_ablation(
+                     news_items=10, reads=50, jobs=jobs))),
+            ("ablation-confirmation",
+             ablations.format_confirmation_optimization_ablation(
+                 ablations.run_confirmation_optimization_ablation(
+                     threads=10, duration_ms=6_000.0, seed=42,
+                     jobs=jobs)))):
+        out[family] = _sha([report])
+    return out
 
 
 #: Quick slice of the six Cassandra fig13 scenarios (faults start at 3-4 s).
