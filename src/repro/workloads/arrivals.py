@@ -23,6 +23,7 @@ prefix of absolute arrival times for tests and examples.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional
 
@@ -35,6 +36,16 @@ ARRIVAL_KINDS = ("uniform", "poisson", "burst")
 _AUTO_CHUNK_AFTER = 192
 _CHUNK_MIN = 128
 _CHUNK_MAX = 4096
+
+
+def _check(name: str, value: float, zero_ok: bool = False) -> None:
+    """Refuse a rate or phase length that is not a finite number above zero
+    (or at least zero).  ``not value > 0`` rejects NaN, which compares
+    false; an infinite rate would make every gap zero."""
+    if not ((value >= 0 if zero_ok else value > 0) and math.isfinite(value)):
+        raise ValueError(f"{name} must be "
+                         f"{'non-negative' if zero_ok else 'positive'} "
+                         f"and finite, got {value}")
 
 
 class ArrivalProcess:
@@ -53,8 +64,7 @@ class UniformArrivals(ArrivalProcess):
 
     def __init__(self, rate_ops_s: float,
                  rng: Optional[random.Random] = None) -> None:
-        if rate_ops_s <= 0:
-            raise ValueError(f"rate must be positive, got {rate_ops_s}")
+        _check("rate", rate_ops_s)
         self.rate_ops_s = rate_ops_s
         self._gap_ms = 1000.0 / rate_ops_s
 
@@ -71,8 +81,7 @@ class PoissonArrivals(ArrivalProcess):
     """
 
     def __init__(self, rate_ops_s: float, rng: random.Random) -> None:
-        if rate_ops_s <= 0:
-            raise ValueError(f"rate must be positive, got {rate_ops_s}")
+        _check("rate", rate_ops_s)
         self.rate_ops_s = rate_ops_s
         self._rate_per_ms = rate_ops_s / 1000.0
         self._rng = rng
@@ -123,13 +132,10 @@ class BurstArrivals(ArrivalProcess):
     def __init__(self, on_rate_ops_s: float, rng: random.Random,
                  on_ms: float = 1_000.0, off_ms: float = 1_000.0,
                  off_rate_ops_s: float = 0.0) -> None:
-        if on_rate_ops_s <= 0:
-            raise ValueError(f"burst rate must be positive, got {on_rate_ops_s}")
-        if off_rate_ops_s < 0:
-            raise ValueError("off rate must be non-negative")
-        if on_ms <= 0 or off_ms < 0:
-            raise ValueError("phase lengths must be positive (on) and "
-                             "non-negative (off)")
+        _check("burst rate", on_rate_ops_s)
+        _check("off rate", off_rate_ops_s, zero_ok=True)
+        _check("on phase", on_ms)
+        _check("off phase", off_ms, zero_ok=True)
         self.on_rate_ops_s = on_rate_ops_s
         self.off_rate_ops_s = off_rate_ops_s
         self.on_ms = on_ms

@@ -1,5 +1,7 @@
 """Arrival-process tests: rates, burst phasing, and seed determinism."""
 
+import math
+
 import pytest
 
 from repro.sim.rand import derive_rng
@@ -78,6 +80,32 @@ class TestBurstArrivals:
             BurstArrivals(10, rng, off_rate_ops_s=-1)
         with pytest.raises(ValueError):
             BurstArrivals(10, rng, on_ms=0)
+
+
+class TestNonFiniteParameters:
+    """A NaN or infinite rate or phase length is refused when the process
+    is built: an infinite rate made every gap zero (the run never
+    advanced), a NaN one failed deep inside the scheduler after the whole
+    cluster was built, and a NaN burst rate or phase length drew gaps
+    silently."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("build", [
+        lambda v: UniformArrivals(v),
+        lambda v: PoissonArrivals(v, derive_rng(0, "p")),
+        lambda v: BurstArrivals(v, derive_rng(0, "b")),
+        lambda v: BurstArrivals(10, derive_rng(0, "b"), on_ms=v),
+        lambda v: BurstArrivals(10, derive_rng(0, "b"), off_ms=v),
+        lambda v: BurstArrivals(10, derive_rng(0, "b"), off_rate_ops_s=v),
+        lambda v: make_arrival_process("uniform", v, None),
+        lambda v: make_arrival_process("poisson", v, derive_rng(0, "f")),
+    ], ids=["uniform", "poisson", "burst-rate", "burst-on-ms",
+            "burst-off-ms", "burst-off-rate", "factory-uniform",
+            "factory-poisson"])
+    def test_rejected_at_construction(self, build, value):
+        with pytest.raises(ValueError):
+            build(value)
 
 
 class TestFactory:
