@@ -2,24 +2,13 @@
 
 import pytest
 
-from repro.bench.ablations import (
-    format_confirmation_optimization_ablation,
-    format_ticket_threshold_ablation,
-    format_view_count_ablation,
-    run_confirmation_optimization_ablation,
-    run_ticket_threshold_ablation,
-    run_view_count_ablation,
-)
+from repro.bench.figures import CONFIRMATION, TICKET_THRESHOLD, VIEW_COUNT
 
 
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_ticket_threshold(benchmark, save_report):
-    records = benchmark.pedantic(
-        run_ticket_threshold_ablation,
-        kwargs=dict(thresholds=(0, 5, 20, 60), stock=200, retailers=4, seed=42),
-        rounds=1, iterations=1)
-    save_report("ablation_ticket_threshold",
-                format_ticket_threshold_ablation(records))
+    records = benchmark.pedantic(TICKET_THRESHOLD.run, rounds=1, iterations=1)
+    save_report("ablation_ticket_threshold", TICKET_THRESHOLD.render(records))
     by_threshold = {r["threshold"]: r for r in records}
     # A higher threshold means more purchases wait for the atomic view, so
     # mean latency rises monotonically with the threshold.
@@ -32,10 +21,8 @@ def test_ablation_ticket_threshold(benchmark, save_report):
 
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_view_count(benchmark, save_report):
-    records = benchmark.pedantic(run_view_count_ablation,
-                                 kwargs=dict(news_items=10, reads=50),
-                                 rounds=1, iterations=1)
-    save_report("ablation_view_count", format_view_count_ablation(records))
+    records = benchmark.pedantic(VIEW_COUNT.run, rounds=1, iterations=1)
+    save_report("ablation_view_count", VIEW_COUNT.render(records))
     by_config = {r["configuration"]: r for r in records}
     two = by_config["2 views (backup+primary)"]
     three = by_config["3 views (cache+backup+primary)"]
@@ -47,11 +34,8 @@ def test_ablation_view_count(benchmark, save_report):
 
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_confirmation_optimization(benchmark, save_report):
-    records = benchmark.pedantic(
-        run_confirmation_optimization_ablation,
-        kwargs=dict(threads=10, duration_ms=6_000.0, seed=42),
-        rounds=1, iterations=1)
+    records = benchmark.pedantic(CONFIRMATION.run, rounds=1, iterations=1)
     save_report("ablation_confirmation_optimization",
-                format_confirmation_optimization_ablation(records))
+                CONFIRMATION.render(records))
     by_system = {r["system"]: r for r in records}
     assert by_system["*CC2"]["kb_per_op"] < by_system["CC2"]["kb_per_op"]

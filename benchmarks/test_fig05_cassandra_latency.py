@@ -2,16 +2,14 @@
 
 import pytest
 
-from repro.bench.fig05_single_latency import format_fig05, latency_gap_ms, run_fig05
+from repro.bench.fig05_single_latency import latency_gap_ms
+from repro.bench.figures import FIG05
 
 
 @pytest.mark.benchmark(group="fig05")
 def test_fig05_single_request_latency(benchmark, save_report):
-    results = benchmark.pedantic(
-        run_fig05,
-        kwargs=dict(samples=200, record_count=200, seed=42),
-        rounds=1, iterations=1)
-    save_report("fig05_cassandra_single_latency", format_fig05(results))
+    results = benchmark.pedantic(FIG05.run, rounds=1, iterations=1)
+    save_report("fig05_cassandra_single_latency", FIG05.render(results))
 
     # Preliminary views track C1; final views track the matching quorum size.
     assert results["CC2"]["preliminary"]["mean_ms"] == pytest.approx(

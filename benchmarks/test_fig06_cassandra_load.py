@@ -2,19 +2,13 @@
 
 import pytest
 
-from repro.bench.fig06_load import format_fig06, run_fig06
+from repro.bench.figures import FIG06
 
 
 @pytest.mark.benchmark(group="fig06")
 def test_fig06_latency_vs_throughput(benchmark, save_report):
-    records = benchmark.pedantic(
-        run_fig06,
-        kwargs=dict(workloads=("A", "B", "C"), systems=("C1", "C2", "CC2"),
-                    thread_counts=(2, 6, 12, 24, 48), duration_ms=8_000.0,
-                    warmup_ms=2_000.0, cooldown_ms=1_000.0,
-                    record_count=1_000, seed=42),
-        rounds=1, iterations=1)
-    save_report("fig06_cassandra_load", format_fig06(records))
+    records = benchmark.pedantic(FIG06.run, rounds=1, iterations=1)
+    save_report("fig06_cassandra_load", FIG06.render(records))
 
     for workload in ("A", "B", "C"):
         rows = [r for r in records if r["workload"] == workload]

@@ -2,20 +2,13 @@
 
 import pytest
 
-from repro.bench.fig07_divergence import format_fig07, run_fig07
+from repro.bench.figures import FIG07
 
 
 @pytest.mark.benchmark(group="fig07")
 def test_fig07_divergence(benchmark, save_report):
-    records = benchmark.pedantic(
-        run_fig07,
-        kwargs=dict(configs=(("A", "latest"), ("A", "zipfian"),
-                             ("B", "latest"), ("B", "zipfian")),
-                    thread_counts=(10, 20, 40, 100), duration_ms=8_000.0,
-                    warmup_ms=2_000.0, cooldown_ms=1_000.0,
-                    record_count=1_000, seed=42),
-        rounds=1, iterations=1)
-    save_report("fig07_divergence", format_fig07(records))
+    records = benchmark.pedantic(FIG07.run, rounds=1, iterations=1)
+    save_report("fig07_divergence", FIG07.render(records))
 
     def max_divergence(workload, distribution):
         return max(r["divergence_pct"] for r in records

@@ -2,20 +2,13 @@
 
 import pytest
 
-from repro.bench.fig08_bandwidth import format_fig08, run_fig08
+from repro.bench.figures import FIG08
 
 
 @pytest.mark.benchmark(group="fig08")
 def test_fig08_bandwidth_overhead(benchmark, save_report):
-    records = benchmark.pedantic(
-        run_fig08,
-        kwargs=dict(systems=("C1", "CC2", "*CC2"),
-                    configs=(("A", "latest"), ("A", "zipfian"),
-                             ("B", "latest"), ("B", "zipfian")),
-                    threads=40, duration_ms=8_000.0, warmup_ms=2_000.0,
-                    cooldown_ms=1_000.0, record_count=1_000, seed=42),
-        rounds=1, iterations=1)
-    save_report("fig08_bandwidth", format_fig08(records))
+    records = benchmark.pedantic(FIG08.run, rounds=1, iterations=1)
+    save_report("fig08_bandwidth", FIG08.render(records))
 
     for workload, distribution in (("A", "latest"), ("B", "latest")):
         rows = {r["system"]: r for r in records

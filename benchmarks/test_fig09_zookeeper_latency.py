@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.bench.fig09_zk_latency import format_fig09, run_fig09
+from repro.bench.figures import FIG09
 
 
 @pytest.mark.benchmark(group="fig09")
 def test_fig09_zookeeper_latency_gaps(benchmark, save_report):
-    records = benchmark.pedantic(run_fig09,
-                                 kwargs=dict(samples=100, seed=42),
-                                 rounds=1, iterations=1)
-    save_report("fig09_zookeeper_latency", format_fig09(records))
+    records = benchmark.pedantic(FIG09.run, rounds=1, iterations=1)
+    save_report("fig09_zookeeper_latency", FIG09.render(records))
     by_label = {r["configuration"]: r for r in records}
 
     # Preliminary latency equals the RTT to the connected server.

@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.bench.fig10_zk_bandwidth import format_fig10, run_fig10
+from repro.bench.figures import FIG10
 
 
 @pytest.mark.benchmark(group="fig10")
 def test_fig10_dequeue_bandwidth(benchmark, save_report):
-    records = benchmark.pedantic(
-        run_fig10,
-        kwargs=dict(stocks=(500, 1000), client_counts=(1, 4, 12), seed=42),
-        rounds=1, iterations=1)
-    save_report("fig10_zookeeper_bandwidth", format_fig10(records))
+    records = benchmark.pedantic(FIG10.run, rounds=1, iterations=1)
+    save_report("fig10_zookeeper_bandwidth", FIG10.render(records))
 
     zk = {(r["stock"], r["clients"]): r for r in records if r["system"] == "ZK"}
     czk = {(r["stock"], r["clients"]): r for r in records if r["system"] == "CZK"}

@@ -2,20 +2,13 @@
 
 import pytest
 
-from repro.bench.fig11_apps import format_fig11, run_fig11
+from repro.bench.figures import FIG11
 
 
 @pytest.mark.benchmark(group="fig11")
 def test_fig11_apps_speculation(benchmark, save_report):
-    records = benchmark.pedantic(
-        run_fig11,
-        kwargs=dict(apps=("ads", "twissandra"), systems=("C2", "CC2"),
-                    workloads=("A", "B", "C"), thread_counts=(1, 3),
-                    duration_ms=6_000.0, warmup_ms=1_500.0,
-                    cooldown_ms=1_000.0, profile_count=1_000, ref_count=2_000,
-                    seed=42),
-        rounds=1, iterations=1)
-    save_report("fig11_apps_speculation", format_fig11(records))
+    records = benchmark.pedantic(FIG11.run, rounds=1, iterations=1)
+    save_report("fig11_apps_speculation", FIG11.render(records))
 
     for app in ("ads", "twissandra"):
         for workload in ("A", "B", "C"):

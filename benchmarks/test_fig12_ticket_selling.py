@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.bench.fig12_tickets import format_fig12, run_fig12
+from repro.bench.figures import FIG12
 
 
 @pytest.mark.benchmark(group="fig12")
 def test_fig12_ticket_selling(benchmark, save_report):
-    results = benchmark.pedantic(
-        run_fig12,
-        kwargs=dict(stock=500, retailers=4, threshold=20, seed=42),
-        rounds=1, iterations=1)
-    save_report("fig12_ticket_selling", format_fig12(results))
+    results = benchmark.pedantic(FIG12.run, rounds=1, iterations=1)
+    save_report("fig12_ticket_selling", FIG12.render(results))
 
     czk, zk = results["CZK"], results["ZK"]
     # Nothing is oversold and the whole stock sells in both systems.

@@ -2,24 +2,13 @@
 
 import pytest
 
-from repro.bench.fig13_faults import (
-    format_fig13,
-    run_fig13_all,
-)
+from repro.bench.figures import FIG13
 
 
 @pytest.mark.benchmark(group="fig13")
 def test_fig13_faults(benchmark, save_report):
-    def _run():
-        return run_fig13_all(
-            scenarios=("baseline", "replica-crash", "wan-partition",
-                       "flapping-link", "slow-follower"),
-            workload="B", threads_per_client=4, duration_ms=12_000.0,
-            warmup_ms=3_000.0, cooldown_ms=1_000.0, record_count=300,
-            seed=42)
-
-    records = benchmark.pedantic(_run, rounds=1, iterations=1)
-    save_report("fig13_faults", format_fig13(records))
+    records = benchmark.pedantic(FIG13.run, rounds=1, iterations=1)
+    save_report("fig13_faults", FIG13.render(records))
 
     by_scenario = {r["scenario"]: r for r in records}
     assert set(by_scenario) == {"baseline", "replica-crash", "wan-partition",

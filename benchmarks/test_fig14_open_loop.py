@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.bench.fig14_open_loop import format_fig14, run_fig14
+from repro.bench.figures import FIG14
 
 
 @pytest.mark.benchmark(group="fig14")
 def test_fig14_open_loop(benchmark, save_report):
-    records = benchmark.pedantic(
-        lambda: run_fig14(seed=42), rounds=1, iterations=1)
-    save_report("fig14_open_loop", format_fig14(records))
+    records = benchmark.pedantic(FIG14.run, rounds=1, iterations=1)
+    save_report("fig14_open_loop", FIG14.render(records))
 
     def rows(**labels):
         return [r for r in records

@@ -2,20 +2,14 @@
 
 import pytest
 
-from repro.bench.fig15_rebalance import (
-    PHASES,
-    format_fig15,
-    run_fig15,
-    run_fig15_point,
-    build_fig15_points,
-)
+from repro.bench.fig15_rebalance import PHASES
+from repro.bench.figures import FIG15
 
 
 @pytest.mark.benchmark(group="fig15")
 def test_fig15_rebalance(benchmark, save_report):
-    records = benchmark.pedantic(
-        lambda: run_fig15(seed=42), rounds=1, iterations=1)
-    save_report("fig15_rebalance", format_fig15(records))
+    records = benchmark.pedantic(FIG15.run, rounds=1, iterations=1)
+    save_report("fig15_rebalance", FIG15.render(records))
 
     assert len(records) == 2 * 3 * 2  # nodes x skew x event
 
@@ -64,12 +58,11 @@ def test_fig15_hundred_node_rebalance():
     Excluded from tier-1 (slow marker); keeps the load light so the cell
     finishes in seconds while still exercising a big token layout.
     """
-    [point] = build_fig15_points(
+    (record,) = FIG15.run(
         nodes=(100,), skews=("uniform",), events=("join",),
         rate_ops_s=150.0, sessions=60, duration_ms=4_000.0,
         warmup_ms=600.0, cooldown_ms=300.0, event_at_ms=1_500.0,
-        record_count=400, seed=42)
-    record = run_fig15_point(point)
+        record_count=400)
     assert record["lost_acked_writes"] == 0
     assert record["failed_ops"] == 0
     assert record["ring_version"] == 1
@@ -88,12 +81,11 @@ def test_fig15_million_key_rebalance():
     one-time O(n) zeta sum instead of an O(n) ring preload.  Excluded from
     tier-1 (slow marker) like the 100-node cell above.
     """
-    [point] = build_fig15_points(
+    (record,) = FIG15.run(
         nodes=(6,), skews=("zipf-1.2",), events=("join",),
         rate_ops_s=200.0, sessions=80, duration_ms=4_000.0,
         warmup_ms=600.0, cooldown_ms=300.0, event_at_ms=1_500.0,
-        record_count=1_200_000, preload=False, seed=42)
-    record = run_fig15_point(point)
+        record_count=1_200_000, preload=False)
     assert record["lost_acked_writes"] == 0
     assert record["failed_ops"] == 0
     assert record["ring_version"] == 1

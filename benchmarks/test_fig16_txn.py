@@ -2,23 +2,18 @@
 
 import pytest
 
-from repro.bench.fig16_txn import (
-    DEFAULT_SCENARIOS,
-    DEFAULT_TXN_SIZES,
-    build_fig16_points,
-    format_fig16,
-    run_fig16,
-    run_fig16_point,
-)
+from repro.bench.figures import FIG16
+
+SCENARIOS = FIG16.full["scenarios"]
+TXN_SIZES = FIG16.full["txn_sizes"]
 
 
 @pytest.mark.benchmark(group="fig16")
 def test_fig16_txn(benchmark, save_report):
-    records = benchmark.pedantic(
-        lambda: run_fig16(seed=42), rounds=1, iterations=1)
-    save_report("fig16_txn", format_fig16(records))
+    records = benchmark.pedantic(FIG16.run, rounds=1, iterations=1)
+    save_report("fig16_txn", FIG16.render(records))
 
-    assert len(records) == len(DEFAULT_SCENARIOS) * len(DEFAULT_TXN_SIZES)
+    assert len(records) == len(SCENARIOS) * len(TXN_SIZES)
 
     for record in records:
         cell = (record["scenario"], record["keys_per_txn"])
@@ -41,7 +36,7 @@ def test_fig16_txn(benchmark, save_report):
 
     # Baseline: no faults, no takeovers, no retries; aborts only from lock
     # conflicts, which grow with transaction size.
-    for size in DEFAULT_TXN_SIZES:
+    for size in TXN_SIZES:
         base = by_cell[("baseline", size)]
         assert base["takeovers"] == 0
         assert base["client_retries"] == 0
@@ -53,7 +48,7 @@ def test_fig16_txn(benchmark, save_report):
     # Coordinator crash: exactly one standby takeover, epoch moved forward,
     # recovery well under a second, and the client paid retries while the
     # group was headless — but still resolved every transaction.
-    for size in DEFAULT_TXN_SIZES:
+    for size in TXN_SIZES:
         crash = by_cell[("coordinator-crash-mid-commit", size)]
         assert crash["takeovers"] == 1, size
         assert crash["final_epoch"] == 2, size
@@ -65,7 +60,7 @@ def test_fig16_txn(benchmark, save_report):
     # Participant crash and partition: the protocol refuses to guess, so
     # transactions touching the silent node abort — more than baseline.
     for scenario in ("participant-crash-after-prepare", "wan-partition"):
-        for size in DEFAULT_TXN_SIZES:
+        for size in TXN_SIZES:
             assert (by_cell[(scenario, size)]["abort_rate_pct"]
                     > by_cell[("baseline", size)]["abort_rate_pct"]), \
                 (scenario, size)
@@ -83,12 +78,11 @@ def test_fig16_decision_window_mismatch():
     Correctable API exists to expose.  The atomicity audit still passes:
     wrong speculation, correct outcome.
     """
-    [point] = build_fig16_points(
+    (record,) = FIG16.run(
         scenarios=("coordinator-crash-mid-commit",), txn_sizes=(2,),
         nodes=3, rate_txn_s=25.0, duration_ms=6_000.0,
         fault_at_ms=2_500.0, fault_duration_ms=2_500.0,
-        decision_log_ms=60.0, record_count=120, seed=42)
-    record = run_fig16_point(point)
+        decision_log_ms=60.0, record_count=120)
     assert record["takeovers"] == 1
     assert record["committed"] > 0
     assert record["prepared_mismatched"] > 0

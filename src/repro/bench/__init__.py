@@ -1,8 +1,7 @@
 """Experiment harnesses regenerating every figure of the paper's evaluation.
 
-Each ``figNN_*`` module exposes a ``run_*`` function returning structured
-results plus a ``format_report`` helper that prints the same rows/series the
-corresponding figure shows.  The pytest-benchmark wrappers in ``benchmarks/``
-call these with scaled-down defaults; pass larger parameters for
-paper-scale runs.
+Each ``figNN_*`` module holds one figure's grid cells, the experiment one
+grid point runs and the renderer of its table; :mod:`repro.bench.figures`
+pairs them with the figure's parameters, and the command line
+(:mod:`repro.bench.cli`) and the ``benchmarks/`` wrappers run that table.
 """

@@ -1,23 +1,24 @@
 """Ablation studies for the design choices DESIGN.md calls out.
 
-* :func:`run_ticket_threshold_ablation` — how the ticket shop's "wait for the
-  final view below N remaining tickets" threshold trades purchase latency
-  against overselling risk (Listing 5's THRESHOLD).
-* :func:`run_view_count_ablation` — the value of a third (cached) view for
-  the news reader: time to first displayed view and number of refreshes with
-  two views (backup + primary) versus three (cache + backup + primary).
-* :func:`run_confirmation_optimization_ablation` — bytes per operation of
-  CC2 with and without the ``*CC`` confirmation optimization under a
-  high-divergence workload (complements Figure 8).
+* ticket threshold — how the ticket shop's "wait for the final view below
+  N remaining tickets" threshold trades purchase latency against
+  overselling risk (Listing 5's THRESHOLD);
+* view count — the value of a third (cached) view for the news reader:
+  time to first displayed view and number of refreshes with two views
+  (backup + primary) versus three (cache + backup + primary);
+* confirmation optimization — bytes per operation of CC2 with and without
+  the ``*CC`` confirmation optimization under a high-divergence workload
+  (complements Figure 8; its points run through Figure 8's harness).
+
+Each is a grid of sweep cells; :mod:`repro.bench.figures` holds their
+parameters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence
 
-from repro.bench.fig08_bandwidth import _measure_bandwidth
 from repro.bench.fig12_tickets import _sell_out
-from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.bindings.cached_store import CachedStoreBinding
 from repro.bindings.primary_backup import PrimaryBackupBinding, PrimaryBackupStore
 from repro.apps.news import NewsReader
@@ -25,8 +26,18 @@ from repro.core.client import CorrectableClient
 from repro.metrics.summary import format_table
 from repro.sim.scheduler import Scheduler
 
+if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
+    from repro.bench.sweep import SweepPoint
 
-def _ticket_threshold_point(point: SweepPoint) -> Dict:
+
+def ticket_threshold_cells(thresholds: Sequence[int], **base: Any):
+    """One CZK sell-out per stock threshold below which retailers wait for
+    the final view."""
+    return (({"threshold": threshold}, dict(base, threshold=threshold))
+            for threshold in thresholds)
+
+
+def run_ticket_threshold_point(point: SweepPoint) -> Dict:
     outcome = _sell_out("CZK", **point.kwargs)
     return {
         "threshold": point.kwargs["threshold"],
@@ -39,19 +50,6 @@ def _ticket_threshold_point(point: SweepPoint) -> Dict:
     }
 
 
-def run_ticket_threshold_ablation(thresholds: Sequence[int] = (0, 5, 20, 60),
-                                  stock: int = 200, retailers: int = 4,
-                                  seed: int = 42,
-                                  jobs: JobsSpec = 1) -> List[Dict]:
-    """Sweep the stock threshold below which retailers wait for the final view."""
-    points = make_points("ablation-ticket-threshold", (
-        ({"threshold": threshold},
-         dict(stock=stock, retailers=retailers, threshold=threshold,
-              seed=seed))
-        for threshold in thresholds))
-    return run_sweep(points, _ticket_threshold_point, jobs=jobs).records()
-
-
 def format_ticket_threshold_ablation(records: List[Dict]) -> str:
     rows = [[r["threshold"], r["mean_latency_ms"], r["preliminary_purchases"],
              r["tickets_sold"], r["oversold"]] for r in records]
@@ -61,37 +59,27 @@ def format_ticket_threshold_ablation(records: List[Dict]) -> str:
         rows, title="Ablation — ticket-shop final-view threshold")
 
 
-def _view_count_point(point: SweepPoint) -> Dict:
-    return _measure_view_count(label=point.kwargs["label"],
-                               use_cache=point.kwargs["use_cache"],
-                               news_items=point.kwargs["news_items"],
-                               reads=point.kwargs["reads"])
+def view_count_cells(**base: Any):
+    """Two-view and three-view (cache-fronted) news reading."""
+    return (({"configuration": label},
+             dict(base, label=label, use_cache=use_cache))
+            for label, use_cache in (("2 views (backup+primary)", False),
+                                     ("3 views (cache+backup+primary)", True)))
 
 
-def run_view_count_ablation(news_items: int = 10, reads: int = 50,
-                            jobs: JobsSpec = 1) -> List[Dict]:
-    """Compare two-view and three-view (cache-fronted) news reading."""
-    points = make_points("ablation-view-count", (
-        ({"configuration": label},
-         dict(label=label, use_cache=use_cache, news_items=news_items,
-              reads=reads))
-        for label, use_cache in (("2 views (backup+primary)", False),
-                                 ("3 views (cache+backup+primary)", True))))
-    return run_sweep(points, _view_count_point, jobs=jobs).records()
-
-
-def _measure_view_count(label: str, use_cache: bool, news_items: int,
-                        reads: int) -> Dict:
+def run_view_count_point(point: SweepPoint) -> Dict:
     """Measure one news-reader configuration (2 or 3 incremental views)."""
+    reads = point.kwargs["reads"]
     scheduler = Scheduler()
     store = PrimaryBackupStore(scheduler=scheduler, replication_lag_ms=30.0)
     binding = PrimaryBackupBinding(store, scheduler=scheduler,
                                    backup_rtt_ms=20.0, primary_rtt_ms=90.0)
-    if use_cache:
+    if point.kwargs["use_cache"]:
         binding = CachedStoreBinding(binding, scheduler=scheduler,
                                      cache_latency_ms=0.5)
     reader = NewsReader(CorrectableClient(binding))
-    reader.publish([f"story-{i}" for i in range(news_items)])
+    reader.publish([f"story-{i}"
+                    for i in range(point.kwargs["news_items"])])
     scheduler.run_until_idle()
 
     first_view_latencies: List[float] = []
@@ -105,7 +93,7 @@ def _measure_view_count(label: str, use_cache: bool, news_items: int,
         if seen:
             first_view_latencies.append(seen[0])
     return {
-        "configuration": label,
+        "configuration": point.kwargs["label"],
         "mean_first_view_ms": (sum(first_view_latencies)
                                / max(1, len(first_view_latencies))),
         "refreshes_per_read": reader.refreshes / reads,
@@ -120,22 +108,16 @@ def format_view_count_ablation(records: List[Dict]) -> str:
         rows, title="Ablation — number of incremental views (news reader)")
 
 
-def _confirmation_point(point: SweepPoint) -> Dict:
-    return _measure_bandwidth(**point.kwargs)
-
-
-def run_confirmation_optimization_ablation(
-        threads: int = 10, duration_ms: float = 6_000.0,
-        seed: int = 42, jobs: JobsSpec = 1) -> List[Dict]:
-    """CC2 vs *CC2 bytes/op under the high-divergence A-Latest workload."""
-    points = make_points("ablation-confirmation", (
-        ({"system": system},
-         dict(system=system, workload_name="A", distribution="latest",
-              threads=threads, duration_ms=duration_ms,
-              warmup_ms=duration_ms * 0.25, cooldown_ms=duration_ms * 0.125,
-              record_count=1_000, seed=seed))
-        for system in ("CC2", "*CC2")))
-    return run_sweep(points, _confirmation_point, jobs=jobs).records()
+def confirmation_cells(threads: int, duration_ms: float, seed: int):
+    """CC2 and *CC2 under the high-divergence A-Latest workload, as
+    Figure 8 cells."""
+    return (({"system": system},
+             dict(system=system, workload_name="A", distribution="latest",
+                  threads=threads, duration_ms=duration_ms,
+                  warmup_ms=duration_ms * 0.25,
+                  cooldown_ms=duration_ms * 0.125, record_count=1_000,
+                  seed=seed))
+            for system in ("CC2", "*CC2"))
 
 
 def format_confirmation_optimization_ablation(records: List[Dict]) -> str:

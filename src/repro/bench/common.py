@@ -1,22 +1,21 @@
-"""Shared scenario construction for the benchmark harnesses.
+"""What the benchmark harnesses share: system labels, the Cassandra issue
+function, the drain check and the closed-loop drive.
 
-A *scenario* bundles a simulation environment, a preloaded cluster, and the
-client nodes the experiment drives.  The system labels follow the paper's
-notation: ``C1``/``C2``/``C3`` are baseline Cassandra with read quorum 1/2/3,
-``CC2``/``CC3`` are Correctable Cassandra issuing ICG reads whose final view
-uses quorum 2/3, and ``*CC2`` is CC2 with the confirmation optimization.
+The system labels follow the paper's notation: ``C1``/``C2``/``C3`` are
+baseline Cassandra with read quorum 1/2/3, ``CC2``/``CC3`` are Correctable
+Cassandra issuing ICG reads whose final view uses quorum 2/3, and ``*CC2``
+is CC2 with the confirmation optimization.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
 from repro.sim.network import estimate_payload_size
-from repro.core.cluster_spec import REMOTE_CONTACTS, BuiltCluster, ClusterSpec
-from repro.sim.topology import Region, replica_regions_default
+from repro.core.cluster_spec import BuiltCluster
 from repro.workloads.records import Dataset
 from repro.workloads.runner import ClosedLoopRunner, RunResult, _OpenOp
 from repro.workloads.ycsb import OperationGenerator, WorkloadSpec
@@ -31,45 +30,6 @@ CASSANDRA_SYSTEMS: Dict[str, Dict[str, Any]] = {
     "CC3": {"r": 3, "icg": True},
     "*CC2": {"r": 2, "icg": True, "confirmation_optimization": True},
 }
-
-#: Historical name for the built deployment; construction now lives in
-#: :class:`repro.core.cluster_spec.ClusterSpec` (as does
-#: :data:`REMOTE_CONTACTS`, re-exported above unchanged).
-CassandraScenario = BuiltCluster
-
-
-def build_cassandra_scenario(seed: int = 0,
-                             record_count: int = 1000,
-                             value_size_bytes: int = 100,
-                             key_prefix: str = "user",
-                             client_regions: Sequence[str] = (Region.IRL,),
-                             contacts: Optional[Dict[str, str]] = None,
-                             config: Optional[CassandraConfig] = None,
-                             replica_regions: Optional[Sequence[str]] = None,
-                             preload: bool = True,
-                             client_fallbacks: bool = False) -> CassandraScenario:
-    """Build a 3-replica cluster (FRK/IRL/VRG by default) with clients and data.
-
-    Deprecated shim over :class:`repro.core.cluster_spec.ClusterSpec` — new
-    code should build a spec directly (it also exposes node count, RF, and
-    vnodes).  Kept because its construction sequence produced the committed
-    figure tables; a default spec reproduces it byte for byte.
-
-    ``client_fallbacks=True`` gives every client the remaining replicas as
-    backup coordinators (used by the fault experiments together with
-    ``CassandraConfig.fault_tolerant()``).
-    """
-    regions = tuple(replica_regions if replica_regions is not None
-                    else replica_regions_default())
-    spec = ClusterSpec(nodes=len(regions), regions=regions,
-                       config=config, seed=seed,
-                       record_count=record_count,
-                       value_size_bytes=value_size_bytes,
-                       key_prefix=key_prefix,
-                       client_regions=tuple(client_regions),
-                       contacts=contacts, preload=preload,
-                       client_fallbacks=client_fallbacks)
-    return spec.build()
 
 
 def make_kv_issue(client: CassandraClient, system: str,
@@ -182,37 +142,41 @@ def make_generator_factory(spec: WorkloadSpec, dataset: Dataset, seed: int,
     return _factory
 
 
-def run_multi_region_load(scenario: CassandraScenario, system: str,
+def run_until_settled(env: Any, runners: Iterable[Any],
+                      settle_ms: float) -> float:
+    """Start every runner, then run until ``settle_ms`` after the latest
+    one ends (stragglers, retries and repairs finish meanwhile); returns
+    that latest end time."""
+    runners = list(runners)
+    for runner in runners:
+        runner.start()
+    end = max(runner.end_time for runner in runners)
+    env.run(until=end + settle_ms)
+    return end
+
+
+def run_multi_region_load(scenario: BuiltCluster, system: str,
                           spec: WorkloadSpec, threads_per_client: int,
                           duration_ms: float, warmup_ms: float,
-                          cooldown_ms: float, seed: int,
-                          measured_region: str = Region.IRL
+                          cooldown_ms: float, seed: int
                           ) -> Dict[str, RunResult]:
     """Run closed-loop load from every client region simultaneously.
 
     Returns the per-region :class:`RunResult`; the paper reports the client
-    in Ireland, which callers pick via ``measured_region``.
+    in Ireland.
     """
     drain = DrainCheck(f"{system} {spec.name} x{threads_per_client}")
-    runners: Dict[str, ClosedLoopRunner] = {}
-    for region, client in scenario.clients.items():
-        issue = make_kv_issue(client, system)
-        runner = ClosedLoopRunner(
+    runners = {
+        region: ClosedLoopRunner(
             scheduler=scenario.env.scheduler,
-            issue=issue,
+            issue=make_kv_issue(client, system),
             make_generator=make_generator_factory(
                 spec, scenario.dataset, seed, f"{system}-{region}"),
-            threads=threads_per_client,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            cooldown_ms=cooldown_ms,
-            label=f"{system}-{spec.name}-{region}",
-        )
-        runners[region] = runner
-    for runner in runners.values():
-        runner.start()
-    end = max(runner.end_time for runner in runners.values())
-    scenario.env.run(until=end + 60_000.0)
+            threads=threads_per_client, duration_ms=duration_ms,
+            warmup_ms=warmup_ms, cooldown_ms=cooldown_ms,
+            label=f"{system}-{spec.name}-{region}")
+        for region, client in scenario.clients.items()}
+    run_until_settled(scenario.env, runners.values(), 60_000.0)
     drain.verify(scenario.cluster)
     return {region: runner.result for region, runner in runners.items()}
 

@@ -13,21 +13,21 @@ The headline observations to reproduce:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.bench.common import (
     CASSANDRA_SYSTEMS,
     DrainCheck,
-    build_cassandra_scenario,
     cassandra_config_for,
 )
-from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
+from repro.core.cluster_spec import ClusterSpec
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.summary import format_table
 from repro.sim.rand import derive_rng
 from repro.sim.topology import Region
 
-DEFAULT_SYSTEMS = ("C1", "C2", "C3", "CC2", "CC3")
+if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
+    from repro.bench.sweep import SweepPoint
 
 
 class _SequentialReads:
@@ -67,11 +67,11 @@ def _measure_single_requests(system: str, samples: int, seed: int,
                              record_count: int) -> Dict[str, Optional[dict]]:
     """Issue ``samples`` sequential reads and summarize their latencies."""
     drain = DrainCheck(f"fig05-{system}")
-    scenario = build_cassandra_scenario(
+    scenario = ClusterSpec(
         seed=seed, record_count=record_count,
         client_regions=(Region.IRL,),
         contacts={Region.IRL: Region.FRK},
-        config=cassandra_config_for(system, value_size_bytes=100))
+        config=cassandra_config_for(system, value_size_bytes=100)).build()
     client = scenario.client_in(Region.IRL)
     profile = CASSANDRA_SYSTEMS[system]
     rng = derive_rng(seed, f"fig05-{system}")
@@ -91,33 +91,8 @@ def _measure_single_requests(system: str, samples: int, seed: int,
     }
 
 
-def build_fig05_points(systems: Iterable[str] = DEFAULT_SYSTEMS,
-                       samples: int = 200, record_count: int = 200,
-                       seed: int = 42) -> List[SweepPoint]:
-    """One sweep point per system label."""
-    return make_points("fig05", (
-        ({"system": system},
-         dict(system=system, samples=samples, seed=seed,
-              record_count=record_count))
-        for system in systems))
-
-
 def run_fig05_point(point: SweepPoint) -> Dict:
     return _measure_single_requests(**point.kwargs)
-
-
-def run_fig05(systems: Iterable[str] = DEFAULT_SYSTEMS, samples: int = 200,
-              record_count: int = 200, seed: int = 42,
-              jobs: JobsSpec = 1) -> Dict[str, Dict]:
-    """Regenerate the Figure 5 data series.
-
-    Returns a mapping ``system -> {"preliminary": summary|None, "final": summary}``.
-    """
-    points = build_fig05_points(systems=systems, samples=samples,
-                                record_count=record_count, seed=seed)
-    sweep = run_sweep(points, run_fig05_point, jobs=jobs)
-    return {point.label("system"): record
-            for point, record in zip(points, sweep.records())}
 
 
 def latency_gap_ms(results: Dict[str, Dict], system: str) -> float:

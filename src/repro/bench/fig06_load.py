@@ -13,40 +13,28 @@ Ireland, as in the paper.  Shapes to reproduce:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Sequence
 
-from repro.bench.common import (
-    build_cassandra_scenario,
-    cassandra_config_for,
-    run_multi_region_load,
-)
-from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
+from repro.bench.common import cassandra_config_for, run_multi_region_load
+from repro.core.cluster_spec import ClusterSpec
 from repro.metrics.summary import format_table
 from repro.sim.topology import Region
 from repro.workloads.ycsb import workload_by_name
 
-DEFAULT_SYSTEMS = ("C1", "C2", "CC2")
-DEFAULT_WORKLOADS = ("A", "B", "C")
-DEFAULT_THREADS = (2, 6, 12)
+if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
+    from repro.bench.sweep import SweepPoint
 
 
-def build_fig06_points(systems: Iterable[str] = DEFAULT_SYSTEMS,
-                       workloads: Iterable[str] = DEFAULT_WORKLOADS,
-                       thread_counts: Sequence[int] = DEFAULT_THREADS,
-                       duration_ms: float = 8_000.0,
-                       warmup_ms: float = 2_000.0,
-                       cooldown_ms: float = 1_000.0,
-                       record_count: int = 1_000,
-                       seed: int = 42) -> List[SweepPoint]:
-    """One sweep point per (workload, system, thread count) cell."""
-    return make_points("fig06", (
-        ({"workload": workload_name, "system": system, "threads": threads},
-         dict(workload=workload_name, system=system, threads=threads,
-              duration_ms=duration_ms, warmup_ms=warmup_ms,
-              cooldown_ms=cooldown_ms, record_count=record_count, seed=seed))
-        for workload_name in workloads
-        for system in systems
-        for threads in thread_counts))
+def cells(workloads: Iterable[str], systems: Iterable[str],
+          thread_counts: Sequence[int], **base: Any):
+    """One cell per (workload, system, thread count)."""
+    return (({"workload": workload_name, "system": system,
+              "threads": threads},
+             dict(base, workload=workload_name, system=system,
+                  threads=threads))
+            for workload_name in workloads
+            for system in systems
+            for threads in thread_counts)
 
 
 def run_fig06_point(point: SweepPoint) -> Dict:
@@ -55,10 +43,10 @@ def run_fig06_point(point: SweepPoint) -> Dict:
     workload_name, system = kwargs["workload"], kwargs["system"]
     seed = kwargs["seed"]
     spec = workload_by_name(workload_name)
-    scenario = build_cassandra_scenario(
+    scenario = ClusterSpec(
         seed=seed, record_count=kwargs["record_count"],
         client_regions=(Region.IRL, Region.FRK, Region.VRG),
-        config=cassandra_config_for(system))
+        config=cassandra_config_for(system)).build()
     results = run_multi_region_load(
         scenario, system, spec, threads_per_client=kwargs["threads"],
         duration_ms=kwargs["duration_ms"], warmup_ms=kwargs["warmup_ms"],
@@ -75,24 +63,6 @@ def run_fig06_point(point: SweepPoint) -> Dict:
         if measured.preliminary_latency.count else None,
         "measured_ops": measured.measured_ops,
     }
-
-
-def run_fig06(systems: Iterable[str] = DEFAULT_SYSTEMS,
-              workloads: Iterable[str] = DEFAULT_WORKLOADS,
-              thread_counts: Sequence[int] = DEFAULT_THREADS,
-              duration_ms: float = 8_000.0, warmup_ms: float = 2_000.0,
-              cooldown_ms: float = 1_000.0, record_count: int = 1_000,
-              seed: int = 42, jobs: JobsSpec = 1) -> List[Dict]:
-    """Regenerate the Figure 6 latency-vs-throughput series.
-
-    Returns one record per (workload, system, thread count) with the measured
-    client's throughput and preliminary/final latencies.
-    """
-    points = build_fig06_points(
-        systems=systems, workloads=workloads, thread_counts=thread_counts,
-        duration_ms=duration_ms, warmup_ms=warmup_ms, cooldown_ms=cooldown_ms,
-        record_count=record_count, seed=seed)
-    return run_sweep(points, run_fig06_point, jobs=jobs).records()
 
 
 def format_fig06(records: List[Dict]) -> str:

@@ -14,63 +14,50 @@ request distributions, as load increases.  Shapes to reproduce:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Sequence
 
-from repro.bench.common import (
-    build_cassandra_scenario,
-    cassandra_config_for,
-    run_multi_region_load,
-)
-from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
+from repro.bench.common import cassandra_config_for, run_multi_region_load
+from repro.core.cluster_spec import ClusterSpec
 from repro.metrics.divergence import DivergenceCounter
 from repro.metrics.summary import format_table
 from repro.sim.rand import derive_seed
 from repro.sim.topology import Region
 from repro.workloads.ycsb import workload_by_name
 
-DEFAULT_CONFIGS = (
-    ("A", "latest"),
-    ("A", "zipfian"),
-    ("B", "latest"),
-    ("B", "zipfian"),
-)
-DEFAULT_THREADS = (4, 10, 20)
+if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
+    from repro.bench.sweep import SweepPoint
 
 
-def build_fig07_points(configs: Iterable = DEFAULT_CONFIGS,
-                       thread_counts: Sequence[int] = DEFAULT_THREADS,
-                       duration_ms: float = 8_000.0,
-                       warmup_ms: float = 2_000.0,
-                       cooldown_ms: float = 1_000.0,
-                       record_count: int = 1_000,
-                       seed: int = 42) -> List[SweepPoint]:
-    """One sweep point per ((workload, distribution), thread count) cell.
+def cells(configs: Iterable, thread_counts: Sequence[int], seed: int,
+          **base: Any):
+    """One cell per ((workload, distribution), thread count).
 
-    The per-config load seed is derived here, at grid-construction time, so
-    it only depends on the cell's labels — never on execution order.
+    The per-config load seed is derived here, from the cell's labels
+    only, so it never depends on execution order.
     """
-    return make_points("fig07", (
-        ({"workload": workload_name, "distribution": distribution,
-          "threads": threads},
-         dict(workload=workload_name, distribution=distribution,
-              threads=threads, duration_ms=duration_ms, warmup_ms=warmup_ms,
-              cooldown_ms=cooldown_ms, record_count=record_count,
-              scenario_seed=seed,
-              load_seed=derive_seed(
-                  seed, f"{workload_name}-{distribution}") % (2 ** 31)))
-        for workload_name, distribution in configs
-        for threads in thread_counts))
+    return (({"workload": workload_name, "distribution": distribution,
+              "threads": threads},
+             dict(base, workload=workload_name, distribution=distribution,
+                  threads=threads, scenario_seed=seed,
+                  load_seed=derive_seed(
+                      seed, f"{workload_name}-{distribution}") % (2 ** 31)))
+            for workload_name, distribution in configs
+            for threads in thread_counts)
 
 
 def run_fig07_point(point: SweepPoint) -> Dict:
-    """Run one cell of the Figure 7 divergence grid (system CC2)."""
+    """Run one cell of the Figure 7 divergence grid (system CC2).
+
+    Divergence is aggregated over all three client regions to maximize the
+    number of compared operations.
+    """
     kwargs = point.kwargs
     workload_name, distribution = kwargs["workload"], kwargs["distribution"]
     spec = workload_by_name(workload_name).with_distribution(distribution)
-    scenario = build_cassandra_scenario(
+    scenario = ClusterSpec(
         seed=kwargs["scenario_seed"], record_count=kwargs["record_count"],
         client_regions=(Region.IRL, Region.FRK, Region.VRG),
-        config=cassandra_config_for("CC2"))
+        config=cassandra_config_for("CC2")).build()
     results = run_multi_region_load(
         scenario, "CC2", spec, threads_per_client=kwargs["threads"],
         duration_ms=kwargs["duration_ms"], warmup_ms=kwargs["warmup_ms"],
@@ -88,23 +75,6 @@ def run_fig07_point(point: SweepPoint) -> Dict:
         "compared_reads": combined.total,
         "measured_ops": measured_ops,
     }
-
-
-def run_fig07(configs: Iterable = DEFAULT_CONFIGS,
-              thread_counts: Sequence[int] = DEFAULT_THREADS,
-              duration_ms: float = 8_000.0, warmup_ms: float = 2_000.0,
-              cooldown_ms: float = 1_000.0, record_count: int = 1_000,
-              seed: int = 42, jobs: JobsSpec = 1) -> List[Dict]:
-    """Regenerate the Figure 7 divergence series (system CC2).
-
-    Divergence is aggregated over all three client regions to maximize the
-    number of compared operations.
-    """
-    points = build_fig07_points(
-        configs=configs, thread_counts=thread_counts, duration_ms=duration_ms,
-        warmup_ms=warmup_ms, cooldown_ms=cooldown_ms,
-        record_count=record_count, seed=seed)
-    return run_sweep(points, run_fig07_point, jobs=jobs).records()
 
 
 def format_fig07(records: List[Dict]) -> str:

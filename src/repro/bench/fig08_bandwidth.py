@@ -16,25 +16,24 @@ under workload B (low divergence, most finals collapse to confirmations).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List
 
 from repro.bench.common import (
     DrainCheck,
-    build_cassandra_scenario,
     cassandra_config_for,
     make_generator_factory,
     make_kv_issue,
+    run_until_settled,
 )
-from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
+from repro.core.cluster_spec import ClusterSpec
 from repro.metrics.bandwidth import BandwidthProbe
 from repro.metrics.summary import format_table
 from repro.sim.topology import Region
 from repro.workloads.runner import ClosedLoopRunner
 from repro.workloads.ycsb import workload_by_name
 
-DEFAULT_SYSTEMS = ("C1", "CC2", "*CC2")
-DEFAULT_CONFIGS = (("A", "latest"), ("A", "zipfian"),
-                   ("B", "latest"), ("B", "zipfian"))
+if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
+    from repro.bench.sweep import SweepPoint
 
 
 def _measure_bandwidth(system: str, workload_name: str, distribution: str,
@@ -43,19 +42,18 @@ def _measure_bandwidth(system: str, workload_name: str, distribution: str,
                        seed: int) -> Dict:
     spec = workload_by_name(workload_name).with_distribution(distribution)
     drain = DrainCheck(f"fig08 {system} {workload_name}-{distribution}")
-    scenario = build_cassandra_scenario(
+    scenario = ClusterSpec(
         seed=seed, record_count=record_count,
         client_regions=(Region.IRL, Region.FRK, Region.VRG),
-        config=cassandra_config_for(system))
+        config=cassandra_config_for(system)).build()
     measured_client = scenario.client_in(Region.IRL)
     probe = BandwidthProbe(scenario.env.network,
                            client_names=[measured_client.name],
                            server_names=scenario.cluster.replica_names())
     probe.start()
 
-    runners = []
-    for region, client in scenario.clients.items():
-        runner = ClosedLoopRunner(
+    runners = {
+        region: ClosedLoopRunner(
             scheduler=scenario.env.scheduler,
             issue=make_kv_issue(client, system),
             make_generator=make_generator_factory(
@@ -63,15 +61,12 @@ def _measure_bandwidth(system: str, workload_name: str, distribution: str,
                 f"fig08-{system}-{workload_name}-{distribution}-{region}"),
             threads=threads, duration_ms=duration_ms, warmup_ms=warmup_ms,
             cooldown_ms=cooldown_ms, label=f"fig08-{system}-{region}")
-        runners.append((region, runner))
-    for _, runner in runners:
-        runner.start()
-    end = max(runner.end_time for _, runner in runners)
-    scenario.env.run(until=end + 60_000.0)
+        for region, client in scenario.clients.items()}
+    run_until_settled(scenario.env, runners.values(), 60_000.0)
     probe.stop()
     drain.verify(scenario.cluster)
 
-    measured_runner = dict(runners)[Region.IRL]
+    measured_runner = runners[Region.IRL]
     total_ops = measured_runner.result.total_ops
     return {
         "system": system,
@@ -83,30 +78,22 @@ def _measure_bandwidth(system: str, workload_name: str, distribution: str,
     }
 
 
-def build_fig08_points(systems: Iterable[str] = DEFAULT_SYSTEMS,
-                       configs: Iterable = DEFAULT_CONFIGS, threads: int = 10,
-                       duration_ms: float = 8_000.0,
-                       warmup_ms: float = 2_000.0,
-                       cooldown_ms: float = 1_000.0,
-                       record_count: int = 1_000,
-                       seed: int = 42) -> List[SweepPoint]:
-    """One sweep point per ((workload, distribution), system) cell."""
-    return make_points("fig08", (
-        ({"workload": workload_name, "distribution": distribution,
-          "system": system},
-         dict(system=system, workload_name=workload_name,
-              distribution=distribution, threads=threads,
-              duration_ms=duration_ms, warmup_ms=warmup_ms,
-              cooldown_ms=cooldown_ms, record_count=record_count, seed=seed))
-        for workload_name, distribution in configs
-        for system in systems))
+def cells(configs: Iterable, systems: Iterable[str], **base: Any):
+    """One cell per ((workload, distribution), system)."""
+    return (({"workload": workload_name, "distribution": distribution,
+              "system": system},
+             dict(base, system=system, workload_name=workload_name,
+                  distribution=distribution))
+            for workload_name, distribution in configs
+            for system in systems)
 
 
 def run_fig08_point(point: SweepPoint) -> Dict:
     return _measure_bandwidth(**point.kwargs)
 
 
-def _merge_overheads(records: List[Dict]) -> List[Dict]:
+def merge_overheads(points: List[SweepPoint],
+                    records: List[Dict]) -> List[Dict]:
     """Fill ``overhead_vs_c1_pct`` from each configuration's C1 baseline.
 
     Replicates the serial loop exactly: the baseline resets per (workload,
@@ -126,25 +113,6 @@ def _merge_overheads(records: List[Dict]) -> List[Dict]:
         else:
             record["overhead_vs_c1_pct"] = 0.0
     return records
-
-
-def run_fig08(systems: Iterable[str] = DEFAULT_SYSTEMS,
-              configs: Iterable = DEFAULT_CONFIGS, threads: int = 10,
-              duration_ms: float = 8_000.0, warmup_ms: float = 2_000.0,
-              cooldown_ms: float = 1_000.0, record_count: int = 1_000,
-              seed: int = 42, jobs: JobsSpec = 1) -> List[Dict]:
-    """Regenerate the Figure 8 bandwidth comparison.
-
-    Returns one record per (workload, distribution, system) with the average
-    kB per operation on the measured client's links and, for convenience, the
-    relative overhead versus the C1 baseline of the same configuration.
-    """
-    points = build_fig08_points(
-        systems=systems, configs=configs, threads=threads,
-        duration_ms=duration_ms, warmup_ms=warmup_ms, cooldown_ms=cooldown_ms,
-        record_count=record_count, seed=seed)
-    return _merge_overheads(run_sweep(points, run_fig08_point, jobs=jobs)
-                            .records())
 
 
 def format_fig08(records: List[Dict]) -> str:

@@ -17,10 +17,9 @@ quotes in Section 6.2.2 (roughly +50 %, one extra preliminary response).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from repro.bench.common import DrainCheck
-from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.metrics.bandwidth import BandwidthProbe
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.summary import format_table
@@ -29,13 +28,8 @@ from repro.sim.topology import Region
 from repro.zookeeper_sim.client import ZKClient
 from repro.zookeeper_sim.cluster import ZooKeeperCluster
 
-#: (label, leader region, region of the server the client connects to).
-DEFAULT_CONFIGURATIONS: Tuple[Tuple[str, str, str], ...] = (
-    ("follower-FRK / leader-IRL", Region.IRL, Region.FRK),
-    ("leader-IRL / leader-IRL", Region.IRL, Region.IRL),
-    ("follower-IRL / leader-VRG", Region.VRG, Region.IRL),
-    ("leader-VRG / leader-VRG", Region.VRG, Region.VRG),
-)
+if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
+    from repro.bench.sweep import SweepPoint
 
 
 def _other_regions(leader_region: str) -> List[str]:
@@ -105,14 +99,14 @@ def measure_enqueues(leader_region: str, connect_region: str, icg: bool,
     }
 
 
-def build_fig09_points(configurations: Iterable = DEFAULT_CONFIGURATIONS,
-                       samples: int = 100, seed: int = 42) -> List[SweepPoint]:
-    """One sweep point per ensemble configuration (CZK + ZK runs inside)."""
-    return make_points("fig09", (
-        ({"configuration": label},
-         dict(label=label, leader_region=leader_region,
-              connect_region=connect_region, samples=samples, seed=seed))
-        for label, leader_region, connect_region in configurations))
+def cells(configurations: Iterable, samples: int, seed: int):
+    """One cell per ensemble configuration, given as ``(label, leader
+    region, region of the server the client connects to)``; CZK and
+    vanilla ZK both run inside it."""
+    return (({"configuration": label},
+             dict(label=label, leader_region=leader_region,
+                  connect_region=connect_region, samples=samples, seed=seed))
+            for label, leader_region, connect_region in configurations)
 
 
 def run_fig09_point(point: SweepPoint) -> Dict:
@@ -136,20 +130,6 @@ def run_fig09_point(point: SweepPoint) -> Dict:
         "zk_bytes_per_op": zk["bytes_per_op"],
         "latency_gap_ms": czk["final"]["mean_ms"] - czk["preliminary"]["mean_ms"],
     }
-
-
-def run_fig09(configurations: Iterable = DEFAULT_CONFIGURATIONS,
-              samples: int = 100, seed: int = 42,
-              jobs: JobsSpec = 1) -> List[Dict]:
-    """Regenerate the Figure 9 latency-gap comparison (CZK vs ZK).
-
-    Returns one record per configuration, containing the Correctable
-    ZooKeeper preliminary/final summaries, the vanilla ZooKeeper summary, and
-    the enqueue bytes-per-operation of both systems.
-    """
-    points = build_fig09_points(configurations=configurations,
-                                samples=samples, seed=seed)
-    return run_sweep(points, run_fig09_point, jobs=jobs).records()
 
 
 def format_fig09(records: List[Dict]) -> str:

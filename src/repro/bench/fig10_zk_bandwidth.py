@@ -13,10 +13,11 @@ exchanges constant-size messages.  Shapes to reproduce:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence,
+)
 
 from repro.bench.common import DrainCheck
-from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.metrics.bandwidth import BandwidthProbe
 from repro.metrics.summary import format_table
 from repro.sim.environment import SimEnvironment
@@ -24,8 +25,8 @@ from repro.sim.topology import Region
 from repro.zookeeper_sim.cluster import ZooKeeperCluster
 from repro.zookeeper_sim.queue_recipe import DistributedQueue
 
-DEFAULT_STOCKS = (500, 1000)
-DEFAULT_CLIENT_COUNTS = (1, 4, 12)
+if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
+    from repro.bench.sweep import SweepPoint
 
 
 class _CommitSink:
@@ -102,23 +103,21 @@ def _drain_queue(system: str, stock: int, clients: int, seed: int) -> Dict:
     }
 
 
-def build_fig10_points(stocks: Iterable[int] = DEFAULT_STOCKS,
-                       client_counts: Sequence[int] = DEFAULT_CLIENT_COUNTS,
-                       seed: int = 42) -> List[SweepPoint]:
-    """One sweep point per (stock, clients, system) drain."""
-    return make_points("fig10", (
-        ({"stock": stock, "clients": clients, "system": system},
-         dict(system=system, stock=stock, clients=clients, seed=seed))
-        for stock in stocks
-        for clients in client_counts
-        for system in ("ZK", "CZK")))
+def cells(stocks: Iterable[int], client_counts: Sequence[int], seed: int):
+    """One cell per (stock, clients, system) drain."""
+    return (({"stock": stock, "clients": clients, "system": system},
+             dict(system=system, stock=stock, clients=clients, seed=seed))
+            for stock in stocks
+            for clients in client_counts
+            for system in ("ZK", "CZK"))
 
 
 def run_fig10_point(point: SweepPoint) -> Dict:
     return _drain_queue(**point.kwargs)
 
 
-def _merge_savings(records: List[Dict]) -> List[Dict]:
+def merge_savings(points: List[SweepPoint],
+                  records: List[Dict]) -> List[Dict]:
     """Fill ``saving_vs_zk_pct`` by pairing each CZK drain with its ZK twin."""
     zk_kb: Dict = {}
     for record in records:
@@ -132,16 +131,6 @@ def _merge_savings(records: List[Dict]) -> List[Dict]:
                 saving = 100.0 * (1.0 - record["kb_per_op"] / zk_kb[key])
             record["saving_vs_zk_pct"] = saving
     return records
-
-
-def run_fig10(stocks: Iterable[int] = DEFAULT_STOCKS,
-              client_counts: Sequence[int] = DEFAULT_CLIENT_COUNTS,
-              seed: int = 42, jobs: JobsSpec = 1) -> List[Dict]:
-    """Regenerate the Figure 10 dequeue-bandwidth comparison."""
-    points = build_fig10_points(stocks=stocks, client_counts=client_counts,
-                                seed=seed)
-    return _merge_savings(run_sweep(points, run_fig10_point, jobs=jobs)
-                          .records())
 
 
 def format_fig10(records: List[Dict]) -> str:

@@ -16,7 +16,9 @@ preliminary view.  Shapes to reproduce:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence,
+)
 
 from repro.apps.ads import AdServingSystem
 from repro.apps.datasets import AdsDataset, TwissandraDataset
@@ -25,8 +27,8 @@ from repro.bench.common import (
     DrainCheck,
     cassandra_config_for,
     make_generator_factory,
+    run_until_settled,
 )
-from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.bindings.cassandra import CassandraBinding
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.core.client import CorrectableClient
@@ -38,10 +40,8 @@ from repro.workloads.records import Dataset
 from repro.workloads.runner import ClosedLoopRunner
 from repro.workloads.ycsb import workload_by_name
 
-DEFAULT_APPS = ("ads", "twissandra")
-DEFAULT_SYSTEMS = ("C2", "CC2")
-DEFAULT_WORKLOADS = ("A", "B", "C")
-DEFAULT_THREADS = (1, 3)
+if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
+    from repro.bench.sweep import SweepPoint
 
 #: Remote contact map for load clients in the ads deployment (FRK/IRL/VRG).
 _ADS_CONTACTS = {Region.IRL: Region.FRK, Region.FRK: Region.VRG,
@@ -123,31 +123,25 @@ class _AppDeployment:
         return _issue
 
 
-def build_fig11_points(apps: Iterable[str] = DEFAULT_APPS,
-                       systems: Iterable[str] = DEFAULT_SYSTEMS,
-                       workloads: Iterable[str] = DEFAULT_WORKLOADS,
-                       thread_counts: Sequence[int] = DEFAULT_THREADS,
-                       duration_ms: float = 6_000.0,
-                       warmup_ms: float = 1_500.0,
-                       cooldown_ms: float = 1_000.0, profile_count: int = 300,
-                       ref_count: int = 600,
-                       seed: int = 42) -> List[SweepPoint]:
-    """One sweep point per (app, workload, system, thread count) cell."""
-    return make_points("fig11", (
-        ({"app": app_name, "workload": workload_name, "system": system,
-          "threads": threads},
-         dict(app=app_name, workload=workload_name, system=system,
-              threads=threads, duration_ms=duration_ms, warmup_ms=warmup_ms,
-              cooldown_ms=cooldown_ms, profile_count=profile_count,
-              ref_count=ref_count, seed=seed))
-        for app_name in apps
-        for workload_name in workloads
-        for system in systems
-        for threads in thread_counts))
+def cells(apps: Iterable[str], workloads: Iterable[str],
+          systems: Iterable[str], thread_counts: Sequence[int], **base: Any):
+    """One cell per (app, workload, system, thread count)."""
+    return (({"app": app_name, "workload": workload_name, "system": system,
+              "threads": threads},
+             dict(base, app=app_name, workload=workload_name, system=system,
+                  threads=threads))
+            for app_name in apps
+            for workload_name in workloads
+            for system in systems
+            for threads in thread_counts)
 
 
 def run_fig11_point(point: SweepPoint) -> Dict:
-    """Run one (app, workload, system, thread count) deployment."""
+    """Run one (app, workload, system, thread count) deployment.
+
+    ``C2`` denotes the no-speculation baseline (strong reads only), ``CC2``
+    the ICG + speculation variant.  The measured client is in Ireland.
+    """
     kwargs = point.kwargs
     app_name, workload_name = kwargs["app"], kwargs["workload"]
     system, threads, seed = kwargs["system"], kwargs["threads"], kwargs["seed"]
@@ -156,9 +150,8 @@ def run_fig11_point(point: SweepPoint) -> Dict:
     drain = DrainCheck(point.spec())
     deployment = _AppDeployment(app_name, seed, kwargs["profile_count"],
                                 kwargs["ref_count"])
-    runners = {}
-    for region in deployment.apps:
-        runner = ClosedLoopRunner(
+    runners = {
+        region: ClosedLoopRunner(
             scheduler=deployment.env.scheduler,
             issue=deployment.issue_function(region, speculate),
             make_generator=make_generator_factory(
@@ -167,11 +160,8 @@ def run_fig11_point(point: SweepPoint) -> Dict:
             threads=threads, duration_ms=kwargs["duration_ms"],
             warmup_ms=kwargs["warmup_ms"], cooldown_ms=kwargs["cooldown_ms"],
             label=f"{app_name}-{system}-{workload_name}-{region}")
-        runners[region] = runner
-    for runner in runners.values():
-        runner.start()
-    end = max(r.end_time for r in runners.values())
-    deployment.env.run(until=end + 120_000.0)
+        for region in deployment.apps}
+    run_until_settled(deployment.env, runners.values(), 120_000.0)
     drain.verify(deployment.cluster)
     measured = runners[deployment.measured_region].result
     measured_app = deployment.apps[deployment.measured_region]
@@ -190,27 +180,6 @@ def run_fig11_point(point: SweepPoint) -> Dict:
             if stats.total_closed else 0.0,
         "measured_ops": measured.measured_ops,
     }
-
-
-def run_fig11(apps: Iterable[str] = DEFAULT_APPS,
-              systems: Iterable[str] = DEFAULT_SYSTEMS,
-              workloads: Iterable[str] = DEFAULT_WORKLOADS,
-              thread_counts: Sequence[int] = DEFAULT_THREADS,
-              duration_ms: float = 6_000.0, warmup_ms: float = 1_500.0,
-              cooldown_ms: float = 1_000.0, profile_count: int = 300,
-              ref_count: int = 600, seed: int = 42,
-              jobs: JobsSpec = 1) -> List[Dict]:
-    """Regenerate the Figure 11 latency-vs-throughput series for both apps.
-
-    ``C2`` denotes the no-speculation baseline (strong reads only), ``CC2``
-    the ICG + speculation variant.  The measured client is in Ireland.
-    """
-    points = build_fig11_points(
-        apps=apps, systems=systems, workloads=workloads,
-        thread_counts=thread_counts, duration_ms=duration_ms,
-        warmup_ms=warmup_ms, cooldown_ms=cooldown_ms,
-        profile_count=profile_count, ref_count=ref_count, seed=seed)
-    return run_sweep(points, run_fig11_point, jobs=jobs).records()
 
 
 def format_fig11(records: List[Dict]) -> str:

@@ -16,11 +16,10 @@ reproduce:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.apps.tickets import TicketSeller
 from repro.bench.common import DrainCheck
-from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.bindings.zookeeper import ZooKeeperQueueBinding
 from repro.core.client import CorrectableClient
 from repro.metrics.latency import LatencyRecorder
@@ -28,6 +27,9 @@ from repro.metrics.summary import format_table
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
 from repro.zookeeper_sim.cluster import ZooKeeperCluster
+
+if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
+    from repro.bench.sweep import SweepPoint
 
 
 def _sell_out(system: str, stock: int, retailers: int, threshold: int,
@@ -94,32 +96,8 @@ def _sell_out(system: str, stock: int, retailers: int, threshold: int,
     }
 
 
-def build_fig12_points(stock: int = 500, retailers: int = 4,
-                       threshold: int = 20,
-                       systems: Iterable[str] = ("CZK", "ZK"),
-                       seed: int = 42) -> List[SweepPoint]:
-    """One sweep point per system's sell-out run."""
-    return make_points("fig12", (
-        ({"system": system},
-         dict(system=system, stock=stock, retailers=retailers,
-              threshold=threshold, seed=seed))
-        for system in systems))
-
-
 def run_fig12_point(point: SweepPoint) -> Dict:
     return _sell_out(**point.kwargs)
-
-
-def run_fig12(stock: int = 500, retailers: int = 4, threshold: int = 20,
-              systems: Iterable[str] = ("CZK", "ZK"),
-              seed: int = 42, jobs: JobsSpec = 1) -> Dict[str, Dict]:
-    """Regenerate the Figure 12 per-ticket latency series for CZK and ZK."""
-    points = build_fig12_points(stock=stock, retailers=retailers,
-                                threshold=threshold, systems=systems,
-                                seed=seed)
-    sweep = run_sweep(points, run_fig12_point, jobs=jobs)
-    return {point.label("system"): record
-            for point, record in zip(points, sweep.records())}
 
 
 def format_fig12(results: Dict[str, Dict]) -> str:

@@ -28,16 +28,18 @@ elects exactly one new leader and keeps the queue serving.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence,
+)
 
 from repro.bench.common import (
     DrainCheck,
-    build_cassandra_scenario,
     make_generator_factory,
     make_kv_issue,
+    run_until_settled,
 )
-from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.cassandra_sim.config import CassandraConfig
+from repro.core.cluster_spec import ClusterSpec
 from repro.faults import (
     FaultInjector,
     cassandra_aliases,
@@ -55,25 +57,23 @@ from repro.workloads.ycsb import workload_by_name
 from repro.zookeeper_sim.cluster import ZooKeeperCluster
 from repro.zookeeper_sim.config import ZooKeeperConfig
 
-#: Cassandra scenarios run by default ("baseline" = no faults, for reference).
-DEFAULT_SCENARIOS = ("baseline", "replica-crash", "wan-partition",
-                     "flapping-link", "slow-follower")
+if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
+    from repro.bench.sweep import SweepPoint
 
 
-def run_fig13_scenario(scenario_name: str, workload: str = "B",
-                       threads_per_client: int = 4,
-                       duration_ms: float = 12_000.0,
-                       warmup_ms: float = 3_000.0,
-                       cooldown_ms: float = 1_000.0, record_count: int = 300,
-                       seed: int = 42) -> Dict:
-    """Run one Cassandra fault scenario; returns its figure record."""
+def run_fig13_scenario(scenario_name: str, workload: str,
+                       threads_per_client: int, duration_ms: float,
+                       warmup_ms: float, cooldown_ms: float,
+                       record_count: int, seed: int) -> Dict:
+    """Run one Cassandra fault scenario ("baseline" = no faults, for
+    reference); returns its figure record."""
     spec = workload_by_name(workload).with_distribution("zipfian")
     drain = DrainCheck(f"fig13 CC2 {scenario_name}")
-    built = build_cassandra_scenario(
+    built = ClusterSpec(
         seed=seed, record_count=record_count,
         client_regions=(Region.IRL, Region.FRK, Region.VRG),
         config=CassandraConfig.fault_tolerant(),
-        client_fallbacks=True)
+        client_fallbacks=True).build()
     injector = None
     description = "no faults (reference)"
     if scenario_name != "baseline":
@@ -98,10 +98,7 @@ def run_fig13_scenario(scenario_name: str, workload: str = "B",
             # Arm the fault script once, alongside the first runner.
             faults=injector if index == 0 else None,
         )
-    for runner in runners.values():
-        runner.start()
-    end = max(runner.end_time for runner in runners.values())
-    built.env.run(until=end + 60_000.0)
+    run_until_settled(built.env, runners.values(), 60_000.0)
     drain.verify(built.cluster)
     return {
         "system": "CC2",
@@ -147,27 +144,15 @@ def _merged_results(runners: Iterable[ClosedLoopRunner],
     }
 
 
-def build_fig13_points(scenarios: Sequence[str] = DEFAULT_SCENARIOS,
-                       workload: str = "B", threads_per_client: int = 4,
-                       duration_ms: float = 12_000.0,
-                       warmup_ms: float = 3_000.0,
-                       cooldown_ms: float = 1_000.0, record_count: int = 300,
-                       seed: int = 42, include_zookeeper: bool = False,
-                       zk: Optional[Dict] = None) -> List[SweepPoint]:
-    """Cassandra fault points, optionally plus the ZooKeeper leader-crash."""
-    cells: List = [
-        ({"system": "CC2", "scenario": scenario_name},
-         dict(scenario_name=scenario_name, workload=workload,
-              threads_per_client=threads_per_client, duration_ms=duration_ms,
-              warmup_ms=warmup_ms, cooldown_ms=cooldown_ms,
-              record_count=record_count, seed=seed))
-        for scenario_name in scenarios]
-    if include_zookeeper:
-        zk_kwargs = dict(seed=seed)
-        zk_kwargs.update(zk or {})
-        cells.append(({"system": "CZK", "scenario": "leader-crash"},
-                      zk_kwargs))
-    return make_points("fig13", cells)
+def cells(scenarios: Sequence[str], zk: Dict[str, Any], seed: int,
+          **cassandra: Any):
+    """One cell per Cassandra fault scenario, then the ZooKeeper leader
+    crash (``zk`` holds its parameters): one sweep covers both systems,
+    so the ZooKeeper run parallelizes alongside the Cassandra ones."""
+    for scenario_name in scenarios:
+        yield ({"system": "CC2", "scenario": scenario_name},
+               dict(cassandra, scenario_name=scenario_name, seed=seed))
+    yield ({"system": "CZK", "scenario": "leader-crash"}, dict(zk, seed=seed))
 
 
 def run_fig13_point(point: SweepPoint) -> Dict:
@@ -219,14 +204,10 @@ class _QueueOpSink:
         self.sink.deliver_error(error, latency_ms)
 
 
-def run_fig13_zookeeper(crash_at_ms: float = 4_000.0,
-                        crash_duration_ms: float = 6_000.0,
-                        threads_per_client: int = 2,
-                        duration_ms: float = 15_000.0,
-                        warmup_ms: float = 2_000.0,
-                        cooldown_ms: float = 1_000.0,
-                        queue_depth: int = 5_000,
-                        seed: int = 42) -> Dict:
+def run_fig13_zookeeper(crash_at_ms: float, crash_duration_ms: float,
+                        threads_per_client: int, duration_ms: float,
+                        warmup_ms: float, cooldown_ms: float,
+                        queue_depth: int, seed: int) -> Dict:
     """Run the CZK queue workload through a leader crash; returns one record."""
     drain = DrainCheck("fig13 CZK leader-crash")
     env = SimEnvironment(seed=seed)
@@ -267,10 +248,7 @@ def run_fig13_zookeeper(crash_at_ms: float = 4_000.0,
             label=f"fig13-leader-crash-{region}",
             faults=injector if index == 0 else None,
         ))
-    for runner in runners:
-        runner.start()
-    end = max(runner.end_time for runner in runners)
-    env.run(until=end + 60_000.0)
+    end = run_until_settled(env, runners, 60_000.0)
 
     # Liveness probe: the re-elected ensemble must still commit writes
     # (guards against a post-election stall that op counters alone can
@@ -300,27 +278,6 @@ def run_fig13_zookeeper(crash_at_ms: float = 4_000.0,
         "committed_txns": max(s.commit_log.last_applied
                               for s in cluster.servers),
     }
-
-
-def run_fig13_all(scenarios: Sequence[str] = DEFAULT_SCENARIOS,
-                  workload: str = "B", threads_per_client: int = 4,
-                  duration_ms: float = 12_000.0, warmup_ms: float = 3_000.0,
-                  cooldown_ms: float = 1_000.0, record_count: int = 300,
-                  seed: int = 42, include_zookeeper: bool = True,
-                  zk: Optional[Dict] = None,
-                  jobs: JobsSpec = 1) -> List[Dict]:
-    """Cassandra scenarios plus the ZooKeeper leader-crash run, one table.
-
-    A single sweep covers both systems, so the ZooKeeper run parallelizes
-    alongside the Cassandra scenarios instead of waiting for them.
-    """
-    points = build_fig13_points(
-        scenarios=scenarios, workload=workload,
-        threads_per_client=threads_per_client, duration_ms=duration_ms,
-        warmup_ms=warmup_ms, cooldown_ms=cooldown_ms,
-        record_count=record_count, seed=seed,
-        include_zookeeper=include_zookeeper, zk=zk)
-    return run_sweep(points, run_fig13_point, jobs=jobs).records()
 
 
 def format_fig13(records: List[Dict]) -> str:

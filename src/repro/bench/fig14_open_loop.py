@@ -61,14 +61,7 @@ from repro.workloads.runner import ClosedLoopRunner, OpenLoopRunner
 from repro.workloads.ycsb import OperationGenerator, workload_by_name
 
 if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
-    from repro.bench.sweep import JobsSpec, SweepPoint
-
-DEFAULT_BINDINGS = ("cassandra", "primary-backup")
-DEFAULT_POLICIES = ("queue", "shed")
-#: Offered rates (ops/s) swept per binding; chosen to cross both bindings'
-#: saturation points (≈480 ops/s for CC2, ≈200 ops/s for primary-backup at
-#: the default ``max_in_flight=16``).
-DEFAULT_RATES = (100, 200, 400, 800)
+    from repro.bench.sweep import SweepPoint
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +278,7 @@ def open_loop_runner(stack: SessionStack, *, seed: int, label: str,
 
 
 # ---------------------------------------------------------------------------
-# one grid cell
+# the grid
 # ---------------------------------------------------------------------------
 
 def run_fig14_point(point: SweepPoint) -> Dict:
@@ -351,76 +344,20 @@ def run_fig14_point(point: SweepPoint) -> Dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# the grid
-# ---------------------------------------------------------------------------
-
-def build_fig14_points(bindings: Iterable[str] = DEFAULT_BINDINGS,
-                       policies: Iterable[str] = DEFAULT_POLICIES,
-                       rates: Sequence[float] = DEFAULT_RATES,
-                       arrivals: str = "poisson",
-                       sessions: int = 1_000,
-                       max_in_flight: int = 16,
-                       queue_limit: int = 64,
-                       duration_ms: float = 10_000.0,
-                       warmup_ms: float = 2_000.0,
-                       cooldown_ms: float = 1_000.0,
-                       record_count: int = 500,
-                       workload: str = "A",
-                       distribution: str = "latest",
-                       seed: int = 42,
-                       include_closed_loop: bool = True) -> List[SweepPoint]:
+def cells(bindings: Iterable[str], policies: Iterable[str],
+          rates: Sequence[float], **base: Any):
     """One closed-loop overlay row per binding, then the open-loop sweep."""
-    from repro.bench.sweep import make_points
-    base = dict(arrivals=arrivals, sessions=sessions,
-                max_in_flight=max_in_flight, queue_limit=queue_limit,
-                duration_ms=duration_ms, warmup_ms=warmup_ms,
-                cooldown_ms=cooldown_ms, record_count=record_count,
-                workload=workload, distribution=distribution, seed=seed)
-    cells: List = []
     for binding_name in bindings:
-        if include_closed_loop:
-            cells.append((
-                {"binding": binding_name, "mode": "closed", "policy": "-",
-                 "rate": 0},
-                dict(base, binding=binding_name, mode="closed", policy="-",
-                     rate_ops_s=0)))
+        yield ({"binding": binding_name, "mode": "closed", "policy": "-",
+                "rate": 0},
+               dict(base, binding=binding_name, mode="closed", policy="-",
+                    rate_ops_s=0))
         for policy in policies:
             for rate in rates:
-                cells.append((
-                    {"binding": binding_name, "mode": "open",
-                     "policy": policy, "rate": rate},
-                    dict(base, binding=binding_name, mode="open",
-                         policy=policy, rate_ops_s=rate)))
-    return make_points("fig14", cells)
-
-
-def run_fig14(bindings: Iterable[str] = DEFAULT_BINDINGS,
-              policies: Iterable[str] = DEFAULT_POLICIES,
-              rates: Sequence[float] = DEFAULT_RATES,
-              arrivals: str = "poisson", sessions: int = 1_000,
-              max_in_flight: int = 16, queue_limit: int = 64,
-              duration_ms: float = 10_000.0, warmup_ms: float = 2_000.0,
-              cooldown_ms: float = 1_000.0, record_count: int = 500,
-              workload: str = "A", distribution: str = "latest",
-              seed: int = 42, include_closed_loop: bool = True,
-              jobs: JobsSpec = 1) -> List[Dict]:
-    """Regenerate the Figure 14 latency/staleness-vs-offered-load series.
-
-    Returns one record per (binding, mode, policy, offered rate); the
-    sweep engine merges worker records in grid order, so ``jobs`` never
-    changes the output.
-    """
-    from repro.bench.sweep import run_sweep
-    points = build_fig14_points(
-        bindings=bindings, policies=policies, rates=rates, arrivals=arrivals,
-        sessions=sessions, max_in_flight=max_in_flight,
-        queue_limit=queue_limit, duration_ms=duration_ms,
-        warmup_ms=warmup_ms, cooldown_ms=cooldown_ms,
-        record_count=record_count, workload=workload,
-        distribution=distribution, seed=seed,
-        include_closed_loop=include_closed_loop)
-    return run_sweep(points, run_fig14_point, jobs=jobs).records()
+                yield ({"binding": binding_name, "mode": "open",
+                        "policy": policy, "rate": rate},
+                       dict(base, binding=binding_name, mode="open",
+                            policy=policy, rate_ops_s=rate))
 
 
 def format_fig14(records: List[Dict]) -> str:

@@ -48,13 +48,8 @@ from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.ycsb import OperationGenerator, workload_by_name
 
 if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
-    from repro.bench.sweep import JobsSpec, SweepPoint
+    from repro.bench.sweep import SweepPoint
 
-DEFAULT_NODES = (6, 12)
-#: Key-skew regimes: YCSB uniform, the YCSB Zipfian constant, and a
-#: hot-partition regime concentrating most traffic on a handful of keys.
-DEFAULT_SKEWS = ("uniform", "zipf-0.99", "zipf-1.2")
-DEFAULT_EVENTS = ("join", "decommission")
 PHASES = ("before", "during", "after")
 
 #: Client regions driving the run (distinct coordinators, as in fig14).
@@ -252,7 +247,7 @@ def run_fig15_point(point: SweepPoint) -> Dict:
                         record_count=kwargs["record_count"],
                         vnodes_per_node=kwargs["vnodes"],
                         client_regions=CLIENT_REGIONS,
-                        preload=kwargs.get("preload", True),
+                        preload=kwargs["preload"],
                         client_fallbacks=True).build()
     cluster = built.cluster
 
@@ -328,110 +323,32 @@ def run_fig15_point(point: SweepPoint) -> Dict:
 # the grid
 # ---------------------------------------------------------------------------
 
-def build_fig15_points(nodes: Sequence[int] = DEFAULT_NODES,
-                       skews: Iterable[str] = DEFAULT_SKEWS,
-                       events: Iterable[str] = DEFAULT_EVENTS,
-                       rate_ops_s: float = 300.0,
-                       sessions: int = 200,
-                       max_in_flight: int = 64,
-                       queue_limit: int = 256,
-                       duration_ms: float = 8_000.0,
-                       warmup_ms: float = 1_000.0,
-                       cooldown_ms: float = 500.0,
-                       event_at_ms: float = 3_000.0,
-                       record_count: int = 600,
-                       stream_batch_items: int = 16,
-                       vnodes: Optional[int] = None,
-                       workload: str = "A",
-                       preload: bool = True,
-                       seed: int = 42) -> List[SweepPoint]:
+def cells(nodes: Sequence[int], skews: Iterable[str], events: Iterable[str],
+          **base: Any):
     """The (cluster size × key skew × rebalance event) grid.
 
-    ``preload=False`` skips writing the initial dataset onto the ring —
-    the million-key scale cell uses it so the grid cost is the (vectorized)
-    key stream, not an O(record_count) preload loop; reads of untouched
-    keys simply return not-found, which the harness does not count as a
-    failure.
+    ``preload=False`` skips writing the initial dataset onto the ring, so
+    a cell's set-up cost is the key stream rather than an O(record_count)
+    preload; reads of untouched keys return not-found, which the harness
+    does not count as a failure.
     """
-    from repro.bench.sweep import make_points
-    base = dict(rate_ops_s=rate_ops_s, sessions=sessions,
-                max_in_flight=max_in_flight, queue_limit=queue_limit,
-                duration_ms=duration_ms, warmup_ms=warmup_ms,
-                cooldown_ms=cooldown_ms, event_at_ms=event_at_ms,
-                record_count=record_count,
-                stream_batch_items=stream_batch_items,
-                vnodes=vnodes, workload=workload, preload=preload,
-                seed=seed)
-    cells: List = []
-    for node_count in nodes:
-        for skew in skews:
-            for event in events:
-                cells.append((
-                    {"nodes": node_count, "skew": skew, "event": event},
-                    dict(base, nodes=node_count, skew=skew, event=event)))
-    return make_points("fig15", cells)
+    return (({"nodes": node_count, "skew": skew, "event": event},
+             dict(base, nodes=node_count, skew=skew, event=event))
+            for node_count in nodes for skew in skews for event in events)
 
 
-def run_fig15(nodes: Sequence[int] = DEFAULT_NODES,
-              skews: Iterable[str] = DEFAULT_SKEWS,
-              events: Iterable[str] = DEFAULT_EVENTS,
-              rate_ops_s: float = 300.0, sessions: int = 200,
-              max_in_flight: int = 64, queue_limit: int = 256,
-              duration_ms: float = 8_000.0, warmup_ms: float = 1_000.0,
-              cooldown_ms: float = 500.0, event_at_ms: float = 3_000.0,
-              record_count: int = 600, stream_batch_items: int = 16,
-              vnodes: Optional[int] = None, workload: str = "A",
-              preload: bool = True,
-              seed: int = 42, jobs: JobsSpec = 1) -> List[Dict]:
-    """Regenerate the Figure 15 rebalance series.
-
-    Returns one record per (nodes, skew, event); the sweep engine merges
-    worker records in grid order, so ``jobs`` never changes the output.
-    """
-    from repro.bench.sweep import run_sweep
-    points = build_fig15_points(
-        nodes=nodes, skews=skews, events=events, rate_ops_s=rate_ops_s,
-        sessions=sessions, max_in_flight=max_in_flight,
-        queue_limit=queue_limit, duration_ms=duration_ms,
-        warmup_ms=warmup_ms, cooldown_ms=cooldown_ms,
-        event_at_ms=event_at_ms, record_count=record_count,
-        stream_batch_items=stream_batch_items, vnodes=vnodes,
-        workload=workload, preload=preload, seed=seed)
-    return run_sweep(points, run_fig15_point, jobs=jobs).records()
-
-
-#: Tier-2 scale of the million-key cell: enough records that every replica
-#: holds about two million rows (see :mod:`repro.cassandra_sim.storage` for
-#: what a row costs).
-MILLION_KEY_RECORD_COUNT = 4_000_000
-
-
-def build_fig15_million_points(
-        record_count: int = MILLION_KEY_RECORD_COUNT,
-        seed: int = 42) -> List[SweepPoint]:
-    """The tier-2 multi-million-key cell of the Figure 15 grid.
-
-    One (6-node, zipf-0.99, join) cell at a multi-million record count:
-    the preload bulk-loads every replica's versions column,
-    the join streams multi-hundred-thousand-key ranges (larger stream
-    batches keep the event count proportionate), and the standard
-    zero-lost-acked-writes audit runs over the rebalance.  Slow-marked in
-    the test suite; not part of the committed quick figure.
-    """
-    return build_fig15_points(
-        nodes=(6,), skews=("zipf-0.99",), events=("join",),
-        rate_ops_s=300.0, sessions=100, max_in_flight=64, queue_limit=256,
-        duration_ms=4_000.0, warmup_ms=500.0, cooldown_ms=250.0,
-        event_at_ms=1_500.0, record_count=record_count,
-        stream_batch_items=512, seed=seed)
-
-
-def run_fig15_million(record_count: int = MILLION_KEY_RECORD_COUNT,
-                      seed: int = 42, jobs: JobsSpec = 1) -> List[Dict]:
-    """Run the tier-2 multi-million-key join cell (see the point builder)."""
-    from repro.bench.sweep import run_sweep
-    points = build_fig15_million_points(record_count=record_count, seed=seed)
-    return run_sweep(points, run_fig15_point, jobs=jobs).records()
+#: The tier-2 multi-million-key cell, as overrides of the figure's
+#: parameters: one (6-node, zipf-0.99, join) cell with about two million
+#: rows per replica (see :mod:`repro.cassandra_sim.storage` for what a row
+#: costs).  The preload bulk-loads every replica's versions column, the
+#: join streams multi-hundred-thousand-key ranges (larger stream batches
+#: keep the event count proportionate), and the standard
+#: zero-lost-acked-writes audit runs over the rebalance.  Slow-marked in
+#: the test suite; not part of the committed figure.
+MILLION_KEY_CELL = dict(
+    nodes=(6,), skews=("zipf-0.99",), events=("join",), sessions=100,
+    duration_ms=4_000.0, warmup_ms=500.0, cooldown_ms=250.0,
+    event_at_ms=1_500.0, record_count=4_000_000, stream_batch_items=512)
 
 
 def format_fig15(records: List[Dict]) -> str:

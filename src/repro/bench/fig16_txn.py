@@ -45,10 +45,9 @@ transactions that straddle the cut until it heals.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Sequence
 
 from repro.bench.common import DrainCheck
-from repro.bench.sweep import JobsSpec, SweepPoint, make_points, run_sweep
 from repro.core.cluster_spec import ClusterSpec
 from repro.faults import FaultInjector, get_scenario
 from repro.metrics.latency import nearest_rank_p99
@@ -58,12 +57,8 @@ from repro.txn import TxnConfig, build_txn_fabric, txn_aliases
 from repro.workloads.arrivals import make_arrival_process
 from repro.workloads.runner import OpenLoopRunner
 
-#: Default fault grid ("baseline" = no faults, for reference).
-DEFAULT_SCENARIOS = ("baseline", "coordinator-crash-mid-commit",
-                     "participant-crash-after-prepare", "wan-partition")
-#: Keys per transaction (also the lock-conflict dial: more keys per
-#: transaction over the same hot key range means more conflicts).
-DEFAULT_TXN_SIZES = (1, 3)
+if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
+    from repro.bench.sweep import SweepPoint
 
 
 class _TxnGenerator:
@@ -193,53 +188,16 @@ def run_fig16_cell(**kwargs: Any):
     return record, built.env
 
 
-def build_fig16_points(scenarios: Sequence[str] = DEFAULT_SCENARIOS,
-                       txn_sizes: Iterable[int] = DEFAULT_TXN_SIZES,
-                       nodes: int = 6,
-                       coordinators: int = 2,
-                       rate_txn_s: float = 40.0,
-                       duration_ms: float = 10_000.0,
-                       fault_at_ms: float = 4_000.0,
-                       fault_duration_ms: float = 4_000.0,
-                       decision_log_ms: float = 2.0,
-                       record_count: int = 200,
-                       seed: int = 42) -> List[SweepPoint]:
-    """The (fault scenario × transaction size) grid."""
-    base = dict(nodes=nodes, coordinators=coordinators,
-                rate_txn_s=rate_txn_s, duration_ms=duration_ms,
-                fault_at_ms=fault_at_ms, fault_duration_ms=fault_duration_ms,
-                decision_log_ms=decision_log_ms, record_count=record_count,
-                seed=seed)
-    cells: List = []
-    for scenario_name in scenarios:
-        for size in txn_sizes:
-            cells.append((
-                {"scenario": scenario_name, "keys_per_txn": size},
-                dict(base, scenario=scenario_name, keys_per_txn=size)))
-    return make_points("fig16", cells)
+def cells(scenarios: Sequence[str], txn_sizes: Iterable[int], **base: Any):
+    """The (fault scenario × transaction size) grid.
 
-
-def run_fig16(scenarios: Sequence[str] = DEFAULT_SCENARIOS,
-              txn_sizes: Iterable[int] = DEFAULT_TXN_SIZES,
-              nodes: int = 6, coordinators: int = 2,
-              rate_txn_s: float = 40.0, duration_ms: float = 10_000.0,
-              fault_at_ms: float = 4_000.0, fault_duration_ms: float = 4_000.0,
-              decision_log_ms: float = 2.0, record_count: int = 200,
-              seed: int = 42, jobs: JobsSpec = 1) -> List[Dict]:
-    """Regenerate the Figure 16 transaction series.
-
-    Every cell uses the same topology, arrival schedule, and seed — only
-    the fault script and transaction size differ — so rows are directly
-    comparable, and the sweep engine's grid-order merge keeps the output
-    byte-identical at any ``jobs`` count.
+    Every cell uses the same topology, arrival schedule and seed; only the
+    fault script and transaction size differ, so rows are directly
+    comparable.
     """
-    points = build_fig16_points(
-        scenarios=scenarios, txn_sizes=txn_sizes, nodes=nodes,
-        coordinators=coordinators, rate_txn_s=rate_txn_s,
-        duration_ms=duration_ms, fault_at_ms=fault_at_ms,
-        fault_duration_ms=fault_duration_ms, decision_log_ms=decision_log_ms,
-        record_count=record_count, seed=seed)
-    return run_sweep(points, run_fig16_point, jobs=jobs).records()
+    return (({"scenario": scenario_name, "keys_per_txn": size},
+             dict(base, scenario=scenario_name, keys_per_txn=size))
+            for scenario_name in scenarios for size in txn_sizes)
 
 
 def format_fig16(records: List[Dict]) -> str:

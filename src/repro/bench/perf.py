@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.bench.common import (
-    build_cassandra_scenario,
     cassandra_config_for,
     make_generator_factory,
     make_kv_issue,
@@ -55,6 +54,7 @@ from repro.bench.sweep import (
     run_sweep,
 )
 from repro.cassandra_sim.config import CassandraConfig
+from repro.core.cluster_spec import ClusterSpec
 from repro.faults import FaultInjector, cassandra_aliases, get_scenario
 from repro.sim.topology import Region
 from repro.workloads.runner import ClosedLoopRunner
@@ -82,10 +82,10 @@ def run_closed_loop_scenario(threads_per_client: int = 24,
                              seed: int = 42) -> Dict[str, int]:
     """fig06-style closed-loop YCSB load against Correctable Cassandra."""
     spec = workload_by_name(workload)
-    scenario = build_cassandra_scenario(
+    scenario = ClusterSpec(
         seed=seed, record_count=record_count,
         client_regions=(Region.IRL, Region.FRK, Region.VRG),
-        config=cassandra_config_for(system))
+        config=cassandra_config_for(system)).build()
     results = run_multi_region_load(
         scenario, system, spec, threads_per_client=threads_per_client,
         duration_ms=duration_ms, warmup_ms=warmup_ms,
@@ -114,11 +114,11 @@ def run_fault_scenario(threads_per_client: int = 4,
                        seed: int = 42) -> Dict[str, int]:
     """fig13-style closed-loop load while a fault script injects failures."""
     spec = workload_by_name(workload).with_distribution("zipfian")
-    built = build_cassandra_scenario(
+    built = ClusterSpec(
         seed=seed, record_count=record_count,
         client_regions=(Region.IRL, Region.FRK, Region.VRG),
         config=CassandraConfig.fault_tolerant(),
-        client_fallbacks=True)
+        client_fallbacks=True).build()
     injector = FaultInjector(built.env, schedule=get_scenario(scenario_name),
                              aliases=cassandra_aliases(built.cluster))
     runners: List[ClosedLoopRunner] = []
@@ -238,7 +238,6 @@ def run_million_key_scenario(record_count: int = 1_000_000, nodes: int = 6,
     from repro.bench.fig15_rebalance import (
         CLIENT_REGIONS, count_lost_acked_writes, make_rebalance_issue,
         skew_workload)
-    from repro.core.cluster_spec import ClusterSpec
     from repro.sim.rand import derive_rng
     from repro.sim.topology import round_robin_regions
     from repro.workloads.arrivals import make_arrival_process

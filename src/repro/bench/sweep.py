@@ -2,12 +2,14 @@
 
 Every figure family in :mod:`repro.bench` regenerates its data by running a
 grid of independent deterministic simulations (fig06 alone is 3 workloads ×
-3 systems × 3 thread counts).  This module factors that shape out: a family
-describes its grid as a list of self-contained :class:`SweepPoint`\\ s and a
-pure top-level ``run_point(point) -> record`` function, and
-:func:`run_sweep` executes the points either in-process (``jobs=1``, the
-default) or across a ``multiprocessing`` worker pool (``jobs=N`` or
-``jobs="auto"``).
+3 systems × 5 thread counts).  This module factors that shape out: a family
+describes its grid as a list of self-contained :class:`SweepPoint`\\ s (its
+``(labels, kwargs)`` cells numbered by :func:`make_points`) and a pure
+top-level ``run_point(point) -> record`` function, and :func:`run_sweep`
+executes the points either in-process (``jobs=1``, the default) or across a
+``multiprocessing`` worker pool (``jobs=N`` or ``jobs="auto"``).  The table
+in :mod:`repro.bench.figures` pairs each family's cells and ``run_point``
+with its parameters.
 
 Guarantees, regardless of ``jobs``:
 

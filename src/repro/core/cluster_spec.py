@@ -1,20 +1,12 @@
 """Declarative cluster construction: one spec for every experiment stack.
 
-Historically each harness assembled its Cassandra deployment by hand —
-``bench/common.build_cassandra_scenario`` for the closed-loop figures,
-``fig14_open_loop.build_session_stack`` for the open-loop ones, ad-hoc
-assembly in examples and tests, and ``CassandraCluster``'s implicit
-one-node-per-region name derivation.  :class:`ClusterSpec` replaces those
-surfaces with a single frozen description of a deployment — node count,
-region placement, replication factor, virtual-node count, dataset shape,
-clients, and the workload seed — and one :meth:`ClusterSpec.build` that
-turns it into a wired :class:`BuiltCluster`.
-
-The legacy entry points remain as thin shims over a spec, so every
-committed figure table stays byte-identical: a default spec builds exactly
-the historical 3-node FRK/IRL/VRG deployment, with the same node names
-(``cassandra-{i}-{region}``), the same construction order (environment →
-config → cluster → dataset → preload → clients), and the same RNG streams.
+:class:`ClusterSpec` is a frozen description of a Cassandra deployment —
+node count, region placement, replication factor, virtual-node count,
+dataset shape, clients, and the workload seed — and
+:meth:`ClusterSpec.build` turns it into a wired :class:`BuiltCluster`.
+A default spec builds the paper's 3-node FRK/IRL/VRG deployment, with node
+names ``cassandra-{i}-{region}`` and the construction order environment →
+config → cluster → dataset → preload → clients.
 
 Determinism contract: everything a spec builds is a pure function of its
 fields.  In particular the token ring layout depends only on the node names
@@ -36,7 +28,7 @@ from repro.workloads.records import Dataset
 
 #: Client region -> contact (coordinator) region used by the load
 #: experiments: every client connects to a *remote* replica, as in the
-#: paper.  (Re-exported by :mod:`repro.bench.common` for compatibility.)
+#: paper.
 REMOTE_CONTACTS: Dict[str, str] = {
     Region.IRL: Region.FRK,
     Region.FRK: Region.VRG,
@@ -46,11 +38,8 @@ REMOTE_CONTACTS: Dict[str, str] = {
 
 @dataclass
 class BuiltCluster:
-    """A wired-up deployment: environment, cluster, dataset, and clients.
-
-    This is the object every harness drives (``bench.common`` re-exports it
-    under its historical name ``CassandraScenario``).
-    """
+    """A wired-up deployment: environment, cluster, dataset, and clients;
+    the object every harness drives."""
 
     env: SimEnvironment
     cluster: CassandraCluster

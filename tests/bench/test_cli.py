@@ -81,6 +81,32 @@ class TestRunFigure:
         assert "jobs" in capsys.readouterr().err
 
 
+class TestFigureTable:
+    def test_choices_are_the_table(self):
+        from repro.bench.figures import FIGURES
+
+        assert figure_names() == tuple(FIGURES)
+        assert all(name == figure.family for name, figure in FIGURES.items())
+
+    def test_quick_only_overrides_full_parameters(self):
+        from repro.bench.figures import ABLATIONS, FIGURES
+
+        for figure in (*FIGURES.values(), *ABLATIONS):
+            assert set(figure.quick) <= set(figure.full), figure.family
+
+    def test_unknown_parameter_refused(self):
+        from repro.bench.figures import FIG09
+
+        with pytest.raises(TypeError, match="fig09 has no parameter"):
+            FIG09.points(sampels=10)
+
+    def test_quick_report_is_the_table_run_with_quick_overrides(self):
+        from repro.bench.figures import FIG12
+
+        assert run_figure("fig12", quick=True, seed=3) == \
+            FIG12.render(FIG12.run(**dict(FIG12.quick, seed=3)))
+
+
 class TestShowBudget:
     def test_comparison_table_with_committed_reference(self):
         from repro.bench.perf import format_budget_comparison

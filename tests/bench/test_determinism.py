@@ -34,15 +34,15 @@ def _sha(parts: Iterable) -> str:
 
 def trace_fingerprint() -> Dict[str, object]:
     """Event-trace + metrics fingerprint of a small closed-loop CC2 run."""
-    from repro.bench.common import (
-        build_cassandra_scenario, cassandra_config_for, run_multi_region_load)
+    from repro.bench.common import cassandra_config_for, run_multi_region_load
+    from repro.core.cluster_spec import ClusterSpec
     from repro.sim.topology import Region
     from repro.workloads.ycsb import workload_by_name
 
-    scenario = build_cassandra_scenario(
+    scenario = ClusterSpec(
         seed=11, record_count=60,
         client_regions=(Region.IRL, Region.FRK),
-        config=cassandra_config_for("CC2"))
+        config=cassandra_config_for("CC2")).build()
     trace = scenario.env.scheduler.start_trace()
     results = run_multi_region_load(
         scenario, "CC2", workload_by_name("A"), threads_per_client=2,
@@ -66,27 +66,13 @@ def figure_fingerprints(jobs: int = 1) -> Dict[str, str]:
     the hashes must be identical at any job count (the sweep engine merges
     worker records in grid order).
     """
-    from repro.bench import ablations
     from repro.bench.cli import figure_names, run_figure
+    from repro.bench.figures import ABLATIONS
 
     out = {name: _sha([run_figure(name, quick=True, jobs=jobs)])
            for name in figure_names()}
-    for family, report in (
-            ("ablation-ticket-threshold",
-             ablations.format_ticket_threshold_ablation(
-                 ablations.run_ticket_threshold_ablation(
-                     thresholds=(0, 5, 20, 60), stock=200, retailers=4,
-                     seed=42, jobs=jobs))),
-            ("ablation-view-count",
-             ablations.format_view_count_ablation(
-                 ablations.run_view_count_ablation(
-                     news_items=10, reads=50, jobs=jobs))),
-            ("ablation-confirmation",
-             ablations.format_confirmation_optimization_ablation(
-                 ablations.run_confirmation_optimization_ablation(
-                     threads=10, duration_ms=6_000.0, seed=42,
-                     jobs=jobs)))):
-        out[family] = _sha([report])
+    out.update((figure.family, _sha([figure.render(figure.run(jobs=jobs))]))
+               for figure in ABLATIONS)
     return out
 
 
@@ -94,7 +80,8 @@ def figure_fingerprints(jobs: int = 1) -> Dict[str, str]:
 FIG13_SCENARIOS = ("baseline", "replica-crash", "wan-partition",
                    "flapping-link", "slow-follower", "degraded-link")
 FIG13_SLICE = dict(workload="A", threads_per_client=2, duration_ms=9_000.0,
-                   warmup_ms=1_500.0, cooldown_ms=500.0, record_count=150)
+                   warmup_ms=1_500.0, cooldown_ms=500.0, record_count=150,
+                   seed=42)
 
 
 def _traced_schedulers():
@@ -396,9 +383,9 @@ class TestDeterminism:
         proof the whole protocol ran on the records.
         """
         from repro.bench.common import (
-            build_cassandra_scenario, cassandra_config_for,
-            run_multi_region_load)
+            cassandra_config_for, run_multi_region_load)
         from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
+        from repro.core.cluster_spec import ClusterSpec
         from repro.sim.topology import Region
         from repro.workloads.ycsb import workload_by_name
 
@@ -413,9 +400,9 @@ class TestDeterminism:
             return stats["created"] + stats["reused"]
 
         acquired_before = acquired()
-        scenario = build_cassandra_scenario(
+        scenario = ClusterSpec(
             seed=11, record_count=60, client_regions=(Region.IRL,),
-            config=cassandra_config_for("CC2"))
+            config=cassandra_config_for("CC2")).build()
         run_multi_region_load(
             scenario, "CC2", workload_by_name("A"), threads_per_client=2,
             duration_ms=2_000.0, warmup_ms=250.0, cooldown_ms=250.0, seed=11)
@@ -488,16 +475,16 @@ class TestDeterminism:
         after the full drain, where both must reach zero.
         """
         from repro.bench.common import (
-            build_cassandra_scenario, cassandra_config_for,
-            make_generator_factory, make_kv_issue)
+            cassandra_config_for, make_generator_factory, make_kv_issue)
+        from repro.core.cluster_spec import ClusterSpec
         from repro.sim.topology import Region
         from repro.workloads.runner import ClosedLoopRunner
         from repro.workloads.ycsb import workload_by_name
 
-        scenario = build_cassandra_scenario(
+        scenario = ClusterSpec(
             seed=11, record_count=60,
             client_regions=(Region.IRL, Region.FRK),
-            config=cassandra_config_for("CC2"))
+            config=cassandra_config_for("CC2")).build()
         scheduler = scenario.env.scheduler
         spec = workload_by_name("A")
         runners = [
@@ -533,7 +520,7 @@ class TestDeterminism:
 
         kwargs = dict(workload="B", threads_per_client=2,
                       duration_ms=6_000.0, warmup_ms=1_500.0,
-                      cooldown_ms=500.0, record_count=150)
+                      cooldown_ms=500.0, record_count=150, seed=42)
         reference = fig13_faults.run_fig13_scenario("replica-crash", **kwargs)
         with _through_correctables(fig13_faults, "make_kv_issue"):
             assert fig13_faults.run_fig13_scenario(
@@ -578,13 +565,10 @@ class TestDeterminism:
                 "client_pending": 0}, what
             assert cluster.env.scheduler.pending(live_only=True) == 0, what
 
-        kwargs = dict(workload="A", threads_per_client=2,
-                      duration_ms=9_000.0, warmup_ms=1_500.0,
-                      cooldown_ms=500.0, record_count=150)
         for scenario in ("replica-crash", "wan-partition", "flapping-link",
                          "slow-follower"):
             with instances_built(CassandraCluster) as built:
-                record = run_fig13_scenario(scenario, **kwargs)
+                record = run_fig13_scenario(scenario, **FIG13_SLICE)
             (cluster,) = built
             assert sum(r.writes_coordinated for r in cluster.replicas) > 100
             assert record["faults_applied"] > 0

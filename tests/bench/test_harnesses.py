@@ -10,22 +10,15 @@ import pytest
 
 from repro.bench.common import (
     CASSANDRA_SYSTEMS,
-    REMOTE_CONTACTS,
     DrainCheck,
-    build_cassandra_scenario,
     cassandra_config_for,
     make_kv_issue,
 )
-from repro.bench.fig05_single_latency import format_fig05, latency_gap_ms, run_fig05
-from repro.bench.fig09_zk_latency import format_fig09, run_fig09
-from repro.bench.fig10_zk_bandwidth import format_fig10, run_fig10
-from repro.bench.fig12_tickets import format_fig12, run_fig12
-from repro.bench.ablations import (
-    format_ticket_threshold_ablation,
-    format_view_count_ablation,
-    run_ticket_threshold_ablation,
-    run_view_count_ablation,
+from repro.bench.fig05_single_latency import latency_gap_ms
+from repro.bench.figures import (
+    FIG05, FIG09, FIG10, FIG12, TICKET_THRESHOLD, VIEW_COUNT,
 )
+from repro.core.cluster_spec import REMOTE_CONTACTS, ClusterSpec
 from repro.sim.topology import Region
 
 
@@ -39,12 +32,12 @@ class TestCommon:
             assert client_region != contact
 
     def test_scenario_preloads_dataset(self):
-        scenario = build_cassandra_scenario(seed=1, record_count=10)
+        scenario = ClusterSpec(seed=1, record_count=10).build()
         replica = scenario.cluster.replica_in(Region.FRK)
         assert replica.table.read("user0") is not None
 
     def test_unknown_system_label_rejected(self):
-        scenario = build_cassandra_scenario(seed=1, record_count=10)
+        scenario = ClusterSpec(seed=1, record_count=10).build()
         with pytest.raises(KeyError):
             make_kv_issue(scenario.client_in(Region.IRL), "C9")
 
@@ -68,7 +61,7 @@ class _Sink:
 class TestDrainCheck:
     def test_drained_run_passes(self):
         check = DrainCheck("drained")
-        scenario = build_cassandra_scenario(seed=1, record_count=10)
+        scenario = ClusterSpec(seed=1, record_count=10).build()
         client = scenario.client_in(Region.IRL)
         client.lean_read("user1", 2, True, _Sink())
         client.lean_write("user2", "v", 1, _Sink())
@@ -80,7 +73,7 @@ class TestDrainCheck:
         complete, so its record stays out and its cluster has it in
         flight — both are reported."""
         check = DrainCheck("stranded")
-        scenario = build_cassandra_scenario(seed=1, record_count=10)
+        scenario = ClusterSpec(seed=1, record_count=10).build()
         client = scenario.client_in(Region.IRL)
         scenario.cluster.replica_by_name(client.contact).crash()
         client.lean_read("user1", 2, True, _Sink())
@@ -126,7 +119,7 @@ class TestEveryPointChecksItsDrain:
 class TestFig05Shape:
     @pytest.fixture(scope="class")
     def results(self):
-        return run_fig05(samples=25, record_count=30, seed=7)
+        return FIG05.run(samples=25, record_count=30, seed=7)
 
     def test_preliminary_tracks_c1(self, results):
         c1 = results["C1"]["final"]["mean_ms"]
@@ -148,14 +141,14 @@ class TestFig05Shape:
             results["C3"]["final"]["mean_ms"]
 
     def test_report_renders(self, results):
-        text = format_fig05(results)
+        text = FIG05.render(results)
         assert "CC2" in text and "preliminary" in text
 
 
 class TestFig09Shape:
     @pytest.fixture(scope="class")
     def records(self):
-        return run_fig09(samples=20, seed=7)
+        return FIG09.run(samples=20, seed=7)
 
     def test_preliminary_tracks_connection_rtt(self, records):
         by_label = {r["configuration"]: r for r in records}
@@ -178,13 +171,13 @@ class TestFig09Shape:
             assert 1.2 < overhead < 1.9
 
     def test_report_renders(self, records):
-        assert "configuration" in format_fig09(records)
+        assert "configuration" in FIG09.render(records)
 
 
 class TestFig10Shape:
     @pytest.fixture(scope="class")
     def records(self):
-        return run_fig10(stocks=(60, 120), client_counts=(1, 3), seed=7)
+        return FIG10.run(stocks=(60, 120), client_counts=(1, 3), seed=7)
 
     def test_zk_cost_grows_with_stock(self, records):
         zk = {(r["stock"], r["clients"]): r["kb_per_op"]
@@ -206,13 +199,13 @@ class TestFig10Shape:
             assert record["dequeued"] == record["stock"]
 
     def test_report_renders(self, records):
-        assert "kB/op" in format_fig10(records)
+        assert "kB/op" in FIG10.render(records)
 
 
 class TestFig12Shape:
     @pytest.fixture(scope="class")
     def results(self):
-        return run_fig12(stock=80, retailers=4, threshold=20, seed=7)
+        return FIG12.run(stock=80, retailers=4, threshold=20, seed=7)
 
     def test_no_overselling(self, results):
         for result in results.values():
@@ -234,23 +227,23 @@ class TestFig12Shape:
         assert czk["preliminary_purchases"] >= czk["stock"] - czk["threshold"] - 5
 
     def test_report_renders(self, results):
-        assert "oversold" in format_fig12(results)
+        assert "oversold" in FIG12.render(results)
 
 
 class TestAblations:
     def test_threshold_zero_is_fastest(self):
-        records = run_ticket_threshold_ablation(thresholds=(0, 40), stock=60,
-                                                retailers=3, seed=7)
+        records = TICKET_THRESHOLD.run(thresholds=(0, 40), stock=60,
+                                       retailers=3, seed=7)
         by_threshold = {r["threshold"]: r for r in records}
         assert by_threshold[0]["mean_latency_ms"] < \
             by_threshold[40]["mean_latency_ms"]
-        assert "threshold" in format_ticket_threshold_ablation(records)
+        assert "threshold" in TICKET_THRESHOLD.render(records)
 
     def test_third_view_cuts_time_to_first_view(self):
-        records = run_view_count_ablation(reads=5)
+        records = VIEW_COUNT.run(reads=5)
         by_config = {r["configuration"]: r for r in records}
         two = by_config["2 views (backup+primary)"]
         three = by_config["3 views (cache+backup+primary)"]
         assert three["mean_first_view_ms"] < two["mean_first_view_ms"]
         assert three["refreshes_per_read"] > two["refreshes_per_read"]
-        assert "views per read" in format_view_count_ablation(records)
+        assert "views per read" in VIEW_COUNT.render(records)

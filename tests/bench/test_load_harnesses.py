@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.bench.fig06_load import format_fig06, run_fig06
-from repro.bench.fig07_divergence import format_fig07, run_fig07
-from repro.bench.fig08_bandwidth import format_fig08, run_fig08
-from repro.bench.fig11_apps import format_fig11, run_fig11
+from repro.bench.figures import FIG06, FIG07, FIG08, FIG11
 
 _QUICK = dict(duration_ms=3_500.0, warmup_ms=1_000.0, cooldown_ms=500.0)
 
@@ -13,7 +10,7 @@ _QUICK = dict(duration_ms=3_500.0, warmup_ms=1_000.0, cooldown_ms=500.0)
 class TestFig06Shape:
     @pytest.fixture(scope="class")
     def records(self):
-        return run_fig06(workloads=("A",), systems=("C1", "C2", "CC2"),
+        return FIG06.run(workloads=("A",), systems=("C1", "C2", "CC2"),
                          thread_counts=(3,), record_count=200, seed=11,
                          **_QUICK)
 
@@ -41,13 +38,13 @@ class TestFig06Shape:
             by_system["C2"]["throughput_ops_s"] * 1.05
 
     def test_report_renders(self, records):
-        assert "throughput" in format_fig06(records)
+        assert "throughput" in FIG06.render(records)
 
 
 class TestFig07Shape:
     @pytest.fixture(scope="class")
     def records(self):
-        return run_fig07(configs=(("A", "latest"), ("B", "latest")),
+        return FIG07.run(configs=(("A", "latest"), ("B", "latest")),
                          thread_counts=(8,), record_count=500, seed=11,
                          **_QUICK)
 
@@ -65,13 +62,13 @@ class TestFig07Shape:
             assert record["compared_reads"] > 50
 
     def test_report_renders(self, records):
-        assert "divergence" in format_fig07(records)
+        assert "divergence" in FIG07.render(records)
 
 
 class TestFig08Shape:
     @pytest.fixture(scope="class")
     def records(self):
-        return run_fig08(configs=(("A", "latest"),), threads=6,
+        return FIG08.run(configs=(("A", "latest"),), threads=6,
                          record_count=500, seed=11, **_QUICK)
 
     def test_bandwidth_ordering_c1_starcc2_cc2(self, records):
@@ -86,13 +83,13 @@ class TestFig08Shape:
             by_system["CC2"]["overhead_vs_c1_pct"]
 
     def test_report_renders(self, records):
-        assert "kB/op" in format_fig08(records)
+        assert "kB/op" in FIG08.render(records)
 
 
 class TestFig11Shape:
     @pytest.fixture(scope="class")
     def records(self):
-        return run_fig11(apps=("ads",), systems=("C2", "CC2"),
+        return FIG11.run(apps=("ads",), systems=("C2", "CC2"),
                          workloads=("B",), thread_counts=(2,),
                          profile_count=80, ref_count=160, seed=11,
                          duration_ms=3_000.0, warmup_ms=800.0,
@@ -108,4 +105,4 @@ class TestFig11Shape:
             assert record["misspeculation_pct"] < 5.0
 
     def test_report_renders(self, records):
-        assert "misspeculation" in format_fig11(records)
+        assert "misspeculation" in FIG11.render(records)

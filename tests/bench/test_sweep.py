@@ -144,93 +144,75 @@ class TestSeedDerivation:
 class TestFigureSweepsParallelEqualsSerial:
     """The acceptance gate: --jobs 2 output byte-identical to --jobs 1."""
 
-    def test_fig06_slice(self):
-        from repro.bench.fig06_load import run_fig06
+    @staticmethod
+    def _same(figure, jobs=2, **overrides):
+        assert figure.run(jobs=1, **overrides) == \
+            figure.run(jobs=jobs, **overrides)
 
-        kwargs = dict(workloads=("A",), systems=("C1", "CC2"),
-                      thread_counts=(2,), duration_ms=2_500.0,
-                      warmup_ms=500.0, cooldown_ms=250.0, record_count=60,
-                      seed=11)
-        assert run_fig06(jobs=1, **kwargs) == run_fig06(jobs=2, **kwargs)
+    def test_fig06_slice(self):
+        from repro.bench.figures import FIG06
+
+        self._same(FIG06, workloads=("A",), systems=("C1", "CC2"),
+                   thread_counts=(2,), duration_ms=2_500.0,
+                   warmup_ms=500.0, cooldown_ms=250.0, record_count=60,
+                   seed=11)
 
     def test_fig09_slice(self):
-        from repro.bench.fig09_zk_latency import run_fig09
+        from repro.bench.figures import FIG09
 
-        assert run_fig09(samples=15, seed=7, jobs=1) == \
-            run_fig09(samples=15, seed=7, jobs=2)
+        self._same(FIG09, samples=15, seed=7)
 
     @pytest.mark.slow
     def test_fig10_and_fig12_slices(self):
-        from repro.bench.fig10_zk_bandwidth import run_fig10
-        from repro.bench.fig12_tickets import run_fig12
+        from repro.bench.figures import FIG10, FIG12
 
-        assert run_fig10(stocks=(40,), client_counts=(1, 2), seed=7,
-                         jobs=1) == \
-            run_fig10(stocks=(40,), client_counts=(1, 2), seed=7, jobs=2)
-        assert run_fig12(stock=60, threshold=10, seed=7, jobs=1) == \
-            run_fig12(stock=60, threshold=10, seed=7, jobs=2)
+        self._same(FIG10, stocks=(40,), client_counts=(1, 2), seed=7)
+        self._same(FIG12, stock=60, threshold=10, seed=7)
 
     @pytest.mark.slow
     def test_fig08_overhead_merge_matches_serial(self):
-        from repro.bench.fig08_bandwidth import run_fig08
+        from repro.bench.figures import FIG08
 
-        kwargs = dict(configs=(("A", "latest"),), threads=4,
-                      duration_ms=2_500.0, warmup_ms=500.0,
-                      cooldown_ms=250.0, record_count=200, seed=11)
-        assert run_fig08(jobs=1, **kwargs) == run_fig08(jobs=2, **kwargs)
+        self._same(FIG08, configs=(("A", "latest"),), threads=4,
+                   duration_ms=2_500.0, warmup_ms=500.0, cooldown_ms=250.0,
+                   record_count=200, seed=11)
 
     @pytest.mark.slow
     def test_fig05_and_fig07_slices(self):
-        from repro.bench.fig05_single_latency import run_fig05
-        from repro.bench.fig07_divergence import run_fig07
+        from repro.bench.figures import FIG05, FIG07
 
-        assert run_fig05(samples=20, record_count=30, seed=7, jobs=1) == \
-            run_fig05(samples=20, record_count=30, seed=7, jobs=2)
-        kwargs = dict(configs=(("A", "latest"), ("B", "latest")),
-                      thread_counts=(4,), duration_ms=2_500.0,
-                      warmup_ms=500.0, cooldown_ms=250.0, record_count=200,
-                      seed=11)
-        assert run_fig07(jobs=1, **kwargs) == run_fig07(jobs=2, **kwargs)
+        self._same(FIG05, samples=20, record_count=30, seed=7)
+        self._same(FIG07, configs=(("A", "latest"), ("B", "latest")),
+                   thread_counts=(4,), duration_ms=2_500.0, warmup_ms=500.0,
+                   cooldown_ms=250.0, record_count=200, seed=11)
 
     @pytest.mark.slow
     def test_fig11_slice(self):
-        from repro.bench.fig11_apps import run_fig11
+        from repro.bench.figures import FIG11
 
-        kwargs = dict(apps=("ads",), systems=("C2", "CC2"), workloads=("B",),
-                      thread_counts=(1,), duration_ms=2_500.0,
-                      warmup_ms=500.0, cooldown_ms=250.0, profile_count=40,
-                      ref_count=80, seed=11)
-        assert run_fig11(jobs=1, **kwargs) == run_fig11(jobs=2, **kwargs)
+        self._same(FIG11, apps=("ads",), systems=("C2", "CC2"),
+                   workloads=("B",), thread_counts=(1,), duration_ms=2_500.0,
+                   warmup_ms=500.0, cooldown_ms=250.0, profile_count=40,
+                   ref_count=80, seed=11)
 
     @pytest.mark.slow
     def test_fig13_slice_including_zookeeper(self):
-        from repro.bench.fig13_faults import run_fig13_all
+        from repro.bench.figures import FIG13
 
-        kwargs = dict(scenarios=("baseline", "replica-crash"),
-                      threads_per_client=1, duration_ms=3_000.0,
-                      warmup_ms=500.0, cooldown_ms=250.0, record_count=60,
-                      seed=11, include_zookeeper=True,
-                      zk=dict(duration_ms=6_000.0, crash_at_ms=1_500.0,
-                              crash_duration_ms=2_500.0,
-                              threads_per_client=1, queue_depth=400))
-        assert run_fig13_all(jobs=1, **kwargs) == \
-            run_fig13_all(jobs=3, **kwargs)
+        self._same(FIG13, jobs=3, scenarios=("baseline", "replica-crash"),
+                   threads_per_client=1, duration_ms=3_000.0,
+                   warmup_ms=500.0, cooldown_ms=250.0, record_count=60,
+                   seed=11,
+                   zk=dict(duration_ms=6_000.0, crash_at_ms=1_500.0,
+                           crash_duration_ms=2_500.0, threads_per_client=1,
+                           warmup_ms=2_000.0, cooldown_ms=1_000.0,
+                           queue_depth=400))
 
     @pytest.mark.slow
     def test_ablation_slices(self):
-        from repro.bench.ablations import (
-            run_confirmation_optimization_ablation,
-            run_ticket_threshold_ablation,
-            run_view_count_ablation,
-        )
+        from repro.bench.figures import CONFIRMATION, TICKET_THRESHOLD, \
+            VIEW_COUNT
 
-        assert run_ticket_threshold_ablation(
-                thresholds=(0, 10), stock=60, seed=7, jobs=1) == \
-            run_ticket_threshold_ablation(
-                thresholds=(0, 10), stock=60, seed=7, jobs=2)
-        assert run_view_count_ablation(jobs=1) == \
-            run_view_count_ablation(jobs=2)
-        assert run_confirmation_optimization_ablation(
-                threads=4, duration_ms=2_500.0, seed=7, jobs=1) == \
-            run_confirmation_optimization_ablation(
-                threads=4, duration_ms=2_500.0, seed=7, jobs=2)
+        self._same(TICKET_THRESHOLD, thresholds=(0, 10), stock=60, seed=7)
+        self._same(VIEW_COUNT)
+        self._same(CONFIRMATION, threads=4, duration_ms=2_500.0, seed=7)

@@ -374,14 +374,14 @@ class TestMillionKeyRebalance:
     """
 
     def test_four_million_key_join_cell(self):
-        from repro.bench.fig15_rebalance import (
-            MILLION_KEY_RECORD_COUNT, run_fig15_million)
+        from repro.bench.fig15_rebalance import MILLION_KEY_CELL
+        from repro.bench.figures import FIG15
 
-        (record,) = run_fig15_million()
+        (record,) = FIG15.run(**MILLION_KEY_CELL)
         # The join must have committed a new ring version after streaming
         # real ranges.
         assert record["ring_version"] == 1
-        assert record["keys_streamed"] > MILLION_KEY_RECORD_COUNT // 10
+        assert record["keys_streamed"] > MILLION_KEY_CELL["record_count"] // 10
         # Safety under traffic: acked client writes rode across the
         # ownership change and none of them was lost.
         assert record["acked_writes"] > 0

@@ -30,7 +30,6 @@ from hypothesis import HealthCheck, given, settings
 from sinks import RecordingSink
 
 from repro.bench.common import (
-    build_cassandra_scenario,
     cassandra_config_for,
     make_generator_factory,
     make_kv_issue,
@@ -62,9 +61,10 @@ def _closed_loop_run(via_correctables: bool, duration_ms: float = 5_000.0,
                      seed: int = 9):
     """fig13's shape: closed-loop threads straight on the storage clients
     (``via_correctables=True``: through Correctables)."""
-    built = build_cassandra_scenario(
+    built = ClusterSpec(
         seed=seed, record_count=120, client_regions=REGIONS,
-        config=CassandraConfig.fault_tolerant(), client_fallbacks=True)
+        config=CassandraConfig.fault_tolerant(),
+        client_fallbacks=True).build()
     env, cluster = built.env, built.cluster
     build = correctable_kv_issue if via_correctables else make_kv_issue
     injector = FaultInjector(env, schedule=crash_and_degrade(duration_ms),

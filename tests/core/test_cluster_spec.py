@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.bench.common import CassandraScenario, build_cassandra_scenario
 from repro.cassandra_sim.config import CassandraConfig
-from repro.core.cluster_spec import REMOTE_CONTACTS, BuiltCluster, ClusterSpec
+from repro.core.cluster_spec import REMOTE_CONTACTS, ClusterSpec
 from repro.sim.topology import Region
 
 
@@ -100,6 +99,10 @@ class TestBuild:
         total_rows = sum(len(r.table) for r in cluster.replicas)
         assert total_rows == 50 * 3  # exactly RF copies per key
 
+    def test_client_fallbacks(self):
+        built = ClusterSpec(client_fallbacks=True).build()
+        assert len(built.client_in(Region.IRL)._contacts) == 3
+
     def test_preload_false(self):
         built = ClusterSpec(preload=False).build()
         assert all(len(r.table) == 0 for r in built.cluster.replicas)
@@ -109,23 +112,3 @@ class TestBuild:
         b = ClusterSpec(nodes=5, seed=7, record_count=20)
         assert (a.build().cluster.partitioner.token_layout()
                 == b.build().cluster.partitioner.token_layout())
-
-
-class TestLegacyShim:
-    def test_scenario_alias_is_built_cluster(self):
-        assert CassandraScenario is BuiltCluster
-
-    def test_shim_matches_direct_spec(self):
-        shim = build_cassandra_scenario(seed=3, record_count=30)
-        spec = ClusterSpec(seed=3, record_count=30).build()
-        assert ([r.name for r in shim.cluster.replicas]
-                == [r.name for r in spec.cluster.replicas])
-        assert (shim.cluster.partitioner.token_layout()
-                == spec.cluster.partitioner.token_layout())
-        assert list(shim.clients) == list(spec.clients)
-        assert shim.dataset.keys() == spec.dataset.keys()
-
-    def test_shim_client_fallbacks(self):
-        shim = build_cassandra_scenario(client_fallbacks=True)
-        client = shim.client_in(Region.IRL)
-        assert len(client._contacts) == 3

@@ -22,13 +22,13 @@ import hashlib
 from typing import Any, Callable, Dict, List, Optional
 from unittest import mock
 
-from repro.bench.common import (CASSANDRA_SYSTEMS, build_cassandra_scenario,
-                                cassandra_config_for)
+from repro.bench.common import CASSANDRA_SYSTEMS, cassandra_config_for
 from repro.bench.fig14_open_loop import (_correctable_session_issue,
                                          make_session_issue)
 from repro.bindings.cassandra import CassandraBinding
 from repro.cassandra_sim.config import CassandraConfig
 from repro.core.client import CorrectableClient
+from repro.core.cluster_spec import ClusterSpec
 from repro.core.operations import read, write
 from repro.faults import FaultInjector
 from repro.faults.scenarios import cassandra_aliases
@@ -190,11 +190,11 @@ def open_loop_run(via_correctables: bool = False,
     """Open-loop YCSB B over CorrectableClient sessions through ``schedule``
     (``via_correctables=True``: through the sessions' ``Correctable``
     route); returns ``(trace digest, fingerprint, cluster)``."""
-    built = build_cassandra_scenario(
+    built = ClusterSpec(
         seed=seed, record_count=120, client_regions=REGIONS,
         config=CassandraConfig.fault_tolerant(
             value_size_bytes=cassandra_config_for("CC2").value_size_bytes),
-        client_fallbacks=True)
+        client_fallbacks=True).build()
     env, cluster = built.env, built.cluster
     correctables = [CorrectableClient(CassandraBinding(
         built.client_in(region), strong_read_quorum=2, write_quorum=1))

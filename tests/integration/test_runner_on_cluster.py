@@ -9,12 +9,12 @@ guarantee.
 import pytest
 
 from repro.bench.common import (
-    build_cassandra_scenario,
     cassandra_config_for,
     make_generator_factory,
     make_kv_issue,
     run_multi_region_load,
 )
+from repro.core.cluster_spec import ClusterSpec
 from repro.sim.topology import Region
 from repro.workloads.runner import ClosedLoopRunner
 from repro.workloads.ycsb import WORKLOAD_A, WORKLOAD_C, workload_by_name
@@ -23,10 +23,10 @@ _QUICK = dict(duration_ms=3_000.0, warmup_ms=800.0, cooldown_ms=400.0)
 
 
 def _single_region_run(system, spec, threads, seed=3):
-    scenario = build_cassandra_scenario(
+    scenario = ClusterSpec(
         seed=seed, record_count=100,
         client_regions=(Region.IRL,),
-        config=cassandra_config_for(system))
+        config=cassandra_config_for(system)).build()
     client = scenario.client_in(Region.IRL)
     runner = ClosedLoopRunner(
         scheduler=scenario.env.scheduler,
@@ -67,10 +67,10 @@ class TestRunnerOnCluster:
         assert result.divergence.total > 0
 
     def test_multi_region_load_returns_result_per_region(self):
-        scenario = build_cassandra_scenario(
+        scenario = ClusterSpec(
             seed=5, record_count=100,
             client_regions=(Region.IRL, Region.FRK, Region.VRG),
-            config=cassandra_config_for("CC2"))
+            config=cassandra_config_for("CC2")).build()
         results = run_multi_region_load(
             scenario, "CC2", workload_by_name("A"), threads_per_client=2,
             seed=5, **_QUICK)

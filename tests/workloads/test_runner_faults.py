@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.common import (build_cassandra_scenario,
-                                cassandra_config_for, make_generator_factory,
+from repro.bench.common import (cassandra_config_for, make_generator_factory,
                                 make_kv_issue)
+from repro.core.cluster_spec import ClusterSpec
 from repro.faults import FaultEvent, FaultInjector, FaultSchedule
 from repro.sim.environment import SimEnvironment
 from repro.sim.node import Node
@@ -103,9 +103,9 @@ class TestFailedIcgRead:
         and it never times out); the client gives up after one timeout."""
         config = replace(cassandra_config_for("CC2"),
                          client_timeout_ms=self.TIMEOUT_MS, client_retries=0)
-        built = build_cassandra_scenario(seed=3, record_count=20,
-                                         client_regions=(Region.IRL,),
-                                         config=config)
+        built = ClusterSpec(seed=3, record_count=20,
+                            client_regions=(Region.IRL,),
+                            config=config).build()
         client = built.client_in(Region.IRL)
         for replica in built.cluster.replicas:
             if replica.name != client.contact:

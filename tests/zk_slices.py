@@ -94,10 +94,10 @@ def fig09_cells(samples: int = 30, seed: int = 42
                 ) -> Tuple[List[Dict], List[ZooKeeperCluster]]:
     """fig09 at quick scale, a follower-connected and a leader-connected
     configuration (each runs CZK then vanilla ZK)."""
-    from repro.bench.fig09_zk_latency import (
-        build_fig09_points, run_fig09_point)
+    from repro.bench.fig09_zk_latency import run_fig09_point
+    from repro.bench.figures import FIG09
 
-    points = build_fig09_points(samples=samples, seed=seed)
+    points = FIG09.points(samples=samples, seed=seed)
     with instances_built(ZooKeeperCluster) as clusters:
         records = [run_fig09_point(points[index]) for index in (2, 1)]
     return records, clusters
@@ -264,11 +264,14 @@ def tickets_leader_crash(purchases_each: int = 12, seed: int = 11
 
 
 def leader_crash(seed: int = 42) -> Tuple[Dict, List[ZooKeeperCluster]]:
-    """fig13's CZK queue workload through a leader crash and recovery."""
-    from repro.bench.fig13_faults import run_fig13_zookeeper
+    """fig13's CZK queue workload through a leader crash and recovery, at
+    the figure's full scale."""
+    from repro.bench.fig13_faults import run_fig13_point
+    from repro.bench.figures import FIG13
 
+    (point,) = FIG13.points(scenarios=(), seed=seed)
     with instances_built(ZooKeeperCluster) as clusters:
-        record = run_fig13_zookeeper(seed=seed)
+        record = run_fig13_point(point)
     return record, clusters
 
 
