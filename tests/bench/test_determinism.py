@@ -271,10 +271,62 @@ def txn_completions(scenario: str) -> List[tuple]:
             for c in correctables]
 
 
+def txn_cell_record(fabric, env) -> Dict[str, object]:
+    """Everything countable about a finished fig16 cell, host-independent:
+    events, the network's totals and every link's traffic, and every
+    coordinator, participant and manager counter."""
+    network = env.network
+    return {
+        "events": env.scheduler.events_executed,
+        "network": [network.messages_sent, network.messages_delivered,
+                    network.messages_dropped, network.total_bytes()],
+        "links_sha256": _sha(sorted(
+            (src, dst, stats.messages, stats.bytes)
+            for (src, dst), stats in network._links.items())),
+        "counters_sha256": _sha(
+            [(c.name, c.active, c.epoch, c.known_epoch, c.txns_started,
+              c.commits, c.aborts, c.prepare_timeouts, c.takeovers,
+              c.redirects, c.decision_redeliveries, c.heartbeats_sent,
+              c.recovery_started_ms, c.recovery_completed_ms,
+              c.queue.jobs_processed) for c in fabric.coordinators]
+            + [(p.name, p.epoch, p.votes_yes, p.votes_no, p.lock_conflicts,
+                p.deadline_refusals, p.stale_epoch_rejections,
+                p.commits_applied, p.aborts_logged, p.takeover_replies,
+                len(p.log), p.log.appends, p.queue.jobs_processed)
+               for _, p in sorted(fabric.participants.items())]
+            + [(m.name, m.txns_submitted, m.retries, m.failed_requests,
+                m.redirects_followed, m.duplicate_finals,
+                m.stats.prepared_views, m.stats.matched,
+                m.stats.mismatched, m.stats.unresolved)
+               for m in (fabric.manager,)]),
+    }
+
+
+def txn_cell_records() -> Dict[str, Dict[str, object]]:
+    """The message-level oracle: :func:`txn_cell_record` of every quick
+    fig16 cell, run through the figure's own entry point.  Recorded while
+    every 2PC hop was a ``Message`` with a payload dict."""
+    from repro.bench.fig16_txn import run_fig16_cell
+    from repro.bench.figures import FIG16
+    from repro.txn import TxnFabric
+    from zk_slices import instances_built
+
+    out: Dict[str, Dict[str, object]] = {}
+    for point in FIG16.points(**FIG16.quick):
+        with instances_built(TxnFabric) as fabrics:
+            _, env = run_fig16_cell(**point.kwargs)
+        (fabric,) = fabrics
+        out[f"fig16-quick-{point.kwargs['scenario']}"] = \
+            txn_cell_record(fabric, env)
+    return out
+
+
 def txn_fingerprints() -> Dict[str, Dict[str, object]]:
-    """The transaction-completion oracle: per cell, how many transactions
+    """The transaction oracle: per completion cell, how many transactions
     closed with a commit, an abort or an error, and a hash of every
-    Correctable's views and error (:func:`txn_completions`)."""
+    Correctable's views and error (:func:`txn_completions`); then the
+    message-level record of every quick fig16 cell
+    (:func:`txn_cell_records`)."""
     out: Dict[str, Dict[str, object]] = {}
     for scenario in TXN_SCENARIOS:
         completions = txn_completions(scenario)
@@ -289,6 +341,7 @@ def txn_fingerprints() -> Dict[str, Dict[str, object]]:
                                   for views, state, _ in completions),
             "completions_sha256": _sha(completions),
         }
+    out.update(txn_cell_records())
     return out
 
 
@@ -349,7 +402,9 @@ class TestDeterminism:
     def test_txn_completions_match_golden(self):
         """Through a coordinator takeover and a participant outage, every
         transaction Correctable shows the views, levels and errors that the
-        manager's response-dict completion produced."""
+        manager's response-dict completion produced; and every quick fig16
+        cell executes the events, sends the messages and bytes on every
+        link and counts what the ``Message`` handlers did."""
         assert txn_fingerprints() == _golden()["txn"]
 
     def test_failed_transaction_closes_with_a_transaction_error(self):

@@ -5,7 +5,8 @@ figures repeat exactly — of the three primitives every protocol hop goes
 through: ``Network.fused_send_to`` (unimpaired link, one ``heappush``),
 ``Node._enqueue`` (the service charge and one ``heappush``) and the
 ``Scheduler.run`` drain (per event); and of every ``src/`` frame per
-completed operation over one round of each perfbench workload.
+completed operation over one round of each perfbench workload, and per
+submitted transaction over each quick fig16 cell.
 Bytecode counts differ between CPython minor versions, so the budgets are
 keyed by version and only the running interpreter's row is checked.
 """
@@ -59,6 +60,17 @@ _WORKLOAD_ROOM = 1.01
 _WORKLOAD_SEED = 7
 _PERFBENCH_WORKLOADS = (Path(__file__).resolve().parents[2]
                         / "perfbench" / "workloads.py")
+
+#: version -> quick fig16 scenario -> executed bytecodes in ``src/`` frames
+#: per submitted transaction, set-up included, over the whole cell
+#: (``run_fig16_cell`` with the figure's quick parameters) in a fresh
+#: process; measured on the parent of the change that added the row, while
+#: every 2PC hop was a ``Message``.  Checked against ``_WORKLOAD_ROOM``.
+_FIG16_BUDGETS = {
+    (3, 11): {"baseline": 12507.07,
+              "coordinator-crash-mid-commit": 15024.66,
+              "participant-crash-after-prepare": 11926.44},
+}
 
 
 def _bytecodes_in(counted, run):
@@ -178,6 +190,31 @@ def _workload_bytecodes_per_op(name, scale):
     return executed / workload.completed()
 
 
+def _fig16_bytecodes_per_txn(scenario):
+    """One quick fig16 cell: bytecodes executed in ``src/`` frames from the
+    cluster's build through the atomicity audit, per submitted
+    transaction."""
+    from repro.bench.fig16_txn import run_fig16_cell
+    from repro.bench.figures import FIG16
+
+    (point,) = [point for point in FIG16.points(**FIG16.quick)
+                if point.kwargs["scenario"] == scenario]
+    records = []
+    src = os.path.dirname(repro.__file__) + os.sep
+    executed = _bytecodes_in(
+        lambda code: code.co_filename.startswith(src),
+        lambda: records.append(run_fig16_cell(**point.kwargs)[0]))
+    return executed / records[0]["submitted"]
+
+
+def _in_fresh_process(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, __file__, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout)
+
+
 @pytest.mark.parametrize("workload", ["cass-closed-a", "cass-open-faults-b",
                                       "zk-tickets", "ring-join-400k"])
 def test_workload_bytecodes_per_op(workload):
@@ -187,15 +224,30 @@ def test_workload_bytecodes_per_op(workload):
                     "%d.%d; measure and add a row to _WORKLOAD_BUDGETS"
                     % sys.version_info[:2])
     scale, measured = row[workload]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, __file__, workload, repr(scale)],
-                          env=env, capture_output=True, text=True,
-                          timeout=300)
-    assert done.returncode == 0, done.stderr
-    per_op = float(done.stdout)
+    per_op = _in_fresh_process(workload, repr(scale))
     assert per_op <= measured * _WORKLOAD_ROOM, \
         f"{workload}: {per_op:.2f} bytecodes/op against {measured:.2f}"
 
 
+@pytest.mark.parametrize("scenario", ["baseline",
+                                      "coordinator-crash-mid-commit",
+                                      "participant-crash-after-prepare"])
+def test_fig16_bytecodes_per_txn(scenario):
+    row = _FIG16_BUDGETS.get(sys.version_info[:2])
+    if row is None:
+        pytest.skip("no fig16 bytecode budgets recorded for CPython %d.%d; "
+                    "measure and add a row to _FIG16_BUDGETS"
+                    % sys.version_info[:2])
+    measured = row[scenario]
+    per_txn = _in_fresh_process("fig16", scenario)
+    assert per_txn <= measured * _WORKLOAD_ROOM, \
+        f"fig16 {scenario}: {per_txn:.2f} bytecodes/txn against " \
+        f"{measured:.2f}"
+
+
 if __name__ == "__main__":
-    print(repr(_workload_bytecodes_per_op(sys.argv[1], float(sys.argv[2]))))
+    if sys.argv[1] == "fig16":
+        print(repr(_fig16_bytecodes_per_txn(sys.argv[2])))
+    else:
+        print(repr(_workload_bytecodes_per_op(sys.argv[1],
+                                              float(sys.argv[2]))))
