@@ -6,10 +6,10 @@ committed transactions into the replica's local table as ordinary LWW
 versions, and answers takeover coordinators with its log state.
 
 Epoch discipline: every coordinator message carries the sender's epoch.  A
-participant tracks the highest epoch it has seen and rejects messages from
-older epochs — which is what fences a deposed (or partitioned-away)
-coordinator out of the protocol the moment its successor's takeover probe
-lands.
+participant tracks the highest epoch it has seen and rejects work from
+older epochs, both when a message arrives and when its queued job is
+served — which is what fences a deposed (or partitioned-away) coordinator
+out of the protocol the moment its successor's takeover probe lands.
 """
 
 from __future__ import annotations
@@ -50,18 +50,28 @@ class TxnParticipant(Node):
         self.aborts_logged = 0
         self.takeover_replies = 0
 
+    def _stale(self, epoch: int) -> bool:
+        """Whether work sent at ``epoch`` is fenced off (and counted so).
+
+        Checked on arrival and again when the queued job is served: a
+        successor's takeover probe may raise the epoch, and read the log,
+        while the job waits in the queue."""
+        if epoch < self.epoch:
+            self.stale_epoch_rejections += 1
+            return True
+        return False
+
     # -- prepare phase ------------------------------------------------------
     def on_txn_prepare(self, message: Message) -> None:
         payload = message.payload
-        if payload["epoch"] < self.epoch:
-            self.stale_epoch_rejections += 1
+        if self._stale(payload["epoch"]):
             return
         self.epoch = payload["epoch"]
         self._enqueue(self.config.prepare_service_ms, self._handle_prepare,
                       (message.src, payload))
 
     def _handle_prepare(self, coordinator: str, payload: Dict[str, Any]) -> None:
-        if not self.alive:
+        if not self.alive or self._stale(payload["epoch"]):
             return
         txn_id = payload["txn_id"]
         state = self.log.state(txn_id)
@@ -113,15 +123,14 @@ class TxnParticipant(Node):
     # -- decision phase -----------------------------------------------------
     def on_txn_commit(self, message: Message) -> None:
         payload = message.payload
-        if payload["epoch"] < self.epoch:
-            self.stale_epoch_rejections += 1
+        if self._stale(payload["epoch"]):
             return
         self.epoch = payload["epoch"]
         self._enqueue(self.config.commit_service_ms, self._handle_commit,
                       (message.src, payload))
 
     def _handle_commit(self, coordinator: str, payload: Dict[str, Any]) -> None:
-        if not self.alive:
+        if not self.alive or self._stale(payload["epoch"]):
             return
         txn_id = payload["txn_id"]
         record = self.log.get(txn_id)
@@ -147,15 +156,14 @@ class TxnParticipant(Node):
 
     def on_txn_abort(self, message: Message) -> None:
         payload = message.payload
-        if payload["epoch"] < self.epoch:
-            self.stale_epoch_rejections += 1
+        if self._stale(payload["epoch"]):
             return
         self.epoch = payload["epoch"]
         self._enqueue(self.config.prepare_service_ms, self._handle_abort,
                       (message.src, payload))
 
     def _handle_abort(self, coordinator: str, payload: Dict[str, Any]) -> None:
-        if not self.alive:
+        if not self.alive or self._stale(payload["epoch"]):
             return
         txn_id = payload["txn_id"]
         record = self.log.get(txn_id)
@@ -180,9 +188,10 @@ class TxnParticipant(Node):
     def on_txn_takeover(self, message: Message) -> None:
         """A successor coordinator announces its epoch and reads our log.
 
-        Bumping the epoch *before* replying is the linchpin: any message the
-        deposed coordinator still has in flight arrives with a stale epoch
-        and is rejected, so the state in the reply cannot be invalidated by
+        Bumping the epoch *before* replying fences the deposed coordinator:
+        its work still on the wire arrives with a stale epoch, and its work
+        already waiting in this node's queue is served with one, so both
+        are rejected and the state in the reply cannot be invalidated by
         old-epoch traffic.
         """
         payload = message.payload

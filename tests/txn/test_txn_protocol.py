@@ -12,7 +12,7 @@ from repro.sim.network import Message
 from repro.txn import (
     PREPARED, TransactionError, TxnConfig, TxnState, txn_aliases,
 )
-from txn_helpers import collect, make_fabric, no_failover_config
+from txn_helpers import collect, make_fabric, no_failover_config, run_until
 
 
 class TestCommitPath:
@@ -263,3 +263,55 @@ class TestEpochFencing:
         assert participant.stale_epoch_rejections == 1
         assert participant.votes_yes + participant.votes_no == votes_before
         assert participant.log.get("ghost:1") is None
+
+    def _take_over_with_work_queued(self, sent, **overrides):
+        """One transaction over three owners: once ``sent(old)`` holds, the
+        old coordinator crashes and the standby takes over at once, while
+        what the old one sent still waits in the owners' queues (their
+        service times are long) when the successor's probes raise the
+        epoch and read the logs."""
+        fabric = make_fabric(config=no_failover_config(**overrides))
+        env = fabric.built.env
+        old, successor = fabric.coordinators
+        key = fabric.built.dataset.keys()[0]
+        assert len(fabric.owners_of(key)) == 3
+        fabric.manager.execute({key: "fenced"})
+        run_until(env, lambda: sent(old, fabric), step_ms=0.05,
+                  limit_ms=5_000.0)
+        old.crash()
+        successor._take_over()
+        env.run_until_idle()
+        return fabric
+
+    def test_queued_commit_is_fenced_when_served(self):
+        fabric = self._take_over_with_work_queued(
+            lambda old, fabric: old.commits == 1, commit_service_ms=50.0)
+
+        # The successor read PREPARED everywhere and presumed abort; a
+        # commit served after its probe would contradict it.
+        report = fabric.audit()
+        assert report["partial_commits"] == 0
+        assert report["acked_abort_committed"] == 0
+        assert all(p.commits_applied == 0
+                   for p in fabric.participants.values())
+        assert sum(p.stale_epoch_rejections
+                   for p in fabric.participants.values()) >= 1
+        fabric.assert_atomic()
+
+    def test_queued_prepare_is_fenced_when_served(self):
+        def prepares_sent(old, fabric):
+            return all(fabric.built.env.network.link_stats(
+                old.name, name).messages for name in fabric.participants)
+
+        # No client retry: nothing re-drives the transaction, so a lock the
+        # successor never learned of would stay held.
+        fabric = self._take_over_with_work_queued(
+            prepares_sent, prepare_service_ms=50.0, client_timeout_ms=0.0)
+
+        assert fabric.coordinators[1].in_doubt_txns() == []
+        assert all(not p.locks and not p.in_doubt_txns()
+                   and p.votes_yes + p.votes_no == 0
+                   for p in fabric.participants.values())
+        assert sum(p.stale_epoch_rejections
+                   for p in fabric.participants.values()) == 3
+        fabric.assert_atomic()
