@@ -137,7 +137,7 @@ def run_fig16_cell(**kwargs: Any):
                + kwargs["fault_at_ms"] + kwargs["fault_duration_ms"]
                + config.txn_deadline_ms + 30_000.0)
     built.env.run(until=horizon)
-    drain.verify()
+    drain.verify(fabric)
 
     stats = manager.stats
     committed = len(manager.acked_commits)

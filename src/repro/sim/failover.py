@@ -1,4 +1,4 @@
-"""Client-side request failover shared by the message-based clients.
+"""Client-side request failover shared by the record-carrying clients.
 
 The ZooKeeper client and the transaction manager recover from an
 unresponsive endpoint the same way: a per-request timeout fires, the request

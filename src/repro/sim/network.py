@@ -35,14 +35,15 @@ link charge, the jitter draw, the scheduler insert — and nothing else:
   iterative with a cache for non-ASCII strings.
 
 There is one send path, :meth:`Network.fused_send_to`: it accounts the hop
-and schedules a pre-bound continuation at the delivery instant.  Protocol
-layers that carry their own per-operation state (the Cassandra request
-path: one pooled record per operation; ZooKeeper's: one ``ZkOp`` per
-operation and the leader's shared ``Transaction``) call it directly, and
-their continuation does the delivery-side accounting (``messages_delivered``
-and the dead-destination drop); the sender learns from the return value
-whether anything was scheduled at all.  :meth:`Network.send` is
-``fused_send_to`` plus a :class:`Message` and its ``on_<kind>`` dispatch.
+and schedules a pre-bound continuation at the delivery instant.  Every
+request path carries its own per-operation state and calls it directly
+(Cassandra: one pooled record per operation; ZooKeeper: one ``ZkOp`` per
+operation and the leader's shared ``Transaction``; 2PC: one ``TxnOp`` per
+transaction), and its continuation does the delivery-side accounting
+(``messages_delivered`` and the dead-destination drop); the sender learns
+from the return value whether anything was scheduled at all.
+:meth:`Network.send` is ``fused_send_to`` plus a :class:`Message` and its
+``on_<kind>`` dispatch: the control plane, streaming and read repair.
 """
 
 from __future__ import annotations

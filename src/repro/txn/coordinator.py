@@ -25,6 +25,12 @@ participant's commit ack — i.e. only once at least one durable commit
 record exists — which is the invariant that makes "no lost acked commits"
 hold through a mid-commit crash.
 
+Every request-path hop is a :meth:`~repro.sim.network.Network.fused_send_to`
+continuation on the receiving node, starting with the manager's
+:class:`~repro.txn.manager.TxnOp` in :meth:`_txn_begin`; only heartbeats
+and the takeover probe and reply, the control plane, are ``Message``
+traffic.
+
 In-memory coordinator state (``in_flight``, ``decided``, delivery
 bookkeeping) is volatile: :meth:`recover` clears it, modelling a restart
 from nothing but the participants' logs.
@@ -39,7 +45,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.sim.network import MESSAGE_HEADER_BYTES, Message, Network
 from repro.sim.node import Node
 from repro.txn.config import TxnConfig
-from repro.txn.log import TxnState
+from repro.txn.log import TxnLogRecord, TxnState
+from repro.txn.manager import TxnOp
 
 #: ``owners_of(key) -> participant names`` — the routing oracle the fabric
 #: builds from the cluster's partitioner.
@@ -50,18 +57,17 @@ ABORT = "abort"
 
 
 @dataclass
-class _InFlight:
-    """Coordinator-side state of one transaction between begin and decision."""
+class InFlightTxn:
+    """Coordinator-side state of one transaction between begin and decision.
 
-    txn_id: str
-    writes: Dict[str, Any]
-    client: str
-    deadline_ms: float
+    It is also the prepare request: sent by reference to every participant,
+    which reads ``op``, ``participants`` and its own ``per_participant``
+    writes, all fixed at begin."""
+
+    op: TxnOp
     participants: Tuple[str, ...]
     per_participant: Dict[str, Dict[str, Any]]
-    started_ms: float
     votes: Dict[str, bool] = field(default_factory=dict)
-    decision: Optional[str] = None
     timeout_event: Optional[Any] = None
     prepared_notice_sent: bool = False
 
@@ -97,7 +103,7 @@ class TwoPhaseCommitCoordinator(Node):
         self.active_name = self.peers[0] if self.peers else name
         self._last_heard_ms = 0.0
         # Volatile transaction state (cleared on crash recovery).
-        self.in_flight: Dict[str, _InFlight] = {}
+        self.in_flight: Dict[str, InFlightTxn] = {}
         self.decided: Dict[str, Tuple[str, Optional[Tuple[float, str, int]]]] = {}
         self._deliveries: Dict[str, _Delivery] = {}
         self._seq = itertools.count(1)
@@ -105,7 +111,7 @@ class TwoPhaseCommitCoordinator(Node):
         self.recovering = False
         self._takeover_pending: Set[str] = set()
         self._takeover_replied: Set[str] = set()
-        self._in_doubt: Dict[str, Dict[str, Any]] = {}
+        self._in_doubt: Dict[str, TxnLogRecord] = {}
         self.recovery_started_ms: Optional[float] = None
         self.recovery_completed_ms: Optional[float] = None
         # Instrumentation.
@@ -128,15 +134,8 @@ class TwoPhaseCommitCoordinator(Node):
     def recover(self) -> None:
         """Restart after a crash: volatile state is gone, rejoin as standby."""
         super().recover()
-        for state in self.in_flight.values():
-            if state.timeout_event is not None:
-                state.timeout_event.cancel()
-        self.in_flight.clear()
+        self._deactivate()
         self.decided.clear()
-        self._deliveries.clear()
-        self.active = False
-        self.recovering = False
-        self._takeover_pending.clear()
         self._takeover_replied.clear()
         self._in_doubt.clear()
         # Grace period: trust whoever is active now until proven silent.
@@ -144,8 +143,16 @@ class TwoPhaseCommitCoordinator(Node):
         if self.config.heartbeat_interval_ms > 0 and not self._hb_armed:
             self._arm_heartbeat()
 
+    def _not_current(self, epoch: int) -> bool:
+        """Whether a participant's reply at ``epoch`` is not for this node
+        as the active coordinator; a higher epoch deposes it."""
+        if epoch > self.epoch and self.active:
+            self._deactivate()
+        return not self.active or epoch != self.epoch
+
     def _deactivate(self) -> None:
-        """A higher epoch exists: stop acting as the active coordinator."""
+        """A higher epoch exists (or a restart wiped everything): stop
+        acting as the active coordinator."""
         self.active = False
         self.recovering = False
         for state in self.in_flight.values():
@@ -246,12 +253,7 @@ class TwoPhaseCommitCoordinator(Node):
 
     def on_txn_takeover_ack(self, message: Message) -> None:
         payload = message.payload
-        if payload["epoch"] > self.epoch:
-            if self.active:
-                self._deactivate()
-            return
-        if not self.active or not self.recovering \
-                or payload["epoch"] < self.epoch:
+        if self._not_current(payload["epoch"]) or not self.recovering:
             return
         participant = payload["participant"]
         self._takeover_pending.discard(participant)
@@ -260,44 +262,37 @@ class TwoPhaseCommitCoordinator(Node):
             self._merge_recovered_record(record)
         self._resolve_in_doubt()
 
-    def _merge_recovered_record(self, record: Dict[str, Any]) -> None:
-        txn_id = record["txn_id"]
-        state = record["state"]
-        if state == TxnState.COMMITTED:
-            self.decided[txn_id] = (COMMIT, tuple(record["timestamp"]))
+    def _merge_recovered_record(self, record: TxnLogRecord) -> None:
+        txn_id = record.txn_id
+        if record.state == TxnState.COMMITTED:
+            self.decided[txn_id] = (COMMIT, record.timestamp)
             self._in_doubt.pop(txn_id, None)
-            self._ensure_recovery_delivery(txn_id, record)
-        elif state == TxnState.ABORTED:
+            self._ensure_recovery_delivery(record)
+        elif record.state == TxnState.ABORTED:
             self.decided.setdefault(txn_id, (ABORT, None))
             self._in_doubt.pop(txn_id, None)
-            if record["participants"]:
-                self._ensure_recovery_delivery(txn_id, record)
-        elif state == TxnState.PREPARED:
-            if txn_id in self.decided:
-                # The outcome is already known from another participant's
-                # record: make sure this still-prepared participant gets it.
-                self._ensure_recovery_delivery(txn_id, record)
-            else:
-                self._in_doubt[txn_id] = {
-                    "participants": tuple(record["participants"]),
-                    "client": record["client"],
-                }
+            if record.participants:
+                self._ensure_recovery_delivery(record)
+        elif txn_id in self.decided:
+            # Prepared here, but the outcome is already known from another
+            # participant's record: make sure this participant gets it.
+            self._ensure_recovery_delivery(record)
+        else:
+            self._in_doubt[txn_id] = record
 
-    def _ensure_recovery_delivery(self, txn_id: str,
-                                  record: Dict[str, Any]) -> None:
+    def _ensure_recovery_delivery(self, record: TxnLogRecord) -> None:
         """Re-drive a recovered decision to the transaction's participants."""
-        outcome, timestamp = self.decided[txn_id]
-        self._start_delivery(txn_id, outcome, timestamp,
-                             tuple(record["participants"]),
-                             record["client"], notify_client_on_abort=True)
+        outcome, timestamp = self.decided[record.txn_id]
+        self._start_delivery(record.txn_id, outcome, timestamp,
+                             record.participants, record.client)
 
     def _resolve_in_doubt(self) -> None:
         for txn_id in sorted(self._in_doubt):
-            info = self._in_doubt[txn_id]
+            record = self._in_doubt[txn_id]
             decided = self.decided.get(txn_id)
             if decided is not None:
                 outcome, timestamp = decided
-            elif set(info["participants"]) <= self._takeover_replied:
+            elif set(record.participants) <= self._takeover_replied:
                 # Every participant answered and none holds a commit record:
                 # the old coordinator cannot have acked this transaction
                 # (acks require a durable commit record), so presumed abort
@@ -310,8 +305,7 @@ class TwoPhaseCommitCoordinator(Node):
                 continue
             del self._in_doubt[txn_id]
             self._start_delivery(txn_id, outcome, timestamp,
-                                 info["participants"], info["client"],
-                                 notify_client_on_abort=True)
+                                 record.participants, record.client)
         self._finish_recovery_if_done()
 
     def _finish_recovery_if_done(self) -> None:
@@ -320,41 +314,35 @@ class TwoPhaseCommitCoordinator(Node):
             self.recovering = False
             self.recovery_completed_ms = self.scheduler.now()
 
-    # -- transaction intake --------------------------------------------------
-    def on_txn_begin(self, message: Message) -> None:
-        payload = message.payload
-        txn_id = payload["txn_id"]
+    # -- transaction intake (network continuations) ---------------------------
+    def _txn_begin(self, op: TxnOp) -> None:
+        if not self.alive:
+            self.network.messages_dropped += 1
+            return
+        self.network.messages_delivered += 1
+        txn_id = op.txn_id
         if not self.active:
             self.redirects += 1
-            self.send(message.src, "txn_redirect",
-                      {"txn_id": txn_id, "active": self.active_name},
-                      size_bytes=MESSAGE_HEADER_BYTES + 32)
+            self.network.fused_send_to(
+                self, op.client, MESSAGE_HEADER_BYTES + 32,
+                self.network.node(op.client)._txn_redirect,
+                (txn_id, self.active_name))
             return
         decided = self.decided.get(txn_id)
         if decided is not None:
-            self._send_client_final(message.src, txn_id, decided[0],
-                                    decided[1])
+            self._send_client_final(op.client, txn_id, *decided)
             return
         if txn_id in self.in_flight or txn_id in self._in_doubt:
             # Duplicate submission of a transaction still being worked on:
-            # remember the (possibly new) reply-to and let it run.
-            if txn_id in self.in_flight:
-                self.in_flight[txn_id].client = payload["client"]
+            # let it run (the reply-to is the transaction's own manager).
             return
-        writes: Dict[str, Any] = payload["writes"]
-        members: Set[str] = set()
+        writes = op.writes
         per_participant: Dict[str, Dict[str, Any]] = {}
         for key in sorted(writes):
             for owner in self.owners_of(key):
-                members.add(owner)
                 per_participant.setdefault(owner, {})[key] = writes[key]
-        state = _InFlight(
-            txn_id=txn_id, writes=dict(writes), client=payload["client"],
-            deadline_ms=payload.get("deadline_ms", float("inf")),
-            participants=tuple(sorted(members)),
-            per_participant=per_participant,
-            started_ms=self.scheduler.now())
-        self.in_flight[txn_id] = state
+        self.in_flight[txn_id] = InFlightTxn(
+            op, tuple(sorted(per_participant)), per_participant)
         self.txns_started += 1
         self._enqueue(self.config.coordinator_service_ms,
                       self._send_prepares, (txn_id,))
@@ -363,24 +351,19 @@ class TwoPhaseCommitCoordinator(Node):
         if not self.alive or not self.active:
             return
         state = self.in_flight.get(txn_id)
-        if state is None or state.decision is not None:
+        if state is None:
             return
+        write_bytes = self.config.key_size_bytes + self.config.value_size_bytes
         for participant in state.participants:
             writes = state.per_participant[participant]
-            size = MESSAGE_HEADER_BYTES + sum(
-                self.config.key_size_bytes + self.config.value_size_bytes
-                for _ in writes)
-            self.send(participant, "txn_prepare", {
-                "txn_id": txn_id,
-                "epoch": self.epoch,
-                "writes": writes,
-                "participants": list(state.participants),
-                "client": state.client,
-                "deadline_ms": state.deadline_ms,
-            }, size_bytes=size)
+            self.network.fused_send_to(
+                self, participant,
+                MESSAGE_HEADER_BYTES + len(writes) * write_bytes,
+                self.network.node(participant)._txn_prepare,
+                (self, self.epoch, state))
         now = self.scheduler.now()
         timeout = min(self.config.prepare_timeout_ms,
-                      max(0.0, state.deadline_ms - now))
+                      max(0.0, state.op.deadline_ms - now))
         state.timeout_event = self.scheduler.schedule(
             timeout, self._on_prepare_timeout, txn_id)
 
@@ -388,27 +371,27 @@ class TwoPhaseCommitCoordinator(Node):
         if not self.alive or not self.active:
             return
         state = self.in_flight.get(txn_id)
-        if state is None or state.decision is not None:
+        if state is None:
             return
         state.timeout_event = None
         self.prepare_timeouts += 1
         self._decide(txn_id, ABORT)
 
     # -- votes & decision ----------------------------------------------------
-    def on_txn_vote(self, message: Message) -> None:
-        payload = message.payload
-        if payload["epoch"] > self.epoch:
-            if self.active:
-                self._deactivate()
+    def _txn_vote(self, txn_id: str, participant: str, epoch: int,
+                  yes: bool) -> None:
+        if not self.alive:
+            self.network.messages_dropped += 1
             return
-        if not self.active or payload["epoch"] < self.epoch:
+        self.network.messages_delivered += 1
+        if self._not_current(epoch):
             return
-        state = self.in_flight.get(payload["txn_id"])
-        if state is None or state.decision is not None:
+        state = self.in_flight.get(txn_id)
+        if state is None:
             return
-        state.votes[payload["participant"]] = payload["vote"]
-        if not payload["vote"]:
-            self._decide(state.txn_id, ABORT)
+        state.votes[participant] = yes
+        if not yes:
+            self._decide(txn_id, ABORT)
             return
         if all(state.votes.get(p) for p in state.participants):
             # Every participant voted yes: emit the speculative PREPARED
@@ -416,17 +399,15 @@ class TwoPhaseCommitCoordinator(Node):
             # that window is what invalidates the speculation).
             if not state.prepared_notice_sent:
                 state.prepared_notice_sent = True
-                self.send(state.client, "txn_prepared_notice",
-                          {"txn_id": state.txn_id},
-                          size_bytes=MESSAGE_HEADER_BYTES + 16)
+                self.network.fused_send_to(
+                    self, state.op.client, MESSAGE_HEADER_BYTES + 16,
+                    self.network.node(state.op.client)._txn_prepared,
+                    (txn_id,))
                 self._enqueue(self.config.decision_log_ms,
-                              self._finalize_commit, (state.txn_id,))
+                              self._finalize_commit, (txn_id,))
 
     def _finalize_commit(self, txn_id: str) -> None:
-        if not self.alive or not self.active:
-            return
-        state = self.in_flight.get(txn_id)
-        if state is None or state.decision is not None:
+        if not self.alive or not self.active or txn_id not in self.in_flight:
             return
         timestamp = (self.scheduler.now(), self.name, next(self._seq))
         self._decide(txn_id, COMMIT, timestamp)
@@ -434,22 +415,19 @@ class TwoPhaseCommitCoordinator(Node):
     def _decide(self, txn_id: str, outcome: str,
                 timestamp: Optional[Tuple[float, str, int]] = None) -> None:
         state = self.in_flight.pop(txn_id)
-        state.decision = outcome
         if state.timeout_event is not None:
             state.timeout_event.cancel()
-            state.timeout_event = None
         self.decided[txn_id] = (outcome, timestamp)
         if outcome == COMMIT:
             self.commits += 1
         else:
             self.aborts += 1
         self._start_delivery(txn_id, outcome, timestamp, state.participants,
-                             state.client, notify_client_on_abort=True)
+                             state.op.client)
 
     def _start_delivery(self, txn_id: str, outcome: str,
                         timestamp: Optional[Tuple[float, str, int]],
-                        participants: Sequence[str], client: str,
-                        notify_client_on_abort: bool) -> None:
+                        participants: Sequence[str], client: str) -> None:
         existing = self._deliveries.get(txn_id)
         if existing is not None:
             # Widen an in-progress delivery (recovery can learn membership
@@ -463,7 +441,7 @@ class TwoPhaseCommitCoordinator(Node):
                              unacked=set(participants), client=client)
         if outcome == ABORT:
             # Aborts carry no durability requirement: tell the client now.
-            if notify_client_on_abort and client:
+            if client:
                 self._send_client_final(client, txn_id, ABORT, None)
             delivery.client_acked = True
         self._deliveries[txn_id] = delivery
@@ -474,14 +452,13 @@ class TwoPhaseCommitCoordinator(Node):
                                     self._decision_retry_tick)
 
     def _send_decision(self, delivery: _Delivery) -> None:
-        kind = "txn_commit" if delivery.outcome == COMMIT else "txn_abort"
-        payload: Dict[str, Any] = {"txn_id": delivery.txn_id,
-                                   "epoch": self.epoch}
-        if delivery.outcome == COMMIT:
-            payload["timestamp"] = list(delivery.timestamp)
+        """Send the decision to every participant that still owes an ack;
+        a commit carries its timestamp, an abort none."""
         for participant in sorted(delivery.unacked):
-            self.send(participant, kind, dict(payload),
-                      size_bytes=MESSAGE_HEADER_BYTES + 48)
+            self.network.fused_send_to(
+                self, participant, MESSAGE_HEADER_BYTES + 48,
+                self.network.node(participant)._txn_decision,
+                (self, self.epoch, delivery.txn_id, delivery.timestamp))
 
     def _decision_retry_tick(self) -> None:
         if not self.alive or not self.active or not self._deliveries:
@@ -495,38 +472,34 @@ class TwoPhaseCommitCoordinator(Node):
         self.scheduler.schedule(self.config.decision_retry_ms,
                                 self._decision_retry_tick)
 
-    def on_txn_commit_ack(self, message: Message) -> None:
-        payload = message.payload
-        delivery = self._deliveries.get(payload["txn_id"])
+    def _txn_ack(self, txn_id: str, participant: str,
+                 committed: bool) -> None:
+        """A participant applied (``committed``) or logged the decision."""
+        if not self.alive:
+            self.network.messages_dropped += 1
+            return
+        self.network.messages_delivered += 1
+        delivery = self._deliveries.get(txn_id)
         if delivery is None:
             return
-        delivery.unacked.discard(payload["participant"])
-        if delivery.outcome == COMMIT and not delivery.client_acked:
+        delivery.unacked.discard(participant)
+        if committed and delivery.outcome == COMMIT \
+                and not delivery.client_acked:
             # First durable commit record in place: the outcome can no
             # longer be lost, so the client may be told it committed.
             delivery.client_acked = True
             if delivery.client:
-                self._send_client_final(delivery.client, delivery.txn_id,
-                                        COMMIT, delivery.timestamp)
+                self._send_client_final(delivery.client, txn_id, COMMIT,
+                                        delivery.timestamp)
         if not delivery.unacked:
-            del self._deliveries[delivery.txn_id]
-
-    def on_txn_abort_ack(self, message: Message) -> None:
-        payload = message.payload
-        delivery = self._deliveries.get(payload["txn_id"])
-        if delivery is None:
-            return
-        delivery.unacked.discard(payload["participant"])
-        if not delivery.unacked:
-            del self._deliveries[delivery.txn_id]
+            del self._deliveries[txn_id]
 
     def _send_client_final(self, client: str, txn_id: str, outcome: str,
                            timestamp: Optional[Tuple[float, str, int]]) -> None:
-        self.send(client, "txn_final", {
-            "txn_id": txn_id,
-            "outcome": outcome,
-            "timestamp": list(timestamp) if timestamp else None,
-        }, size_bytes=MESSAGE_HEADER_BYTES + 48)
+        self.network.fused_send_to(
+            self, client, MESSAGE_HEADER_BYTES + 48,
+            self.network.node(client)._txn_final,
+            (txn_id, outcome, timestamp))
 
     # -- introspection -------------------------------------------------------
     def time_to_recover_ms(self) -> Optional[float]:

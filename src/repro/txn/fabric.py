@@ -18,7 +18,7 @@ from repro.core.cluster_spec import BuiltCluster
 from repro.sim.topology import Region
 from repro.txn.balancer import LoadBalancer
 from repro.txn.config import TxnConfig
-from repro.txn.coordinator import TwoPhaseCommitCoordinator
+from repro.txn.coordinator import OwnersFn, TwoPhaseCommitCoordinator
 from repro.txn.log import TxnState
 from repro.txn.manager import TransactionManager
 from repro.txn.participant import TxnParticipant
@@ -39,6 +39,8 @@ class TxnFabric:
     coordinators: List[TwoPhaseCommitCoordinator]
     manager: TransactionManager
     balancer: LoadBalancer
+    #: ``key -> participant names``, the routing oracle the coordinators use.
+    owners_of: OwnersFn
 
     # -- lookups -------------------------------------------------------------
     def active_coordinator(self) -> Optional[TwoPhaseCommitCoordinator]:
@@ -48,9 +50,17 @@ class TxnFabric:
             return None
         return max(actives, key=lambda c: c.epoch)
 
-    def owners_of(self, key: str) -> Tuple[str, ...]:
-        return tuple(PARTICIPANT_PREFIX + name for name in
-                     self.built.cluster.partitioner.replicas_for(key))
+    def in_flight(self) -> Dict[str, int]:
+        """What is still open, all zero once a healed run has drained."""
+        coordinators = self.coordinators
+        return {
+            "manager_pending": len(self.manager._pending),
+            "coordinator_in_flight": sum(len(c.in_flight)
+                                         for c in coordinators),
+            "deliveries": sum(len(c._deliveries) for c in coordinators),
+            "in_doubt": sum(len(c._in_doubt) for c in coordinators),
+            "locks": sum(len(p.locks) for p in self.participants.values()),
+        }
 
     # -- recovery metrics ----------------------------------------------------
     def time_to_recover_ms(self) -> Optional[float]:
@@ -201,7 +211,7 @@ def build_txn_fabric(built: BuiltCluster, config: Optional[TxnConfig] = None,
 
     return TxnFabric(built=built, config=config, participants=participants,
                      coordinators=coordinators, manager=manager,
-                     balancer=balancer)
+                     balancer=balancer, owners_of=owners_of)
 
 
 def txn_aliases(fabric: TxnFabric) -> Dict[str, str]:

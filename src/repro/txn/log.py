@@ -3,13 +3,12 @@
 The log is the stable storage of the protocol: a participant that crashes
 keeps its log (and the locks derivable from it), and the records are what a
 takeover coordinator reads to drive every in-flight transaction to a
-consistent outcome.  Records serialize to plain dicts so they travel in
-message payloads unchanged.
+consistent outcome; a takeover reply carries copies of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 
@@ -36,21 +35,8 @@ class TxnLogRecord:
     writes: Dict[str, Any]
     participants: Tuple[str, ...]
     client: str
-    epoch: int
     #: Commit timestamp ``(time_ms, coordinator, seq)``; None until committed.
     timestamp: Optional[Tuple[float, str, int]] = None
-    updated_at_ms: float = 0.0
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "txn_id": self.txn_id,
-            "state": self.state,
-            "writes": dict(self.writes),
-            "participants": list(self.participants),
-            "client": self.client,
-            "epoch": self.epoch,
-            "timestamp": list(self.timestamp) if self.timestamp else None,
-        }
 
 
 class ParticipantLog:
@@ -68,38 +54,34 @@ class ParticipantLog:
         return record.state if record is not None else None
 
     def record_prepared(self, txn_id: str, writes: Dict[str, Any],
-                        participants: Tuple[str, ...], client: str,
-                        epoch: int, now_ms: float) -> TxnLogRecord:
+                        participants: Tuple[str, ...],
+                        client: str) -> TxnLogRecord:
         record = TxnLogRecord(txn_id=txn_id, state=TxnState.PREPARED,
                               writes=dict(writes), participants=participants,
-                              client=client, epoch=epoch, updated_at_ms=now_ms)
+                              client=client)
         self._records[txn_id] = record
         self.appends += 1
         return record
 
     def record_committed(self, txn_id: str,
-                         timestamp: Tuple[float, str, int],
-                         now_ms: float) -> TxnLogRecord:
+                         timestamp: Tuple[float, str, int]) -> TxnLogRecord:
         record = self._records[txn_id]
         record.state = TxnState.COMMITTED
         record.timestamp = timestamp
-        record.updated_at_ms = now_ms
         self.appends += 1
         return record
 
-    def record_aborted(self, txn_id: str, now_ms: float) -> TxnLogRecord:
+    def record_aborted(self, txn_id: str) -> TxnLogRecord:
         record = self._records.get(txn_id)
         if record is None:
             # An abort can arrive for a transaction this participant never
             # prepared (it voted no, or the prepare never reached it);
             # logging it keeps the decision durable for idempotent acks.
             record = TxnLogRecord(txn_id=txn_id, state=TxnState.ABORTED,
-                                  writes={}, participants=(), client="",
-                                  epoch=0, updated_at_ms=now_ms)
+                                  writes={}, participants=(), client="")
             self._records[txn_id] = record
         else:
             record.state = TxnState.ABORTED
-            record.updated_at_ms = now_ms
         self.appends += 1
         return record
 
@@ -111,9 +93,10 @@ class ParticipantLog:
         """Prepared records with no decision — what blocks a takeover."""
         return [r for r in self.records() if r.state == TxnState.PREPARED]
 
-    def snapshot_payload(self) -> List[Dict[str, Any]]:
-        """Prepared + decided records for a takeover state reply."""
-        return [r.to_payload() for r in self.records()]
+    def snapshot(self) -> List[TxnLogRecord]:
+        """Copies of every record, for a takeover state reply (what the
+        log logs after the reply left does not reach it)."""
+        return [replace(record) for record in self.records()]
 
     def __len__(self) -> int:
         return len(self._records)

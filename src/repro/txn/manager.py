@@ -13,26 +13,32 @@ the coordinator group (routed through the health-tracking
 :meth:`TransactionManager.execute_sink` runs the same transaction into
 any sink of :mod:`repro.core.sink` (``execute`` passes the Correctable).
 
+Each transaction is one :class:`TxnOp`, sent by reference to the
+coordinator the balancer picks, which answers into ``_txn_redirect``,
+``_txn_prepared`` and ``_txn_final``: every hop is a
+:meth:`~repro.sim.network.Network.fused_send_to` continuation, with no
+``Message`` and no payload dict.
+
 The manager reuses the same :class:`~repro.sim.failover.FailoverMixin` +
-:class:`~repro.core.retry.RetryPolicy` seam as the storage clients: a timed
-out submission is retried (with capped exponential backoff) against the
+:class:`~repro.core.retry.RetryPolicy` seam as the ZooKeeper client: a
+timed out submission is re-sent (with capped exponential backoff) to the
 next healthy coordinator, within the transaction's absolute
 :class:`~repro.core.retry.Deadline`.  Retries are idempotent — they carry
-the same transaction id, and coordinators deduplicate by id.
+the same record and transaction id, and coordinators deduplicate by id.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.consistency import STRONG, ConsistencyLevel
 from repro.core.correctable import Correctable
 from repro.core.errors import CorrectableError
 from repro.core.retry import Deadline, RetryPolicy
 from repro.sim.failover import FailoverMixin
-from repro.sim.network import MESSAGE_HEADER_BYTES, Message, Network
+from repro.sim.network import MESSAGE_HEADER_BYTES, Network
 from repro.sim.node import Node
 from repro.txn.balancer import LoadBalancer
 from repro.txn.config import TxnConfig
@@ -72,20 +78,36 @@ class PreparedViewStats:
         return self.matched / resolved
 
 
-@dataclass
-class _PendingTxn:
-    txn_id: str
-    writes: Dict[str, Any]
-    sent_at: float
-    sink: Any
-    deadline_ms: float
-    prepared_seen: bool = False
-    last_target: Optional[str] = None
-    preferred: Optional[str] = None
-    redirects: int = 0
-    attempts: int = 0
-    rotation_index: int = 0
-    timeout_event: Optional[Any] = None
+class TxnOp:
+    """One transaction, from :meth:`TransactionManager.execute_sink` to its
+    final answer.
+
+    Every attempt sends this record to a coordinator, which reads the wire
+    fields (``txn_id`` … ``size_bytes``; ``client`` is the reply address)
+    only.  The rest is the manager's bookkeeping, including the failover
+    state :class:`FailoverMixin` keeps on it.  Freed by refcount: no pool.
+    """
+
+    __slots__ = ("txn_id", "writes", "client", "deadline_ms", "size_bytes",
+                 "sink", "sent_at", "prepared_seen", "last_target",
+                 "preferred", "redirects", "attempts", "rotation_index",
+                 "timeout_event")
+
+    def __init__(self, txn_id: str, writes: Dict[str, Any], client: str,
+                 deadline_ms: float, size_bytes: int, sink: Any,
+                 sent_at: float) -> None:
+        self.txn_id = txn_id
+        self.writes = writes
+        self.client = client
+        self.deadline_ms = deadline_ms
+        self.size_bytes = size_bytes
+        self.sink = sink
+        self.sent_at = sent_at
+        self.prepared_seen = False
+        #: The coordinator tried last and the one a redirect named.
+        self.last_target = self.preferred = None
+        self.redirects = self.attempts = self.rotation_index = 0
+        self.timeout_event: Optional[Any] = None
 
 
 class TransactionManager(FailoverMixin, Node):
@@ -102,7 +124,7 @@ class TransactionManager(FailoverMixin, Node):
             failure_threshold=config.breaker_failure_threshold,
             reset_timeout_ms=config.breaker_reset_ms)
         self._txn_ids = itertools.count(1)
-        self._pending: Dict[str, _PendingTxn] = {}
+        self._pending: Dict[str, TxnOp] = {}
         self._failover_policy = RetryPolicy(
             max_retries=config.client_retries,
             base_delay_ms=config.client_backoff_base_ms,
@@ -146,112 +168,112 @@ class TransactionManager(FailoverMixin, Node):
         deadline = Deadline.after(
             now, budget_ms if budget_ms is not None
             else self.config.txn_deadline_ms)
-        pending = _PendingTxn(txn_id=txn_id, writes=dict(writes), sent_at=now,
-                              sink=sink, deadline_ms=deadline.expires_at_ms)
-        self._pending[txn_id] = pending
+        size = MESSAGE_HEADER_BYTES + len(writes) * (
+            self.config.key_size_bytes + self.config.value_size_bytes)
+        op = self._pending[txn_id] = TxnOp(
+            txn_id, dict(writes), self.name, deadline.expires_at_ms, size,
+            sink, now)
         self.txns_submitted += 1
-        self._dispatch(pending)
+        self._dispatch(op)
         return txn_id
 
-    def _dispatch(self, pending: _PendingTxn) -> None:
-        now = self.scheduler.now()
-        target = self.balancer.pick(now, preferred=pending.preferred,
-                                    avoid=pending.last_target)
-        pending.preferred = None
-        pending.last_target = target
-        size = MESSAGE_HEADER_BYTES + sum(
-            self.config.key_size_bytes + self.config.value_size_bytes
-            for _ in pending.writes)
-        self.send(target, "txn_begin", {
-            "txn_id": pending.txn_id,
-            "writes": dict(pending.writes),
-            "client": self.name,
-            "deadline_ms": pending.deadline_ms,
-        }, size_bytes=size)
-        self._arm_request_timeout(pending, pending.txn_id,
+    def _dispatch(self, op: TxnOp) -> None:
+        target = self.balancer.pick(self.scheduler.now(),
+                                    preferred=op.preferred,
+                                    avoid=op.last_target)
+        op.preferred = None
+        op.last_target = target
+        self.network.fused_send_to(self, target, op.size_bytes,
+                                   self.network.node(target)._txn_begin,
+                                   (op,))
+        self._arm_request_timeout(op, op.txn_id,
                                   self.config.client_timeout_ms)
 
     # -- failover hooks (see FailoverMixin) ----------------------------------
-    def _redispatch(self, pending: _PendingTxn) -> None:
-        self._dispatch(pending)
+    _redispatch = _dispatch
 
     def _on_request_timeout(self, txn_id: str) -> None:
-        pending = self._pending.get(txn_id)
-        if pending is None:
+        op = self._pending.get(txn_id)
+        if op is None:
             return
         now = self.scheduler.now()
-        if pending.last_target is not None:
+        if op.last_target is not None:
             # Feed the health tracker: this coordinator went silent.
-            self.balancer.record_failure(pending.last_target, now)
-        if Deadline(pending.deadline_ms).expired(now):
+            self.balancer.record_failure(op.last_target, now)
+        if Deadline(op.deadline_ms).expired(now):
             # No budget left for another attempt: fail now.
-            pending.timeout_event = None
+            op.timeout_event = None
             self.failed_requests += 1
             del self._pending[txn_id]
-            self._deliver_timeout_failure(pending)
+            self._deliver_timeout_failure(op)
             return
         super()._on_request_timeout(txn_id)
 
-    def _deliver_timeout_failure(self, pending: _PendingTxn) -> None:
-        if pending.prepared_seen:
+    def _deliver_timeout_failure(self, op: TxnOp) -> None:
+        if op.prepared_seen:
             self.stats.unresolved += 1
-        pending.sink.deliver_error(
+        op.sink.deliver_error(
             TransactionError("transaction timeout: no coordinator answered"),
-            self.scheduler.now() - pending.sent_at)
+            self.scheduler.now() - op.sent_at)
 
-    # -- responses -----------------------------------------------------------
-    def on_txn_redirect(self, message: Message) -> None:
+    # -- responses (network continuations) -----------------------------------
+    def _txn_redirect(self, txn_id: str, active: str) -> None:
         """A standby bounced us toward the coordinator it believes active."""
-        payload = message.payload
-        pending = self._pending.get(payload["txn_id"])
-        if pending is None:
+        if not self.alive:
+            self.network.messages_dropped += 1
             return
-        self._settle(pending)
-        pending.redirects += 1
+        self.network.messages_delivered += 1
+        op = self._pending.get(txn_id)
+        if op is None:
+            return
+        self._settle(op)
+        op.redirects += 1
         self.redirects_followed += 1
-        if pending.redirects <= 2 * len(self.coordinators):
-            pending.preferred = payload.get("active")
-            self._dispatch(pending)
+        if op.redirects <= 2 * len(self.coordinators):
+            op.preferred = active
+            self._dispatch(op)
             return
         # Redirect loop (no coordinator admits being active): burn a retry.
-        self._on_request_timeout(pending.txn_id)
+        self._on_request_timeout(txn_id)
 
-    def on_txn_prepared_notice(self, message: Message) -> None:
-        payload = message.payload
-        pending = self._pending.get(payload["txn_id"])
-        if pending is None or pending.prepared_seen:
+    def _txn_prepared(self, txn_id: str) -> None:
+        if not self.alive:
+            self.network.messages_dropped += 1
             return
-        pending.prepared_seen = True
+        self.network.messages_delivered += 1
+        op = self._pending.get(txn_id)
+        if op is None or op.prepared_seen:
+            return
+        op.prepared_seen = True
         self.stats.prepared_views += 1
-        pending.sink.deliver_preliminary(
-            {"txn_id": pending.txn_id, "outcome": "commit",
-             "speculative": True},
-            None, self.scheduler.now() - pending.sent_at)
+        op.sink.deliver_preliminary(
+            {"txn_id": txn_id, "outcome": "commit", "speculative": True},
+            None, self.scheduler.now() - op.sent_at)
 
-    def on_txn_final(self, message: Message) -> None:
-        payload = message.payload
-        pending = self._pending.pop(payload["txn_id"], None)
-        if pending is None:
+    def _txn_final(self, txn_id: str, outcome: str,
+                   timestamp: Optional[Tuple[float, str, int]]) -> None:
+        if not self.alive:
+            self.network.messages_dropped += 1
+            return
+        self.network.messages_delivered += 1
+        op = self._pending.pop(txn_id, None)
+        if op is None:
             self.duplicate_finals += 1
             return
-        self._settle(pending)
-        if pending.last_target is not None:
-            self.balancer.record_success(pending.last_target)
-        outcome = payload["outcome"]
-        timestamp = (tuple(payload["timestamp"])
-                     if payload.get("timestamp") else None)
-        latency_ms = self.scheduler.now() - pending.sent_at
+        self._settle(op)
+        if op.last_target is not None:
+            self.balancer.record_success(op.last_target)
+        latency_ms = self.scheduler.now() - op.sent_at
         committed = outcome == "commit"
-        self.stats.record_final(pending.prepared_seen, committed)
+        self.stats.record_final(op.prepared_seen, committed)
         if committed:
-            self.acked_commits[pending.txn_id] = {
+            self.acked_commits[txn_id] = {
                 "timestamp": timestamp,
-                "writes": dict(pending.writes),
+                "writes": dict(op.writes),
                 "latency_ms": latency_ms,
             }
         else:
-            self.acked_aborts.add(pending.txn_id)
-        pending.sink.deliver_final(
-            {"txn_id": pending.txn_id, "outcome": outcome,
-             "timestamp": timestamp},
+            self.acked_aborts.add(txn_id)
+        op.sink.deliver_final(
+            {"txn_id": txn_id, "outcome": outcome, "timestamp": timestamp},
             timestamp, latency_ms)

@@ -5,16 +5,20 @@ on prepares (taking per-key locks, logging the prepared writes), applies
 committed transactions into the replica's local table as ordinary LWW
 versions, and answers takeover coordinators with its log state.
 
-Epoch discipline: every coordinator message carries the sender's epoch.  A
+Prepares and decisions arrive, and votes and acks go back, as
+:meth:`~repro.sim.network.Network.fused_send_to` continuations; only the
+takeover probe and its reply are ``Message`` traffic.
+
+Epoch discipline: every coordinator request carries the sender's epoch.  A
 participant tracks the highest epoch it has seen and rejects work from
-older epochs, both when a message arrives and when its queued job is
+older epochs, both when a request arrives and when its queued job is
 served — which is what fences a deposed (or partitioned-away) coordinator
 out of the protocol the moment its successor's takeover probe lands.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.cassandra_sim.replica import CassandraReplica
 from repro.cassandra_sim.versions import VersionedValue
@@ -22,6 +26,7 @@ from repro.core.retry import Deadline
 from repro.sim.network import Message, Network
 from repro.sim.node import Node
 from repro.txn.config import TxnConfig
+from repro.txn.coordinator import InFlightTxn
 from repro.txn.log import ParticipantLog, TxnState
 
 
@@ -61,124 +66,117 @@ class TxnParticipant(Node):
             return True
         return False
 
-    # -- prepare phase ------------------------------------------------------
-    def on_txn_prepare(self, message: Message) -> None:
-        payload = message.payload
-        if self._stale(payload["epoch"]):
+    # -- prepare phase (network continuation) --------------------------------
+    def _txn_prepare(self, coordinator: Node, epoch: int,
+                     request: InFlightTxn) -> None:
+        if not self.alive:
+            self.network.messages_dropped += 1
             return
-        self.epoch = payload["epoch"]
+        self.network.messages_delivered += 1
+        if self._stale(epoch):
+            return
+        self.epoch = epoch
         self._enqueue(self.config.prepare_service_ms, self._handle_prepare,
-                      (message.src, payload))
+                      (coordinator, epoch, request))
 
-    def _handle_prepare(self, coordinator: str, payload: Dict[str, Any]) -> None:
-        if not self.alive or self._stale(payload["epoch"]):
+    def _handle_prepare(self, coordinator: Node, epoch: int,
+                        request: InFlightTxn) -> None:
+        if not self.alive or self._stale(epoch):
             return
-        txn_id = payload["txn_id"]
+        op = request.op
+        txn_id = op.txn_id
         state = self.log.state(txn_id)
         if state == TxnState.COMMITTED:
             # Idempotent re-prepare of a decided transaction: the decision
             # already stands; re-ack it so the coordinator stops retrying.
-            self._send_commit_ack(coordinator, txn_id)
+            self._ack(coordinator, txn_id, True)
             return
-        if state == TxnState.ABORTED:
-            self._vote(coordinator, payload, False, "aborted")
+        if state is not None:
+            # Already prepared (vote yes again) or aborted (vote no again).
+            self._vote(coordinator, txn_id, state == TxnState.PREPARED)
             return
-        if state == TxnState.PREPARED:
-            self._vote(coordinator, payload, True, "prepared")
-            return
-        deadline = Deadline(payload.get("deadline_ms", float("inf")))
-        if deadline.expired(self.scheduler.now()):
+        if Deadline(op.deadline_ms).expired(self.scheduler.now()):
             self.deadline_refusals += 1
-            self._vote(coordinator, payload, False, "deadline")
+            self._vote(coordinator, txn_id, False)
             return
-        writes = payload["writes"]
-        holder = next((self.locks[key] for key in writes
-                       if self.locks.get(key, txn_id) != txn_id), None)
-        if holder is not None:
+        writes = request.per_participant[self.name]
+        if any(self.locks.get(key, txn_id) != txn_id for key in writes):
             self.lock_conflicts += 1
-            self._vote(coordinator, payload, False, "conflict")
+            self._vote(coordinator, txn_id, False)
             return
         for key in writes:
             self.locks[key] = txn_id
-        self.log.record_prepared(txn_id, writes,
-                                 tuple(payload["participants"]),
-                                 payload["client"], payload["epoch"],
-                                 self.scheduler.now())
-        self._vote(coordinator, payload, True, "ok")
+        self.log.record_prepared(txn_id, writes, request.participants,
+                                 op.client)
+        self._vote(coordinator, txn_id, True)
 
-    def _vote(self, coordinator: str, payload: Dict[str, Any],
-              yes: bool, reason: str) -> None:
+    def _vote(self, coordinator: Node, txn_id: str, yes: bool) -> None:
         if yes:
             self.votes_yes += 1
         else:
             self.votes_no += 1
-        self.send(coordinator, "txn_vote", {
-            "txn_id": payload["txn_id"],
-            "participant": self.name,
-            "epoch": self.epoch,
-            "vote": yes,
-            "reason": reason,
-        }, size_bytes=64)
+        self.network.fused_send_to(self, coordinator.name, 64,
+                                   coordinator._txn_vote,
+                                   (txn_id, self.name, self.epoch, yes))
 
-    # -- decision phase -----------------------------------------------------
-    def on_txn_commit(self, message: Message) -> None:
-        payload = message.payload
-        if self._stale(payload["epoch"]):
+    # -- decision phase (network continuation) -------------------------------
+    def _txn_decision(self, coordinator: Node, epoch: int, txn_id: str,
+                      timestamp: Optional[Tuple[float, str, int]]) -> None:
+        """A commit (``timestamp`` set) or an abort (``None``)."""
+        if not self.alive:
+            self.network.messages_dropped += 1
             return
-        self.epoch = payload["epoch"]
-        self._enqueue(self.config.commit_service_ms, self._handle_commit,
-                      (message.src, payload))
+        self.network.messages_delivered += 1
+        if self._stale(epoch):
+            return
+        self.epoch = epoch
+        if timestamp is None:
+            self._enqueue(self.config.prepare_service_ms, self._handle_abort,
+                          (coordinator, epoch, txn_id))
+        else:
+            self._enqueue(self.config.commit_service_ms, self._handle_commit,
+                          (coordinator, epoch, txn_id, timestamp))
 
-    def _handle_commit(self, coordinator: str, payload: Dict[str, Any]) -> None:
-        if not self.alive or self._stale(payload["epoch"]):
+    def _handle_commit(self, coordinator: Node, epoch: int, txn_id: str,
+                       timestamp: Tuple[float, str, int]) -> None:
+        if not self.alive or self._stale(epoch):
             return
-        txn_id = payload["txn_id"]
         record = self.log.get(txn_id)
         if record is None or record.state == TxnState.ABORTED:
             # A commit decision for a transaction with no local prepare can
             # only be a protocol violation upstream; drop it (never apply
             # writes that were not voted on) and let the audit catch it.
             return
-        timestamp = tuple(payload["timestamp"])
         if record.state == TxnState.PREPARED:
-            self.log.record_committed(txn_id, timestamp, self.scheduler.now())
+            self.log.record_committed(txn_id, timestamp)
             for key, value in sorted(record.writes.items()):
                 self.replica.table.apply(key, VersionedValue(value, timestamp))
             self.applied.add(txn_id)
             self.commits_applied += 1
             self._release_locks(txn_id)
-        self._send_commit_ack(coordinator, txn_id)
+        self._ack(coordinator, txn_id, True)
 
-    def _send_commit_ack(self, coordinator: str, txn_id: str) -> None:
-        self.send(coordinator, "txn_commit_ack",
-                  {"txn_id": txn_id, "participant": self.name,
-                   "epoch": self.epoch}, size_bytes=48)
-
-    def on_txn_abort(self, message: Message) -> None:
-        payload = message.payload
-        if self._stale(payload["epoch"]):
+    def _handle_abort(self, coordinator: Node, epoch: int,
+                      txn_id: str) -> None:
+        if not self.alive or self._stale(epoch):
             return
-        self.epoch = payload["epoch"]
-        self._enqueue(self.config.prepare_service_ms, self._handle_abort,
-                      (message.src, payload))
-
-    def _handle_abort(self, coordinator: str, payload: Dict[str, Any]) -> None:
-        if not self.alive or self._stale(payload["epoch"]):
-            return
-        txn_id = payload["txn_id"]
         record = self.log.get(txn_id)
         if record is not None and record.state == TxnState.COMMITTED:
             # An abort can never override a commit; the coordinator group
             # guarantees it never issues one, so just re-ack the commit.
-            self._send_commit_ack(coordinator, txn_id)
+            self._ack(coordinator, txn_id, True)
             return
         if record is None or record.state != TxnState.ABORTED:
-            self.log.record_aborted(txn_id, self.scheduler.now())
+            self.log.record_aborted(txn_id)
             self.aborts_logged += 1
         self._release_locks(txn_id)
-        self.send(coordinator, "txn_abort_ack",
-                  {"txn_id": txn_id, "participant": self.name,
-                   "epoch": self.epoch}, size_bytes=48)
+        self._ack(coordinator, txn_id, False)
+
+    def _ack(self, coordinator: Node, txn_id: str, committed: bool) -> None:
+        """Tell ``coordinator`` the decision is logged: committed or not."""
+        self.network.fused_send_to(self, coordinator.name, 48,
+                                   coordinator._txn_ack,
+                                   (txn_id, self.name, committed))
 
     def _release_locks(self, txn_id: str) -> None:
         for key in [k for k, holder in self.locks.items() if holder == txn_id]:
@@ -194,16 +192,15 @@ class TxnParticipant(Node):
         are rejected and the state in the reply cannot be invalidated by
         old-epoch traffic.
         """
-        payload = message.payload
-        if payload["epoch"] < self.epoch:
-            self.stale_epoch_rejections += 1
+        epoch = message.payload["epoch"]
+        if self._stale(epoch):
             return
-        self.epoch = payload["epoch"]
+        self.epoch = epoch
         self.takeover_replies += 1
         self.send(message.src, "txn_takeover_ack", {
             "participant": self.name,
-            "epoch": self.epoch,
-            "records": self.log.snapshot_payload(),
+            "epoch": epoch,
+            "records": self.log.snapshot(),
         }, size_bytes=128 + 64 * len(self.log))
 
     # -- introspection ------------------------------------------------------

@@ -473,22 +473,49 @@ class TestDeterminism:
         assert scenario.cluster.in_flight() == {
             "read_sessions": 0, "write_sessions": 0, "client_pending": 0}
 
-    def test_message_traffic_is_counted_not_pooled(self):
-        """2PC is ``Message`` traffic end to end, so a fig16 cell builds
-        many; ``pool_stats`` counts them and reports an empty pool."""
+    def test_txn_request_path_creates_no_message(self):
+        """2PC's request path (begin, redirect, prepare, vote, decision,
+        ack, PREPARED notice, final) rides records and continuations, so a
+        fault-free fabric with heartbeats off creates no ``Message`` at
+        all, and a fig16 cell through a coordinator takeover only
+        control-plane ones."""
         from repro.bench.fig16_txn import run_fig16_cell
+        from repro.core.cluster_spec import ClusterSpec
+        from repro.sim.network import Network
+        from repro.txn import TxnConfig, build_txn_fabric
 
-        _, env = run_fig16_cell(
-            scenario="coordinator-crash-mid-commit", keys_per_txn=2,
-            nodes=3, coordinators=2, rate_txn_s=25.0,
-            duration_ms=4_000.0, fault_at_ms=1_500.0,
-            fault_duration_ms=1_500.0, decision_log_ms=2.0,
-            record_count=120, seed=42)
-        stats = env.network.pool_stats()
-        assert stats["created"] > 0
-        assert stats["created"] >= env.network.messages_sent
-        assert (stats["reused"], stats["recycled"], stats["free"]) \
-            == (0, 0, 0)
+        built = ClusterSpec(nodes=3, seed=11, record_count=40,
+                            client_regions=()).build()
+        fabric = build_txn_fabric(
+            built, config=TxnConfig(heartbeat_interval_ms=0.0))
+        keys = built.dataset.keys()
+        for i in range(10):
+            fabric.manager.execute({keys[i]: "a", keys[i + 10]: "b"})
+        built.env.run_until_idle()
+        assert len(fabric.manager.acked_commits) == 10
+        assert built.env.network.messages_sent > 0
+        assert built.env.network.pool_stats()["created"] == 0
+
+        kinds = set()
+        network_send = Network.send
+
+        def recording_send(self, src, dst, kind, *args, **kwargs):
+            kinds.add(kind)
+            return network_send(self, src, dst, kind, *args, **kwargs)
+
+        Network.send = recording_send
+        try:
+            _, env = run_fig16_cell(
+                scenario="coordinator-crash-mid-commit", keys_per_txn=2,
+                nodes=3, coordinators=2, rate_txn_s=25.0,
+                duration_ms=4_000.0, fault_at_ms=1_500.0,
+                fault_duration_ms=1_500.0, decision_log_ms=2.0,
+                record_count=120, seed=42)
+        finally:
+            Network.send = network_send
+        assert env.network.pool_stats()["created"] > 0
+        assert kinds == {"coord_heartbeat", "txn_takeover",
+                         "txn_takeover_ack"}
 
     def test_zookeeper_request_path_creates_no_message(self):
         """The complement: ZooKeeper's seven request-path hops ride records

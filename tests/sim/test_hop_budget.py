@@ -64,12 +64,14 @@ _PERFBENCH_WORKLOADS = (Path(__file__).resolve().parents[2]
 #: version -> quick fig16 scenario -> executed bytecodes in ``src/`` frames
 #: per submitted transaction, set-up included, over the whole cell
 #: (``run_fig16_cell`` with the figure's quick parameters) in a fresh
-#: process; measured on the parent of the change that added the row, while
-#: every 2PC hop was a ``Message``.  Checked against ``_WORKLOAD_ROOM``.
+#: process, measured on the change that last lowered it: moving 2PC's
+#: request path from ``Message`` handlers onto records and continuations
+#: took the three cells from 12,507.07, 15,024.66 and 11,926.44.  Checked
+#: against ``_WORKLOAD_ROOM``.
 _FIG16_BUDGETS = {
-    (3, 11): {"baseline": 12507.07,
-              "coordinator-crash-mid-commit": 15024.66,
-              "participant-crash-after-prepare": 11926.44},
+    (3, 11): {"baseline": 10672.61,
+              "coordinator-crash-mid-commit": 12567.09,
+              "participant-crash-after-prepare": 10094.50},
 }
 
 

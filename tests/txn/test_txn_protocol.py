@@ -8,10 +8,11 @@ is exercised separately in ``test_failover.py``.
 import pytest
 
 from repro.core.consistency import STRONG
-from repro.sim.network import Message
 from repro.txn import (
     PREPARED, TransactionError, TxnConfig, TxnState, txn_aliases,
 )
+from repro.txn.coordinator import InFlightTxn
+from repro.txn.manager import TxnOp
 from txn_helpers import collect, make_fabric, no_failover_config, run_until
 
 
@@ -59,6 +60,7 @@ class TestCommitPath:
         env = fabric.built.env
         key = fabric.built.dataset.keys()[0]
         box = collect(manager.execute({key: "v1"}))
+        (op,) = manager._pending.values()
         env.run_until_idle()
         txn_id = box["final"].value["txn_id"]
         coordinator = fabric.active_coordinator()
@@ -67,10 +69,10 @@ class TestCommitPath:
         # re-run 2PC: the coordinator replays the decided outcome and every
         # participant applies the commit exactly once.
         applied_before = {name: p.commits_applied
-                         for name, p in fabric.participants.items()}
-        manager.send(coordinator.name, "txn_begin", {
-            "txn_id": txn_id, "writes": {key: "v1"},
-            "client": manager.name, "deadline_ms": float("inf")})
+                          for name, p in fabric.participants.items()}
+        assert op.txn_id == txn_id
+        env.network.fused_send_to(manager, coordinator.name, op.size_bytes,
+                                  coordinator._txn_begin, (op,))
         env.run_until_idle()
 
         assert manager.duplicate_finals == 1
@@ -250,14 +252,14 @@ class TestEpochFencing:
         participant = fabric.participants[fabric.owners_of(key)[0]]
         assert participant.epoch >= 1
         votes_before = participant.votes_yes + participant.votes_no
-        stale = Message(src="txn-coord-ghost", dst=participant.name,
-                        kind="txn_prepare",
-                        payload={"txn_id": "ghost:1", "epoch": 0,
-                                 "writes": {key: "ghost"},
-                                 "participants": [participant.name],
-                                 "client": manager.name,
-                                 "deadline_ms": float("inf")})
-        participant.on_txn_prepare(stale)
+        ghost = fabric.coordinators[1]
+        op = TxnOp("ghost:1", {key: "ghost"}, manager.name, float("inf"),
+                   170, None, 0.0)
+        request = InFlightTxn(op, (participant.name,),
+                              {participant.name: op.writes})
+        env.network.fused_send_to(ghost, participant.name, 170,
+                                  participant._txn_prepare,
+                                  (ghost, 0, request))
         env.run_until_idle()
 
         assert participant.stale_epoch_rejections == 1
