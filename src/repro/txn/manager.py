@@ -269,7 +269,7 @@ class TransactionManager(FailoverMixin, Node):
         if committed:
             self.acked_commits[txn_id] = {
                 "timestamp": timestamp,
-                "writes": dict(op.writes),
+                "writes": op.writes,
                 "latency_ms": latency_ms,
             }
         else:

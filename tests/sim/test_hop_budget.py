@@ -69,9 +69,9 @@ _PERFBENCH_WORKLOADS = (Path(__file__).resolve().parents[2]
 #: took the three cells from 12,507.07, 15,024.66 and 11,926.44.  Checked
 #: against ``_WORKLOAD_ROOM``.
 _FIG16_BUDGETS = {
-    (3, 11): {"baseline": 10672.61,
-              "coordinator-crash-mid-commit": 12567.09,
-              "participant-crash-after-prepare": 10094.50},
+    (3, 11): {"baseline": 10669.77,
+              "coordinator-crash-mid-commit": 12564.41,
+              "participant-crash-after-prepare": 10092.95},
 }
 
 
