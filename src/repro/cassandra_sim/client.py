@@ -16,8 +16,12 @@ written value.
 The request itself is a pooled record
 (:mod:`repro.cassandra_sim.coordinator`), not a message.  With
 ``config.client_timeout_ms`` set, an operation that gets no final response in
-time is re-sent to the next contact as a fresh attempt record; whichever
+time is re-sent at once, as a fresh attempt record, to the contact its
+attempt count picks, at most ``config.client_retries`` times; whichever
 attempt answers first completes the operation, and the others find it done.
+The ZooKeeper client and the transaction manager keep their own timeout
+rule on their own records: what the three share is a dozen lines, not a
+class.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
-from repro.core.retry import RetryPolicy
 from repro.sim.network import (MESSAGE_HEADER_BYTES, Network,
                                estimate_payload_size)
 from repro.sim.node import Node
@@ -49,7 +52,6 @@ class CassandraClient(Node):
         self.config = config
         self._contacts: List[str] = [contact] + [
             c for c in (fallback_contacts or []) if c != contact]
-        self._failover_policy: Optional[RetryPolicy] = None
         self._clock = self.scheduler.clock
         #: The contacts' node objects, resolved lazily on the first operation
         #: (registration order is not constrained at __init__).
@@ -179,19 +181,6 @@ class CassandraClient(Node):
         return self._write_base + estimate_payload_size(value)
 
     # -- failover -------------------------------------------------------------
-    def _retry_policy(self) -> RetryPolicy:
-        policy = self._failover_policy
-        if policy is None:
-            policy = RetryPolicy(
-                max_retries=self.config.client_retries,
-                base_delay_ms=self.config.client_backoff_base_ms,
-                multiplier=self.config.client_backoff_multiplier,
-                cap_ms=self.config.client_backoff_cap_ms,
-                jitter_ms=self.config.client_backoff_jitter_ms,
-                label=f"failover:{self.name}")
-            self._failover_policy = policy
-        return policy
-
     def _resend(self, op: Any) -> None:
         """Re-issue ``op`` to the next contact in the rotation as a fresh
         attempt record (the previous attempt may still be running at its
@@ -230,28 +219,14 @@ class CassandraClient(Node):
         """No final response within ``client_timeout_ms``: fail over to the
         next contact, or give up once the retry budget is spent."""
         op.timer = None
-        policy = self._retry_policy()
-        if policy.should_retry(op.attempts):
+        if op.attempts < self.config.client_retries:
             op.attempts += 1
             self.retries += 1
-            delay_ms = policy.backoff_ms(op.attempts)
-            if delay_ms <= 0:
-                # Synchronously — a 0 ms event would reorder the trace.
-                op.refs -= 1
-                self._resend(op)
-            else:
-                self.scheduler.schedule(delay_ms, self._resend_after_backoff,
-                                        op)
+            op.refs -= 1  # the timer, now spent
+            self._resend(op)
             return
         self.failed_requests += 1
         self._fail(op, op, "client timeout: no coordinator responded")
-
-    def _resend_after_backoff(self, op: Any) -> None:
-        if op.done:  # a superseded attempt answered during the backoff
-            op.unref()
-            return
-        op.refs -= 1
-        self._resend(op)
 
     def _fail(self, rec: Any, op: Any, error: str) -> None:
         """Complete ``op`` with ``error``; ``rec`` is the record whose hop or
@@ -363,7 +338,7 @@ class CassandraClient(Node):
         # rotate to the next contact instead of failing the request (the
         # rebalance analogue of timeout-driven failover).
         if retryable and len(self._contacts) > 1 \
-                and self._retry_policy().should_retry(op.attempts):
+                and op.attempts < self.config.client_retries:
             op.attempts += 1
             self.retries += 1
             rec.unref()

@@ -56,20 +56,11 @@ class CassandraConfig:
     #: responses gathered so far (a *downgraded* quorum) instead of an error.
     downgrade_on_timeout: bool = True
     #: Client-side timeout for one request (ms); 0 disables.  On expiry the
-    #: client re-issues the request to a fallback coordinator (if it has any)
-    #: and eventually reports an error.
+    #: client re-issues the request, at once, to the next contact in its
+    #: rotation (if it has any) and eventually reports an error.
     client_timeout_ms: float = 0.0
     #: How many times the client re-issues a timed-out request.
     client_retries: int = 2
-    #: Backoff before a client re-issue (ms); 0 keeps the historical
-    #: immediate-retry behaviour (and adds no scheduler events).  Positive
-    #: values grow exponentially per attempt via the shared
-    #: :class:`~repro.core.retry.RetryPolicy` (capped, with deterministic
-    #: seeded jitter from ``client_backoff_jitter_ms``).
-    client_backoff_base_ms: float = 0.0
-    client_backoff_multiplier: float = 2.0
-    client_backoff_cap_ms: float = 1_000.0
-    client_backoff_jitter_ms: float = 0.0
     #: Range streaming (ring rebalancing): items shipped per stream batch.
     #: Batches are stop-and-wait (next batch leaves when the previous one is
     #: acknowledged), so smaller batches stretch a rebalance over more time.
@@ -101,14 +92,11 @@ class CassandraConfig:
                      "preliminary_flush_ms", "stream_scan_ms",
                      "stream_batch_ms", "stream_apply_ms_per_item",
                      "key_size_bytes", "response_overhead_bytes",
-                     "confirmation_bytes", "client_backoff_base_ms",
-                     "client_backoff_cap_ms", "client_backoff_jitter_ms"):
+                     "confirmation_bytes"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.value_size_bytes <= 0:
             raise ValueError("value_size_bytes must be positive")
-        if not self.client_backoff_multiplier >= 1:
-            raise ValueError("client_backoff_multiplier must be >= 1")
 
     def quorum(self) -> int:
         """Majority quorum size for this replication factor."""

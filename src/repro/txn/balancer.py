@@ -1,17 +1,103 @@
 """Health-aware routing of transaction traffic to the coordinator group.
 
-The :class:`LoadBalancer` composes one
-:class:`~repro.core.retry.CircuitBreaker` per coordinator: timeouts and
-fault signals count toward opening a node's breaker (marking it degraded),
-an open breaker routes traffic elsewhere, and after the reset window a
-single probe request is admitted — success marks the node recovered.
+The :class:`LoadBalancer` composes one :class:`CircuitBreaker` per
+coordinator: timeouts and fault signals count toward opening a node's
+breaker (marking it degraded), an open breaker routes traffic elsewhere,
+and after the reset window a single probe request is admitted — success
+marks the node recovered.  The transaction manager is the only client.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.retry import BreakerState, CircuitBreaker
+
+class BreakerState:
+    """States of a :class:`CircuitBreaker` (string constants, not an Enum,
+    so records and tables can carry them without conversion)."""
+
+    CLOSED = "closed"
+    OPEN = "open"
+    HALF_OPEN = "half-open"
+
+
+@dataclass
+class CircuitBreaker:
+    """Per-node health automaton: closed → open → half-open → closed.
+
+    ``failure_threshold`` consecutive failures open the breaker; after
+    ``reset_timeout_ms`` it half-opens and admits a single probe.  A probe
+    success closes it (clearing the failure count), a probe failure re-opens
+    it for another full timeout.
+    """
+
+    failure_threshold: int = 3
+    reset_timeout_ms: float = 1_000.0
+    state: str = BreakerState.CLOSED
+    failures: int = 0
+    opened_at_ms: float = 0.0
+    #: Lifetime counters for health reporting.
+    times_opened: int = 0
+    probes_sent: int = 0
+    probes_succeeded: int = 0
+    _probe_in_flight: bool = field(default=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.failure_threshold < 1:
+            raise ValueError("failure_threshold must be positive")
+        if not self.reset_timeout_ms >= 0:
+            raise ValueError("reset_timeout_ms must be non-negative")
+
+    def allow(self, now_ms: float) -> bool:
+        """Whether a request may be routed to this node right now.
+
+        In the half-open state exactly one probe is admitted per window;
+        the answer for that probe also increments :attr:`probes_sent`.
+        """
+        if self.state == BreakerState.CLOSED:
+            return True
+        if self.state == BreakerState.OPEN:
+            if now_ms - self.opened_at_ms >= self.reset_timeout_ms:
+                self.state = BreakerState.HALF_OPEN
+                self._probe_in_flight = False
+            else:
+                return False
+        # Half-open: admit a single probe at a time.
+        if self._probe_in_flight:
+            return False
+        self._probe_in_flight = True
+        self.probes_sent += 1
+        return True
+
+    def record_success(self) -> None:
+        """A routed request completed: close the breaker."""
+        if self.state == BreakerState.HALF_OPEN:
+            self.probes_succeeded += 1
+        self.state = BreakerState.CLOSED
+        self.failures = 0
+        self._probe_in_flight = False
+
+    def record_failure(self, now_ms: float) -> None:
+        """A routed request failed or timed out: count toward opening."""
+        if self.state == BreakerState.HALF_OPEN:
+            # The probe failed: straight back to open for a fresh window.
+            self.state = BreakerState.OPEN
+            self.opened_at_ms = now_ms
+            self.times_opened += 1
+            self._probe_in_flight = False
+            return
+        self.failures += 1
+        if self.state == BreakerState.CLOSED \
+                and self.failures >= self.failure_threshold:
+            self.state = BreakerState.OPEN
+            self.opened_at_ms = now_ms
+            self.times_opened += 1
+
+    def is_open(self, now_ms: float) -> bool:
+        """True while the breaker refuses traffic (open and not yet due)."""
+        return self.state == BreakerState.OPEN \
+            and now_ms - self.opened_at_ms < self.reset_timeout_ms
 
 
 class LoadBalancer:

@@ -39,16 +39,9 @@ class TxnConfig:
     takeover_probe_ms: float = 250.0
     #: Client-side timeout for one transaction attempt (ms); 0 disables.
     client_timeout_ms: float = 1_200.0
-    #: How many times the client re-submits a timed-out transaction.
+    #: How many times the client re-submits a timed-out transaction (after
+    #: the manager's capped exponential backoff).
     client_retries: int = 3
-    #: Client re-submit backoff (shared RetryPolicy semantics): capped
-    #: exponential, deterministic.  Non-zero by default — unlike the storage
-    #: clients there is no historical trace to preserve, and backoff keeps a
-    #: failed-over coordinator from being hammered during its recovery.
-    client_backoff_base_ms: float = 25.0
-    client_backoff_multiplier: float = 2.0
-    client_backoff_cap_ms: float = 400.0
-    client_backoff_jitter_ms: float = 0.0
     #: End-to-end transaction budget (ms): the absolute deadline carried in
     #: every message of the transaction (client → coordinator → participant),
     #: after which any hop refuses further work on it.
@@ -79,8 +72,6 @@ class TxnConfig:
                      "takeover_probe_ms", "txn_deadline_ms"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if not self.client_backoff_multiplier >= 1:
-            raise ValueError("client_backoff_multiplier must be >= 1")
         if self.breaker_failure_threshold < 1:
             raise ValueError("breaker_failure_threshold must be positive")
         if self.heartbeat_interval_ms > 0 and not (

@@ -19,12 +19,13 @@ coordinator the balancer picks, which answers into ``_txn_redirect``,
 :meth:`~repro.sim.network.Network.fused_send_to` continuation, with no
 ``Message`` and no payload dict.
 
-The manager reuses the same :class:`~repro.sim.failover.FailoverMixin` +
-:class:`~repro.core.retry.RetryPolicy` seam as the ZooKeeper client: a
-timed out submission is re-sent (with capped exponential backoff) to the
-next healthy coordinator, within the transaction's absolute
-:class:`~repro.core.retry.Deadline`.  Retries are idempotent — they carry
-the same record and transaction id, and coordinators deduplicate by id.
+A timed out submission counts against its coordinator's health and is
+re-sent, after a capped exponential backoff, to the coordinator the balancer
+picks next: at most ``client_retries`` times, and never once the
+transaction's absolute deadline (``TxnOp.deadline_ms``, the same one every
+hop of the transaction checks) has passed.  Retries are idempotent — they
+carry the same record and transaction id, and coordinators deduplicate by
+id.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.core.consistency import STRONG, ConsistencyLevel
 from repro.core.correctable import Correctable
 from repro.core.errors import CorrectableError
-from repro.core.retry import Deadline, RetryPolicy
-from repro.sim.failover import FailoverMixin
 from repro.sim.network import MESSAGE_HEADER_BYTES, Network
 from repro.sim.node import Node
 from repro.txn.balancer import LoadBalancer
@@ -47,6 +46,12 @@ from repro.txn.config import TxnConfig
 #: than causal (it reflects a coordinated, conflict-checked state) but
 #: weaker than the final committed outcome.
 PREPARED = ConsistencyLevel.register("prepared", 25)
+
+#: The re-send backoff after the ``n``-th timeout:
+#: ``min(_BACKOFF_CAP_MS, _BACKOFF_BASE_MS * 2 ** (n - 1))`` — it keeps a
+#: failed-over coordinator from being hammered during its recovery.
+_BACKOFF_BASE_MS = 25.0
+_BACKOFF_CAP_MS = 400.0
 
 
 class TransactionError(CorrectableError):
@@ -84,14 +89,14 @@ class TxnOp:
 
     Every attempt sends this record to a coordinator, which reads the wire
     fields (``txn_id`` … ``size_bytes``; ``client`` is the reply address)
-    only.  The rest is the manager's bookkeeping, including the failover
-    state :class:`FailoverMixin` keeps on it.  Freed by refcount: no pool.
+    only.  The rest is the manager's bookkeeping: routing hints, redirect
+    and re-send counts, and the armed ``timeout_event``.  Freed by
+    refcount: no pool.
     """
 
     __slots__ = ("txn_id", "writes", "client", "deadline_ms", "size_bytes",
                  "sink", "sent_at", "prepared_seen", "last_target",
-                 "preferred", "redirects", "attempts", "rotation_index",
-                 "timeout_event")
+                 "preferred", "redirects", "attempts", "timeout_event")
 
     def __init__(self, txn_id: str, writes: Dict[str, Any], client: str,
                  deadline_ms: float, size_bytes: int, sink: Any,
@@ -106,11 +111,11 @@ class TxnOp:
         self.prepared_seen = False
         #: The coordinator tried last and the one a redirect named.
         self.last_target = self.preferred = None
-        self.redirects = self.attempts = self.rotation_index = 0
+        self.redirects = self.attempts = 0
         self.timeout_event: Optional[Any] = None
 
 
-class TransactionManager(FailoverMixin, Node):
+class TransactionManager(Node):
     """Issues multi-key transactions against the coordinator group."""
 
     def __init__(self, name: str, region: str, network: Network,
@@ -125,13 +130,6 @@ class TransactionManager(FailoverMixin, Node):
             reset_timeout_ms=config.breaker_reset_ms)
         self._txn_ids = itertools.count(1)
         self._pending: Dict[str, TxnOp] = {}
-        self._failover_policy = RetryPolicy(
-            max_retries=config.client_retries,
-            base_delay_ms=config.client_backoff_base_ms,
-            multiplier=config.client_backoff_multiplier,
-            cap_ms=config.client_backoff_cap_ms,
-            jitter_ms=config.client_backoff_jitter_ms,
-            label=f"failover:{name}")
         self.stats = PreparedViewStats()
         #: Acked outcomes, kept for the post-run atomicity audit:
         #: txn_id -> {"timestamp": (t, coord, seq), "writes": {...}}.
@@ -145,16 +143,14 @@ class TransactionManager(FailoverMixin, Node):
         self.duplicate_finals = 0
 
     # -- issuing transactions -----------------------------------------------
-    def execute(self, writes: Dict[str, Any],
-                budget_ms: Optional[float] = None) -> Correctable:
+    def execute(self, writes: Dict[str, Any]) -> Correctable:
         """Submit a multi-key transaction; returns its Correctable."""
         correctable = Correctable(clock=self.scheduler.now,
                                   levels=(PREPARED, STRONG))
-        self.execute_sink(writes, correctable, budget_ms)
+        self.execute_sink(writes, correctable)
         return correctable
 
-    def execute_sink(self, writes: Dict[str, Any], sink: Any,
-                     budget_ms: Optional[float] = None) -> str:
+    def execute_sink(self, writes: Dict[str, Any], sink: Any) -> str:
         """Submit a multi-key transaction to complete into ``sink``
         (:mod:`repro.core.sink`); returns its id.
 
@@ -165,14 +161,11 @@ class TransactionManager(FailoverMixin, Node):
             raise ValueError("a transaction needs at least one write")
         txn_id = f"{self.name}:{next(self._txn_ids)}"
         now = self.scheduler.now()
-        deadline = Deadline.after(
-            now, budget_ms if budget_ms is not None
-            else self.config.txn_deadline_ms)
         size = MESSAGE_HEADER_BYTES + len(writes) * (
             self.config.key_size_bytes + self.config.value_size_bytes)
         op = self._pending[txn_id] = TxnOp(
-            txn_id, dict(writes), self.name, deadline.expires_at_ms, size,
-            sink, now)
+            txn_id, dict(writes), self.name,
+            now + self.config.txn_deadline_ms, size, sink, now)
         self.txns_submitted += 1
         self._dispatch(op)
         return txn_id
@@ -186,35 +179,47 @@ class TransactionManager(FailoverMixin, Node):
         self.network.fused_send_to(self, target, op.size_bytes,
                                    self.network.node(target)._txn_begin,
                                    (op,))
-        self._arm_request_timeout(op, op.txn_id,
-                                  self.config.client_timeout_ms)
+        timeout_ms = self.config.client_timeout_ms
+        if timeout_ms > 0:
+            op.timeout_event = self.scheduler.schedule(
+                timeout_ms, self._on_request_timeout, op.txn_id)
 
-    # -- failover hooks (see FailoverMixin) ----------------------------------
-    _redispatch = _dispatch
-
+    # -- failover ------------------------------------------------------------
     def _on_request_timeout(self, txn_id: str) -> None:
+        """No answer in time (or a redirect loop): count it against the
+        coordinator, then re-send after the backoff, or fail the
+        transaction once its deadline has passed or its retries are
+        spent."""
         op = self._pending.get(txn_id)
         if op is None:
             return
+        op.timeout_event = None
         now = self.scheduler.now()
         if op.last_target is not None:
             # Feed the health tracker: this coordinator went silent.
             self.balancer.record_failure(op.last_target, now)
-        if Deadline(op.deadline_ms).expired(now):
-            # No budget left for another attempt: fail now.
-            op.timeout_event = None
+        if now >= op.deadline_ms or op.attempts >= self.config.client_retries:
             self.failed_requests += 1
             del self._pending[txn_id]
-            self._deliver_timeout_failure(op)
+            if op.prepared_seen:
+                self.stats.unresolved += 1
+            op.sink.deliver_error(
+                TransactionError(
+                    "transaction timeout: no coordinator answered"),
+                now - op.sent_at)
             return
-        super()._on_request_timeout(txn_id)
+        op.attempts += 1
+        self.retries += 1
+        self.scheduler.schedule(
+            min(_BACKOFF_CAP_MS, _BACKOFF_BASE_MS * 2 ** (op.attempts - 1)),
+            self._resend, txn_id)
 
-    def _deliver_timeout_failure(self, op: TxnOp) -> None:
-        if op.prepared_seen:
-            self.stats.unresolved += 1
-        op.sink.deliver_error(
-            TransactionError("transaction timeout: no coordinator answered"),
-            self.scheduler.now() - op.sent_at)
+    def _resend(self, txn_id: str) -> None:
+        """The backoff ran out: re-send, unless the transaction finished
+        meanwhile (a late final from an earlier attempt)."""
+        op = self._pending.get(txn_id)
+        if op is not None:
+            self._dispatch(op)
 
     # -- responses (network continuations) -----------------------------------
     def _txn_redirect(self, txn_id: str, active: str) -> None:
@@ -226,7 +231,9 @@ class TransactionManager(FailoverMixin, Node):
         op = self._pending.get(txn_id)
         if op is None:
             return
-        self._settle(op)
+        if op.timeout_event is not None:
+            op.timeout_event.cancel()
+            op.timeout_event = None
         op.redirects += 1
         self.redirects_followed += 1
         if op.redirects <= 2 * len(self.coordinators):
@@ -260,7 +267,9 @@ class TransactionManager(FailoverMixin, Node):
         if op is None:
             self.duplicate_finals += 1
             return
-        self._settle(op)
+        if op.timeout_event is not None:
+            op.timeout_event.cancel()
+            op.timeout_event = None
         if op.last_target is not None:
             self.balancer.record_success(op.last_target)
         latency_ms = self.scheduler.now() - op.sent_at

@@ -22,7 +22,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.cassandra_sim.replica import CassandraReplica
 from repro.cassandra_sim.versions import VersionedValue
-from repro.core.retry import Deadline
 from repro.sim.network import Message, Network
 from repro.sim.node import Node
 from repro.txn.config import TxnConfig
@@ -95,7 +94,7 @@ class TxnParticipant(Node):
             # Already prepared (vote yes again) or aborted (vote no again).
             self._vote(coordinator, txn_id, state == TxnState.PREPARED)
             return
-        if Deadline(op.deadline_ms).expired(self.scheduler.now()):
+        if self.scheduler.now() >= op.deadline_ms:
             self.deadline_refusals += 1
             self._vote(coordinator, txn_id, False)
             return

@@ -21,7 +21,10 @@ contacted server (``ZKServer._zk_request``) and, on a timeout, to the next
 one; the servers answer into :meth:`ZKClient._zk_preliminary` and
 :meth:`ZKClient._zk_response`.  All three hops are continuations scheduled
 by :meth:`~repro.sim.network.Network.fused_send_to`: no ``Message``, no
-payload dict.
+payload dict.  With ``config.request_timeout_ms`` set, a request with no
+final answer in time is re-sent at once to the server its attempt count
+picks, at most ``config.client_retries`` times, and then fails
+(:meth:`ZKClient._on_request_timeout`).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.sim.failover import FailoverMixin
 from repro.sim.network import MESSAGE_HEADER_BYTES, Network
 from repro.sim.node import Node
 from repro.zookeeper_sim.config import ZooKeeperConfig
@@ -73,14 +75,15 @@ class ZkOp:
 
     The same record travels client → contacted server → leader; ``client``
     is the reply address.  Servers read the wire fields (``req_id`` …
-    ``icg``) only; the rest is the client's own bookkeeping, including the
-    failover state :class:`FailoverMixin` keeps on it.  A plain allocation
-    freed by refcount: no pool, nothing to leak.
+    ``icg``) only; the rest is the client's own bookkeeping: ``attempts``
+    (re-sends so far, which also picks the server) and the armed
+    ``timeout_event``.  A plain allocation freed by refcount: no pool,
+    nothing to leak.
     """
 
     __slots__ = ("client", "req_id", "op", "path", "data", "sequential",
                  "icg", "sink", "sent_at", "size_bytes",
-                 "attempts", "rotation_index", "timeout_event")
+                 "attempts", "timeout_event")
 
     def __init__(self, client: "ZKClient", req_id: int, op: str, path: str,
                  data: Any, sequential: bool, icg: bool, sink: Any,
@@ -96,11 +99,10 @@ class ZkOp:
         self.sent_at = sent_at
         self.size_bytes = size_bytes
         self.attempts = 0
-        self.rotation_index = 0
         self.timeout_event: Optional[Any] = None
 
 
-class ZKClient(FailoverMixin, Node):
+class ZKClient(Node):
     """A client connected to one server of the ensemble.
 
     With ``config.request_timeout_ms`` set and ``ensemble`` given, a request
@@ -126,7 +128,6 @@ class ZKClient(FailoverMixin, Node):
             MESSAGE_HEADER_BYTES + config.path_size_bytes
             + config.element_size_bytes)
         self._pending: Dict[int, ZkOp] = {}
-        self._failover_policy = config.retry_policy(f"failover:{name}")
         self.requests_sent = 0
         # Fault-path instrumentation (stays zero with timeouts disabled).
         self.retries = 0
@@ -158,20 +159,32 @@ class ZKClient(FailoverMixin, Node):
                                 _CallbackSink(on_preliminary, on_final),
                                 data, sequential, icg, request_size)
 
-    # -- dispatch & failover (see FailoverMixin) ----------------------------------
+    # -- dispatch & failover --------------------------------------------------
     def _dispatch(self, pending: ZkOp) -> None:
-        server = self._servers[pending.rotation_index % len(self._servers)]
+        """Send ``pending`` to the server its attempt count picks, and arm
+        the request timeout."""
+        server = self._servers[pending.attempts % len(self._servers)]
         self.network.fused_send_to(self, server.name, pending.size_bytes,
                                    server._zk_request, (pending,))
-        # FailoverMixin._arm_request_timeout, inlined (once per operation).
         timeout_ms = self.config.request_timeout_ms
         if timeout_ms > 0:
             pending.timeout_event = self.scheduler.schedule(
                 timeout_ms, self._on_request_timeout, pending.req_id)
 
-    _redispatch = _dispatch
-
-    def _deliver_timeout_failure(self, pending: ZkOp) -> None:
+    def _on_request_timeout(self, req_id: int) -> None:
+        """No final answer in time: re-send at once to the next server, or
+        fail the operation once ``client_retries`` re-sends are spent."""
+        pending = self._pending.get(req_id)
+        if pending is None:
+            return
+        pending.timeout_event = None
+        if pending.attempts < self.config.client_retries:
+            pending.attempts += 1
+            self.retries += 1
+            self._dispatch(pending)
+            return
+        self.failed_requests += 1
+        del self._pending[req_id]
         pending.sink.deliver_error("client timeout: no server responded",
                                    self.scheduler.now() - pending.sent_at)
 
@@ -231,7 +244,6 @@ class ZKClient(FailoverMixin, Node):
         pending = self._pending.pop(req_id, None)
         if pending is None:
             return
-        # FailoverMixin._settle, inlined (once per operation).
         if pending.timeout_event is not None:
             pending.timeout_event.cancel()
             pending.timeout_event = None

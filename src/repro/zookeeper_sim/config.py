@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.retry import RetryPolicy
-
 
 @dataclass
 class ZooKeeperConfig:
@@ -44,30 +42,20 @@ class ZooKeeperConfig:
     #: How long an elector waits to collect candidacies before tallying.
     election_window_ms: float = 300.0
     #: Client-side timeout for one request (ms); 0 disables.  On expiry the
-    #: client re-issues the request to the next server of the ensemble.
+    #: client re-issues the request, at once, to the next server of the
+    #: ensemble.
     request_timeout_ms: float = 0.0
     #: How many times the client re-issues a timed-out request.
     client_retries: int = 3
-    #: Backoff before a client re-issue (ms); 0 keeps the historical
-    #: immediate-retry behaviour.  Positive values grow exponentially per
-    #: attempt via the shared :class:`~repro.core.retry.RetryPolicy`.
-    client_backoff_base_ms: float = 0.0
-    client_backoff_multiplier: float = 2.0
-    client_backoff_cap_ms: float = 1_000.0
-    client_backoff_jitter_ms: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("request_service_ms", "proposal_service_ms",
                      "apply_service_ms", "simulation_service_ms",
                      "element_size_bytes", "child_name_bytes",
                      "path_size_bytes", "ack_bytes", "heartbeat_interval_ms",
-                     "request_timeout_ms", "client_retries",
-                     "client_backoff_base_ms", "client_backoff_cap_ms",
-                     "client_backoff_jitter_ms"):
+                     "request_timeout_ms", "client_retries"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
-        if not self.client_backoff_multiplier >= 1:
-            raise ValueError("client_backoff_multiplier must be >= 1")
         if self.heartbeat_interval_ms > 0:
             if not self.leader_timeout_ms > self.heartbeat_interval_ms:
                 raise ValueError(
@@ -76,23 +64,12 @@ class ZooKeeperConfig:
             if not self.election_window_ms > 0:
                 raise ValueError("election_window_ms must be positive")
 
-    def retry_policy(self, label: str = "failover") -> RetryPolicy:
-        """The clients' request-failover policy (``label`` names the jitter
-        stream, one per client)."""
-        return RetryPolicy(max_retries=self.client_retries,
-                           base_delay_ms=self.client_backoff_base_ms,
-                           multiplier=self.client_backoff_multiplier,
-                           cap_ms=self.client_backoff_cap_ms,
-                           jitter_ms=self.client_backoff_jitter_ms,
-                           label=label)
-
     def client_patience_ms(self) -> float:
         """The longest a client can wait for one request: every attempt
-        times out and every backoff runs to its maximum (0 with client
-        timeouts off — it waits forever)."""
+        times out (0 with client timeouts off — it waits forever)."""
         if self.request_timeout_ms <= 0:
             return 0.0
-        return self.retry_policy().total_budget_ms(self.request_timeout_ms)
+        return (self.client_retries + 1) * self.request_timeout_ms
 
     @classmethod
     def fault_tolerant(cls, **overrides) -> "ZooKeeperConfig":

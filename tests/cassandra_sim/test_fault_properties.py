@@ -257,11 +257,9 @@ class TestBadSpecsFailLoudly:
         (field, -1.0) for field in (
             "read_service_ms", "write_service_ms", "preliminary_flush_ms",
             "stream_scan_ms", "stream_batch_ms", "stream_apply_ms_per_item",
-            "key_size_bytes", "response_overhead_bytes", "confirmation_bytes",
-            "client_backoff_base_ms", "client_backoff_cap_ms",
-            "client_backoff_jitter_ms")] + [
-        ("value_size_bytes", 0),
-        ("client_backoff_multiplier", 0.5)])
+            "key_size_bytes", "response_overhead_bytes",
+            "confirmation_bytes")] + [
+        ("value_size_bytes", 0)])
     def test_negative_costs_and_sizes_are_rejected(self, field, value):
         """A negative service time would schedule a job before ``now`` and
         run the simulated clock backwards; a negative size undercounts
@@ -275,9 +273,7 @@ class TestBadSpecsFailLoudly:
     @pytest.mark.parametrize("field", [
         "read_timeout_ms", "write_timeout_ms", "client_timeout_ms",
         "read_service_ms", "write_service_ms", "preliminary_flush_ms",
-        "stream_scan_ms", "stream_batch_ms", "stream_apply_ms_per_item",
-        "client_backoff_base_ms", "client_backoff_cap_ms",
-        "client_backoff_jitter_ms", "client_backoff_multiplier"])
+        "stream_scan_ms", "stream_batch_ms", "stream_apply_ms_per_item"])
     def test_nan_costs_are_rejected(self, field):
         """``nan < 0`` is False, so a ``< 0`` check let NaN through: a
         NaN read service time finished reads with latency NaN and left the

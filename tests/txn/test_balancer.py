@@ -1,9 +1,74 @@
-"""Unit tests for the health-aware load balancer and prepared-view stats."""
+"""Unit tests for the health-aware load balancer, its circuit breakers,
+and prepared-view stats."""
+
+import math
 
 import pytest
 
-from repro.core.retry import BreakerState
 from repro.txn import LoadBalancer, PreparedViewStats
+from repro.txn.balancer import BreakerState, CircuitBreaker
+
+
+class TestCircuitBreaker:
+    def test_closed_allows_traffic(self):
+        breaker = CircuitBreaker(failure_threshold=2)
+        assert breaker.allow(0.0)
+        assert breaker.state == BreakerState.CLOSED
+
+    def test_opens_after_threshold_consecutive_failures(self):
+        breaker = CircuitBreaker(failure_threshold=2, reset_timeout_ms=100.0)
+        breaker.record_failure(10.0)
+        assert breaker.state == BreakerState.CLOSED
+        breaker.record_failure(20.0)
+        assert breaker.state == BreakerState.OPEN
+        assert breaker.times_opened == 1
+        assert breaker.is_open(50.0)
+        assert not breaker.allow(50.0)
+
+    def test_success_resets_failure_count(self):
+        breaker = CircuitBreaker(failure_threshold=2)
+        breaker.record_failure(0.0)
+        breaker.record_success()
+        breaker.record_failure(1.0)
+        assert breaker.state == BreakerState.CLOSED
+
+    def test_half_open_admits_single_probe(self):
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_ms=100.0)
+        breaker.record_failure(0.0)
+        assert not breaker.allow(99.0)
+        assert breaker.allow(100.0)          # the probe
+        assert breaker.state == BreakerState.HALF_OPEN
+        assert not breaker.allow(101.0)      # second request: refused
+        assert breaker.probes_sent == 1
+
+    def test_probe_success_closes(self):
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_ms=100.0)
+        breaker.record_failure(0.0)
+        assert breaker.allow(100.0)
+        breaker.record_success()
+        assert breaker.state == BreakerState.CLOSED
+        assert breaker.probes_succeeded == 1
+        assert breaker.allow(100.0)
+
+    def test_probe_failure_reopens_fresh_window(self):
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_ms=100.0)
+        breaker.record_failure(0.0)
+        assert breaker.allow(100.0)
+        breaker.record_failure(110.0)
+        assert breaker.state == BreakerState.OPEN
+        assert breaker.times_opened == 2
+        assert not breaker.allow(209.0)
+        assert breaker.allow(210.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            CircuitBreaker(failure_threshold=0)
+        with pytest.raises(ValueError):
+            CircuitBreaker(reset_timeout_ms=-1.0)
+
+    def test_nan_reset_timeout_is_rejected(self):
+        with pytest.raises(ValueError):
+            CircuitBreaker(reset_timeout_ms=math.nan)
 
 
 class TestLoadBalancer:

@@ -16,6 +16,20 @@ from repro.txn.manager import TxnOp
 from txn_helpers import collect, make_fabric, no_failover_config, run_until
 
 
+def _record_sends(manager):
+    """The simulated times at which ``manager`` sends a transaction: every
+    attempt picks its coordinator and sends to it at once."""
+    sends = []
+    pick = manager.balancer.pick
+
+    def record(now_ms, *args, **kwargs):
+        sends.append(now_ms)
+        return pick(now_ms, *args, **kwargs)
+
+    manager.balancer.pick = record
+    return sends
+
+
 class TestCommitPath:
     def test_commit_applies_on_every_owner(self):
         fabric = make_fabric()
@@ -142,10 +156,10 @@ class TestAbortPaths:
         fabric.assert_atomic()
 
     def test_expired_budget_aborts(self):
-        fabric = make_fabric()
+        fabric = make_fabric(config=no_failover_config(txn_deadline_ms=1.0))
         manager = fabric.manager
         key = fabric.built.dataset.keys()[0]
-        box = collect(manager.execute({key: "late"}, budget_ms=0.0))
+        box = collect(manager.execute({key: "late"}))
         fabric.built.env.run_until_idle()
 
         # Participants refuse to prepare past the deadline (or the
@@ -156,7 +170,7 @@ class TestAbortPaths:
         refusals = sum(p.deadline_refusals
                        for p in fabric.participants.values())
         timeouts = sum(c.prepare_timeouts for c in fabric.coordinators)
-        assert refusals + timeouts >= 1
+        assert (refusals, timeouts) == (1, 1)
         for owner in fabric.owners_of(key):
             stored = fabric.participants[owner].replica.table.get(key)
             assert stored is None or stored.value != "late"
@@ -165,18 +179,48 @@ class TestAbortPaths:
     def test_no_live_coordinator_fails_the_transaction(self):
         fabric = make_fabric()
         manager = fabric.manager
+        env = fabric.built.env
         for coordinator in fabric.coordinators:
             coordinator.crash()
+        sends = _record_sends(manager)
         key = fabric.built.dataset.keys()[0]
         box = collect(manager.execute({key: "v"}))
-        fabric.built.env.run_until_idle()
+        env.run_until_idle()
 
         assert box["final"] is None
         assert isinstance(box["error"], TransactionError)
         assert manager.failed_requests == 1
         assert manager.retries == manager.config.client_retries
+        # Each re-send waits out the 1,200 ms client timeout and then a
+        # backoff of 25, 50 and 100 ms; the fourth timeout is the error,
+        # and nothing runs after it.
+        assert sends == [0.0, 1_225.0, 2_475.0, 3_775.0]
+        assert env.now() == 4_975.0
         # The health tracker saw every timeout.
         assert fabric.balancer.times_opened() >= 1
+
+    def test_backoff_does_not_resend_a_finished_transaction(self):
+        # Every final lands inside the 25 ms backoff after its 100 ms
+        # timeout: the re-send must find the transaction done, not begin it
+        # again at a standby that then redirects it for nothing.
+        fabric = make_fabric(
+            config=no_failover_config(client_timeout_ms=100.0))
+        manager = fabric.manager
+        env = fabric.built.env
+        keys = fabric.built.dataset.keys()[:10]
+        boxes = [collect(manager.execute({keys[i]: "a", keys[i + 1]: "b"}))
+                 for i in range(0, 10, 2)]
+        env.run_until_idle()
+
+        assert [box["final"].value["outcome"] for box in boxes] == \
+            ["commit"] * 5
+        assert manager.retries == 5
+        redirects_sent = sum(c.redirects for c in fabric.coordinators)
+        assert redirects_sent == manager.redirects_followed == 2
+        # One pick per transaction and per redirect: no re-send went out.
+        assert fabric.balancer.picks == 5 + 2
+        assert env.network.messages_delivered == 79
+        fabric.assert_atomic()
 
 
 class TestFabricWiring:
@@ -209,11 +253,9 @@ class TestConfigValidation:
         {"decision_log_ms": -1.0},
         {"client_timeout_ms": -1.0},
         {"client_retries": -1},
-        {"client_backoff_jitter_ms": -0.5},
         {"breaker_reset_ms": -1.0},
         {"commit_service_ms": -0.1},
         {"value_size_bytes": -1},
-        {"client_backoff_multiplier": 0.5},
         {"breaker_failure_threshold": 0},
         {"heartbeat_interval_ms": 500.0, "coordinator_timeout_ms": 450.0},
     ], ids=lambda overrides: "-".join(overrides))
@@ -224,19 +266,17 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field", [
         "decision_retry_ms", "takeover_probe_ms", "txn_deadline_ms",
         "prepare_timeout_ms", "decision_log_ms", "client_timeout_ms",
-        "commit_service_ms", "client_backoff_multiplier",
-        "coordinator_timeout_ms"])
+        "commit_service_ms", "coordinator_timeout_ms"])
     def test_nan_fails_at_build_time(self, field):
         with pytest.raises(ValueError, match=field):
             TxnConfig(**{field: float("nan")})
 
     def test_zero_periods_stay_legal_where_they_mean_off(self):
         # Heartbeats off (no failure detection) need no coordinator
-        # timeout above them; client timeouts off and zero backoff are the
-        # fault-free defaults of the storage clients too.
+        # timeout above them; client timeouts off are the fault-free
+        # default of the storage clients too.
         config = no_failover_config(coordinator_timeout_ms=0.0,
-                                    client_timeout_ms=0.0,
-                                    client_backoff_base_ms=0.0)
+                                    client_timeout_ms=0.0)
         assert config.heartbeat_interval_ms == 0.0
 
 

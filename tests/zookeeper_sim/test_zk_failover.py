@@ -330,8 +330,7 @@ _NON_NEGATIVE = (
     "request_service_ms", "proposal_service_ms", "apply_service_ms",
     "simulation_service_ms", "element_size_bytes", "child_name_bytes",
     "path_size_bytes", "ack_bytes", "heartbeat_interval_ms",
-    "request_timeout_ms", "client_retries", "client_backoff_base_ms",
-    "client_backoff_cap_ms", "client_backoff_jitter_ms")
+    "request_timeout_ms", "client_retries")
 
 
 @pytest.mark.parametrize(
@@ -340,8 +339,7 @@ _NON_NEGATIVE = (
         # Every follower would suspect a healthy leader on every tick.
         (dict(leader_timeout_ms=200.0), "leader_timeout_ms"),
         (dict(leader_timeout_ms=150.0), "leader_timeout_ms"),
-        (dict(election_window_ms=0.0), "election_window_ms"),
-        (dict(client_backoff_multiplier=0.5), "client_backoff_multiplier")])
+        (dict(election_window_ms=0.0), "election_window_ms")])
 def test_bad_config_fails_at_build_time(overrides, named):
     with pytest.raises(ValueError, match=named):
         ZooKeeperConfig.fault_tolerant(**overrides)
@@ -353,7 +351,7 @@ def test_bad_config_fails_at_build_time(overrides, named):
 
 
 @pytest.mark.parametrize("named", _NON_NEGATIVE + (
-    "leader_timeout_ms", "election_window_ms", "client_backoff_multiplier"))
+    "leader_timeout_ms", "election_window_ms"))
 def test_nan_config_fails_at_build_time(named):
     # NaN compares false both ways, so only ``not x >= 0`` catches it.
     with pytest.raises(ValueError, match=named):
