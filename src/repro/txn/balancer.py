@@ -44,7 +44,8 @@ class CircuitBreaker:
     _probe_in_flight: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
+        # ``not x >= 1`` rejects NaN too: a NaN threshold never opens.
+        if not self.failure_threshold >= 1:
             raise ValueError("failure_threshold must be positive")
         if not self.reset_timeout_ms >= 0:
             raise ValueError("reset_timeout_ms must be non-negative")

@@ -253,6 +253,15 @@ class TestBadSpecsFailLoudly:
         with pytest.raises(ValueError, match=field):
             CassandraConfig(**{field: -1})
 
+    @pytest.mark.parametrize("field", ["coordinator_retries",
+                                       "client_retries"])
+    def test_nan_retries_are_rejected(self, field):
+        """A retry count is compared with ``<``, and ``n < nan`` is never
+        true: NaN would turn retries off without a word, so it fails at
+        construction instead."""
+        with pytest.raises(ValueError, match=field):
+            CassandraConfig(**{field: math.nan})
+
     @pytest.mark.parametrize("field, value", [
         (field, -1.0) for field in (
             "read_service_ms", "write_service_ms", "preliminary_flush_ms",

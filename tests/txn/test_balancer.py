@@ -70,6 +70,11 @@ class TestCircuitBreaker:
         with pytest.raises(ValueError):
             CircuitBreaker(reset_timeout_ms=math.nan)
 
+    def test_nan_failure_threshold_is_rejected(self):
+        # ``failures >= nan`` is never true: the breaker would never open.
+        with pytest.raises(ValueError, match="failure_threshold"):
+            CircuitBreaker(failure_threshold=math.nan)
+
 
 class TestLoadBalancer:
     def test_round_robin_over_healthy_nodes(self):

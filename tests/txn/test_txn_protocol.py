@@ -223,6 +223,90 @@ class TestAbortPaths:
         fabric.assert_atomic()
 
 
+def _unanswered(**overrides):
+    """One transaction against crashed coordinators, run until idle:
+    ``(manager, box, sends, failures fed to the balancer, end time)``."""
+    fabric = make_fabric(config=no_failover_config(**overrides))
+    manager = fabric.manager
+    env = fabric.built.env
+    for coordinator in fabric.coordinators:
+        coordinator.crash()
+    sends = _record_sends(manager)
+    failures = []
+    record_failure = manager.balancer.record_failure
+
+    def count_failure(node, now_ms):
+        failures.append((now_ms, node))
+        record_failure(node, now_ms)
+
+    manager.balancer.record_failure = count_failure
+    key = fabric.built.dataset.keys()[0]
+    box = collect(manager.execute({key: "v"}))
+    env.run_until_idle()
+    return manager, box, sends, failures, env.now()
+
+
+class TestResendSchedule:
+    """The manager's timeout rule with a 100 ms client timeout: the ``n``-th
+    re-send waits out the timeout and then ``min(400, 25 * 2 ** (n - 1))``
+    ms of backoff."""
+
+    @pytest.mark.parametrize("retries, sends_at, fails_at", [
+        (0, [0.0], 100.0),
+        (1, [0.0, 125.0], 225.0),
+        (2, [0.0, 125.0, 275.0], 375.0),
+        (3, [0.0, 125.0, 275.0, 475.0], 575.0),
+        (4, [0.0, 125.0, 275.0, 475.0, 775.0], 875.0),
+        # 25 * 2 ** 4 is the 400 ms cap itself; 25 * 2 ** 5 is capped.
+        (5, [0.0, 125.0, 275.0, 475.0, 775.0, 1_275.0], 1_375.0),
+        (6, [0.0, 125.0, 275.0, 475.0, 775.0, 1_275.0, 1_775.0], 1_875.0),
+    ])
+    def test_retries_back_off_then_the_transaction_fails(
+            self, retries, sends_at, fails_at):
+        manager, box, sends, failures, end = _unanswered(
+            client_timeout_ms=100.0, client_retries=retries)
+        assert sends == sends_at
+        assert end == fails_at
+        assert isinstance(box["error"], TransactionError)
+        assert box["final"] is None
+        assert manager.retries == retries
+        assert manager.failed_requests == 1
+        assert not manager._pending
+        # Every timeout, the last one included, is charged to the
+        # coordinator that went silent.
+        assert [at for at, _ in failures] == [
+            at + 100.0 for at in sends_at]
+
+    @pytest.mark.parametrize("deadline_ms, sends_at, fails_at", [
+        (100.0, [0.0], 100.0),          # the first timeout meets it
+        (100.5, [0.0, 125.0], 225.0),   # the first timeout falls short
+        (225.0, [0.0, 125.0], 225.0),
+        (225.5, [0.0, 125.0, 275.0], 375.0),
+    ])
+    def test_no_resend_once_the_deadline_has_passed(
+            self, deadline_ms, sends_at, fails_at):
+        # Three retries would go on to 575 ms: the deadline cuts them short
+        # at the first timeout that comes at or after it.
+        manager, box, sends, _, end = _unanswered(
+            client_timeout_ms=100.0, txn_deadline_ms=deadline_ms)
+        assert manager.config.client_retries == 3
+        assert sends == sends_at
+        assert end == fails_at
+        assert isinstance(box["error"], TransactionError)
+        assert manager.retries == len(sends_at) - 1
+        assert manager.failed_requests == 1
+
+    def test_timeouts_off_wait_for_ever(self):
+        manager, box, sends, failures, end = _unanswered(
+            client_timeout_ms=0.0)
+        assert sends == [0.0]
+        assert end == 0.0
+        assert box["error"] is None and box["final"] is None
+        assert len(manager._pending) == 1
+        assert manager.retries == manager.failed_requests == 0
+        assert failures == []
+
+
 class TestFabricWiring:
     def test_txn_aliases_cover_coordinators_and_participants(self):
         fabric = make_fabric()
@@ -266,7 +350,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field", [
         "decision_retry_ms", "takeover_probe_ms", "txn_deadline_ms",
         "prepare_timeout_ms", "decision_log_ms", "client_timeout_ms",
-        "commit_service_ms", "coordinator_timeout_ms"])
+        "commit_service_ms", "coordinator_timeout_ms", "client_retries",
+        "breaker_reset_ms", "breaker_failure_threshold"])
     def test_nan_fails_at_build_time(self, field):
         with pytest.raises(ValueError, match=field):
             TxnConfig(**{field: float("nan")})
