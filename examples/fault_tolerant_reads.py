@@ -19,6 +19,8 @@ from repro.bindings.cassandra import CassandraBinding
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.core.client import CorrectableClient
+from repro.core.consistency import STRONG, WEAK
+from repro.core.correctable import Correctable
 from repro.core.operations import read
 from repro.faults import FaultInjector, cassandra_aliases, get_scenario, zookeeper_aliases
 from repro.sim.environment import SimEnvironment
@@ -86,17 +88,20 @@ def zookeeper_leader_crash() -> None:
     sold = []
 
     def sell(index: int) -> None:
-        client.dequeue("/tickets", icg=True,
-                       on_final=lambda resp: sold.append(resp))
+        # An ICG dequeue completes into its Correctable: the preliminary
+        # view, then the committed one.
+        dequeue = Correctable(levels=(WEAK, STRONG)).set_callbacks(
+            on_final=lambda view: sold.append(view.value["item"]))
+        client.submit_sink("dequeue", "/tickets", dequeue, icg=True)
 
     for i in range(10):
         env.scheduler.schedule(i * 600.0, sell, i)
     env.run(until=30_000.0)
 
-    ok = [r for r in sold if r["ok"] and r["result"]["item"]]
+    ok = [item for item in sold if item]
     new_leader = cluster.current_leader()
     print(f"dequeues completed: {len(ok)}/10")
-    print(f"tickets sold      : {[r['result']['item'] for r in ok]}")
+    print(f"tickets sold      : {ok}")
     print(f"old leader        : {cluster.leader.name} (crashed, rejoined)")
     print(f"current leader    : {new_leader.name} (epoch {new_leader.epoch})")
     print(f"client retries    : {client.retries}")

@@ -14,7 +14,6 @@ from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
-from repro.sim.network import estimate_payload_size
 from repro.core.cluster_spec import BuiltCluster
 from repro.workloads.records import Dataset
 from repro.workloads.runner import ClosedLoopRunner, RunResult, _OpenOp
@@ -36,61 +35,29 @@ def make_kv_issue(client: CassandraClient, system: str,
                   write_quorum: int = 1) -> Callable:
     """Build the runner ``issue`` function for one Cassandra system label.
 
-    The returned callable executes YCSB reads/updates directly against the
-    storage client, which completes each one into the runner's record
-    (ICG reads flag it first, so it also accounts the preliminary view).
+    The returned callable issues YCSB reads/updates through the storage
+    client's ``lean_read``/``lean_write``, which complete each one into the
+    runner's record (ICG reads flag it first, so it also accounts the
+    preliminary view).  A quorum no operation could assemble fails here,
+    when the function is built.
     """
     if system not in CASSANDRA_SYSTEMS:
         raise KeyError(f"unknown system label {system!r}")
     profile = CASSANDRA_SYSTEMS[system]
     read_quorum = profile["r"]
     icg = profile["icg"]
-    network = client.network
-    scheduler = client.scheduler
-    clock = scheduler.clock
-    timeout_ms = client.config.client_timeout_ms
-    write_base = client._write_base
     client.check_quorum(read_quorum, "read")
     client.check_quorum(write_quorum, "write")
+    lean_read = client.lean_read
+    lean_write = client.lean_write
 
     def _issue(op_type: str, key: str, value: Optional[str], sink,
                session_id: Optional[int] = None) -> None:
-        # The client's lean_read/lean_write, inlined (quorums checked once,
-        # above) — this is the per-op entry of the closed issue loop.
-        coordinator = client._fused_coordinator
-        if coordinator is None:
-            coordinator = client._resolve_contacts()
         if op_type == "update":
-            client.writes_sent += 1
-            rec = FusedWrite.acquire()
-            rec.value = value
-            rec.w = write_quorum
-            size = write_base + (len(value)
-                                 if type(value) is str and value.isascii()
-                                 else estimate_payload_size(value))
-            entry = coordinator._fused_client_write
+            lean_write(key, value, write_quorum, sink)
         else:
-            client.reads_sent += 1
             sink.icg = icg
-            rec = FusedRead.acquire()
-            rec.r = read_quorum
-            rec.icg = icg
-            size = client._read_size
-            entry = coordinator._fused_client_read
-        rec.client = client
-        rec.op = rec
-        rec.coordinator = coordinator
-        rec.key = key
-        rec.sink = sink
-        rec.sent_at = clock._now
-        sent = network.fused_send_to(client, coordinator.name, size, entry,
-                                     rec.args)
-        if timeout_ms > 0:
-            rec.timer = scheduler.schedule(
-                timeout_ms, client._fused_request_timeout, rec)
-            rec.refs = sent + 2
-        else:
-            rec.refs = sent + 1
+            lean_read(key, read_quorum, icg, sink)
 
     return _issue
 

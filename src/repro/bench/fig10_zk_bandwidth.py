@@ -13,11 +13,12 @@ exchanges constant-size messages.  Shapes to reproduce:
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
 from repro.bench.common import DrainCheck
+from repro.core.consistency import STRONG, WEAK
+from repro.core.correctable import Correctable
+from repro.core.views import View
 from repro.metrics.bandwidth import BandwidthProbe
 from repro.metrics.summary import format_table
 from repro.sim.environment import SimEnvironment
@@ -27,26 +28,6 @@ from repro.zookeeper_sim.queue_recipe import DistributedQueue
 
 if TYPE_CHECKING:  # pragma: no cover - the sweep engine loads on first run
     from repro.bench.sweep import SweepPoint
-
-
-class _CommitSink:
-    """A ``ZKClient.submit_sink`` sink for a consumer that only acts on the
-    committed answer: ``done(ok, result)``."""
-
-    def __init__(self, done: Callable[[bool, Any], None]) -> None:
-        self.done = done
-
-    def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
-                            source: Optional[str] = None) -> None:
-        pass
-
-    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
-                      is_confirmation: bool = False, degraded: bool = False,
-                      matches_preliminary: Optional[bool] = None) -> None:
-        self.done(True, value)
-
-    def deliver_error(self, error: Any, latency_ms: float) -> None:
-        self.done(False, None)
 
 
 def _drain_queue(system: str, stock: int, clients: int, seed: int) -> Dict:
@@ -64,31 +45,35 @@ def _drain_queue(system: str, stock: int, clients: int, seed: int) -> Dict:
     probe = BandwidthProbe(env.network, [c.name for c in consumers],
                            [s.name for s in cluster.servers])
     probe.start()
-    stats = {"dequeued": 0, "operations": 0, "retries": 0}
+    stats = {"dequeued": 0, "operations": 0}
 
     def _consume_with(queue: DistributedQueue) -> None:
-        def _done(ok: bool, result: Any, retries: int = 0) -> None:
+        def _dequeued(view: View) -> None:
             stats["operations"] += 1
-            stats["retries"] += retries
-            if ok and (result or {}).get("item") is not None:
+            if view.value["item"] is not None:
                 stats["dequeued"] += 1
                 _next()
-            # An empty queue (or error) stops this consumer.
+            # An empty queue stops this consumer; so does an error.
 
-        sink = _CommitSink(_done)
+        def _failed(error: BaseException) -> None:
+            stats["operations"] += 1
 
         def _next() -> None:
+            # Only the committed answer counts, but a CZK dequeue also
+            # delivers its ICG preliminary: two levels.
+            correctable = Correctable(levels=(WEAK, STRONG)).set_callbacks(
+                on_final=_dequeued, on_error=_failed)
             if system == "ZK":
-                queue.dequeue_recipe(lambda resp: _done(
-                    resp["ok"], resp.get("result"), resp.get("retries", 0)))
+                queue.dequeue_recipe(correctable)
             else:
-                queue.client.submit_sink("dequeue", queue.queue_path, sink,
-                                         icg=True)
+                queue.client.submit_sink("dequeue", queue.queue_path,
+                                         correctable, icg=True)
 
         _next()
 
-    for consumer in consumers:
-        _consume_with(DistributedQueue(consumer, "/tickets"))
+    queues = [DistributedQueue(consumer, "/tickets") for consumer in consumers]
+    for queue in queues:
+        _consume_with(queue)
     env.run_until_idle()
     drain.verify(cluster)
     probe.stop()
@@ -99,7 +84,7 @@ def _drain_queue(system: str, stock: int, clients: int, seed: int) -> Dict:
         "kb_per_op": probe.kilobytes_per_op(max(1, stats["dequeued"])),
         "dequeued": stats["dequeued"],
         "operations": stats["operations"],
-        "retries": stats["retries"],
+        "retries": sum(queue.retries for queue in queues),
     }
 
 

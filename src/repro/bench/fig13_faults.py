@@ -40,6 +40,8 @@ from repro.bench.common import (
 )
 from repro.cassandra_sim.config import CassandraConfig
 from repro.core.cluster_spec import ClusterSpec
+from repro.core.consistency import STRONG
+from repro.core.correctable import Correctable
 from repro.faults import (
     FaultInjector,
     cassandra_aliases,
@@ -253,9 +255,8 @@ def run_fig13_zookeeper(crash_at_ms: float, crash_duration_ms: float,
     # Liveness probe: the re-elected ensemble must still commit writes
     # (guards against a post-election stall that op counters alone can
     # miss, since timed-out operations still "complete" at the client).
-    probe_results: List[Dict] = []
-    cluster.clients[0].enqueue("/queue", "fig13-probe",
-                               on_final=probe_results.append)
+    probe = Correctable(levels=(STRONG,))
+    cluster.clients[0].submit_sink("enqueue", "/queue", probe, "fig13-probe")
     env.run(until=end + 120_000.0)
     drain.verify(cluster)
     new_leader = cluster.current_leader()
@@ -274,7 +275,7 @@ def run_fig13_zookeeper(crash_at_ms: float, crash_duration_ms: float,
         "new_leader": new_leader.name if new_leader else None,
         "leader_changed": bool(new_leader and new_leader.name != old_leader),
         "promotions": sum(s.promotions for s in cluster.servers),
-        "post_crash_commit_ok": bool(probe_results and probe_results[0]["ok"]),
+        "post_crash_commit_ok": probe.is_final(),
         "committed_txns": max(s.commit_log.last_applied
                               for s in cluster.servers),
     }

@@ -2,9 +2,11 @@
 
 A client connects to one contact replica (its coordinator) and issues reads
 and writes with explicit quorum sizes, mirroring the DataStax driver the
-paper's prototype uses.  ICG reads (``icg=True``) complete twice: once for
-the coordinator's preliminary response and once for the final quorum
-response.
+paper's prototype uses.  :meth:`CassandraClient.lean_read` and
+:meth:`CassandraClient.lean_write` are its only entries: the binding and
+the load runners' issue functions all call them.  ICG reads
+(``icg=True``) complete twice: once for the coordinator's preliminary
+response and once for the final quorum response.
 
 An operation completes into the *sink* its issuer hands over
 (:mod:`repro.core.sink`): a load runner's record, a figure's recorder, or
@@ -47,20 +49,22 @@ class CassandraClient(Node):
     def __init__(self, name: str, region: str, network: Network,
                  contact: str, config: CassandraConfig,
                  fallback_contacts: Optional[Sequence[str]] = None) -> None:
+        contacts = [contact] + [
+            c for c in (fallback_contacts or []) if c != contact]
+        #: The contacts' node objects, the coordinator first: an unknown
+        #: contact fails here, before this node joins the network.
+        self._contact_nodes: List[Any] = [network.node(c) for c in contacts]
+        self._coordinator = self._contact_nodes[0]
         super().__init__(name, region, network)
         self.contact = contact
         self.config = config
-        self._contacts: List[str] = [contact] + [
-            c for c in (fallback_contacts or []) if c != contact]
+        self._contacts: List[str] = contacts
         self._clock = self.scheduler.clock
-        #: The contacts' node objects, resolved lazily on the first operation
-        #: (registration order is not constrained at __init__).
-        self._contact_nodes: Optional[List[Any]] = None
-        self._fused_coordinator: Optional[Any] = None
         self._read_size = MESSAGE_HEADER_BYTES + config.key_size_bytes + 8
         self._write_base = MESSAGE_HEADER_BYTES + config.key_size_bytes
         self._timeout_ms = config.client_timeout_ms
-        self._max_quorum = config.replication_factor
+        #: The quorum sizes an operation may ask for.
+        self._quorums = range(1, config.replication_factor + 1)
         self.reads_sent = 0
         self.writes_sent = 0
         # Record accounting behind ``outstanding()``: failover re-sends by
@@ -86,13 +90,6 @@ class CassandraClient(Node):
         self._fused_request_timeout = self._fused_request_timeout
 
     # -- issuing operations -------------------------------------------------
-    def _resolve_contacts(self) -> "Any":
-        """Resolve the contacts' node objects; returns the primary one."""
-        node = self.network.node
-        self._contact_nodes = [node(name) for name in self._contacts]
-        coordinator = self._fused_coordinator = self._contact_nodes[0]
-        return coordinator
-
     def outstanding(self) -> Tuple[int, int, int]:
         """``(read records, write records, operations)`` still out: records
         acquired for this client and not yet retired, and operations whose
@@ -106,20 +103,17 @@ class CassandraClient(Node):
     def check_quorum(self, quorum: int, kind: str) -> None:
         """Refuse a quorum no operation could assemble: with timeouts off it
         would never complete, and pin its record forever."""
-        if not 0 < quorum <= self._max_quorum:
+        if quorum not in self._quorums:
             raise ValueError(
-                f"{kind} quorum {quorum} outside 1..{self._max_quorum} "
+                f"{kind} quorum {quorum} outside 1..{self._quorums[-1]} "
                 f"(the replication factor)")
 
     def lean_read(self, key: str, r: int, icg: bool, sink: Any) -> FusedRead:
         """Issue a read completing into ``sink``; returns its record."""
-        if not 0 < r <= self._max_quorum:
+        if r not in self._quorums:
             self.check_quorum(r, "read")
         self.reads_sent += 1
-        network = self.network
-        coordinator = self._fused_coordinator
-        if coordinator is None:
-            coordinator = self._resolve_contacts()
+        coordinator = self._coordinator
         rec = FusedRead.acquire()
         rec.client = self
         rec.op = rec
@@ -131,12 +125,12 @@ class CassandraClient(Node):
         rec.sent_at = self._clock._now
         # The count starts at the open operation plus the request hop (when
         # it was not dropped at this end) plus the client timer.
-        sent = network.fused_send_to(self, coordinator.name, self._read_size,
-                                     coordinator._fused_client_read, rec.args)
-        timeout_ms = self._timeout_ms
-        if timeout_ms > 0:
+        sent = self.network.fused_send_to(
+            self, coordinator.name, self._read_size,
+            coordinator._fused_client_read, rec.args)
+        if self._timeout_ms:
             rec.timer = self.scheduler.schedule(
-                timeout_ms, self._fused_request_timeout, rec)
+                self._timeout_ms, self._fused_request_timeout, rec)
             rec.refs = sent + 2
         else:
             rec.refs = sent + 1
@@ -144,13 +138,10 @@ class CassandraClient(Node):
 
     def lean_write(self, key: str, value: Any, w: int, sink: Any) -> FusedWrite:
         """Issue a write completing into ``sink``; returns its record."""
-        if not 0 < w <= self._max_quorum:
+        if w not in self._quorums:
             self.check_quorum(w, "write")
         self.writes_sent += 1
-        network = self.network
-        coordinator = self._fused_coordinator
-        if coordinator is None:
-            coordinator = self._resolve_contacts()
+        coordinator = self._coordinator
         rec = FusedWrite.acquire()
         rec.client = self
         rec.op = rec
@@ -160,25 +151,22 @@ class CassandraClient(Node):
         rec.w = w
         rec.sink = sink
         rec.sent_at = self._clock._now
-        sent = network.fused_send_to(
-            self, coordinator.name, self._write_size(value),
+        # A YCSB update writes a single field, so the request is sized by the
+        # written payload, measured once here for every hop (reads, in
+        # contrast, return the whole record and are sized by the replica).
+        vbytes = rec.value_bytes = (
+            len(value) if type(value) is str and value.isascii()
+            else estimate_payload_size(value))
+        sent = self.network.fused_send_to(
+            self, coordinator.name, self._write_base + vbytes,
             coordinator._fused_client_write, rec.args)
-        timeout_ms = self._timeout_ms
-        if timeout_ms > 0:
+        if self._timeout_ms:
             rec.timer = self.scheduler.schedule(
-                timeout_ms, self._fused_request_timeout, rec)
+                self._timeout_ms, self._fused_request_timeout, rec)
             rec.refs = sent + 2
         else:
             rec.refs = sent + 1
         return rec
-
-    def _write_size(self, value: Any) -> int:
-        # A YCSB update writes a single field, so the request is sized by the
-        # written payload (reads, in contrast, return the whole record and are
-        # sized by the replica using ``config.value_size_bytes`` as a floor).
-        if type(value) is str and value.isascii():
-            return self._write_base + len(value)
-        return self._write_base + estimate_payload_size(value)
 
     # -- failover -------------------------------------------------------------
     def _resend(self, op: Any) -> None:
@@ -201,8 +189,9 @@ class CassandraClient(Node):
         else:
             self._write_resends += 1
             rec.value = op.value
+            rec.value_bytes = op.value_bytes
             rec.w = op.w
-            size = self._write_size(op.value)
+            size = self._write_base + op.value_bytes
             entry = contact._fused_client_write
         op.refs += 1  # the attempt, until it retires
         if self.network.fused_send_to(self, contact.name, size, entry,
@@ -210,7 +199,7 @@ class CassandraClient(Node):
             rec.refs = 1
         else:
             rec.release()
-        if self._timeout_ms > 0:
+        if self._timeout_ms:
             op.timer = self.scheduler.schedule(
                 self._timeout_ms, self._fused_request_timeout, op)
             op.refs += 1
@@ -266,7 +255,6 @@ class CassandraClient(Node):
         else:
             value = version.value
             timestamp = version.timestamp
-        op.prelim_value = value
         refs = rec.refs = rec.refs - 1
         if not refs:
             rec.release()
@@ -296,13 +284,15 @@ class CassandraClient(Node):
             value = rec.value
             timestamp = rec.version.timestamp
         else:
+            # The answering attempt's newest version; a confirmation elided
+            # only its payload, which equals the preliminary that attempt
+            # flushed (whether or not that preliminary got here first).
             version = rec.best
-            if is_confirmation:
-                # The storage elided the payload: the preliminary is final.
-                value = op.prelim_value
+            if version is None:
+                value = timestamp = None
             else:
-                value = version.value if version is not None else None
-            timestamp = version.timestamp if version is not None else None
+                value = version.value
+                timestamp = version.timestamp
         sink = op.sink
         sent_at = op.sent_at
         degraded = rec.degraded

@@ -61,8 +61,7 @@ class FusedRead(_PooledRecord):
 
     __slots__ = ("client", "coordinator", "key", "r", "icg", "op",
                  # the operation (meaningful on ``op`` only)
-                 "sink", "sent_at", "done", "prelim_value", "attempts",
-                 "timer",
+                 "sink", "sent_at", "done", "attempts", "timer",
                  # this attempt, at its coordinator
                  "incarnation", "count", "best", "local", "local_version",
                  "preliminary", "preliminary_sent", "final_sent", "degraded",
@@ -97,7 +96,6 @@ class FusedRead(_PooledRecord):
             rec = cls()
             cls._counts[0] += 1
         rec.done = False
-        rec.prelim_value = None
         rec.attempts = 0
         rec.count = 0
         rec.best = None
@@ -138,8 +136,8 @@ class FusedWrite(_PooledRecord):
     counted twice and re-sends skip replicas that already answered.
     """
 
-    __slots__ = ("client", "coordinator", "key", "value", "version", "w",
-                 "op",
+    __slots__ = ("client", "coordinator", "key", "value", "value_bytes",
+                 "version", "w", "op",
                  # the operation (meaningful on ``op`` only)
                  "sink", "sent_at", "done", "attempts", "timer",
                  # this attempt, at its coordinator

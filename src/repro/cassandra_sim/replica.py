@@ -711,10 +711,8 @@ class CassandraReplica(Node):
             self.table.apply(key, version)
             rec.acks.append(self.name)
             rec.ack_count = 1
-        # _value_bytes, inlined (updates write one ASCII field).
-        value = version.value
-        vbytes = (len(value) if type(value) is str and value.isascii()
-                  else estimate_payload_size(value))
+        # The client sized the written payload once (_value_bytes' floor).
+        vbytes = rec.value_bytes
         if vbytes < config.value_size_bytes:
             vbytes = config.value_size_bytes
         size = self._req_base + vbytes

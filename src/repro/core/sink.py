@@ -5,9 +5,10 @@ Every store (Cassandra, ZooKeeper, 2PC) completes every operation into a
 preliminary views, then exactly one final view or one error.  A Cassandra
 write has no preliminary; its ack is a final carrying the written value.
 A :class:`~repro.core.correctable.Correctable` (which every binding
-completes, :mod:`repro.bindings.base`), the load runners' records, the
-figure harnesses' recorders and the ZooKeeper client's callback adapter
-are sinks.
+completes, :mod:`repro.bindings.base`), the load runners' records and the
+figure harnesses' recorders are sinks.  There is no other completion
+dialect: a caller that wants callbacks submits a ``Correctable`` and sets
+them on it.
 """
 
 from __future__ import annotations

@@ -1,20 +1,19 @@
 """Client node for the simulated ZooKeeper ensemble.
 
-Offers the low-level znode operations (``create``, ``delete``, ``get``,
-``get_children``) plus the queue-oriented operations used by Correctable
-ZooKeeper (``enqueue``, ``dequeue``).  An operation submitted with
+One entry, :meth:`ZKClient.submit_sink`, issues every operation the servers
+know: the low-level znode operations (``"create"``, ``"delete"``,
+``"get"``, ``"get_children"``) and the queue operations Correctable
+ZooKeeper adds (``"enqueue"``, ``"dequeue"``).  An operation submitted with
 ``icg=True`` receives a preliminary answer from the contacted server's local
 simulation before the final (Zab-committed) result arrives.
 
 An operation completes into its *sink* (:mod:`repro.core.sink`): a
 preliminary per attempt that reached a live server, then the final or the
 error (refused, or every re-send timed out).  ZooKeeper results carry no
-version, so the stamp is always ``None``.  :meth:`ZKClient.submit_sink`
-takes any sink — a :class:`~repro.core.correctable.Correctable` is one,
-the figure harnesses bring recorders; the callback API
-(``submit``/``enqueue``/… with ``on_preliminary=``/``on_final=``) is the
-same path through :class:`_CallbackSink`, the sink that builds the response
-dict.
+version, so the stamp is always ``None``.  Any sink will do: a
+:class:`~repro.core.correctable.Correctable` is one (an application that
+wants callbacks attaches them with ``set_callbacks``), the figure
+harnesses bring recorders.
 
 Each operation is one :class:`ZkOp` record, sent by reference to the
 contacted server (``ZKServer._zk_request``) and, on a timeout, to the next
@@ -30,48 +29,15 @@ picks, at most ``config.client_retries`` times, and then fails
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.sim.network import MESSAGE_HEADER_BYTES, Network
 from repro.sim.node import Node
 from repro.zookeeper_sim.config import ZooKeeperConfig
 
-#: ``callback(response_dict)`` with keys ok/result/error/latency_ms/preliminary.
-ResponseCallback = Callable[[Dict[str, Any]], None]
-
-
-class _CallbackSink:
-    """The callback API as a sink: the one place response dicts are built."""
-
-    __slots__ = ("on_preliminary", "on_final")
-
-    def __init__(self, on_preliminary: Optional[ResponseCallback],
-                 on_final: Optional[ResponseCallback]) -> None:
-        self.on_preliminary = on_preliminary
-        self.on_final = on_final
-
-    def deliver_preliminary(self, value: Any, stamp: Any, latency_ms: float,
-                            source: Optional[str] = None) -> None:
-        if self.on_preliminary is not None:
-            self.on_preliminary({"ok": True, "result": value, "error": None,
-                                 "latency_ms": latency_ms,
-                                 "preliminary": True})
-
-    def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
-                      is_confirmation: bool = False, degraded: bool = False,
-                      matches_preliminary: Optional[bool] = None) -> None:
-        if self.on_final is not None:
-            self.on_final({"ok": True, "result": value, "error": None,
-                           "latency_ms": latency_ms, "preliminary": False})
-
-    def deliver_error(self, error: str, latency_ms: float) -> None:
-        if self.on_final is not None:
-            self.on_final({"ok": False, "result": None, "error": error,
-                           "latency_ms": latency_ms, "preliminary": False})
-
 
 class ZkOp:
-    """One client operation, from ``submit`` to its final answer.
+    """One client operation, from ``submit_sink`` to its final answer.
 
     The same record travels client → contacted server → leader; ``client``
     is the reply address.  Servers read the wire fields (``req_id`` …
@@ -123,7 +89,7 @@ class ZKClient(Node):
             network.node(s) for s in (ensemble or []) if s != server]
         self._req_ids = itertools.count(1)
         #: Request wire size without / with a data element.
-        self._request_sizes = (
+        self._wire_sizes = (
             MESSAGE_HEADER_BYTES + config.path_size_bytes,
             MESSAGE_HEADER_BYTES + config.path_size_bytes
             + config.element_size_bytes)
@@ -135,29 +101,16 @@ class ZKClient(Node):
 
     # -- generic request plumbing -------------------------------------------
     def submit_sink(self, op: str, path: str, sink: Any, data: Any = None,
-                    sequential: bool = False, icg: bool = False,
-                    request_size: Optional[int] = None) -> int:
+                    sequential: bool = False, icg: bool = False) -> int:
         """Send one operation to the connected server, to complete into
         ``sink`` (see the module docstring); returns the request id."""
         req_id = next(self._req_ids)
         self.requests_sent += 1
-        if request_size is None:
-            request_size = self._request_sizes[data is not None]
         pending = self._pending[req_id] = ZkOp(
             self, req_id, op, path, data, sequential, icg, sink,
-            self.scheduler.clock._now, request_size)
+            self.scheduler.clock._now, self._wire_sizes[data is not None])
         self._dispatch(pending)
         return req_id
-
-    def submit(self, op: str, path: str, data: Any = None,
-               sequential: bool = False, icg: bool = False,
-               on_preliminary: Optional[ResponseCallback] = None,
-               on_final: Optional[ResponseCallback] = None,
-               request_size: Optional[int] = None) -> int:
-        """:meth:`submit_sink` for callbacks that take a response dict."""
-        return self.submit_sink(op, path,
-                                _CallbackSink(on_preliminary, on_final),
-                                data, sequential, icg, request_size)
 
     # -- dispatch & failover --------------------------------------------------
     def _dispatch(self, pending: ZkOp) -> None:
@@ -187,41 +140,6 @@ class ZKClient(Node):
         del self._pending[req_id]
         pending.sink.deliver_error("client timeout: no server responded",
                                    self.scheduler.now() - pending.sent_at)
-
-    # -- convenience wrappers ---------------------------------------------------
-    def create(self, path: str, data: Any = None, sequential: bool = False,
-               icg: bool = False,
-               on_preliminary: Optional[ResponseCallback] = None,
-               on_final: Optional[ResponseCallback] = None) -> int:
-        return self.submit("create", path, data=data, sequential=sequential,
-                           icg=icg, on_preliminary=on_preliminary,
-                           on_final=on_final)
-
-    def delete(self, path: str,
-               on_final: Optional[ResponseCallback] = None) -> int:
-        return self.submit("delete", path, on_final=on_final)
-
-    def get(self, path: str,
-            on_final: Optional[ResponseCallback] = None) -> int:
-        return self.submit("get", path, on_final=on_final)
-
-    def get_children(self, path: str,
-                     on_final: Optional[ResponseCallback] = None) -> int:
-        return self.submit("get_children", path, on_final=on_final)
-
-    def enqueue(self, queue_path: str, item: Any, icg: bool = False,
-                on_preliminary: Optional[ResponseCallback] = None,
-                on_final: Optional[ResponseCallback] = None) -> int:
-        """Append ``item`` to the queue (a sequential create under the queue)."""
-        return self.submit("enqueue", queue_path, data=item, icg=icg,
-                           on_preliminary=on_preliminary, on_final=on_final)
-
-    def dequeue(self, queue_path: str, icg: bool = False,
-                on_preliminary: Optional[ResponseCallback] = None,
-                on_final: Optional[ResponseCallback] = None) -> int:
-        """Atomically remove the queue head (server-side, constant-size messages)."""
-        return self.submit("dequeue", queue_path, icg=icg,
-                           on_preliminary=on_preliminary, on_final=on_final)
 
     # -- responses (network continuations) -------------------------------------------
     def _zk_preliminary(self, req_id: int, result: Any) -> None:

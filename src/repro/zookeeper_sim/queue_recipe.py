@@ -4,20 +4,25 @@ Two dequeue implementations are provided, matching Section 6.2.2:
 
 * :meth:`DistributedQueue.dequeue_recipe` — the standard ZooKeeper recipe:
   ``getChildren`` on the queue znode (a message whose size grows linearly
-  with queue length), pick the lowest-numbered child, ``delete`` it, and
+  with queue length), ``get`` the lowest-numbered child, ``delete`` it, and
   retry when a concurrent consumer already removed it.  This is the ZK
   baseline of Figure 10.
-* :meth:`ZKClient.dequeue` — the Correctable ZooKeeper server-side
-  dequeue: a single constant-size transaction that removes the head
-  atomically, optionally with an ICG preliminary from the server's local
-  simulation.
+* ``ZKClient.submit_sink("dequeue", …)`` — the Correctable ZooKeeper
+  server-side dequeue: a single constant-size transaction that removes the
+  head atomically, optionally with an ICG preliminary from the server's
+  local simulation.
+
+Both complete into a sink (:mod:`repro.core.sink`) with the same
+``{"item", "name", "remaining"}`` result.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any
 
-from repro.zookeeper_sim.client import ResponseCallback, ZKClient
+from repro.core.consistency import STRONG
+from repro.core.correctable import Correctable
+from repro.zookeeper_sim.client import ZKClient
 
 
 class DistributedQueue:
@@ -26,76 +31,58 @@ class DistributedQueue:
     def __init__(self, client: ZKClient, queue_path: str = "/queue") -> None:
         self.client = client
         self.queue_path = queue_path
+        #: Steps this queue's recipe dequeues re-ran under contention.
         self.retries = 0
 
-    # -- setup --------------------------------------------------------------
-    def create_queue_node(self, on_done: Optional[ResponseCallback] = None) -> None:
-        """Create the parent znode the queue lives under."""
-        self.client.create(self.queue_path, data=None, sequential=False,
-                           on_final=on_done or (lambda resp: None))
+    def dequeue_recipe(self, sink: Any, max_retries: int = 25) -> None:
+        """The getChildren + get + delete recipe with retry under
+        contention, completing into ``sink``: the head's result (``item``
+        and ``name`` are ``None`` on an empty queue), or an error once
+        getChildren fails or ``max_retries`` retries are spent.
 
-    # -- producers -------------------------------------------------------------
-    def enqueue(self, item: Any, icg: bool = False,
-                on_preliminary: Optional[ResponseCallback] = None,
-                on_final: Optional[ResponseCallback] = None) -> None:
-        """Append ``item`` (sequential create under the queue znode)."""
-        self.client.enqueue(self.queue_path, item, icg=icg,
-                            on_preliminary=on_preliminary, on_final=on_final)
+        Each step is one operation whose sink is a strong-only
+        :class:`Correctable`; its callbacks chain the next step.
+        """
+        client = self.client
+        queue_path = self.queue_path
+        started = client.scheduler.now()
+        retries = 0
 
-    # -- consumers: standard ZooKeeper recipe ----------------------------------------
-    def dequeue_recipe(self, on_final: ResponseCallback,
-                       max_retries: int = 25) -> None:
-        """The getChildren + delete recipe with retry under contention."""
-        attempt = {"count": 0, "started": self.client.scheduler.now()}
+        def step(op: str, path: str, on_final, on_error) -> None:
+            client.submit_sink(op, path, Correctable(levels=(STRONG,))
+                               .set_callbacks(on_final=on_final,
+                                              on_error=on_error))
 
-        def _finish(item: Any, name: Optional[str], remaining: int,
-                    ok: bool = True, error: Optional[str] = None) -> None:
-            on_final({
-                "ok": ok,
-                "result": {"item": item, "name": name, "remaining": remaining},
-                "error": error,
-                "latency_ms": self.client.scheduler.now() - attempt["started"],
-                "retries": attempt["count"],
-            })
+        def finish(item: Any, name: Any, remaining: int) -> None:
+            sink.deliver_final(
+                {"item": item, "name": name, "remaining": remaining}, None,
+                client.scheduler.now() - started)
 
-        def _try_once() -> None:
-            self.client.get_children(self.queue_path, on_final=_got_children)
+        def fail(error: Any) -> None:
+            sink.deliver_error(error, client.scheduler.now() - started)
 
-        def _got_children(resp: Dict[str, Any]) -> None:
-            if not resp["ok"]:
-                _finish(None, None, 0, ok=False, error=resp["error"])
-                return
-            children = resp["result"]
+        def try_once() -> None:
+            step("get_children", queue_path, got_children, fail)
+
+        def got_children(view) -> None:
+            children = view.value
             if not children:
-                _finish(None, None, 0)
+                finish(None, None, 0)
                 return
             head = children[0]
+            path = f"{queue_path}/{head}"
             remaining = len(children) - 1
-            self.client.get(f"{self.queue_path}/{head}",
-                            on_final=lambda r: _got_data(head, remaining, r))
+            step("get", path, lambda got: step(
+                "delete", path,
+                lambda _: finish(got.value, head, remaining), retry), retry)
 
-        def _got_data(head: str, remaining: int, resp: Dict[str, Any]) -> None:
-            if not resp["ok"]:
-                _retry()
-                return
-            item = resp["result"]
-            self.client.delete(
-                f"{self.queue_path}/{head}",
-                on_final=lambda r: _deleted(head, remaining, item, r))
-
-        def _deleted(head: str, remaining: int, item: Any,
-                     resp: Dict[str, Any]) -> None:
-            if resp["ok"]:
-                _finish(item, head, remaining)
-            else:
-                _retry()
-
-        def _retry() -> None:
-            attempt["count"] += 1
+        def retry(_error: Any) -> None:
+            nonlocal retries
+            retries += 1
             self.retries += 1
-            if attempt["count"] > max_retries:
-                _finish(None, None, 0, ok=False, error="too many retries")
+            if retries > max_retries:
+                fail("too many retries")
                 return
-            _try_once()
+            try_once()
 
-        _try_once()
+        try_once()

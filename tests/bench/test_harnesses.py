@@ -12,7 +12,9 @@ from repro.bench.common import (
     CASSANDRA_SYSTEMS,
     DrainCheck,
     cassandra_config_for,
+    make_generator_factory,
     make_kv_issue,
+    run_until_settled,
 )
 from repro.bench.fig05_single_latency import latency_gap_ms
 from repro.bench.figures import (
@@ -20,6 +22,8 @@ from repro.bench.figures import (
 )
 from repro.core.cluster_spec import REMOTE_CONTACTS, ClusterSpec
 from repro.sim.topology import Region
+from repro.workloads.runner import ClosedLoopRunner
+from repro.workloads.ycsb import workload_by_name
 
 
 class TestCommon:
@@ -56,6 +60,87 @@ class _Sink:
 
     def deliver_error(self, error, latency_ms):
         pass
+
+
+class _ReadFinals:
+    """Forwards one operation into the runner's record, logging a read's
+    final as ``(issued at, key, value, is_confirmation)``."""
+
+    def __init__(self, record, key, issued_at, log):
+        self.record, self.key, self.issued_at, self.log = \
+            record, key, issued_at, log
+
+    @property
+    def icg(self):
+        return self.record.icg
+
+    @icg.setter
+    def icg(self, icg):
+        self.record.icg = icg
+
+    def deliver_preliminary(self, value, stamp, latency_ms, source=None):
+        self.record.deliver_preliminary(value, stamp, latency_ms, source)
+
+    def deliver_final(self, value, stamp, latency_ms, is_confirmation=False,
+                      degraded=False, matches_preliminary=None):
+        self.log.append((self.issued_at, self.key, value, is_confirmation))
+        self.record.deliver_final(value, stamp, latency_ms, is_confirmation,
+                                  degraded, matches_preliminary)
+
+    def deliver_error(self, error, latency_ms):
+        self.record.deliver_error(error, latency_ms)
+
+
+class TestConfirmation:
+    def test_a_confirmation_that_overtakes_its_preliminary_has_the_value(
+            self):
+        """fig08's ``*CC2`` A-latest cell, 300 ms of it: per-hop jitter
+        lets one read's confirmation overtake its preliminary on the
+        coordinator -> client link.  Every key is preloaded, so no read
+        may complete with ``None`` — the confirmed value is the answering
+        attempt's newest version, not a preliminary the client never saw."""
+        system, seed = "*CC2", 42
+        spec = workload_by_name("A").with_distribution("latest")
+        scenario = ClusterSpec(
+            seed=seed, record_count=1_000,
+            client_regions=(Region.IRL, Region.FRK, Region.VRG),
+            config=cassandra_config_for(system)).build()
+        env = scenario.env
+        finals = []
+        ops = []
+
+        def forwarding(client):
+            issue = make_kv_issue(client, system)
+
+            def _issue(op_type, key, value, sink, session_id=None):
+                ops.append(op_type)
+                if op_type != "update":
+                    sink = _ReadFinals(sink, key, (env.now(), client.name),
+                                       finals)
+                issue(op_type, key, value, sink, session_id)
+            return _issue
+
+        runners = [
+            ClosedLoopRunner(
+                scheduler=env.scheduler, issue=forwarding(client),
+                make_generator=make_generator_factory(
+                    spec, scenario.dataset, seed,
+                    f"fig08-{system}-A-latest-{region}"),
+                threads=40, duration_ms=300.0, warmup_ms=0.0,
+                cooldown_ms=0.0, label=f"fig08-{system}-{region}")
+            for region, client in scenario.clients.items()]
+        run_until_settled(env, runners, 60_000.0)
+
+        assert len(ops) == 330
+        assert len(finals) == ops.count("read") > 0
+        assert [final for final in finals if final[2] is None] == []
+        # The read that used to complete with None: its confirmation
+        # arrived before its preliminary.
+        ((issued_at, _), key, value, is_confirmation), = [
+            final for final in finals
+            if final[0] == (0.1, "ycsb-client-us-east-1")
+            and final[1] == "user999"]
+        assert is_confirmation and value.startswith("GmKIjku2")
 
 
 class TestDrainCheck:

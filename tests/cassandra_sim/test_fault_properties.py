@@ -25,6 +25,7 @@ import pytest
 from fault_slices import REGIONS, fault_windows, schedule_from_windows
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
@@ -289,6 +290,17 @@ class TestBadSpecsFailLoudly:
         simulated clock at NaN."""
         with pytest.raises(ValueError, match=field):
             CassandraConfig(**{field: math.nan})
+
+    @pytest.mark.parametrize("fallbacks", [None, ["nope"]])
+    def test_an_unknown_contact_fails_when_the_client_is_built(
+            self, fallbacks, cassandra_setup):
+        env, cluster, _ = cassandra_setup
+        contact = cluster.replicas[0].name if fallbacks else "nope"
+        with pytest.raises(KeyError, match="nope"):
+            CassandraClient("lost", Region.IRL, env.network, contact,
+                            cluster.config, fallback_contacts=fallbacks)
+        # Refused before it joined the network.
+        assert not env.network.has_node("lost")
 
     @pytest.mark.parametrize("quorum", [0, -1, 4])
     def test_unreachable_quorums_are_rejected(self, quorum, cassandra_setup):

@@ -10,6 +10,7 @@ and retired coordinators hand their clients over to a fallback contact.
 import pytest
 from sinks import RecordingSink
 
+from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.partitioner import key_token, token_in_range
@@ -97,9 +98,8 @@ class TestJoin:
         env.run(until=50.0)
         joiner = cluster.replica_by_name(name)
         assert joiner.ring_state == "bootstrapping"
-        client = cluster.add_client("c", Region.FRK, contact_region=Region.FRK)
-        client.contact = name          # force the bootstrapping contact
-        client._contacts = [name]      # (and the dispatch rotation)
+        client = CassandraClient("c", Region.FRK, env.network, name,
+                                 cluster.config)
         results = RecordingSink()
         client.lean_read("key1", 1, False, results)
         env.run(until=100.0)

@@ -48,11 +48,9 @@ def test_every_sink_class_speaks_exactly_the_protocol():
         "repro.core.correctable.Correctable",
         "repro.workloads.runner._ClientThread",
         "repro.workloads.runner._OpenOp",
-        "repro.zookeeper_sim.client._CallbackSink",
         "repro.bindings.cached_store._InnerViews",
         "repro.bench.fig05_single_latency._SequentialReads",
         "repro.bench.fig09_zk_latency.EnqueueLoop",
-        "repro.bench.fig10_zk_bandwidth._CommitSink",
         "repro.bench.fig13_faults._QueueOpSink",
         "repro.bench.fig15_rebalance._JournaledOp",
     } <= set(classes)

@@ -44,11 +44,12 @@ spec.loader.exec_module(importlib.util.module_from_spec(spec))
 #: 13,490 lines to 64 and 11,883; moving every figure's parameters into
 #: one table (which start-up does not load) took the lines to 11,361;
 #: deleting the shared retry policy and failover mixin took 64 modules and
-#: 11,362 lines to 62 and 10,992.
+#: 11,362 lines to 62 and 10,992; one issuing entry per store (no inlined
+#: client copy, no ZooKeeper response-dict API) took the lines to 10,863.
 #: Lowering a row records a saving; raising one is a decision, not a fix
 #: for a red test.
 _STARTUP_BUDGETS = {
-    (3, 11): (62.62, 11_101.92),
+    (3, 11): (62.62, 10_971.63),
 }
 
 #: Standard-library packages a worker pool pulls in; no round runs one.

@@ -16,6 +16,8 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Dict, Iterator, List, Tuple
 
+from sinks import RecordingSink
+
 from repro.apps.tickets import PurchaseOutcome, TicketSeller
 from repro.bindings.zookeeper import ZooKeeperQueueBinding
 from repro.core.client import CorrectableClient
@@ -291,14 +293,16 @@ def zombie_leader(seed: int = 7) -> Tuple[Dict, List[ZooKeeperCluster]]:
     answers: List[Tuple] = []
     sent = {"n": 0}
 
-    def answered(response: Dict[str, Any]) -> None:
-        answers.append((env.now(), response["ok"], response["latency_ms"],
-                        (response["result"] or {}).get("name")))
+    def answered(answer: Tuple) -> None:
+        ok = answer.kind == "final"
+        answers.append((env.now(), ok, answer.latency_ms,
+                        answer.value["name"] if ok else None))
 
     def tick() -> None:
         for client in clients:
             sent["n"] += 1
-            client.enqueue("/queue", f"v{sent['n']}", on_final=answered)
+            client.submit_sink("enqueue", "/queue", RecordingSink(answered),
+                               f"v{sent['n']}")
         if env.now() < 12_000.0:
             env.scheduler.schedule(100.0, tick)
 

@@ -1,6 +1,7 @@
 """End-to-end protocol tests for the simulated ZooKeeper ensemble."""
 
 import pytest
+from sinks import RecordingSink
 
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, Topology
@@ -23,7 +24,7 @@ class TestBasicOperations:
     def test_create_replicates_to_all_servers(self):
         env, cluster = _setup(queue_items=0)
         client = cluster.add_client("c", Region.IRL, Region.FRK)
-        client.create("/node", data="payload")
+        client.submit_sink("create", "/node", RecordingSink(), "payload")
         env.run_until_idle()
         for server in cluster.servers:
             assert server.tree.get("/node") == "payload"
@@ -31,17 +32,18 @@ class TestBasicOperations:
     def test_reads_served_locally_by_contacted_server(self):
         env, cluster = _setup()
         client = cluster.add_client("c", Region.FRK, Region.FRK)
-        results = []
-        client.get_children("/queue", on_final=results.append)
+        sink = RecordingSink()
+        client.submit_sink("get_children", "/queue", sink)
         env.run_until_idle()
-        assert len(results[0]["result"]) == 10
+        (final,) = sink.calls
+        assert final.kind == "final" and len(final.value) == 10
         # A local read never involves the leader.
-        assert results[0]["latency_ms"] < 10.0
+        assert final.latency_ms < 10.0
 
     def test_delete_propagates(self):
         env, cluster = _setup(queue_items=3)
         client = cluster.add_client("c", Region.IRL, Region.FRK)
-        client.delete("/queue/item-0000000000")
+        client.submit_sink("delete", "/queue/item-0000000000", RecordingSink())
         env.run_until_idle()
         for server in cluster.servers:
             assert server.tree.child_count("/queue") == 2
@@ -49,19 +51,20 @@ class TestBasicOperations:
     def test_delete_missing_node_reports_error(self):
         env, cluster = _setup(queue_items=0)
         client = cluster.add_client("c", Region.IRL, Region.FRK)
-        results = []
-        client.delete("/ghost", on_final=results.append)
+        sink = RecordingSink()
+        client.submit_sink("delete", "/ghost", sink)
         env.run_until_idle()
-        assert not results[0]["ok"]
-        assert "NoNode" in results[0]["error"]
+        (error,) = sink.calls
+        assert error.kind == "error"
+        assert "NoNode" in error.error
 
     def test_unknown_operation_rejected(self):
         env, cluster = _setup(queue_items=0)
         client = cluster.add_client("c", Region.IRL, Region.FRK)
-        results = []
-        client.submit("frobnicate", "/x", on_final=results.append)
+        sink = RecordingSink()
+        client.submit_sink("frobnicate", "/x", sink)
         env.run_until_idle()
-        assert not results[0]["ok"]
+        assert sink.kinds() == ["error"]
 
 
 class TestTotalOrder:
@@ -72,8 +75,8 @@ class TestTotalOrder:
         c1 = cluster.add_client("c1", Region.FRK, Region.FRK)
         c2 = cluster.add_client("c2", Region.VRG, Region.VRG)
         for i in range(5):
-            c1.enqueue("/q", f"frk-{i}")
-            c2.enqueue("/q", f"vrg-{i}")
+            c1.submit_sink("enqueue", "/q", RecordingSink(), f"frk-{i}")
+            c2.submit_sink("enqueue", "/q", RecordingSink(), f"vrg-{i}")
         env.run_until_idle()
         orders = []
         for server in cluster.servers:
@@ -86,7 +89,7 @@ class TestTotalOrder:
         env, cluster = _setup(queue_items=0)
         client = cluster.add_client("c", Region.FRK, Region.FRK)
         for i in range(8):
-            client.create(f"/node{i}", data=i)
+            client.submit_sink("create", f"/node{i}", RecordingSink(), i)
         env.run_until_idle()
         for server in cluster.servers:
             assert server.commit_log.last_applied == 8
@@ -101,36 +104,36 @@ class TestLatencyShape:
             for server in cluster.servers:
                 server.tree.create("/q")
             client = cluster.add_client("c", Region.IRL, connect)
-            results = []
-            client.enqueue("/q", "x", on_final=results.append)
+            sink = RecordingSink()
+            client.submit_sink("enqueue", "/q", sink, "x")
             env.run_until_idle()
-            latencies[label] = results[0]["latency_ms"]
+            (final,) = sink.answers
+            latencies[label] = final.latency_ms
         assert latencies["leader"] < latencies["follower"]
 
     def test_preliminary_much_faster_than_final_with_remote_leader(self):
         env, cluster = _setup(leader=Region.VRG,
                               followers=(Region.IRL, Region.FRK))
         client = cluster.add_client("c", Region.IRL, Region.IRL)
-        events = []
-        client.dequeue("/queue", icg=True,
-                       on_preliminary=lambda r: events.append(("p", r["latency_ms"])),
-                       on_final=lambda r: events.append(("f", r["latency_ms"])))
+        sink = RecordingSink()
+        client.submit_sink("dequeue", "/queue", sink, icg=True)
         env.run_until_idle()
-        prelim = dict(events)["p"]
-        final = dict(events)["f"]
-        assert prelim < 10.0
-        assert final > 100.0
+        prelim, final = sink.calls
+        assert (prelim.kind, final.kind) == ("preliminary", "final")
+        assert prelim.latency_ms < 10.0
+        assert final.latency_ms > 100.0
 
 
 class TestCzkDequeue:
     def test_dequeue_returns_head_and_removes_it(self):
         env, cluster = _setup(queue_items=3)
         client = cluster.add_client("c", Region.FRK, Region.FRK)
-        results = []
-        client.dequeue("/queue", on_final=results.append)
+        sink = RecordingSink()
+        client.submit_sink("dequeue", "/queue", sink)
         env.run_until_idle()
-        assert results[0]["result"]["item"] == "item-0"
-        assert results[0]["result"]["remaining"] == 2
+        (final,) = sink.calls
+        assert final.value["item"] == "item-0"
+        assert final.value["remaining"] == 2
         for server in cluster.servers:
             assert server.tree.child_count("/queue") == 2
 
@@ -139,20 +142,21 @@ class TestCzkDequeue:
         for server in cluster.servers:
             server.tree.create("/queue")
         client = cluster.add_client("c", Region.FRK, Region.FRK)
-        results = []
-        client.dequeue("/queue", on_final=results.append)
+        sink = RecordingSink()
+        client.submit_sink("dequeue", "/queue", sink)
         env.run_until_idle()
-        assert results[0]["result"]["item"] is None
+        (final,) = sink.calls
+        assert final.kind == "final" and final.value["item"] is None
 
     def test_concurrent_dequeues_get_distinct_items(self):
         env, cluster = _setup(queue_items=6)
         clients = [cluster.add_client(f"c{i}", Region.FRK, Region.FRK)
                    for i in range(3)]
-        got = []
-        for client in clients:
-            client.dequeue("/queue", icg=True,
-                           on_final=lambda r: got.append(r["result"]["item"]))
+        sinks = [RecordingSink() for _ in clients]
+        for client, sink in zip(clients, sinks):
+            client.submit_sink("dequeue", "/queue", sink, icg=True)
         env.run_until_idle()
+        got = [final.value["item"] for sink in sinks for final in sink.answers]
         assert len(got) == 3
         assert len(set(got)) == 3
 
@@ -160,13 +164,13 @@ class TestCzkDequeue:
         env, cluster = _setup(queue_items=6)
         clients = [cluster.add_client(f"c{i}", Region.FRK, Region.FRK)
                    for i in range(3)]
-        preliminary_items = []
+        calls = []
         for client in clients:
-            client.dequeue(
-                "/queue", icg=True,
-                on_preliminary=lambda r: preliminary_items.append(
-                    r["result"]["item"]))
+            client.submit_sink("dequeue", "/queue", RecordingSink(calls=calls),
+                               icg=True)
         env.run_until_idle()
+        preliminary_items = [call.value["item"] for call in calls
+                             if call.kind == "preliminary"]
         assert len(preliminary_items) == 3
         assert len(set(preliminary_items)) == 3
 
@@ -176,10 +180,10 @@ class TestCzkDequeue:
         drained = []
 
         def _next():
-            client.dequeue("/queue", on_final=_done)
+            client.submit_sink("dequeue", "/queue", RecordingSink(_done))
 
-        def _done(resp):
-            item = resp["result"]["item"]
+        def _done(final):
+            item = final.value["item"]
             if item is None:
                 return
             drained.append(item)
@@ -195,10 +199,14 @@ class TestQueueRecipe:
         env, cluster = _setup(queue_items=4)
         client = cluster.add_client("c", Region.FRK, Region.FRK)
         queue = DistributedQueue(client, "/queue")
-        results = []
-        queue.dequeue_recipe(results.append)
+        sink = RecordingSink()
+        queue.dequeue_recipe(sink)
         env.run_until_idle()
-        assert results[0]["result"]["item"] == "item-0"
+        (final,) = sink.calls
+        assert final.value == {"item": "item-0", "name": "item-0000000000",
+                               "remaining": 3}
+        assert final.stamp is None and final.latency_ms > 0
+        assert queue.retries == 0
 
     def test_recipe_contention_causes_retries_but_no_duplicates(self):
         env, cluster = _setup(queue_items=10)
@@ -209,12 +217,11 @@ class TestQueueRecipe:
 
         def _drain(queue):
             def _next():
-                queue.dequeue_recipe(_done)
+                queue.dequeue_recipe(RecordingSink(_done))
 
-            def _done(resp):
-                item = resp["result"]["item"]
-                if resp["ok"] and item is not None:
-                    got.append(item)
+            def _done(answer):
+                if answer.kind == "final" and answer.value["item"] is not None:
+                    got.append(answer.value["item"])
                     _next()
 
             _next()
@@ -231,21 +238,33 @@ class TestQueueRecipe:
             server.tree.create("/queue")
         client = cluster.add_client("c", Region.FRK, Region.FRK)
         queue = DistributedQueue(client, "/queue")
-        results = []
-        queue.dequeue_recipe(results.append)
+        sink = RecordingSink()
+        queue.dequeue_recipe(sink)
         env.run_until_idle()
-        assert results[0]["result"]["item"] is None
+        assert sink.calls == [("final", {"item": None, "name": None,
+                                         "remaining": 0}, None,
+                               sink.calls[0].latency_ms, False, False, None)]
 
-    def test_enqueue_via_recipe(self):
+    def test_recipe_on_a_missing_queue_fails_with_no_node(self):
         env, cluster = _setup(queue_items=0)
         client = cluster.add_client("c", Region.FRK, Region.FRK)
         queue = DistributedQueue(client, "/tasks")
-        queue.create_queue_node()
+        sink = RecordingSink()
+        queue.dequeue_recipe(sink)
         env.run_until_idle()
-        results = []
-        queue.enqueue("job-1", on_final=results.append)
+        (error,) = sink.calls
+        assert error.kind == "error" and "NoNode" in str(error.error)
+        assert queue.retries == 0
+
+    def test_enqueue_under_a_created_queue_node(self):
+        env, cluster = _setup(queue_items=0)
+        client = cluster.add_client("c", Region.FRK, Region.FRK)
+        sink = RecordingSink()
+        client.submit_sink("create", "/tasks", sink)
         env.run_until_idle()
-        assert results[0]["ok"]
+        client.submit_sink("enqueue", "/tasks", sink, "job-1")
+        env.run_until_idle()
+        assert sink.kinds() == ["final", "final"]
         for server in cluster.servers:
             assert server.tree.child_count("/tasks") == 1
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from sinks import RecordingSink
 
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, Topology
@@ -262,8 +263,8 @@ class TestTransactionRecord:
         env, cluster = _cluster(queues=("/queue",), depth=2)
         client = cluster.add_client("c", Region.FRK, Region.FRK)
         for i in range(5):
-            client.enqueue("/queue", f"x{i}")
-        client.dequeue("/queue", icg=True)
+            client.submit_sink("enqueue", "/queue", RecordingSink(), f"x{i}")
+        client.submit_sink("dequeue", "/queue", RecordingSink(), icg=True)
         env.run_until_idle()
         leader = cluster.leader
         assert len(leader.applied_log) == 6
@@ -277,7 +278,7 @@ class TestTransactionRecord:
         env, cluster = _cluster(queues=("/queue",), depth=3)
         client = cluster.add_client("c", Region.IRL, Region.IRL)
         for i in range(4):
-            client.enqueue("/queue", f"x{i}")
+            client.submit_sink("enqueue", "/queue", RecordingSink(), f"x{i}")
         env.run_until_idle()
         leader, receiver = cluster.leader, cluster.followers[1]
         leader._send_snapshot(receiver.name)
@@ -302,7 +303,7 @@ class TestTransactionRecord:
         env.network.partition(cluster.leader.name, behind.name)
         client = cluster.add_client("c", Region.IRL, Region.IRL)
         for i in range(3):
-            client.enqueue("/queue", f"x{i}")
+            client.submit_sink("enqueue", "/queue", RecordingSink(), f"x{i}")
         env.run_until_idle()
         assert behind.commit_log.last_applied == 0
         env.network.heal(cluster.leader.name, behind.name)
@@ -340,10 +341,11 @@ class TestProposalTrackerStaysSmall:
 
         def _issue():
             state["sent"] += 1
-            client.enqueue("/queue", state["sent"], on_final=_answered)
+            client.submit_sink("enqueue", "/queue", RecordingSink(_answered),
+                               state["sent"])
 
-        def _answered(response):
-            assert response["ok"]
+        def _answered(answer):
+            assert answer.kind == "final"
             state["done"] += 1
             state["peak"] = max(state["peak"], len(tracker._proposals))
             if state["sent"] < total:
@@ -367,12 +369,12 @@ class TestProposalTrackerStaysSmall:
         for follower in cluster.followers:
             env.network.partition(leader.name, follower.name)
         client = cluster.add_client("c", Region.IRL, Region.IRL)
-        answers = []
+        answers = RecordingSink()
         for i in range(3):
-            client.enqueue("/queue", f"x{i}", on_final=answers.append)
+            client.submit_sink("enqueue", "/queue", answers, f"x{i}")
         env.run_until_idle()
         # No quorum: proposed, never committed, so nothing was forgotten.
-        assert answers == []
+        assert answers.calls == []
         assert leader.tracker.pending_count() == 3
         assert [t.zxid for t in leader.tracker.pending_transactions()] \
             == [1, 2, 3]
@@ -382,7 +384,7 @@ class TestProposalTrackerStaysSmall:
                        {"server": rejoining.name, "last_applied": 0,
                         "epoch": rejoining.epoch})
         env.run_until_idle()
-        assert [a["ok"] for a in answers] == [True, True, True]
+        assert answers.kinds() == ["final", "final", "final"]
         assert len(leader.tracker._proposals) == 0
         assert rejoining.commit_log.last_applied == 3
         assert all(theirs is ours for theirs, ours

@@ -3,6 +3,7 @@ within ``request_timeout_ms`` is re-sent at once to the server its attempt
 count picks, at most ``client_retries`` times, and then fails."""
 
 import pytest
+from sinks import RecordingSink
 
 from repro.sim.environment import SimEnvironment
 from repro.sim.network import Network
@@ -53,11 +54,11 @@ def _record_answers(monkeypatch, env, client):
     return answers
 
 
-def _issue(client, kind, results):
+def _issue(client, kind, sink):
     if kind == "read":
-        client.get_children("/queue", on_final=results.append)
+        client.submit_sink("get_children", "/queue", sink)
     else:
-        client.enqueue("/queue", "x", on_final=results.append)
+        client.submit_sink("enqueue", "/queue", sink, "x", icg=True)
 
 
 @pytest.mark.parametrize("kind", ["read", "write"])
@@ -69,8 +70,8 @@ def test_retries_rotate_then_the_request_fails(monkeypatch, retries, kind):
     for server in cluster.servers:
         server.crash()
     sends = _record_sends(monkeypatch, env, client)
-    results = []
-    _issue(client, kind, results)
+    sink = RecordingSink()
+    _issue(client, kind, sink)
     env.run_until_idle()
 
     # Re-sent at each timeout with no backoff, round the ensemble starting
@@ -81,10 +82,9 @@ def test_retries_rotate_then_the_request_fails(monkeypatch, retries, kind):
                      for attempt in range(retries + 1)]
     assert env.now() == config.client_patience_ms() \
         == (retries + 1) * _TIMEOUT_MS
-    assert results == [{"ok": False, "result": None,
-                        "error": "client timeout: no server responded",
-                        "latency_ms": config.client_patience_ms(),
-                        "preliminary": False}]
+    # One error, no preliminary (no server was up to simulate the write).
+    assert sink.calls == [("error", "client timeout: no server responded",
+                           config.client_patience_ms())]
     assert client.retries == retries
     assert client.failed_requests == 1
     assert cluster.in_flight()["client_pending"] == 0
@@ -96,13 +96,13 @@ def test_without_an_ensemble_the_connected_server_is_retried(monkeypatch):
     for server in cluster.servers:
         server.crash()
     sends = _record_sends(monkeypatch, env, client)
-    results = []
-    client.get_children("/queue", on_final=results.append)
+    sink = RecordingSink()
+    client.submit_sink("get_children", "/queue", sink)
     env.run_until_idle()
 
     assert sends == [(0.0, client.server), (100.0, client.server),
                      (200.0, client.server)]
-    assert [r["ok"] for r in results] == [False]
+    assert sink.kinds() == ["error"]
     assert client.failed_requests == 1
 
 
@@ -114,17 +114,17 @@ def test_answers_to_superseded_attempts_complete_once(monkeypatch):
     env, cluster, client = _build(config)
     sends = _record_sends(monkeypatch, env, client)
     answers = _record_answers(monkeypatch, env, client)
-    results = []
-    client.get_children("/queue", on_final=results.append)
+    sink = RecordingSink()
+    client.submit_sink("get_children", "/queue", sink)
     env.run_until_idle()
 
     rotation = [s.name for s in client._servers]
     assert sends == [(0.0, rotation[0]), (1.0, rotation[1]),
                      (2.0, rotation[2])]
     assert sorted(answers) == sorted(rotation)
-    assert [r["ok"] for r in results] == [True]
-    assert len(results[0]["result"]) == 4
-    assert 2.0 < results[0]["latency_ms"] < 3.0
+    (final,) = sink.calls
+    assert final.kind == "final" and len(final.value) == 4
+    assert 2.0 < final.latency_ms < 3.0
     assert client.retries == 2
     assert client.failed_requests == 0
     assert cluster.in_flight()["client_pending"] == 0
@@ -136,14 +136,13 @@ def test_answers_after_the_client_gave_up_are_dropped(monkeypatch):
     config = ZooKeeperConfig(request_timeout_ms=0.5, client_retries=3)
     env, cluster, client = _build(config)
     answers = _record_answers(monkeypatch, env, client)
-    results = []
-    client.get_children("/queue", on_final=results.append)
+    sink = RecordingSink()
+    client.submit_sink("get_children", "/queue", sink)
     env.run_until_idle()
 
     assert len(answers) == 4
-    assert results == [{"ok": False, "result": None,
-                        "error": "client timeout: no server responded",
-                        "latency_ms": 2.0, "preliminary": False}]
+    assert sink.calls == [("error", "client timeout: no server responded",
+                           2.0)]
     assert client.retries == 3
     assert client.failed_requests == 1
     assert cluster.in_flight()["client_pending"] == 0

@@ -2,6 +2,7 @@
 client session failover."""
 
 import pytest
+from sinks import RecordingSink
 
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
@@ -52,11 +53,11 @@ class TestLeaderElection:
         behind = cluster.followers[1]   # wins name tie-breaks otherwise
         ahead = cluster.followers[0]
         for _ in range(3):
-            client.enqueue("/queue", "x")
+            client.submit_sink("enqueue", "/queue", RecordingSink(), "x")
         env.run(until=1_000.0)
         env.network.partition(cluster.leader.name, behind.name)
         for _ in range(3):
-            client.enqueue("/queue", "y")
+            client.submit_sink("enqueue", "/queue", RecordingSink(), "y")
         env.run(until=1_800.0)
         assert ahead.commit_log.last_applied > behind.commit_log.last_applied
 
@@ -85,11 +86,11 @@ class TestSessionsFailOver:
         cluster.leader.crash()
         env.run(until=5_000.0)
 
-        results = []
-        client.dequeue("/queue", on_final=results.append)
+        sink = RecordingSink()
+        client.submit_sink("dequeue", "/queue", sink)
         env.run(until=12_000.0)
-        assert results and results[0]["ok"]
-        assert results[0]["result"]["item"] == "item-0"
+        (final,) = sink.calls
+        assert final.kind == "final" and final.value["item"] == "item-0"
 
     def test_client_fails_over_when_its_server_crashes(self):
         env, cluster = _build()
@@ -100,11 +101,11 @@ class TestSessionsFailOver:
         env.run(until=300.0)
         follower.crash()
 
-        results = []
-        client.get_children("/queue", on_final=results.append)
+        sink = RecordingSink()
+        client.submit_sink("get_children", "/queue", sink)
         env.run(until=10_000.0)
-        assert results and results[0]["ok"]
-        assert len(results[0]["result"]) == 10
+        (final,) = sink.calls
+        assert final.kind == "final" and len(final.value) == 10
         assert client.retries >= 1
         assert client.failed_requests == 0
 
@@ -115,13 +116,13 @@ class TestSessionsFailOver:
         client = cluster.add_client("app", Region.FRK,
                                     connect_region=Region.FRK, failover=True)
         env.run(until=500.0)
-        results = []
-        client.enqueue("/queue", "precious", on_final=results.append)
+        sink = RecordingSink()
+        client.submit_sink("enqueue", "/queue", sink, "precious")
         # Crash the leader immediately: the forward is still in flight.
         cluster.leader.crash()
         env.run(until=20_000.0)
 
-        assert results and results[0]["ok"]
+        assert sink.kinds() == ["final"]
         new_leader = cluster.current_leader()
         children = new_leader.tree.get_children("/queue")
         items = [new_leader.tree.get(f"/queue/{c}") for c in children]
@@ -139,17 +140,18 @@ class TestCommitProgressUnderLoad:
                                       failover=True)
                    for i, region in enumerate(
                        (Region.IRL, Region.FRK, Region.VRG))]
-        outcomes = {"ok": 0, "failed": 0}
+        outcomes = {"final": 0, "error": 0}
 
-        def record(resp):
-            outcomes["ok" if resp["ok"] else "failed"] += 1
+        def record(answer):
+            outcomes[answer.kind] += 1
 
         counter = {"n": 0}
 
         def tick():
             for client in clients:
                 counter["n"] += 1
-                client.enqueue("/queue", f"v{counter['n']}", on_final=record)
+                client.submit_sink("enqueue", "/queue", RecordingSink(record),
+                                   f"v{counter['n']}")
             if env.now() < 10_000.0:
                 env.scheduler.schedule(100.0, tick)
 
@@ -160,8 +162,8 @@ class TestCommitProgressUnderLoad:
         # Every in-flight and subsequent write committed (orphan proposals
         # are re-proposed gaplessly; lost adoption-window proposals are
         # retransmitted at sync; stalled followers re-sync themselves).
-        assert outcomes["failed"] == 0
-        assert outcomes["ok"] == counter["n"]
+        assert outcomes["error"] == 0
+        assert outcomes["final"] == counter["n"]
         live = [s for s in cluster.servers if s.alive]
         applied = {s.commit_log.last_applied for s in live}
         assert len(applied) == 1  # all live servers converged
@@ -169,10 +171,10 @@ class TestCommitProgressUnderLoad:
         assert not any(s.commit_log.has_backlog() for s in live)
 
         # And the cluster still commits new work afterwards.
-        probe = []
-        clients[0].enqueue("/queue", "probe", on_final=probe.append)
+        probe = RecordingSink()
+        clients[0].submit_sink("enqueue", "/queue", probe, "probe")
         env.run(until=60_000.0)
-        assert probe and probe[0]["ok"]
+        assert probe.kinds() == ["final"]
 
 
 class TestZombieLeader:
@@ -206,11 +208,11 @@ class TestRecoveryAndSync:
         env.run(until=5_000.0)
 
         # Commit work the old leader never saw.
-        done = []
-        client.dequeue("/queue", on_final=done.append)
-        client.enqueue("/queue", "after-crash", on_final=done.append)
+        done = RecordingSink()
+        client.submit_sink("dequeue", "/queue", done)
+        client.submit_sink("enqueue", "/queue", done, "after-crash")
         env.run(until=10_000.0)
-        assert len(done) == 2
+        assert len(done.answers) == 2
 
         old_leader.recover()
         env.run(until=15_000.0)
@@ -232,11 +234,11 @@ class TestRecoveryAndSync:
         env.run(until=300.0)
         follower.crash()
 
-        done = []
+        done = RecordingSink()
         for _ in range(4):
-            client.enqueue("/queue", "while-down", on_final=done.append)
+            client.submit_sink("enqueue", "/queue", done, "while-down")
         env.run(until=3_000.0)
-        assert len(done) == 4
+        assert len(done.answers) == 4
         assert follower.commit_log.last_applied == 0
 
         follower.recover()
@@ -268,12 +270,13 @@ class TestOrphanOriginsExpire:
         for follower in cluster.followers:
             env.network.partition(old_leader.name, follower.name)
         for i in range(3):
-            client.enqueue("/queue", f"stranded-{i}")
+            client.submit_sink("enqueue", "/queue", RecordingSink(),
+                               f"stranded-{i}")
         env.run(until=4_000.0)
         assert cluster.current_leader() is not None
         for follower in cluster.followers:
             env.network.heal(old_leader.name, follower.name)
-        client.enqueue("/queue", "after-heal")
+        client.submit_sink("enqueue", "/queue", RecordingSink(), "after-heal")
         env.run(until=6_000.0)
         assert not old_leader.is_leader
         return env, cluster, old_leader

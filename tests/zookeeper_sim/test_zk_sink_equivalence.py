@@ -4,10 +4,9 @@ A Correctables invocation hands the ZooKeeper client (and the Cassandra
 client) the operation's Correctable itself.  Ticket sales through it —
 requests that exhaust their failover included — reach every outcome and
 drain, and run identically twice; what one invocation allocates is
-counted opcode by opcode.  The same file pins the ZooKeeper client's
-dict-callback API (what the vanilla queue recipe and fig13's probe use)
-response for response and that a timed-out operation fails its
-Correctable exactly once.
+counted opcode by opcode.  The same file pins what ``submit_sink``
+delivers to any other sink, call for call, and that a timed-out operation
+fails its Correctable exactly once.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from typing import Any, Callable, Dict, List, Tuple
 
 import pytest
 import zk_slices
+from sinks import RecordingSink
 from zk_slices import (DRAINED, cluster_record, instances_built,
                        traced_schedulers)
 
@@ -38,7 +38,7 @@ from repro.core.operations import dequeue, read
 from repro.core.views import View
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
-from repro.zookeeper_sim.client import ZkOp, _CallbackSink
+from repro.zookeeper_sim.client import ZkOp
 from repro.zookeeper_sim.cluster import ZooKeeperCluster
 from repro.zookeeper_sim.config import ZooKeeperConfig
 
@@ -95,44 +95,35 @@ def _ensemble(**config) -> Tuple[SimEnvironment, ZooKeeperCluster]:
     return env, cluster
 
 
-class TestDictAdapter:
-    def test_responses_key_for_key(self):
+class TestSubmitSink:
+    def test_answers_call_for_call(self):
         env, cluster = _ensemble()
         client = cluster.add_client("c", Region.FRK)
-        got: List[Tuple[str, Dict[str, Any]]] = []
-        client.dequeue("/queue", icg=True,
-                       on_preliminary=lambda r: got.append(("prelim", r)),
-                       on_final=lambda r: got.append(("final", r)))
-        client.get("/nowhere", on_final=lambda r: got.append(("get", r)))
+        calls: List[tuple] = []
+        client.submit_sink("dequeue", "/queue", RecordingSink(calls=calls),
+                           icg=True)
+        client.submit_sink("get", "/nowhere", RecordingSink(calls=calls))
         env.run_until_idle()
-        by_kind = dict(got)
-        assert [kind for kind, _ in got] == ["get", "prelim", "final"]
+        error, prelim, final = calls
+        assert [call.kind for call in calls] \
+            == ["error", "preliminary", "final"]
         head = {"item": "a", "name": "item-0000000000", "remaining": 2}
-        assert by_kind["prelim"] == {
-            "ok": True, "result": head, "error": None, "preliminary": True,
-            "latency_ms": by_kind["prelim"]["latency_ms"]}
-        assert by_kind["final"] == {
-            "ok": True, "result": head, "error": None, "preliminary": False,
-            "latency_ms": by_kind["final"]["latency_ms"]}
-        assert 0 < by_kind["prelim"]["latency_ms"] \
-            < by_kind["final"]["latency_ms"]
-        assert by_kind["get"] == {
-            "ok": False, "result": None, "preliminary": False,
-            "error": by_kind["get"]["error"],
-            "latency_ms": by_kind["get"]["latency_ms"]}
-        assert by_kind["get"]["error"].startswith("NoNode")
+        # No version and no source: a ZooKeeper answer is the result alone.
+        assert prelim == ("preliminary", head, None, prelim.latency_ms, None)
+        assert final == ("final", head, None, final.latency_ms, False, False,
+                         None)
+        assert 0 < prelim.latency_ms < final.latency_ms
+        assert error.error.startswith("NoNode")
 
     def test_exhausted_request_answers_once_with_a_timeout(self):
         env, cluster = _ensemble(request_timeout_ms=100.0, client_retries=2)
         client = cluster.add_client("c", Region.FRK)
         cluster.server_in(Region.FRK).crash()
-        got: List[Dict[str, Any]] = []
-        client.enqueue("/queue", "d", icg=True, on_preliminary=got.append,
-                       on_final=got.append)
+        sink = RecordingSink()
+        client.submit_sink("enqueue", "/queue", sink, "d", icg=True)
         env.run_until_idle()
-        assert got == [{"ok": False, "result": None, "preliminary": False,
-                        "error": "client timeout: no server responded",
-                        "latency_ms": 300.0}]
+        assert sink.calls == [
+            ("error", "client timeout: no server responded", 300.0)]
         assert (client.retries, client.failed_requests) == (2, 1)
         assert cluster.in_flight() == DRAINED
 
@@ -258,7 +249,7 @@ def _two_hundred_icg_purchases() -> Dict[str, Any]:
 
     run = _counted(
         lambda: (seller.purchase_ticket(bought), env.run_until_idle()),
-        (Correctable, ZkOp, View, _CallbackSink, _Purchase),
+        (Correctable, ZkOp, View, _Purchase),
         ("zookeeper_sim/client.py", "bindings/zookeeper.py",
          "core/client.py", "core/correctable.py", "apps/tickets.py"))
     assert len(outcomes) == 200 and not any(o.sold_out for o in outcomes)
@@ -272,8 +263,8 @@ def _two_hundred_icg_reads() -> Dict[str, Any]:
     cluster.preload({f"key{i}": f"value{i}" for i in range(10)})
     client = CorrectableClient(CassandraBinding(
         cluster.add_client("reader", Region.IRL, Region.FRK)))
-    # The client resolves its contacts on its first operation: once, and
-    # before the count.
+    # One read before the count, which then sees only steady-state
+    # operations (the first one also fills the route and plan caches).
     client.invoke(read("key0"))
     env.run_until_idle()
     finals: List[View] = []
@@ -303,7 +294,7 @@ def _two_hundred_icg_reads() -> Dict[str, Any]:
 _ICG_RUNS = {
     "zookeeper": (_two_hundred_icg_purchases,
                   {"Correctable": 200, "ZkOp": 200, "View": 400,
-                   "_CallbackSink": 0, "_Purchase": 200},
+                   "_Purchase": 200},
                   ("zookeeper_sim/client.py", "bindings/zookeeper.py",
                    "core/client.py", "apps/tickets.py")),
     "cassandra": (_two_hundred_icg_reads,
