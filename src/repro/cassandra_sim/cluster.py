@@ -18,17 +18,15 @@ a replica with :class:`~repro.faults.injector.FaultInjector`, then
 
 from __future__ import annotations
 
-import gc
 from array import array
-from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.partitioner import RingPartitioner, key_tokens
 from repro.cassandra_sim.rebalance import RingRebalance
 from repro.cassandra_sim.replica import CassandraReplica
-from repro.cassandra_sim.storage import KeySpace
+from repro.cassandra_sim.storage import KeySpace, PRELOAD_STAMP, TIME_ZERO
 from repro.cassandra_sim.versions import VersionedValue
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, replica_regions_default
@@ -193,44 +191,37 @@ class CassandraCluster:
                     break
 
     # -- data loading ----------------------------------------------------------------
-    def preload(self, items: Dict[str, object]) -> None:
+    def preload(self, items: Mapping[str, object]) -> None:
         """Install initial data on every replica owning the key (time zero state).
 
-        Every key is hashed once here and the rows are sorted by token
-        once, so keys new to the key space get their ids in token order
-        (which lets a stream task bisect the token column).  Each key gets
-        one time-zero ``VersionedValue``, shared by all of its owners; the
-        sorted columns are cut at the ring's slot boundaries and each run
-        is merged into its owners whole.
+        ``items`` is any mapping (a dict, a dataset's columns), read in
+        bulk.  Every key is hashed once here and the rows are sorted by
+        token once, so keys new to the key space get their ids in token
+        order (which lets a stream task bisect the token column).  If all
+        are new, the key space keeps their values and every owner's row
+        holds ``TIME_ZERO``; otherwise each key gets its own version, which
+        an owner holding the key ignores (an equal stamp is not newer).
+        The sorted columns are cut at the ring's slot boundaries and each
+        run is merged into its owners whole.
         """
         keys = list(items)
         tokens = key_tokens(keys)
         order = sorted(range(len(keys)), key=tokens.__getitem__)
         tokens = array("Q", map(tokens.__getitem__, order))
         keys = list(map(keys.__getitem__, order))
-        # One version object per key, which the cyclic collector tracks:
-        # collecting while they are built would rescan every one of them
-        # several times (four full collections at 400k keys) to find no
-        # cycle, so the collector is suspended meanwhile.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            versions = list(map(VersionedValue,
-                                map(list(items.values()).__getitem__, order),
-                                repeat((0.0, "preload", 0))))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        values = list(map(list(items.values()).__getitem__, order))
         del order  # an int object a row: freed before the tables fill
         space = self.keyspace
         if space.ids.keys().isdisjoint(keys):
-            ids = space.extend(keys, tokens)
+            ids = space.extend(keys, tokens, values)
+            versions = None  # TIME_ZERO a run at a time: no row-long list
         else:
             ids = space.intern(keys, tokens)
+            versions = [VersionedValue(value, PRELOAD_STAMP) for value in values]
         by_name = self._by_name
         for low, high, owners in self.partitioner.owner_runs(tokens):
-            run = ids[low:high], versions[low:high]
+            run = ids[low:high], ([TIME_ZERO] * (high - low) if versions is None
+                                  else versions[low:high])
             for owner in owners:
                 replica = by_name.get(owner)
                 if replica is not None:

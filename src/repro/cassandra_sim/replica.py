@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heappush
-from operator import attrgetter
+from operator import is_
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.config import CassandraConfig
@@ -62,7 +62,6 @@ from repro.sim.node import Node
 
 #: Wire size of the small fixed acknowledgements (write_ack and friends).
 _ACK_BYTES = MESSAGE_HEADER_BYTES + 10
-_value_of = attrgetter("value")
 
 
 @dataclass(slots=True)
@@ -188,10 +187,7 @@ class CassandraReplica(Node):
                 key=lambda name: (rtt(self.region, node(name).region), name))
         return ordered
 
-    def _value_bytes(self, version: Optional[VersionedValue]) -> int:
-        if version is None:
-            return 8
-        value = version.value
+    def _value_bytes(self, value: object) -> int:
         # Stored values are ASCII strings in every workload; size them with
         # ``len`` and only fall back to the generic payload walker otherwise.
         if type(value) is str and value.isascii():
@@ -200,18 +196,14 @@ class CassandraReplica(Node):
             size = estimate_payload_size(value)
         return max(self.config.value_size_bytes, size)
 
-    def _values_bytes(self, versions: Sequence[VersionedValue]) -> int:
-        """:meth:`_value_bytes` summed over the values of a column of
-        stored versions."""
-        floor = self.config.value_size_bytes
-        total = 0
-        for value in map(_value_of, versions):
-            if type(value) is str and value.isascii():
-                size = len(value)
-            else:
-                size = estimate_payload_size(value)
-            total += size if size > floor else floor
-        return total
+    def _values_bytes(self, values: Sequence[object]) -> int:
+        """:meth:`_value_bytes` summed over ``values``: ``len`` mapped over
+        them when every one is an ASCII ``str``."""
+        if (all(map(is_, map(type, values), itertools.repeat(str)))
+                and all(map(str.isascii, values))):
+            return sum(map(max, map(len, values),
+                           itertools.repeat(self.config.value_size_bytes)))
+        return sum(map(self._value_bytes, values))
 
     # -- the request path ------------------------------------------------------
     # One pooled record (FusedRead/FusedWrite) carries an operation through
@@ -304,7 +296,7 @@ class CassandraReplica(Node):
         local, targets = plan
         refs = rec.refs - 1  # this job
         if local:
-            version = self.table.read(key)
+            version = self.table.get(key)
             rec.local = True
             rec.local_version = version
             rec.count = 1
@@ -450,7 +442,7 @@ class CassandraReplica(Node):
                     coordinator._fused_read_stale, rec.args):
                 rec.unref()
             return
-        version = self.table.read(rec.key)
+        version = self.table.get(rec.key)
         # _value_bytes, inlined (one remote response per contacted replica).
         if version is None:
             vbytes = 8
@@ -558,7 +550,7 @@ class CassandraReplica(Node):
             # Read repair has no client operation to ride on: a one-way
             # ``write_req`` Message per replica that answered with less.
             stamp = newest.timestamp
-            size = self._req_base + self._value_bytes(newest)
+            size = self._req_base + self._value_bytes(newest.value)
             for name, version in rec.responses.items():
                 if version is not None and version.timestamp >= stamp:
                     continue
@@ -601,7 +593,7 @@ class CassandraReplica(Node):
         # If this node became an owner in the new epoch (possible when the
         # rejected range moved here), answer from the local table directly.
         if not rec.local and self.partitioner.is_replica(self.name, rec.key):
-            version = self.table.read(rec.key)
+            version = self.table.get(rec.key)
             rec.local = True
             rec.local_version = version
             if self._track_responses:
@@ -855,7 +847,7 @@ class CassandraReplica(Node):
     def _resend_write(self, rec: FusedWrite) -> None:
         """Send the write again to every replica that has not acknowledged."""
         net = self.network
-        size = self._req_base + self._value_bytes(rec.version)
+        size = self._req_base + self._value_bytes(rec.version.value)
         acks = rec.acks
         for name in self._other_replicas_by_distance(rec.key):
             if name not in acks and net.fused_send_to(
@@ -955,13 +947,15 @@ class CassandraReplica(Node):
         rows = state.rows[state.cursor:
                           state.cursor + self.config.stream_batch_items]
         state.cursor += len(rows)
-        columns = self.table.export_rows(rows)
+        table = self.table
+        columns = table.export_rows(rows)
         self.keys_streamed_out += len(rows)
         self.send(state.task.target, "stream_data",
                   {"stream_id": state.stream_id, "columns": columns},
                   size_bytes=(MESSAGE_HEADER_BYTES
                               + self.config.key_size_bytes * len(rows)
-                              + self._values_bytes(columns[1])))
+                              + self._values_bytes(
+                                  table.values_of(rows, columns[1]))))
 
     def on_stream_data(self, message: Message) -> None:
         payload = message.payload

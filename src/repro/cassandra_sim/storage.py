@@ -3,23 +3,25 @@
 The replicas of a cluster hold overlapping subsets of one key set — each
 key at ``replication_factor`` of them — and everything that is a function
 of the key alone is kept once, in the cluster's :class:`KeySpace`: key →
-key id, the key and its ring token by id, and the token order.  That is
-host-side bookkeeping, not simulated state: no replica learns anything
-about another's rows through it, so sharing it moves no simulated result.
+key id, the key, its ring token and its preloaded value by id, and the
+token order.  That is host-side bookkeeping, not simulated state: no
+replica learns anything about another's rows through it, so sharing it
+moves no simulated result.
 
 Each replica's :class:`ColumnarTable` keeps only its version of each key
-id — a list in which ``None`` means "not held" — and its counters.  A
-version is an immutable value, and last-write-wins merge is commutative,
-associative and idempotent, so one ``VersionedValue`` object serves every
-replica holding it: ``Cluster.preload`` builds one per key for all of its
-owners, and a streamed row arrives as the source's own object.
+id — a list in which ``None`` means "not held" — and its counters.
+Last-write-wins merge only compares stamps, so a preloaded row holds one
+shared :data:`TIME_ZERO` (the preload stamp) until :meth:`ColumnarTable.
+get` first reads it and builds its own version from the key space: equal
+versions on two replicas need not be one object.
 
 Range streaming runs on three bulk calls: :meth:`ColumnarTable.
 rows_in_range` selects a task's key ids with a bisect over the token
 column (or, once ids were assigned out of token order, over its argsort),
-:meth:`~ColumnarTable.export_rows` gathers them as key, version and token
-columns, and :meth:`~ColumnarTable.apply_rows` merges such columns into
-another table exactly as applying them row by row would.
+:meth:`~ColumnarTable.export_rows` gathers them as key, version (an unread
+row's marker included) and token columns, and :meth:`~ColumnarTable.
+apply_rows` merges such columns into another table exactly as applying
+them row by row would.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from itertools import compress, islice, repeat
-from operator import is_not, le
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter, is_, is_not, le, not_
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.partitioner import key_token
 from repro.cassandra_sim.versions import VersionedValue
@@ -38,6 +40,12 @@ from repro.cassandra_sim.versions import VersionedValue
 #: :meth:`ColumnarTable.export_rows` returns and :meth:`~ColumnarTable.
 #: apply_rows` takes (``table.apply_rows(*other.export_rows(rows))``).
 RowColumns = Tuple[Sequence[str], Sequence[VersionedValue], Sequence[int]]
+
+PRELOAD_STAMP = (0.0, "preload", 0)
+#: What every preloaded row holds until it is first read (its value is the
+#: key space's, by key id).
+TIME_ZERO = VersionedValue(None, PRELOAD_STAMP)
+_value_of = attrgetter("value")
 
 
 class KeySpace:
@@ -62,7 +70,7 @@ class KeySpace:
     check.
     """
 
-    __slots__ = ("ids", "keys", "tokens", "_order", "_columns")
+    __slots__ = ("ids", "keys", "tokens", "values", "_order", "_columns")
 
     def __init__(self) -> None:
         #: key -> key id.
@@ -70,6 +78,8 @@ class KeySpace:
         #: The key and its ring token, by id.
         self.keys: List[str] = []
         self.tokens = array("Q")
+        #: What a row holding TIME_ZERO reads as, by id (None: no preload).
+        self.values: List[Any] = []
         # None while the token column is in order; otherwise ids sorted by
         # token (the argsort, see ids_in_range).
         self._order: Optional["array[int]"] = None
@@ -94,6 +104,7 @@ class KeySpace:
             kid = self.ids[key] = len(self.keys)
             self.keys.append(key)
             tokens.append(token)
+            self.values.append(None)
             for column in self._columns:
                 column.append(None)
         return kid
@@ -108,10 +119,11 @@ class KeySpace:
                 ids[row] = self.add(keys[row], tokens[row])
         return ids
 
-    def extend(self, keys: Sequence[str], tokens: Sequence[int]) -> range:
-        """Assign ids to ``keys`` in one bulk append: :meth:`intern` for
-        keys that are distinct and none of them in the space yet (a
-        preload onto keys no write created)."""
+    def extend(self, keys: Sequence[str], tokens: Sequence[int],
+               values: Sequence[Any]) -> range:
+        """Assign ids to ``keys``, preloaded with ``values``, in one bulk
+        append: :meth:`intern` for keys that are distinct and none of them
+        in the space yet (a preload onto keys no write created)."""
         first = len(self.keys)
         token_column = self.tokens
         if self._order is None and (
@@ -122,6 +134,7 @@ class KeySpace:
         self.ids.update(zip(keys, ids))
         self.keys.extend(keys)
         token_column.extend(tokens)
+        self.values.extend(values)
         for column in self._columns:
             column.extend(repeat(None, len(keys)))
         return ids
@@ -179,7 +192,7 @@ class ColumnarTable:
     of a :class:`KeySpace` (its own one unless a cluster shares one)."""
 
     __slots__ = ("_space", "_ids", "_versions", "_held",
-                 "reads", "writes_applied", "writes_ignored")
+                 "writes_applied", "writes_ignored")
 
     def __init__(self, space: Optional[KeySpace] = None) -> None:
         if space is None:
@@ -190,31 +203,25 @@ class ColumnarTable:
         self._ids = space.ids
         self._versions = space.new_column()
         self._held = 0
-        self.reads = 0
         self.writes_applied = 0
         self.writes_ignored = 0
 
     def __len__(self) -> int:
         return self._held
 
-    def read(self, key: str) -> Optional[VersionedValue]:
-        """Return the locally stored version of ``key`` (None if absent)."""
-        self.reads += 1
-        kid = self._ids.get(key)
-        if kid is None:
-            return None
-        return self._versions[kid]
-
     def get(self, key: str) -> Optional[VersionedValue]:
-        """Raw access without touching the ``reads`` counter.
-
-        Used by post-run verification, which inspects state without
-        modelling a served read.
-        """
-        kid = self._ids.get(key)
-        if kid is None:
+        """The locally stored version of ``key`` (None if absent); a
+        preloaded row's first read replaces its :data:`TIME_ZERO` with a
+        version of its own."""
+        try:
+            version = self._versions[self._ids[key]]
+        except KeyError:
             return None
-        return self._versions[kid]
+        if version is TIME_ZERO:
+            kid = self._ids[key]
+            version = self._versions[kid] = VersionedValue(
+                self._space.values[kid], PRELOAD_STAMP)
+        return version
 
     def contains(self, key: str) -> bool:
         return self.get(key) is not None
@@ -277,6 +284,14 @@ class ColumnarTable:
         return (list(map(space.keys.__getitem__, rows)),
                 list(map(self._versions.__getitem__, rows)),
                 list(map(space.tokens.__getitem__, rows)))
+
+    def values_of(self, rows: Sequence[int],
+                  versions: Sequence[VersionedValue]) -> List[Any]:
+        """The values of the rows ``rows`` given their exported versions,
+        unread rows' last, in bulk and building no version."""
+        marked = list(map(is_, versions, repeat(TIME_ZERO)))
+        return [*map(_value_of, compress(versions, map(not_, marked))),
+                *map(self._space.values.__getitem__, compress(rows, marked))]
 
     def apply_rows(self, keys: Sequence[str],
                    versions: Sequence[VersionedValue],

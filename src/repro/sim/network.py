@@ -61,24 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 #: Fixed per-message framing overhead (TCP/IP + RPC headers), in bytes.
 MESSAGE_HEADER_BYTES = 50
 
-#: UTF-8 sizes of non-ASCII strings seen by :func:`estimate_payload_size`
-#: (ASCII strings — the common case — are sized with ``len`` directly).
-_STR_SIZE_CACHE: Dict[str, int] = {}
-_STR_SIZE_CACHE_LIMIT = 4096
-
-
-def _utf8_size(text: str) -> int:
-    if text.isascii():
-        return len(text)
-    size = _STR_SIZE_CACHE.get(text)
-    if size is None:
-        if len(_STR_SIZE_CACHE) >= _STR_SIZE_CACHE_LIMIT:
-            _STR_SIZE_CACHE.clear()
-        size = len(text.encode("utf-8"))
-        _STR_SIZE_CACHE[text] = size
-    return size
-
-
 def estimate_payload_size(payload: Any) -> int:
     """Rough byte size of a message payload.
 
@@ -98,7 +80,8 @@ def estimate_payload_size(payload: Any) -> int:
             continue
         tp = type(item)
         if tp is str:
-            total += _utf8_size(item)
+            total += (len(item) if item.isascii()
+                      else len(item.encode("utf-8")))
         elif tp is bool:
             total += 1
         elif tp is int or tp is float:
@@ -111,22 +94,7 @@ def estimate_payload_size(payload: Any) -> int:
                 stack.append(value)
         elif tp is list or tp is tuple or tp is set or tp is frozenset:
             stack.extend(item)
-        # Subclasses of the above (rare) and unknown types:
-        elif isinstance(item, bool):
-            total += 1
-        elif isinstance(item, (int, float)):
-            total += 8
-        elif isinstance(item, bytes):
-            total += len(item)
-        elif isinstance(item, str):
-            total += _utf8_size(item)
-        elif isinstance(item, dict):
-            for key, value in item.items():
-                stack.append(key)
-                stack.append(value)
-        elif isinstance(item, (list, tuple, set, frozenset)):
-            stack.extend(item)
-        else:
+        else:  # any other type, subclasses of the above included
             total += 32
     return total
 

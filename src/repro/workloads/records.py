@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import random
 import string
-from typing import Dict, List, Optional
+from collections.abc import Mapping, ValuesView
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.workloads import fastrand
 
@@ -68,6 +70,35 @@ def make_value(rng: random.Random, size_bytes: int = 100) -> str:
             r = getrandbits(bits)
         append(table[r])
     return "".join(chars)
+
+
+class ColumnMapping(Mapping):
+    """``keys[i]`` → ``values[i]``, read-only, over two columns (``values``
+    may run longer).  Iterating it or its ``values()`` walks a column in C;
+    a lookup by key builds the key → index dict on first use."""
+
+    def __init__(self, keys: List[str], values: Sequence[object]) -> None:
+        self._keys, self._values = keys, values
+        self._index: Optional[Dict[str, int]] = None
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._keys)
+
+    def __getitem__(self, key: str) -> object:
+        if self._index is None:
+            self._index = dict(zip(self._keys, range(len(self._keys))))
+        return self._values[self._index[key]]
+
+    def values(self) -> ValuesView:
+        return _ColumnValues(self)
+
+
+class _ColumnValues(ValuesView):
+    def __iter__(self) -> Iterator[object]:
+        return islice(self._mapping._values, len(self._mapping))
 
 
 class Dataset:
@@ -141,12 +172,13 @@ class Dataset:
             values.extend([blob[i:i + size]
                            for i in range(0, n * size, size)])
 
-    def initial_items(self) -> Dict[str, str]:
-        """Key → value mapping used to preload a cluster."""
+    def initial_items(self) -> ColumnMapping:
+        """Key → value mapping used to preload a cluster: a
+        :class:`ColumnMapping` over the keys and the initial values."""
         self._fill_initial_values(self.record_count)
-        values = self._initial_values
         prefix = self.key_prefix
-        return {f"{prefix}{i}": values[i] for i in range(self.record_count)}
+        return ColumnMapping([f"{prefix}{i}" for i in range(self.record_count)],
+                           self._initial_values)
 
     def random_value(self) -> str:
         """A fresh value for an update operation.

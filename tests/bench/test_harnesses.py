@@ -38,7 +38,7 @@ class TestCommon:
     def test_scenario_preloads_dataset(self):
         scenario = ClusterSpec(seed=1, record_count=10).build()
         replica = scenario.cluster.replica_in(Region.FRK)
-        assert replica.table.read("user0") is not None
+        assert replica.table.get("user0") is not None
 
     def test_unknown_system_label_rejected(self):
         scenario = ClusterSpec(seed=1, record_count=10).build()

@@ -115,7 +115,7 @@ class TestCoordinatorRetry:
         coordinator = cluster.replica_in(Region.FRK)
         assert coordinator.write_retries >= 1
         assert coordinator.writes_downgraded == 1
-        assert coordinator.table.read("key4").value == "new-value"
+        assert coordinator.table.get("key4").value == "new-value"
 
     def test_retries_after_a_ring_change_reach_the_post_change_owners(self):
         """Every re-send walks the preference list of the ring as it is
@@ -153,7 +153,7 @@ class TestCoordinatorRetry:
         assert write.kind == read_.kind == "final"
         assert write.value == "new-value" and write.degraded is False
         assert read_.degraded is False
-        assert cluster.replica_by_name(heir).table.read(key).value == \
+        assert cluster.replica_by_name(heir).table.get(key).value == \
             "new-value"
         assert cluster.in_flight() == {
             "read_sessions": 0, "write_sessions": 0, "client_pending": 0}
@@ -213,7 +213,7 @@ class TestReadRepair:
         assert done
 
         lagging.recover()
-        assert lagging.table.read("key7").value == "value7"  # still stale
+        assert lagging.table.get("key7").value == "value7"  # still stale
 
         results = RecordingSink()
         client.lean_read("key7", 3, False, results)
@@ -221,7 +221,7 @@ class TestReadRepair:
         assert results.answers[0].value == "fresh"
         # Read repair pushed the resolved version to the stale replica.
         env.run_until_idle()
-        assert lagging.table.read("key7").value == "fresh"
+        assert lagging.table.get("key7").value == "fresh"
 
 
 class TestLatePreliminaries:

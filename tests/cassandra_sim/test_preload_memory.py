@@ -4,11 +4,15 @@
 a 100k-record dataset returns onto a 6-node, RF-3 ring, and the peak it
 reached on the way, both divided by the rows stored over all replicas.
 The dataset is built before tracing starts, so what is counted is the
-storage's own bookkeeping — the key space's index and key and token
-columns, every replica's versions column, one version per key — plus
-whatever else the preload leaves behind.  Allocation sizes differ
-between CPython minor versions, so the budgets are keyed by version and
-only the running interpreter's row is checked.
+storage's own bookkeeping — the key space's index, key, token and value
+columns, every replica's versions column — plus whatever else the
+preload leaves behind.  A second count traces the dataset's
+``initial_items()`` and the preload together, from a dataset that has
+generated nothing yet: the peak of what a cluster's set-up pays to load
+its data (perfbench's ``setup.preload``), the values themselves
+included.  Allocation sizes differ between CPython minor versions, so
+the budgets are keyed by version and only the running interpreter's row
+is checked.
 """
 
 import os
@@ -21,24 +25,41 @@ import pytest
 #: version -> (retained bytes per stored row, peak bytes per stored row
 #: while the preload ran), as counted when the row was last set: 3.11 was
 #: 102.19 / 111.24 with a private int per row in every key index, shared
-#: row positions lowered it to 78.99 / 88.04, and one key space per
-#: cluster with one version object per key to 60.97 / 69.41.  The
-#: budget is the count times ``_ROOM``: a +2 % change fails.  Lowering a
-#: row is how a saving is recorded; raising one is a decision, not a fix
-#: for a red test.
+#: row positions lowered it to 78.99 / 88.04, one key space per cluster
+#: with one version object per key to 60.97 / 69.41, and time-zero rows
+#: holding one shared marker, their values kept once in the key space,
+#: to 47.63 / 56.07.  The budget is the count times ``_ROOM``: a +2 %
+#: change fails.  Lowering a row is how a saving is recorded; raising one
+#: is a decision, not a fix for a red test.
 _BUDGETS = {
-    (3, 11): (60.97, 69.41),
+    (3, 11): (47.63, 56.07),
+}
+#: version -> peak traced bytes per stored row over ``initial_items()``
+#: and ``preload`` together, as counted when the row was added: 3.11 was
+#: 153.90 with the dataset building a key -> value dict, and 130.42 with
+#: it handing the preload its key and value columns.  Checked against
+#: ``_ROOM`` like ``_BUDGETS``.
+_SETUP_BUDGETS = {
+    (3, 11): 130.42,
 }
 _ROOM = 1.01
 
 
-def _preload_bytes_per_row():
-    """One fresh preload: (retained, peak) traced bytes per stored row."""
+def _build():
     from repro.bench.common import cassandra_config_for
     from repro.core.cluster_spec import ClusterSpec
 
-    built = ClusterSpec(seed=7, record_count=100_000, nodes=6, preload=False,
-                        config=cassandra_config_for("CC2")).build()
+    return ClusterSpec(seed=7, record_count=100_000, nodes=6, preload=False,
+                       config=cassandra_config_for("CC2")).build()
+
+
+def _stored_rows(cluster):
+    return sum(len(replica.table) for replica in cluster.replicas)
+
+
+def _preload_bytes_per_row():
+    """One fresh preload: (retained, peak) traced bytes per stored row."""
+    built = _build()
     items = built.dataset.initial_items()
     tracemalloc.start()
     try:
@@ -46,26 +67,59 @@ def _preload_bytes_per_row():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rows = sum(len(replica.table) for replica in built.cluster.replicas)
+    rows = _stored_rows(built.cluster)
     return retained / rows, peak / rows
 
 
-def test_preload_bytes_per_row():
-    row = _BUDGETS.get(sys.version_info[:2])
+def _setup_peak_bytes_per_row():
+    """One fresh dataset -> preload: peak traced bytes per stored row."""
+    built = _build()
+    tracemalloc.start()
+    try:
+        built.cluster.preload(built.dataset.initial_items())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / _stored_rows(built.cluster)
+
+
+def _row(budgets, name):
+    row = budgets.get(sys.version_info[:2])
     if row is None:
-        pytest.skip("no preload memory budget recorded for CPython %d.%d; "
-                    "measure and add a row to _BUDGETS" % sys.version_info[:2])
-    # A fresh process, so the count does not depend on what ran before.
+        pytest.skip("no %s recorded for CPython %d.%d; measure and add a "
+                    "row" % ((name,) + sys.version_info[:2]))
+    return row
+
+
+def _in_fresh_process(what):
+    """The counts of one measurement, in a fresh process, so they do not
+    depend on what ran before."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, __file__], env=env,
+    done = subprocess.run([sys.executable, __file__, what], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    retained, peak = map(float, done.stdout.split())
+    return list(map(float, done.stdout.split()))
+
+
+def test_preload_bytes_per_row():
+    row = _row(_BUDGETS, "preload memory budget")
+    retained, peak = _in_fresh_process("preload")
     for what, measured, budget in (("retained", retained, row[0]),
                                    ("peak", peak, row[1])):
         assert measured <= budget * _ROOM, \
             f"{what}: {measured:.2f} bytes per stored row against {budget:.2f}"
 
 
+def test_dataset_and_preload_peak_bytes_per_row():
+    budget = _row(_SETUP_BUDGETS, "dataset and preload memory budget")
+    (peak,) = _in_fresh_process("setup")
+    assert peak <= budget * _ROOM, \
+        f"dataset -> preload peak: {peak:.2f} bytes per stored row " \
+        f"against {budget:.2f}"
+
+
 if __name__ == "__main__":
-    print("%r %r" % _preload_bytes_per_row())
+    if sys.argv[1:] == ["setup"]:
+        print(repr(_setup_peak_bytes_per_row()))
+    else:
+        print("%r %r" % _preload_bytes_per_row())

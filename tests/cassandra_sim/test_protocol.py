@@ -95,7 +95,7 @@ class TestWrites:
         client.lean_write("key5", "new-value", 1, RecordingSink())
         env.run_until_idle()
         for replica in cluster.replicas:
-            assert replica.table.read("key5").value == "new-value"
+            assert replica.table.get("key5").value == "new-value"
 
     def test_w1_acks_before_full_replication(self):
         env = _env()
@@ -108,9 +108,9 @@ class TestWrites:
         env.run(until=45.0)
         assert acked_at and acked_at[0] < 45.0
         vrg_replica = cluster.replica_in(Region.VRG)
-        assert vrg_replica.table.read("key1").value == "value1"
+        assert vrg_replica.table.get("key1").value == "value1"
         env.run_until_idle()
-        assert vrg_replica.table.read("key1").value == "v2"
+        assert vrg_replica.table.get("key1").value == "v2"
 
     def test_w2_waits_for_remote_ack(self):
         latencies = {}
@@ -132,7 +132,7 @@ class TestWrites:
         c1.lean_write("key1", "from-frk", 1, RecordingSink())
         c2.lean_write("key1", "from-vrg", 1, RecordingSink())
         env.run_until_idle()
-        values = {replica.table.read("key1").value
+        values = {replica.table.get("key1").value
                   for replica in cluster.replicas}
         assert len(values) == 1  # all replicas converged to the same winner
 
@@ -195,7 +195,7 @@ class TestStalenessAndConfirmation:
         client = cluster.add_client("c", Region.IRL, Region.FRK)
         client.lean_read("key1", 3, False, RecordingSink())
         env.run_until_idle()
-        assert cluster.replica_in(Region.VRG).table.read("key1").value == "fresh"
+        assert cluster.replica_in(Region.VRG).table.get("key1").value == "fresh"
 
 
 class TestClusterAssembly:

@@ -1,15 +1,17 @@
 """The replica tables of a cluster against a reference model.
 
 The model is what a table promises, spelt out as plainly as possible: one
-dict of ``VersionedValue`` per replica, merged last-write-wins, three
+dict of ``VersionedValue`` per replica, merged last-write-wins, two
 counters beside it, and a sorted-key scan for range queries.  Hypothesis
-drives a small ring through what fills its tables — preloads (a second one
-meets stored rows), keys created by writes (a ring started without a
-preload, like fig15's million-key cells), range streams between any two
-replicas in batches that may overlap — and after every step each table must
-answer what its model answers: ``read``/``get``/``contains``, ``apply``'s
-return value, the counters, ``len``, ``keys``, ``items``, ``rows_in_range``
-and ``export_rows``.
+drives a small ring through what fills its tables — preloads from a dict
+or from a dataset's columns (a second one meets stored rows), keys created
+by writes (a ring started without a preload, like fig15's million-key
+cells), writes against rows never read, range streams between any two
+replicas, joiners included, in batches that may overlap — and after every
+step each table must hold what its model holds.  Those checks build no
+version: a preloaded row keeps its time-zero marker until a ``read`` or
+``inspect`` step reads it (``get``, ``contains``, ``items``, ``token``),
+so reads, writes and streams all meet rows never read.
 """
 
 import gc
@@ -20,9 +22,11 @@ from hypothesis import given, settings, strategies as st
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.partitioner import key_token, token_in_range
+from repro.cassandra_sim.storage import TIME_ZERO
 from repro.cassandra_sim.versions import VersionedValue
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
+from repro.workloads.records import Dataset
 
 REGIONS = (Region.FRK, Region.IRL, Region.VRG)
 #: Few keys, so preloads, writes and streams keep meeting the same rows.
@@ -30,9 +34,9 @@ KEYS = [f"user{i}" for i in range(14)] + ["", "é"]
 PRELOAD = (0.0, "preload", 0)
 #: Few distinct components, so equal, older and newer stamps all collide
 #: (the preload stamp among them).
-STAMPS = st.tuples(st.sampled_from([0.0, 1.0, 2.5]),
-                   st.sampled_from(["n1", "n2", "preload"]),
-                   st.sampled_from([0, 1, 2**62]))
+STAMPS = st.one_of(st.just(PRELOAD), st.tuples(
+    st.sampled_from([0.0, 1.0, 2.5]), st.sampled_from(["n1", "n2", "preload"]),
+    st.sampled_from([0, 1, 2**62])))
 TOKENS = st.integers(min_value=0, max_value=2**64 - 1)
 #: A range bound: anywhere, on a key's token or just past it.
 BOUNDS = st.one_of(TOKENS, st.sampled_from(KEYS).map(key_token),
@@ -46,7 +50,7 @@ class ModelTable:
 
     def __init__(self):
         self.rows = {}
-        self.reads = self.writes_applied = self.writes_ignored = 0
+        self.writes_applied = self.writes_ignored = 0
 
     def apply(self, key, version):
         stored = self.rows.get(key)
@@ -57,34 +61,58 @@ class ModelTable:
         self.writes_applied += 1
         return True
 
-    def read(self, key):
-        self.reads += 1
-        return self.rows.get(key)
-
     def keys_in_range(self, start, end):
         return [key for key in sorted(self.rows)
                 if token_in_range(key_token(key), start, end)]
 
 
+def resolved(table, kid, version):
+    """``version`` as row ``kid`` of ``table`` reads, without building it
+    (a row never read holds the marker)."""
+    if version is TIME_ZERO:
+        return VersionedValue(table._space.values[kid], PRELOAD)
+    return version
+
+
+def peek(table, key):
+    """What ``table.get(key)`` answers, leaving the row as it is."""
+    kid = table._space.ids.get(key)
+    return None if kid is None else resolved(table, kid,
+                                             table._versions[kid])
+
+
 def exported(table, rows):
-    """``export_rows`` as ``(key, version, token)`` triples."""
-    return list(zip(*table.export_rows(rows)))
+    """``export_rows`` as ``(key, version, token)`` triples, markers
+    resolved."""
+    keys, versions, tokens = table.export_rows(rows)
+    return [(key, resolved(table, kid, version), token)
+            for key, kid, version, token in zip(keys, rows, versions, tokens)]
 
 
 def assert_matches(table, model):
     assert len(table) == len(model.rows)
     assert table.keys() == tuple(sorted(model.rows))
+    for key in KEYS + ["missing"]:
+        assert peek(table, key) == model.rows.get(key)
+    for counter in ("writes_applied", "writes_ignored"):
+        assert getattr(table, counter) == getattr(model, counter), counter
+    whole = table.rows_in_range(0, 0)
+    assert exported(table, whole) == [
+        (key, model.rows[key], key_token(key)) for key in sorted(model.rows)]
+    values = table.values_of(whole, table.export_rows(whole)[1])
+    assert sorted(map(repr, values)) == sorted(
+        repr(model.rows[key].value) for key in model.rows)
+
+
+def assert_reads_match(table, model):
+    """Every way of reading a table, which builds the rows' versions."""
     assert list(table.items()) == sorted(model.rows.items())
     for key in KEYS + ["missing"]:
         assert table.get(key) == model.rows.get(key)
         assert table.contains(key) == (key in model.rows)
     for key in model.rows:
         assert table.token(key) == key_token(key)
-    for counter in ("reads", "writes_applied", "writes_ignored"):
-        assert getattr(table, counter) == getattr(model, counter), counter
-    whole = table.rows_in_range(0, 0)
-    assert exported(table, whole) == [
-        (key, model.rows[key], key_token(key)) for key in sorted(model.rows)]
+        assert table._versions[table._space.ids[key]] is not TIME_ZERO
 
 
 def build(nodes, rf, vnodes):
@@ -96,10 +124,16 @@ def build(nodes, rf, vnodes):
 
 STEPS = st.one_of(
     st.tuples(st.just("preload"), ITEMS),
-    st.tuples(st.just("write"), st.integers(0, 5), st.sampled_from(KEYS),
-              st.integers(), STAMPS),
-    st.tuples(st.just("read"), st.integers(0, 5), st.sampled_from(KEYS)),
-    st.tuples(st.just("stream"), st.integers(0, 5), st.integers(0, 5),
+    # A dataset's columns: keys user0 .. user<n-1>, a few of KEYS.
+    st.tuples(st.just("preload-columns"), st.integers(1, 16),
+              st.integers(1, 5)),
+    # At any replica, or at one of the key's owners (a preloaded row).
+    st.tuples(st.sampled_from(["write", "write-owner"]), st.integers(0, 7),
+              st.sampled_from(KEYS), st.integers(), STAMPS),
+    st.tuples(st.just("read"), st.integers(0, 7), st.sampled_from(KEYS)),
+    st.tuples(st.just("inspect"), st.integers(0, 7)),
+    st.tuples(st.just("join"), st.integers(0, 2)),
+    st.tuples(st.just("stream"), st.integers(0, 7), st.integers(0, 7),
               BOUNDS, st.one_of(BOUNDS, st.just(None)),
               st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)),
                        max_size=4)),
@@ -111,32 +145,48 @@ STEPS = st.one_of(
                       st.integers(1, 6)),
        steps=st.lists(STEPS, min_size=1, max_size=14))
 def test_tables_match_the_reference_model(ring, steps):
-    """Any sequence of preloads, writes, reads and streams — overlapping
-    batches, a row streamed onto a replica that holds a newer or an older
-    version of it, streams from a table whose rows arrived out of token
-    order — leaves every table answering what its dict model answers."""
+    """Any sequence of preloads (from a dict or from columns), writes,
+    reads, joins and streams — overlapping batches, a row streamed onto a
+    replica that holds a newer or an older version of it, rows streamed
+    before anyone read them, streams from a table whose rows arrived out of
+    token order — leaves every table holding what its dict model holds."""
     cluster = build(*ring)
-    replicas = cluster.replicas
+    replicas = cluster.replicas  # grows with every join
     models = {replica.name: ModelTable() for replica in replicas}
     for step in steps:
         kind = step[0]
-        if kind == "preload":
-            items = step[1]
+        if kind.startswith("preload"):
+            if kind == "preload":
+                items = step[1]
+            else:
+                _, count, size = step
+                items = Dataset(count, value_size_bytes=size).initial_items()
             cluster.preload(items)
             for key, value in items.items():
                 for owner in cluster.partitioner.replicas_for_token(
                         key_token(key)):
                     models[owner].apply(key, VersionedValue(value, PRELOAD))
-        elif kind == "write":
+        elif kind.startswith("write"):
             _, which, key, value, stamp = step
-            replica = replicas[which % len(replicas)]
+            if kind == "write-owner":
+                owners = cluster.partitioner.replicas_for(key)
+                replica = cluster.replica_by_name(owners[which % len(owners)])
+            else:
+                replica = replicas[which % len(replicas)]
             version = VersionedValue(value, stamp)
             assert replica.table.apply(key, version) \
                 == models[replica.name].apply(key, version)
         elif kind == "read":
             _, which, key = step
             replica = replicas[which % len(replicas)]
-            assert replica.table.read(key) == models[replica.name].read(key)
+            assert replica.table.get(key) == models[replica.name].rows.get(key)
+        elif kind == "inspect":
+            replica = replicas[step[1] % len(replicas)]
+            assert_reads_match(replica.table, models[replica.name])
+        elif kind == "join":
+            joiner = cluster._add_replica(f"joiner{len(replicas)}",
+                                          REGIONS[step[1]], "bootstrapping")
+            models[joiner.name] = ModelTable()
         else:
             _, source_at, target_at, start, end, cuts = step
             end = start if end is None else end
@@ -157,6 +207,9 @@ def test_tables_match_the_reference_model(ring, steps):
                         key, models[source.name].rows[key])
         for replica in replicas:
             assert_matches(replica.table, models[replica.name])
+    for replica in replicas:
+        assert_reads_match(replica.table, models[replica.name])
+        assert_matches(replica.table, models[replica.name])
 
 
 def test_two_clusters_share_no_key_ids():
@@ -177,19 +230,47 @@ def test_two_clusters_share_no_key_ids():
     assert joiner.table._space is first.keyspace and len(joiner.table) == 0
 
 
-def test_a_preloaded_key_is_one_version_object_on_all_of_its_owners():
+def test_a_preloaded_row_holds_the_marker_until_its_first_read():
+    """Every owner's row holds the one shared marker; a read builds that
+    replica's own version, equal to what every other owner builds, and
+    keeps it."""
     cluster = build(5, 3, 4)
     items = {f"user{i}": f"value{i}" for i in range(40)}
     cluster.preload(items)
-    for key in items:
-        owners = cluster.partitioner.replicas_for(key)
-        versions = [cluster.replica_by_name(name).table.get(key)
-                    for name in owners]
-        assert versions[0] == VersionedValue(items[key], PRELOAD)
-        assert all(version is versions[0] for version in versions)
+    space = cluster.keyspace
+    for key, value in items.items():
+        owners = [cluster.replica_by_name(name).table
+                  for name in cluster.partitioner.replicas_for(key)]
+        assert all(table._versions[space.ids[key]] is TIME_ZERO
+                   for table in owners)
+        first = owners[0].get(key)
+        assert first == VersionedValue(value, PRELOAD)
+        assert owners[0].get(key) is first
+        assert owners[0]._versions[space.ids[key]] is first
+        assert owners[1]._versions[space.ids[key]] is TIME_ZERO
+        assert owners[1].get(key) == first
 
 
-def test_a_streamed_row_is_the_sources_version_object():
+@pytest.mark.parametrize("stamp, applied", [
+    ((0.0, "a-node", 9), False),  # older than the preload stamp
+    (PRELOAD, False),              # equal: not newer
+    ((0.0, "preload", 1), True),   # newer
+])
+def test_a_write_against_an_unread_row_compares_the_preload_stamp(stamp,
+                                                                  applied):
+    cluster = build(4, 3, 4)
+    cluster.preload({"k": "pre"})
+    owner = cluster.partitioner.replicas_for("k")[0]
+    table = cluster.replica_by_name(owner).table
+    assert table._versions[cluster.keyspace.ids["k"]] is TIME_ZERO
+    assert table.apply("k", VersionedValue("new", stamp)) is applied
+    assert table.get("k") == (VersionedValue("new", stamp) if applied
+                              else VersionedValue("pre", PRELOAD))
+    assert (table.writes_applied, table.writes_ignored) == (
+        (2, 0) if applied else (1, 1))
+
+
+def test_an_unread_row_streams_as_the_marker_and_reads_on_the_joiner():
     env = SimEnvironment(seed=3)
     cluster = CassandraCluster(
         env, CassandraConfig(),
@@ -202,10 +283,34 @@ def test_a_streamed_row_is_the_sources_version_object():
     joiner = cluster.replica_by_name("joiner")
     assert len(joiner.table) > 0
     for key in joiner.table.keys():
-        owners = [cluster.replica_by_name(name)
-                  for name in cluster.partitioner.replicas_for(key)]
-        assert all(owner.table.get(key) is joiner.table.get(key)
-                   for owner in owners)
+        assert joiner.table._versions[cluster.keyspace.ids[key]] is TIME_ZERO
+        assert joiner.table.get(key) == VersionedValue(items[key], PRELOAD)
+
+
+def test_a_columns_preload_equals_a_dict_preload():
+    """A dataset's columns and the equal dict give the same key ids,
+    tokens and rows."""
+    dataset = Dataset(300, value_size_bytes=12)
+    columns, plain = build(5, 3, 4), build(5, 3, 4)
+    columns.preload(dataset.initial_items())
+    plain.preload(dict(dataset.initial_items().items()))
+    assert columns.keyspace.ids == plain.keyspace.ids
+    assert columns.keyspace.tokens == plain.keyspace.tokens
+    for left, right in zip(columns.replicas, plain.replicas):
+        assert list(left.table.items()) == list(right.table.items())
+
+
+def test_a_second_preload_of_a_key_keeps_the_first_value():
+    """An equal stamp is ignored, so re-preloading a key — read or not —
+    changes no owner's value, while a key new to that preload is stored."""
+    cluster = build(4, 3, 4)
+    cluster.preload({"a": "first", "b": "first"})
+    read = cluster.partitioner.replicas_for("a")[0]
+    assert cluster.replica_by_name(read).table.get("a").value == "first"
+    cluster.preload({"a": "second", "b": "second", "c": "second"})
+    for key, value in (("a", "first"), ("b", "first"), ("c", "second")):
+        for name in cluster.partitioner.replicas_for(key):
+            assert cluster.replica_by_name(name).table.get(key).value == value
 
 
 def test_a_key_created_after_a_table_was_built_reads_as_absent_there():
@@ -213,7 +318,7 @@ def test_a_key_created_after_a_table_was_built_reads_as_absent_there():
     joiner = cluster._add_replica("late", Region.IRL, "bootstrapping")
     first = cluster.replicas[0].table
     first.apply("made-later", VersionedValue(1, (1.0, "n", 1)))
-    assert joiner.table.read("made-later") is None
+    assert joiner.table.get("made-later") is None
     assert joiner.table.apply("made-later", VersionedValue(2, (2.0, "n", 1)))
     assert joiner.table.get("made-later").value == 2
     assert first.get("made-later").value == 1
@@ -255,14 +360,28 @@ def test_a_preload_leaves_the_cyclic_collector_as_it_found_it(enabled):
         (gc.enable if was else gc.disable)()
 
 
-def test_a_stream_batch_is_sized_from_its_versions_values():
+@pytest.mark.parametrize("values, size", [
+    (["x" * 500, "y", "z" * 100], 700),     # every one ASCII: the bulk sum
+    (["x" * 500, "y", ("tuple", 3)], 700),  # not all str: the loop
+    (["x" * 500, "é" * 300], 1100),         # not all ASCII: the loop
+    ([], 0),
+])
+def test_a_stream_batch_is_sized_from_its_values(values, size):
     """Simulated stream bytes stay the key size per row plus each value's
-    size, with the per-value floor."""
-    cluster = build(3, 2, 2)
-    replica = cluster.replicas[0]
-    versions = [VersionedValue(value, (1.0, "n", 1))
-                for value in ("x" * 500, "y", ("tuple", 3))]
-    assert replica._values_bytes(versions) == sum(
-        replica._value_bytes(version) for version in versions)
-    assert replica._values_bytes(versions[1:2]) \
-        == cluster.config.value_size_bytes
+    size (UTF-8 bytes for a string), with the per-value floor of 100."""
+    replica = build(3, 2, 2).replicas[0]
+    assert replica._values_bytes(values) == size == sum(
+        map(replica._value_bytes, values))
+
+
+def test_values_of_reads_unread_rows_from_the_key_space():
+    cluster = build(3, 1, 2)
+    items = {f"user{i}": f"value{i}" * i for i in range(30)}
+    cluster.preload(items)
+    table = cluster.replicas[0].table
+    table.apply("user1", VersionedValue("written", (1.0, "n", 1)))
+    table.get("user2")
+    rows = table.rows_in_range(0, 0)
+    keys, versions, _ = table.export_rows(rows)
+    assert sorted(table.values_of(rows, versions)) == sorted(
+        "written" if key == "user1" else items[key] for key in keys)

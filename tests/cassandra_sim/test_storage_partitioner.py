@@ -68,16 +68,17 @@ class TestKeySpace:
         space = KeySpace()
         column = space.new_column()
         space.add("a", 1)
-        ids = space.extend(["b", "c"], [2, 3])
+        ids = space.extend(["b", "c"], [2, 3], ["vb", "vc"])
         assert ids == range(1, 3)
         assert space.ids == {"a": 0, "b": 1, "c": 2}
+        assert space.values == [None, "vb", "vc"]
         assert column == [None] * 3
         assert space.new_column() == [None] * 3
         assert space._order is None
 
     def test_an_argsort_is_rebuilt_once_keys_were_added(self):
         space = KeySpace()
-        space.extend(["a", "b"], [20, 10])  # out of order: an argsort
+        space.extend(["a", "b"], [20, 10], "ab")  # out of order: an argsort
         assert list(space.ids_in_range(0, 30)) == [1, 0]
         space.add("c", 15)
         assert list(space.ids_in_range(0, 30)) == [1, 2, 0]
@@ -85,7 +86,7 @@ class TestKeySpace:
 
     def test_a_wrapping_range_on_an_ordered_space(self):
         space = KeySpace()
-        space.extend(["a", "b", "c", "d"], [10, 20, 30, 40])
+        space.extend(["a", "b", "c", "d"], [10, 20, 30, 40], "abcd")
         assert list(space.ids_in_range(30, 20)) == [2, 3, 0]
         assert list(space.ids_in_range(20, 20)) == [1, 2, 3, 0]
         assert list(space.ids_in_range(41, 10)) == []
@@ -94,13 +95,13 @@ class TestKeySpace:
 
 class TestTable:
     def test_read_missing_returns_none(self):
-        assert ColumnarTable().read("nope") is None
+        assert ColumnarTable().get("nope") is None
 
     def test_apply_then_read(self):
         table = ColumnarTable()
         version = VersionedValue("v", (1.0, "n", 1))
         assert table.apply("k", version)
-        assert table.read("k") is version
+        assert table.get("k") is version
         assert table.contains("k")
         assert len(table) == 1
 
@@ -110,14 +111,13 @@ class TestTable:
         older = VersionedValue("old", (1.0, "n", 1))
         table.apply("k", newer)
         assert not table.apply("k", older)
-        assert table.read("k").value == "new"
+        assert table.get("k").value == "new"
         assert table.writes_ignored == 1
 
     def test_counters(self):
         table = ColumnarTable()
-        table.read("a")
+        table.get("a")
         table.apply("a", VersionedValue("v", (1.0, "n", 1)))
-        assert table.reads == 1
         assert table.writes_applied == 1
 
     def test_tie_breaking_matches_tuple_order(self):
@@ -125,7 +125,7 @@ class TestTable:
         table.apply("k", VersionedValue("a", (1.0, "node-a", 5)))
         assert table.apply("k", VersionedValue("b", (1.0, "node-b", 1)))
         assert not table.apply("k", VersionedValue("c", (1.0, "node-a", 9)))
-        assert table.read("k").value == "b"
+        assert table.get("k").value == "b"
 
     def test_a_caller_supplied_token_is_kept_for_a_new_key(self):
         table = ColumnarTable()
@@ -164,7 +164,7 @@ class TestTable:
     def test_merge_stores_unheld_rows_wholesale_and_held_ones_by_lww(self):
         space = KeySpace()
         table = ColumnarTable(space)
-        ids = space.extend(["a", "b", "c"], [1, 2, 3])
+        ids = space.extend(["a", "b", "c"], [1, 2, 3], "abc")
         old = [VersionedValue(key, (1.0, "n", 1)) for key in "abc"]
         table.merge(ids, old)
         assert [table.get(key) for key in "abc"] == old
@@ -181,7 +181,7 @@ class TestTable:
         space = KeySpace()
         left, right = ColumnarTable(space), ColumnarTable(space)
         left.apply("k", VersionedValue("v", (1.0, "n", 1)))
-        assert right.read("k") is None and not right.contains("k")
+        assert right.get("k") is None and not right.contains("k")
         assert len(right) == 0 and right.keys() == ()
         assert list(right.rows_in_range(0, 0)) == []
         with pytest.raises(KeyError):
@@ -210,8 +210,8 @@ def test_lww_register_converges_regardless_of_order(writes):
         forward.apply("k", version)
     for version in reversed(versions):
         backward.apply("k", version)
-    assert forward.read("k") == backward.read("k")
-    assert forward.read("k") == resolve(versions)
+    assert forward.get("k") == backward.get("k")
+    assert forward.get("k") == resolve(versions)
 
 
 #: Ring positions: the full unsigned 64-bit token space.
@@ -354,7 +354,7 @@ def assert_same_table(left, right):
     assert list(left.items()) == list(right.items())
     for key in left.keys():
         assert left.token(key) == right.token(key)
-    for counter in ("reads", "writes_applied", "writes_ignored"):
+    for counter in ("writes_applied", "writes_ignored"):
         assert getattr(left, counter) == getattr(right, counter), counter
     # Same key ids too: stream tasks walk rows by them.
     assert left.rows_in_range(0, 0) == right.rows_in_range(0, 0)

@@ -78,11 +78,11 @@ class TestTokenOrderedPreload:
             assert table.keys() == wanted.keys()
             assert list(table.items()) == list(wanted.items())
             for key in list(items)[:5] + ["missing"]:
-                assert table.read(key) == wanted.read(key)
+                assert table.get(key) == wanted.get(key)
                 assert table.contains(key) == wanted.contains(key)
             for key in table.keys():
                 assert table.token(key) == wanted.token(key)
-            for counter in ("reads", "writes_applied", "writes_ignored"):
+            for counter in ("writes_applied", "writes_ignored"):
                 assert getattr(table, counter) == getattr(wanted, counter)
 
     def test_preload_loses_to_stored_rows_only_when_older(self):

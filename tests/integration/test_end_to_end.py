@@ -85,9 +85,9 @@ class TestFaultTolerance:
         env.run_until_idle()
         assert c.is_final()
         # The surviving replicas converge; the crashed one stays stale.
-        assert cluster.replica_in(Region.FRK).table.read("key1").value == \
+        assert cluster.replica_in(Region.FRK).table.get("key1").value == \
             "still-works"
-        assert cluster.replica_in(Region.VRG).table.read("key1").value == \
+        assert cluster.replica_in(Region.VRG).table.get("key1").value == \
             "value1"
 
     def test_partition_heal_lets_replication_catch_up(self, cassandra_setup):
@@ -98,11 +98,11 @@ class TestFaultTolerance:
         client = CorrectableClient(CassandraBinding(node))
         client.invoke_strong(write("key1", "v-partitioned"))
         env.run_until_idle()
-        assert vrg.table.read("key1").value == "value1"   # still stale
+        assert vrg.table.get("key1").value == "value1"   # still stale
         env.network.heal(frk.name, vrg.name)
         client.invoke_strong(write("key1", "v-healed"))
         env.run_until_idle()
-        assert vrg.table.read("key1").value == "v-healed"
+        assert vrg.table.get("key1").value == "v-healed"
 
     def test_zookeeper_write_survives_follower_crash(self, zookeeper_setup):
         env, cluster, node = zookeeper_setup

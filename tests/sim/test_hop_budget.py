@@ -52,17 +52,21 @@ _HOPS = 200
 #: kept for a confirmation — took ``cass-closed-a`` from 2,317.75 to
 #: 2,313.75, ``cass-open-faults-b`` from 3,377.09 to 3,352.41,
 #: ``zk-tickets`` from 4,405.58 to 4,401.58 and ``ring-join-400k`` from
-#: 4,403.12 to 4,375.40).
+#: 4,403.12 to 4,375.40, and time-zero rows holding one shared marker —
+#: a preloaded row's version built on its first read, no ``reads``
+#: counter, a stream batch sized from its values in bulk — took
+#: ``cass-closed-a`` to 2,312.40, ``cass-open-faults-b`` to 3,349.09 and
+#: ``ring-join-400k`` to 3,763.12).
 #: One round at
 #: ``_WORKLOAD_SEED``, start -> serve -> drain, in a fresh process (the
 #: record pools and the zeta cache are process-wide, so what ran before
 #: would change the count); set-up is not counted.  The budget is the count
 #: plus ``_WORKLOAD_ROOM``: a +2 % change fails.
 _WORKLOAD_BUDGETS = {
-    (3, 11): {"cass-closed-a": (0.05, 2313.75),
-              "cass-open-faults-b": (0.1, 3352.41),
+    (3, 11): {"cass-closed-a": (0.05, 2312.40),
+              "cass-open-faults-b": (0.1, 3349.09),
               "zk-tickets": (0.1, 4401.58),
-              "ring-join-400k": (0.1, 4375.40)},
+              "ring-join-400k": (0.1, 3763.12)},
 }
 _WORKLOAD_ROOM = 1.01
 _WORKLOAD_SEED = 7

@@ -167,6 +167,7 @@ class TestAccounting:
         assert estimate_payload_size(7) == 8
         assert estimate_payload_size(["ab", "cd"]) == 4
         assert estimate_payload_size({"k": "vv"}) == 3
+        assert estimate_payload_size(["é", "日本"]) == 2 + 6  # UTF-8 bytes
 
     def test_reset_stats(self):
         env = _make_env()
