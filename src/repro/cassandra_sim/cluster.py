@@ -198,19 +198,21 @@ class CassandraCluster:
         bulk.  Every key is hashed once here and the rows are sorted by
         token once, so keys new to the key space get their ids in token
         order (which lets a stream task bisect the token column).  If all
-        are new, the key space keeps their values and every owner's row
-        holds ``TIME_ZERO``; otherwise each key gets its own version, which
-        an owner holding the key ignores (an equal stamp is not newer).
-        The sorted columns are cut at the ring's slot boundaries and each
-        run is merged into its owners whole.
+        are new, the key space keeps their values (a column, permuted) and
+        every owner's row holds ``TIME_ZERO``; otherwise each key gets its
+        own version, which an owner holding the key ignores (an equal stamp
+        is not newer).  The sorted columns are cut at the ring's slot
+        boundaries and each run is merged into its owners whole.
         """
         keys = list(items)
         tokens = key_tokens(keys)
-        order = sorted(range(len(keys)), key=tokens.__getitem__)
+        order = array("I", sorted(range(len(keys)), key=tokens.__getitem__))
         tokens = array("Q", map(tokens.__getitem__, order))
         keys = list(map(keys.__getitem__, order))
-        values = list(map(list(items.values()).__getitem__, order))
-        del order  # an int object a row: freed before the tables fill
+        values = items.values()
+        values = (values.permuted(order) if hasattr(values, "permuted")
+                  else list(map(list(values).__getitem__, order)))
+        del order  # freed before the tables fill
         space = self.keyspace
         if space.ids.keys().isdisjoint(keys):
             ids = space.extend(keys, tokens, values)

@@ -3,7 +3,7 @@
 The replicas of a cluster hold overlapping subsets of one key set — each
 key at ``replication_factor`` of them — and everything that is a function
 of the key alone is kept once, in the cluster's :class:`KeySpace`: key →
-key id, the key, its ring token and its preloaded value by id, and the
+key id, the key, its ring token and its time-zero value by id, and the
 token order.  That is host-side bookkeeping, not simulated state: no
 replica learns anything about another's rows through it, so sharing it
 moves no simulated result.
@@ -29,9 +29,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, is_, is_not, le, not_
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.cassandra_sim.partitioner import key_token
 from repro.cassandra_sim.versions import VersionedValue
@@ -46,6 +47,13 @@ PRELOAD_STAMP = (0.0, "preload", 0)
 #: key space's, by key id).
 TIME_ZERO = VersionedValue(None, PRELOAD_STAMP)
 _value_of = attrgetter("value")
+
+
+class _ValueList(list):
+    """Time-zero values by key id, one object each (a preload from a dict)."""
+
+    def take(self, ids: Iterable[int]) -> List[Any]:
+        return list(map(self.__getitem__, ids))
 
 
 class KeySpace:
@@ -78,8 +86,9 @@ class KeySpace:
         #: The key and its ring token, by id.
         self.keys: List[str] = []
         self.tokens = array("Q")
-        #: What a row holding TIME_ZERO reads as, by id (None: no preload).
-        self.values: List[Any] = []
+        #: What a row holding TIME_ZERO reads as, by id (``values[kid]``,
+        #: ``values.take(ids)``): a preload's value column, or a list.
+        self.values: Any = _ValueList()
         # None while the token column is in order; otherwise ids sorted by
         # token (the argsort, see ids_in_range).
         self._order: Optional["array[int]"] = None
@@ -104,7 +113,6 @@ class KeySpace:
             kid = self.ids[key] = len(self.keys)
             self.keys.append(key)
             tokens.append(token)
-            self.values.append(None)
             for column in self._columns:
                 column.append(None)
         return kid
@@ -123,7 +131,8 @@ class KeySpace:
                values: Sequence[Any]) -> range:
         """Assign ids to ``keys``, preloaded with ``values``, in one bulk
         append: :meth:`intern` for keys that are distinct and none of them
-        in the space yet (a preload onto keys no write created)."""
+        in the space yet (a preload onto keys no write created).  The first
+        values, if a column (with ``permuted``), are kept by key id."""
         first = len(self.keys)
         token_column = self.tokens
         if self._order is None and (
@@ -134,7 +143,14 @@ class KeySpace:
         self.ids.update(zip(keys, ids))
         self.keys.extend(keys)
         token_column.extend(tokens)
-        self.values.extend(values)
+        if not self.values and hasattr(values, "permuted"):
+            # Ids before ``first`` read row 0: they have no time-zero value.
+            self.values = values if not first else values.permuted(
+                chain(repeat(0, first), range(len(values))))
+        else:
+            self.values = held = _ValueList(self.values)
+            held.extend(repeat(None, first - len(held)))
+            held.extend(values)
         for column in self._columns:
             column.extend(repeat(None, len(keys)))
         return ids
@@ -291,7 +307,7 @@ class ColumnarTable:
         unread rows' last, in bulk and building no version."""
         marked = list(map(is_, versions, repeat(TIME_ZERO)))
         return [*map(_value_of, compress(versions, map(not_, marked))),
-                *map(self._space.values.__getitem__, compress(rows, marked))]
+                *self._space.values.take(compress(rows, marked))]
 
     def apply_rows(self, keys: Sequence[str],
                    versions: Sequence[VersionedValue],

@@ -13,13 +13,12 @@ from repro.core.consistency import ConsistencyLevel
 
 
 class View:
-    """One incremental view on the result of an operation, compared by
-    value.  Slotted by hand (one or two are built per operation, and a
-    slotted dataclass needs Python 3.10)."""
+    """One incremental view on the result of an operation.  Slotted by hand
+    (one or two are built per operation, and a slotted dataclass needs
+    Python 3.10)."""
 
     __slots__ = ("value", "consistency", "timestamp", "is_confirmation",
                  "metadata")
-    __hash__ = None  # mutable and compared by value
 
     def __init__(self, value: Any, consistency: ConsistencyLevel,
                  timestamp: Optional[float] = None,
@@ -35,14 +34,6 @@ class View:
         self.is_confirmation = is_confirmation
         #: Free-form binding metadata (replica that answered, quorum size, ...).
         self.metadata = {} if metadata is None else metadata
-
-    def __eq__(self, other: object) -> Any:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.value, self.consistency, self.timestamp,
-                 self.is_confirmation, self.metadata)
-                == (other.value, other.consistency, other.timestamp,
-                    other.is_confirmation, other.metadata))
 
     def same_value(self, other: "View") -> bool:
         """Whether two views carry the same result value."""

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import random
 import string
-from collections.abc import Mapping, ValuesView
-from itertools import islice
-from typing import Dict, Iterator, List, Optional, Sequence
+from array import array
+from collections.abc import ItemsView, Mapping, Sequence
+from itertools import repeat
+from operator import add, mul
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.workloads import fastrand
 
 _PRINTABLE = string.ascii_letters + string.digits
-_PRINTABLE_LEN = len(_PRINTABLE)          # 62
-_PRINTABLE_BITS = _PRINTABLE_LEN.bit_length()  # 6
 
 #: Value chunks ramp 16 → 256 so short runs waste few precomputed values
 #: while long runs amortize the chunk overhead.
@@ -36,46 +36,60 @@ _KEY_CACHE_MAX = 1 << 18
 #: dominated million-key preload wall time).
 _INITIAL_VALUE_SEED = 0x1CC2_05D1
 
-#: Records per initial-value chunk.  A chunk's draw holds about 7 bytes per
-#: character while it runs (the ``randbytes`` integer and bytes, then the
-#: sliced bytes and the string), so the chunk — not the dataset — sets the
-#: transient: 2.8 MB at 4,096 values of 100 characters, against ~270 MB
-#: for a 400k-key dataset in one draw.  Chunks of 16,384 values and more
-#: also cost 18.5 ns per character instead of 14.3 (they leave the cache).
+#: Records per draw of the initial-value text, which a fill joins (holding
+#: the text twice meanwhile).  A draw holds about 7 bytes per character
+#: (the ``randbytes`` integer and bytes, the sliced bytes, the string), so
+#: the chunk sets its transient: 2.8 MB at 4,096 values of 100 characters,
+#: not ~270 MB for 400k keys; 16,384 values and more cost 18.5 ns per
+#: character instead of 14.3 (they leave the cache).
 _INITIAL_CHUNK = 1 << 12
 
 
 def make_value(rng: random.Random, size_bytes: int = 100) -> str:
-    """A random printable string of ``size_bytes`` characters.
+    """A random printable string of ``size_bytes`` characters:
+    ``"".join(rng.choice(_PRINTABLE) for _ in range(size_bytes))``, drawn in
+    bulk by :func:`repro.workloads.fastrand.chars` (the same string, and the
+    generator left in the same state)."""
+    if not isinstance(size_bytes, int) or not size_bytes >= 1:
+        raise ValueError(f"value size must be a positive int: {size_bytes!r}")
+    return fastrand.chars(rng, size_bytes, _PRINTABLE)
 
-    This is an inlined, loop-hoisted equivalent of
-    ``"".join(rng.choice(_PRINTABLE) for _ in range(size_bytes))``: it
-    consumes exactly the same ``getrandbits`` sequence ``Random.choice``
-    does (draw ``bit_length(62)`` bits, reject values >= 62), so both the
-    produced strings and the generator state after the call are
-    bit-identical to the original implementation — value generation is a
-    hot path, but it must never perturb seeded experiments.
-    """
-    if size_bytes <= 0:
-        raise ValueError("value size must be positive")
-    getrandbits = rng.getrandbits
-    table = _PRINTABLE
-    bits = _PRINTABLE_BITS
-    limit = _PRINTABLE_LEN
-    chars = []
-    append = chars.append
-    for _ in range(size_bytes):
-        r = getrandbits(bits)
-        while r >= limit:
-            r = getrandbits(bits)
-        append(table[r])
-    return "".join(chars)
+
+class TextColumn(Sequence):
+    """Read-only values cut from one text when read: value ``i`` is the
+    ``size`` characters at ``rows[i] * size``; :meth:`take` slices in C."""
+
+    __slots__ = ("_text", "_size", "_rows")
+
+    def __init__(self, text: str, size: int, rows: Sequence[int]) -> None:
+        self._text, self._size, self._rows = text, size, rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> str:
+        start = self._rows[i] * self._size
+        return self._text[start:start + self._size]
+
+    def take(self, ids: Iterable[int]) -> List[str]:
+        """``[self[i] for i in ids]``."""
+        size = self._size
+        starts = list(map(mul, map(self._rows.__getitem__, ids), repeat(size)))
+        return list(map(self._text.__getitem__,
+                        map(slice, starts, map(add, starts, repeat(size)))))
+
+    def permuted(self, order: Iterable[int]) -> "TextColumn":
+        """Value ``j`` is this column's ``order[j]`` (4 bytes a value)."""
+        rows = self._rows
+        if rows != range(len(rows)):  # not the identity
+            order = map(rows.__getitem__, order)
+        return TextColumn(self._text, self._size, array("I", order))
 
 
 class ColumnMapping(Mapping):
-    """``keys[i]`` → ``values[i]``, read-only, over two columns (``values``
-    may run longer).  Iterating it or its ``values()`` walks a column in C;
-    a lookup by key builds the key → index dict on first use."""
+    """``keys[i]`` → ``values[i]``, read-only, over two columns of one
+    length.  Iterating it, its items or ``values()`` (the column itself)
+    walks columns; a lookup by key builds a key → index dict first."""
 
     def __init__(self, keys: List[str], values: Sequence[object]) -> None:
         self._keys, self._values = keys, values
@@ -92,13 +106,16 @@ class ColumnMapping(Mapping):
             self._index = dict(zip(self._keys, range(len(self._keys))))
         return self._values[self._index[key]]
 
-    def values(self) -> ValuesView:
-        return _ColumnValues(self)
+    def values(self) -> Sequence[object]:  # type: ignore[override]
+        return self._values
+
+    def items(self) -> ItemsView:
+        return _ColumnItems(self)
 
 
-class _ColumnValues(ValuesView):
-    def __iter__(self) -> Iterator[object]:
-        return islice(self._mapping._values, len(self._mapping))
+class _ColumnItems(ItemsView):
+    def __iter__(self) -> Iterator[Tuple[str, object]]:
+        return zip(self._mapping._keys, self._mapping._values)
 
 
 class Dataset:
@@ -106,10 +123,10 @@ class Dataset:
 
     def __init__(self, record_count: int = 1000, value_size_bytes: int = 100,
                  key_prefix: str = "user", seed: int = 0) -> None:
-        if record_count <= 0:
-            raise ValueError("record_count must be positive")
-        if value_size_bytes <= 0:
-            raise ValueError("value size must be positive")
+        for name, count in (("record_count", record_count),
+                            ("value_size_bytes", value_size_bytes)):
+            if not isinstance(count, int) or not count >= 1:
+                raise ValueError(f"{name} must be a positive int: {count!r}")
         self.record_count = record_count
         self.value_size_bytes = value_size_bytes
         self.key_prefix = key_prefix
@@ -118,8 +135,8 @@ class Dataset:
         self._value_pos = 0
         self._value_chunk = 16
         self._key_cache: Optional[List[str]] = None
-        self._initial_rng: Optional[random.Random] = None
-        self._initial_values: List[str] = []
+        self._initial_rng = random.Random(_INITIAL_VALUE_SEED)
+        self._initial_text = ""
 
     def key(self, index: int) -> str:
         """The key of record ``index``."""
@@ -128,7 +145,8 @@ class Dataset:
         return f"{self.key_prefix}{index}"
 
     def keys(self) -> List[str]:
-        return [self.key(i) for i in range(self.record_count)]
+        prefix = self.key_prefix
+        return [f"{prefix}{i}" for i in range(self.record_count)]
 
     def cached_keys(self) -> Optional[List[str]]:
         """All key strings, cached for hot-path lookups by index.
@@ -139,9 +157,7 @@ class Dataset:
         if self.record_count > _KEY_CACHE_MAX:
             return None
         if self._key_cache is None:
-            prefix = self.key_prefix
-            self._key_cache = [f"{prefix}{i}"
-                               for i in range(self.record_count)]
+            self._key_cache = self.keys()
         return self._key_cache
 
     def initial_value(self, index: int) -> str:
@@ -149,36 +165,36 @@ class Dataset:
 
         Values are sliced from the shared index-ordered character stream
         (see ``_INITIAL_VALUE_SEED``): independent of the dataset seed and
-        of ``record_count``, and generated in bulk chunks so million-key
-        preloads are not bounded by value generation.
+        of ``record_count``, and drawn in bulk chunks into one text so
+        million-key preloads are not bounded by value generation.
         """
         if not 0 <= index < self.record_count:
             raise IndexError(f"record index out of range: {index}")
-        values = self._initial_values
-        if index >= len(values):
-            self._fill_initial_values(index + 1)
-        return values[index]
+        self._fill_initial_values(index + 1)
+        size = self.value_size_bytes
+        return self._initial_text[index * size:(index + 1) * size]
 
     def _fill_initial_values(self, count: int) -> None:
+        """Draw the text to ``count`` values or more: at least doubled (up
+        to ``record_count``), so reading upward copies it O(log n) times."""
         size = self.value_size_bytes
-        rng = self._initial_rng
-        if rng is None:
-            rng = self._initial_rng = random.Random(_INITIAL_VALUE_SEED)
-        values = self._initial_values
-        while len(values) < count:
-            n = min(max(count - len(values), _VALUE_CHUNK_MAX),
-                    _INITIAL_CHUNK)
-            blob = fastrand.chars(rng, n * size, _PRINTABLE)
-            values.extend([blob[i:i + size]
-                           for i in range(0, n * size, size)])
+        have = len(self._initial_text) // size
+        if count <= have:
+            return
+        want = min(max(count, 2 * have, _VALUE_CHUNK_MAX), self.record_count)
+        rng, parts = self._initial_rng, [self._initial_text]
+        for low in range(have, want, _INITIAL_CHUNK):
+            drawn = min(_INITIAL_CHUNK, want - low)
+            parts.append(fastrand.chars(rng, drawn * size, _PRINTABLE))
+        self._initial_text = "".join(parts)
 
     def initial_items(self) -> ColumnMapping:
         """Key → value mapping used to preload a cluster: a
-        :class:`ColumnMapping` over the keys and the initial values."""
+        :class:`ColumnMapping` over the keys and a :class:`TextColumn` over
+        the initial-value text, which slices a value when it is read."""
         self._fill_initial_values(self.record_count)
-        prefix = self.key_prefix
-        return ColumnMapping([f"{prefix}{i}" for i in range(self.record_count)],
-                           self._initial_values)
+        return ColumnMapping(self.keys(), TextColumn(
+            self._initial_text, self.value_size_bytes, range(self.record_count)))
 
     def random_value(self) -> str:
         """A fresh value for an update operation.

@@ -10,17 +10,23 @@ preload leaves behind.  A second count traces the dataset's
 ``initial_items()`` and the preload together, from a dataset that has
 generated nothing yet: the peak of what a cluster's set-up pays to load
 its data (perfbench's ``setup.preload``), the values themselves
-included.  Allocation sizes differ between CPython minor versions, so
-the budgets are keyed by version and only the running interpreter's row
-is checked.
+included.  A third count is of work, not memory: the bytecodes executed
+in ``src/`` frames over ``initial_items()`` and the preload together, at
+the quick fig15 million-key size, per stored row.  Allocation sizes and
+bytecode counts differ between CPython minor versions, so the budgets are
+keyed by version and only the running interpreter's row is checked.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+import repro
 
 #: version -> (retained bytes per stored row, peak bytes per stored row
 #: while the preload ran), as counted when the row was last set: 3.11 was
@@ -28,28 +34,42 @@ import pytest
 #: row positions lowered it to 78.99 / 88.04, one key space per cluster
 #: with one version object per key to 60.97 / 69.41, and time-zero rows
 #: holding one shared marker, their values kept once in the key space,
-#: to 47.63 / 56.07.  The budget is the count times ``_ROOM``: a +2 %
-#: change fails.  Lowering a row is how a saving is recorded; raising one
-#: is a decision, not a fix for a red test.
+#: to 47.63 / 56.07, and time-zero values read through the dataset's text
+#: (no string a row) to 46.30 / 52.07.  The budget is the count times
+#: ``_ROOM``: a +2 % change fails.  Lowering a row is how a saving is
+#: recorded; raising one is a decision, not a fix for a red test.
 _BUDGETS = {
-    (3, 11): (47.63, 56.07),
+    (3, 11): (46.30, 52.07),
 }
 #: version -> peak traced bytes per stored row over ``initial_items()``
 #: and ``preload`` together, as counted when the row was added: 3.11 was
-#: 153.90 with the dataset building a key -> value dict, and 130.42 with
-#: it handing the preload its key and value columns.  Checked against
-#: ``_ROOM`` like ``_BUDGETS``.
+#: 153.90 with the dataset building a key -> value dict, 130.42 with it
+#: handing the preload its key and value columns, and 107.37 with the
+#: values one text, sliced on first read.  Checked against ``_ROOM`` like
+#: ``_BUDGETS``.
 _SETUP_BUDGETS = {
-    (3, 11): 130.42,
+    (3, 11): 107.37,
+}
+#: version -> bytecodes executed in ``src/`` frames per stored row over
+#: ``initial_items()`` and ``preload`` together, at 150k records (the
+#: quick fig15 million-key size), as counted when the row was added: 3.11
+#: was 13.07 with every initial value sliced into its own string at
+#: set-up, and 9.40 with the values one text, sliced on first read.
+#: Checked against ``_ROOM`` like ``_BUDGETS``.
+_SETUP_BYTECODE_BUDGETS = {
+    (3, 11): 9.40,
 }
 _ROOM = 1.01
+_HOP_BUDGET = (Path(__file__).resolve().parents[1] / "sim"
+               / "test_hop_budget.py")
 
 
-def _build():
+def _build(record_count=100_000):
     from repro.bench.common import cassandra_config_for
     from repro.core.cluster_spec import ClusterSpec
 
-    return ClusterSpec(seed=7, record_count=100_000, nodes=6, preload=False,
+    return ClusterSpec(seed=7, record_count=record_count, nodes=6,
+                       preload=False,
                        config=cassandra_config_for("CC2")).build()
 
 
@@ -81,6 +101,21 @@ def _setup_peak_bytes_per_row():
     finally:
         tracemalloc.stop()
     return peak / _stored_rows(built.cluster)
+
+
+def _setup_bytecodes_per_row():
+    """One fresh dataset -> preload at 150k records: bytecodes executed in
+    ``src/`` frames per stored row, counted as ``test_hop_budget`` counts
+    a workload's."""
+    spec = importlib.util.spec_from_file_location("hop_budget", _HOP_BUDGET)
+    hop_budget = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hop_budget)
+    built = _build(150_000)
+    src = os.path.dirname(repro.__file__) + os.sep
+    executed = hop_budget._bytecodes_in(
+        lambda code: code.co_filename.startswith(src),
+        lambda: built.cluster.preload(built.dataset.initial_items()))
+    return executed / _stored_rows(built.cluster)
 
 
 def _row(budgets, name):
@@ -118,8 +153,18 @@ def test_dataset_and_preload_peak_bytes_per_row():
         f"against {budget:.2f}"
 
 
+def test_dataset_and_preload_bytecodes_per_row():
+    budget = _row(_SETUP_BYTECODE_BUDGETS, "dataset and preload bytecodes")
+    (executed,) = _in_fresh_process("bytecodes")
+    assert executed <= budget * _ROOM, \
+        f"dataset -> preload: {executed:.2f} bytecodes per stored row " \
+        f"against {budget:.2f}"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["setup"]:
         print(repr(_setup_peak_bytes_per_row()))
+    elif sys.argv[1:] == ["bytecodes"]:
+        print(repr(_setup_bytecodes_per_row()))
     else:
         print("%r %r" % _preload_bytes_per_row())

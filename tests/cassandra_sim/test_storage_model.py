@@ -70,7 +70,10 @@ def resolved(table, kid, version):
     """``version`` as row ``kid`` of ``table`` reads, without building it
     (a row never read holds the marker)."""
     if version is TIME_ZERO:
-        return VersionedValue(table._space.values[kid], PRELOAD)
+        values = table._space.values
+        # One row and a batch read the same value (a list or a column).
+        assert values.take([kid, kid]) == [values[kid]] * 2
+        return VersionedValue(values[kid], PRELOAD)
     return version
 
 
@@ -385,3 +388,44 @@ def test_values_of_reads_unread_rows_from_the_key_space():
     keys, versions, _ = table.export_rows(rows)
     assert sorted(table.values_of(rows, versions)) == sorted(
         "written" if key == "user1" else items[key] for key in keys)
+
+
+@pytest.mark.parametrize("written", [["zz"], ["zz", "user3"], []],
+                         ids=["other-key", "preloaded-key", "none"])
+def test_a_columns_preload_after_a_write_reads_every_row_by_key_id(written):
+    """Regression: a write takes key id 0 before a dataset's columns are
+    preloaded, so the preloaded rows' ids start past it; the value column
+    must be addressed by key id, not by its own row number."""
+    dataset = Dataset(60, value_size_bytes=11)
+    cluster = build(4, 3, 4)
+    for key in written:
+        cluster.replicas[0].table.apply(key, VersionedValue("w", (1.0, "n", 1)))
+    cluster.preload(dataset.initial_items())
+    expected = {dataset.key(i): dataset.initial_value(i) for i in range(60)}
+    writer = cluster.replicas[0].table
+    for replica in cluster.replicas:
+        table = replica.table
+        rows = table.rows_in_range(0, 0)
+        keys, versions, _ = table.export_rows(rows)
+        wanted = ["w" if table is writer and key in written else expected[key]
+                  for key in keys]
+        assert sorted(table.values_of(rows, versions)) == sorted(wanted)
+        assert [table.get(key).value for key in keys] == wanted
+
+
+def test_preloads_from_columns_and_dicts_in_turn_keep_every_value():
+    """A dict preload after a columns preload, and a columns preload after
+    a dict one, each onto new keys: every row reads its own value."""
+    cluster = build(4, 2, 4)
+    first = Dataset(40, value_size_bytes=5, key_prefix="a")
+    third = Dataset(30, value_size_bytes=8, key_prefix="c")
+    cluster.preload(first.initial_items())
+    cluster.preload({f"b{i}": i for i in range(25)})
+    cluster.preload(third.initial_items())
+    expected = {**dict(first.initial_items().items()),
+                **{f"b{i}": i for i in range(25)},
+                **dict(third.initial_items().items())}
+    for key, value in expected.items():
+        for name in cluster.partitioner.replicas_for(key):
+            assert cluster.replica_by_name(name).table.get(key) == \
+                VersionedValue(value, PRELOAD)

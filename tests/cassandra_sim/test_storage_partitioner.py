@@ -15,6 +15,7 @@ from repro.cassandra_sim.partitioner import (
 )
 from repro.cassandra_sim.storage import ColumnarTable, KeySpace
 from repro.cassandra_sim.versions import VersionedValue, resolve
+from repro.workloads.records import Dataset
 
 
 class TestVersions:
@@ -71,10 +72,20 @@ class TestKeySpace:
         ids = space.extend(["b", "c"], [2, 3], ["vb", "vc"])
         assert ids == range(1, 3)
         assert space.ids == {"a": 0, "b": 1, "c": 2}
-        assert space.values == [None, "vb", "vc"]
+        # Ids 1 and 2 have time-zero values; id 0, made by a write, none.
+        assert space.values[1:] == ["vb", "vc"]
+        assert space.values.take([2, 1, 2]) == ["vc", "vb", "vc"]
         assert column == [None] * 3
         assert space.new_column() == [None] * 3
         assert space._order is None
+
+    def test_extend_keeps_a_value_column_addressed_by_key_id(self):
+        space = KeySpace()
+        space.add("a", 1)
+        column = Dataset(3, value_size_bytes=4).initial_items().values()
+        ids = space.extend(["b", "c", "d"], [2, 3, 4], column)
+        assert [space.values[kid] for kid in ids] == list(column)
+        assert space.values.take(reversed(ids)) == list(column)[::-1]
 
     def test_an_argsort_is_rebuilt_once_keys_were_added(self):
         space = KeySpace()

@@ -112,6 +112,13 @@ class TestArrivalAndValueStreams:
         values = [dataset.random_value() for _ in range(40)]
         assert values == [make_value(reference, 24) for _ in range(40)]
 
+    def test_make_value_matches_per_draw_choice(self):
+        rng, reference = random.Random(9), random.Random(9)
+        for size in (1, 24, 100, 7):
+            assert make_value(rng, size) == "".join(
+                [reference.choice(records._PRINTABLE) for _ in range(size)])
+        assert rng.getstate() == reference.getstate()
+
 
 def _sha256(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -170,16 +177,60 @@ class TestInitialValueChunking:
         """The chunk only bounds the draw's temporaries: stream consumption
         is exact across refills, so any chunking yields the same strings."""
         count = 3 * records._INITIAL_CHUNK + 17
-        reference = Dataset(count, value_size_bytes=10)
-        reference._fill_initial_values(count)
+        reference = list(
+            Dataset(count, value_size_bytes=10).initial_items().values())
         monkeypatch.setattr(records, "_INITIAL_CHUNK", chunk)
-        rechunked = Dataset(count, value_size_bytes=10)
-        rechunked._fill_initial_values(count)
-        # (a fill may run past ``count`` to the end of its last chunk)
-        assert rechunked._initial_values[:count] == \
-            reference._initial_values[:count]
+        rechunked = Dataset(count, value_size_bytes=10).initial_items()
+        assert list(rechunked.values()) == reference
         # ... and filling on demand, index by index, agrees too.
         lazy = Dataset(count, value_size_bytes=10)
-        for index in (0, 255, 256, 4_095, 4_096, count - 1):
-            assert lazy.initial_value(index) == \
-                reference._initial_values[index]
+        for index in (0, 255, 256, 4_095, 4_096, 17, count - 1):
+            assert lazy.initial_value(index) == reference[index]
+        assert list(lazy.initial_items().values()) == reference
+
+    def test_reading_upward_does_not_copy_the_text_per_read(self):
+        """Values read one by one upward draw the text in fills that at
+        least double it: the texts built along the way add up to at most
+        three times the last one, not to a sum that grows with the square
+        of the count (3.2 million characters here at 256 values a fill,
+        against 80,000 in the last text)."""
+        count, size = 20_000, 4
+        dataset = Dataset(count, value_size_bytes=size)
+        built, text = 0, None
+        for index in range(count):
+            dataset.initial_value(index)
+            if dataset._initial_text is not text:
+                text = dataset._initial_text
+                built += len(text)
+        assert len(text) == count * size
+        assert built <= 3 * count * size
+
+
+class TestTextColumn:
+    """A value column over one text, as ``initial_items()`` hands it to a
+    preload and a key space keeps it."""
+
+    def test_take_equals_reading_value_by_value(self):
+        column = Dataset(300, value_size_bytes=7).initial_items().values()
+        order = list(range(299, -1, -3)) + [5, 5, 0]
+        permuted = column.permuted(order)
+        for values in (column, permuted):
+            rows = list(range(len(values))) + [0, 2, 2, len(values) - 1]
+            assert values.take(rows) == [values[row] for row in rows]
+            assert values.take(iter(rows)) == values.take(rows)
+            assert list(values) == [values[row]
+                                    for row in range(len(values))]
+        assert [permuted[j] for j in range(len(order))] == \
+            [column[i] for i in order]
+
+    def test_values_are_the_dataset_initial_values(self):
+        dataset = Dataset(50, value_size_bytes=9)
+        items = dataset.initial_items()
+        assert list(items.values()) == [dataset.initial_value(i)
+                                        for i in range(50)]
+        assert list(items.items()) == [(dataset.key(i),
+                                        dataset.initial_value(i))
+                                       for i in range(50)]
+        assert items["user17"] == dataset.initial_value(17)
+        assert ("user3", dataset.initial_value(3)) in items.items()
+        assert ("user3", dataset.initial_value(4)) not in items.items()

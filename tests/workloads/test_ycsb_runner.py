@@ -48,11 +48,24 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(record_count=5, value_size_bytes=size)
 
+    @pytest.mark.parametrize("spec", [
+        {"record_count": float("nan")}, {"value_size_bytes": float("nan")},
+        {"record_count": 10.5}, {"value_size_bytes": 2.5},
+        {"record_count": 10.0}, {"value_size_bytes": "100"}],
+        ids=["nan-count", "nan-size", "fractional-count", "fractional-size",
+             "float-count", "text-size"])
+    def test_non_int_sizes_rejected_at_construction(self, spec):
+        """A size that is not a positive int fails when the dataset is
+        built, not at its first key or value."""
+        with pytest.raises(ValueError, match="must be a positive int"):
+            Dataset(**spec)
+
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
             Dataset(record_count=0)
-        with pytest.raises(ValueError):
-            make_value(random.Random(0), 0)
+        for size in (0, float("nan"), 2.5):
+            with pytest.raises(ValueError):
+                make_value(random.Random(0), size)
 
     def test_custom_prefix(self):
         dataset = Dataset(record_count=3, key_prefix="profile:")
