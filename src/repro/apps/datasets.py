@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.workloads.records import make_value
+from repro.workloads.records import check_positive_int, make_value
 
 
 @dataclass
@@ -32,6 +32,7 @@ class AdsDataset:
     def __post_init__(self) -> None:
         if self.profile_count <= 0 or self.ad_count <= 0:
             raise ValueError("profile_count and ad_count must be positive")
+        check_positive_int("ad_body_bytes", self.ad_body_bytes)
         rng = random.Random(self.seed)
         for index in range(self.profile_count):
             count = rng.randint(self.min_ads_per_profile,
@@ -90,6 +91,7 @@ class TwissandraDataset:
     def __post_init__(self) -> None:
         if self.user_count <= 0 or self.tweet_count <= 0:
             raise ValueError("user_count and tweet_count must be positive")
+        check_positive_int("tweet_body_bytes", self.tweet_body_bytes)
         rng = random.Random(self.seed)
         for index in range(self.user_count):
             length = rng.randint(1, self.timeline_length)

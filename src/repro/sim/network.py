@@ -31,8 +31,7 @@ link charge, the jitter draw, the scheduler insert — and nothing else:
   hold their link's row.  Registering a node invalidates nothing: no
   existing route can mention it.
 * Partition and degradation checks cost one truthiness test each while no
-  fault is installed (no ``frozenset`` allocation); payload sizing is
-  iterative with a cache for non-ASCII strings.
+  fault is installed (no ``frozenset`` allocation).
 
 There is one send path, :meth:`Network.fused_send_to`: it accounts the hop
 and schedules a pre-bound continuation at the delivery instant.  Every
@@ -41,9 +40,10 @@ request path carries its own per-operation state and calls it directly
 operation and the leader's shared ``Transaction``; 2PC: one ``TxnOp`` per
 transaction), and its continuation does the delivery-side accounting
 (``messages_delivered`` and the dead-destination drop); the sender learns
-from the return value whether anything was scheduled at all.
-:meth:`Network.send` is ``fused_send_to`` plus a :class:`Message` and its
-``on_<kind>`` dispatch: the control plane, streaming and read repair.
+from the return value whether anything was scheduled at all; control-plane
+hops share one such step, ``Node._receive_control``.  :meth:`Network.send`
+is ``fused_send_to`` plus a :class:`Message` and its ``on_<kind>``
+dispatch: Cassandra's read repair and range streaming, nothing else.
 """
 
 from __future__ import annotations
@@ -65,11 +65,12 @@ def estimate_payload_size(payload: Any) -> int:
     """Rough byte size of a message payload.
 
     The simulator does not serialize payloads; this helper estimates sizes so
-    bandwidth figures have realistic proportions.  Callers that know the true
-    wire size (e.g. a 100 B YCSB value) should pass ``size_bytes`` explicitly
-    to :meth:`Network.send` instead.  Traversal is iterative (no recursion
-    limit on deeply nested payloads) and sums are order-independent, so the
-    result matches the original recursive definition exactly.
+    bandwidth figures have realistic proportions (a ZooKeeper snapshot, a
+    :class:`Message` sent without ``size_bytes``).  Callers that know the
+    true wire size (e.g. a 100 B YCSB value) pass it explicitly instead.
+    Traversal is iterative (no recursion limit on deeply nested payloads)
+    and sums are order-independent, so the result matches the original
+    recursive definition exactly.
     """
     total = 0
     stack = [payload]

@@ -115,6 +115,25 @@ class Node:
             self._handler_cache[kind] = handler
         handler(message)
 
+    # -- control-plane hops -------------------------------------------------
+    def _send_control(self, size_bytes: int, handler: Callable[..., Any],
+                      *args: Any) -> None:
+        """Send a hop that runs ``handler(*args)``, a method of the
+        destination node, at delivery through its :meth:`_receive_control`."""
+        dst = handler.__self__
+        self.network.fused_send_to(self, dst.name, size_bytes,
+                                   dst._receive_control, (handler, args))
+
+    def _receive_control(self, handler: Callable[..., Any],
+                         args: tuple) -> None:
+        """Every control-plane hop's one delivery step: ``Network._deliver``
+        minus the :class:`Message`."""
+        if self.alive:
+            self.network.messages_delivered += 1
+            handler(*args)
+        else:
+            self.network.messages_dropped += 1
+
     # -- local work --------------------------------------------------------
     def _enqueue(self, service_time_ms: float, fn: Callable[..., Any],
                  args: tuple) -> None:

@@ -7,7 +7,7 @@ list order (standby rank ``r`` waits ``(1 + r)`` detection timeouts, so the
 first surviving standby always wins and the election is deterministic).
 
 A successor recovers by *fencing then reading*: it bumps the group epoch,
-probes every participant with ``txn_takeover`` (which both installs the new
+probes every participant with ``_txn_takeover`` (which both installs the new
 epoch — rejecting any in-flight old-epoch traffic — and returns the
 participant's log), and drives every in-flight transaction to a consistent
 outcome:
@@ -25,11 +25,12 @@ participant's commit ack — i.e. only once at least one durable commit
 record exists — which is the invariant that makes "no lost acked commits"
 hold through a mid-commit crash.
 
-Every request-path hop is a :meth:`~repro.sim.network.Network.fused_send_to`
+Every hop is a :meth:`~repro.sim.network.Network.fused_send_to`
 continuation on the receiving node, starting with the manager's
-:class:`~repro.txn.manager.TxnOp` in :meth:`_txn_begin`; only heartbeats
-and the takeover probe and reply, the control plane, are ``Message``
-traffic.
+:class:`~repro.txn.manager.TxnOp` in :meth:`_txn_begin`; the control
+plane — heartbeats (:meth:`_coord_heartbeat`) and the takeover probe and
+reply — goes through :meth:`~repro.sim.node.Node._send_control`, no
+``Message`` anywhere.
 
 In-memory coordinator state (``in_flight``, ``decided``, delivery
 bookkeeping) is volatile: :meth:`recover` clears it, modelling a restart
@@ -42,7 +43,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.sim.network import MESSAGE_HEADER_BYTES, Message, Network
+from repro.sim.network import MESSAGE_HEADER_BYTES, Network
 from repro.sim.node import Node
 from repro.txn.config import TxnConfig
 from repro.txn.log import TxnLogRecord, TxnState
@@ -180,22 +181,22 @@ class TwoPhaseCommitCoordinator(Node):
                                 self._heartbeat_tick)
 
     def _broadcast_heartbeat(self) -> None:
+        node = self.network.node
         for peer in self.peers:
             if peer != self.name:
-                self.send(peer, "coord_heartbeat",
-                          {"name": self.name, "epoch": self.epoch},
-                          size_bytes=MESSAGE_HEADER_BYTES + 16)
+                self._send_control(MESSAGE_HEADER_BYTES + 16,
+                                   node(peer)._coord_heartbeat, self.name,
+                                   self.epoch)
         self.heartbeats_sent += 1
 
-    def on_coord_heartbeat(self, message: Message) -> None:
-        payload = message.payload
-        if payload["epoch"] < self.known_epoch:
+    def _coord_heartbeat(self, name: str, epoch: int) -> None:
+        if epoch < self.known_epoch:
             return
-        if payload["epoch"] > self.known_epoch or not self.active:
-            if self.active and payload["epoch"] > self.epoch:
+        if epoch > self.known_epoch or not self.active:
+            if self.active and epoch > self.epoch:
                 self._deactivate()
-            self.known_epoch = payload["epoch"]
-            self.active_name = payload["name"]
+            self.known_epoch = epoch
+            self.active_name = name
         self._last_heard_ms = self.scheduler.now()
 
     def _standby_rank(self) -> int:
@@ -238,9 +239,9 @@ class TwoPhaseCommitCoordinator(Node):
             self._finish_recovery_if_done()
 
     def _send_takeover_probe(self, participant: str) -> None:
-        self.send(participant, "txn_takeover",
-                  {"epoch": self.epoch, "coordinator": self.name},
-                  size_bytes=MESSAGE_HEADER_BYTES + 16)
+        self._send_control(MESSAGE_HEADER_BYTES + 16,
+                           self.network.node(participant)._txn_takeover,
+                           self, self.epoch)
 
     def _probe_tick(self) -> None:
         if not self.alive or not self.active or not self.recovering:
@@ -251,14 +252,13 @@ class TwoPhaseCommitCoordinator(Node):
         self.scheduler.schedule(self.config.takeover_probe_ms,
                                 self._probe_tick)
 
-    def on_txn_takeover_ack(self, message: Message) -> None:
-        payload = message.payload
-        if self._not_current(payload["epoch"]) or not self.recovering:
+    def _txn_takeover_ack(self, participant: str, epoch: int,
+                          records: List[TxnLogRecord]) -> None:
+        if self._not_current(epoch) or not self.recovering:
             return
-        participant = payload["participant"]
         self._takeover_pending.discard(participant)
         self._takeover_replied.add(participant)
-        for record in payload["records"]:
+        for record in records:
             self._merge_recovered_record(record)
         self._resolve_in_doubt()
 

@@ -6,8 +6,9 @@ committed transactions into the replica's local table as ordinary LWW
 versions, and answers takeover coordinators with its log state.
 
 Prepares and decisions arrive, and votes and acks go back, as
-:meth:`~repro.sim.network.Network.fused_send_to` continuations; only the
-takeover probe and its reply are ``Message`` traffic.
+:meth:`~repro.sim.network.Network.fused_send_to` continuations; the
+takeover probe and its reply are control-plane hops
+(:meth:`~repro.sim.node.Node._send_control`).
 
 Epoch discipline: every coordinator request carries the sender's epoch.  A
 participant tracks the highest epoch it has seen and rejects work from
@@ -22,7 +23,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.cassandra_sim.replica import CassandraReplica
 from repro.cassandra_sim.versions import VersionedValue
-from repro.sim.network import Message, Network
+from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.txn.config import TxnConfig
 from repro.txn.coordinator import InFlightTxn
@@ -182,7 +183,7 @@ class TxnParticipant(Node):
             del self.locks[key]
 
     # -- takeover recovery --------------------------------------------------
-    def on_txn_takeover(self, message: Message) -> None:
+    def _txn_takeover(self, coordinator: Node, epoch: int) -> None:
         """A successor coordinator announces its epoch and reads our log.
 
         Bumping the epoch *before* replying fences the deposed coordinator:
@@ -191,16 +192,13 @@ class TxnParticipant(Node):
         are rejected and the state in the reply cannot be invalidated by
         old-epoch traffic.
         """
-        epoch = message.payload["epoch"]
         if self._stale(epoch):
             return
         self.epoch = epoch
         self.takeover_replies += 1
-        self.send(message.src, "txn_takeover_ack", {
-            "participant": self.name,
-            "epoch": epoch,
-            "records": self.log.snapshot(),
-        }, size_bytes=128 + 64 * len(self.log))
+        self._send_control(128 + 64 * len(self.log),
+                           coordinator._txn_takeover_ack, self.name, epoch,
+                           self.log.snapshot())
 
     # -- introspection ------------------------------------------------------
     def in_doubt_txns(self) -> list:

@@ -45,13 +45,19 @@ _INITIAL_VALUE_SEED = 0x1CC2_05D1
 _INITIAL_CHUNK = 1 << 12
 
 
+def check_positive_int(name: str, value: object) -> None:
+    """The rule for a count or a size: a ``ValueError`` naming ``name``
+    unless ``value`` is a positive int."""
+    if not isinstance(value, int) or not value >= 1:
+        raise ValueError(f"{name} must be a positive int: {value!r}")
+
+
 def make_value(rng: random.Random, size_bytes: int = 100) -> str:
     """A random printable string of ``size_bytes`` characters:
     ``"".join(rng.choice(_PRINTABLE) for _ in range(size_bytes))``, drawn in
     bulk by :func:`repro.workloads.fastrand.chars` (the same string, and the
     generator left in the same state)."""
-    if not isinstance(size_bytes, int) or not size_bytes >= 1:
-        raise ValueError(f"value size must be a positive int: {size_bytes!r}")
+    check_positive_int("size_bytes", size_bytes)
     return fastrand.chars(rng, size_bytes, _PRINTABLE)
 
 
@@ -123,10 +129,8 @@ class Dataset:
 
     def __init__(self, record_count: int = 1000, value_size_bytes: int = 100,
                  key_prefix: str = "user", seed: int = 0) -> None:
-        for name, count in (("record_count", record_count),
-                            ("value_size_bytes", value_size_bytes)):
-            if not isinstance(count, int) or not count >= 1:
-                raise ValueError(f"{name} must be a positive int: {count!r}")
+        check_positive_int("record_count", record_count)
+        check_positive_int("value_size_bytes", value_size_bytes)
         self.record_count = record_count
         self.value_size_bytes = value_size_bytes
         self.key_prefix = key_prefix

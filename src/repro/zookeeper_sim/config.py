@@ -51,11 +51,17 @@ class ZooKeeperConfig:
     def __post_init__(self) -> None:
         for name in ("request_service_ms", "proposal_service_ms",
                      "apply_service_ms", "simulation_service_ms",
-                     "element_size_bytes", "child_name_bytes",
-                     "path_size_bytes", "ack_bytes", "heartbeat_interval_ms",
-                     "request_timeout_ms", "client_retries"):
+                     "heartbeat_interval_ms", "request_timeout_ms"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
+        # Wire sizes and a retry count: a fraction or an infinity would
+        # become a float wire size, or retry forever.
+        for name in ("element_size_bytes", "child_name_bytes",
+                     "path_size_bytes", "ack_bytes", "client_retries"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(
+                    f"{name} must be a non-negative int: {value!r}")
         if self.heartbeat_interval_ms > 0:
             if not self.leader_timeout_ms > self.heartbeat_interval_ms:
                 raise ValueError(

@@ -162,11 +162,6 @@ class DataTree:
         """Return the data stored at ``path``."""
         return self._lookup(path).data
 
-    def set(self, path: str, data: Any) -> None:
-        node = self._lookup(path)
-        node.data = data
-        node.version += 1
-
     def get_children(self, path: str) -> List[str]:
         """Sorted child names of ``path`` (sorted order drives queue FIFO)."""
         node = self._lookup(path)

@@ -1,6 +1,6 @@
 """ZooKeeper server node: leader or follower.
 
-Request flow for a write transaction (create / delete / set / dequeue).
+Request flow for a write transaction (create / delete / enqueue / dequeue).
 Each hop is a continuation scheduled at its delivery instant by
 :meth:`~repro.sim.network.Network.fused_send_to` — no ``Message``, no
 payload dict — carrying the client's one
@@ -18,9 +18,9 @@ payload dict — carrying the client's one
    that originally received the client request (the *origin*) computes the
    result of the application locally and answers ``ZKClient._zk_response``.
 
-A continuation opens with what ``Network._deliver`` does for a message (a
-dead destination counts a drop, a live one a delivery), then the epoch
-guard, then the processing-queue job.  Servers read only what was on the
+A request-path continuation opens with the delivery step inlined (a dead
+destination counts a drop, a live one a delivery), then the epoch guard,
+then the processing-queue job.  Servers read only what was on the
 wire — ``req_id/op/path/data/sequential/icg`` and the reply address
 ``client`` — never the record's retry state.
 
@@ -38,27 +38,31 @@ of the local state would do.
 Failure detection and leader election (enabled by
 ``config.heartbeat_interval_ms > 0`` plus
 :meth:`ZKServer.enable_failure_detection`): followers ping the leader every
-heartbeat interval; one that misses replies for ``leader_timeout_ms``
-announces its candidacy (``zk_election``) carrying its last applied zxid.
-After ``election_window_ms`` every elector tallies the candidacies it saw —
-requiring a majority of the ensemble — and the candidate with the highest
-``(last_applied, name)`` promotes itself, bumps the epoch, and broadcasts
-``zk_new_leader``.  Followers then discard uncommitted proposals of the dead
-epoch, catch up missing transactions from the new leader's applied log
-(``zk_sync_req`` / ``zk_sync``), and re-forward writes that were in flight.
-Zab messages are epoch-tagged so stragglers from a deposed leader are
-ignored.  A recovering server broadcasts ``zk_whois_leader`` and rejoins as a
-follower of whoever currently leads.  Writes orphaned by a leader crash are
-abandoned server-side; clients re-issue them (at-least-once), as with real
-ZooKeeper session retries.  This control plane (well under 1% of the
-traffic) stays :class:`~repro.sim.network.Message` s handled by ``on_<kind>``.
+heartbeat interval (``_zk_ping`` / ``_zk_pong``); one that misses replies
+for ``leader_timeout_ms`` announces its candidacy (``_zk_election``)
+carrying its last applied zxid.  After ``election_window_ms`` every elector
+tallies the candidacies it saw — requiring a majority of the ensemble — and
+the candidate with the highest ``(last_applied, name)`` promotes itself,
+bumps the epoch, and broadcasts ``_zk_new_leader``.  Followers then discard
+uncommitted proposals of the dead epoch, catch up missing transactions from
+the new leader's applied log (``_zk_sync_req`` / ``_zk_sync``, or a full
+``_zk_snapshot``), and re-forward writes that were in flight.  Zab hops are
+epoch-tagged so stragglers from a deposed leader are ignored.  A recovering
+server asks its peers (``_zk_whois_leader``) and rejoins as a follower of
+whoever currently leads (``_zk_leader_info``).  Writes orphaned by a leader
+crash are abandoned server-side; clients re-issue them (at-least-once), as
+with real ZooKeeper session retries.  These control-plane hops are
+continuations too, sent by :meth:`~repro.sim.node.Node._send_control` and
+delivered through :meth:`~repro.sim.node.Node._receive_control`, the one
+delivery step they share; each carries the sender node where the receiver
+answers it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from repro.sim.network import (MESSAGE_HEADER_BYTES, Message, Network,
+from repro.sim.network import (MESSAGE_HEADER_BYTES, Network,
                                estimate_payload_size)
 from repro.sim.node import Node
 from repro.zookeeper_sim.config import ZooKeeperConfig
@@ -69,9 +73,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.zookeeper_sim.client import ZkOp
 
 #: Operation types that mutate state and therefore go through Zab.
-WRITE_OPS = {"create", "delete", "set", "enqueue", "dequeue"}
+WRITE_OPS = {"create", "delete", "enqueue", "dequeue"}
 #: Operation types served locally by the contacted server.
-READ_OPS = {"get", "get_children", "exists"}
+READ_OPS = {"get", "get_children"}
 
 
 class ZKServer(Node):
@@ -171,8 +175,6 @@ class ZKServer(Node):
                                 self._heartbeat_tick)
 
     def _heartbeat_tick(self) -> None:
-        if not self._failure_detection:
-            return
         # Keep the tick alive through crashes so a recovered follower
         # resumes monitoring; a crashed node neither sends nor suspects.
         self._schedule_heartbeat()
@@ -180,8 +182,7 @@ class ZKServer(Node):
             self._expire_orphan_origins()
         if not self.alive or self.is_leader or self.leader_name is None:
             return
-        self.send(self.leader_name, "zk_ping", {"server": self.name},
-                  size_bytes=self._ack_size)
+        self._send_control(self._ack_size, self._leader._zk_ping, self)
         stale_for = self.scheduler.now() - self._last_pong_ms
         if stale_for > self.config.leader_timeout_ms:
             self._start_election()
@@ -198,22 +199,18 @@ class ZKServer(Node):
     def _request_sync(self, epoch: int) -> None:
         """Ask the leader for what this server missed; ``epoch`` (the one it
         last followed) decides between a diff sync and a full snapshot."""
-        self.send(self.leader_name, "zk_sync_req",
-                  {"server": self.name,
-                   "last_applied": self.commit_log.last_applied,
-                   "epoch": epoch},
-                  size_bytes=self._ack_size)
+        self._send_control(self._ack_size, self._leader._zk_sync_req, self,
+                           self.commit_log.last_applied, epoch)
 
-    def on_zk_ping(self, message: Message) -> None:
+    def _zk_ping(self, follower: ZKServer) -> None:
         if self.is_leader:
-            self.send(message.src, "zk_pong", {"epoch": self.epoch},
-                      size_bytes=self._ack_size)
+            self._send_control(self._ack_size, follower._zk_pong, self.epoch)
         else:
             # Stale ping (this server was deposed or never led): redirect.
-            self._send_leader_info(message.src)
+            self._send_leader_info(follower)
 
-    def on_zk_pong(self, message: Message) -> None:
-        if message.payload.get("epoch", self.epoch) >= self.epoch:
+    def _zk_pong(self, epoch: int) -> None:
+        if epoch >= self.epoch:
             self._last_pong_ms = self.scheduler.now()
 
     def _start_election(self) -> None:
@@ -228,23 +225,20 @@ class ZKServer(Node):
         candidates = self._election_candidates.setdefault(epoch, {})
         candidates[self.name] = self.commit_log.last_applied
         for peer in self._peers:
-            self.send(peer.name, "zk_election",
-                      {"epoch": epoch, "candidate": self.name,
-                       "last_applied": self.commit_log.last_applied},
-                      size_bytes=self._ack_size)
+            self._send_control(self._ack_size, peer._zk_election, self, epoch,
+                               self.commit_log.last_applied)
         self.scheduler.schedule(self.config.election_window_ms,
                                 self._conclude_election, epoch)
 
-    def on_zk_election(self, message: Message) -> None:
-        payload = message.payload
-        epoch = payload["epoch"]
+    def _zk_election(self, candidate: ZKServer, epoch: int,
+                     last_applied: int) -> None:
         if epoch <= self.epoch:
             # A stale suspicion; if this server currently leads, reassert.
-            if self.is_leader and self.alive:
-                self._send_leader_info(message.src)
+            if self.is_leader:
+                self._send_leader_info(candidate)
             return
         candidates = self._election_candidates.setdefault(epoch, {})
-        candidates[payload["candidate"]] = payload["last_applied"]
+        candidates[candidate.name] = last_applied
         if self._announced_epoch < epoch and not self.is_leader:
             self._announce_candidacy(epoch)
 
@@ -288,10 +282,8 @@ class ZKServer(Node):
         self._election_candidates = {
             e: c for e, c in self._election_candidates.items() if e > epoch}
         for peer in self._peers:
-            self.send(peer.name, "zk_new_leader",
-                      {"leader": self.name, "epoch": epoch,
-                       "last_applied": self.commit_log.last_applied},
-                      size_bytes=self._ack_size)
+            self._send_control(self._ack_size, peer._zk_new_leader,
+                               self.name, epoch)
         for txn in orphans:
             self._repropose(txn)
         # Writes this server had forwarded to the dead leader restart here.
@@ -317,18 +309,15 @@ class ZKServer(Node):
         if orphan is not None:
             self._origin_requests[txn.zxid] = (orphan[0], txn.origin_request)
 
-    def on_zk_new_leader(self, message: Message) -> None:
-        payload = message.payload
-        if payload["epoch"] < self.epoch:
+    def _zk_new_leader(self, leader: str, epoch: int) -> None:
+        if epoch < self.epoch:
             return
-        if payload["epoch"] == self.epoch \
-                and payload["leader"] == self.leader_name:
+        if epoch == self.epoch and leader == self.leader_name:
             return  # duplicate announcement
-        self._adopt_leader(payload["leader"], payload["epoch"])
+        self._adopt_leader(leader, epoch)
 
     def _adopt_leader(self, leader: str, epoch: int) -> None:
-        if leader == self.name:
-            return
+        """Follow ``leader`` (never this server) from ``epoch`` on."""
         prev_epoch = self.epoch
         self.epoch = epoch
         self.become_follower(leader, self.ensemble)
@@ -368,99 +357,89 @@ class ZKServer(Node):
                 request: entry for request, entry
                 in self._orphan_origins.items() if entry[1] > cutoff}
 
-    def _send_leader_info(self, dst: str) -> None:
-        if self.leader_name is None:
-            return
-        self.send(dst, "zk_leader_info",
-                  {"leader": self.leader_name, "epoch": self.epoch},
-                  size_bytes=self._ack_size)
+    def _send_leader_info(self, dst: ZKServer) -> None:
+        self._send_control(self._ack_size, dst._zk_leader_info,
+                           self.leader_name, self.epoch)
 
-    def on_zk_whois_leader(self, message: Message) -> None:
-        self._send_leader_info(message.src)
+    def _zk_whois_leader(self, asking: ZKServer) -> None:
+        self._send_leader_info(asking)
 
-    def on_zk_leader_info(self, message: Message) -> None:
-        payload = message.payload
-        if payload["epoch"] < self.epoch or payload["leader"] == self.name:
+    def _zk_leader_info(self, leader: str, epoch: int) -> None:
+        if epoch < self.epoch or leader == self.name:
             return
-        if payload["epoch"] == self.epoch and not self.is_leader \
-                and payload["leader"] == self.leader_name:
+        if epoch == self.epoch and not self.is_leader \
+                and leader == self.leader_name:
             return  # nothing new
-        self._adopt_leader(payload["leader"], payload["epoch"])
+        self._adopt_leader(leader, epoch)
 
-    def on_zk_sync_req(self, message: Message) -> None:
-        payload = message.payload
-        requester_epoch = payload.get("epoch", self.epoch)
-        if requester_epoch < self.epoch \
-                or payload["last_applied"] > self.commit_log.last_applied:
+    def _zk_sync_req(self, follower: ZKServer, last_applied: int,
+                     epoch: int) -> None:
+        if epoch < self.epoch or last_applied > self.commit_log.last_applied:
             # The requester slept through at least one election (or carries
             # applied state from a dead leadership whose zxids this epoch
             # recycled): a diff sync cannot reconcile it, send a snapshot.
-            self._send_snapshot(message.src)
-            self._retransmit_pending(message.src)
+            self._send_snapshot(follower)
+            self._retransmit_pending(follower)
             return
-        missing = [txn for txn in self.applied_log
-                   if txn.zxid > payload["last_applied"]]
+        missing = [txn for txn in self.applied_log if txn.zxid > last_applied]
         if missing:
             self.syncs_served += 1
-            self.send(message.src, "zk_sync",
-                      {"epoch": self.epoch, "txns": missing},
-                      size_bytes=(MESSAGE_HEADER_BYTES
-                                  + len(missing) * (self.config.path_size_bytes
-                                                    + self.config.element_size_bytes)))
-        self._retransmit_pending(message.src)
+            self._send_control(
+                MESSAGE_HEADER_BYTES + len(missing) * (
+                    self.config.path_size_bytes
+                    + self.config.element_size_bytes),
+                follower._zk_sync, missing)
+        self._retransmit_pending(follower)
 
-    def _retransmit_pending(self, dst: str) -> None:
-        """Re-send every uncommitted proposal of this leadership to ``dst``:
-        a follower adopting a new leader mid-stream dropped (epoch-guarded)
-        what was broadcast before it switched epochs, and those zxids could
-        otherwise never reach quorum, stalling every later transaction."""
+    def _retransmit_pending(self, follower: ZKServer) -> None:
+        """Re-send every uncommitted proposal of this leadership to
+        ``follower``: one adopting a new leader mid-stream dropped
+        (epoch-guarded) what was broadcast before it switched epochs, and
+        those zxids could otherwise never reach quorum, stalling every later
+        transaction."""
         if not self.is_leader or self.tracker is None:
             return
-        peer = self.network.node(dst)
         for txn in self.tracker.pending_transactions():
-            self.network.fused_send_to(self, dst, self._txn_size,
-                                       peer._zab_proposal,
-                                       (txn, self.epoch, self.name))
+            self.network.fused_send_to(self, follower.name, self._txn_size,
+                                       follower._zab_proposal,
+                                       (txn, self.epoch, self))
 
-    def on_zk_sync(self, message: Message) -> None:
-        for txn in message.payload["txns"]:
+    def _zk_sync(self, txns: List[Transaction]) -> None:
+        for txn in txns:
             if txn.zxid > self.commit_log.last_applied:
                 self._apply_committed(txn)
                 self.commit_log.last_applied = txn.zxid
 
-    def _send_snapshot(self, dst: str) -> None:
+    def _send_snapshot(self, dst: ZKServer) -> None:
         """Full state transfer (ZooKeeper's SNAP sync): tree + applied log."""
         self.snapshots_served += 1
         tree_snapshot = self.tree.snapshot()
         # The log goes as a tuple of the shared records: the receiver gets
         # the transactions, never this server's own (growing) list.
         log = tuple(self.applied_log)
-        self.send(dst, "zk_snapshot",
-                  {"epoch": self.epoch, "leader": self.leader_name,
-                   "last_applied": self.commit_log.last_applied,
-                   "tree": tree_snapshot, "log": log},
-                  size_bytes=(MESSAGE_HEADER_BYTES
-                              + estimate_payload_size(tree_snapshot)
-                              + len(log) * self.config.path_size_bytes))
+        self._send_control(
+            MESSAGE_HEADER_BYTES + estimate_payload_size(tree_snapshot)
+            + len(log) * self.config.path_size_bytes,
+            dst._zk_snapshot, self.epoch, self.leader_name,
+            self.commit_log.last_applied, tree_snapshot, log)
 
-    def on_zk_snapshot(self, message: Message) -> None:
-        payload = message.payload
-        if payload["epoch"] < self.epoch:
+    def _zk_snapshot(self, epoch: int, leader: str, last_applied: int,
+                     tree: Any, log: Tuple[Transaction, ...]) -> None:
+        if epoch < self.epoch:
             return  # stale snapshot from a deposed leadership
         self.snapshots_received += 1
         # Adopt the snapshot's leadership too: without this, a stale-epoch
         # receiver would install the state but keep epoch-guarding away all
-        # current Zab traffic until a zk_leader_info happened by.
-        if payload["epoch"] > self.epoch and payload.get("leader") \
-                and payload["leader"] != self.name:
-            self.epoch = payload["epoch"]
-            self.become_follower(payload["leader"], self.ensemble)
+        # current Zab traffic until a leader-info hop happened by.
+        if epoch > self.epoch and leader != self.name:
+            self.epoch = epoch
+            self.become_follower(leader, self.ensemble)
             self._announced_epoch = self.epoch
             self._last_pong_ms = self.scheduler.now()
-        self.tree.restore(payload["tree"])
+        self.tree.restore(tree)
         self.commit_log = CommitLog()
-        self.commit_log.last_applied = payload["last_applied"]
-        self.applied_log = list(payload["log"])
+        self.commit_log.last_applied = last_applied
+        self.applied_log = list(log)
         # Any origin bookkeeping beyond the snapshot point refers to a dead
         # leadership; clients recover via their own timeout/retry.
         self._drop_stale_origins()
@@ -470,13 +449,13 @@ class ZKServer(Node):
         if not self._failure_detection:
             return
         # Rejoin: a deposed leader (or stale follower) finds out who leads
-        # now and follows; peers answer with zk_leader_info.
+        # now and follows; peers answer with their leader info.
         self._last_pong_ms = self.scheduler.now()
         for peer in self._peers:
-            self.send(peer.name, "zk_whois_leader", {"server": self.name},
-                      size_bytes=self._ack_size)
-        # If leadership never moved, zk_leader_info brings nothing new: ask
-        # the (still-current) leader directly for the commits slept through.
+            self._send_control(self._ack_size, peer._zk_whois_leader, self)
+        # If leadership never moved, the leader info brings nothing new:
+        # ask the (still-current) leader directly for the commits slept
+        # through.
         if not self.is_leader and self.leader_name is not None:
             self._request_sync(self.epoch)
 
@@ -511,9 +490,6 @@ class ZKServer(Node):
             if kind == "get":
                 result = self.tree.get(path)
                 size = self._reply_size
-            elif kind == "exists":
-                result = self.tree.exists(path)
-                size = self._ack_size
             else:  # get_children
                 result = self.tree.get_children(path)
                 size = (self._ack_size
@@ -559,9 +535,7 @@ class ZKServer(Node):
         if op == "delete":
             self._simulated_removed.add(path)
             return {"deleted": path}
-        if op in ("create", "set"):
-            return {"path": path}
-        return None
+        return {"path": path}  # a plain create
 
     # -- write path ----------------------------------------------------------------------
     def _zk_forward(self, origin_server: str, forward_id: int,
@@ -613,14 +587,15 @@ class ZKServer(Node):
         tracker.track(txn)
         self.commit_log.learn(txn)
         send = self.network.fused_send_to
-        proposal = (txn, self.epoch, self.name)
+        proposal = (txn, self.epoch, self)
         for peer in self._peers:
             send(self, peer.name, self._txn_size, peer._zab_proposal, proposal)
         # The leader acknowledges its own proposal.
         if tracker.record_ack(txn.zxid, self.name):
             self._commit(txn.zxid)
 
-    def _zab_proposal(self, txn: Transaction, epoch: int, src: str) -> None:
+    def _zab_proposal(self, txn: Transaction, epoch: int,
+                      leader: ZKServer) -> None:
         if not self.alive:
             self.network.messages_dropped += 1
             return
@@ -629,7 +604,7 @@ class ZKServer(Node):
             if epoch < self.epoch:
                 # A deposed-but-alive leader (partitioned away during the
                 # election) still proposes: tell it who leads now.
-                self._send_leader_info(src)
+                self._send_leader_info(leader)
             return
         self._enqueue(self.config.apply_service_ms, self._ack_proposal,
                       (txn, epoch))
@@ -686,58 +661,51 @@ class ZKServer(Node):
         """Apply the next transaction of the log; answer its client if the
         request came in through this server."""
         origin = self._origin_requests.pop(txn.zxid, None)
-        result = self._apply(txn, origin is not None)
         self.transactions_applied += 1
         self.applied_log.append(txn)
         self._last_progress_ms = self.scheduler.clock._now
-        if origin is not None:
-            self._respond(origin[0], result["ok"], result.get("result"),
-                          result.get("error"))
+        self._apply(txn, None if origin is None else origin[0])
 
-    def _apply(self, txn: Transaction,
-               answer: bool = True) -> Optional[Dict[str, Any]]:
-        """Apply ``txn`` to the tree.  Only the origin server answers a
-        client: the others pass ``answer=False`` and skip building the
-        result of a queue operation (a failure is reported either way)."""
+    def _apply(self, txn: Transaction, origin: Optional[ZkOp] = None) -> None:
+        """Apply ``txn`` (a create, delete or dequeue) to the tree and, when
+        ``origin`` is the client request it came from, answer it; the
+        other servers build no result."""
         op = txn.op
+        path = txn.path
         try:
             if op == "create":
-                created = self.tree.create(txn.path, txn.data,
+                created = self.tree.create(path, txn.data,
                                            sequential=txn.sequential)
-                parent_path = txn.path.rsplit("/", 1)[0]
+                parent_path = path.rsplit("/", 1)[0]
                 pending = self._simulated_created.get(parent_path, 0)
                 if pending > 0:
                     self._simulated_created[parent_path] = pending - 1
-                if not answer:
-                    return None
-                position = self.tree.child_count(parent_path or "/") - 1
-                return {"ok": True,
-                        "result": {"path": created,
-                                   "name": created.rsplit("/", 1)[1],
-                                   "position": position}}
-            if op == "delete":
-                self.tree.delete(txn.path)
-                self._simulated_removed.discard(txn.path)
-                return {"ok": True, "result": {"deleted": txn.path}}
-            if op == "set":
-                self.tree.set(txn.path, txn.data)
-                return {"ok": True, "result": {"path": txn.path}}
-            if op == "dequeue":
-                popped = self.tree.pop_first_child(txn.path)
-                if popped is None:
-                    return {"ok": True,
-                            "result": {"item": None, "name": None,
-                                       "remaining": 0}}
-                head, data, remaining = popped
-                self._simulated_removed.discard(f"{txn.path}/{head}")
-                if not answer:
-                    return None
-                return {"ok": True,
-                        "result": {"item": data, "name": head,
-                                   "remaining": remaining}}
-            return {"ok": False, "error": f"unknown txn op {op!r}"}
+            elif op == "delete":
+                self.tree.delete(path)
+                self._simulated_removed.discard(path)
+            else:  # dequeue
+                popped = self.tree.pop_first_child(path)
+                if popped is not None:
+                    self._simulated_removed.discard(f"{path}/{popped[0]}")
         except (NoNodeError, NodeExistsError, ValueError) as exc:
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            if origin is not None:
+                self._respond(origin, False,
+                              error=f"{type(exc).__name__}: {exc}")
+            return
+        if origin is None:
+            return
+        if op == "create":
+            result = {"path": created, "name": created.rsplit("/", 1)[1],
+                      "position": self.tree.child_count(parent_path or "/")
+                      - 1}
+        elif op == "delete":
+            result = {"deleted": path}
+        elif popped is None:
+            result = {"item": None, "name": None, "remaining": 0}
+        else:
+            result = {"item": popped[1], "name": popped[0],
+                      "remaining": popped[2]}
+        self._respond(origin, True, result)
 
     # -- responses ------------------------------------------------------------------------------
     def _respond(self, op: ZkOp, ok: bool, result: Any = None,

@@ -25,7 +25,7 @@ class Transaction(NamedTuple):
     """
 
     zxid: int
-    op: str                      # "create" | "delete" | "set" | "dequeue"
+    op: str                      # "create" | "delete" | "dequeue"
     path: str
     data: Any = None
     sequential: bool = False

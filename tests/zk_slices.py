@@ -7,7 +7,7 @@ like perfbench's ``zk-tickets`` (heartbeats on, colocated ICG retailers at a
 follower against organisers at the leader), fig13's leader crash (election,
 sync, re-forwarded writes, re-proposed orphans, client failover) and a
 zombie leader partitioned away and healed (stale-epoch proposals earning a
-``zk_leader_info`` redirect, retransmission, a snapshot rejoin).  Each
+leader-info redirect, retransmission, a snapshot rejoin).  Each
 returns its run record and the clusters it built.
 """
 

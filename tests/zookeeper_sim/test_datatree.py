@@ -47,12 +47,6 @@ class TestCreateGet:
         with pytest.raises(NoNodeError):
             DataTree().get("/nope")
 
-    def test_set_updates_data_and_version(self):
-        tree = DataTree()
-        tree.create("/a", data=1)
-        tree.set("/a", 2)
-        assert tree.get("/a") == 2
-
 
 class TestSequentialNodes:
     def test_sequence_suffix_and_order(self):

@@ -66,6 +66,21 @@ class _ReferenceOverlay:
         return {"item": data, "name": head, "remaining": len(children) - 1}
 
 
+def _answer(server, txn):
+    """Apply ``txn`` at ``server`` as the origin of its request, and return
+    what the server answers the client: ``{"ok": True, "result": ...}`` or
+    ``{"ok": False, "error": ...}``."""
+    answers = []
+    server._respond = lambda op, ok, result=None, error=None: answers.append(
+        {"ok": True, "result": result} if ok else {"ok": False, "error": error})
+    try:
+        server._apply(txn, origin=object())
+    finally:
+        del server._respond
+    (answer,) = answers
+    return answer
+
+
 def _children_or_absent(tree, path):
     """``path``'s children, or None once the queue itself was deleted."""
     try:
@@ -114,7 +129,7 @@ def test_simulation_overlay_matches_the_sorted_reference(steps):
                 == reference.simulate_delete(path)
             silent._simulate("delete", path)
         elif kind == "commit-dequeue":
-            applied = server._apply(Transaction(zxid, "dequeue", path))
+            applied = _answer(server, Transaction(zxid, "dequeue", path))
             try:
                 expected = {"ok": True,
                             "result": reference.apply_dequeue(path)}
@@ -122,26 +137,23 @@ def test_simulation_overlay_matches_the_sorted_reference(steps):
                 expected = {"ok": False,
                             "error": f"{type(exc).__name__}: {exc}"}
             assert applied == expected
-            assert silent._apply(Transaction(zxid, "dequeue", path),
-                                 answer=False) in (None, applied)
+            silent._apply(Transaction(zxid, "dequeue", path))
         elif kind == "commit-enqueue":
             txn = Transaction(zxid, "create", f"{path}/item-", data=zxid,
                               sequential=True)
-            applied = server._apply(txn)
-            quiet = silent._apply(txn, answer=False)
+            applied = _answer(server, txn)
+            silent._apply(txn)
             try:
                 created = reference.tree.create(txn.path, txn.data,
                                                 sequential=True)
                 assert applied["result"]["path"] == created
-                assert quiet is None
             except NoNodeError as exc:
-                # Into a deleted queue: both servers report the failure.
-                assert applied == quiet == {
+                # Into a deleted queue: the origin reports the failure.
+                assert applied == {
                     "ok": False, "error": f"{type(exc).__name__}: {exc}"}
         else:
-            applied = server._apply(Transaction(zxid, "delete", path))
-            assert silent._apply(Transaction(zxid, "delete", path),
-                                 answer=False) == applied
+            applied = _answer(server, Transaction(zxid, "delete", path))
+            silent._apply(Transaction(zxid, "delete", path))
             try:
                 reference.tree.delete(path)
                 reference.removed.discard(path)
@@ -203,7 +215,7 @@ def _entries_touched_by_dequeues(depth, dequeues):
     queue.order = order = _CountedList(queue.order)
     queue.children = children = _CountedDict(queue.children)
     for zxid in range(1, dequeues + 1):
-        applied = server._apply(Transaction(zxid, "dequeue", "/q"))
+        applied = _answer(server, Transaction(zxid, "dequeue", "/q"))
         assert applied["result"]["name"] == f"item-{zxid - 1:010d}"
     touched = order.touched + children.touched
     assert server.tree.child_count("/q") == depth - dequeues
@@ -281,14 +293,14 @@ class TestTransactionRecord:
             client.submit_sink("enqueue", "/queue", RecordingSink(), f"x{i}")
         env.run_until_idle()
         leader, receiver = cluster.leader, cluster.followers[1]
-        leader._send_snapshot(receiver.name)
+        leader._send_snapshot(receiver)
         env.run_until_idle()
         assert receiver.snapshots_received == 1
         assert receiver.applied_log == leader.applied_log
         assert receiver.applied_log is not leader.applied_log
         assert isinstance(receiver.applied_log, list)
         # Whatever the sender does next stays the sender's.
-        leader.applied_log.append(Transaction(99, "set", "/queue"))
+        leader.applied_log.append(Transaction(99, "delete", "/queue"))
         leader.tree.create("/leader-only")
         leader.tree.pop_first_child("/queue")
         assert len(receiver.applied_log) == 4
@@ -307,9 +319,7 @@ class TestTransactionRecord:
         env.run_until_idle()
         assert behind.commit_log.last_applied == 0
         env.network.heal(cluster.leader.name, behind.name)
-        behind.send(cluster.leader.name, "zk_sync_req",
-                    {"server": behind.name, "last_applied": 0,
-                     "epoch": behind.epoch})
+        behind._request_sync(behind.epoch)
         env.run_until_idle()
         assert cluster.leader.syncs_served == 1
         assert behind.applied_log == cluster.leader.applied_log
@@ -380,9 +390,7 @@ class TestProposalTrackerStaysSmall:
             == [1, 2, 3]
         rejoining = cluster.followers[0]
         env.network.heal(leader.name, rejoining.name)
-        rejoining.send(leader.name, "zk_sync_req",
-                       {"server": rejoining.name, "last_applied": 0,
-                        "epoch": rejoining.epoch})
+        rejoining._request_sync(rejoining.epoch)
         env.run_until_idle()
         assert answers.kinds() == ["final", "final", "final"]
         assert len(leader.tracker._proposals) == 0

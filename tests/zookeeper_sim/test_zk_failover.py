@@ -334,11 +334,16 @@ _NON_NEGATIVE = (
     "simulation_service_ms", "element_size_bytes", "child_name_bytes",
     "path_size_bytes", "ack_bytes", "heartbeat_interval_ms",
     "request_timeout_ms", "client_retries")
+#: Wire sizes and the retry count: ints only.
+_COUNTS = ("element_size_bytes", "child_name_bytes", "path_size_bytes",
+           "ack_bytes", "client_retries")
 
 
 @pytest.mark.parametrize(
     "overrides, named",
-    [({field: -1}, field) for field in _NON_NEGATIVE] + [
+    [({field: -1}, field) for field in _NON_NEGATIVE]
+    + [({field: bad}, field) for field in _COUNTS
+       for bad in (2.5, float("inf"))] + [
         # Every follower would suspect a healthy leader on every tick.
         (dict(leader_timeout_ms=200.0), "leader_timeout_ms"),
         (dict(leader_timeout_ms=150.0), "leader_timeout_ms"),
