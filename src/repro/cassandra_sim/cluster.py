@@ -19,6 +19,7 @@ a replica with :class:`~repro.faults.injector.FaultInjector`, then
 from __future__ import annotations
 
 from array import array
+from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.client import CassandraClient
@@ -30,6 +31,7 @@ from repro.cassandra_sim.storage import KeySpace, PRELOAD_STAMP, TIME_ZERO
 from repro.cassandra_sim.versions import VersionedValue
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, replica_regions_default
+from repro.workloads.records import TimeZeroItems, time_zero_value
 
 
 class CassandraCluster:
@@ -194,31 +196,35 @@ class CassandraCluster:
     def preload(self, items: Mapping[str, object]) -> None:
         """Install initial data on every replica owning the key (time zero state).
 
-        ``items`` is any mapping (a dict, a dataset's columns), read in
-        bulk.  Every key is hashed once here and the rows are sorted by
-        token once, so keys new to the key space get their ids in token
-        order (which lets a stream task bisect the token column).  If all
-        are new, the key space keeps their values (a column, permuted) and
-        every owner's row holds ``TIME_ZERO``; otherwise each key gets its
-        own version, which an owner holding the key ignores (an equal stamp
-        is not newer).  The sorted columns are cut at the ring's slot
-        boundaries and each run is merged into its owners whole.
+        ``items`` is any mapping (a dict, a dataset's
+        :class:`~repro.workloads.records.TimeZeroItems`), read in bulk.
+        Every key is hashed once here and the rows are sorted by token
+        once, so keys new to the key space get their ids in token order
+        (which lets a stream task bisect the token column).  If all are
+        new, the key space keeps a dict's values (a dataset's it derives
+        from the keys) and every owner's row holds ``TIME_ZERO``; otherwise
+        each key gets its own version, which an owner holding the key
+        ignores (an equal stamp is not newer).  The sorted columns are cut
+        at the ring's slot boundaries and each run is merged into its
+        owners whole.
         """
         keys = list(items)
         tokens = key_tokens(keys)
         order = array("I", sorted(range(len(keys)), key=tokens.__getitem__))
         tokens = array("Q", map(tokens.__getitem__, order))
         keys = list(map(keys.__getitem__, order))
-        values = items.values()
-        values = (values.permuted(order) if hasattr(values, "permuted")
-                  else list(map(list(values).__getitem__, order)))
+        size = items.value_size if isinstance(items, TimeZeroItems) else 0
+        values = () if size else list(map(list(items.values()).__getitem__,
+                                          order))
         del order  # freed before the tables fill
         space = self.keyspace
         if space.ids.keys().isdisjoint(keys):
-            ids = space.extend(keys, tokens, values)
+            ids = space.extend(keys, tokens, values, size)
             versions = None  # TIME_ZERO a run at a time: no row-long list
         else:
             ids = space.intern(keys, tokens)
+            if size:
+                values = map(time_zero_value, keys, repeat(size))
             versions = [VersionedValue(value, PRELOAD_STAMP) for value in values]
         by_name = self._by_name
         for low, high, owners in self.partitioner.owner_runs(tokens):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.workloads.records import check_non_negative_int, check_positive_int
+
 
 @dataclass
 class CassandraConfig:
@@ -77,26 +79,24 @@ class CassandraConfig:
     stream_apply_ms_per_item: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.replication_factor <= 0:
-            raise ValueError("replication_factor must be positive")
-        if self.vnodes_per_node <= 0:
-            raise ValueError("vnodes_per_node must be positive")
-        if self.stream_batch_items <= 0:
-            raise ValueError("stream_batch_items must be positive")
+        # Counts and the value size: a fraction, NaN or an infinity would
+        # fail later as a range bound, or make a float wire size.
+        for name in ("replication_factor", "vnodes_per_node",
+                     "stream_batch_items", "value_size_bytes"):
+            check_positive_int(name, getattr(self, name))
+        for name in ("coordinator_retries", "client_retries"):
+            check_non_negative_int(name, getattr(self, name))
         # A negative service time schedules a job before ``now`` and runs
         # the simulated clock backwards; a negative size undercounts bytes.
         # ``not x >= 0`` rejects NaN as well (``NaN < 0`` is False).
         for name in ("read_timeout_ms", "write_timeout_ms",
-                     "client_timeout_ms", "coordinator_retries",
-                     "client_retries", "read_service_ms", "write_service_ms",
+                     "client_timeout_ms", "read_service_ms", "write_service_ms",
                      "preliminary_flush_ms", "stream_scan_ms",
                      "stream_batch_ms", "stream_apply_ms_per_item",
                      "key_size_bytes", "response_overhead_bytes",
                      "confirmation_bytes"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.value_size_bytes <= 0:
-            raise ValueError("value_size_bytes must be positive")
 
     def quorum(self) -> int:
         """Majority quorum size for this replication factor."""

@@ -30,13 +30,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-try:
-    # CPython's built-in md5: the same digests as hashlib's OpenSSL-backed
-    # constructor at half its per-call cost, which is all a 5-20 byte key
-    # pays for (measured: 0.20 s -> 0.10 s per 400k keys).
-    from _md5 import md5
-except ImportError:  # pragma: no cover - builds without the builtin
-    from hashlib import md5
+# CPython's built-in md5: the same digests as hashlib's OpenSSL-backed
+# constructor at half its per-call cost, which is all a 5-20 byte key pays
+# for (measured: 0.20 s -> 0.10 s per 400k keys).
+from _md5 import md5
 
 
 def _hash_token(value: str) -> int:

@@ -944,18 +944,19 @@ class CassandraReplica(Node):
             del self._streams[state.stream_id]
             state.on_complete(state.task)
             return
+        config = self.config
         rows = state.rows[state.cursor:
-                          state.cursor + self.config.stream_batch_items]
+                          state.cursor + config.stream_batch_items]
         state.cursor += len(rows)
-        table = self.table
-        columns = table.export_rows(rows)
+        columns = self.table.export_rows(rows)
+        values, unread, size = self.table.values_and_unread(rows, columns[1])
         self.keys_streamed_out += len(rows)
         self.send(state.task.target, "stream_data",
                   {"stream_id": state.stream_id, "columns": columns},
                   size_bytes=(MESSAGE_HEADER_BYTES
-                              + self.config.key_size_bytes * len(rows)
-                              + self._values_bytes(
-                                  table.values_of(rows, columns[1]))))
+                              + config.key_size_bytes * len(rows)
+                              + self._values_bytes(values)
+                              + unread * max(size, config.value_size_bytes)))
 
     def on_stream_data(self, message: Message) -> None:
         payload = message.payload

@@ -3,17 +3,20 @@
 The replicas of a cluster hold overlapping subsets of one key set — each
 key at ``replication_factor`` of them — and everything that is a function
 of the key alone is kept once, in the cluster's :class:`KeySpace`: key →
-key id, the key, its ring token and its time-zero value by id, and the
-token order.  That is host-side bookkeeping, not simulated state: no
-replica learns anything about another's rows through it, so sharing it
-moves no simulated result.
+key id, the key, its ring token by id, and the token order.  A time-zero
+value is a function of the key too (:func:`~repro.workloads.records.
+time_zero_value`), so after a dataset's preload the key space keeps only
+the value size; a preload from a dict keeps its values, by id.  That is
+host-side bookkeeping, not simulated state: no replica learns anything
+about another's rows through it, so sharing it moves no simulated result.
 
 Each replica's :class:`ColumnarTable` keeps only its version of each key
 id — a list in which ``None`` means "not held" — and its counters.
 Last-write-wins merge only compares stamps, so a preloaded row holds one
 shared :data:`TIME_ZERO` (the preload stamp) until :meth:`ColumnarTable.
-get` first reads it and builds its own version from the key space: equal
-versions on two replicas need not be one object.
+get` first reads it and builds its own version, its value derived from the
+key or listed in the key space: equal versions on two replicas need not be
+one object.
 
 Range streaming runs on three bulk calls: :meth:`ColumnarTable.
 rows_in_range` selects a task's key ids with a bisect over the token
@@ -21,7 +24,9 @@ column (or, once ids were assigned out of token order, over its argsort),
 :meth:`~ColumnarTable.export_rows` gathers them as key, version (an unread
 row's marker included) and token columns, and :meth:`~ColumnarTable.
 apply_rows` merges such columns into another table exactly as applying
-them row by row would.
+them row by row would.  A batch's unread rows are sized without their
+values: a derived value is ``value_size`` characters long
+(:meth:`~ColumnarTable.values_and_unread`).
 """
 
 from __future__ import annotations
@@ -29,13 +34,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from operator import attrgetter, is_, is_not, le, not_
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.partitioner import key_token
 from repro.cassandra_sim.versions import VersionedValue
+from repro.workloads.records import time_zero_value
 
 #: Rows as parallel columns: keys, versions, ring tokens — what
 #: :meth:`ColumnarTable.export_rows` returns and :meth:`~ColumnarTable.
@@ -43,17 +48,10 @@ from repro.cassandra_sim.versions import VersionedValue
 RowColumns = Tuple[Sequence[str], Sequence[VersionedValue], Sequence[int]]
 
 PRELOAD_STAMP = (0.0, "preload", 0)
-#: What every preloaded row holds until it is first read (its value is the
-#: key space's, by key id).
+#: What every preloaded row holds until it is first read (its value is
+#: listed in the key space, by key id, or derived from the key).
 TIME_ZERO = VersionedValue(None, PRELOAD_STAMP)
 _value_of = attrgetter("value")
-
-
-class _ValueList(list):
-    """Time-zero values by key id, one object each (a preload from a dict)."""
-
-    def take(self, ids: Iterable[int]) -> List[Any]:
-        return list(map(self.__getitem__, ids))
 
 
 class KeySpace:
@@ -76,9 +74,14 @@ class KeySpace:
     :meth:`new_column`, and the space grows each column with the ids it
     assigns, so a table indexes its column by any id without a bounds
     check.
+
+    A row's time-zero value is ``values[kid]`` for an id the list covers
+    (a preload from a dict) and ``time_zero_value(keys[kid], value_size)``
+    past it (a dataset's preload); ids made by writes have none.
     """
 
-    __slots__ = ("ids", "keys", "tokens", "values", "_order", "_columns")
+    __slots__ = ("ids", "keys", "tokens", "values", "listed", "value_size",
+                 "_order", "_columns")
 
     def __init__(self) -> None:
         #: key -> key id.
@@ -86,9 +89,12 @@ class KeySpace:
         #: The key and its ring token, by id.
         self.keys: List[str] = []
         self.tokens = array("Q")
-        #: What a row holding TIME_ZERO reads as, by id (``values[kid]``,
-        #: ``values.take(ids)``): a preload's value column, or a list.
-        self.values: Any = _ValueList()
+        #: Listed time-zero values, by id; past the list they are derived.
+        self.values: List[Any] = []
+        #: ``len(values)``, an attribute for the read path.
+        self.listed = 0
+        #: The size of a derived time-zero value (0 before a dataset's).
+        self.value_size = 0
         # None while the token column is in order; otherwise ids sorted by
         # token (the argsort, see ids_in_range).
         self._order: Optional["array[int]"] = None
@@ -128,11 +134,12 @@ class KeySpace:
         return ids
 
     def extend(self, keys: Sequence[str], tokens: Sequence[int],
-               values: Sequence[Any]) -> range:
-        """Assign ids to ``keys``, preloaded with ``values``, in one bulk
-        append: :meth:`intern` for keys that are distinct and none of them
-        in the space yet (a preload onto keys no write created).  The first
-        values, if a column (with ``permuted``), are kept by key id."""
+               values: Sequence[Any] = (), value_size: int = 0) -> range:
+        """Assign ids to ``keys`` in one bulk append: :meth:`intern` for
+        keys that are distinct and none of them in the space yet (a preload
+        onto keys no write created).  Their time-zero values are
+        ``values``, listed by key id, or with ``value_size`` derived from
+        each key."""
         first = len(self.keys)
         token_column = self.tokens
         if self._order is None and (
@@ -143,14 +150,19 @@ class KeySpace:
         self.ids.update(zip(keys, ids))
         self.keys.extend(keys)
         token_column.extend(tokens)
-        if not self.values and hasattr(values, "permuted"):
-            # Ids before ``first`` read row 0: they have no time-zero value.
-            self.values = values if not first else values.permuted(
-                chain(repeat(0, first), range(len(values))))
+        listed, size = self.values, self.value_size
+        if not value_size or size not in (0, value_size):
+            # The list grows to cover every id before ``first``: the values
+            # derived so far, with ``size`` (an id made by a write has none
+            # and gets one it never reads).
+            below = self.keys[len(listed):first]
+            listed.extend(map(time_zero_value, below, repeat(size)) if size
+                          else repeat(None, len(below)))
+        if value_size:
+            self.value_size = value_size
         else:
-            self.values = held = _ValueList(self.values)
-            held.extend(repeat(None, first - len(held)))
-            held.extend(values)
+            listed.extend(values)
+        self.listed = len(listed)
         for column in self._columns:
             column.extend(repeat(None, len(keys)))
         return ids
@@ -235,8 +247,10 @@ class ColumnarTable:
             return None
         if version is TIME_ZERO:
             kid = self._ids[key]
+            space = self._space
             version = self._versions[kid] = VersionedValue(
-                self._space.values[kid], PRELOAD_STAMP)
+                time_zero_value(key, space.value_size) if kid >= space.listed
+                else space.values[kid], PRELOAD_STAMP)
         return version
 
     def contains(self, key: str) -> bool:
@@ -301,13 +315,23 @@ class ColumnarTable:
                 list(map(self._versions.__getitem__, rows)),
                 list(map(space.tokens.__getitem__, rows)))
 
-    def values_of(self, rows: Sequence[int],
-                  versions: Sequence[VersionedValue]) -> List[Any]:
-        """The values of the rows ``rows`` given their exported versions,
-        unread rows' last, in bulk and building no version."""
+    def values_and_unread(self, rows: Sequence[int],
+                          versions: Sequence[VersionedValue]
+                          ) -> Tuple[List[Any], int, int]:
+        """What sizes the rows ``rows``, given their exported versions:
+        ``(values, unread, size)`` — the values of the rows read or listed,
+        and the count of unread rows whose value is derived from the key,
+        each ``size`` characters long.  Builds no version, derives no
+        value."""
+        space = self._space
         marked = list(map(is_, versions, repeat(TIME_ZERO)))
-        return [*map(_value_of, compress(versions, map(not_, marked))),
-                *self._space.values.take(compress(rows, marked))]
+        values = list(map(_value_of, compress(versions, map(not_, marked))))
+        unread = marked.count(True)
+        if unread and space.listed:
+            held = list(filter(space.listed.__gt__, compress(rows, marked)))
+            values.extend(map(space.values.__getitem__, held))
+            unread -= len(held)
+        return values, unread, space.value_size
 
     def apply_rows(self, keys: Sequence[str],
                    versions: Sequence[VersionedValue],

@@ -24,7 +24,7 @@ from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, round_robin_regions
-from repro.workloads.records import Dataset
+from repro.workloads.records import Dataset, check_positive_int
 
 #: Client region -> contact (coordinator) region used by the load
 #: experiments: every client connects to a *remote* replica, as in the
@@ -92,23 +92,18 @@ class ClusterSpec:
     preload: bool = True
 
     def __post_init__(self) -> None:
-        if self.nodes <= 0:
-            raise ValueError("a cluster needs at least one node")
+        for name in ("nodes", "record_count", "value_size_bytes"):
+            check_positive_int(name, getattr(self, name))
+        for name in ("replication_factor", "vnodes_per_node"):
+            if getattr(self, name) is not None:  # None keeps the config's
+                check_positive_int(name, getattr(self, name))
         if self.regions is not None and not self.regions:
             raise ValueError("regions must be None or non-empty")
-        if self.replication_factor is not None and self.replication_factor <= 0:
-            raise ValueError("replication_factor must be positive")
         if self.replication_factor is not None \
                 and self.replication_factor > self.nodes:
             raise ValueError(
                 f"replication factor {self.replication_factor} exceeds "
                 f"cluster size {self.nodes}")
-        if self.vnodes_per_node is not None and self.vnodes_per_node <= 0:
-            raise ValueError("vnodes_per_node must be positive")
-        if self.record_count <= 0:
-            raise ValueError("record_count must be positive")
-        if self.value_size_bytes <= 0:
-            raise ValueError("value_size_bytes must be positive")
 
     # -- derived layout -------------------------------------------------------
     def node_regions(self) -> Tuple[str, ...]:

@@ -46,6 +46,7 @@ import random
 from functools import lru_cache
 from itertools import repeat
 from math import log as _log
+from operator import rshift
 from typing import List, Tuple
 
 _Random = random.Random
@@ -85,11 +86,13 @@ def _char_map(table: str) -> Tuple[bytes, bytes]:
     if not 0 < size < 256 or not table.isascii():
         raise ValueError("chars draws from tables of 1-255 ASCII "
                          f"characters, got {size} characters")
+    # Byte ``top`` picks character ``top >> shift``; past the table, a
+    # zero (never kept: ``top >= size << shift`` is deleted).
     shift = 8 - size.bit_length()
-    encoded = table.encode("ascii")
-    return (bytes(encoded[top >> shift] if top >> shift < size else 0
-                  for top in range(256)),
-            bytes(top for top in range(256) if top >> shift >= size))
+    padded = table.encode("ascii") + bytes((256 >> shift) - size)
+    return (bytes(map(padded.__getitem__,
+                      map(rshift, range(256), repeat(shift)))),
+            bytes(range(size << shift, 256)))
 
 
 def chars(rng: random.Random, n: int, table: str) -> str:

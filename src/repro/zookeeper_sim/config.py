@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.workloads.records import check_non_negative_int
+
 
 @dataclass
 class ZooKeeperConfig:
@@ -58,10 +60,7 @@ class ZooKeeperConfig:
         # become a float wire size, or retry forever.
         for name in ("element_size_bytes", "child_name_bytes",
                      "path_size_bytes", "ack_bytes", "client_retries"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(
-                    f"{name} must be a non-negative int: {value!r}")
+            check_non_negative_int(name, getattr(self, name))
         if self.heartbeat_interval_ms > 0:
             if not self.leader_timeout_ms > self.heartbeat_interval_ms:
                 raise ValueError(

@@ -269,12 +269,18 @@ class TestBadSpecsFailLoudly:
             "stream_scan_ms", "stream_batch_ms", "stream_apply_ms_per_item",
             "key_size_bytes", "response_overhead_bytes",
             "confirmation_bytes")] + [
-        ("value_size_bytes", 0)])
+        ("value_size_bytes", 0)] + [
+        (field, value) for field in (
+            "replication_factor", "vnodes_per_node", "stream_batch_items",
+            "value_size_bytes")
+        for value in (math.nan, 2.5, math.inf)] + [
+        ("coordinator_retries", 2.5), ("client_retries", 2.5)])
     def test_negative_costs_and_sizes_are_rejected(self, field, value):
         """A negative service time would schedule a job before ``now`` and
         run the simulated clock backwards; a negative size undercounts
-        bytes.  Both fail at construction, as plain and as fault-tolerant
-        configs."""
+        bytes; a count or a size that is not an int (NaN, 2.5, inf) failed
+        only at ``build()`` as a float range bound.  All fail at
+        construction, as plain and as fault-tolerant configs."""
         with pytest.raises(ValueError, match=field):
             CassandraConfig(**{field: value})
         with pytest.raises(ValueError, match=field):

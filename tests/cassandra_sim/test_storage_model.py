@@ -25,8 +25,9 @@ from repro.cassandra_sim.partitioner import key_token, token_in_range
 from repro.cassandra_sim.storage import TIME_ZERO
 from repro.cassandra_sim.versions import VersionedValue
 from repro.sim.environment import SimEnvironment
+from repro.sim.network import MESSAGE_HEADER_BYTES
 from repro.sim.topology import Region
-from repro.workloads.records import Dataset
+from repro.workloads.records import Dataset, time_zero_value
 
 REGIONS = (Region.FRK, Region.IRL, Region.VRG)
 #: Few keys, so preloads, writes and streams keep meeting the same rows.
@@ -66,15 +67,34 @@ class ModelTable:
                 if token_in_range(key_token(key), start, end)]
 
 
+def time_zero(space, kid):
+    """Row ``kid``'s time-zero value: listed in the key space, or derived
+    from the key past the list."""
+    if kid < len(space.values):
+        return space.values[kid]
+    return time_zero_value(space.keys[kid], space.value_size)
+
+
 def resolved(table, kid, version):
     """``version`` as row ``kid`` of ``table`` reads, without building it
     (a row never read holds the marker)."""
     if version is TIME_ZERO:
-        values = table._space.values
-        # One row and a batch read the same value (a list or a column).
-        assert values.take([kid, kid]) == [values[kid]] * 2
-        return VersionedValue(values[kid], PRELOAD)
+        return VersionedValue(time_zero(table._space, kid), PRELOAD)
     return version
+
+
+def sized(table, rows):
+    """``values_and_unread`` of ``rows`` with the unread derived rows'
+    values filled in, after checking they number ``unread`` and are each
+    ``size`` long."""
+    versions = table.export_rows(rows)[1]
+    values, unread, size = table.values_and_unread(rows, versions)
+    derived = [time_zero(table._space, kid)
+               for kid, version in zip(rows, versions)
+               if version is TIME_ZERO and kid >= len(table._space.values)]
+    assert unread == len(derived)
+    assert all(len(value) == size for value in derived)
+    return values + derived
 
 
 def peek(table, key):
@@ -102,8 +122,7 @@ def assert_matches(table, model):
     whole = table.rows_in_range(0, 0)
     assert exported(table, whole) == [
         (key, model.rows[key], key_token(key)) for key in sorted(model.rows)]
-    values = table.values_of(whole, table.export_rows(whole)[1])
-    assert sorted(map(repr, values)) == sorted(
+    assert sorted(map(repr, sized(table, whole))) == sorted(
         repr(model.rows[key].value) for key in model.rows)
 
 
@@ -377,7 +396,85 @@ def test_a_stream_batch_is_sized_from_its_values(values, size):
         map(replica._value_bytes, values))
 
 
-def test_values_of_reads_unread_rows_from_the_key_space():
+def join_with_reads(size, read_every, batch=7):
+    """A 5-node ring preloaded from a dataset of ``size``-character values,
+    every ``read_every``-th key read at each owner (none for 0), then a
+    node joined:
+    the cluster and each stream batch sent as ``(size_bytes, columns)``."""
+    env = SimEnvironment(seed=3)
+    cluster = CassandraCluster(
+        env, CassandraConfig(stream_batch_items=batch),
+        nodes=[(f"node{i}", REGIONS[i % 3]) for i in range(5)])
+    dataset = Dataset(120, value_size_bytes=size)
+    cluster.preload(dataset.initial_items())
+    for index in range(0, 120 if read_every else 0, read_every or 1):
+        key = dataset.key(index)
+        for owner in cluster.partitioner.replicas_for(key):
+            cluster.replica_by_name(owner).table.get(key)
+    sent = []
+    for replica in cluster.replicas:
+        def send(dst, kind, payload, size_bytes=None, _send=replica.send):
+            if kind == "stream_data":
+                sent.append((size_bytes, payload["columns"]))
+            return _send(dst, kind, payload, size_bytes=size_bytes)
+        replica.send = send
+    assert cluster.join_node("joiner", Region.FRK) is not None
+    env.run_until_idle()
+    return cluster, sent
+
+
+@pytest.mark.parametrize("size", [11, 150])
+def test_every_time_zero_read_is_the_key_function(size):
+    """``initial_value``, ``initial_items()``, a preloaded row's first read
+    and a joiner's first read of a row streamed unread all give
+    ``time_zero_value(key, size)``."""
+    dataset = Dataset(120, value_size_bytes=size)
+    items = dataset.initial_items()
+    for index in range(120):
+        key = dataset.key(index)
+        assert dataset.initial_value(index) == items[key] == \
+            time_zero_value(key, size)
+    assert dict(items.items()) == {key: time_zero_value(key, size)
+                                   for key in dataset.keys()}
+    cluster, _ = join_with_reads(size, read_every=3)
+    joiner = cluster.replica_by_name("joiner").table
+    unread = 0
+    for key in joiner.keys():
+        unread += joiner._versions[cluster.keyspace.ids[key]] is TIME_ZERO
+        assert joiner.get(key) == VersionedValue(time_zero_value(key, size),
+                                                 PRELOAD)
+    assert 0 < unread < len(joiner)  # read rows streamed as versions too
+    for replica in cluster.replicas:
+        for key in replica.table.keys():
+            assert replica.table.get(key).value == time_zero_value(key, size)
+
+
+@pytest.mark.parametrize("size", [40, 100, 150])
+@pytest.mark.parametrize("read_every", [1, 2, 0], ids=["all-read",
+                                                      "half-read", "unread"])
+def test_a_stream_batch_weighs_what_its_values_weigh(size, read_every):
+    """A batch's wire size is the header, the key size per row and
+    ``_values_bytes`` of every row's value as the target reads it — its
+    unread rows counted as ``max(size, value_size_bytes)`` each without
+    deriving them — with values shorter and longer than the config's."""
+    cluster, sent = join_with_reads(size, read_every)
+    replica = cluster.replicas[0]
+    assert sent
+    mixed = unread_rows = 0
+    for size_bytes, (keys, versions, _) in sent:
+        values = [time_zero_value(key, size) if version is TIME_ZERO
+                  else version.value for key, version in zip(keys, versions)]
+        unread = sum(version is TIME_ZERO for version in versions)
+        mixed += 0 < unread < len(keys)
+        unread_rows += unread
+        assert size_bytes == (MESSAGE_HEADER_BYTES
+                              + replica.config.key_size_bytes * len(keys)
+                              + replica._values_bytes(values))
+    assert (mixed > 0) == (read_every == 2)
+    assert (unread_rows > 0) == (read_every != 1)
+
+
+def test_values_and_unread_reads_listed_unread_rows_from_the_key_space():
     cluster = build(3, 1, 2)
     items = {f"user{i}": f"value{i}" * i for i in range(30)}
     cluster.preload(items)
@@ -386,7 +483,9 @@ def test_values_of_reads_unread_rows_from_the_key_space():
     table.get("user2")
     rows = table.rows_in_range(0, 0)
     keys, versions, _ = table.export_rows(rows)
-    assert sorted(table.values_of(rows, versions)) == sorted(
+    values, unread, _ = table.values_and_unread(rows, versions)
+    assert unread == 0
+    assert sorted(values) == sorted(
         "written" if key == "user1" else items[key] for key in keys)
 
 
@@ -406,10 +505,10 @@ def test_a_columns_preload_after_a_write_reads_every_row_by_key_id(written):
     for replica in cluster.replicas:
         table = replica.table
         rows = table.rows_in_range(0, 0)
-        keys, versions, _ = table.export_rows(rows)
+        keys = table.export_rows(rows)[0]
         wanted = ["w" if table is writer and key in written else expected[key]
                   for key in keys]
-        assert sorted(table.values_of(rows, versions)) == sorted(wanted)
+        assert sorted(sized(table, rows)) == sorted(wanted)
         assert [table.get(key).value for key in keys] == wanted
 
 

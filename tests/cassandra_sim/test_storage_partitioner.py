@@ -15,7 +15,7 @@ from repro.cassandra_sim.partitioner import (
 )
 from repro.cassandra_sim.storage import ColumnarTable, KeySpace
 from repro.cassandra_sim.versions import VersionedValue, resolve
-from repro.workloads.records import Dataset
+from repro.workloads.records import time_zero_value
 
 
 class TestVersions:
@@ -73,19 +73,33 @@ class TestKeySpace:
         assert ids == range(1, 3)
         assert space.ids == {"a": 0, "b": 1, "c": 2}
         # Ids 1 and 2 have time-zero values; id 0, made by a write, none.
-        assert space.values[1:] == ["vb", "vc"]
-        assert space.values.take([2, 1, 2]) == ["vc", "vb", "vc"]
+        assert space.values == [None, "vb", "vc"]
+        assert space.value_size == 0
         assert column == [None] * 3
         assert space.new_column() == [None] * 3
         assert space._order is None
 
-    def test_extend_keeps_a_value_column_addressed_by_key_id(self):
+    def test_extend_keeps_a_value_size_for_values_derived_by_key_id(self):
         space = KeySpace()
         space.add("a", 1)
-        column = Dataset(3, value_size_bytes=4).initial_items().values()
-        ids = space.extend(["b", "c", "d"], [2, 3, 4], column)
-        assert [space.values[kid] for kid in ids] == list(column)
-        assert space.values.take(reversed(ids)) == list(column)[::-1]
+        ids = space.extend(["b", "c", "d"], [2, 3, 4], value_size=4)
+        assert ids == range(1, 4)
+        # Nothing listed: every id past the list derives from its key.
+        assert space.values == [] and space.value_size == 4
+        assert all(len(space.values) <= kid for kid in ids)
+
+    def test_a_listed_extend_after_a_derived_one_lists_the_derived_values(
+            self):
+        space = KeySpace()
+        space.extend(["a", "b"], [1, 2], value_size=3)
+        space.extend(["c"], [3], ["vc"])
+        assert space.values == [time_zero_value("a", 3),
+                                time_zero_value("b", 3), "vc"]
+        # A derived extend of another size lists what was derived before.
+        space.extend(["d"], [4], value_size=5)
+        space.extend(["e"], [5], value_size=7)
+        assert space.values[3] == time_zero_value("d", 5)
+        assert len(space.values) == 4 and space.value_size == 7
 
     def test_an_argsort_is_rebuilt_once_keys_were_added(self):
         space = KeySpace()

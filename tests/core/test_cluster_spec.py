@@ -1,5 +1,7 @@
 """Tests for the unified ClusterSpec construction API."""
 
+import math
+
 import pytest
 
 from repro.cassandra_sim.config import CassandraConfig
@@ -44,9 +46,13 @@ class TestSpecLayout:
     @pytest.mark.parametrize("field, value", [
         ("record_count", 0), ("record_count", -3),
         ("value_size_bytes", 0), ("value_size_bytes", -1),
-    ])
+    ] + [(field, value) for field in ("nodes", "record_count",
+                                      "value_size_bytes")
+         for value in (math.nan, 2.5, math.inf)])
     def test_dataset_shape_rejected_at_construction(self, field, value):
-        """Not at the first update of a run built without a preload."""
+        """Not at the first update of a run built without a preload, nor
+        as a ``TypeError`` at ``build()`` (a node count or a dataset size
+        that is not an int)."""
         with pytest.raises(ValueError):
             ClusterSpec(preload=False, **{field: value})
 

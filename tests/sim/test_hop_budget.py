@@ -86,12 +86,14 @@ _PERFBENCH_WORKLOADS = (Path(__file__).resolve().parents[2]
 #: and 10,016.20, and the dataset's initial values as one text (no value
 #: sliced at set-up, keys formatted without a call per record) to
 #: 10,566.60, 12,451.91 and 9,988.79, and the heartbeats and takeover
-#: exchange as control-plane continuations instead of ``Message``s to the
-#: rows below.  Checked against ``_WORKLOAD_ROOM``.
+#: exchange as control-plane continuations instead of ``Message``s to
+#: 10,358.33, 12,245.07 and 9,780.51, and time-zero values derived from
+#: the key (no initial-value text drawn at set-up, the character map built
+#: in C) to the rows below.  Checked against ``_WORKLOAD_ROOM``.
 _FIG16_BUDGETS = {
-    (3, 11): {"baseline": 10358.33,
-              "coordinator-crash-mid-commit": 12245.07,
-              "participant-crash-after-prepare": 9780.51},
+    (3, 11): {"baseline": 10314.02,
+              "coordinator-crash-mid-commit": 12200.77,
+              "participant-crash-after-prepare": 9736.20},
 }
 
 

@@ -1,0 +1,234 @@
+"""Every guard of the 2PC control plane, each made to fire by name.
+
+Small fabrics with heartbeats off, so a run drains: a takeover is started
+by hand (``_take_over``, what a standby's heartbeat tick does once the
+active coordinator went quiet) and every other hop travels the network as
+it would in a run.  Where a guard only fires on a hop that a schedule
+makes rare (a heartbeat from a deposed epoch, a probe overtaken by a newer
+one, a takeover reply about a transaction decided meanwhile), the test
+sends that hop itself with ``_send_control``, the control plane's one
+send, delivers it with ``_receive_control``, the one delivery step, while
+the real replies are still on the wire, or serves the participant's
+queued job itself.
+"""
+
+from repro.txn import TxnState
+from repro.txn.coordinator import ABORT, COMMIT
+from repro.txn.log import TxnLogRecord
+from txn_helpers import make_fabric
+
+
+def _committed(fabric):
+    """One single-key transaction committed everywhere: its id, and the
+    participants that own its key."""
+    key = fabric.built.dataset.keys()[0]
+    fabric.manager.execute({key: "v"})
+    fabric.built.env.run_until_idle()
+    (txn_id,) = fabric.manager.acked_commits
+    return txn_id, [fabric.participants[name]
+                    for name in fabric.owners_of(key)]
+
+
+def _taken_over(fabric):
+    """The standby takes over from a live active coordinator (epoch 2) and
+    the takeover drains: the old one is deposed by the heartbeat."""
+    old, successor = fabric.coordinators
+    successor._take_over()
+    fabric.built.env.run_until_idle()
+    assert successor.active and successor.epoch == 2
+    return old, successor
+
+
+def _heartbeat(env, sender, receiver, epoch):
+    sender._send_control(64, receiver._coord_heartbeat, sender.name, epoch)
+    env.run_until_idle()
+
+
+class TestCoordinator:
+    def test_a_heartbeat_from_an_older_epoch_is_ignored(self):
+        fabric = make_fabric()
+        env = fabric.built.env
+        old, successor = _taken_over(fabric)
+        assert old.known_epoch == 2 and old.active_name == successor.name
+        heard = old._last_heard_ms
+        env.run(until=env.now() + 10.0)
+        _heartbeat(env, successor, old, 1)
+        assert old.known_epoch == 2 and old.active_name == successor.name
+        assert old._last_heard_ms == heard
+
+    def test_a_heartbeat_from_a_higher_epoch_deactivates_the_active(self):
+        fabric = make_fabric()
+        env = fabric.built.env
+        first, second = fabric.coordinators
+        assert first.active and first.epoch == 1
+        _heartbeat(env, second, first, 3)
+        assert not first.active and not first.recovering
+        assert first.known_epoch == 3 and first.active_name == second.name
+        assert first._last_heard_ms == env.now()
+
+    def test_a_takeover_reply_for_another_epoch_is_not_merged(self):
+        fabric = make_fabric()
+        env = fabric.built.env
+        txn_id, (owner, *_) = _committed(fabric)
+        _, successor = fabric.coordinators
+        successor._take_over()  # recovering at epoch 2, probes in flight
+        successor._receive_control(successor._txn_takeover_ack,
+                                   (owner.name, 1, owner.log.snapshot()))
+        assert successor.active and successor.recovering
+        assert owner.name in successor._takeover_pending
+        assert owner.name not in successor._takeover_replied
+        assert txn_id not in successor.decided
+        env.run_until_idle()  # the real replies, at epoch 2
+        assert successor.decided[txn_id][0] == COMMIT
+        assert not successor.recovering
+
+    def test_a_takeover_reply_from_a_higher_epoch_deposes_the_successor(self):
+        fabric = make_fabric()
+        env = fabric.built.env
+        owner = next(iter(fabric.participants.values()))
+        _, successor = fabric.coordinators
+        successor._take_over()
+        successor._receive_control(successor._txn_takeover_ack,
+                                   (owner.name, 5, []))
+        assert not successor.active and not successor.recovering
+        assert successor._takeover_pending == set()
+        env.run_until_idle()  # the epoch-2 replies find it deposed
+        assert not successor.active and successor._takeover_replied == set()
+
+    def test_recover_rejoins_as_a_standby_with_nothing_volatile(self):
+        fabric = make_fabric()
+        env = fabric.built.env
+        txn_id, _ = _committed(fabric)
+        first = fabric.coordinators[0]
+        assert first.active and txn_id in first.decided
+        first.crash()
+        first.recover()
+        assert first.alive and not first.active and not first.recovering
+        assert first.decided == {} and first.in_flight == {}
+        assert first._deliveries == {} and first.in_doubt_txns() == []
+        assert first._last_heard_ms == env.now()
+
+    def test_a_prepared_record_of_a_decided_txn_redelivers_the_decision(
+            self):
+        fabric = make_fabric()
+        env = fabric.built.env
+        txn_id, owners = _committed(fabric)
+        _, successor = _taken_over(fabric)
+        assert successor.decided[txn_id][0] == COMMIT
+        # A reply that still shows the transaction prepared: the outcome is
+        # known, so it is re-driven at once, never held in doubt.
+        prepared = TxnLogRecord(txn_id, TxnState.PREPARED, {},
+                                tuple(p.name for p in owners), "")
+        in_doubt_when_resolved = []
+        resolve = successor._resolve_in_doubt
+
+        def recording():
+            in_doubt_when_resolved.append(set(successor._in_doubt))
+            resolve()
+
+        successor._resolve_in_doubt = recording
+        successor.recovering = True
+        sent = [env.network.link_stats(successor.name, p.name).messages
+                for p in owners]
+        successor._receive_control(
+            successor._txn_takeover_ack,
+            (owners[0].name, successor.epoch, [prepared]))
+        assert in_doubt_when_resolved == [set()]
+        assert [env.network.link_stats(successor.name, p.name).messages
+                for p in owners] == [count + 1 for count in sent]
+        env.run_until_idle()
+        assert successor._deliveries == {} and not successor.recovering
+        assert all(owner.log.state(txn_id) == TxnState.COMMITTED
+                   for owner in owners)
+
+    def test_an_in_doubt_txn_decided_meanwhile_takes_that_outcome(self):
+        """A transaction in doubt, then decided while replies are still
+        outstanding (a prepare timeout of the same id begun again here):
+        the next reply resolves it with that outcome, not a presumed abort
+        counted once every participant answered."""
+        fabric = make_fabric()
+        env = fabric.built.env
+        _, successor = fabric.coordinators
+        names = tuple(sorted(fabric.participants))
+        successor._take_over()
+        successor._in_doubt["ghost:1"] = TxnLogRecord(
+            "ghost:1", TxnState.PREPARED, {}, names, "")
+        successor.decided["ghost:1"] = (ABORT, None)
+        aborts = successor.aborts
+        env.run_until_idle()
+        assert successor.in_doubt_txns() == [] and not successor.recovering
+        assert successor.aborts == aborts
+        assert all(fabric.participants[name].log.state("ghost:1")
+                   == TxnState.ABORTED for name in names)
+        fabric.assert_atomic()
+
+
+class TestParticipant:
+    def test_a_probe_from_an_older_epoch_gets_no_reply(self):
+        fabric = make_fabric()
+        env = fabric.built.env
+        old, successor = _taken_over(fabric)
+        owner = next(iter(fabric.participants.values()))
+        assert owner.epoch == 2
+        replies, stale = owner.takeover_replies, owner.stale_epoch_rejections
+        old._send_control(64, owner._txn_takeover, old, 1)
+        env.run_until_idle()
+        assert owner.epoch == 2
+        assert owner.takeover_replies == replies
+        assert owner.stale_epoch_rejections == stale + 1
+
+    def test_a_re_prepare_of_a_committed_txn_re_acks_the_commit(self):
+        fabric = make_fabric()
+        env = fabric.built.env
+        txn_id, (owner, *_) = _committed(fabric)
+        first = fabric.coordinators[0]
+        acks = []
+        first._txn_ack = lambda *args: acks.append(args)
+        votes = owner.votes_yes + owner.votes_no
+        request = _request(owner, txn_id)
+        owner._handle_prepare(first, first.epoch, request)
+        env.run_until_idle()
+        assert acks == [(txn_id, owner.name, True)]
+        assert owner.votes_yes + owner.votes_no == votes
+
+    def test_a_re_prepare_of_a_prepared_txn_votes_yes_again(self):
+        fabric = make_fabric()
+        env = fabric.built.env
+        txn_id, (owner, *_) = _committed(fabric)
+        first = fabric.coordinators[0]
+        owner.log.get(txn_id).state = TxnState.PREPARED
+        appends = owner.log.appends
+        votes = []
+        first._txn_vote = lambda *args: votes.append(args)
+        owner._handle_prepare(first, first.epoch, _request(owner, txn_id))
+        env.run_until_idle()
+        assert votes == [(txn_id, owner.name, owner.epoch, True)]
+        assert owner.log.state(txn_id) == TxnState.PREPARED
+        assert owner.log.appends == appends and owner.locks == {}
+
+    def test_an_abort_over_a_commit_re_acks_the_commit(self):
+        fabric = make_fabric()
+        env = fabric.built.env
+        txn_id, (owner, *_) = _committed(fabric)
+        first = fabric.coordinators[0]
+        acks = []
+        first._txn_ack = lambda *args: acks.append(args)
+        aborts = owner.aborts_logged
+        owner._handle_abort(first, first.epoch, txn_id)
+        env.run_until_idle()
+        assert acks == [(txn_id, owner.name, True)]
+        assert owner.log.state(txn_id) == TxnState.COMMITTED
+        assert owner.aborts_logged == aborts
+        assert ABORT not in {outcome for outcome, _ in
+                             first.decided.values()}
+
+
+def _request(owner, txn_id):
+    """The prepare request of ``txn_id`` as ``owner`` logged it."""
+    from repro.txn.coordinator import InFlightTxn
+    from repro.txn.manager import TxnOp
+
+    record = owner.log.get(txn_id)
+    op = TxnOp(txn_id, dict(record.writes), record.client, float("inf"),
+               170, None, 0.0)
+    return InFlightTxn(op, record.participants, {owner.name: record.writes})

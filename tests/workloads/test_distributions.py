@@ -1,5 +1,6 @@
 """Tests for the YCSB request distributions."""
 
+import math
 import random
 from collections import Counter
 
@@ -92,3 +93,39 @@ class TestSkew:
         for i in range(200):
             chooser.notify_insert(i % 50)
             assert 0 <= chooser.next_index() < 50
+
+
+class _Doubles:
+    """An rng whose ``random()`` hands out the given doubles in order."""
+
+    def __init__(self, us):
+        self._next = iter(us).__next__
+
+    def random(self):
+        return self._next()
+
+
+class TestBulkDraws:
+    """``indices_from_doubles`` — the path ``OperationGenerator.prefill``
+    takes for a ``"doubles"`` chooser — against ``next_index`` fed the
+    same doubles, draw for draw."""
+
+    @pytest.mark.parametrize("chooser", [ZipfianKeyChooser,
+                                         ScrambledZipfianKeyChooser])
+    @pytest.mark.parametrize("record_count", [1, 2, 3, 1_000, 400_000])
+    def test_indices_from_doubles_match_next_index(self, chooser,
+                                                   record_count):
+        rng = random.Random(record_count)
+        us = [rng.random() for _ in range(2_000)]
+        zipfian = ZipfianKeyChooser(record_count, rng)
+        # Each branch's edges: the head, the second item, the tail.
+        for edge in (1.0 / zipfian._zetan,
+                     (1.0 + 0.5 ** zipfian.theta) / zipfian._zetan):
+            us += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
+        us += [0.0, math.nextafter(1.0, 0.0)]
+        per_draw = chooser(record_count, _Doubles(us))
+        expected = [per_draw.next_index() for _ in us]
+        bulk = chooser(record_count, random.Random(0))
+        assert bulk.indices_from_doubles(us) == expected
+        assert bulk.indices_from_doubles(iter(us)) == expected
+        assert all(0 <= index < record_count for index in expected)

@@ -130,20 +130,22 @@ class TestDrawOracle:
     here before it changes a figure."""
 
     @pytest.mark.parametrize("size", [100, 24])
-    def test_initial_values_match_per_draw_choice(self, size):
+    def test_initial_values_match_the_key_oracle(self, size):
+        """A time-zero value is its key's SHAKE-128 digest, byte ``b``
+        written as printable character ``b % 62``."""
         count = 2_000
-        rng = random.Random(records._INITIAL_VALUE_SEED)
-        stream = "".join([rng.choice(records._PRINTABLE)
-                          for _ in range(count * size)])
+        printable = records._PRINTABLE
         dataset = Dataset(count, value_size_bytes=size)
-        assert [dataset.initial_value(i) for i in range(count)] == \
-            [stream[i * size:(i + 1) * size] for i in range(count)]
+        assert [dataset.initial_value(i) for i in range(count)] == [
+            "".join([printable[byte % len(printable)] for byte in
+                     hashlib.shake_128(f"user{i}".encode()).digest(size)])
+            for i in range(count)]
 
     def test_initial_items_digest(self):
         # The record count ``ring-join-400k --quick`` preloads.
         items = Dataset(100_000).initial_items()
         assert _sha256(f"{key} {value}" for key, value in items.items()) == \
-            "9229343b19b15fab21c93e33d5863e71840e901cb0c114a3f1debe98f6c6376d"
+            "14b12dffaccc42b15f21eee654fe622940c997e9b7da6e52e8b6a16b2c7b4ded"
 
     def test_random_value_digest(self):
         dataset = Dataset(1_000, seed=11)
@@ -170,58 +172,9 @@ class TestDrawOracle:
         assert _sha256(map(str, generator._buf)) == digest
 
 
-class TestInitialValueChunking:
-    @pytest.mark.parametrize("chunk", [256, 300, 1 << 16])
-    def test_initial_values_do_not_depend_on_the_chunk_size(
-            self, chunk, monkeypatch):
-        """The chunk only bounds the draw's temporaries: stream consumption
-        is exact across refills, so any chunking yields the same strings."""
-        count = 3 * records._INITIAL_CHUNK + 17
-        reference = list(
-            Dataset(count, value_size_bytes=10).initial_items().values())
-        monkeypatch.setattr(records, "_INITIAL_CHUNK", chunk)
-        rechunked = Dataset(count, value_size_bytes=10).initial_items()
-        assert list(rechunked.values()) == reference
-        # ... and filling on demand, index by index, agrees too.
-        lazy = Dataset(count, value_size_bytes=10)
-        for index in (0, 255, 256, 4_095, 4_096, 17, count - 1):
-            assert lazy.initial_value(index) == reference[index]
-        assert list(lazy.initial_items().values()) == reference
-
-    def test_reading_upward_does_not_copy_the_text_per_read(self):
-        """Values read one by one upward draw the text in fills that at
-        least double it: the texts built along the way add up to at most
-        three times the last one, not to a sum that grows with the square
-        of the count (3.2 million characters here at 256 values a fill,
-        against 80,000 in the last text)."""
-        count, size = 20_000, 4
-        dataset = Dataset(count, value_size_bytes=size)
-        built, text = 0, None
-        for index in range(count):
-            dataset.initial_value(index)
-            if dataset._initial_text is not text:
-                text = dataset._initial_text
-                built += len(text)
-        assert len(text) == count * size
-        assert built <= 3 * count * size
-
-
-class TestTextColumn:
-    """A value column over one text, as ``initial_items()`` hands it to a
-    preload and a key space keeps it."""
-
-    def test_take_equals_reading_value_by_value(self):
-        column = Dataset(300, value_size_bytes=7).initial_items().values()
-        order = list(range(299, -1, -3)) + [5, 5, 0]
-        permuted = column.permuted(order)
-        for values in (column, permuted):
-            rows = list(range(len(values))) + [0, 2, 2, len(values) - 1]
-            assert values.take(rows) == [values[row] for row in rows]
-            assert values.take(iter(rows)) == values.take(rows)
-            assert list(values) == [values[row]
-                                    for row in range(len(values))]
-        assert [permuted[j] for j in range(len(order))] == \
-            [column[i] for i in order]
+class TestTimeZeroItems:
+    """A dataset's key -> value mapping, as ``initial_items()`` hands it
+    to a preload."""
 
     def test_values_are_the_dataset_initial_values(self):
         dataset = Dataset(50, value_size_bytes=9)
