@@ -37,15 +37,16 @@ _KEY_CACHE_MAX = 1 << 18
 
 def check_positive_int(name: str, value: object) -> None:
     """The rule for a count or a size: a ``ValueError`` naming ``name``
-    unless ``value`` is a positive int."""
-    if not isinstance(value, int) or not value >= 1:
+    unless ``value`` is a positive int (a ``bool`` is not one)."""
+    if type(value) is bool or not isinstance(value, int) or value < 1:
         raise ValueError(f"{name} must be a positive int: {value!r}")
 
 
 def check_non_negative_int(name: str, value: object) -> None:
     """The rule for a count that may be zero (a retry count): a
-    ``ValueError`` naming ``name`` unless ``value`` is an int >= 0."""
-    if not isinstance(value, int) or value < 0:
+    ``ValueError`` naming ``name`` unless ``value`` is an int >= 0 (a
+    ``bool`` is not one)."""
+    if type(value) is bool or not isinstance(value, int) or value < 0:
         raise ValueError(f"{name} must be a non-negative int: {value!r}")
 
 

@@ -709,7 +709,8 @@ if __name__ == "__main__":
 
     if "--regenerate" not in sys.argv:
         raise SystemExit(f"usage: python {sys.argv[0]} --regenerate")
-    sys.path.insert(0, str(pathlib.Path(__file__).parents[1]))
+    tests = pathlib.Path(__file__).parents[1]
+    sys.path[:0] = [str(tests), str(tests / "check")]
     golden = {"trace": trace_fingerprint(), "figures": figure_fingerprints(),
               "faults": fault_fingerprints(),
               "zookeeper": zookeeper_fingerprints(),

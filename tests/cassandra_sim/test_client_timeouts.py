@@ -4,24 +4,13 @@ record, to the contact its attempt count picks, at most ``client_retries``
 times, and then fails."""
 
 import pytest
-from sinks import RecordingSink
+from fault_slices import one_client_cluster
+from history import RecordingSink
 
-from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
-from repro.sim.environment import SimEnvironment
 from repro.sim.network import Network
-from repro.sim.topology import Region
 
 _TIMEOUT_MS = 100.0
-
-
-def _cluster(config, fallbacks=True):
-    env = SimEnvironment(seed=11)
-    cluster = CassandraCluster(env, config)
-    cluster.preload({f"key{i}": f"value{i}" for i in range(10)})
-    client = cluster.add_client("client", Region.IRL, Region.FRK,
-                                fallbacks=fallbacks)
-    return env, cluster, client
 
 
 def _record_sends(monkeypatch, env, client):
@@ -64,7 +53,7 @@ def _issue(client, kind, sink):
 def test_retries_rotate_then_the_operation_fails(monkeypatch, retries, kind):
     config = CassandraConfig.fault_tolerant(client_timeout_ms=_TIMEOUT_MS,
                                             client_retries=retries)
-    env, cluster, client = _cluster(config)
+    env, cluster, client = one_client_cluster(config)
     for replica in cluster.replicas:
         replica.crash()
     sends = _record_sends(monkeypatch, env, client)
@@ -90,7 +79,7 @@ def test_retries_rotate_then_the_operation_fails(monkeypatch, retries, kind):
 def test_without_fallbacks_the_primary_contact_is_retried(monkeypatch):
     config = CassandraConfig.fault_tolerant(client_timeout_ms=_TIMEOUT_MS,
                                             client_retries=2)
-    env, cluster, client = _cluster(config, fallbacks=False)
+    env, cluster, client = one_client_cluster(config, fallbacks=False)
     for replica in cluster.replicas:
         replica.crash()
     sends = _record_sends(monkeypatch, env, client)
@@ -112,7 +101,7 @@ def test_answers_to_superseded_attempts_complete_once(monkeypatch):
     # attempt records and nothing else.
     config = CassandraConfig.fault_tolerant(client_timeout_ms=15.0,
                                             client_retries=2)
-    env, cluster, client = _cluster(config)
+    env, cluster, client = one_client_cluster(config)
     sends = _record_sends(monkeypatch, env, client)
     finals = _record_finals(monkeypatch, client)
     sink = RecordingSink()

@@ -3,7 +3,8 @@ retry/downgrade, client-side failover, read repair after recovery, and
 late-preliminary accounting."""
 
 import pytest
-from sinks import RecordingSink
+from fault_slices import one_client_cluster
+from history import RecordingSink
 
 from repro.bindings.cassandra import CassandraBinding
 from repro.cassandra_sim.cluster import CassandraCluster
@@ -14,21 +15,11 @@ from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
 
 
-def _build(config=None, fallbacks=True, seed=11):
-    env = SimEnvironment(seed=seed)
-    config = config or CassandraConfig.fault_tolerant()
-    cluster = CassandraCluster(env, config)
-    cluster.preload({f"key{i}": f"value{i}" for i in range(10)})
-    client = cluster.add_client("client", Region.IRL, Region.FRK,
-                                fallbacks=fallbacks)
-    return env, cluster, client
-
-
 class TestCoordinatorRetry:
     def test_quorum_read_spans_replica_crash_via_retry(self):
         """A quorum-2 read completes although a quorum member is down:
         the coordinator re-solicits the remaining replica."""
-        env, cluster, client = _build()
+        env, cluster, client = one_client_cluster()
         cluster.replica_in(Region.IRL).crash()
 
         results = RecordingSink()
@@ -47,7 +38,7 @@ class TestCoordinatorRetry:
     def test_read_downgrades_when_quorum_unreachable(self):
         """With two replicas down, R=2 cannot be met; after retries the
         coordinator answers from its local copy, flagged as degraded."""
-        env, cluster, client = _build()
+        env, cluster, client = one_client_cluster()
         cluster.replica_in(Region.IRL).crash()
         cluster.replica_in(Region.VRG).crash()
 
@@ -66,7 +57,7 @@ class TestCoordinatorRetry:
         instead of silently hanging."""
         config = CassandraConfig.fault_tolerant(downgrade_on_timeout=False,
                                                 client_timeout_ms=0.0)
-        env, cluster, client = _build(config=config)
+        env, cluster, client = one_client_cluster(config=config)
         cluster.replica_in(Region.IRL).crash()
         cluster.replica_in(Region.VRG).crash()
         # Make the only reachable copy the coordinator itself ineligible by
@@ -86,7 +77,7 @@ class TestCoordinatorRetry:
     def test_write_survives_single_crash_without_retry(self):
         """Writes already fan out to every replica, so one crash leaves the
         quorum intact and no retry is needed."""
-        env, cluster, client = _build()
+        env, cluster, client = one_client_cluster()
         cluster.replica_in(Region.IRL).crash()
 
         results = RecordingSink()
@@ -101,7 +92,7 @@ class TestCoordinatorRetry:
     def test_write_retries_then_downgrades_when_quorum_unreachable(self):
         """With both other replicas down, W=2 cannot be met: the coordinator
         retries, then acknowledges with its own ack only, flagged degraded."""
-        env, cluster, client = _build()
+        env, cluster, client = one_client_cluster()
         cluster.replica_in(Region.IRL).crash()
         cluster.replica_in(Region.VRG).crash()
 
@@ -160,7 +151,7 @@ class TestCoordinatorRetry:
 
     def test_timeouts_disabled_by_default(self):
         """The default (seed) configuration schedules no timeout machinery."""
-        env, cluster, client = _build(config=CassandraConfig())
+        env, cluster, client = one_client_cluster(config=CassandraConfig())
         results = RecordingSink()
         client.lean_read("key1", 2, False, results)
         env.run_until_idle()
@@ -172,7 +163,7 @@ class TestCoordinatorRetry:
 
 class TestClientFailover:
     def test_client_fails_over_when_coordinator_crashes(self):
-        env, cluster, client = _build()
+        env, cluster, client = one_client_cluster()
         cluster.replica_in(Region.FRK).crash()  # the client's contact
 
         results = RecordingSink()
@@ -185,7 +176,7 @@ class TestClientFailover:
         assert client.failed_requests == 0
 
     def test_client_reports_error_when_everything_is_down(self):
-        env, cluster, client = _build()
+        env, cluster, client = one_client_cluster()
         for replica in cluster.replicas:
             replica.crash()
 
@@ -203,7 +194,7 @@ class TestReadRepair:
         """A replica that missed a write while crashed converges after the
         partition of its downtime 'heals' (it recovers) and a quorum read
         observes the divergent responses."""
-        env, cluster, client = _build()
+        env, cluster, client = one_client_cluster()
         lagging = cluster.replica_in(Region.IRL)
         lagging.crash()
 
@@ -230,7 +221,7 @@ class TestLatePreliminaries:
         arrives once the request already completed elsewhere; the client
         drops it and counts it — the wire-level analogue of a Correctable
         discarding a post-close update."""
-        env, cluster, node = _build()
+        env, cluster, node = one_client_cluster()
         # The contact coordinator is alive but slow *and* partitioned away
         # from both other replicas: the client times out and completes via a
         # fallback coordinator, while the original coordinator — unable to

@@ -1,7 +1,7 @@
 """End-to-end protocol tests for the simulated Cassandra cluster."""
 
 import pytest
-from sinks import RecordingSink
+from history import RecordingSink
 
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig

@@ -8,7 +8,8 @@ and retired coordinators hand their clients over to a fallback contact.
 """
 
 import pytest
-from sinks import RecordingSink
+from checkers import lost_acked_writes, well_formed
+from history import History, RecordingSink
 
 from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.cluster import CassandraCluster
@@ -153,53 +154,41 @@ class TestDecommission:
 
 class TestSafetyUnderTraffic:
     def drive(self, cluster, env, event, writes=150, until=4_000.0):
-        """Interleave writes with ``event`` at t=300; return acked stamps."""
+        """Interleave writes with ``event`` at t=300, then check that
+        every write got one ack and no acknowledged write is lost."""
         client = cluster.add_client(
             "c", Region.IRL, contact_region=Region.FRK,
             fallbacks=True)
-        acked = {}
+        history = History(env.scheduler.now)
 
         def write_one(i):
-            key = f"key{i % 60}"
-
-            def on_ack(answer, key=key):
-                if answer.kind == "final" and answer.stamp:
-                    previous = acked.get(key)
-                    if previous is None or answer.stamp > previous:
-                        acked[key] = answer.stamp
-
-            client.lean_write(key, f"new-{i}", 1, RecordingSink(then=on_ack))
+            key, value = f"key{i % 60}", f"new-{i}"
+            client.lean_write(key, value, 1,
+                              history.invoke("update", key, 1, value))
 
         for i in range(writes):
             env.scheduler.schedule_call_at(5.0 * i, write_one, (i,))
         event()
         env.run(until=until)
         env.run_until_idle()
-        return acked
+        assert len(history.ops) == writes
+        assert any(op.kinds() == ["final"] for op in history.ops)
+        assert well_formed(history) == lost_acked_writes(history, cluster) \
+            == []
 
     def test_zero_lost_acked_writes_across_join(self):
         env = _env()
         cluster = six_node_cluster(env)
-        acked = self.drive(
-            cluster, env,
-            lambda: cluster.join_node("cassandra-6-" + Region.FRK,
-                                      Region.FRK, at_ms=300.0))
-        assert acked
-        for key, timestamp in acked.items():
-            version = newest_at_owners(cluster, key)
-            assert version is not None and version.timestamp >= timestamp, key
+        self.drive(cluster, env,
+                   lambda: cluster.join_node("cassandra-6-" + Region.FRK,
+                                             Region.FRK, at_ms=300.0))
 
     def test_zero_lost_acked_writes_across_decommission(self):
         env = _env()
         cluster = six_node_cluster(env)
         leaving = cluster.replicas[5].name
-        acked = self.drive(
-            cluster, env,
-            lambda: cluster.decommission_node(leaving, at_ms=300.0))
-        assert acked
-        for key, timestamp in acked.items():
-            version = newest_at_owners(cluster, key)
-            assert version is not None and version.timestamp >= timestamp, key
+        self.drive(cluster, env,
+                   lambda: cluster.decommission_node(leaving, at_ms=300.0))
 
     def test_new_keys_inserted_while_ranges_stream(self, monkeypatch):
         """A join, then a decommission, under writes that *create* keys: the
@@ -237,18 +226,13 @@ class TestSafetyUnderTraffic:
                             recording_apply)
         client = cluster.add_client("c", Region.IRL,
                                     contact_region=Region.FRK, fallbacks=True)
-        acked = {}
+        history = History(env.scheduler.now)
 
         def write_one(i):
             # Two new keys for every overwrite of a preloaded one.
             key = f"key{i % 60}" if i % 3 == 0 else f"fresh{i}"
-
-            def on_ack(answer):
-                if answer.kind == "final" and answer.stamp:
-                    acked[key] = max(answer.stamp,
-                                     acked.get(key, answer.stamp))
-
-            client.lean_write(key, f"new-{i}", 1, RecordingSink(then=on_ack))
+            client.lean_write(key, f"new-{i}", 1, history.invoke(
+                "update", key, 1, f"new-{i}"))
 
         for i in range(400):
             env.scheduler.schedule_call_at(5.0 * i, write_one, (i,))
@@ -272,10 +256,9 @@ class TestSafetyUnderTraffic:
         for source, rows in scans:
             sizes.setdefault(source, set()).add(rows)
         assert any(len(seen) > 1 for seen in sizes.values())
-        assert any(key.startswith("fresh") for key in acked)
-        for key, timestamp in acked.items():
-            version = newest_at_owners(cluster, key)
-            assert version is not None and version.timestamp >= timestamp, key
+        assert any(op.key.startswith("fresh") and op.kinds() == ["final"]
+                   for op in history.ops)
+        assert lost_acked_writes(history, cluster) == []
 
     def test_stale_epoch_reads_are_retried_not_failed(self):
         env = _env()

@@ -20,14 +20,14 @@ import dis
 import hashlib
 import sys
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import pytest
 from fault_slices import (REGIONS, correctable_kv_issue, crash_and_degrade,
-                          fault_windows, fingerprint, open_loop_run,
-                          schedule_from_windows)
+                          fault_windows, fingerprint, one_client_cluster,
+                          open_loop_run, schedule_from_windows)
+from history import RecordingSink
 from hypothesis import HealthCheck, given, settings
-from sinks import RecordingSink
 
 from repro.bench.common import (
     cassandra_config_for,
@@ -36,13 +36,11 @@ from repro.bench.common import (
 )
 from repro.bench.fig15_rebalance import (CLIENT_REGIONS, make_rebalance_issue,
                                          skew_workload)
-from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.versions import VersionedValue
 from repro.faults import FaultInjector
 from repro.faults.scenarios import cassandra_aliases
 from repro.faults.schedule import FaultScheduleBuilder
-from repro.sim.environment import SimEnvironment
 from repro.sim.node import Node
 from repro.core.cluster_spec import ClusterSpec
 from repro.sim.topology import Region, round_robin_regions
@@ -124,14 +122,6 @@ class TestRunnerSinkEqualsCorrectablesUnderFaults:
         assert lean_trace == dict_trace
         assert lean == classic
 
-    def test_drained_fault_run_leaves_nothing_in_flight(self):
-        """Every write in the run has W=1 < RF, and the crash window loses
-        acks for good: neither may strand a record."""
-        _, fingerprint, _ = open_loop_run()
-        assert sum(r[1] for r in fingerprint["replicas"]) > 20, "no writes"
-        assert fingerprint["in_flight"] == QUIESCED
-        assert fingerprint["live_events"] == 0
-
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(windows=fault_windows(2_400.0, 1_500.0))
@@ -150,18 +140,9 @@ class TestRunnerSinkEqualsCorrectablesUnderFaults:
 # targeted completion orders, on a recording sink
 # ---------------------------------------------------------------------------
 
-def _cluster(config: Optional[CassandraConfig] = None, fallbacks: bool = True):
-    env = SimEnvironment(seed=11)
-    cluster = CassandraCluster(env, config or CassandraConfig.fault_tolerant())
-    cluster.preload({f"key{i}": f"value{i}" for i in range(10)})
-    client = cluster.add_client("client", Region.IRL, Region.FRK,
-                                fallbacks=fallbacks)
-    return env, cluster, client
-
-
 class TestCompletionOrders:
     def test_timeout_exhaustion_delivers_one_error(self):
-        env, cluster, client = _cluster()
+        env, cluster, client = one_client_cluster()
         for replica in cluster.replicas:
             replica.crash()
         read_sink, write_sink = RecordingSink(), RecordingSink()
@@ -178,7 +159,7 @@ class TestCompletionOrders:
         assert env.scheduler.pending(live_only=True) == 0
 
     def test_retryable_error_rotates_to_the_next_contact(self):
-        env, cluster, client = _cluster()
+        env, cluster, client = one_client_cluster()
         # A joining node coordinates nothing yet, but stores what it is sent.
         cluster.replica_in(Region.FRK).ring_state = "bootstrapping"
         read_sink, write_sink = RecordingSink(), RecordingSink()
@@ -199,7 +180,7 @@ class TestCompletionOrders:
         assert client.outstanding() == (0, 0, 0)
 
     def test_non_retryable_error_fails_the_request(self):
-        env, cluster, client = _cluster(fallbacks=False)
+        env, cluster, client = one_client_cluster(fallbacks=False)
         cluster.replica_in(Region.FRK).ring_state = "bootstrapping"
         sink = RecordingSink()
         client.lean_read("key1", 2, False, sink)
@@ -215,7 +196,7 @@ class TestCompletionOrders:
         lands after the client failed over to the second (delivered: the
         operation is still open), the second coordinator's final closes the
         operation, and a preliminary after that is counted, not delivered."""
-        env, cluster, client = _cluster()
+        env, cluster, client = one_client_cluster()
         for replica in cluster.replicas:
             replica.crash()
         ghost = Node("ghost", Region.IRL, env.network)
@@ -271,7 +252,7 @@ class TestWhatTheSinkReceives:
     def _stack(self, fault_tolerant: bool):
         config = (CassandraConfig.fault_tolerant() if fault_tolerant
                   else cassandra_config_for("CC2"))
-        return _cluster(config, fallbacks=fault_tolerant)
+        return one_client_cluster(config, fallbacks=fault_tolerant)
 
     def test_icg_read(self, fault_tolerant):
         env, cluster, client = self._stack(fault_tolerant)

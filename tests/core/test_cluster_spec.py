@@ -48,11 +48,13 @@ class TestSpecLayout:
         ("value_size_bytes", 0), ("value_size_bytes", -1),
     ] + [(field, value) for field in ("nodes", "record_count",
                                       "value_size_bytes")
-         for value in (math.nan, 2.5, math.inf)])
+         for value in (math.nan, 2.5, math.inf)] + [
+        (field, True) for field in ("nodes", "record_count",
+                                    "value_size_bytes", "replication_factor")])
     def test_dataset_shape_rejected_at_construction(self, field, value):
         """Not at the first update of a run built without a preload, nor
         as a ``TypeError`` at ``build()`` (a node count or a dataset size
-        that is not an int)."""
+        that is not an int), nor as the int 1 (``True``)."""
         with pytest.raises(ValueError):
             ClusterSpec(preload=False, **{field: value})
 

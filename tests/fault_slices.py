@@ -1,6 +1,6 @@
 """Small fault-run slices shared by the determinism goldens and the fault
-suites (importable as ``fault_slices``: ``tests/conftest.py`` puts this
-directory on ``sys.path``).
+suites (importable as ``fault_slices``: ``pyproject.toml``'s pytest
+``pythonpath`` puts this directory on ``sys.path``).
 
 ``open_loop_run`` is perfbench's ``cass-open-faults-b`` in miniature —
 open-loop YCSB B over ``CorrectableClient`` sessions with timeouts, failover
@@ -26,6 +26,7 @@ from repro.bench.common import CASSANDRA_SYSTEMS, cassandra_config_for
 from repro.bench.fig14_open_loop import (_correctable_session_issue,
                                          make_session_issue)
 from repro.bindings.cassandra import CassandraBinding
+from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.core.client import CorrectableClient
 from repro.core.cluster_spec import ClusterSpec
@@ -33,6 +34,7 @@ from repro.core.operations import read, write
 from repro.faults import FaultInjector
 from repro.faults.scenarios import cassandra_aliases
 from repro.faults.schedule import FaultSchedule, FaultScheduleBuilder
+from repro.sim.environment import SimEnvironment
 from repro.sim.rand import derive_rng
 from repro.sim.topology import Region
 from repro.workloads.arrivals import make_arrival_process
@@ -40,6 +42,18 @@ from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.ycsb import OperationGenerator, workload_by_name
 
 REGIONS = (Region.IRL, Region.FRK, Region.VRG)
+
+
+def one_client_cluster(config: Optional[CassandraConfig] = None,
+                       fallbacks: bool = True):
+    """Three replicas (fault-tolerant unless ``config`` is given),
+    ``key0..9`` preloaded as ``value0..9``, one IRL client contacting FRK;
+    returns ``(env, cluster, client)``."""
+    env = SimEnvironment(seed=11)
+    cluster = CassandraCluster(env, config or CassandraConfig.fault_tolerant())
+    cluster.preload({f"key{i}": f"value{i}" for i in range(10)})
+    return env, cluster, cluster.add_client("client", Region.IRL, Region.FRK,
+                                            fallbacks=fallbacks)
 
 
 def crash_and_degrade(duration_ms: float) -> FaultSchedule:

@@ -18,7 +18,7 @@ mutants at the bottom cut that chain at each link and must be caught.
 """
 
 import pytest
-from sinks import RecordingSink
+from history import RecordingSink
 
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig

@@ -1,15 +1,13 @@
-"""Both runners' pooled records account a completion by the same rules.
+"""Both runners' pooled records account completions no Cassandra run
+makes by the same rules (``checkers.runner_figures`` checks the rest on
+real runs, ``tests/check/test_mutants.py``).
 
-The closed loop's ``_ClientThread`` and the open loop's ``_OpenOp`` are two
-implementations of one completion sink, and neither knows the store: the
-operation type it was issued with picks the latency bucket, and the ICG
-flag alone decides whether a preliminary and a divergence pair count.
-Every test here runs both shapes over an issuer that finishes each
-operation in a scripted way, one operation at a time (so the closed loop's
-thread and the open loop's pooled record are each reused for every
-operation), and checks the :class:`RunResult` they leave behind.  The last
-rows replay other stores' completions, in their shapes: a ZooKeeper ICG
-dequeue and a 2PC transaction.
+Every test runs both shapes over an issuer that finishes each operation in
+a scripted way, one operation at a time (so the closed loop's thread and
+the open loop's pooled record are each reused for every operation), and
+checks the :class:`RunResult` they leave behind.  The last rows replay
+other stores' completions, in their shapes: a ZooKeeper ICG dequeue and a
+2PC transaction.
 """
 
 import pytest
@@ -88,16 +86,6 @@ def _divergence(result):
 
 @pytest.mark.parametrize("shape", SHAPES)
 class TestCompletionRecords:
-    def test_diverging_icg_read_counts_a_diverged_pair(self, shape):
-        result = _run(shape, lambda s, n, sink: _icg_read(s, sink, "old",
-                                                          "new"))
-        measured = result.measured_ops
-        assert _divergence(result) == (0, measured, 0)
-        assert result.preliminary_latency.samples() == \
-            [LATENCY_MS / 2] * measured
-        assert result.read_latency.samples() == [LATENCY_MS] * measured
-        assert result.update_latency.count == 0
-
     def test_confirmation_is_a_matched_pair(self, shape):
         # The store elided the final payload: the preliminary was final, so
         # there is nothing to compare.
@@ -105,13 +93,6 @@ class TestCompletionRecords:
             s, sink, "old", None, is_confirmation=True))
         assert _divergence(result) == (result.measured_ops, 0, 0)
         assert result.preliminary_latency.count == result.measured_ops
-
-    def test_icg_read_without_a_preliminary_is_missing_one(self, shape):
-        result = _run(shape, lambda s, n, sink: _icg_read(s, sink, None,
-                                                          "v"))
-        assert _divergence(result) == (0, 0, result.measured_ops)
-        assert result.preliminary_latency.count == 0
-        assert result.read_latency.count == result.measured_ops
 
     def test_plain_read_ignores_its_preliminary(self, shape):
         def complete(scheduler, n, sink):
@@ -125,89 +106,6 @@ class TestCompletionRecords:
         assert result.preliminary_latency.count == 0
         assert result.read_latency.samples() == \
             [LATENCY_MS] * result.measured_ops
-
-    def test_plain_read_after_an_icg_read_is_plain(self, shape):
-        """The ICG flag belongs to one operation: a plain read on a record
-        that last carried an ICG read is not accounted as one."""
-        def complete(scheduler, n, sink):
-            if n % 2:
-                _icg_read(scheduler, sink, "old", "new")
-            else:
-                scheduler.schedule(LATENCY_MS, sink.deliver_final, "v",
-                                   None, LATENCY_MS, False)
-
-        result = _run(shape, complete)
-        icg_reads = result.preliminary_latency.count
-        assert _divergence(result) == (0, icg_reads, 0)
-        assert abs(2 * icg_reads - result.measured_ops) <= 1
-
-    def test_failed_icg_read_leaves_nothing_for_the_next_one(self, shape):
-        """A preliminary that arrived before a failure is dropped with it:
-        the next ICG read, which hears no preliminary, is missing one."""
-        def complete(scheduler, n, sink):
-            if n % 2:
-                sink.icg = True
-                scheduler.schedule(LATENCY_MS / 2,
-                                   sink.deliver_preliminary, "old",
-                                   None, LATENCY_MS / 2)
-                scheduler.schedule(LATENCY_MS, sink.deliver_error,
-                                   "timeout", LATENCY_MS)
-            else:
-                _icg_read(scheduler, sink, None, "v")
-
-        result = _run(shape, complete)
-        matched, diverged, missing = _divergence(result)
-        assert (matched, diverged) == (0, 0)
-        assert result.preliminary_latency.count == 0
-        assert abs(2 * missing - result.measured_ops) <= 1
-        assert abs(2 * result.failed_ops - result.total_ops) <= 1
-
-    def test_degraded_completions_count_as_degraded(self, shape):
-        def complete(scheduler, n, sink):
-            if n % 2:
-                # A write's ack: a final without a value.
-                scheduler.schedule(LATENCY_MS, sink.deliver_final, None,
-                                   None, LATENCY_MS, False, True)
-            else:
-                scheduler.schedule(LATENCY_MS, sink.deliver_final, "v",
-                                   None, LATENCY_MS, False, True)
-
-        result = _run(shape, complete, _alternating)
-        assert result.degraded_ops == result.total_ops
-        assert result.failed_ops == 0
-        assert result.update_latency.count > 0
-        assert result.read_latency.count > 0
-        assert result.update_latency.count + result.read_latency.count == \
-            result.measured_ops == result.final_latency.count
-
-    def test_errors_are_failures_with_a_response_time(self, shape):
-        def complete(scheduler, n, sink):
-            scheduler.schedule(LATENCY_MS, sink.deliver_error, "timeout",
-                               LATENCY_MS)
-
-        result = _run(shape, complete, _alternating)
-        assert result.failed_ops == result.total_ops
-        assert result.degraded_ops == 0
-        assert _divergence(result) == (0, 0, 0)
-        assert result.update_latency.count > 0
-        assert result.read_latency.count > 0
-        assert result.update_latency.count + result.read_latency.count == \
-            result.measured_ops
-        assert result.final_latency.samples() == \
-            [LATENCY_MS] * result.measured_ops
-
-    def test_the_issued_type_picks_the_bucket_not_the_answer(self, shape):
-        """An update is one even when its final carries a value, and any
-        other operation is a read even when its final carries none."""
-        def complete(scheduler, n, sink):
-            scheduler.schedule(LATENCY_MS, sink.deliver_final,
-                               "v" if n % 2 else None, None, LATENCY_MS)
-
-        result = _run(shape, complete, _alternating)
-        assert result.update_latency.count > 0
-        assert result.read_latency.count > 0
-        assert abs(result.update_latency.count
-                   - result.read_latency.count) <= 1
 
     def test_zookeeper_icg_dequeue_diverges_on_the_znode_name(self, shape):
         """fig13's queue operations: a dequeue is a read, and the record

@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Dict, Iterator, List, Tuple
 
-from sinks import RecordingSink
+from history import RecordingSink
 
 from repro.apps.tickets import PurchaseOutcome, TicketSeller
 from repro.bindings.zookeeper import ZooKeeperQueueBinding

@@ -10,7 +10,7 @@ that hop itself with ``_send_control``, the control plane's one send.
 """
 
 import pytest
-from sinks import RecordingSink
+from history import RecordingSink
 
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, Topology

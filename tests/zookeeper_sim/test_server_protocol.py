@@ -1,7 +1,7 @@
 """End-to-end protocol tests for the simulated ZooKeeper ensemble."""
 
 import pytest
-from sinks import RecordingSink
+from history import RecordingSink
 
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, Topology

@@ -6,8 +6,8 @@ the servers used to compute live on here as the oracle."""
 import time
 
 import pytest
+from history import RecordingSink
 from hypothesis import example, given, settings, strategies as st
-from sinks import RecordingSink
 
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, Topology

@@ -3,7 +3,7 @@ within ``request_timeout_ms`` is re-sent at once to the server its attempt
 count picks, at most ``client_retries`` times, and then fails."""
 
 import pytest
-from sinks import RecordingSink
+from history import RecordingSink
 
 from repro.sim.environment import SimEnvironment
 from repro.sim.network import Network

@@ -2,7 +2,7 @@
 client session failover."""
 
 import pytest
-from sinks import RecordingSink
+from history import RecordingSink
 
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region

@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Tuple
 
 import pytest
 import zk_slices
-from sinks import RecordingSink
+from history import RecordingSink
 from zk_slices import (DRAINED, cluster_record, instances_built,
                        traced_schedulers)
 
