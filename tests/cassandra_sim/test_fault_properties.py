@@ -6,11 +6,12 @@ at the storage clients through crash / partition / degrade / slow windows
 (``tests/check/history.py``).  ``checkers.well_formed`` judges it — every
 operation gets exactly one final, ack or error and nothing after it, every
 view holds a value written to its key (so a delivery into the wrong
-operation shows), no final is older than its preliminary, ``degraded`` is
-set exactly when the coordinator answered below the quorum asked — and what
-is left behind is checked too: ``bench.common.DrainCheck`` (pools balanced,
-nothing in flight), no live event, and once the faults heal and read repair
-has run, replicas agree.
+operation shows), a read's final is an answering attempt's newest version
+and no attempt answers older than the preliminary it flushed, ``degraded``
+is set exactly when the coordinator answered below the quorum asked — and
+what is left behind is checked too: ``bench.common.DrainCheck`` (pools
+balanced, nothing in flight), no live event, and once the faults heal and
+read repair has run, replicas agree.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import pytest
 from checkers import well_formed
 from fault_slices import fault_windows, schedule_from_windows
 from history import RecordingSink
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 from runs import KEYS, drive, machinery_run, small_cluster
 
 from repro.bench.common import DrainCheck
@@ -59,6 +61,11 @@ class TestUnderGeneratedFaults:
               suppress_health_check=[HealthCheck.too_slow])
     @given(windows=fault_windows(1_600.0, 1_200.0),
            seed=st.integers(min_value=1, max_value=10_000))
+    # A read fails over; the retry's preliminary is newer than the final
+    # the first attempt answers with.
+    @example(windows=[("crash", 0, 0, 50.0, 20.0),
+                      ("crash", 0, 0, 150.0, 28.0),
+                      ("slow", 1, 0, 146.0, 120.0)], seed=1)
     def test_every_operation_completes_once_and_nothing_is_left(
             self, windows, seed):
         drain = DrainCheck("generated faults")

@@ -4,8 +4,11 @@ each returns the problems it found, one line each.
 * :func:`well_formed`, the Correctable contract per operation: exactly one
   final or error and nothing after it; every view a value written to its
   key (by an update invoked before the view arrived) or the key's time-zero
-  value; no final older than its preliminary; ``degraded`` exactly when
-  the coordinator answered below the quorum asked.
+  value; in an observed history, a read's final is the newest version of
+  an attempt that answered, and no attempt answers older than the
+  preliminary it flushed (after a client failover the preliminary may come
+  from another attempt than the final, and be newer); ``degraded`` exactly
+  when the coordinator answered below the quorum asked.
 * :func:`runner_figures`: each load runner's :class:`RunResult` (counts,
   latency samples, divergence pairs) re-derived from the operations it
   issued through the history.
@@ -35,7 +38,15 @@ def well_formed(history) -> List[str]:
             problems.append(f"{name}: {answers} answers, not one")
         elif "preliminary" in kinds[kinds.index(op.answers[0][0]):]:
             problems.append(f"{name}: a preliminary after its answer")
-        preliminary = None
+        newest = {None if version is None else version.timestamp
+                  for version, _ in op.answered}
+        for version, preliminary in op.answered:
+            if preliminary is not None and (
+                    version is None
+                    or version.timestamp < preliminary.timestamp):
+                problems.append(f"{name}: an attempt answered {version} older "
+                                f"than the preliminary it flushed "
+                                f"{preliminary}")
         for call, at in zip(op.calls, op.times):
             if call[0] == "error":
                 continue
@@ -45,12 +56,10 @@ def well_formed(history) -> List[str]:
                 problems.append(f"{name}: {call[0]} {call.value!r} was "
                                 f"never written")
             if call[0] == "preliminary":
-                preliminary = call
                 continue
-            if preliminary is not None and preliminary.stamp is not None \
-                    and (call.stamp is None or call.stamp < preliminary.stamp):
-                problems.append(f"{name}: final {call.stamp} older than its "
-                                f"preliminary {preliminary.stamp}")
+            if op.answered and call.stamp not in newest:
+                problems.append(f"{name}: final {call.stamp} is no answering "
+                                f"attempt's newest version")
             if op.reached and call.degraded not in {
                     reached < asked for reached, asked in op.reached}:
                 problems.append(f"{name}: degraded={call.degraded} with "

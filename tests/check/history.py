@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, List, NamedTuple, Optional, Union
 from unittest import mock
 
+from repro.cassandra_sim.coordinator import FusedRead
 from repro.cassandra_sim.replica import CassandraReplica
 
 
@@ -85,9 +86,10 @@ class Op(RecordingSink):
     ``value``, ``icg``), the simulated time ``times[i]`` of each delivery
     ``calls[i]``, passed on to the issuer's ``sink`` if there is one (a
     load runner's record, whose ``icg`` it sets too).  ``arrived_at`` is
-    the open loop's arrival (the invoke otherwise); ``reached`` holds, per
-    attempt that answered while the history observed the store, ``(answers
-    gathered, quorum asked)``."""
+    the open loop's arrival (the invoke otherwise).  Per attempt that
+    answered while the history observed the store, ``reached`` holds
+    ``(answers gathered, quorum asked)`` and, for a read, ``answered``
+    holds ``(its newest version, the preliminary it flushed or None)``."""
 
     def __init__(self, history: "History", kind: str, key: str,
                  level: Optional[int], value: Any, icg: bool,
@@ -100,6 +102,7 @@ class Op(RecordingSink):
         self.runner = getattr(sink, "runner", None)
         self.times: List[float] = []
         self.reached: List[tuple] = []
+        self.answered: List[tuple] = []
 
     @property
     def icg(self) -> bool:
@@ -143,13 +146,18 @@ class History:
     @contextmanager
     def observe():
         """Inside: when a Cassandra coordinator answers an operation of a
-        history, note on it what the attempt had gathered — omniscient
+        history, note on it what the attempt had gathered (and, for a
+        read, its newest version and flushed preliminary) — omniscient
         state, read off the pooled record at that instant."""
         def decided(method, gathered, asked):
             def answer(replica, rec, degraded):
-                if isinstance(rec.op.sink, Op):
-                    rec.op.sink.reached.append(
+                op = rec.op.sink
+                if isinstance(op, Op):
+                    op.reached.append(
                         (getattr(rec, gathered), getattr(rec, asked)))
+                    if type(rec) is FusedRead:
+                        op.answered.append((rec.best, rec.preliminary
+                                            if rec.preliminary_sent else None))
                 method(replica, rec, degraded)
             return answer
 
