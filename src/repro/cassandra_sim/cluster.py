@@ -200,12 +200,13 @@ class CassandraCluster:
         :class:`~repro.workloads.records.TimeZeroItems`), read in bulk.
         Every key is hashed once here and the rows are sorted by token
         once, so keys new to the key space get their ids in token order
-        (which lets a stream task bisect the token column).  If all are
-        new, the key space keeps a dict's values (a dataset's it derives
-        from the keys) and every owner's row holds ``TIME_ZERO``; otherwise
-        each key gets its own version, which an owner holding the key
-        ignores (an equal stamp is not newer).  The sorted columns are cut
-        at the ring's slot boundaries and each run is merged into its
+        (which lets a stream task bisect the token column, and makes a
+        first preload the key space's base run: no key → id dict).  If all
+        are new, the key space keeps a dict's values (a dataset's it
+        derives from the keys) and every owner's row holds ``TIME_ZERO``;
+        otherwise each key gets its own version, which an owner holding the
+        key ignores (an equal stamp is not newer).  The sorted columns are
+        cut at the ring's slot boundaries and each run is merged into its
         owners whole.
         """
         keys = list(items)
@@ -218,7 +219,7 @@ class CassandraCluster:
                                           order))
         del order  # freed before the tables fill
         space = self.keyspace
-        if space.ids.keys().isdisjoint(keys):
+        if not len(space) or space.isdisjoint(keys):
             ids = space.extend(keys, tokens, values, size)
             versions = None  # TIME_ZERO a run at a time: no row-long list
         else:

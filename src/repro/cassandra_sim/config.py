@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.workloads.records import check_non_negative_int, check_positive_int
@@ -87,16 +88,17 @@ class CassandraConfig:
         for name in ("coordinator_retries", "client_retries"):
             check_non_negative_int(name, getattr(self, name))
         # A negative service time schedules a job before ``now`` and runs
-        # the simulated clock backwards; a negative size undercounts bytes.
-        # ``not x >= 0`` rejects NaN as well (``NaN < 0`` is False).
+        # the simulated clock backwards; a negative size undercounts bytes;
+        # an infinite one never finishes a job, and a timeout already says
+        # "never" with 0.  ``not 0 <= x < inf`` rejects NaN as well.
         for name in ("read_timeout_ms", "write_timeout_ms",
                      "client_timeout_ms", "read_service_ms", "write_service_ms",
                      "preliminary_flush_ms", "stream_scan_ms",
                      "stream_batch_ms", "stream_apply_ms_per_item",
                      "key_size_bytes", "response_overhead_bytes",
                      "confirmation_bytes"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
     def quorum(self) -> int:
         """Majority quorum size for this replication factor."""

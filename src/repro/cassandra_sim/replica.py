@@ -106,6 +106,8 @@ class CassandraReplica(Node):
         self._write_seq = itertools.count(1)
         #: key -> (local_participant, fused fan-out targets); see _fused_plan.
         self._fused_plans: Dict[str, tuple] = {}
+        #: preference tuple -> the plan every key of that ring slot shares.
+        self._slot_plans: Dict[Tuple[str, ...], tuple] = {}
         #: Ring epoch the plans were built against.
         self._plan_ring_version = -1
         #: Bumped by every crash: a record stamped with an older value is an
@@ -162,7 +164,13 @@ class CassandraReplica(Node):
 
     def _drop_routes(self) -> None:
         super()._drop_routes()
+        self._drop_plans()
+
+    def _drop_plans(self) -> None:
+        """Forget every plan (the routes or the ring epoch moved)."""
         self._fused_plans.clear()
+        self._slot_plans.clear()
+        self._plan_ring_version = self.partitioner.version
 
     # -- helpers --------------------------------------------------------------
     def _other_replicas_by_distance(self, key: str) -> List[str]:
@@ -220,25 +228,30 @@ class CassandraReplica(Node):
 
         ``targets`` holds ``(node, route, read_req, write_req)`` per other
         replica in distance order: the endpoint object, its cached network
-        route, and the pre-bound delivery continuations.  Invalidated by
-        ring-epoch bumps (checked here) and by the network dropping its
-        routes (pushed: :meth:`_drop_routes`).
+        route, and the pre-bound delivery continuations.  A plan depends
+        only on the key's preference tuple, so it is built once per ring
+        slot and the same object is cached per key.  Both caches are
+        dropped by ring-epoch bumps (checked here) and by the network
+        dropping its routes (pushed: :meth:`_drop_routes`).
         """
-        network = self.network
         if self._plan_ring_version != self.partitioner.version:
-            self._fused_plans.clear()
-            self._plan_ring_version = self.partitioner.version
+            self._drop_plans()
         plan = self._fused_plans.get(key)
         if plan is None:
-            local = self.name in self.partitioner.replicas_for(key)
-            targets = tuple(
-                (node, network.fused_route(self.name, node.name),
-                 node._fused_read_req, node._fused_write_req)
-                for node in map(network.node,
-                                self._other_replicas_by_distance(key)))
+            replicas = self.partitioner.replicas_for(key)
+            plan = self._slot_plans.get(replicas)
+            if plan is None:
+                network = self.network
+                plan = self._slot_plans[replicas] = (
+                    self.name in replicas, tuple(
+                        (node, network.fused_route(self.name, node.name),
+                         node._fused_read_req, node._fused_write_req)
+                        for node in map(network.node,
+                                        self._other_replicas_by_distance(
+                                            key))))
             if len(self._fused_plans) >= 65536:
                 self._fused_plans.clear()
-            plan = self._fused_plans[key] = (local, targets)
+            self._fused_plans[key] = plan
         return plan
 
     def _reject_client(self, rec) -> None:
@@ -288,8 +301,7 @@ class CassandraReplica(Node):
         # builder in _fused_plan stays the miss path).
         network = self.network
         if self._plan_ring_version != self.partitioner.version:
-            self._fused_plans.clear()
-            self._plan_ring_version = self.partitioner.version
+            self._drop_plans()
         plan = self._fused_plans.get(key)
         if plan is None:
             plan = self._fused_plan(key)
@@ -691,8 +703,7 @@ class CassandraReplica(Node):
         net = self.network
         # _fused_plan, inlined (see _fused_coordinate_read).
         if self._plan_ring_version != self.partitioner.version:
-            self._fused_plans.clear()
-            self._plan_ring_version = self.partitioner.version
+            self._drop_plans()
         plan = self._fused_plans.get(key)
         if plan is None:
             plan = self._fused_plan(key)
@@ -948,11 +959,14 @@ class CassandraReplica(Node):
         rows = state.rows[state.cursor:
                           state.cursor + config.stream_batch_items]
         state.cursor += len(rows)
-        columns = self.table.export_rows(rows)
-        values, unread, size = self.table.values_and_unread(rows, columns[1])
+        # Key ids, not keys: source and target share the cluster's key
+        # space.  The wire still carries a key per row.
+        versions = self.table.versions_of(rows)
+        values, unread, size = self.table.values_and_unread(rows, versions)
         self.keys_streamed_out += len(rows)
         self.send(state.task.target, "stream_data",
-                  {"stream_id": state.stream_id, "columns": columns},
+                  {"stream_id": state.stream_id, "rows": rows,
+                   "versions": versions},
                   size_bytes=(MESSAGE_HEADER_BYTES
                               + config.key_size_bytes * len(rows)
                               + self._values_bytes(values)
@@ -961,13 +975,13 @@ class CassandraReplica(Node):
     def on_stream_data(self, message: Message) -> None:
         payload = message.payload
         self._enqueue(self.config.stream_apply_ms_per_item
-                      * max(1, len(payload["columns"][0])),
+                      * max(1, len(payload["rows"])),
                       self._apply_stream_batch, (message.src, payload))
 
     def _apply_stream_batch(self, source: str, payload: dict) -> None:
-        columns = payload["columns"]
-        self.table.apply_rows(*columns)
-        self.keys_streamed_in += len(columns[0])
+        rows = payload["rows"]
+        self.table.merge(rows, payload["versions"])
+        self.keys_streamed_in += len(rows)
         self.send(source, "stream_ack", {"stream_id": payload["stream_id"]},
                   size_bytes=MESSAGE_HEADER_BYTES + 10)
 

@@ -2,9 +2,13 @@
 
 The replicas of a cluster hold overlapping subsets of one key set — each
 key at ``replication_factor`` of them — and everything that is a function
-of the key alone is kept once, in the cluster's :class:`KeySpace`: key →
-key id, the key, its ring token by id, and the token order.  A time-zero
-value is a function of the key too (:func:`~repro.workloads.records.
+of the key alone is kept once, in the cluster's :class:`KeySpace`: the key
+and its ring token by key id, the token order, and a key → id dict for the
+keys in use.  The first bulk load onto an empty space (every preload a
+cluster is built with) is the *base run*: its ids are in token order, so a
+key of it is found by bisecting the token column on the key's token, and
+only the keys an operation touches enter the dict.  A time-zero value is a
+function of the key too (:func:`~repro.workloads.records.
 time_zero_value`), so after a dataset's preload the key space keeps only
 the value size; a preload from a dict keeps its values, by id.  That is
 host-side bookkeeping, not simulated state: no replica learns anything
@@ -18,15 +22,14 @@ get` first reads it and builds its own version, its value derived from the
 key or listed in the key space: equal versions on two replicas need not be
 one object.
 
-Range streaming runs on three bulk calls: :meth:`ColumnarTable.
-rows_in_range` selects a task's key ids with a bisect over the token
-column (or, once ids were assigned out of token order, over its argsort),
-:meth:`~ColumnarTable.export_rows` gathers them as key, version (an unread
-row's marker included) and token columns, and :meth:`~ColumnarTable.
-apply_rows` merges such columns into another table exactly as applying
-them row by row would.  A batch's unread rows are sized without their
-values: a derived value is ``value_size`` characters long
-(:meth:`~ColumnarTable.values_and_unread`).
+Range streaming runs on key ids, which every table of a cluster shares:
+:meth:`ColumnarTable.rows_in_range` selects a task's ids with a bisect over
+the token column (or, once ids were assigned out of token order, over its
+argsort), :meth:`~ColumnarTable.versions_of` gathers their versions (an
+unread row's marker included) and :meth:`~ColumnarTable.merge` applies
+them to another table exactly as applying them row by row would.  A
+batch's unread rows are sized without their values: a derived value is
+``value_size`` characters long (:meth:`~ColumnarTable.values_and_unread`).
 """
 
 from __future__ import annotations
@@ -41,11 +44,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.cassandra_sim.partitioner import key_token
 from repro.cassandra_sim.versions import VersionedValue
 from repro.workloads.records import time_zero_value
-
-#: Rows as parallel columns: keys, versions, ring tokens — what
-#: :meth:`ColumnarTable.export_rows` returns and :meth:`~ColumnarTable.
-#: apply_rows` takes (``table.apply_rows(*other.export_rows(rows))``).
-RowColumns = Tuple[Sequence[str], Sequence[VersionedValue], Sequence[int]]
 
 PRELOAD_STAMP = (0.0, "preload", 0)
 #: What every preloaded row holds until it is first read (its value is
@@ -70,6 +68,18 @@ class KeySpace:
     ``_order`` the token-sorted permutation instead, rebuilt lazily
     whenever its length differs from the id count.
 
+    Ids ``[0, based)`` are the base run: the first :meth:`extend` onto an
+    empty space, in token order.  Their keys are not put in ``ids``;
+    :meth:`find` bisects the base's token column on the key's own
+    :func:`~repro.cassandra_sim.partitioner.key_token`, scans the ids of
+    equal tokens for the key, and memoises what it finds in ``ids``.
+    Every other key goes into ``ids`` when its id is assigned.  So ``ids``
+    holds the keys in use, not the key space.  A token a caller passes
+    with a key is stored for a new id and never looked up by, so no token
+    can give a base key a second id; the one token column the base lookup
+    trusts is the base run's own, which :meth:`extend` takes as given
+    (``Cluster.preload`` hashes every key it loads).
+
     Every table over the space takes its versions column from
     :meth:`new_column`, and the space grows each column with the ids it
     assigns, so a table indexes its column by any id without a bounds
@@ -80,15 +90,17 @@ class KeySpace:
     past it (a dataset's preload); ids made by writes have none.
     """
 
-    __slots__ = ("ids", "keys", "tokens", "values", "listed", "value_size",
-                 "_order", "_columns")
+    __slots__ = ("ids", "keys", "tokens", "based", "values", "listed",
+                 "value_size", "_order", "_columns")
 
     def __init__(self) -> None:
-        #: key -> key id.
+        #: key -> key id, for keys past the base run and base keys found.
         self.ids: Dict[str, int] = {}
         #: The key and its ring token, by id.
         self.keys: List[str] = []
         self.tokens = array("Q")
+        #: The length of the base run (ids in token order, found by bisect).
+        self.based = 0
         #: Listed time-zero values, by id; past the list they are derived.
         self.values: List[Any] = []
         #: ``len(values)``, an attribute for the read path.
@@ -109,10 +121,31 @@ class KeySpace:
         self._columns.append(column)
         return column
 
-    def add(self, key: str, token: int) -> int:
-        """The id of ``key``, assigned now if the key is new."""
+    def find(self, key: str) -> Optional[int]:
+        """The id of ``key`` (None if the space has none)."""
         kid = self.ids.get(key)
+        if kid is None and self.based:
+            tokens, keys, based = self.tokens, self.keys, self.based
+            token = key_token(key)
+            at = bisect_left(tokens, token, 0, based)
+            while at < based and tokens[at] == token:
+                if keys[at] == key:
+                    kid = self.ids[key] = at
+                    break
+                at += 1
+        return kid
+
+    def isdisjoint(self, keys: Sequence[str]) -> bool:
+        """Whether none of ``keys`` has an id."""
+        return all(map(is_, map(self.find, keys), repeat(None)))
+
+    def add(self, key: str, token: Optional[int] = None) -> int:
+        """The id of ``key``, assigned now if the key is new, with
+        ``token`` (the key's, hashed here when None) as its ring token."""
+        kid = self.find(key)
         if kid is None:
+            if token is None:
+                token = key_token(key)
             tokens = self.tokens
             if tokens and token < tokens[-1]:
                 self._order = array("I")  # out of order: argsort on next use
@@ -126,7 +159,7 @@ class KeySpace:
     def intern(self, keys: Sequence[str],
                tokens: Sequence[int]) -> List[int]:
         """The ids of ``keys`` (which may repeat), new keys assigned ids in
-        row order."""
+        row order with their ``tokens``."""
         ids = list(map(self.ids.get, keys))
         if None in ids:
             for row in [row for row, kid in enumerate(ids) if kid is None]:
@@ -139,7 +172,9 @@ class KeySpace:
         keys that are distinct and none of them in the space yet (a preload
         onto keys no write created).  Their time-zero values are
         ``values``, listed by key id, or with ``value_size`` derived from
-        each key."""
+        each key.  Onto an empty space, keys in token order are the base
+        run: they enter no dict, and :meth:`find` bisects ``tokens`` for
+        them, so these must be the keys' own tokens."""
         first = len(self.keys)
         token_column = self.tokens
         if self._order is None and (
@@ -147,7 +182,10 @@ class KeySpace:
                 or not all(map(le, tokens, islice(tokens, 1, None)))):
             self._order = array("I")  # out of order: argsort on next use
         ids = range(first, first + len(keys))
-        self.ids.update(zip(keys, ids))
+        if first or self._order is not None:
+            self.ids.update(zip(keys, ids))
+        else:
+            self.based = len(keys)
         self.keys.extend(keys)
         token_column.extend(tokens)
         listed, size = self.values, self.value_size
@@ -227,7 +265,7 @@ class ColumnarTable:
             space = KeySpace()
         self._space = space
         # The space's own dict and this table's column: bound once, so a
-        # read is one dict lookup and one list index.
+        # read of a key in use is one dict lookup and one list index.
         self._ids = space.ids
         self._versions = space.new_column()
         self._held = 0
@@ -244,7 +282,10 @@ class ColumnarTable:
         try:
             version = self._versions[self._ids[key]]
         except KeyError:
-            return None
+            kid = self._space.find(key)  # a base key's first lookup
+            if kid is None:
+                return None
+            version = self._versions[kid]
         if version is TIME_ZERO:
             kid = self._ids[key]
             space = self._space
@@ -267,8 +308,7 @@ class ColumnarTable:
         """
         kid = self._ids.get(key)
         if kid is None:
-            kid = self._space.add(
-                key, key_token(key) if token is None else token)
+            kid = self._space.add(key, token)
         stored = self._versions[kid]
         if stored is None:
             self._held += 1
@@ -308,12 +348,10 @@ class ColumnarTable:
                                  repeat(None)))
         return array("I", sorted(held, key=space.keys.__getitem__))
 
-    def export_rows(self, rows: Sequence[int]) -> RowColumns:
-        """The rows ``rows`` (ids of stored rows) as parallel columns."""
-        space = self._space
-        return (list(map(space.keys.__getitem__, rows)),
-                list(map(self._versions.__getitem__, rows)),
-                list(map(space.tokens.__getitem__, rows)))
+    def versions_of(self, rows: Sequence[int]) -> List[VersionedValue]:
+        """The versions of the rows ``rows`` (ids of stored rows), an
+        unread row's marker included."""
+        return list(map(self._versions.__getitem__, rows))
 
     def values_and_unread(self, rows: Sequence[int],
                           versions: Sequence[VersionedValue]
@@ -333,40 +371,52 @@ class ColumnarTable:
             unread -= len(held)
         return values, unread, space.value_size
 
-    def apply_rows(self, keys: Sequence[str],
-                   versions: Sequence[VersionedValue],
-                   tokens: Sequence[int]) -> None:
-        """Merge rows given as parallel columns: identical to ``apply(key,
-        version, token)`` row by row — rows, counters, key ids — a key
-        repeated in the batch included."""
-        self.merge(self._space.intern(keys, tokens), versions)
-
     def merge(self, ids: Sequence[int],
               versions: Sequence[VersionedValue]) -> None:
-        """:meth:`apply_rows` for rows given by key id.
+        """Merge rows given by key id: identical to :meth:`apply` row by
+        row — rows, counters — an id repeated in the batch included.
 
-        Rows this table does not hold, each named once — every run of a
-        first preload, nearly every batch streamed to a joining node — have
-        nothing to compare against and are stored wholesale; a batch with a
-        stored or a repeated id goes through LWW row by row.
+        Rows this table does not hold have nothing to compare against and
+        are stored wholesale — every run of a first preload, nearly every
+        row streamed to a joining node; only the held rows are compared by
+        LWW.  A batch that names an id twice goes row by row, in order.
         """
         stored = self._versions
         count = len(ids)
-        if (list(map(stored.__getitem__, ids)).count(None) == count
-                and (type(ids) is range or len(set(ids)) == count)):
+        if type(ids) is range:
+            current = stored[ids.start:ids.stop]
+        elif len(set(ids)) == count:
+            current = list(map(stored.__getitem__, ids))
+        else:
+            for kid, version in zip(ids, versions):
+                old = stored[kid]
+                if old is None:
+                    self._held += 1
+                elif not version.timestamp > old.timestamp:
+                    self.writes_ignored += 1
+                    continue
+                stored[kid] = version
+                self.writes_applied += 1
+            return
+        unheld = current.count(None)
+        if unheld == count:
             if type(ids) is range:
                 stored[ids.start:ids.stop] = versions
             else:
                 deque(map(stored.__setitem__, ids, versions), 0)
-            self._held += count
-            self.writes_applied += count
-            return
-        for kid, version in zip(ids, versions):
-            current = stored[kid]
-            if current is None:
-                self._held += 1
-            elif not version.timestamp > current.timestamp:
-                self.writes_ignored += 1
-                continue
-            stored[kid] = version
-            self.writes_applied += 1
+        else:
+            held = list(map(is_not, current, repeat(None)))
+            if unheld:
+                fresh = list(map(not_, held))
+                deque(map(stored.__setitem__, compress(ids, fresh),
+                          compress(versions, fresh)), 0)
+            for kid, version, old in zip(compress(ids, held),
+                                         compress(versions, held),
+                                         compress(current, held)):
+                if version.timestamp > old.timestamp:
+                    stored[kid] = version
+                else:
+                    count -= 1
+            self.writes_ignored += len(current) - count
+        self._held += unheld
+        self.writes_applied += count

@@ -176,6 +176,19 @@ class TestBadSpecsFailLoudly:
         with pytest.raises(ValueError, match=field):
             CassandraConfig(**{field: math.nan})
 
+    @pytest.mark.parametrize("field", [
+        "read_timeout_ms", "write_timeout_ms", "client_timeout_ms",
+        "read_service_ms", "write_service_ms", "preliminary_flush_ms",
+        "stream_scan_ms", "stream_batch_ms", "stream_apply_ms_per_item",
+        "key_size_bytes", "response_overhead_bytes", "confirmation_bytes"])
+    def test_infinite_costs_sizes_and_timeouts_are_rejected(self, field):
+        """An infinite service time finishes no job and leaves the
+        simulated clock at inf, an infinite size makes a wire size inf, and
+        a timeout already means "never" with 0: inf fails at construction
+        instead of meaning any of these."""
+        with pytest.raises(ValueError, match=field):
+            CassandraConfig(**{field: math.inf})
+
     @pytest.mark.parametrize("fallbacks", [None, ["nope"]])
     def test_an_unknown_contact_fails_when_the_client_is_built(
             self, fallbacks, cassandra_setup):

@@ -1,4 +1,4 @@
-"""``apply_rows`` on in-order appends: what the key space and the merge skip.
+"""``merge`` on in-order appends: what the key space and the merge skip.
 
 Keys arriving in token order past the key space's last token keep its
 token column in order, so stream tasks bisect it instead of building an
@@ -13,6 +13,7 @@ preload of rows already stored.
 
 from hypothesis import given, strategies as st
 
+from repro.cassandra_sim.partitioner import key_token
 from repro.cassandra_sim.storage import ColumnarTable, KeySpace
 from repro.cassandra_sim.versions import VersionedValue
 
@@ -35,17 +36,16 @@ def apply_one_by_one(table, rows, tokens):
         table.apply(key, VersionedValue(value, stamp), tokens[key])
 
 
-def apply_as_columns(table, rows, tokens):
-    table.apply_rows([key for key, _, _ in rows],
-                     [VersionedValue(value, stamp)
-                      for _, value, stamp in rows],
-                     [tokens[key] for key, _, _ in rows])
+def merge_as_columns(table, rows, tokens):
+    ids = table._space.intern([key for key, _, _ in rows],
+                              [tokens[key] for key, _, _ in rows])
+    table.merge(ids, [VersionedValue(value, stamp) for _, value, stamp in rows])
 
 
 def assert_same(bulk, reference):
     """Rows, key ids, token order, counters and every LWW outcome."""
     assert list(bulk.items()) == list(reference.items())
-    assert bulk._space.ids == reference._space.ids
+    assert bulk._space.keys == reference._space.keys  # ids are positions
     assert bulk._space.tokens == reference._space.tokens
     assert (bulk._space._order is None) == (reference._space._order is None)
     for counter in ("writes_applied", "writes_ignored"):
@@ -88,7 +88,7 @@ def batches(draw, table, tokens):
 
 
 @given(tokens=TOKEN_MAPS, data=st.data())
-def test_apply_rows_equals_row_by_row_apply(tokens, data):
+def test_merge_equals_row_by_row_apply(tokens, data):
     bulk, reference = ColumnarTable(), ColumnarTable()
     rows = data.draw(st.lists(
         st.tuples(st.sampled_from(KEYS), st.integers(), STAMPS),
@@ -99,36 +99,38 @@ def test_apply_rows_equals_row_by_row_apply(tokens, data):
     apply_one_by_one(reference, rows, tokens)
     for _ in range(data.draw(st.integers(1, 4))):
         batch = data.draw(batches(bulk, tokens))
-        apply_as_columns(bulk, batch, tokens)
+        merge_as_columns(bulk, batch, tokens)
         apply_one_by_one(reference, batch, tokens)
         assert_same(bulk, reference)
 
 
 def test_only_keys_before_the_last_token_make_an_argsort():
     space = KeySpace()
-    tokens = {key: 10 * number for number, key in enumerate(KEYS)}
-    for run in (KEYS[:4], KEYS[4:9]):  # a preload: token-ordered runs
+    # A first run is a base run, found by the keys' own tokens.
+    keys = sorted(KEYS, key=key_token)
+    tokens = {key: key_token(key) for key in keys}
+    for run in (keys[:4], keys[4:9]):  # a preload: token-ordered runs
         space.extend(run, [tokens[key] for key in run], run)
     assert space._order is None
     # Equal to the last token is still in order, and so is a key seen
     # before, wherever its token lies.
-    assert space.add("twin", tokens[KEYS[8]]) == 9
-    assert space.intern([KEYS[0], "twin"], [0, 0]) == [0, 9]
+    assert space.add("twin", tokens[keys[8]]) == 9
+    assert space.intern([keys[0], "twin"], [0, 0]) == [0, 9]
     assert space._order is None
-    assert list(space.ids_in_range(tokens[KEYS[2]], tokens[KEYS[5]])) \
+    assert list(space.ids_in_range(tokens[keys[2]], tokens[keys[5]])) \
         == [2, 3, 4]
     # A run that is out of order within itself breaks it...
-    space.extend(KEYS[13:11:-1], [tokens[key] for key in KEYS[13:11:-1]],
-                 KEYS[13:11:-1])
+    space.extend(keys[13:11:-1], [tokens[key] for key in keys[13:11:-1]],
+                 keys[13:11:-1])
     assert space._order is not None
     # ...and the argsort answers as the bisect did, rebuilt on demand.
-    assert list(space.ids_in_range(tokens[KEYS[2]], tokens[KEYS[5]])) \
+    assert list(space.ids_in_range(tokens[keys[2]], tokens[keys[5]])) \
         == [2, 3, 4]
-    assert list(space.ids_in_range(tokens[KEYS[11]], 0)) == [11, 10]
+    assert list(space.ids_in_range(tokens[keys[11]], 0)) == [11, 10]
     assert len(space._order) == len(space)
     # So does a single key below the last token.
     ordered = KeySpace()
-    ordered.extend(KEYS[4:6], [tokens[key] for key in KEYS[4:6]], KEYS[4:6])
-    ordered.add(KEYS[0], tokens[KEYS[0]])
+    ordered.extend(keys[4:6], [tokens[key] for key in keys[4:6]], keys[4:6])
+    ordered.add(keys[0], tokens[keys[0]])
     assert ordered._order is not None
     assert list(ordered.ids_in_range(0, 2**64 - 1)) == [2, 0, 1]

@@ -212,13 +212,14 @@ class TestSafetyUnderTraffic:
                 if token_in_range(key_token(key), task.start_token,
                                   task.end_token)]
             scan(replica, state)
-            assert (list(replica.table.export_rows(state.rows)[0])
+            assert ([cluster.keyspace.keys[kid] for kid in state.rows]
                     == selected[replica.name, state.stream_id]), task
             scans.append((replica.name, len(replica.table)))
 
         def recording_apply(replica, source, payload):
+            # A batch ships key ids into the cluster's one key space.
             shipped.setdefault((source, payload["stream_id"]), []).extend(
-                payload["columns"][0])
+                map(cluster.keyspace.keys.__getitem__, payload["rows"]))
             apply_batch(replica, source, payload)
 
         monkeypatch.setattr(CassandraReplica, "_stream_scan", checked_scan)

@@ -87,7 +87,7 @@ def sized(table, rows):
     """``values_and_unread`` of ``rows`` with the unread derived rows'
     values filled in, after checking they number ``unread`` and are each
     ``size`` long."""
-    versions = table.export_rows(rows)[1]
+    versions = table.versions_of(rows)
     values, unread, size = table.values_and_unread(rows, versions)
     derived = [time_zero(table._space, kid)
                for kid, version in zip(rows, versions)
@@ -99,17 +99,17 @@ def sized(table, rows):
 
 def peek(table, key):
     """What ``table.get(key)`` answers, leaving the row as it is."""
-    kid = table._space.ids.get(key)
+    kid = table._space.find(key)
     return None if kid is None else resolved(table, kid,
                                              table._versions[kid])
 
 
 def exported(table, rows):
-    """``export_rows`` as ``(key, version, token)`` triples, markers
-    resolved."""
-    keys, versions, tokens = table.export_rows(rows)
-    return [(key, resolved(table, kid, version), token)
-            for key, kid, version, token in zip(keys, rows, versions, tokens)]
+    """The rows ``rows`` as ``(key, version, token)`` triples, the key and
+    token read from the key space, markers resolved."""
+    space = table._space
+    return [(space.keys[kid], resolved(table, kid, version), space.tokens[kid])
+            for kid, version in zip(rows, table.versions_of(rows))]
 
 
 def assert_matches(table, model):
@@ -134,7 +134,7 @@ def assert_reads_match(table, model):
         assert table.contains(key) == (key in model.rows)
     for key in model.rows:
         assert table.token(key) == key_token(key)
-        assert table._versions[table._space.ids[key]] is not TIME_ZERO
+        assert table._versions[table._space.find(key)] is not TIME_ZERO
 
 
 def build(nodes, rf, vnodes):
@@ -223,7 +223,7 @@ def test_tables_match_the_reference_model(ring, steps):
             # a stream that restarts re-sends what already arrived.
             for low, high in cuts:
                 batch = rows[min(low, high):max(low, high)]
-                target.table.apply_rows(*source.table.export_rows(batch))
+                target.table.merge(batch, source.table.versions_of(batch))
                 for key in wanted[min(low, high):max(low, high)]:
                     models[target.name].apply(
                         key, models[source.name].rows[key])
@@ -238,16 +238,19 @@ def test_two_clusters_share_no_key_ids():
     """A key space belongs to one cluster: another cluster in the same
     process numbers its own keys from zero and never sees the first's."""
     first, second = build(4, 3, 4), build(4, 3, 4)
-    first.preload({f"a{i}": i for i in range(20)})
-    second.preload({f"b{i}": i for i in range(5)})
+    first_keys = [f"a{i}" for i in range(20)]
+    second_keys = [f"b{i}" for i in range(5)] + ["fresh"]
+    first.preload(dict.fromkeys(first_keys, 1))
+    second.preload(dict.fromkeys(second_keys[:-1], 1))
     second.replicas[0].table.apply("fresh", VersionedValue(1, (1.0, "n", 1)))
     assert first.keyspace is not second.keyspace
-    assert sorted(first.keyspace.ids.values()) == list(range(20))
-    assert sorted(second.keyspace.ids.values()) == list(range(6))
-    assert not first.keyspace.ids.keys() & second.keyspace.ids.keys()
+    assert sorted(map(first.keyspace.find, first_keys)) == list(range(20))
+    assert sorted(map(second.keyspace.find, second_keys)) == list(range(6))
+    assert not set(first.keyspace.keys) & set(second.keyspace.keys)
+    assert first.keyspace.find("fresh") is None
     for replica in first.replicas:
         assert replica.table._space is first.keyspace
-        assert not any(map(replica.table.contains, second.keyspace.ids))
+        assert not any(map(replica.table.contains, second_keys))
     joiner = first._add_replica("joiner", Region.FRK, "bootstrapping")
     assert joiner.table._space is first.keyspace and len(joiner.table) == 0
 
@@ -263,13 +266,13 @@ def test_a_preloaded_row_holds_the_marker_until_its_first_read():
     for key, value in items.items():
         owners = [cluster.replica_by_name(name).table
                   for name in cluster.partitioner.replicas_for(key)]
-        assert all(table._versions[space.ids[key]] is TIME_ZERO
-                   for table in owners)
+        kid = space.find(key)
+        assert all(table._versions[kid] is TIME_ZERO for table in owners)
         first = owners[0].get(key)
         assert first == VersionedValue(value, PRELOAD)
         assert owners[0].get(key) is first
-        assert owners[0]._versions[space.ids[key]] is first
-        assert owners[1]._versions[space.ids[key]] is TIME_ZERO
+        assert owners[0]._versions[kid] is first
+        assert owners[1]._versions[kid] is TIME_ZERO
         assert owners[1].get(key) == first
 
 
@@ -284,7 +287,7 @@ def test_a_write_against_an_unread_row_compares_the_preload_stamp(stamp,
     cluster.preload({"k": "pre"})
     owner = cluster.partitioner.replicas_for("k")[0]
     table = cluster.replica_by_name(owner).table
-    assert table._versions[cluster.keyspace.ids["k"]] is TIME_ZERO
+    assert table._versions[cluster.keyspace.find("k")] is TIME_ZERO
     assert table.apply("k", VersionedValue("new", stamp)) is applied
     assert table.get("k") == (VersionedValue("new", stamp) if applied
                               else VersionedValue("pre", PRELOAD))
@@ -305,7 +308,8 @@ def test_an_unread_row_streams_as_the_marker_and_reads_on_the_joiner():
     joiner = cluster.replica_by_name("joiner")
     assert len(joiner.table) > 0
     for key in joiner.table.keys():
-        assert joiner.table._versions[cluster.keyspace.ids[key]] is TIME_ZERO
+        assert joiner.table._versions[cluster.keyspace.find(key)] \
+            is TIME_ZERO
         assert joiner.table.get(key) == VersionedValue(items[key], PRELOAD)
 
 
@@ -316,7 +320,7 @@ def test_a_columns_preload_equals_a_dict_preload():
     columns, plain = build(5, 3, 4), build(5, 3, 4)
     columns.preload(dataset.initial_items())
     plain.preload(dict(dataset.initial_items().items()))
-    assert columns.keyspace.ids == plain.keyspace.ids
+    assert columns.keyspace.keys == plain.keyspace.keys
     assert columns.keyspace.tokens == plain.keyspace.tokens
     for left, right in zip(columns.replicas, plain.replicas):
         assert list(left.table.items()) == list(right.table.items())
@@ -359,10 +363,11 @@ def test_a_second_preload_appends_new_keys_and_tracks_token_order():
     cluster.preload(first)
     space = cluster.keyspace
     assert space._order is None
-    ids = dict(space.ids)
-    cluster.preload({**first, **{f"b{i}": i for i in range(30)}})
-    assert {key: space.ids[key] for key in first} == ids
-    assert sorted(space.ids.values()) == list(range(60))
+    ids = {key: space.find(key) for key in first}
+    second = {f"b{i}": i for i in range(30)}
+    cluster.preload({**first, **second})
+    assert {key: space.find(key) for key in first} == ids
+    assert sorted(map(space.find, [*first, *second])) == list(range(60))
     # The new keys' tokens interleave with the first preload's.
     assert space._order is not None
     for key in first:
@@ -400,7 +405,8 @@ def join_with_reads(size, read_every, batch=7):
     """A 5-node ring preloaded from a dataset of ``size``-character values,
     every ``read_every``-th key read at each owner (none for 0), then a
     node joined:
-    the cluster and each stream batch sent as ``(size_bytes, columns)``."""
+    the cluster and each stream batch sent as ``(size_bytes, keys,
+    versions)`` (a batch ships key ids; its keys are the key space's)."""
     env = SimEnvironment(seed=3)
     cluster = CassandraCluster(
         env, CassandraConfig(stream_batch_items=batch),
@@ -415,7 +421,10 @@ def join_with_reads(size, read_every, batch=7):
     for replica in cluster.replicas:
         def send(dst, kind, payload, size_bytes=None, _send=replica.send):
             if kind == "stream_data":
-                sent.append((size_bytes, payload["columns"]))
+                sent.append((size_bytes,
+                             [cluster.keyspace.keys[kid]
+                              for kid in payload["rows"]],
+                             payload["versions"]))
             return _send(dst, kind, payload, size_bytes=size_bytes)
         replica.send = send
     assert cluster.join_node("joiner", Region.FRK) is not None
@@ -440,7 +449,7 @@ def test_every_time_zero_read_is_the_key_function(size):
     joiner = cluster.replica_by_name("joiner").table
     unread = 0
     for key in joiner.keys():
-        unread += joiner._versions[cluster.keyspace.ids[key]] is TIME_ZERO
+        unread += joiner._versions[cluster.keyspace.find(key)] is TIME_ZERO
         assert joiner.get(key) == VersionedValue(time_zero_value(key, size),
                                                  PRELOAD)
     assert 0 < unread < len(joiner)  # read rows streamed as versions too
@@ -461,7 +470,7 @@ def test_a_stream_batch_weighs_what_its_values_weigh(size, read_every):
     replica = cluster.replicas[0]
     assert sent
     mixed = unread_rows = 0
-    for size_bytes, (keys, versions, _) in sent:
+    for size_bytes, keys, versions in sent:
         values = [time_zero_value(key, size) if version is TIME_ZERO
                   else version.value for key, version in zip(keys, versions)]
         unread = sum(version is TIME_ZERO for version in versions)
@@ -482,8 +491,8 @@ def test_values_and_unread_reads_listed_unread_rows_from_the_key_space():
     table.apply("user1", VersionedValue("written", (1.0, "n", 1)))
     table.get("user2")
     rows = table.rows_in_range(0, 0)
-    keys, versions, _ = table.export_rows(rows)
-    values, unread, _ = table.values_and_unread(rows, versions)
+    keys = [table._space.keys[kid] for kid in rows]
+    values, unread, _ = table.values_and_unread(rows, table.versions_of(rows))
     assert unread == 0
     assert sorted(values) == sorted(
         "written" if key == "user1" else items[key] for key in keys)
@@ -505,7 +514,7 @@ def test_a_columns_preload_after_a_write_reads_every_row_by_key_id(written):
     for replica in cluster.replicas:
         table = replica.table
         rows = table.rows_in_range(0, 0)
-        keys = table.export_rows(rows)[0]
+        keys = [table._space.keys[kid] for kid in rows]
         wanted = ["w" if table is writer and key in written else expected[key]
                   for key in keys]
         assert sorted(sized(table, rows)) == sorted(wanted)

@@ -1,11 +1,16 @@
 """Tests for the LWW storage engine, versions, and the ring partitioner."""
 
 import hashlib
+from array import array
 from bisect import bisect_right
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.cassandra_sim import cluster as cluster_module, storage
+from repro.cassandra_sim.cluster import CassandraCluster
+from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.partitioner import (
     RingPartitioner,
     key_token,
@@ -13,9 +18,11 @@ from repro.cassandra_sim.partitioner import (
     node_tokens,
     token_in_range,
 )
-from repro.cassandra_sim.storage import ColumnarTable, KeySpace
+from repro.cassandra_sim.storage import PRELOAD_STAMP, ColumnarTable, KeySpace
 from repro.cassandra_sim.versions import VersionedValue, resolve
-from repro.workloads.records import time_zero_value
+from repro.sim.environment import SimEnvironment
+from repro.sim.topology import Region
+from repro.workloads.records import Dataset, time_zero_value
 
 
 class TestVersions:
@@ -175,13 +182,13 @@ class TestTable:
         assert keys_in_range(right, 2**63, 2**63 - 1) == \
             scan_keys_in_range(right, 2**63, 2**63 - 1)
 
-    def test_apply_rows_over_a_shared_space_reuses_the_ids(self):
+    def test_merge_over_a_shared_space_reuses_the_ids(self):
         space = KeySpace()
         source, target = ColumnarTable(space), ColumnarTable(space)
         for key in ("a", "b", "c"):
             source.apply(key, VersionedValue(key, (1.0, "n", 1)))
         rows = source.rows_in_range(0, 0)
-        target.apply_rows(*source.export_rows(rows))
+        target.merge(rows, source.versions_of(rows))
         assert len(space) == 3
         assert target.rows_in_range(0, 0) == rows
         assert list(target.items()) == list(source.items())
@@ -189,17 +196,39 @@ class TestTable:
     def test_merge_stores_unheld_rows_wholesale_and_held_ones_by_lww(self):
         space = KeySpace()
         table = ColumnarTable(space)
-        ids = space.extend(["a", "b", "c"], [1, 2, 3], "abc")
-        old = [VersionedValue(key, (1.0, "n", 1)) for key in "abc"]
+        keys = sorted("abc", key=key_token)  # a base run: in token order
+        ids = space.extend(keys, key_tokens(keys), keys)
+        old = [VersionedValue(key, (1.0, "n", 1)) for key in keys]
         table.merge(ids, old)
-        assert [table.get(key) for key in "abc"] == old
+        assert [table.get(key) for key in keys] == old
         assert (len(table), table.writes_applied) == (3, 3)
         newer = VersionedValue("b2", (2.0, "n", 1))
         older = VersionedValue("c0", (0.5, "n", 1))
-        table.merge([1, 2], [newer, older])
-        assert table.get("b") is newer and table.get("c") is old[2]
+        table.merge([space.find("b"), space.find("c")], [newer, older])
+        assert table.get("b") is newer
+        assert table.get("c") is old[keys.index("c")]
         assert (len(table), table.writes_applied, table.writes_ignored) \
             == (3, 4, 1)
+
+    def test_a_wrong_token_cannot_give_a_base_key_a_second_id(self):
+        """A base key is looked up by its own token, whatever token a
+        caller passes with it."""
+        space = KeySpace()
+        table = ColumnarTable(space)
+        keys = sorted("abc", key=key_token)
+        ids = space.extend(keys, key_tokens(keys), value_size=2)
+        wrong = (key_token("b") + 1) % 2**64
+        kid = keys.index("b")
+        assert space.add("b", wrong) == kid
+        del space.ids["b"]  # forgotten again: the base lookup runs anew
+        assert space.intern(["b", "b"], [wrong, 0]) == [kid, kid]
+        del space.ids["b"]
+        table.merge(ids, [storage.TIME_ZERO] * 3)
+        assert table.apply("b", VersionedValue("w", (1.0, "n", 1)), wrong)
+        assert len(space) == 3 and space.keys == keys
+        assert space.ids == {"b": kid}
+        assert table.token("b") == key_token("b")
+        assert len(table) == 3 and table.get("b").value == "w"
 
     def test_a_key_another_table_created_is_not_held(self):
         """Tables over one key space see its ids, not each other's rows."""
@@ -252,7 +281,14 @@ def scan_keys_in_range(table, start, end):
 
 def keys_in_range(table, start, end):
     """The keys of the rows ``rows_in_range`` selects, in its order."""
-    return tuple(table.export_rows(table.rows_in_range(start, end))[0])
+    return tuple(map(table._space.keys.__getitem__,
+                     table.rows_in_range(start, end)))
+
+
+def merge_columns(table, keys, versions, tokens):
+    """Merge rows given by key, version and token: their ids interned, new
+    keys with their ``tokens``."""
+    table.merge(table._space.intern(keys, tokens), versions)
 
 
 def versions_of(keys, stamp):
@@ -300,7 +336,7 @@ class TestTokenColumn:
 
         The table may start as a preload leaves it: token-ordered runs, so
         its key space's token column is in order.  Inserts between queries
-        — single rows through ``apply``, batches through ``apply_rows``
+        — single rows through ``apply``, batches through ``merge``
         that may carry stored keys too, each batch in token order or not —
         keep that order or break it, and exercise the argsort rebuild."""
         keys = data.draw(st.lists(st.text(max_size=6), unique=True,
@@ -317,8 +353,8 @@ class TestTokenColumn:
                                          max_size=3)))
         for low, high in zip([0] + cuts, cuts + [len(preloaded)]):
             run = preloaded[low:high]
-            table.apply_rows(run, versions_of(run, (0.0, "preload", 0)),
-                             [key_token(key) for key in run])
+            merge_columns(table, run, versions_of(run, (0.0, "preload", 0)),
+                          [key_token(key) for key in run])
         pending = keys[len(preloaded):]
         for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
             new = [pending.pop()
@@ -334,8 +370,8 @@ class TestTokenColumn:
                 batch = data.draw(st.one_of(
                     st.permutations(batch),
                     st.just(sorted(batch, key=key_token))))
-                table.apply_rows(batch, versions_of(batch, (1.5, "n", 1)),
-                                 [key_token(key) for key in batch])
+                merge_columns(table, batch, versions_of(batch, (1.5, "n", 1)),
+                              [key_token(key) for key in batch])
             for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
                 start = data.draw(bounds)
                 end = data.draw(st.one_of(bounds, st.just(start)))
@@ -373,6 +409,13 @@ def as_columns(rows):
             [ROW_TOKENS[key] for key, _, _ in rows])
 
 
+def exported(table, rows):
+    """The rows ``rows`` as ``(key, version, token)`` triples."""
+    space = table._space
+    return [(space.keys[kid], version, space.tokens[kid])
+            for kid, version in zip(rows, table.versions_of(rows))]
+
+
 def assert_same_table(left, right):
     assert len(left) == len(right)
     assert left.keys() == right.keys()
@@ -388,7 +431,7 @@ def assert_same_table(left, right):
 class TestBulkRows:
     @given(stored=BATCHES, batches=st.lists(BATCHES, min_size=1, max_size=3),
            data=st.data())
-    def test_apply_rows_equals_row_by_row_apply(self, stored, batches, data):
+    def test_merge_equals_row_by_row_apply(self, stored, batches, data):
         """Merging columns is applying their rows one by one: onto an empty
         table, onto disjoint and overlapping key sets, with newer, older and
         equal stamps, tokens past 2**63, keys repeated within a batch, each
@@ -401,12 +444,12 @@ class TestBulkRows:
             cuts = sorted(data.draw(st.lists(
                 st.integers(0, len(batch)), max_size=3)))
             for low, high in zip([0] + cuts, cuts + [len(batch)]):
-                bulk.apply_rows(*as_columns(batch[low:high]))
+                merge_columns(bulk, *as_columns(batch[low:high]))
             apply_one_by_one(reference, batch)
             assert_same_table(bulk, reference)
             everything = bulk.rows_in_range(0, 0)
-            assert bulk.export_rows(everything) == reference.export_rows(
-                everything)
+            assert exported(bulk, everything) == exported(reference,
+                                                          everything)
 
     def test_a_key_repeated_in_one_batch_merges_row_by_row(self):
         """A later duplicate wins only if its stamp is newer, and the key
@@ -414,7 +457,7 @@ class TestBulkRows:
         table, reference = ColumnarTable(), ColumnarTable()
         rows = [("row1", "new", (2.0, "n1", 1)), ("row2", "x", (1.0, "n1", 1)),
                 ("row1", "old", (1.0, "n1", 1))]
-        table.apply_rows(*as_columns(rows))
+        merge_columns(table, *as_columns(rows))
         apply_one_by_one(reference, rows)
         assert len(table) == 2
         assert table.get("row1").value == "new"
@@ -423,26 +466,192 @@ class TestBulkRows:
         assert_same_table(table, reference)
 
     @given(stored=BATCHES, overwrites=BATCHES)
-    def test_export_then_apply_round_trips_a_table(self, stored, overwrites):
-        """Every row of a table, exported and merged into an empty table,
-        rebuilds it exactly — the very version objects; merging the same
-        rows again is a no-op (LWW is idempotent: an equal stamp is not
-        newer)."""
+    def test_streaming_every_row_round_trips_a_table(self, stored,
+                                                     overwrites):
+        """Every row of a table, its versions merged by id into an empty
+        table over the same key space (what a stream batch does), rebuilds
+        it exactly — the very version objects; merging the same rows again
+        is a no-op (LWW is idempotent: an equal stamp is not newer)."""
         table = ColumnarTable()
         apply_one_by_one(table, stored)
         apply_one_by_one(table, overwrites)
         everything = table.rows_in_range(0, 0)
-        columns = table.export_rows(everything)
-        copy = ColumnarTable()
-        copy.apply_rows(*columns)
+        versions = table.versions_of(everything)
+        copy = ColumnarTable(table._space)
+        copy.merge(everything, versions)
         assert list(copy.items()) == list(table.items())
-        assert all(copy.get(key) is version
-                   for key, version in zip(columns[0], columns[1]))
+        assert all(copy.get(table._space.keys[kid]) is version
+                   for kid, version in zip(everything, versions))
         assert (copy.writes_applied, copy.writes_ignored) == (len(table), 0)
-        copy.apply_rows(*columns)
+        copy.merge(everything, versions)
         assert list(copy.items()) == list(table.items())
         assert (copy.writes_applied, copy.writes_ignored) == (len(table),
                                                               len(table))
+
+    @given(data=st.data())
+    def test_merge_of_held_and_unheld_rows_equals_row_by_row_apply(self, data):
+        """A batch of distinct ids, some held and some not, in any order:
+        the unheld rows stored wholesale and the held ones compared by LWW
+        leave the rows, key ids and counters row-by-row ``apply`` leaves."""
+        held = data.draw(st.lists(st.sampled_from(ROW_KEYS), unique=True,
+                                  min_size=1, max_size=len(ROW_KEYS) - 1))
+        stored = [(key, data.draw(st.integers()), data.draw(STAMPS))
+                  for key in held]
+        bulk, reference = ColumnarTable(), ColumnarTable()
+        apply_one_by_one(bulk, stored)
+        apply_one_by_one(reference, stored)
+        fresh = [key for key in ROW_KEYS if key not in held]
+        keys = data.draw(st.permutations(
+            data.draw(st.lists(st.sampled_from(held), unique=True,
+                               min_size=1))
+            + data.draw(st.lists(st.sampled_from(fresh), unique=True,
+                                 min_size=1))))
+        batch = [(key, data.draw(st.integers()), data.draw(STAMPS))
+                 for key in keys]
+        merge_columns(bulk, *as_columns(batch))
+        apply_one_by_one(reference, batch)
+        assert_same_table(bulk, reference)
+
+
+#: Keys of the base-run model: a dataset's (``user0`` ...) and keys only a
+#: write or a second preload creates.
+MODEL_KEYS = [f"user{i}" for i in range(12)] + ["x0", "x1", "", "é"]
+MODEL_REGIONS = (Region.FRK, Region.IRL, Region.VRG)
+
+
+def coarse_token(key):
+    """One of four tokens: distinct keys share a token all the time."""
+    return key_token(key) % 4
+
+
+MODEL_STEPS = st.one_of(
+    st.tuples(st.just("read"), st.integers(0, 2),
+              st.sampled_from(MODEL_KEYS)),
+    st.tuples(st.just("write"), st.integers(0, 2),
+              st.sampled_from(MODEL_KEYS), st.integers(), STAMPS),
+    st.tuples(st.just("preload"), st.dictionaries(
+        st.sampled_from(MODEL_KEYS), st.integers(), max_size=8)),
+    st.tuples(st.just("range"), st.integers(0, 2),
+              st.one_of(TOKENS, st.integers(0, 5)),
+              st.one_of(TOKENS, st.integers(0, 5))))
+
+
+class TestBaseRun:
+    """A first preload's keys are found by bisecting the token column, and
+    only the keys in use enter the key space's dict."""
+
+    def test_a_first_preload_puts_no_key_in_the_dict(self):
+        cluster = CassandraCluster(
+            SimEnvironment(seed=3), CassandraConfig(),
+            nodes=[(f"node{i}", region)
+                   for i, region in enumerate(MODEL_REGIONS)])
+        dataset = Dataset(50, value_size_bytes=8)
+        cluster.preload(dataset.initial_items())
+        space, table = cluster.keyspace, cluster.replicas[0].table
+        assert space.ids == {} and space.based == len(space) == 50
+        assert list(space.tokens) == sorted(space.tokens)
+        assert table.get("user7").value == time_zero_value("user7", 8)
+        kid = space.ids["user7"]
+        assert space.ids == {"user7": kid} and space.keys[kid] == "user7"
+        # A key the space does not hold enters nothing.
+        assert table.get("user50") is None and space.find("user50") is None
+        assert space.ids == {"user7": kid}
+        # A write that creates a key gives it the next id, in the dict.
+        assert table.apply("new", VersionedValue(1, (1.0, "n", 1)))
+        assert space.ids["new"] == 50 and space.based == 50
+
+    def test_an_out_of_order_first_extend_is_no_base_run(self):
+        space = KeySpace()
+        space.extend(["b", "a"], [20, 10], "ba")
+        assert space.based == 0 and space.ids == {"b": 0, "a": 1}
+
+    @settings(deadline=None, max_examples=100)
+    @given(equal_tokens=st.booleans(), count=st.integers(1, 12),
+           size=st.integers(1, 5),
+           steps=st.lists(MODEL_STEPS, max_size=12))
+    def test_lookups_match_a_dict_backed_reference(self, equal_tokens, count,
+                                                   size, steps):
+        """A dataset preload, then any interleaving of reads, writes that
+        create keys, a second preload from a dict and range selections —
+        with every key's own token, or with four tokens shared by all keys
+        — answers ``get``, ``apply``, ``rows_in_range``, ``keys()`` and
+        ``len`` as a dict per replica does, and gives every key one id."""
+        token_of = coarse_token if equal_tokens else key_token
+        with mock.patch.object(storage, "key_token", token_of), \
+                mock.patch.object(cluster_module, "key_tokens",
+                                  lambda keys: array("Q", map(token_of,
+                                                              keys))):
+            self._run(token_of, count, size, steps)
+
+    @staticmethod
+    def _run(token_of, count, size, steps):
+        cluster = CassandraCluster(
+            SimEnvironment(seed=3),
+            CassandraConfig(replication_factor=2, vnodes_per_node=2),
+            nodes=[(f"node{i}", region)
+                   for i, region in enumerate(MODEL_REGIONS)])
+        tables = [replica.table for replica in cluster.replicas]
+        index = {replica.name: at
+                 for at, replica in enumerate(cluster.replicas)}
+        models = [({}, [0, 0]) for _ in tables]
+        space = cluster.keyspace
+
+        def model_apply(at, key, version):
+            rows, counters = models[at]
+            stored = rows.get(key)
+            if stored is not None and not version.timestamp > stored.timestamp:
+                counters[1] += 1
+                return False
+            rows[key] = version
+            counters[0] += 1
+            return True
+
+        def preload(items):
+            cluster.preload(items)
+            for key, value in items.items():
+                for name in cluster.partitioner.replicas_for_token(
+                        token_of(key)):
+                    model_apply(index[name], key,
+                                VersionedValue(value, PRELOAD_STAMP))
+
+        dataset = Dataset(count, value_size_bytes=size)
+        preload(dataset.initial_items())
+        assert space.based == count and not space.ids
+        created = set(dataset.keys())
+        for step in steps:
+            kind = step[0]
+            if kind == "read":
+                _, at, key = step
+                assert tables[at].get(key) == models[at][0].get(key)
+            elif kind == "write":
+                _, at, key, value, stamp = step
+                version = VersionedValue(value, stamp)
+                assert tables[at].apply(key, version) \
+                    == model_apply(at, key, version)
+                created.add(key)
+            elif kind == "preload":
+                preload(step[1])
+                created.update(step[1])
+            else:
+                _, at, start, end = step
+                rows = tables[at].rows_in_range(start, end)
+                assert [space.keys[kid] for kid in rows] == [
+                    key for key in sorted(models[at][0])
+                    if token_in_range(token_of(key), start, end)]
+            for table, (rows, counters) in zip(tables, models):
+                assert len(table) == len(rows)
+                assert table.keys() == tuple(sorted(rows))
+                assert [table.writes_applied, table.writes_ignored] \
+                    == counters
+        assert len(space) == len(created)
+        ids = {key: space.find(key) for key in MODEL_KEYS}
+        assert sorted(ids[key] for key in created) == list(range(len(space)))
+        assert all(space.keys[ids[key]] == key for key in created)
+        assert all(ids[key] is None for key in set(MODEL_KEYS) - created)
+        for table, (rows, _) in zip(tables, models):
+            assert [table.get(key) for key in MODEL_KEYS] \
+                == [rows.get(key) for key in MODEL_KEYS]
+            assert all(table.token(key) == token_of(key) for key in rows)
 
 
 class TestPartitioner:

@@ -2,7 +2,8 @@
 next hop.
 
 Senders cache routes (``Node._fused_routes``, the network's own route table)
-and coordinators cache fan-out plans (``CassandraReplica._fused_plans``).
+and coordinators cache fan-out plans (``CassandraReplica._fused_plans`` by
+key, ``_slot_plans`` by ring slot).
 Each scenario warms all of them, makes one edit — a topology latency, the
 jitter bound, ``reset_stats``, a ring-epoch bump, a late ``register`` — and
 then sends one ``send`` and one ``fused_send_to`` over every kind of link
@@ -232,3 +233,28 @@ def test_a_skipped_push_is_caught(cut, name, monkeypatch):
         _CUTS[cut][0](patch)
         edit(warm)
     assert (warm.observe(), warm.links()) != expected
+
+
+def test_keys_of_one_ring_slot_share_one_plan_until_an_edit():
+    """A coordinator builds one fan-out plan per ring slot and caches that
+    same object for every key of the slot; a pushed route drop and a
+    ring-epoch bump each drop it, for every key at once."""
+    stack = _Stack()
+    coordinator = stack.cluster.replica_by_name("r-frk")
+    partitioner = stack.cluster.partitioner
+    by_slot = {}
+    for key in (f"k{i}" for i in range(64)):
+        by_slot.setdefault(partitioner.replicas_for(key), []).append(key)
+    first, second = next(keys for keys in by_slot.values()
+                         if len(keys) > 1)[:2]
+    plan = coordinator._fused_plan(first)
+    assert coordinator._fused_plan(second) is plan
+    assert coordinator._slot_plans[partitioner.replicas_for(first)] is plan
+    for drop in (stack.env.network.reset_stats,
+                 lambda: partitioner.decommission("r-frk2")):
+        drop()
+        fresh = coordinator._fused_plan(second)
+        assert fresh is not plan and coordinator._fused_plan(first) is fresh
+        assert all(kept is not plan
+                   for kept in coordinator._slot_plans.values())
+        plan = fresh
