@@ -38,7 +38,7 @@ from typing import (
 
 from repro.bench.common import DrainCheck, cassandra_config_for
 from repro.cassandra_sim.client import CassandraClient
-from repro.cassandra_sim.versions import resolve
+from repro.cassandra_sim.storage import resolve
 from repro.core.cluster_spec import ClusterSpec
 from repro.metrics.latency import nearest_rank_p99
 from repro.sim.rand import derive_rng
@@ -303,9 +303,9 @@ def run_fig15_point(point: SweepPoint) -> Dict:
         "event": event,
         "rebalance_ms": operation.duration_ms(),
         "ranges_moved": operation.change.total_ranges(),
-        "keys_streamed": cluster.total_keys_streamed(),
-        "stale_retries": cluster.total_stale_epoch_retries(),
-        "writes_forwarded": cluster.total_writes_forwarded(),
+        "keys_streamed": cluster.total("keys_streamed_in"),
+        "stale_retries": cluster.total("stale_epoch_retries"),
+        "writes_forwarded": cluster.total("writes_forwarded"),
         "client_retries": sum(c.retries for c in cluster.clients),
         "acked_writes": len(acked),
         "lost_acked_writes": count_lost_acked_writes(cluster, acked),

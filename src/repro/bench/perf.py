@@ -301,7 +301,7 @@ def run_million_key_scenario(record_count: int = 1_000_000, nodes: int = 6,
              "stream": announced_at[0] - joining_at,
              "audit": clock() - idle_at}
     events = built.env.scheduler.events_executed
-    keys_streamed = cluster.total_keys_streamed()
+    keys_streamed = cluster.total("keys_streamed_in")
     return {
         "events": events,
         "ops": result.total_ops,

@@ -7,7 +7,7 @@ The binding maps consistency levels onto quorum sizes:
   CC³ configuration of Figure 5);
 * ``invoke`` with both levels issues a *single* ICG read: the coordinator
   flushes the preliminary response and later the final quorum response, as
-  implemented by :class:`repro.cassandra_sim.replica.CassandraReplica`.
+  implemented by :class:`repro.cassandra_sim.reads.ReadCoordinator`.
 
 Writes always use W = ``write_quorum`` (1 in the paper's experiments); the
 strong view of a write is the coordinator's acknowledgement (carrying the

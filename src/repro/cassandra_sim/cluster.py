@@ -5,30 +5,50 @@ per region, names derived as ``cassandra-{i}-{region}``) or from an explicit
 ``nodes`` list of ``(name, region)`` pairs — which is what
 :class:`repro.core.cluster_spec.ClusterSpec` produces for larger rings.
 
-Live membership changes run through :class:`~repro.cassandra_sim.rebalance.
-RingRebalance`: :meth:`CassandraCluster.join_node`,
+Live membership changes: :meth:`CassandraCluster.join_node`,
 :meth:`~CassandraCluster.decommission_node` and
-:meth:`~CassandraCluster.remove_node` orchestrate bootstrap → stream →
-announce → serve on the simulation scheduler, optionally deferred to a
-future instant (``at_ms``) so an experiment can trigger a rebalance in the
-middle of a load run.  Forced removal pairs with the fault machinery: crash
-a replica with :class:`~repro.faults.injector.FaultInjector`, then
-``remove_node`` re-replicates its ranges from the survivors.
+:meth:`~CassandraCluster.remove_node` each start a :class:`RingRebalance`,
+now or at a future instant (``at_ms``, so an experiment can trigger a
+rebalance in the middle of a load run).  Forced removal pairs with the fault
+machinery: crash a replica with :class:`~repro.faults.injector.
+FaultInjector`, then ``remove_node`` re-replicates its ranges from the
+survivors.  A :class:`RingRebalance` drives one change end to end on the
+simulation scheduler while the cluster keeps serving:
+
+1. **bootstrap** — for a join, the new replica node is created (state
+   ``bootstrapping``) and registered on the network; the change is planned
+   against the current ring and marked *in flight*
+   (:meth:`RingPartitioner.begin`), at which point coordinators start
+   forwarding writes to every node gaining a range.
+2. **stream** — each :class:`StreamTask`'s source replica ships its key
+   range to the gainer in stop-and-wait batches, charged to the source's
+   processing queue so streaming competes with foreground traffic.
+3. **announce** — once every task finishes, the change commits: the ring
+   epoch bumps, preference caches invalidate, and in-flight requests routed
+   by the old epoch get ``stale_epoch`` rejections that push coordinators to
+   the post-rebalance preference list.
+4. **serve** — a joining replica flips to ``serving``; a decommissioned or
+   removed one flips to ``retired`` (it stays on the network rejecting
+   stragglers, which is what drives client/coordinator re-routing).
+
+The whole sequence is deterministic: the plan is a pure function of the
+membership edit, streaming order follows the plan, and completion is driven
+by simulated message events only.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import repeat
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.config import CassandraConfig
-from repro.cassandra_sim.partitioner import RingPartitioner, key_tokens
-from repro.cassandra_sim.rebalance import RingRebalance
+from repro.cassandra_sim.partitioner import (RingChange, RingPartitioner,
+                                             StreamTask, key_tokens)
 from repro.cassandra_sim.replica import CassandraReplica
-from repro.cassandra_sim.storage import KeySpace, PRELOAD_STAMP, TIME_ZERO
-from repro.cassandra_sim.versions import VersionedValue
+from repro.cassandra_sim.storage import (KeySpace, PRELOAD_STAMP, TIME_ZERO,
+                                         VersionedValue)
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, replica_regions_default
 from repro.workloads.records import TimeZeroItems, time_zero_value
@@ -162,35 +182,16 @@ class CassandraCluster:
             self.env.scheduler.schedule_call_at(at_ms, operation.start)
         return operation
 
-    def _add_replica(self, name: str, region: str,
-                     ring_state: str = "serving") -> CassandraReplica:
+    def _add_replica(self, name: str, region: str) -> CassandraReplica:
+        """A joining replica: ``bootstrapping`` until its join announces."""
         if name in self._by_name:
             raise ValueError(f"replica {name!r} already exists")
         replica = CassandraReplica(name, region, self.env.network, self.config,
                                    self.partitioner, self.keyspace)
-        replica.ring_state = ring_state
+        replica.ring_state = "bootstrapping"
         self.replicas.append(replica)
         self._by_name[name] = replica
-        if ring_state == "serving":
-            self._by_region.setdefault(region, replica)
         return replica
-
-    def _on_membership_committed(self, operation: RingRebalance) -> None:
-        """Update the serving indexes after a rebalance announces."""
-        replica = self.replica_by_name(operation.node_name)
-        if operation.kind == "join":
-            self._by_region.setdefault(replica.region, replica)
-            return
-        # Departure: drop from the serving set, keep on the network retired
-        # (and resolvable by name, so stragglers and tests can reach it).
-        self.replicas.remove(replica)
-        self.retired_replicas.append(replica)
-        if self._by_region.get(replica.region) is replica:
-            del self._by_region[replica.region]
-            for candidate in self.replicas:
-                if candidate.region == replica.region:
-                    self._by_region[replica.region] = candidate
-                    break
 
     # -- data loading ----------------------------------------------------------------
     def preload(self, items: Mapping[str, object]) -> None:
@@ -237,13 +238,11 @@ class CassandraCluster:
                     replica.table.merge(*run)
 
     # -- statistics -------------------------------------------------------------------
-    def total_preliminaries_flushed(self) -> int:
-        return sum(r.preliminaries_flushed
-                   for r in self.replicas + self.retired_replicas)
-
-    def total_confirmations_sent(self) -> int:
-        return sum(r.confirmations_sent
-                   for r in self.replicas + self.retired_replicas)
+    def total(self, counter: str) -> int:
+        """A replica counter (``"keys_streamed_in"``, ``"stale_rejections"``,
+        ...) summed over every replica, retired ones included."""
+        return sum(getattr(replica, counter)
+                   for replica in self.replicas + self.retired_replicas)
 
     def in_flight(self) -> Dict[str, int]:
         """What this cluster's clients still have out: read and write
@@ -256,18 +255,106 @@ class CassandraCluster:
         return {"read_sessions": reads, "write_sessions": writes,
                 "client_pending": pending}
 
-    def total_keys_streamed(self) -> int:
-        return sum(r.keys_streamed_in
-                   for r in self.replicas + self.retired_replicas)
 
-    def total_stale_rejections(self) -> int:
-        return sum(r.stale_rejections
-                   for r in self.replicas + self.retired_replicas)
 
-    def total_stale_epoch_retries(self) -> int:
-        return sum(r.stale_epoch_retries
-                   for r in self.replicas + self.retired_replicas)
 
-    def total_writes_forwarded(self) -> int:
-        return sum(r.writes_forwarded
-                   for r in self.replicas + self.retired_replicas)
+
+
+class RingRebalance:
+    """One join/decommission/removal being executed against a live cluster."""
+
+    def __init__(self, cluster, kind: str, node_name: str,
+                 region: Optional[str] = None,
+                 vnodes: Optional[int] = None,
+                 on_complete: Optional[Callable[["RingRebalance"], None]] = None
+                 ) -> None:
+        if kind not in ("join", "decommission", "remove"):
+            raise ValueError(f"unknown rebalance kind {kind!r}")
+        if kind == "join" and region is None:
+            raise ValueError("a joining node needs a region")
+        self.cluster = cluster
+        self.kind = kind
+        self.node_name = node_name
+        self.region = region
+        self.vnodes = vnodes
+        self.on_complete = on_complete
+        self.change: Optional[RingChange] = None
+        self.started_at: Optional[float] = None
+        self.completed_at: Optional[float] = None
+        self._remaining = 0
+        #: Stream tasks that could not run (source crashed before streaming).
+        self.skipped_tasks: List[StreamTask] = []
+
+    @property
+    def done(self) -> bool:
+        return self.completed_at is not None
+
+    def duration_ms(self) -> float:
+        if self.started_at is None or self.completed_at is None:
+            raise RuntimeError("rebalance has not completed")
+        return self.completed_at - self.started_at
+
+    # -- phases ---------------------------------------------------------------
+    def start(self) -> None:
+        """Bootstrap phase: plan the change and kick off streaming."""
+        cluster = self.cluster
+        partitioner = cluster.partitioner
+        self.started_at = cluster.env.scheduler.now()
+        if self.kind == "join":
+            replica = cluster._add_replica(self.node_name, self.region)
+            change = partitioner.plan_join(self.node_name, self.vnodes)
+        elif self.kind == "decommission":
+            replica = cluster.replica_by_name(self.node_name)
+            change = partitioner.plan_decommission(self.node_name)
+        else:
+            replica = cluster.replica_by_name(self.node_name)
+            change = partitioner.plan_remove(self.node_name)
+        self.change = change
+        self._replica = replica
+        partitioner.begin(change)
+        self._remaining = len(change.tasks)
+        if self._remaining == 0:
+            self._announce()
+            return
+        for task in change.tasks:
+            source = cluster.replica_by_name(task.source)
+            if not source.alive:
+                # A crashed source cannot stream (forced removals racing a
+                # second fault); the gainer still catches every new write via
+                # forwarding, and read repair backfills the rest.
+                self.skipped_tasks.append(task)
+                self._task_done(task)
+                continue
+            source.begin_stream(task, self._task_done)
+
+    def _task_done(self, task: StreamTask) -> None:
+        self._remaining -= 1
+        if self._remaining == 0:
+            self._announce()
+
+    def _announce(self) -> None:
+        """Commit the ring change, flip the node's serving state and update
+        the cluster's serving indexes."""
+        cluster = self.cluster
+        cluster.partitioner.commit(self.change)
+        replica: CassandraReplica = self._replica
+        by_region = cluster._by_region
+        if self.kind == "join":
+            replica.ring_state = "serving"
+            by_region.setdefault(replica.region, replica)
+        else:
+            replica.ring_state = "retired"
+            # Departure: drop from the serving set, keep on the network
+            # retired (and resolvable by name, so stragglers and tests can
+            # reach it).
+            cluster.replicas.remove(replica)
+            cluster.retired_replicas.append(replica)
+            if by_region.get(replica.region) is replica:
+                del by_region[replica.region]
+                for candidate in cluster.replicas:
+                    if candidate.region == replica.region:
+                        by_region[replica.region] = candidate
+                        break
+        self.completed_at = cluster.env.scheduler.now()
+        if self.on_complete is not None:
+            self.on_complete(self)

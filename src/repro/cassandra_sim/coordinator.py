@@ -8,15 +8,15 @@ was already flushed for Correctable Cassandra, the quorum timer).  No
 per-hop payload dicts, no client pending map, no coordinator session map.
 
 :class:`FusedRead` and :class:`FusedWrite` are plain slotted objects
-recycled through class-level free lists; the protocol code in ``replica.py``
-/ ``client.py`` owns all state transitions.
+recycled through class-level free lists; the protocol code (``reads.py``,
+``writes.py``, ``replica.py``, ``client.py``) owns all state transitions.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.cassandra_sim.versions import VersionedValue
+from repro.cassandra_sim.storage import VersionedValue
 
 
 class _PooledRecord:

@@ -1,5 +1,8 @@
 """Replica storage: one key space per cluster, one versions column per replica.
 
+A row is a :class:`VersionedValue` (value and write stamp); :func:`resolve`
+is the last-write-wins rule that :meth:`ColumnarTable.apply` inlines.
+
 The replicas of a cluster hold overlapping subsets of one key set — each
 key at ``replication_factor`` of them — and everything that is a function
 of the key alone is kept once, in the cluster's :class:`KeySpace`: the key
@@ -37,13 +40,45 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
+from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from operator import attrgetter, is_, is_not, le, not_
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.cassandra_sim.partitioner import key_token
-from repro.cassandra_sim.versions import VersionedValue
 from repro.workloads.records import time_zero_value
+
+#: A write timestamp: (simulated time, coordinator name, per-coordinator seq).
+#: Tuple comparison gives a total order with deterministic tie-breaking.
+Timestamp = Tuple[float, str, int]
+
+
+@dataclass(frozen=True, slots=True)
+class VersionedValue:
+    """A value together with the timestamp of the write that produced it."""
+
+    value: Any
+    timestamp: Timestamp
+
+    def newer_than(self, other: Optional["VersionedValue"]) -> bool:
+        """Last-write-wins: strictly newer timestamp wins."""
+        if other is None:
+            return True
+        return self.timestamp > other.timestamp
+
+
+def resolve(versions: Iterable[Optional[VersionedValue]]
+            ) -> Optional[VersionedValue]:
+    """Pick the newest non-missing version among replica responses."""
+    newest: Optional[VersionedValue] = None
+    for version in versions:
+        if version is None:
+            continue
+        if newest is None or version.newer_than(newest):
+            newest = version
+    return newest
+
 
 PRELOAD_STAMP = (0.0, "preload", 0)
 #: What every preloaded row holds until it is first read (its value is

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -61,9 +62,10 @@ class TxnConfig:
     value_size_bytes: int = 100
 
     def __post_init__(self) -> None:
+        # A timeout already says "never" with 0, so inf means nothing here.
         for field in fields(self):
-            if not getattr(self, field.name) >= 0:
-                raise ValueError(f"{field.name} must be non-negative")
+            if not 0 <= getattr(self, field.name) < math.inf:
+                raise ValueError(f"{field.name} must be non-negative and finite")
         # A zero redelivery or probe period reschedules itself at the same
         # instant for as long as a participant stays silent, so simulated
         # time never advances; a zero timeout or budget expires every

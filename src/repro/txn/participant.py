@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.cassandra_sim.replica import CassandraReplica
-from repro.cassandra_sim.versions import VersionedValue
+from repro.cassandra_sim.storage import VersionedValue
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.txn.config import TxnConfig

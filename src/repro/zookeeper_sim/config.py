@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.workloads.records import check_non_negative_int
@@ -51,11 +52,13 @@ class ZooKeeperConfig:
     client_retries: int = 3
 
     def __post_init__(self) -> None:
+        # A timeout already says "never" with 0, so inf means nothing here.
         for name in ("request_service_ms", "proposal_service_ms",
                      "apply_service_ms", "simulation_service_ms",
-                     "heartbeat_interval_ms", "request_timeout_ms"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+                     "heartbeat_interval_ms", "leader_timeout_ms",
+                     "election_window_ms", "request_timeout_ms"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         # Wire sizes and a retry count: a fraction or an infinity would
         # become a float wire size, or retry forever.
         for name in ("element_size_bytes", "child_name_bytes",

@@ -144,10 +144,10 @@ def rebalance_cell() -> Dict[str, object]:
         "lost_acked_writes": count_lost_acked_writes(cluster, acked),
         "failed_ops": result.failed_ops,
         "measured_ops": result.measured_ops,
-        "keys_streamed": cluster.total_keys_streamed(),
-        "stale_rejections": cluster.total_stale_rejections(),
-        "stale_retries": cluster.total_stale_epoch_retries(),
-        "writes_forwarded": cluster.total_writes_forwarded(),
+        "keys_streamed": cluster.total("keys_streamed_in"),
+        "stale_rejections": cluster.total("stale_rejections"),
+        "stale_retries": cluster.total("stale_epoch_retries"),
+        "writes_forwarded": cluster.total("writes_forwarded"),
         "client_retries": [c.retries for c in cluster.clients],
         "client_failures": [c.failed_requests for c in cluster.clients],
         "rebalance_ms": (join.duration_ms(), leave[0].duration_ms()),

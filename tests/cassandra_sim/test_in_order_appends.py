@@ -14,8 +14,7 @@ preload of rows already stored.
 from hypothesis import given, strategies as st
 
 from repro.cassandra_sim.partitioner import key_token
-from repro.cassandra_sim.storage import ColumnarTable, KeySpace
-from repro.cassandra_sim.versions import VersionedValue
+from repro.cassandra_sim.storage import ColumnarTable, KeySpace, VersionedValue
 
 KEYS = [f"key{i}" for i in range(16)]
 #: Ring tokens for the keys: a few shared values make token collisions

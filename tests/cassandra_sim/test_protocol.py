@@ -73,7 +73,7 @@ class TestReads:
         client = cluster.add_client("c", Region.IRL, Region.FRK)
         client.lean_read("key1", 2, True, RecordingSink())
         env.run_until_idle()
-        assert cluster.total_preliminaries_flushed() == 1
+        assert cluster.total("preliminaries_flushed") == 1
 
 
 class TestWrites:
@@ -166,7 +166,7 @@ class TestStalenessAndConfirmation:
         env.run_until_idle()
         assert finals.answers[0].is_confirmation
         assert finals.answers[0].value == "value1"
-        assert cluster.total_confirmations_sent() == 1
+        assert cluster.total("confirmations_sent") == 1
 
     def test_confirmation_uses_fewer_bytes_than_full_final(self):
         sizes = {}
@@ -188,7 +188,7 @@ class TestStalenessAndConfirmation:
         cluster = CassandraCluster(env, CassandraConfig(read_repair=True))
         cluster.preload({"key1": "old"})
         # Make the VRG replica stale by applying a newer version elsewhere.
-        from repro.cassandra_sim.versions import VersionedValue
+        from repro.cassandra_sim.storage import VersionedValue
         fresh = VersionedValue("fresh", (100.0, "manual", 1))
         cluster.replica_in(Region.FRK).table.apply("key1", fresh)
         cluster.replica_in(Region.IRL).table.apply("key1", fresh)

@@ -16,7 +16,7 @@ from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.partitioner import key_token, token_in_range
 from repro.cassandra_sim.replica import CassandraReplica
-from repro.cassandra_sim.versions import resolve
+from repro.cassandra_sim.storage import resolve
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, Topology
 
@@ -74,7 +74,7 @@ class TestJoin:
         cluster = six_node_cluster(env)
         operation = cluster.join_node("cassandra-6-" + Region.FRK, Region.FRK)
         env.run_until_idle()
-        streamed = cluster.total_keys_streamed()
+        streamed = cluster.total("keys_streamed_in")
         joiner_rows = len(cluster.replica_by_name(
             "cassandra-6-" + Region.FRK).table)
         assert streamed == joiner_rows  # nothing beyond the plan moved
@@ -251,7 +251,7 @@ class TestSafetyUnderTraffic:
         # Every non-empty task delivered its reference sequence, in order.
         assert shipped == {task: keys for task, keys in selected.items()
                            if keys}
-        assert cluster.total_keys_streamed() == sum(map(len, shipped.values()))
+        assert cluster.total("keys_streamed_in") == sum(map(len, shipped.values()))
         # The premise: some source was scanned at two different sizes.
         sizes = {}
         for source, rows in scans:
@@ -308,7 +308,7 @@ class TestSafetyUnderTraffic:
                 10.0 + i, client.lean_write,
                 (f"key{i}", f"fresh-{i}", 1, RecordingSink()))
         env.run_until_idle()
-        assert cluster.total_writes_forwarded() > 0
+        assert cluster.total("writes_forwarded") > 0
         # Every key the joiner now owns reflects the newest write.
         name = "cassandra-6-" + Region.FRK
         joiner = cluster.replica_by_name(name)

@@ -13,7 +13,7 @@ from history import RecordingSink
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
-from repro.cassandra_sim.versions import VersionedValue
+from repro.cassandra_sim.storage import VersionedValue
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
 

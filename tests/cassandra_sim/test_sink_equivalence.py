@@ -37,7 +37,7 @@ from repro.bench.common import (
 from repro.bench.fig15_rebalance import (CLIENT_REGIONS, make_rebalance_issue,
                                          skew_workload)
 from repro.cassandra_sim.config import CassandraConfig
-from repro.cassandra_sim.versions import VersionedValue
+from repro.cassandra_sim.storage import VersionedValue
 from repro.faults import FaultInjector
 from repro.faults.scenarios import cassandra_aliases
 from repro.faults.schedule import FaultScheduleBuilder

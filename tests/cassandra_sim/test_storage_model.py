@@ -22,8 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.partitioner import key_token, token_in_range
-from repro.cassandra_sim.storage import TIME_ZERO
-from repro.cassandra_sim.versions import VersionedValue
+from repro.cassandra_sim.storage import TIME_ZERO, VersionedValue
 from repro.sim.environment import SimEnvironment
 from repro.sim.network import MESSAGE_HEADER_BYTES
 from repro.sim.topology import Region
@@ -207,7 +206,7 @@ def test_tables_match_the_reference_model(ring, steps):
             assert_reads_match(replica.table, models[replica.name])
         elif kind == "join":
             joiner = cluster._add_replica(f"joiner{len(replicas)}",
-                                          REGIONS[step[1]], "bootstrapping")
+                                          REGIONS[step[1]])
             models[joiner.name] = ModelTable()
         else:
             _, source_at, target_at, start, end, cuts = step
@@ -251,7 +250,7 @@ def test_two_clusters_share_no_key_ids():
     for replica in first.replicas:
         assert replica.table._space is first.keyspace
         assert not any(map(replica.table.contains, second_keys))
-    joiner = first._add_replica("joiner", Region.FRK, "bootstrapping")
+    joiner = first._add_replica("joiner", Region.FRK)
     assert joiner.table._space is first.keyspace and len(joiner.table) == 0
 
 
@@ -341,7 +340,7 @@ def test_a_second_preload_of_a_key_keeps_the_first_value():
 
 def test_a_key_created_after_a_table_was_built_reads_as_absent_there():
     cluster = build(4, 2, 4)
-    joiner = cluster._add_replica("late", Region.IRL, "bootstrapping")
+    joiner = cluster._add_replica("late", Region.IRL)
     first = cluster.replicas[0].table
     first.apply("made-later", VersionedValue(1, (1.0, "n", 1)))
     assert joiner.table.get("made-later") is None

@@ -18,8 +18,8 @@ from repro.cassandra_sim.partitioner import (
     node_tokens,
     token_in_range,
 )
-from repro.cassandra_sim.storage import PRELOAD_STAMP, ColumnarTable, KeySpace
-from repro.cassandra_sim.versions import VersionedValue, resolve
+from repro.cassandra_sim.storage import (PRELOAD_STAMP, ColumnarTable,
+                                         KeySpace, VersionedValue, resolve)
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
 from repro.workloads.records import Dataset, time_zero_value

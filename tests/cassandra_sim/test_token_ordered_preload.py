@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.partitioner import key_token
-from repro.cassandra_sim.versions import VersionedValue
+from repro.cassandra_sim.storage import VersionedValue
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
 

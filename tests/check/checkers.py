@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import List
 
-from repro.cassandra_sim.versions import resolve
+from repro.cassandra_sim.storage import resolve
 
 
 def well_formed(history) -> List[str]:

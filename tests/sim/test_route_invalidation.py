@@ -125,6 +125,12 @@ _EDITS = {
     "set_rtt": (
         lambda stack: stack.env.topology.set_rtt(Region.IRL, Region.FRK, 64.0),
         {"rtts": {frozenset({Region.IRL, Region.FRK}): 64.0}}),
+    # Slow enough that the FRK coordinator's closest other replica is no
+    # longer r-irl but r-vrg: the rebuilt plan must sort by the new RTT.
+    "set_rtt_reorders_replicas": (
+        lambda stack: stack.env.topology.set_rtt(Region.IRL, Region.FRK,
+                                                 200.0),
+        {"rtts": {frozenset({Region.IRL, Region.FRK}): 200.0}}),
     "intra_region_rtt_ms": (_set("intra_region_rtt_ms", 9.0),
                             {"intra_region_rtt_ms": 9.0}),
     "loopback_rtt_ms": (_set("loopback_rtt_ms", 1.5),
@@ -217,7 +223,8 @@ _CUTS = {
         ["set_rtt", "intra_region_rtt_ms", "loopback_rtt_ms", "reset_stats"]),
     "replica": (lambda patch: patch.setattr(
         CassandraReplica, "_drop_routes", Node._drop_routes),
-        ["set_rtt", "intra_region_rtt_ms", "reset_stats"]),
+        ["set_rtt", "set_rtt_reorders_replicas", "intra_region_rtt_ms",
+         "reset_stats"]),
 }
 
 

@@ -84,7 +84,7 @@ def test_only_cassandra_sends_a_message():
     streaming, and ``Node.send`` itself calling ``Network.send``."""
     assert _sites(lambda func: isinstance(func, ast.Attribute)
                   and func.attr == "send") == [
-        "cassandra_sim/replica.py:CassandraReplica._fused_finish_read",
+        "cassandra_sim/reads.py:ReadCoordinator._fused_finish_read",
         "cassandra_sim/replica.py:CassandraReplica._stream_send_batch",
         "cassandra_sim/replica.py:CassandraReplica._apply_stream_batch",
         "sim/node.py:Node.send",

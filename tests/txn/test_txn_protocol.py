@@ -356,6 +356,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             TxnConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("field", [
+        "prepare_timeout_ms", "decision_log_ms", "decision_retry_ms",
+        "coordinator_timeout_ms", "takeover_probe_ms", "client_timeout_ms",
+        "txn_deadline_ms", "breaker_reset_ms", "prepare_service_ms",
+        "commit_service_ms", "coordinator_service_ms"])
+    def test_inf_fails_at_build_time(self, field):
+        """A timeout already means "never" with 0, and an infinite service
+        time finishes no job: inf fails at construction."""
+        with pytest.raises(ValueError, match=field):
+            TxnConfig(**{field: float("inf")})
+
     def test_zero_periods_stay_legal_where_they_mean_off(self):
         # Heartbeats off (no failure detection) need no coordinator
         # timeout above them; client timeouts off are the fault-free

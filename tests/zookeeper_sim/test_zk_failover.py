@@ -364,3 +364,15 @@ def test_nan_config_fails_at_build_time(named):
     # NaN compares false both ways, so only ``not x >= 0`` catches it.
     with pytest.raises(ValueError, match=named):
         ZooKeeperConfig.fault_tolerant(**{named: float("nan")})
+
+
+@pytest.mark.parametrize("named", (
+    "request_service_ms", "proposal_service_ms", "apply_service_ms",
+    "simulation_service_ms", "leader_timeout_ms", "election_window_ms",
+    "request_timeout_ms"))
+def test_infinite_time_fails_at_build_time(named):
+    """An infinite service time finishes no job, and a timeout or period
+    already means "never" with 0: inf fails at construction, heartbeats on
+    or off."""
+    with pytest.raises(ValueError, match=named):
+        ZooKeeperConfig(**{named: float("inf")})
