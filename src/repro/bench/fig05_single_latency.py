@@ -51,8 +51,8 @@ class _SequentialReads:
         self.preliminary_ms = latency_ms
 
     def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
-                      is_confirmation: bool = False, degraded: bool = False,
-                      matches_preliminary: Optional[bool] = None) -> None:
+                      is_confirmation: bool = False,
+                      degraded: bool = False) -> None:
         self.final.record(latency_ms)
         if self.preliminary_ms is not None:
             self.preliminary.record(self.preliminary_ms)

@@ -61,8 +61,8 @@ class EnqueueLoop:
         self.preliminary.record(latency_ms)
 
     def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
-                      is_confirmation: bool = False, degraded: bool = False,
-                      matches_preliminary: Optional[bool] = None) -> None:
+                      is_confirmation: bool = False,
+                      degraded: bool = False) -> None:
         self.final.record(latency_ms)
         self.issue_next()
 

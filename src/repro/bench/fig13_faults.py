@@ -196,11 +196,10 @@ class _QueueOpSink:
                                       latency_ms, source)
 
     def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
-                      is_confirmation: bool = False, degraded: bool = False,
-                      matches_preliminary: Optional[bool] = None) -> None:
+                      is_confirmation: bool = False,
+                      degraded: bool = False) -> None:
         self.sink.deliver_final((value or {}).get("name"), stamp, latency_ms,
-                                is_confirmation, degraded,
-                                matches_preliminary)
+                                is_confirmation, degraded)
 
     def deliver_error(self, error: Any, latency_ms: float) -> None:
         self.sink.deliver_error(error, latency_ms)

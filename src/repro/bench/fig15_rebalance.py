@@ -102,8 +102,8 @@ class _JournaledOp:
         self.sink.deliver_preliminary(value, stamp, latency_ms, source)
 
     def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
-                      is_confirmation: bool = False, degraded: bool = False,
-                      matches_preliminary: Optional[bool] = None) -> None:
+                      is_confirmation: bool = False,
+                      degraded: bool = False) -> None:
         if self.update:
             if stamp is not None:
                 acked = self.acked
@@ -120,11 +120,10 @@ class _JournaledOp:
                 "final_latency_ms": latency_ms,
                 "preliminary_latency_ms": self.prelim_latency,
                 "had_preliminary": had,
-                "diverged": (had and not is_confirmation
-                             and self.prelim_value != value),
+                "diverged": had and self.prelim_value != value,
                 "failed": False})
         self.sink.deliver_final(value, stamp, latency_ms, is_confirmation,
-                                degraded, matches_preliminary)
+                                degraded)
 
     def deliver_error(self, error: Any, latency_ms: float) -> None:
         if self.update:

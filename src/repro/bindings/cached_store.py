@@ -53,8 +53,8 @@ class _InnerViews:
             correctable.close(value, self.levels[0], metadata)
 
     def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
-                      is_confirmation: bool = False, degraded: bool = False,
-                      matches_preliminary: Optional[bool] = None) -> None:
+                      is_confirmation: bool = False,
+                      degraded: bool = False) -> None:
         if self.key is not None:
             self.cache.put(self.key, value)
         if self.correctable.is_updating():

@@ -261,8 +261,7 @@ class CassandraClient(Node):
         op.sink.deliver_preliminary(
             value, timestamp, self._clock._now - op.sent_at, replica)
 
-    def _fused_final(self, rec: Any, is_confirmation: bool = False,
-                     matches_preliminary: Optional[bool] = None) -> None:
+    def _fused_final(self, rec: Any, is_confirmation: bool = False) -> None:
         net = self.network
         if not self.alive:
             net.messages_dropped += 1
@@ -306,7 +305,7 @@ class CassandraClient(Node):
             op.unref()
         sink.deliver_final(
             value, timestamp, self._clock._now - sent_at,
-            is_confirmation, degraded, matches_preliminary)
+            is_confirmation, degraded)
 
     def _fused_error(self, rec: Any, error: str, retryable: bool) -> None:
         net = self.network

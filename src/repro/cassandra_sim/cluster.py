@@ -21,8 +21,9 @@ simulation scheduler while the cluster keeps serving:
    (:meth:`RingPartitioner.begin`), at which point coordinators start
    forwarding writes to every node gaining a range.
 2. **stream** — each :class:`StreamTask`'s source replica ships its key
-   range to the gainer in stop-and-wait batches, charged to the source's
-   processing queue so streaming competes with foreground traffic.
+   range to the gainer in stop-and-wait batches on its processing queue
+   (competing with foreground traffic), resumed by a crashed party's
+   recovery; removing a joiner mid-join aborts the join.
 3. **announce** — once every task finishes, the change commits: the ring
    epoch bumps, preference caches invalidate, and in-flight requests routed
    by the old epoch get ``stale_epoch`` rejections that push coordinators to
@@ -256,10 +257,6 @@ class CassandraCluster:
                 "client_pending": pending}
 
 
-
-
-
-
 class RingRebalance:
     """One join/decommission/removal being executed against a live cluster."""
 
@@ -268,8 +265,6 @@ class RingRebalance:
                  vnodes: Optional[int] = None,
                  on_complete: Optional[Callable[["RingRebalance"], None]] = None
                  ) -> None:
-        if kind not in ("join", "decommission", "remove"):
-            raise ValueError(f"unknown rebalance kind {kind!r}")
         if kind == "join" and region is None:
             raise ValueError("a joining node needs a region")
         self.cluster = cluster
@@ -307,7 +302,16 @@ class RingRebalance:
             replica = cluster.replica_by_name(self.node_name)
             change = partitioner.plan_decommission(self.node_name)
         else:
-            replica = cluster.replica_by_name(self.node_name)
+            replica = self._replica = cluster.replica_by_name(self.node_name)
+            if replica.ring_state == "bootstrapping":
+                # Its join is still in flight, and a joiner that never
+                # returns must not hold the ring: abort the join, retire it.
+                partitioner.abort(next(
+                    op.change for op in cluster.rebalances
+                    if op.kind == "join" and op.node_name == replica.name))
+                replica.drop_streams()
+                self._announce()
+                return
             change = partitioner.plan_remove(self.node_name)
         self.change = change
         self._replica = replica
@@ -333,10 +337,12 @@ class RingRebalance:
             self._announce()
 
     def _announce(self) -> None:
-        """Commit the ring change, flip the node's serving state and update
-        the cluster's serving indexes."""
+        """Commit the ring change (a removal that aborted a join has none),
+        flip the node's serving state and update the cluster's serving
+        indexes."""
         cluster = self.cluster
-        cluster.partitioner.commit(self.change)
+        if self.change is not None:
+            cluster.partitioner.commit(self.change)
         replica: CassandraReplica = self._replica
         by_region = cluster._by_region
         if self.kind == "join":

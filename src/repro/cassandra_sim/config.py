@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.workloads.records import check_non_negative_int, check_positive_int
+from repro.workloads.records import (
+    check_non_negative_float, check_non_negative_int, check_positive_int)
 
 
 @dataclass
@@ -90,15 +90,14 @@ class CassandraConfig:
         # A negative service time schedules a job before ``now`` and runs
         # the simulated clock backwards; a negative size undercounts bytes;
         # an infinite one never finishes a job, and a timeout already says
-        # "never" with 0.  ``not 0 <= x < inf`` rejects NaN as well.
+        # "never" with 0.
         for name in ("read_timeout_ms", "write_timeout_ms",
                      "client_timeout_ms", "read_service_ms", "write_service_ms",
                      "preliminary_flush_ms", "stream_scan_ms",
                      "stream_batch_ms", "stream_apply_ms_per_item",
                      "key_size_bytes", "response_overhead_bytes",
                      "confirmation_bytes"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+            check_non_negative_float(name, getattr(self, name))
 
     def quorum(self) -> int:
         """Majority quorum size for this replication factor."""

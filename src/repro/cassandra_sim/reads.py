@@ -240,14 +240,14 @@ class ReadCoordinator:
             rec.degraded = True
         config = self.config
         newest = rec.best
-        matches_preliminary = (
+        matches = (  # the final equals the preliminary this attempt flushed
             rec.preliminary_sent
             and ((newest is None and rec.preliminary is None)
                  or (newest is not None and rec.preliminary is not None
                      and newest.value == rec.preliminary.value))
         )
         use_confirmation = (rec.icg and config.confirmation_optimization
-                            and matches_preliminary)
+                            and matches)
         if use_confirmation:
             self.confirmations_sent += 1
             size = self._conf_base
@@ -265,7 +265,7 @@ class ReadCoordinator:
         client = rec.client
         if self.network.fused_send_to(
                 self, client.name, size, client._fused_final,
-                (rec, use_confirmation, matches_preliminary)):
+                (rec, use_confirmation)):
             rec.refs += 1
         if config.read_repair and newest is not None:
             # Read repair has no client operation to ride on: a one-way

@@ -12,13 +12,11 @@ plan both send through and the replica's side, ``_fused_read_req`` and
 ``_fused_write_req``.  The same records run every configuration: fault-free,
 with timeouts, failover and read repair, and across ring changes.
 
-Message kinds still handled:
-
-* ``write_req`` — read repair, one-way from a coordinator to a replica that
-  answered a quorum read with an older version (it belongs to no client
-  operation, so it has no record to ride on);
-* ``stream_data`` / ``stream_ack`` — range streaming during a ring
-  rebalance (stop-and-wait batches from the range's source to its gainer).
+The one Message kind still handled is ``write_req``: read repair, one-way
+from a coordinator to a replica that answered a quorum read with an older
+version (it belongs to no client operation, so it has no record to ride
+on).  Range streaming rides its own record, a :class:`_Stream`: stop-and-wait
+batches from the range's source to its gainer, each hop a continuation.
 
 Ring membership: every replica carries a ``ring_state`` (``serving``,
 ``bootstrapping`` while joining, ``retired`` after leaving).  A replica that
@@ -38,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from heapq import heappush
 from operator import is_
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
@@ -52,17 +50,26 @@ from repro.sim.network import (MESSAGE_HEADER_BYTES, Message, Network,
 from repro.sim.node import Node
 
 
-@dataclass(slots=True)
-class _StreamState:
-    """Source-side progress of one range-transfer task."""
+@dataclass(slots=True, eq=False)
+class _Stream:
+    """One range-transfer task, registered at its source and its target.
 
-    stream_id: int
+    ``batch`` (key ids, and the ``versions`` sent) is the one batch out.  A
+    batch or ack dropped parks the stream until a party recovers and sends
+    the batch again (an LWW merge is idempotent).
+    """
+
     task: StreamTask
+    source: "CassandraReplica"
+    target: "CassandraReplica"
     on_complete: Callable[[StreamTask], None]
     #: The key ids of the task's rows in the source table, in sorted-key
     #: order.
     rows: Sequence[int] = ()
     cursor: int = 0
+    batch: Sequence[int] = ()
+    versions: Sequence[VersionedValue] = ()
+    parked: bool = False
 
 
 class CassandraReplica(ReadCoordinator, WriteCoordinator, Node):
@@ -85,8 +92,8 @@ class CassandraReplica(ReadCoordinator, WriteCoordinator, Node):
         #: client traffic yet), ``retired`` (left the ring: rejects
         #: everything with ``stale_epoch`` so coordinators re-route).
         self.ring_state = "serving"
-        self._stream_ids = itertools.count(1)
-        self._streams: Dict[int, _StreamState] = {}
+        #: The streams this node is the source or the target of.
+        self._streams: List[_Stream] = []
         self._write_seq = itertools.count(1)
         #: key -> (local_participant, fused fan-out targets); see _fused_plan.
         self._fused_plans: Dict[str, tuple] = {}
@@ -145,6 +152,14 @@ class CassandraReplica(ReadCoordinator, WriteCoordinator, Node):
         incarnation that is gone, and do nothing)."""
         super().crash()
         self._incarnation += 1
+
+    def recover(self) -> None:
+        """Restart the node; each parked stream it is a party of sends its
+        unacknowledged batch again (once the source is up too)."""
+        super().recover()
+        for stream in self._streams:
+            if stream.parked and stream.source.alive:
+                stream.source._stream_send(stream)
 
     def _drop_routes(self) -> None:
         super()._drop_routes()
@@ -336,7 +351,7 @@ class CassandraReplica(ReadCoordinator, WriteCoordinator, Node):
 
     # -- range streaming (ring rebalance) ---------------------------------------
     def begin_stream(self, task: StreamTask,
-                     on_complete: Callable[[StreamTask], None]) -> int:
+                     on_complete: Callable[[StreamTask], None]) -> None:
         """Start shipping ``task``'s key range to its target node.
 
         Stop-and-wait batches of ``config.stream_batch_items`` items: the
@@ -348,56 +363,76 @@ class CassandraReplica(ReadCoordinator, WriteCoordinator, Node):
         if task.source != self.name:
             raise ValueError(
                 f"stream task sourced at {task.source!r} given to {self.name!r}")
-        stream_id = next(self._stream_ids)
-        state = _StreamState(stream_id=stream_id, task=task,
-                             on_complete=on_complete)
-        self._streams[stream_id] = state
-        self._enqueue(self.config.stream_scan_ms, self._stream_scan, (state,))
-        return stream_id
+        stream = _Stream(task, self, self.network.node(task.target),
+                         on_complete)
+        self._streams.append(stream)
+        stream.target._streams.append(stream)
+        self._enqueue(self.config.stream_scan_ms, self._stream_scan, (stream,))
 
-    def _stream_scan(self, state: _StreamState) -> None:
-        task = state.task
-        state.rows = self.table.rows_in_range(task.start_token, task.end_token)
-        self._stream_send_batch(state)
+    def _stream_scan(self, stream: _Stream) -> None:
+        task = stream.task
+        stream.rows = self.table.rows_in_range(task.start_token, task.end_token)
+        self._stream_next(stream)
 
-    def _stream_send_batch(self, state: _StreamState) -> None:
-        if state.cursor >= len(state.rows):
-            del self._streams[state.stream_id]
-            state.on_complete(state.task)
+    def _stream_next(self, stream: _Stream) -> None:
+        """Send the batch after the acknowledged one, or finish; a stream
+        this node dropped (its join was aborted) sends nothing more."""
+        if stream not in self._streams:
             return
+        if stream.cursor >= len(stream.rows):
+            self._streams.remove(stream)
+            stream.target._streams.remove(stream)
+            stream.on_complete(stream.task)
+            return
+        rows = stream.batch = stream.rows[
+            stream.cursor:stream.cursor + self.config.stream_batch_items]
+        stream.cursor += len(rows)
+        self.keys_streamed_out += len(rows)
+        self._stream_send(stream)
+
+    def _stream_send(self, stream: _Stream) -> None:
+        """Send ``stream.batch`` with its rows' versions as of now; a drop
+        parks the stream."""
         config = self.config
-        rows = state.rows[state.cursor:
-                          state.cursor + config.stream_batch_items]
-        state.cursor += len(rows)
+        rows = stream.batch
         # Key ids, not keys: source and target share the cluster's key
         # space.  The wire still carries a key per row.
-        versions = self.table.versions_of(rows)
+        versions = stream.versions = self.table.versions_of(rows)
         values, unread, size = self.table.values_and_unread(rows, versions)
-        self.keys_streamed_out += len(rows)
-        self.send(state.task.target, "stream_data",
-                  {"stream_id": state.stream_id, "rows": rows,
-                   "versions": versions},
-                  size_bytes=(MESSAGE_HEADER_BYTES
-                              + config.key_size_bytes * len(rows)
-                              + self._values_bytes(values)
-                              + unread * max(size, config.value_size_bytes)))
+        target = stream.target
+        stream.parked = not self.network.fused_send_to(
+            self, target.name,
+            MESSAGE_HEADER_BYTES + config.key_size_bytes * len(rows)
+            + self._values_bytes(values)
+            + unread * max(size, config.value_size_bytes),
+            target._stream_hop,
+            (stream, config.stream_apply_ms_per_item * max(1, len(rows)),
+             target._stream_apply))
 
-    def on_stream_data(self, message: Message) -> None:
-        payload = message.payload
-        self._enqueue(self.config.stream_apply_ms_per_item
-                      * max(1, len(payload["rows"])),
-                      self._apply_stream_batch, (message.src, payload))
-
-    def _apply_stream_batch(self, source: str, payload: dict) -> None:
-        rows = payload["rows"]
-        self.table.merge(rows, payload["versions"])
-        self.keys_streamed_in += len(rows)
-        self.send(source, "stream_ack", {"stream_id": payload["stream_id"]},
-                  size_bytes=MESSAGE_HEADER_BYTES + 10)
-
-    def on_stream_ack(self, message: Message) -> None:
-        state = self._streams.get(message.payload["stream_id"])
-        if state is None:
+    def _stream_hop(self, stream: _Stream, cost: float,
+                    job: Callable[[_Stream], None]) -> None:
+        """A batch or an ack arrives: queue ``job``, or park the stream if
+        this node is down."""
+        net = self.network
+        if not self.alive:
+            net.messages_dropped += 1
+            stream.parked = True
             return
-        self._enqueue(self.config.stream_batch_ms, self._stream_send_batch,
-                      (state,))
+        net.messages_delivered += 1
+        self._enqueue(cost, job, (stream,))
+
+    def _stream_apply(self, stream: _Stream) -> None:
+        rows = stream.batch
+        self.table.merge(rows, stream.versions)
+        self.keys_streamed_in += len(rows)
+        source = stream.source
+        stream.parked = not self.network.fused_send_to(
+            self, source.name, MESSAGE_HEADER_BYTES + 10, source._stream_hop,
+            (stream, self.config.stream_batch_ms, source._stream_next))
+
+    def drop_streams(self) -> None:
+        """Forget the streams to this node, here and at their sources (its
+        join was aborted)."""
+        for stream in self._streams:
+            stream.source._streams.remove(stream)
+        self._streams.clear()

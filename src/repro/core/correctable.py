@@ -236,8 +236,8 @@ class Correctable:
             self.discarded_updates += 1
 
     def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
-                      is_confirmation: bool = False, degraded: bool = False,
-                      matches_preliminary: Optional[bool] = None) -> None:
+                      is_confirmation: bool = False,
+                      degraded: bool = False) -> None:
         """Sink: the store's final answer closes at the strongest level."""
         if self._state is _UPDATING:
             self.close(value, self._levels[-1],

@@ -24,8 +24,7 @@ class Sink(Protocol):
     nothing was found); ``latency_ms`` is simulated time since the issue;
     ``source`` is who produced a preliminary.  ``is_confirmation``: the
     store elided the final payload, which equals the preliminary's;
-    ``degraded``: answered below the requested quorum;
-    ``matches_preliminary``: the store's own comparison, if it makes one.
+    ``degraded``: answered below the requested quorum.
     ``error`` is a message, or an exception to raise as is.
     """
 
@@ -33,8 +32,8 @@ class Sink(Protocol):
                             source: Optional[str] = None) -> None: ...
 
     def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
-                      is_confirmation: bool = False, degraded: bool = False,
-                      matches_preliminary: Optional[bool] = None) -> None: ...
+                      is_confirmation: bool = False,
+                      degraded: bool = False) -> None: ...
 
     def deliver_error(self, error: Union[str, BaseException],
                       latency_ms: float) -> None: ...

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Tuple
 
+from repro.workloads.records import check_non_negative_float
+
 #: Actions understood by the injector, with the operands they use.
 #:
 #: ``crash`` / ``recover`` / ``slow`` / ``restore_speed``  — ``target`` only
@@ -46,8 +48,8 @@ class FaultEvent:
     value: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.at_ms >= 0:
-            raise ValueError(f"fault time must be non-negative, got {self.at_ms}")
+        check_non_negative_float("at_ms", self.at_ms)
+        check_non_negative_float("value", self.value)
         if self.action not in ACTIONS:
             raise ValueError(f"unknown fault action {self.action!r}; "
                              f"choose from {sorted(ACTIONS)}")
@@ -57,8 +59,6 @@ class FaultEvent:
             raise ValueError(f"action {self.action!r} needs a peer endpoint")
         if self.action == "slow" and not self.value > 0:
             raise ValueError("slow action needs a positive factor in 'value'")
-        if self.action == "degrade_link" and not self.value >= 0:
-            raise ValueError("degrade_link needs a non-negative 'value' (ms)")
 
 
 @dataclass(frozen=True)

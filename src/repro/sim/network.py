@@ -43,7 +43,7 @@ transaction), and its continuation does the delivery-side accounting
 from the return value whether anything was scheduled at all; control-plane
 hops share one such step, ``Node._receive_control``.  :meth:`Network.send`
 is ``fused_send_to`` plus a :class:`Message` and its ``on_<kind>``
-dispatch: Cassandra's read repair and range streaming, nothing else.
+dispatch: Cassandra's read repair, nothing else.
 """
 
 from __future__ import annotations

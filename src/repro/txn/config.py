@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
+
+from repro.workloads.records import check_non_negative_float
 
 
 @dataclass
@@ -64,8 +65,7 @@ class TxnConfig:
     def __post_init__(self) -> None:
         # A timeout already says "never" with 0, so inf means nothing here.
         for field in fields(self):
-            if not 0 <= getattr(self, field.name) < math.inf:
-                raise ValueError(f"{field.name} must be non-negative and finite")
+            check_non_negative_float(field.name, getattr(self, field.name))
         # A zero redelivery or probe period reschedules itself at the same
         # instant for as long as a participant stays silent, so simulated
         # time never advances; a zero timeout or budget expires every

@@ -23,11 +23,11 @@ prefix of absolute arrival times for tests and examples.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import List, Optional
 
 from repro.workloads import fastrand
+from repro.workloads.records import check_non_negative_float
 
 #: Names understood by :func:`make_arrival_process`.
 ARRIVAL_KINDS = ("uniform", "poisson", "burst")
@@ -40,12 +40,10 @@ _CHUNK_MAX = 4096
 
 def _check(name: str, value: float, zero_ok: bool = False) -> None:
     """Refuse a rate or phase length that is not a finite number above zero
-    (or at least zero).  ``not value > 0`` rejects NaN, which compares
-    false; an infinite rate would make every gap zero."""
-    if not ((value >= 0 if zero_ok else value > 0) and math.isfinite(value)):
-        raise ValueError(f"{name} must be "
-                         f"{'non-negative' if zero_ok else 'positive'} "
-                         f"and finite, got {value}")
+    (or at least zero): an infinite rate would make every gap zero."""
+    check_non_negative_float(name, value)
+    if not (zero_ok or value > 0):
+        raise ValueError(f"{name} must be positive: {value!r}")
 
 
 class ArrivalProcess:

@@ -13,6 +13,7 @@ generator (:meth:`Dataset.random_value`).
 
 from __future__ import annotations
 
+import math
 import random
 import string
 from collections.abc import ItemsView, Mapping, ValuesView
@@ -48,6 +49,12 @@ def check_non_negative_int(name: str, value: object) -> None:
     ``bool`` is not one)."""
     if type(value) is bool or not isinstance(value, int) or value < 0:
         raise ValueError(f"{name} must be a non-negative int: {value!r}")
+
+
+def check_non_negative_float(name: str, value: object) -> None:
+    """The rule for a time, a rate or a share: finite, >= 0, not a bool."""
+    if type(value) is bool or not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite: {value!r}")
 
 
 def time_zero_value(key: str, size: int) -> str:

@@ -158,8 +158,8 @@ class _ClientThread:
             self._prelim_latency = latency_ms
 
     def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
-                      is_confirmation: bool = False, degraded: bool = False,
-                      matches_preliminary: Optional[bool] = None) -> None:
+                      is_confirmation: bool = False,
+                      degraded: bool = False) -> None:
         runner = self.runner
         result = runner.result
         result.total_ops += 1
@@ -183,8 +183,7 @@ class _ClientThread:
                 if prelim_latency is not None:
                     result.preliminary_latency.record(prelim_latency)
                 result.divergence.record_outcome(
-                    had and prelim_value != value and not is_confirmation,
-                    had_preliminary=had)
+                    had and prelim_value != value, had_preliminary=had)
         think = runner.think_time_ms
         if think > 0:
             runner.scheduler.schedule(think, self._issue_next)
@@ -304,8 +303,8 @@ class _OpenOp:
         self._prelim_latency = latency_ms
 
     def deliver_final(self, value: Any, stamp: Any, latency_ms: float,
-                      is_confirmation: bool = False, degraded: bool = False,
-                      matches_preliminary: Optional[bool] = None) -> None:
+                      is_confirmation: bool = False,
+                      degraded: bool = False) -> None:
         runner = self.runner
         issued_at = self.issued_at
         arrived_at = self.arrived_at
@@ -337,8 +336,7 @@ class _OpenOp:
                         prelim_latency += queue_delay
                     result.preliminary_latency.record(prelim_latency)
                 result.divergence.record_outcome(
-                    had and prelim_value != value and not is_confirmation,
-                    had_preliminary=had)
+                    had and prelim_value != value, had_preliminary=had)
         runner._refill()
 
     def deliver_error(self, error: Any, latency_ms: float) -> None:

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 from repro.sim.rand import derive_rng
 from repro.workloads import fastrand
 from repro.workloads.distributions import make_key_chooser
-from repro.workloads.records import Dataset
+from repro.workloads.records import Dataset, check_non_negative_float
 
 #: Per-draw operations before a generator auto-engages chunked prefill.
 #: Short-lived generators (open-loop sessions issue tens of ops) never
@@ -41,6 +41,8 @@ class WorkloadSpec:
     zipf_theta: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("read_proportion", "update_proportion"):
+            check_non_negative_float(name, getattr(self, name))
         total = self.read_proportion + self.update_proportion
         if abs(total - 1.0) > 1e-9:
             raise ValueError(

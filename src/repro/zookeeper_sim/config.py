@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.workloads.records import check_non_negative_int
+from repro.workloads.records import (check_non_negative_float,
+                                     check_non_negative_int)
 
 
 @dataclass
@@ -57,8 +57,7 @@ class ZooKeeperConfig:
                      "apply_service_ms", "simulation_service_ms",
                      "heartbeat_interval_ms", "leader_timeout_ms",
                      "election_window_ms", "request_timeout_ms"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+            check_non_negative_float(name, getattr(self, name))
         # Wire sizes and a retry count: a fraction or an infinity would
         # become a float wire size, or retry forever.
         for name in ("element_size_bytes", "child_name_bytes",

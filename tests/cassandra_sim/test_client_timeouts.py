@@ -8,7 +8,11 @@ from fault_slices import one_client_cluster
 from history import RecordingSink
 
 from repro.cassandra_sim.config import CassandraConfig
+from repro.cassandra_sim.storage import VersionedValue
 from repro.sim.network import Network
+from repro.sim.topology import Region
+from repro.workloads.arrivals import UniformArrivals
+from repro.workloads.runner import ClosedLoopRunner, OpenLoopRunner
 
 _TIMEOUT_MS = 100.0
 
@@ -119,3 +123,45 @@ def test_answers_to_superseded_attempts_complete_once(monkeypatch):
     assert client.failed_requests == 0
     assert client.outstanding() == (0, 0, 0)
     assert env.scheduler.pending(live_only=True) == 0
+
+
+class _Reads:
+    def next_operation(self):
+        return "read", "key1", None
+
+
+@pytest.mark.parametrize("shape", ["closed", "open"])
+def test_a_confirmation_after_a_retry_s_preliminary_diverges(shape):
+    """A ``*CC2`` read fails over: the retry's preliminary (``newer``, from
+    the IRL replica) reaches the client, then the first attempt confirms
+    its own preliminary (``value1``).  The application saw ``newer`` and
+    then ``value1``, so both runners count the pair as diverged."""
+    config = CassandraConfig(client_timeout_ms=500.0, client_retries=1,
+                             confirmation_optimization=True)
+    env, cluster, client = one_client_cluster(config)
+    first, retry, other = cluster.replicas  # FRK, IRL, VRG
+    retry.table.apply("key1", VersionedValue("newer", (1.0, retry.name, 1)))
+    # The first coordinator reads from VRG (IRL is farther now) and answers
+    # in about 800 ms; the retry's coordinator answers much later.
+    env.topology.set_rtt(Region.FRK, Region.IRL, 300.0)
+    env.network.degrade_link(first.name, other.name, 200.0)
+    env.network.degrade_link(retry.name, other.name, 600.0)
+    finals = []
+
+    def issue(op_type, key, value, record, session_id=None):
+        if not finals:  # one read: later operations are never answered
+            record.icg = True
+            client.lean_read(key, 2, True, record)
+            finals.append(record)
+
+    windows = dict(scheduler=env.scheduler, issue=issue,
+                   make_generator=lambda i: _Reads(), duration_ms=900.0,
+                   warmup_ms=0.0, cooldown_ms=0.0)
+    runner = (ClosedLoopRunner(threads=1, **windows) if shape == "closed"
+              else OpenLoopRunner(arrivals=UniformArrivals(1000.0),
+                                  sessions=1, **windows))
+    divergence = runner.run().divergence
+    assert client.retries == 1
+    assert first.confirmations_sent == 1
+    assert (divergence.matched, divergence.diverged,
+            divergence.missing_preliminary) == (0, 1, 0)

@@ -3,10 +3,10 @@ replica, made to fire by name.
 
 These are the branches no workload takes on purpose: a reply that finds its
 coordinator dead, an attempt that retires at the coordinator, a timeout
-that gives up, read repair or a stream acknowledgement reaching a node that
-moved on.  Each test sets up the one situation that fires its guard and
-checks what the guard is there to do (a count settled, a drop counted, an
-answer sent or withheld).  ``tests/ledger.py`` fails the suite when any line
+that gives up, read repair or an aborted join's stream batch reaching a
+node that moved on.  Each test sets up the one situation that fires its
+guard and checks what the guard is there to do (a count settled, a drop
+counted, an answer sent or withheld).  ``tests/ledger.py`` fails the suite when any line
 of ``reads.py``, ``writes.py`` or ``replica.py`` goes unreached, so
 skipping one of these is caught there.
 
@@ -295,14 +295,30 @@ class TestReplica:
                           start_token=0, end_token=1)
         with pytest.raises(ValueError, match="sourced at"):
             coordinator.begin_stream(task, lambda task: None)
-        assert coordinator._streams == {}
+        assert coordinator._streams == []
 
-    def test_an_acknowledgement_for_no_stream_is_ignored(self):
-        env, cluster, _, coordinator = _stack()
-        other = _others(cluster, coordinator)[0]
-        jobs = coordinator.queue.jobs_processed
-        other.send(coordinator.name, "stream_ack", {"stream_id": 7},
-                   size_bytes=MESSAGE_HEADER_BYTES + 10)
+    def test_an_aborted_join_s_late_batches_and_acks_send_nothing_more(
+            self):
+        """The joiner is removed while batches and acks of its join are on
+        the wire: the join is aborted, the late batches are still applied
+        and acknowledged, and no source sends another batch or reports its
+        task done."""
+        env, cluster, _, _ = _stack(stream_batch_items=2)
+        cluster.preload({f"key{i}": f"value{i}" for i in range(600)})
+        join = cluster.join_node("joiner", Region.VRG)
+        joiner = cluster.replica_by_name("joiner")
+        env.run(until=100.0)
+        while joiner.keys_streamed_in == cluster.total("keys_streamed_out"):
+            env.run(max_events=1)  # until a batch is on the wire
+        streams, done = list(joiner._streams), []
+        for stream in streams:
+            stream.on_complete = done.append
+        sent, applied = (cluster.total("keys_streamed_out"),
+                         joiner.keys_streamed_in)
+        removal = cluster.remove_node("joiner")
         env.run_until_idle()
-        assert coordinator.queue.jobs_processed == jobs
-        assert coordinator.keys_streamed_out == 0
+        assert removal.done and not join.done and done == []
+        assert joiner.keys_streamed_in > applied
+        assert cluster.total("keys_streamed_out") == sent
+        assert not any(replica._streams for replica in cluster.replicas)
+        assert cluster.partitioner.version == 0

@@ -108,8 +108,8 @@ class TestPoolAccountingAcrossRingChanges:
             f"cassandra-6-{Region.FRK}", Region.FRK, at_ms=200.0,
             on_complete=lambda _: leave.append(
                 cluster.decommission_node(contact)))
-        # Crashes on either side of the ring changes (range streaming is
-        # stop-and-wait without retransmission: a crash inside it stalls it).
+        # Crashes on either side of the ring changes (crashes inside them
+        # are test_stream_resume.py's).
         schedule = (FaultScheduleBuilder()
                     .crash_window("replica:4", 30.0, 140.0)
                     .crash_window("replica:2", 1_000.0, 300.0).build())

@@ -200,30 +200,30 @@ class TestSafetyUnderTraffic:
         env = _env()
         cluster = six_node_cluster(env)
         scans = []  # (source, rows in its table at scan time)
-        selected = {}  # (source, stream id) -> the reference key sequence
-        shipped = {}   # (source, stream id) -> keys that reached the target
+        selected = {}  # stream -> the reference key sequence
+        shipped = {}   # stream -> keys that reached the target
         scan = CassandraReplica._stream_scan
-        apply_batch = CassandraReplica._apply_stream_batch
+        apply_batch = CassandraReplica._stream_apply
 
-        def checked_scan(replica, state):
-            task = state.task
-            selected[replica.name, state.stream_id] = [
+        def checked_scan(replica, stream):
+            task = stream.task
+            selected[stream] = [
                 key for key in replica.table.keys()
                 if token_in_range(key_token(key), task.start_token,
                                   task.end_token)]
-            scan(replica, state)
-            assert ([cluster.keyspace.keys[kid] for kid in state.rows]
-                    == selected[replica.name, state.stream_id]), task
+            scan(replica, stream)
+            assert ([cluster.keyspace.keys[kid] for kid in stream.rows]
+                    == selected[stream]), task
             scans.append((replica.name, len(replica.table)))
 
-        def recording_apply(replica, source, payload):
+        def recording_apply(replica, stream):
             # A batch ships key ids into the cluster's one key space.
-            shipped.setdefault((source, payload["stream_id"]), []).extend(
-                map(cluster.keyspace.keys.__getitem__, payload["rows"]))
-            apply_batch(replica, source, payload)
+            shipped.setdefault(stream, []).extend(
+                map(cluster.keyspace.keys.__getitem__, stream.batch))
+            apply_batch(replica, stream)
 
         monkeypatch.setattr(CassandraReplica, "_stream_scan", checked_scan)
-        monkeypatch.setattr(CassandraReplica, "_apply_stream_batch",
+        monkeypatch.setattr(CassandraReplica, "_stream_apply",
                             recording_apply)
         client = cluster.add_client("c", Region.IRL,
                                     contact_region=Region.FRK, fallbacks=True)
@@ -345,6 +345,57 @@ class TestClusterSurface:
         with pytest.raises(ValueError):
             CassandraCluster(env, CassandraConfig(),
                              nodes=[("a", Region.FRK), ("b", Region.IRL)])
+        with pytest.raises(ValueError, match="not both"):
+            CassandraCluster(env, CassandraConfig(), nodes=[("a", Region.FRK)],
+                             replica_regions=[Region.FRK])
+
+    def test_bad_membership_edits_fail_loudly(self):
+        cluster = six_node_cluster(_env())
+        with pytest.raises(KeyError, match="nope"):
+            cluster.replica_by_name("nope")
+        with pytest.raises(ValueError, match="already exists"):
+            cluster.join_node(cluster.replicas[0].name, Region.FRK)
+        with pytest.raises(ValueError, match="region"):
+            cluster.join_node("cassandra-6", None)
+        later = cluster.join_node("cassandra-6", Region.FRK, at_ms=50.0)
+        with pytest.raises(RuntimeError, match="not completed"):
+            later.duration_ms()
+
+    def test_a_removal_that_moves_nothing_commits_at_once(self):
+        """RF=1: the dead node's ranges have no survivor to stream from,
+        so the forced removal has no task and announces when it starts
+        (those keys are lost; nothing can bring them back)."""
+        env = _env()
+        cluster = CassandraCluster(
+            env, CassandraConfig(replication_factor=1),
+            nodes=[(f"n{i}", Region.FRK) for i in range(3)])
+        dead = cluster.replicas[2]
+        dead.crash()
+        removal = cluster.remove_node(dead.name)
+        assert removal.change.tasks == ()
+        assert removal.done and removal.duration_ms() == 0.0
+        assert cluster.partitioner.version == 1
+
+    def test_a_removal_skips_the_tasks_of_a_crashed_source(self):
+        """A second crash during a forced removal: the tasks the crashed
+        survivor would source are skipped, the rest stream (those to it
+        once it is back), and the change still commits (forwarding and
+        read repair cover the skipped ranges)."""
+        env = _env()
+        cluster = six_node_cluster(env)
+        dead = cluster.replicas[4]
+        dead.crash()
+        change = cluster.partitioner.plan_remove(dead.name)
+        second = cluster.replica_by_name(change.tasks[0].source)
+        second.crash()
+        removal = cluster.remove_node(dead.name)
+        env.scheduler.schedule_call_at(500.0, second.recover)
+        env.run_until_idle()
+        skipped = [task for task in removal.change.tasks
+                   if task.source == second.name]
+        assert removal.skipped_tasks == skipped != []
+        assert len(skipped) < len(removal.change.tasks)
+        assert removal.done and cluster.partitioner.version == 1
 
 
 @pytest.mark.slow

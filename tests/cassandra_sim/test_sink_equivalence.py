@@ -169,13 +169,10 @@ class TestCompletionOrders:
         assert read_sink.kinds() == write_sink.kinds() == ["final"]
         assert read_sink.calls[0][1] == "value1"
         # A write's ack carries the written value, stamped with its
-        # timestamp; a read always says whether its preliminary matched.
-        _, value, stamp, _, confirmation, degraded, matches = \
-            write_sink.calls[0]
-        assert (value, confirmation, degraded, matches) == \
-            ("x", False, False, None)
+        # timestamp.
+        _, value, stamp, _, confirmation, degraded = write_sink.calls[0]
+        assert (value, confirmation, degraded) == ("x", False, False)
         assert stamp is not None
-        assert read_sink.calls[0][6] is not None
         assert client.retries == 2 and client.failed_requests == 0
         assert client.outstanding() == (0, 0, 0)
 
@@ -220,7 +217,7 @@ class TestCompletionOrders:
            (client._fused_read_preliminary, (op, first)))
         # A confirmation: the payload is elided, the timestamp is not.
         at(timeout_ms + 100.0, _send,
-           (client._fused_final, (op, True, True)))
+           (client._fused_final, (op, True)))
         at(timeout_ms + 150.0, _send,
            (client._fused_read_preliminary, (op, second)))
         env.run_until_idle()
@@ -229,11 +226,10 @@ class TestCompletionOrders:
         kind, value, timestamp, latency_ms, replica = sink.calls[0]
         assert (value, timestamp, replica) == ("old", stamp, first)
         assert timeout_ms + 50.0 < latency_ms < timeout_ms + 100.0
-        kind, value, timestamp, latency_ms, confirmation, degraded, \
-            matches = sink.calls[1]
+        kind, value, timestamp, latency_ms, confirmation, degraded = \
+            sink.calls[1]
         # A confirmation carries no value: the preliminary's is final.
-        assert (value, confirmation, degraded, matches) == \
-            ("old", True, True, True)
+        assert (value, confirmation, degraded) == ("old", True, True)
         assert client.retries == 1, "exactly one failover happened"
         assert client.late_preliminaries == 1
         assert client.failed_requests == 0
@@ -265,7 +261,7 @@ class TestWhatTheSinkReceives:
         assert preliminary == ("preliminary", "value3", stamp,
                                preliminary.latency_ms, coordinator)
         assert final == ("final", "value3", stamp, final.latency_ms,
-                         False, False, True)
+                         False, False)
         assert 0 < preliminary.latency_ms < final.latency_ms
 
     def test_missing_key_and_write_ack(self, fault_tolerant):
@@ -275,12 +271,11 @@ class TestWhatTheSinkReceives:
         client.lean_write("key4", "fresh", 1, write_sink)
         env.run_until_idle()
         (final,), (ack,) = read_sink.calls, write_sink.calls
-        assert final == ("final", None, None, final.latency_ms, False, False,
-                         False)
+        assert final == ("final", None, None, final.latency_ms, False, False)
         # A write's ack carries the written value, stamped by the
-        # coordinator, and makes no comparison.
+        # coordinator.
         assert ack == ("final", "fresh", ack.stamp, ack.latency_ms, False,
-                       False, None)
+                       False)
         assert ack.stamp[1] == cluster.replica_in(Region.FRK).name
 
     def test_errors(self, fault_tolerant):

@@ -22,9 +22,10 @@ from hypothesis import given, settings, strategies as st
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.partitioner import key_token, token_in_range
+from repro.cassandra_sim.replica import CassandraReplica
 from repro.cassandra_sim.storage import TIME_ZERO, VersionedValue
 from repro.sim.environment import SimEnvironment
-from repro.sim.network import MESSAGE_HEADER_BYTES
+from repro.sim.network import MESSAGE_HEADER_BYTES, Network
 from repro.sim.topology import Region
 from repro.workloads.records import Dataset, time_zero_value
 
@@ -417,17 +418,23 @@ def join_with_reads(size, read_every, batch=7):
         for owner in cluster.partitioner.replicas_for(key):
             cluster.replica_by_name(owner).table.get(key)
     sent = []
-    for replica in cluster.replicas:
-        def send(dst, kind, payload, size_bytes=None, _send=replica.send):
-            if kind == "stream_data":
-                sent.append((size_bytes,
-                             [cluster.keyspace.keys[kid]
-                              for kid in payload["rows"]],
-                             payload["versions"]))
-            return _send(dst, kind, payload, size_bytes=size_bytes)
-        replica.send = send
-    assert cluster.join_node("joiner", Region.FRK) is not None
-    env.run_until_idle()
+    fused_send_to = Network.fused_send_to
+
+    def send(network, src, dst, size_bytes, fn, args):
+        if getattr(fn, "__func__", None) is CassandraReplica._stream_hop \
+                and args[2].__func__ is CassandraReplica._stream_apply:
+            stream = args[0]
+            sent.append((size_bytes,
+                         [cluster.keyspace.keys[kid] for kid in stream.batch],
+                         stream.versions))
+        return fused_send_to(network, src, dst, size_bytes, fn, args)
+
+    Network.fused_send_to = send
+    try:
+        assert cluster.join_node("joiner", Region.FRK) is not None
+        env.run_until_idle()
+    finally:
+        Network.fused_send_to = fused_send_to
     return cluster, sent
 
 

@@ -862,6 +862,24 @@ class TestRingEdits:
         partitioner.begin(partitioner.plan_join("n5"))
         with pytest.raises(RuntimeError):
             partitioner.plan_join("n6")
+        with pytest.raises(RuntimeError, match="in flight"):
+            partitioner.plan_decommission("n2")
+
+    def test_a_second_plan_cannot_begin_while_the_first_is_in_flight(self):
+        partitioner = self.make()
+        first, second = partitioner.plan_join("n5"), partitioner.plan_join("n6")
+        partitioner.begin(first)
+        with pytest.raises(RuntimeError, match="in flight"):
+            partitioner.begin(second)
+        for finish in (partitioner.commit, partitioner.abort):
+            with pytest.raises(RuntimeError, match="does not match"):
+                finish(second)
+        partitioner.abort(first)
+        assert partitioner.version == 0
+
+    def test_a_join_needs_a_vnode(self):
+        with pytest.raises(ValueError, match="vnodes"):
+            self.make().plan_join("n5", vnodes=0)
 
     def test_removal_below_rf_rejected(self):
         partitioner = RingPartitioner(["a", "b", "c"], 3)

@@ -97,7 +97,7 @@ def runner_figures(history) -> List[str]:
                                               + queue_delay)
             derived["missing_preliminary" if not views else
                     "diverged" if views[-1].value != answer.value
-                    and not answer.is_confirmation else "matched"] += 1
+                    else "matched"] += 1
         result, divergence = runner.result, runner.result.divergence
         summary = result.summary()
         recorded = {

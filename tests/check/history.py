@@ -33,7 +33,6 @@ class Final(NamedTuple):
     latency_ms: float
     is_confirmation: bool
     degraded: bool
-    matches_preliminary: Optional[bool]
 
 
 class Error(NamedTuple):
@@ -56,9 +55,9 @@ class RecordingSink:
                               source))
 
     def deliver_final(self, value, stamp, latency_ms, is_confirmation=False,
-                      degraded=False, matches_preliminary=None):
+                      degraded=False):
         self._log(Final("final", value, stamp, latency_ms, is_confirmation,
-                        degraded, matches_preliminary))
+                        degraded))
 
     def deliver_error(self, error, latency_ms):
         self._log(Error("error", error, latency_ms))

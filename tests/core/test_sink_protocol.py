@@ -35,8 +35,7 @@ def test_protocol_is_the_three_methods_the_stores_call():
         "deliver_preliminary": ["self", "value", "stamp", "latency_ms",
                                 "source"],
         "deliver_final": ["self", "value", "stamp", "latency_ms",
-                          "is_confirmation", "degraded",
-                          "matches_preliminary"],
+                          "is_confirmation", "degraded"],
         "deliver_error": ["self", "error", "latency_ms"],
     }
 

@@ -1,5 +1,7 @@
 """Tests for the declarative fault scripts (events, schedules, scenarios)."""
 
+import math
+
 import pytest
 
 from repro.faults import FaultEvent, FaultSchedule, FaultScheduleBuilder, Scenario
@@ -22,6 +24,17 @@ class TestFaultEvent:
     def test_pair_actions_need_a_peer(self):
         with pytest.raises(ValueError):
             FaultEvent(0.0, "partition", "region:a")
+
+    @pytest.mark.parametrize("at_ms, action, value, field", [
+        (math.inf, "crash", 0.0, "at_ms"),
+        (True, "crash", 0.0, "at_ms"),
+        (0.0, "slow", math.inf, "value"),
+        (0.0, "degrade_link", math.inf, "value"),
+    ])
+    def test_rejects_an_infinite_or_bool_time_or_value(self, at_ms, action,
+                                                       value, field):
+        with pytest.raises(ValueError, match=field):
+            FaultEvent(at_ms, action, "region:a", "region:b", value)
 
     def test_slow_needs_positive_factor(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,15 @@
-"""A line ledger for the Cassandra coordinator and replica modules.
+"""A line ledger for the Cassandra coordinator, replica and ring modules.
 
 A pytest plugin, stdlib only: ``PYTHONPATH=src:tests python -m pytest
 -p ledger``.  It traces (``sys.settrace``) every line run in
-``cassandra_sim/reads.py``, ``writes.py`` and ``replica.py`` while the
-suite runs, then fails the session on any executable line that never ran
-and is not in :data:`ALLOWED`, and on any :data:`ALLOWED` entry that ran
-after all or names no line (a stale entry).  So a test that reaches a cold
-path — a guard that only fires on a crash, a drop or a ring change — cannot
-be skipped, deselected or deleted without the ledger saying which lines it
-was the only one to reach.  The ledger is only checked when every test
+``cassandra_sim/reads.py``, ``writes.py``, ``replica.py``, ``cluster.py``
+and ``partitioner.py`` while the suite runs, then fails the session on
+any executable line that never ran and is not in :data:`ALLOWED`, and on
+any :data:`ALLOWED` entry that ran after all or names no line (a stale
+entry).  So a test that reaches a cold path — a guard that only fires on
+a crash, a drop or a ring change — cannot be skipped, deselected or
+deleted without the ledger saying which lines it was the only one to
+reach.  The ledger is only checked when every test
 passed, and only means something over the whole suite.
 
 Executable lines are the ``co_lines()`` of every code object the module
@@ -31,10 +32,11 @@ import pytest
 
 #: The modules traced, relative to the ``repro`` package.
 MODULES = ("cassandra_sim/reads.py", "cassandra_sim/writes.py",
-           "cassandra_sim/replica.py")
+           "cassandra_sim/replica.py", "cassandra_sim/cluster.py",
+           "cassandra_sim/partitioner.py")
 
 #: (module, function qualname, stripped source line) -> why it may stay
-#: unreached by the suite.  Empty: every line of the three modules runs.
+#: unreached by the suite.  Empty: every line of the five modules runs.
 ALLOWED: Dict[Tuple[str, str, str], str] = {}
 
 _PACKAGE = Path(importlib.util.find_spec("repro").submodule_search_locations[0])

@@ -5,9 +5,9 @@ client (``lean_read``/``lean_write`` and its failover re-send), and a
 ZooKeeper operation's record is built only by ``ZKClient.submit_sink``:
 a harness or recipe that wants to issue goes through those, so an inlined
 copy of the client cannot come back unnoticed.  Every hop is a
-``fused_send_to`` continuation except Cassandra's read repair and range
-streaming, the last ``Message`` traffic: a new ``Message`` send or
-``on_<kind>`` handler anywhere else fails here.
+``fused_send_to`` continuation except Cassandra's read repair, the last
+``Message`` traffic: a new ``Message`` send or ``on_<kind>`` handler
+anywhere else fails here.
 """
 
 import ast
@@ -80,13 +80,11 @@ def test_only_submit_sink_builds_a_zookeeper_operation():
 
 
 def test_only_cassandra_sends_a_message():
-    """Every ``Node.send`` / ``Network.send`` call: read repair and
-    streaming, and ``Node.send`` itself calling ``Network.send``."""
+    """Every ``Node.send`` / ``Network.send`` call: read repair's, and
+    ``Node.send`` itself calling ``Network.send``."""
     assert _sites(lambda func: isinstance(func, ast.Attribute)
                   and func.attr == "send") == [
         "cassandra_sim/reads.py:ReadCoordinator._fused_finish_read",
-        "cassandra_sim/replica.py:CassandraReplica._stream_send_batch",
-        "cassandra_sim/replica.py:CassandraReplica._apply_stream_batch",
         "sim/node.py:Node.send",
     ]
 
@@ -101,6 +99,4 @@ def test_only_cassandra_handles_a_message():
                       kind=ast.FunctionDef)
     assert handlers == [
         "cassandra_sim/replica.py:CassandraReplica.on_write_req",
-        "cassandra_sim/replica.py:CassandraReplica.on_stream_data",
-        "cassandra_sim/replica.py:CassandraReplica.on_stream_ack",
     ]

@@ -87,10 +87,10 @@ def _divergence(result):
 @pytest.mark.parametrize("shape", SHAPES)
 class TestCompletionRecords:
     def test_confirmation_is_a_matched_pair(self, shape):
-        # The store elided the final payload: the preliminary was final, so
-        # there is nothing to compare.
+        # The store elided the final payload, and the client completes the
+        # confirmation with the value of the preliminary it confirms.
         result = _run(shape, lambda s, n, sink: _icg_read(
-            s, sink, "old", None, is_confirmation=True))
+            s, sink, "old", "old", is_confirmation=True))
         assert _divergence(result) == (result.measured_ops, 0, 0)
         assert result.preliminary_latency.count == result.measured_ops
 

@@ -243,7 +243,7 @@ class TestQueueRecipe:
         env.run_until_idle()
         assert sink.calls == [("final", {"item": None, "name": None,
                                          "remaining": 0}, None,
-                               sink.calls[0].latency_ms, False, False, None)]
+                               sink.calls[0].latency_ms, False, False)]
 
     def test_recipe_on_a_missing_queue_fails_with_no_node(self):
         env, cluster = _setup(queue_items=0)

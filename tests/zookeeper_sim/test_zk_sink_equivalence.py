@@ -110,8 +110,7 @@ class TestSubmitSink:
         head = {"item": "a", "name": "item-0000000000", "remaining": 2}
         # No version and no source: a ZooKeeper answer is the result alone.
         assert prelim == ("preliminary", head, None, prelim.latency_ms, None)
-        assert final == ("final", head, None, final.latency_ms, False, False,
-                         None)
+        assert final == ("final", head, None, final.latency_ms, False, False)
         assert 0 < prelim.latency_ms < final.latency_ms
         assert error.error.startswith("NoNode")
 
