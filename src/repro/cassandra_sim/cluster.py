@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import repeat
+from operator import is_
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.client import CassandraClient
@@ -199,44 +200,51 @@ class CassandraCluster:
         """Install initial data on every replica owning the key (time zero state).
 
         ``items`` is any mapping (a dict, a dataset's
-        :class:`~repro.workloads.records.TimeZeroItems`), read in bulk.
-        Every key is hashed once here and the rows are sorted by token
-        once, so keys new to the key space get their ids in token order
-        (which lets a stream task bisect the token column, and makes a
-        first preload the key space's base run: no key → id dict).  If all
-        are new, the key space keeps a dict's values (a dataset's it
-        derives from the keys) and every owner's row holds ``TIME_ZERO``;
-        otherwise each key gets its own version, which an owner holding the
-        key ignores (an equal stamp is not newer).  The sorted columns are
-        cut at the ring's slot boundaries and each run is merged into its
-        owners whole.
+        :class:`~repro.workloads.records.TimeZeroItems`), read in bulk:
+        every key hashed once, a chunk at a time, and the rows sorted by
+        token once, so new keys get their ids in token order (a dataset's
+        first preload is the key space's base run).  If all are new, the
+        key space keeps a dict's keys and values and every owner's row
+        holds ``TIME_ZERO``; otherwise each key gets its own version, which
+        an owner holding the key ignores (an equal stamp is not newer).
+        Each owner's adjacent slot runs are merged into its table as one.
         """
-        keys = list(items)
+        size = items.value_size if isinstance(items, TimeZeroItems) else 0
+        keys = items if size else list(items)
         tokens = key_tokens(keys)
         order = array("I", sorted(range(len(keys)), key=tokens.__getitem__))
         tokens = array("Q", map(tokens.__getitem__, order))
-        keys = list(map(keys.__getitem__, order))
-        size = items.value_size if isinstance(items, TimeZeroItems) else 0
-        values = () if size else list(map(list(items.values()).__getitem__,
-                                          order))
+        if size:  # the records in token order, values derived when read
+            keys = TimeZeroItems(items.prefix, array("I", map(
+                items.records.__getitem__, order)), size)
+            values = map(time_zero_value, keys, repeat(size))
+        else:
+            keys = list(map(keys.__getitem__, order))
+            values = list(map(list(items.values()).__getitem__, order))
         del order  # freed before the tables fill
         space = self.keyspace
-        if not len(space) or space.isdisjoint(keys):
+        if not len(space) or all(map(is_, map(space.find, keys),
+                                     repeat(None))):  # all keys new
             ids = space.extend(keys, tokens, values, size)
-            versions = None  # TIME_ZERO a run at a time: no row-long list
+            versions = None  # TIME_ZERO a span at a time: no row-long list
         else:
-            ids = space.intern(keys, tokens)
-            if size:
-                values = map(time_zero_value, keys, repeat(size))
+            ids = space.intern(list(keys), tokens)
             versions = [VersionedValue(value, PRELOAD_STAMP) for value in values]
-        by_name = self._by_name
+        spans: Dict[str, list] = {}  # owner -> [low, high, its span before]
         for low, high, owners in self.partitioner.owner_runs(tokens):
-            run = ids[low:high], ([TIME_ZERO] * (high - low) if versions is None
-                                  else versions[low:high])
             for owner in owners:
-                replica = by_name.get(owner)
-                if replica is not None:
-                    replica.table.merge(*run)
+                span = spans.get(owner)
+                if span is None or span[1] != low:
+                    spans[owner] = [low, high, span]
+                else:
+                    span[1] = high
+        for owner, span in spans.items():
+            replica = self._by_name.get(owner)
+            while replica is not None and span is not None:
+                low, high, span = span
+                replica.table.merge(ids[low:high], [TIME_ZERO] * (high - low)
+                                    if versions is None
+                                    else versions[low:high])
 
     # -- statistics -------------------------------------------------------------------
     def total(self, counter: str) -> int:

@@ -28,12 +28,13 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # CPython's built-in md5: the same digests as hashlib's OpenSSL-backed
 # constructor at half its per-call cost, which is all a 5-20 byte key pays
 # for (measured: 0.20 s -> 0.10 s per 400k keys).
-from _md5 import md5
+from _md5 import MD5Type, md5
 
 
 def _hash_token(value: str) -> int:
@@ -45,18 +46,17 @@ def key_token(key: str) -> int:
     return _hash_token(key)
 
 
-def key_tokens(keys: Sequence[str]) -> "array[int]":
+def key_tokens(keys: Iterable[str]) -> "array[int]":
     """:func:`key_token` of every key, as an unsigned 64-bit column.
 
-    The bulk-load spelling: the digests' leading bytes are joined and
-    reinterpreted instead of building an int per key — a cache-sized chunk
-    at a time, so a million digests are never alive at once.
+    The bulk-load spelling: each digest read as two unsigned 64-bit words,
+    the leading one kept, not an int built per key — a cache-sized chunk at
+    a time, so a million digests (or keys) are never alive at once.
     """
-    tokens = array("Q")
-    for start in range(0, len(keys), 8192):
-        tokens.frombytes(b"".join(
-            [md5(key.encode("utf-8")).digest()[:8]
-             for key in keys[start:start + 8192]]))
+    tokens, keys = array("Q"), iter(keys)
+    while chunk := list(islice(keys, 8192)):
+        tokens.extend(array("Q", b"".join(map(MD5Type.digest, map(
+            md5, map(str.encode, chunk)))))[::2])
     if sys.byteorder == "little":  # tokens are big-endian digest prefixes
         tokens.byteswap()
     return tokens

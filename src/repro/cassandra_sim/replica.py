@@ -153,13 +153,14 @@ class CassandraReplica(ReadCoordinator, WriteCoordinator, Node):
         super().crash()
         self._incarnation += 1
 
-    def recover(self) -> None:
-        """Restart the node; each parked stream it is a party of sends its
-        unacknowledged batch again (once the source is up too)."""
-        super().recover()
+    def reconnected(self) -> None:
+        """Each parked stream this node is a party of sends its
+        unacknowledged batch again once both parties are up and connected."""
         for stream in self._streams:
-            if stream.parked and stream.source.alive:
-                stream.source._stream_send(stream)
+            source, target = stream.source, stream.target
+            if stream.parked and source.alive and target.alive and not \
+                    self.network.is_partitioned(source.name, target.name):
+                source._stream_send(stream)
 
     def _drop_routes(self) -> None:
         super()._drop_routes()

@@ -7,13 +7,12 @@ The replicas of a cluster hold overlapping subsets of one key set — each
 key at ``replication_factor`` of them — and everything that is a function
 of the key alone is kept once, in the cluster's :class:`KeySpace`: the key
 and its ring token by key id, the token order, and a key → id dict for the
-keys in use.  The first bulk load onto an empty space (every preload a
-cluster is built with) is the *base run*: its ids are in token order, so a
-key of it is found by bisecting the token column on the key's token, and
-only the keys an operation touches enter the dict.  A time-zero value is a
-function of the key too (:func:`~repro.workloads.records.
-time_zero_value`), so after a dataset's preload the key space keeps only
-the value size; a preload from a dict keeps its values, by id.  That is
+keys in use.  A dataset's first preload onto an empty space is the *base
+run*: ids in token order, each key a record index, and only the keys an
+operation touches in the dict.  A time-zero value is a function of the key
+too (:func:`~repro.workloads.records.time_zero_value`), so after a
+dataset's preload the key space keeps only the value size; a preload from a
+dict keeps its keys and values, by id.  That is
 host-side bookkeeping, not simulated state: no replica learns anything
 about another's rows through it, so sharing it moves no simulated result.
 
@@ -41,13 +40,13 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, is_, is_not, le, not_
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from repro.cassandra_sim.partitioner import key_token
-from repro.workloads.records import time_zero_value
+from repro.workloads.records import TimeZeroItems, time_zero_value
 
 #: A write timestamp: (simulated time, coordinator name, per-coordinator seq).
 #: Tuple comparison gives a total order with deterministic tie-breaking.
@@ -103,17 +102,12 @@ class KeySpace:
     ``_order`` the token-sorted permutation instead, rebuilt lazily
     whenever its length differs from the id count.
 
-    Ids ``[0, based)`` are the base run: the first :meth:`extend` onto an
-    empty space, in token order.  Their keys are not put in ``ids``;
-    :meth:`find` bisects the base's token column on the key's own
-    :func:`~repro.cassandra_sim.partitioner.key_token`, scans the ids of
-    equal tokens for the key, and memoises what it finds in ``ids``.
-    Every other key goes into ``ids`` when its id is assigned.  So ``ids``
-    holds the keys in use, not the key space.  A token a caller passes
-    with a key is stored for a new id and never looked up by, so no token
-    can give a base key a second id; the one token column the base lookup
-    trusts is the base run's own, which :meth:`extend` takes as given
-    (``Cluster.preload`` hashes every key it loads).
+    Ids ``[0, based)`` are the base run, a dataset's records extended in
+    token order onto an empty space: ``_records[kid]`` is a base key's
+    record index, :meth:`find` reads a record's id from the inverse
+    ``_base_ids`` and memoises it in ``ids``.  Every other key (a dict's
+    preload, a write's) is listed in ``keys`` and put in ``ids``.  So
+    ``ids`` holds the keys in use, and :meth:`keys_of` reads the keys.
 
     Every table over the space takes its versions column from
     :meth:`new_column`, and the space grows each column with the ids it
@@ -121,21 +115,23 @@ class KeySpace:
     check.
 
     A row's time-zero value is ``values[kid]`` for an id the list covers
-    (a preload from a dict) and ``time_zero_value(keys[kid], value_size)``
-    past it (a dataset's preload); ids made by writes have none.
+    (a preload from a dict) and ``time_zero_value(key, value_size)`` past
+    it (a dataset's preload); ids made by writes have none.
     """
 
-    __slots__ = ("ids", "keys", "tokens", "based", "values", "listed",
-                 "value_size", "_order", "_columns")
+    __slots__ = ("ids", "keys", "tokens", "based", "prefix", "_cut",
+                 "_records", "_base_ids", "values", "listed", "value_size",
+                 "_order", "_columns")
 
     def __init__(self) -> None:
-        #: key -> key id, for keys past the base run and base keys found.
+        #: key -> key id, for listed keys and base keys found.
         self.ids: Dict[str, int] = {}
-        #: The key and its ring token, by id.
+        #: The listed keys, by ``kid - based``, and every ring token by id.
         self.keys: List[str] = []
         self.tokens = array("Q")
-        #: The length of the base run (ids in token order, found by bisect).
-        self.based = 0
+        #: The base run's length and key prefix (``_cut`` its length).
+        self.based, self.prefix, self._cut = 0, "", 0
+        self._records, self._base_ids = (), array("I")  # see find
         #: Listed time-zero values, by id; past the list they are derived.
         self.values: List[Any] = []
         #: ``len(values)``, an attribute for the read path.
@@ -148,31 +144,35 @@ class KeySpace:
         self._columns: List[List[Optional[VersionedValue]]] = []
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.tokens)
 
     def new_column(self) -> List[Optional[VersionedValue]]:
         """A versions column holding nothing, grown with every new id."""
-        column: List[Optional[VersionedValue]] = [None] * len(self.keys)
+        column: List[Optional[VersionedValue]] = [None] * len(self)
         self._columns.append(column)
         return column
 
     def find(self, key: str) -> Optional[int]:
-        """The id of ``key`` (None if the space has none)."""
+        """The id of ``key`` (None if none): a base key's is that of the
+        record its suffix names, if it is spelt as that record's key is."""
         kid = self.ids.get(key)
         if kid is None and self.based:
-            tokens, keys, based = self.tokens, self.keys, self.based
-            token = key_token(key)
-            at = bisect_left(tokens, token, 0, based)
-            while at < based and tokens[at] == token:
-                if keys[at] == key:
-                    kid = self.ids[key] = at
-                    break
-                at += 1
+            try:
+                kid = self._base_ids[int(key[self._cut:])]
+            except (ValueError, IndexError):
+                return None
+            if key != f"{self.prefix}{self._records[kid]}":
+                return None
+            self.ids[key] = kid
         return kid
 
-    def isdisjoint(self, keys: Sequence[str]) -> bool:
-        """Whether none of ``keys`` has an id."""
-        return all(map(is_, map(self.find, keys), repeat(None)))
+    def keys_of(self, ids: Sequence[int]) -> List[str]:
+        """The keys of ``ids`` (ascending): a base id's formatted from its
+        record index, any other's listed; no Python frame runs per id."""
+        cut, based = bisect_left(ids, self.based), self.based
+        return list(chain(map(self.prefix.__add__, map(str, map(
+            self._records.__getitem__, ids[:cut]))), map(
+                self.keys.__getitem__, map((-based).__add__, ids[cut:]))))
 
     def add(self, key: str, token: Optional[int] = None) -> int:
         """The id of ``key``, assigned now if the key is new, with
@@ -184,7 +184,7 @@ class KeySpace:
             tokens = self.tokens
             if tokens and token < tokens[-1]:
                 self._order = array("I")  # out of order: argsort on next use
-            kid = self.ids[key] = len(self.keys)
+            kid = self.ids[key] = len(tokens)
             self.keys.append(key)
             tokens.append(token)
             for column in self._columns:
@@ -207,29 +207,34 @@ class KeySpace:
         keys that are distinct and none of them in the space yet (a preload
         onto keys no write created).  Their time-zero values are
         ``values``, listed by key id, or with ``value_size`` derived from
-        each key.  Onto an empty space, keys in token order are the base
-        run: they enter no dict, and :meth:`find` bisects ``tokens`` for
-        them, so these must be the keys' own tokens."""
-        first = len(self.keys)
+        each key.  A dataset's records (a :class:`~repro.workloads.records.
+        TimeZeroItems`) in token order onto an empty space are the base
+        run: no key is listed or put in a dict."""
+        first = len(self)
         token_column = self.tokens
         if self._order is None and (
                 token_column and tokens and tokens[0] < token_column[-1]
                 or not all(map(le, tokens, islice(tokens, 1, None)))):
             self._order = array("I")  # out of order: argsort on next use
         ids = range(first, first + len(keys))
-        if first or self._order is not None:
+        if first or self._order is not None or type(keys) is not TimeZeroItems:
             self.ids.update(zip(keys, ids))
-        else:
-            self.based = len(keys)
-        self.keys.extend(keys)
-        token_column.extend(tokens)
+            self.keys.extend(keys)
+            token_column.extend(tokens)
+        else:  # the base run, its columns sized exactly
+            self.based, self._records = ids.stop, keys.records
+            self.prefix, self._cut = keys.prefix, len(keys.prefix)
+            self.tokens = array("Q", tokens)
+            self._base_ids = array("I", [0]) * ids.stop
+            deque(map(self._base_ids.__setitem__, keys.records, ids), 0)
         listed, size = self.values, self.value_size
         if not value_size or size not in (0, value_size):
             # The list grows to cover every id before ``first``: the values
             # derived so far, with ``size`` (an id made by a write has none
             # and gets one it never reads).
-            below = self.keys[len(listed):first]
-            listed.extend(map(time_zero_value, below, repeat(size)) if size
+            below = range(len(listed), first)
+            listed.extend(map(time_zero_value, self.keys_of(below),
+                              repeat(size)) if size
                           else repeat(None, len(below)))
         if value_size:
             self.value_size = value_size
@@ -357,8 +362,8 @@ class ColumnarTable:
 
     def keys(self) -> Tuple[str, ...]:
         """All stored keys, sorted — the deterministic streaming scan order."""
-        return tuple(sorted(compress(
-            self._space.keys, map(is_not, self._versions, repeat(None)))))
+        return tuple(sorted(self._space.keys_of(list(compress(range(len(
+            self._versions)), map(is_not, self._versions, repeat(None)))))))
 
     def items(self) -> Iterator[Tuple[str, VersionedValue]]:
         """Iterate ``(key, version)`` pairs in sorted key order."""
@@ -379,9 +384,11 @@ class ColumnarTable:
         :meth:`KeySpace.ids_in_range` for the range semantics and cost)."""
         space = self._space
         ids = space.ids_in_range(start_token, end_token)
-        held = compress(ids, map(is_not, map(self._versions.__getitem__, ids),
-                                 repeat(None)))
-        return array("I", sorted(held, key=space.keys.__getitem__))
+        held = sorted(compress(ids, map(is_not, map(
+            self._versions.__getitem__, ids), repeat(None))))
+        keys = space.keys_of(held)
+        return array("I", map(held.__getitem__,
+                              sorted(range(len(held)), key=keys.__getitem__)))
 
     def versions_of(self, rows: Sequence[int]) -> List[VersionedValue]:
         """The versions of the rows ``rows`` (ids of stored rows), an

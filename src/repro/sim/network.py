@@ -219,6 +219,8 @@ class Network:
     def heal(self, name_a: str, name_b: str) -> None:
         """Remove a partition previously installed by :meth:`partition`."""
         self._partitioned.discard(frozenset({name_a, name_b}))
+        for node in self._nodes.values():
+            node.reconnected()
 
     def partition_regions(self, region_a: str, region_b: str) -> None:
         """Drop all future messages between two regions (both directions).
@@ -231,6 +233,8 @@ class Network:
     def heal_regions(self, region_a: str, region_b: str) -> None:
         """Remove a region partition installed by :meth:`partition_regions`."""
         self._partitioned_regions.discard(frozenset({region_a, region_b}))
+        for node in self._nodes.values():
+            node.reconnected()
 
     def is_partitioned(self, name_a: str, name_b: str) -> bool:
         if self._partitioned \

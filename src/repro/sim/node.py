@@ -75,6 +75,10 @@ class Node:
 
     def recover(self) -> None:
         self.alive = True
+        self.reconnected()
+
+    def reconnected(self) -> None:
+        """Recovered, or a partition healed: parked work may resume."""
 
     def _drop_routes(self) -> None:
         """The network's routes changed (a topology edit, ``reset_stats``):

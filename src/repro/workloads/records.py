@@ -4,10 +4,11 @@ YCSB stores records named ``user0 .. userN`` with fixed-size values; the
 divergence experiments use a deliberately small dataset (1 K records) so
 that read activity concentrates on a hot set.
 
-A record's time-zero value is a pure function of its key and the value
-size (:func:`time_zero_value`): nothing the simulator measures depends on
-a value's characters, only on its size, so no value is drawn or held until
-something reads it.  Update values are drawn from the dataset's seeded
+A record's key is a pure function of its index, and its time-zero value
+of its key and the value size (:func:`time_zero_value`): nothing the
+simulator measures depends on a value's characters, only on its size, so
+no key or value of :class:`TimeZeroItems` is held, only formatted or
+derived when read.  Update values are drawn from the dataset's seeded
 generator (:meth:`Dataset.random_value`).
 """
 
@@ -16,10 +17,9 @@ from __future__ import annotations
 import math
 import random
 import string
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping, Sequence
 from hashlib import shake_128
-from itertools import repeat
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro.workloads import fastrand
 
@@ -74,46 +74,28 @@ def make_value(rng: random.Random, size_bytes: int = 100) -> str:
 
 
 class TimeZeroItems(Mapping):
-    """A dataset's key -> time-zero value mapping, read-only: the keys as
-    one list and each value derived from its key when read.  A lookup by
-    key builds a key set first."""
+    """A dataset's key -> time-zero value mapping, read-only, holding no
+    key or value: the records ``records`` (a permutation of ``range(n)``,
+    in iteration order), each keyed ``prefix + str(index)``."""
 
-    def __init__(self, keys: List[str], value_size: int) -> None:
-        self._keys, self.value_size = keys, value_size
-        self._members: Optional[frozenset] = None
+    def __init__(self, prefix: str, records: Sequence[int],
+                 value_size: int) -> None:
+        self.prefix, self.records, self.value_size = prefix, records, value_size
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self.records)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._keys)
+        return map(self.prefix.__add__, map(str, self.records))
 
     def __getitem__(self, key: str) -> str:
-        if self._members is None:
-            self._members = frozenset(self._keys)
-        if key not in self._members:
+        try:  # canonical decimal only: no sign, space or leading zero
+            index = int(key[len(self.prefix):])
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if not 0 <= index < len(self) or key != f"{self.prefix}{index}":
             raise KeyError(key)
         return time_zero_value(key, self.value_size)
-
-    def values(self) -> ValuesView:
-        return _TimeZeroValues(self)
-
-    def items(self) -> ItemsView:
-        return _TimeZeroItemsView(self)
-
-
-def _derive(items: TimeZeroItems) -> Iterator[str]:
-    return map(time_zero_value, items._keys, repeat(items.value_size))
-
-
-class _TimeZeroValues(ValuesView):
-    def __iter__(self) -> Iterator[str]:
-        return _derive(self._mapping)
-
-
-class _TimeZeroItemsView(ItemsView):
-    def __iter__(self) -> Iterator[Tuple[str, str]]:
-        return zip(self._mapping._keys, _derive(self._mapping))
 
 
 class Dataset:
@@ -139,15 +121,11 @@ class Dataset:
         return f"{self.key_prefix}{index}"
 
     def keys(self) -> List[str]:
-        prefix = self.key_prefix
-        return [f"{prefix}{i}" for i in range(self.record_count)]
+        return list(self.initial_items())
 
     def cached_keys(self) -> Optional[List[str]]:
-        """All key strings, cached for hot-path lookups by index.
-
-        Returns ``None`` above ``_KEY_CACHE_MAX`` records (million-key
-        datasets format keys on demand instead of pinning the strings).
-        """
+        """All key strings, cached for hot-path lookups by index; None
+        above ``_KEY_CACHE_MAX`` records (those format keys on demand)."""
         if self.record_count > _KEY_CACHE_MAX:
             return None
         if self._key_cache is None:
@@ -160,9 +138,10 @@ class Dataset:
         return time_zero_value(self.key(index), self.value_size_bytes)
 
     def initial_items(self) -> TimeZeroItems:
-        """Key → value mapping used to preload a cluster: the keys, each
-        value derived from its key when read."""
-        return TimeZeroItems(self.keys(), self.value_size_bytes)
+        """Key → value mapping used to preload a cluster: no key or value
+        held, each formatted or derived when read."""
+        return TimeZeroItems(self.key_prefix, range(self.record_count),
+                             self.value_size_bytes)
 
     def random_value(self) -> str:
         """A fresh value for an update operation.

@@ -4,13 +4,14 @@
 a 100k-record dataset returns onto a 6-node, RF-3 ring, and the peak it
 reached on the way, both divided by the rows stored over all replicas.
 The dataset is built before tracing starts, so what is counted is the
-storage's own bookkeeping — the key space's key and token columns
-(a first preload puts no key in its dict), every replica's versions
-column — plus whatever else the
+storage's own bookkeeping — the key space's token column and record
+indices (a dataset's first preload keeps no key string and puts no key
+in its dict), every replica's versions column — plus whatever else the
 preload leaves behind.  A second count traces the dataset's
 ``initial_items()`` and the preload together, from a dataset that has
 generated nothing yet: the peak of what a cluster's set-up pays to load
-its data (perfbench's ``setup.preload``), the key list included.  A third count is of work, not memory: the bytecodes executed
+its data (perfbench's ``setup.preload``), hashing and sorting the keys
+included.  A third count is of work, not memory: the bytecodes executed
 in ``src/`` frames over ``initial_items()`` and the preload together, at
 the quick fig15 million-key size, per stored row.  Allocation sizes and
 bytecode counts differ between CPython minor versions, so the budgets are
@@ -38,31 +39,35 @@ import repro
 #: (no string a row) to 46.30 / 52.07, time-zero values derived from
 #: the key (no value column, no permutation) to 44.96 / 50.74, and a
 #: first preload's keys found by bisecting the token column (no key -> id
-#: dict) to 21.50 / 36.01.  The
+#: dict) to 21.50 / 36.01, and a dataset's keys kept as record indices
+#: (no key string; the preload hashing and sorting no key list) to
+#: 21.37 / 33.34.  The
 #: budget is the count times ``_ROOM``: a +2 % change fails.  Lowering a row is how a saving is
 #: recorded; raising one is a decision, not a fix for a red test.
 _BUDGETS = {
-    (3, 11): (21.50, 36.01),
+    (3, 11): (21.37, 33.34),
 }
 #: version -> peak traced bytes per stored row over ``initial_items()``
 #: and ``preload`` together, as counted when the row was added: 3.11 was
 #: 153.90 with the dataset building a key -> value dict, 130.42 with it
 #: handing the preload its key and value columns, 107.37 with the values
 #: one text, sliced on first read, 72.70 with each value derived from
-#: its key when read (no text drawn), and 57.97 with no key -> id dict for
-#: the preloaded keys.  Checked against ``_ROOM`` like ``_BUDGETS``.
+#: its key when read (no text drawn), 57.97 with no key -> id dict for
+#: the preloaded keys, and 33.34 with no key list at all (each key
+#: formatted when hashed).  Checked against ``_ROOM`` like ``_BUDGETS``.
 _SETUP_BUDGETS = {
-    (3, 11): 57.97,
+    (3, 11): 33.34,
 }
 #: version -> bytecodes executed in ``src/`` frames per stored row over
 #: ``initial_items()`` and ``preload`` together, at 150k records (the
 #: quick fig15 million-key size), as counted when the row was added: 3.11
 #: was 13.07 with every initial value sliced into its own string at
-#: set-up, 9.40 with the values one text, sliced on first read, and 9.37
-#: with each value derived from its key.  Checked against ``_ROOM`` like
-#: ``_BUDGETS``.
+#: set-up, 9.40 with the values one text, sliced on first read, 9.37
+#: with each value derived from its key, and 0.0201 with no key list
+#: built, the keys hashed in C and each owner's runs merged as one.
+#: Checked against ``_ROOM`` like ``_BUDGETS``.
 _SETUP_BYTECODE_BUDGETS = {
-    (3, 11): 9.37,
+    (3, 11): 0.0201,
 }
 _ROOM = 1.01
 _HOP_BUDGET = (Path(__file__).resolve().parents[1] / "sim"

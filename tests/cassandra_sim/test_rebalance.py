@@ -212,14 +212,14 @@ class TestSafetyUnderTraffic:
                 if token_in_range(key_token(key), task.start_token,
                                   task.end_token)]
             scan(replica, stream)
-            assert ([cluster.keyspace.keys[kid] for kid in stream.rows]
+            assert ([cluster.keyspace.keys_of([kid])[0] for kid in stream.rows]
                     == selected[stream]), task
             scans.append((replica.name, len(replica.table)))
 
         def recording_apply(replica, stream):
             # A batch ships key ids into the cluster's one key space.
             shipped.setdefault(stream, []).extend(
-                map(cluster.keyspace.keys.__getitem__, stream.batch))
+                cluster.keyspace.keys_of([kid])[0] for kid in stream.batch)
             apply_batch(replica, stream)
 
         monkeypatch.setattr(CassandraReplica, "_stream_scan", checked_scan)

@@ -72,7 +72,18 @@ def time_zero(space, kid):
     from the key past the list."""
     if kid < len(space.values):
         return space.values[kid]
-    return time_zero_value(space.keys[kid], space.value_size)
+    return time_zero_value(space.keys_of([kid])[0], space.value_size)
+
+
+def every_key(space):
+    """The key space's keys, by id."""
+    return space.keys_of(range(len(space)))
+
+
+def keys_at(space, ids):
+    """The keys of ``ids``, in their order (``keys_of`` wants them
+    ascending)."""
+    return [space.keys_of([kid])[0] for kid in ids]
 
 
 def resolved(table, kid, version):
@@ -108,8 +119,9 @@ def exported(table, rows):
     """The rows ``rows`` as ``(key, version, token)`` triples, the key and
     token read from the key space, markers resolved."""
     space = table._space
-    return [(space.keys[kid], resolved(table, kid, version), space.tokens[kid])
-            for kid, version in zip(rows, table.versions_of(rows))]
+    return [(key, resolved(table, kid, version), space.tokens[kid])
+            for key, kid, version in zip(keys_at(space, rows), rows,
+                                         table.versions_of(rows))]
 
 
 def assert_matches(table, model):
@@ -246,7 +258,7 @@ def test_two_clusters_share_no_key_ids():
     assert first.keyspace is not second.keyspace
     assert sorted(map(first.keyspace.find, first_keys)) == list(range(20))
     assert sorted(map(second.keyspace.find, second_keys)) == list(range(6))
-    assert not set(first.keyspace.keys) & set(second.keyspace.keys)
+    assert not set(every_key(first.keyspace)) & set(every_key(second.keyspace))
     assert first.keyspace.find("fresh") is None
     for replica in first.replicas:
         assert replica.table._space is first.keyspace
@@ -313,17 +325,91 @@ def test_an_unread_row_streams_as_the_marker_and_reads_on_the_joiner():
         assert joiner.table.get(key) == VersionedValue(items[key], PRELOAD)
 
 
-def test_a_columns_preload_equals_a_dict_preload():
-    """A dataset's columns and the equal dict give the same key ids,
-    tokens and rows."""
-    dataset = Dataset(300, value_size_bytes=12)
-    columns, plain = build(5, 3, 4), build(5, 3, 4)
-    columns.preload(dataset.initial_items())
-    plain.preload(dict(dataset.initial_items().items()))
-    assert columns.keyspace.keys == plain.keyspace.keys
-    assert columns.keyspace.tokens == plain.keyspace.tokens
-    for left, right in zip(columns.replicas, plain.replicas):
-        assert list(left.table.items()) == list(right.table.items())
+#: Keys no record of a 200-record dataset is named: the same digits
+#: spelt otherwise, a sign, a space, and indices past the last record.
+NON_CANONICAL = ["user007", "user-1", "user+1", "user 1", "user1 ", "user٣",
+                 "user200", "user400000", "user", "x1"]
+#: A dict over the dataset's keys: three records, two non-canonical keys
+#: and keys of no record.
+DICT_ITEMS = {"user3": "d3", "user150": "d150", "user199": "d199",
+              "user007": "d7", "user-1": "dm",
+              **{f"x{i}": i for i in range(9)}}
+
+
+@pytest.mark.parametrize("steps", [
+    ["dataset"],
+    ["dataset", "dict"],
+    ["dict", "dataset"],
+    ["writes", "dataset", "writes"],
+    ["dataset", "writes", "dict"],
+], ids="-then-".join)
+def test_derived_keys_behave_exactly_like_listed_keys(steps):
+    """One ring preloads a dataset as its ``TimeZeroItems`` (keys derived
+    from record indices), the other as the equal dict (keys listed); each
+    also gets the same dict preloads and writes that create keys.  Every
+    ``find``, ``keys()``, ``rows_in_range`` and stream batch is the same
+    on both, ids and versions included, and no non-canonical key resolves
+    to a base id."""
+    dataset = Dataset(200, value_size_bytes=9)
+    rings = []
+    for derived in (True, False):
+        env = SimEnvironment(seed=3)
+        cluster = CassandraCluster(
+            env, CassandraConfig(stream_batch_items=16),
+            nodes=[(f"node{i}", REGIONS[i % 3]) for i in range(5)])
+        for step in steps:
+            if step == "dataset":
+                items = dataset.initial_items()
+                cluster.preload(items if derived else dict(items.items()))
+            elif step == "dict":
+                cluster.preload(DICT_ITEMS)
+            else:
+                for at, key in enumerate(["user5", "user007", "zz", "user-1"]):
+                    cluster.replicas[at].table.apply(
+                        key, VersionedValue(key, (1.0 + at, "n", 1)))
+        rings.append((env, cluster))
+    (_, derived), (_, listed) = rings
+    space = derived.keyspace
+    first_on_empty = steps[0] == "dataset"
+    assert space.based == (200 if first_on_empty else 0)
+    assert listed.keyspace.based == 0
+    if first_on_empty:
+        assert not set(space.keys) & set(dataset.keys())
+    probes = dataset.keys() + NON_CANONICAL + list(DICT_ITEMS) + ["zz"]
+    assert list(map(space.find, probes)) == list(map(listed.keyspace.find,
+                                                     probes))
+    for key in NON_CANONICAL:
+        assert space.find(key) is None or space.find(key) >= space.based
+    assert space.tokens == listed.keyspace.tokens
+    bounds = [(0, 0), (2**63, 2**62), (2**60, 2**63)]
+    for left, right in zip(derived.replicas, listed.replicas):
+        assert left.table.keys() == right.table.keys()
+        for start, end in bounds:
+            rows = left.table.rows_in_range(start, end)
+            assert rows == right.table.rows_in_range(start, end)
+            assert left.table.versions_of(rows) == \
+                right.table.versions_of(rows)
+    batches = ([], [])
+    fused_send_to = Network.fused_send_to
+
+    def send(network, src, dst, size_bytes, fn, args):
+        if getattr(fn, "__func__", None) is CassandraReplica._stream_hop \
+                and args[2].__func__ is CassandraReplica._stream_apply:
+            batches[network is rings[1][0].network].append(
+                (size_bytes, list(args[0].batch), args[0].versions))
+        return fused_send_to(network, src, dst, size_bytes, fn, args)
+
+    Network.fused_send_to = send
+    try:
+        for env, cluster in rings:
+            assert cluster.join_node("joiner", Region.FRK) is not None
+            env.run_until_idle()
+    finally:
+        Network.fused_send_to = fused_send_to
+    assert batches[0] and batches[0] == batches[1]
+    for left, right in zip(derived.replicas, listed.replicas):
+        assert list(map(left.table.get, probes)) == \
+            list(map(right.table.get, probes))
 
 
 def test_a_second_preload_of_a_key_keeps_the_first_value():
@@ -425,7 +511,7 @@ def join_with_reads(size, read_every, batch=7):
                 and args[2].__func__ is CassandraReplica._stream_apply:
             stream = args[0]
             sent.append((size_bytes,
-                         [cluster.keyspace.keys[kid] for kid in stream.batch],
+                         keys_at(cluster.keyspace, stream.batch),
                          stream.versions))
         return fused_send_to(network, src, dst, size_bytes, fn, args)
 
@@ -497,7 +583,7 @@ def test_values_and_unread_reads_listed_unread_rows_from_the_key_space():
     table.apply("user1", VersionedValue("written", (1.0, "n", 1)))
     table.get("user2")
     rows = table.rows_in_range(0, 0)
-    keys = [table._space.keys[kid] for kid in rows]
+    keys = keys_at(table._space, rows)
     values, unread, _ = table.values_and_unread(rows, table.versions_of(rows))
     assert unread == 0
     assert sorted(values) == sorted(
@@ -520,7 +606,7 @@ def test_a_columns_preload_after_a_write_reads_every_row_by_key_id(written):
     for replica in cluster.replicas:
         table = replica.table
         rows = table.rows_in_range(0, 0)
-        keys = [table._space.keys[kid] for kid in rows]
+        keys = keys_at(table._space, rows)
         wanted = ["w" if table is writer and key in written else expected[key]
                   for key in keys]
         assert sorted(sized(table, rows)) == sorted(wanted)

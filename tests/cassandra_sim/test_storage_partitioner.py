@@ -22,7 +22,7 @@ from repro.cassandra_sim.storage import (PRELOAD_STAMP, ColumnarTable,
                                          KeySpace, VersionedValue, resolve)
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
-from repro.workloads.records import Dataset, time_zero_value
+from repro.workloads.records import Dataset, TimeZeroItems, time_zero_value
 
 
 class TestVersions:
@@ -211,24 +211,26 @@ class TestTable:
             == (3, 4, 1)
 
     def test_a_wrong_token_cannot_give_a_base_key_a_second_id(self):
-        """A base key is looked up by its own token, whatever token a
+        """A base key is found by its record index, whatever token a
         caller passes with it."""
         space = KeySpace()
         table = ColumnarTable(space)
-        keys = sorted("abc", key=key_token)
+        records = array("I", sorted(range(3),
+                                    key=lambda i: key_token(f"k{i}")))
+        keys = TimeZeroItems("k", records, 2)
         ids = space.extend(keys, key_tokens(keys), value_size=2)
-        wrong = (key_token("b") + 1) % 2**64
-        kid = keys.index("b")
-        assert space.add("b", wrong) == kid
-        del space.ids["b"]  # forgotten again: the base lookup runs anew
-        assert space.intern(["b", "b"], [wrong, 0]) == [kid, kid]
-        del space.ids["b"]
+        wrong = (key_token("k1") + 1) % 2**64
+        kid = list(keys).index("k1")
+        assert space.add("k1", wrong) == kid
+        del space.ids["k1"]  # forgotten again: the base lookup runs anew
+        assert space.intern(["k1", "k1"], [wrong, 0]) == [kid, kid]
+        del space.ids["k1"]
         table.merge(ids, [storage.TIME_ZERO] * 3)
-        assert table.apply("b", VersionedValue("w", (1.0, "n", 1)), wrong)
-        assert len(space) == 3 and space.keys == keys
-        assert space.ids == {"b": kid}
-        assert table.token("b") == key_token("b")
-        assert len(table) == 3 and table.get("b").value == "w"
+        assert table.apply("k1", VersionedValue("w", (1.0, "n", 1)), wrong)
+        assert len(space) == 3 and space.keys_of(ids) == list(keys)
+        assert space.ids == {"k1": kid} and space.keys == []
+        assert table.token("k1") == key_token("k1")
+        assert len(table) == 3 and table.get("k1").value == "w"
 
     def test_a_key_another_table_created_is_not_held(self):
         """Tables over one key space see its ids, not each other's rows."""
@@ -272,6 +274,12 @@ def test_lww_register_converges_regardless_of_order(writes):
 TOKENS = st.integers(min_value=0, max_value=2**64 - 1)
 
 
+def keys_at(space, ids):
+    """The keys of ``ids``, in their order (``keys_of`` wants them
+    ascending)."""
+    return [space.keys_of([kid])[0] for kid in ids]
+
+
 def scan_keys_in_range(table, start, end):
     """The full-table scan ``rows_in_range`` replaced: sort every key, hash
     every key, keep the ones in range.  Kept here as the reference."""
@@ -281,8 +289,7 @@ def scan_keys_in_range(table, start, end):
 
 def keys_in_range(table, start, end):
     """The keys of the rows ``rows_in_range`` selects, in its order."""
-    return tuple(map(table._space.keys.__getitem__,
-                     table.rows_in_range(start, end)))
+    return tuple(keys_at(table._space, table.rows_in_range(start, end)))
 
 
 def merge_columns(table, keys, versions, tokens):
@@ -412,8 +419,9 @@ def as_columns(rows):
 def exported(table, rows):
     """The rows ``rows`` as ``(key, version, token)`` triples."""
     space = table._space
-    return [(space.keys[kid], version, space.tokens[kid])
-            for kid, version in zip(rows, table.versions_of(rows))]
+    return [(key, version, space.tokens[kid])
+            for key, kid, version in zip(keys_at(space, rows), rows,
+                                         table.versions_of(rows))]
 
 
 def assert_same_table(left, right):
@@ -480,8 +488,8 @@ class TestBulkRows:
         copy = ColumnarTable(table._space)
         copy.merge(everything, versions)
         assert list(copy.items()) == list(table.items())
-        assert all(copy.get(table._space.keys[kid]) is version
-                   for kid, version in zip(everything, versions))
+        assert all(copy.get(key) is version for key, version in zip(
+            keys_at(table._space, everything), versions))
         assert (copy.writes_applied, copy.writes_ignored) == (len(table), 0)
         copy.merge(everything, versions)
         assert list(copy.items()) == list(table.items())
@@ -515,7 +523,8 @@ class TestBulkRows:
 
 #: Keys of the base-run model: a dataset's (``user0`` ...) and keys only a
 #: write or a second preload creates.
-MODEL_KEYS = [f"user{i}" for i in range(12)] + ["x0", "x1", "", "é"]
+MODEL_KEYS = [f"user{i}" for i in range(12)] + [
+    "x0", "x1", "", "é", "user01", "user-1", "user 1", "user"]
 MODEL_REGIONS = (Region.FRK, Region.IRL, Region.VRG)
 
 
@@ -537,7 +546,7 @@ MODEL_STEPS = st.one_of(
 
 
 class TestBaseRun:
-    """A first preload's keys are found by bisecting the token column, and
+    """A first dataset preload's keys are found by their record index, and
     only the keys in use enter the key space's dict."""
 
     def test_a_first_preload_puts_no_key_in_the_dict(self):
@@ -552,7 +561,8 @@ class TestBaseRun:
         assert list(space.tokens) == sorted(space.tokens)
         assert table.get("user7").value == time_zero_value("user7", 8)
         kid = space.ids["user7"]
-        assert space.ids == {"user7": kid} and space.keys[kid] == "user7"
+        assert space.ids == {"user7": kid} and space.keys_of([kid]) == [
+            "user7"] and space.keys == []
         # A key the space does not hold enters nothing.
         assert table.get("user50") is None and space.find("user50") is None
         assert space.ids == {"user7": kid}
@@ -560,9 +570,12 @@ class TestBaseRun:
         assert table.apply("new", VersionedValue(1, (1.0, "n", 1)))
         assert space.ids["new"] == 50 and space.based == 50
 
-    def test_an_out_of_order_first_extend_is_no_base_run(self):
+    def test_an_out_of_order_or_listed_first_extend_is_no_base_run(self):
         space = KeySpace()
-        space.extend(["b", "a"], [20, 10], "ba")
+        space.extend(TimeZeroItems("k", range(2), 1), [20, 10], value_size=1)
+        assert space.based == 0 and space.ids == {"k0": 0, "k1": 1}
+        space = KeySpace()
+        space.extend(["b", "a"], [10, 20], "ba")
         assert space.based == 0 and space.ids == {"b": 0, "a": 1}
 
     @settings(deadline=None, max_examples=100)
@@ -635,7 +648,7 @@ class TestBaseRun:
             else:
                 _, at, start, end = step
                 rows = tables[at].rows_in_range(start, end)
-                assert [space.keys[kid] for kid in rows] == [
+                assert keys_at(space, rows) == [
                     key for key in sorted(models[at][0])
                     if token_in_range(token_of(key), start, end)]
             for table, (rows, counters) in zip(tables, models):
@@ -646,7 +659,7 @@ class TestBaseRun:
         assert len(space) == len(created)
         ids = {key: space.find(key) for key in MODEL_KEYS}
         assert sorted(ids[key] for key in created) == list(range(len(space)))
-        assert all(space.keys[ids[key]] == key for key in created)
+        assert keys_at(space, [ids[key] for key in created]) == list(created)
         assert all(ids[key] is None for key in set(MODEL_KEYS) - created)
         for table, (rows, _) in zip(tables, models):
             assert [table.get(key) for key in MODEL_KEYS] \

@@ -1,12 +1,14 @@
-"""Ring changes finish when a stream party crashes mid-stream.
+"""Ring changes finish when a stream party crashes or is cut off mid-stream.
 
 Range streaming is stop-and-wait: a batch or its acknowledgement dropped at
-a dead node parks the stream, and the party's recovery sends the batch
-again (an LWW merge is idempotent, so a batch applied twice is harmless).
-Each shape crashes one party of a live change 5 ms in and recovers it
-200 ms later; the change must then commit with nothing left open, and
-every post-change owner must hold every preloaded key.  A joiner that
-never comes back is removed instead, which aborts its join.
+a dead node or across a partition parks the stream, and the party's
+recovery, or the partition's heal, sends the batch again (an LWW merge is
+idempotent, so a batch applied twice is harmless).  Each shape crashes one
+party of a live change (or partitions its two parties) 5 ms in and
+recovers it (or heals) 200 ms later; the change must then commit with
+nothing left open, and every post-change owner must hold every preloaded
+key.  A joiner that never comes back is removed instead, which aborts its
+join.
 """
 
 from __future__ import annotations
@@ -75,6 +77,30 @@ def test_a_change_whose_stream_party_crashes_finishes_after_recovery(
     _assert_finished(cluster, change)
 
 
+@pytest.mark.parametrize("between, region", [("nodes", Region.FRK),
+                                              ("regions", Region.IRL)])
+def test_a_stream_parked_by_a_partition_resumes_when_it_heals(between,
+                                                              region):
+    """The join's first source is cut off from the joiner (or the two
+    regions from each other) from 5 to 205 ms."""
+    env, cluster = _ring(6)
+    join = cluster.join_node("joiner", region)
+    source = join.change.tasks[0].source
+    network, at = env.network, env.scheduler.schedule_call_at
+    if between == "nodes":
+        at(5.0, network.partition, (source, "joiner"))
+        at(205.0, network.heal, (source, "joiner"))
+    else:
+        regions = (network.node(source).region, region)
+        assert regions[0] != regions[1]
+        at(5.0, network.partition_regions, regions)
+        at(205.0, network.heal_regions, regions)
+    dropped = network.messages_dropped
+    env.run_until_idle()
+    assert network.messages_dropped > dropped, "the partition dropped nothing"
+    _assert_finished(cluster, join)
+
+
 def test_a_joiner_that_never_recovers_can_be_removed():
     env, cluster = _ring(6)
     join = cluster.join_node("joiner", Region.FRK)
@@ -93,10 +119,14 @@ def test_a_joiner_that_never_recovers_can_be_removed():
     assert env.scheduler.pending(live_only=True) == 0
 
 
-#: Crash windows ``(victim, at_ms, duration_ms)``: a victim below the
-#: ring's size is that replica, any other the node that joins or leaves.
+#: Fault windows ``(kind, victim, at_ms, duration_ms)``: a victim below
+#: the ring's size is that replica, any other the node that joins or
+#: leaves; a ``crash`` window crashes the victim, a ``partition`` window
+#: cuts it off from the node that joins or leaves (replica 0 if that is
+#: the victim).
 WINDOWS = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=6),
+    st.tuples(st.sampled_from(["crash", "partition"]),
+              st.integers(min_value=0, max_value=6),
               st.floats(min_value=110.0, max_value=900.0),
               st.floats(min_value=5.0, max_value=400.0)),
     min_size=1, max_size=2)
@@ -110,7 +140,10 @@ class TestCrashesAcrossRingChanges:
            windows=WINDOWS, seed=st.integers(min_value=1, max_value=10_000))
     # A three-node ring's joiner crashes 5 ms into its join and recovers
     # 200 ms later.
-    @example(ring=("join", 3), windows=[(6, 105.0, 200.0)], seed=9)
+    @example(ring=("join", 3), windows=[("crash", 6, 105.0, 200.0)], seed=9)
+    # The same, the joiner partitioned from replica 0 instead.
+    @example(ring=("join", 3), windows=[("partition", 6, 105.0, 200.0)],
+             seed=9)
     def test_every_change_finishes_and_no_acked_write_is_lost(
             self, ring, windows, seed):
         kind, nodes = ring
@@ -124,10 +157,14 @@ class TestCrashesAcrossRingChanges:
             name = cluster.replicas[-1].name
             change = cluster.decommission_node(name, at_ms=100.0)
         builder = FaultScheduleBuilder()
-        for victim, at_ms, duration_ms in windows:
-            builder.crash_window(
-                f"replica:{victim}" if victim < nodes else name,
-                at_ms, duration_ms)
+        for kind, victim, at_ms, duration_ms in windows:
+            target = f"replica:{victim}" if victim < nodes else name
+            if kind == "crash":
+                builder.crash_window(target, at_ms, duration_ms)
+            else:
+                builder.partition_window(
+                    target, name if target != name else "replica:0",
+                    at_ms, duration_ms)
         history = drive(env, cluster, clients, builder.build(), 1_200.0,
                         seed)
         assert change.done

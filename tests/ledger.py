@@ -33,7 +33,8 @@ import pytest
 #: The modules traced, relative to the ``repro`` package.
 MODULES = ("cassandra_sim/reads.py", "cassandra_sim/writes.py",
            "cassandra_sim/replica.py", "cassandra_sim/cluster.py",
-           "cassandra_sim/partitioner.py")
+           "cassandra_sim/partitioner.py", "cassandra_sim/storage.py",
+           "workloads/records.py")
 
 #: (module, function qualname, stripped source line) -> why it may stay
 #: unreached by the suite.  Empty: every line of the five modules runs.

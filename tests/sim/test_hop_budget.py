@@ -69,17 +69,19 @@ _HOPS = 200
 #: cache) took them to 2,296.06, 3,336.65 and 3,678.15, and range
 #: streaming on continuations (no stream ``Message``, payload dict or id
 #: lookup) with finals that carry no store-side comparison took them to
-#: 2,294.11, 3,333.92 and 3,614.41.
+#: 2,294.11, 3,333.92 and 3,614.41, and a dataset's keys derived from
+#: their record index (a base key found by parsing it: no md5, no bisect)
+#: to 2,285.39, 3,324.88 and 3,592.60.
 #: One round at
 #: ``_WORKLOAD_SEED``, start -> serve -> drain, in a fresh process (the
 #: record pools and the zeta cache are process-wide, so what ran before
 #: would change the count); set-up is not counted.  The budget is the count
 #: plus ``_WORKLOAD_ROOM``: a +2 % change fails.
 _WORKLOAD_BUDGETS = {
-    (3, 11): {"cass-closed-a": (0.05, 2294.11),
-              "cass-open-faults-b": (0.1, 3333.92),
+    (3, 11): {"cass-closed-a": (0.05, 2285.39),
+              "cass-open-faults-b": (0.1, 3324.88),
               "zk-tickets": (0.1, 4379.36),
-              "ring-join-400k": (0.1, 3614.41)},
+              "ring-join-400k": (0.1, 3592.60)},
 }
 _WORKLOAD_ROOM = 1.01
 _WORKLOAD_SEED = 7
@@ -100,11 +102,27 @@ _PERFBENCH_WORKLOADS = (Path(__file__).resolve().parents[2]
 #: exchange as control-plane continuations instead of ``Message``s to
 #: 10,358.33, 12,245.07 and 9,780.51, and time-zero values derived from
 #: the key (no initial-value text drawn at set-up, the character map built
-#: in C) to the rows below.  Checked against ``_WORKLOAD_ROOM``.
+#: in C) to 10,314.02, 12,200.77 and 9,736.20; a base key's first lookup
+#: then paid an md5 and a bisect (10,398.09, 12,285.40 and 9,803.38), and
+#: finding it by its record index instead, hashing a preload's keys in C
+#: and merging each owner's adjacent runs as one took them to the rows
+#: below.  Checked against ``_WORKLOAD_ROOM``.
 _FIG16_BUDGETS = {
-    (3, 11): {"baseline": 10314.02,
-              "coordinator-crash-mid-commit": 12200.77,
-              "participant-crash-after-prepare": 9736.20},
+    (3, 11): {"baseline": 10310.02,
+              "coordinator-crash-mid-commit": 12197.38,
+              "participant-crash-after-prepare": 9722.07},
+}
+
+#: version -> quick ``repro.bench.perf`` scenario -> (executed bytecodes in
+#: ``src/`` frames per completed operation, set-up included, and scheduler
+#: events per operation), each over the scenario's quick parameters in a
+#: fresh process, as counted when the row was added.  The two scenarios
+#: guard the ZooKeeper request path and the Cassandra request path under
+#: a crash (timeouts, failover, read repair), which the perfbench
+#: workloads above do not isolate.  Checked against ``_WORKLOAD_ROOM``.
+_SCENARIO_BUDGETS = {
+    (3, 11): {"fig09-zk-queue": (4196.60, 17.0),
+              "fig13-replica-crash": (2730.46, 8.2112)},
 }
 
 
@@ -242,12 +260,27 @@ def _fig16_bytecodes_per_txn(scenario):
     return executed / records[0]["submitted"]
 
 
+def _scenario_counts_per_op(name):
+    """One quick ``repro.bench.perf`` scenario: bytecodes executed in
+    ``src/`` frames, and scheduler events, per completed operation."""
+    from repro.bench.perf import PERF_SCENARIOS
+
+    run, _, quick = PERF_SCENARIOS[name]
+    stats = []
+    src = os.path.dirname(repro.__file__) + os.sep
+    executed = _bytecodes_in(lambda code: code.co_filename.startswith(src),
+                             lambda: stats.append(run(**quick)))
+    return executed / stats[0]["ops"], stats[0]["events"] / stats[0]["ops"]
+
+
 def _in_fresh_process(*args):
+    """The counts one measurement prints, in a fresh process."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, __file__, *args], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    return float(done.stdout)
+    counts = list(map(float, done.stdout.split()))
+    return counts[0] if len(counts) == 1 else counts
 
 
 @pytest.mark.parametrize("workload", ["cass-closed-a", "cass-open-faults-b",
@@ -280,8 +313,25 @@ def test_fig16_bytecodes_per_txn(scenario):
         f"{measured:.2f}"
 
 
+@pytest.mark.parametrize("scenario", ["fig09-zk-queue", "fig13-replica-crash"])
+def test_perf_scenario_bytecodes_and_events_per_op(scenario):
+    row = _SCENARIO_BUDGETS.get(sys.version_info[:2])
+    if row is None:
+        pytest.skip("no perf scenario budgets recorded for CPython %d.%d; "
+                    "measure and add a row to _SCENARIO_BUDGETS"
+                    % sys.version_info[:2])
+    bytecodes, events = row[scenario]
+    per_op, events_per_op = _in_fresh_process("scenario", scenario)
+    assert per_op <= bytecodes * _WORKLOAD_ROOM, \
+        f"{scenario}: {per_op:.2f} bytecodes/op against {bytecodes:.2f}"
+    assert events_per_op <= events * _WORKLOAD_ROOM, \
+        f"{scenario}: {events_per_op:.4f} events/op against {events:.4f}"
+
+
 if __name__ == "__main__":
-    if sys.argv[1] == "fig16":
+    if sys.argv[1] == "scenario":
+        print("%r %r" % _scenario_counts_per_op(sys.argv[2]))
+    elif sys.argv[1] == "fig16":
         print(repr(_fig16_bytecodes_per_txn(sys.argv[2])))
     else:
         print(repr(_workload_bytecodes_per_op(sys.argv[1],

@@ -187,3 +187,19 @@ class TestTimeZeroItems:
         assert items["user17"] == dataset.initial_value(17)
         assert ("user3", dataset.initial_value(3)) in items.items()
         assert ("user3", dataset.initial_value(4)) not in items.items()
+
+    @pytest.mark.parametrize("key", ["user007", "user-1", "user+1", "user 1",
+                                     "user٣", "user50", "user", "item3", 7])
+    def test_a_key_no_record_is_spelt_is_missing(self, key):
+        """Only ``prefix + str(index)`` of a record names it: a sign, a
+        space, a leading zero or an index past the last record does not."""
+        items = Dataset(50, value_size_bytes=9).initial_items()
+        assert key not in items
+        with pytest.raises(KeyError):
+            items[key]
+
+    def test_a_dataset_past_the_key_cache_cap_formats_keys_on_demand(self):
+        dataset = Dataset(records._KEY_CACHE_MAX + 1)
+        assert dataset.cached_keys() is None
+        assert dataset.key(records._KEY_CACHE_MAX) == \
+            f"user{records._KEY_CACHE_MAX}"
