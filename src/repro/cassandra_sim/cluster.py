@@ -49,8 +49,8 @@ from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.partitioner import (RingChange, RingPartitioner,
                                              StreamTask, key_tokens)
 from repro.cassandra_sim.replica import CassandraReplica
-from repro.cassandra_sim.storage import (KeySpace, PRELOAD_STAMP, TIME_ZERO,
-                                         VersionedValue)
+from repro.cassandra_sim.storage import (KeySpace, PRELOAD_STAMP,
+                                         VersionedValue, token_order)
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, replica_regions_default
 from repro.workloads.records import TimeZeroItems, time_zero_value
@@ -202,17 +202,18 @@ class CassandraCluster:
         ``items`` is any mapping (a dict, a dataset's
         :class:`~repro.workloads.records.TimeZeroItems`), read in bulk:
         every key hashed once, a chunk at a time, and the rows sorted by
-        token once, so new keys get their ids in token order (a dataset's
-        first preload is the key space's base run).  If all are new, the
-        key space keeps a dict's keys and values and every owner's row
-        holds ``TIME_ZERO``; otherwise each key gets its own version, which
-        an owner holding the key ignores (an equal stamp is not newer).
+        token once (:func:`~repro.cassandra_sim.storage.token_order`), so
+        new keys get their ids in token order (a dataset's first preload is
+        the key space's base run).  If all are new, the key space keeps a
+        dict's keys and values and every owner marks its rows held, with no
+        version; otherwise each key gets its own version, which an owner
+        holding the key ignores (an equal stamp is not newer).
         Each owner's adjacent slot runs are merged into its table as one.
         """
         size = items.value_size if isinstance(items, TimeZeroItems) else 0
         keys = items if size else list(items)
         tokens = key_tokens(keys)
-        order = array("I", sorted(range(len(keys)), key=tokens.__getitem__))
+        order = token_order(tokens)
         tokens = array("Q", map(tokens.__getitem__, order))
         if size:  # the records in token order, values derived when read
             keys = TimeZeroItems(items.prefix, array("I", map(
@@ -226,7 +227,7 @@ class CassandraCluster:
         if not len(space) or all(map(is_, map(space.find, keys),
                                      repeat(None))):  # all keys new
             ids = space.extend(keys, tokens, values, size)
-            versions = None  # TIME_ZERO a span at a time: no row-long list
+            versions = None  # time-zero rows: held bytes, no versions
         else:
             ids = space.intern(list(keys), tokens)
             versions = [VersionedValue(value, PRELOAD_STAMP) for value in values]
@@ -242,8 +243,7 @@ class CassandraCluster:
             replica = self._by_name.get(owner)
             while replica is not None and span is not None:
                 low, high, span = span
-                replica.table.merge(ids[low:high], [TIME_ZERO] * (high - low)
-                                    if versions is None
+                replica.table.merge(ids[low:high], None if versions is None
                                     else versions[low:high])
 
     # -- statistics -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Replica storage: one key space per cluster, one versions column per replica.
+"""Replica storage: one key space per cluster, one held column per replica.
 
 A row is a :class:`VersionedValue` (value and write stamp); :func:`resolve`
 is the last-write-wins rule that :meth:`ColumnarTable.apply` inlines.
@@ -16,34 +16,37 @@ dict keeps its keys and values, by id.  That is
 host-side bookkeeping, not simulated state: no replica learns anything
 about another's rows through it, so sharing it moves no simulated result.
 
-Each replica's :class:`ColumnarTable` keeps only its version of each key
-id — a list in which ``None`` means "not held" — and its counters.
-Last-write-wins merge only compares stamps, so a preloaded row holds one
-shared :data:`TIME_ZERO` (the preload stamp) until :meth:`ColumnarTable.
-get` first reads it and builds its own version, its value derived from the
-key or listed in the key space: equal versions on two replicas need not be
-one object.
+Each replica's :class:`ColumnarTable` keeps a *held* byte per key id (1:
+the replica holds the row), a dict of versions for the rows that have one
+of their own, and its counters.  Last-write-wins merge only compares
+stamps, so a preloaded row is a set byte and no version until
+:meth:`ColumnarTable.get` first reads it and builds its version, its value
+derived from the key or listed in the key space: equal versions on two
+replicas need not be one object.  Such a row is exported (and streamed) as
+the shared :data:`TIME_ZERO` marker, which stands for the preload stamp.
 
 Range streaming runs on key ids, which every table of a cluster shares:
 :meth:`ColumnarTable.rows_in_range` selects a task's ids with a bisect over
 the token column (or, once ids were assigned out of token order, over its
-argsort), :meth:`~ColumnarTable.versions_of` gathers their versions (an
-unread row's marker included) and :meth:`~ColumnarTable.merge` applies
-them to another table exactly as applying them row by row would.  A
-batch's unread rows are sized without their values: a derived value is
-``value_size`` characters long (:meth:`~ColumnarTable.values_and_unread`).
+argsort, :func:`token_order`), :meth:`~ColumnarTable.versions_of` gathers
+their versions (an unread row's marker included) and
+:meth:`~ColumnarTable.merge` applies them to another table exactly as
+applying them row by row would.  A batch's unread rows are sized without
+their values: a derived value is ``value_size`` characters long
+(:meth:`~ColumnarTable.values_and_unread`).
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, islice, repeat
-from operator import attrgetter, is_, is_not, le, not_
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from operator import attrgetter, gt, is_, is_not, le, not_
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.partitioner import key_token
 from repro.workloads.records import TimeZeroItems, time_zero_value
@@ -80,10 +83,31 @@ def resolve(versions: Iterable[Optional[VersionedValue]]
 
 
 PRELOAD_STAMP = (0.0, "preload", 0)
-#: What every preloaded row holds until it is first read (its value is
-#: listed in the key space, by key id, or derived from the key).
+#: What a held row with no version of its own (a preloaded row not yet
+#: read) is exported and streamed as: its value is listed in the key space,
+#: by key id, or derived from the key.
 TIME_ZERO = VersionedValue(None, PRELOAD_STAMP)
+#: By held byte, the stamp a write must beat on a row with no version:
+#: older than any (``()``) if not held, the preload's if held.
+_UNREAD_STAMPS = ((), PRELOAD_STAMP)
 _value_of = attrgetter("value")
+#: A token's top byte within its native 8 bytes, and per token-order bucket
+#: the ``bytes.translate`` table mapping a top byte to 1 if it falls in the
+#: bucket (its top three bits), else to 0.
+_TOP = 7 if sys.byteorder == "little" else 0
+_BUCKETS = [bytes(byte >> 5 == bucket for byte in range(256))
+            for bucket in range(8)]
+
+
+def token_order(tokens: "array[int]") -> "array[int]":
+    """``sorted(range(len(tokens)), key=tokens.__getitem__)`` as an
+    ``array("I")``, sorted a bucket of top token bits at a time: the same
+    permutation (equal tokens share a bucket and the sort is stable), with
+    an eighth of the ints alive at once and no Python frame per bucket."""
+    return array("I", chain.from_iterable(map(
+        partial(sorted, key=tokens.__getitem__),
+        map(compress, repeat(range(len(tokens))),
+            map(tokens.tobytes()[_TOP::8].translate, _BUCKETS)))))
 
 
 class KeySpace:
@@ -109,7 +133,7 @@ class KeySpace:
     preload, a write's) is listed in ``keys`` and put in ``ids``.  So
     ``ids`` holds the keys in use, and :meth:`keys_of` reads the keys.
 
-    Every table over the space takes its versions column from
+    Every table over the space takes its held column from
     :meth:`new_column`, and the space grows each column with the ids it
     assigns, so a table indexes its column by any id without a bounds
     check.
@@ -141,14 +165,15 @@ class KeySpace:
         # None while the token column is in order; otherwise ids sorted by
         # token (the argsort, see ids_in_range).
         self._order: Optional["array[int]"] = None
-        self._columns: List[List[Optional[VersionedValue]]] = []
+        self._columns: List[bytearray] = []
 
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def new_column(self) -> List[Optional[VersionedValue]]:
-        """A versions column holding nothing, grown with every new id."""
-        column: List[Optional[VersionedValue]] = [None] * len(self)
+    def new_column(self) -> bytearray:
+        """A held column holding nothing (a 0 byte per id), grown with
+        every new id."""
+        column = bytearray(len(self))
         self._columns.append(column)
         return column
 
@@ -188,7 +213,7 @@ class KeySpace:
             self.keys.append(key)
             tokens.append(token)
             for column in self._columns:
-                column.append(None)
+                column.append(0)
         return kid
 
     def intern(self, keys: Sequence[str],
@@ -242,7 +267,7 @@ class KeySpace:
             listed.extend(values)
         self.listed = len(listed)
         for column in self._columns:
-            column.extend(repeat(None, len(keys)))
+            column.extend(bytes(len(keys)))
         return ids
 
     def ids_in_range(self, start_token: int,
@@ -265,8 +290,7 @@ class KeySpace:
             return (array("I", range(low, len(tokens)))
                     + array("I", range(high)))
         if len(order) != len(tokens):
-            order = self._order = array("I", sorted(
-                range(len(tokens)), key=tokens.__getitem__))
+            order = self._order = token_order(tokens)
         low = self._first_at_or_after(start_token)
         high = self._first_at_or_after(end_token)
         if start_token < end_token:
@@ -294,48 +318,42 @@ class KeySpace:
 
 
 class ColumnarTable:
-    """The key-value state one replica holds: its version of each key id
-    of a :class:`KeySpace` (its own one unless a cluster shares one)."""
+    """The key-value state one replica holds: which key ids of a
+    :class:`KeySpace` (its own one unless a cluster shares one) it holds,
+    and the versions of those that have one of their own."""
 
-    __slots__ = ("_space", "_ids", "_versions", "_held",
+    __slots__ = ("_space", "_ids", "_held", "_versions",
                  "writes_applied", "writes_ignored")
 
     def __init__(self, space: Optional[KeySpace] = None) -> None:
         if space is None:
             space = KeySpace()
         self._space = space
-        # The space's own dict and this table's column: bound once, so a
-        # read of a key in use is one dict lookup and one list index.
+        # The space's own dict, bound once, so a read of a key in use that
+        # has a version is two dict lookups.
         self._ids = space.ids
-        self._versions = space.new_column()
-        self._held = 0
+        self._held = space.new_column()
+        self._versions: Dict[int, VersionedValue] = {}
         self.writes_applied = 0
         self.writes_ignored = 0
 
     def __len__(self) -> int:
-        return self._held
+        return self._held.count(1)
 
     def get(self, key: str) -> Optional[VersionedValue]:
-        """The locally stored version of ``key`` (None if absent); a
-        preloaded row's first read replaces its :data:`TIME_ZERO` with a
-        version of its own."""
+        """The locally stored version of ``key`` (None if absent); a held
+        row's first read builds its time-zero version and keeps it."""
         try:
-            version = self._versions[self._ids[key]]
-        except KeyError:
-            kid = self._space.find(key)  # a base key's first lookup
-            if kid is None:
-                return None
-            version = self._versions[kid]
-        if version is TIME_ZERO:
-            kid = self._ids[key]
+            return self._versions[self._ids[key]]
+        except KeyError:  # unread, a base key's first lookup, or not held
             space = self._space
+            kid = space.find(key)
+            if kid is None or not self._held[kid]:
+                return None
             version = self._versions[kid] = VersionedValue(
                 time_zero_value(key, space.value_size) if kid >= space.listed
                 else space.values[kid], PRELOAD_STAMP)
-        return version
-
-    def contains(self, key: str) -> bool:
-        return self.get(key) is not None
+            return version
 
     def apply(self, key: str, version: VersionedValue,
               token: Optional[int] = None) -> bool:
@@ -349,11 +367,13 @@ class ColumnarTable:
         kid = self._ids.get(key)
         if kid is None:
             kid = self._space.add(key, token)
-        stored = self._versions[kid]
-        if stored is None:
-            self._held += 1
+        try:
+            stored = self._versions[kid].timestamp
+        except KeyError:  # held and never read, or not held: held from now
+            stored = _UNREAD_STAMPS[self._held[kid]]
+            self._held[kid] = 1
         # VersionedValue.newer_than, inlined (one apply per replicated write).
-        elif not version.timestamp > stored.timestamp:
+        if not version.timestamp > stored:
             self.writes_ignored += 1
             return False
         self._versions[kid] = version
@@ -363,18 +383,7 @@ class ColumnarTable:
     def keys(self) -> Tuple[str, ...]:
         """All stored keys, sorted — the deterministic streaming scan order."""
         return tuple(sorted(self._space.keys_of(list(compress(range(len(
-            self._versions)), map(is_not, self._versions, repeat(None)))))))
-
-    def items(self) -> Iterator[Tuple[str, VersionedValue]]:
-        """Iterate ``(key, version)`` pairs in sorted key order."""
-        for key in self.keys():
-            yield key, self.get(key)
-
-    def token(self, key: str) -> int:
-        """The ring token of ``key`` (which must be stored here)."""
-        if self.get(key) is None:
-            raise KeyError(key)
-        return self._space.tokens[self._ids[key]]
+            self._held)), self._held)))))
 
     def rows_in_range(self, start_token: int,
                       end_token: int) -> "array[int]":
@@ -384,16 +393,15 @@ class ColumnarTable:
         :meth:`KeySpace.ids_in_range` for the range semantics and cost)."""
         space = self._space
         ids = space.ids_in_range(start_token, end_token)
-        held = sorted(compress(ids, map(is_not, map(
-            self._versions.__getitem__, ids), repeat(None))))
+        held = sorted(compress(ids, map(self._held.__getitem__, ids)))
         keys = space.keys_of(held)
         return array("I", map(held.__getitem__,
                               sorted(range(len(held)), key=keys.__getitem__)))
 
     def versions_of(self, rows: Sequence[int]) -> List[VersionedValue]:
         """The versions of the rows ``rows`` (ids of stored rows), an
-        unread row's marker included."""
-        return list(map(self._versions.__getitem__, rows))
+        unread row's :data:`TIME_ZERO` marker included."""
+        return list(map(self._versions.get, rows, repeat(TIME_ZERO)))
 
     def values_and_unread(self, rows: Sequence[int],
                           versions: Sequence[VersionedValue]
@@ -414,51 +422,41 @@ class ColumnarTable:
         return values, unread, space.value_size
 
     def merge(self, ids: Sequence[int],
-              versions: Sequence[VersionedValue]) -> None:
-        """Merge rows given by key id: identical to :meth:`apply` row by
-        row — rows, counters — an id repeated in the batch included.
-
-        Rows this table does not hold have nothing to compare against and
-        are stored wholesale — every run of a first preload, nearly every
-        row streamed to a joining node; only the held rows are compared by
-        LWW.  A batch that names an id twice goes row by row, in order.
-        """
-        stored = self._versions
+              versions: Optional[Sequence[VersionedValue]] = None) -> None:
+        """Merge rows given by key id, each at its version (``versions``
+        None: each at its time-zero version, as a preload stores it), just
+        as :meth:`apply` row by row would — rows, counters, an id repeated
+        in the batch (then a row at a time, in order) and :data:`TIME_ZERO`
+        markers included.  Rows not held here are stored wholesale (every
+        run of a first preload, nearly every row streamed to a joiner):
+        their held bytes set, the ones with a version put in the dict.
+        Only the held rows are compared by LWW."""
+        held, stored = self._held, self._versions
         count = len(ids)
         if type(ids) is range:
-            current = stored[ids.start:ids.stop]
+            current = held[ids.start:ids.stop]
+            held[ids.start:ids.stop] = b"\1" * count
         elif len(set(ids)) == count:
-            current = list(map(stored.__getitem__, ids))
+            current = bytes(map(held.__getitem__, ids))
+            deque(map(held.__setitem__, ids, repeat(1)), 0)
         else:
-            for kid, version in zip(ids, versions):
-                old = stored[kid]
-                if old is None:
-                    self._held += 1
-                elif not version.timestamp > old.timestamp:
-                    self.writes_ignored += 1
-                    continue
-                stored[kid] = version
-                self.writes_applied += 1
+            for kid, version in zip(ids, versions or repeat(TIME_ZERO)):
+                self.merge((kid,), (version,))
             return
-        unheld = current.count(None)
-        if unheld == count:
-            if type(ids) is range:
-                stored[ids.start:ids.stop] = versions
-            else:
-                deque(map(stored.__setitem__, ids, versions), 0)
-        else:
-            held = list(map(is_not, current, repeat(None)))
-            if unheld:
-                fresh = list(map(not_, held))
-                deque(map(stored.__setitem__, compress(ids, fresh),
-                          compress(versions, fresh)), 0)
-            for kid, version, old in zip(compress(ids, held),
-                                         compress(versions, held),
-                                         compress(current, held)):
-                if version.timestamp > old.timestamp:
-                    stored[kid] = version
-                else:
-                    count -= 1
-            self.writes_ignored += len(current) - count
-        self._held += unheld
-        self.writes_applied += count
+        if versions is None:
+            versions = repeat(TIME_ZERO)  # read below for held rows only
+        else:  # rows not held here (0) that carry a version (True)
+            stored.update(compress(zip(ids, versions), map(gt, map(
+                is_not, versions, repeat(TIME_ZERO)), current)))
+        applied = current.count(0)  # every row not held here is stored
+        if applied != count:
+            for kid, version in zip(compress(ids, current),
+                                    compress(versions, current)):
+                if version.timestamp > stored.get(kid, TIME_ZERO).timestamp:
+                    if version is TIME_ZERO:
+                        del stored[kid]  # a stamp older than the preload's
+                    else:
+                        stored[kid] = version
+                    applied += 1
+            self.writes_ignored += count - applied
+        self.writes_applied += applied

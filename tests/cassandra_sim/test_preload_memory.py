@@ -6,16 +6,21 @@ reached on the way, both divided by the rows stored over all replicas.
 The dataset is built before tracing starts, so what is counted is the
 storage's own bookkeeping — the key space's token column and record
 indices (a dataset's first preload keeps no key string and puts no key
-in its dict), every replica's versions column — plus whatever else the
-preload leaves behind.  A second count traces the dataset's
-``initial_items()`` and the preload together, from a dataset that has
-generated nothing yet: the peak of what a cluster's set-up pays to load
-its data (perfbench's ``setup.preload``), hashing and sorting the keys
-included.  A third count is of work, not memory: the bytecodes executed
-in ``src/`` frames over ``initial_items()`` and the preload together, at
-the quick fig15 million-key size, per stored row.  Allocation sizes and
-bytecode counts differ between CPython minor versions, so the budgets are
-keyed by version and only the running interpreter's row is checked.
+in its dict), every replica's held column (a byte per key id; an unread
+row has no version) — plus whatever else the preload leaves behind.  A
+second count traces the dataset's ``initial_items()`` and the preload
+together, from a dataset that has generated nothing yet: the peak of what
+a cluster's set-up pays to load its data (perfbench's ``setup.preload``),
+hashing and sorting the keys included.  A third count is of work, not
+memory: the bytecodes executed in ``src/`` frames over ``initial_items()``
+and the preload together, at the quick fig15 million-key size, per stored
+row.  A fourth traces the preload and a live join of a seventh node, run
+to the end, and counts the bytes still allocated per row stored over all
+seven replicas: a column that went back to a pointer per key id would add
+8 bytes per id on every replica, about 16 per stored row.  Allocation
+sizes and bytecode counts differ between CPython minor versions, so the
+budgets are keyed by version and only the running interpreter's row is
+checked.
 """
 
 import importlib.util
@@ -41,11 +46,13 @@ import repro
 #: first preload's keys found by bisecting the token column (no key -> id
 #: dict) to 21.50 / 36.01, and a dataset's keys kept as record indices
 #: (no key string; the preload hashing and sorting no key list) to
-#: 21.37 / 33.34.  The
-#: budget is the count times ``_ROOM``: a +2 % change fails.  Lowering a row is how a saving is
+#: 21.37 / 33.34, and a held byte per key id instead of a versions list
+#: (an unread row has no version) with the keys sorted by token a bucket
+#: of top bits at a time to 7.37 / 10.43.  The budget is the count times
+#: ``_ROOM``: a +2 % change fails.  Lowering a row is how a saving is
 #: recorded; raising one is a decision, not a fix for a red test.
 _BUDGETS = {
-    (3, 11): (21.37, 33.34),
+    (3, 11): (7.37, 10.43),
 }
 #: version -> peak traced bytes per stored row over ``initial_items()``
 #: and ``preload`` together, as counted when the row was added: 3.11 was
@@ -53,21 +60,32 @@ _BUDGETS = {
 #: handing the preload its key and value columns, 107.37 with the values
 #: one text, sliced on first read, 72.70 with each value derived from
 #: its key when read (no text drawn), 57.97 with no key -> id dict for
-#: the preloaded keys, and 33.34 with no key list at all (each key
-#: formatted when hashed).  Checked against ``_ROOM`` like ``_BUDGETS``.
+#: the preloaded keys, 33.34 with no key list at all (each key formatted
+#: when hashed), and 10.43 with a held byte per key id and the keys sorted
+#: by token a bucket at a time.  Checked against ``_ROOM`` like
+#: ``_BUDGETS``.
 _SETUP_BUDGETS = {
-    (3, 11): 33.34,
+    (3, 11): 10.43,
 }
 #: version -> bytecodes executed in ``src/`` frames per stored row over
 #: ``initial_items()`` and ``preload`` together, at 150k records (the
 #: quick fig15 million-key size), as counted when the row was added: 3.11
 #: was 13.07 with every initial value sliced into its own string at
 #: set-up, 9.40 with the values one text, sliced on first read, 9.37
-#: with each value derived from its key, and 0.0201 with no key list
-#: built, the keys hashed in C and each owner's runs merged as one.
-#: Checked against ``_ROOM`` like ``_BUDGETS``.
+#: with each value derived from its key, 0.0201 with no key list built,
+#: the keys hashed in C and each owner's runs merged as one, and 0.0197
+#: with each span marked held in one slice assignment.  Checked against
+#: ``_ROOM`` like ``_BUDGETS``.
 _SETUP_BYTECODE_BUDGETS = {
-    (3, 11): 0.0201,
+    (3, 11): 0.0197,
+}
+#: version -> traced bytes still allocated per stored row after the preload
+#: and a live join of a seventh node, over all seven replicas, as counted
+#: when the row was added: 3.11 was 21.18 with a versions list per replica
+#: and 6.85 with a held byte per key id.  Checked against ``_ROOM`` like
+#: ``_BUDGETS``.
+_JOIN_BUDGETS = {
+    (3, 11): 6.85,
 }
 _ROOM = 1.01
 _HOP_BUDGET = (Path(__file__).resolve().parents[1] / "sim"
@@ -111,6 +129,25 @@ def _setup_peak_bytes_per_row():
     finally:
         tracemalloc.stop()
     return peak / _stored_rows(built.cluster)
+
+
+def _join_bytes_per_row():
+    """One fresh preload and a live join run to the end: traced bytes
+    still allocated per stored row."""
+    from repro.sim.topology import Region
+
+    built = _build()
+    items = built.dataset.initial_items()
+    tracemalloc.start()
+    try:
+        built.cluster.preload(items)
+        join = built.cluster.join_node("joiner", Region.FRK)
+        built.env.run_until_idle()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert join.done
+    return retained / _stored_rows(built.cluster)
 
 
 def _setup_bytecodes_per_row():
@@ -171,8 +208,18 @@ def test_dataset_and_preload_bytecodes_per_row():
         f"against {budget:.2f}"
 
 
+def test_bytes_per_row_after_a_live_join():
+    budget = _row(_JOIN_BUDGETS, "memory budget after a join")
+    (retained,) = _in_fresh_process("join")
+    assert retained <= budget * _ROOM, \
+        f"after a join: {retained:.2f} bytes per stored row " \
+        f"against {budget:.2f}"
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] == ["setup"]:
+    if sys.argv[1:] == ["join"]:
+        print(repr(_join_bytes_per_row()))
+    elif sys.argv[1:] == ["setup"]:
         print(repr(_setup_peak_bytes_per_row()))
     elif sys.argv[1:] == ["bytecodes"]:
         print(repr(_setup_bytecodes_per_row()))

@@ -9,9 +9,9 @@ by writes (a ring started without a preload, like fig15's million-key
 cells), writes against rows never read, range streams between any two
 replicas, joiners included, in batches that may overlap — and after every
 step each table must hold what its model holds.  Those checks build no
-version: a preloaded row keeps its time-zero marker until a ``read`` or
-``inspect`` step reads it (``get``, ``contains``, ``items``, ``token``),
-so reads, writes and streams all meet rows never read.
+version: a preloaded row has no version of its own (it is exported as the
+time-zero marker) until a ``read`` or ``inspect`` step reads it with
+``get``, so reads, writes and streams all meet rows never read.
 """
 
 import gc
@@ -108,11 +108,13 @@ def sized(table, rows):
     return values + derived
 
 
-def peek(table, key):
-    """What ``table.get(key)`` answers, leaving the row as it is."""
+def peek(table, key, held):
+    """What ``table.get(key)`` answers, leaving the row as it is (``held``:
+    the table's keys)."""
+    if key not in held:
+        return None
     kid = table._space.find(key)
-    return None if kid is None else resolved(table, kid,
-                                             table._versions[kid])
+    return resolved(table, kid, table.versions_of([kid])[0])
 
 
 def exported(table, rows):
@@ -126,9 +128,10 @@ def exported(table, rows):
 
 def assert_matches(table, model):
     assert len(table) == len(model.rows)
-    assert table.keys() == tuple(sorted(model.rows))
+    held = table.keys()
+    assert held == tuple(sorted(model.rows))
     for key in KEYS + ["missing"]:
-        assert peek(table, key) == model.rows.get(key)
+        assert peek(table, key, held) == model.rows.get(key)
     for counter in ("writes_applied", "writes_ignored"):
         assert getattr(table, counter) == getattr(model, counter), counter
     whole = table.rows_in_range(0, 0)
@@ -140,13 +143,15 @@ def assert_matches(table, model):
 
 def assert_reads_match(table, model):
     """Every way of reading a table, which builds the rows' versions."""
-    assert list(table.items()) == sorted(model.rows.items())
+    assert [(key, table.get(key)) for key in table.keys()] == sorted(
+        model.rows.items())
     for key in KEYS + ["missing"]:
         assert table.get(key) == model.rows.get(key)
-        assert table.contains(key) == (key in model.rows)
+        assert (key in table.keys()) == (key in model.rows)
+    space = table._space
     for key in model.rows:
-        assert table.token(key) == key_token(key)
-        assert table._versions[table._space.find(key)] is not TIME_ZERO
+        assert space.tokens[space.find(key)] == key_token(key)
+        assert table.versions_of([space.find(key)])[0] is not TIME_ZERO
 
 
 def build(nodes, rf, vnodes):
@@ -262,7 +267,7 @@ def test_two_clusters_share_no_key_ids():
     assert first.keyspace.find("fresh") is None
     for replica in first.replicas:
         assert replica.table._space is first.keyspace
-        assert not any(map(replica.table.contains, second_keys))
+        assert all(replica.table.get(key) is None for key in second_keys)
     joiner = first._add_replica("joiner", Region.FRK)
     assert joiner.table._space is first.keyspace and len(joiner.table) == 0
 
@@ -279,12 +284,13 @@ def test_a_preloaded_row_holds_the_marker_until_its_first_read():
         owners = [cluster.replica_by_name(name).table
                   for name in cluster.partitioner.replicas_for(key)]
         kid = space.find(key)
-        assert all(table._versions[kid] is TIME_ZERO for table in owners)
+        assert all(table.versions_of([kid])[0] is TIME_ZERO
+                   for table in owners)
         first = owners[0].get(key)
         assert first == VersionedValue(value, PRELOAD)
         assert owners[0].get(key) is first
-        assert owners[0]._versions[kid] is first
-        assert owners[1]._versions[kid] is TIME_ZERO
+        assert owners[0].versions_of([kid])[0] is first
+        assert owners[1].versions_of([kid])[0] is TIME_ZERO
         assert owners[1].get(key) == first
 
 
@@ -299,7 +305,7 @@ def test_a_write_against_an_unread_row_compares_the_preload_stamp(stamp,
     cluster.preload({"k": "pre"})
     owner = cluster.partitioner.replicas_for("k")[0]
     table = cluster.replica_by_name(owner).table
-    assert table._versions[cluster.keyspace.find("k")] is TIME_ZERO
+    assert table.versions_of([cluster.keyspace.find("k")]) == [TIME_ZERO]
     assert table.apply("k", VersionedValue("new", stamp)) is applied
     assert table.get("k") == (VersionedValue("new", stamp) if applied
                               else VersionedValue("pre", PRELOAD))
@@ -320,7 +326,7 @@ def test_an_unread_row_streams_as_the_marker_and_reads_on_the_joiner():
     joiner = cluster.replica_by_name("joiner")
     assert len(joiner.table) > 0
     for key in joiner.table.keys():
-        assert joiner.table._versions[cluster.keyspace.find(key)] \
+        assert joiner.table.versions_of([cluster.keyspace.find(key)])[0] \
             is TIME_ZERO
         assert joiner.table.get(key) == VersionedValue(items[key], PRELOAD)
 
@@ -541,7 +547,8 @@ def test_every_time_zero_read_is_the_key_function(size):
     joiner = cluster.replica_by_name("joiner").table
     unread = 0
     for key in joiner.keys():
-        unread += joiner._versions[cluster.keyspace.find(key)] is TIME_ZERO
+        unread += joiner.versions_of([cluster.keyspace.find(key)])[0] \
+            is TIME_ZERO
         assert joiner.get(key) == VersionedValue(time_zero_value(key, size),
                                                  PRELOAD)
     assert 0 < unread < len(joiner)  # read rows streamed as versions too

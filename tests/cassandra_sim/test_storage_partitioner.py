@@ -25,6 +25,19 @@ from repro.sim.topology import Region
 from repro.workloads.records import Dataset, TimeZeroItems, time_zero_value
 
 
+def rows_of(table):
+    """Every stored ``(key, version)``, in sorted key order."""
+    return [(key, table.get(key)) for key in table.keys()]
+
+
+def stored_token(table, key):
+    """The ring token of ``key``, which ``table`` must hold, read from the
+    key space's token column."""
+    assert key in table.keys()
+    space = table._space
+    return space.tokens[space.find(key)]
+
+
 class TestVersions:
     def test_newer_than_none(self):
         assert VersionedValue("a", (1.0, "n1", 1)).newer_than(None)
@@ -74,7 +87,7 @@ class TestKeySpace:
 
     def test_extend_appends_a_range_of_ids_and_grows_every_column(self):
         space = KeySpace()
-        column = space.new_column()
+        before = ColumnarTable(space)
         space.add("a", 1)
         ids = space.extend(["b", "c"], [2, 3], ["vb", "vc"])
         assert ids == range(1, 3)
@@ -82,8 +95,14 @@ class TestKeySpace:
         # Ids 1 and 2 have time-zero values; id 0, made by a write, none.
         assert space.values == [None, "vb", "vc"]
         assert space.value_size == 0
-        assert column == [None] * 3
-        assert space.new_column() == [None] * 3
+        # A table made before the ids and one made after hold none of them,
+        # and each can hold every one.
+        after = ColumnarTable(space)
+        for table in (before, after):
+            assert table.keys() == () and len(table) == 0
+            table.merge(range(3))
+            assert table.keys() == ("a", "b", "c")
+            assert table.versions_of(range(3)) == [storage.TIME_ZERO] * 3
         assert space._order is None
 
     def test_extend_keeps_a_value_size_for_values_derived_by_key_id(self):
@@ -134,7 +153,7 @@ class TestTable:
         version = VersionedValue("v", (1.0, "n", 1))
         assert table.apply("k", version)
         assert table.get("k") is version
-        assert table.contains("k")
+        assert table.keys() == ("k",)
         assert len(table) == 1
 
     def test_stale_write_ignored(self):
@@ -162,11 +181,11 @@ class TestTable:
     def test_a_caller_supplied_token_is_kept_for_a_new_key(self):
         table = ColumnarTable()
         assert table.apply("k", VersionedValue("v", (1.0, "n", 1)), 7)
-        assert table.token("k") == 7
+        assert stored_token(table, "k") == 7
         # A key the space knows keeps its token, whatever a later caller
         # passes.
         assert table.apply("k", VersionedValue("w", (2.0, "n", 1)), 9)
-        assert table.token("k") == 7
+        assert stored_token(table, "k") == 7
 
     def test_tables_over_one_space_select_only_their_own_rows(self):
         space = KeySpace()
@@ -191,7 +210,7 @@ class TestTable:
         target.merge(rows, source.versions_of(rows))
         assert len(space) == 3
         assert target.rows_in_range(0, 0) == rows
-        assert list(target.items()) == list(source.items())
+        assert rows_of(target) == rows_of(source)
 
     def test_merge_stores_unheld_rows_wholesale_and_held_ones_by_lww(self):
         space = KeySpace()
@@ -209,6 +228,36 @@ class TestTable:
         assert table.get("c") is old[keys.index("c")]
         assert (len(table), table.writes_applied, table.writes_ignored) \
             == (3, 4, 1)
+
+    def test_a_marker_beats_only_a_version_older_than_the_preload(self):
+        """A streamed ``TIME_ZERO`` marker is the preload stamp: it replaces
+        a held row's version written before it, which then reads as its
+        time-zero value again, and loses to a newer one."""
+        space = KeySpace()
+        table = ColumnarTable(space)
+        ids = space.extend(["a", "b"], [1, 2], ["va", "vb"])
+        newer = VersionedValue("new", (1.0, "n", 1))
+        table.merge(ids, [VersionedValue("old", (0.0, "a-node", 9)), newer])
+        table.merge(ids, [storage.TIME_ZERO] * 2)
+        assert table.versions_of(ids) == [storage.TIME_ZERO, newer]
+        assert table.get("a") == VersionedValue("va", PRELOAD_STAMP)
+        assert (table.writes_applied, table.writes_ignored) == (3, 1)
+
+    def test_time_zero_rows_onto_held_rows_and_repeated_ids(self):
+        """``merge`` without versions stores every row at time zero, as a
+        preload does: onto held rows by LWW, a repeated id a row at a
+        time."""
+        space = KeySpace()
+        table = ColumnarTable(space)
+        ids = space.extend(["a", "b", "c"], [1, 2, 3], ["va", "vb", "vc"])
+        table.apply("a", VersionedValue("old", (0.0, "a-node", 9)))
+        table.apply("b", VersionedValue("new", (1.0, "n", 1)))
+        table.merge([0, 1, 2])
+        assert [table.get(key).value for key in "abc"] == ["va", "new", "vc"]
+        assert (table.writes_applied, table.writes_ignored) == (4, 1)
+        table.merge([2, 2])
+        assert (table.writes_applied, table.writes_ignored) == (4, 3)
+        assert len(table) == 3
 
     def test_a_wrong_token_cannot_give_a_base_key_a_second_id(self):
         """A base key is found by its record index, whatever token a
@@ -229,7 +278,7 @@ class TestTable:
         assert table.apply("k1", VersionedValue("w", (1.0, "n", 1)), wrong)
         assert len(space) == 3 and space.keys_of(ids) == list(keys)
         assert space.ids == {"k1": kid} and space.keys == []
-        assert table.token("k1") == key_token("k1")
+        assert stored_token(table, "k1") == key_token("k1")
         assert len(table) == 3 and table.get("k1").value == "w"
 
     def test_a_key_another_table_created_is_not_held(self):
@@ -237,11 +286,9 @@ class TestTable:
         space = KeySpace()
         left, right = ColumnarTable(space), ColumnarTable(space)
         left.apply("k", VersionedValue("v", (1.0, "n", 1)))
-        assert right.get("k") is None and not right.contains("k")
+        assert right.get("k") is None
         assert len(right) == 0 and right.keys() == ()
         assert list(right.rows_in_range(0, 0)) == []
-        with pytest.raises(KeyError):
-            right.token("k")
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0, max_value=100,
@@ -324,9 +371,9 @@ class TestTokenColumn:
         assert table.apply("edge", VersionedValue("e", (1.0, "n1", seq)),
                            2**64 - 1)
         for key in high + low:
-            assert table.token(key) == key_token(key)
+            assert stored_token(table, key) == key_token(key)
             assert table.get(key).timestamp == (1.0, "n1", seq)
-        assert table.token("edge") == 2**64 - 1
+        assert stored_token(table, "edge") == 2**64 - 1
         # [2**63, 0) wraps over the seam: exactly the upper half.
         assert keys_in_range(table, 2**63, 0) == tuple(sorted(high + ["edge"]))
         assert keys_in_range(table, 0, 2**63) == tuple(sorted(low))
@@ -370,7 +417,7 @@ class TestTokenColumn:
                 for key in new:
                     table.apply(key, VersionedValue(key, (1.0, "n", 1)))
             else:
-                stored = [key for key in keys if table.contains(key)]
+                stored = [key for key in keys if key in table.keys()]
                 batch = new + data.draw(st.lists(
                     st.sampled_from(stored), unique=True) if stored
                     else st.just([]))
@@ -386,7 +433,7 @@ class TestTokenColumn:
                         == scan_keys_in_range(table, start, end))
             # An overwrite is not a key-set change: still exact.
             for key in keys[:2]:
-                if table.contains(key):
+                if key in table.keys():
                     table.apply(key, VersionedValue("again", (2.0, "n", 2)))
         assert keys_in_range(table, 0, 0) == table.keys()
 
@@ -427,9 +474,9 @@ def exported(table, rows):
 def assert_same_table(left, right):
     assert len(left) == len(right)
     assert left.keys() == right.keys()
-    assert list(left.items()) == list(right.items())
+    assert rows_of(left) == rows_of(right)
     for key in left.keys():
-        assert left.token(key) == right.token(key)
+        assert stored_token(left, key) == stored_token(right, key)
     for counter in ("writes_applied", "writes_ignored"):
         assert getattr(left, counter) == getattr(right, counter), counter
     # Same key ids too: stream tasks walk rows by them.
@@ -487,12 +534,12 @@ class TestBulkRows:
         versions = table.versions_of(everything)
         copy = ColumnarTable(table._space)
         copy.merge(everything, versions)
-        assert list(copy.items()) == list(table.items())
+        assert rows_of(copy) == rows_of(table)
         assert all(copy.get(key) is version for key, version in zip(
             keys_at(table._space, everything), versions))
         assert (copy.writes_applied, copy.writes_ignored) == (len(table), 0)
         copy.merge(everything, versions)
-        assert list(copy.items()) == list(table.items())
+        assert rows_of(copy) == rows_of(table)
         assert (copy.writes_applied, copy.writes_ignored) == (len(table),
                                                               len(table))
 
@@ -664,7 +711,8 @@ class TestBaseRun:
         for table, (rows, _) in zip(tables, models):
             assert [table.get(key) for key in MODEL_KEYS] \
                 == [rows.get(key) for key in MODEL_KEYS]
-            assert all(table.token(key) == token_of(key) for key in rows)
+            assert all(stored_token(table, key) == token_of(key)
+                       for key in rows)
 
 
 class TestPartitioner:

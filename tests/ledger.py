@@ -1,9 +1,11 @@
-"""A line ledger for the Cassandra coordinator, replica and ring modules.
+"""A line ledger for the Cassandra coordinator, replica, ring and storage
+modules.
 
 A pytest plugin, stdlib only: ``PYTHONPATH=src:tests python -m pytest
 -p ledger``.  It traces (``sys.settrace``) every line run in
-``cassandra_sim/reads.py``, ``writes.py``, ``replica.py``, ``cluster.py``
-and ``partitioner.py`` while the suite runs, then fails the session on
+``cassandra_sim/reads.py``, ``writes.py``, ``replica.py``, ``cluster.py``,
+``partitioner.py`` and ``storage.py`` and in ``workloads/records.py``
+while the suite runs, then fails the session on
 any executable line that never ran and is not in :data:`ALLOWED`, and on
 any :data:`ALLOWED` entry that ran after all or names no line (a stale
 entry).  So a test that reaches a cold path — a guard that only fires on
@@ -37,7 +39,7 @@ MODULES = ("cassandra_sim/reads.py", "cassandra_sim/writes.py",
            "workloads/records.py")
 
 #: (module, function qualname, stripped source line) -> why it may stay
-#: unreached by the suite.  Empty: every line of the five modules runs.
+#: unreached by the suite.  Empty: every line of the seven modules runs.
 ALLOWED: Dict[Tuple[str, str, str], str] = {}
 
 _PACKAGE = Path(importlib.util.find_spec("repro").submodule_search_locations[0])
