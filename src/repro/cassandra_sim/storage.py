@@ -424,8 +424,8 @@ class ColumnarTable:
     def merge(self, ids: Sequence[int],
               versions: Optional[Sequence[VersionedValue]] = None) -> None:
         """Merge rows given by key id, each at its version (``versions``
-        None: each at its time-zero version, as a preload stores it), just
-        as :meth:`apply` row by row would — rows, counters, an id repeated
+        None: each at its time-zero version, as a preload stores it, with
+        no pass over the rows), just as :meth:`apply` row by row would — rows, counters, an id repeated
         in the batch (then a row at a time, in order) and :data:`TIME_ZERO`
         markers included.  Rows not held here are stored wholesale (every
         run of a first preload, nearly every row streamed to a joiner):

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from repro.cassandra_sim.partitioner import key_token
 from repro.cassandra_sim.storage import ColumnarTable, KeySpace, VersionedValue
+from table_reads import rows_of
 
 KEYS = [f"key{i}" for i in range(16)]
 #: Ring tokens for the keys: a few shared values make token collisions
@@ -39,11 +40,6 @@ def merge_as_columns(table, rows, tokens):
     ids = table._space.intern([key for key, _, _ in rows],
                               [tokens[key] for key, _, _ in rows])
     table.merge(ids, [VersionedValue(value, stamp) for _, value, stamp in rows])
-
-
-def rows_of(table):
-    """Every stored ``(key, version)``, in sorted key order."""
-    return [(key, table.get(key)) for key in table.keys()]
 
 
 def assert_same(bulk, reference):

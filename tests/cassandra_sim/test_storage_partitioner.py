@@ -23,19 +23,7 @@ from repro.cassandra_sim.storage import (PRELOAD_STAMP, ColumnarTable,
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
 from repro.workloads.records import Dataset, TimeZeroItems, time_zero_value
-
-
-def rows_of(table):
-    """Every stored ``(key, version)``, in sorted key order."""
-    return [(key, table.get(key)) for key in table.keys()]
-
-
-def stored_token(table, key):
-    """The ring token of ``key``, which ``table`` must hold, read from the
-    key space's token column."""
-    assert key in table.keys()
-    space = table._space
-    return space.tokens[space.find(key)]
+from table_reads import rows_of, stored_token
 
 
 class TestVersions:
@@ -87,6 +75,7 @@ class TestKeySpace:
 
     def test_extend_appends_a_range_of_ids_and_grows_every_column(self):
         space = KeySpace()
+        column = space.new_column()
         before = ColumnarTable(space)
         space.add("a", 1)
         ids = space.extend(["b", "c"], [2, 3], ["vb", "vc"])
@@ -95,12 +84,17 @@ class TestKeySpace:
         # Ids 1 and 2 have time-zero values; id 0, made by a write, none.
         assert space.values == [None, "vb", "vc"]
         assert space.value_size == 0
+        # A column taken before the ids and one taken after hold a 0 byte
+        # per id.
+        assert column == bytearray(3)
+        assert space.new_column() == bytearray(3)
         # A table made before the ids and one made after hold none of them,
         # and each can hold every one.
         after = ColumnarTable(space)
         for table in (before, after):
             assert table.keys() == () and len(table) == 0
             table.merge(range(3))
+            assert (table.writes_applied, table.writes_ignored) == (3, 0)
             assert table.keys() == ("a", "b", "c")
             assert table.versions_of(range(3)) == [storage.TIME_ZERO] * 3
         assert space._order is None

@@ -12,6 +12,7 @@ from repro.cassandra_sim.partitioner import key_token
 from repro.cassandra_sim.storage import VersionedValue
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
+from table_reads import stored_token
 
 REGIONS = (Region.FRK, Region.IRL, Region.VRG)
 
@@ -74,7 +75,6 @@ class TestTokenOrderedPreload:
         for batch in (items, again):
             cluster.preload(batch)
             preload_row_by_row(reference, batch)
-        spaces = cluster.keyspace, reference.keyspace
         for replica, expected in zip(cluster.replicas, reference.replicas):
             table, wanted = replica.table, expected.table
             assert table.keys() == wanted.keys()
@@ -82,8 +82,8 @@ class TestTokenOrderedPreload:
                 assert table.get(key) == wanted.get(key)
             for key in table.keys():
                 assert table.get(key) == wanted.get(key)
-                assert [space.tokens[space.find(key)] for space in spaces] \
-                    == [key_token(key)] * 2
+                assert stored_token(table, key) \
+                    == stored_token(wanted, key) == key_token(key)
             for counter in ("writes_applied", "writes_ignored"):
                 assert getattr(table, counter) == getattr(wanted, counter)
 
