@@ -1,15 +1,21 @@
 """Latency recording with averages and percentiles.
 
-:class:`LatencyRecorder` keeps every sample exactly — percentiles use
-linear interpolation over the sorted samples, which is what the committed
-figure tables were produced with.  :func:`nearest_rank_p99` is the other
-percentile rule the tables use, for harnesses that keep plain sample lists.
+:class:`LatencyRecorder` keeps every sample exactly, packed in one
+``array("d")`` (NaN is refused).  Percentiles use linear interpolation over
+the sorted samples, which is what the committed figure tables were produced
+with; runs of ``_RUN`` samples are sorted one at a time and ``heapq.merge``-d,
+``sorted()``'s order exactly, with no float object held per sample.
+:func:`nearest_rank_p99` is the other percentile rule the tables use, for
+harnesses that keep plain sample lists.
 """
 
 from __future__ import annotations
 
-import math
+import heapq
+from array import array
 from typing import Iterable, List, Optional
+
+_RUN = 1024  # samples a percentile's sort holds as floats at a time
 
 
 class LatencyRecorder:
@@ -19,20 +25,20 @@ class LatencyRecorder:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._samples: List[float] = []
-        self._sorted: Optional[List[float]] = None
+        self._samples = array("d")
+        self._sorted: Optional[array] = None
 
     def record(self, latency_ms: float) -> None:
-        if latency_ms < 0:
-            raise ValueError(f"negative latency: {latency_ms}")
+        if not latency_ms >= 0:
+            raise ValueError(f"negative or NaN latency: {latency_ms}")
         self._samples.append(latency_ms)
         self._sorted = None
 
     def extend(self, latencies: Iterable[float]) -> None:
         """Bulk-record: one validation pass, one append, one invalidation."""
-        values = list(latencies)
-        if values and min(values) < 0:
-            raise ValueError(f"negative latency: {min(values)}")
+        values = array("d", latencies)
+        if not all(value >= 0 for value in values):
+            raise ValueError("negative or NaN latency")
         self._samples.extend(values)
         self._sorted = None
 
@@ -47,7 +53,7 @@ class LatencyRecorder:
 
     def samples(self) -> List[float]:
         """The exact recorded samples (escape hatch for exact statistics)."""
-        return list(self._samples)
+        return self._samples.tolist()
 
     def mean(self) -> float:
         if not self._samples:
@@ -60,13 +66,6 @@ class LatencyRecorder:
     def maximum(self) -> float:
         return max(self._samples) if self._samples else 0.0
 
-    def stddev(self) -> float:
-        if len(self._samples) < 2:
-            return 0.0
-        mu = self.mean()
-        variance = sum((x - mu) ** 2 for x in self._samples) / (len(self._samples) - 1)
-        return math.sqrt(variance)
-
     def percentile(self, p: float) -> float:
         """The ``p``-th percentile (0 < p <= 100) using linear interpolation."""
         if not self._samples:
@@ -74,17 +73,16 @@ class LatencyRecorder:
         if not 0 < p <= 100:
             raise ValueError(f"percentile must be in (0, 100], got {p}")
         if self._sorted is None:
-            self._sorted = sorted(self._samples)
+            runs = [array("d", sorted(self._samples[start:start + _RUN]))
+                    for start in range(0, self.count, _RUN)]
+            self._sorted = array("d", heapq.merge(*runs))
         data = self._sorted
-        if len(data) == 1:
-            return data[0]
         rank = (p / 100.0) * (len(data) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return data[low]
+        low = int(rank)
         fraction = rank - low
-        return data[low] + (data[high] - data[low]) * fraction
+        if not fraction:
+            return data[low]
+        return data[low] + (data[low + 1] - data[low]) * fraction
 
     def p50(self) -> float:
         return self.percentile(50)

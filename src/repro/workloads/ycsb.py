@@ -9,6 +9,7 @@ operations, which the closed-loop runner feeds to the system under test.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -118,8 +119,8 @@ class OperationGenerator:
             self._key_rng, theta=spec.zipf_theta)
         self.reads_generated = 0
         self.updates_generated = 0
-        # Chunked prefill state: ops are packed as (index << 1) | is_update.
-        self._buf: list = []
+        # Chunked prefill state: 4-byte ops packed as (index << 1) | is_update.
+        self._buf = array("I")
         self._buf_pos = 0
         self._chunk = _CHUNK_MIN
         self._plain_draws = 0
@@ -225,7 +226,7 @@ class OperationGenerator:
             self._keys = self.dataset.cached_keys()
         return chunked
 
-    def _generate(self, n: int) -> list:
+    def _generate(self, n: int) -> array:
         """``n`` packed ops, drawn exactly like ``n`` per-draw ops."""
         chooser = self._chooser
         read_proportion = self.spec.read_proportion
@@ -246,6 +247,6 @@ class OperationGenerator:
             # Read-only mix (workload C): every double is < 1.0, so the
             # update bit is always clear — the mix draws above are still
             # consumed, keeping the streams bit-identical to the mixed path.
-            return [index << 1 for index in indexes]
-        return [(index << 1) | (u >= read_proportion)
-                for index, u in zip(indexes, mix)]
+            return array("I", [index << 1 for index in indexes])
+        return array("I", [(index << 1) | (u >= read_proportion)
+                           for index, u in zip(indexes, mix)])

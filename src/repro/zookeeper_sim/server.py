@@ -60,6 +60,7 @@ answers it.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.sim.network import (MESSAGE_HEADER_BYTES, Network,
@@ -570,10 +571,11 @@ class ZKServer(Node):
                                        (origin_server, forward_id, op))
             return
         enqueue = op.op == "enqueue"
+        # One interned item path per queue, shared by all its enqueues.
         txn = Transaction(
             self.tracker.next_zxid(),
             "create" if enqueue else op.op,
-            op.path + "/item-" if enqueue else op.path,
+            sys.intern(op.path + "/item-") if enqueue else op.path,
             op.data, enqueue or bool(op.sequential),
             origin_server, forward_id)
         if local:

@@ -1,11 +1,16 @@
 """Tests for latency recording, bandwidth probes, divergence, and tables."""
 
+import math
+import random
+import struct
+import tracemalloc
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.metrics.bandwidth import BandwidthProbe
 from repro.metrics.divergence import DivergenceCounter
-from repro.metrics.latency import LatencyRecorder, nearest_rank_p99
+from repro.metrics.latency import _RUN, LatencyRecorder, nearest_rank_p99
 from repro.metrics.summary import format_row, format_table
 from repro.sim.environment import SimEnvironment
 from repro.sim.node import Node
@@ -24,7 +29,6 @@ class TestLatencyRecorder:
         assert recorder.mean() == 0
         assert recorder.p99() == 0
         assert recorder.minimum() == 0 and recorder.maximum() == 0
-        assert recorder.stddev() == 0
 
     def test_negative_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -56,11 +60,6 @@ class TestLatencyRecorder:
         b.extend([3, 4])
         a.merge(b)
         assert a.count == 4 and a.maximum() == 4
-
-    def test_stddev(self):
-        recorder = LatencyRecorder()
-        recorder.extend([2, 4, 4, 4, 5, 5, 7, 9])
-        assert recorder.stddev() == pytest.approx(2.138, abs=0.01)
 
     def test_summary_keys(self):
         recorder = LatencyRecorder("reads")
@@ -97,6 +96,137 @@ class TestLatencyRecorderBulk:
         recorder = LatencyRecorder()
         recorder.extend([])
         assert recorder.count == 0
+
+
+class TestLatencyRecorderRejectsNaN:
+    """``nan < 0`` is False and ``min()`` skips a NaN that is not first, so
+    a NaN used to get in; the sort then left the samples unordered."""
+
+    def test_record_rejects_nan(self):
+        recorder = LatencyRecorder()
+        with pytest.raises(ValueError):
+            recorder.record(float("nan"))
+        assert recorder.count == 0
+
+    @pytest.mark.parametrize("values", [[3.0, float("nan"), 1.0],
+                                        [float("nan")], [1.0, float("nan")]])
+    def test_extend_rejects_nan_without_partial_append(self, values):
+        recorder = LatencyRecorder()
+        with pytest.raises(ValueError):
+            recorder.extend(values)
+        assert recorder.count == 0
+
+    def test_signed_zero_and_infinity_are_accepted(self):
+        recorder = LatencyRecorder()
+        recorder.record(-0.0)
+        recorder.extend([0.0, math.inf])
+        assert recorder.count == 3 and recorder.maximum() == math.inf
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _reference_percentile(ordered, p):
+    """The list-based recorder's rule, over ``sorted()`` samples."""
+    if not ordered:
+        return 0.0
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (p / 100.0) * (len(ordered) - 1)
+    low, high = int(math.floor(rank)), int(math.ceil(rank))
+    if low == high:
+        return ordered[low]
+    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
+
+
+def _reference_summary(name, values):
+    ordered = sorted(values)
+    return {"name": name, "count": len(values),
+            "mean_ms": sum(values) / len(values) if values else 0.0,
+            "p50_ms": _reference_percentile(ordered, 50),
+            "p99_ms": _reference_percentile(ordered, 99),
+            "min_ms": min(values) if values else 0.0,
+            "max_ms": max(values) if values else 0.0}
+
+
+class TestLatencyRecorderAgainstListReference:
+    """The packed recorder and its run-merge sort against a plain
+    ``sorted(list)`` reference, bit for bit, at sizes around the sort's
+    run length."""
+
+    SIZES = [0, 1, _RUN - 1, _RUN, _RUN + 1, 3 * _RUN + 7]
+
+    def _check(self, recorder, values):
+        for p in (1, 50, 99, 99.9, 100):
+            assert _bits(recorder.percentile(p)) == _bits(
+                _reference_percentile(sorted(values), p)), p
+        expected = _reference_summary(recorder.name, values)
+        summary = recorder.summary()
+        assert summary.keys() == expected.keys()
+        assert summary["name"] == expected["name"]
+        assert summary["count"] == expected["count"]
+        for key in ("mean_ms", "p50_ms", "p99_ms", "min_ms", "max_ms"):
+            assert _bits(summary[key]) == _bits(expected[key]), key
+        assert _bits(recorder.mean()) == _bits(expected["mean_ms"])
+        assert _bits(recorder.minimum()) == _bits(expected["min_ms"])
+        assert _bits(recorder.maximum()) == _bits(expected["max_ms"])
+        samples = recorder.samples()
+        assert type(samples) is list
+        assert all(type(value) is float for value in samples)
+        assert list(map(_bits, samples)) == list(map(_bits, values))
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from(SIZES),
+           palette=st.lists(st.sampled_from([0.0, -0.0, 1.5, 1e6])
+                            | st.floats(min_value=0, max_value=1e6,
+                                        allow_nan=False),
+                            min_size=1, max_size=6),
+           signed_zeros=st.booleans(),
+           cut=st.floats(min_value=0, max_value=1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_sorted_list(self, size, palette, signed_zeros, cut,
+                                 seed):
+        # A small palette makes duplicates certain; with ``signed_zeros``
+        # the low percentiles fall among zeros told apart only by order.
+        if signed_zeros:
+            palette = palette + [0.0, -0.0] * len(palette)
+        rng = random.Random(seed)
+        values = [rng.choice(palette) for _ in range(size)]
+        recorder = LatencyRecorder("whole")
+        recorder.extend(values[:size // 2])
+        for value in values[size // 2:]:
+            recorder.record(value)
+        self._check(recorder, values)
+
+        # Split at ``cut``, summarise the first part, then merge the rest.
+        split = int(cut * size)
+        merged, rest = LatencyRecorder("merged"), LatencyRecorder()
+        merged.extend(values[:split])
+        rest.extend(values[split:])
+        self._check(merged, values[:split])
+        merged.merge(rest)
+        self._check(merged, values)
+
+    def test_signed_zeros_keep_their_recorded_order(self):
+        values = [0.0, -0.0] * (_RUN + 3) + [-0.0]
+        recorder = LatencyRecorder()
+        recorder.extend(values)
+        self._check(recorder, values)
+
+    def test_sort_holds_no_float_object_per_sample(self):
+        # ``sorted()`` of every sample would hold a 24-byte float and an
+        # 8-byte slot per sample; the run merge holds two packed copies.
+        n = 20 * _RUN
+        recorder = LatencyRecorder()
+        recorder.extend(random.Random(1).random() for _ in range(n))
+        tracemalloc.start()
+        try:
+            recorder.p50()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * n, f"{peak / n:.1f} bytes per sample"
 
 
 class TestNearestRankP99:
