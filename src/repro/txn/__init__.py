@@ -9,7 +9,7 @@ view surfaced through the Correctable API.
 
 from repro.txn.balancer import LoadBalancer
 from repro.txn.config import TxnConfig
-from repro.txn.coordinator import ABORT, COMMIT, TwoPhaseCommitCoordinator
+from repro.txn.coordinator import TwoPhaseCommitCoordinator
 from repro.txn.fabric import (
     COORDINATOR_PREFIX, PARTICIPANT_PREFIX, TxnFabric, build_txn_fabric,
     txn_aliases,
@@ -19,6 +19,7 @@ from repro.txn.manager import (
     PREPARED, PreparedViewStats, TransactionError, TransactionManager,
 )
 from repro.txn.participant import TxnParticipant
+from repro.txn.takeover import ABORT, COMMIT
 
 __all__ = [
     "ABORT",

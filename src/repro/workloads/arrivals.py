@@ -24,7 +24,8 @@ prefix of absolute arrival times for tests and examples.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from array import array
+from typing import Optional
 
 from repro.workloads import fastrand
 from repro.workloads.records import check_non_negative_float
@@ -74,8 +75,8 @@ class PoissonArrivals(ArrivalProcess):
     """Exponentially distributed gaps with mean ``1000 / rate_ops_s`` ms.
 
     High-volume processes precompute gap chunks through the
-    :mod:`repro.workloads.fastrand` seam — same ``expovariate`` sequence
-    bit-for-bit, amortized; short-lived processes stay per-draw.
+    :mod:`repro.workloads.fastrand` seam (same ``expovariate`` sequence bit
+    for bit, packed in an ``array("d")``); short-lived ones stay per-draw.
     """
 
     def __init__(self, rate_ops_s: float, rng: random.Random) -> None:
@@ -83,7 +84,7 @@ class PoissonArrivals(ArrivalProcess):
         self.rate_ops_s = rate_ops_s
         self._rate_per_ms = rate_ops_s / 1000.0
         self._rng = rng
-        self._buf: List[float] = []
+        self._buf = array("d")
         self._pos = 0
         self._chunk = _CHUNK_MIN
         self._draws = 0
@@ -97,8 +98,8 @@ class PoissonArrivals(ArrivalProcess):
         if self._draws < _AUTO_CHUNK_AFTER:
             self._draws += 1
             return self._rng.expovariate(self._rate_per_ms)
-        self._buf = buf = fastrand.exponential_gaps(
-            self._rng, self._chunk, self._rate_per_ms)
+        self._buf = buf = array("d", fastrand.exponential_gaps(
+            self._rng, self._chunk, self._rate_per_ms))
         if self._chunk < _CHUNK_MAX:
             self._chunk *= 2
         self._pos = 1

@@ -12,6 +12,10 @@ repeat stamps.  A stamp names one write, as a coordinator's stamps do: a
 version's value is a function of its key and stamp, and a version at the
 preload stamp is the key's time-zero value, or the marker for it.
 
+Read repair's :func:`~repro.cassandra_sim.storage.resolve` is the same
+join over one key's replica responses: whatever their order, repeats and
+grouping, it picks the newest.
+
 The bucketed argsort every preload and out-of-order range query uses is
 checked against the plain sort it replaces.
 """
@@ -22,7 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cassandra_sim.storage import (PRELOAD_STAMP, TIME_ZERO,
                                          ColumnarTable, KeySpace,
-                                         VersionedValue, token_order)
+                                         VersionedValue, resolve,
+                                         token_order)
 
 KEYS = [f"k{i}" for i in range(8)]
 #: Older than, equal to and newer than the preload stamp, colliding often.
@@ -146,6 +151,46 @@ def test_joining_tables_is_commutative_associative_and_idempotent(
     assert rows(join(x, y)) == rows(join(y, x))
     assert rows(join(join(x, y), z)) == rows(join(x, join(y, z)))
     assert rows(join(x, x)) == rows(join(x)) == rows(x)
+
+
+#: One key's replica responses: a missing row, or the version a stamp names.
+RESPONSES = st.lists(st.one_of(
+    st.none(), STAMPS.map(lambda stamp: VersionedValue(("v", stamp), stamp))),
+    max_size=10)
+
+
+def assert_newest(result, responses):
+    """``result`` is a response no other response is newer than (None only
+    when every replica missed the row).  The laws below hold for picking
+    the oldest as well; this is what tells the two apart."""
+    present = [version for version in responses if version is not None]
+    assert (result is None) == (not present)
+    if present:
+        assert result in present
+        assert not any(version.newer_than(result) for version in present)
+
+
+@settings(deadline=None, max_examples=300)
+@given(responses=RESPONSES, data=st.data())
+def test_resolve_ignores_order_and_repeats(responses, data):
+    repeats = data.draw(st.lists(st.sampled_from(responses), max_size=10)
+                        if responses else st.just([]))
+    mixed = data.draw(st.permutations(responses + repeats))
+    assert resolve(mixed) == resolve(responses)
+    assert_newest(resolve(mixed), responses)
+
+
+@settings(deadline=None, max_examples=300)
+@given(responses=RESPONSES, data=st.data())
+def test_resolving_the_resolves_of_a_partition_resolves_the_whole(
+        responses, data):
+    shuffled = data.draw(st.permutations(responses))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(shuffled)),
+                                     max_size=4)))
+    bounds = [0, *cuts, len(shuffled)]
+    groups = [shuffled[a:b] for a, b in zip(bounds, bounds[1:])]
+    assert resolve([resolve(group) for group in groups]) == resolve(responses)
+    assert_newest(resolve(responses), responses)
 
 
 #: Tokens on and around the edges of the top-bits buckets, and the ends of

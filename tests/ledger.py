@@ -1,11 +1,12 @@
 """A line ledger for the Cassandra coordinator, replica, ring and storage
-modules.
+modules, the ZooKeeper server and Zab, and the 2PC coordinator.
 
 A pytest plugin, stdlib only: ``PYTHONPATH=src:tests python -m pytest
 -p ledger``.  It traces (``sys.settrace``) every line run in
 ``cassandra_sim/reads.py``, ``writes.py``, ``replica.py``, ``cluster.py``,
-``partitioner.py`` and ``storage.py`` and in ``workloads/records.py``
-while the suite runs, then fails the session on
+``partitioner.py`` and ``storage.py``, in ``workloads/records.py``, in
+``zookeeper_sim/server.py`` and ``zab.py`` and in ``txn/coordinator.py``
+and ``takeover.py`` while the suite runs, then fails the session on
 any executable line that never ran and is not in :data:`ALLOWED`, and on
 any :data:`ALLOWED` entry that ran after all or names no line (a stale
 entry).  So a test that reaches a cold path — a guard that only fires on
@@ -13,6 +14,10 @@ a crash, a drop or a ring change — cannot be skipped, deselected or
 deleted without the ledger saying which lines it was the only one to
 reach.  The ledger is only checked when every test
 passed, and only means something over the whole suite.
+
+Lines run by the body of a Hypothesis test do not count: which lines its
+draws reach depends on the seed, so a line only a draw reaches would make
+the verdict change from run to run.  Such a line needs a named test.
 
 Executable lines are the ``co_lines()`` of every code object the module
 compiles to; a line counts as run once any frame of that file executed it.
@@ -36,11 +41,19 @@ import pytest
 MODULES = ("cassandra_sim/reads.py", "cassandra_sim/writes.py",
            "cassandra_sim/replica.py", "cassandra_sim/cluster.py",
            "cassandra_sim/partitioner.py", "cassandra_sim/storage.py",
-           "workloads/records.py")
+           "workloads/records.py", "zookeeper_sim/server.py",
+           "zookeeper_sim/zab.py", "txn/coordinator.py", "txn/takeover.py")
 
 #: (module, function qualname, stripped source line) -> why it may stay
-#: unreached by the suite.  Empty: every line of the seven modules runs.
-ALLOWED: Dict[Tuple[str, str, str], str] = {}
+#: unreached by the suite.
+ALLOWED: Dict[Tuple[str, str, str], str] = {
+    ("zookeeper_sim/server.py", "<module>",
+     "from repro.zookeeper_sim.client import ZkOp"):
+        "typing only: annotations are never evaluated at run time",
+    ("zookeeper_sim/zab.py", "<module>",
+     "from repro.zookeeper_sim.server import ZKServer"):
+        "typing only: the server module imports this one (a cycle)",
+}
 
 _PACKAGE = Path(importlib.util.find_spec("repro").submodule_search_locations[0])
 _FILES = {str(_PACKAGE / module): module for module in MODULES}
@@ -110,7 +123,10 @@ def pytest_runtest_setup(item):
 
 @pytest.hookimpl(hookwrapper=True, tryfirst=True)
 def pytest_runtest_call(item):
-    _arm()
+    if getattr(getattr(item, "obj", None), "is_hypothesis_test", False):
+        sys.settrace(None)
+    else:
+        _arm()
     yield
 
 

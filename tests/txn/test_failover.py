@@ -50,6 +50,22 @@ class TestCoordinatorFailover:
         assert recover_ms is not None and recover_ms > 0.0
         fabric.assert_atomic()
 
+    def test_with_three_coordinators_the_first_standby_takes_over(self):
+        """Standby rank counts the standbys ahead in group order: the
+        second standby waits a timeout longer and never takes over."""
+        fabric = make_fabric(config=TxnConfig(), coordinator_count=3)
+        env = fabric.built.env
+        first, second, third = fabric.coordinators
+        assert (second._standby_rank(), third._standby_rank()) == (0, 1)
+        env.run(until=500.0)
+        first.crash()
+        env.run(until=5_000.0)
+        assert second.active and second.epoch == 2
+        assert (second.takeovers, third.takeovers) == (1, 0)
+        assert not third.active and third.active_name == second.name
+        # Ranks follow the new active: the deposed first is ahead of third.
+        assert third._standby_rank() == 1
+
     def test_crash_in_decision_window_revokes_the_prepared_view(self):
         # A wide durable-decision window makes the race deterministic: the
         # client sees the speculative PREPARED view while the decision is

@@ -12,10 +12,13 @@ the real replies are still on the wire, or serves the participant's
 queued job itself.
 """
 
-from repro.txn import TxnState
-from repro.txn.coordinator import ABORT, COMMIT
+import pytest
+
+from repro.sim.environment import SimEnvironment
+from repro.sim.topology import Region
+from repro.txn import ABORT, COMMIT, TwoPhaseCommitCoordinator, TxnState
 from repro.txn.log import TxnLogRecord
-from txn_helpers import make_fabric
+from txn_helpers import make_fabric, no_failover_config
 
 
 def _committed(fabric):
@@ -66,6 +69,52 @@ class TestCoordinator:
         assert first.known_epoch == 3 and first.active_name == second.name
         assert first._last_heard_ms == env.now()
 
+    def test_a_takeover_with_no_participant_to_probe_completes_at_once(self):
+        env = SimEnvironment(seed=1)
+        alone = TwoPhaseCommitCoordinator(
+            "c", Region.IRL, env.network, no_failover_config(), 0, ["c"], [],
+            lambda key: ())
+        alone._take_over()
+        assert alone.active and alone.epoch == 2 and not alone.recovering
+        assert alone.time_to_recover_ms() == 0.0
+        env.run_until_idle()  # the probe tick finds nothing to re-probe
+        assert env.network.messages_sent == 0
+
+    def test_a_participant_down_at_takeover_is_probed_until_it_answers(
+            self):
+        fabric = make_fabric()
+        env = fabric.built.env
+        _, successor = fabric.coordinators
+        down = fabric.participants[sorted(fabric.participants)[0]]
+        down.crash()
+        successor._take_over()
+        probes = env.network.link_stats(successor.name, down.name).messages
+        env.run(until=env.now() + 2.5 * fabric.config.takeover_probe_ms)
+        assert successor.recovering
+        assert successor._takeover_pending == {down.name}
+        assert env.network.link_stats(successor.name, down.name).messages \
+            == probes + 2
+        down.recover()
+        env.run_until_idle()
+        assert not successor.recovering and successor._takeover_pending \
+            == set()
+        assert down.epoch == successor.epoch
+
+    @pytest.mark.parametrize("receiver", ["deposed", "successor"])
+    def test_a_vote_of_the_old_epoch_is_dropped(self, receiver):
+        """A yes vote for the deposed coordinator's epoch-1 prepare, at the
+        deposed coordinator or at its successor (epoch 2)."""
+        fabric = make_fabric()
+        env = fabric.built.env
+        txn_id, (owner, *_) = _committed(fabric)
+        old, successor = _taken_over(fabric)
+        node = old if receiver == "deposed" else successor
+        node.in_flight[txn_id] = "not to be touched"
+        env.network.fused_send_to(owner, node.name, 64, node._txn_vote,
+                                  (txn_id, owner.name, 1, True))
+        env.run_until_idle()
+        assert node.in_flight == {txn_id: "not to be touched"}
+
     def test_a_takeover_reply_for_another_epoch_is_not_merged(self):
         fabric = make_fabric()
         env = fabric.built.env
@@ -105,7 +154,7 @@ class TestCoordinator:
         first.recover()
         assert first.alive and not first.active and not first.recovering
         assert first.decided == {} and first.in_flight == {}
-        assert first._deliveries == {} and first.in_doubt_txns() == []
+        assert first._deliveries == {} and first._in_doubt == {}
         assert first._last_heard_ms == env.now()
 
     def test_a_prepared_record_of_a_decided_txn_redelivers_the_decision(
@@ -156,7 +205,7 @@ class TestCoordinator:
         successor.decided["ghost:1"] = (ABORT, None)
         aborts = successor.aborts
         env.run_until_idle()
-        assert successor.in_doubt_txns() == [] and not successor.recovering
+        assert successor._in_doubt == {} and not successor.recovering
         assert successor.aborts == aborts
         assert all(fabric.participants[name].log.state("ghost:1")
                    == TxnState.ABORTED for name in names)

@@ -176,6 +176,24 @@ class TestAbortPaths:
             assert stored is None or stored.value != "late"
         fabric.assert_atomic()
 
+    def test_a_vote_after_the_prepare_timeout_is_ignored(self):
+        """Every owner serves the prepare after the coordinator gave up on
+        it: the late yes votes find the transaction decided."""
+        fabric = make_fabric(config=no_failover_config(
+            prepare_service_ms=50.0, prepare_timeout_ms=10.0))
+        key = fabric.built.dataset.keys()[0]
+        box = collect(fabric.manager.execute({key: "late"}))
+        fabric.built.env.run_until_idle()
+
+        coordinator = fabric.coordinators[0]
+        assert box["final"].value["outcome"] == "abort"
+        assert (coordinator.prepare_timeouts, coordinator.aborts,
+                coordinator.commits) == (1, 1, 0)
+        owners = [fabric.participants[name] for name in fabric.owners_of(key)]
+        assert all(owner.votes_yes == 1 for owner in owners)
+        assert not any(fabric.in_flight().values())
+        fabric.assert_atomic()
+
     def test_no_live_coordinator_fails_the_transaction(self):
         fabric = make_fabric()
         manager = fabric.manager
@@ -421,6 +439,48 @@ class TestEpochFencing:
         env.run_until_idle()
         return fabric
 
+    def _deposed_and_back(self, **overrides):
+        """A higher epoch deposes the coordinator while its prepare job
+        waits in its queue (50 ms of service), and it takes over again
+        before the job is served; the run then drains."""
+        fabric = make_fabric(config=no_failover_config(
+            coordinator_service_ms=50.0, **overrides))
+        env = fabric.built.env
+        first, second = fabric.coordinators
+        key = fabric.built.dataset.keys()[0]
+        box = collect(fabric.manager.execute({key: "v"}))
+        run_until(env, lambda: first.txns_started == 1, step_ms=0.05,
+                  limit_ms=1_000.0)
+        second._send_control(64, first._coord_heartbeat, second.name, 2)
+        run_until(env, lambda: not first.active, step_ms=0.05,
+                  limit_ms=1_000.0)
+        first._take_over()
+        env.run_until_idle()
+        assert first.active and first.epoch == 3
+        assert box["final"].value["outcome"] == "commit"
+        assert not any(fabric.in_flight().values())
+        fabric.assert_atomic()
+        return fabric, key
+
+    def test_a_prepare_job_outlived_by_a_deposition_sends_nothing(self):
+        """The job finds the transaction gone (deactivation dropped it)
+        and sends nothing; the client's retry carries it through."""
+        fabric, key = self._deposed_and_back()
+        first = fabric.coordinators[0]
+        assert first.txns_started == 2 and fabric.manager.retries == 1
+        owners = [fabric.participants[name] for name in fabric.owners_of(key)]
+        assert all(owner.votes_yes == 1 for owner in owners)
+
+    def test_a_prepare_timeout_orphaned_by_a_retry_finds_it_decided(self):
+        """The client's retry begins the transaction again while the old
+        job still waits: the old job then serves the retry's state, its
+        timeout is replaced by the retry job's, and it fires after the
+        commit, finding nothing in flight."""
+        fabric, _ = self._deposed_and_back(client_timeout_ms=5.0)
+        first = fabric.coordinators[0]
+        assert first.txns_started == 2
+        assert (first.commits, first.prepare_timeouts) == (1, 0)
+
     def test_queued_commit_is_fenced_when_served(self):
         fabric = self._take_over_with_work_queued(
             lambda old, fabric: old.commits == 1, commit_service_ms=50.0)
@@ -446,7 +506,7 @@ class TestEpochFencing:
         fabric = self._take_over_with_work_queued(
             prepares_sent, prepare_service_ms=50.0, client_timeout_ms=0.0)
 
-        assert fabric.coordinators[1].in_doubt_txns() == []
+        assert fabric.coordinators[1]._in_doubt == {}
         assert all(not p.locks and not p.in_doubt_txns()
                    and p.votes_yes + p.votes_no == 0
                    for p in fabric.participants.values())

@@ -124,33 +124,18 @@ class TestLeaderAnnouncements:
         assert lost.leader_name == cluster.leader.name
         assert lost.elections_started == 0
 
-    def test_a_duplicate_new_leader_is_ignored(self, adoptions):
-        env, cluster, _ = _elected()
-        follower, leader = cluster.followers
-        adoptions.clear()
-        leader._send_control(leader._ack_size, follower._zk_new_leader,
-                             leader.name, 1)
-        env.run_until_idle()
-        assert adoptions == []
-
-    def test_a_stale_new_leader_is_ignored(self, adoptions):
+    @pytest.mark.parametrize("sender", ["deposed", "current"])
+    def test_a_stale_leader_info_is_ignored(self, adoptions, sender):
+        """The deposed leader's info (epoch 0), or the current leader's
+        announcement over again (epoch 1, what ``_promote`` sent): nothing
+        new to adopt."""
         env, cluster, old = _elected()
         follower, leader = cluster.followers
         adoptions.clear()
-        old._send_control(old._ack_size, follower._zk_new_leader,
-                          old.name, 0)
+        (old if sender == "deposed" else leader)._send_leader_info(follower)
         env.run_until_idle()
         assert adoptions == []
         assert follower.leader_name == leader.name and follower.epoch == 1
-
-    def test_a_stale_leader_info_is_ignored(self, adoptions):
-        env, cluster, old = _elected()
-        follower, leader = cluster.followers
-        adoptions.clear()
-        old._send_leader_info(follower)
-        env.run_until_idle()
-        assert adoptions == []
-        assert follower.leader_name == leader.name
 
     def test_a_leader_info_naming_the_receiver_is_ignored(self, adoptions):
         env, cluster, _ = _elected()

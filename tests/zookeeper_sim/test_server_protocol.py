@@ -174,6 +174,24 @@ class TestCzkDequeue:
         assert len(preliminary_items) == 3
         assert len(set(preliminary_items)) == 3
 
+    def test_a_simulated_delete_hides_the_node_from_later_simulations(self):
+        """An ICG delete's preliminary names the node, and a dequeue
+        simulated after it on the same server skips that node."""
+        env, cluster = _setup(queue_items=3)
+        deleter, dequeuer = (cluster.add_client(name, Region.FRK, Region.FRK)
+                             for name in ("deleter", "dequeuer"))
+        deleted, dequeued = RecordingSink(), RecordingSink()
+        deleter.submit_sink("delete", "/queue/item-0000000000", deleted,
+                            icg=True)
+        dequeuer.submit_sink("dequeue", "/queue", dequeued, icg=True)
+        env.run_until_idle()
+        assert [(c.kind, c.value) for c in deleted.calls][0] == \
+            ("preliminary", {"deleted": "/queue/item-0000000000"})
+        preliminary = dequeued.calls[0]
+        assert preliminary.kind == "preliminary"
+        assert (preliminary.value["item"], preliminary.value["name"]) == \
+            ("item-1", "item-0000000001")
+
     def test_exhaustive_drain_never_duplicates(self):
         env, cluster = _setup(queue_items=20)
         client = cluster.add_client("c", Region.FRK, Region.FRK)

@@ -54,8 +54,8 @@ class TestProposalTracker:
         tracker.record_ack(1, "b")
         assert tracker.pending_count() == 1
         tracker.forget(1)
-        assert tracker.transaction(1) is None
-        assert tracker.transaction(2) is not None
+        assert list(tracker._proposals) == [2]
+        assert tracker.pending_transactions() == [_txn(2)]
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
@@ -80,6 +80,22 @@ class TestCommitLog:
         assert log.ready_transactions() == []
         log.learn(_txn(1))
         assert [t.zxid for t in log.ready_transactions()] == [1]
+
+    def test_discard_drops_a_commit_that_arrived_before_its_proposal(self):
+        """A new epoch's discard forgets a commit whose proposal never
+        came, so a proposal of that zxid under the new epoch waits for its
+        own commit."""
+        log = CommitLog()
+        log.learn(_txn(1))
+        log.commit(1)
+        log.learn(_txn(2))
+        log.mark_committed(3)
+        log.discard_uncommitted()
+        assert (log.last_applied, log._known, log._committed) == (1, {}, set())
+        log.learn(_txn(2))
+        log.learn(_txn(3))
+        assert list(log.commit(2)) == [_txn(2)]
+        assert log.ready_transactions() == []
 
     def test_no_double_apply(self):
         log = CommitLog()
