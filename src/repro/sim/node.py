@@ -120,11 +120,11 @@ class Node:
         handler(message)
 
     # -- control-plane hops -------------------------------------------------
-    def _send_control(self, size_bytes: int, handler: Callable[..., Any],
-                      *args: Any) -> None:
-        """Send a hop that runs ``handler(*args)``, a method of the
-        destination node, at delivery through its :meth:`_receive_control`."""
-        dst = handler.__self__
+    def _send_control(self, size_bytes: int, dst: "Node",
+                      handler: Callable[..., Any], *args: Any) -> None:
+        """Send node ``dst`` a hop that runs ``handler(*args)`` at delivery
+        through its :meth:`_receive_control`; ``handler`` is a method of
+        ``dst`` or of an object ``dst`` holds (its election, its takeover)."""
         self.network.fused_send_to(self, dst.name, size_bytes,
                                    dst._receive_control, (handler, args))
 

@@ -8,8 +8,9 @@ every participant acked (:meth:`_txn_ack`).  A commit is acked to the
 client only after the first participant's commit ack, once a durable
 commit record exists, so no acked commit is lost to a mid-commit crash.
 Every hop is a :meth:`~repro.sim.network.Network.fused_send_to`
-continuation.  Heartbeats, takeover and the restart after a crash are the
-takeover role, :class:`~repro.txn.takeover.CoordinatorTakeover`.
+continuation; a queued job or timer carries its :class:`InFlightTxn`, and
+does nothing once another record is in flight.  Heartbeats and takeovers
+are the coordinator's :class:`~repro.txn.takeover.Takeover`.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 from repro.sim.network import MESSAGE_HEADER_BYTES, Network
 from repro.sim.node import Node
 from repro.txn.config import TxnConfig
-from repro.txn.log import TxnLogRecord
+from repro.txn.log import TxnLogRecord, TxnState
 from repro.txn.manager import TxnOp
-from repro.txn.takeover import ABORT, COMMIT, CoordinatorTakeover
+from repro.txn.takeover import ABORT, COMMIT, Takeover
 
 #: ``owners_of(key) -> participant names`` — the routing oracle the fabric
 #: builds from the cluster's partitioner.
@@ -58,7 +59,7 @@ class _Delivery:
     client_acked: bool = False
 
 
-class TwoPhaseCommitCoordinator(CoordinatorTakeover, Node):
+class TwoPhaseCommitCoordinator(Node):
     """One member of the coordinator group (active or standby)."""
 
     def __init__(self, name: str, region: str, network: Network,
@@ -69,39 +70,45 @@ class TwoPhaseCommitCoordinator(CoordinatorTakeover, Node):
         self.peers: Tuple[str, ...] = tuple(peers)
         self.participants: Tuple[str, ...] = tuple(sorted(participants))
         self.owners_of = owners_of
-        # Group membership/epoch knowledge.
         self.active = index == 0
         self.epoch = 1
-        self.known_epoch = 1
-        self.active_name = self.peers[0] if self.peers else name
-        self._last_heard_ms = 0.0
         # Volatile transaction state (cleared on crash recovery).
         self.in_flight: Dict[str, InFlightTxn] = {}
         self.decided: Dict[str, Tuple[str, Optional[Tuple[float, str, int]]]] = {}
         self._deliveries: Dict[str, _Delivery] = {}
         self._seq = itertools.count(1)
-        # Takeover recovery state.
-        self.recovering = False
-        self._takeover_pending: Set[str] = set()
-        self._takeover_replied: Set[str] = set()
-        self._in_doubt: Dict[str, TxnLogRecord] = {}
-        self.recovery_started_ms: Optional[float] = None
-        self.recovery_completed_ms: Optional[float] = None
         # Instrumentation.
         self.txns_started = 0
         self.commits = 0
         self.aborts = 0
         self.prepare_timeouts = 0
-        self.takeovers = 0
         self.redirects = 0
         self.decision_redeliveries = 0
-        self.heartbeats_sent = 0
-        # Timer management.
-        self._hb_armed = False
         self._retry_armed = False
-        self._probe_armed = False
-        if config.heartbeat_interval_ms > 0:
-            self._arm_heartbeat()
+        self.takeover = Takeover(self)
+
+    def recover(self) -> None:
+        """Restart after a crash: volatile state is gone, rejoin as standby."""
+        super().recover()
+        self.deactivate()
+        self.decided.clear()
+        self.takeover.rejoin()
+
+    def not_current(self, epoch: int) -> bool:
+        """Whether a participant's reply at ``epoch`` is not for this node
+        as the active coordinator; a higher epoch deposes it."""
+        if epoch > self.epoch and self.active:
+            self.deactivate()
+        return not self.active or epoch != self.epoch
+
+    def deactivate(self) -> None:
+        """Stop acting as the active coordinator (deposed, or restarted)."""
+        self.active = False
+        for state in self.in_flight.values():
+            if state.timeout_event is not None:
+                state.timeout_event.cancel()
+        self.in_flight.clear()
+        self._deliveries.clear()
 
     # -- transaction intake (network continuations) ---------------------------
     def _txn_begin(self, op: TxnOp) -> None:
@@ -115,13 +122,13 @@ class TwoPhaseCommitCoordinator(CoordinatorTakeover, Node):
             self.network.fused_send_to(
                 self, op.client, MESSAGE_HEADER_BYTES + 32,
                 self.network.node(op.client)._txn_redirect,
-                (txn_id, self.active_name))
+                (txn_id, self.takeover.active_name))
             return
         decided = self.decided.get(txn_id)
         if decided is not None:
             self._send_client_final(op.client, txn_id, *decided)
             return
-        if txn_id in self.in_flight or txn_id in self._in_doubt:
+        if txn_id in self.in_flight or self.takeover.holds(txn_id):
             # Duplicate submission of a transaction still being worked on:
             # let it run (the reply-to is the transaction's own manager).
             return
@@ -130,17 +137,16 @@ class TwoPhaseCommitCoordinator(CoordinatorTakeover, Node):
         for key in sorted(writes):
             for owner in self.owners_of(key):
                 per_participant.setdefault(owner, {})[key] = writes[key]
-        self.in_flight[txn_id] = InFlightTxn(
+        state = self.in_flight[txn_id] = InFlightTxn(
             op, tuple(sorted(per_participant)), per_participant)
         self.txns_started += 1
         self._enqueue(self.config.coordinator_service_ms,
-                      self._send_prepares, (txn_id,))
+                      self._send_prepares, (state,))
 
-    def _send_prepares(self, txn_id: str) -> None:
-        if not self.alive or not self.active:
-            return
-        state = self.in_flight.get(txn_id)
-        if state is None:
+    def _send_prepares(self, state: InFlightTxn) -> None:
+        # A job queued before a deposition or a retry's fresh begin finds
+        # another record (or none) in flight: it is not this one's to serve.
+        if not self.alive or self.in_flight.get(state.op.txn_id) is not state:
             return
         write_bytes = self.config.key_size_bytes + self.config.value_size_bytes
         for participant in state.participants:
@@ -154,17 +160,14 @@ class TwoPhaseCommitCoordinator(CoordinatorTakeover, Node):
         timeout = min(self.config.prepare_timeout_ms,
                       max(0.0, state.op.deadline_ms - now))
         state.timeout_event = self.scheduler.schedule(
-            timeout, self._on_prepare_timeout, txn_id)
+            timeout, self._on_prepare_timeout, state)
 
-    def _on_prepare_timeout(self, txn_id: str) -> None:
-        if not self.alive or not self.active:
-            return
-        state = self.in_flight.get(txn_id)
-        if state is None:
+    def _on_prepare_timeout(self, state: InFlightTxn) -> None:
+        if not self.alive or self.in_flight.get(state.op.txn_id) is not state:
             return
         state.timeout_event = None
         self.prepare_timeouts += 1
-        self._decide(txn_id, ABORT)
+        self._decide(state.op.txn_id, ABORT)
 
     # -- votes & decision ----------------------------------------------------
     def _txn_vote(self, txn_id: str, participant: str, epoch: int,
@@ -173,7 +176,7 @@ class TwoPhaseCommitCoordinator(CoordinatorTakeover, Node):
             self.network.messages_dropped += 1
             return
         self.network.messages_delivered += 1
-        if self._not_current(epoch):
+        if self.not_current(epoch):
             return
         state = self.in_flight.get(txn_id)
         if state is None:
@@ -193,13 +196,13 @@ class TwoPhaseCommitCoordinator(CoordinatorTakeover, Node):
                     self.network.node(state.op.client)._txn_prepared,
                     (txn_id,))
                 self._enqueue(self.config.decision_log_ms,
-                              self._finalize_commit, (txn_id,))
+                              self._finalize_commit, (state,))
 
-    def _finalize_commit(self, txn_id: str) -> None:
-        if not self.alive or not self.active or txn_id not in self.in_flight:
+    def _finalize_commit(self, state: InFlightTxn) -> None:
+        if not self.alive or self.in_flight.get(state.op.txn_id) is not state:
             return
         timestamp = (self.scheduler.now(), self.name, next(self._seq))
-        self._decide(txn_id, COMMIT, timestamp)
+        self._decide(state.op.txn_id, COMMIT, timestamp)
 
     def _decide(self, txn_id: str, outcome: str,
                 timestamp: Optional[Tuple[float, str, int]] = None) -> None:
@@ -213,6 +216,19 @@ class TwoPhaseCommitCoordinator(CoordinatorTakeover, Node):
             self.aborts += 1
         self._start_delivery(txn_id, outcome, timestamp, state.participants,
                              state.op.client)
+
+    def settle(self, record: TxnLogRecord, outcome: str,
+               timestamp: Optional[Tuple[float, str, int]]) -> None:
+        """Take ``outcome`` for ``record``'s transaction, found in a log or
+        presumed by a takeover, and deliver it to its participants.  A
+        presumed abort (a prepared transaction nobody decided) counts."""
+        txn_id = record.txn_id
+        if txn_id not in self.decided and record.state == TxnState.PREPARED:
+            self.aborts += 1
+        self.decided[txn_id] = (outcome, timestamp)
+        if record.participants:
+            self._start_delivery(txn_id, outcome, timestamp,
+                                 record.participants, record.client)
 
     def _start_delivery(self, txn_id: str, outcome: str,
                         timestamp: Optional[Tuple[float, str, int]],

@@ -58,19 +58,20 @@ class TxnFabric:
             "coordinator_in_flight": sum(len(c.in_flight)
                                          for c in coordinators),
             "deliveries": sum(len(c._deliveries) for c in coordinators),
-            "in_doubt": sum(len(c._in_doubt) for c in coordinators),
+            "in_doubt": sum(len(c.takeover.round.in_doubt)
+                            for c in coordinators if c.takeover.recovering),
             "locks": sum(len(p.locks) for p in self.participants.values()),
         }
 
     # -- recovery metrics ----------------------------------------------------
     def time_to_recover_ms(self) -> Optional[float]:
         """Duration of the most recent completed coordinator takeover."""
-        durations = [c.time_to_recover_ms() for c in self.coordinators
-                     if c.time_to_recover_ms() is not None]
+        durations = [t for t in (c.takeover.time_to_recover_ms()
+                                 for c in self.coordinators) if t is not None]
         return durations[-1] if durations else None
 
     def total_takeovers(self) -> int:
-        return sum(c.takeovers for c in self.coordinators)
+        return sum(c.takeover.takeovers for c in self.coordinators)
 
     # -- atomicity audit -----------------------------------------------------
     def audit(self) -> Dict[str, Any]:

@@ -183,7 +183,7 @@ class TxnParticipant(Node):
             del self.locks[key]
 
     # -- takeover recovery --------------------------------------------------
-    def _txn_takeover(self, coordinator: Node, epoch: int) -> None:
+    def takeover_probe(self, coordinator: Node, epoch: int) -> None:
         """A successor coordinator announces its epoch and reads our log.
 
         Bumping the epoch *before* replying fences the deposed coordinator:
@@ -196,8 +196,8 @@ class TxnParticipant(Node):
             return
         self.epoch = epoch
         self.takeover_replies += 1
-        self._send_control(128 + 64 * len(self.log),
-                           coordinator._txn_takeover_ack, self.name, epoch,
+        self._send_control(128 + 64 * len(self.log), coordinator,
+                           coordinator.takeover.reply, self.name, epoch,
                            self.log.snapshot())
 
     # -- introspection ------------------------------------------------------

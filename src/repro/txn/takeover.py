@@ -1,4 +1,4 @@
-"""The 2PC coordinator's takeover role: heartbeats, election, recovery.
+"""The 2PC coordinator's takeover role: heartbeats, standby watch, recovery.
 
 A coordinator group is an ordered list of coordinators; the first starts
 *active*, the rest are standbys watching its heartbeats.  When it goes
@@ -6,8 +6,8 @@ silent, standby rank ``r`` takes over after ``(1 + r)`` detection timeouts,
 so the first surviving standby always wins.
 
 A successor *fences then reads*: it bumps the group epoch and probes every
-participant with ``_txn_takeover``, which installs the new epoch (old-epoch
-traffic is then rejected) and returns the participant's log.  Then:
+participant, which installs the new epoch (old-epoch traffic is then
+rejected) and returns its log.  Then:
 
 * any participant holds a **commit** record → the transaction was decided
   (and maybe acked): re-drive the commit, original timestamp, to all;
@@ -15,14 +15,17 @@ traffic is then rejected) and returns the participant's log.  Then:
   *every* participant of it has answered a probe (a silent one might hold
   the one commit record proving the old coordinator acked the client).
 
-Transaction state is volatile: :meth:`recover` clears it and rejoins as a
-standby, restarting from the participants' logs alone.  These hops go
-through :meth:`~repro.sim.node.Node._send_control`.
+:class:`Takeover`, which a coordinator hands itself to at construction,
+owns the group knowledge, the standby rank, the timers and one
+:class:`TakeoverRound` per takeover, and settles what it recovers through
+the coordinator's ``settle``.  Its hops go through
+:meth:`~repro.sim.node.Node._send_control`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Set
 
 from repro.sim.network import MESSAGE_HEADER_BYTES
 from repro.txn.log import TxnLogRecord, TxnState
@@ -31,196 +34,192 @@ COMMIT = "commit"
 ABORT = "abort"
 
 
-class CoordinatorTakeover:
-    """A coordinator's heartbeat, takeover and in-doubt recovery hops."""
+@dataclass
+class TakeoverRound:
+    """One takeover: logs unread and read, what they leave in doubt, when."""
 
-    # -- lifecycle -----------------------------------------------------------
-    def recover(self) -> None:
-        """Restart after a crash: volatile state is gone, rejoin as standby."""
-        super().recover()
-        self._deactivate()
-        self.decided.clear()
-        self._takeover_replied.clear()
-        self._in_doubt.clear()
-        # Grace period: trust whoever is active now until proven silent.
-        self._last_heard_ms = self.scheduler.now()
-        if self.config.heartbeat_interval_ms > 0 and not self._hb_armed:
-            self._arm_heartbeat()
+    started_ms: float
+    pending: Set[str]
+    replied: Set[str] = field(default_factory=set)
+    in_doubt: Dict[str, TxnLogRecord] = field(default_factory=dict)
+    completed_ms: Optional[float] = None
 
-    def _not_current(self, epoch: int) -> bool:
-        """Whether a participant's reply at ``epoch`` is not for this node
-        as the active coordinator; a higher epoch deposes it."""
-        if epoch > self.epoch and self.active:
-            self._deactivate()
-        return not self.active or epoch != self.epoch
 
-    def _deactivate(self) -> None:
-        """A higher epoch exists (or a restart wiped everything): stop
-        acting as the active coordinator."""
-        self.active = False
-        self.recovering = False
-        for state in self.in_flight.values():
-            if state.timeout_event is not None:
-                state.timeout_event.cancel()
-        self.in_flight.clear()
-        self._deliveries.clear()
-        self._takeover_pending.clear()
+class Takeover:
+    """A coordinator's heartbeats, standby watch and takeovers."""
 
-    # -- heartbeats & election ----------------------------------------------
+    def __init__(self, coordinator: Any) -> None:
+        self._coordinator = coordinator
+        self._scheduler = coordinator.scheduler
+        self._config = coordinator.config
+        #: The highest group epoch heard of, and who is active in it.
+        self.known_epoch = 1
+        peers = coordinator.peers
+        self._watch(peers[0] if peers else coordinator.name)
+        #: The other coordinators, resolved at the first heartbeat.
+        self._peers: Optional[tuple] = None
+        self.round: Optional[TakeoverRound] = None  # the last takeover
+        self.takeovers = 0
+        self.heartbeats_sent = 0
+        self._hb_armed = False
+        self._probe_armed = False
+        self._arm_heartbeat()
+        self.last_heard_ms = 0.0
+
+    def _watch(self, active_name: str) -> None:
+        """``active_name`` is active; ``rank`` counts the standbys ahead."""
+        self.active_name = active_name
+        self.rank = 0
+        for peer in self._coordinator.peers:
+            if peer == self._coordinator.name:
+                break
+            if peer != active_name:
+                self.rank += 1
+
+    @property
+    def recovering(self) -> bool:
+        """Whether the coordinator is active by a takeover not yet done."""
+        last = self.round
+        return last is not None and last.completed_ms is None \
+            and self._coordinator.active
+
+    def holds(self, txn_id: str) -> bool:
+        """Whether the last takeover holds ``txn_id`` in doubt."""
+        return self.round is not None and txn_id in self.round.in_doubt
+
+    def rejoin(self) -> None:
+        """Restarted as a standby: trust the active until proven silent."""
+        self.last_heard_ms = self._scheduler.now()
+        self._arm_heartbeat()
+
+    # -- heartbeats & standby watch --------------------------------------------
     def _arm_heartbeat(self) -> None:
-        self._hb_armed = True
-        self.scheduler.schedule(self.config.heartbeat_interval_ms,
-                                self._heartbeat_tick)
+        if self._config.heartbeat_interval_ms > 0 and not self._hb_armed:
+            self._hb_armed = True
+            self._scheduler.schedule(self._config.heartbeat_interval_ms,
+                                     self._tick)
 
-    def _heartbeat_tick(self) -> None:
-        if not self.alive:
+    def _tick(self) -> None:
+        coordinator = self._coordinator
+        if not coordinator.alive:
             self._hb_armed = False
             return
-        if self.active:
+        if coordinator.active:
             self._broadcast_heartbeat()
-        else:
-            self._check_active_liveness()
-        self.scheduler.schedule(self.config.heartbeat_interval_ms,
-                                self._heartbeat_tick)
+        elif self._scheduler.now() - self.last_heard_ms \
+                > self._config.coordinator_timeout_ms * (1 + self.rank):
+            self.take_over()
+        self._scheduler.schedule(self._config.heartbeat_interval_ms,
+                                 self._tick)
 
     def _broadcast_heartbeat(self) -> None:
-        node = self.network.node
-        for peer in self.peers:
-            if peer != self.name:
-                self._send_control(MESSAGE_HEADER_BYTES + 16,
-                                   node(peer)._coord_heartbeat, self.name,
-                                   self.epoch)
+        coordinator = self._coordinator
+        if self._peers is None:
+            self._peers = tuple(coordinator.network.node(peer) for peer in
+                                coordinator.peers if peer != coordinator.name)
+        for peer in self._peers:
+            coordinator._send_control(MESSAGE_HEADER_BYTES + 16, peer,
+                                      peer.takeover.heartbeat,
+                                      coordinator.name, coordinator.epoch)
         self.heartbeats_sent += 1
 
-    def _coord_heartbeat(self, name: str, epoch: int) -> None:
+    def heartbeat(self, name: str, epoch: int) -> None:
+        coordinator = self._coordinator
         if epoch < self.known_epoch:
             return
-        if epoch > self.known_epoch or not self.active:
-            if self.active and epoch > self.epoch:
-                self._deactivate()
+        if epoch > self.known_epoch or not coordinator.active:
+            if coordinator.active and epoch > coordinator.epoch:
+                coordinator.deactivate()
             self.known_epoch = epoch
-            self.active_name = name
-        self._last_heard_ms = self.scheduler.now()
+            if name != self.active_name:
+                self._watch(name)
+        self.last_heard_ms = self._scheduler.now()
 
-    def _standby_rank(self) -> int:
-        """Position among the standbys, in group order (0 = next in line)."""
-        rank = 0
-        for peer in self.peers:
-            if peer == self.name:
-                break
-            if peer != self.active_name:
-                rank += 1
-        return rank
-
-    def _check_active_liveness(self) -> None:
-        silence = self.scheduler.now() - self._last_heard_ms
-        threshold = self.config.coordinator_timeout_ms * (1 + self._standby_rank())
-        if silence > threshold:
-            self._take_over()
-
-    def _take_over(self) -> None:
-        """Become active: fence the old epoch and recover from participant logs."""
-        self.active = True
-        self.epoch = self.known_epoch + 1
-        self.known_epoch = self.epoch
-        self.active_name = self.name
+    # -- takeover ----------------------------------------------------------------
+    def take_over(self) -> None:
+        """Become active: fence the old epoch and recover from participant
+        logs (what the tick does once the active coordinator went quiet)."""
+        coordinator = self._coordinator
+        coordinator.active = True
+        coordinator.epoch = self.known_epoch = self.known_epoch + 1
+        self._watch(coordinator.name)
         self.takeovers += 1
-        self.recovering = True
-        self.recovery_started_ms = self.scheduler.now()
-        self.recovery_completed_ms = None
-        self._takeover_pending = set(self.participants)
-        self._takeover_replied = set()
-        self._in_doubt = {}
+        self.round = TakeoverRound(self._scheduler.now(),
+                                   set(coordinator.participants))
         self._broadcast_heartbeat()
-        for participant in self.participants:
-            self._send_takeover_probe(participant)
+        for participant in coordinator.participants:
+            self._probe(participant)
         if not self._probe_armed:
             self._probe_armed = True
-            self.scheduler.schedule(self.config.takeover_probe_ms,
-                                    self._probe_tick)
-        if not self._takeover_pending:
-            self._finish_recovery_if_done()
+            self._scheduler.schedule(self._config.takeover_probe_ms,
+                                     self._probe_tick)
+        self._finish_if_done()
 
-    def _send_takeover_probe(self, participant: str) -> None:
-        self._send_control(MESSAGE_HEADER_BYTES + 16,
-                           self.network.node(participant)._txn_takeover,
-                           self, self.epoch)
+    def _probe(self, participant: str) -> None:
+        coordinator = self._coordinator
+        node = coordinator.network.node(participant)
+        coordinator._send_control(MESSAGE_HEADER_BYTES + 16, node,
+                                  node.takeover_probe, coordinator,
+                                  coordinator.epoch)
 
     def _probe_tick(self) -> None:
-        if not self.alive or not self.active or not self.recovering:
+        if not self._coordinator.alive or not self.recovering:
             self._probe_armed = False
             return
-        for participant in sorted(self._takeover_pending):
-            self._send_takeover_probe(participant)
-        self.scheduler.schedule(self.config.takeover_probe_ms,
-                                self._probe_tick)
+        for participant in sorted(self.round.pending):
+            self._probe(participant)
+        self._scheduler.schedule(self._config.takeover_probe_ms,
+                                 self._probe_tick)
 
-    def _txn_takeover_ack(self, participant: str, epoch: int,
-                          records: List[TxnLogRecord]) -> None:
-        if self._not_current(epoch) or not self.recovering:
+    def reply(self, participant: str, epoch: int,
+              records: List[TxnLogRecord]) -> None:
+        """``participant``'s log, its answer to a probe at ``epoch``."""
+        coordinator = self._coordinator
+        if coordinator.not_current(epoch) or not self.recovering:
             return
-        self._takeover_pending.discard(participant)
-        self._takeover_replied.add(participant)
+        last = self.round
+        last.pending.discard(participant)
+        last.replied.add(participant)
+        decided = coordinator.decided
         for record in records:
-            self._merge_recovered_record(record)
+            txn_id = record.txn_id
+            if record.state == TxnState.COMMITTED:
+                last.in_doubt.pop(txn_id, None)
+                coordinator.settle(record, COMMIT, record.timestamp)
+            elif record.state == TxnState.ABORTED:
+                last.in_doubt.pop(txn_id, None)
+                coordinator.settle(record,
+                                   *decided.get(txn_id, (ABORT, None)))
+            elif txn_id in decided:  # this participant gets the outcome too
+                coordinator.settle(record, *decided[txn_id])
+            else:
+                last.in_doubt[txn_id] = record
         self._resolve_in_doubt()
 
-    def _merge_recovered_record(self, record: TxnLogRecord) -> None:
-        txn_id = record.txn_id
-        if record.state == TxnState.COMMITTED:
-            self.decided[txn_id] = (COMMIT, record.timestamp)
-            self._in_doubt.pop(txn_id, None)
-            self._ensure_recovery_delivery(record)
-        elif record.state == TxnState.ABORTED:
-            self.decided.setdefault(txn_id, (ABORT, None))
-            self._in_doubt.pop(txn_id, None)
-            if record.participants:
-                self._ensure_recovery_delivery(record)
-        elif txn_id in self.decided:
-            # Prepared here, but the outcome is already known from another
-            # participant's record: make sure this participant gets it.
-            self._ensure_recovery_delivery(record)
-        else:
-            self._in_doubt[txn_id] = record
-
-    def _ensure_recovery_delivery(self, record: TxnLogRecord) -> None:
-        """Re-drive a recovered decision to the transaction's participants."""
-        outcome, timestamp = self.decided[record.txn_id]
-        self._start_delivery(record.txn_id, outcome, timestamp,
-                             record.participants, record.client)
-
     def _resolve_in_doubt(self) -> None:
-        for txn_id in sorted(self._in_doubt):
-            record = self._in_doubt[txn_id]
-            decided = self.decided.get(txn_id)
-            if decided is not None:
-                outcome, timestamp = decided
-            elif set(record.participants) <= self._takeover_replied:
-                # Every participant answered and none holds a commit record:
-                # the old coordinator cannot have acked this transaction
-                # (acks require a durable commit record), so presumed abort
-                # is safe.  Until then the transaction blocks — a silent
-                # participant may hold the proving record.
-                outcome, timestamp = ABORT, None
-                self.decided[txn_id] = (ABORT, None)
-                self.aborts += 1
-            else:
-                continue
-            del self._in_doubt[txn_id]
-            self._start_delivery(txn_id, outcome, timestamp,
-                                 record.participants, record.client)
-        self._finish_recovery_if_done()
+        last = self.round
+        for txn_id in sorted(last.in_doubt):
+            record = last.in_doubt[txn_id]
+            outcome = self._coordinator.decided.get(txn_id)
+            if outcome is None:
+                # Once every participant answered and none holds a commit
+                # record, the old coordinator cannot have acked (acks need a
+                # durable commit record): abort.  Until then it blocks.
+                if not set(record.participants) <= last.replied:
+                    continue
+                outcome = (ABORT, None)
+            del last.in_doubt[txn_id]
+            self._coordinator.settle(record, *outcome)
+        self._finish_if_done()
 
-    def _finish_recovery_if_done(self) -> None:
-        if self.recovering and not self._takeover_pending \
-                and not self._in_doubt:
-            self.recovering = False
-            self.recovery_completed_ms = self.scheduler.now()
+    def _finish_if_done(self) -> None:
+        last = self.round
+        if self.recovering and not last.pending and not last.in_doubt:
+            last.completed_ms = self._scheduler.now()
 
-    # -- introspection -------------------------------------------------------
     def time_to_recover_ms(self) -> Optional[float]:
-        """Takeover duration (probe start → every in-doubt txn resolved)."""
-        if self.recovery_started_ms is None \
-                or self.recovery_completed_ms is None:
+        """The last takeover's duration, if it completed."""
+        last = self.round
+        if last is None or last.completed_ms is None:
             return None
-        return self.recovery_completed_ms - self.recovery_started_ms
+        return last.completed_ms - last.started_ms

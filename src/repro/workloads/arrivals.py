@@ -105,19 +105,6 @@ class PoissonArrivals(ArrivalProcess):
         self._pos = 1
         return buf[0]
 
-    def prefill(self, n: int) -> int:
-        """Precompute the next ``n`` gaps (open-loop runners batch these);
-        the buffer refills in chunks from then on."""
-        self._draws = _AUTO_CHUNK_AFTER
-        if self._pos:
-            self._buf = self._buf[self._pos:]
-            self._pos = 0
-        need = n - len(self._buf)
-        if need > 0:
-            self._buf.extend(fastrand.exponential_gaps(
-                self._rng, need, self._rate_per_ms))
-        return len(self._buf)
-
 
 class BurstArrivals(ArrivalProcess):
     """On/off Poisson arrivals: ``on_rate_ops_s`` for ``on_ms``, then

@@ -46,7 +46,7 @@ class ZooKeeperCluster:
         ``ZooKeeperConfig.fault_tolerant()``); a no-op otherwise.
         """
         for server in self.servers:
-            server.enable_failure_detection()
+            server.election.enable()
 
     def current_leader(self) -> Optional[ZKServer]:
         """The live server currently acting as leader (highest epoch wins)."""
@@ -102,7 +102,7 @@ class ZooKeeperCluster:
             "client_pending": sum(len(c._pending) for c in self._clients),
             "forwarded": sum(len(s._forwarded) for s in servers),
             "origin_requests": sum(len(s._origin_requests) for s in servers),
-            "orphan_origins": sum(len(s._orphan_origins) for s in servers),
+            "orphan_origins": sum(len(s.orphan_origins) for s in servers),
             "proposals": sum(s.tracker.pending_count() for s in servers
                              if s.tracker is not None),
         }

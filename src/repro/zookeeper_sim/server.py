@@ -35,9 +35,10 @@ each other's tentative effects (e.g. two retailers simulating a dequeue
 obtain different tickets), mirroring what applying the operations to a copy
 of the local state would do.
 
-Failure detection, election, sync and snapshots are the recovery role,
-:class:`~repro.zookeeper_sim.zab.ZabRecovery`.  Quorum commit happens in one
-place: :meth:`ZKServer._commit` at the leader, then
+Failure detection and election are the server's
+:class:`~repro.zookeeper_sim.zab.Election`; the leadership switch and the
+catch-up are the server's own.  Quorum commit happens in one place:
+:meth:`ZKServer._commit` at the leader, then
 :meth:`ZKServer._learn_commit` at every server.
 """
 
@@ -46,12 +47,13 @@ from __future__ import annotations
 import sys
 from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from repro.sim.network import MESSAGE_HEADER_BYTES, Network
+from repro.sim.network import (MESSAGE_HEADER_BYTES, Network,
+                               estimate_payload_size)
 from repro.sim.node import Node
 from repro.zookeeper_sim.config import ZooKeeperConfig
 from repro.zookeeper_sim.datatree import DataTree, NoNodeError, NodeExistsError
-from repro.zookeeper_sim.zab import (CommitLog, ProposalTracker, Transaction,
-                                     ZabRecovery)
+from repro.zookeeper_sim.zab import (CommitLog, Election, ProposalTracker,
+                                     Transaction)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.zookeeper_sim.client import ZkOp
@@ -62,7 +64,7 @@ WRITE_OPS = {"create", "delete", "enqueue", "dequeue"}
 READ_OPS = {"get", "get_children"}
 
 
-class ZKServer(ZabRecovery, Node):
+class ZKServer(Node):
     """One member of the ensemble (leader or follower)."""
 
     def __init__(self, name: str, region: str, network: Network,
@@ -75,8 +77,8 @@ class ZKServer(ZabRecovery, Node):
         self.ensemble: List[str] = []
         #: Leader and peers (ensemble order) as node objects, resolved when
         #: the role changes — never per hop.
-        self._leader: Optional[ZKServer] = None
-        self._peers: Tuple[ZKServer, ...] = ()
+        self.leader_node: Optional[ZKServer] = None
+        self.peers: Tuple[ZKServer, ...] = ()
         # Wire sizes of the three message shapes (the config never changes).
         self._ack_size = MESSAGE_HEADER_BYTES + config.ack_bytes
         self._txn_size = (MESSAGE_HEADER_BYTES + config.path_size_bytes
@@ -96,31 +98,24 @@ class ZKServer(ZabRecovery, Node):
         # CZK simulation overlay (tentative effects of in-flight operations).
         self._simulated_removed: Set[str] = set()
         self._simulated_created: Dict[str, int] = {}
-        # Failure detection / election state.
         self.epoch = 0
         self.applied_log: List[Transaction] = []
-        self._failure_detection = False
-        self._last_pong_ms = 0.0
         #: Last time a transaction applied locally (stall detection).
-        self._last_progress_ms = 0.0
-        #: Highest epoch this server has announced a candidacy for.
-        self._announced_epoch = 0
-        #: Election epoch -> candidate name -> last applied zxid.
-        self._election_candidates: Dict[int, Dict[str, int]] = {}
+        self.last_progress_ms = 0.0
         #: Origin bookkeeping for requests whose proposal died with a deposed
         #: leader: origin request id -> (operation, time stashed).  Re-attached
         #: when the transaction is re-proposed (same ``origin_request``),
         #: dropped by the heartbeat tick once the client has given up.
-        self._orphan_origins: Dict[int, Tuple[ZkOp, float]] = {}
+        self.orphan_origins: Dict[int, Tuple[ZkOp, float]] = {}
         # Instrumentation.
         self.preliminaries_sent = 0
         self.transactions_applied = 0
         self.reads_served = 0
-        self.elections_started = 0
         self.promotions = 0
         self.syncs_served = 0
         self.snapshots_served = 0
         self.snapshots_received = 0
+        self.election = Election(self)
 
     # -- ensemble wiring ----------------------------------------------------
     def become_leader(self, ensemble: List[str], next_zxid: int = 1) -> None:
@@ -137,12 +132,12 @@ class ZKServer(ZabRecovery, Node):
         node = self.network.node
         self.ensemble = list(ensemble)
         self.leader_name = leader_name
-        self._leader = node(leader_name)
-        self._peers = tuple(node(n) for n in ensemble if n != self.name)
+        self.leader_node = node(leader_name)
+        self.peers = tuple(node(n) for n in ensemble if n != self.name)
 
     @property
-    def quorum_size(self) -> int:
-        return len(self.ensemble) // 2 + 1
+    def elections_started(self) -> int:
+        return self.election.started
 
     # -- client requests -------------------------------------------------------
     def _zk_request(self, op: ZkOp) -> None:
@@ -249,7 +244,7 @@ class ZKServer(ZabRecovery, Node):
             # and processing it: the leader proposes it.
             if local:
                 self._forwarded[forward_id] = op
-            leader = self._leader
+            leader = self.leader_node
             self.network.fused_send_to(self, leader.name, self._txn_size,
                                        leader._zk_forward,
                                        (origin_server, forward_id, op))
@@ -274,7 +269,7 @@ class ZKServer(ZabRecovery, Node):
         self.commit_log.learn(txn)
         send = self.network.fused_send_to
         proposal = (txn, self.epoch, self)
-        for peer in self._peers:
+        for peer in self.peers:
             send(self, peer.name, self._txn_size, peer._zab_proposal, proposal)
         # The leader acknowledges its own proposal.
         if tracker.record_ack(txn.zxid, self.name):
@@ -290,7 +285,7 @@ class ZKServer(ZabRecovery, Node):
             if epoch < self.epoch:
                 # A deposed-but-alive leader (partitioned away during the
                 # election) still proposes: tell it who leads now.
-                self._send_leader_info(leader)
+                self.election.send_leader_info(leader)
             return
         self._enqueue(self.config.apply_service_ms, self._ack_proposal,
                       (txn, epoch))
@@ -305,7 +300,7 @@ class ZKServer(ZabRecovery, Node):
                 self._origin_requests[txn.zxid] = (op, txn.origin_request)
             else:  # the new leader's re-proposal of a dead one
                 self._reattach_origin(txn)
-        leader = self._leader
+        leader = self.leader_node
         self.network.fused_send_to(self, leader.name, self._ack_size,
                                    leader._zab_ack,
                                    (txn.zxid, self.name, epoch))
@@ -325,7 +320,7 @@ class ZKServer(ZabRecovery, Node):
         self.tracker.forget(zxid)
         send = self.network.fused_send_to
         commit = (zxid, self.epoch)
-        for peer in self._peers:
+        for peer in self.peers:
             send(self, peer.name, self._ack_size, peer._zab_commit, commit)
         self._learn_commit(zxid)
 
@@ -349,7 +344,7 @@ class ZKServer(ZabRecovery, Node):
         origin = self._origin_requests.pop(txn.zxid, None)
         self.transactions_applied += 1
         self.applied_log.append(txn)
-        self._last_progress_ms = self.scheduler.clock._now
+        self.last_progress_ms = self.scheduler.clock._now
         self._apply(txn, None if origin is None else origin[0])
 
     def _apply(self, txn: Transaction, origin: Optional[ZkOp] = None) -> None:
@@ -401,3 +396,134 @@ class ZKServer(ZabRecovery, Node):
         self.network.fused_send_to(
             self, client.name, size_bytes or self._reply_size,
             client._zk_response, (op.req_id, ok, result, error))
+
+    # -- leadership switches: what an election decides ----------------------------
+    def promote(self, epoch: int) -> None:
+        """Lead ``epoch``: re-propose the dead epoch's uncommitted proposals
+        with fresh zxids from ``last_applied`` on (the sequence stays
+        gapless), and the writes forwarded to the dead leader."""
+        self.epoch = epoch
+        self.promotions += 1
+        orphans = self.commit_log.uncommitted_transactions()
+        self.commit_log.discard_uncommitted()
+        self._drop_stale_origins()
+        self.become_leader(self.ensemble,
+                           next_zxid=self.commit_log.last_applied + 1)
+        self.election.settled(epoch)
+        for peer in self.peers:
+            self.election.send_leader_info(peer)
+        for txn in orphans:
+            renumbered = txn._replace(zxid=self.tracker.next_zxid())
+            if txn.origin_server == self.name:
+                self._reattach_origin(renumbered)
+            self._broadcast_proposal(renumbered)
+        pending = list(self._forwarded.values())
+        self._forwarded.clear()
+        for op in pending:
+            self._propose(self.name, op, None)
+
+    def follow(self, leader: str, epoch: int) -> None:
+        """Follow ``leader`` (never this server) from ``epoch`` on: catch up
+        since the epoch last followed, re-forward the writes in flight."""
+        prev_epoch = self.epoch
+        self._switch_leader(leader, epoch)
+        self.commit_log.discard_uncommitted()
+        self._drop_stale_origins()
+        self.request_sync(prev_epoch)
+        for forward_id, op in self._forwarded.items():
+            self.network.fused_send_to(self, leader, self._txn_size,
+                                       self.leader_node._zk_forward,
+                                       (self.name, forward_id, op))
+
+    def _switch_leader(self, leader: str, epoch: int) -> None:
+        self.epoch = epoch
+        self.become_follower(leader, self.ensemble)
+        self.election.settled(epoch)
+
+    def _reattach_origin(self, txn: Transaction) -> None:
+        """``txn`` re-proposes a request stashed by
+        :meth:`_drop_stale_origins`: answer its client after all."""
+        orphan = self.orphan_origins.pop(txn.origin_request, None)
+        if orphan is not None:
+            self._origin_requests[txn.zxid] = (orphan[0], txn.origin_request)
+
+    def _drop_stale_origins(self) -> None:
+        """Stash the origins of abandoned proposals by origin request id; one
+        never re-proposed is the client's to retry (at-least-once)."""
+        applied = self.commit_log.last_applied
+        now = self.scheduler.now()
+        for zxid in [z for z in self._origin_requests if z > applied]:
+            op, origin_request = self._origin_requests.pop(zxid)
+            self.orphan_origins[origin_request] = (op, now)
+
+    def expire_orphan_origins(self) -> None:
+        """Forget stashed origins whose client cannot be waiting any more
+        (with client timeouts off it still is); run by the election's tick."""
+        if self._client_patience_ms > 0:
+            cutoff = self.scheduler.now() - self._client_patience_ms
+            self.orphan_origins = {
+                request: entry for request, entry
+                in self.orphan_origins.items() if entry[1] > cutoff}
+
+    # -- catching up: diff sync or snapshot -----------------------------------------
+    def request_sync(self, epoch: int) -> None:
+        """Ask the leader for what this server missed since ``epoch``."""
+        leader = self.leader_node
+        self._send_control(self._ack_size, leader, leader._zk_sync_req, self,
+                           self.commit_log.last_applied, epoch)
+
+    def _zk_sync_req(self, follower: ZKServer, last_applied: int,
+                     epoch: int) -> None:
+        missing = self.commit_log.sync_for(self.applied_log, last_applied,
+                                           epoch < self.epoch)
+        if missing is None:
+            self._send_snapshot(follower)
+        elif missing:
+            self.syncs_served += 1
+            self._send_control(
+                MESSAGE_HEADER_BYTES + len(missing) * (
+                    self.config.path_size_bytes
+                    + self.config.element_size_bytes),
+                follower, follower._zk_sync, missing)
+        # A follower that switched epochs mid-stream dropped what was
+        # proposed before: re-send it, or those zxids never reach quorum.
+        if self.is_leader and self.tracker is not None:
+            for txn in self.tracker.pending_transactions():
+                self.network.fused_send_to(self, follower.name, self._txn_size,
+                                           follower._zab_proposal,
+                                           (txn, self.epoch, self))
+
+    def _zk_sync(self, txns: List[Transaction]) -> None:
+        for txn in txns:
+            if txn.zxid > self.commit_log.last_applied:
+                self._apply_committed(txn)
+                self.commit_log.last_applied = txn.zxid
+
+    def _send_snapshot(self, dst: ZKServer) -> None:
+        """ZooKeeper's SNAP sync: the tree, and the log's shared records."""
+        self.snapshots_served += 1
+        tree_snapshot = self.tree.snapshot()
+        log = tuple(self.applied_log)
+        self._send_control(
+            MESSAGE_HEADER_BYTES + estimate_payload_size(tree_snapshot)
+            + len(log) * self.config.path_size_bytes,
+            dst, dst._zk_snapshot, self.epoch, self.leader_name,
+            self.commit_log.last_applied, tree_snapshot, log)
+
+    def _zk_snapshot(self, epoch: int, leader: str, last_applied: int,
+                     tree: Any, log: Tuple[Transaction, ...]) -> None:
+        if epoch < self.epoch:
+            return  # stale snapshot from a deposed leadership
+        self.snapshots_received += 1
+        # Adopt its leadership too, or the current Zab traffic would stay
+        # epoch-guarded away until a leader-info hop happened by.
+        if epoch > self.epoch and leader != self.name:
+            self._switch_leader(leader, epoch)
+        self.tree.restore(tree)
+        self.commit_log = CommitLog(last_applied)
+        self.applied_log = list(log)
+        self._drop_stale_origins()
+
+    def recover(self) -> None:
+        super().recover()
+        self.election.rejoin()

@@ -1,43 +1,32 @@
-"""Zab: atomic broadcast bookkeeping and a server's recovery role.
+"""Zab: atomic broadcast bookkeeping and leader election.
 
 The leader assigns a monotonically increasing ``zxid`` to every write
 transaction, broadcasts a proposal, collects acknowledgements, and commits
 once a majority (including itself) has acknowledged.  Every server applies
 committed transactions in strict zxid order, which is what gives the
 replicated queue its total order.  :class:`ProposalTracker` and
-:class:`CommitLog` are the pure data structures; the hops that drive them
-live in :mod:`repro.zookeeper_sim.server`.
+:class:`CommitLog` are that bookkeeping; the hops that drive them live in
+:mod:`repro.zookeeper_sim.server`.
 
-:class:`ZabRecovery`, mixed into the server, is failure detection and
-leader election (``config.heartbeat_interval_ms > 0`` plus
-:meth:`ZabRecovery.enable_failure_detection`).  Followers ping the leader
-(``_zk_ping`` / ``_zk_pong``); one that hears nothing for
-``leader_timeout_ms`` announces its candidacy with its last applied zxid
-(``_zk_election``).  After ``election_window_ms`` each elector tallies the
+:class:`Election`, which a server hands itself to at construction, is its
+failure detection and leader election (``config.heartbeat_interval_ms >
+0`` plus :meth:`Election.enable`).  Followers ping the leader; one that
+hears nothing for ``leader_timeout_ms`` announces its candidacy with its
+last applied zxid.  After ``election_window_ms`` each elector tallies the
 candidacies (a majority of the ensemble is required), and the one with the
-highest ``(last_applied, name)`` bumps the epoch and announces itself
-(``_zk_leader_info``).  Followers drop the dead epoch's uncommitted
-proposals, catch up from the leader's applied log (``_zk_sync_req`` /
-``_zk_sync``, or a full ``_zk_snapshot``) and re-forward writes in flight.
-Zab hops are epoch-tagged, so a deposed leader's stragglers are ignored.
-A recovering server has its peers send it their ``_zk_leader_info`` and
-follows whoever leads.  Writes orphaned by a leader crash are abandoned
-server-side; clients re-issue them (at-least-once), as with ZooKeeper
-session retries.  These hops go through
-:meth:`~repro.sim.node.Node._send_control`; each carries the sender node
-where the receiver answers it.
+highest ``(last_applied, name)`` bumps the epoch and announces itself.  The
+election tells its server the outcome through ``promote(epoch)``,
+``follow(leader, epoch)`` and ``request_sync(epoch)``.  Its hops go through
+:meth:`~repro.sim.node.Node._send_control` to the peer server and run at
+the peer's election.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Dict, List, NamedTuple, Sequence, Set, Tuple,
-                    TYPE_CHECKING)
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set
 
-from repro.sim.network import MESSAGE_HEADER_BYTES, estimate_payload_size
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.zookeeper_sim.server import ZKServer
+from repro.sim.network import MESSAGE_HEADER_BYTES
 
 
 class Transaction(NamedTuple):
@@ -111,12 +100,13 @@ class ProposalTracker:
 
 
 class CommitLog:
-    """Per-server buffer applying committed transactions in zxid order."""
+    """Per-server buffer applying committed transactions in zxid order,
+    from ``last_applied`` on (where a snapshot installed left it)."""
 
-    def __init__(self) -> None:
+    def __init__(self, last_applied: int = 0) -> None:
         self._known: Dict[int, Transaction] = {}
         self._committed: Set[int] = set()
-        self.last_applied = 0
+        self.last_applied = last_applied
 
     def learn(self, txn: Transaction) -> None:
         """Record a proposal's contents (from the leader's proposal message)."""
@@ -185,295 +175,161 @@ class CommitLog:
         self._known = {z: t for z, t in self._known.items() if z <= applied}
         self._committed = {z for z in self._committed if z <= applied}
 
+    def sync_for(self, applied: Sequence[Transaction], last_applied: int,
+                 epoch_behind: bool) -> Optional[List[Transaction]]:
+        """What a follower at ``last_applied`` misses of this server's
+        ``applied`` log, or ``None`` if only a snapshot can reconcile it: it
+        slept through an election, or applied zxids this epoch recycled."""
+        if epoch_behind or last_applied > self.last_applied:
+            return None
+        return [txn for txn in applied if txn.zxid > last_applied]
 
-class ZabRecovery:
-    """A server's failure detection, election, sync and snapshot hops."""
 
-    # -- failure detection & election -------------------------------------
-    def enable_failure_detection(self) -> None:
-        """Start the heartbeat/election machinery on this server (a no-op
-        unless ``config.heartbeat_interval_ms > 0``)."""
-        if self._failure_detection or self.config.heartbeat_interval_ms <= 0:
+class Election:
+    """One server's failure detection and leader election."""
+
+    def __init__(self, server: Any) -> None:
+        self._server = server
+        self._scheduler = server.scheduler
+        self._config = server.config
+        self._size = MESSAGE_HEADER_BYTES + server.config.ack_bytes
+        self._enabled = False
+        self._last_pong_ms = 0.0
+        #: When a stalled backlog last made this server ask for a sync.
+        self._resynced_ms = 0.0
+        #: Highest epoch this server has announced a candidacy for.
+        self.announced_epoch = 0
+        #: Election epoch -> candidate name -> last applied zxid.
+        self.candidates: Dict[int, Dict[str, int]] = {}
+        self.started = 0
+
+    def enable(self) -> None:
+        """Start the heartbeat tick (unless ``heartbeat_interval_ms`` is 0)."""
+        if self._enabled or self._config.heartbeat_interval_ms <= 0:
             return
-        self._failure_detection = True
-        self._last_pong_ms = self.scheduler.now()
-        self._schedule_heartbeat()
+        self._enabled = True
+        self._last_pong_ms = self._scheduler.now()
+        self._scheduler.schedule(self._config.heartbeat_interval_ms,
+                                 self._tick)
 
-    def _schedule_heartbeat(self) -> None:
-        self.scheduler.schedule(self.config.heartbeat_interval_ms,
-                                self._heartbeat_tick)
-
-    def _heartbeat_tick(self) -> None:
-        # Keep the tick alive through crashes so a recovered follower
-        # resumes monitoring; a crashed node neither sends nor suspects.
-        self._schedule_heartbeat()
-        if self._orphan_origins:
-            self._expire_orphan_origins()
-        if not self.alive or self.is_leader or self.leader_name is None:
+    def _tick(self) -> None:
+        # Kept alive through crashes so a recovered follower resumes
+        # monitoring; a crashed server neither sends nor suspects.
+        server = self._server
+        self._scheduler.schedule(self._config.heartbeat_interval_ms,
+                                 self._tick)
+        if server.orphan_origins:
+            server.expire_orphan_origins()
+        if not server.alive or server.is_leader or server.leader_name is None:
             return
-        self._send_control(self._ack_size, self._leader._zk_ping, self)
-        stale_for = self.scheduler.now() - self._last_pong_ms
-        if stale_for > self.config.leader_timeout_ms:
-            self._start_election()
+        server._send_control(self._size, server.leader_node,
+                             server.leader_node.election.ping, server)
+        now = self._scheduler.now()
+        timeout = self._config.leader_timeout_ms
+        if now - self._last_pong_ms > timeout:
+            self.start()
+        elif server.commit_log.has_backlog() and now - max(
+                server.last_progress_ms, self._resynced_ms) > timeout:
+            # Nothing applied (nor asked for) for a whole leader timeout,
+            # e.g. a proposal lost while switching epochs: ask for a sync.
+            self._resynced_ms = now
+            server.request_sync(server.epoch)
+
+    def ping(self, follower: Any) -> None:
+        server = self._server
+        if server.is_leader:
+            server._send_control(self._size, follower, follower.election.pong,
+                                 server.epoch)
+        else:  # deposed, or never led: redirect
+            self.send_leader_info(follower)
+
+    def pong(self, epoch: int) -> None:
+        if epoch >= self._server.epoch:
+            self._last_pong_ms = self._scheduler.now()
+
+    def start(self) -> None:
+        """Campaign for the next epoch, as the tick does once the leader
+        went quiet (unless already campaigning for it or a newer one)."""
+        epoch = self._server.epoch + 1
+        if self.announced_epoch < epoch:
+            self.started += 1
+            self._announce(epoch)
+
+    def _announce(self, epoch: int) -> None:
+        server = self._server
+        last_applied = server.commit_log.last_applied
+        self.announced_epoch = epoch
+        self.candidates.setdefault(epoch, {})[server.name] = last_applied
+        for peer in server.peers:
+            server._send_control(self._size, peer, peer.election.candidacy,
+                                 server, epoch, last_applied)
+        self._scheduler.schedule(self._config.election_window_ms,
+                                 self._conclude, epoch)
+
+    def candidacy(self, candidate: Any, epoch: int, last_applied: int) -> None:
+        server = self._server
+        if epoch <= server.epoch:
+            if server.is_leader:  # a stale suspicion: reassert
+                self.send_leader_info(candidate)
             return
-        # Self-healing: transactions are queued but nothing has applied for
-        # a whole leader-timeout (e.g. a proposal was lost while switching
-        # epochs) — ask the leader for a sync + retransmission.
-        if self.commit_log.has_backlog() and \
-                (self.scheduler.now() - self._last_progress_ms
-                 > self.config.leader_timeout_ms):
-            self._last_progress_ms = self.scheduler.now()
-            self._request_sync(self.epoch)
+        self.candidates.setdefault(epoch, {})[candidate.name] = last_applied
+        if self.announced_epoch < epoch and not server.is_leader:
+            self._announce(epoch)
 
-    def _request_sync(self, epoch: int) -> None:
-        """Ask the leader for what this server missed; ``epoch`` (the one it
-        last followed) decides between a diff sync and a full snapshot."""
-        self._send_control(self._ack_size, self._leader._zk_sync_req, self,
-                           self.commit_log.last_applied, epoch)
-
-    def _zk_ping(self, follower: ZKServer) -> None:
-        if self.is_leader:
-            self._send_control(self._ack_size, follower._zk_pong, self.epoch)
-        else:
-            # Stale ping (this server was deposed or never led): redirect.
-            self._send_leader_info(follower)
-
-    def _zk_pong(self, epoch: int) -> None:
-        if epoch >= self.epoch:
-            self._last_pong_ms = self.scheduler.now()
-
-    def _start_election(self) -> None:
-        target_epoch = self.epoch + 1
-        if self._announced_epoch >= target_epoch:
-            return  # already campaigning for this epoch (or a newer one)
-        self.elections_started += 1
-        self._announce_candidacy(target_epoch)
-
-    def _announce_candidacy(self, epoch: int) -> None:
-        self._announced_epoch = epoch
-        candidates = self._election_candidates.setdefault(epoch, {})
-        candidates[self.name] = self.commit_log.last_applied
-        for peer in self._peers:
-            self._send_control(self._ack_size, peer._zk_election, self, epoch,
-                               self.commit_log.last_applied)
-        self.scheduler.schedule(self.config.election_window_ms,
-                                self._conclude_election, epoch)
-
-    def _zk_election(self, candidate: ZKServer, epoch: int,
-                     last_applied: int) -> None:
-        if epoch <= self.epoch:
-            # A stale suspicion; if this server currently leads, reassert.
-            if self.is_leader:
-                self._send_leader_info(candidate)
-            return
-        candidates = self._election_candidates.setdefault(epoch, {})
-        candidates[candidate.name] = last_applied
-        if self._announced_epoch < epoch and not self.is_leader:
-            self._announce_candidacy(epoch)
-
-    def _conclude_election(self, epoch: int) -> None:
-        if not self.alive or self.epoch >= epoch:
+    def _conclude(self, epoch: int) -> None:
+        server = self._server
+        if not server.alive or server.epoch >= epoch:
             return  # crashed meanwhile, or a leader for this epoch emerged
-        candidates = self._election_candidates.get(epoch, {})
-        if len(candidates) < self.quorum_size:
-            # Not enough electors reachable: abandon this round so a later
-            # heartbeat tick can start a fresh one.
-            self._election_candidates.pop(epoch, None)
-            self._announced_epoch = self.epoch
+        candidates = self.candidates.get(epoch, {})
+        if len(candidates) < len(server.ensemble) // 2 + 1:
+            self._abandon(epoch)  # too few electors reachable
             return
         winner = max(candidates.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        if winner == self.name:
-            self._promote(epoch)
+        if winner == server.name:
+            server.promote(epoch)
+        else:  # give the winner time to announce itself
+            self._scheduler.schedule(3 * self._config.election_window_ms,
+                                     self._abandon, epoch)
+
+    def _abandon(self, epoch: int) -> None:
+        """Drop the round for ``epoch`` unless its leader emerged."""
+        server = self._server
+        if server.alive and server.epoch < epoch:
+            self.candidates.pop(epoch, None)
+            self.announced_epoch = server.epoch
+
+    def settled(self, epoch: int) -> None:
+        """A leader for ``epoch`` is in place, this server or another: the
+        rounds up to it are over, and the leader is trusted from now."""
+        self._last_pong_ms = self._scheduler.now()
+        self.announced_epoch = epoch
+        self.candidates = {e: c for e, c in self.candidates.items()
+                           if e > epoch}
+
+    def send_leader_info(self, dst: Any) -> None:
+        """Tell server ``dst`` who leads, at which epoch."""
+        server = self._server
+        server._send_control(self._size, dst, dst.election.leader_info,
+                             server.leader_name, server.epoch)
+
+    def leader_info(self, leader: str, epoch: int) -> None:
+        server = self._server
+        if epoch < server.epoch or leader == server.name:
             return
-        # Give the winner time to announce; if no new leader materializes,
-        # allow another election round.
-        self.scheduler.schedule(3 * self.config.election_window_ms,
-                                self._check_leader_emerged, epoch)
-
-    def _check_leader_emerged(self, epoch: int) -> None:
-        if self.alive and self.epoch < epoch:
-            self._election_candidates.pop(epoch, None)
-            self._announced_epoch = self.epoch
-
-    def _promote(self, epoch: int) -> None:
-        """Take over leadership for ``epoch``."""
-        self.epoch = epoch
-        self.promotions += 1
-        # Proposals of the dead epoch that never committed are re-proposed
-        # under the new epoch with fresh zxids continuing from last_applied:
-        # the zxid sequence stays gapless, so commit logs (which apply in
-        # strict last_applied+1 order) keep making progress.
-        orphans = self.commit_log.uncommitted_transactions()
-        self.commit_log.discard_uncommitted()
-        self._drop_stale_origins()
-        self.become_leader(self.ensemble,
-                           next_zxid=self.commit_log.last_applied + 1)
-        self._election_candidates = {
-            e: c for e, c in self._election_candidates.items() if e > epoch}
-        for peer in self._peers:
-            self._send_control(self._ack_size, peer._zk_leader_info,
-                               self.name, epoch)
-        for txn in orphans:
-            self._repropose(txn)
-        # Writes this server had forwarded to the dead leader restart here.
-        pending = list(self._forwarded.values())
-        self._forwarded.clear()
-        for op in pending:
-            self._propose(self.name, op, None)
-
-    def _repropose(self, txn: Transaction) -> None:
-        """Re-issue a dead-epoch transaction under this leadership: same
-        operation, origin server and origin request id (the origin can still
-        answer its client), a fresh zxid and epoch."""
-        assert self.tracker is not None
-        renumbered = txn._replace(zxid=self.tracker.next_zxid())
-        if txn.origin_server == self.name:
-            self._reattach_origin(renumbered)
-        self._broadcast_proposal(renumbered)
-
-    def _reattach_origin(self, txn: Transaction) -> None:
-        """``txn`` re-proposes a request this server stashed when its first
-        proposal died with a deposed leader: answer that client after all."""
-        orphan = self._orphan_origins.pop(txn.origin_request, None)
-        if orphan is not None:
-            self._origin_requests[txn.zxid] = (orphan[0], txn.origin_request)
-
-    def _adopt_leader(self, leader: str, epoch: int) -> None:
-        """Follow ``leader`` (never this server) from ``epoch`` on."""
-        prev_epoch = self.epoch
-        self.epoch = epoch
-        self.become_follower(leader, self.ensemble)
-        self.commit_log.discard_uncommitted()
-        self._drop_stale_origins()
-        self._last_pong_ms = self.scheduler.now()
-        self._announced_epoch = self.epoch
-        self._election_candidates = {
-            e: c for e, c in self._election_candidates.items() if e > epoch}
-        # Catch up on what committed while this server was behind; it may
-        # carry applied state from a dead leadership, hence the old epoch.
-        self._request_sync(prev_epoch)
-        # Writes forwarded to the dead leader are re-forwarded to the new one.
-        for forward_id, op in self._forwarded.items():
-            self.network.fused_send_to(self, leader, self._txn_size,
-                                       self._leader._zk_forward,
-                                       (self.name, forward_id, op))
-
-    def _drop_stale_origins(self) -> None:
-        """Detach origin bookkeeping from zxids of abandoned proposals and
-        stash it by origin request id for :meth:`_reattach_origin`.  Entries
-        never re-proposed are answered by the client's own timeout/retry
-        (at-least-once), as with real ZooKeeper session recovery, and
-        expire with it."""
-        applied = self.commit_log.last_applied
-        now = self.scheduler.now()
-        for zxid in [z for z in self._origin_requests if z > applied]:
-            op, origin_request = self._origin_requests.pop(zxid)
-            self._orphan_origins[origin_request] = (op, now)
-
-    def _expire_orphan_origins(self) -> None:
-        """Forget stashed origins whose client cannot be waiting any more
-        (with client timeouts off it still is: keep them)."""
-        if self._client_patience_ms > 0:
-            cutoff = self.scheduler.now() - self._client_patience_ms
-            self._orphan_origins = {
-                request: entry for request, entry
-                in self._orphan_origins.items() if entry[1] > cutoff}
-
-    def _send_leader_info(self, dst: ZKServer) -> None:
-        self._send_control(self._ack_size, dst._zk_leader_info,
-                           self.leader_name, self.epoch)
-
-    def _zk_leader_info(self, leader: str, epoch: int) -> None:
-        if epoch < self.epoch or leader == self.name:
-            return
-        if epoch == self.epoch and not self.is_leader \
-                and leader == self.leader_name:
+        if epoch == server.epoch and not server.is_leader \
+                and leader == server.leader_name:
             return  # nothing new
-        self._adopt_leader(leader, epoch)
+        server.follow(leader, epoch)
 
-    def _zk_sync_req(self, follower: ZKServer, last_applied: int,
-                     epoch: int) -> None:
-        if epoch < self.epoch or last_applied > self.commit_log.last_applied:
-            # The requester slept through at least one election (or carries
-            # applied state from a dead leadership whose zxids this epoch
-            # recycled): a diff sync cannot reconcile it, send a snapshot.
-            self._send_snapshot(follower)
-            self._retransmit_pending(follower)
+    def rejoin(self) -> None:
+        """The server recovered: its peers send their leader info, and the
+        leader it still follows is asked for the commits slept through."""
+        server = self._server
+        if not self._enabled:
             return
-        missing = [txn for txn in self.applied_log if txn.zxid > last_applied]
-        if missing:
-            self.syncs_served += 1
-            self._send_control(
-                MESSAGE_HEADER_BYTES + len(missing) * (
-                    self.config.path_size_bytes
-                    + self.config.element_size_bytes),
-                follower._zk_sync, missing)
-        self._retransmit_pending(follower)
-
-    def _retransmit_pending(self, follower: ZKServer) -> None:
-        """Re-send every uncommitted proposal of this leadership to
-        ``follower``: one adopting a new leader mid-stream dropped
-        (epoch-guarded) what was broadcast before it switched epochs, and
-        those zxids could otherwise never reach quorum, stalling every later
-        transaction."""
-        if not self.is_leader or self.tracker is None:
-            return
-        for txn in self.tracker.pending_transactions():
-            self.network.fused_send_to(self, follower.name, self._txn_size,
-                                       follower._zab_proposal,
-                                       (txn, self.epoch, self))
-
-    def _zk_sync(self, txns: List[Transaction]) -> None:
-        for txn in txns:
-            if txn.zxid > self.commit_log.last_applied:
-                self._apply_committed(txn)
-                self.commit_log.last_applied = txn.zxid
-
-    def _send_snapshot(self, dst: ZKServer) -> None:
-        """Full state transfer (ZooKeeper's SNAP sync): tree + applied log."""
-        self.snapshots_served += 1
-        tree_snapshot = self.tree.snapshot()
-        # The log goes as a tuple of the shared records: the receiver gets
-        # the transactions, never this server's own (growing) list.
-        log = tuple(self.applied_log)
-        self._send_control(
-            MESSAGE_HEADER_BYTES + estimate_payload_size(tree_snapshot)
-            + len(log) * self.config.path_size_bytes,
-            dst._zk_snapshot, self.epoch, self.leader_name,
-            self.commit_log.last_applied, tree_snapshot, log)
-
-    def _zk_snapshot(self, epoch: int, leader: str, last_applied: int,
-                     tree: Any, log: Tuple[Transaction, ...]) -> None:
-        if epoch < self.epoch:
-            return  # stale snapshot from a deposed leadership
-        self.snapshots_received += 1
-        # Adopt the snapshot's leadership too: without this, a stale-epoch
-        # receiver would install the state but keep epoch-guarding away all
-        # current Zab traffic until a leader-info hop happened by.
-        if epoch > self.epoch and leader != self.name:
-            self.epoch = epoch
-            self.become_follower(leader, self.ensemble)
-            self._announced_epoch = self.epoch
-            self._last_pong_ms = self.scheduler.now()
-        self.tree.restore(tree)
-        self.commit_log = CommitLog()
-        self.commit_log.last_applied = last_applied
-        self.applied_log = list(log)
-        # Any origin bookkeeping beyond the snapshot point refers to a dead
-        # leadership; clients recover via their own timeout/retry.
-        self._drop_stale_origins()
-
-    def recover(self) -> None:
-        super().recover()
-        if not self._failure_detection:
-            return
-        # Rejoin: a deposed leader (or stale follower) finds out who leads
-        # now and follows; peers answer with their leader info.
-        self._last_pong_ms = self.scheduler.now()
-        for peer in self._peers:
-            self._send_control(self._ack_size, peer._send_leader_info, self)
-        # If leadership never moved, the leader info brings nothing new:
-        # ask the (still-current) leader directly for the commits slept
-        # through.
-        if not self.is_leader and self.leader_name is not None:
-            self._request_sync(self.epoch)
+        self._last_pong_ms = self._scheduler.now()
+        for peer in server.peers:
+            server._send_control(self._size, peer,
+                                 peer.election.send_leader_info, server)
+        if not server.is_leader and server.leader_name is not None:
+            server.request_sync(server.epoch)

@@ -271,6 +271,14 @@ def txn_completions(scenario: str) -> List[tuple]:
             for c in correctables]
 
 
+def _round_times(coordinator):
+    """When the coordinator's last takeover began and ended (``None`` for
+    what did not happen)."""
+    last = coordinator.takeover.round
+    return (None, None) if last is None else (last.started_ms,
+                                              last.completed_ms)
+
+
 def txn_cell_record(fabric, env) -> Dict[str, object]:
     """Everything countable about a finished fig16 cell, host-independent:
     events, the network's totals and every link's traffic, and every
@@ -284,10 +292,10 @@ def txn_cell_record(fabric, env) -> Dict[str, object]:
             (src, dst, stats.messages, stats.bytes)
             for (src, dst), stats in network._links.items())),
         "counters_sha256": _sha(
-            [(c.name, c.active, c.epoch, c.known_epoch, c.txns_started,
-              c.commits, c.aborts, c.prepare_timeouts, c.takeovers,
-              c.redirects, c.decision_redeliveries, c.heartbeats_sent,
-              c.recovery_started_ms, c.recovery_completed_ms,
+            [(c.name, c.active, c.epoch, c.takeover.known_epoch,
+              c.txns_started, c.commits, c.aborts, c.prepare_timeouts,
+              c.takeover.takeovers, c.redirects, c.decision_redeliveries,
+              c.takeover.heartbeats_sent, *_round_times(c),
               c.queue.jobs_processed) for c in fabric.coordinators]
             + [(p.name, p.epoch, p.votes_yes, p.votes_no, p.lock_conflicts,
                 p.deadline_refusals, p.stale_epoch_rejections,

@@ -1,12 +1,14 @@
 """A line ledger for the Cassandra coordinator, replica, ring and storage
-modules, the ZooKeeper server and Zab, and the 2PC coordinator.
+modules, the ZooKeeper server, Zab, data tree and ensemble, and the 2PC
+coordinator, takeover and log.
 
 A pytest plugin, stdlib only: ``PYTHONPATH=src:tests python -m pytest
 -p ledger``.  It traces (``sys.settrace``) every line run in
 ``cassandra_sim/reads.py``, ``writes.py``, ``replica.py``, ``cluster.py``,
 ``partitioner.py`` and ``storage.py``, in ``workloads/records.py``, in
-``zookeeper_sim/server.py`` and ``zab.py`` and in ``txn/coordinator.py``
-and ``takeover.py`` while the suite runs, then fails the session on
+``zookeeper_sim/server.py``, ``zab.py``, ``datatree.py`` and
+``cluster.py`` and in ``txn/coordinator.py``, ``takeover.py`` and
+``log.py`` while the suite runs, then fails the session on
 any executable line that never ran and is not in :data:`ALLOWED`, and on
 any :data:`ALLOWED` entry that ran after all or names no line (a stale
 entry).  So a test that reaches a cold path — a guard that only fires on
@@ -42,7 +44,9 @@ MODULES = ("cassandra_sim/reads.py", "cassandra_sim/writes.py",
            "cassandra_sim/replica.py", "cassandra_sim/cluster.py",
            "cassandra_sim/partitioner.py", "cassandra_sim/storage.py",
            "workloads/records.py", "zookeeper_sim/server.py",
-           "zookeeper_sim/zab.py", "txn/coordinator.py", "txn/takeover.py")
+           "zookeeper_sim/zab.py", "zookeeper_sim/datatree.py",
+           "zookeeper_sim/cluster.py", "txn/coordinator.py",
+           "txn/takeover.py", "txn/log.py")
 
 #: (module, function qualname, stripped source line) -> why it may stay
 #: unreached by the suite.
@@ -50,9 +54,6 @@ ALLOWED: Dict[Tuple[str, str, str], str] = {
     ("zookeeper_sim/server.py", "<module>",
      "from repro.zookeeper_sim.client import ZkOp"):
         "typing only: annotations are never evaluated at run time",
-    ("zookeeper_sim/zab.py", "<module>",
-     "from repro.zookeeper_sim.server import ZKServer"):
-        "typing only: the server module imports this one (a cycle)",
 }
 
 _PACKAGE = Path(importlib.util.find_spec("repro").submodule_search_locations[0])

@@ -56,15 +56,15 @@ class TestCoordinatorFailover:
         fabric = make_fabric(config=TxnConfig(), coordinator_count=3)
         env = fabric.built.env
         first, second, third = fabric.coordinators
-        assert (second._standby_rank(), third._standby_rank()) == (0, 1)
+        assert (second.takeover.rank, third.takeover.rank) == (0, 1)
         env.run(until=500.0)
         first.crash()
         env.run(until=5_000.0)
         assert second.active and second.epoch == 2
-        assert (second.takeovers, third.takeovers) == (1, 0)
-        assert not third.active and third.active_name == second.name
+        assert (second.takeover.takeovers, third.takeover.takeovers) == (1, 0)
+        assert not third.active and third.takeover.active_name == second.name
         # Ranks follow the new active: the deposed first is ahead of third.
-        assert third._standby_rank() == 1
+        assert third.takeover.rank == 1
 
     def test_crash_in_decision_window_revokes_the_prepared_view(self):
         # A wide durable-decision window makes the race deterministic: the

@@ -1,9 +1,9 @@
 """Every guard of the 2PC control plane, each made to fire by name.
 
 Small fabrics with heartbeats off, so a run drains: a takeover is started
-by hand (``_take_over``, what a standby's heartbeat tick does once the
-active coordinator went quiet) and every other hop travels the network as
-it would in a run.  Where a guard only fires on a hop that a schedule
+by hand (``takeover.take_over()``, what a standby's heartbeat tick does
+once the active coordinator went quiet) and every other hop travels the
+network as it would in a run.  Where a guard only fires on a hop that a schedule
 makes rare (a heartbeat from a deposed epoch, a probe overtaken by a newer
 one, a takeover reply about a transaction decided meanwhile), the test
 sends that hop itself with ``_send_control``, the control plane's one
@@ -36,14 +36,15 @@ def _taken_over(fabric):
     """The standby takes over from a live active coordinator (epoch 2) and
     the takeover drains: the old one is deposed by the heartbeat."""
     old, successor = fabric.coordinators
-    successor._take_over()
+    successor.takeover.take_over()
     fabric.built.env.run_until_idle()
     assert successor.active and successor.epoch == 2
     return old, successor
 
 
 def _heartbeat(env, sender, receiver, epoch):
-    sender._send_control(64, receiver._coord_heartbeat, sender.name, epoch)
+    sender._send_control(64, receiver, receiver.takeover.heartbeat,
+                         sender.name, epoch)
     env.run_until_idle()
 
 
@@ -52,12 +53,13 @@ class TestCoordinator:
         fabric = make_fabric()
         env = fabric.built.env
         old, successor = _taken_over(fabric)
-        assert old.known_epoch == 2 and old.active_name == successor.name
-        heard = old._last_heard_ms
+        watch = old.takeover
+        assert watch.known_epoch == 2 and watch.active_name == successor.name
+        heard = watch.last_heard_ms
         env.run(until=env.now() + 10.0)
         _heartbeat(env, successor, old, 1)
-        assert old.known_epoch == 2 and old.active_name == successor.name
-        assert old._last_heard_ms == heard
+        assert watch.known_epoch == 2 and watch.active_name == successor.name
+        assert watch.last_heard_ms == heard
 
     def test_a_heartbeat_from_a_higher_epoch_deactivates_the_active(self):
         fabric = make_fabric()
@@ -65,18 +67,20 @@ class TestCoordinator:
         first, second = fabric.coordinators
         assert first.active and first.epoch == 1
         _heartbeat(env, second, first, 3)
-        assert not first.active and not first.recovering
-        assert first.known_epoch == 3 and first.active_name == second.name
-        assert first._last_heard_ms == env.now()
+        watch = first.takeover
+        assert not first.active and not watch.recovering
+        assert watch.known_epoch == 3 and watch.active_name == second.name
+        assert watch.last_heard_ms == env.now()
 
     def test_a_takeover_with_no_participant_to_probe_completes_at_once(self):
         env = SimEnvironment(seed=1)
         alone = TwoPhaseCommitCoordinator(
             "c", Region.IRL, env.network, no_failover_config(), 0, ["c"], [],
             lambda key: ())
-        alone._take_over()
-        assert alone.active and alone.epoch == 2 and not alone.recovering
-        assert alone.time_to_recover_ms() == 0.0
+        alone.takeover.take_over()
+        assert alone.active and alone.epoch == 2
+        assert not alone.takeover.recovering
+        assert alone.takeover.time_to_recover_ms() == 0.0
         env.run_until_idle()  # the probe tick finds nothing to re-probe
         assert env.network.messages_sent == 0
 
@@ -87,17 +91,17 @@ class TestCoordinator:
         _, successor = fabric.coordinators
         down = fabric.participants[sorted(fabric.participants)[0]]
         down.crash()
-        successor._take_over()
+        successor.takeover.take_over()
         probes = env.network.link_stats(successor.name, down.name).messages
         env.run(until=env.now() + 2.5 * fabric.config.takeover_probe_ms)
-        assert successor.recovering
-        assert successor._takeover_pending == {down.name}
+        assert successor.takeover.recovering
+        assert successor.takeover.round.pending == {down.name}
         assert env.network.link_stats(successor.name, down.name).messages \
             == probes + 2
         down.recover()
         env.run_until_idle()
-        assert not successor.recovering and successor._takeover_pending \
-            == set()
+        assert not successor.takeover.recovering
+        assert successor.takeover.round.pending == set()
         assert down.epoch == successor.epoch
 
     @pytest.mark.parametrize("receiver", ["deposed", "successor"])
@@ -120,29 +124,30 @@ class TestCoordinator:
         env = fabric.built.env
         txn_id, (owner, *_) = _committed(fabric)
         _, successor = fabric.coordinators
-        successor._take_over()  # recovering at epoch 2, probes in flight
-        successor._receive_control(successor._txn_takeover_ack,
+        successor.takeover.take_over()  # epoch 2, probes in flight
+        successor._receive_control(successor.takeover.reply,
                                    (owner.name, 1, owner.log.snapshot()))
-        assert successor.active and successor.recovering
-        assert owner.name in successor._takeover_pending
-        assert owner.name not in successor._takeover_replied
+        assert successor.active and successor.takeover.recovering
+        assert owner.name in successor.takeover.round.pending
+        assert owner.name not in successor.takeover.round.replied
         assert txn_id not in successor.decided
         env.run_until_idle()  # the real replies, at epoch 2
         assert successor.decided[txn_id][0] == COMMIT
-        assert not successor.recovering
+        assert not successor.takeover.recovering
 
     def test_a_takeover_reply_from_a_higher_epoch_deposes_the_successor(self):
         fabric = make_fabric()
         env = fabric.built.env
         owner = next(iter(fabric.participants.values()))
         _, successor = fabric.coordinators
-        successor._take_over()
-        successor._receive_control(successor._txn_takeover_ack,
+        successor.takeover.take_over()
+        successor._receive_control(successor.takeover.reply,
                                    (owner.name, 5, []))
-        assert not successor.active and not successor.recovering
-        assert successor._takeover_pending == set()
+        assert not successor.active and not successor.takeover.recovering
         env.run_until_idle()  # the epoch-2 replies find it deposed
-        assert not successor.active and successor._takeover_replied == set()
+        assert not successor.active
+        assert successor.takeover.round.replied == set()
+        assert successor.takeover.time_to_recover_ms() is None
 
     def test_recover_rejoins_as_a_standby_with_nothing_volatile(self):
         fabric = make_fabric()
@@ -152,10 +157,11 @@ class TestCoordinator:
         assert first.active and txn_id in first.decided
         first.crash()
         first.recover()
-        assert first.alive and not first.active and not first.recovering
+        assert first.alive and not first.active
+        assert not first.takeover.recovering
         assert first.decided == {} and first.in_flight == {}
-        assert first._deliveries == {} and first._in_doubt == {}
-        assert first._last_heard_ms == env.now()
+        assert first._deliveries == {} and first.takeover.round is None
+        assert first.takeover.last_heard_ms == env.now()
 
     def test_a_prepared_record_of_a_decided_txn_redelivers_the_decision(
             self):
@@ -169,24 +175,26 @@ class TestCoordinator:
         prepared = TxnLogRecord(txn_id, TxnState.PREPARED, {},
                                 tuple(p.name for p in owners), "")
         in_doubt_when_resolved = []
-        resolve = successor._resolve_in_doubt
+        takeover = successor.takeover
+        resolve = takeover._resolve_in_doubt
 
         def recording():
-            in_doubt_when_resolved.append(set(successor._in_doubt))
+            in_doubt_when_resolved.append(set(takeover.round.in_doubt))
             resolve()
 
-        successor._resolve_in_doubt = recording
-        successor.recovering = True
+        takeover._resolve_in_doubt = recording
+        takeover.round.completed_ms = None  # the takeover still open
         sent = [env.network.link_stats(successor.name, p.name).messages
                 for p in owners]
         successor._receive_control(
-            successor._txn_takeover_ack,
+            successor.takeover.reply,
             (owners[0].name, successor.epoch, [prepared]))
         assert in_doubt_when_resolved == [set()]
         assert [env.network.link_stats(successor.name, p.name).messages
                 for p in owners] == [count + 1 for count in sent]
         env.run_until_idle()
-        assert successor._deliveries == {} and not successor.recovering
+        assert successor._deliveries == {}
+        assert not successor.takeover.recovering
         assert all(owner.log.state(txn_id) == TxnState.COMMITTED
                    for owner in owners)
 
@@ -199,13 +207,14 @@ class TestCoordinator:
         env = fabric.built.env
         _, successor = fabric.coordinators
         names = tuple(sorted(fabric.participants))
-        successor._take_over()
-        successor._in_doubt["ghost:1"] = TxnLogRecord(
+        successor.takeover.take_over()
+        successor.takeover.round.in_doubt["ghost:1"] = TxnLogRecord(
             "ghost:1", TxnState.PREPARED, {}, names, "")
         successor.decided["ghost:1"] = (ABORT, None)
         aborts = successor.aborts
         env.run_until_idle()
-        assert successor._in_doubt == {} and not successor.recovering
+        assert successor.takeover.round.in_doubt == {}
+        assert not successor.takeover.recovering
         assert successor.aborts == aborts
         assert all(fabric.participants[name].log.state("ghost:1")
                    == TxnState.ABORTED for name in names)
@@ -220,7 +229,7 @@ class TestParticipant:
         owner = next(iter(fabric.participants.values()))
         assert owner.epoch == 2
         replies, stale = owner.takeover_replies, owner.stale_epoch_rejections
-        old._send_control(64, owner._txn_takeover, old, 1)
+        old._send_control(64, owner, owner.takeover_probe, old, 1)
         env.run_until_idle()
         assert owner.epoch == 2
         assert owner.takeover_replies == replies

@@ -11,7 +11,7 @@ from repro.core.consistency import STRONG
 from repro.txn import (
     PREPARED, TransactionError, TxnConfig, TxnState, txn_aliases,
 )
-from repro.txn.coordinator import InFlightTxn
+from repro.txn.coordinator import InFlightTxn, TwoPhaseCommitCoordinator
 from repro.txn.manager import TxnOp
 from txn_helpers import collect, make_fabric, no_failover_config, run_until
 
@@ -435,7 +435,7 @@ class TestEpochFencing:
         run_until(env, lambda: sent(old, fabric), step_ms=0.05,
                   limit_ms=5_000.0)
         old.crash()
-        successor._take_over()
+        successor.takeover.take_over()
         env.run_until_idle()
         return fabric
 
@@ -451,10 +451,11 @@ class TestEpochFencing:
         box = collect(fabric.manager.execute({key: "v"}))
         run_until(env, lambda: first.txns_started == 1, step_ms=0.05,
                   limit_ms=1_000.0)
-        second._send_control(64, first._coord_heartbeat, second.name, 2)
+        second._send_control(64, first, first.takeover.heartbeat,
+                             second.name, 2)
         run_until(env, lambda: not first.active, step_ms=0.05,
                   limit_ms=1_000.0)
-        first._take_over()
+        first.takeover.take_over()
         env.run_until_idle()
         assert first.active and first.epoch == 3
         assert box["final"].value["outcome"] == "commit"
@@ -471,15 +472,27 @@ class TestEpochFencing:
         owners = [fabric.participants[name] for name in fabric.owners_of(key)]
         assert all(owner.votes_yes == 1 for owner in owners)
 
-    def test_a_prepare_timeout_orphaned_by_a_retry_finds_it_decided(self):
+    def test_a_stale_prepare_job_leaves_the_retry_alone(self, monkeypatch):
         """The client's retry begins the transaction again while the old
-        job still waits: the old job then serves the retry's state, its
-        timeout is replaced by the retry job's, and it fires after the
-        commit, finding nothing in flight."""
-        fabric, _ = self._deposed_and_back(client_timeout_ms=5.0)
+        job still waits: served, the old job finds another record in
+        flight and sends nothing.  Every owner votes yes once, and no
+        prepare timeout outlives the commit."""
+        fired = []
+        on_timeout = TwoPhaseCommitCoordinator._on_prepare_timeout
+
+        def recording(coordinator, state):
+            fired.append(state)
+            on_timeout(coordinator, state)
+
+        monkeypatch.setattr(TwoPhaseCommitCoordinator, "_on_prepare_timeout",
+                            recording)
+        fabric, key = self._deposed_and_back(client_timeout_ms=10.0)
         first = fabric.coordinators[0]
-        assert first.txns_started == 2
+        owners = [fabric.participants[name] for name in fabric.owners_of(key)]
+        assert first.txns_started == 2 and fabric.manager.retries == 3
+        assert [owner.votes_yes for owner in owners] == [1, 1, 1]
         assert (first.commits, first.prepare_timeouts) == (1, 0)
+        assert fired == []
 
     def test_queued_commit_is_fenced_when_served(self):
         fabric = self._take_over_with_work_queued(
@@ -506,7 +519,7 @@ class TestEpochFencing:
         fabric = self._take_over_with_work_queued(
             prepares_sent, prepare_service_ms=50.0, client_timeout_ms=0.0)
 
-        assert fabric.coordinators[1]._in_doubt == {}
+        assert fabric.coordinators[1].takeover.round.in_doubt == {}
         assert all(not p.locks and not p.in_doubt_txns()
                    and p.votes_yes + p.votes_no == 0
                    for p in fabric.participants.values())

@@ -111,8 +111,9 @@ class TestRefusals:
             draw(Counting(1))
 
 
-#: Builds a Cassandra cluster, prefills a generator and an arrival process
-#: with the ZooKeeper stack and the bench helpers imported, then prints
+#: Builds a Cassandra cluster, prefills a generator and draws an arrival
+#: process's gaps past its per-draw phase (into the chunked ones) with the
+#: ZooKeeper stack and the bench helpers imported, then prints
 #: every module that import loaded from outside the standard library and
 #: ``repro``, every figure module and every worker-pool package.
 _IMPORT_PROBE = """
@@ -128,7 +129,8 @@ built = ClusterSpec(record_count=50).build()
 generator = OperationGenerator.seeded(workload_by_name("A"), built.dataset,
                                       1, "imports")
 assert generator.prefill(64) == 64
-assert PoissonArrivals(100.0, random.Random(1)).prefill(64) == 64
+arrivals = PoissonArrivals(100.0, random.Random(1))
+assert all(arrivals.next_gap_ms() > 0 for _ in range(200))
 paths = sysconfig.get_paths()
 def under(keys):
     return tuple(os.path.join(os.path.realpath(paths[key]), "")

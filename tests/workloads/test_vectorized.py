@@ -92,14 +92,6 @@ class TestOperationStreamEquality:
 
 
 class TestArrivalAndValueStreams:
-    def test_poisson_prefill_matches_expovariate(self):
-        arrivals = PoissonArrivals(200.0, random.Random(5))
-        reference = random.Random(5)
-        arrivals.prefill(400)
-        gaps = [arrivals.next_gap_ms() for _ in range(400)]
-        assert gaps == [reference.expovariate(0.2) for _ in range(400)]
-        assert arrivals._rng.getstate() == reference.getstate()
-
     def test_poisson_auto_chunk_matches_expovariate(self):
         arrivals = PoissonArrivals(150.0, random.Random(8))
         reference = random.Random(8)

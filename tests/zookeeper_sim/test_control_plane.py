@@ -2,7 +2,7 @@
 
 Small three-server ensembles on a jitter-free topology, mostly with
 heartbeats off so a run drains: an election is started by hand
-(``_start_election``, what a follower's heartbeat tick does once the
+(``election.start()``, what a follower's heartbeat tick does once the
 leader went quiet) and every other hop travels the network as it would in
 a run.  Where a guard only fires on a hop that a schedule makes rare (a
 delayed announcement, a snapshot from a deposed leader), the test sends
@@ -34,7 +34,7 @@ def _elected():
     env, cluster = _ensemble()
     old = cluster.leader
     old.crash()
-    cluster.followers[0]._start_election()
+    cluster.followers[0].election.start()
     env.run_until_idle()
     old.recover()
     env.run_until_idle()
@@ -45,13 +45,13 @@ def _elected():
 def adoptions(monkeypatch):
     """Every ``(server, leader, epoch)`` a server adopted, in order."""
     adopted = []
-    adopt = ZKServer._adopt_leader
+    adopt = ZKServer.follow
 
     def recording(self, leader, epoch):
         adopted.append((self.name, leader, epoch))
         adopt(self, leader, epoch)
 
-    monkeypatch.setattr(ZKServer, "_adopt_leader", recording)
+    monkeypatch.setattr(ZKServer, "follow", recording)
     return adopted
 
 
@@ -71,21 +71,21 @@ class TestElection:
         for server in cluster.servers:
             if server is not lonely:
                 env.network.partition(lonely.name, server.name)
-        lonely._start_election()
+        lonely.election.start()
         env.run_until_idle()
         assert lonely.epoch == 0 and lonely.promotions == 0
-        assert lonely._announced_epoch == 0
-        assert lonely._election_candidates == {}
+        assert lonely.election.announced_epoch == 0
+        assert lonely.election.candidates == {}
         # The abandoned round frees the epoch for a fresh one.
-        lonely._start_election()
+        lonely.election.start()
         assert lonely.elections_started == 2
 
     def test_a_crashed_candidate_does_not_conclude_and_its_rival_resets(self):
         env, cluster = _ensemble()
         starter, winner = cluster.followers
-        starter._start_election()
+        starter.election.start()
         # The winner joins the round on the starter's announcement ...
-        while winner._announced_epoch == 0:
+        while winner.election.announced_epoch == 0:
             env.run(until=env.now() + 1.0)
         # ... and crashes before its window closes.
         winner.crash()
@@ -94,8 +94,8 @@ class TestElection:
         # The starter tallied the winner, waited for it to take over, then
         # reopened the epoch.
         assert starter.epoch == 0 and starter.promotions == 0
-        assert starter._announced_epoch == 0
-        assert starter._election_candidates == {}
+        assert starter.election.announced_epoch == 0
+        assert starter.election.candidates == {}
         assert cluster.leader.is_leader
 
     def test_a_stale_candidacy_meets_a_leader_that_reasserts(
@@ -106,7 +106,7 @@ class TestElection:
         # The zombie suspects its own epoch and campaigns for epoch 1, which
         # is already led: the leader answers with itself, the other
         # follower ignores it, and the zombie follows.
-        old._start_election()
+        old.election.start()
         env.run_until_idle()
         assert adoptions == [(old.name, leader.name, 1)]
         # Its own window closed after it adopted: nothing to conclude.
@@ -127,12 +127,12 @@ class TestLeaderAnnouncements:
     @pytest.mark.parametrize("sender", ["deposed", "current"])
     def test_a_stale_leader_info_is_ignored(self, adoptions, sender):
         """The deposed leader's info (epoch 0), or the current leader's
-        announcement over again (epoch 1, what ``_promote`` sent): nothing
+        announcement over again (epoch 1, what ``promote`` sent): nothing
         new to adopt."""
         env, cluster, old = _elected()
         follower, leader = cluster.followers
         adoptions.clear()
-        (old if sender == "deposed" else leader)._send_leader_info(follower)
+        (old if sender == "deposed" else leader).election.send_leader_info(follower)
         env.run_until_idle()
         assert adoptions == []
         assert follower.leader_name == leader.name and follower.epoch == 1
@@ -141,7 +141,7 @@ class TestLeaderAnnouncements:
         env, cluster, _ = _elected()
         follower, leader = cluster.followers
         adoptions.clear()
-        follower._send_leader_info(leader)
+        follower.election.send_leader_info(leader)
         env.run_until_idle()
         assert adoptions == []
         assert leader.is_leader and leader.epoch == 1
@@ -160,7 +160,7 @@ class TestSync:
         env.network.heal(cluster.leader.name, lost.name)
         proposals = env.network.link_stats(other.name, lost.name).messages
         lost.become_follower(other.name, cluster.server_names())
-        lost._request_sync(lost.epoch)
+        lost.request_sync(lost.epoch)
         env.run_until_idle()
         # The follower serves the diff from its own log; it leads nothing,
         # so nothing follows the sync.
@@ -187,7 +187,7 @@ class TestSync:
         assert old.snapshots_received == 1
         assert not old.is_leader and old.tracker is None
         assert old.leader_name == leader.name and old.epoch == 1
-        assert old._announced_epoch == 1
+        assert old.election.announced_epoch == 1
 
 
 class TestZabDrops:

@@ -5,6 +5,7 @@ import typing
 import pytest
 from hypothesis import example, given, strategies as st
 
+from repro.zookeeper_sim import datatree
 from repro.zookeeper_sim.datatree import DataTree, NoNodeError, NodeExistsError
 
 
@@ -93,6 +94,29 @@ class TestDelete:
         tree.create("/a/b")
         with pytest.raises(ValueError):
             tree.delete("/a")
+
+    def test_deleting_a_child_behind_the_head_keeps_the_order(self):
+        tree = DataTree()
+        tree.create("/q")
+        for name in ("a", "b", "c"):
+            tree.create(f"/q/{name}")
+        tree.delete("/q/b")
+        assert tree.get_children("/q") == ["a", "c"]
+        assert tree.first_child("/q") == ("a", None, 1)
+
+
+def test_a_full_path_cache_evicts_its_newest_entry(monkeypatch):
+    """One-shot paths cannot grow the split cache past its limit: at the
+    limit a new path evicts the latest entry, so the early ones stay."""
+    cache = {}
+    monkeypatch.setattr(datatree, "_SPLIT_CACHE", cache)
+    limit = datatree._SPLIT_CACHE_LIMIT
+    for i in range(limit):
+        DataTree._split(f"/q/item-{i}")
+    assert DataTree._split("/q/late") == ("q", "late")
+    assert len(cache) == limit
+    assert "/q/item-0" in cache and "/q/late" in cache
+    assert f"/q/item-{limit - 1}" not in cache
 
 
 @given(st.integers(min_value=1, max_value=40))

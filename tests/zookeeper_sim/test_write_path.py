@@ -319,7 +319,7 @@ class TestTransactionRecord:
         env.run_until_idle()
         assert behind.commit_log.last_applied == 0
         env.network.heal(cluster.leader.name, behind.name)
-        behind._request_sync(behind.epoch)
+        behind.request_sync(behind.epoch)
         env.run_until_idle()
         assert cluster.leader.syncs_served == 1
         assert behind.applied_log == cluster.leader.applied_log
@@ -390,7 +390,7 @@ class TestProposalTrackerStaysSmall:
             == [1, 2, 3]
         rejoining = cluster.followers[0]
         env.network.heal(leader.name, rejoining.name)
-        rejoining._request_sync(rejoining.epoch)
+        rejoining.request_sync(rejoining.epoch)
         env.run_until_idle()
         assert answers.kinds() == ["final", "final", "final"]
         assert len(leader.tracker._proposals) == 0

@@ -284,7 +284,7 @@ class TestOrphanOriginsExpire:
     def test_stash_is_dropped_once_the_client_gave_up(self):
         config = ZooKeeperConfig.fault_tolerant()
         env, cluster, old_leader = self._strand_three_writes(config)
-        assert len(old_leader._orphan_origins) >= 3
+        assert len(old_leader.orphan_origins) >= 3
         assert cluster.in_flight()["orphan_origins"] >= 3
         # 2 s timeout x (3 retries + 1): nobody waits beyond 8 s.
         assert config.client_patience_ms() == 8_000.0
@@ -311,7 +311,7 @@ class TestOrphanOriginsExpire:
         from repro.bench.common import DrainCheck
         from repro.zookeeper_sim.server import ZKServer
 
-        monkeypatch.setattr(ZKServer, "_expire_orphan_origins",
+        monkeypatch.setattr(ZKServer, "expire_orphan_origins",
                             lambda self: None)
         # The figure's end-of-run check would fail the run (see below);
         # record what it saw instead.
@@ -322,7 +322,7 @@ class TestOrphanOriginsExpire:
                                                 for c in clusters))
         record, (cluster,) = leader_crash()
         assert record["promotions"] == 1
-        assert not cluster.current_leader()._orphan_origins
+        assert not cluster.current_leader().orphan_origins
         # With expiry off, the demoted leader keeps the stash of writes
         # nobody re-proposes, and the drain check is what notices.
         (in_flight,) = seen
