@@ -11,28 +11,26 @@ experiments stay laptop-fast; pass larger counts for paper-scale runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List
 
-from repro.workloads.records import check_positive_int, make_value
+from repro.workloads.records import POSITIVE, check_fields, make_value, spec
 
 
-@dataclass
+@spec
 class AdsDataset:
     """User profiles referencing personalized ads."""
 
-    profile_count: int = 2_000
-    ad_count: int = 4_600
+    profile_count: int = field(default=2_000, metadata=POSITIVE)
+    ad_count: int = field(default=4_600, metadata=POSITIVE)
     min_ads_per_profile: int = 1
     max_ads_per_profile: int = 40
-    ad_body_bytes: int = 200
+    ad_body_bytes: int = field(default=200, metadata=POSITIVE)
     seed: int = 7
     _profiles: Dict[str, List[str]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if self.profile_count <= 0 or self.ad_count <= 0:
-            raise ValueError("profile_count and ad_count must be positive")
-        check_positive_int("ad_body_bytes", self.ad_body_bytes)
+        check_fields(self)
         rng = random.Random(self.seed)
         for index in range(self.profile_count):
             count = rng.randint(self.min_ads_per_profile,
@@ -77,21 +75,19 @@ class AdsDataset:
         return items
 
 
-@dataclass
+@spec
 class TwissandraDataset:
     """User timelines referencing tweets (newest first)."""
 
-    user_count: int = 1_100
-    tweet_count: int = 3_250
-    timeline_length: int = 20
-    tweet_body_bytes: int = 140
+    user_count: int = field(default=1_100, metadata=POSITIVE)
+    tweet_count: int = field(default=3_250, metadata=POSITIVE)
+    timeline_length: int = field(default=20, metadata=POSITIVE)
+    tweet_body_bytes: int = field(default=140, metadata=POSITIVE)
     seed: int = 11
     _timelines: Dict[str, List[str]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if self.user_count <= 0 or self.tweet_count <= 0:
-            raise ValueError("user_count and tweet_count must be positive")
-        check_positive_int("tweet_body_bytes", self.tweet_body_bytes)
+        check_fields(self)
         rng = random.Random(self.seed)
         for index in range(self.user_count):
             length = rng.randint(1, self.timeline_length)

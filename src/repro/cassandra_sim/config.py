@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import field
 
-from repro.workloads.records import (
-    check_non_negative_float, check_non_negative_int, check_positive_int)
+from repro.workloads.records import POSITIVE, check_fields, spec
 
 
-@dataclass
+@spec
 class CassandraConfig:
     """Cluster-wide configuration.
 
@@ -18,13 +17,13 @@ class CassandraConfig:
     """
 
     #: Number of replicas holding each key.
-    replication_factor: int = 3
+    replication_factor: int = field(default=3, metadata=POSITIVE)
     #: Virtual nodes (tokens) each storage node places on the ring.  More
     #: vnodes smooth per-node load and shrink the ranges a membership change
     #: moves.  Determinism contract: the token layout is a pure function of
     #: the node names and this count (``md5(f"{name}#{vnode}")``), so a given
     #: membership always yields the same ring regardless of seeds or history.
-    vnodes_per_node: int = 8
+    vnodes_per_node: int = field(default=8, metadata=POSITIVE)
     #: CPU time a replica spends serving one read (ms).
     read_service_ms: float = 1.5
     #: CPU time a replica spends applying one write (ms).
@@ -34,7 +33,7 @@ class CassandraConfig:
     #: Size of a full record returned by a read (bytes).  The single-request
     #: microbenchmark uses 100 B objects; the YCSB load/bandwidth experiments
     #: use the YCSB default of 10 fields × 100 B = 1000 B records.
-    value_size_bytes: int = 100
+    value_size_bytes: int = field(default=100, metadata=POSITIVE)
     #: Size of a key on the wire (bytes).
     key_size_bytes: int = 20
     #: Per-response metadata overhead (bytes).
@@ -67,7 +66,7 @@ class CassandraConfig:
     #: Range streaming (ring rebalancing): items shipped per stream batch.
     #: Batches are stop-and-wait (next batch leaves when the previous one is
     #: acknowledged), so smaller batches stretch a rebalance over more time.
-    stream_batch_items: int = 64
+    stream_batch_items: int = field(default=64, metadata=POSITIVE)
     #: Simulated service time the stream source is charged for locating one
     #: task's key range before its first batch leaves (ms).  A model
     #: parameter, not a description of host work: the simulator itself
@@ -80,24 +79,7 @@ class CassandraConfig:
     stream_apply_ms_per_item: float = 0.05
 
     def __post_init__(self) -> None:
-        # Counts and the value size: a fraction, NaN or an infinity would
-        # fail later as a range bound, or make a float wire size.
-        for name in ("replication_factor", "vnodes_per_node",
-                     "stream_batch_items", "value_size_bytes"):
-            check_positive_int(name, getattr(self, name))
-        for name in ("coordinator_retries", "client_retries"):
-            check_non_negative_int(name, getattr(self, name))
-        # A negative service time schedules a job before ``now`` and runs
-        # the simulated clock backwards; a negative size undercounts bytes;
-        # an infinite one never finishes a job, and a timeout already says
-        # "never" with 0.
-        for name in ("read_timeout_ms", "write_timeout_ms",
-                     "client_timeout_ms", "read_service_ms", "write_service_ms",
-                     "preliminary_flush_ms", "stream_scan_ms",
-                     "stream_batch_ms", "stream_apply_ms_per_item",
-                     "key_size_bytes", "response_overhead_bytes",
-                     "confirmation_bytes"):
-            check_non_negative_float(name, getattr(self, name))
+        check_fields(self)
 
     def quorum(self) -> int:
         """Majority quorum size for this replication factor."""

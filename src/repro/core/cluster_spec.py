@@ -24,7 +24,7 @@ from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, round_robin_regions
-from repro.workloads.records import Dataset, check_positive_int
+from repro.workloads.records import POSITIVE, Dataset, check_fields, spec
 
 #: Client region -> contact (coordinator) region used by the load
 #: experiments: every client connects to a *remote* replica, as in the
@@ -50,7 +50,7 @@ class BuiltCluster:
         return self.clients[region]
 
 
-@dataclass(frozen=True)
+@spec(frozen=True)
 class ClusterSpec:
     """Declarative description of a simulated Cassandra deployment.
 
@@ -60,17 +60,17 @@ class ClusterSpec:
     """
 
     #: Number of storage nodes in the ring.
-    nodes: int = 3
+    nodes: int = field(default=3, metadata=POSITIVE)
     #: Region cycle for node placement.  ``None`` uses the paper's
     #: ``(FRK, IRL, VRG)``.  With fewer entries than ``nodes`` the cycle
     #: repeats round-robin, so ``nodes=6`` puts two nodes in each region.
     regions: Optional[Tuple[str, ...]] = None
     #: Replicas per key.  ``None`` keeps the config's value (default 3).
-    replication_factor: Optional[int] = None
+    replication_factor: Optional[int] = field(default=None, metadata=POSITIVE)
     #: Virtual nodes per storage node.  ``None`` keeps the config's value
     #: (default 8).  The token layout is a pure function of node names and
     #: this count.
-    vnodes_per_node: Optional[int] = None
+    vnodes_per_node: Optional[int] = field(default=None, metadata=POSITIVE)
     #: Base cluster configuration; ``None`` builds a default
     #: :class:`CassandraConfig` with ``value_size_bytes``.
     config: Optional[CassandraConfig] = None
@@ -78,8 +78,8 @@ class ClusterSpec:
     #: harnesses' label-derived streams, every generator built on top.
     seed: int = 0
     #: Dataset shape preloaded onto the ring.
-    record_count: int = 1000
-    value_size_bytes: int = 100
+    record_count: int = field(default=1000, metadata=POSITIVE)
+    value_size_bytes: int = field(default=100, metadata=POSITIVE)
     key_prefix: str = "user"
     #: One client per region listed here (named ``ycsb-client-{region}``).
     client_regions: Tuple[str, ...] = (Region.IRL,)
@@ -92,11 +92,7 @@ class ClusterSpec:
     preload: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("nodes", "record_count", "value_size_bytes"):
-            check_positive_int(name, getattr(self, name))
-        for name in ("replication_factor", "vnodes_per_node"):
-            if getattr(self, name) is not None:  # None keeps the config's
-                check_positive_int(name, getattr(self, name))
+        check_fields(self)
         if self.regions is not None and not self.regions:
             raise ValueError("regions must be None or non-empty")
         if self.replication_factor is not None \

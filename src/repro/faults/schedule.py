@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Tuple
 
-from repro.workloads.records import check_non_negative_float
+from repro.workloads.records import check_fields, spec
 
 #: Actions understood by the injector, with the operands they use.
 #:
@@ -37,7 +37,7 @@ ACTIONS = frozenset({
 _PAIR_ACTIONS = frozenset({"partition", "heal", "degrade_link", "restore_link"})
 
 
-@dataclass(frozen=True)
+@spec(frozen=True)
 class FaultEvent:
     """One scheduled fault action, relative to the schedule's arming time."""
 
@@ -48,8 +48,7 @@ class FaultEvent:
     value: float = 0.0
 
     def __post_init__(self) -> None:
-        check_non_negative_float("at_ms", self.at_ms)
-        check_non_negative_float("value", self.value)
+        check_fields(self)
         if self.action not in ACTIONS:
             raise ValueError(f"unknown fault action {self.action!r}; "
                              f"choose from {sorted(ACTIONS)}")

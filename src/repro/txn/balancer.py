@@ -9,8 +9,10 @@ marks the node recovered.  The transaction manager is the only client.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Optional, Sequence
+
+from repro.workloads.records import POSITIVE, check_fields, spec
 
 
 class BreakerState:
@@ -22,7 +24,7 @@ class BreakerState:
     HALF_OPEN = "half-open"
 
 
-@dataclass
+@spec
 class CircuitBreaker:
     """Per-node health automaton: closed → open → half-open → closed.
 
@@ -32,7 +34,7 @@ class CircuitBreaker:
     it for another full timeout.
     """
 
-    failure_threshold: int = 3
+    failure_threshold: int = field(default=3, metadata=POSITIVE)
     reset_timeout_ms: float = 1_000.0
     state: str = BreakerState.CLOSED
     failures: int = 0
@@ -44,11 +46,7 @@ class CircuitBreaker:
     _probe_in_flight: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
-        # ``not x >= 1`` rejects NaN too: a NaN threshold never opens.
-        if not self.failure_threshold >= 1:
-            raise ValueError("failure_threshold must be positive")
-        if not self.reset_timeout_ms >= 0:
-            raise ValueError("reset_timeout_ms must be non-negative")
+        check_fields(self)
 
     def allow(self, now_ms: float) -> bool:
         """Whether a request may be routed to this node right now.

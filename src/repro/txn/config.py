@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import field
 
-from repro.workloads.records import check_non_negative_float
+from repro.workloads.records import POSITIVE, check_fields, spec
 
 
-@dataclass
+@spec
 class TxnConfig:
     """Tuning for the 2PC coordinator group, participants, and clients.
 
@@ -18,7 +18,7 @@ class TxnConfig:
     """
 
     #: Coordinator-side timeout for collecting prepare votes (ms).
-    prepare_timeout_ms: float = 400.0
+    prepare_timeout_ms: float = field(default=400.0, metadata=POSITIVE)
     #: Simulated durable-decision write at the coordinator (ms).  The window
     #: between the speculative PREPARED notice and the decision becoming
     #: durable — a coordinator crash inside it loses the decision, which is
@@ -27,7 +27,7 @@ class TxnConfig:
     #: Redelivery period for commit/abort decisions not yet acked by every
     #: participant (ms); covers participants that were crashed or partitioned
     #: away when the decision first went out.
-    decision_retry_ms: float = 300.0
+    decision_retry_ms: float = field(default=300.0, metadata=POSITIVE)
     #: Active-coordinator heartbeat period (ms); 0 disables failure detection
     #: (and with it coordinator failover).
     heartbeat_interval_ms: float = 100.0
@@ -38,7 +38,7 @@ class TxnConfig:
     #: Re-probe period for participants that have not answered a takeover
     #: state request (ms); recovery blocks on every participant, so probes
     #: continue until crashed participants come back.
-    takeover_probe_ms: float = 250.0
+    takeover_probe_ms: float = field(default=250.0, metadata=POSITIVE)
     #: Client-side timeout for one transaction attempt (ms); 0 disables.
     client_timeout_ms: float = 1_200.0
     #: How many times the client re-submits a timed-out transaction (after
@@ -47,10 +47,10 @@ class TxnConfig:
     #: End-to-end transaction budget (ms): the absolute deadline carried in
     #: every message of the transaction (client → coordinator → participant),
     #: after which any hop refuses further work on it.
-    txn_deadline_ms: float = 6_000.0
+    txn_deadline_ms: float = field(default=6_000.0, metadata=POSITIVE)
     #: Load-balancer circuit breakers: consecutive failures to open, and how
     #: long an open breaker rejects before half-opening a probe.
-    breaker_failure_threshold: int = 2
+    breaker_failure_threshold: int = field(default=2, metadata=POSITIVE)
     breaker_reset_ms: float = 800.0
     #: CPU time a participant spends validating + logging one prepare (ms).
     prepare_service_ms: float = 0.4
@@ -63,19 +63,9 @@ class TxnConfig:
     value_size_bytes: int = 100
 
     def __post_init__(self) -> None:
-        # A timeout already says "never" with 0, so inf means nothing here.
-        for field in fields(self):
-            check_non_negative_float(field.name, getattr(self, field.name))
-        # A zero redelivery or probe period reschedules itself at the same
-        # instant for as long as a participant stays silent, so simulated
-        # time never advances; a zero timeout or budget expires every
-        # transaction on arrival.
-        for name in ("prepare_timeout_ms", "decision_retry_ms",
-                     "takeover_probe_ms", "txn_deadline_ms"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.breaker_failure_threshold < 1:
-            raise ValueError("breaker_failure_threshold must be positive")
+        # ``POSITIVE``: a zero period re-arms at the same instant forever; a
+        # zero timeout or budget expires every transaction on arrival.
+        check_fields(self)
         if self.heartbeat_interval_ms > 0 and not (
                 self.coordinator_timeout_ms > self.heartbeat_interval_ms):
             raise ValueError(

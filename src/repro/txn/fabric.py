@@ -202,17 +202,13 @@ def build_txn_fabric(built: BuiltCluster, config: Optional[TxnConfig] = None,
             peers=coordinator_names, participants=list(participants),
             owners_of=owners_of))
 
-    balancer = LoadBalancer(
-        coordinator_names,
-        failure_threshold=config.breaker_failure_threshold,
-        reset_timeout_ms=config.breaker_reset_ms)
     manager = TransactionManager(
         f"txn-client-{manager_region}", manager_region, env.network,
-        coordinator_names, config, balancer=balancer)
+        coordinator_names, config)
 
     return TxnFabric(built=built, config=config, participants=participants,
                      coordinators=coordinators, manager=manager,
-                     balancer=balancer, owners_of=owners_of)
+                     balancer=manager.balancer, owners_of=owners_of)
 
 
 def txn_aliases(fabric: TxnFabric) -> Dict[str, str]:

@@ -90,8 +90,9 @@ class TxnOp:
     Every attempt sends this record to a coordinator, which reads the wire
     fields (``txn_id`` … ``size_bytes``; ``client`` is the reply address)
     only.  The rest is the manager's bookkeeping: routing hints, redirect
-    and re-send counts, and the armed ``timeout_event``.  Freed by
-    refcount: no pool.
+    and re-send counts, and ``timeout_event``, the one event armed for the
+    transaction: the request timer or the backoff before a re-send, each
+    carrying this record.  Freed by refcount: no pool.
     """
 
     __slots__ = ("txn_id", "writes", "client", "deadline_ms", "size_bytes",
@@ -119,12 +120,11 @@ class TransactionManager(Node):
     """Issues multi-key transactions against the coordinator group."""
 
     def __init__(self, name: str, region: str, network: Network,
-                 coordinators: Sequence[str], config: TxnConfig,
-                 balancer: Optional[LoadBalancer] = None) -> None:
+                 coordinators: Sequence[str], config: TxnConfig) -> None:
         super().__init__(name, region, network)
         self.config = config
         self.coordinators = tuple(coordinators)
-        self.balancer = balancer if balancer is not None else LoadBalancer(
+        self.balancer = LoadBalancer(
             self.coordinators,
             failure_threshold=config.breaker_failure_threshold,
             reset_timeout_ms=config.breaker_reset_ms)
@@ -171,6 +171,8 @@ class TransactionManager(Node):
         return txn_id
 
     def _dispatch(self, op: TxnOp) -> None:
+        """Send ``op`` to the coordinator the balancer picks and arm the
+        request timer; nothing is armed for ``op`` when this runs."""
         target = self.balancer.pick(self.scheduler.now(),
                                     preferred=op.preferred,
                                     avoid=op.last_target)
@@ -182,17 +184,14 @@ class TransactionManager(Node):
         timeout_ms = self.config.client_timeout_ms
         if timeout_ms > 0:
             op.timeout_event = self.scheduler.schedule(
-                timeout_ms, self._on_request_timeout, op.txn_id)
+                timeout_ms, self._on_request_timeout, op)
 
     # -- failover ------------------------------------------------------------
-    def _on_request_timeout(self, txn_id: str) -> None:
+    def _on_request_timeout(self, op: TxnOp) -> None:
         """No answer in time (or a redirect loop): count it against the
         coordinator, then re-send after the backoff, or fail the
         transaction once its deadline has passed or its retries are
-        spent."""
-        op = self._pending.get(txn_id)
-        if op is None:
-            return
+        spent.  Nothing is armed when this runs."""
         op.timeout_event = None
         now = self.scheduler.now()
         if op.last_target is not None:
@@ -200,7 +199,7 @@ class TransactionManager(Node):
             self.balancer.record_failure(op.last_target, now)
         if now >= op.deadline_ms or op.attempts >= self.config.client_retries:
             self.failed_requests += 1
-            del self._pending[txn_id]
+            del self._pending[op.txn_id]
             if op.prepared_seen:
                 self.stats.unresolved += 1
             op.sink.deliver_error(
@@ -210,16 +209,15 @@ class TransactionManager(Node):
             return
         op.attempts += 1
         self.retries += 1
-        self.scheduler.schedule(
+        op.timeout_event = self.scheduler.schedule(
             min(_BACKOFF_CAP_MS, _BACKOFF_BASE_MS * 2 ** (op.attempts - 1)),
-            self._resend, txn_id)
+            self._resend, op)
 
-    def _resend(self, txn_id: str) -> None:
-        """The backoff ran out: re-send, unless the transaction finished
-        meanwhile (a late final from an earlier attempt)."""
-        op = self._pending.get(txn_id)
-        if op is not None:
-            self._dispatch(op)
+    def _resend(self, op: TxnOp) -> None:
+        """The backoff ran out: re-send.  A final cancels the backoff, so
+        the transaction is still pending."""
+        op.timeout_event = None
+        self._dispatch(op)
 
     # -- responses (network continuations) -----------------------------------
     def _txn_redirect(self, txn_id: str, active: str) -> None:
@@ -232,6 +230,8 @@ class TransactionManager(Node):
         if op is None:
             return
         if op.timeout_event is not None:
+            # The request timer, or the backoff of a timeout that came
+            # first: the redirect acts in its place.
             op.timeout_event.cancel()
             op.timeout_event = None
         op.redirects += 1
@@ -241,7 +241,7 @@ class TransactionManager(Node):
             self._dispatch(op)
             return
         # Redirect loop (no coordinator admits being active): burn a retry.
-        self._on_request_timeout(txn_id)
+        self._on_request_timeout(op)
 
     def _txn_prepared(self, txn_id: str) -> None:
         if not self.alive:

@@ -14,12 +14,13 @@ generator (:meth:`Dataset.random_value`).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import string
 from collections.abc import Mapping, Sequence
 from hashlib import shake_128
-from typing import Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.workloads import fastrand
 
@@ -37,24 +38,69 @@ _KEY_CACHE_MAX = 1 << 18
 
 
 def check_positive_int(name: str, value: object) -> None:
-    """The rule for a count or a size: a ``ValueError`` naming ``name``
-    unless ``value`` is a positive int (a ``bool`` is not one)."""
-    if type(value) is bool or not isinstance(value, int) or value < 1:
+    """The rule for a count or a size: an int >= 1, not a ``bool`` (a
+    fraction fails later as a range bound, or makes a float wire size)."""
+    if type(value) is not int or value < 1:
         raise ValueError(f"{name} must be a positive int: {value!r}")
 
 
 def check_non_negative_int(name: str, value: object) -> None:
-    """The rule for a count that may be zero (a retry count): a
-    ``ValueError`` naming ``name`` unless ``value`` is an int >= 0 (a
-    ``bool`` is not one)."""
-    if type(value) is bool or not isinstance(value, int) or value < 0:
+    """The rule for a count that may be zero (a retry count): the same, >= 0."""
+    if type(value) is not int or value < 0:
         raise ValueError(f"{name} must be a non-negative int: {value!r}")
 
 
 def check_non_negative_float(name: str, value: object) -> None:
-    """The rule for a time, a rate or a share: finite, >= 0, not a bool."""
+    """The rule for a time, a rate or a share: finite, >= 0, not a bool (a
+    negative time runs the clock backwards, an infinite one ends no job)."""
     if type(value) is bool or not 0 <= value < math.inf:
         raise ValueError(f"{name} must be non-negative and finite: {value!r}")
+
+
+def _check_positive_float(name: str, value: object) -> None:
+    check_non_negative_float(name, value)
+    if not value:
+        raise ValueError(f"{name} must be positive")
+
+
+def _or_none(rule: Callable) -> Callable:
+    return lambda name, value: value is None or rule(name, value)
+
+
+#: ``field(metadata=POSITIVE)``: an int field >= 1, a float one > 0.
+POSITIVE = {"positive": True}
+#: A numeric field's annotation -> its rule, without and with ``POSITIVE``.
+_RULES = {"int": (check_non_negative_int, check_positive_int),
+          "float": (check_non_negative_float, _check_positive_float)}
+_RULES.update({f"Optional[{kind}]": tuple(map(_or_none, rules))
+               for kind, rules in _RULES.items()})
+#: A spec class -> ``(rule, names)``: its numeric fields, grouped by rule.
+_FIELD_RULES: Dict[type, Tuple[Tuple[Callable, List[str]], ...]] = {}
+
+
+def spec(cls: Optional[type] = None, /, **options):
+    """``@dataclass`` (with ``options``) for a spec, whose ``__post_init__``
+    starts with :func:`check_fields`; builds its rule table, once: a numeric
+    field's annotation (a string) picks the rule, ``POSITIVE`` the stricter."""
+    if cls is None:
+        return lambda cls: spec(cls, **options)
+    cls, groups = dataclasses.dataclass(cls, **options), {}
+    for field in dataclasses.fields(cls):
+        rules = _RULES.get(field.type)
+        if rules is not None:
+            rule = rules[bool(field.metadata.get("positive"))]
+            groups.setdefault(rule, []).append(field.name)
+    _FIELD_RULES[cls] = tuple(groups.items())
+    return cls
+
+
+def check_fields(spec: object) -> None:
+    """Apply each numeric field's rule to ``spec``, an instance of a
+    :func:`spec` class: a ``ValueError`` names the field that fails."""
+    for rule, names in _FIELD_RULES[type(spec)]:
+        # ``map`` calls the rule from C: no loop body runs per field.
+        for _ in map(rule, names, map(spec.__getattribute__, names)):
+            pass
 
 
 def time_zero_value(key: str, size: int) -> str:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Optional, Tuple
 
 from repro.sim.rand import derive_rng
 from repro.workloads import fastrand
 from repro.workloads.distributions import make_key_chooser
-from repro.workloads.records import Dataset, check_non_negative_float
+from repro.workloads.records import Dataset, check_fields, spec
 
 #: Per-draw operations before a generator auto-engages chunked prefill.
 #: Short-lived generators (open-loop sessions issue tens of ops) never
@@ -28,7 +28,7 @@ _CHUNK_MIN = 256
 _CHUNK_MAX = 4096
 
 
-@dataclass(frozen=True)
+@spec(frozen=True)
 class WorkloadSpec:
     """An operation mix in the style of the YCSB core workloads."""
 
@@ -42,8 +42,7 @@ class WorkloadSpec:
     zipf_theta: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("read_proportion", "update_proportion"):
-            check_non_negative_float(name, getattr(self, name))
+        check_fields(self)
         total = self.read_proportion + self.update_proportion
         if abs(total - 1.0) > 1e-9:
             raise ValueError(
@@ -57,19 +56,11 @@ class WorkloadSpec:
 
     def with_distribution(self, distribution: str) -> "WorkloadSpec":
         """The same mix under a different request distribution."""
-        return WorkloadSpec(name=self.name,
-                            read_proportion=self.read_proportion,
-                            update_proportion=self.update_proportion,
-                            request_distribution=distribution,
-                            zipf_theta=self.zipf_theta)
+        return replace(self, request_distribution=distribution)
 
     def with_skew(self, theta: Optional[float]) -> "WorkloadSpec":
         """The same mix with a different Zipf skew (``None`` = YCSB 0.99)."""
-        return WorkloadSpec(name=self.name,
-                            read_proportion=self.read_proportion,
-                            update_proportion=self.update_proportion,
-                            request_distribution=self.request_distribution,
-                            zipf_theta=theta)
+        return replace(self, zipf_theta=theta)
 
 
 #: Workload A — update heavy (50:50 read/update), e.g. a session store.

@@ -125,11 +125,9 @@ class ZKClient(Node):
                 timeout_ms, self._on_request_timeout, pending.req_id)
 
     def _on_request_timeout(self, req_id: int) -> None:
-        """No final answer in time: re-send at once to the next server, or
-        fail the operation once ``client_retries`` re-sends are spent."""
-        pending = self._pending.get(req_id)
-        if pending is None:
-            return
+        """No final answer (which cancels this timer) in time: re-send at
+        once to the next server, or fail once the retries are spent."""
+        pending = self._pending[req_id]
         pending.timeout_event = None
         if pending.attempts < self.config.client_retries:
             pending.attempts += 1

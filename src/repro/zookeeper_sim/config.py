@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.workloads.records import (check_non_negative_float,
-                                     check_non_negative_int)
+from repro.workloads.records import check_fields, spec
 
 
-@dataclass
+@spec
 class ZooKeeperConfig:
     """Ensemble-wide configuration.
 
@@ -52,17 +49,7 @@ class ZooKeeperConfig:
     client_retries: int = 3
 
     def __post_init__(self) -> None:
-        # A timeout already says "never" with 0, so inf means nothing here.
-        for name in ("request_service_ms", "proposal_service_ms",
-                     "apply_service_ms", "simulation_service_ms",
-                     "heartbeat_interval_ms", "leader_timeout_ms",
-                     "election_window_ms", "request_timeout_ms"):
-            check_non_negative_float(name, getattr(self, name))
-        # Wire sizes and a retry count: a fraction or an infinity would
-        # become a float wire size, or retry forever.
-        for name in ("element_size_bytes", "child_name_bytes",
-                     "path_size_bytes", "ack_bytes", "client_retries"):
-            check_non_negative_int(name, getattr(self, name))
+        check_fields(self)
         if self.heartbeat_interval_ms > 0:
             if not self.leader_timeout_ms > self.heartbeat_interval_ms:
                 raise ValueError(

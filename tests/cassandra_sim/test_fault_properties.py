@@ -16,8 +16,6 @@ read repair has run, replicas agree.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from checkers import well_formed
 from fault_slices import fault_windows, schedule_from_windows
@@ -124,71 +122,6 @@ class TestPoolAccountingAcrossRingChanges:
 
 
 class TestBadSpecsFailLoudly:
-    @pytest.mark.parametrize("field", [
-        "read_timeout_ms", "write_timeout_ms", "client_timeout_ms",
-        "coordinator_retries", "client_retries"])
-    def test_negative_timeouts_and_retries_are_rejected(self, field):
-        with pytest.raises(ValueError, match=field):
-            CassandraConfig(**{field: -1})
-
-    @pytest.mark.parametrize("field", ["coordinator_retries",
-                                       "client_retries"])
-    def test_nan_retries_are_rejected(self, field):
-        """A retry count is compared with ``<``, and ``n < nan`` is never
-        true: NaN would turn retries off without a word, so it fails at
-        construction instead."""
-        with pytest.raises(ValueError, match=field):
-            CassandraConfig(**{field: math.nan})
-
-    @pytest.mark.parametrize("field, value", [
-        (field, -1.0) for field in (
-            "read_service_ms", "write_service_ms", "preliminary_flush_ms",
-            "stream_scan_ms", "stream_batch_ms", "stream_apply_ms_per_item",
-            "key_size_bytes", "response_overhead_bytes",
-            "confirmation_bytes")] + [
-        ("value_size_bytes", 0)] + [
-        (field, value) for field in (
-            "replication_factor", "vnodes_per_node", "stream_batch_items",
-            "value_size_bytes")
-        for value in (math.nan, 2.5, math.inf, True)] + [
-        (field, value) for field in ("coordinator_retries", "client_retries")
-        for value in (2.5, True)])
-    def test_negative_costs_and_sizes_are_rejected(self, field, value):
-        """A negative service time would schedule a job before ``now`` and
-        run the simulated clock backwards; a negative size undercounts
-        bytes; a count or a size that is not an int (NaN, 2.5, inf) failed
-        only at ``build()`` as a float range bound, and ``True`` passed as
-        the int 1 (a one-replica ring).  All fail at construction, as plain
-        and as fault-tolerant configs."""
-        with pytest.raises(ValueError, match=field):
-            CassandraConfig(**{field: value})
-        with pytest.raises(ValueError, match=field):
-            CassandraConfig.fault_tolerant(**{field: value})
-
-    @pytest.mark.parametrize("field", [
-        "read_timeout_ms", "write_timeout_ms", "client_timeout_ms",
-        "read_service_ms", "write_service_ms", "preliminary_flush_ms",
-        "stream_scan_ms", "stream_batch_ms", "stream_apply_ms_per_item"])
-    def test_nan_costs_are_rejected(self, field):
-        """``nan < 0`` is False, so a ``< 0`` check let NaN through: a
-        NaN read service time finished reads with latency NaN and left the
-        simulated clock at NaN."""
-        with pytest.raises(ValueError, match=field):
-            CassandraConfig(**{field: math.nan})
-
-    @pytest.mark.parametrize("field", [
-        "read_timeout_ms", "write_timeout_ms", "client_timeout_ms",
-        "read_service_ms", "write_service_ms", "preliminary_flush_ms",
-        "stream_scan_ms", "stream_batch_ms", "stream_apply_ms_per_item",
-        "key_size_bytes", "response_overhead_bytes", "confirmation_bytes"])
-    def test_infinite_costs_sizes_and_timeouts_are_rejected(self, field):
-        """An infinite service time finishes no job and leaves the
-        simulated clock at inf, an infinite size makes a wire size inf, and
-        a timeout already means "never" with 0: inf fails at construction
-        instead of meaning any of these."""
-        with pytest.raises(ValueError, match=field):
-            CassandraConfig(**{field: math.inf})
-
     @pytest.mark.parametrize("fallbacks", [None, ["nope"]])
     def test_an_unknown_contact_fails_when_the_client_is_built(
             self, fallbacks, cassandra_setup):

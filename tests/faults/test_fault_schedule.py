@@ -1,7 +1,5 @@
 """Tests for the declarative fault scripts (events, schedules, scenarios)."""
 
-import math
-
 import pytest
 
 from repro.faults import FaultEvent, FaultSchedule, FaultScheduleBuilder, Scenario
@@ -13,10 +11,6 @@ class TestFaultEvent:
         with pytest.raises(ValueError):
             FaultEvent(0.0, "explode", "replica:0")
 
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            FaultEvent(-1.0, "crash", "replica:0")
-
     def test_rejects_missing_target(self):
         with pytest.raises(ValueError):
             FaultEvent(0.0, "crash", "")
@@ -24,17 +18,6 @@ class TestFaultEvent:
     def test_pair_actions_need_a_peer(self):
         with pytest.raises(ValueError):
             FaultEvent(0.0, "partition", "region:a")
-
-    @pytest.mark.parametrize("at_ms, action, value, field", [
-        (math.inf, "crash", 0.0, "at_ms"),
-        (True, "crash", 0.0, "at_ms"),
-        (0.0, "slow", math.inf, "value"),
-        (0.0, "degrade_link", math.inf, "value"),
-    ])
-    def test_rejects_an_infinite_or_bool_time_or_value(self, at_ms, action,
-                                                       value, field):
-        with pytest.raises(ValueError, match=field):
-            FaultEvent(at_ms, action, "region:a", "region:b", value)
 
     def test_slow_needs_positive_factor(self):
         with pytest.raises(ValueError):

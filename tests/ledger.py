@@ -1,14 +1,15 @@
-"""A line ledger for the Cassandra coordinator, replica, ring and storage
-modules, the ZooKeeper server, Zab, data tree and ensemble, and the 2PC
-coordinator, takeover and log.
+"""A line ledger for the Cassandra client, coordinator, replica, ring and
+storage modules, the ZooKeeper client, server, Zab, data tree and
+ensemble, and the 2PC manager, coordinator, participant, takeover and log.
 
 A pytest plugin, stdlib only: ``PYTHONPATH=src:tests python -m pytest
 -p ledger``.  It traces (``sys.settrace``) every line run in
-``cassandra_sim/reads.py``, ``writes.py``, ``replica.py``, ``cluster.py``,
-``partitioner.py`` and ``storage.py``, in ``workloads/records.py``, in
-``zookeeper_sim/server.py``, ``zab.py``, ``datatree.py`` and
-``cluster.py`` and in ``txn/coordinator.py``, ``takeover.py`` and
-``log.py`` while the suite runs, then fails the session on
+``cassandra_sim/client.py``, ``reads.py``, ``writes.py``, ``replica.py``,
+``cluster.py``, ``partitioner.py`` and ``storage.py``, in
+``workloads/records.py``, in ``zookeeper_sim/client.py``, ``server.py``,
+``zab.py``, ``datatree.py`` and ``cluster.py`` and in ``txn/manager.py``,
+``coordinator.py``, ``participant.py``, ``takeover.py`` and ``log.py``
+while the suite runs, then fails the session on
 any executable line that never ran and is not in :data:`ALLOWED`, and on
 any :data:`ALLOWED` entry that ran after all or names no line (a stale
 entry).  So a test that reaches a cold path — a guard that only fires on
@@ -40,13 +41,14 @@ from typing import Dict, Set, Tuple
 import pytest
 
 #: The modules traced, relative to the ``repro`` package.
-MODULES = ("cassandra_sim/reads.py", "cassandra_sim/writes.py",
-           "cassandra_sim/replica.py", "cassandra_sim/cluster.py",
-           "cassandra_sim/partitioner.py", "cassandra_sim/storage.py",
-           "workloads/records.py", "zookeeper_sim/server.py",
+MODULES = ("cassandra_sim/client.py", "cassandra_sim/reads.py",
+           "cassandra_sim/writes.py", "cassandra_sim/replica.py",
+           "cassandra_sim/cluster.py", "cassandra_sim/partitioner.py",
+           "cassandra_sim/storage.py", "workloads/records.py",
+           "zookeeper_sim/client.py", "zookeeper_sim/server.py",
            "zookeeper_sim/zab.py", "zookeeper_sim/datatree.py",
-           "zookeeper_sim/cluster.py", "txn/coordinator.py",
-           "txn/takeover.py", "txn/log.py")
+           "zookeeper_sim/cluster.py", "txn/manager.py", "txn/coordinator.py",
+           "txn/participant.py", "txn/takeover.py", "txn/log.py")
 
 #: (module, function qualname, stripped source line) -> why it may stay
 #: unreached by the suite.

@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.cluster_spec import ClusterSpec
 from repro.sim.rand import derive_rng
 from repro.txn import TxnConfig, build_txn_fabric
+from txn_helpers import (armed_events, make_fabric, no_failover_config,
+                         run_until)
 
 #: Target index 0-1 = coordinators, 2-4 = participants (3-node cluster).
 _crash_windows = st.lists(
@@ -98,4 +100,72 @@ def test_a_faultless_tail_always_commits(windows, rng_seed):
     for owner in fabric.owners_of(key):
         assert fabric.participants[owner].replica.table.get(key).value \
             == "tail"
+    fabric.assert_atomic()
+
+
+@given(service_ms=st.floats(min_value=0.1, max_value=80.0),
+       timeout_ms=st.floats(min_value=2.0, max_value=1_200.0),
+       depose_after_ms=st.floats(min_value=0.0, max_value=120.0))
+@settings(max_examples=30, deadline=None)
+def test_a_deposition_mid_transaction_votes_once_per_request(
+        service_ms, timeout_ms, depose_after_ms):
+    """The shape of ``TestEpochFencing._deposed_and_back`` with its timings
+    drawn: the coordinator is deposed ``depose_after_ms`` after it began the
+    transaction, and takes over again.  No participant votes twice for one
+    ``InFlightTxn``, no prepare timeout fires for a decided transaction,
+    and the manager never has two events armed for its ``TxnOp``."""
+    fabric = make_fabric(config=no_failover_config(
+        coordinator_service_ms=service_ms, client_timeout_ms=timeout_ms))
+    env, manager = fabric.built.env, fabric.manager
+    first, second = fabric.coordinators
+    votes, late_timeouts, armed = [], [], []
+
+    def watch_votes(participant):
+        handle = participant._handle_prepare
+
+        def recording(coordinator, epoch, request):
+            cast = participant.votes_yes + participant.votes_no
+            handle(coordinator, epoch, request)
+            if participant.votes_yes + participant.votes_no > cast:
+                votes.append((participant.name, request))
+        participant._handle_prepare = recording
+
+    def watch_timeouts(coordinator):
+        on_timeout = coordinator._on_prepare_timeout
+
+        def recording(state):
+            decided = state.op.txn_id in coordinator.decided
+            fired = coordinator.prepare_timeouts
+            on_timeout(state)
+            if decided and coordinator.prepare_timeouts > fired:
+                late_timeouts.append(state)
+        coordinator._on_prepare_timeout = recording
+
+    dispatch = manager._dispatch
+
+    def recording_dispatch(op):
+        dispatch(op)
+        armed.append(len(armed_events(fabric)))
+
+    for participant in fabric.participants.values():
+        watch_votes(participant)
+    for coordinator in fabric.coordinators:
+        watch_timeouts(coordinator)
+    manager._dispatch = recording_dispatch
+
+    manager.execute({fabric.built.dataset.keys()[0]: "v"})
+    run_until(env, lambda: first.txns_started == 1, step_ms=0.05,
+              limit_ms=1_000.0)
+    env.run(until=env.now() + depose_after_ms)
+    second._send_control(64, first, first.takeover.heartbeat, second.name, 2)
+    run_until(env, lambda: not first.active, step_ms=0.05, limit_ms=1_000.0)
+    first.takeover.take_over()
+    env.run_until_idle()
+
+    assert len({(name, id(request)) for name, request in votes}) \
+        == len(votes)
+    assert late_timeouts == []
+    assert armed and max(armed) <= 1
+    assert armed_events(fabric) == []
+    assert not any(fabric.in_flight().values())
     fabric.assert_atomic()

@@ -45,3 +45,12 @@ def run_until(env, condition, step_ms=1.0, limit_ms=60_000.0):
             raise AssertionError("condition not reached within "
                                  f"{limit_ms:.0f}ms of simulated time")
         env.run(until=env.now() + step_ms)
+
+
+def armed_events(fabric):
+    """The manager's request timers and backoffs still queued and live."""
+    manager = fabric.manager
+    return [entry for entry in fabric.built.env.scheduler._heap
+            if getattr(entry[2], "__self__", None) is manager
+            and entry[2].__name__ in ("_on_request_timeout", "_resend")
+            and (entry[4] is None or not entry[4].cancelled)]

@@ -1,6 +1,5 @@
 """Tests for YCSB workload specs, datasets, and the closed-loop runner."""
 
-import math
 import random
 
 import pytest
@@ -91,17 +90,6 @@ class TestWorkloadSpecs:
     def test_invalid_proportions_rejected(self):
         with pytest.raises(ValueError):
             WorkloadSpec("bad", read_proportion=0.5, update_proportion=0.2)
-
-    @pytest.mark.parametrize("read, update, field", [
-        (math.nan, 1.0, "read_proportion"),  # a NaN sum is not "off by"
-        (1.5, -0.5, "update_proportion"),
-        (True, 0, "read_proportion"),
-    ])
-    def test_a_share_that_is_no_share_is_rejected(self, read, update, field):
-        """Each sums to 1 (or NaN, which no ``abs(...) > 1e-9`` check
-        catches), and each passed before the shares had a rule."""
-        with pytest.raises(ValueError, match=field):
-            WorkloadSpec("bad", read, update)
 
     def test_with_distribution_preserves_mix(self):
         spec = WORKLOAD_A.with_distribution("latest")

@@ -329,50 +329,15 @@ class TestOrphanOriginsExpire:
         assert in_flight["orphan_origins"] > 0
 
 
-_NON_NEGATIVE = (
-    "request_service_ms", "proposal_service_ms", "apply_service_ms",
-    "simulation_service_ms", "element_size_bytes", "child_name_bytes",
-    "path_size_bytes", "ack_bytes", "heartbeat_interval_ms",
-    "request_timeout_ms", "client_retries")
-#: Wire sizes and the retry count: ints only.
-_COUNTS = ("element_size_bytes", "child_name_bytes", "path_size_bytes",
-           "ack_bytes", "client_retries")
-
-
-@pytest.mark.parametrize(
-    "overrides, named",
-    [({field: -1}, field) for field in _NON_NEGATIVE]
-    + [({field: bad}, field) for field in _COUNTS
-       for bad in (2.5, float("inf"))] + [
-        # Every follower would suspect a healthy leader on every tick.
-        (dict(leader_timeout_ms=200.0), "leader_timeout_ms"),
-        (dict(leader_timeout_ms=150.0), "leader_timeout_ms"),
-        (dict(election_window_ms=0.0), "election_window_ms")])
-def test_bad_config_fails_at_build_time(overrides, named):
+@pytest.mark.parametrize("overrides", [
+    # Every follower would suspect a healthy leader on every tick.
+    dict(leader_timeout_ms=200.0), dict(leader_timeout_ms=150.0),
+    dict(election_window_ms=0.0)])
+def test_bad_config_fails_at_build_time(overrides):
+    (named,) = overrides
     with pytest.raises(ValueError, match=named):
         ZooKeeperConfig.fault_tolerant(**overrides)
     with pytest.raises(ValueError, match=named):
         ZooKeeperConfig(**{"heartbeat_interval_ms": 200.0, **overrides})
-    if "leader_timeout_ms" in overrides or "election_window_ms" in overrides:
-        # Without heartbeats nothing ever reads the election knobs.
-        ZooKeeperConfig(**overrides)
-
-
-@pytest.mark.parametrize("named", _NON_NEGATIVE + (
-    "leader_timeout_ms", "election_window_ms"))
-def test_nan_config_fails_at_build_time(named):
-    # NaN compares false both ways, so only ``not x >= 0`` catches it.
-    with pytest.raises(ValueError, match=named):
-        ZooKeeperConfig.fault_tolerant(**{named: float("nan")})
-
-
-@pytest.mark.parametrize("named", (
-    "request_service_ms", "proposal_service_ms", "apply_service_ms",
-    "simulation_service_ms", "leader_timeout_ms", "election_window_ms",
-    "request_timeout_ms"))
-def test_infinite_time_fails_at_build_time(named):
-    """An infinite service time finishes no job, and a timeout or period
-    already means "never" with 0: inf fails at construction, heartbeats on
-    or off."""
-    with pytest.raises(ValueError, match=named):
-        ZooKeeperConfig(**{named: float("inf")})
+    # Without heartbeats nothing ever reads the election knobs.
+    ZooKeeperConfig(**overrides)
