@@ -31,6 +31,10 @@ class AdsDataset:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        if self.min_ads_per_profile > self.max_ads_per_profile:
+            raise ValueError(
+                f"min_ads_per_profile ({self.min_ads_per_profile}) must not "
+                f"exceed max_ads_per_profile ({self.max_ads_per_profile})")
         rng = random.Random(self.seed)
         for index in range(self.profile_count):
             count = rng.randint(self.min_ads_per_profile,

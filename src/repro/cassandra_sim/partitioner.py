@@ -5,13 +5,17 @@ replicas.  With the paper's setup (3 nodes, RF = 3) every node owns every
 key, but the ring is implemented faithfully so clusters larger than the
 replication factor behave correctly too.
 
-The ring is a *mutable, versioned* object: :meth:`RingPartitioner.add_node`,
-:meth:`~RingPartitioner.remove_node` and :meth:`~RingPartitioner.decommission`
-edit the token layout and bump :attr:`~RingPartitioner.version` (the ring
-*epoch*).  Each epoch carries a slot table — one interned preference tuple
-per ring position — so an uncached lookup is one md5, one bisect and one
-index, and every key of a slot shares the same tuple object.
-Every edit returns a deterministic :class:`RingChange` whose
+The ring is a *mutable, versioned* object: a change is planned
+(:meth:`RingPartitioner.plan_join`,
+:meth:`~RingPartitioner.plan_decommission`,
+:meth:`~RingPartitioner.plan_remove`), put in flight with
+:meth:`~RingPartitioner.begin` and applied with
+:meth:`~RingPartitioner.commit`, which edits the token layout and bumps
+:attr:`~RingPartitioner.version` (the ring *epoch*).  Each epoch carries a
+slot table — one interned preference tuple per ring position — so an
+uncached lookup is one md5, one bisect and one index, and every key of a
+slot shares the same tuple object.
+Every plan is a deterministic :class:`RingChange` whose
 :class:`StreamTask` list says exactly which key ranges move between which
 nodes, so a joining/leaving node transfers precisely the ranges it
 gains/loses while the rest of the cluster keeps serving.
@@ -391,34 +395,6 @@ class RingPartitioner:
         self._pending_slots = []
         self._pending_bounds = []
         self._pending_gained = []
-
-    # -- one-shot edits --------------------------------------------------------
-    def add_node(self, name: str, vnodes: Optional[int] = None) -> RingChange:
-        """Add ``name`` to the ring immediately; returns the streaming plan.
-
-        One-shot begin+commit, for callers that orchestrate data movement
-        themselves (or tests of the layout); live clusters use the
-        two-phase :meth:`plan_join`/:meth:`begin`/:meth:`commit` protocol
-        through :class:`~repro.cassandra_sim.cluster.CassandraCluster`.
-        """
-        change = self.plan_join(name, vnodes)
-        self.begin(change)
-        self.commit(change)
-        return change
-
-    def decommission(self, name: str) -> RingChange:
-        """Remove ``name`` gracefully (it sources its ranges); one-shot."""
-        change = self.plan_decommission(name)
-        self.begin(change)
-        self.commit(change)
-        return change
-
-    def remove_node(self, name: str) -> RingChange:
-        """Remove ``name`` forcibly (survivors re-replicate); one-shot."""
-        change = self.plan_remove(name)
-        self.begin(change)
-        self.commit(change)
-        return change
 
     # -- introspection ---------------------------------------------------------
     def contains(self, name: str) -> bool:

@@ -162,12 +162,8 @@ class CassandraReplica(ReadCoordinator, WriteCoordinator, Node):
                     self.network.is_partitioned(source.name, target.name):
                 source._stream_send(stream)
 
-    def _drop_routes(self) -> None:
-        super()._drop_routes()
-        self._drop_plans()
-
     def _drop_plans(self) -> None:
-        """Forget every plan (the routes or the ring epoch moved)."""
+        """Forget every plan (the ring epoch moved)."""
         self._fused_plans.clear()
         self._slot_plans.clear()
         self._plan_ring_version = self.partitioner.version
@@ -207,9 +203,9 @@ class CassandraReplica(ReadCoordinator, WriteCoordinator, Node):
         its cached network route, and the pre-bound delivery continuations.
         A plan depends only on the key's preference tuple, so it is built
         once per ring slot and the same object is cached per key.  Both
-        caches are dropped by ring-epoch bumps (checked here) and by the
-        network dropping its routes (pushed: :meth:`_drop_routes`), which
-        every latency edit does, so the order is always the current one.
+        caches are dropped by ring-epoch bumps (checked here); the routes
+        and the RTTs that order the targets are fixed once the network is
+        built, so the order is always the current one.
         The cold paths (stale rejections, timeouts) walk the same targets.
         """
         if self._plan_ring_version != self.partitioner.version:

@@ -11,20 +11,18 @@ from typing import Optional
 from repro.sim.network import Network
 from repro.sim.rand import derive_rng
 from repro.sim.scheduler import Scheduler
-from repro.sim.topology import Topology, ec2_topology
+from repro.sim.topology import Topology
 
 
 class SimEnvironment:
     """A complete simulation context: clock, scheduler, topology, network."""
 
     def __init__(self, seed: int = 0,
-                 topology: Optional[Topology] = None,
-                 jitter_fraction: float = 0.05) -> None:
+                 topology: Optional[Topology] = None) -> None:
         self.seed = seed
         self.scheduler = Scheduler()
         if topology is None:
-            topology = ec2_topology(rng=derive_rng(seed, "topology"),
-                                    jitter_fraction=jitter_fraction)
+            topology = Topology(rng=derive_rng(seed, "topology"))
         self.topology = topology
         self.network = Network(self.scheduler, self.topology)
 

@@ -18,18 +18,16 @@ link charge, the jitter draw, the scheduler insert — and nothing else:
   charged (a dead sender charges nothing, an unused link answers with the
   shared :data:`EMPTY_LINK_STATS`).  ``messages_delivered`` and the
   dead-destination drop are counted at delivery.
-* **Who invalidates whom.**  Per-(src, dst) *routes* — ``[src_node,
-  dst_node, stats, base_delay]``, the delay jitter-free and computed with
-  the exact arithmetic of ``Topology.one_way`` — are cached here, by each
-  sending node (``Node._fused_routes``) and inside the Cassandra
-  coordinators' fan-out plans.  Nothing on the send path checks that they
-  are current: the :class:`~repro.sim.topology.Topology` *tells* its
-  networks when a latency or the jitter bound changes, and the network
-  then drops its own routes and has every registered node drop what it
-  derived from them (:meth:`Network._drop_routes` →
-  ``Node._drop_routes``); ``reset_stats`` does the same, because routes
-  hold their link's row.  Registering a node invalidates nothing: no
-  existing route can mention it.
+* **Routes are fixed once built.**  Per-(src, dst) *routes* —
+  ``[src_node, dst_node, stats, base_delay]``, the delay jitter-free and
+  computed with the exact arithmetic of ``Topology.one_way`` — are cached
+  here, by each sending node (``Node._fused_routes``) and inside the
+  Cassandra coordinators' fan-out plans, and nothing ever drops them: the
+  :class:`~repro.sim.topology.Topology` is fixed at construction and the
+  jitter bound is read from it once.  What changes mid-run is a fault —
+  :meth:`Network.degrade_link`, a partition, a node's slowdown — and each
+  is checked on every hop, outside the route.  Registering a node
+  invalidates nothing: no existing route can mention it.
 * Partition and degradation checks cost one truthiness test each while no
   fault is installed (no ``frozenset`` allocation).
 
@@ -48,6 +46,7 @@ dispatch: Cassandra's read repair, nothing else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import heappush
 from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
@@ -160,7 +159,7 @@ class Network:
                  "_jitter_fraction", "_nodes", "_links",
                  "_partitioned", "_partitioned_regions", "_link_extra_ms",
                  "_routes", "_messages_built",
-                 "messages_delivered", "messages_dropped", "__weakref__")
+                 "messages_delivered", "messages_dropped")
 
     def __init__(self, scheduler: Scheduler, topology: Topology) -> None:
         self.scheduler = scheduler
@@ -184,19 +183,7 @@ class Network:
         self.messages_delivered = 0
         self.messages_dropped = 0
         self._rand = topology._rng.random
-        topology._networks.add(self)
-        self._drop_routes()
-
-    def _drop_routes(self) -> None:
-        """Forget every route, here and on every node that holds one.
-
-        Called by the topology when a latency or the jitter bound changes,
-        and by :meth:`reset_stats`; the send path trusts that it was.
-        """
-        self._jitter_fraction = self.topology.jitter_fraction
-        self._routes.clear()
-        for node in self._nodes.values():
-            node._drop_routes()
+        self._jitter_fraction = topology.jitter_fraction
 
     # -- membership ------------------------------------------------------
     def register(self, node: "Node") -> None:
@@ -252,8 +239,10 @@ class Network:
     def degrade_link(self, endpoint_a: str, endpoint_b: str,
                      extra_ms: float) -> None:
         """Add one-way latency between two nodes (or two ``region:<r>`` keys)."""
-        if extra_ms < 0:
-            raise ValueError("extra latency must be non-negative")
+        if type(extra_ms) is bool or not 0 <= extra_ms < math.inf:
+            raise ValueError(
+                f"extra latency must be non-negative and finite, "
+                f"got {extra_ms!r}")
         self._link_extra_ms[frozenset({endpoint_a, endpoint_b})] = extra_ms
 
     def restore_link(self, endpoint_a: str, endpoint_b: str) -> None:
@@ -359,10 +348,9 @@ class Network:
     def fused_route(self, src: str, dst: str) -> list:
         """The cached route entry for src→dst, for fused protocol senders.
 
-        Callers may hold the returned list until their node's
-        ``_drop_routes`` is called (the list is the one
-        :meth:`fused_send_to` charges, so every sender on a link shares its
-        stats row).
+        Callers may hold the returned list for the network's lifetime (the
+        list is the one :meth:`fused_send_to` charges, so every sender on a
+        link shares its stats row).
         """
         route = self._routes.get((src, dst))
         if route is None:
@@ -424,8 +412,8 @@ class Network:
     # -- accounting --------------------------------------------------------
     @property
     def messages_sent(self) -> int:
-        """Messages charged to a link since the last :meth:`reset_stats` —
-        everything a live sender sent, delivered or not."""
+        """Messages charged to a link — everything a live sender sent,
+        delivered or not."""
         return sum(stats.messages for stats in self._links.values())
 
     def link_stats(self, src: str, dst: str) -> LinkStats:
@@ -449,12 +437,3 @@ class Network:
 
     def total_bytes(self) -> int:
         return sum(stats.bytes for stats in self._links.values())
-
-    def reset_stats(self) -> None:
-        """Clear byte counters (used to scope measurement windows)."""
-        self._links.clear()
-        # Cached routes hold their link's row; drop them so post-reset
-        # traffic charges fresh ones.
-        self._drop_routes()
-        self.messages_delivered = 0
-        self.messages_dropped = 0

@@ -11,6 +11,7 @@ latency-vs-throughput curves in Figures 6 and 11.
 
 from __future__ import annotations
 
+import math
 from heapq import heappush
 from typing import Any, Callable, Optional
 
@@ -64,7 +65,8 @@ class Node:
         #: up on the delivery hot path).
         self._handler_cache: dict = {}
         #: destination name -> network route entry, for
-        #: ``Network.fused_send_to``; see :meth:`_drop_routes`.
+        #: ``Network.fused_send_to``; routes never change, so nothing
+        #: drops it.
         self._fused_routes: dict = {}
         network.register(self)
 
@@ -80,16 +82,11 @@ class Node:
     def reconnected(self) -> None:
         """Recovered, or a partition healed: parked work may resume."""
 
-    def _drop_routes(self) -> None:
-        """The network's routes changed (a topology edit, ``reset_stats``):
-        forget everything derived from them.  Subclasses that cache more
-        than :attr:`_fused_routes` extend this."""
-        self._fused_routes.clear()
-
     def slow_down(self, factor: float) -> None:
         """Scale all future service times by ``factor`` (≥ 1 slows the node)."""
-        if factor <= 0:
-            raise ValueError("slowdown factor must be positive")
+        if type(factor) is bool or not 0 < factor < math.inf:
+            raise ValueError(
+                f"slowdown factor must be positive and finite, got {factor!r}")
         self.slowdown_factor = factor
 
     def restore_speed(self) -> None:

@@ -12,8 +12,8 @@ plus a small jitter drawn from the topology's RNG.
 
 from __future__ import annotations
 
+import math
 import random
-import weakref
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 
@@ -52,15 +52,23 @@ LOOPBACK_RTT_MS = 0.3
 
 def non_negative(name: str, value: float) -> float:
     # A negative latency delivers before the send and runs the simulated
-    # clock backwards; a negative jitter bound would be silently ignored.
-    # Spelt ``not value >= 0`` so that NaN, which compares false, fails too.
-    if not value >= 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    # clock backwards; a negative jitter bound would be silently ignored;
+    # an infinite one delivers never; a bool is no latency.  Spelt
+    # ``not 0 <= value < inf`` so that NaN, which compares false, fails too.
+    if type(value) is bool or not 0 <= value < math.inf:
+        raise ValueError(
+            f"{name} must be non-negative and finite, got {value!r}")
     return value
 
 
 class Topology:
-    """Symmetric RTT matrix over a set of regions with jittered one-way delays."""
+    """Symmetric RTT matrix over a set of regions with jittered one-way delays.
+
+    A topology is fixed once built: the networks built on it cache routes
+    and the jitter bound and never look back here on a send, so assigning
+    an attribute raises.  A latency that changes mid-run is a fault,
+    installed with :meth:`~repro.sim.network.Network.degrade_link`.
+    """
 
     def __init__(self,
                  rtts: Optional[Dict[FrozenSet[str], float]] = None,
@@ -68,66 +76,38 @@ class Topology:
                  loopback_rtt_ms: float = LOOPBACK_RTT_MS,
                  jitter_fraction: float = 0.05,
                  rng: Optional[random.Random] = None) -> None:
-        self._rtts = dict(_DEFAULT_RTTS)
+        table = dict(_DEFAULT_RTTS)
         if rtts:
             for pair, value in rtts.items():
-                self._rtts[frozenset(pair)] = float(non_negative("rtt", value))
-        #: (region_a, region_b) -> base one-way delay; avoids building a
-        #: ``frozenset`` per :meth:`one_way` call.
-        self._one_way_base: Dict[Tuple[str, str], float] = {}
-        #: The networks built on this topology.  They cache base delays and
-        #: the jitter bound per route and never look back here on a send,
-        #: so every edit is pushed to them (see :meth:`_changed`).
-        self._networks = weakref.WeakSet()
-        self.intra_region_rtt_ms = intra_region_rtt_ms
-        self.loopback_rtt_ms = loopback_rtt_ms
-        self.jitter_fraction = jitter_fraction
-        self._rng = rng if rng is not None else random.Random(0)
+                pair = frozenset(pair)
+                if len(pair) != 2:
+                    raise ValueError(
+                        f"an rtt is between two distinct regions, got "
+                        f"{sorted(pair)}; use intra_region_rtt_ms for "
+                        f"same-region RTT")
+                table[pair] = float(non_negative("rtt", value))
+        fixed = {
+            "_rtts": table,
+            #: (region_a, region_b) -> base one-way delay; avoids building
+            #: a ``frozenset`` per :meth:`one_way` call.
+            "_one_way_base": {},
+            #: RTT between two distinct hosts in the same region.
+            "intra_region_rtt_ms": non_negative("intra_region_rtt_ms",
+                                                intra_region_rtt_ms),
+            #: RTT between two processes colocated on the same host.
+            "loopback_rtt_ms": non_negative("loopback_rtt_ms",
+                                            loopback_rtt_ms),
+            #: Upper bound of the uniform jitter applied to one-way delays.
+            "jitter_fraction": non_negative("jitter_fraction",
+                                            jitter_fraction),
+            "_rng": rng if rng is not None else random.Random(0),
+        }
+        self.__dict__.update(fixed)
 
-    @property
-    def intra_region_rtt_ms(self) -> float:
-        """RTT between two distinct hosts in the same region."""
-        return self._intra_region_rtt_ms
-
-    @intra_region_rtt_ms.setter
-    def intra_region_rtt_ms(self, value: float) -> None:
-        self._intra_region_rtt_ms = non_negative("intra_region_rtt_ms", value)
-        self._changed()
-
-    @property
-    def loopback_rtt_ms(self) -> float:
-        """RTT between two processes colocated on the same host."""
-        return self._loopback_rtt_ms
-
-    @loopback_rtt_ms.setter
-    def loopback_rtt_ms(self, value: float) -> None:
-        self._loopback_rtt_ms = non_negative("loopback_rtt_ms", value)
-        self._changed()
-
-    @property
-    def jitter_fraction(self) -> float:
-        """Upper bound of the uniform jitter applied to one-way delays."""
-        return self._jitter_fraction
-
-    @jitter_fraction.setter
-    def jitter_fraction(self, value: float) -> None:
-        self._jitter_fraction = non_negative("jitter_fraction", value)
-        self._changed()
-
-    def set_rtt(self, region_a: str, region_b: str, rtt_ms: float) -> None:
-        """Override the RTT between two regions."""
-        if region_a == region_b:
-            raise ValueError("use intra_region_rtt_ms for same-region RTT")
-        self._rtts[frozenset({region_a, region_b})] = float(
-            non_negative("rtt", rtt_ms))
-        self._changed()
-
-    def _changed(self) -> None:
-        """A latency or the jitter bound was edited: drop the cached base
-        delays here and tell every network to drop its routes."""
-        self._one_way_base.clear()
-        for network in self._networks:
-            network._drop_routes()
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(
+            f"a Topology is fixed at construction; cannot set {name!r} "
+            f"(a latency that changes mid-run is Network.degrade_link)")
 
     def rtt(self, region_a: str, region_b: str) -> float:
         """Baseline (jitter-free) round-trip time between two regions."""
@@ -160,18 +140,6 @@ class Topology:
         for pair in self._rtts:
             seen.update(pair)
         return sorted(seen)
-
-
-def ec2_topology(rng: Optional[random.Random] = None,
-                 jitter_fraction: float = 0.05) -> Topology:
-    """Topology used by the main Cassandra/ZooKeeper experiments (IRL/FRK/VRG)."""
-    return Topology(rng=rng, jitter_fraction=jitter_fraction)
-
-
-def twissandra_topology(rng: Optional[random.Random] = None,
-                        jitter_fraction: float = 0.05) -> Topology:
-    """Topology used by the Twissandra case study (VRG/NCA/ORE, client in IRL)."""
-    return Topology(rng=rng, jitter_fraction=jitter_fraction)
 
 
 def replica_regions_default() -> Tuple[str, str, str]:

@@ -151,6 +151,7 @@ class Dataset:
                  key_prefix: str = "user", seed: int = 0) -> None:
         check_positive_int("record_count", record_count)
         check_positive_int("value_size_bytes", value_size_bytes)
+        check_non_negative_int("seed", seed)
         self.record_count = record_count
         self.value_size_bytes = value_size_bytes
         self.key_prefix = key_prefix

@@ -291,6 +291,8 @@ class ZKServer(Node):
                       (txn, epoch))
 
     def _ack_proposal(self, txn: Transaction, epoch: int) -> None:
+        if epoch != self.epoch:
+            return  # queued under an epoch that has since been left
         self.commit_log.learn(txn)
         # The follower that forwarded this request answers its client once
         # the commit applies locally.
@@ -322,7 +324,7 @@ class ZKServer(Node):
         commit = (zxid, self.epoch)
         for peer in self.peers:
             send(self, peer.name, self._ack_size, peer._zab_commit, commit)
-        self._learn_commit(zxid)
+        self._learn_commit(zxid, self.epoch)
 
     def _zab_commit(self, zxid: int, epoch: int) -> None:
         if not self.alive:
@@ -331,9 +333,11 @@ class ZKServer(Node):
         self.network.messages_delivered += 1
         if epoch == self.epoch:
             self._enqueue(self.config.apply_service_ms, self._learn_commit,
-                          (zxid,))
+                          (zxid, epoch))
 
-    def _learn_commit(self, zxid: int) -> None:
+    def _learn_commit(self, zxid: int, epoch: int) -> None:
+        if epoch != self.epoch:
+            return  # queued under an epoch that has since been left
         for txn in self.commit_log.commit(zxid):
             self._apply_committed(txn)
 

@@ -39,6 +39,17 @@ class TestAdsDataset:
         assert len(items) == 30
         assert len(dataset.ad_body("ad:0")) == dataset.ad_body_bytes
 
+    def test_a_minimum_above_the_maximum_is_refused_by_both_names(self):
+        with pytest.raises(ValueError, match=r"min_ads_per_profile \(5\) must "
+                           r"not exceed max_ads_per_profile \(2\)"):
+            AdsDataset(profile_count=10, ad_count=20, min_ads_per_profile=5,
+                       max_ads_per_profile=2)
+        # Equal bounds are a fixed reference count.
+        dataset = AdsDataset(profile_count=10, ad_count=20,
+                             min_ads_per_profile=3, max_ads_per_profile=3)
+        assert {len(dataset.ad_refs(key))
+                for key in dataset.profile_keys()} == {3}
+
     def test_random_refs_respect_bounds(self):
         dataset = AdsDataset(profile_count=10, ad_count=20)
         rng = random.Random(0)

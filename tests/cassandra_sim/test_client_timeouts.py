@@ -138,12 +138,13 @@ def test_a_confirmation_after_a_retry_s_preliminary_diverges(shape):
     then ``value1``, so both runners count the pair as diverged."""
     config = CassandraConfig(client_timeout_ms=500.0, client_retries=1,
                              confirmation_optimization=True)
-    env, cluster, client = one_client_cluster(config)
+    # The first coordinator reads from VRG (IRL is farther: a 300 ms RTT)
+    # and answers in about 800 ms; the retry's coordinator answers much
+    # later.
+    env, cluster, client = one_client_cluster(
+        config, rtts={frozenset({Region.FRK, Region.IRL}): 300.0})
     first, retry, other = cluster.replicas  # FRK, IRL, VRG
     retry.table.apply("key1", VersionedValue("newer", (1.0, retry.name, 1)))
-    # The first coordinator reads from VRG (IRL is farther now) and answers
-    # in about 800 ms; the retry's coordinator answers much later.
-    env.topology.set_rtt(Region.FRK, Region.IRL, 300.0)
     env.network.degrade_link(first.name, other.name, 200.0)
     env.network.degrade_link(retry.name, other.name, 600.0)
     finals = []

@@ -23,6 +23,7 @@ from repro.cassandra_sim.storage import (PRELOAD_STAMP, ColumnarTable,
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
 from repro.workloads.records import Dataset, TimeZeroItems, time_zero_value
+from ring_edits import commit_change
 from table_reads import rows_of, stored_token
 
 
@@ -798,10 +799,10 @@ class TestRingEdits:
         return RingPartitioner([f"n{i}" for i in range(n)], rf,
                                vnodes_per_node=vnodes)
 
-    def test_add_node_bumps_version_and_layout(self):
+    def test_a_join_bumps_version_and_layout(self):
         partitioner = self.make()
         before = partitioner.token_layout()
-        change = partitioner.add_node("n5")
+        change = commit_change(partitioner, partitioner.plan_join("n5"))
         assert partitioner.version == 1
         assert partitioner.contains("n5")
         assert "n5" in partitioner.node_names
@@ -813,11 +814,11 @@ class TestRingEdits:
     def test_layout_independent_of_join_order(self):
         """The determinism contract: membership set ⇒ layout, not history."""
         a = RingPartitioner(["n0", "n1", "n2"], 2)
-        a.add_node("n3")
-        a.add_node("n4")
+        commit_change(a, a.plan_join("n3"))
+        commit_change(a, a.plan_join("n4"))
         b = RingPartitioner(["n4", "n2", "n0"], 2)
-        b.add_node("n1")
-        b.add_node("n3")
+        commit_change(b, b.plan_join("n1"))
+        commit_change(b, b.plan_join("n3"))
         assert a.token_layout() == b.token_layout()
         for key in KEYS:
             assert a.replicas_for(key) == b.replicas_for(key)
@@ -827,9 +828,10 @@ class TestRingEdits:
         runs = []
         for _ in range(2):
             partitioner = self.make()
-            plans = [partitioner.add_node("n5"),
-                     partitioner.decommission("n1"),
-                     partitioner.remove_node("n3")]
+            plans = [commit_change(partitioner, plan(name))
+                     for plan, name in ((partitioner.plan_join, "n5"),
+                                        (partitioner.plan_decommission, "n1"),
+                                        (partitioner.plan_remove, "n3"))]
             runs.append((partitioner.token_layout(),
                          tuple(p.tasks for p in plans)))
         assert runs[0] == runs[1]
@@ -838,8 +840,8 @@ class TestRingEdits:
         """Committed layout hash: any change to the token function, the
         vnode naming scheme, or the sort order shows up here."""
         partitioner = self.make(n=4, rf=2, vnodes=4)
-        partitioner.add_node("n4", vnodes=2)
-        partitioner.decommission("n0")
+        commit_change(partitioner, partitioner.plan_join("n4", vnodes=2))
+        commit_change(partitioner, partitioner.plan_decommission("n0"))
         assert ring_fingerprint(partitioner) == (
             "21320a591856505fa6434308a5dd9a0ec69a867999c4036419f7aa2f20f5d40b")
 
@@ -908,7 +910,7 @@ class TestRingEdits:
     def test_stale_plan_rejected(self):
         partitioner = self.make()
         stale = partitioner.plan_join("n5")
-        partitioner.add_node("n6")
+        commit_change(partitioner, partitioner.plan_join("n6"))
         with pytest.raises(ValueError):
             partitioner.begin(stale)
 
@@ -955,7 +957,7 @@ class TestRingEdits:
         partitioner = RingPartitioner([f"n{i}" for i in range(6)], 2,
                                       vnodes_per_node=16)
         before = {key: partitioner.replicas_for(key) for key in KEYS}
-        partitioner.decommission("n4")
+        commit_change(partitioner, partitioner.plan_decommission("n4"))
         moved = 0
         for key in KEYS:
             owners = partitioner.replicas_for(key)
@@ -980,12 +982,15 @@ def test_every_key_keeps_exactly_rf_replicas_across_any_edit_sequence(
     next_id = 0
     for kind in kinds:
         if kind == "join" or len(partitioner.node_names) - 1 < 3:
-            partitioner.add_node(f"added{next_id}")
+            change = partitioner.plan_join(f"added{next_id}")
             next_id += 1
         elif kind == "decommission":
-            partitioner.decommission(sorted(partitioner.node_names)[0])
+            change = partitioner.plan_decommission(
+                sorted(partitioner.node_names)[0])
         else:
-            partitioner.remove_node(sorted(partitioner.node_names)[-1])
+            change = partitioner.plan_remove(
+                sorted(partitioner.node_names)[-1])
+        commit_change(partitioner, change)
         live = set(partitioner.node_names)
         for key in keys:
             owners = partitioner.replicas_for(key)
@@ -1087,11 +1092,15 @@ def test_owner_runs_cut_a_sorted_column_at_the_slot_boundaries(
                                   vnodes_per_node=3)
     for step, kind in enumerate(kinds):
         if kind == "join" or len(partitioner.node_names) - 1 < max(rf, 2):
-            partitioner.add_node(f"added{step}", vnodes=1 + step % 3)
+            change = partitioner.plan_join(f"added{step}",
+                                           vnodes=1 + step % 3)
         elif kind == "decommission":
-            partitioner.decommission(sorted(partitioner.node_names)[0])
+            change = partitioner.plan_decommission(
+                sorted(partitioner.node_names)[0])
         else:
-            partitioner.remove_node(sorted(partitioner.node_names)[-1])
+            change = partitioner.plan_remove(
+                sorted(partitioner.node_names)[-1])
+        commit_change(partitioner, change)
     ring = [token for token, _ in partitioner.token_layout()]
     column = sorted(tokens + ring[::2] + [0, 2**64 - 1])
     covered = 0

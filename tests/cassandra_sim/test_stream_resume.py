@@ -23,14 +23,14 @@ from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.faults.schedule import FaultScheduleBuilder
 from repro.sim.environment import SimEnvironment
-from repro.sim.topology import Region
+from repro.sim.topology import Region, Topology
 
 REGIONS = (Region.IRL, Region.FRK, Region.VRG)
 ITEMS = {f"key{i}": f"value{i}" for i in range(3_000)}
 
 
 def _ring(nodes: int):
-    env = SimEnvironment(seed=9, jitter_fraction=0.0)
+    env = SimEnvironment(seed=9, topology=Topology(jitter_fraction=0.0))
     cluster = CassandraCluster(
         env, CassandraConfig(),
         nodes=[(f"node{i}", REGIONS[i % 3]) for i in range(nodes)])

@@ -36,7 +36,7 @@ from repro.faults.scenarios import cassandra_aliases
 from repro.faults.schedule import FaultSchedule, FaultScheduleBuilder
 from repro.sim.environment import SimEnvironment
 from repro.sim.rand import derive_rng
-from repro.sim.topology import Region
+from repro.sim.topology import Region, Topology
 from repro.workloads.arrivals import make_arrival_process
 from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.ycsb import OperationGenerator, workload_by_name
@@ -45,11 +45,14 @@ REGIONS = (Region.IRL, Region.FRK, Region.VRG)
 
 
 def one_client_cluster(config: Optional[CassandraConfig] = None,
-                       fallbacks: bool = True):
+                       fallbacks: bool = True,
+                       rtts: Optional[Dict[frozenset, float]] = None):
     """Three replicas (fault-tolerant unless ``config`` is given),
-    ``key0..9`` preloaded as ``value0..9``, one IRL client contacting FRK;
+    ``key0..9`` preloaded as ``value0..9``, one IRL client contacting FRK,
+    over the default topology with ``rtts`` overriding its region pairs;
     returns ``(env, cluster, client)``."""
-    env = SimEnvironment(seed=11)
+    env = SimEnvironment(seed=11, topology=Topology(
+        rtts=rtts, rng=derive_rng(11, "topology")))
     cluster = CassandraCluster(env, config or CassandraConfig.fault_tolerant())
     cluster.preload({f"key{i}": f"value{i}" for i in range(10)})
     return env, cluster, cluster.add_client("client", Region.IRL, Region.FRK,

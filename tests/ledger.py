@@ -1,15 +1,18 @@
 """A line ledger for the Cassandra client, coordinator, replica, ring and
 storage modules, the ZooKeeper client, server, Zab, data tree and
-ensemble, and the 2PC manager, coordinator, participant, takeover and log.
+ensemble, the 2PC manager, coordinator, participant, takeover and log, and
+the simulator core.
 
 A pytest plugin, stdlib only: ``PYTHONPATH=src:tests python -m pytest
 -p ledger``.  It traces (``sys.settrace``) every line run in
 ``cassandra_sim/client.py``, ``reads.py``, ``writes.py``, ``replica.py``,
 ``cluster.py``, ``partitioner.py`` and ``storage.py``, in
 ``workloads/records.py``, in ``zookeeper_sim/client.py``, ``server.py``,
-``zab.py``, ``datatree.py`` and ``cluster.py`` and in ``txn/manager.py``,
-``coordinator.py``, ``participant.py``, ``takeover.py`` and ``log.py``
-while the suite runs, then fails the session on
+``zab.py``, ``datatree.py`` and ``cluster.py``, in ``txn/manager.py``,
+``coordinator.py``, ``participant.py``, ``takeover.py`` and ``log.py`` and
+in ``sim/scheduler.py``, ``network.py``, ``node.py``, ``topology.py``,
+``clock.py``, ``environment.py`` and ``rand.py`` while the suite runs,
+then fails the session on
 any executable line that never ran and is not in :data:`ALLOWED`, and on
 any :data:`ALLOWED` entry that ran after all or names no line (a stale
 entry).  So a test that reaches a cold path — a guard that only fires on
@@ -48,7 +51,10 @@ MODULES = ("cassandra_sim/client.py", "cassandra_sim/reads.py",
            "zookeeper_sim/client.py", "zookeeper_sim/server.py",
            "zookeeper_sim/zab.py", "zookeeper_sim/datatree.py",
            "zookeeper_sim/cluster.py", "txn/manager.py", "txn/coordinator.py",
-           "txn/participant.py", "txn/takeover.py", "txn/log.py")
+           "txn/participant.py", "txn/takeover.py", "txn/log.py",
+           "sim/scheduler.py", "sim/network.py", "sim/node.py",
+           "sim/topology.py", "sim/clock.py", "sim/environment.py",
+           "sim/rand.py")
 
 #: (module, function qualname, stripped source line) -> why it may stay
 #: unreached by the suite.
@@ -56,6 +62,23 @@ ALLOWED: Dict[Tuple[str, str, str], str] = {
     ("zookeeper_sim/server.py", "<module>",
      "from repro.zookeeper_sim.client import ZkOp"):
         "typing only: annotations are never evaluated at run time",
+    ("sim/network.py", "<module>", "from repro.sim.node import Node"):
+        "typing only: annotations are never evaluated at run time",
+    **{key: "a debugging aid: nothing in the simulator prints it"
+       for key in (
+           ("sim/scheduler.py", "Event.__repr__",
+            'state = "cancelled" if self.cancelled else "pending"'),
+           ("sim/scheduler.py", "Event.__repr__",
+            'return f"Event(t={self.time:.3f}, seq={self.seq}, {state})"'),
+           ("sim/network.py", "Message.__repr__",
+            'return (f"Message(src={self.src!r}, dst={self.dst!r}, "'),
+           ("sim/network.py", "Message.__repr__",
+            'f"kind={self.kind!r}, size_bytes={self.size_bytes})")'),
+           ("sim/node.py", "Node.__repr__",
+            'return f"{type(self).__name__}({self.name!r}, '
+            'region={self.region!r})"'),
+           ("sim/clock.py", "Clock.__repr__",
+            'return f"Clock(now={self._now:.3f}ms)"'))},
 }
 
 _PACKAGE = Path(importlib.util.find_spec("repro").submodule_search_locations[0])

@@ -12,8 +12,8 @@ class TestEnvironment:
         assert env.topology.rtt(Region.IRL, Region.FRK) == pytest.approx(20.0)
 
     def test_custom_topology_used(self):
-        topo = Topology(jitter_fraction=0.0)
-        topo.set_rtt(Region.IRL, Region.FRK, 5.0)
+        topo = Topology(rtts={frozenset({Region.IRL, Region.FRK}): 5.0},
+                        jitter_fraction=0.0)
         env = SimEnvironment(seed=1, topology=topo)
         assert env.topology.rtt(Region.IRL, Region.FRK) == 5.0
 

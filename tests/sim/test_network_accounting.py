@@ -1,9 +1,9 @@
 """The network's accounting against a list of sends.
 
 Random programs of ``send`` / ``fused_send_to`` (self-sends included), node
-crashes, node and region partitions, link degradation, drains and
-``reset_stats`` are played on a :class:`Network` and on a model that keeps
-nothing but the list of sends since the last reset.  After every step every
+crashes, node and region partitions, link degradation and drains are
+played on a :class:`Network` and on a model that keeps nothing but the
+list of sends.  After every step every
 counter the network exposes — ``messages_sent``, ``messages_delivered``,
 ``messages_dropped``, ``link_stats``, ``bytes_between``, ``bytes_touching``,
 ``total_bytes`` — equals what the list says, and a link nobody used still
@@ -47,7 +47,7 @@ class _SendList:
     def __init__(self):
         self.alive = dict.fromkeys(_NAMES, True)
         self.partitions, self.region_partitions = set(), set()
-        self.charged = []       # (src, dst, size) since the last reset
+        self.charged = []       # (src, dst, size)
         self.in_flight = []     # destinations of scheduled deliveries
         self.delivered = self.dropped = 0
 
@@ -72,10 +72,6 @@ class _SendList:
                 self.dropped += 1
         self.in_flight = []
 
-    def reset(self):
-        self.charged = []
-        self.delivered = self.dropped = 0
-
     def link(self, src, dst):
         sizes = [size for s, d, size in self.charged if (s, d) == (src, dst)]
         return len(sizes), sum(sizes)
@@ -97,8 +93,7 @@ _ACTIONS = st.one_of(
     st.tuples(st.just("degrade"), _name, _name,
               st.floats(min_value=0.0, max_value=50.0)),
     st.tuples(st.just("restore"), _name, _name),
-    st.tuples(st.just("drain")),
-    st.tuples(st.just("reset")))
+    st.tuples(st.just("drain")))
 
 
 def _check(network, model):
@@ -159,12 +154,9 @@ def test_counters_match_the_list_of_sends(program, jitter_fraction):
             network.degrade_link(action[1], action[2], action[3])
         elif kind == "restore":
             network.restore_link(action[1], action[2])
-        elif kind == "drain":
+        else:
             env.run_until_idle()
             model.drain()
-        else:
-            network.reset_stats()
-            model.reset()
         _check(network, model)
     env.run_until_idle()
     model.drain()

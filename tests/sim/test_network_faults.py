@@ -109,6 +109,7 @@ class TestLinkDegradation:
         env = _make_env()
         a = Recorder("a", Region.IRL, env.network)
         b = Recorder("b", Region.FRK, env.network)
+        assert env.network.link_extra_ms("a", "b") == 0.0
         env.network.degrade_link(f"region:{Region.IRL}",
                                  f"region:{Region.FRK}", 40.0)
         assert env.network.link_extra_ms("a", "b") == pytest.approx(40.0)
@@ -122,6 +123,15 @@ class TestLinkDegradation:
         env = _make_env()
         with pytest.raises(ValueError):
             env.network.degrade_link("a", "b", -1.0)
+
+    @pytest.mark.parametrize("extra_ms", [float("nan"), float("inf"), True])
+    def test_degradation_rejects_a_latency_that_is_no_latency(self, extra_ms):
+        """A NaN or infinite delay would reach the scheduler's heap as a
+        delivery instant that never comes in order."""
+        env = _make_env()
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            env.network.degrade_link("a", "b", extra_ms)
+        assert env.network.link_extra_ms("a", "b") == 0.0
 
 
 class TestSlowdown:
@@ -149,3 +159,14 @@ class TestSlowdown:
         node = Recorder("n", Region.IRL, env.network)
         with pytest.raises(ValueError):
             node.slow_down(0.0)
+
+    @pytest.mark.parametrize("factor", [-2.0, float("nan"), float("inf"),
+                                        True])
+    def test_slow_down_rejects_a_factor_that_is_no_factor(self, factor):
+        """A NaN or infinite factor would make every later service time
+        NaN or infinite."""
+        env = _make_env()
+        node = Recorder("n", Region.IRL, env.network)
+        with pytest.raises(ValueError, match="positive and finite"):
+            node.slow_down(factor)
+        assert node.slowdown_factor == 1.0

@@ -1,31 +1,32 @@
-"""An edit to anything a cached route depends on takes effect on the very
-next hop.
+"""A membership edit or a run-time fault takes effect on the very next hop.
 
 Senders cache routes (``Node._fused_routes``, the network's own route table)
 and coordinators cache fan-out plans (``CassandraReplica._fused_plans`` by
-key, ``_slot_plans`` by ring slot).
-Each scenario warms all of them, makes one edit — a topology latency, the
-jitter bound, ``reset_stats``, a ring-epoch bump, a late ``register`` — and
-then sends one ``send`` and one ``fused_send_to`` over every kind of link
-(WAN, intra-region, loopback) and coordinates a read of every key.  What
-those hops did (delay, link charge, which replicas were contacted, what the
-client saw and when) must equal what a cold stack does that was *built* with
-the new setting and never cached anything else.
+key, ``_slot_plans`` by ring slot).  Routes are fixed once built: the
+topology cannot be edited, and what changes a latency mid-run
+(``degrade_link``) is checked on every hop, outside the route.  What can
+still move under a cache is the membership: a ring-epoch bump changes which
+replicas a plan targets, and a late ``register`` adds an endpoint.  The
+faults (a degraded link, a partition, a crash, a slowdown) never touch a
+cache, and every hop must check them.
 
-Nothing on the send path checks that a cached route is current — the
-topology and ``reset_stats`` *push* the invalidation down (``Network.
-_drop_routes`` → ``Node._drop_routes`` → the replica's plans) — so the
-mutants at the bottom cut that chain at each link and must be caught.
+Each scenario warms every cache, makes one such edit, and then sends one
+``send`` and one ``fused_send_to`` over every kind of link (WAN,
+intra-region, loopback) and coordinates a read of every key.  What those
+hops did (delay, link charge, which replicas were contacted, what the
+client saw and when) must equal what a cold stack does that had the edit
+happen before its first hop.  The mutants at the bottom skip the plan drop
+a ring-epoch bump triggers, or a hop's fault check, and must be caught.
 """
 
 import pytest
 from history import RecordingSink
+from ring_edits import commit_change
 
 from repro.cassandra_sim.cluster import CassandraCluster
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.replica import CassandraReplica
 from repro.sim.environment import SimEnvironment
-from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.rand import derive_rng
 from repro.sim.topology import Region, Topology
@@ -52,10 +53,9 @@ class _Probe(Node):
 
 
 class _Stack:
-    def __init__(self, **topology):
-        topology.setdefault("jitter_fraction", 0.0)
+    def __init__(self):
         self.env = SimEnvironment(seed=9, topology=Topology(
-            rng=derive_rng(9, "topology"), **topology))
+            rng=derive_rng(9, "topology"), jitter_fraction=0.0))
         network = self.env.network
         self.source = _Probe("p-src", Region.IRL, network, host="h0")
         self.probes = [_Probe("p-wan", Region.FRK, network),
@@ -114,33 +114,45 @@ class _Stack:
         }
 
 
-def _set(attribute, value):
-    return lambda stack: setattr(stack.env.topology, attribute, value)
+def _leave_ring(stack):
+    """A ring-epoch bump: r-frk2 leaves the ring (its node stays up)."""
+    partitioner = stack.cluster.partitioner
+    commit_change(partitioner, partitioner.plan_decommission("r-frk2"))
 
 
-#: name -> (the edit, the constructor settings of the cold reference stack;
-#: ``None`` when the edit is an event, not a setting, and the cold stack
-#: simply has it happen before its first hop).
+def _degrade_link(stack):
+    """A WAN slowdown: every FRK-IRL hop pays 40 ms more, one way."""
+    stack.env.network.degrade_link(f"region:{Region.FRK}",
+                                   f"region:{Region.IRL}", 40.0)
+
+
+def _partition(stack):
+    """A probe link and a replica-to-replica link are cut."""
+    stack.env.network.partition("p-src", "p-wan")
+    stack.env.network.partition("r-frk", "r-frk2")
+
+
+def _crash(stack):
+    """A probe and a replica stop: hops to them are dropped."""
+    stack.env.network.node("p-lan").crash()
+    stack.cluster.replica_by_name("r-frk2").crash()
+
+
+def _slow_down(stack):
+    """The coordinators in FRK serve three times slower."""
+    for name in ("r-frk", "r-frk2"):
+        stack.cluster.replica_by_name(name).slow_down(3.0)
+
+
+#: name -> the edit.  The last four are run-time faults: routes never see
+#: them, so every hop must check them itself.
 _EDITS = {
-    "set_rtt": (
-        lambda stack: stack.env.topology.set_rtt(Region.IRL, Region.FRK, 64.0),
-        {"rtts": {frozenset({Region.IRL, Region.FRK}): 64.0}}),
-    # Slow enough that the FRK coordinator's closest other replica is no
-    # longer r-irl but r-vrg: the rebuilt plan must sort by the new RTT.
-    "set_rtt_reorders_replicas": (
-        lambda stack: stack.env.topology.set_rtt(Region.IRL, Region.FRK,
-                                                 200.0),
-        {"rtts": {frozenset({Region.IRL, Region.FRK}): 200.0}}),
-    "intra_region_rtt_ms": (_set("intra_region_rtt_ms", 9.0),
-                            {"intra_region_rtt_ms": 9.0}),
-    "loopback_rtt_ms": (_set("loopback_rtt_ms", 1.5),
-                        {"loopback_rtt_ms": 1.5}),
-    "jitter_fraction": (_set("jitter_fraction", 0.3),
-                        {"jitter_fraction": 0.3}),
-    "reset_stats": (lambda stack: stack.env.network.reset_stats(), None),
-    "ring_epoch": (
-        lambda stack: stack.cluster.partitioner.decommission("r-frk2"), None),
-    "late_register": (_Stack.add_late_probe, None),
+    "ring_epoch": _leave_ring,
+    "late_register": _Stack.add_late_probe,
+    "degrade_link": _degrade_link,
+    "partition": _partition,
+    "crash": _crash,
+    "slow_down": _slow_down,
 }
 
 
@@ -159,9 +171,7 @@ def _warm_then_edit(edit):
     return warm
 
 
-def _cold(edit, settings):
-    if settings is not None:
-        return _Stack(**settings)
+def _cold(edit):
     cold = _Stack()
     edit(cold)
     return cold
@@ -169,22 +179,15 @@ def _cold(edit, settings):
 
 @pytest.mark.parametrize("name", sorted(_EDITS))
 def test_edit_takes_effect_on_the_next_hop(name):
-    edit, settings = _EDITS[name]
-    warm, cold = _warm_then_edit(edit), _cold(edit, settings)
-    assert warm.observe() == cold.observe()
-    if name == "reset_stats":
-        # Not only the differences: the counters restarted from zero.
-        assert warm.links() == cold.links()
-        assert warm.env.network.messages_sent == cold.env.network.messages_sent
-        assert warm.env.network.total_bytes() == cold.env.network.total_bytes()
+    edit = _EDITS[name]
+    assert _warm_then_edit(edit).observe() == _cold(edit).observe()
 
 
-@pytest.mark.parametrize("name", sorted(set(_EDITS) - {"reset_stats"}))
+@pytest.mark.parametrize("name", sorted(_EDITS))
 def test_every_edit_changes_what_the_hops_do(name):
     """The scenarios are not vacuous: against a stack that skipped the edit
-    the observation differs (``reset_stats`` changes only absolute counts)."""
-    edit, _ = _EDITS[name]
-    assert _warm_then_edit(edit).observe() != _warm().observe()
+    the observation differs."""
+    assert _warm_then_edit(_EDITS[name]).observe() != _warm().observe()
 
 
 def test_a_late_register_keeps_every_warm_route():
@@ -210,42 +213,21 @@ def test_a_late_register_keeps_every_warm_route():
                for key, value in held[0].items())
 
 
-#: Where the push can be cut -> the edits that only reach the hops through
-#: that link of the chain (jitter lives on the network, not in a route; no
-#: coordinator plan crosses a loopback link).
-_CUTS = {
-    "network": (lambda patch: patch.setattr(
-        Network, "_drop_routes", lambda self: None),
-        ["set_rtt", "intra_region_rtt_ms", "loopback_rtt_ms",
-         "jitter_fraction", "reset_stats"]),
-    "node": (lambda patch: patch.setattr(
-        Node, "_drop_routes", lambda self: None),
-        ["set_rtt", "intra_region_rtt_ms", "loopback_rtt_ms", "reset_stats"]),
-    "replica": (lambda patch: patch.setattr(
-        CassandraReplica, "_drop_routes", Node._drop_routes),
-        ["set_rtt", "set_rtt_reorders_replicas", "intra_region_rtt_ms",
-         "reset_stats"]),
-}
-
-
-@pytest.mark.parametrize("cut,name", [
-    (cut, name) for cut, (_, names) in sorted(_CUTS.items())
-    for name in names])
-def test_a_skipped_push_is_caught(cut, name, monkeypatch):
-    edit, settings = _EDITS[name]
-    cold = _cold(edit, settings)
-    expected = cold.observe(), cold.links()
+def test_a_skipped_plan_drop_is_caught(monkeypatch):
+    """Plans are dropped only because ``_fused_plan`` sees the ring epoch
+    move; a coordinator that kept them would contact the replica that
+    left, and the scenario sees it."""
+    expected = _cold(_leave_ring).observe()
     warm = _warm()
-    with monkeypatch.context() as patch:
-        _CUTS[cut][0](patch)
-        edit(warm)
-    assert (warm.observe(), warm.links()) != expected
+    monkeypatch.setattr(CassandraReplica, "_drop_plans", lambda self: None)
+    _leave_ring(warm)
+    assert warm.observe() != expected
 
 
 def test_keys_of_one_ring_slot_share_one_plan_until_an_edit():
     """A coordinator builds one fan-out plan per ring slot and caches that
-    same object for every key of the slot; a pushed route drop and a
-    ring-epoch bump each drop it, for every key at once."""
+    same object for every key of the slot; each ring-epoch bump (a node
+    leaves, then joins again) drops it, for every key at once."""
     stack = _Stack()
     coordinator = stack.cluster.replica_by_name("r-frk")
     partitioner = stack.cluster.partitioner
@@ -257,11 +239,25 @@ def test_keys_of_one_ring_slot_share_one_plan_until_an_edit():
     plan = coordinator._fused_plan(first)
     assert coordinator._fused_plan(second) is plan
     assert coordinator._slot_plans[partitioner.replicas_for(first)] is plan
-    for drop in (stack.env.network.reset_stats,
-                 lambda: partitioner.decommission("r-frk2")):
-        drop()
+    for plan_change in (partitioner.plan_decommission, partitioner.plan_join):
+        commit_change(partitioner, plan_change("r-frk2"))
         fresh = coordinator._fused_plan(second)
         assert fresh is not plan and coordinator._fused_plan(first) is fresh
         assert all(kept is not plan
                    for kept in coordinator._slot_plans.values())
         plan = fresh
+
+
+@pytest.mark.parametrize("name, check", [
+    ("degrade_link", "link_extra_ms"),
+    ("partition", "is_partitioned"),
+])
+def test_a_skipped_hop_check_is_caught(monkeypatch, name, check):
+    """A run-time fault reaches warm routes only because every hop asks the
+    network about it; a hop that stopped asking is seen by the scenario."""
+    edit = _EDITS[name]
+    expected = _cold(edit).observe()
+    warm = _warm_then_edit(edit)
+    monkeypatch.setattr(type(warm.env.network), check,
+                        lambda self, src, dst: False)
+    assert warm.observe() != expected

@@ -106,6 +106,12 @@ class TestScheduling:
         scheduler.run_until_idle()
         assert seen == {"answer": 42}
 
+    def test_kwargs_passed_at_an_absolute_time(self, scheduler):
+        seen = {}
+        scheduler.schedule_at(3.0, seen.update, answer=7)
+        scheduler.run_until_idle()
+        assert seen == {"answer": 7} and scheduler.now() == 3.0
+
 
 class TestRunControl:
     def test_run_until_stops_clock_at_bound(self, scheduler):

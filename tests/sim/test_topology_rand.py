@@ -10,10 +10,9 @@ from repro.sim.topology import (
     INTRA_REGION_RTT_MS,
     Region,
     Topology,
-    ec2_topology,
     replica_regions_default,
     replica_regions_twissandra,
-    twissandra_topology,
+    round_robin_regions,
 )
 
 
@@ -36,14 +35,20 @@ class TestRtts:
         with pytest.raises(KeyError):
             topo.rtt(Region.IRL, "mars-east-1")
 
-    def test_set_rtt_overrides(self):
-        topo = Topology()
-        topo.set_rtt(Region.IRL, Region.FRK, 99.0)
+    def test_constructor_rtts_override(self):
+        topo = Topology(rtts={frozenset({Region.IRL, Region.FRK}): 99.0})
         assert topo.rtt(Region.FRK, Region.IRL) == 99.0
+        assert topo.rtt(Region.IRL, Region.VRG) == pytest.approx(83.0)
 
-    def test_set_rtt_same_region_rejected(self):
-        with pytest.raises(ValueError):
-            Topology().set_rtt(Region.IRL, Region.IRL, 1.0)
+    @pytest.mark.parametrize("pair", [
+        frozenset({Region.IRL}),
+        frozenset({Region.IRL, Region.FRK, Region.VRG}),
+    ], ids=["same_region", "three_regions"])
+    def test_a_pair_that_is_not_two_regions_is_rejected(self, pair):
+        """A same-region entry would be stored and never read (``rtt``
+        answers same-region pairs with ``intra_region_rtt_ms``)."""
+        with pytest.raises(ValueError, match="two distinct regions"):
+            Topology(rtts={pair: 5.0})
 
     def test_regions_listing(self):
         regions = list(Topology().regions())
@@ -53,58 +58,58 @@ class TestRtts:
 
 class TestNegativeLatencies:
     """A negative latency would deliver before the send and run the
-    simulated clock backwards; a negative jitter bound would be ignored.
-    Every way in refuses them and keeps what was there."""
+    simulated clock backwards; a negative jitter bound would be ignored;
+    an infinite one would deliver never.  A topology is fixed when it is
+    built, so the constructor refuses them, naming the argument, and
+    nothing can be assigned afterwards."""
 
-    @pytest.mark.parametrize("kwargs", [
-        {"rtts": {frozenset({Region.IRL, Region.FRK}): -80.0}},
-        {"intra_region_rtt_ms": -10.0},
-        {"loopback_rtt_ms": -0.3},
-        {"jitter_fraction": -0.5},
-    ], ids=["rtts", "intra_region_rtt_ms", "loopback_rtt_ms",
-            "jitter_fraction"])
-    def test_constructor_rejects(self, kwargs):
-        with pytest.raises(ValueError):
+    _ARGUMENTS = ["rtts", "intra_region_rtt_ms", "loopback_rtt_ms",
+                  "jitter_fraction"]
+
+    @staticmethod
+    def _refused(name, value):
+        kwargs = {name: value}
+        if name == "rtts":
+            kwargs = {"rtts": {frozenset({Region.IRL, Region.FRK}): value}}
+            name = "rtt"
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             Topology(**kwargs)
 
-    @pytest.mark.parametrize("name", ["intra_region_rtt_ms",
-                                      "loopback_rtt_ms", "jitter_fraction"])
+    @pytest.mark.parametrize("name", _ARGUMENTS)
+    def test_constructor_rejects(self, name):
+        self._refused(name, -0.5)
+
+    @pytest.mark.parametrize("name", _ARGUMENTS)
+    def test_nan_rejected(self, name):
+        self._refused(name, float("nan"))
+
+    @pytest.mark.parametrize("name", _ARGUMENTS)
+    def test_infinite_rejected(self, name):
+        self._refused(name, float("inf"))
+
+    @pytest.mark.parametrize("name", _ARGUMENTS)
+    def test_bool_rejected(self, name):
+        self._refused(name, True)
+
+    @pytest.mark.parametrize("name", _ARGUMENTS[1:])
     def test_setter_rejects(self, name):
-        topo = Topology()
-        before = getattr(topo, name)
-        with pytest.raises(ValueError):
-            setattr(topo, name, -0.5)
-        assert getattr(topo, name) == before
-
-    def test_set_rtt_rejects(self):
-        topo = Topology()
-        with pytest.raises(ValueError):
-            topo.set_rtt(Region.IRL, Region.FRK, -80.0)
-        assert topo.rtt(Region.IRL, Region.FRK) == pytest.approx(20.0)
-
-    @pytest.mark.parametrize("edit", [
-        lambda topo: Topology(rtts={frozenset({Region.IRL, Region.FRK}):
-                                    float("nan")}),
-        lambda topo: topo.set_rtt(Region.IRL, Region.FRK, float("nan")),
-        lambda topo: setattr(topo, "intra_region_rtt_ms", float("nan")),
-        lambda topo: setattr(topo, "loopback_rtt_ms", float("nan")),
-        lambda topo: setattr(topo, "jitter_fraction", float("nan")),
-    ], ids=["rtts", "set_rtt", "intra_region_rtt_ms", "loopback_rtt_ms",
-            "jitter_fraction"])
-    def test_nan_rejected(self, edit):
-        topo = Topology()
-        with pytest.raises(ValueError):
-            edit(topo)
-        assert topo.rtt(Region.IRL, Region.FRK) == pytest.approx(20.0)
-        assert topo.jitter_fraction == 0.05
+        """Networks read the topology once, at build: an assignment later
+        would reach only routes not yet built, so it raises instead."""
+        topo = Topology(jitter_fraction=0.0)
+        with pytest.raises(AttributeError, match=f"cannot set '{name}'"):
+            setattr(topo, name, 1.0)
+        assert topo.rtt(Region.IRL, Region.IRL) == INTRA_REGION_RTT_MS
+        assert topo.jitter_fraction == 0.0
 
     @pytest.mark.parametrize("value", [0.0, 2.5])
     def test_zero_and_positive_accepted(self, value):
-        topo = Topology(intra_region_rtt_ms=value, loopback_rtt_ms=value,
-                        jitter_fraction=value)
-        topo.set_rtt(Region.IRL, Region.FRK, value)
+        topo = Topology(
+            rtts={frozenset({Region.IRL, Region.FRK}): value},
+            intra_region_rtt_ms=value, loopback_rtt_ms=value,
+            jitter_fraction=value)
         assert topo.rtt(Region.IRL, Region.IRL) == value
         assert topo.rtt(Region.IRL, Region.FRK) == value
+        assert topo.loopback_rtt_ms == topo.jitter_fraction == value
 
 
 class TestOneWayDelays:
@@ -124,15 +129,20 @@ class TestOneWayDelays:
         assert topo.one_way(Region.IRL, Region.IRL, same_host=True) < \
             topo.one_way(Region.IRL, Region.IRL)
 
-    def test_factories(self):
-        assert isinstance(ec2_topology(), Topology)
-        assert isinstance(twissandra_topology(), Topology)
-
     def test_default_placements(self):
         assert set(replica_regions_default()) == {Region.FRK, Region.IRL,
                                                   Region.VRG}
         assert set(replica_regions_twissandra()) == {Region.VRG, Region.NCA,
                                                      Region.ORE}
+
+    def test_round_robin_placement(self):
+        assert round_robin_regions(4) == replica_regions_default() + (
+            Region.FRK,)
+        assert round_robin_regions(3, [Region.VRG]) == (Region.VRG,) * 3
+        with pytest.raises(ValueError, match="count must be positive"):
+            round_robin_regions(0)
+        with pytest.raises(ValueError, match="cycle must be non-empty"):
+            round_robin_regions(2, [])
 
 
 class TestRandDerivation:

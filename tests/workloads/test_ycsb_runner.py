@@ -60,6 +60,11 @@ class TestDataset:
         with pytest.raises(ValueError, match="must be a positive int"):
             Dataset(**spec)
 
+    @pytest.mark.parametrize("seed", [2.5, -1, True, "7"])
+    def test_a_seed_that_is_not_a_non_negative_int_is_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            Dataset(record_count=5, seed=seed)
+
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
             Dataset(record_count=0)

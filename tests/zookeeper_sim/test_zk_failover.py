@@ -329,6 +329,55 @@ class TestOrphanOriginsExpire:
         assert in_flight["orphan_origins"] > 0
 
 
+class TestJobsOfALeftEpoch:
+    """A follower's queued Zab job belongs to the epoch it was queued
+    under: once ``follow()`` moves the server on, the job does nothing."""
+
+    @staticmethod
+    def _follow_once_queued(job_name):
+        """One enqueue through the FRK follower; the moment its ``job_name``
+        job for zxid 1 is queued, the follower follows the VRG one into the
+        next epoch.  Returns the follower once the job has run, before a
+        sync with the new leader could reach it."""
+        env = SimEnvironment(seed=7)
+        cluster = ZooKeeperCluster(env)
+        cluster.preload_queue("/queue", [])
+        follower, other = cluster.followers
+        client = cluster.add_client("app", Region.FRK,
+                                    connect_region=Region.FRK)
+        queued = []
+        enqueue = follower._enqueue
+
+        def hook(service_ms, fn, args):
+            enqueue(service_ms, fn, args)
+            if fn.__name__ == job_name and not queued:
+                queued.append(env.now())
+                follower.follow(other.name, follower.epoch + 1)
+
+        follower._enqueue = hook
+        client.submit_sink("enqueue", "/queue", RecordingSink(), "x")
+        while not queued:
+            env.run(max_events=1)
+        # The job runs within 1 ms; a sync round trip to VRG takes 90 ms.
+        env.run(until=queued[0] + 5.0)
+        assert follower.epoch == 1 and follower.queue.queue_delay() == 0.0
+        return follower
+
+    def test_a_commit_queued_before_follow_marks_nothing(self):
+        follower = self._follow_once_queued("_learn_commit")
+        assert follower.commit_log.last_applied == 0
+        assert not follower.commit_log._committed
+        assert follower.transactions_applied == 0
+
+    def test_a_proposal_queued_before_follow_is_not_acked(self):
+        follower = self._follow_once_queued("_ack_proposal")
+        assert 1 not in follower.commit_log._known
+        # The forwarded request still waits to be answered by its own
+        # transaction, not keyed to the dead epoch's zxid 1.
+        assert follower._origin_requests == {}
+        assert len(follower._forwarded) == 1
+
+
 @pytest.mark.parametrize("overrides", [
     # Every follower would suspect a healthy leader on every tick.
     dict(leader_timeout_ms=200.0), dict(leader_timeout_ms=150.0),
