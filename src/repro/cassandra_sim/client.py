@@ -32,7 +32,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.cassandra_sim.config import CassandraConfig
 from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
-from repro.sim.network import (MESSAGE_HEADER_BYTES, Network,
+from repro.sim.network import (KEY_SIZE_BYTES, MESSAGE_HEADER_BYTES, Network,
                                estimate_payload_size)
 from repro.sim.node import Node
 
@@ -60,8 +60,8 @@ class CassandraClient(Node):
         self.config = config
         self._contacts: List[str] = contacts
         self._clock = self.scheduler.clock
-        self._read_size = MESSAGE_HEADER_BYTES + config.key_size_bytes + 8
-        self._write_base = MESSAGE_HEADER_BYTES + config.key_size_bytes
+        self._read_size = MESSAGE_HEADER_BYTES + KEY_SIZE_BYTES + 8
+        self._write_base = MESSAGE_HEADER_BYTES + KEY_SIZE_BYTES
         self._timeout_ms = config.client_timeout_ms
         #: The quorum sizes an operation may ask for.
         self._quorums = range(1, config.replication_factor + 1)

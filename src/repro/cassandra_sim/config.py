@@ -1,4 +1,12 @@
-"""Configuration knobs for the simulated Cassandra cluster."""
+"""The simulated Cassandra cluster's cost model and its configuration.
+
+The model constants below are fixed: per-hop service times and wire sizes
+(a key's wire size is :data:`repro.sim.network.KEY_SIZE_BYTES`, shared
+with 2PC).  :class:`CassandraConfig` holds what a cluster is built with
+and may vary: replication, record size, the ``*CC`` optimization, read
+repair, the recovery timeouts and the streaming batch and scan cost.  It
+is fixed once built: replicas and clients fold it into derived values.
+"""
 
 from __future__ import annotations
 
@@ -6,15 +14,28 @@ from dataclasses import field
 
 from repro.workloads.records import POSITIVE, check_fields, spec
 
+#: CPU time a replica spends serving one read (ms).
+READ_SERVICE_MS = 1.5
+#: CPU time a replica spends applying one write (ms).
+WRITE_SERVICE_MS = 1.0
+#: Extra coordinator CPU time for flushing a preliminary response (ms): the
+#: coordinator pays it for every ICG read, which is what produces Correctable
+#: Cassandra's throughput drop in Figure 6.
+PRELIMINARY_FLUSH_MS = 0.6
+#: Per-response metadata overhead (bytes).
+RESPONSE_OVERHEAD_BYTES = 40
+#: Size of a confirmation message body (bytes), for the *CC optimization.
+CONFIRMATION_BYTES = 10
+#: Service time the stream source pays to assemble one batch (ms).
+STREAM_BATCH_MS = 0.5
+#: Service time the stream target pays to apply one streamed item (ms).
+STREAM_APPLY_MS_PER_ITEM = 0.05
 
-@spec
+
+@spec(frozen=True)
 class CassandraConfig:
-    """Cluster-wide configuration.
-
-    Service times model the CPU cost of handling a request at a replica; the
-    coordinator pays ``preliminary_flush_ms`` extra for every ICG read, which
-    is what produces Correctable Cassandra's throughput drop in Figure 6.
-    """
+    """Cluster-wide configuration (the cost model is the module's
+    constants)."""
 
     #: Number of replicas holding each key.
     replication_factor: int = field(default=3, metadata=POSITIVE)
@@ -24,22 +45,10 @@ class CassandraConfig:
     #: the node names and this count (``md5(f"{name}#{vnode}")``), so a given
     #: membership always yields the same ring regardless of seeds or history.
     vnodes_per_node: int = field(default=8, metadata=POSITIVE)
-    #: CPU time a replica spends serving one read (ms).
-    read_service_ms: float = 1.5
-    #: CPU time a replica spends applying one write (ms).
-    write_service_ms: float = 1.0
-    #: Extra coordinator CPU time for flushing a preliminary response (ms).
-    preliminary_flush_ms: float = 0.6
     #: Size of a full record returned by a read (bytes).  The single-request
     #: microbenchmark uses 100 B objects; the YCSB load/bandwidth experiments
     #: use the YCSB default of 10 fields × 100 B = 1000 B records.
     value_size_bytes: int = field(default=100, metadata=POSITIVE)
-    #: Size of a key on the wire (bytes).
-    key_size_bytes: int = 20
-    #: Per-response metadata overhead (bytes).
-    response_overhead_bytes: int = 40
-    #: Size of a confirmation message body (bytes), for the *CC optimization.
-    confirmation_bytes: int = 10
     #: Whether final views identical to the preliminary are replaced by a
     #: small confirmation message (the ``*CC`` optimization of Section 5.2).
     confirmation_optimization: bool = False
@@ -47,16 +56,13 @@ class CassandraConfig:
     read_repair: bool = False
     #: Coordinator-side timeout for assembling a read quorum (ms); 0 disables
     #: timeouts entirely, which is the fault-free behaviour the paper's
-    #: happy-path figures assume.
+    #: happy-path figures assume.  A quorum wait that times out re-solicits
+    #: the replicas that have not answered, once; the next timeout answers
+    #: with what it gathered (a *downgraded* quorum), or with an error if it
+    #: gathered nothing.
     read_timeout_ms: float = 0.0
     #: Coordinator-side timeout for assembling a write quorum (ms); 0 disables.
     write_timeout_ms: float = 0.0
-    #: How many times the coordinator re-solicits missing replicas before
-    #: giving up on the requested quorum.
-    coordinator_retries: int = 1
-    #: After the retries are exhausted, whether to answer the client with the
-    #: responses gathered so far (a *downgraded* quorum) instead of an error.
-    downgrade_on_timeout: bool = True
     #: Client-side timeout for one request (ms); 0 disables.  On expiry the
     #: client re-issues the request, at once, to the next contact in its
     #: rotation (if it has any) and eventually reports an error.
@@ -73,10 +79,6 @@ class CassandraConfig:
     #: selects the range from the table's token index (see
     #: ``storage.rows_in_range``).
     stream_scan_ms: float = 2.0
-    #: Service time the stream source pays to assemble one batch (ms).
-    stream_batch_ms: float = 0.5
-    #: Service time the stream target pays to apply one streamed item (ms).
-    stream_apply_ms_per_item: float = 0.05
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -89,18 +91,15 @@ class CassandraConfig:
     def fault_tolerant(cls, **overrides) -> "CassandraConfig":
         """A configuration with the recovery paths enabled.
 
-        Used by the fault experiments: coordinator timeouts with one retry
-        then downgrade, client-side failover, and read repair so replicas
+        Used by the fault experiments: coordinator timeouts (one retry, then
+        downgrade), client-side failover, and read repair so replicas
         reconverge after a crash or partition heals.
         """
         defaults = dict(
             read_repair=True,
             read_timeout_ms=250.0,
             write_timeout_ms=250.0,
-            coordinator_retries=1,
-            downgrade_on_timeout=True,
             client_timeout_ms=1_000.0,
-            client_retries=2,
         )
         defaults.update(overrides)
         return cls(**defaults)

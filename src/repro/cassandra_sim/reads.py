@@ -18,6 +18,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Optional
 
+from repro.cassandra_sim.config import PRELIMINARY_FLUSH_MS, READ_SERVICE_MS
 from repro.cassandra_sim.coordinator import FusedRead
 from repro.cassandra_sim.storage import VersionedValue
 from repro.sim.network import LinkStats, estimate_payload_size
@@ -40,7 +41,7 @@ class ReadCoordinator:
         rec.incarnation = self._incarnation
         # Node._enqueue, inlined: service charge plus scheduler insert with
         # no intermediate frames — this preamble runs once per read.
-        cost = self.config.read_service_ms * self.slowdown_factor
+        cost = READ_SERVICE_MS * self.slowdown_factor
         queue = self.queue
         scheduler = queue._scheduler
         now = scheduler.clock._now
@@ -84,7 +85,7 @@ class ReadCoordinator:
                 # completes.  Node._enqueue, inlined: the flush job runs
                 # once per ICG read, right on the hot path.
                 refs += 1
-                cost = config.preliminary_flush_ms * self.slowdown_factor
+                cost = PRELIMINARY_FLUSH_MS * self.slowdown_factor
                 queue = self.queue
                 scheduler = queue._scheduler
                 now = scheduler.clock._now
@@ -333,17 +334,17 @@ class ReadCoordinator:
         rec.unref()
 
     def _fused_read_timeout(self, rec: FusedRead) -> None:
-        """The read quorum did not assemble in ``read_timeout_ms``: retry,
-        then downgrade to what was gathered (or fail)."""
+        """The read quorum did not assemble in ``read_timeout_ms``: retry
+        once, then downgrade to what was gathered (or fail, if nothing
+        was)."""
         rec.quorum_timer = None
         if rec.final_sent or rec.incarnation != self._incarnation \
                 or not self.alive:
             rec.unref()
             return
-        config = self.config
         net = self.network
-        if rec.solicits < config.coordinator_retries:
-            rec.solicits += 1
+        if not rec.solicits:
+            rec.solicits = 1
             self.read_retries += 1
             # Re-solicit every replica that has not answered yet — including
             # ones beyond the original quorum fan-out, so the read can route
@@ -361,9 +362,9 @@ class ReadCoordinator:
                     rec.refs += 1
             # The new timer takes over this one's reference.
             rec.quorum_timer = self.scheduler.schedule(
-                config.read_timeout_ms, self._fused_read_timeout, rec)
+                self.config.read_timeout_ms, self._fused_read_timeout, rec)
             return
-        if config.downgrade_on_timeout and rec.responses:
+        if rec.responses:
             self.reads_downgraded += 1
             self._fused_finish_read(rec, True)
         else:

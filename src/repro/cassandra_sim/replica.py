@@ -38,15 +38,18 @@ from heapq import heappush
 from operator import is_
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.cassandra_sim.config import CassandraConfig
+from repro.cassandra_sim.config import (
+    CONFIRMATION_BYTES, READ_SERVICE_MS, RESPONSE_OVERHEAD_BYTES,
+    STREAM_APPLY_MS_PER_ITEM, STREAM_BATCH_MS, WRITE_SERVICE_MS,
+    CassandraConfig)
 from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
 from repro.cassandra_sim.partitioner import RingPartitioner, StreamTask
 from repro.cassandra_sim.reads import ReadCoordinator
 from repro.cassandra_sim.storage import (ColumnarTable, KeySpace,
                                          VersionedValue)
 from repro.cassandra_sim.writes import _ACK_BYTES, WriteCoordinator
-from repro.sim.network import (MESSAGE_HEADER_BYTES, Message, Network,
-                               estimate_payload_size)
+from repro.sim.network import (KEY_SIZE_BYTES, MESSAGE_HEADER_BYTES, Message,
+                               Network, estimate_payload_size)
 from repro.sim.node import Node
 
 
@@ -81,10 +84,10 @@ class CassandraReplica(ReadCoordinator, WriteCoordinator, Node):
         super().__init__(name, region, network)
         self.config = config
         # Message-size bases, precomputed once: every fused hop charges one
-        # of these, and the config fields never change after construction.
-        self._req_base = MESSAGE_HEADER_BYTES + config.key_size_bytes
-        self._resp_base = MESSAGE_HEADER_BYTES + config.response_overhead_bytes
-        self._conf_base = MESSAGE_HEADER_BYTES + config.confirmation_bytes
+        # of these.
+        self._req_base = MESSAGE_HEADER_BYTES + KEY_SIZE_BYTES
+        self._resp_base = MESSAGE_HEADER_BYTES + RESPONSE_OVERHEAD_BYTES
+        self._conf_base = MESSAGE_HEADER_BYTES + CONFIRMATION_BYTES
         self.partitioner = partitioner
         self.table = ColumnarTable(keyspace)
         #: Ring membership state: ``serving`` (normal), ``bootstrapping``
@@ -251,7 +254,7 @@ class CassandraReplica(ReadCoordinator, WriteCoordinator, Node):
             return
         net.messages_delivered += 1
         # Node._enqueue, inlined (see _fused_client_read).
-        cost = self.config.read_service_ms * self.slowdown_factor
+        cost = READ_SERVICE_MS * self.slowdown_factor
         queue = self.queue
         scheduler = queue._scheduler
         now = scheduler.clock._now
@@ -303,7 +306,7 @@ class CassandraReplica(ReadCoordinator, WriteCoordinator, Node):
             return
         net.messages_delivered += 1
         # Node._enqueue, inlined (see _fused_client_read).
-        cost = self.config.write_service_ms * self.slowdown_factor
+        cost = WRITE_SERVICE_MS * self.slowdown_factor
         queue = self.queue
         scheduler = queue._scheduler
         now = scheduler.clock._now
@@ -337,7 +340,7 @@ class CassandraReplica(ReadCoordinator, WriteCoordinator, Node):
     # -- read repair (the one request that is still a Message) -----------------
     def on_write_req(self, message: Message) -> None:
         payload = message.payload
-        self._enqueue(self.config.write_service_ms, self._apply_remote_write,
+        self._enqueue(WRITE_SERVICE_MS, self._apply_remote_write,
                       (payload["key"], payload["version"]))
 
     def _apply_remote_write(self, key: str, version: VersionedValue) -> None:
@@ -399,11 +402,11 @@ class CassandraReplica(ReadCoordinator, WriteCoordinator, Node):
         target = stream.target
         stream.parked = not self.network.fused_send_to(
             self, target.name,
-            MESSAGE_HEADER_BYTES + config.key_size_bytes * len(rows)
+            MESSAGE_HEADER_BYTES + KEY_SIZE_BYTES * len(rows)
             + self._values_bytes(values)
             + unread * max(size, config.value_size_bytes),
             target._stream_hop,
-            (stream, config.stream_apply_ms_per_item * max(1, len(rows)),
+            (stream, STREAM_APPLY_MS_PER_ITEM * max(1, len(rows)),
              target._stream_apply))
 
     def _stream_hop(self, stream: _Stream, cost: float,
@@ -425,7 +428,7 @@ class CassandraReplica(ReadCoordinator, WriteCoordinator, Node):
         source = stream.source
         stream.parked = not self.network.fused_send_to(
             self, source.name, MESSAGE_HEADER_BYTES + 10, source._stream_hop,
-            (stream, self.config.stream_batch_ms, source._stream_next))
+            (stream, STREAM_BATCH_MS, source._stream_next))
 
     def drop_streams(self) -> None:
         """Forget the streams to this node, here and at their sources (its

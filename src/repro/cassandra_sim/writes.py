@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from heapq import heappush
 
+from repro.cassandra_sim.config import WRITE_SERVICE_MS
 from repro.cassandra_sim.coordinator import FusedWrite
 from repro.cassandra_sim.storage import VersionedValue
 from repro.sim.network import LinkStats, MESSAGE_HEADER_BYTES
@@ -42,7 +43,7 @@ class WriteCoordinator:
             rec.value,
             (self.scheduler.clock._now, self.name, next(self._write_seq)))
         # Node._enqueue, inlined (see _fused_client_read).
-        cost = self.config.write_service_ms * self.slowdown_factor
+        cost = WRITE_SERVICE_MS * self.slowdown_factor
         queue = self.queue
         scheduler = queue._scheduler
         now = scheduler.clock._now
@@ -192,24 +193,24 @@ class WriteCoordinator:
                 rec.refs += 1
 
     def _fused_write_timeout(self, rec: FusedWrite) -> None:
-        """The write quorum did not assemble in ``write_timeout_ms``: retry,
-        then acknowledge what was gathered as degraded (or fail)."""
+        """The write quorum did not assemble in ``write_timeout_ms``: retry
+        once, then acknowledge what was gathered as degraded (or fail, if
+        no replica acknowledged)."""
         rec.quorum_timer = None
         if rec.acked_client or rec.incarnation != self._incarnation \
                 or not self.alive:
             rec.unref()
             return
-        config = self.config
-        if rec.solicits < config.coordinator_retries:
-            rec.solicits += 1
+        if not rec.solicits:
+            rec.solicits = 1
             self.write_retries += 1
             self._resend_write(rec)
             # The new timer takes over this one's reference.
             rec.quorum_timer = self.scheduler.schedule(
-                config.write_timeout_ms, self._fused_write_timeout, rec)
+                self.config.write_timeout_ms, self._fused_write_timeout, rec)
             return
         rec.closed = True
-        if config.downgrade_on_timeout and rec.acks:
+        if rec.acks:
             self.writes_downgraded += 1
             self._fused_ack_client(rec, True)
         else:

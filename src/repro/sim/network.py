@@ -59,6 +59,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 #: Fixed per-message framing overhead (TCP/IP + RPC headers), in bytes.
 MESSAGE_HEADER_BYTES = 50
+#: Size of a key on the wire (bytes): a Cassandra row key, a 2PC write's key.
+KEY_SIZE_BYTES = 20
 
 def estimate_payload_size(payload: Any) -> int:
     """Rough byte size of a message payload.

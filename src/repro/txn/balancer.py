@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import field
 from typing import Dict, List, Optional, Sequence
 
+from repro.txn.config import BREAKER_FAILURE_THRESHOLD, BREAKER_RESET_MS
 from repro.workloads.records import POSITIVE, check_fields, spec
 
 
@@ -102,8 +103,9 @@ class CircuitBreaker:
 class LoadBalancer:
     """Round-robin over healthy nodes, with circuit-breaker health tracking."""
 
-    def __init__(self, nodes: Sequence[str], failure_threshold: int = 2,
-                 reset_timeout_ms: float = 800.0) -> None:
+    def __init__(self, nodes: Sequence[str],
+                 failure_threshold: int = BREAKER_FAILURE_THRESHOLD,
+                 reset_timeout_ms: float = BREAKER_RESET_MS) -> None:
         if not nodes:
             raise ValueError("a load balancer needs at least one node")
         self.nodes: List[str] = list(nodes)

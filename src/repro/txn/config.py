@@ -1,4 +1,12 @@
-"""Configuration knobs for the transaction layer."""
+"""The transaction layer's cost model constants and its configuration.
+
+The redelivery and probe periods, the load balancer's breaker settings
+and a write's value size are fixed model constants (a write's key size is
+:data:`repro.sim.network.KEY_SIZE_BYTES`, shared with Cassandra).
+:class:`TxnConfig` holds what a fabric is built with and may vary: the
+service times, timeouts and deadline, failure detection and client
+retries.  It is fixed once built.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +14,23 @@ from dataclasses import field
 
 from repro.workloads.records import POSITIVE, check_fields, spec
 
+#: Redelivery period for commit/abort decisions not yet acked by every
+#: participant (ms); covers participants that were crashed or partitioned
+#: away when the decision first went out.
+DECISION_RETRY_MS = 300.0
+#: Re-probe period for participants that have not answered a takeover
+#: state request (ms); recovery blocks on every participant, so probes
+#: continue until crashed participants come back.
+TAKEOVER_PROBE_MS = 250.0
+#: Load-balancer circuit breakers: consecutive failures to open, and how
+#: long an open breaker rejects before half-opening a probe.
+BREAKER_FAILURE_THRESHOLD = 2
+BREAKER_RESET_MS = 800.0
+#: A write's value size on the wire (bytes).
+VALUE_SIZE_BYTES = 100
 
-@spec
+
+@spec(frozen=True)
 class TxnConfig:
     """Tuning for the 2PC coordinator group, participants, and clients.
 
@@ -24,10 +47,6 @@ class TxnConfig:
     #: durable — a coordinator crash inside it loses the decision, which is
     #: exactly when the speculative view turns out wrong.
     decision_log_ms: float = 2.0
-    #: Redelivery period for commit/abort decisions not yet acked by every
-    #: participant (ms); covers participants that were crashed or partitioned
-    #: away when the decision first went out.
-    decision_retry_ms: float = field(default=300.0, metadata=POSITIVE)
     #: Active-coordinator heartbeat period (ms); 0 disables failure detection
     #: (and with it coordinator failover).
     heartbeat_interval_ms: float = 100.0
@@ -35,10 +54,6 @@ class TxnConfig:
     #: suspects a crash.  Standbys stagger by rank so exactly one survivor
     #: takes over: standby ``r`` fires after ``(1 + r)`` multiples of this.
     coordinator_timeout_ms: float = 450.0
-    #: Re-probe period for participants that have not answered a takeover
-    #: state request (ms); recovery blocks on every participant, so probes
-    #: continue until crashed participants come back.
-    takeover_probe_ms: float = field(default=250.0, metadata=POSITIVE)
     #: Client-side timeout for one transaction attempt (ms); 0 disables.
     client_timeout_ms: float = 1_200.0
     #: How many times the client re-submits a timed-out transaction (after
@@ -48,23 +63,16 @@ class TxnConfig:
     #: every message of the transaction (client → coordinator → participant),
     #: after which any hop refuses further work on it.
     txn_deadline_ms: float = field(default=6_000.0, metadata=POSITIVE)
-    #: Load-balancer circuit breakers: consecutive failures to open, and how
-    #: long an open breaker rejects before half-opening a probe.
-    breaker_failure_threshold: int = field(default=2, metadata=POSITIVE)
-    breaker_reset_ms: float = 800.0
     #: CPU time a participant spends validating + logging one prepare (ms).
     prepare_service_ms: float = 0.4
     #: CPU time a participant spends applying one commit (ms).
     commit_service_ms: float = 0.5
     #: CPU time the coordinator spends per protocol step (ms).
     coordinator_service_ms: float = 0.3
-    #: Wire sizing (bytes).
-    key_size_bytes: int = 20
-    value_size_bytes: int = 100
 
     def __post_init__(self) -> None:
-        # ``POSITIVE``: a zero period re-arms at the same instant forever; a
-        # zero timeout or budget expires every transaction on arrival.
+        # ``POSITIVE``: a zero timeout or budget expires every transaction
+        # on arrival.
         check_fields(self)
         if self.heartbeat_interval_ms > 0 and not (
                 self.coordinator_timeout_ms > self.heartbeat_interval_ms):

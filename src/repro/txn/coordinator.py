@@ -19,9 +19,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
-from repro.sim.network import MESSAGE_HEADER_BYTES, Network
+from repro.sim.network import KEY_SIZE_BYTES, MESSAGE_HEADER_BYTES, Network
 from repro.sim.node import Node
-from repro.txn.config import TxnConfig
+from repro.txn.config import DECISION_RETRY_MS, VALUE_SIZE_BYTES, TxnConfig
 from repro.txn.log import TxnLogRecord, TxnState
 from repro.txn.manager import TxnOp
 from repro.txn.takeover import ABORT, COMMIT, Takeover
@@ -148,7 +148,7 @@ class TwoPhaseCommitCoordinator(Node):
         # another record (or none) in flight: it is not this one's to serve.
         if not self.alive or self.in_flight.get(state.op.txn_id) is not state:
             return
-        write_bytes = self.config.key_size_bytes + self.config.value_size_bytes
+        write_bytes = KEY_SIZE_BYTES + VALUE_SIZE_BYTES
         for participant in state.participants:
             writes = state.per_participant[participant]
             self.network.fused_send_to(
@@ -253,7 +253,7 @@ class TwoPhaseCommitCoordinator(Node):
         self._send_decision(delivery)
         if not self._retry_armed:
             self._retry_armed = True
-            self.scheduler.schedule(self.config.decision_retry_ms,
+            self.scheduler.schedule(DECISION_RETRY_MS,
                                     self._decision_retry_tick)
 
     def _send_decision(self, delivery: _Delivery) -> None:
@@ -274,8 +274,7 @@ class TwoPhaseCommitCoordinator(Node):
             if delivery.unacked:
                 self.decision_redeliveries += 1
                 self._send_decision(delivery)
-        self.scheduler.schedule(self.config.decision_retry_ms,
-                                self._decision_retry_tick)
+        self.scheduler.schedule(DECISION_RETRY_MS, self._decision_retry_tick)
 
     def _txn_ack(self, txn_id: str, participant: str,
                  committed: bool) -> None:

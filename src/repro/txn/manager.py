@@ -37,10 +37,10 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.core.consistency import STRONG, ConsistencyLevel
 from repro.core.correctable import Correctable
 from repro.core.errors import CorrectableError
-from repro.sim.network import MESSAGE_HEADER_BYTES, Network
+from repro.sim.network import KEY_SIZE_BYTES, MESSAGE_HEADER_BYTES, Network
 from repro.sim.node import Node
 from repro.txn.balancer import LoadBalancer
-from repro.txn.config import TxnConfig
+from repro.txn.config import VALUE_SIZE_BYTES, TxnConfig
 
 #: The speculative "all participants voted yes" consistency level: stronger
 #: than causal (it reflects a coordinated, conflict-checked state) but
@@ -124,10 +124,7 @@ class TransactionManager(Node):
         super().__init__(name, region, network)
         self.config = config
         self.coordinators = tuple(coordinators)
-        self.balancer = LoadBalancer(
-            self.coordinators,
-            failure_threshold=config.breaker_failure_threshold,
-            reset_timeout_ms=config.breaker_reset_ms)
+        self.balancer = LoadBalancer(self.coordinators)
         self._txn_ids = itertools.count(1)
         self._pending: Dict[str, TxnOp] = {}
         self.stats = PreparedViewStats()
@@ -162,7 +159,7 @@ class TransactionManager(Node):
         txn_id = f"{self.name}:{next(self._txn_ids)}"
         now = self.scheduler.now()
         size = MESSAGE_HEADER_BYTES + len(writes) * (
-            self.config.key_size_bytes + self.config.value_size_bytes)
+            KEY_SIZE_BYTES + VALUE_SIZE_BYTES)
         op = self._pending[txn_id] = TxnOp(
             txn_id, dict(writes), self.name,
             now + self.config.txn_deadline_ms, size, sink, now)

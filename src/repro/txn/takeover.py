@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
 from repro.sim.network import MESSAGE_HEADER_BYTES
+from repro.txn.config import TAKEOVER_PROBE_MS
 from repro.txn.log import TxnLogRecord, TxnState
 
 COMMIT = "commit"
@@ -151,8 +152,7 @@ class Takeover:
             self._probe(participant)
         if not self._probe_armed:
             self._probe_armed = True
-            self._scheduler.schedule(self._config.takeover_probe_ms,
-                                     self._probe_tick)
+            self._scheduler.schedule(TAKEOVER_PROBE_MS, self._probe_tick)
         self._finish_if_done()
 
     def _probe(self, participant: str) -> None:
@@ -168,8 +168,7 @@ class Takeover:
             return
         for participant in sorted(self.round.pending):
             self._probe(participant)
-        self._scheduler.schedule(self._config.takeover_probe_ms,
-                                 self._probe_tick)
+        self._scheduler.schedule(TAKEOVER_PROBE_MS, self._probe_tick)
 
     def reply(self, participant: str, epoch: int,
               records: List[TxnLogRecord]) -> None:

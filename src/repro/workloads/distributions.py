@@ -192,11 +192,7 @@ class LatestKeyChooser:
         self._zipfian = ZipfianKeyChooser(record_count, rng, theta=theta)
 
     def next_index(self) -> int:
-        offset = self._zipfian.next_index()
-        index = self._latest - offset
-        if index < 0:
-            index += self.record_count
-        return index % self.record_count
+        return (self._latest - self._zipfian.next_index()) % self.record_count
 
     def notify_insert(self, index: int) -> None:
         """Track the most recent record touched by an insert/update."""

@@ -50,13 +50,13 @@ class RunResult:
     admission: Optional[AdmissionStats] = None
 
     def throughput_ops_per_sec(self) -> float:
-        if self.duration_ms <= 0:
-            return 0.0
+        # The engine's measured window is positive (it refuses a duration
+        # that does not exceed warm-up plus cool-down).
         return self.measured_ops / (self.duration_ms / 1000.0)
 
     def offered_ops_per_sec(self) -> float:
         """Measured offered load (open loop); falls back to throughput."""
-        if self.admission is None or self.duration_ms <= 0:
+        if self.admission is None:
             return self.throughput_ops_per_sec()
         return self.admission.measured_offered / (self.duration_ms / 1000.0)
 

@@ -70,19 +70,15 @@ class _ClientThread:
     next operation.
     """
 
-    __slots__ = ("runner", "thread_id", "generator", "_gen_buffered",
-                 "_issued_at", "_op_type", "icg", "_had_prelim",
-                 "_prelim_value", "_prelim_latency")
+    __slots__ = ("runner", "thread_id", "generator", "_issued_at",
+                 "_op_type", "icg", "_had_prelim", "_prelim_value",
+                 "_prelim_latency")
 
     def __init__(self, runner: "ClosedLoopRunner", thread_id: int,
                  generator: OperationGenerator) -> None:
         self.runner = runner
         self.thread_id = thread_id
         self.generator = generator
-        #: Whether the generator exposes the chunked packed-op buffer the
-        #: issue loop decodes inline (duck-typed replay generators don't;
-        #: they always go through next_operation).
-        self._gen_buffered = getattr(generator, "_buf", None) is not None
         self._issued_at = 0.0
         self._op_type = ""
         #: Set by the issuer before an ICG read (see the module docstring);
@@ -108,41 +104,7 @@ class _ClientThread:
         now = runner.scheduler.clock._now
         if now >= runner.end_time:
             return
-        gen = self.generator
-        if self._gen_buffered:
-            # OperationGenerator.next_operation, inlined for the buffered
-            # case: pop the packed op and decode it in place — no call
-            # frame, no result tuple.  Counters and value/key resolution
-            # follow the buffered branch of next_operation exactly; an
-            # empty buffer or uncached key list falls back to the method
-            # (which refills the buffer through the same streams).
-            buf = gen._buf
-            pos = gen._buf_pos
-            keys = gen._keys
-            if keys is not None and pos < len(buf):
-                packed = buf[pos]
-                gen._buf_pos = pos + 1
-                key = keys[packed >> 1]
-                if packed & 1:
-                    gen.updates_generated += 1
-                    op_type = "update"
-                    # Dataset.random_value, inlined for the buffered case.
-                    ds = gen.dataset
-                    vpos = ds._value_pos
-                    vbuf = ds._value_buf
-                    if vpos < len(vbuf):
-                        ds._value_pos = vpos + 1
-                        value = vbuf[vpos]
-                    else:
-                        value = ds._next_value_chunk()
-                else:
-                    gen.reads_generated += 1
-                    op_type = "read"
-                    value = None
-            else:
-                op_type, key, value = gen.next_operation()
-        else:
-            op_type, key, value = gen.next_operation()
+        op_type, key, value = self.generator.next_operation()
         self._issued_at = now
         self._op_type = op_type
         runner.issue(op_type, key, value, self)

@@ -144,46 +144,35 @@ class OperationGenerator:
         """
         pos = self._buf_pos
         buf = self._buf
-        if pos < len(buf):
-            packed = buf[pos]
-            self._buf_pos = pos + 1
-            index = packed >> 1
-            keys = self._keys
-            key = keys[index] if keys is not None else self.dataset.key(index)
-            if packed & 1:
+        if pos == len(buf):
+            chunked = self._chunked
+            if chunked is None and self._plain_draws >= _AUTO_CHUNK_AFTER:
+                chunked = self._setup_chunking()
+            if not chunked:
+                self._plain_draws += 1
+                index = self._chooser.next_index()
+                key = self.dataset.key(index)
+                if self._rng.random() < self.spec.read_proportion:
+                    self.reads_generated += 1
+                    return "read", key, None
                 self.updates_generated += 1
+                self._chooser.notify_insert(index)
                 return "update", key, self.dataset.random_value()
-            self.reads_generated += 1
-            return "read", key, None
-        chunked = self._chunked
-        if chunked is None and self._plain_draws >= _AUTO_CHUNK_AFTER:
-            chunked = self._setup_chunking()
-        if chunked:
+            # Refill, then pop the fresh chunk's first op below.
             self._buf = buf = self._generate(self._chunk)
             if self._chunk < _CHUNK_MAX:
                 self._chunk *= 2
-            # Pop the first op of the fresh chunk in place rather than
-            # recursing: the refill happens once per chunk, but the frame
-            # would sit on the hot path's deepest stack.
-            packed = buf[0]
-            self._buf_pos = 1
-            index = packed >> 1
-            keys = self._keys
-            key = keys[index] if keys is not None else self.dataset.key(index)
-            if packed & 1:
-                self.updates_generated += 1
-                return "update", key, self.dataset.random_value()
-            self.reads_generated += 1
-            return "read", key, None
-        self._plain_draws += 1
-        index = self._chooser.next_index()
-        key = self.dataset.key(index)
-        if self._rng.random() < self.spec.read_proportion:
-            self.reads_generated += 1
-            return "read", key, None
-        self.updates_generated += 1
-        self._chooser.notify_insert(index)
-        return "update", key, self.dataset.random_value()
+            pos = 0
+        packed = buf[pos]
+        self._buf_pos = pos + 1
+        index = packed >> 1
+        keys = self._keys
+        key = keys[index] if keys is not None else self.dataset.key(index)
+        if packed & 1:
+            self.updates_generated += 1
+            return "update", key, self.dataset.random_value()
+        self.reads_generated += 1
+        return "read", key, None
 
     def prefill(self, n: int) -> int:
         """Precompute the next ``n`` operations into the chunk buffer.
@@ -197,13 +186,10 @@ class OperationGenerator:
             self._setup_chunking()
         if not self._chunked:
             return 0
-        if self._buf_pos:
-            self._buf = self._buf[self._buf_pos:]
-            self._buf_pos = 0
-        need = n - len(self._buf)
+        need = n - (len(self._buf) - self._buf_pos)
         if need > 0:
             self._buf.extend(self._generate(need))
-        return len(self._buf)
+        return len(self._buf) - self._buf_pos
 
     def _setup_chunking(self) -> bool:
         """Decide (once) whether draws can be precomputed in chunks."""

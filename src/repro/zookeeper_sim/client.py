@@ -33,7 +33,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.sim.network import MESSAGE_HEADER_BYTES, Network
 from repro.sim.node import Node
-from repro.zookeeper_sim.config import ZooKeeperConfig
+from repro.zookeeper_sim.config import (ELEMENT_SIZE_BYTES, PATH_SIZE_BYTES,
+                                        ZooKeeperConfig)
 
 
 class ZkOp:
@@ -90,9 +91,8 @@ class ZKClient(Node):
         self._req_ids = itertools.count(1)
         #: Request wire size without / with a data element.
         self._wire_sizes = (
-            MESSAGE_HEADER_BYTES + config.path_size_bytes,
-            MESSAGE_HEADER_BYTES + config.path_size_bytes
-            + config.element_size_bytes)
+            MESSAGE_HEADER_BYTES + PATH_SIZE_BYTES,
+            MESSAGE_HEADER_BYTES + PATH_SIZE_BYTES + ELEMENT_SIZE_BYTES)
         self._pending: Dict[int, ZkOp] = {}
         self.requests_sent = 0
         # Fault-path instrumentation (stays zero with timeouts disabled).

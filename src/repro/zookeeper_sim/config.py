@@ -1,37 +1,42 @@
-"""Configuration knobs for the simulated ZooKeeper ensemble."""
+"""The simulated ZooKeeper ensemble's cost model and its configuration.
+
+Service times are small because ZooKeeper operations are cheap; the latency
+the paper measures is dominated by the WAN round trips of the Zab commit
+path.  The service times and wire sizes below are fixed model constants;
+:class:`ZooKeeperConfig` holds what an ensemble is built with and may
+vary: failure detection, the election timings and client failover.  It is
+fixed once built: servers and clients fold it into derived values.
+"""
 
 from __future__ import annotations
 
 from repro.workloads.records import check_fields, spec
 
+#: CPU time a server spends handling one client request (ms).
+REQUEST_SERVICE_MS = 0.4
+#: CPU time the leader spends per proposal (ms).
+PROPOSAL_SERVICE_MS = 0.3
+#: CPU time a follower spends acking / applying a proposal (ms).
+APPLY_SERVICE_MS = 0.3
+#: Extra CPU time for the CZK local simulation fast path (ms).
+SIMULATION_SERVICE_MS = 0.2
+#: Size of a queue element payload on the wire (bytes); the paper uses
+#: identifiers of up to 20 B (e.g. ticket numbers).
+ELEMENT_SIZE_BYTES = 20
+#: Size of one znode name in a getChildren response (bytes),
+#: e.g. ``"item-0000000042"``.
+CHILD_NAME_BYTES = 16
+#: Size of a znode path on the wire (bytes).
+PATH_SIZE_BYTES = 24
+#: Small response / acknowledgement body size (bytes).
+ACK_BYTES = 10
 
-@spec
+
+@spec(frozen=True)
 class ZooKeeperConfig:
-    """Ensemble-wide configuration.
+    """Ensemble-wide configuration (the cost model is the module's
+    constants)."""
 
-    Service times are small because ZooKeeper operations are cheap; the
-    latency the paper measures is dominated by the WAN round trips of the
-    Zab commit path.
-    """
-
-    #: CPU time a server spends handling one client request (ms).
-    request_service_ms: float = 0.4
-    #: CPU time the leader spends per proposal (ms).
-    proposal_service_ms: float = 0.3
-    #: CPU time a follower spends acking / applying a proposal (ms).
-    apply_service_ms: float = 0.3
-    #: Extra CPU time for the CZK local simulation fast path (ms).
-    simulation_service_ms: float = 0.2
-    #: Size of a queue element payload on the wire (bytes); the paper uses
-    #: identifiers of up to 20 B (e.g. ticket numbers).
-    element_size_bytes: int = 20
-    #: Size of one znode name in a getChildren response (bytes),
-    #: e.g. ``"item-0000000042"``.
-    child_name_bytes: int = 16
-    #: Size of a znode path on the wire (bytes).
-    path_size_bytes: int = 24
-    #: Small response / acknowledgement body size (bytes).
-    ack_bytes: int = 10
     #: Follower → leader heartbeat period (ms); 0 disables failure detection
     #: entirely, which is the fault-free behaviour the happy-path figures
     #: assume.
@@ -70,10 +75,7 @@ class ZooKeeperConfig:
         """A configuration with failure detection and client failover enabled."""
         defaults = dict(
             heartbeat_interval_ms=200.0,
-            leader_timeout_ms=800.0,
-            election_window_ms=300.0,
             request_timeout_ms=2_000.0,
-            client_retries=3,
         )
         defaults.update(overrides)
         return cls(**defaults)

@@ -50,7 +50,10 @@ from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 from repro.sim.network import (MESSAGE_HEADER_BYTES, Network,
                                estimate_payload_size)
 from repro.sim.node import Node
-from repro.zookeeper_sim.config import ZooKeeperConfig
+from repro.zookeeper_sim.config import (
+    ACK_BYTES, APPLY_SERVICE_MS, CHILD_NAME_BYTES, ELEMENT_SIZE_BYTES,
+    PATH_SIZE_BYTES, PROPOSAL_SERVICE_MS, REQUEST_SERVICE_MS,
+    SIMULATION_SERVICE_MS, ZooKeeperConfig)
 from repro.zookeeper_sim.datatree import DataTree, NoNodeError, NodeExistsError
 from repro.zookeeper_sim.zab import (CommitLog, Election, ProposalTracker,
                                      Transaction)
@@ -79,11 +82,11 @@ class ZKServer(Node):
         #: the role changes — never per hop.
         self.leader_node: Optional[ZKServer] = None
         self.peers: Tuple[ZKServer, ...] = ()
-        # Wire sizes of the three message shapes (the config never changes).
-        self._ack_size = MESSAGE_HEADER_BYTES + config.ack_bytes
-        self._txn_size = (MESSAGE_HEADER_BYTES + config.path_size_bytes
-                          + config.element_size_bytes)
-        self._reply_size = self._ack_size + config.element_size_bytes
+        # Wire sizes of the three message shapes.
+        self._ack_size = MESSAGE_HEADER_BYTES + ACK_BYTES
+        self._txn_size = (MESSAGE_HEADER_BYTES + PATH_SIZE_BYTES
+                          + ELEMENT_SIZE_BYTES)
+        self._reply_size = self._ack_size + ELEMENT_SIZE_BYTES
         #: How long a stashed origin is worth keeping (0: forever).
         self._client_patience_ms = config.client_patience_ms()
         self.tracker: Optional[ProposalTracker] = None
@@ -145,8 +148,7 @@ class ZKServer(Node):
             self.network.messages_dropped += 1
             return
         self.network.messages_delivered += 1
-        self._enqueue(self.config.request_service_ms, self._handle_request,
-                      (op,))
+        self._enqueue(REQUEST_SERVICE_MS, self._handle_request, (op,))
 
     def _handle_request(self, op: ZkOp) -> None:
         kind = op.op
@@ -157,8 +159,8 @@ class ZKServer(Node):
             self._respond(op, ok=False, error=f"unknown operation {kind!r}")
             return
         if op.icg:
-            self._enqueue(self.config.simulation_service_ms,
-                          self._send_preliminary, (op,))
+            self._enqueue(SIMULATION_SERVICE_MS, self._send_preliminary,
+                          (op,))
         self._propose(self.name, op, None)
 
     # -- local reads --------------------------------------------------------------
@@ -172,8 +174,7 @@ class ZKServer(Node):
                 size = self._reply_size
             else:  # get_children
                 result = self.tree.get_children(path)
-                size = (self._ack_size
-                        + len(result) * self.config.child_name_bytes)
+                size = self._ack_size + len(result) * CHILD_NAME_BYTES
         except NoNodeError as exc:
             self._respond(op, ok=False, error=f"NoNode: {exc}")
             return
@@ -224,7 +225,7 @@ class ZKServer(Node):
             self.network.messages_dropped += 1
             return
         self.network.messages_delivered += 1
-        self._enqueue(self.config.proposal_service_ms, self._propose,
+        self._enqueue(PROPOSAL_SERVICE_MS, self._propose,
                       (origin_server, op, forward_id))
 
     def _propose(self, origin_server: str, op: ZkOp,
@@ -287,8 +288,7 @@ class ZKServer(Node):
                 # election) still proposes: tell it who leads now.
                 self.election.send_leader_info(leader)
             return
-        self._enqueue(self.config.apply_service_ms, self._ack_proposal,
-                      (txn, epoch))
+        self._enqueue(APPLY_SERVICE_MS, self._ack_proposal, (txn, epoch))
 
     def _ack_proposal(self, txn: Transaction, epoch: int) -> None:
         if epoch != self.epoch:
@@ -332,7 +332,7 @@ class ZKServer(Node):
             return
         self.network.messages_delivered += 1
         if epoch == self.epoch:
-            self._enqueue(self.config.apply_service_ms, self._learn_commit,
+            self._enqueue(APPLY_SERVICE_MS, self._learn_commit,
                           (zxid, epoch))
 
     def _learn_commit(self, zxid: int, epoch: int) -> None:
@@ -486,8 +486,7 @@ class ZKServer(Node):
             self.syncs_served += 1
             self._send_control(
                 MESSAGE_HEADER_BYTES + len(missing) * (
-                    self.config.path_size_bytes
-                    + self.config.element_size_bytes),
+                    PATH_SIZE_BYTES + ELEMENT_SIZE_BYTES),
                 follower, follower._zk_sync, missing)
         # A follower that switched epochs mid-stream dropped what was
         # proposed before: re-send it, or those zxids never reach quorum.
@@ -510,7 +509,7 @@ class ZKServer(Node):
         log = tuple(self.applied_log)
         self._send_control(
             MESSAGE_HEADER_BYTES + estimate_payload_size(tree_snapshot)
-            + len(log) * self.config.path_size_bytes,
+            + len(log) * PATH_SIZE_BYTES,
             dst, dst._zk_snapshot, self.epoch, self.leader_name,
             self.commit_log.last_applied, tree_snapshot, log)
 

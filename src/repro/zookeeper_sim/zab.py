@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set
 
 from repro.sim.network import MESSAGE_HEADER_BYTES
+from repro.zookeeper_sim.config import ACK_BYTES
 
 
 class Transaction(NamedTuple):
@@ -192,7 +193,7 @@ class Election:
         self._server = server
         self._scheduler = server.scheduler
         self._config = server.config
-        self._size = MESSAGE_HEADER_BYTES + server.config.ack_bytes
+        self._size = MESSAGE_HEADER_BYTES + ACK_BYTES
         self._enabled = False
         self._last_pong_ms = 0.0
         #: When a stalled backlog last made this server ask for a sync.

@@ -19,12 +19,14 @@ import pytest
 from history import RecordingSink
 
 from repro.cassandra_sim.cluster import CassandraCluster
-from repro.cassandra_sim.config import CassandraConfig
+from repro.cassandra_sim.config import (RESPONSE_OVERHEAD_BYTES,
+                                        CassandraConfig)
 from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
 from repro.cassandra_sim.partitioner import StreamTask
 from repro.cassandra_sim.storage import VersionedValue
 from repro.sim.environment import SimEnvironment
-from repro.sim.network import MESSAGE_HEADER_BYTES, estimate_payload_size
+from repro.sim.network import (KEY_SIZE_BYTES, MESSAGE_HEADER_BYTES,
+                               estimate_payload_size)
 from repro.sim.topology import Region
 
 
@@ -36,6 +38,20 @@ def _stack(**config):
     cluster.preload({"k": "preloaded"})
     client = cluster.add_client("client", Region.IRL, Region.FRK)
     return env, cluster, client, cluster.replica_in(Region.FRK)
+
+
+def _outsider_stack(**config):
+    """Four replicas, one IRL client whose coordinator is the FRK replica
+    ``n-frk``; also returns a key that ``n-frk`` holds no replica of."""
+    env = SimEnvironment(seed=5)
+    cluster = CassandraCluster(env, CassandraConfig(**config), nodes=[
+        ("n-frk", Region.FRK), ("n-irl", Region.IRL),
+        ("n-vrg", Region.VRG), ("n-frk2", Region.FRK)])
+    coordinator = cluster.replica_by_name("n-frk")
+    key = next(f"k{i}" for i in range(100) if coordinator.name
+               not in cluster.partitioner.replicas_for(f"k{i}"))
+    client = cluster.add_client("client", Region.IRL, Region.FRK)
+    return env, cluster, client, coordinator, key
 
 
 def _others(cluster, coordinator):
@@ -130,18 +146,11 @@ class TestReads:
         as the preliminary; a value that is not a string is sized by the
         payload estimate (floored at ``value_size_bytes``), like the
         final."""
-        env = SimEnvironment(seed=5)
-        cluster = CassandraCluster(env, CassandraConfig(), nodes=[
-            ("n-frk", Region.FRK), ("n-irl", Region.IRL),
-            ("n-vrg", Region.VRG), ("n-frk2", Region.FRK)])
-        coordinator = cluster.replica_by_name("n-frk")
-        key = next(f"k{i}" for i in range(100) if coordinator.name
-                   not in cluster.partitioner.replicas_for(f"k{i}"))
+        env, cluster, client, coordinator, key = _outsider_stack()
         value = [f"field-{i:04d}" for i in range(20)]
         version = VersionedValue(value, (1.0, "n-irl", 1))
         for name in cluster.partitioner.replicas_for(key):
             cluster.replica_by_name(name).table.apply(key, version)
-        client = cluster.add_client("client", Region.IRL, Region.FRK)
         sink = RecordingSink()
         client.lean_read(key, 2, True, sink)
         env.run_until_idle()
@@ -149,8 +158,7 @@ class TestReads:
         assert sink.calls[0].value == value == sink.calls[1].value
         vbytes = estimate_payload_size(value)
         assert vbytes > cluster.config.value_size_bytes
-        answer = (MESSAGE_HEADER_BYTES
-                  + cluster.config.response_overhead_bytes + vbytes)
+        answer = MESSAGE_HEADER_BYTES + RESPONSE_OVERHEAD_BYTES + vbytes
         assert env.network.link_stats(coordinator.name,
                                       client.name).bytes == 2 * answer
 
@@ -201,20 +209,20 @@ class TestWrites:
         assert env.network.messages_dropped == dropped + 1
         assert rec.refs == 1 and coordinator.stale_epoch_retries == 0
 
-    def test_a_write_timeout_without_downgrade_fails_the_write(self):
-        """No retry left and no downgrade: the client gets an error, not
-        an acknowledgement from below the quorum."""
-        env, cluster, client, coordinator = _stack(
-            write_timeout_ms=100.0, coordinator_retries=0,
-            downgrade_on_timeout=False)
-        for replica in _others(cluster, coordinator):
-            replica.crash()
+    def test_a_write_timeout_with_no_ack_fails_the_write(self):
+        """A coordinator that holds no replica of the key, with every owner
+        down: its retry gathers no acknowledgement either, so there is
+        nothing to downgrade to and the client gets an error."""
+        env, cluster, client, coordinator, key = _outsider_stack(
+            write_timeout_ms=100.0)
+        for name in cluster.partitioner.replicas_for(key):
+            cluster.replica_by_name(name).crash()
         sink = RecordingSink()
-        client.lean_write("k", "new", 2, sink)
+        client.lean_write(key, "new", 2, sink)
         env.run_until_idle()
         assert sink.kinds() == ["error"]
         assert sink.calls[0].error == "write timeout: no replica acknowledged"
-        assert coordinator.writes_failed == 1
+        assert coordinator.write_retries == coordinator.writes_failed == 1
         assert cluster.in_flight() == {"read_sessions": 0,
                                        "write_sessions": 0,
                                        "client_pending": 0}
@@ -222,15 +230,13 @@ class TestWrites:
     def test_resends_are_sized_like_the_first_send(self):
         """A timeout re-send charges the same request size as the fan-out
         it repeats: the client-measured value bytes, floored."""
-        env, cluster, client, coordinator = _stack(
-            write_timeout_ms=100.0, coordinator_retries=1)
+        env, cluster, client, coordinator = _stack(write_timeout_ms=100.0)
         replica = _others(cluster, coordinator)[0]
         replica.crash()
         value = "x" * 300
         client.lean_write("k", value, 3, RecordingSink())
         env.run_until_idle()
-        size = (MESSAGE_HEADER_BYTES + cluster.config.key_size_bytes
-                + len(value))
+        size = MESSAGE_HEADER_BYTES + KEY_SIZE_BYTES + len(value)
         stats = env.network.link_stats(coordinator.name, replica.name)
         assert coordinator.write_retries == 1
         assert (stats.messages, stats.bytes) == (2, 2 * size)

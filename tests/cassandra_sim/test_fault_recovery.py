@@ -52,27 +52,26 @@ class TestCoordinatorRetry:
         coordinator = cluster.replica_in(Region.FRK)
         assert coordinator.reads_downgraded == 1
 
-    def test_read_fails_without_downgrade(self):
-        """With downgrading disabled the coordinator reports an error
-        instead of silently hanging."""
-        config = CassandraConfig.fault_tolerant(downgrade_on_timeout=False,
+    def test_read_fails_when_no_replica_responds(self):
+        """A coordinator that holds no replica of the key, with both
+        owners down: after its retry it has no response to downgrade to,
+        so it reports an error instead of silently hanging."""
+        config = CassandraConfig.fault_tolerant(replication_factor=2,
                                                 client_timeout_ms=0.0)
         env, cluster, client = one_client_cluster(config=config)
-        cluster.replica_in(Region.IRL).crash()
-        cluster.replica_in(Region.VRG).crash()
-        # Make the only reachable copy the coordinator itself ineligible by
-        # asking for a quorum the survivors cannot form.
+        coordinator = cluster.replica_in(Region.FRK)
+        key = next(f"key{i}" for i in range(10) if coordinator.name
+                   not in cluster.partitioner.replicas_for(f"key{i}"))
+        for name in cluster.partitioner.replicas_for(key):
+            cluster.replica_by_name(name).crash()
         results = RecordingSink()
-        client.lean_read("key3", 3, False, results)
+        client.lean_read(key, 2, False, results)
         env.run_until_idle()
 
-        # Downgrade disabled: the coordinator has its local response only
-        # (1 < 3) and, configured not to downgrade but having at least one
-        # response, still errors out? No — with responses present but
-        # downgrade disabled, the read reports an error to the client.
         assert len(results.answers) == 1
         assert results.answers[0].kind == "error"
-        assert cluster.replica_in(Region.FRK).reads_failed == 1
+        assert results.answers[0].error == "read timeout: no replica responded"
+        assert coordinator.read_retries == coordinator.reads_failed == 1
 
     def test_write_survives_single_crash_without_retry(self):
         """Writes already fan out to every replica, so one crash leaves the

@@ -91,10 +91,9 @@ class TestJoin:
 
     def test_bootstrapping_node_rejects_client_ops(self):
         env = _env()
-        cluster = six_node_cluster(env)
-        name = "cassandra-6-" + Region.FRK
         # Freeze the operation mid-bootstrap: plan+begin but stream slowly.
-        cluster.config.stream_scan_ms = 10_000.0
+        cluster = six_node_cluster(env, stream_scan_ms=10_000.0)
+        name = "cassandra-6-" + Region.FRK
         cluster.join_node(name, Region.FRK)
         env.run(until=50.0)
         joiner = cluster.replica_by_name(name)
@@ -298,8 +297,8 @@ class TestSafetyUnderTraffic:
 
     def test_writes_forwarded_to_pending_owners(self):
         env = _env()
-        cluster = six_node_cluster(env)
-        cluster.config.stream_scan_ms = 200.0  # stretch the bootstrap window
+        # Stretch the bootstrap window.
+        cluster = six_node_cluster(env, stream_scan_ms=200.0)
         client = cluster.add_client("c", Region.IRL,
                                     contact_region=Region.FRK)
         cluster.join_node("cassandra-6-" + Region.FRK, Region.FRK)

@@ -25,7 +25,7 @@ from repro.cassandra_sim.partitioner import key_token, token_in_range
 from repro.cassandra_sim.replica import CassandraReplica
 from repro.cassandra_sim.storage import TIME_ZERO, VersionedValue
 from repro.sim.environment import SimEnvironment
-from repro.sim.network import MESSAGE_HEADER_BYTES, Network
+from repro.sim.network import KEY_SIZE_BYTES, MESSAGE_HEADER_BYTES, Network
 from repro.sim.topology import Region
 from repro.workloads.records import Dataset, time_zero_value
 
@@ -576,7 +576,7 @@ def test_a_stream_batch_weighs_what_its_values_weigh(size, read_every):
         mixed += 0 < unread < len(keys)
         unread_rows += unread
         assert size_bytes == (MESSAGE_HEADER_BYTES
-                              + replica.config.key_size_bytes * len(keys)
+                              + KEY_SIZE_BYTES * len(keys)
                               + replica._values_bytes(values))
     assert (mixed > 0) == (read_every == 2)
     assert (unread_rows > 0) == (read_every != 1)

@@ -1,20 +1,13 @@
-"""A line ledger for the Cassandra client, coordinator, replica, ring and
-storage modules, the ZooKeeper client, server, Zab, data tree and
-ensemble, the 2PC manager, coordinator, participant, takeover and log, and
-the simulator core.
+"""A line ledger for the three store configs, the Cassandra client,
+coordinator, replica, ring and storage modules, the workload package, the
+ZooKeeper client, server, Zab, data tree and ensemble, the 2PC manager,
+coordinator, participant, takeover and log, and the simulator core.
 
 A pytest plugin, stdlib only: ``PYTHONPATH=src:tests python -m pytest
--p ledger``.  It traces (``sys.settrace``) every line run in
-``cassandra_sim/client.py``, ``reads.py``, ``writes.py``, ``replica.py``,
-``cluster.py``, ``partitioner.py`` and ``storage.py``, in
-``workloads/records.py``, in ``zookeeper_sim/client.py``, ``server.py``,
-``zab.py``, ``datatree.py`` and ``cluster.py``, in ``txn/manager.py``,
-``coordinator.py``, ``participant.py``, ``takeover.py`` and ``log.py`` and
-in ``sim/scheduler.py``, ``network.py``, ``node.py``, ``topology.py``,
-``clock.py``, ``environment.py`` and ``rand.py`` while the suite runs,
-then fails the session on
-any executable line that never ran and is not in :data:`ALLOWED`, and on
-any :data:`ALLOWED` entry that ran after all or names no line (a stale
+-p ledger``.  It traces (``sys.settrace``) every line run in the modules
+of :data:`MODULES` while the suite runs, then fails the session on any
+executable line that never ran and is not in :data:`ALLOWED`, and on any
+:data:`ALLOWED` entry that ran after all or names no line (a stale
 entry).  So a test that reaches a cold path — a guard that only fires on
 a crash, a drop or a ring change — cannot be skipped, deselected or
 deleted without the ledger saying which lines it was the only one to
@@ -44,13 +37,18 @@ from typing import Dict, Set, Tuple
 import pytest
 
 #: The modules traced, relative to the ``repro`` package.
-MODULES = ("cassandra_sim/client.py", "cassandra_sim/reads.py",
-           "cassandra_sim/writes.py", "cassandra_sim/replica.py",
-           "cassandra_sim/cluster.py", "cassandra_sim/partitioner.py",
-           "cassandra_sim/storage.py", "workloads/records.py",
-           "zookeeper_sim/client.py", "zookeeper_sim/server.py",
-           "zookeeper_sim/zab.py", "zookeeper_sim/datatree.py",
-           "zookeeper_sim/cluster.py", "txn/manager.py", "txn/coordinator.py",
+MODULES = ("cassandra_sim/config.py", "cassandra_sim/client.py",
+           "cassandra_sim/reads.py", "cassandra_sim/writes.py",
+           "cassandra_sim/replica.py", "cassandra_sim/cluster.py",
+           "cassandra_sim/partitioner.py", "cassandra_sim/storage.py",
+           "workloads/__init__.py", "workloads/arrivals.py",
+           "workloads/distributions.py", "workloads/engine.py",
+           "workloads/fastrand.py", "workloads/records.py",
+           "workloads/runner.py", "workloads/ycsb.py",
+           "zookeeper_sim/config.py", "zookeeper_sim/client.py",
+           "zookeeper_sim/server.py", "zookeeper_sim/zab.py",
+           "zookeeper_sim/datatree.py", "zookeeper_sim/cluster.py",
+           "txn/config.py", "txn/manager.py", "txn/coordinator.py",
            "txn/participant.py", "txn/takeover.py", "txn/log.py",
            "sim/scheduler.py", "sim/network.py", "sim/node.py",
            "sim/topology.py", "sim/clock.py", "sim/environment.py",
@@ -64,6 +62,13 @@ ALLOWED: Dict[Tuple[str, str, str], str] = {
         "typing only: annotations are never evaluated at run time",
     ("sim/network.py", "<module>", "from repro.sim.node import Node"):
         "typing only: annotations are never evaluated at run time",
+    **{key: "abstract: every subclass overrides it, and nothing builds "
+            "the base class"
+       for key in (
+           ("workloads/arrivals.py", "ArrivalProcess.next_gap_ms",
+            "raise NotImplementedError"),
+           ("workloads/engine.py", "LoadEngine._start_load",
+            "raise NotImplementedError"))},
     **{key: "a debugging aid: nothing in the simulator prints it"
        for key in (
            ("sim/scheduler.py", "Event.__repr__",

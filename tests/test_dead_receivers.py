@@ -64,19 +64,22 @@ def test_a_final_to_a_dead_client_is_dropped_and_the_timeout_resends():
 
 
 def test_an_error_to_a_dead_client_is_dropped_and_the_timeout_resends():
-    # Downgrade off and the contact alone: its quorum wait ends in an
-    # error, dropped; the client's timeout re-sends once the ring is back.
+    # Every owner of the key down, and the contact holds no replica of it:
+    # its quorum wait ends in an error, dropped; the client's timeout
+    # re-sends once the owners are back.
     drain = DrainCheck("dropped error")
     env, cluster, client = one_client_cluster(
-        CassandraConfig.fault_tolerant(downgrade_on_timeout=False))
-    others = [replica for replica in cluster.replicas
-              if replica.name != client._contacts[0]]
-    for replica in others:
+        CassandraConfig.fault_tolerant(replication_factor=2))
+    key = next(f"key{i}" for i in range(10) if client._contacts[0]
+               not in cluster.partitioner.replicas_for(f"key{i}"))
+    owners = [cluster.replica_by_name(name)
+              for name in cluster.partitioner.replicas_for(key)]
+    for replica in owners:
         replica.crash()
     sink = RecordingSink()
-    client.lean_read("key1", 2, False, sink)
+    client.lean_read(key, 2, False, sink)
     serve_dropped(env, client._fused_error)
-    for replica in others:
+    for replica in owners:
         replica.recover()
     env.run_until_idle()
     assert sink.kinds() == ["final"] and client.retries == 1

@@ -28,6 +28,8 @@ import typing
 import pytest
 
 import repro
+from repro.workloads.records import (
+    check_non_negative_float, check_non_negative_int)
 
 #: Dataclasses that are not specs -> why no field rule runs on them.
 NOT_SPECS = {
@@ -163,6 +165,147 @@ def test_a_spec_checks_its_fields_first(name):
     for field, _, optional in _fields(cls) if optional])
 def test_an_optional_field_takes_none(name, field):
     assert getattr(_build(name, **{field: None}), field) is None
+
+
+#: The three store configs: replicas, clients and servers fold a config
+#: into derived values when they are built (whether a read tracks its
+#: responses, a client's quorum sizes and patience), so a later assignment
+#: would reach only the paths that read the field live.
+CONFIGS = ("repro.cassandra_sim.config.CassandraConfig",
+           "repro.zookeeper_sim.config.ZooKeeperConfig",
+           "repro.txn.config.TxnConfig")
+
+
+@pytest.mark.parametrize("name, field", [
+    pytest.param(name, field.name,
+                 id=f"{name.rsplit('.', 1)[1]}-{field.name}")
+    for name in CONFIGS for field in dataclasses.fields(SPECS[name])])
+def test_a_config_cannot_change_after_build(name, field):
+    config = _build(name)
+    before = getattr(config, field)
+    with pytest.raises(dataclasses.FrozenInstanceError,
+                       match=f"^cannot assign to field '{re.escape(field)}'$"):
+        setattr(config, field, before)
+    assert getattr(config, field) == before
+
+
+@pytest.mark.parametrize("name, field", [
+    pytest.param(name, field.name,
+                 id=f"{name.rsplit('.', 1)[1]}-{field.name}")
+    for name in CONFIGS for field in dataclasses.fields(SPECS[name])])
+def test_a_config_field_cannot_be_deleted_after_build(name, field):
+    # On a config that is not frozen, ``del`` would leave the class's
+    # default to be read in the field's place.
+    config = _build(name)
+    before = getattr(config, field)
+    with pytest.raises(dataclasses.FrozenInstanceError,
+                       match=f"^cannot delete field '{re.escape(field)}'$"):
+        delattr(config, field)
+    assert getattr(config, field) == before
+
+
+def _fault_tolerant_overrides(name):
+    """What ``fault_tolerant()`` passes to the config's constructor."""
+    return SPECS[name].fault_tolerant.__func__(lambda **listed: listed)
+
+
+@pytest.mark.parametrize("name, field", [
+    pytest.param(name, field, id=f"{name.rsplit('.', 1)[1]}-{field}")
+    for name in CONFIGS if hasattr(SPECS[name], "fault_tolerant")
+    for field in sorted(_fault_tolerant_overrides(name))])
+def test_fault_tolerant_lists_only_what_differs_from_the_default(name, field):
+    listed = _fault_tolerant_overrides(name)[field]
+    assert listed != getattr(_build(name), field)
+    assert getattr(SPECS[name].fault_tolerant(), field) == listed
+
+
+#: The config fields that no caller set -> the model constant that holds
+#: their value now, and the two Cassandra recovery switches deleted with
+#: the one setting they were run with (``None``).
+REMOVED = {
+    "repro.cassandra_sim.config.CassandraConfig": {
+        "read_service_ms": "READ_SERVICE_MS",
+        "write_service_ms": "WRITE_SERVICE_MS",
+        "preliminary_flush_ms": "PRELIMINARY_FLUSH_MS",
+        "key_size_bytes": "repro.sim.network.KEY_SIZE_BYTES",
+        "response_overhead_bytes": "RESPONSE_OVERHEAD_BYTES",
+        "confirmation_bytes": "CONFIRMATION_BYTES",
+        "stream_batch_ms": "STREAM_BATCH_MS",
+        "stream_apply_ms_per_item": "STREAM_APPLY_MS_PER_ITEM",
+        "downgrade_on_timeout": None,
+        "coordinator_retries": None,
+    },
+    "repro.zookeeper_sim.config.ZooKeeperConfig": {
+        "request_service_ms": "REQUEST_SERVICE_MS",
+        "proposal_service_ms": "PROPOSAL_SERVICE_MS",
+        "apply_service_ms": "APPLY_SERVICE_MS",
+        "simulation_service_ms": "SIMULATION_SERVICE_MS",
+        "element_size_bytes": "ELEMENT_SIZE_BYTES",
+        "child_name_bytes": "CHILD_NAME_BYTES",
+        "path_size_bytes": "PATH_SIZE_BYTES",
+        "ack_bytes": "ACK_BYTES",
+    },
+    "repro.txn.config.TxnConfig": {
+        "decision_retry_ms": "DECISION_RETRY_MS",
+        "takeover_probe_ms": "TAKEOVER_PROBE_MS",
+        "breaker_failure_threshold": "BREAKER_FAILURE_THRESHOLD",
+        "breaker_reset_ms": "BREAKER_RESET_MS",
+        "key_size_bytes": "repro.sim.network.KEY_SIZE_BYTES",
+        "value_size_bytes": "VALUE_SIZE_BYTES",
+    },
+}
+
+
+@pytest.mark.parametrize("name, field, constant", [
+    pytest.param(name, field, constant,
+                 id=f"{name.rsplit('.', 1)[1]}-{field}")
+    for name, fields in REMOVED.items()
+    for field, constant in fields.items()])
+def test_a_removed_field_is_no_keyword_of_its_config(name, field, constant):
+    if constant is not None:
+        module, _, attr = constant.rpartition(".")
+        module = importlib.import_module(module or SPECS[name].__module__)
+        assert attr in vars(module), constant
+    with pytest.raises(TypeError,
+                       match=f"unexpected keyword argument '{field}'$"):
+        _build(name, **{field: 1})
+
+
+#: The modules that hold the cost model's constants.
+MODEL_MODULES = ("repro.cassandra_sim.config", "repro.zookeeper_sim.config",
+                 "repro.txn.config", "repro.sim.network")
+#: A constant's unit, read from the end of its name -> its rule, as a
+#: field of that unit has (``check_fields``).
+UNIT_RULES = {"_BYTES": check_non_negative_int,
+              "_THRESHOLD": check_non_negative_int,
+              "_MS": check_non_negative_float,
+              "_MS_PER_ITEM": check_non_negative_float}
+#: Constants that must be above zero, as their ``POSITIVE`` fields were: a
+#: zero period re-arms at the same instant forever, and a zero threshold
+#: opens a breaker before any failure.
+POSITIVE_CONSTANTS = {"repro.txn.config.DECISION_RETRY_MS",
+                      "repro.txn.config.TAKEOVER_PROBE_MS",
+                      "repro.txn.config.BREAKER_FAILURE_THRESHOLD"}
+MODEL_CONSTANTS = {
+    f"{module}.{attr}": value
+    for module in MODEL_MODULES
+    for attr, value in vars(importlib.import_module(module)).items()
+    if attr.isupper() and type(value) in (int, float)}
+
+
+def test_the_twenty_two_model_constants_are_found():
+    assert len(MODEL_CONSTANTS) == 22
+    assert POSITIVE_CONSTANTS <= set(MODEL_CONSTANTS)
+
+
+@pytest.mark.parametrize("constant", sorted(MODEL_CONSTANTS))
+def test_a_model_constant_obeys_the_rule_of_its_unit(constant):
+    value = MODEL_CONSTANTS[constant]
+    units = [unit for unit in UNIT_RULES if constant.endswith(unit)]
+    assert len(units) == 1, f"{constant}: its name gives no one unit"
+    UNIT_RULES[units[0]](constant, value)
+    if constant in POSITIVE_CONSTANTS:
+        assert value > 0
 
 
 @pytest.mark.parametrize("name, field, value", CASES)

@@ -17,6 +17,7 @@ import pytest
 from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region
 from repro.txn import ABORT, COMMIT, TwoPhaseCommitCoordinator, TxnState
+from repro.txn.config import TAKEOVER_PROBE_MS
 from repro.txn.log import TxnLogRecord
 from txn_helpers import make_fabric, no_failover_config
 
@@ -93,7 +94,7 @@ class TestCoordinator:
         down.crash()
         successor.takeover.take_over()
         probes = env.network.link_stats(successor.name, down.name).messages
-        env.run(until=env.now() + 2.5 * fabric.config.takeover_probe_ms)
+        env.run(until=env.now() + 2.5 * TAKEOVER_PROBE_MS)
         assert successor.takeover.recovering
         assert successor.takeover.round.pending == {down.name}
         assert env.network.link_stats(successor.name, down.name).messages \

@@ -96,6 +96,11 @@ class TestWorkloadSpecs:
         with pytest.raises(ValueError):
             WorkloadSpec("bad", read_proportion=0.5, update_proportion=0.2)
 
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 2.0])
+    def test_a_zipf_theta_the_generator_cannot_take_is_refused(self, theta):
+        with pytest.raises(ValueError, match=r"^zipf_theta must be in \(0, 2\)"):
+            WORKLOAD_A.with_skew(theta)
+
     def test_with_distribution_preserves_mix(self):
         spec = WORKLOAD_A.with_distribution("latest")
         assert spec.request_distribution == "latest"
@@ -125,6 +130,22 @@ class TestOperationGenerator:
                                    for _ in range(50)) if op[0] == "update"]
         assert values and all(isinstance(v, str) and len(v) == 100
                               for v in values)
+
+    @pytest.mark.parametrize("streams", [
+        {}, {"key_rng": random.Random(1)}, {"mix_rng": random.Random(1)}])
+    def test_a_generator_without_both_streams_is_refused(self, streams):
+        with pytest.raises(ValueError, match="^pass either a shared rng"):
+            OperationGenerator(WORKLOAD_A, Dataset(record_count=10), **streams)
+
+    def test_a_prefill_after_draws_counts_only_the_ops_not_yet_drawn(self):
+        generator, reference = (
+            OperationGenerator.seeded(WORKLOAD_A, Dataset(50), 3, "prefill")
+            for _ in range(2))
+        assert generator.prefill(64) == 64
+        drawn = [generator.next_operation() for _ in range(10)]
+        assert generator.prefill(64) == 64
+        drawn += [generator.next_operation() for _ in range(64)]
+        assert drawn == [reference.next_operation() for _ in range(74)]
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=20)
@@ -158,6 +179,19 @@ class _InstantIssue:
     def __call__(self, op_type, key, value, sink, session_id=None):
         self.issued += 1
         _icg_read(self.scheduler, sink, self.latency_ms)
+
+
+class _RecordingIssue:
+    """Records each thread's operations and completes each after 10 ms."""
+
+    def __init__(self, scheduler):
+        self.scheduler = scheduler
+        self.ops = {}
+
+    def __call__(self, op_type, key, value, sink, session_id=None):
+        self.ops.setdefault(sink.thread_id, []).append((op_type, key, value))
+        self.scheduler.schedule(10.0, sink.deliver_final, value, None, 10.0,
+                                False)
 
 
 class TestClosedLoopRunner:
@@ -213,3 +247,31 @@ class TestClosedLoopRunner:
         summary = result.summary()
         assert {"label", "throughput_ops_s", "final_mean_ms",
                 "divergence_pct", "degraded_ops", "failed_ops"} <= set(summary)
+
+    @pytest.mark.parametrize("distribution", [
+        "uniform", "zipfian", "scrambled_zipfian", "latest"])
+    @pytest.mark.parametrize("workload", [WORKLOAD_A, WORKLOAD_B, WORKLOAD_C],
+                             ids=lambda spec: spec.name)
+    def test_each_thread_issues_what_its_generator_draws(self, workload,
+                                                         distribution):
+        # A thread prefills its generator and draws through
+        # ``next_operation``; a fresh generator drawing one op at a time
+        # must give the same ops, values included (each thread's dataset
+        # is its own, so its value stream is too).
+        spec = workload.with_distribution(distribution)
+
+        def make_generator(i):
+            return OperationGenerator.seeded(
+                spec, Dataset(record_count=50, seed=i), 7, f"thread-{i}")
+
+        scheduler = Scheduler()
+        issue = _RecordingIssue(scheduler)
+        ClosedLoopRunner(scheduler=scheduler, issue=issue,
+                         make_generator=make_generator, threads=2,
+                         duration_ms=3_000.0, warmup_ms=100.0,
+                         cooldown_ms=100.0, label="draws").run()
+        assert sorted(issue.ops) == [0, 1]
+        for thread_id, ops in issue.ops.items():
+            assert len(ops) == 300  # past the 64 prefilled ops
+            reference = make_generator(thread_id)
+            assert ops == [reference.next_operation() for _ in ops]
